@@ -2,11 +2,15 @@
 //!
 //! Usage:
 //! ```text
-//! repro [--quick] [--seed N] [--csv] [--oracle] <experiment>...
+//! repro [--quick] [--seed N] [--windows W,M] [--csv] [--oracle] <experiment>...
+//! repro [--quick] [--windows W,M] serve <jobs-file> [--dir PATH]
+//! repro [--smoke] [--seed N] chaos [--inject-wrong-result]
 //! ```
 //! where `<experiment>` is one of `table1`, `fig9`, `fig10`, `fig12`,
-//! `fig14`, `fig15`, `fig17`, `lbdr`, `oracle`, `bench-kernel`,
-//! `bench-parallel`, `ablation-delta`, `ablation-vcsplit`, or `all`.
+//! `fig14`, `fig15`, `fig17`, `lbdr`, `oracle`, `curve`, `trace-demo`,
+//! `bench-kernel`, `bench-model`, `verify-config`, `admit`, `resilience`,
+//! `ablation-delta`, `ablation-vcsplit`, `ablation-rank`, `baselines`, or
+//! `all`; `repro --help` prints every flag.
 //!
 //! `--oracle` force-enables the invariant oracle for every simulation of
 //! the invocation (equivalent to `RAIR_ORACLE=1`); the `oracle` experiment
@@ -18,9 +22,9 @@ use experiments::runner::ExpConfig;
 use metrics::Table;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: repro [--quick] [--smoke] [--seed N] [--csv] [--oracle] [--prune] [--inject-cyclic] [--inject-broken] \
+const USAGE: &str = "usage: repro [--quick] [--smoke] [--seed N] [--windows W,M] [--csv] [--oracle] [--prune] [--inject-cyclic] [--inject-broken] \
 [--topology mesh|torus|ring|cmesh[:N]] \
-<table1|fig9|fig10|fig12|fig14|fig15|fig17|lbdr|oracle|curve|trace-demo|bench-kernel|bench-parallel|bench-model|verify-config|admit|resilience|ablation-delta|ablation-vcsplit|ablation-rank|baselines|all> \
+<table1|fig9|fig10|fig12|fig14|fig15|fig17|lbdr|oracle|curve|trace-demo|bench-kernel|bench-model|verify-config|admit|resilience|ablation-delta|ablation-vcsplit|ablation-rank|baselines|all> \
 [--trace-file PATH]\n\
        repro [--quick] [--windows W,M] serve <jobs-file> [--dir PATH] [--retries N] [--timeout-ms N] [--screen]\n\
        repro [--smoke] [--seed N] chaos [--inject-wrong-result]";
@@ -83,9 +87,11 @@ fn main() -> ExitCode {
             // Explicit warmup,measure override (the chaos battery drives
             // child sweeps with tiny-but-real windows through this).
             "--windows" => {
+                // A zero measurement window would make every APL 0/0.
                 let parsed = args.next().and_then(|s| {
                     let (w, m) = s.split_once(',')?;
-                    Some((w.trim().parse().ok()?, m.trim().parse().ok()?))
+                    let m: u64 = m.trim().parse().ok()?;
+                    (m > 0).then_some((w.trim().parse().ok()?, m))
                 });
                 match parsed {
                     Some((w, m)) => {
@@ -93,7 +99,7 @@ fn main() -> ExitCode {
                         ec.measure = m;
                     }
                     None => {
-                        eprintln!("--windows needs WARMUP,MEASURE cycles\n{USAGE}");
+                        eprintln!("--windows needs WARMUP,MEASURE cycles (MEASURE > 0)\n{USAGE}");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -359,18 +365,6 @@ fn main() -> ExitCode {
                     "[repro] wrote {} saturation + {} latency rows to BENCH_model.json",
                     b.sat.len(),
                     b.lat.len()
-                );
-            }
-            "bench-parallel" => {
-                let rows = experiments::bench_parallel::run(&ec);
-                emit(&experiments::bench_parallel::table(&rows));
-                let json = experiments::bench_parallel::to_json(&rows);
-                std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
-                eprintln!(
-                    "[repro] wrote {} scaling rows to BENCH_parallel.json \
-                     (host parallelism: {})",
-                    rows.len(),
-                    experiments::bench_parallel::host_parallelism()
                 );
             }
             "curve" => {

@@ -14,7 +14,6 @@
 pub mod admit;
 pub mod bench_kernel;
 pub mod bench_model;
-pub mod bench_parallel;
 pub mod figs;
 pub mod runner;
 pub mod service;

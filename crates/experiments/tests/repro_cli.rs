@@ -42,6 +42,24 @@ fn seed_requires_value() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--seed needs an integer"));
 }
 
+/// A zero measurement window makes every APL 0/0; `--windows` must reject
+/// it (and malformed pairs) up front instead of printing a table of NaN.
+#[test]
+fn windows_rejects_zero_measure_and_malformed_pairs() {
+    for bad in ["100,0", "100", "100,x", ",50"] {
+        let out = repro()
+            .args(["--quick", "--windows", bad, "fig9"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "`--windows {bad}` must be rejected");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--windows needs WARMUP,MEASURE") && err.contains("usage:"),
+            "`{bad}`: {err}"
+        );
+    }
+}
+
 #[test]
 fn table1_prints_configuration() {
     let out = repro().arg("table1").output().unwrap();

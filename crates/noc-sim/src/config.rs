@@ -54,13 +54,6 @@ pub struct SimConfig {
     /// default (empty) timeline keeps the resilience machinery fully
     /// off-path and out of the behavioral digest.
     pub fault: FaultTimeline,
-    /// Spatial router shards the tick engine may split the mesh into
-    /// (`0` = resolve from the `RAIR_SHARDS` environment variable,
-    /// defaulting to 1 = scalar). Sharding is an execution strategy, not a
-    /// model parameter: stat digests are bit-identical at every shard count,
-    /// so the field is excluded from [`SimConfig::digest_into`] just like
-    /// the oracle/verify observability toggles.
-    pub shards: usize,
 }
 
 impl Default for SimConfig {
@@ -89,23 +82,7 @@ impl SimConfig {
             oracle: OracleConfig::default(),
             verify: VerifyConfig::default(),
             fault: FaultTimeline::default(),
-            shards: 0,
         }
-    }
-
-    /// Resolve the shard count the tick engine should use: an explicit
-    /// [`SimConfig::shards`] wins; `0` defers to the `RAIR_SHARDS`
-    /// environment variable (mirroring `RAIR_ORACLE`/`RAIR_VERIFY`), and an
-    /// absent or unparseable variable means scalar (1).
-    pub fn resolve_shards(&self) -> usize {
-        if self.shards != 0 {
-            return self.shards;
-        }
-        std::env::var("RAIR_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&s| s > 0)
-            .unwrap_or(1)
     }
 
     /// Table 1 configuration with two message classes (request + reply) for

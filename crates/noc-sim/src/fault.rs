@@ -34,9 +34,9 @@ use crate::ids::{
     opposite, Coord, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH,
     PORT_WEST,
 };
-use crate::network::Network;
 use crate::region::RegionMap;
 use crate::routing::{escape_port, step, NextHops, RoutingAlgorithm, SelectCtx};
+use crate::topology::has_link;
 use crate::verify::{Verifier, VerifyReport};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -157,7 +157,7 @@ impl FaultTimeline {
                         return Err(format!("fault event router {router} out of bounds"));
                     }
                     let c = cfg.coord_of(router);
-                    if !(1..=4).contains(&port) || !Network::port_in_bounds(cfg, c, port) {
+                    if !(1..=4).contains(&port) || !has_link(cfg, c, port) {
                         return Err(format!(
                             "fault event link ({router}, {port}) is not an in-bounds mesh link"
                         ));
@@ -431,7 +431,7 @@ impl RoutingAlgorithm for DegradedRouting<'_> {
 /// not in the dead set?
 #[inline]
 fn link_alive(cfg: &SimConfig, dead: &BTreeSet<(usize, Port)>, cur: Coord, p: Port) -> bool {
-    Network::port_in_bounds(cfg, cur, p) && !dead.contains(&(cfg.node_at(cur) as usize, p))
+    has_link(cfg, cur, p) && !dead.contains(&(cfg.node_at(cur) as usize, p))
 }
 
 /// Is some vertical link in column `x` between rows `y0` and `y1` dead
@@ -631,7 +631,7 @@ impl FaultState {
     pub(crate) fn apply_event(&mut self, cfg: &SimConfig, ev: FaultEvent) {
         let mut kill_link = |r: usize, p: Port| {
             let c = cfg.coord_of(r as NodeId);
-            if !Network::port_in_bounds(cfg, c, p) {
+            if !has_link(cfg, c, p) {
                 return;
             }
             self.dead_links.insert((r, p));

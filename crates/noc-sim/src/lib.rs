@@ -52,7 +52,6 @@ pub mod oracle;
 pub mod region;
 pub mod router;
 pub mod routing;
-pub mod shard;
 pub mod source;
 pub mod stats;
 pub mod topology;
@@ -80,7 +79,7 @@ pub mod prelude {
     };
     pub use crate::source::{NewPacket, NoTraffic, ScriptedSource, TrafficSource};
     pub use crate::stats::SimStats;
-    pub use crate::topology::{Topology, TopologyKind};
+    pub use crate::topology::TopologyKind;
     pub use crate::vc::{VcClass, VcTag};
     pub use crate::verify::{Verifier, VerifyConfig, VerifyReport, VerifyViolation, Witness};
     pub use metrics::LatencyKind;

@@ -68,8 +68,7 @@ use crate::fault::{
 };
 use crate::flit::{Flit, FlitKind, PacketInfo};
 use crate::ids::{
-    opposite, AppId, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH,
-    PORT_SOUTH, PORT_WEST,
+    opposite, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,
 };
 use crate::node::Node;
 use crate::oracle::Oracle;
@@ -78,6 +77,7 @@ use crate::router::Router;
 use crate::routing::{RoutingAlgorithm, SelectCtx};
 use crate::source::TrafficSource;
 use crate::stats::SimStats;
+use crate::topology::has_link;
 use crate::vc::{VcState, VcTag};
 use crate::verify::MAX_RECORDED_VIOLATIONS;
 use rand::rngs::SmallRng;
@@ -96,7 +96,7 @@ pub(crate) struct InFlight {
 
 /// A VA_out request gathered during the shared (read-only) pass.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct VaReq {
+struct VaReq {
     out_port: Port,
     out_vc: usize,
     in_port: Port,
@@ -106,7 +106,7 @@ pub(crate) struct VaReq {
 
 /// An SA candidate gathered during the shared pass.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SaCand {
+struct SaCand {
     in_port: Port,
     in_vc: usize,
     out_port: Port,
@@ -115,161 +115,31 @@ pub(crate) struct SaCand {
     prio_out: u64,
 }
 
-/// A buffered oracle event emitted by a band-scoped pipeline phase.
-///
-/// The oracle is a single sequential observer, so parallel workers cannot
-/// call it directly. Instead the band phases record their events here in
-/// kernel emission order; the scalar wrappers replay them immediately after
-/// each phase (preserving the historical call order exactly) and the
-/// sharded coordinator replays each cycle's buffers in shard-index order —
-/// one deterministic event sequence either way.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum OracleNote {
-    Arrival {
-        router: NodeId,
-        port: Port,
-        vc: usize,
-        flit: Flit,
-    },
-    Occupancy {
-        router: NodeId,
-        port: Port,
-        vc: usize,
-        occupied: bool,
-    },
-    Inject {
-        app: AppId,
-    },
-}
-
-/// Replay buffered oracle events against the oracle, in buffer order.
-pub(crate) fn replay_notes(o: &mut Oracle, cfg: &SimConfig, notes: &[OracleNote], cycle: u64) {
-    for n in notes {
-        match *n {
-            OracleNote::Arrival {
-                router,
-                port,
-                vc,
-                flit,
-            } => o.note_arrival(cfg, router, port, vc, &flit, cycle),
-            OracleNote::Occupancy {
-                router,
-                port,
-                vc,
-                occupied,
-            } => o.note_occupancy(router, port, vc, occupied, cycle),
-            OracleNote::Inject { app } => o.note_inject(app, cycle),
-        }
-    }
-}
-
-/// A reply the NI at `node` must schedule — the cross-thread form of
-/// [`Node::schedule_reply`], produced by the (coordinator-side) ejection
-/// consumer and applied by whichever thread owns the node.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReplySchedule {
-    pub(crate) node: usize,
-    pub(crate) ready: u64,
-    pub(crate) id: u64,
-    pub(crate) dst: NodeId,
-    pub(crate) app: AppId,
-    pub(crate) class: MsgClass,
-    pub(crate) size: u32,
-}
-
-/// Deterministic-merge sink for the band-scoped pipeline phases.
-///
-/// The phases that emit cross-router traffic (SA) or global stat/oracle
-/// effects (SA, injection) write them here instead of into the network, so
-/// the same phase code serves both engines: the scalar wrappers drain the
-/// sink into the network right after each phase, and the sharded workers
-/// ship one sink per cycle to the coordinator, which merges them in
-/// shard-index order.
-#[derive(Debug, Default)]
-pub(crate) struct PhaseOut {
-    pub(crate) in_flight: Vec<InFlight>,
-    pub(crate) eject: Vec<(usize, Flit)>,
-    pub(crate) credit: Vec<(usize, Port, usize)>,
-    /// Oracle events in kernel emission order (empty unless `record_notes`).
-    pub(crate) notes: Vec<OracleNote>,
-    /// Global indices of routers whose input occupancy changed during the
-    /// phase. The mask owner marks these dirty and re-derives the active
-    /// bit from the router's end-of-phase occupancy (equivalent to the
-    /// former transition-time marking: set bits are only consumed between
-    /// phases/ticks, and a phase never revisits a router).
-    pub(crate) dirtied: Vec<u32>,
-    /// A flit traversed a crossbar (drives the deadlock watchdog).
-    pub(crate) progress: bool,
-    pub(crate) injected_flits: u64,
-    /// Per-app injected-packet counts (length = source app count).
-    pub(crate) injected_packets: Vec<u64>,
-    pub(crate) retransmitted: u64,
-    pub(crate) router_cycles_skipped: u64,
-    pub(crate) state_updates_skipped: u64,
-    /// Buffer oracle events? (False when the oracle is disabled, keeping
-    /// the disabled-oracle cost at a branch per event.)
-    pub(crate) record_notes: bool,
-}
-
-impl PhaseOut {
-    pub(crate) fn new(num_apps: usize, record_notes: bool) -> Self {
-        Self {
-            injected_packets: vec![0; num_apps],
-            record_notes,
-            ..Self::default()
-        }
-    }
-
-    /// Clear everything for the next cycle, keeping allocations.
-    pub(crate) fn reset(&mut self) {
-        self.in_flight.clear();
-        self.eject.clear();
-        self.credit.clear();
-        self.notes.clear();
-        self.dirtied.clear();
-        self.progress = false;
-        self.injected_flits = 0;
-        self.injected_packets.iter_mut().for_each(|c| *c = 0);
-        self.retransmitted = 0;
-        self.router_cycles_skipped = 0;
-        self.state_updates_skipped = 0;
-    }
-
-    #[inline]
-    fn note(&mut self, n: OracleNote) {
-        if self.record_notes {
-            self.notes.push(n);
-        }
-    }
-}
-
 /// The simulated network-on-chip.
 pub struct Network {
     pub cfg: SimConfig,
     pub region: RegionMap,
-    pub(crate) routing: Box<dyn RoutingAlgorithm>,
-    pub(crate) policy: Box<dyn PriorityPolicy>,
-    pub(crate) source: Box<dyn TrafficSource>,
+    routing: Box<dyn RoutingAlgorithm>,
+    policy: Box<dyn PriorityPolicy>,
+    source: Box<dyn TrafficSource>,
     pub routers: Vec<Router>,
     pub nodes: Vec<Node>,
-    pub(crate) cycle: u64,
-    pub(crate) next_pkt_id: u64,
+    cycle: u64,
+    next_pkt_id: u64,
     pub(crate) in_flight: Vec<InFlight>,
     pub(crate) eject_q: Vec<(usize, Flit)>,
     pub(crate) credit_q: Vec<(usize, Port, usize)>,
     /// Previous-cycle adaptive occupancy per router (congestion view).
-    pub(crate) congestion: Vec<u16>,
+    congestion: Vec<u16>,
     /// Per-node traffic RNG streams, drawn from in node-id order by the
-    /// injection phase (owned by the network, not the NIs, so the sharded
-    /// coordinator can pre-generate packets without touching worker-owned
-    /// nodes).
-    pub(crate) rngs: Vec<SmallRng>,
+    /// injection phase.
+    rngs: Vec<SmallRng>,
     pub stats: SimStats,
     /// Optional analysis instrumentation (None = zero-overhead fast path).
     analysis: Option<AnalysisState>,
     /// Invariant oracle (`None` = disabled; the per-cycle cost of the
     /// disabled oracle is one null-check).
-    pub(crate) oracle: Option<Box<Oracle>>,
+    oracle: Option<Box<Oracle>>,
     /// Fault injection (differential harness): routers whose switch
     /// allocator is frozen. `None` in any un-mutated network.
     fault_frozen: Option<Box<[bool]>>,
@@ -282,33 +152,26 @@ pub struct Network {
     // Reusable scratch (perf: avoid per-cycle allocation).
     va_scratch: Vec<VaReq>,
     sa_scratch: Vec<SaCand>,
-    /// Reusable sink the scalar phase wrappers drain after each phase.
-    phase_out: PhaseOut,
-    /// Reusable buffer for the packets generated this cycle.
-    gen_scratch: Vec<(u32, PacketInfo)>,
     /// Active-set bitmask: bit `i` set ⇔ router `i` has at least one
     /// occupied input VC. Maintained at the occupancy transition points
     /// (head arrival/injection, tail departure). The phases consult the
     /// routers' own occupancy summaries directly; the mask feeds the idle
     /// fast-forward precondition and the public queries.
-    pub(crate) active_mask: Vec<u64>,
+    active_mask: Vec<u64>,
     /// Dirty bitmask: bit `i` set ⇔ router `i`'s occupancy changed since its
     /// last state update — the network-level mirror of [`Router::occ_dirty`].
     /// Zeroed by the state-update phase; all-zero between ticks is a
     /// fast-forward precondition.
-    pub(crate) dirty_mask: Vec<u64>,
+    dirty_mask: Vec<u64>,
     /// Diagnostic switch: iterate every router in every phase and never
     /// skip state updates. Must be bit-identical to the fast path.
-    pub(crate) force_exhaustive: bool,
+    force_exhaustive: bool,
     /// Idle fast-forward switch (on by default; `set_fast_forward(false)`
     /// forces one `tick()` per cycle so tests can prove bit-identity).
-    pub(crate) fast_forward: bool,
+    fast_forward: bool,
     /// Cached `policy.update_is_idempotent()` (fast-forward precondition:
     /// a non-idempotent policy mutates router state even on idle cycles).
-    pub(crate) policy_idempotent: bool,
-    /// Resolved shard count ([`SimConfig::resolve_shards`] at construction);
-    /// see [`Network::effective_shards`] for what `run` actually uses.
-    shards: usize,
+    policy_idempotent: bool,
 }
 
 impl Network {
@@ -395,7 +258,6 @@ impl Network {
         }
         let policy_idempotent = policy.update_is_idempotent();
         let fault = (!cfg.fault.is_empty()).then(|| Box::new(FaultState::new(&cfg, num_apps)));
-        let shards = cfg.resolve_shards();
         Self {
             region,
             routing,
@@ -417,14 +279,11 @@ impl Network {
             fault,
             va_scratch: Vec::new(),
             sa_scratch: Vec::new(),
-            phase_out: PhaseOut::new(num_apps, false),
-            gen_scratch: Vec::new(),
             active_mask: vec![0; n.div_ceil(64)],
             dirty_mask,
             force_exhaustive: false,
             fast_forward: true,
             policy_idempotent,
-            shards,
             cfg,
         }
     }
@@ -455,62 +314,18 @@ impl Network {
     }
 
     #[inline]
-    pub(crate) fn mark_active(mask: &mut [u64], idx: usize) {
+    fn mark_active(mask: &mut [u64], idx: usize) {
         mask[idx >> 6] |= 1 << (idx & 63);
     }
 
     #[inline]
-    pub(crate) fn mark_inactive(mask: &mut [u64], idx: usize) {
+    fn mark_inactive(mask: &mut [u64], idx: usize) {
         mask[idx >> 6] &= !(1 << (idx & 63));
-    }
-
-    /// Rebuild both network-level bitmasks from the routers' own occupancy
-    /// summaries — the sharded engine calls this after stitching worker
-    /// bands back together (workers track occupancy only through
-    /// `Router::occ_vcs`/`occ_dirty`, the masks' ground truth).
-    pub(crate) fn rebuild_masks(&mut self) {
-        self.active_mask.iter_mut().for_each(|w| *w = 0);
-        self.dirty_mask.iter_mut().for_each(|w| *w = 0);
-        for (i, r) in self.routers.iter().enumerate() {
-            if r.occ_vcs > 0 {
-                Self::mark_active(&mut self.active_mask, i);
-            }
-            if r.occ_dirty {
-                Self::mark_active(&mut self.dirty_mask, i);
-            }
-        }
-    }
-
-    /// Shard count [`Network::run`] will actually use: the resolved
-    /// [`SimConfig::shards`], clamped to the router count, and forced to 1
-    /// (scalar) whenever a feature incompatible with worker-side ticking is
-    /// active — analysis instrumentation, a fault timeline, an injected
-    /// frozen-allocator fault, or a non-idempotent priority policy — since
-    /// those thread per-cycle global state through the whole mesh. (A
-    /// non-idempotent policy samples occupancy across routers in visit
-    /// order, e.g. `StcRankOnline`; concurrent workers would interleave
-    /// those observations nondeterministically.)
-    pub fn effective_shards(&self) -> usize {
-        if self.analysis.is_some()
-            || self.fault.is_some()
-            || self.fault_frozen.is_some()
-            || !self.policy_idempotent
-        {
-            return 1;
-        }
-        self.shards.clamp(1, self.routers.len())
     }
 
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Does port `p` of the router at `c` lead to a physical neighbor on
-    /// the configured topology (for the mesh: is it not a mesh edge)?
-    #[inline]
-    pub(crate) fn port_in_bounds(cfg: &SimConfig, c: Coord, p: Port) -> bool {
-        crate::topology::has_link(cfg, c, p)
     }
 
     /// Neighbor router index through output port `p` (wrap-aware on
@@ -807,7 +622,7 @@ impl Network {
             Fault::DropCredit { router, port, vc } => {
                 let r = &mut self.routers[router];
                 if port == PORT_LOCAL
-                    || !Self::port_in_bounds(&self.cfg, r.coord, port)
+                    || !has_link(&self.cfg, r.coord, port)
                     || r.credits[port][vc] == 0
                 {
                     return false;
@@ -831,7 +646,7 @@ impl Network {
                     return false;
                 }
                 let coord = self.routers[router].coord;
-                if !Self::port_in_bounds(&self.cfg, coord, port) {
+                if !has_link(&self.cfg, coord, port) {
                     return false;
                 }
                 {
@@ -886,7 +701,7 @@ impl Network {
                 let Some(out) = [PORT_NORTH, PORT_EAST, PORT_SOUTH, PORT_WEST]
                     .into_iter()
                     .find(|&p| {
-                        Self::port_in_bounds(&self.cfg, cur, p)
+                        has_link(&self.cfg, cur, p)
                             && crate::routing::step(cur, p).hops_to(dst) >= cur.hops_to(dst)
                             && self.routers[router].out_alloc[p][vc].is_none()
                             && self.routers[router].credits[p][vc] == self.cfg.vc_depth
@@ -950,21 +765,7 @@ impl Network {
 
     /// Run `cycles` cycles, fast-forwarding over provably-empty stretches
     /// (see the module docs; disable with [`Network::set_fast_forward`]).
-    ///
-    /// When [`Network::effective_shards`] exceeds 1, the cycles execute on
-    /// the sharded parallel engine ([`crate::shard`]); stat digests are
-    /// bit-identical to the scalar engine at every shard count.
     pub fn run(&mut self, cycles: u64) {
-        if self.effective_shards() > 1 {
-            crate::shard::run_sharded(self, cycles);
-        } else {
-            self.run_scalar(cycles);
-        }
-    }
-
-    /// The scalar engine behind [`Network::run`] (also the fallback the
-    /// sharded engine defers to for incompatible configurations).
-    pub(crate) fn run_scalar(&mut self, cycles: u64) {
         let end = self.cycle + cycles;
         while self.cycle < end {
             if let Some(target) = self.fast_forward_target(end) {
@@ -979,7 +780,7 @@ impl Network {
     /// (exclusive of any cycle that could see an event): the earliest of the
     /// run-window end, the source's next injection and the next ready reply.
     /// `None` ⇒ this cycle must be ticked normally.
-    pub(crate) fn fast_forward_target(&self, end: u64) -> Option<u64> {
+    fn fast_forward_target(&self, end: u64) -> Option<u64> {
         if !self.fast_forward
             || self.force_exhaustive
             || self.analysis.is_some()
@@ -1020,7 +821,7 @@ impl Network {
     /// at every check-interval multiple crossed — the identical schedule
     /// plain ticking would have produced (`tick` flushes with the
     /// pre-increment cycle value, so multiples in `[cycle, target)` scan).
-    pub(crate) fn fast_forward_to(&mut self, target: u64) {
+    fn fast_forward_to(&mut self, target: u64) {
         debug_assert!(target > self.cycle);
         let start = self.cycle;
         if self.oracle.is_some() {
@@ -1045,12 +846,6 @@ impl Network {
     /// as plain ticking — asserted by `tests/fast_forward.rs`.
     pub fn oracle_scans(&self) -> u64 {
         self.oracle.as_ref().map_or(0, |o| o.scans())
-    }
-
-    /// The oracle's end-of-cycle scan interval, `None` when disabled (the
-    /// sharded engine sizes its segments around the scan schedule).
-    pub(crate) fn oracle_check_interval(&self) -> Option<u64> {
-        self.oracle.as_ref().map(|o| o.check_interval().max(1))
     }
 
     /// Run `warmup` cycles, clear the measurement window, then run
@@ -1101,26 +896,6 @@ impl Network {
 
     // ------------------------------------------------------- phase 1: LT/BW
 
-    /// Write an arrived flit into its destination input VC, maintaining the
-    /// router-local occupancy summary. Returns whether the VC was newly
-    /// occupied (the caller owns any mask/oracle follow-up).
-    #[inline]
-    pub(crate) fn apply_arrival(cfg: &SimConfig, router: &mut Router, a: &InFlight) -> bool {
-        let ivc = &mut router.inputs[a.in_port][a.vc];
-        // Atomic VCs: exactly the head starts a new occupancy interval.
-        debug_assert_eq!(a.flit.kind.is_head(), !ivc.occupied());
-        debug_assert!(ivc.buf.len() < cfg.vc_depth, "input buffer overflow");
-        let newly_occupied = !ivc.occupied();
-        if a.flit.kind.is_head() {
-            ivc.holder = Some(a.flit.info.app);
-        }
-        ivc.buf.push_back(a.flit);
-        if newly_occupied {
-            router.note_vc_occupied(a.in_port, a.vc);
-        }
-        newly_occupied
-    }
-
     fn deliver_phase(&mut self) {
         // Credits first (they free space the SA stage may use this cycle).
         let credits = std::mem::take(&mut self.credit_q);
@@ -1136,9 +911,18 @@ impl Network {
                 self.in_flight.push(a);
                 continue;
             }
-            let newly_occupied =
-                Self::apply_arrival(&self.cfg, &mut self.routers[a.dst_router], &a);
+            let router = &mut self.routers[a.dst_router];
+            let ivc = &mut router.inputs[a.in_port][a.vc];
+            // Atomic VCs: exactly the head starts a new occupancy interval.
+            debug_assert_eq!(a.flit.kind.is_head(), !ivc.occupied());
+            debug_assert!(ivc.buf.len() < self.cfg.vc_depth, "input buffer overflow");
+            let newly_occupied = !ivc.occupied();
+            if a.flit.kind.is_head() {
+                ivc.holder = Some(a.flit.info.app);
+            }
+            ivc.buf.push_back(a.flit);
             if newly_occupied {
+                router.note_vc_occupied(a.in_port, a.vc);
                 Self::mark_active(&mut self.active_mask, a.dst_router);
                 Self::mark_active(&mut self.dirty_mask, a.dst_router);
             }
@@ -1158,31 +942,19 @@ impl Network {
 
     /// Consume one flit ejected at `node_idx`'s NI: eject accounting, the
     /// oracle's eject note, latency recording and closed-loop reply
-    /// generation. The reply (if any) is returned for the node's owner to
-    /// schedule, so the sharded coordinator can run this without touching
-    /// worker-owned nodes.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn consume_ejected_core(
-        cycle: u64,
-        node_idx: usize,
-        flit: Flit,
-        stats: &mut SimStats,
-        oracle: Option<&mut Oracle>,
-        source: &mut dyn TrafficSource,
-        next_pkt_id: &mut u64,
-        analysis: Option<&mut AnalysisState>,
-    ) -> Option<ReplySchedule> {
-        stats.ejected_flits += 1;
-        if let Some(o) = oracle {
-            o.note_eject(flit.info.app, cycle);
+    /// scheduling.
+    fn consume_ejected(&mut self, node_idx: usize, flit: Flit) {
+        self.stats.ejected_flits += 1;
+        let now = self.cycle;
+        if let Some(o) = self.oracle.as_deref_mut() {
+            o.note_eject(flit.info.app, now);
         }
         if !flit.kind.is_tail() {
-            return None;
+            return;
         }
         let info = flit.info;
         debug_assert_eq!(info.dst as usize, node_idx, "flit ejected at wrong node");
-        let now = cycle;
-        if let Some(a) = analysis {
+        if let Some(a) = &mut self.analysis {
             if a.watch == Some(info.id) {
                 a.journey.push((
                     now,
@@ -1194,79 +966,63 @@ impl Network {
         }
         let network = now.saturating_sub(info.inject);
         let total = now.saturating_sub(info.birth);
-        stats
+        self.stats
             .recorder
             .record(info.app as usize, network, total, flit.hops, info.size);
-        stats.last_progress = now;
-        let mut reply = None;
+        self.stats.last_progress = now;
         if let Some(spec) = info.reply {
-            let id = *next_pkt_id;
-            *next_pkt_id += 1;
-            stats.generated[info.app as usize] += 1;
-            reply = Some(ReplySchedule {
-                node: node_idx,
-                ready: now + spec.service_latency,
+            let id = self.next_pkt_id;
+            self.next_pkt_id += 1;
+            self.stats.generated[info.app as usize] += 1;
+            self.nodes[node_idx].schedule_reply(
+                now + spec.service_latency,
                 id,
-                dst: info.src,
-                app: info.app,
-                class: spec.class,
-                size: spec.size,
-            });
+                info.src,
+                info.app,
+                spec.class,
+                spec.size,
+            );
         }
-        source.on_delivered(node_idx as NodeId, &info, now);
-        reply
-    }
-
-    fn consume_ejected(&mut self, node_idx: usize, flit: Flit) {
-        if let Some(rs) = Self::consume_ejected_core(
-            self.cycle,
-            node_idx,
-            flit,
-            &mut self.stats,
-            self.oracle.as_deref_mut(),
-            &mut *self.source,
-            &mut self.next_pkt_id,
-            self.analysis.as_mut(),
-        ) {
-            self.nodes[rs.node].schedule_reply(rs.ready, rs.id, rs.dst, rs.app, rs.class, rs.size);
-        }
+        self.source.on_delivered(node_idx as NodeId, &info, now);
     }
 
     // --------------------------------------------------------- phase 2: SA
 
-    /// SA (+ST) over `routers`, a contiguous band starting at global router
-    /// index `base`. Cross-router effects (link flits, ejects, credits),
-    /// occupancy transitions, oracle events and stat deltas go to `out`;
-    /// the caller owns the merge order. `fault`/`fault_frozen`/`analysis`
-    /// are `None` on worker threads (the sharded engine falls back to
-    /// scalar whenever they are active).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sa_band(
-        cfg: &SimConfig,
-        policy: &dyn PriorityPolicy,
-        routers: &mut [Router],
-        base: usize,
-        cycle: u64,
-        force_exhaustive: bool,
-        fault_frozen: Option<&[bool]>,
-        mut fault: Option<&mut FaultState>,
-        mut analysis: Option<&mut AnalysisState>,
-        sa_scratch: &mut Vec<SaCand>,
-        out: &mut PhaseOut,
-    ) {
+    /// SA (+ST): collect candidates per router, arbitrate SA_in then
+    /// SA_out, and move the winners through the crossbar into the link,
+    /// ejection and credit registers.
+    fn sa_phase(&mut self) {
+        let Network {
+            cfg,
+            policy,
+            routers,
+            in_flight,
+            eject_q,
+            credit_q,
+            stats,
+            sa_scratch,
+            cycle,
+            analysis,
+            oracle,
+            fault_frozen,
+            fault,
+            active_mask,
+            dirty_mask,
+            force_exhaustive,
+            ..
+        } = self;
+        let (cycle, force_exhaustive) = (*cycle, *force_exhaustive);
         let v = cfg.vcs_per_port();
         let port_mask = low_bits(v);
-        for (local, r) in routers.iter_mut().enumerate() {
-            let r_idx = base + local;
+        for (r_idx, r) in routers.iter_mut().enumerate() {
             // Active-set fast path: an empty router contributes no SA
-            // candidate and mutates no arbiter pointer (`occ_vcs` is the
-            // ground truth behind the former active-mask iteration).
+            // candidate and mutates no arbiter pointer.
             if !force_exhaustive && r.occ_vcs == 0 {
-                out.router_cycles_skipped += 1;
+                stats.router_cycles_skipped += 1;
                 continue;
             }
             // Fault injection: a frozen switch allocator grants nothing.
-            if fault_frozen.is_some_and(|f| f[r_idx]) {
+            if fault_frozen.as_deref().is_some_and(|f| f[r_idx]) {
                 continue;
             }
             // Shared pass: collect candidates. Every SA candidate lives in
@@ -1359,7 +1115,7 @@ impl Network {
                     continue;
                 };
                 let is_tail = flit.kind.is_tail();
-                if let Some(a) = analysis.as_deref_mut() {
+                if let Some(a) = analysis.as_mut() {
                     a.link_flits[r_idx][win.out_port] += 1;
                     if a.watch == Some(flit.info.id) && win.out_port != PORT_LOCAL {
                         a.journey.push((
@@ -1374,7 +1130,7 @@ impl Network {
                 if win.out_port == PORT_LOCAL {
                     // Keyed by destination *node* (== router index except
                     // under concentration, where several NIs share a router).
-                    out.eject.push((flit.info.dst as usize, flit));
+                    eject_q.push((flit.info.dst as usize, flit));
                 } else {
                     flit.hops += 1;
                     r.take_credit(win.out_port, win.out_vc);
@@ -1393,7 +1149,7 @@ impl Network {
                             // within their link slot.
                             let k = fs.send_attempts(flit.info.id, flit.seq, r_idx, win.out_port);
                             if k > 1 {
-                                out.retransmitted += u64::from(k - 1);
+                                stats.flits_retransmitted += u64::from(k - 1);
                                 arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
                             }
                             let slot = FaultState::slot(cfg, nb, in_port, win.out_vc);
@@ -1401,7 +1157,7 @@ impl Network {
                             fs.last_arrival[slot] = arrive;
                         }
                     }
-                    out.in_flight.push(InFlight {
+                    in_flight.push(InFlight {
                         dst_router: nb,
                         in_port,
                         vc: win.out_vc,
@@ -1411,7 +1167,7 @@ impl Network {
                 }
                 if win.in_port != PORT_LOCAL {
                     let up = Self::neighbor(cfg, r_idx, win.in_port);
-                    out.credit.push((up, opposite(win.in_port), win.in_vc));
+                    credit_q.push((up, opposite(win.in_port), win.in_vc));
                 }
                 if is_tail {
                     r.release_out_vc(win.out_port, win.out_vc);
@@ -1423,15 +1179,15 @@ impl Network {
                     ivc.state = VcState::Idle;
                     ivc.holder = None;
                     r.note_vc_freed(win.in_port, win.in_vc);
-                    out.dirtied.push(r_idx as u32);
-                    out.note(OracleNote::Occupancy {
-                        router: r.id,
-                        port: win.in_port,
-                        vc: win.in_vc,
-                        occupied: false,
-                    });
+                    Self::mark_active(dirty_mask, r_idx);
+                    if r.occ_vcs == 0 {
+                        Self::mark_inactive(active_mask, r_idx);
+                    }
+                    if let Some(o) = oracle.as_deref_mut() {
+                        o.note_occupancy(r.id, win.in_port, win.in_vc, false, cycle);
+                    }
                 }
-                out.progress = true;
+                stats.last_progress = cycle;
             }
             // Starvation observer: advance the per-VC head-of-line wait
             // counters. Any routed (Active) VC with a buffered head flit
@@ -1440,7 +1196,7 @@ impl Network {
             // backlog; a crossbar winner starts fresh (its next head flit
             // begins a new wait). Gated on the oracle being attached so
             // the un-observed kernel stays untouched.
-            if out.record_notes {
+            if oracle.is_some() {
                 for (port, vcs) in r.inputs.iter().enumerate() {
                     for (vc, ivc) in vcs.iter().enumerate() {
                         let slot = port * v + vc;
@@ -1457,84 +1213,30 @@ impl Network {
         }
     }
 
-    fn sa_phase(&mut self) {
-        let Network {
-            cfg,
-            policy,
-            routers,
-            in_flight,
-            eject_q,
-            credit_q,
-            stats,
-            sa_scratch,
-            cycle,
-            analysis,
-            oracle,
-            fault_frozen,
-            fault,
-            active_mask,
-            dirty_mask,
-            force_exhaustive,
-            phase_out,
-            ..
-        } = self;
-        phase_out.record_notes = oracle.is_some();
-        Self::sa_band(
-            cfg,
-            &**policy,
-            routers,
-            0,
-            *cycle,
-            *force_exhaustive,
-            fault_frozen.as_deref(),
-            fault.as_deref_mut(),
-            analysis.as_mut(),
-            sa_scratch,
-            phase_out,
-        );
-        in_flight.append(&mut phase_out.in_flight);
-        eject_q.append(&mut phase_out.eject);
-        credit_q.append(&mut phase_out.credit);
-        stats.router_cycles_skipped += phase_out.router_cycles_skipped;
-        stats.flits_retransmitted += phase_out.retransmitted;
-        if phase_out.progress {
-            stats.last_progress = *cycle;
-        }
-        for &g in &phase_out.dirtied {
-            let i = g as usize;
-            Self::mark_active(dirty_mask, i);
-            if routers[i].occ_vcs == 0 {
-                Self::mark_inactive(active_mask, i);
-            }
-        }
-        if let Some(o) = oracle.as_deref_mut() {
-            replay_notes(o, cfg, &phase_out.notes, *cycle);
-        }
-        phase_out.reset();
-    }
-
     // --------------------------------------------------------- phase 3: VA
 
-    /// VA over `routers` (router-local: VA touches no cross-router state).
-    /// `congestion` is the full previous-cycle network view (adaptive
-    /// routing reads remote entries).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn va_band(
-        cfg: &SimConfig,
-        region: &RegionMap,
-        routing: &dyn RoutingAlgorithm,
-        policy: &dyn PriorityPolicy,
-        congestion: &[u16],
-        routers: &mut [Router],
-        force_exhaustive: bool,
-        va_scratch: &mut Vec<VaReq>,
-        skipped: &mut u64,
-    ) {
+    /// VA: VA_in (each routed input VC picks one request; `congestion` is
+    /// the previous-cycle view adaptive routing reads) then VA_out (one
+    /// winner per contested output VC). Router-local.
+    fn va_phase(&mut self) {
+        let Network {
+            cfg,
+            region,
+            routing,
+            policy,
+            routers,
+            congestion,
+            va_scratch,
+            stats,
+            force_exhaustive,
+            ..
+        } = self;
+        let force_exhaustive = *force_exhaustive;
         let v = cfg.vcs_per_port();
         let port_mask = low_bits(v);
         for r in routers.iter_mut() {
             if !force_exhaustive && r.occ_vcs == 0 {
-                *skipped += 1;
+                stats.router_cycles_skipped += 1;
                 continue;
             }
             // Shared pass: VA_in — each routed input VC picks one request.
@@ -1569,8 +1271,8 @@ impl Network {
                     let request = Self::va_in_select(
                         cfg,
                         region,
-                        routing,
-                        policy,
+                        &**routing,
+                        &**policy,
                         congestion,
                         r,
                         &info,
@@ -1627,32 +1329,6 @@ impl Network {
                 i = j;
             }
         }
-    }
-
-    fn va_phase(&mut self) {
-        let Network {
-            cfg,
-            region,
-            routing,
-            policy,
-            routers,
-            congestion,
-            va_scratch,
-            stats,
-            force_exhaustive,
-            ..
-        } = self;
-        Self::va_band(
-            cfg,
-            region,
-            &**routing,
-            &**policy,
-            congestion,
-            routers,
-            *force_exhaustive,
-            va_scratch,
-            &mut stats.router_cycles_skipped,
-        );
     }
 
     /// VA_in: pick the (output port, output VC) a routed input VC requests
@@ -1732,24 +1408,27 @@ impl Network {
 
     // --------------------------------------------------------- phase 4: RC
 
-    /// RC over `routers`, a contiguous band starting at global router index
-    /// `base` (the degraded-table lookups are keyed by global index).
-    /// `degraded` is `None` on worker threads.
-    pub(crate) fn rc_band(
-        cfg: &SimConfig,
-        routing: &dyn RoutingAlgorithm,
-        routers: &mut [Router],
-        base: usize,
-        force_exhaustive: bool,
-        degraded: Option<&DegradedTable>,
-        skipped: &mut u64,
-    ) {
+    /// RC: route computation for head flits at the front of idle VCs.
+    fn rc_phase(&mut self) {
+        let Network {
+            cfg,
+            routing,
+            routers,
+            stats,
+            force_exhaustive,
+            fault,
+            ..
+        } = self;
+        let force_exhaustive = *force_exhaustive;
+        // After a permanent fault, route from the verified degraded table;
+        // heads with no surviving path stay Idle (parked) until the
+        // stranded sweep extracts them.
+        let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
         let v = cfg.vcs_per_port();
         let port_mask = low_bits(v);
-        for (local, r) in routers.iter_mut().enumerate() {
-            let r_idx = base + local;
+        for (r_idx, r) in routers.iter_mut().enumerate() {
             if !force_exhaustive && r.occ_vcs == 0 {
-                *skipped += 1;
+                stats.router_cycles_skipped += 1;
                 continue;
             }
             let cur = r.coord;
@@ -1821,149 +1500,12 @@ impl Network {
         }
     }
 
-    fn rc_phase(&mut self) {
-        let Network {
-            cfg,
-            routing,
-            routers,
-            stats,
-            force_exhaustive,
-            fault,
-            ..
-        } = self;
-        // After a permanent fault, route from the verified degraded table;
-        // heads with no surviving path stay Idle (parked) until the
-        // stranded sweep extracts them.
-        let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
-        Self::rc_band(
-            cfg,
-            &**routing,
-            routers,
-            0,
-            *force_exhaustive,
-            degraded,
-            &mut stats.router_cycles_skipped,
-        );
-    }
-
     // -------------------------------------------------- phase 5: injection
 
-    /// Ask the traffic source for this cycle's new packets, in ascending
-    /// node-id order (packet-id assignment and RNG stream consumption
-    /// depend on it). Sequential in both engines — the sharded coordinator
-    /// runs this itself, then routes each packet to its owner's band.
-    /// `out` receives `(node index, packet)` pairs, ascending.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn generate_packets(
-        cfg: &SimConfig,
-        source: &mut dyn TrafficSource,
-        rngs: &mut [SmallRng],
-        stats: &mut SimStats,
-        next_pkt_id: &mut u64,
-        degraded: Option<&DegradedTable>,
-        cycle: u64,
-        out: &mut Vec<(u32, PacketInfo)>,
-    ) {
-        out.clear();
-        for (i, rng) in rngs.iter_mut().enumerate() {
-            let id = i as NodeId;
-            if let Some(np) = source.generate(id, cycle, rng) {
-                // The source is external code whose contract violations
-                // must surface in release runs too — the one legitimate
-                // abort in a pipeline band.
-                // lint: allow(panic-in-hot-path)
-                assert_ne!(np.dst, id, "source generated self-addressed packet");
-                // lint: allow(panic-in-hot-path)
-                assert!(
-                    (np.app as usize) < stats.generated.len(),
-                    "packet app {} out of range",
-                    np.app
-                );
-                // lint: allow(panic-in-hot-path)
-                assert!(np.size >= 1 && np.size as usize <= cfg.vc_depth);
-                if degraded.is_some_and(|t| !t.routable(i, np.dst as usize)) {
-                    // The destination (or this NI's own router) is
-                    // unreachable on the degraded topology: count the
-                    // generation but drop at the source — never injected,
-                    // so the flit ledger is untouched.
-                    stats.generated[np.app as usize] += 1;
-                    stats.packets_dropped += 1;
-                } else {
-                    let info = PacketInfo {
-                        id: *next_pkt_id,
-                        src: id,
-                        dst: np.dst,
-                        app: np.app,
-                        class: np.class,
-                        size: np.size,
-                        birth: cycle,
-                        inject: 0,
-                        reply: np.reply,
-                    };
-                    *next_pkt_id += 1;
-                    stats.generated[np.app as usize] += 1;
-                    out.push((i as u32, info));
-                }
-            }
-        }
-    }
-
-    /// Injection over a contiguous band of NIs and their routers, starting
-    /// at global *router* index `base` (the band's nodes are the routers'
-    /// concentrated NIs, node indices `base*c..`). `enqueues` holds this
-    /// cycle's freshly generated packets for this band, `(global node
-    /// index, packet)` ascending (from [`Network::generate_packets`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn inject_band(
-        cfg: &SimConfig,
-        nodes: &mut [Node],
-        routers: &mut [Router],
-        base: usize,
-        cycle: u64,
-        enqueues: &[(u32, PacketInfo)],
-        mut analysis: Option<&mut AnalysisState>,
-        out: &mut PhaseOut,
-    ) {
-        let c = cfg.concentration();
-        debug_assert_eq!(nodes.len(), routers.len() * c);
-        let node_base = base * c;
-        let mut e = 0usize;
-        while e < enqueues.len() && (enqueues[e].0 as usize) < node_base {
-            e += 1;
-        }
-        for (local, node) in nodes.iter_mut().enumerate() {
-            let i = node_base + local;
-            let router = &mut routers[local / c];
-            node.release_replies(cycle);
-            node.release_retries(cycle);
-            while e < enqueues.len() && enqueues[e].0 as usize == i {
-                node.enqueue(enqueues[e].1);
-                e += 1;
-            }
-            if let Some(ev) = node.try_inject(cfg, router, cycle) {
-                out.injected_flits += 1;
-                out.note(OracleNote::Inject { app: ev.app });
-                if ev.head {
-                    out.note(OracleNote::Occupancy {
-                        router: router.id,
-                        port: PORT_LOCAL,
-                        vc: ev.vc,
-                        occupied: true,
-                    });
-                    // try_inject bumped the router's occupancy counters.
-                    out.dirtied.push((base + local / c) as u32);
-                    out.injected_packets[ev.app as usize] += 1;
-                    if let Some(a) = analysis.as_deref_mut() {
-                        if a.watch == Some(ev.packet_id) {
-                            a.journey
-                                .push((cycle, JourneyEvent::Injected { node: node.id }));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
+    /// Injection, in ascending node-id order (packet-id assignment and RNG
+    /// stream consumption depend on it): each NI releases its ready replies
+    /// and retries, asks the traffic source for a new packet, and streams
+    /// one flit into its router's local input port.
     fn inject_phase(&mut self) {
         let Network {
             cfg,
@@ -1979,90 +1521,86 @@ impl Network {
             dirty_mask,
             fault,
             rngs,
-            gen_scratch,
-            phase_out,
             ..
         } = self;
+        let cycle = *cycle;
         let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
-        Self::generate_packets(
-            cfg,
-            &mut **source,
-            rngs,
-            stats,
-            next_pkt_id,
-            degraded,
-            *cycle,
-            gen_scratch,
-        );
-        phase_out.record_notes = oracle.is_some();
-        Self::inject_band(
-            cfg,
-            nodes,
-            routers,
-            0,
-            *cycle,
-            gen_scratch,
-            analysis.as_mut(),
-            phase_out,
-        );
-        stats.injected_flits += phase_out.injected_flits;
-        for (a, n) in phase_out.injected_packets.iter().enumerate() {
-            stats.injected_packets[a] += n;
+        let c = cfg.concentration();
+        debug_assert_eq!(nodes.len(), routers.len() * c);
+        for (i, (node, rng)) in nodes.iter_mut().zip(rngs.iter_mut()).enumerate() {
+            let id = i as NodeId;
+            node.release_replies(cycle);
+            node.release_retries(cycle);
+            if let Some(np) = source.generate(id, cycle, rng) {
+                // The source is external code whose contract violations
+                // must surface in release runs too — the one legitimate
+                // abort in a pipeline phase.
+                // lint: allow(panic-in-hot-path)
+                assert_ne!(np.dst, id, "source generated self-addressed packet");
+                // lint: allow(panic-in-hot-path)
+                assert!(
+                    (np.app as usize) < stats.generated.len(),
+                    "packet app {} out of range",
+                    np.app
+                );
+                // lint: allow(panic-in-hot-path)
+                assert!(np.size >= 1 && np.size as usize <= cfg.vc_depth);
+                stats.generated[np.app as usize] += 1;
+                if degraded.is_some_and(|t| !t.routable(i, np.dst as usize)) {
+                    // The destination (or this NI's own router) is
+                    // unreachable on the degraded topology: count the
+                    // generation but drop at the source — never injected,
+                    // so the flit ledger is untouched.
+                    stats.packets_dropped += 1;
+                } else {
+                    node.enqueue(PacketInfo {
+                        id: *next_pkt_id,
+                        src: id,
+                        dst: np.dst,
+                        app: np.app,
+                        class: np.class,
+                        size: np.size,
+                        birth: cycle,
+                        inject: 0,
+                        reply: np.reply,
+                    });
+                    *next_pkt_id += 1;
+                }
+            }
+            let r_idx = i / c;
+            let router = &mut routers[r_idx];
+            if let Some(ev) = node.try_inject(cfg, router, cycle) {
+                stats.injected_flits += 1;
+                if let Some(o) = oracle.as_deref_mut() {
+                    o.note_inject(ev.app, cycle);
+                }
+                if ev.head {
+                    // try_inject bumped the router's occupancy counters.
+                    Self::mark_active(active_mask, r_idx);
+                    Self::mark_active(dirty_mask, r_idx);
+                    stats.injected_packets[ev.app as usize] += 1;
+                    if let Some(o) = oracle.as_deref_mut() {
+                        o.note_occupancy(router.id, PORT_LOCAL, ev.vc, true, cycle);
+                    }
+                    if let Some(a) = analysis.as_mut() {
+                        if a.watch == Some(ev.packet_id) {
+                            a.journey
+                                .push((cycle, JourneyEvent::Injected { node: node.id }));
+                        }
+                    }
+                }
+            }
         }
-        for &g in &phase_out.dirtied {
-            Self::mark_active(active_mask, g as usize);
-            Self::mark_active(dirty_mask, g as usize);
-        }
-        if let Some(o) = oracle.as_deref_mut() {
-            replay_notes(o, cfg, &phase_out.notes, *cycle);
-        }
-        phase_out.reset();
     }
 
     // ----------------------------------------------- phase 6: state update
 
-    /// End-of-cycle state update over `routers`, writing the band's slice
-    /// of the congestion view (`congestion.len() == routers.len()`, locally
-    /// indexed). A router whose occupancy did not change this cycle would
-    /// recompute the identical OVC registers and congestion export, and an
-    /// idempotent policy update is a fixed point on unchanged registers —
-    /// so with `may_skip` the whole update is elided for clean routers
-    /// (`Router::occ_dirty` is the ground truth behind the former
-    /// dirty-mask iteration). Analysis accumulates per-cycle occupancy
-    /// sums, so it must come with `may_skip == false`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn update_band(
-        cfg: &SimConfig,
-        policy: &dyn PriorityPolicy,
-        routers: &mut [Router],
-        congestion: &mut [u16],
-        may_skip: bool,
-        cycle: u64,
-        mut analysis: Option<&mut AnalysisState>,
-        skipped: &mut u64,
-    ) {
-        debug_assert_eq!(routers.len(), congestion.len());
-        for (local, r) in routers.iter_mut().enumerate() {
-            if may_skip && !r.occ_dirty {
-                *skipped += 1;
-                continue;
-            }
-            r.occ_dirty = false;
-            let (n, f) = r.count_occupancy();
-            r.ovc_native = n;
-            r.ovc_foreign = f;
-            policy.update_router(r, cycle);
-            congestion[local] = r.adaptive_occupancy(cfg);
-            if let Some(a) = analysis.as_deref_mut() {
-                a.occ_native += n as u64;
-                a.occ_foreign += f as u64;
-                let (reg, glob) = r.tag_occupancy(cfg);
-                a.occ_regional += reg as u64;
-                a.occ_global += glob as u64;
-            }
-        }
-    }
-
+    /// End-of-cycle state update. A router whose occupancy did not change
+    /// this cycle would recompute the identical OVC registers and
+    /// congestion export, and an idempotent policy update is a fixed point
+    /// on unchanged registers — so the whole update is elided for clean
+    /// routers. Analysis accumulates per-cycle occupancy sums, so it
+    /// disables the skip.
     fn update_state_phase(&mut self) {
         let Network {
             cfg,
@@ -2078,16 +1616,25 @@ impl Network {
             ..
         } = self;
         let may_skip = !*force_exhaustive && analysis.is_none() && *policy_idempotent;
-        Self::update_band(
-            cfg,
-            &**policy,
-            routers,
-            congestion,
-            may_skip,
-            *cycle,
-            analysis.as_mut(),
-            &mut stats.state_updates_skipped,
-        );
+        for (r, cong) in routers.iter_mut().zip(congestion.iter_mut()) {
+            if may_skip && !r.occ_dirty {
+                stats.state_updates_skipped += 1;
+                continue;
+            }
+            r.occ_dirty = false;
+            let (n, f) = r.count_occupancy();
+            r.ovc_native = n;
+            r.ovc_foreign = f;
+            policy.update_router(r, *cycle);
+            *cong = r.adaptive_occupancy(cfg);
+            if let Some(a) = analysis.as_mut() {
+                a.occ_native += n as u64;
+                a.occ_foreign += f as u64;
+                let (reg, glob) = r.tag_occupancy(cfg);
+                a.occ_regional += reg as u64;
+                a.occ_global += glob as u64;
+            }
+        }
         // Clean between ticks — the fast-forward precondition.
         dirty_mask.iter_mut().for_each(|w| *w = 0);
     }

@@ -66,8 +66,8 @@ pub struct Node {
 
 impl Node {
     /// Create an empty NI. The per-node generation RNG lives in the
-    /// [`Network`](crate::network::Network) (coordinator-owned under the
-    /// sharded engine), not here — the NI itself is RNG-free.
+    /// [`Network`](crate::network::Network), not here — the NI itself is
+    /// RNG-free.
     pub fn new(cfg: &SimConfig, id: NodeId) -> Self {
         Self {
             id,

@@ -4,6 +4,7 @@
 use super::{Checker, OracleViolation};
 use crate::ids::{opposite, Port, NUM_PORTS, PORT_EAST, PORT_NORTH, PORT_SOUTH, PORT_WEST};
 use crate::network::Network;
+use crate::topology::has_link;
 
 /// For the link `r --p--> d` (with `q = opposite(p)` the downstream input
 /// port), the exact invariant between pipeline phases is
@@ -46,7 +47,7 @@ impl Checker for CreditConservation {
         }
         for (i, r) in net.routers.iter().enumerate() {
             for p in [PORT_NORTH, PORT_EAST, PORT_SOUTH, PORT_WEST] {
-                if !Network::port_in_bounds(cfg, r.coord, p) {
+                if !has_link(cfg, r.coord, p) {
                     continue;
                 }
                 let d = Network::neighbor(cfg, i, p);

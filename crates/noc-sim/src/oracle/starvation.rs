@@ -12,7 +12,7 @@ use crate::vc::VcState;
 /// refutation of the admission pipeline's statically derived wait bound
 /// ([`crate::admit::Admission::wait_bound`]).
 ///
-/// The raw signal is `Router::arb_wait`, maintained by the SA band while
+/// The raw signal is `Router::arb_wait`, maintained by the SA phase while
 /// the oracle observes the run: the counter advances each cycle a routed
 /// (Active) VC holds a head flit that does not move — whether it lost
 /// switch allocation or was credit-starved by a standing downstream

@@ -47,7 +47,7 @@ pub struct Router {
     /// Consecutive cycles each routed (Active) input VC has held a head
     /// flit without moving it through the crossbar — whether it lost
     /// arbitration or was credit-starved — flattened `port * vcs + vc`.
-    /// Maintained by the SA band only while the oracle observes the run
+    /// Maintained by the SA phase only while the oracle observes the run
     /// (`PhaseOut::record_notes`) — the starvation observer's raw signal,
     /// never read by the kernel itself.
     pub arb_wait: Vec<u32>,

@@ -1,20 +1,13 @@
 //! Topology abstraction: mesh, torus, ring and concentrated mesh.
 //!
-//! The simulator kernel is topology-parameterized through two layers:
-//!
-//! 1. **Hot-path free functions** ([`distance`], [`step`], [`has_link`],
-//!    [`productive_ports`], [`escape_hop`], …) taking `&SimConfig` and
-//!    dispatching on [`SimConfig::topology`]. The cycle kernel, the
-//!    routing algorithms, the invariant oracle and the static verifier
-//!    all route their geometry through these, so a single match (usually
-//!    branch-predicted perfectly — the kind never changes mid-run)
-//!    replaces the old hardwired mesh arithmetic.
-//! 2. **The [`Topology`] trait** with one implementation per kind
-//!    ([`MeshTopology`], [`TorusTopology`], [`RingTopology`],
-//!    [`CMeshTopology`]), delegating to the free functions. This is the
-//!    public enumeration surface (neighbor iteration, next-hop
-//!    enumeration for the verifier, band partitioning) and the shape a
-//!    future irregular topology would plug into.
+//! The simulator kernel is topology-parameterized through free functions
+//! ([`distance`], [`step`], [`has_link`], [`productive_ports`],
+//! [`escape_hop`], …) taking `&SimConfig` and dispatching on
+//! [`SimConfig::topology`]. The cycle kernel, the routing algorithms, the
+//! invariant oracle and the static verifier all route their geometry
+//! through these, so a single match (usually branch-predicted perfectly —
+//! the kind never changes mid-run) replaces the old hardwired mesh
+//! arithmetic.
 //!
 //! ## Escape routing per topology
 //!
@@ -60,7 +53,6 @@
 
 use crate::config::SimConfig;
 use crate::ids::{Coord, Port, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST};
-use crate::routing::NextHops;
 use serde::{Deserialize, Serialize};
 
 /// Which topology a [`SimConfig`] describes. Carried in the config (and
@@ -151,17 +143,6 @@ impl TopologyKind {
                 d.write_u64(3);
                 d.write_u64(concentration as u64);
             }
-        }
-    }
-
-    /// The trait-object view of this kind (enumeration / verifier
-    /// surface; the kernel uses the free functions directly).
-    pub fn build(self) -> Box<dyn Topology> {
-        match self {
-            TopologyKind::Mesh => Box::new(MeshTopology),
-            TopologyKind::Torus => Box::new(TorusTopology),
-            TopologyKind::Ring => Box::new(RingTopology),
-            TopologyKind::CMesh { concentration } => Box::new(CMeshTopology { concentration }),
         }
     }
 }
@@ -332,143 +313,6 @@ pub fn escape_hop(cfg: &SimConfig, cur: Coord, dst: Coord) -> (Port, u8) {
 pub fn neighbor_router(cfg: &SimConfig, r: usize, p: Port) -> usize {
     cfg.router_at(step(cfg, cfg.router_coord(r), p))
 }
-
-/// Contiguous router bands for the sharded tick engine: `num_bands`
-/// equal chunks of the row-major router order (every supported topology
-/// numbers routers row-major, so chunks are spatially contiguous and
-/// concatenating band outputs in band order reproduces the scalar
-/// engine's single ascending sweep).
-pub fn contiguous_bands(cfg: &SimConfig, num_bands: usize) -> Vec<(usize, usize)> {
-    let n = cfg.num_routers();
-    let chunk = n.div_ceil(num_bands);
-    (0..n.div_ceil(chunk))
-        .map(|b| (b * chunk, ((b + 1) * chunk).min(n)))
-        .collect()
-}
-
-/// The trait view of a topology: node/router enumeration, link
-/// iteration, minimal distance and the per-topology deadlock-free escape
-/// function. The kernel's hot path uses the free functions of this
-/// module directly (static dispatch); the trait is the enumeration
-/// surface for the verifier, tooling and tests.
-pub trait Topology: Send + Sync {
-    /// Which [`TopologyKind`] this is.
-    fn kind(&self) -> TopologyKind;
-
-    /// Short lowercase name.
-    fn name(&self) -> &'static str {
-        self.kind().label()
-    }
-
-    /// Escape lanes per message class ([`TopologyKind::escape_lanes`]).
-    fn escape_lanes(&self) -> usize {
-        self.kind().escape_lanes()
-    }
-
-    /// Number of routers.
-    fn num_routers(&self, cfg: &SimConfig) -> usize {
-        cfg.num_routers()
-    }
-
-    /// Number of nodes (NIs) — `concentration ×` routers.
-    fn num_nodes(&self, cfg: &SimConfig) -> usize {
-        cfg.num_routers() * self.kind().concentration()
-    }
-
-    /// Does the directed link out of `c` through `p` exist?
-    fn has_link(&self, cfg: &SimConfig, c: Coord, p: Port) -> bool;
-
-    /// One hop through an existing link.
-    fn step(&self, cfg: &SimConfig, c: Coord, p: Port) -> Coord;
-
-    /// Minimal hop distance.
-    fn distance(&self, cfg: &SimConfig, a: Coord, b: Coord) -> u32;
-
-    /// Productive (minimal, chosen-direction) ports, one per dimension.
-    fn productive_ports(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> [Option<Port>; 2];
-
-    /// The escape port and lane from `cur` toward `dst`.
-    fn escape_hop(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> (Port, u8);
-
-    /// Every outgoing link of `c` as `(port, neighbor)`.
-    fn neighbors(&self, cfg: &SimConfig, c: Coord) -> Vec<(Port, Coord)> {
-        (1..crate::ids::NUM_PORTS)
-            .filter(|&p| self.has_link(cfg, c, p))
-            .map(|p| (p, self.step(cfg, c, p)))
-            .collect()
-    }
-
-    /// The fully-adaptive-plus-escape next-hop enumeration the static
-    /// verifier treats as the maximal legal routing relation at
-    /// `(cur, dst)`.
-    fn next_hops(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> NextHops {
-        let (escape, escape_lane) = self.escape_hop(cfg, cur, dst);
-        NextHops {
-            adaptive: self.productive_ports(cfg, cur, dst),
-            escape,
-            escape_lane,
-        }
-    }
-
-    /// Contiguous router bands for the sharded engine.
-    fn bands(&self, cfg: &SimConfig, num_bands: usize) -> Vec<(usize, usize)> {
-        contiguous_bands(cfg, num_bands)
-    }
-}
-
-macro_rules! delegate_topology {
-    ($ty:ty, $kind:expr) => {
-        impl Topology for $ty {
-            fn kind(&self) -> TopologyKind {
-                $kind(self)
-            }
-            fn has_link(&self, cfg: &SimConfig, c: Coord, p: Port) -> bool {
-                debug_assert_eq!(cfg.topology, self.kind());
-                has_link(cfg, c, p)
-            }
-            fn step(&self, cfg: &SimConfig, c: Coord, p: Port) -> Coord {
-                debug_assert_eq!(cfg.topology, self.kind());
-                step(cfg, c, p)
-            }
-            fn distance(&self, cfg: &SimConfig, a: Coord, b: Coord) -> u32 {
-                debug_assert_eq!(cfg.topology, self.kind());
-                distance(cfg, a, b)
-            }
-            fn productive_ports(
-                &self,
-                cfg: &SimConfig,
-                cur: Coord,
-                dst: Coord,
-            ) -> [Option<Port>; 2] {
-                debug_assert_eq!(cfg.topology, self.kind());
-                productive_ports(cfg, cur, dst)
-            }
-            fn escape_hop(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> (Port, u8) {
-                debug_assert_eq!(cfg.topology, self.kind());
-                escape_hop(cfg, cur, dst)
-            }
-        }
-    };
-}
-
-/// The paper's 2-D mesh (any radix the `u64` VC bitsets allow).
-pub struct MeshTopology;
-/// 2-D torus with dateline escape lanes.
-pub struct TorusTopology;
-/// 1-D bidirectional ring (a one-row torus).
-pub struct RingTopology;
-/// Concentrated mesh: `concentration` nodes per router.
-pub struct CMeshTopology {
-    /// Nodes per router.
-    pub concentration: u8,
-}
-
-delegate_topology!(MeshTopology, |_t: &MeshTopology| TopologyKind::Mesh);
-delegate_topology!(TorusTopology, |_t: &TorusTopology| TopologyKind::Torus);
-delegate_topology!(RingTopology, |_t: &RingTopology| TopologyKind::Ring);
-delegate_topology!(CMeshTopology, |t: &CMeshTopology| TopologyKind::CMesh {
-    concentration: t.concentration
-});
 
 #[cfg(test)]
 mod tests {
@@ -707,43 +551,5 @@ mod tests {
         // node_at returns the base node of the router at that coordinate.
         assert_eq!(cfg.node_at(c(1, 0)), 4);
         assert_eq!(cfg.coord_of(5), c(1, 0));
-    }
-
-    #[test]
-    fn bands_are_contiguous_and_cover() {
-        for kind in [TopologyKind::Mesh, TopologyKind::Ring] {
-            let (w, h) = if kind == TopologyKind::Ring {
-                (13, 1)
-            } else {
-                (8, 8)
-            };
-            let cfg = cfg_kind(kind, w, h);
-            for shards in [1, 2, 4, 5] {
-                let bands = contiguous_bands(&cfg, shards);
-                assert_eq!(bands.first().unwrap().0, 0);
-                assert_eq!(bands.last().unwrap().1, cfg.num_routers());
-                for win in bands.windows(2) {
-                    assert_eq!(win[0].1, win[1].0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn trait_objects_delegate() {
-        let cfg = cfg_kind(TopologyKind::Torus, 6, 6);
-        let t = cfg.topology.build();
-        assert_eq!(t.name(), "torus");
-        assert_eq!(t.escape_lanes(), 2);
-        assert_eq!(t.num_routers(&cfg), 36);
-        assert_eq!(t.distance(&cfg, c(0, 0), c(5, 5)), 2);
-        assert_eq!(t.neighbors(&cfg, c(0, 0)).len(), 4);
-        let nh = t.next_hops(&cfg, c(5, 3), c(1, 3));
-        assert_eq!(nh.escape, PORT_EAST);
-        assert_eq!(nh.escape_lane, 1);
-        let mesh = cfg_kind(TopologyKind::Mesh, 8, 8);
-        let t = mesh.topology.build();
-        assert_eq!(t.neighbors(&mesh, c(0, 0)).len(), 2);
-        assert_eq!(t.num_nodes(&mesh), 64);
     }
 }

@@ -12,8 +12,8 @@
 //! A second, *function-scoped* rule (`panic-in-hot-path`, see
 //! [`PANIC_RULE`] / [`HOT_PATHS`]) bans the panic family — `unwrap`,
 //! `expect`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` and the
-//! release-mode `assert*` macros — from the bodies of the six
-//! pipeline-phase band functions and the admission verifier's checks.
+//! release-mode `assert*` macros — from the bodies of the kernel's
+//! pipeline-phase functions and the admission verifier's checks.
 //! `debug_assert*` stays legal there: it documents the invariant while the
 //! release kernel recovers instead of aborting.
 //!
@@ -95,8 +95,8 @@ pub const RULES: &[Rule] = &[
     },
 ];
 
-/// The function-scoped panic rule: inside the kernel's six pipeline-phase
-/// band functions and the admission verifier's property checks, a panic is
+/// The function-scoped panic rule: inside the kernel's pipeline-phase
+/// functions and the admission verifier's property checks, a panic is
 /// a simulator abort a caller can neither catch nor attribute — those
 /// paths must degrade via `debug_assert!` + recovery instead. Applied only
 /// to the bodies listed in [`HOT_PATHS`], not file-wide (constructors and
@@ -114,7 +114,7 @@ pub const PANIC_RULE: Rule = Rule {
         "assert_eq",
         "assert_ne",
     ],
-    why: "pipeline bands and admission checks must not abort mid-run; \
+    why: "pipeline phases and admission checks must not abort mid-run; \
           recover with `let .. else { debug_assert!(false, ..); .. }`",
 };
 
@@ -167,18 +167,20 @@ pub struct HotPath {
     pub functions: &'static [&'static str],
 }
 
-/// The hot paths: the six pure pipeline-phase bands (shared by the serial
-/// and sharded engines) and the admission verifier's entry points.
+/// The hot paths: the tick kernel's pipeline phases and the admission
+/// verifier's entry points. A listed file that cannot be read, or a listed
+/// function with no body in its file, is itself a finding — renaming or
+/// moving a hot path must update this list, not silently un-scan it.
 pub const HOT_PATHS: &[HotPath] = &[
     HotPath {
         file: "crates/noc-sim/src/network.rs",
         functions: &[
-            "sa_band",
-            "va_band",
-            "rc_band",
-            "generate_packets",
-            "inject_band",
-            "update_band",
+            "deliver_phase",
+            "sa_phase",
+            "va_phase",
+            "rc_phase",
+            "inject_phase",
+            "update_state_phase",
         ],
     },
     HotPath {
@@ -201,7 +203,8 @@ pub fn rule(name: &str) -> Option<&'static Rule> {
         .or((SWALLOWED_IO_RULE.name == name).then_some(&SWALLOWED_IO_RULE))
 }
 
-/// One banned token found in a scanned file.
+/// One lint finding: a banned token in a scanned file, or a listed hot path
+/// the lint could not scan (`line` 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     pub path: String,
@@ -216,7 +219,7 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: [{}] banned token `{}` — {}",
+            "{}:{}: [{}] `{}` — {}",
             self.path, self.line, self.rule, self.token, self.why
         )
     }
@@ -522,24 +525,31 @@ pub fn lint_source(path: &str, src: &str, rules: &[&Rule]) -> Vec<Finding> {
     findings
 }
 
-/// Token-index spans (half-open) of the bodies of `functions` in `toks`.
+/// Token-index spans (half-open) of the bodies of `functions` in `toks`,
+/// each tagged with the index into `functions` of the name it belongs to.
 ///
 /// A body starts at the first `{` after `fn <name>` — sound for this
 /// codebase because nothing brace-bearing (const-generic expressions,
 /// struct-expression defaults) appears in the signatures of the listed
 /// functions, and braces inside comments and strings are never emitted by
 /// the scanner.
-fn body_spans(toks: &[Tok], functions: &[&str]) -> Vec<(usize, usize)> {
+fn body_spans(toks: &[Tok], functions: &[&str]) -> Vec<(usize, usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0;
     while i < toks.len() {
-        let hit = matches!(&toks[i], Tok::Ident(_, id) if id == "fn")
-            && matches!(&toks[i + 1..].iter().find(|t| matches!(t, Tok::Ident(..))),
-                        Some(Tok::Ident(_, name)) if functions.contains(&name.as_str()));
-        if !hit {
+        let name = match (
+            &toks[i],
+            toks[i + 1..].iter().find(|t| matches!(t, Tok::Ident(..))),
+        ) {
+            (Tok::Ident(_, id), Some(Tok::Ident(_, name))) if id == "fn" => {
+                functions.iter().position(|f| f == name)
+            }
+            _ => None,
+        };
+        let Some(name) = name else {
             i += 1;
             continue;
-        }
+        };
         // Skip to the body's opening brace, then to its matching close.
         let Some(open) = (i..toks.len()).find(|k| matches!(toks[*k], Tok::Open)) else {
             break;
@@ -559,7 +569,7 @@ fn body_spans(toks: &[Tok], functions: &[&str]) -> Vec<(usize, usize)> {
                 Tok::Ident(..) => {}
             }
         }
-        spans.push((open, close));
+        spans.push((name, open, close));
         i = close.min(toks.len() - 1) + 1;
     }
     spans
@@ -567,11 +577,24 @@ fn body_spans(toks: &[Tok], functions: &[&str]) -> Vec<(usize, usize)> {
 
 /// Apply [`PANIC_RULE`] to the bodies of `functions` within one source
 /// text; `path` labels the findings. The `lint: allow(panic-in-hot-path)`
-/// hatch works exactly as for the file-wide rules.
+/// hatch works exactly as for the file-wide rules. A name in `functions`
+/// with no body in `src` is a finding too.
 pub fn lint_hot_source(path: &str, src: &str, functions: &[&str]) -> Vec<Finding> {
     let (toks, allows) = scan(src);
-    let mut findings = Vec::new();
-    for (open, close) in body_spans(&toks, functions) {
+    let spans = body_spans(&toks, functions);
+    let mut findings: Vec<Finding> = functions
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| spans.iter().all(|s| s.0 != *i))
+        .map(|(_, name)| {
+            unscanned(
+                path,
+                format!("fn {name}"),
+                "listed in HOT_PATHS but has no body in this file; update the list",
+            )
+        })
+        .collect();
+    for (_, open, close) in spans {
         for t in &toks[open..close] {
             let Tok::Ident(line, ident) = t else { continue };
             if PANIC_RULE.tokens.contains(&ident.as_str())
@@ -686,14 +709,29 @@ pub fn lint_durability_scopes(root: &Path) -> Vec<Finding> {
     findings
 }
 
+/// A [`PANIC_RULE`] finding for a hot path the lint could not scan.
+fn unscanned(path: &str, token: String, why: &'static str) -> Finding {
+    Finding {
+        path: path.to_string(),
+        line: 0,
+        rule: PANIC_RULE.name,
+        token,
+        why,
+    }
+}
+
 /// Lint every configured hot path under `root` (the workspace root).
 pub fn lint_hot_paths(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
     for hp in HOT_PATHS {
-        let Ok(src) = std::fs::read_to_string(root.join(hp.file)) else {
-            continue;
-        };
-        findings.extend(lint_hot_source(hp.file, &src, hp.functions));
+        match std::fs::read_to_string(root.join(hp.file)) {
+            Ok(src) => findings.extend(lint_hot_source(hp.file, &src, hp.functions)),
+            Err(e) => findings.push(unscanned(
+                hp.file,
+                e.kind().to_string(),
+                "listed in HOT_PATHS but unreadable; update the list",
+            )),
+        }
     }
     findings
 }

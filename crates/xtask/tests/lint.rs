@@ -164,7 +164,7 @@ fn panic_rule_is_function_scoped() {
 fn helper() {
     let x = opt.unwrap(); // outside the hot path: legal
 }
-pub(crate) fn sa_band(x: Option<u32>) -> u32 {
+pub(crate) fn sa_phase(x: Option<u32>) -> u32 {
     debug_assert!(x.is_some());
     x.unwrap()
 }
@@ -172,7 +172,7 @@ fn also_fine() {
     panic!("not a hot path");
 }
 "#;
-    let f = xtask::lint_hot_source("fixture.rs", src, &["sa_band"]);
+    let f = xtask::lint_hot_source("fixture.rs", src, &["sa_phase"]);
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].rule, "panic-in-hot-path");
     assert_eq!(f[0].token, "unwrap");
@@ -192,31 +192,31 @@ fn panic_rule_catches_each_family_member() {
         "assert_eq",
         "assert_ne",
     ] {
-        let src = format!("fn va_band() {{\n    {tok}!(maybe);\n}}\n");
-        let f = xtask::lint_hot_source("fixture.rs", &src, &["va_band"]);
+        let src = format!("fn va_phase() {{\n    {tok}!(maybe);\n}}\n");
+        let f = xtask::lint_hot_source("fixture.rs", &src, &["va_phase"]);
         assert_eq!(f.len(), 1, "{tok} missed: {f:?}");
         assert_eq!(f[0].token, tok);
     }
     // The debug_ variants stay legal.
-    let src = "fn va_band() {\n    debug_assert!(ok);\n    debug_assert_eq!(a, b);\n}\n";
-    assert!(xtask::lint_hot_source("fixture.rs", src, &["va_band"]).is_empty());
+    let src = "fn va_phase() {\n    debug_assert!(ok);\n    debug_assert_eq!(a, b);\n}\n";
+    assert!(xtask::lint_hot_source("fixture.rs", src, &["va_phase"]).is_empty());
 }
 
 #[test]
 fn panic_rule_escape_hatch_and_strings() {
     let hatched =
-        "fn rc_band() {\n    // lint: allow(panic-in-hot-path)\n    assert!(contract);\n}\n";
-    assert!(xtask::lint_hot_source("fixture.rs", hatched, &["rc_band"]).is_empty());
+        "fn rc_phase() {\n    // lint: allow(panic-in-hot-path)\n    assert!(contract);\n}\n";
+    assert!(xtask::lint_hot_source("fixture.rs", hatched, &["rc_phase"]).is_empty());
     // Tokens in strings and comments inside the body never fire, and
     // braces inside them must not derail the span tracker.
-    let noisy = "fn rc_band() {\n    // unwrap in a comment {\n    let s = \"panic! } {\";\n}\nfn after() { x.unwrap(); }\n";
-    assert!(xtask::lint_hot_source("fixture.rs", noisy, &["rc_band"]).is_empty());
+    let noisy = "fn rc_phase() {\n    // unwrap in a comment {\n    let s = \"panic! } {\";\n}\nfn after() { x.unwrap(); }\n";
+    assert!(xtask::lint_hot_source("fixture.rs", noisy, &["rc_phase"]).is_empty());
 }
 
 /// Revert-one-satellite check for the panic rule: putting the `.unwrap()`
-/// arbitration calls back into `sa_band`/`va_band` must fail the lint.
+/// arbitration calls back into `sa_phase`/`va_phase` must fail the lint.
 #[test]
-fn reverting_the_band_unwrap_rewrite_fails_the_lint() {
+fn reverting_the_phase_unwrap_rewrite_fails_the_lint() {
     let path = xtask::workspace_root().join("crates/noc-sim/src/network.rs");
     let src = std::fs::read_to_string(&path).unwrap();
     let hot: Vec<&str> = xtask::HOT_PATHS
@@ -227,9 +227,9 @@ fn reverting_the_band_unwrap_rewrite_fails_the_lint() {
         .to_vec();
     // The shipped file is clean…
     assert!(xtask::lint_hot_source("network.rs", &src, &hot).is_empty());
-    // …and reintroducing an unwrap inside sa_band is caught.
+    // …and reintroducing an unwrap inside sa_phase is caught.
     let marker = "let Some(w) = arbitrate_rr(&reqs, v, &mut r.sa_in_ptr[in_port]) else {";
-    assert!(src.contains(marker), "sa_band rewrite marker missing");
+    assert!(src.contains(marker), "sa_phase rewrite marker missing");
     let reverted = src.replace(
         marker,
         "let Some(w) = Some(arbitrate_rr(&reqs, v, &mut r.sa_in_ptr[in_port]).unwrap()) else {",
@@ -239,6 +239,22 @@ fn reverting_the_band_unwrap_rewrite_fails_the_lint() {
         findings.iter().any(|f| f.token == "unwrap"),
         "lint missed the reverted unwrap: {findings:?}"
     );
+}
+
+/// The hot-path lint must not go blind: a listed function that was renamed
+/// or moved away, and a listed file that cannot be read, are findings.
+#[test]
+fn missing_hot_path_function_or_file_is_a_finding() {
+    let src = "fn sa_phase() {}\nfn helper() { x.unwrap(); }\n";
+    let f = xtask::lint_hot_source("fixture.rs", src, &["sa_phase", "va_phase"]);
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!(f[0].rule, "panic-in-hot-path");
+    assert_eq!(f[0].token, "fn va_phase");
+
+    let empty = std::env::temp_dir().join(format!("xtask-no-sources-{}", std::process::id()));
+    let f = xtask::lint_hot_paths(&empty);
+    assert_eq!(f.len(), xtask::HOT_PATHS.len(), "{f:?}");
+    assert!(f.iter().all(|f| f.rule == "panic-in-hot-path"));
 }
 
 #[test]

@@ -89,6 +89,116 @@ fn fast_path_is_bit_identical_across_matrix() {
     }
 }
 
+/// Scripted inputs run to drain: the end-state digest, the drain state and
+/// the oracle's scan count (the exhaustive mode also ticks through every
+/// idle cycle the fast path jumps over, so equal counts pin the
+/// fast-forward's scan replay).
+fn run_scripted(
+    cfg: &SimConfig,
+    events: &[(u64, NodeId, NewPacket)],
+    routing: Routing,
+    cycles: u64,
+    exhaustive: bool,
+) -> (u64, bool, u64) {
+    let cfg = SimConfig {
+        oracle: OracleConfig {
+            enabled: Some(true),
+            ..OracleConfig::default()
+        },
+        ..cfg.clone()
+    };
+    let region = RegionMap::single(&cfg);
+    let mut net = Network::new(
+        cfg,
+        region,
+        routing.build(),
+        Scheme::RoRr.build(),
+        Box::new(ScriptedSource::new(1, events.to_vec())),
+        7,
+    );
+    net.set_force_exhaustive(exhaustive);
+    net.run(cycles);
+    (net.stats.digest(), net.is_drained(), net.oracle_scans())
+}
+
+fn assert_scripted_identical(
+    what: &str,
+    cfg: &SimConfig,
+    events: &[(u64, NodeId, NewPacket)],
+    cycles: u64,
+) {
+    for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
+        let fast = run_scripted(cfg, events, routing, cycles, false);
+        let slow = run_scripted(cfg, events, routing, cycles, true);
+        assert_eq!(fast, slow, "fast/exhaustive divergence: {what} {routing:?}");
+        assert!(fast.1, "{what} {routing:?} failed to drain");
+        assert!(fast.2 > 0, "{what} {routing:?}: oracle never scanned");
+    }
+}
+
+/// Closed-loop request/reply traffic (the L2/memory service model): every
+/// delivered request schedules a long reply on the second message class.
+#[test]
+fn fast_path_is_bit_identical_on_closed_loop_replies() {
+    let cfg = SimConfig::table1_req_reply();
+    let n = cfg.num_nodes();
+    let events: Vec<_> = (0..n)
+        .map(|i| {
+            let request = NewPacket {
+                dst: ((i * 7 + 13) % n) as NodeId,
+                app: 0,
+                class: 0,
+                size: cfg.short_flits,
+                reply: Some(ReplySpec {
+                    service_latency: cfg.l2_latency,
+                    size: cfg.long_flits,
+                    class: 1,
+                }),
+            };
+            ((i as u64 % 5) * 3, i as NodeId, request)
+        })
+        .filter(|&(_, src, p)| p.dst != src)
+        .collect();
+    assert_scripted_identical("closed loop", &cfg, &events, 4_000);
+}
+
+/// Word-boundary router counts for the `u64` activity bitmasks: 63 (9×7),
+/// 64 (8×8, exactly one full word) and 65 (13×5, one bit into the second
+/// word). Every node sends one long and one short packet to stride-offset
+/// peers, staggered over the first cycles.
+#[test]
+fn fast_path_is_bit_identical_at_mask_word_boundaries() {
+    for (w, h) in [(9u8, 7u8), (8, 8), (13, 5)] {
+        let cfg = SimConfig {
+            width: w,
+            height: h,
+            ..SimConfig::table1()
+        };
+        let n = cfg.num_nodes();
+        let stride = w as usize + 1;
+        let packet = |dst: usize, size| NewPacket {
+            dst: (dst % n) as NodeId,
+            app: 0,
+            class: 0,
+            size,
+            reply: None,
+        };
+        let events: Vec<_> = (0..n)
+            .flat_map(|i| {
+                [
+                    (i as u64 % 7, packet(i + stride, cfg.long_flits)),
+                    (
+                        3 + i as u64 % 11,
+                        packet(i + 2 * stride + 1, cfg.short_flits),
+                    ),
+                ]
+                .map(|(at, p)| (at, i as NodeId, p))
+            })
+            .collect();
+        assert_scripted_identical(&format!("{w}x{h}"), &cfg, &events, 3_000);
+    }
+}
+
 #[test]
 fn fast_path_actually_skips_work() {
     let cfg = SimConfig::table1();

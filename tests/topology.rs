@@ -1,5 +1,6 @@
-//! Cross-topology differential suite: the same kernel, verifier, oracle
-//! and sharded engine must agree on every supported topology.
+//! Cross-topology differential suite: the same kernel (fast path and
+//! exhaustive scan), verifier and oracle must agree on every supported
+//! topology.
 //!
 //! For random rectangular region maps × {mesh, torus, ring, cmesh} ×
 //! radices that include the u64 word-boundary router counts (63/64/65 —
@@ -11,7 +12,8 @@
 //! (b) all-pairs routability — the legality pass actually visited every
 //!     ordered router pair,
 //! (c) end-state digests are deterministic: bit-identical across repeated
-//!     runs of one seed and across shard counts {1, 2, 4}, and
+//!     runs of one seed and between the active-set fast path and the
+//!     exhaustive scan, and
 //! (d) the full invariant oracle (credit conservation, routing legality,
 //!     deadlock watchdog, …) stays clean at 5 % and 30 % offered load.
 
@@ -80,13 +82,12 @@ fn digest_of(
     cfg: &SimConfig,
     region: &RegionMap,
     routing: Routing,
-    shards: usize,
+    force_exhaustive: bool,
     oracle: bool,
     load: f64,
     seed: u64,
 ) -> (u64, u64) {
     let mut cfg = cfg.clone();
-    cfg.shards = shards;
     cfg.oracle = if oracle {
         OracleConfig {
             enabled: Some(true),
@@ -109,6 +110,7 @@ fn digest_of(
         Box::new(scenario),
         seed,
     );
+    net.set_force_exhaustive(force_exhaustive);
     net.run_warmup_measure(150, 350);
     net.check_oracle_now();
     (net.stats.digest(), net.stats.oracle_violation_count)
@@ -193,11 +195,10 @@ fn bench_topology_table() {
         );
 
         let region = split_region(&cfg, w / 2);
-        let (_, viol) = digest_of(&cfg, &region, Routing::Local, 1, false, 0.10, 7);
+        let (_, viol) = digest_of(&cfg, &region, Routing::Local, false, false, 0.10, 7);
         assert_eq!(viol, 0);
         let cycles = 4_000u64;
         let mut run_cfg = cfg.clone();
-        run_cfg.shards = 1;
         run_cfg.oracle = OracleConfig {
             enabled: Some(false),
             ..OracleConfig::default()
@@ -228,8 +229,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random rectangular region maps over random matrix points: verifier
-    /// (+ LBDR on non-wrapping kinds), shard-count digest identity, and a
-    /// clean oracle at 5% and 30% load.
+    /// (+ LBDR on non-wrapping kinds), fast-vs-exhaustive digest identity,
+    /// and a clean oracle at 5% and 30% load.
     #[test]
     fn differential_random_regions(
         case_idx in 0usize..10,
@@ -257,19 +258,19 @@ proptest! {
             );
         }
 
-        // (c) + (d): scalar runs with the oracle at 5% and 30% load must be
-        // violation-free and reproducible; sharded runs (2 and 4 bands)
-        // must produce the identical digest.
+        // (c) + (d): runs with the oracle at 5% and 30% load must be
+        // violation-free and reproducible; the exhaustive scan (with and
+        // without the oracle) must produce the identical digest.
         for load in [0.05, 0.30] {
-            let (d1, v1) = digest_of(&cfg, &region, routing, 1, true, load, seed);
+            let (d1, v1) = digest_of(&cfg, &region, routing, false, true, load, seed);
             prop_assert_eq!(v1, 0, "{} {w}x{h} load {} oracle violations", kind.label(), load);
-            let (d1b, _) = digest_of(&cfg, &region, routing, 1, true, load, seed);
+            let (d1b, _) = digest_of(&cfg, &region, routing, false, true, load, seed);
             prop_assert_eq!(d1, d1b, "same-seed rerun digest drift");
-            for shards in [2usize, 4] {
-                let (ds, _) = digest_of(&cfg, &region, routing, shards, false, load, seed);
+            for oracle in [true, false] {
+                let (dx, _) = digest_of(&cfg, &region, routing, true, oracle, load, seed);
                 prop_assert_eq!(
-                    d1, ds,
-                    "{} {w}x{h} {shards} shards ({}) digest mismatch at load {load}",
+                    d1, dx,
+                    "{} {w}x{h} exhaustive (oracle {oracle}, {}) digest mismatch at load {load}",
                     kind.label(), routing.label()
                 );
             }
