@@ -12,6 +12,7 @@
 //! so an interrupted `repro resilience` resumes instead of restarting.
 
 use crate::runner::{run_one, run_parallel_checkpointed, ExpConfig, Job, RunResult};
+use crate::service::{std_store, Journal};
 use crate::sweep::build_network;
 use metrics::Table;
 use noc_sim::config::SimConfig;
@@ -123,7 +124,10 @@ pub fn run(ec: &ExpConfig, smoke: bool) -> Vec<ResilRow> {
             }));
         }
     }
-    let checkpoint = std::path::Path::new("results").join("RESILIENCE.checkpoint");
+    let checkpoint = Journal::new(
+        std::path::Path::new("results").join("RESILIENCE.checkpoint"),
+        std_store(),
+    );
     let results: Vec<RunResult> = run_parallel_checkpointed(jobs, &checkpoint)
         .into_iter()
         .collect::<Result<_, _>>()

@@ -1,15 +1,12 @@
 //! # experiments — regenerating the paper's evaluation
 //!
 //! One driver per table/figure of §V (plus the §III LBDR analysis and two
-//! ablations), a parallel sweep runner, and the saturation-load cache that
-//! anchors the "% of saturation" load definitions.
+//! ablations), the sweep runners over the one supervised pool
+//! ([`service::pool`]), and the saturation-load cache that anchors the
+//! "% of saturation" load definitions.
 //!
-//! The `repro` binary exposes all drivers from the command line:
-//!
-//! ```text
-//! repro [--quick] [--seed N] <table1|fig9|fig10|fig12|fig14|fig15|fig17|
-//!                             lbdr|ablation-delta|ablation-vcsplit|all>
-//! ```
+//! The `repro` binary exposes every driver and service from the command
+//! line; `repro --help` lists the subcommands and flags.
 
 pub mod admit;
 pub mod bench_kernel;
@@ -21,6 +18,6 @@ pub mod sweep;
 pub mod verify_config;
 
 pub use runner::{
-    run_one, run_parallel, run_parallel_checkpointed, run_parallel_checkpointed_with,
-    run_parallel_results, ExpConfig, Job, JobError, RunResult,
+    run_one, run_parallel, run_parallel_checkpointed, run_parallel_results, ExpConfig, Job,
+    JobError, RunResult,
 };

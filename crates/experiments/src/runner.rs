@@ -1,34 +1,19 @@
 //! Simulation runner: executes configured networks (optionally in parallel
 //! across a sweep) and extracts per-application results.
 //!
-//! The parallel runner is hardened against the three ways a long sweep
-//! dies in practice:
-//!
-//! - **Panics**: each job runs under `catch_unwind` and is retried once
-//!   (a panicking job usually reproduces — the retry distinguishes a
-//!   deterministic kernel bug from a transient host hiccup). A job that
-//!   panics twice is reported with its label and both messages; the
-//!   remaining jobs still complete, and `run_parallel` re-raises an
-//!   aggregate failure only after the whole sweep has finished.
-//! - **Runaway configurations**: [`ExpConfig::cycle_budget`] caps the
-//!   simulated cycles of one run. The cap lives in the cycle domain, not
-//!   wall-clock (`Instant` is banned by the determinism lint): the kernel
-//!   is deterministic, so "this config is too slow" is exactly "this
-//!   config was asked to simulate too many cycles". A clamped run is
-//!   marked [`RunResult::truncated`] instead of silently passing.
-//! - **Interruption**: [`run_parallel_checkpointed`] appends every
-//!   finished result to a checkpoint file and, on restart, resumes the
-//!   sweep by replaying completed labels from it instead of re-running
-//!   them. The file is deleted once every job has succeeded.
+//! Sweeps run on the crate's one supervised pool ([`crate::service::pool`]:
+//! panics caught and retried, a poison job reported with its label after
+//! the whole sweep has finished, journaled resume for
+//! [`run_parallel_checkpointed`]). Runaway configurations are bounded in the
+//! cycle domain, not wall-clock (`Instant` is banned by the determinism
+//! lint): [`ExpConfig::cycle_budget`] clamps a run, which is then marked
+//! [`RunResult::truncated`] instead of silently passing.
 
+use crate::service::pool::{self, Policy};
+use crate::service::Journal;
 use metrics::LatencyKind;
 use noc_sim::network::Network;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Warmup/measurement window and seed for one experiment.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -235,69 +220,31 @@ pub fn run_one(label: impl Into<String>, mut net: Network, cfg: &ExpConfig) -> R
     }
 }
 
-/// A deferred, labeled simulation job for the parallel sweep runner. The
-/// label travels with the job so a panic can be attributed even though the
-/// closure never produced a `RunResult`; the closure is `Fn` (not
-/// `FnOnce`) so a panicking job can be retried once.
-pub struct Job {
-    label: String,
-    run: Box<dyn Fn() -> RunResult + Send>,
-}
+/// A deferred, labeled simulation job for the sweep runners: a pool task
+/// whose id is derived from its label.
+pub type Job = pool::Task;
 
-impl Job {
-    pub fn new(label: impl Into<String>, run: impl Fn() -> RunResult + Send + 'static) -> Job {
-        Job {
-            label: label.into(),
-            run: Box::new(run),
-        }
-    }
+/// The sweep runners' pool policy: simulation jobs are deterministic, so a
+/// reproduced panic is a real kernel/config bug and a one-off is a
+/// host-level hiccup the sweep should survive — one retry, no backoff, no
+/// wall-clock timeout ([`ExpConfig::cycle_budget`] bounds runaway runs).
+const SWEEP_POLICY: Policy = Policy {
+    max_attempts: 2,
+    backoff_base_ms: 0,
+    timeout_ms: None,
+};
 
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Run the job, retrying once on panic (simulation jobs are
-    /// deterministic, so a reproduced panic is a real kernel/config bug;
-    /// a one-off is a host-level hiccup the sweep should survive). A
-    /// double panic becomes a labeled error carrying both messages.
-    fn execute(&self) -> Result<RunResult, JobError> {
-        let attempt = || catch_unwind(AssertUnwindSafe(|| (self.run)()));
-        match attempt() {
-            Ok(r) => Ok(r),
-            Err(first) => {
-                eprintln!("[sweep] job '{}' panicked; retrying once", self.label);
-                attempt().map_err(|second| JobError {
-                    label: self.label.clone(),
-                    message: format!(
-                        "panicked twice (first: {}; retry: {})",
-                        panic_message(first.as_ref()),
-                        panic_message(second.as_ref())
-                    ),
-                })
-            }
-        }
-    }
-}
-
-/// Best-effort extraction of a human-readable panic message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(std::string::ToString::to_string)
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// A job that panicked instead of producing a result.
+/// A job the pool gave up on instead of producing a result.
 #[derive(Debug, Clone)]
 pub struct JobError {
     pub label: String,
+    /// Why, including the last attempt's panic message.
     pub message: String,
 }
 
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job '{}' panicked: {}", self.label, self.message)
+        write!(f, "job '{}' failed: {}", self.label, self.message)
     }
 }
 
@@ -340,49 +287,11 @@ fn resolve_worker_count(env_threads: Option<&str>, jobs: usize) -> (usize, Optio
     (count.min(jobs), warning)
 }
 
-/// Worker-pool core shared by the plain and checkpointed runners: execute
-/// `(original index, job)` pairs, invoking `on_success` for each completed
-/// result (the checkpoint append hook). `total`/`already` shape the
-/// progress messages when part of the sweep was pre-resolved from a
-/// checkpoint.
-fn run_indexed(
-    jobs: Vec<(usize, Job)>,
-    total: usize,
-    already: usize,
-    on_success: &(dyn Fn(&RunResult) + Sync),
-) -> Vec<(usize, Result<RunResult, JobError>)> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    let done = AtomicUsize::new(already);
-    let handle = |(idx, job): (usize, Job)| {
-        let r = job.execute();
-        if let Ok(ok) = &r {
-            on_success(ok);
-        }
-        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-        if total > 1 {
-            eprintln!("[sweep] {d}/{total} done ({})", job.label());
-        }
-        (idx, r)
-    };
-    let workers = worker_count_from(std::env::var("RAIR_THREADS").ok().as_deref(), jobs.len());
-    if workers <= 1 {
-        return jobs.into_iter().map(handle).collect();
-    }
-    let queue: Mutex<Vec<(usize, Job)>> = Mutex::new(jobs.into_iter().rev().collect());
-    let results: Mutex<Vec<(usize, Result<RunResult, JobError>)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let job = queue.lock().unwrap().pop();
-                let Some(pair) = job else { break };
-                let out = handle(pair);
-                results.lock().unwrap().push(out);
-            });
-        }
-    });
-    results.into_inner().unwrap()
+/// Run `jobs` on the supervised pool under [`SWEEP_POLICY`], journaling
+/// every transition when a journal is given.
+fn supervised(jobs: &[Job], journal: Option<&Journal>) -> Vec<Result<RunResult, JobError>> {
+    let outcomes = pool::run_supervised(jobs, &SWEEP_POLICY, journal, &|_, _| {});
+    outcomes.into_iter().map(|o| o.result).collect()
 }
 
 /// Execute jobs across worker threads (one simulation per thread; see
@@ -391,19 +300,11 @@ fn run_indexed(
 /// every other job still runs to completion. Progress is reported on
 /// stderr as jobs finish.
 pub fn run_parallel_results(jobs: Vec<Job>) -> Vec<Result<RunResult, JobError>> {
-    let n = jobs.len();
-    let mut out: Vec<Option<Result<RunResult, JobError>>> = (0..n).map(|_| None).collect();
-    for (idx, r) in run_indexed(jobs.into_iter().enumerate().collect(), n, 0, &|_| {}) {
-        out[idx] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("all jobs completed"))
-        .collect()
+    supervised(&jobs, None)
 }
 
-/// Version tag guarding checkpoint lines against stale formats; bump when
-/// the [`RunResult`] line layout changes so old files are ignored, not
-/// misparsed.
+/// Version tag opening every [`RunResult`] row; bump when the row layout
+/// changes so old journal and result-cache rows are ignored, not misparsed.
 const CHECKPOINT_TAG: &str = "rair-ckpt-v1";
 
 pub(crate) fn esc_label(s: &str) -> String {
@@ -436,11 +337,11 @@ pub(crate) fn unesc_label(s: &str) -> String {
 
 /// Exact (bit-level) float round-trip: decimal formatting would perturb
 /// resumed results relative to a straight-through run.
-fn f64_field(x: f64) -> String {
+pub(crate) fn f64_field(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-fn parse_f64_field(s: &str) -> Option<f64> {
+pub(crate) fn parse_f64_field(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
@@ -471,8 +372,9 @@ fn parse_latency_field(s: &str) -> Option<Vec<Option<f64>>> {
         .collect()
 }
 
-/// One completed result as a single checkpoint line (tab-separated,
-/// version-tagged, floats bit-exact).
+/// One completed result as a single row (tab-separated, version-tagged,
+/// floats bit-exact): the payload of journal `done` rows and result-cache
+/// entries.
 pub(crate) fn checkpoint_line(r: &RunResult) -> String {
     format!(
         "{CHECKPOINT_TAG}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
@@ -496,8 +398,8 @@ pub(crate) fn checkpoint_line(r: &RunResult) -> String {
     )
 }
 
-/// Parse one checkpoint line; any malformed, truncated (partial write at
-/// interruption) or version-mismatched line is skipped, not fatal.
+/// Parse one [`checkpoint_line`] row; `None` for anything malformed or
+/// version-mismatched.
 pub(crate) fn parse_checkpoint_line(line: &str) -> Option<RunResult> {
     let f: Vec<&str> = line.split('\t').collect();
     if f.len() != 18 || f[0] != CHECKPOINT_TAG {
@@ -524,101 +426,52 @@ pub(crate) fn parse_checkpoint_line(line: &str) -> Option<RunResult> {
     })
 }
 
-/// Like [`run_parallel_results`], but resumable: results already present
-/// in the checkpoint file (matched by job label — labels must be unique
-/// within a sweep) are replayed without re-running their jobs, every fresh
-/// result is appended to the file as it completes, and the file is
-/// removed once the whole sweep has succeeded. An interrupted or
-/// partially-failed sweep therefore restarts from where it stopped.
+/// Like [`run_parallel_results`], but resumable: every transition is
+/// journaled under the job's label digest (labels must be unique within a
+/// sweep), jobs with a valid `done` row are replayed without re-running,
+/// anything an earlier pass failed or left mid-`running` runs again, and
+/// the journal file is removed once the whole sweep has succeeded. A failed
+/// append only shrinks resume coverage ([`Journal::write_errors`]).
 pub fn run_parallel_checkpointed(
     jobs: Vec<Job>,
-    checkpoint: &Path,
+    journal: &Journal,
 ) -> Vec<Result<RunResult, JobError>> {
-    run_parallel_checkpointed_with(crate::service::std_store(), jobs, checkpoint)
-}
-
-/// Checkpoint rows that failed to append (EIO/ENOSPC/torn) since process
-/// start; surfaced in sweep summaries so degraded resume coverage is
-/// visible instead of silent.
-static CHECKPOINT_WRITE_ERRORS: AtomicU64 = AtomicU64::new(0);
-
-/// Checkpoint rows that could not be made durable so far (process-wide).
-pub fn checkpoint_write_errors() -> u64 {
-    CHECKPOINT_WRITE_ERRORS.load(Ordering::Relaxed)
-}
-
-/// [`run_parallel_checkpointed`] over an injectable [`Store`] — the seam
-/// the chaos battery drives disk faults through. Each fresh result is
-/// appended *durably* (fsync'd) before the job counts as checkpointed; an
-/// append failure is warned about and counted, never fatal: the sweep
-/// still completes, only its resume coverage shrinks.
-pub fn run_parallel_checkpointed_with(
-    store: &dyn crate::service::Store,
-    jobs: Vec<Job>,
-    checkpoint: &Path,
-) -> Vec<Result<RunResult, JobError>> {
-    let n = jobs.len();
-    let mut cached: BTreeMap<String, RunResult> = BTreeMap::new();
-    if let Ok(bytes) = store.read(checkpoint) {
-        for line in String::from_utf8_lossy(&bytes).lines() {
-            if let Some(r) = parse_checkpoint_line(line) {
-                cached.insert(r.label.clone(), r);
-            }
-        }
-    }
-    let mut out: Vec<Option<Result<RunResult, JobError>>> = (0..n).map(|_| None).collect();
-    let mut pending = Vec::new();
-    for (idx, job) in jobs.into_iter().enumerate() {
-        match cached.get(job.label()) {
-            Some(r) => out[idx] = Some(Ok(r.clone())),
-            None => pending.push((idx, job)),
-        }
-    }
-    let resumed = n - pending.len();
-    if resumed > 0 {
+    let mut replayed = pool::replay_jobs(&journal.replay().rows);
+    let cached: Vec<Option<RunResult>> = jobs
+        .iter()
+        .map(|j| replayed.remove(&j.id).and_then(|s| s.done))
+        .collect();
+    let pending: Vec<Job> = jobs
+        .into_iter()
+        .zip(&cached)
+        .filter_map(|(j, c)| c.is_none().then_some(j))
+        .collect();
+    let (n, store, path) = (cached.len(), journal.store(), journal.path());
+    if pending.len() < n {
         eprintln!(
-            "[sweep] resumed {resumed}/{n} result(s) from {}",
-            checkpoint.display()
+            "[sweep] resumed {}/{n} result(s) from {}",
+            n - pending.len(),
+            path.display()
         );
     }
-    if !pending.is_empty() {
-        if let Some(dir) = checkpoint.parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = store.create_dir_all(dir) {
-                    eprintln!(
-                        "[sweep] warning: could not create checkpoint directory {}: {e}",
-                        dir.display()
-                    );
-                }
-            }
-        }
-        let warned = std::sync::atomic::AtomicBool::new(false);
-        let append = |r: &RunResult| {
-            let line = format!("{}\n", checkpoint_line(r));
-            if let Err(e) = store.append_durable(checkpoint, line.as_bytes()) {
-                CHECKPOINT_WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-                if !warned.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "[sweep] warning: checkpoint append to {} failed ({e}); \
-                         affected rows will re-run on resume",
-                        checkpoint.display()
-                    );
-                }
-            }
-        };
-        for (idx, r) in run_indexed(pending, n, resumed, &append) {
-            out[idx] = Some(r);
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Err(e) = store.create_dir_all(dir) {
+            eprintln!(
+                "[sweep] warning: could not create checkpoint directory {}: {e}",
+                dir.display()
+            );
         }
     }
-    let results: Vec<Result<RunResult, JobError>> = out
+    let mut fresh = supervised(&pending, Some(journal)).into_iter();
+    let results: Vec<Result<RunResult, JobError>> = cached
         .into_iter()
-        .map(|r| r.expect("all jobs resolved"))
+        .map(|c| c.map_or_else(|| fresh.next().expect("one result per pending job"), Ok))
         .collect();
-    if results.iter().all(Result::is_ok) && store.exists(checkpoint) {
-        if let Err(e) = store.remove(checkpoint) {
+    if results.iter().all(Result::is_ok) && store.exists(path) {
+        if let Err(e) = store.remove(path) {
             eprintln!(
                 "[sweep] warning: could not remove completed checkpoint {}: {e}",
-                checkpoint.display()
+                path.display()
             );
         }
     }
@@ -646,7 +499,10 @@ pub fn run_parallel(jobs: Vec<Job>) -> Vec<RunResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{ChaosStore, Fault, StdStore};
     use noc_sim::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn tiny_net(seed: u64) -> Network {
         let cfg = SimConfig::table1();
@@ -758,38 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn panicking_job_does_not_kill_the_sweep() {
-        let cfg = ExpConfig {
-            warmup: 500,
-            measure: 1_000,
-            seed: 0,
-            quick: true,
-            cycle_budget: None,
-            prune: false,
-        };
-        let mut jobs = Vec::new();
-        for i in 0..4 {
-            jobs.push(Job::new(format!("ok{i}"), move || {
-                run_one(format!("ok{i}"), tiny_net(i as u64), &cfg)
-            }));
-        }
-        jobs.insert(
-            2,
-            Job::new("boom", || panic!("synthetic failure for the test")),
-        );
-        let results = run_parallel_results(jobs);
-        assert_eq!(results.len(), 5);
-        // All non-panicking jobs completed, in order.
-        for (i, idx) in [0usize, 1, 3, 4].iter().zip([0usize, 1, 2, 3]) {
-            let r = results[*i].as_ref().unwrap();
-            assert_eq!(r.label, format!("ok{idx}"));
-        }
-        let err = results[2].as_ref().unwrap_err();
-        assert_eq!(err.label, "boom");
-        assert!(err.message.contains("synthetic failure"));
-    }
-
-    #[test]
     fn run_parallel_reports_failed_labels() {
         let caught =
             std::panic::catch_unwind(|| run_parallel(vec![Job::new("doomed", || panic!("nope"))]));
@@ -828,26 +652,6 @@ mod tests {
             packets_dropped: 1,
             reconfigurations: 1,
         }
-    }
-
-    #[test]
-    fn panicking_job_is_retried_once() {
-        use std::sync::Arc;
-        let calls = Arc::new(AtomicUsize::new(0));
-        let c = calls.clone();
-        let job = Job::new("flaky", move || {
-            if c.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient failure");
-            }
-            stub_result("flaky")
-        });
-        let r = run_parallel_results(vec![job]);
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            2,
-            "expected exactly one retry"
-        );
-        assert_eq!(r[0].as_ref().unwrap().label, "flaky");
     }
 
     #[test]
@@ -899,82 +703,92 @@ mod tests {
         assert!(parse_checkpoint_line(&line[..line.len() / 2]).is_none());
     }
 
+    /// A partially failed sweep resumes from its journal and cleans up —
+    /// and a journaled result row with one payload digit altered
+    /// (`delivered` of one job, a hex digit of `throughput` of another) is
+    /// never replayed as a result: the CRC rejects the row (quarantined, or
+    /// dropped as the torn tail when it is the last line) and the job
+    /// re-runs.
     #[test]
-    fn checkpointed_sweep_resumes_and_cleans_up() {
-        use std::sync::Arc;
+    fn checkpointed_sweep_resumes_cleans_up_and_rejects_altered_rows() {
+        use crate::service::chaos::flip_done_field;
         let dir = std::env::temp_dir().join(format!("rair-ckpt-test-{}", std::process::id()));
-        let path = dir.join("sweep.ckpt");
         // lint: allow(swallowed-io-error)
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("sweep.ckpt");
+        let journal = Journal::new(&path, &StdStore);
         let calls = Arc::new(AtomicUsize::new(0));
-        let mk = |label: &str, fail: bool| -> Job {
-            let calls = calls.clone();
-            let label = label.to_string();
-            Job::new(label.clone(), move || {
-                calls.fetch_add(1, Ordering::SeqCst);
-                assert!(!fail, "always failing");
-                stub_result(&label)
-            })
+        let sweep = |bad_fails: bool| {
+            let mk = |label: &'static str, fail: bool| {
+                let calls = calls.clone();
+                Job::new(label, move || {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    assert!(!fail, "always failing");
+                    stub_result(label)
+                })
+            };
+            let before = calls.load(Ordering::SeqCst);
+            let jobs = vec![mk("a", false), mk("bad", bad_fails), mk("c", false)];
+            let results = run_parallel_checkpointed(jobs, &journal);
+            (results, calls.load(Ordering::SeqCst) - before)
         };
         // First pass: two jobs succeed, one fails both attempts — the
-        // checkpoint keeps the two successes.
-        let r1 =
-            run_parallel_checkpointed(vec![mk("a", false), mk("bad", true), mk("c", false)], &path);
-        assert!(r1[0].is_ok() && r1[2].is_ok());
-        assert!(r1[1].is_err());
-        assert!(
-            path.exists(),
-            "partial checkpoint must survive a failed sweep"
-        );
-        let after_first = calls.load(Ordering::SeqCst);
+        // journal keeps the two successes as a clean, replayable WAL.
+        let (r1, ran) = sweep(true);
+        assert!(r1[0].is_ok() && r1[1].is_err() && r1[2].is_ok());
+        assert_eq!(ran, 4, "2 successes + 2 attempts of the failing job");
+        let replay = journal.replay();
+        assert!(!replay.torn_tail && replay.quarantined.is_empty());
         assert_eq!(
-            after_first, 4,
-            "2 successes + 2 attempts of the failing job"
+            replay.rows.len(),
+            9,
+            "4 running, 2 done, 2 failed, 1 quarantine"
         );
-        // Second pass with the failing job fixed: only it runs; the other
-        // two replay from the checkpoint.
-        let r2 = run_parallel_checkpointed(
-            vec![mk("a", false), mk("bad", false), mk("c", false)],
-            &path,
-        );
+        let pass1 = std::fs::read_to_string(&path).unwrap();
+        // Second pass with the failing job fixed: only it runs (its earlier
+        // quarantine is not honoured); the other two replay from the journal.
+        let (r2, ran) = sweep(false);
         assert!(r2.iter().all(Result::is_ok));
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            after_first + 1,
-            "resumed jobs must not re-run"
-        );
+        assert_eq!(ran, 1, "resumed jobs must not re-run");
         assert_eq!(r2[0].as_ref().unwrap().label, "a");
-        assert!(
-            !path.exists(),
-            "checkpoint removed after a fully green sweep"
-        );
+        assert!(!path.exists(), "journal removed after a fully green sweep");
+        // The same resume over altered rows: neither may be replayed.
+        let flipped = flip_done_field(&flip_done_field(&pass1, "a", 6), "c", 7);
+        assert_ne!(flipped, pass1);
+        std::fs::write(&path, flipped).unwrap();
+        let (r3, ran) = sweep(false);
+        assert_eq!(ran, 3, "both altered rows rejected, their jobs re-run");
+        for (r, label) in r3.iter().zip(["a", "bad", "c"]) {
+            let (got, want) = (r.as_ref().unwrap(), stub_result(label));
+            assert_eq!(got.delivered, want.delivered, "{label}");
+            assert_eq!(got.throughput.to_bits(), want.throughput.to_bits());
+        }
         // lint: allow(swallowed-io-error)
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpoint_append_failure_is_counted_never_fatal() {
-        use crate::service::{ChaosStore, Fault};
         let dir = std::env::temp_dir().join(format!("rair-ckpt-enospc-{}", std::process::id()));
         // lint: allow(swallowed-io-error)
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("sweep.ckpt");
-        // Ops: 0 = read (miss), 1 = create_dir_all, 2+ = appends. The first
+        // Ops: 0 = read (miss), 1 = create_dir_all, 2+ = appends. One
         // append hits ENOSPC; the sweep must still complete green.
-        let store = ChaosStore::scripted(vec![(2, Fault::Enospc)]);
-        let before = checkpoint_write_errors();
+        let store = ChaosStore::scripted(vec![(3, Fault::Enospc)]);
+        let journal = Journal::new(&path, &store);
         let jobs = vec![
             Job::new("a", || stub_result("a")),
             Job::new("b", || stub_result("b")),
         ];
-        let r = run_parallel_checkpointed_with(&store, jobs, &path);
+        let r = run_parallel_checkpointed(jobs, &journal);
         assert!(
             r.iter().all(Result::is_ok),
             "append failure must not fail jobs"
         );
         assert_eq!(
-            checkpoint_write_errors(),
-            before + 1,
+            journal.write_errors(),
+            1,
             "the failed append must be counted"
         );
         assert!(!path.exists(), "green sweep still cleans up");

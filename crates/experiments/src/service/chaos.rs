@@ -9,7 +9,7 @@
 //! |--------------------------|-------------------------------------------|
 //! | `journal-torn-tail`      | journal truncated mid-row (torn append)   |
 //! | `journal-interior`       | byte flipped in an interior journal row   |
-//! | `checkpoint-corrupt`     | corrupted `run_parallel_checkpointed` row |
+//! | `checkpoint-corrupt`     | digit altered inside a journaled sweep row |
 //! | `cache-corrupt`          | corrupted saturation disk-cache entry     |
 //! | `append-faults`          | seeded EIO/ENOSPC/torn/crash via chaos store |
 //! | `sigkill-resume`         | child `repro serve` SIGKILLed mid-sweep   |
@@ -21,9 +21,9 @@
 //! tamper was caught. A chaos harness whose negative control passes
 //! silently is not testing anything.
 
-use super::journal::Journal;
+use super::journal::{Journal, WAL_TAG};
 use super::serve::{serve, JobExec, JobSpec, ServeConfig};
-use super::store::{ChaosConfig, ChaosStore, StdStore};
+use super::store::{frame, unframe, ChaosConfig, ChaosStore, StdStore};
 use crate::runner::{self, ExpConfig, Job, RunResult};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -281,13 +281,36 @@ fn battery_interior(refd: u64, journal: &[u8], exec: &JobExec) -> Battery {
     }
 }
 
-/// Battery: corrupt a `run_parallel_checkpointed` row between a failed
-/// first pass and the resumed second pass; results must match a clean run.
+/// Alter one digit of tab-separated field `field` in the journaled `done`
+/// row of the job labeled `label` (frame fields count: 6 = `delivered`,
+/// 7 = the `throughput` bit pattern), leaving the row's CRC untouched.
+pub(crate) fn flip_done_field(journal: &str, label: &str, field: usize) -> String {
+    let label = runner::esc_label(label);
+    let flipped: Vec<String> = journal
+        .lines()
+        .map(|line| {
+            let mut f: Vec<String> = line.split('\t').map(str::to_string).collect();
+            if f.get(2).is_some_and(|k| k == "done") && f.get(5) == Some(&label) {
+                let last = f[field].pop();
+                f[field].push(if last == Some('1') { '2' } else { '1' });
+            }
+            f.join("\t")
+        })
+        .collect();
+    flipped.join("\n") + "\n"
+}
+
+/// Battery: alter a digit *inside the payload* of two journaled
+/// `run_parallel_checkpointed` rows (`delivered` of one, a hex digit of
+/// `throughput` of the other) between a failed first pass and the resumed
+/// second pass. Neither row may be replayed: both jobs re-run and the
+/// results match a clean sweep.
 fn battery_checkpoint(dirtag: &str) -> Battery {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
     let dir = fresh_dir(dirtag);
     let path = dir.join("sweep.ckpt");
+    let journal = Journal::new(&path, &StdStore);
     let stub = |label: &str| -> RunResult {
         RunResult {
             label: label.into(),
@@ -316,8 +339,11 @@ fn battery_checkpoint(dirtag: &str) -> Battery {
         }
         d.finish()
     };
+    let runs = Arc::new(AtomicUsize::new(0));
     let mk = |label: &'static str, fail: Option<Arc<AtomicBool>>| -> Job {
+        let runs = Arc::clone(&runs);
         Job::new(label, move || {
+            runs.fetch_add(1, Ordering::SeqCst);
             if let Some(f) = &fail {
                 assert!(!f.load(Ordering::SeqCst), "injected first-pass failure");
             }
@@ -330,44 +356,47 @@ fn battery_checkpoint(dirtag: &str) -> Battery {
         mk("b", None),
         mk("c", None),
     ]));
-    // Pass 1: "c" fails twice, checkpoint keeps a and b.
+    // Pass 1: "c" fails twice, the journal keeps a's and b's `done` rows.
     let failing = Arc::new(AtomicBool::new(true));
-    let r1 = runner::run_parallel_checkpointed_with(
-        &StdStore,
+    let r1 = runner::run_parallel_checkpointed(
         vec![
             mk("a", None),
             mk("b", None),
             mk("c", Some(Arc::clone(&failing))),
         ],
-        &path,
+        &journal,
     );
     let pass1_ok = r1[2].is_err() && path.exists();
-    // Corrupt b's checkpoint row (flip one byte mid-line).
-    let mut bytes = std::fs::read(&path).expect("checkpoint exists");
-    let text = String::from_utf8_lossy(&bytes).to_string();
-    let b_off = text.find("\tb\t").or_else(|| text.find('b')).unwrap_or(1);
-    bytes[b_off] ^= 0x02;
-    std::fs::write(&path, &bytes).expect("rewrite checkpoint");
-    // Pass 2: failure fixed; the corrupt row is skipped (b re-runs).
+    let text = std::fs::read_to_string(&path).expect("checkpoint exists");
+    let text = flip_done_field(&flip_done_field(&text, "a", 7), "b", 6);
+    std::fs::write(&path, text).expect("rewrite checkpoint");
+    // Pass 2: failure fixed; a, b (rows rejected by the CRC) and c all run.
     failing.store(false, Ordering::SeqCst);
-    let r2 = runner::run_parallel_checkpointed_with(
-        &StdStore,
+    let before = runs.load(Ordering::SeqCst);
+    let r2 = runner::run_parallel_checkpointed(
         vec![mk("a", None), mk("b", None), mk("c", Some(failing))],
-        &path,
+        &journal,
     );
+    let reran = runs.load(Ordering::SeqCst) - before;
     let resumed = digest_of(&r2);
-    let ok = pass1_ok && r2.iter().all(Result::is_ok) && resumed == clean && !path.exists();
+    let ok = pass1_ok
+        && r2.iter().all(Result::is_ok)
+        && reran == 3
+        && resumed == clean
+        && !path.exists();
     // lint: allow(swallowed-io-error)
     let _ = std::fs::remove_dir_all(&dir);
     Battery {
         name: "checkpoint-corrupt",
-        faults: 1,
+        faults: 2,
         recovered: ok,
         detail: if ok {
-            "corrupt row skipped, re-run matched the clean sweep, file cleaned up".into()
+            "altered delivered/throughput digits rejected by the row CRC, both jobs re-ran, \
+             results matched the clean sweep, file cleaned up"
+                .into()
         } else {
             format!(
-                "pass1_ok={pass1_ok} resumed={resumed:016x} clean={clean:016x} \
+                "pass1_ok={pass1_ok} reran={reran}/3 resumed={resumed:016x} clean={clean:016x} \
                  removed={}",
                 !path.exists()
             )
@@ -402,9 +431,13 @@ fn battery_cache_corrupt() -> Battery {
             .map(|e| e.path())
             .find(|p| p.extension().is_some_and(|x| x == "txt"))
             .ok_or("no cache entry written")?;
-        // Flip a bit in the stored value.
+        // Flip a bit in the stored value (the last hex digit of line 1).
         let mut bytes = std::fs::read(&entry).map_err(|e| e.to_string())?;
-        bytes[3] ^= 0x04;
+        let eol = bytes
+            .iter()
+            .position(|&b| b == b'\n')
+            .ok_or("empty entry")?;
+        bytes[eol - 1] ^= 0x04;
         std::fs::write(&entry, &bytes).map_err(|e| e.to_string())?;
         crate::sweep::clear_saturation_cache();
         let (v2, how) =
@@ -579,7 +612,7 @@ pub fn run_wrong_result(seed: u64) -> (bool, String) {
     let mut tampered: Vec<String> = Vec::new();
     let mut hit = false;
     for line in text.lines() {
-        let Some(payload) = Journal::parse_line(line) else {
+        let Some(payload) = unframe(WAL_TAG, line) else {
             tampered.push(line.to_string());
             continue;
         };
@@ -598,7 +631,7 @@ pub fn run_wrong_result(seed: u64) -> (bool, String) {
                 hit = true;
             }
         }
-        tampered.push(Journal::frame(&fields.join("\t")));
+        tampered.push(frame(WAL_TAG, &fields.join("\t")));
     }
     if !hit {
         return (false, "no done row found to tamper".into());

@@ -1,15 +1,16 @@
 //! Crash-safe job journal: a versioned, per-line-CRC'd write-ahead log.
 //!
-//! Every state transition of the experiment service (`queued`, `running`,
-//! `done`, `failed`, `quarantine`, …) is one line:
+//! Every job transition — the pool's `running`, `done`, `failed` and
+//! `quarantine` ([`super::pool`]), serve's `queued`, `rejected`, `screened`
+//! and `sweep-done` — is one line in the shared [`super::store::frame`]:
 //!
 //! ```text
 //! rair-wal-v1 \t <crc32 of payload, 8 hex digits> \t <payload>
 //! ```
 //!
 //! The payload may itself contain tabs (a `done` row embeds a full
-//! checkpoint-format result line); the frame is recovered with
-//! `splitn(3, '\t')`, so only the first two tabs are structural.
+//! [`crate::runner::checkpoint_line`] row). It is the one resume format:
+//! `repro serve` and `run_parallel_checkpointed` both write and replay it.
 //!
 //! Recovery ([`Journal::replay`]) replays the longest valid prefix of the
 //! file, with two deliberate asymmetries:
@@ -29,7 +30,7 @@
 //! A CRC mismatch and a truncated frame are treated identically: the row
 //! is unusable, and which bytes went missing is not recoverable.
 
-use super::store::{crc32, Store};
+use super::store::{frame, unframe, Store};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -73,33 +74,21 @@ impl<'s> Journal<'s> {
         &self.path
     }
 
-    /// Frame one payload as a journal line (without trailing newline).
-    pub fn frame(payload: &str) -> String {
-        format!("{WAL_TAG}\t{:08x}\t{payload}", crc32(payload.as_bytes()))
-    }
-
-    /// Parse one line back into its payload; `None` if the tag, framing or
-    /// CRC does not hold.
-    pub fn parse_line(line: &str) -> Option<&str> {
-        let mut parts = line.splitn(3, '\t');
-        if parts.next()? != WAL_TAG {
-            return None;
-        }
-        let crc = u32::from_str_radix(parts.next()?, 16).ok()?;
-        let payload = parts.next()?;
-        (crc32(payload.as_bytes()) == crc).then_some(payload)
+    /// The store this journal writes through.
+    pub fn store(&self) -> &'s dyn Store {
+        self.store
     }
 
     /// Append one payload durably. Failures are counted and warned about
     /// (once), never raised: a journal that cannot be written degrades the
     /// sweep to non-resumable, it does not abort it.
     pub fn append(&self, payload: &str) {
-        let line = format!("{}\n", Self::frame(payload));
+        let line = format!("{}\n", frame(WAL_TAG, payload));
         if let Err(e) = self.store.append_durable(&self.path, line.as_bytes()) {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
             if !self.warned.swap(true, Ordering::Relaxed) {
                 eprintln!(
-                    "[serve] warning: journal append to {} failed ({e}); \
+                    "[journal] warning: append to {} failed ({e}); \
                      continuing without durability for affected rows",
                     self.path.display()
                 );
@@ -127,13 +116,13 @@ impl<'s> Journal<'s> {
             if line.trim().is_empty() {
                 continue;
             }
-            match Self::parse_line(line) {
+            match unframe(WAL_TAG, line) {
                 Some(payload) => out.rows.push(payload.to_string()),
                 None if Some(i) == last_non_empty => {
                     // Interrupted append: at most one torn row, at the end.
                     out.torn_tail = true;
                     eprintln!(
-                        "[serve] journal {}: dropping torn tail line {} \
+                        "[journal] {}: dropping torn tail line {} \
                          (interrupted append; the job it recorded will re-run)",
                         self.path.display(),
                         i + 1
@@ -142,7 +131,7 @@ impl<'s> Journal<'s> {
                 None => {
                     out.quarantined.push((i + 1, (*line).to_string()));
                     eprintln!(
-                        "[serve] warning: journal {}: quarantining corrupt \
+                        "[journal] warning: {}: quarantining corrupt \
                          interior row at line {} (CRC/framing failure)",
                         self.path.display(),
                         i + 1
@@ -158,7 +147,7 @@ impl<'s> Journal<'s> {
             let qpath = self.quarantine_path();
             if let Err(e) = self.store.append_durable(&qpath, body.as_bytes()) {
                 eprintln!(
-                    "[serve] warning: could not record quarantined rows to {}: {e}",
+                    "[journal] warning: could not record quarantined rows to {}: {e}",
                     qpath.display()
                 );
             }
@@ -191,23 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_parse_roundtrip_and_crc_rejects_bitflips() {
-        let payload = "done\t0123456789abcdef\trair-ckpt-v1\tlabel\t42";
-        let line = Journal::frame(payload);
-        assert_eq!(Journal::parse_line(&line), Some(payload));
-        // Any single-character corruption of the payload fails the CRC.
-        let mut bad = line.clone();
-        let flip = bad.pop().unwrap();
-        bad.push(if flip == 'x' { 'y' } else { 'x' });
-        assert_eq!(Journal::parse_line(&bad), None);
-        // Wrong tag, truncated frame, garbage: all rejected.
-        assert_eq!(Journal::parse_line("rair-wal-v0\t00000000\tx"), None);
-        assert_eq!(Journal::parse_line("rair-wal-v1\tzz\tx"), None);
-        assert_eq!(Journal::parse_line("rair-wal-v1\t00000000"), None);
-        assert_eq!(Journal::parse_line(""), None);
-    }
-
-    #[test]
     fn replay_returns_rows_in_order() {
         let dir = tmp("order");
         let store = StdStore;
@@ -234,7 +206,7 @@ mod tests {
         // Simulate an interrupted append: a partial frame at EOF.
         let full = std::fs::read(&path).unwrap();
         let mut torn = full.clone();
-        torn.extend_from_slice(&Journal::frame("done\tB\tresult").as_bytes()[..17]);
+        torn.extend_from_slice(&frame(WAL_TAG, "done\tB\tresult").as_bytes()[..17]);
         std::fs::write(&path, &torn).unwrap();
         let r = j.replay();
         assert_eq!(r.rows, vec!["queued\tA", "done\tA\tresult"]);

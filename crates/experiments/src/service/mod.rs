@@ -1,13 +1,16 @@
-//! Crash-safe experiment job service (ROADMAP item 4's durability layer).
+//! The execution substrate under every sweep, and the crash-safe job
+//! service built on it.
 //!
-//! The service turns the one-shot sweep runner into something a long-lived
-//! design-space exploration can sit on: jobs are declared in a text file,
-//! every state transition is journaled to a per-line-CRC'd WAL
-//! ([`journal`]), results are deduplicated against a digest-keyed result
-//! cache, and a supervisor retries transient failures with deterministic
-//! backoff while quarantining poison jobs instead of aborting the sweep
-//! ([`serve`]). All filesystem traffic goes through the injectable
-//! [`store::Store`] trait, so the [`chaos`] battery can deterministically
+//! One supervised worker pool ([`pool`]: `catch_unwind`, timeout, bounded
+//! backoff, poison-job quarantine) runs every sweep in the crate — the
+//! figure drivers' `run_parallel`, the resumable checkpointed runner and
+//! `repro serve` — and, given a journal, records every state transition
+//! in one per-line-CRC'd WAL ([`journal`]). On top of it, [`serve`] turns a jobs
+//! file into something a long-lived design-space exploration can sit on:
+//! results are deduplicated against a digest-keyed result cache and every
+//! job passes the admission gate before it is built. All filesystem traffic
+//! goes through the injectable [`store::Store`] trait (and one framed-entry
+//! codec beside it), so the [`chaos`] battery can deterministically
 //! inject EIO, ENOSPC, torn writes, crash-before-rename — and SIGKILL the
 //! whole process — and prove, digest-for-digest, that every fault class
 //! recovers. See DESIGN.md §14 for the architecture, journal grammar, and
@@ -15,13 +18,16 @@
 
 pub mod chaos;
 pub mod journal;
+pub mod pool;
 pub mod serve;
 pub mod store;
 
 pub use chaos::{run as run_chaos, run_wrong_result, ChaosReport};
 pub use journal::{Journal, Replay, WAL_TAG};
 pub use serve::{serve, sim_exec, JobExec, JobSpec, JobStatus, ServeConfig, ServeReport};
-pub use store::{crc32, std_store, ChaosConfig, ChaosStore, Fault, StdStore, Store};
+pub use store::{
+    crc32, frame, read_entry, std_store, ChaosConfig, ChaosStore, Fault, StdStore, Store,
+};
 
 /// Recursively copy a directory tree — enough for tests that snapshot a
 /// service directory (journal + result cache) and resume from the copy.

@@ -13,17 +13,17 @@
 //!    `<dir>/results/cache/job_<id>.txt`, keyed by the job's parameter
 //!    digest (the label is excluded, so relabeled duplicates dedup). A
 //!    valid cache entry satisfies a job without simulation; an entry that
-//!    fails its CRC is renamed `*.corrupt`, counted, and treated as a miss.
+//!    fails the shared frame ([`super::store::read_entry`]) is renamed
+//!    `*.corrupt`, counted, and treated as a miss.
 //! 3. **Gates** — every pending job passes the static admission pipeline
 //!    before any network is built (a rejected scheme is recorded and
 //!    skipped), and with [`ServeConfig::screen`] the analytical surrogate
 //!    screens out jobs offered far past their predicted saturation.
-//! 4. **Supervision** — the worker pool wraps each attempt in
-//!    `catch_unwind` plus an optional wall-clock timeout (a hung attempt
-//!    is abandoned on a detached thread), retries with bounded
-//!    deterministic exponential backoff, and quarantines a poison job
+//! 4. **Supervision** — the surviving jobs run on the crate's one
+//!    supervised pool ([`super::pool::run_supervised`]: `catch_unwind`,
+//!    optional wall-clock timeout, bounded backoff, poison-job quarantine
 //!    after `max_attempts` failures — labeled in the report, never
-//!    aborting the sweep.
+//!    aborting the sweep).
 //!
 //! The sweep digest folds every job's id, terminal status, and (for done
 //! jobs) the full bit pattern of its result, in jobs-file order — so "a
@@ -31,18 +31,17 @@
 //! single `u64` comparison.
 
 use super::journal::Journal;
-use super::store::{crc32, Store};
+use super::pool::{replay_jobs, rows, run_supervised, Policy, Task};
+use super::store::{frame, read_entry, Store};
 use crate::runner::{self, ExpConfig, RunResult};
 use crate::sweep::build_network;
 use noc_sim::config::SimConfig;
 use noc_sim::region::RegionMap;
 use rair::scheme::{Routing, Scheme};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use traffic::pattern::Pattern;
 use traffic::scenario::{AppSpec, InterDest, Scenario};
 
@@ -205,8 +204,8 @@ impl JobSpec {
     }
 }
 
-/// Executor: how a [`JobSpec`] becomes a [`RunResult`]. `Arc` so the
-/// timeout path can hand a clone to a detached thread; tests inject stubs.
+/// Executor: how a [`JobSpec`] becomes a [`RunResult`]. `Arc` so every
+/// pool task can hold a clone; tests inject stubs.
 pub type JobExec = Arc<dyn Fn(&JobSpec, &ExpConfig) -> RunResult + Send + Sync + 'static>;
 
 /// The real executor: build the network from the spec and simulate.
@@ -240,19 +239,13 @@ pub struct ServeConfig {
     /// before a job is quarantined as poison.
     pub max_attempts: u32,
     /// Base of the deterministic exponential backoff between retries
-    /// (`base << (attempt-1)` ms, capped at [`BACKOFF_CAP_MS`]).
+    /// (`base << (attempt-1)` ms, capped at [`super::pool::BACKOFF_CAP_MS`]).
     pub backoff_base_ms: u64,
-    /// Wall-clock cap per attempt; `None` means unbounded. (Wall-clock is
-    /// legal here — the experiments scope is exempt from the determinism
-    /// lint's wall-clock rule, and a timeout never feeds back into
-    /// simulation state, it only abandons an attempt.)
+    /// Wall-clock cap per attempt; `None` means unbounded.
     pub timeout_ms: Option<u64>,
     /// Screen jobs through the analytical surrogate before simulating.
     pub screen: bool,
 }
-
-/// Retry backoff cap.
-pub const BACKOFF_CAP_MS: u64 = 2_000;
 
 impl ServeConfig {
     pub fn new(dir: impl Into<PathBuf>, ec: ExpConfig) -> Self {
@@ -385,174 +378,12 @@ impl ServeReport {
     }
 }
 
-/// Journal payload grammar (the part after the WAL frame).
-mod rows {
-    use super::runner;
-    use super::RunResult;
-
-    pub fn queued(id: u64, label: &str) -> String {
-        format!("queued\t{id:016x}\t{}", runner::esc_label(label))
-    }
-
-    pub fn running(id: u64, attempt: u32) -> String {
-        format!("running\t{id:016x}\t{attempt}")
-    }
-
-    pub fn done(id: u64, r: &RunResult) -> String {
-        format!("done\t{id:016x}\t{}", runner::checkpoint_line(r))
-    }
-
-    pub fn failed(id: u64, attempt: u32, reason: &str) -> String {
-        format!(
-            "failed\t{id:016x}\t{attempt}\t{}",
-            runner::esc_label(reason)
-        )
-    }
-
-    pub fn terminal(kind: &str, id: u64, reason: &str) -> String {
-        format!("{kind}\t{id:016x}\t{}", runner::esc_label(reason))
-    }
-
-    pub fn sweep_done(digest: u64, n: usize) -> String {
-        format!("sweep-done\t{digest:016x}\t{n}")
-    }
-}
-
-/// Per-job state reconstructed from the journal.
-#[derive(Default)]
-struct ReplayedJob {
-    /// `running` rows observed (attempts consumed, across invocations).
-    runs: u32,
-    done: Option<RunResult>,
-    terminal: Option<(JobStatus, String)>,
-}
-
-/// Fold journal payload rows into per-id state. Unknown row kinds are
-/// ignored (forward compatibility within the same WAL version).
-fn replay_jobs(payloads: &[String]) -> BTreeMap<u64, ReplayedJob> {
-    let mut map: BTreeMap<u64, ReplayedJob> = BTreeMap::new();
-    for p in payloads {
-        let mut f = p.splitn(3, '\t');
-        let (Some(kind), Some(id_hex)) = (f.next(), f.next()) else {
-            continue;
-        };
-        let Ok(id) = u64::from_str_radix(id_hex, 16) else {
-            continue;
-        };
-        let rest = f.next().unwrap_or("");
-        let st = map.entry(id).or_default();
-        match kind {
-            "running" => {
-                if let Ok(a) = rest.split('\t').next().unwrap_or("").parse::<u32>() {
-                    st.runs = st.runs.max(a);
-                }
-            }
-            "done" => {
-                if let Some(r) = runner::parse_checkpoint_line(rest) {
-                    st.done = Some(r);
-                }
-            }
-            "rejected" => {
-                st.terminal = Some((JobStatus::Rejected, runner::unesc_label(rest)));
-            }
-            "screened" => {
-                st.terminal = Some((JobStatus::Screened, runner::unesc_label(rest)));
-            }
-            "quarantine" => {
-                st.terminal = Some((
-                    JobStatus::Quarantined,
-                    runner::unesc_label(rest.split('\t').next_back().unwrap_or("")),
-                ));
-            }
-            _ => {}
-        }
-    }
-    map
-}
-
-/// Result-cache file format: `rair-res-v1 \t crc32(payload) \t payload`
-/// where payload is a checkpoint-format result line.
+/// Result-cache file format: one [`frame`]d line tagged `rair-res-v1`
+/// whose payload is a [`runner::checkpoint_line`] result row.
 const RESULT_TAG: &str = "rair-res-v1";
 
 fn encode_result(r: &RunResult) -> String {
-    let payload = runner::checkpoint_line(r);
-    format!(
-        "{RESULT_TAG}\t{:08x}\t{payload}\n",
-        crc32(payload.as_bytes())
-    )
-}
-
-fn decode_result(bytes: &[u8]) -> Option<RunResult> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let mut f = text.trim_end_matches('\n').splitn(3, '\t');
-    if f.next()? != RESULT_TAG {
-        return None;
-    }
-    let crc = u32::from_str_radix(f.next()?, 16).ok()?;
-    let payload = f.next()?;
-    if crc32(payload.as_bytes()) != crc {
-        return None;
-    }
-    runner::parse_checkpoint_line(payload)
-}
-
-/// How one attempt failed.
-fn attempt_error(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(std::string::ToString::to_string)
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// Run one attempt under `catch_unwind`, optionally bounded by a
-/// wall-clock timeout. A timed-out attempt keeps running on a detached
-/// thread (a hung simulation cannot be cancelled cooperatively) — the
-/// supervisor simply stops waiting for it; its late result is discarded.
-fn run_attempt(
-    exec: &JobExec,
-    spec: &JobSpec,
-    ec: &ExpConfig,
-    timeout_ms: Option<u64>,
-) -> Result<RunResult, String> {
-    let Some(ms) = timeout_ms else {
-        return catch_unwind(AssertUnwindSafe(|| exec(spec, ec)))
-            .map_err(|p| format!("panicked: {}", attempt_error(p.as_ref())));
-    };
-    type Slot = (Mutex<Option<Result<RunResult, String>>>, Condvar);
-    let slot: Arc<Slot> = Arc::new((Mutex::new(None), Condvar::new()));
-    let worker_slot = Arc::clone(&slot);
-    let exec = Arc::clone(exec);
-    let spec = spec.clone();
-    let ec = *ec;
-    std::thread::spawn(move || {
-        let r = catch_unwind(AssertUnwindSafe(|| exec(&spec, &ec)))
-            .map_err(|p| format!("panicked: {}", attempt_error(p.as_ref())));
-        let (m, cv) = &*worker_slot;
-        *m.lock().unwrap() = Some(r);
-        cv.notify_all();
-    });
-    let (m, cv) = &*slot;
-    let deadline = Duration::from_millis(ms);
-    let mut guard = m.lock().unwrap();
-    while guard.is_none() {
-        let (g, timeout) = cv.wait_timeout(guard, deadline).unwrap();
-        guard = g;
-        if timeout.timed_out() && guard.is_none() {
-            return Err(format!("timed out after {ms} ms"));
-        }
-    }
-    guard.take().unwrap()
-}
-
-/// Work item for the supervised pool.
-struct Pending {
-    /// Index into the deduped unique-job list.
-    uidx: usize,
-    spec: JobSpec,
-    id: u64,
-    /// Attempts already consumed by earlier (crashed) invocations.
-    prior_runs: u32,
+    format!("{}\n", frame(RESULT_TAG, &runner::checkpoint_line(r)))
 }
 
 /// Execute a jobs list under the service. See the module docs for the
@@ -581,21 +412,20 @@ pub fn serve(
         primary_of.entry(id).or_insert(i);
     }
 
-    let result_cache_corrupt = std::sync::atomic::AtomicU64::new(0);
+    let result_cache_corrupt = AtomicU64::new(0);
     let mut resumed = 0usize;
-    let cache_hits = AtomicUsize::new(0);
-    let mut pool = Vec::new();
+    let mut cache_hits = 0usize;
     // Outcome slots for the primary occurrence of each id.
-    let outcomes: Vec<Mutex<Option<JobOutcome>>> =
-        (0..specs.len()).map(|_| Mutex::new(None)).collect();
-
-    let resolve = |i: usize,
-                   status: JobStatus,
-                   attempts: u32,
-                   result: Option<RunResult>,
-                   reason: Option<String>,
-                   restored: bool| {
-        *outcomes[i].lock().unwrap() = Some(JobOutcome {
+    let mut outcomes: Vec<Option<JobOutcome>> = vec![None; specs.len()];
+    let mut resolve = |i: usize,
+                       attempts: u32,
+                       verdict: Result<RunResult, (JobStatus, String)>,
+                       restored: bool| {
+        let (status, result, reason) = match verdict {
+            Ok(r) => (JobStatus::Done, Some(r), None),
+            Err((status, reason)) => (status, None, Some(reason)),
+        };
+        outcomes[i] = Some(JobOutcome {
             spec: specs[i].clone(),
             id: ids[i],
             status,
@@ -605,6 +435,9 @@ pub fn serve(
             restored,
         });
     };
+    // The jobs that survive every shortcut and gate, and their line index.
+    let mut tasks = Vec::new();
+    let mut task_line = Vec::new();
 
     for (i, spec) in specs.iter().enumerate() {
         let id = ids[i];
@@ -612,44 +445,38 @@ pub fn serve(
             continue; // duplicate: filled in after the pool from the primary
         }
         let st = replayed.get(&id);
-        journal.append(&rows::queued(id, &spec.label));
-        // 1. Journal replay: a done row or a terminal verdict stands.
+        // 1. Journal replay: a done row or a terminal verdict stands (and is
+        // not journaled again).
         if let Some(r) = st.and_then(|s| s.done.clone()) {
             resumed += 1;
-            resolve(i, JobStatus::Done, 0, Some(r), None, true);
+            resolve(i, 0, Ok(r), true);
             continue;
         }
-        if let Some((status, reason)) = st.and_then(|s| s.terminal.clone()) {
+        if let Some((kind, reason)) = st.and_then(|s| s.terminal.clone()) {
             resumed += 1;
-            resolve(i, status, 0, None, Some(reason), true);
+            let status = match kind.as_str() {
+                "rejected" => JobStatus::Rejected,
+                "screened" => JobStatus::Screened,
+                _ => JobStatus::Quarantined,
+            };
+            resolve(i, 0, Err((status, reason)), true);
             continue;
         }
-        let prior_runs = st.map_or(0, |s| s.runs);
+        journal.append(&rows::note("queued", id, &spec.label));
         // 2. Result cache: an identical job finished in some earlier sweep.
-        let rpath = scfg.result_path(id);
-        if store.exists(&rpath) {
-            match store.read(&rpath).ok().as_deref().and_then(decode_result) {
-                Some(mut r) => {
-                    r.label = spec.label.clone();
-                    journal.append(&rows::done(id, &r));
-                    cache_hits.fetch_add(1, Ordering::Relaxed);
-                    resolve(i, JobStatus::Done, 0, Some(r), None, true);
-                    continue;
-                }
-                None => {
-                    result_cache_corrupt.fetch_add(1, Ordering::Relaxed);
-                    let corrupt = rpath.with_extension("txt.corrupt");
-                    eprintln!(
-                        "[serve] warning: result cache entry {} failed validation; \
-                         setting it aside as {}",
-                        rpath.display(),
-                        corrupt.display()
-                    );
-                    if let Err(e) = store.rename(&rpath, &corrupt) {
-                        eprintln!("[serve] warning: could not set aside corrupt entry: {e}");
-                    }
-                }
-            }
+        let cached = read_entry(
+            store,
+            &scfg.result_path(id),
+            RESULT_TAG,
+            runner::parse_checkpoint_line,
+            &result_cache_corrupt,
+        );
+        if let Some(mut r) = cached {
+            r.label = spec.label.clone();
+            journal.append(&rows::done(id, &r));
+            cache_hits += 1;
+            resolve(i, 0, Ok(r), true);
+            continue;
         }
         // 3. Admission gate — before any network build.
         let cfg = SimConfig::table1();
@@ -669,8 +496,8 @@ pub fn serve(
                     .map(|p| p.detail.clone())
                     .unwrap_or_default()
             );
-            journal.append(&rows::terminal("rejected", id, &reason));
-            resolve(i, JobStatus::Rejected, 0, None, Some(reason), false);
+            journal.append(&rows::note("rejected", id, &reason));
+            resolve(i, 0, Err((JobStatus::Rejected, reason)), false);
             continue;
         }
         // 4. Optional surrogate screening: offered load far past the
@@ -690,102 +517,43 @@ pub fn serve(
                         "screened: offered {:.3} > 1.5x predicted saturation {sat:.3}",
                         spec.rate
                     );
-                    journal.append(&rows::terminal("screened", id, &reason));
-                    resolve(i, JobStatus::Screened, 0, None, Some(reason), false);
+                    journal.append(&rows::note("screened", id, &reason));
+                    resolve(i, 0, Err((JobStatus::Screened, reason)), false);
                     continue;
                 }
             }
         }
-        pool.push(Pending {
-            uidx: i,
-            spec: spec.clone(),
+        let (exec, spec, ec) = (Arc::clone(exec), spec.clone(), scfg.ec);
+        task_line.push(i);
+        tasks.push(Task {
+            label: spec.label.clone(),
             id,
-            prior_runs,
+            prior_runs: st.map_or(0, |s| s.runs),
+            run: Arc::new(move || exec(&spec, &ec)),
         });
     }
 
-    // Supervised worker pool over the surviving jobs.
-    let executed = AtomicUsize::new(0);
-    let total = pool.len();
-    let finished = AtomicUsize::new(0);
-    if !pool.is_empty() {
-        let queue: Mutex<Vec<Pending>> = Mutex::new(pool.into_iter().rev().collect());
-        let workers =
-            runner::worker_count_from(std::env::var("RAIR_THREADS").ok().as_deref(), total);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let job = queue.lock().unwrap().pop();
-                    let Some(p) = job else { break };
-                    let mut attempt = p.prior_runs;
-                    let mut last_err: Option<String> = None;
-                    let outcome = loop {
-                        if attempt >= scfg.max_attempts {
-                            // Poison: every granted attempt (including ones
-                            // consumed by crashed invocations) failed.
-                            let reason = match &last_err {
-                                Some(e) => format!(
-                                    "quarantined after {attempt} failed attempt(s); last: {e}"
-                                ),
-                                None => format!(
-                                    "quarantined after {attempt} failed attempt(s) \
-                                     (consumed by crashed invocations)"
-                                ),
-                            };
-                            eprintln!("[serve] job '{}' {reason}", p.spec.label);
-                            journal.append(&rows::terminal("quarantine", p.id, &reason));
-                            break (JobStatus::Quarantined, attempt, None, Some(reason), false);
-                        }
-                        attempt += 1;
-                        journal.append(&rows::running(p.id, attempt));
-                        match run_attempt(exec, &p.spec, &scfg.ec, scfg.timeout_ms) {
-                            Ok(r) => {
-                                journal.append(&rows::done(p.id, &r));
-                                if let Err(e) = store.write_atomic(
-                                    &scfg.result_path(p.id),
-                                    encode_result(&r).as_bytes(),
-                                ) {
-                                    eprintln!(
-                                        "[serve] warning: could not cache result of '{}': {e}",
-                                        p.spec.label
-                                    );
-                                }
-                                executed.fetch_add(1, Ordering::Relaxed);
-                                break (JobStatus::Done, attempt, Some(r), None, false);
-                            }
-                            Err(reason) => {
-                                eprintln!(
-                                    "[serve] job '{}' attempt {attempt}/{} failed: {reason}",
-                                    p.spec.label, scfg.max_attempts
-                                );
-                                journal.append(&rows::failed(p.id, attempt, &reason));
-                                last_err = Some(reason);
-                                if attempt < scfg.max_attempts {
-                                    // Deterministic exponential backoff.
-                                    let ms =
-                                        (scfg.backoff_base_ms << (attempt - 1)).min(BACKOFF_CAP_MS);
-                                    std::thread::sleep(Duration::from_millis(ms));
-                                }
-                            }
-                        }
-                    };
-                    let (status, attempts, result, reason, restored) = outcome;
-                    *outcomes[p.uidx].lock().unwrap() = Some(JobOutcome {
-                        spec: p.spec.clone(),
-                        id: p.id,
-                        status,
-                        attempts,
-                        result,
-                        reason,
-                        restored,
-                    });
-                    let d = finished.fetch_add(1, Ordering::Relaxed) + 1;
-                    if total > 1 {
-                        eprintln!("[serve] {d}/{total} jobs finished ({})", p.spec.label);
-                    }
-                });
-            }
-        });
+    // The supervised pool over the surviving jobs; each fresh result is
+    // persisted to the result cache as soon as its `done` row is journaled.
+    let policy = Policy {
+        max_attempts: scfg.max_attempts,
+        backoff_base_ms: scfg.backoff_base_ms,
+        timeout_ms: scfg.timeout_ms,
+    };
+    let cache_result = |t: &Task, r: &RunResult| {
+        let written = store.write_atomic(&scfg.result_path(t.id), encode_result(r).as_bytes());
+        if let Err(e) = written {
+            eprintln!(
+                "[serve] warning: could not cache result of '{}': {e}",
+                t.label
+            );
+        }
+    };
+    let finished = run_supervised(&tasks, &policy, Some(&journal), &cache_result);
+    let executed = finished.iter().filter(|o| o.result.is_ok()).count();
+    for (i, o) in task_line.into_iter().zip(finished) {
+        let verdict = o.result.map_err(|e| (JobStatus::Quarantined, e.message));
+        resolve(i, o.attempts, verdict, false);
     }
 
     // Assemble outcomes in jobs-file order; duplicates copy their primary.
@@ -793,12 +561,7 @@ pub fn serve(
     for (i, spec) in specs.iter().enumerate() {
         let primary = primary_of[&ids[i]];
         if primary == i {
-            let o = outcomes[i]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("every primary job resolved");
-            final_outcomes.push(o);
+            final_outcomes.push(outcomes[i].take().expect("every primary job resolved"));
             continue;
         }
         // Duplicate line: identical parameters, so identical outcome; only
@@ -809,7 +572,7 @@ pub fn serve(
         if let Some(r) = o.result.as_mut() {
             r.label = spec.label.clone();
         }
-        cache_hits.fetch_add(1, Ordering::Relaxed);
+        cache_hits += 1;
         final_outcomes.push(o);
     }
 
@@ -818,8 +581,8 @@ pub fn serve(
 
     let report = ServeReport {
         resumed,
-        cache_hits: cache_hits.load(Ordering::Relaxed),
-        executed: executed.load(Ordering::Relaxed),
+        cache_hits,
+        executed,
         journal_write_errors: journal.write_errors(),
         journal_torn_tail: replay.torn_tail,
         journal_quarantined_rows: replay.quarantined.len(),
@@ -854,7 +617,9 @@ fn digest_outcomes(outcomes: &[JobOutcome]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::store::StdStore;
+    use crate::service::store::{unframe, StdStore};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rair-serve-{}-{tag}", std::process::id()));
@@ -1013,41 +778,86 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The supervision contract, one table through both front doors of the
+    /// one pool: `run_parallel_results` (2 attempts) and `serve` (here also
+    /// 2). A flaky-once job succeeds on attempt 2, a poison job is given up
+    /// on with its label and last panic message, siblings complete, and
+    /// results come back in input order; under `serve` the quarantine
+    /// verdict survives a resume.
     #[test]
-    fn poison_job_is_quarantined_not_fatal_and_stays_quarantined() {
-        let dir = tmp("poison");
-        let store = StdStore;
-        let specs = vec![spec("good", 1), spec("poison", 2)];
-        let calls = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&calls);
-        let exec: JobExec = Arc::new(move |spec: &JobSpec, _ec: &ExpConfig| {
-            if spec.label == "poison" {
-                c.fetch_add(1, Ordering::SeqCst);
-                panic!("synthetic poison job");
+    fn supervision_table_through_both_front_doors() {
+        const TABLE: [(&str, u32); 4] =
+            [("ok0", 0), ("flaky", 1), ("poison", u32::MAX), ("ok1", 0)];
+        // Work that panics on its first `failures` calls, per label.
+        let work = |calls: &Arc<Vec<AtomicUsize>>| {
+            let calls = Arc::clone(calls);
+            move |label: &str, seed: u64| {
+                let row = TABLE.iter().position(|(l, _)| *l == label).unwrap();
+                let call = calls[row].fetch_add(1, Ordering::SeqCst) as u32;
+                assert!(call >= TABLE[row].1, "synthetic failure #{call} of {label}");
+                stub_result(label, seed)
             }
-            stub_result(&spec.label, spec.seed)
-        });
+        };
+        let fresh = || Arc::new((0..4).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
+        let count = |c: &Arc<Vec<AtomicUsize>>| -> Vec<usize> {
+            c.iter().map(|a| a.load(Ordering::SeqCst)).collect()
+        };
+
+        let calls = fresh();
+        let jobs = (TABLE.iter().zip(0u64..))
+            .map(|((label, _), seed)| {
+                let run = work(&calls);
+                runner::Job::new(*label, move || run(label, seed))
+            })
+            .collect();
+        let results = runner::run_parallel_results(jobs);
+        assert_eq!(count(&calls), [1, 2, 2, 1]);
+        for (i, ok) in [(0, "ok0"), (1, "flaky"), (3, "ok1")] {
+            assert_eq!(results[i].as_ref().unwrap().label, ok, "input order");
+        }
+        let err = results[2].as_ref().unwrap_err();
+        assert_eq!(err.label, "poison");
+        assert!(
+            err.message.contains("2 failed attempt")
+                && err.message.contains("failure #1 of poison"),
+            "{err}"
+        );
+
+        let dir = tmp("table");
+        let calls = fresh();
+        let run = work(&calls);
+        let exec: JobExec = Arc::new(move |s: &JobSpec, _: &ExpConfig| run(&s.label, s.seed));
+        let specs: Vec<JobSpec> = (TABLE.iter().zip(0u64..))
+            .map(|((label, _), seed)| spec(label, seed))
+            .collect();
         let scfg = ServeConfig {
             backoff_base_ms: 1,
-            max_attempts: 3,
+            max_attempts: 2,
             ..ServeConfig::new(&dir, ExpConfig::quick())
         };
-        let r1 = serve(&store, &specs, &scfg, &exec);
-        assert_eq!(calls.load(Ordering::SeqCst), 3, "max_attempts tries");
-        assert_eq!(r1.quarantined(), 1);
-        let q = &r1.outcomes[1];
-        assert_eq!(q.status, JobStatus::Quarantined);
-        assert_eq!(q.attempts, 3);
-        assert!(q.reason.as_deref().unwrap().contains("3 failed attempt"));
+        let r = serve(&StdStore, &specs, &scfg, &exec);
+        assert_eq!(count(&calls), [1, 2, 2, 1]);
+        let got: Vec<_> = (r.outcomes.iter())
+            .map(|o| (o.spec.label.as_str(), o.status, o.attempts))
+            .collect();
+        let want = [
+            ("ok0", JobStatus::Done, 1),
+            ("flaky", JobStatus::Done, 2),
+            ("poison", JobStatus::Quarantined, 2),
+            ("ok1", JobStatus::Done, 1),
+        ];
+        assert_eq!(got, want);
+        assert_eq!((r.executed, r.quarantined()), (3, 1));
+        let reason = r.outcomes[2].reason.as_deref().unwrap();
         assert!(
-            r1.outcomes[0].status == JobStatus::Done,
-            "sibling jobs unaffected"
+            reason.contains("2 failed attempt") && reason.contains("failure #1 of poison"),
+            "{reason}"
         );
-        assert!(r1.to_json().contains("\"status\": \"quarantined\""));
+        assert!(r.to_json().contains("\"status\": \"quarantined\""));
         // Resume: the quarantine verdict is replayed, not retried.
-        let r2 = serve(&store, &specs, &scfg, &exec);
-        assert_eq!(calls.load(Ordering::SeqCst), 3, "no retry after quarantine");
-        assert_eq!(r2.sweep_digest, r1.sweep_digest);
+        let r2 = serve(&StdStore, &specs, &scfg, &exec);
+        assert_eq!(count(&calls), [1, 2, 2, 1], "no retry after quarantine");
+        assert_eq!(r2.sweep_digest, r.sweep_digest);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1164,17 +974,49 @@ mod tests {
         std::fs::remove_dir_all(&dir2).unwrap();
     }
 
+    /// Bytes on disk are a compatibility surface: a literal `journal.wal`
+    /// and result-cache entry as the pre-pool service wrote them (one job,
+    /// `fix ro_rr local single uniform 0.10 7` under `ExpConfig::quick()`)
+    /// must resume with nothing executed and the digest that service
+    /// reported, and the entry must decode and re-encode byte-identically.
     #[test]
-    fn result_roundtrip_is_crc_guarded() {
-        let r = stub_result("weird\tlabel", 5);
-        let enc = encode_result(&r);
-        let dec = decode_result(enc.as_bytes()).expect("round trip");
-        assert_eq!(dec.label, r.label);
-        assert_eq!(dec.delivered, r.delivered);
-        let mut bad = enc.clone().into_bytes();
-        let n = bad.len() - 3;
-        bad[n] ^= 1;
-        assert!(decode_result(&bad).is_none(), "bit flip must fail the CRC");
-        assert!(decode_result(b"garbage").is_none());
+    fn wal_and_result_cache_bytes_are_unchanged() {
+        const ROW: &str = "rair-ckpt-v1\tfix\t107\t3fb999999999999a\t5000\t64\t1\t2\t3\t0\t0\t0\t0\
+                           \t0\t0\t0\t4031000000000000\t4033000000000000";
+        let wal = format!(
+            "rair-wal-v1\t74a6e9ec\tqueued\tf2e4b3f9d4e01fa5\tfix\n\
+             rair-wal-v1\t6bd98aa2\trunning\tf2e4b3f9d4e01fa5\t1\n\
+             rair-wal-v1\t0ee6968d\tdone\tf2e4b3f9d4e01fa5\t{ROW}\n\
+             rair-wal-v1\t02715c2a\tsweep-done\t12eb357f9f4c5268\t1\n"
+        );
+        let dir = tmp("fixture");
+        let scfg = ServeConfig::new(&dir, ExpConfig::quick());
+        std::fs::write(scfg.journal_path(), &wal).unwrap();
+        let never: JobExec = Arc::new(|_: &JobSpec, _: &ExpConfig| panic!("must not execute"));
+        let r = serve(&StdStore, &[spec("fix", 7)], &scfg, &never);
+        assert_eq!((r.executed, r.resumed), (0, 1));
+        assert_eq!(r.sweep_digest, 0x12eb_357f_9f4c_5268);
+        assert_eq!(r.outcomes[0].id, 0xf2e4_b3f9_d4e0_1fa5);
+        assert!(!r.journal_torn_tail && r.journal_quarantined_rows == 0);
+        // A resolved job is not journaled again: only `sweep-done` is added.
+        let after = std::fs::read_to_string(scfg.journal_path()).unwrap();
+        assert_eq!(
+            after.strip_prefix(wal.as_str()).map(|t| t.lines().count()),
+            Some(1)
+        );
+
+        let entry = format!("rair-res-v1\t6b206049\t{ROW}\n");
+        let decoded = unframe(RESULT_TAG, entry.trim_end_matches('\n'))
+            .and_then(runner::parse_checkpoint_line)
+            .expect("parent-written entry decodes");
+        assert_eq!(decoded.delivered, 107);
+        assert_eq!(
+            encode_result(&decoded),
+            entry,
+            "re-encoding is byte-identical"
+        );
+        let flipped = entry.replacen("107", "108", 1);
+        assert_eq!(unframe(RESULT_TAG, flipped.trim_end_matches('\n')), None);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,8 +1,9 @@
 //! Injectable storage backend for the durability layer.
 //!
-//! Everything the experiment service persists — the job journal, result
-//! records, sweep checkpoints, the saturation cache — goes through the
-//! [`Store`] trait instead of calling `std::fs` directly. Production code
+//! Everything the experiments crate persists — the job journal (also the
+//! figure-side sweep checkpoint), the result cache and the saturation cache
+//! — goes through the [`Store`] trait instead of `std::fs`, framed by the
+//! one codec here ([`frame`] / [`unframe`] / [`read_entry`]). Production code
 //! uses [`StdStore`]; tests and the `repro chaos` battery inject a
 //! [`ChaosStore`] that deterministically turns individual operations into
 //! the failures real disks produce: `EIO`, `ENOSPC`, torn appends (a
@@ -14,18 +15,74 @@
 //! Two contracts matter to callers:
 //!
 //! - [`Store::append_durable`] opens, appends, and **fsyncs** before
-//!   returning `Ok` — a journal or checkpoint row is only considered
-//!   durable once the sync succeeded. An error may still have written a
+//!   returning `Ok` — a journal row is only considered durable once the
+//!   sync succeeded. An error may still have written a
 //!   prefix (that is exactly the torn-tail case resume tolerates).
-//! - [`Store::write_atomic`] goes through a temp file + rename, so readers
-//!   never observe a half-written file — only the old contents, the new
-//!   contents, or (after a crash between the two steps) a stray `.tmp.*`
-//!   file that readers ignore.
+//! - [`Store::write_atomic`] goes through a temp file, **fsync**, then
+//!   rename, so readers never observe a half-written or zero-length file —
+//!   only the old contents, the new contents, or (after a crash between the
+//!   steps) a stray `.tmp.*` file that readers ignore. The directory entry
+//!   is not synced: a crash may undo the rename, for a cache just a miss.
 
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// One framed line: `tag \t crc32(payload) as 8 hex digits \t payload`. The
+/// single on-disk frame of the WAL (`rair-wal-v1`), the result cache
+/// (`rair-res-v1`) and the saturation cache (`rair-sat-v3`).
+pub fn frame(tag: &str, payload: &str) -> String {
+    format!("{tag}\t{:08x}\t{payload}", crc32(payload.as_bytes()))
+}
+
+/// Recover the payload of a [`frame`]d line; `None` if the tag, framing or
+/// CRC does not hold. Only the first two tabs are structural, so payloads
+/// may carry tabs of their own.
+pub fn unframe<'a>(tag: &str, line: &'a str) -> Option<&'a str> {
+    let mut parts = line.splitn(3, '\t');
+    if parts.next()? != tag {
+        return None;
+    }
+    let crc = u32::from_str_radix(parts.next()?, 16).ok()?;
+    let payload = parts.next()?;
+    (crc32(payload.as_bytes()) == crc).then_some(payload)
+}
+
+/// Read a single-entry cache file: [`unframe`] its first line and `decode`
+/// the payload. A missing or unreadable file is a plain miss; an entry that
+/// fails the frame or the decoder is a miss too, but counted in `corrupt`,
+/// warned about and renamed `<name>.corrupt` for post-mortems.
+pub fn read_entry<T>(
+    store: &dyn Store,
+    path: &Path,
+    tag: &str,
+    decode: impl FnOnce(&str) -> Option<T>,
+    corrupt: &AtomicU64,
+) -> Option<T> {
+    if !store.exists(path) {
+        return None;
+    }
+    let bytes = store.read(path).ok()?;
+    let hit = std::str::from_utf8(&bytes)
+        .ok()
+        .and_then(|text| unframe(tag, text.lines().next()?))
+        .and_then(decode);
+    if hit.is_none() {
+        corrupt.fetch_add(1, Ordering::Relaxed);
+        let mut aside = path.as_os_str().to_owned();
+        aside.push(".corrupt");
+        eprintln!(
+            "[store] warning: {tag} entry {} failed validation (CRC/framing/parse); \
+             setting it aside as *.corrupt and treating it as a miss",
+            path.display()
+        );
+        if let Err(e) = store.rename(path, Path::new(&aside)) {
+            eprintln!("[store] warning: could not set aside corrupt entry: {e}");
+        }
+    }
+    hit
+}
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `bytes`. Bitwise
 /// rather than table-driven — the rows it guards are tens of bytes, and a
@@ -47,7 +104,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub trait Store: Send + Sync {
     /// Read a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Write a whole file atomically (temp file + rename).
+    /// Write a whole file atomically (temp file + fsync + rename).
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Append bytes and fsync; `Ok` means the bytes are on stable storage.
     fn append_durable(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
@@ -78,9 +135,9 @@ fn tmp_sibling(path: &Path) -> PathBuf {
 #[derive(Debug, Default)]
 pub struct StdStore;
 
-/// Process-wide [`StdStore`] instance for call sites that take `&dyn Store`
-/// but have no injection seam of their own (the saturation cache, the
-/// sweep checkpoint writer).
+/// Process-wide [`StdStore`] instance for the production call sites of
+/// `&dyn Store` seams (the saturation cache, `repro serve`, the resilience
+/// sweep's journal).
 pub fn std_store() -> &'static StdStore {
     static STORE: StdStore = StdStore;
     &STORE
@@ -93,11 +150,16 @@ impl Store for StdStore {
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let tmp = tmp_sibling(path);
-        std::fs::write(&tmp, bytes)?;
-        let renamed = std::fs::rename(&tmp, path);
-        if renamed.is_err() {
+        // Sync before the rename: otherwise a crash shortly after it can
+        // leave a zero-length file under the final name.
+        let mut f = std::fs::File::create(&tmp)?;
+        let committed = f
+            .write_all(bytes)
+            .and_then(|()| f.sync_all())
+            .and_then(|()| std::fs::rename(&tmp, path));
+        if committed.is_err() {
             // Don't leave the stray temp file behind on a failed commit;
-            // the rename error is what the caller must see.
+            // the commit error is what the caller must see.
             if let Err(e) = std::fs::remove_file(&tmp) {
                 eprintln!(
                     "[store] warning: could not clean temp file {}: {e}",
@@ -105,7 +167,7 @@ impl Store for StdStore {
                 );
             }
         }
-        renamed
+        committed
     }
 
     fn append_durable(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -427,6 +489,24 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    #[test]
+    fn frame_roundtrip_and_crc_rejects_bitflips() {
+        let payload = "done\t0123456789abcdef\trair-ckpt-v1\tlabel\t42";
+        let line = frame("rair-wal-v1", payload);
+        assert_eq!(unframe("rair-wal-v1", &line), Some(payload));
+        // Any single-character corruption of the payload fails the CRC.
+        let mut bad = line.clone();
+        let flip = bad.pop().unwrap();
+        bad.push(if flip == 'x' { 'y' } else { 'x' });
+        assert_eq!(unframe("rair-wal-v1", &bad), None);
+        // Wrong tag, truncated frame, garbage: all rejected.
+        assert_eq!(unframe("rair-res-v1", &line), None);
+        assert_eq!(unframe("rair-wal-v1", "rair-wal-v0\t00000000\tx"), None);
+        assert_eq!(unframe("rair-wal-v1", "rair-wal-v1\tzz\tx"), None);
+        assert_eq!(unframe("rair-wal-v1", "rair-wal-v1\t00000000"), None);
+        assert_eq!(unframe("rair-wal-v1", ""), None);
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! reusing a label string. The label is kept for diagnostics only.
 //!
 //! The disk layer persists each measured load under `results/cache/` (one
-//! tiny file per key; override the directory with `RAIR_CACHE_DIR`), so a
-//! second `repro` invocation performs **zero** binary searches for loads it
-//! has already measured. The in-memory layer is bounded (FIFO eviction) so
+//! tiny CRC-framed file per key, through the [`Store`] seam; override the
+//! directory with `RAIR_CACHE_DIR`), so a second `repro` invocation performs
+//! **zero** binary searches for loads it has already measured. The in-memory layer is bounded (FIFO eviction) so
 //! an unbounded sweep cannot grow the process without limit.
 
-use crate::runner::ExpConfig;
+use crate::runner::{self, ExpConfig};
+use crate::service::{self, Store};
 use noc_sim::config::SimConfig;
 use noc_sim::network::Network;
 use noc_sim::region::RegionMap;
@@ -144,9 +145,9 @@ static MEM_HITS: AtomicU64 = AtomicU64::new(0);
 static DISK_HITS: AtomicU64 = AtomicU64::new(0);
 static WARMED_SEARCHES: AtomicU64 = AtomicU64::new(0);
 static COLD_SEARCHES: AtomicU64 = AtomicU64::new(0);
-/// Disk entries that failed to parse or failed their CRC and were set
-/// aside as `*.corrupt` (each one degraded to a re-search, never a panic
-/// or a wrong value).
+/// Disk entries that failed the frame or the decoder and were set aside
+/// as `*.corrupt` (each one degraded to a re-search, never a panic or a
+/// wrong value).
 static CACHE_CORRUPT: AtomicU64 = AtomicU64::new(0);
 
 /// Corrupt disk-cache entries detected (and set aside) since startup.
@@ -229,80 +230,30 @@ fn cache_path(key: u64) -> PathBuf {
     cache_dir().join(format!("sat_{key:016x}.txt"))
 }
 
-/// Parse a cache entry's text. Two on-disk generations:
-///
-/// - **v2** (written since the chaos PR): `v2 <bits:016x> <crc:08x>` where
-///   the CRC covers the bit-pattern hex token, so silent bit rot in the
-///   value is detected instead of returned as a wrong saturation load.
-/// - **legacy**: a bare 16-digit bit pattern on the first line (kept
-///   readable so committed caches survive the format bump).
-fn parse_cache_entry(text: &str) -> Option<f64> {
-    let first = text.lines().next()?.trim();
-    let bits = if let Some(rest) = first.strip_prefix("v2 ") {
-        let mut it = rest.split_whitespace();
-        let hex = it.next()?;
-        let crc = u32::from_str_radix(it.next()?, 16).ok()?;
-        if crate::service::crc32(hex.as_bytes()) != crc {
-            return None;
-        }
-        u64::from_str_radix(hex, 16).ok()?
-    } else {
-        u64::from_str_radix(first, 16).ok()?
-    };
-    let v = f64::from_bits(bits);
-    v.is_finite().then_some(v)
+/// Frame tag of a disk entry (`rair-sat-v3 \t crc \t <bits:016x>`, the shared
+/// [`service::frame`]). Older generations (`v2 <bits> <crc>`, a bare bit
+/// pattern) fail it, are set aside once and re-searched to the same load.
+const SAT_TAG: &str = "rair-sat-v3";
+
+/// Read a cached value from disk ([`service::read_entry`]: a corrupt entry
+/// is counted, set aside as `*.corrupt` and treated as a miss).
+fn disk_read(store: &dyn Store, key: u64) -> Option<f64> {
+    let decode = |hex: &str| runner::parse_f64_field(hex).filter(|v| v.is_finite());
+    service::read_entry(store, &cache_path(key), SAT_TAG, decode, &CACHE_CORRUPT)
 }
 
-/// Read a cached value from disk. An entry that fails to parse or fails
-/// its CRC is a **miss**: it is counted, renamed to `*.corrupt` for
-/// post-mortems, and the caller re-searches — a damaged cache can cost
-/// simulations, never correctness.
-fn disk_read(key: u64) -> Option<f64> {
-    let path = cache_path(key);
-    let text = std::fs::read_to_string(&path).ok()?;
-    match parse_cache_entry(&text) {
-        Some(v) => Some(v),
-        None => {
-            CACHE_CORRUPT.fetch_add(1, Ordering::Relaxed);
-            let aside = path.with_extension("txt.corrupt");
-            eprintln!(
-                "[sweep] warning: corrupt saturation cache entry {} (CRC/parse \
-                 failure); setting it aside and re-searching",
-                path.display()
-            );
-            if let Err(e) = std::fs::rename(&path, &aside) {
-                eprintln!("[sweep] warning: could not set aside corrupt cache entry: {e}");
-            }
-            None
-        }
-    }
-}
-
-/// Persist a value in the v2 (CRC-guarded) format: value line first, a
-/// human-readable comment line second. Written via temp-file + rename so
-/// concurrent sweeps (or an interrupted run) can never leave a torn entry;
-/// failures are warned about but non-fatal — the cache is an optimization,
-/// not a dependency.
-fn disk_write(key: u64, value: f64, label: &str) {
-    let dir = cache_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!(
-            "[sweep] warning: could not create cache dir {}: {e}",
-            dir.display()
-        );
-        return;
-    }
-    let tmp = dir.join(format!("sat_{key:016x}.tmp.{}", std::process::id()));
-    let hex = format!("{:016x}", value.to_bits());
+/// Persist a value: framed bit pattern first, a human-readable comment
+/// line second, written atomically so no reader ever sees a torn entry.
+/// Failures are warned about but non-fatal — the cache is an optimization.
+fn disk_write(store: &dyn Store, key: u64, value: f64, label: &str) {
     let body = format!(
-        "v2 {hex} {:08x}\n# {} = {:.6} flits/cycle/node\n",
-        crate::service::crc32(hex.as_bytes()),
-        label,
-        value
+        "{}\n# {label} = {value:.6} flits/cycle/node\n",
+        service::frame(SAT_TAG, &runner::f64_field(value)),
     );
-    let committed =
-        std::fs::write(&tmp, body).and_then(|()| std::fs::rename(&tmp, cache_path(key)));
-    if let Err(e) = committed {
+    let written = store
+        .create_dir_all(&cache_dir())
+        .and_then(|()| store.write_atomic(&cache_path(key), body.as_bytes()));
+    if let Err(e) = written {
         eprintln!(
             "[sweep] warning: could not persist saturation cache entry \
              sat_{key:016x}: {e}"
@@ -337,6 +288,7 @@ pub fn try_cached_saturation_traced(
     app: u8,
     spec: &AppSpec,
 ) -> Result<(f64, SatLookup), SaturationError> {
+    let store = service::std_store();
     let probe = if ec.quick {
         SaturationProbe::quick()
     } else {
@@ -347,7 +299,7 @@ pub fn try_cached_saturation_traced(
         MEM_HITS.fetch_add(1, Ordering::Relaxed);
         return Ok((v, SatLookup::MemHit));
     }
-    if let Some(v) = disk_read(key) {
+    if let Some(v) = disk_read(store, key) {
         DISK_HITS.fetch_add(1, Ordering::Relaxed);
         sat_cache().lock().unwrap().insert(key, v);
         return Ok((v, SatLookup::DiskHit));
@@ -369,7 +321,7 @@ pub fn try_cached_saturation_traced(
     };
     let sat = validate_sat(label, app, out.load)?;
     sat_cache().lock().unwrap().insert(key, sat);
-    disk_write(key, sat, label);
+    disk_write(store, key, sat, label);
     Ok((sat, lookup))
 }
 
@@ -431,7 +383,6 @@ pub fn clear_saturation_cache() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Job;
     use noc_sim::source::NoTraffic;
     use traffic::scenario::InterDest;
 
@@ -481,53 +432,6 @@ mod tests {
                 "{msg}"
             );
         }
-    }
-
-    /// A degenerate saturation search inside a sweep job surfaces as one
-    /// labeled `JobError` carrying the structured message, while sibling
-    /// jobs run to completion — the sweep does not abort. The failing job
-    /// panics exactly the way [`cached_saturation_traced`] does on
-    /// [`validate_sat`]'s error.
-    #[test]
-    fn saturation_error_is_survived_by_the_sweep_runner() {
-        let healthy = || {
-            let cfg = SimConfig::table1();
-            let region = RegionMap::single(&cfg);
-            let net = build_network(
-                &cfg,
-                &region,
-                &Scheme::RoRr,
-                Routing::Local,
-                Box::new(NoTraffic),
-                7,
-            );
-            let ec = ExpConfig {
-                warmup: 50,
-                measure: 100,
-                ..ExpConfig::quick()
-            };
-            crate::runner::run_one("healthy", net, &ec)
-        };
-        let jobs = vec![
-            Job::new("ok/before", healthy),
-            Job::new("fig9/degenerate", || {
-                let e = validate_sat("fig9/degenerate", 2, 0.0).unwrap_err();
-                panic!("{e}")
-            }),
-            Job::new("ok/after", healthy),
-        ];
-        let results = crate::runner::run_parallel_results(jobs);
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].as_ref().unwrap().label, "healthy");
-        assert_eq!(results[2].as_ref().unwrap().label, "healthy");
-        let err = results[1].as_ref().unwrap_err();
-        assert_eq!(err.label, "fig9/degenerate");
-        assert!(
-            err.message.contains("saturation search collapsed to 0")
-                && err.message.contains("app 2"),
-            "structured message lost: {}",
-            err.message
-        );
     }
 
     #[test]
@@ -605,38 +509,13 @@ mod tests {
         assert_eq!(ld, SatLookup::MemHit);
     }
 
+    /// Corrupting a *live* cache entry must cost a re-search, never
+    /// correctness: whether a bit of the framed value rots, the value is
+    /// not a load at all, or the entry is of an older generation (v2,
+    /// legacy), the damaged file is set aside as `*.corrupt`, counted once,
+    /// and the re-searched load is bit-identical.
     #[test]
-    fn disk_entries_are_atomic_and_readable() {
-        let _guard = env_lock();
-        let _tmp = TempCacheDir::new("atomic");
-        disk_write(0xDEAD_BEEF, 0.314159, "demo/label");
-        let v = disk_read(0xDEAD_BEEF).unwrap();
-        assert_eq!(v.to_bits(), 0.314159f64.to_bits());
-        // No stray temp files remain after a completed write.
-        let leftovers: Vec<_> = std::fs::read_dir(cache_dir())
-            .unwrap()
-            .filter_map(std::result::Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-            .collect();
-        assert!(leftovers.is_empty(), "torn temp files: {leftovers:?}");
-        // Corrupt entries are treated as misses, not errors.
-        std::fs::write(cache_path(0xBAD), "not-hex\n").unwrap();
-        assert_eq!(disk_read(0xBAD), None);
-        // Legacy (pre-CRC) entries — a bare bit-pattern line — stay
-        // readable, so committed caches survive the format bump.
-        std::fs::write(
-            cache_path(0x1E6),
-            format!("{:016x}\n# legacy comment\n", 0.25f64.to_bits()),
-        )
-        .unwrap();
-        assert_eq!(disk_read(0x1E6), Some(0.25));
-    }
-
-    /// Satellite requirement: corrupting a *live* cache entry must cost a
-    /// re-search, never correctness — the re-searched value is bit-identical,
-    /// the damaged file is set aside as `*.corrupt`, and the event counted.
-    #[test]
-    fn corrupt_live_cache_entry_is_set_aside_and_research_is_identical() {
+    fn corrupt_or_old_generation_entry_is_set_aside_and_research_is_identical() {
         let _guard = env_lock();
         let _tmp = TempCacheDir::new("corrupt-live");
         clear_saturation_cache();
@@ -645,30 +524,70 @@ mod tests {
         let ec = ExpConfig::quick();
         let spec = AppSpec::intra_only(0.0);
         let (v1, _) = cached_saturation_traced("corrupt/live", &ec, &cfg, &region, 0, &spec);
-        // Flip one byte inside the stored bit pattern of the live entry.
         let key = sat_digest(&SaturationProbe::quick(), &cfg, &region, 0, &spec);
         let path = cache_path(key);
-        let mut bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.starts_with(b"v2 "), "new entries use the CRC format");
-        bytes[4] ^= 0x01;
-        std::fs::write(&path, &bytes).unwrap();
-        clear_saturation_cache();
-        let before = saturation_cache_corrupt_count();
-        let (v2, how) = cached_saturation_traced("corrupt/again", &ec, &cfg, &region, 0, &spec);
+        let live = std::fs::read_to_string(&path).unwrap();
+        let hex = runner::f64_field(v1);
+        let framed = service::frame(SAT_TAG, &hex);
+        assert_eq!(live.lines().next(), Some(framed.as_str()));
+        for (what, entry) in [
+            (
+                "bit rot",
+                live.replacen(&hex, &runner::f64_field(v1 * 2.0), 1),
+            ),
+            (
+                "not a load",
+                service::frame(SAT_TAG, &runner::f64_field(f64::NAN)),
+            ),
+            (
+                "v2",
+                format!("v2 {hex} {:08x}\n", service::crc32(hex.as_bytes())),
+            ),
+            ("legacy", format!("{hex}\n# legacy comment\n")),
+        ] {
+            std::fs::write(&path, entry).unwrap();
+            // lint: allow(swallowed-io-error)
+            let _ = std::fs::remove_file(path.with_extension("txt.corrupt"));
+            clear_saturation_cache();
+            let before = saturation_cache_corrupt_count();
+            let (v2, how) = cached_saturation_traced("corrupt/again", &ec, &cfg, &region, 0, &spec);
+            assert_ne!(how, SatLookup::DiskHit, "{what}: entry must be a miss");
+            assert_eq!(v1.to_bits(), v2.to_bits(), "{what}: re-search diverged");
+            assert_eq!(saturation_cache_corrupt_count(), before + 1, "{what}");
+            assert!(path.with_extension("txt.corrupt").exists(), "{what}");
+            let rewritten = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(rewritten.lines().next(), Some(framed.as_str()), "{what}");
+        }
+    }
+
+    /// The disk layer under injected write faults: `ENOSPC` is non-fatal
+    /// (the lookup still returns the value it searched) and leaves no
+    /// entry; a crash before the rename leaves a stray temp file that the
+    /// next read ignores — both cost a re-search, never the value.
+    #[test]
+    fn disk_write_faults_leave_a_miss_never_a_torn_entry() {
+        use crate::service::{ChaosStore, Fault};
+        let _guard = env_lock();
+        let tmp = TempCacheDir::new("write-faults");
+        // Ops per write: create_dir_all, write_atomic (`exists` is not drawn).
+        let store = ChaosStore::scripted(vec![(1, Fault::Enospc), (3, Fault::CrashBeforeRename)]);
+        for _fault in ["enospc", "crash-before-rename"] {
+            disk_write(&store, 0xFA17, 0.314159, "demo/label");
+            assert_eq!(disk_read(&store, 0xFA17), None);
+            assert!(!cache_path(0xFA17).exists());
+        }
+        assert_eq!(store.injected().len(), 2, "both scripted faults fired");
+        let files: Vec<String> = std::fs::read_dir(&tmp.dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
         assert!(
-            matches!(how, SatLookup::Warmed | SatLookup::Searched),
-            "corrupt entry must be a miss, got {how:?}"
+            matches!(&files[..], [stray] if stray.contains(".tmp.")),
+            "only the crashed write's temp file survives: {files:?}"
         );
-        assert_eq!(
-            v1.to_bits(),
-            v2.to_bits(),
-            "re-search must reproduce the identical value"
-        );
-        assert_eq!(saturation_cache_corrupt_count(), before + 1);
-        assert!(
-            path.with_extension("txt.corrupt").exists(),
-            "damaged entry set aside for post-mortems"
-        );
+        disk_write(&store, 0xFA17, 0.314159, "demo/label");
+        let bits = disk_read(&store, 0xFA17).map(f64::to_bits);
+        assert_eq!(bits, Some(0.314159f64.to_bits()));
     }
 
     #[test]

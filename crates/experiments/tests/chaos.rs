@@ -1,6 +1,8 @@
 //! Kill-resume integration tests: SIGKILL the `repro serve` binary at
 //! seeded random points mid-sweep, rerun to completion, and require the
-//! final sweep digest to be bit-identical to an uninterrupted run.
+//! final sweep digest to be bit-identical to an uninterrupted run. The
+//! figure-side front door of the same journal (`repro resilience`) gets the
+//! same treatment against its report file.
 //!
 //! This is the end-to-end complement of the in-process chaos batteries in
 //! `experiments::service::chaos`: a real child process, real SIGKILL (no
@@ -141,6 +143,53 @@ fn sigkill_battery_across_kill_points() {
         assert_eq!(
             digest, reference,
             "round {round}: digest diverged after double SIGKILL + resume"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
+/// `repro --smoke --windows 200,600 resilience` in `dir` (it journals to
+/// `results/RESILIENCE.checkpoint` and writes `RESILIENCE_report.json`
+/// relative to the working directory). One worker, so the two smoke jobs
+/// finish one after the other and a kill can land between their `done`
+/// rows.
+fn resilience_cmd(dir: &Path) -> Command {
+    let mut c = Command::new(env!("CARGO_BIN_EXE_repro"));
+    c.args(["--smoke", "--windows", "200,600", "resilience"])
+        .current_dir(dir)
+        .env("RAIR_THREADS", "1")
+        .stdout(Stdio::null())
+        .stderr(Stdio::null());
+    c
+}
+
+fn resilience_report(dir: &Path) -> Vec<u8> {
+    let status = resilience_cmd(dir).status().unwrap();
+    assert!(status.success(), "repro resilience failed in {dir:?}");
+    std::fs::read(dir.join("RESILIENCE_report.json")).unwrap()
+}
+
+/// The figure-side front door: SIGKILL the journaled resilience sweep at
+/// seeded delays (the whole smoke sweep takes about 30 ms), rerun to
+/// completion, and require a byte-identical report.
+#[test]
+#[ignore = "kill-resume battery; run with --ignored or via the CI chaos job"]
+fn sigkill_mid_resilience_sweep_resumes_byte_identically() {
+    let ref_dir = fresh_dir("rref");
+    let reference = resilience_report(&ref_dir);
+
+    let mut rng = XorShift::new(0x5EED_F00D);
+    for round in 0..6u32 {
+        let dir = fresh_dir(&format!("rk{round}"));
+        let mut child = resilience_cmd(&dir).spawn().unwrap();
+        std::thread::sleep(Duration::from_millis(2 + rng.next() % 30));
+        let _ = child.kill();
+        let _ = child.wait();
+        assert_eq!(
+            resilience_report(&dir),
+            reference,
+            "round {round}: report diverged after SIGKILL + resume"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
