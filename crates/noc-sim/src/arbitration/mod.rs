@@ -132,20 +132,24 @@ pub fn arbitrate_rr_at(
     num_slots: usize,
     ptr: usize,
 ) -> Option<(usize, usize)> {
-    let max_prio = reqs.iter().map(|r| r.0).max()?;
-    let mut best: Option<(usize, usize)> = None; // (rotated distance, req index)
+    debug_assert!(ptr < num_slots, "pointer {ptr} out of range {num_slots}");
+    // One pass: highest priority first, then the smallest rotated distance
+    // from the pointer; the earliest request wins a full tie.
+    let mut best: Option<(u64, usize, usize)> = None; // (priority, distance, req index)
     for (i, &(p, key)) in reqs.iter().enumerate() {
-        if p != max_prio {
-            continue;
-        }
         debug_assert!(key < num_slots, "slot key {key} out of range {num_slots}");
-        let dist = (key + num_slots - ptr) % num_slots;
-        if best.is_none_or(|(d, _)| dist < d) {
-            best = Some((dist, i));
+        let dist = if key >= ptr {
+            key - ptr
+        } else {
+            key + num_slots - ptr
+        };
+        if best.is_none_or(|(bp, bd, _)| p > bp || (p == bp && dist < bd)) {
+            best = Some((p, dist, i));
         }
     }
-    let (_, widx) = best?;
-    Some((widx, (reqs[widx].1 + 1) % num_slots))
+    let (_, _, widx) = best?;
+    let next = reqs[widx].1 + 1;
+    Some((widx, if next == num_slots { 0 } else { next }))
 }
 
 #[cfg(test)]

@@ -94,11 +94,11 @@ impl PriorityPolicy for StcRankOnline {
         let mut st = self.state.lock().unwrap();
         // Sample injection activity: which application holds each occupied
         // local-port VC of this router.
-        for ivc in &router.inputs[PORT_LOCAL] {
+        for ivc in router.ivcs(PORT_LOCAL) {
             if !ivc.occupied() {
                 continue;
             }
-            if let Some(app) = ivc.holder_app() {
+            if let Some(app) = ivc.holder() {
                 if let Some(c) = st.counts.get_mut(app as usize) {
                     *c += 1;
                 }
@@ -128,31 +128,25 @@ impl PriorityPolicy for StcRankOnline {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::flit::{Flit, FlitKind, PacketInfo};
+    use crate::flit::{Flit, PacketInfo};
     use crate::ids::AppId;
 
     fn router_with_local_holder(app: AppId) -> Router {
         let cfg = SimConfig::table1();
         let mut r = Router::new(&cfg, 0, cfg.coord_of(0), 0);
-        r.inputs[PORT_LOCAL][1].holder = Some(app);
-        r.inputs[PORT_LOCAL][1].buf.push_back(Flit {
-            kind: FlitKind::Single,
-            seq: 0,
-            hops: 0,
-            payload: 0,
-            crc: crate::flit::crc16(0),
-            info: PacketInfo {
-                id: 0,
-                src: 0,
-                dst: 1,
-                app,
-                class: 0,
-                size: 1,
-                birth: 0,
-                inject: 0,
-                reply: None,
-            },
-        });
+        r.note_vc_occupied(PORT_LOCAL, 1, app);
+        let info = PacketInfo {
+            id: 0,
+            src: 0,
+            dst: 1,
+            app,
+            class: 0,
+            size: 1,
+            birth: 0,
+            inject: 0,
+            reply: None,
+        };
+        r.push_flit(PORT_LOCAL, 1, Flit::nth(info, 0));
         r
     }
 

@@ -22,9 +22,30 @@ pub fn low_bits(n: usize) -> u64 {
     }
 }
 
+/// The positions of the set bits of `word`, ascending — how the phases walk
+/// the router masks and the per-router VC bitmaps.
+#[inline]
+pub fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let i = word.trailing_zeros() as usize;
+            word &= word - 1;
+            i
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
-    use super::low_bits;
+    use super::{low_bits, set_bits};
+
+    #[test]
+    fn set_bits_ascend() {
+        assert_eq!(set_bits(0).count(), 0);
+        assert_eq!(set_bits(0b1010_0001).collect::<Vec<_>>(), [0, 5, 7]);
+        assert_eq!(set_bits(u64::MAX).count(), 64);
+        assert_eq!(set_bits(1 << 63).next(), Some(63));
+    }
 
     #[test]
     fn low_bits_edge_cases() {

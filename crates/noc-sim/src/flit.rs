@@ -113,25 +113,30 @@ pub fn payload_of(id: u64, seq: u32) -> u64 {
 }
 
 impl Flit {
+    /// Flit `seq` of the packet `info` describes, as the NI writes it into
+    /// the injection VC (zero hops, payload sealed with its CRC).
+    #[inline]
+    pub fn nth(info: PacketInfo, seq: u32) -> Flit {
+        debug_assert!(seq < info.size);
+        let payload = payload_of(info.id, seq);
+        Flit {
+            kind: match (seq, info.size) {
+                (_, 1) => FlitKind::Single,
+                (0, _) => FlitKind::Head,
+                (s, n) if s + 1 == n => FlitKind::Tail,
+                _ => FlitKind::Body,
+            },
+            seq,
+            hops: 0,
+            payload,
+            crc: crc16(payload),
+            info,
+        }
+    }
+
     /// Break a packet descriptor into its flit sequence.
     pub fn flits_of(info: PacketInfo) -> impl Iterator<Item = Flit> {
-        let size = info.size;
-        (0..size).map(move |seq| {
-            let payload = payload_of(info.id, seq);
-            Flit {
-                kind: match (seq, size) {
-                    (_, 1) => FlitKind::Single,
-                    (0, _) => FlitKind::Head,
-                    (s, n) if s + 1 == n => FlitKind::Tail,
-                    _ => FlitKind::Body,
-                },
-                seq,
-                hops: 0,
-                payload,
-                crc: crc16(payload),
-                info,
-            }
-        })
+        (0..info.size).map(move |seq| Flit::nth(info, seq))
     }
 }
 

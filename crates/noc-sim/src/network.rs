@@ -29,17 +29,26 @@
 //! Every RC/VA/SA candidate lives in an *occupied* input VC, and occupancy
 //! changes at exactly two points: a head flit written into an empty idle VC
 //! (arrival or injection) and a tail flit departing through the crossbar.
-//! The network maintains, incrementally at those points, a per-router
-//! occupancy summary ([`Router::occ_port`]/[`Router::occ_vcs`]) and a
+//! The network maintains, incrementally at those points, the routers'
+//! occupancy bitmaps ([`Router::occ_bits`] and its siblings) and a
 //! network-wide bitmask of non-empty routers; the SA, VA and RC phases then
-//! visit only active routers (ascending, the exhaustive-scan order), and the
-//! end-of-cycle state update skips routers whose inputs did not change
+//! walk the set bits of that mask (ascending, the exhaustive-scan order) and,
+//! inside a router, the set bits of the bitmap naming the VCs in the state
+//! the phase serves, and the end-of-cycle state update walks the set bits
+//! of the dirty mask — routers whose inputs did not change are skipped
 //! (unless analysis is on or the policy's update is not idempotent). A
-//! skipped router contributes no candidates and mutates no arbiter pointer,
-//! so the fast path is bit-identical to the exhaustive scan — enforced by a
-//! debug-build self-check each cycle and the [`set_force_exhaustive`]
-//! diagnostic switch ([`SimStats::router_cycles_skipped`] and
+//! skipped router or VC contributes no candidates and mutates no arbiter
+//! pointer, so the fast path is bit-identical to the exhaustive scan —
+//! enforced by a debug-build self-check each cycle and the
+//! [`set_force_exhaustive`] diagnostic switch, which widens every mask to
+//! all routers / all VC slots and reads each predicate from the VC itself
+//! ([`SimStats::router_cycles_skipped`] and
 //! [`SimStats::state_updates_skipped`] count the elided work).
+//!
+//! A steady-state tick allocates nothing: arbitration request sets live on
+//! the stack, the link, credit and ejection registers are drained in place,
+//! and all router state is preallocated (`tests/alloc_free_tick.rs`, and the
+//! `alloc-in-hot-path` lint over the six phase bodies).
 //!
 //! ## Idle fast-forward
 //!
@@ -60,7 +69,7 @@
 
 use crate::analysis::{AnalysisState, JourneyEvent};
 use crate::arbitration::{arbitrate_rr, ArbReq, ArbStage, PriorityPolicy};
-use crate::bits::low_bits;
+use crate::bits::{low_bits, set_bits};
 use crate::config::SimConfig;
 use crate::fault::{
     DegradedMode, DegradedTable, Fault, FaultEvent, FaultState, MAX_SOURCE_RETRIES,
@@ -85,7 +94,7 @@ use rand::SeedableRng;
 
 /// A flit in flight on a link, delivered at cycle `arrive` (the next cycle,
 /// except under link-level retransmission delay — see `sa_phase`).
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
     pub(crate) dst_router: usize,
     pub(crate) in_port: Port,
@@ -94,25 +103,56 @@ pub(crate) struct InFlight {
     pub(crate) flit: Flit,
 }
 
+/// VC slots per router: `SimConfig::validate` caps `NUM_PORTS * vcs_per_port`
+/// at the width of the `u64` bitmaps, which also bounds every on-stack
+/// arbitration request set.
+const MAX_SLOTS: usize = 64;
+/// Hence the most VCs one port can have.
+const MAX_VCS: usize = MAX_SLOTS / NUM_PORTS;
+
 /// A VA_out request gathered during the shared (read-only) pass.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct VaReq {
-    out_port: Port,
-    out_vc: usize,
-    in_port: Port,
-    in_vc: usize,
+    /// Requested output `(port, vc)`; tuple order is slot order.
+    out: (Port, usize),
+    /// Requesting input `(port, vc)`.
+    inp: (Port, usize),
     prio: u64,
 }
 
-/// An SA candidate gathered during the shared pass.
+/// An SA_in winner competing in SA_out.
 #[derive(Debug, Clone, Copy)]
 struct SaCand {
     in_port: Port,
     in_vc: usize,
     out_port: Port,
     out_vc: usize,
-    prio_in: u64,
     prio_out: u64,
+}
+
+/// The `w`-th word of a mask with one bit set for each of `n` routers.
+/// Goes through `low_bits` (not a raw shift) so word-boundary router counts
+/// (64, 128, …) cannot overflow.
+#[inline]
+fn full_word(w: usize, n: usize) -> u64 {
+    low_bits((n - w * 64).min(64))
+}
+
+/// The `w`-th word of the routers a phase visits: the set bits of `mask`,
+/// or — in exhaustive mode — every one of the `n` routers.
+#[inline]
+fn visit_word(mask: &[u64], w: usize, n: usize, exhaustive: bool) -> u64 {
+    if exhaustive {
+        full_word(w, n)
+    } else {
+        mask[w]
+    }
+}
+
+/// Number of the `n` routers absent from `mask`.
+#[inline]
+fn unset(mask: &[u64], n: usize) -> u64 {
+    (n - mask.iter().map(|w| w.count_ones() as usize).sum::<usize>()) as u64
 }
 
 /// The simulated network-on-chip.
@@ -149,19 +189,15 @@ pub struct Network {
     /// every fault mechanism is off-path (digests match the fault-free
     /// build).
     fault: Option<Box<FaultState>>,
-    // Reusable scratch (perf: avoid per-cycle allocation).
-    va_scratch: Vec<VaReq>,
-    sa_scratch: Vec<SaCand>,
     /// Active-set bitmask: bit `i` set ⇔ router `i` has at least one
     /// occupied input VC. Maintained at the occupancy transition points
-    /// (head arrival/injection, tail departure). The phases consult the
-    /// routers' own occupancy summaries directly; the mask feeds the idle
-    /// fast-forward precondition and the public queries.
+    /// (head arrival/injection, tail departure). SA, VA and RC walk its set
+    /// bits; it also feeds the idle fast-forward precondition and the
+    /// public queries.
     active_mask: Vec<u64>,
     /// Dirty bitmask: bit `i` set ⇔ router `i`'s occupancy changed since its
-    /// last state update — the network-level mirror of [`Router::occ_dirty`].
-    /// Zeroed by the state-update phase; all-zero between ticks is a
-    /// fast-forward precondition.
+    /// last state update. Walked and zeroed by the state-update phase;
+    /// all-zero between ticks is a fast-forward precondition.
     dirty_mask: Vec<u64>,
     /// Diagnostic switch: iterate every router in every phase and never
     /// skip state updates. Must be bit-identical to the fast path.
@@ -248,14 +284,8 @@ impl Network {
             stats.verify_violations = violations;
             stats.verify_violation_count = count;
         }
-        // Routers are constructed dirty (occ_dirty = true) so the first
-        // state update always runs; mirror that in the dirty mask. The last
-        // word's construction goes through `low_bits` (not a raw shift) so
-        // word-boundary router counts (64, 128, …) cannot overflow.
-        let mut dirty_mask = vec![!0u64; n.div_ceil(64)];
-        if !n.is_multiple_of(64) {
-            *dirty_mask.last_mut().unwrap() = low_bits(n % 64);
-        }
+        // Every router starts dirty so the first state update always runs.
+        let dirty_mask = (0..n.div_ceil(64)).map(|w| full_word(w, n)).collect();
         let policy_idempotent = policy.update_is_idempotent();
         let fault = (!cfg.fault.is_empty()).then(|| Box::new(FaultState::new(&cfg, num_apps)));
         Self {
@@ -267,9 +297,12 @@ impl Network {
             nodes,
             cycle: 0,
             next_pkt_id: 0,
-            in_flight: Vec::new(),
-            eject_q: Vec::new(),
-            credit_q: Vec::new(),
+            // Sized for a cycle's maximum (one flit per output port, one
+            // credit per input port, one ejection per router) so draining
+            // them in place never reallocates.
+            in_flight: Vec::with_capacity(n * (NUM_PORTS - 1)),
+            eject_q: Vec::with_capacity(n),
+            credit_q: Vec::with_capacity(n * (NUM_PORTS - 1)),
             congestion: vec![0; n],
             rngs,
             stats,
@@ -277,8 +310,6 @@ impl Network {
             oracle,
             fault_frozen: None,
             fault,
-            va_scratch: Vec::new(),
-            sa_scratch: Vec::new(),
             active_mask: vec![0; n.div_ceil(64)],
             dirty_mask,
             force_exhaustive: false,
@@ -424,11 +455,12 @@ impl Network {
                 }
             }
         }
+        let v = self.cfg.vcs_per_port();
         for r in &mut self.routers {
-            for vcs in &mut r.inputs {
-                for ivc in vcs {
-                    if matches!(ivc.state, VcState::Routed { .. }) {
-                        ivc.state = VcState::Idle;
+            for port in 0..NUM_PORTS {
+                for vc in 0..v {
+                    if matches!(r.ivc(port, vc).state(), VcState::Routed { .. }) {
+                        r.set_vc_state(port, vc, VcState::Idle);
                     }
                 }
             }
@@ -460,15 +492,12 @@ impl Network {
         let table = fs.table.as_ref();
         let mut extracted: Vec<(usize, Port, usize)> = Vec::new();
         for (r_idx, r) in self.routers.iter().enumerate() {
-            if r.occ_vcs == 0 {
-                continue;
-            }
-            for (port, vcs) in r.inputs.iter().enumerate() {
-                for (vc, ivc) in vcs.iter().enumerate() {
-                    if matches!(ivc.state, VcState::Active { .. }) {
+            for port in 0..NUM_PORTS {
+                for (vc, ivc) in r.ivcs(port).enumerate() {
+                    if matches!(ivc.state(), VcState::Active { .. }) {
                         continue;
                     }
-                    let (Some(front), Some(back)) = (ivc.buf.front(), ivc.buf.back()) else {
+                    let (Some(front), Some(back)) = (ivc.front(), ivc.back()) else {
                         continue;
                     };
                     if !front.kind.is_head() || !back.kind.is_tail() {
@@ -484,15 +513,12 @@ impl Network {
         }
         for (r_idx, port, vc) in extracted {
             let r = &mut self.routers[r_idx];
-            let ivc = &mut r.inputs[port][vc];
-            let info = ivc.buf.front().expect("checked above").info;
-            let flits = ivc.buf.len();
-            ivc.buf.clear();
-            ivc.state = VcState::Idle;
-            ivc.holder = None;
+            let ivc = r.ivc(port, vc);
+            let info = ivc.front().expect("checked above").info;
+            let flits = ivc.len();
             r.note_vc_freed(port, vc);
             Self::mark_active(&mut self.dirty_mask, r_idx);
-            if r.occ_vcs == 0 {
+            if r.occ_bits == 0 {
                 Self::mark_inactive(&mut self.active_mask, r_idx);
             }
             if port != PORT_LOCAL {
@@ -623,7 +649,7 @@ impl Network {
                 let r = &mut self.routers[router];
                 if port == PORT_LOCAL
                     || !has_link(&self.cfg, r.coord, port)
-                    || r.credits[port][vc] == 0
+                    || r.credits(port, vc) == 0
                 {
                     return false;
                 }
@@ -649,14 +675,11 @@ impl Network {
                 if !has_link(&self.cfg, coord, port) {
                     return false;
                 }
-                {
-                    let ivc = &self.routers[router].inputs[port][vc];
-                    let Some(back) = ivc.buf.back() else {
-                        return false;
-                    };
-                    if back.kind.is_head() || back.kind.is_tail() {
-                        return false;
-                    }
+                let Some(&flit) = self.routers[router].ivc(port, vc).back() else {
+                    return false;
+                };
+                if flit.kind.is_head() || flit.kind.is_tail() {
+                    return false;
                 }
                 if self
                     .in_flight
@@ -671,7 +694,6 @@ impl Network {
                     return false;
                 }
                 self.routers[up].take_credit(out_port, vc);
-                let flit = *self.routers[router].inputs[port][vc].buf.back().unwrap();
                 self.in_flight.push(InFlight {
                     dst_router: router,
                     in_port: port,
@@ -686,45 +708,40 @@ impl Network {
             // flit stays in flight): only routing legality is broken.
             Fault::MisrouteFlit { router, port, vc } => {
                 let cur = self.routers[router].coord;
+                let ivc = self.routers[router].ivc(port, vc);
+                let Some(front) = ivc.front() else {
+                    return false;
+                };
+                if ivc.len() != 1
+                    || front.kind != FlitKind::Single
+                    || matches!(ivc.state(), VcState::Active { .. })
                 {
-                    let ivc = &self.routers[router].inputs[port][vc];
-                    if ivc.buf.len() != 1
-                        || ivc.buf[0].kind != FlitKind::Single
-                        || matches!(ivc.state, VcState::Active { .. })
-                    {
-                        return false;
-                    }
+                    return false;
                 }
-                let dst = self
-                    .cfg
-                    .coord_of(self.routers[router].inputs[port][vc].buf[0].info.dst);
+                let dst = self.cfg.coord_of(front.info.dst);
                 let Some(out) = [PORT_NORTH, PORT_EAST, PORT_SOUTH, PORT_WEST]
                     .into_iter()
                     .find(|&p| {
                         has_link(&self.cfg, cur, p)
                             && crate::routing::step(cur, p).hops_to(dst) >= cur.hops_to(dst)
-                            && self.routers[router].out_alloc[p][vc].is_none()
-                            && self.routers[router].credits[p][vc] == self.cfg.vc_depth
+                            && self.routers[router].allocatable_mask()
+                                & self.routers[router].vc_bit(p, vc)
+                                != 0
                     })
                 else {
                     return false;
                 };
                 let nb = Self::neighbor(&self.cfg, router, out);
-                {
-                    // Defensive: the credit precondition already implies the
-                    // downstream VC is idle and no arrival is in flight.
-                    let divc = &self.routers[nb].inputs[opposite(out)][vc];
-                    if divc.occupied() {
-                        return false;
-                    }
+                // Defensive: the credit precondition already implies the
+                // downstream VC is idle and no arrival is in flight.
+                if self.routers[nb].ivc(opposite(out), vc).occupied() {
+                    return false;
                 }
                 let r = &mut self.routers[router];
-                let mut flit = r.inputs[port][vc].buf.pop_front().unwrap();
-                r.inputs[port][vc].state = VcState::Idle;
-                r.inputs[port][vc].holder = None;
+                let mut flit = r.pop_flit(port, vc).expect("checked above");
                 r.note_vc_freed(port, vc);
                 Self::mark_active(&mut self.dirty_mask, router);
-                if r.occ_vcs == 0 {
+                if r.occ_bits == 0 {
                     Self::mark_inactive(&mut self.active_mask, router);
                 }
                 r.take_credit(out, vc);
@@ -745,8 +762,7 @@ impl Network {
             // that escaped the link-level error control. Caught by the
             // CRC-integrity scan.
             Fault::CorruptFlit { router, port, vc } => {
-                let ivc = &mut self.routers[router].inputs[port][vc];
-                let Some(f) = ivc.buf.front_mut() else {
+                let Some(f) = self.routers[router].front_flit_mut(port, vc) else {
                     return false;
                 };
                 f.payload ^= 1;
@@ -856,88 +872,77 @@ impl Network {
         self.run(measure);
     }
 
-    /// Self-check of the incremental active-set bookkeeping against an
-    /// exhaustive recount: the bitmask, the per-port/total occupancy
-    /// counters and the holder tags must all match what a slow scan finds,
-    /// so skipping a router can never change a candidate set.
+    /// Self-check of the incremental bookkeeping against an exhaustive
+    /// recount: every router's bitmaps, ring cursors and holder tags
+    /// ([`Router::bookkeeping_drift`]) and the network's active bit must
+    /// match what a slow scan finds, so skipping a router or a VC can never
+    /// change a candidate set.
     #[cfg(debug_assertions)]
     fn debug_verify_active_set(&self) {
         for (i, r) in self.routers.iter().enumerate() {
-            let (per_port, total) = r.recount_occupancy_summary();
-            assert_eq!(per_port, r.occ_port, "router {i}: occ_port drifted");
-            assert_eq!(total, r.occ_vcs, "router {i}: occ_vcs drifted");
-            let bit = self.active_mask[i >> 6] >> (i & 63) & 1 == 1;
+            assert_eq!(r.bookkeeping_drift(), None, "router {i}");
             assert_eq!(
-                total > 0,
-                bit,
-                "router {i}: active bit disagrees with occupancy {total}"
+                r.occ_bits != 0,
+                self.router_is_active(i),
+                "router {i}: active bit disagrees with occupancy"
             );
-            let (occ, free, full, avail) = r.recount_bitsets();
-            assert_eq!(occ, r.occ_bits, "router {i}: occ_bits drifted");
-            assert_eq!(free, r.out_free, "router {i}: out_free drifted");
-            assert_eq!(full, r.credits_full, "router {i}: credits_full drifted");
-            assert_eq!(avail, r.credits_avail, "router {i}: credits_avail drifted");
-            let dirty_bit = self.dirty_mask[i >> 6] >> (i & 63) & 1 == 1;
-            assert_eq!(
-                dirty_bit, r.occ_dirty,
-                "router {i}: dirty bit disagrees with occ_dirty"
-            );
-            for vcs in &r.inputs {
-                for ivc in vcs {
-                    assert_eq!(
-                        ivc.occupied(),
-                        ivc.holder_app().is_some(),
-                        "router {i}: holder tag out of sync with occupancy"
-                    );
-                }
-            }
         }
     }
 
     // ------------------------------------------------------- phase 1: LT/BW
 
     fn deliver_phase(&mut self) {
+        let Network {
+            cfg,
+            routers,
+            in_flight,
+            credit_q,
+            oracle,
+            fault,
+            active_mask,
+            dirty_mask,
+            cycle,
+            ..
+        } = self;
+        let cycle = *cycle;
         // Credits first (they free space the SA stage may use this cycle).
-        let credits = std::mem::take(&mut self.credit_q);
-        for (r, port, vc) in credits {
-            self.routers[r].return_credit(port, vc);
+        for &(r, port, vc) in credit_q.iter() {
+            routers[r].return_credit(port, vc);
         }
-        let arrivals = std::mem::take(&mut self.in_flight);
-        let delayed_possible = self.fault.is_some();
-        for a in arrivals {
-            if delayed_possible && a.arrive > self.cycle {
+        credit_q.clear();
+        let delayed_possible = fault.is_some();
+        in_flight.retain(|a| {
+            if delayed_possible && a.arrive > cycle {
                 // Still in the link-level retransmission loop: the flit
                 // (and its credit) stay accounted as in flight.
-                self.in_flight.push(a);
-                continue;
+                return true;
             }
-            let router = &mut self.routers[a.dst_router];
-            let ivc = &mut router.inputs[a.in_port][a.vc];
+            let router = &mut routers[a.dst_router];
+            let ivc = router.ivc(a.in_port, a.vc);
             // Atomic VCs: exactly the head starts a new occupancy interval.
             debug_assert_eq!(a.flit.kind.is_head(), !ivc.occupied());
-            debug_assert!(ivc.buf.len() < self.cfg.vc_depth, "input buffer overflow");
+            debug_assert!(ivc.len() < cfg.vc_depth, "input buffer overflow");
             let newly_occupied = !ivc.occupied();
-            if a.flit.kind.is_head() {
-                ivc.holder = Some(a.flit.info.app);
-            }
-            ivc.buf.push_back(a.flit);
             if newly_occupied {
-                router.note_vc_occupied(a.in_port, a.vc);
-                Self::mark_active(&mut self.active_mask, a.dst_router);
-                Self::mark_active(&mut self.dirty_mask, a.dst_router);
+                router.note_vc_occupied(a.in_port, a.vc, a.flit.info.app);
+                Self::mark_active(active_mask, a.dst_router);
+                Self::mark_active(dirty_mask, a.dst_router);
             }
-            if let Some(o) = self.oracle.as_deref_mut() {
+            router.push_flit(a.in_port, a.vc, a.flit);
+            if let Some(o) = oracle.as_deref_mut() {
                 let id = a.dst_router as NodeId;
-                o.note_arrival(&self.cfg, id, a.in_port, a.vc, &a.flit, self.cycle);
+                o.note_arrival(cfg, id, a.in_port, a.vc, &a.flit, cycle);
                 if newly_occupied {
-                    o.note_occupancy(id, a.in_port, a.vc, true, self.cycle);
+                    o.note_occupancy(id, a.in_port, a.vc, true, cycle);
                 }
             }
-        }
-        let ejected = std::mem::take(&mut self.eject_q);
-        for (n, flit) in ejected {
+            false
+        });
+        for i in 0..self.eject_q.len() {
+            let (n, flit) = self.eject_q[i];
             self.consume_ejected(n, flit);
         }
+        self.eject_q.clear();
     }
 
     /// Consume one flit ejected at `node_idx`'s NI: eject accounting, the
@@ -988,9 +993,10 @@ impl Network {
 
     // --------------------------------------------------------- phase 2: SA
 
-    /// SA (+ST): collect candidates per router, arbitrate SA_in then
-    /// SA_out, and move the winners through the crossbar into the link,
-    /// ejection and credit registers.
+    /// SA (+ST): per input port, gather the candidates into an on-stack
+    /// request set and arbitrate SA_in in the same pass; then SA_out over
+    /// the requested output ports, moving the winners through the crossbar
+    /// into the link, ejection and credit registers.
     fn sa_phase(&mut self) {
         let Network {
             cfg,
@@ -1000,7 +1006,6 @@ impl Network {
             eject_q,
             credit_q,
             stats,
-            sa_scratch,
             cycle,
             analysis,
             oracle,
@@ -1011,197 +1016,203 @@ impl Network {
             force_exhaustive,
             ..
         } = self;
-        let (cycle, force_exhaustive) = (*cycle, *force_exhaustive);
+        let (cycle, exhaustive) = (*cycle, *force_exhaustive);
+        let n = routers.len();
         let v = cfg.vcs_per_port();
         let port_mask = low_bits(v);
-        for (r_idx, r) in routers.iter_mut().enumerate() {
-            // Active-set fast path: an empty router contributes no SA
-            // candidate and mutates no arbiter pointer.
-            if !force_exhaustive && r.occ_vcs == 0 {
-                stats.router_cycles_skipped += 1;
-                continue;
-            }
-            // Fault injection: a frozen switch allocator grants nothing.
-            if fault_frozen.as_deref().is_some_and(|f| f[r_idx]) {
-                continue;
-            }
-            // Shared pass: collect candidates. Every SA candidate lives in
-            // an occupied VC, so iterating occ_bits (ascending, same order
-            // as the nested scan) is exact; exhaustive mode widens the
-            // iteration domain to every valid slot without changing any
-            // predicate.
-            sa_scratch.clear();
-            let occ_snapshot = if force_exhaustive {
-                r.valid_vc_mask()
-            } else {
-                r.occ_bits
-            };
-            for in_port in 0..NUM_PORTS {
-                let mut pb = (occ_snapshot >> (in_port * v)) & port_mask;
-                while pb != 0 {
-                    let in_vc = pb.trailing_zeros() as usize;
-                    pb &= pb - 1;
-                    let ivc = &r.inputs[in_port][in_vc];
-                    let VcState::Active { out_port, out_vc } = ivc.state else {
-                        continue;
-                    };
-                    let Some(f) = ivc.buf.front() else { continue };
-                    if !r.has_credit(out_port, out_vc) {
+        // Active-set fast path: an empty router contributes no SA candidate
+        // and mutates no arbiter pointer. (A visit clears at most its own
+        // router's bit, so reading each word as the walk reaches it sees
+        // the mask as of the start of the phase.)
+        if !exhaustive {
+            stats.router_cycles_skipped += unset(active_mask, n);
+        }
+        // On-stack request sets, reused by every arbitration of the phase:
+        // `(priority, slot key)` pairs, and per SA_in request the output VC
+        // it asks for.
+        let mut reqs = [(0u64, 0usize); MAX_VCS];
+        let mut wants = [(0, 0); MAX_VCS];
+        for w in 0..active_mask.len() {
+            for b in set_bits(visit_word(active_mask, w, n, exhaustive)) {
+                let r_idx = w * 64 + b;
+                // Fault injection: a frozen switch allocator grants nothing.
+                if fault_frozen.as_deref().is_some_and(|f| f[r_idx]) {
+                    continue;
+                }
+                let r = &mut routers[r_idx];
+                // Every SA candidate is an Active VC; exhaustive mode
+                // widens the walk to every slot without changing any
+                // predicate.
+                let served = if exhaustive {
+                    r.valid_vc_mask()
+                } else {
+                    r.active_bits
+                };
+                // SA_in: one winner per input port.
+                let mut sa_in_winners: [Option<SaCand>; NUM_PORTS] = [None; NUM_PORTS];
+                let mut requested_out: u64 = 0;
+                #[allow(clippy::needless_range_loop)] // in_port also keys sa_in_ptr
+                for in_port in 0..NUM_PORTS {
+                    let mut k = 0;
+                    for in_vc in set_bits((served >> (in_port * v)) & port_mask) {
+                        let ivc = r.ivc(in_port, in_vc);
+                        let VcState::Active { out_port, out_vc } = ivc.state() else {
+                            continue;
+                        };
+                        // Credit first: a blocked VC's flit is not even read.
+                        if !r.has_credit(out_port, out_vc) {
+                            continue;
+                        }
+                        let Some(f) = ivc.front() else { continue };
+                        let req = arb_req(r, &f.info);
+                        reqs[k] = (policy.priority(ArbStage::SaIn, r, None, &req), in_vc);
+                        wants[k] = (out_port, out_vc);
+                        k += 1;
+                    }
+                    if k == 0 {
                         continue;
                     }
+                    let Some(w) = arbitrate_rr(&reqs[..k], v, &mut r.sa_in_ptr[in_port]) else {
+                        debug_assert!(false, "non-empty request set yields an SA_in winner");
+                        continue;
+                    };
+                    let (in_vc, (out_port, out_vc)) = (reqs[w].1, wants[w]);
+                    let Some(f) = r.ivc(in_port, in_vc).front() else {
+                        debug_assert!(false, "SA_in winner holds a buffered flit");
+                        continue;
+                    };
                     let req = arb_req(r, &f.info);
-                    sa_scratch.push(SaCand {
+                    requested_out |= 1 << out_port;
+                    sa_in_winners[in_port] = Some(SaCand {
                         in_port,
                         in_vc,
                         out_port,
                         out_vc,
-                        prio_in: policy.priority(ArbStage::SaIn, r, None, &req),
                         prio_out: policy.priority(ArbStage::SaOut, r, None, &req),
                     });
                 }
-            }
-            if sa_scratch.is_empty() {
-                continue;
-            }
-            // SA_in: one winner per input port.
-            let mut sa_in_winners: [Option<SaCand>; NUM_PORTS] = [None; NUM_PORTS];
-            #[allow(clippy::needless_range_loop)] // in_port also keys sa_in_ptr
-            for in_port in 0..NUM_PORTS {
-                let reqs: Vec<(u64, usize)> = sa_scratch
-                    .iter()
-                    .filter(|c| c.in_port == in_port)
-                    .map(|c| (c.prio_in, c.in_vc))
-                    .collect();
-                if reqs.is_empty() {
+                if requested_out == 0 {
                     continue;
                 }
-                let Some(w) = arbitrate_rr(&reqs, v, &mut r.sa_in_ptr[in_port]) else {
-                    debug_assert!(false, "non-empty request set yields an SA_in winner");
-                    continue;
-                };
-                let win_vc = reqs[w].1;
-                sa_in_winners[in_port] = sa_scratch
-                    .iter()
-                    .find(|c| c.in_port == in_port && c.in_vc == win_vc)
-                    .copied();
-            }
-            // SA_out: one winner per output port among the SA_in winners.
-            // `moved` collects the input-VC slots that won the crossbar
-            // this cycle, feeding the starvation observer's wait counters.
-            let mut moved: u64 = 0;
-            for out_port in 0..NUM_PORTS {
-                let reqs: Vec<(u64, usize)> = sa_in_winners
-                    .iter()
-                    .flatten()
-                    .filter(|c| c.out_port == out_port)
-                    .map(|c| (c.prio_out, c.in_port))
-                    .collect();
-                if reqs.is_empty() {
-                    continue;
-                }
-                let Some(w) = arbitrate_rr(&reqs, NUM_PORTS, &mut r.sa_out_ptr[out_port]) else {
-                    debug_assert!(false, "non-empty request set yields an SA_out winner");
-                    continue;
-                };
-                let Some(win) = sa_in_winners[reqs[w].1] else {
-                    debug_assert!(false, "SA_out request indexes a populated SA_in winner");
-                    continue;
-                };
-                moved |= 1u64 << (win.in_port * v + win.in_vc);
-                // ST: move the flit.
-                let ivc = &mut r.inputs[win.in_port][win.in_vc];
-                let Some(mut flit) = ivc.buf.pop_front() else {
-                    debug_assert!(false, "SA winner holds a buffered flit");
-                    continue;
-                };
-                let is_tail = flit.kind.is_tail();
-                if let Some(a) = analysis.as_mut() {
-                    a.link_flits[r_idx][win.out_port] += 1;
-                    if a.watch == Some(flit.info.id) && win.out_port != PORT_LOCAL {
-                        a.journey.push((
-                            cycle,
-                            JourneyEvent::Forwarded {
-                                router: r.id,
-                                port: win.out_port,
-                            },
-                        ));
-                    }
-                }
-                if win.out_port == PORT_LOCAL {
-                    // Keyed by destination *node* (== router index except
-                    // under concentration, where several NIs share a router).
-                    eject_q.push((flit.info.dst as usize, flit));
-                } else {
-                    flit.hops += 1;
-                    r.take_credit(win.out_port, win.out_vc);
-                    let nb = Self::neighbor(cfg, r_idx, win.out_port);
-                    let in_port = opposite(win.out_port);
-                    let mut arrive = cycle + 1;
-                    if let Some(fs) = fault.as_deref_mut() {
-                        if fs.corrupts() {
-                            // Link-level ARQ, resolved at send time: the
-                            // deterministic draw says how many CRC-failed
-                            // attempts precede the clean one; each failure
-                            // costs one nack/replay round trip. The flit
-                            // stays in `in_flight` (its credit held) for the
-                            // whole exchange, and a per-slot FIFO floor
-                            // keeps retransmitted flits from being overtaken
-                            // within their link slot.
-                            let k = fs.send_attempts(flit.info.id, flit.seq, r_idx, win.out_port);
-                            if k > 1 {
-                                stats.flits_retransmitted += u64::from(k - 1);
-                                arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
-                            }
-                            let slot = FaultState::slot(cfg, nb, in_port, win.out_vc);
-                            arrive = arrive.max(fs.last_arrival[slot] + 1);
-                            fs.last_arrival[slot] = arrive;
+                // SA_out: one winner per requested output port among the
+                // SA_in winners. `moved` collects the input-VC slots that
+                // won the crossbar this cycle, feeding the starvation
+                // observer's wait counters.
+                let mut moved: u64 = 0;
+                for out_port in set_bits(requested_out) {
+                    let mut k = 0;
+                    for c in sa_in_winners.iter().flatten() {
+                        if c.out_port == out_port {
+                            reqs[k] = (c.prio_out, c.in_port);
+                            k += 1;
                         }
                     }
-                    in_flight.push(InFlight {
-                        dst_router: nb,
-                        in_port,
-                        vc: win.out_vc,
-                        arrive,
-                        flit,
-                    });
-                }
-                if win.in_port != PORT_LOCAL {
-                    let up = Self::neighbor(cfg, r_idx, win.in_port);
-                    credit_q.push((up, opposite(win.in_port), win.in_vc));
-                }
-                if is_tail {
-                    r.release_out_vc(win.out_port, win.out_vc);
-                    let ivc = &mut r.inputs[win.in_port][win.in_vc];
-                    debug_assert!(
-                        ivc.buf.is_empty(),
-                        "atomic VC violated: flits behind a tail"
-                    );
-                    ivc.state = VcState::Idle;
-                    ivc.holder = None;
-                    r.note_vc_freed(win.in_port, win.in_vc);
-                    Self::mark_active(dirty_mask, r_idx);
-                    if r.occ_vcs == 0 {
-                        Self::mark_inactive(active_mask, r_idx);
+                    let Some(w) = arbitrate_rr(&reqs[..k], NUM_PORTS, &mut r.sa_out_ptr[out_port])
+                    else {
+                        debug_assert!(false, "non-empty request set yields an SA_out winner");
+                        continue;
+                    };
+                    let Some(win) = sa_in_winners[reqs[w].1] else {
+                        debug_assert!(false, "SA_out request indexes a populated SA_in winner");
+                        continue;
+                    };
+                    moved |= r.vc_bit(win.in_port, win.in_vc);
+                    // ST: move the flit.
+                    let Some(mut flit) = r.pop_flit(win.in_port, win.in_vc) else {
+                        debug_assert!(false, "SA winner holds a buffered flit");
+                        continue;
+                    };
+                    let is_tail = flit.kind.is_tail();
+                    if let Some(a) = analysis.as_mut() {
+                        a.link_flits[r_idx][win.out_port] += 1;
+                        if a.watch == Some(flit.info.id) && win.out_port != PORT_LOCAL {
+                            a.journey.push((
+                                cycle,
+                                JourneyEvent::Forwarded {
+                                    router: r.id,
+                                    port: win.out_port,
+                                },
+                            ));
+                        }
                     }
-                    if let Some(o) = oracle.as_deref_mut() {
-                        o.note_occupancy(r.id, win.in_port, win.in_vc, false, cycle);
+                    if win.out_port == PORT_LOCAL {
+                        // Keyed by destination *node* (== router index except
+                        // under concentration, where several NIs share a
+                        // router).
+                        eject_q.push((flit.info.dst as usize, flit));
+                    } else {
+                        flit.hops += 1;
+                        r.take_credit(win.out_port, win.out_vc);
+                        let nb = Self::neighbor(cfg, r_idx, win.out_port);
+                        let in_port = opposite(win.out_port);
+                        let mut arrive = cycle + 1;
+                        if let Some(fs) = fault.as_deref_mut() {
+                            if fs.corrupts() {
+                                // Link-level ARQ, resolved at send time: the
+                                // deterministic draw says how many CRC-failed
+                                // attempts precede the clean one; each
+                                // failure costs one nack/replay round trip.
+                                // The flit stays in `in_flight` (its credit
+                                // held) for the whole exchange, and a
+                                // per-slot FIFO floor keeps retransmitted
+                                // flits from being overtaken within their
+                                // link slot.
+                                let k =
+                                    fs.send_attempts(flit.info.id, flit.seq, r_idx, win.out_port);
+                                if k > 1 {
+                                    stats.flits_retransmitted += u64::from(k - 1);
+                                    arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
+                                }
+                                let slot = FaultState::slot(cfg, nb, in_port, win.out_vc);
+                                arrive = arrive.max(fs.last_arrival[slot] + 1);
+                                fs.last_arrival[slot] = arrive;
+                            }
+                        }
+                        in_flight.push(InFlight {
+                            dst_router: nb,
+                            in_port,
+                            vc: win.out_vc,
+                            arrive,
+                            flit,
+                        });
                     }
+                    if win.in_port != PORT_LOCAL {
+                        let up = Self::neighbor(cfg, r_idx, win.in_port);
+                        credit_q.push((up, opposite(win.in_port), win.in_vc));
+                    }
+                    if is_tail {
+                        debug_assert!(
+                            r.ivc(win.in_port, win.in_vc).is_empty(),
+                            "atomic VC violated: flits behind a tail"
+                        );
+                        r.release_out_vc(win.out_port, win.out_vc);
+                        r.note_vc_freed(win.in_port, win.in_vc);
+                        Self::mark_active(dirty_mask, r_idx);
+                        if r.occ_bits == 0 {
+                            Self::mark_inactive(active_mask, r_idx);
+                        }
+                        if let Some(o) = oracle.as_deref_mut() {
+                            o.note_occupancy(r.id, win.in_port, win.in_vc, false, cycle);
+                        }
+                    }
+                    stats.last_progress = cycle;
                 }
-                stats.last_progress = cycle;
-            }
-            // Starvation observer: advance the per-VC head-of-line wait
-            // counters. Any routed (Active) VC with a buffered head flit
-            // that failed to move this cycle waited one more — whether it
-            // lost arbitration or was credit-starved by a standing foreign
-            // backlog; a crossbar winner starts fresh (its next head flit
-            // begins a new wait). Gated on the oracle being attached so
-            // the un-observed kernel stays untouched.
-            if oracle.is_some() {
-                for (port, vcs) in r.inputs.iter().enumerate() {
-                    for (vc, ivc) in vcs.iter().enumerate() {
-                        let slot = port * v + vc;
+                // Starvation observer: advance the per-VC head-of-line wait
+                // counters. Any routed (Active) VC with a buffered head
+                // flit that failed to move this cycle waited one more —
+                // whether it lost arbitration or was credit-starved by a
+                // standing foreign backlog; a crossbar winner starts fresh
+                // (its next head flit begins a new wait). The counter of a
+                // VC that is not Active is already zero, so the VCs served
+                // above (a departed tail's among them) are the only ones to
+                // visit. Gated on the oracle being attached so the
+                // un-observed kernel stays untouched.
+                if oracle.is_some() {
+                    for slot in set_bits(served) {
+                        let (port, vc) = r.port_vc(slot);
+                        let ivc = r.ivc(port, vc);
                         let waiting =
-                            matches!(ivc.state, VcState::Active { .. }) && !ivc.buf.is_empty();
+                            matches!(ivc.state(), VcState::Active { .. }) && !ivc.is_empty();
                         r.arb_wait[slot] = if moved & (1u64 << slot) != 0 || !waiting {
                             0
                         } else {
@@ -1217,7 +1228,8 @@ impl Network {
 
     /// VA: VA_in (each routed input VC picks one request; `congestion` is
     /// the previous-cycle view adaptive routing reads) then VA_out (one
-    /// winner per contested output VC). Router-local.
+    /// winner per contested output VC), sorted and grouped in a stack
+    /// array. Router-local.
     fn va_phase(&mut self) {
         let Network {
             cfg,
@@ -1226,42 +1238,43 @@ impl Network {
             policy,
             routers,
             congestion,
-            va_scratch,
             stats,
+            active_mask,
             force_exhaustive,
             ..
         } = self;
-        let force_exhaustive = *force_exhaustive;
+        let exhaustive = *force_exhaustive;
+        let n = routers.len();
         let v = cfg.vcs_per_port();
-        let port_mask = low_bits(v);
-        for r in routers.iter_mut() {
-            if !force_exhaustive && r.occ_vcs == 0 {
-                stats.router_cycles_skipped += 1;
-                continue;
-            }
-            // Shared pass: VA_in — each routed input VC picks one request.
-            // Routed ⇒ occupied, so occ_bits enumeration is exact.
-            va_scratch.clear();
-            let occ_snapshot = if force_exhaustive {
-                r.valid_vc_mask()
-            } else {
-                r.occ_bits
-            };
-            for in_port in 0..NUM_PORTS {
-                let mut pb = (occ_snapshot >> (in_port * v)) & port_mask;
-                while pb != 0 {
-                    let in_vc = pb.trailing_zeros() as usize;
-                    pb &= pb - 1;
-                    let ivc = &r.inputs[in_port][in_vc];
+        if !exhaustive {
+            stats.router_cycles_skipped += unset(active_mask, n);
+        }
+        // On-stack request sets, reused by every router of the phase.
+        let mut va = [VaReq::default(); MAX_SLOTS];
+        let mut reqs = [(0u64, 0usize); MAX_SLOTS];
+        for w in 0..active_mask.len() {
+            for b in set_bits(visit_word(active_mask, w, n, exhaustive)) {
+                let r = &mut routers[w * 64 + b];
+                // Shared pass: VA_in — each Routed input VC picks one
+                // request.
+                let served = if exhaustive {
+                    r.valid_vc_mask()
+                } else {
+                    r.routed_bits
+                };
+                let mut k = 0;
+                for slot in set_bits(served) {
+                    let inp = r.port_vc(slot);
+                    let ivc = r.ivc(inp.0, inp.1);
                     let VcState::Routed {
                         adaptive,
                         escape,
                         escape_lane,
-                    } = ivc.state
+                    } = ivc.state()
                     else {
                         continue;
                     };
-                    let Some(head) = ivc.buf.front() else {
+                    let Some(head) = ivc.front() else {
                         debug_assert!(false, "routed VC holds its head flit");
                         continue;
                     };
@@ -1281,52 +1294,30 @@ impl Network {
                         escape,
                         escape_lane,
                     );
-                    if let Some((out_port, out_vc)) = request {
-                        let prio =
-                            policy.priority(ArbStage::VaOut, r, Some(cfg.vc_class(out_vc)), &req);
-                        va_scratch.push(VaReq {
-                            out_port,
-                            out_vc,
-                            in_port,
-                            in_vc,
-                            prio,
-                        });
+                    if let Some(out) = request {
+                        let class = Some(cfg.vc_class(out.1));
+                        let prio = policy.priority(ArbStage::VaOut, r, class, &req);
+                        va[k] = VaReq { out, inp, prio };
+                        k += 1;
                     }
                 }
-            }
-            if va_scratch.is_empty() {
-                continue;
-            }
-            // VA_out: arbitrate per contested output VC.
-            va_scratch.sort_unstable_by_key(|q| (q.out_port, q.out_vc));
-            let mut i = 0;
-            while i < va_scratch.len() {
-                let (op, ovc) = (va_scratch[i].out_port, va_scratch[i].out_vc);
-                let mut j = i;
-                while j < va_scratch.len()
-                    && va_scratch[j].out_port == op
-                    && va_scratch[j].out_vc == ovc
-                {
-                    j += 1;
+                // VA_out: arbitrate per contested output VC.
+                let va = &mut va[..k];
+                va.sort_unstable_by_key(|q| q.out);
+                for group in va.chunk_by(|a, b| a.out == b.out) {
+                    for (req, q) in reqs.iter_mut().zip(group) {
+                        *req = (q.prio, r.slot(q.inp.0, q.inp.1));
+                    }
+                    let (out_port, out_vc) = group[0].out;
+                    let ptr = &mut r.va_ptr[out_port * v + out_vc];
+                    let Some(w) = arbitrate_rr(&reqs[..group.len()], NUM_PORTS * v, ptr) else {
+                        debug_assert!(false, "non-empty request group yields a VA winner");
+                        continue;
+                    };
+                    let (in_port, in_vc) = group[w].inp;
+                    r.alloc_out_vc(out_port, out_vc, (in_port, in_vc));
+                    r.set_vc_state(in_port, in_vc, VcState::Active { out_port, out_vc });
                 }
-                let group = &va_scratch[i..j];
-                let reqs: Vec<(u64, usize)> = group
-                    .iter()
-                    .map(|q| (q.prio, q.in_port * v + q.in_vc))
-                    .collect();
-                let ptr = &mut r.va_ptr[op * v + ovc];
-                let Some(w) = arbitrate_rr(&reqs, NUM_PORTS * v, ptr) else {
-                    debug_assert!(false, "non-empty request group yields a VA winner");
-                    i = j;
-                    continue;
-                };
-                let win = group[w];
-                r.alloc_out_vc(op, ovc, (win.in_port, win.in_vc));
-                r.inputs[win.in_port][win.in_vc].state = VcState::Active {
-                    out_port: op,
-                    out_vc: ovc,
-                };
-                i = j;
             }
         }
     }
@@ -1415,74 +1406,67 @@ impl Network {
             routing,
             routers,
             stats,
+            active_mask,
             force_exhaustive,
             fault,
             ..
         } = self;
-        let force_exhaustive = *force_exhaustive;
+        let exhaustive = *force_exhaustive;
         // After a permanent fault, route from the verified degraded table;
         // heads with no surviving path stay Idle (parked) until the
         // stranded sweep extracts them.
         let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
-        let v = cfg.vcs_per_port();
-        let port_mask = low_bits(v);
-        for (r_idx, r) in routers.iter_mut().enumerate() {
-            if !force_exhaustive && r.occ_vcs == 0 {
-                stats.router_cycles_skipped += 1;
-                continue;
-            }
-            let cur = r.coord;
-            // A head awaiting RC sits in an occupied idle VC, so occ_bits
-            // enumeration is exact.
-            let occ_snapshot = if force_exhaustive {
-                r.valid_vc_mask()
-            } else {
-                r.occ_bits
-            };
-            for in_port in 0..NUM_PORTS {
-                let mut pb = (occ_snapshot >> (in_port * v)) & port_mask;
-                while pb != 0 {
-                    let in_vc = pb.trailing_zeros() as usize;
-                    pb &= pb - 1;
-                    let ivc = &mut r.inputs[in_port][in_vc];
-                    if ivc.state != VcState::Idle {
+        let n = routers.len();
+        if !exhaustive {
+            stats.router_cycles_skipped += unset(active_mask, n);
+        }
+        for w in 0..active_mask.len() {
+            for b in set_bits(visit_word(active_mask, w, n, exhaustive)) {
+                let r_idx = w * 64 + b;
+                let r = &mut routers[r_idx];
+                let cur = r.coord;
+                // A head awaiting RC sits in an occupied VC that is neither
+                // Routed nor Active.
+                let served = if exhaustive {
+                    r.valid_vc_mask()
+                } else {
+                    r.occ_bits & !(r.routed_bits | r.active_bits)
+                };
+                for slot in set_bits(served) {
+                    let (in_port, in_vc) = r.port_vc(slot);
+                    let ivc = r.ivc(in_port, in_vc);
+                    if ivc.state() != VcState::Idle {
                         continue;
                     }
-                    let Some(front) = ivc.buf.front() else {
+                    let Some(front) = ivc.front() else {
                         continue;
                     };
                     debug_assert!(
                         front.kind.is_head(),
                         "idle VC front flit must be a head (atomic VCs)"
                     );
-                    let dst = cfg.coord_of(front.info.dst);
-                    if let Some(t) = degraded {
-                        let (s, d) = (r_idx, front.info.dst as usize);
-                        if !t.routable(s, d) {
-                            continue; // parked (dead router / severed pair)
+                    let dst_node = front.info.dst;
+                    let dst = cfg.coord_of(dst_node);
+                    let routed = if dst == cur {
+                        if degraded.is_some_and(|t| !t.routable(r_idx, dst_node as usize)) {
+                            continue; // parked (dead router)
                         }
-                        ivc.state = if dst == cur {
-                            VcState::Routed {
-                                adaptive: [Some(PORT_LOCAL), None],
-                                escape: PORT_LOCAL,
-                                escape_lane: 0,
-                            }
-                        } else {
-                            let Some(escape) = t.esc_at(s, d) else {
-                                continue;
-                            };
-                            VcState::Routed {
-                                adaptive: t.adap_at(s, d),
-                                escape,
-                                escape_lane: 0,
-                            }
-                        };
-                        continue;
-                    }
-                    ivc.state = if dst == cur {
                         VcState::Routed {
                             adaptive: [Some(PORT_LOCAL), None],
                             escape: PORT_LOCAL,
+                            escape_lane: 0,
+                        }
+                    } else if let Some(t) = degraded {
+                        let (s, d) = (r_idx, dst_node as usize);
+                        if !t.routable(s, d) {
+                            continue; // parked (dead router / severed pair)
+                        }
+                        let Some(escape) = t.esc_at(s, d) else {
+                            continue;
+                        };
+                        VcState::Routed {
+                            adaptive: t.adap_at(s, d),
+                            escape,
                             escape_lane: 0,
                         }
                     } else {
@@ -1495,6 +1479,7 @@ impl Network {
                             escape_lane: hops.escape_lane,
                         }
                     };
+                    r.set_vc_state(in_port, in_vc, routed);
                 }
             }
         }
@@ -1575,7 +1560,7 @@ impl Network {
                     o.note_inject(ev.app, cycle);
                 }
                 if ev.head {
-                    // try_inject bumped the router's occupancy counters.
+                    // try_inject marked the local VC occupied.
                     Self::mark_active(active_mask, r_idx);
                     Self::mark_active(dirty_mask, r_idx);
                     stats.injected_packets[ev.app as usize] += 1;
@@ -1616,27 +1601,30 @@ impl Network {
             ..
         } = self;
         let may_skip = !*force_exhaustive && analysis.is_none() && *policy_idempotent;
-        for (r, cong) in routers.iter_mut().zip(congestion.iter_mut()) {
-            if may_skip && !r.occ_dirty {
-                stats.state_updates_skipped += 1;
-                continue;
-            }
-            r.occ_dirty = false;
-            let (n, f) = r.count_occupancy();
-            r.ovc_native = n;
-            r.ovc_foreign = f;
-            policy.update_router(r, *cycle);
-            *cong = r.adaptive_occupancy(cfg);
-            if let Some(a) = analysis.as_mut() {
-                a.occ_native += n as u64;
-                a.occ_foreign += f as u64;
-                let (reg, glob) = r.tag_occupancy(cfg);
-                a.occ_regional += reg as u64;
-                a.occ_global += glob as u64;
+        let n = routers.len();
+        if may_skip {
+            stats.state_updates_skipped += unset(dirty_mask, n);
+        }
+        for w in 0..dirty_mask.len() {
+            let word = visit_word(dirty_mask, w, n, !may_skip);
+            // Clean between ticks — the fast-forward precondition.
+            dirty_mask[w] = 0;
+            for b in set_bits(word) {
+                let r = &mut routers[w * 64 + b];
+                let (native, foreign) = r.count_occupancy();
+                r.ovc_native = native;
+                r.ovc_foreign = foreign;
+                policy.update_router(r, *cycle);
+                congestion[w * 64 + b] = r.adaptive_occupancy();
+                if let Some(a) = analysis.as_mut() {
+                    a.occ_native += native as u64;
+                    a.occ_foreign += foreign as u64;
+                    let (reg, glob) = r.tag_occupancy(cfg);
+                    a.occ_regional += reg as u64;
+                    a.occ_global += glob as u64;
+                }
             }
         }
-        // Clean between ticks — the fast-forward precondition.
-        dirty_mask.iter_mut().for_each(|w| *w = 0);
     }
 
     // ------------------------------------------------------------- queries

@@ -6,7 +6,6 @@ use crate::config::SimConfig;
 use crate::flit::{Flit, PacketInfo};
 use crate::ids::{MsgClass, NodeId, PORT_LOCAL};
 use crate::router::Router;
-use crate::vc::VcState;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -40,12 +39,18 @@ impl PartialOrd for PendingReply {
     }
 }
 
-/// A packet mid-injection: remaining flits and the local VC they stream into.
+/// A packet mid-injection: the local VC its flits stream into and the next
+/// flit to materialise.
 #[derive(Debug)]
 struct InjectProgress {
     vc: usize,
-    flits: VecDeque<Flit>,
+    info: PacketInfo,
+    next_seq: u32,
 }
+
+/// Source-queue and reply-heap entries reserved per NI at construction, so
+/// below saturation the queues never grow (and so never allocate) mid-run.
+const NI_QUEUE_RESERVE: usize = 32;
 
 /// One node's network interface.
 #[derive(Debug)]
@@ -71,11 +76,13 @@ impl Node {
     pub fn new(cfg: &SimConfig, id: NodeId) -> Self {
         Self {
             id,
-            src_q: (0..cfg.num_classes).map(|_| VecDeque::new()).collect(),
+            src_q: (0..cfg.num_classes)
+                .map(|_| VecDeque::with_capacity(NI_QUEUE_RESERVE))
+                .collect(),
             inject: None,
             class_rr: 0,
             vc_rr: 0,
-            replies: BinaryHeap::new(),
+            replies: BinaryHeap::with_capacity(NI_QUEUE_RESERVE),
             retries: Vec::new(),
         }
     }
@@ -205,7 +212,9 @@ impl Node {
     /// Flits queued at the NI that already left the source queues (belong to
     /// the packet mid-injection).
     pub fn inflight_inject_flits(&self) -> usize {
-        self.inject.as_ref().map_or(0, |p| p.flits.len())
+        self.inject
+            .as_ref()
+            .map_or(0, |p| (p.info.size - p.next_seq) as usize)
     }
 
     /// Find an injectable local input VC for a packet of `class`: idle,
@@ -214,10 +223,7 @@ impl Node {
     /// at the injection port — the dateline lane only constrains the
     /// *output* VC a routed head may request).
     fn pick_vc(&mut self, cfg: &SimConfig, router: &Router, class: MsgClass) -> Option<usize> {
-        let usable = |vc: usize| {
-            let ivc = &router.inputs[PORT_LOCAL][vc];
-            ivc.state == VcState::Idle && ivc.buf.is_empty() && ivc.holder.is_none()
-        };
+        let usable = |vc: usize| router.occ_bits & router.vc_bit(PORT_LOCAL, vc) == 0;
         let n_adaptive = cfg.adaptive_vcs;
         let base = cfg.num_escape_vcs();
         for k in 0..n_adaptive {
@@ -252,7 +258,8 @@ impl Node {
                     info.inject = cycle;
                     self.inject = Some(InjectProgress {
                         vc,
-                        flits: Flit::flits_of(info).collect(),
+                        info,
+                        next_seq: 0,
                     });
                     self.class_rr = (c + 1) % cfg.num_classes;
                     break;
@@ -260,8 +267,8 @@ impl Node {
             }
         }
         if let Some(p) = &mut self.inject {
-            if router.inputs[PORT_LOCAL][p.vc].buf.len() < cfg.vc_depth {
-                let flit = p.flits.pop_front().expect("inject progress non-empty");
+            if router.ivc(PORT_LOCAL, p.vc).len() < cfg.vc_depth {
+                let flit = Flit::nth(p.info, p.next_seq);
                 let ev = InjectedFlit {
                     head: flit.kind.is_head(),
                     app: flit.info.app,
@@ -269,12 +276,11 @@ impl Node {
                     vc: p.vc,
                 };
                 if ev.head {
-                    debug_assert!(!router.inputs[PORT_LOCAL][p.vc].occupied());
-                    router.inputs[PORT_LOCAL][p.vc].holder = Some(flit.info.app);
-                    router.note_vc_occupied(PORT_LOCAL, p.vc);
+                    router.note_vc_occupied(PORT_LOCAL, p.vc, flit.info.app);
                 }
-                router.inputs[PORT_LOCAL][p.vc].buf.push_back(flit);
-                if p.flits.is_empty() {
+                router.push_flit(PORT_LOCAL, p.vc, flit);
+                p.next_seq += 1;
+                if p.next_seq == p.info.size {
                     self.inject = None;
                 }
                 return Some(ev);
@@ -336,10 +342,14 @@ mod tests {
         assert_eq!(node.backlog(), 0);
         // All five flits went into a single VC (wormhole/atomic).
         let occupied: Vec<usize> = (0..c.vcs_per_port())
-            .filter(|&v| !router.inputs[PORT_LOCAL][v].buf.is_empty())
+            .filter(|&v| !router.ivc(PORT_LOCAL, v).is_empty())
             .collect();
         assert_eq!(occupied.len(), 1);
-        assert_eq!(router.inputs[PORT_LOCAL][occupied[0]].buf.len(), 5);
+        let vc = router.ivc(PORT_LOCAL, occupied[0]);
+        assert_eq!(vc.len(), 5);
+        // Materialised on demand, the flits are the ones `flits_of` lists.
+        let info = vc.front().unwrap().info;
+        assert!(vc.flits().copied().eq(Flit::flits_of(info)));
     }
 
     #[test]
@@ -349,7 +359,7 @@ mod tests {
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
         // Occupy every local VC.
         for vc in 0..c.vcs_per_port() {
-            router.inputs[PORT_LOCAL][vc].holder = Some(9);
+            router.note_vc_occupied(PORT_LOCAL, vc, 9);
         }
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, 0).is_none());
@@ -364,7 +374,7 @@ mod tests {
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, 0).is_some());
         let esc = c.escape_vc(0);
-        assert!(router.inputs[PORT_LOCAL][esc].buf.is_empty());
+        assert!(router.ivc(PORT_LOCAL, esc).is_empty());
     }
 
     #[test]
@@ -373,11 +383,11 @@ mod tests {
         let mut node = Node::new(&c, 0);
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
         for vc in c.adaptive_vc_range() {
-            router.inputs[PORT_LOCAL][vc].holder = Some(9);
+            router.note_vc_occupied(PORT_LOCAL, vc, 9);
         }
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, 0).is_some());
-        assert_eq!(router.inputs[PORT_LOCAL][c.escape_vc(0)].buf.len(), 1);
+        assert_eq!(router.ivc(PORT_LOCAL, c.escape_vc(0)).len(), 1);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! the network legitimately and are added back into the balance.
 
 use super::{Checker, OracleViolation};
-use crate::ids::AppId;
+use crate::ids::{AppId, NUM_PORTS};
 use crate::network::Network;
+use crate::vc::VcView;
 
 /// Counts injections and ejections per application from the hooks and
 /// reconciles them against an exhaustive scan of every flit still inside
@@ -60,11 +61,9 @@ impl Checker for FlitConservation {
             self.scratch[i] += 1;
         };
         for r in &net.routers {
-            for vcs in &r.inputs {
-                for ivc in vcs {
-                    for f in &ivc.buf {
-                        count(f.info.app);
-                    }
+            for port in 0..NUM_PORTS {
+                for f in r.ivcs(port).flat_map(VcView::flits) {
+                    count(f.info.app);
                 }
             }
         }

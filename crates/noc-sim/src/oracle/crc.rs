@@ -10,6 +10,7 @@
 
 use super::{Checker, OracleViolation};
 use crate::flit::crc16;
+use crate::ids::NUM_PORTS;
 use crate::network::Network;
 
 /// End-of-cycle scan over every input-VC buffer verifying
@@ -24,9 +25,9 @@ impl Checker for CrcIntegrity {
 
     fn end_of_cycle(&mut self, net: &Network, out: &mut Vec<OracleViolation>) {
         for (r, router) in net.routers.iter().enumerate() {
-            for (port, vcs) in router.inputs.iter().enumerate() {
-                for (vc, ivc) in vcs.iter().enumerate() {
-                    for f in &ivc.buf {
+            for port in 0..NUM_PORTS {
+                for (vc, ivc) in router.ivcs(port).enumerate() {
+                    for f in ivc.flits() {
                         if crc16(f.payload) != f.crc {
                             out.push(OracleViolation {
                                 cycle: net.cycle(),

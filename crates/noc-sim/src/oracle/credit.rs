@@ -10,7 +10,7 @@ use crate::topology::has_link;
 /// port), the exact invariant between pipeline phases is
 ///
 /// ```text
-/// r.credits[p][v] + d.inputs[q][v].buf.len()
+/// r.credits(p, v) + d.ivc(q, v).len()
 ///   + #{in-flight flits destined to (d, q, v)}
 ///   + #{queued credit returns for (r, p, v)}   == vc_depth
 /// ```
@@ -53,8 +53,8 @@ impl Checker for CreditConservation {
                 let d = Network::neighbor(cfg, i, p);
                 let q = opposite(p);
                 for vc in 0..v {
-                    let sum = r.credits[p][vc]
-                        + net.routers[d].inputs[q][vc].buf.len()
+                    let sum = r.credits(p, vc)
+                        + net.routers[d].ivc(q, vc).len()
                         + self.in_flight[idx(d, q, vc)] as usize
                         + self.queued_credits[idx(i, p, vc)] as usize;
                     if sum != cfg.vc_depth {
@@ -65,8 +65,8 @@ impl Checker for CreditConservation {
                             detail: format!(
                                 "link ({i} --{p}--> {d}) vc {vc}: credits {} + downstream buf {} \
                                  + in-flight {} + queued credits {} = {sum} != depth {}",
-                                r.credits[p][vc],
-                                net.routers[d].inputs[q][vc].buf.len(),
+                                r.credits(p, vc),
+                                net.routers[d].ivc(q, vc).len(),
                                 self.in_flight[idx(d, q, vc)],
                                 self.queued_credits[idx(i, p, vc)],
                                 cfg.vc_depth

@@ -57,9 +57,9 @@ impl DeadlockWatch {
         // Functional graph: at most one successor per slot.
         let mut next = vec![usize::MAX; slots];
         for (i, r) in net.routers.iter().enumerate() {
-            for (port, vcs) in r.inputs.iter().enumerate() {
-                for (vc, ivc) in vcs.iter().enumerate() {
-                    let VcState::Active { out_port, out_vc } = ivc.state else {
+            for port in 0..NUM_PORTS {
+                for (vc, ivc) in r.ivcs(port).enumerate() {
+                    let VcState::Active { out_port, out_vc } = ivc.state() else {
                         continue;
                     };
                     if out_port == PORT_LOCAL || !ivc.occupied() {

@@ -61,8 +61,8 @@ impl Checker for StarvationWatch {
     fn end_of_cycle(&mut self, net: &Network, out: &mut Vec<OracleViolation>) {
         let v = self.vcs_per_port;
         for (i, r) in net.routers.iter().enumerate() {
-            for (port, vcs) in r.inputs.iter().enumerate() {
-                for (vc, ivc) in vcs.iter().enumerate() {
+            for port in 0..NUM_PORTS {
+                for (vc, ivc) in r.ivcs(port).enumerate() {
                     let slot = port * v + vc;
                     let wait = u64::from(r.arb_wait[slot]);
                     let global = i * NUM_PORTS * v + slot;
@@ -73,10 +73,10 @@ impl Checker for StarvationWatch {
                     if self.reported[global] {
                         continue;
                     }
-                    let VcState::Active { out_port, out_vc } = ivc.state else {
+                    let VcState::Active { out_port, out_vc } = ivc.state() else {
                         continue;
                     };
-                    let Some(head) = ivc.buf.front() else {
+                    let Some(head) = ivc.front() else {
                         continue;
                     };
                     if !r.is_native(head.info.app) {

@@ -1,7 +1,8 @@
 //! Wormhole contiguity: per-VC flit ordering, the single-holder rule of
-//! atomic VCs, and the consistency of the incremental occupancy summary.
+//! atomic VCs, and the consistency of the incremental bookkeeping.
 
 use super::{Checker, OracleViolation};
+use crate::ids::NUM_PORTS;
 use crate::network::Network;
 use crate::vc::VcState;
 
@@ -15,9 +16,12 @@ use crate::vc::VcState;
 /// * a VC that has not yet been switch-allocated still holds its head flit
 ///   at the front (flits never overtake within a packet),
 /// * buffer depth and credit counters stay within `vc_depth`,
-/// * the incremental occupancy summary (`occ_port`/`occ_vcs`) and the
+/// * every router's incremental bookkeeping — the seven bitmaps, the ring
+///   cursors, the holder tags ([`Router::bookkeeping_drift`]) — and the
 ///   network's active bitmask agree with an exhaustive recount — the
-///   soundness condition of the active-set fast path.
+///   soundness condition of the mask-driven fast path.
+///
+/// [`Router::bookkeeping_drift`]: crate::router::Router::bookkeeping_drift
 #[derive(Debug, Default)]
 pub struct WormholeContiguity;
 
@@ -38,35 +42,24 @@ impl Checker for WormholeContiguity {
             });
         };
         for (i, r) in net.routers.iter().enumerate() {
-            for (port, vcs) in r.inputs.iter().enumerate() {
-                for (vc, ivc) in vcs.iter().enumerate() {
+            for port in 0..NUM_PORTS {
+                for (vc, ivc) in r.ivcs(port).enumerate() {
                     let at = |what: &str| format!("input ({port}, {vc}): {what}");
-                    if ivc.occupied() != ivc.holder.is_some() {
-                        flag(
-                            r.id,
-                            at(&format!(
-                                "holder {:?} disagrees with occupancy {}",
-                                ivc.holder,
-                                ivc.occupied()
-                            )),
-                        );
-                    }
-                    if ivc.buf.len() > cfg.vc_depth {
-                        flag(r.id, at(&format!("buffer holds {} flits", ivc.buf.len())));
-                    }
-                    if r.credits[port][vc] > cfg.vc_depth {
-                        flag(r.id, at(&format!("credit counter {}", r.credits[port][vc])));
+                    if r.credits(port, vc) > cfg.vc_depth {
+                        flag(r.id, at(&format!("credit counter {}", r.credits(port, vc))));
                     }
                     let mut prev_seq = None;
-                    for f in &ivc.buf {
-                        if Some(f.info.app) != ivc.holder
-                            || ivc.buf.front().map(|h| h.info.id) != Some(f.info.id)
+                    for f in ivc.flits() {
+                        if Some(f.info.app) != ivc.holder()
+                            || ivc.front().map(|h| h.info.id) != Some(f.info.id)
                         {
                             flag(
                                 r.id,
                                 at(&format!(
                                     "flit of packet {} (app {}) in a VC held by {:?}",
-                                    f.info.id, f.info.app, ivc.holder
+                                    f.info.id,
+                                    f.info.app,
+                                    ivc.holder()
                                 )),
                             );
                         }
@@ -91,8 +84,8 @@ impl Checker for WormholeContiguity {
                         }
                     }
                     // Until switch allocation, the head must lead the buffer.
-                    if ivc.state == VcState::Idle || matches!(ivc.state, VcState::Routed { .. }) {
-                        if let Some(front) = ivc.buf.front() {
+                    if !matches!(ivc.state(), VcState::Active { .. }) {
+                        if let Some(front) = ivc.front() {
                             if !front.kind.is_head() {
                                 flag(
                                     r.id,
@@ -106,16 +99,10 @@ impl Checker for WormholeContiguity {
                     }
                 }
             }
-            let (per_port, total) = r.recount_occupancy_summary();
-            if per_port != r.occ_port || total != r.occ_vcs {
-                flag(
-                    r.id,
-                    format!(
-                        "occupancy summary {:?}/{} drifted from recount {:?}/{}",
-                        r.occ_port, r.occ_vcs, per_port, total
-                    ),
-                );
+            if let Some(drift) = r.bookkeeping_drift() {
+                flag(r.id, drift);
             }
+            let total = r.recount_bitsets()[0].count_ones();
             if net.router_is_active(i) != (total > 0) {
                 flag(
                     r.id,

@@ -2,19 +2,40 @@
 //!
 //! State only — the pipeline stages themselves are driven by
 //! [`crate::network::Network`], which owns all routers and moves flits
-//! between them. Each router holds:
+//! between them. Each router holds, flat and indexed by VC slot
+//! (`slot = port * vcs + vc`, the bit position in every bitmap):
 //!
-//! * per-input-port VC buffers and their pipeline state,
+//! * the input VCs' pipeline state and their flit FIFOs (fixed-depth rings
+//!   in one slab),
 //! * output-VC allocation table and credit counters toward downstream,
 //! * rotating-arbiter pointers for VA_out, SA_in and SA_out,
 //! * the DPA occupancy registers (`OVC_n`, `OVC_f`) and the hysteresis
 //!   priority bit of §IV.C — maintained generically, consumed by the RAIR
-//!   policy.
+//!   policy,
+//! * seven bitmaps summarising the above for the phases.
+//!
+//! Readers go through the accessors ([`Router::ivc`], [`Router::credits`],
+//! [`Router::out_alloc`]); every write goes through a method that keeps the
+//! bitmaps coherent, and [`Router::bookkeeping_drift`] is the slow recount
+//! they must always agree with.
 
 use crate::bits::low_bits;
 use crate::config::SimConfig;
+use crate::flit::{Flit, FlitKind, PacketInfo};
 use crate::ids::{AppId, Coord, NodeId, Port, APP_NONE, NUM_PORTS, PORT_LOCAL};
-use crate::vc::{InputVc, VcState};
+use crate::vc::{InputVc, VcState, VcTag, VcView};
+
+/// Names of the seven bitmaps, in the order [`Router::bitsets`] and
+/// [`Router::recount_bitsets`] return them.
+pub const BITSET_NAMES: [&str; 7] = [
+    "occ_bits",
+    "out_free",
+    "credits_full",
+    "credits_avail",
+    "native_bits",
+    "routed_bits",
+    "active_bits",
+];
 
 /// A single mesh router.
 #[derive(Debug)]
@@ -27,30 +48,33 @@ pub struct Router {
     /// unassigned). Packets whose app matches are native traffic here.
     pub app: AppId,
 
-    /// Input VCs, `inputs[port][vc]`.
-    pub inputs: Vec<Vec<InputVc>>,
-    /// Output-VC allocation: `out_alloc[port][vc] = Some((in_port, in_vc))`
-    /// while a packet holds the output VC.
-    pub out_alloc: Vec<Vec<Option<(Port, usize)>>>,
-    /// Credits toward the downstream input VC, `credits[port][vc]`.
-    /// The local (ejection) port has effectively infinite credit.
-    pub credits: Vec<Vec<usize>>,
+    /// Input VCs by slot.
+    inputs: Box<[InputVc]>,
+    /// Every input VC's flit ring: slot `s` owns
+    /// `slab[s * vc_depth..][..vc_depth]`.
+    slab: Box<[Flit]>,
+    /// Output-VC allocation by slot: `Some((in_port, in_vc))` while a
+    /// packet holds the output VC.
+    out_alloc: Box<[Option<(Port, usize)>]>,
+    /// Credits toward the downstream input VC, by slot. The local
+    /// (ejection) port has effectively infinite credit.
+    credits: Box<[usize]>,
 
-    /// VA_out rotating pointer, one per output VC (flattened `port*V+vc`),
-    /// rotating over input-VC keys (flattened `in_port*V+in_vc`).
-    pub va_ptr: Vec<usize>,
+    /// VA_out rotating pointer, one per output-VC slot, rotating over
+    /// input-VC slots.
+    pub(crate) va_ptr: Box<[usize]>,
     /// SA_in rotating pointer per input port (over VC indices).
-    pub sa_in_ptr: Vec<usize>,
+    pub(crate) sa_in_ptr: [usize; NUM_PORTS],
     /// SA_out rotating pointer per output port (over input-port indices).
-    pub sa_out_ptr: Vec<usize>,
+    pub(crate) sa_out_ptr: [usize; NUM_PORTS],
 
     /// Consecutive cycles each routed (Active) input VC has held a head
     /// flit without moving it through the crossbar — whether it lost
-    /// arbitration or was credit-starved — flattened `port * vcs + vc`.
-    /// Maintained by the SA phase only while the oracle observes the run
-    /// (`PhaseOut::record_notes`) — the starvation observer's raw signal,
-    /// never read by the kernel itself.
-    pub arb_wait: Vec<u32>,
+    /// arbitration or was credit-starved — by slot. Maintained by the SA
+    /// phase only while the oracle observes the run — the starvation
+    /// observer's raw signal, never read by the kernel itself. Nonzero only
+    /// for `Active` VCs.
+    pub(crate) arb_wait: Box<[u32]>,
 
     /// DPA register: occupied VCs holding native traffic (previous cycle).
     pub ovc_native: u32,
@@ -61,38 +85,40 @@ pub struct Router {
     /// (§IV.C case 3).
     pub dpa_native_high: bool,
 
-    // --- Active-set occupancy summary (maintained incrementally by the
-    // network at the only two occupancy transition points: head written
-    // into an empty idle VC, tail departed through the crossbar).
-    /// Occupied input VCs per input port.
-    pub occ_port: [u16; NUM_PORTS],
-    /// Total occupied input VCs (sum of `occ_port`). Zero ⇔ the router has
-    /// no RC/VA/SA work and the per-cycle kernel may skip it entirely.
-    pub occ_vcs: u16,
-    /// Set whenever a VC changed occupancy since the last per-cycle state
-    /// update; while clear, the DPA registers and the congestion export
-    /// cannot change, so the update may be skipped.
-    pub occ_dirty: bool,
-
-    // --- Bitset hot-path state. One bit per VC slot, flattened
-    // `port * vcs + vc` (config validation guarantees this fits in a u64).
-    // Maintained at the same transition points as the summaries above, so
-    // the oracle hooks double as coherence checkpoints.
-    /// VCs per port (cached from config; the bit-flattening stride).
+    /// VCs per port (cached from config; the slot stride).
     pub(crate) vcs: usize,
-    /// Downstream buffer depth (cached from config; full-credit threshold).
+    /// Downstream buffer depth (cached from config; full-credit threshold
+    /// and ring length).
     pub(crate) vc_depth: usize,
-    /// Bit set ⇔ the input VC is occupied. SA/VA/RC candidate enumeration
-    /// iterates these bits instead of scanning `inputs`.
+    /// Slots of the adaptive VCs of every port (cached from config).
+    adaptive_mask: u64,
+
+    // --- Bitmaps, one bit per VC slot (config validation guarantees the
+    // slots fit in a u64).
+    /// Bit set ⇔ the input VC is occupied. Written by
+    /// [`note_vc_occupied`](Self::note_vc_occupied) /
+    /// [`note_vc_freed`](Self::note_vc_freed).
     pub occ_bits: u64,
-    /// Bit set ⇔ the output VC has no holder (`out_alloc[..] == None`).
+    /// Bit set ⇔ the output VC has no holder. Written by
+    /// [`alloc_out_vc`](Self::alloc_out_vc) /
+    /// [`release_out_vc`](Self::release_out_vc).
     pub out_free: u64,
     /// Bit set ⇔ all credits returned (`credits == vc_depth`) — the atomic
     /// reallocation gate. Local-port bits are always set (infinite credit).
+    /// Written, like `credits_avail`, by [`take_credit`](Self::take_credit)
+    /// / [`return_credit`](Self::return_credit).
     pub credits_full: u64,
     /// Bit set ⇔ at least one credit available (`credits > 0`). Local-port
     /// bits are always set.
     pub credits_avail: u64,
+    /// Bit set ⇔ the input VC's holder is native traffic here. Written at
+    /// the holder set/clear points (`note_vc_occupied` / `note_vc_freed`).
+    pub(crate) native_bits: u64,
+    /// Bit set ⇔ the input VC is `Routed` (VA serves it). Written, like
+    /// `active_bits`, only by [`set_vc_state`](Self::set_vc_state).
+    pub(crate) routed_bits: u64,
+    /// Bit set ⇔ the input VC is `Active` (SA serves it).
+    pub(crate) active_bits: u64,
 }
 
 impl Router {
@@ -100,42 +126,87 @@ impl Router {
     pub fn new(cfg: &SimConfig, id: NodeId, coord: Coord, app: AppId) -> Self {
         let v = cfg.vcs_per_port();
         // `validate()` caps NUM_PORTS * vcs_per_port() at 64, so the checked
-        // helper is exact (the old `>= 64 ? !0` branch silently saturated).
-        let valid = low_bits(NUM_PORTS * v);
-        Self {
+        // helper is exact.
+        let slots = NUM_PORTS * v;
+        let valid = low_bits(slots);
+        // Ring storage starts as copies of an arbitrary flit; a slot is only
+        // ever read below its VC's `len`.
+        let filler = Flit {
+            kind: FlitKind::Single,
+            seq: 0,
+            hops: 0,
+            payload: 0,
+            crc: 0,
+            info: PacketInfo {
+                id: 0,
+                src: 0,
+                dst: 0,
+                app: 0,
+                class: 0,
+                size: 1,
+                birth: 0,
+                inject: 0,
+                reply: None,
+            },
+        };
+        let mut r = Self {
             id,
             coord,
             app,
-            inputs: (0..NUM_PORTS)
-                .map(|_| (0..v).map(|_| InputVc::new(cfg.vc_depth)).collect())
-                .collect(),
-            out_alloc: vec![vec![None; v]; NUM_PORTS],
-            credits: vec![vec![cfg.vc_depth; v]; NUM_PORTS],
-            va_ptr: vec![0; NUM_PORTS * v],
-            sa_in_ptr: vec![0; NUM_PORTS],
-            sa_out_ptr: vec![0; NUM_PORTS],
-            arb_wait: vec![0; NUM_PORTS * v],
+            inputs: vec![InputVc::new(); slots].into(),
+            slab: vec![filler; slots * cfg.vc_depth].into(),
+            out_alloc: vec![None; slots].into(),
+            credits: vec![cfg.vc_depth; slots].into(),
+            va_ptr: vec![0; slots].into(),
+            sa_in_ptr: [0; NUM_PORTS],
+            sa_out_ptr: [0; NUM_PORTS],
+            arb_wait: vec![0; slots].into(),
             ovc_native: 0,
             ovc_foreign: 0,
             dpa_native_high: false,
-            occ_port: [0; NUM_PORTS],
-            occ_vcs: 0,
-            // Start dirty so the first state update always runs.
-            occ_dirty: true,
             vcs: v,
             vc_depth: cfg.vc_depth,
+            adaptive_mask: 0,
             occ_bits: 0,
             out_free: valid,
             credits_full: valid,
             credits_avail: valid,
-        }
+            native_bits: 0,
+            routed_bits: 0,
+            active_bits: 0,
+        };
+        r.adaptive_mask = r.every_port(low_bits(cfg.adaptive_vcs) << cfg.num_escape_vcs());
+        r
     }
 
-    /// The bit representing VC slot `(port, vc)` in the flattened bitsets.
+    /// Replicate a per-port VC mask over all ports.
+    fn every_port(&self, vc_mask: u64) -> u64 {
+        (0..NUM_PORTS).fold(0, |m, p| m | vc_mask << (p * self.vcs))
+    }
+
+    /// Flat index of VC `(port, vc)` — also its bit position in the bitmaps.
+    #[inline]
+    pub fn slot(&self, port: Port, vc: usize) -> usize {
+        debug_assert!(port < NUM_PORTS && vc < self.vcs);
+        port * self.vcs + vc
+    }
+
+    /// The `(port, vc)` of flat index `slot`. Ports are few: subtract, don't
+    /// divide.
+    #[inline]
+    pub fn port_vc(&self, mut slot: usize) -> (Port, usize) {
+        let mut port = 0;
+        while slot >= self.vcs {
+            slot -= self.vcs;
+            port += 1;
+        }
+        (port, slot)
+    }
+
+    /// The bit representing VC slot `(port, vc)` in the bitmaps.
     #[inline]
     pub fn vc_bit(&self, port: Port, vc: usize) -> u64 {
-        debug_assert!(vc < self.vcs);
-        1u64 << (port * self.vcs + vc)
+        1u64 << self.slot(port, vc)
     }
 
     /// Mask of all valid VC slots (low `NUM_PORTS * vcs` bits).
@@ -144,33 +215,113 @@ impl Router {
         low_bits(NUM_PORTS * self.vcs)
     }
 
-    /// Record that input VC `(port, vc)` transitioned unoccupied → occupied.
     #[inline]
-    pub fn note_vc_occupied(&mut self, port: Port, vc: usize) {
-        debug_assert_eq!(self.occ_bits & self.vc_bit(port, vc), 0);
-        self.occ_port[port] += 1;
-        self.occ_vcs += 1;
-        self.occ_bits |= self.vc_bit(port, vc);
-        self.occ_dirty = true;
+    fn view(&self, slot: usize) -> VcView<'_> {
+        VcView {
+            vc: &self.inputs[slot],
+            ring: &self.slab[slot * self.vc_depth..][..self.vc_depth],
+        }
     }
 
-    /// Record that input VC `(port, vc)` transitioned occupied → unoccupied.
+    /// Input VC `(port, vc)`: state, holder and buffered flits.
+    #[inline]
+    pub fn ivc(&self, port: Port, vc: usize) -> VcView<'_> {
+        self.view(self.slot(port, vc))
+    }
+
+    /// The input VCs of `port`, ascending VC index.
+    pub fn ivcs(&self, port: Port) -> impl Iterator<Item = VcView<'_>> {
+        (0..self.vcs).map(move |vc| self.ivc(port, vc))
+    }
+
+    /// Credits toward the downstream input VC behind output `(port, vc)`.
+    #[inline]
+    pub fn credits(&self, port: Port, vc: usize) -> usize {
+        self.credits[self.slot(port, vc)]
+    }
+
+    /// The input VC `(in_port, in_vc)` holding output VC `(port, vc)`.
+    #[inline]
+    pub fn out_alloc(&self, port: Port, vc: usize) -> Option<(Port, usize)> {
+        self.out_alloc[self.slot(port, vc)]
+    }
+
+    /// Write `flit` at the back of input VC `(port, vc)`'s FIFO.
+    #[inline]
+    pub fn push_flit(&mut self, port: Port, vc: usize, flit: Flit) {
+        let slot = self.slot(port, vc);
+        let ring = &mut self.slab[slot * self.vc_depth..][..self.vc_depth];
+        self.inputs[slot].push(ring, flit);
+    }
+
+    /// Take the front flit of input VC `(port, vc)`'s FIFO.
+    #[inline]
+    pub fn pop_flit(&mut self, port: Port, vc: usize) -> Option<Flit> {
+        let slot = self.slot(port, vc);
+        let ring = &self.slab[slot * self.vc_depth..][..self.vc_depth];
+        self.inputs[slot].pop(ring)
+    }
+
+    /// The front flit of input VC `(port, vc)`, mutably — for the
+    /// differential harness's payload corruption only.
+    pub(crate) fn front_flit_mut(&mut self, port: Port, vc: usize) -> Option<&mut Flit> {
+        let slot = self.slot(port, vc);
+        let ring = &mut self.slab[slot * self.vc_depth..][..self.vc_depth];
+        self.inputs[slot].front_mut(ring)
+    }
+
+    /// Move input VC `(port, vc)` to pipeline state `state` — the only
+    /// writer of `routed_bits` / `active_bits`.
+    #[inline]
+    pub fn set_vc_state(&mut self, port: Port, vc: usize, state: VcState) {
+        let slot = self.slot(port, vc);
+        let bit = 1u64 << slot;
+        self.inputs[slot].state = state;
+        self.routed_bits &= !bit;
+        self.active_bits &= !bit;
+        match state {
+            VcState::Idle => {}
+            VcState::Routed { .. } => self.routed_bits |= bit,
+            VcState::Active { .. } => self.active_bits |= bit,
+        }
+    }
+
+    /// Record that input VC `(port, vc)` transitioned unoccupied → occupied
+    /// by a packet of `app` (the head is about to be written).
+    #[inline]
+    pub fn note_vc_occupied(&mut self, port: Port, vc: usize, app: AppId) {
+        let slot = self.slot(port, vc);
+        let bit = 1u64 << slot;
+        debug_assert_eq!(self.occ_bits & bit, 0);
+        self.inputs[slot].holder = Some(app);
+        self.occ_bits |= bit;
+        if self.is_native(app) {
+            self.native_bits |= bit;
+        }
+    }
+
+    /// Record that input VC `(port, vc)` transitioned occupied → unoccupied
+    /// (tail departed, or the packet was extracted): back to idle, unheld,
+    /// with an empty ring.
     #[inline]
     pub fn note_vc_freed(&mut self, port: Port, vc: usize) {
-        debug_assert!(self.occ_port[port] > 0 && self.occ_vcs > 0);
-        debug_assert_ne!(self.occ_bits & self.vc_bit(port, vc), 0);
-        self.occ_port[port] -= 1;
-        self.occ_vcs -= 1;
-        self.occ_bits &= !self.vc_bit(port, vc);
-        self.occ_dirty = true;
+        let slot = self.slot(port, vc);
+        let bit = 1u64 << slot;
+        debug_assert_ne!(self.occ_bits & bit, 0);
+        self.inputs[slot].reset();
+        self.occ_bits &= !bit;
+        self.native_bits &= !bit;
+        self.routed_bits &= !bit;
+        self.active_bits &= !bit;
     }
 
     /// Consume one credit toward downstream `(port, vc)`, keeping the
     /// credit bitmaps coherent. The local port never consumes credits.
     #[inline]
     pub fn take_credit(&mut self, port: Port, vc: usize) {
-        let bit = self.vc_bit(port, vc);
-        let c = &mut self.credits[port][vc];
+        let slot = self.slot(port, vc);
+        let bit = 1u64 << slot;
+        let c = &mut self.credits[slot];
         debug_assert!(*c > 0);
         *c -= 1;
         let empty = *c == 0;
@@ -183,8 +334,9 @@ impl Router {
     /// Return one credit from downstream `(port, vc)`.
     #[inline]
     pub fn return_credit(&mut self, port: Port, vc: usize) {
-        let bit = self.vc_bit(port, vc);
-        let c = &mut self.credits[port][vc];
+        let slot = self.slot(port, vc);
+        let bit = 1u64 << slot;
+        let c = &mut self.credits[slot];
         *c += 1;
         debug_assert!(*c <= self.vc_depth);
         let full = *c == self.vc_depth;
@@ -197,69 +349,103 @@ impl Router {
     /// Grant output VC `(port, vc)` to `holder = (in_port, in_vc)`.
     #[inline]
     pub fn alloc_out_vc(&mut self, port: Port, vc: usize, holder: (Port, usize)) {
-        debug_assert!(self.out_alloc[port][vc].is_none());
-        self.out_alloc[port][vc] = Some(holder);
-        self.out_free &= !self.vc_bit(port, vc);
+        let slot = self.slot(port, vc);
+        debug_assert!(self.out_alloc[slot].is_none());
+        self.out_alloc[slot] = Some(holder);
+        self.out_free &= !(1u64 << slot);
     }
 
     /// Release output VC `(port, vc)` (tail departed through the crossbar).
     #[inline]
     pub fn release_out_vc(&mut self, port: Port, vc: usize) {
-        debug_assert!(self.out_alloc[port][vc].is_some());
-        self.out_alloc[port][vc] = None;
-        self.out_free |= self.vc_bit(port, vc);
+        let slot = self.slot(port, vc);
+        debug_assert!(self.out_alloc[slot].is_some());
+        self.out_alloc[slot] = None;
+        self.out_free |= 1u64 << slot;
     }
 
     /// Mask of output VCs a new packet may be allocated: no holder AND the
-    /// downstream buffer fully drained (atomic VCs). Local-port bits are
-    /// exact because local credits are never consumed.
+    /// downstream buffer fully drained (atomic VCs, Table 1). Local-port
+    /// bits are exact because local credits are never consumed.
     #[inline]
     pub fn allocatable_mask(&self) -> u64 {
         self.out_free & self.credits_full
     }
 
-    /// Recompute all four bitsets by exhaustive scan (the slow definition
-    /// the incremental bitmaps must always agree with). Returns
-    /// `(occ_bits, out_free, credits_full, credits_avail)`.
-    pub fn recount_bitsets(&self) -> (u64, u64, u64, u64) {
-        let mut occ = 0u64;
-        let mut free = 0u64;
-        let mut full = 0u64;
-        let mut avail = 0u64;
-        for port in 0..NUM_PORTS {
-            for vc in 0..self.vcs {
-                let bit = 1u64 << (port * self.vcs + vc);
-                if self.inputs[port][vc].occupied() {
-                    occ |= bit;
-                }
-                if self.out_alloc[port][vc].is_none() {
-                    free |= bit;
-                }
-                if self.credits[port][vc] == self.vc_depth {
-                    full |= bit;
-                }
-                if self.credits[port][vc] > 0 {
-                    avail |= bit;
-                }
-            }
-        }
-        (occ, free, full, avail)
+    /// The seven incremental bitmaps, in [`BITSET_NAMES`] order.
+    pub fn bitsets(&self) -> [u64; 7] {
+        [
+            self.occ_bits,
+            self.out_free,
+            self.credits_full,
+            self.credits_avail,
+            self.native_bits,
+            self.routed_bits,
+            self.active_bits,
+        ]
     }
 
-    /// Recompute the occupancy summary by exhaustive scan (the slow way the
-    /// incremental counters must always agree with).
-    pub fn recount_occupancy_summary(&self) -> ([u16; NUM_PORTS], u16) {
-        let mut per_port = [0u16; NUM_PORTS];
-        let mut total = 0u16;
-        for (port, vcs) in self.inputs.iter().enumerate() {
-            for ivc in vcs {
-                if ivc.occupied() {
-                    per_port[port] += 1;
-                    total += 1;
-                }
+    /// Recompute all seven bitmaps by exhaustive scan (the slow definition
+    /// the incremental ones must always agree with), in [`BITSET_NAMES`]
+    /// order.
+    pub fn recount_bitsets(&self) -> [u64; 7] {
+        let [mut occ, mut free, mut full, mut avail] = [0u64; 4];
+        let [mut native, mut routed, mut active] = [0u64; 3];
+        for slot in 0..self.inputs.len() {
+            let bit = 1u64 << slot;
+            let ivc = &self.inputs[slot];
+            if ivc.occupied() {
+                occ |= bit;
+            }
+            if ivc.holder.is_some_and(|a| self.is_native(a)) {
+                native |= bit;
+            }
+            match ivc.state {
+                VcState::Idle => {}
+                VcState::Routed { .. } => routed |= bit,
+                VcState::Active { .. } => active |= bit,
+            }
+            if self.out_alloc[slot].is_none() {
+                free |= bit;
+            }
+            if self.credits[slot] == self.vc_depth {
+                full |= bit;
+            }
+            if self.credits[slot] > 0 {
+                avail |= bit;
             }
         }
-        (per_port, total)
+        [occ, free, full, avail, native, routed, active]
+    }
+
+    /// Compare every piece of incremental bookkeeping — the seven bitmaps,
+    /// the ring cursors and the occupied ⇔ holder tag rule — against the
+    /// slow scan; `Some(description)` of the first disagreement. Skipping a
+    /// router or a VC on the strength of a bitmap is sound exactly while
+    /// this returns `None` (checked every debug tick and by the oracle's
+    /// wormhole checker).
+    pub fn bookkeeping_drift(&self) -> Option<String> {
+        let (have, want) = (self.bitsets(), self.recount_bitsets());
+        if let Some(i) = (0..have.len()).find(|&i| have[i] != want[i]) {
+            return Some(format!(
+                "{} {:#x} drifted from recount {:#x}",
+                BITSET_NAMES[i], have[i], want[i]
+            ));
+        }
+        self.inputs.iter().enumerate().find_map(|(slot, ivc)| {
+            let at = self.port_vc(slot);
+            if !ivc.cursor_in_bounds(self.vc_depth) {
+                Some(format!("input {at:?}: ring cursor out of bounds ({ivc:?})"))
+            } else if ivc.occupied() != ivc.holder.is_some() {
+                Some(format!(
+                    "input {at:?}: holder {:?} disagrees with occupancy {}",
+                    ivc.holder,
+                    ivc.occupied()
+                ))
+            } else {
+                None
+            }
+        })
     }
 
     /// Is `app` native traffic at this router? Unassigned routers treat all
@@ -269,103 +455,57 @@ impl Router {
         self.app == APP_NONE || self.app == app
     }
 
-    /// Can output VC `(port, vc)` be allocated to a new packet? Atomic VCs
-    /// (Table 1) are only reallocated when the downstream buffer is fully
-    /// drained (all credits returned) and the previous holder released it.
-    #[inline]
-    pub fn out_vc_allocatable(&self, cfg: &SimConfig, port: Port, vc: usize) -> bool {
-        self.out_alloc[port][vc].is_none()
-            && (port == PORT_LOCAL || self.credits[port][vc] == cfg.vc_depth)
-    }
-
     /// Is there a credit available to forward one flit on `(port, vc)`?
     #[inline]
     pub fn has_credit(&self, port: Port, vc: usize) -> bool {
-        port == PORT_LOCAL || self.credits[port][vc] > 0
+        port == PORT_LOCAL || self.credits_avail & self.vc_bit(port, vc) != 0
     }
 
-    /// Count occupied input VCs, split into (native, foreign) with respect
-    /// to this router's region tag. Feeds the DPA registers: the paper
-    /// counts *all* VCs in the router, not just one port, to tolerate
-    /// non-uniform per-port status (§IV.C).
+    /// Occupied input VCs, split into (native, foreign) with respect to
+    /// this router's region tag. Feeds the DPA registers: the paper counts
+    /// *all* VCs in the router, not just one port, to tolerate non-uniform
+    /// per-port status (§IV.C).
+    #[inline]
     pub fn count_occupancy(&self) -> (u32, u32) {
-        let mut native = 0;
-        let mut foreign = 0;
-        for vcs in &self.inputs {
-            for ivc in vcs {
-                if !ivc.occupied() {
-                    continue;
-                }
-                if let Some(a) = ivc.holder_app() {
-                    if self.is_native(a) {
-                        native += 1;
-                    } else {
-                        foreign += 1;
-                    }
-                }
-            }
-        }
-        (native, foreign)
+        let native = (self.occ_bits & self.native_bits).count_ones();
+        (native, self.occ_bits.count_ones() - native)
     }
 
     /// Number of occupied *adaptive* input VCs — the congestion metric
     /// exported to congestion-aware routing (local and DBAR selection).
-    pub fn adaptive_occupancy(&self, cfg: &SimConfig) -> u16 {
-        let mut n = 0;
-        for vcs in &self.inputs {
-            for vc in cfg.adaptive_vc_range() {
-                if vcs[vc].occupied() {
-                    n += 1;
-                }
-            }
-        }
-        n
+    #[inline]
+    pub fn adaptive_occupancy(&self) -> u16 {
+        (self.occ_bits & self.adaptive_mask).count_ones() as u16
     }
 
     /// Occupied adaptive input VCs split by regional/global tag.
     pub fn tag_occupancy(&self, cfg: &SimConfig) -> (u16, u16) {
-        let mut regional = 0;
-        let mut global = 0;
-        for vcs in &self.inputs {
-            for vc in cfg.adaptive_vc_range() {
-                if vcs[vc].occupied() {
-                    match cfg.vc_class(vc) {
-                        crate::vc::VcClass::Adaptive {
-                            tag: crate::vc::VcTag::Regional,
-                        } => regional += 1,
-                        crate::vc::VcClass::Adaptive {
-                            tag: crate::vc::VcTag::Global,
-                        } => global += 1,
-                        crate::vc::VcClass::Escape { .. } => {}
-                    }
-                }
+        let (mut regional, mut global) = (0u64, 0u64);
+        for vc in cfg.adaptive_vc_range() {
+            match cfg.vc_class(vc).tag() {
+                Some(VcTag::Regional) => regional |= 1 << vc,
+                Some(VcTag::Global) => global |= 1 << vc,
+                None => {}
             }
         }
-        (regional, global)
+        let count = |m: u64| (self.occ_bits & self.every_port(m)).count_ones() as u16;
+        (count(regional), count(global))
     }
 
     /// Total flits buffered in this router's input VCs (conservation checks).
     pub fn buffered_flits(&self) -> usize {
-        self.inputs
-            .iter()
-            .flat_map(|vcs| vcs.iter())
-            .map(|vc| vc.buf.len())
-            .sum()
+        (0..self.inputs.len()).map(|s| self.view(s).len()).sum()
     }
 
     /// True when the router holds no packets at all.
     pub fn is_idle(&self) -> bool {
-        self.inputs
-            .iter()
-            .flat_map(|vcs| vcs.iter())
-            .all(|vc| !vc.occupied() && vc.state == VcState::Idle)
+        self.inputs.iter().all(|vc| !vc.occupied())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{Flit, FlitKind, PacketInfo};
 
     fn cfg() -> SimConfig {
         SimConfig::table1()
@@ -377,26 +517,19 @@ mod tests {
     }
 
     fn put_flit(r: &mut Router, port: Port, vc: usize, app: AppId) {
-        r.inputs[port][vc].buf.push_back(Flit {
-            kind: FlitKind::Single,
-            seq: 0,
-            hops: 0,
-            payload: 0,
-            crc: crate::flit::crc16(0),
-            info: PacketInfo {
-                id: 0,
-                src: 0,
-                dst: 9,
-                app,
-                class: 0,
-                size: 1,
-                birth: 0,
-                inject: 0,
-                reply: None,
-            },
-        });
-        r.inputs[port][vc].holder = Some(app);
-        r.note_vc_occupied(port, vc);
+        let info = PacketInfo {
+            id: 0,
+            src: 0,
+            dst: 9,
+            app,
+            class: 0,
+            size: 1,
+            birth: 0,
+            inject: 0,
+            reply: None,
+        };
+        r.note_vc_occupied(port, vc, app);
+        r.push_flit(port, vc, Flit::nth(info, 0));
     }
 
     #[test]
@@ -420,6 +553,8 @@ mod tests {
         assert_eq!(r.valid_vc_mask().count_ones(), 60);
         assert_eq!(r.out_free, r.valid_vc_mask());
         assert_eq!(r.credits_full, r.valid_vc_mask());
+        assert_eq!(r.adaptive_mask & !r.valid_vc_mask(), 0);
+        assert_eq!(r.adaptive_mask.count_ones(), 20);
         // The highest valid slot is bit 59; its single-bit mask is exact.
         assert_eq!(r.vc_bit(NUM_PORTS - 1, c.vcs_per_port() - 1), 1u64 << 59);
 
@@ -437,14 +572,17 @@ mod tests {
         let r = mk();
         let c = cfg();
         assert!(r.is_idle());
+        assert_eq!(r.allocatable_mask(), r.valid_vc_mask());
         for p in 0..NUM_PORTS {
             for v in 0..c.vcs_per_port() {
-                assert!(r.out_vc_allocatable(&c, p, v));
                 assert!(r.has_credit(p, v));
+                assert_eq!(r.credits(p, v), c.vc_depth);
+                assert!(r.out_alloc(p, v).is_none());
             }
         }
         assert_eq!(r.count_occupancy(), (0, 0));
-        assert_eq!(r.adaptive_occupancy(&c), 0);
+        assert_eq!(r.adaptive_occupancy(), 0);
+        assert_eq!(r.bookkeeping_drift(), None);
     }
 
     #[test]
@@ -469,74 +607,68 @@ mod tests {
     #[test]
     fn atomic_reallocation_gate() {
         let mut r = mk();
-        let c = cfg();
-        // Simulate a partially drained downstream buffer.
-        r.credits[1][2] = c.vc_depth - 1;
-        assert!(!r.out_vc_allocatable(&c, 1, 2));
-        r.credits[1][2] = c.vc_depth;
-        assert!(r.out_vc_allocatable(&c, 1, 2));
-        r.out_alloc[1][2] = Some((0, 0));
-        assert!(!r.out_vc_allocatable(&c, 1, 2));
+        // A partially drained downstream buffer blocks reallocation…
+        r.take_credit(1, 2);
+        assert_eq!(r.allocatable_mask() & r.vc_bit(1, 2), 0);
+        r.return_credit(1, 2);
+        assert_ne!(r.allocatable_mask() & r.vc_bit(1, 2), 0);
+        // …and so does a holder.
+        r.alloc_out_vc(1, 2, (0, 0));
+        assert_eq!(r.allocatable_mask() & r.vc_bit(1, 2), 0);
     }
 
     #[test]
     fn local_port_always_has_credit() {
         let mut r = mk();
-        r.credits[PORT_LOCAL][0] = 0;
+        let c = cfg();
+        for _ in 0..c.vc_depth {
+            r.take_credit(PORT_LOCAL, 0);
+            r.take_credit(1, 0);
+        }
         assert!(r.has_credit(PORT_LOCAL, 0));
-        assert!(!{
-            r.credits[1][0] = 0;
-            r.has_credit(1, 0)
-        });
-    }
-
-    #[test]
-    fn occupancy_summary_tracks_transitions() {
-        let mut r = mk();
-        assert_eq!(r.recount_occupancy_summary(), (r.occ_port, r.occ_vcs));
-        assert!(r.occ_dirty, "fresh router must start dirty");
-        r.occ_dirty = false;
-        put_flit(&mut r, 1, 0, 1);
-        put_flit(&mut r, 1, 2, 0);
-        put_flit(&mut r, 3, 1, 2);
-        assert_eq!(r.occ_vcs, 3);
-        assert_eq!(r.occ_port[1], 2);
-        assert_eq!(r.occ_port[3], 1);
-        assert!(r.occ_dirty);
-        assert_eq!(r.recount_occupancy_summary(), (r.occ_port, r.occ_vcs));
-        // Free one back down and re-check agreement with the slow scan.
-        r.inputs[1][0].buf.clear();
-        r.inputs[1][0].holder = None;
-        r.note_vc_freed(1, 0);
-        assert_eq!(r.occ_vcs, 2);
-        assert_eq!(r.recount_occupancy_summary(), (r.occ_port, r.occ_vcs));
+        assert!(!r.has_credit(1, 0));
     }
 
     #[test]
     fn bitsets_track_transitions() {
         let mut r = mk();
         let c = cfg();
-        assert_eq!(
-            r.recount_bitsets(),
-            (r.occ_bits, r.out_free, r.credits_full, r.credits_avail)
-        );
+        assert_eq!(r.bookkeeping_drift(), None);
         assert_eq!(r.occ_bits, 0);
         assert_eq!(r.out_free, r.valid_vc_mask());
 
         put_flit(&mut r, 1, 2, 0);
         put_flit(&mut r, 3, 0, 1);
         assert_eq!(r.occ_bits, r.vc_bit(1, 2) | r.vc_bit(3, 0));
+        assert_eq!(r.native_bits, r.vc_bit(3, 0));
+
+        // Walk one VC through the pipeline states.
+        r.set_vc_state(
+            1,
+            2,
+            VcState::Routed {
+                adaptive: [Some(2), None],
+                escape: 2,
+                escape_lane: 0,
+            },
+        );
+        assert_eq!((r.routed_bits, r.active_bits), (r.vc_bit(1, 2), 0));
+        r.set_vc_state(
+            1,
+            2,
+            VcState::Active {
+                out_port: 2,
+                out_vc: 3,
+            },
+        );
+        assert_eq!((r.routed_bits, r.active_bits), (0, r.vc_bit(1, 2)));
 
         // Allocate an output VC and drain the downstream buffer by one.
         r.alloc_out_vc(2, 3, (1, 2));
         r.take_credit(2, 3);
-        assert!(!r.out_vc_allocatable(&c, 2, 3));
         assert_eq!(r.allocatable_mask() & r.vc_bit(2, 3), 0);
         assert_ne!(r.credits_avail & r.vc_bit(2, 3), 0);
-        assert_eq!(
-            r.recount_bitsets(),
-            (r.occ_bits, r.out_free, r.credits_full, r.credits_avail)
-        );
+        assert_eq!(r.bookkeeping_drift(), None);
 
         // Drain to zero credits: availability bit clears too.
         for _ in 1..c.vc_depth {
@@ -551,13 +683,34 @@ mod tests {
         }
         r.release_out_vc(2, 3);
         assert_ne!(r.allocatable_mask() & r.vc_bit(2, 3), 0);
-        r.inputs[1][2].buf.clear();
-        r.inputs[1][2].holder = None;
+        assert_eq!(r.pop_flit(1, 2).map(|f| f.info.app), Some(0));
         r.note_vc_freed(1, 2);
-        assert_eq!(
-            r.recount_bitsets(),
-            (r.occ_bits, r.out_free, r.credits_full, r.credits_avail)
-        );
+        assert_eq!(r.occ_bits, r.vc_bit(3, 0));
+        assert_eq!(r.active_bits, 0);
+        assert_eq!(r.ivc(1, 2).state(), VcState::Idle);
+        assert_eq!(r.bookkeeping_drift(), None);
+    }
+
+    /// The slow recount really is independent of the incremental bitmaps:
+    /// corrupting any one of them is reported by name.
+    #[test]
+    fn bookkeeping_drift_names_the_bitmap() {
+        for (i, name) in BITSET_NAMES.iter().enumerate() {
+            let mut r = mk();
+            put_flit(&mut r, 1, 2, 1);
+            let field = [
+                &mut r.occ_bits,
+                &mut r.out_free,
+                &mut r.credits_full,
+                &mut r.credits_avail,
+                &mut r.native_bits,
+                &mut r.routed_bits,
+                &mut r.active_bits,
+            ];
+            *field.into_iter().nth(i).unwrap() ^= 1 << 7;
+            let drift = r.bookkeeping_drift().expect("corruption goes unnoticed");
+            assert!(drift.starts_with(name), "{drift}");
+        }
     }
 
     #[test]
@@ -566,11 +719,15 @@ mod tests {
         // on (tail still upstream) — the case the buggy holder lookup lost.
         let mut r = mk(); // router app = 1
         put_flit(&mut r, 2, 1, 0); // foreign
-        r.inputs[2][1].state = VcState::Active {
-            out_port: 1,
-            out_vc: 0,
-        };
-        r.inputs[2][1].buf.clear(); // flits forwarded, VC still held
+        r.set_vc_state(
+            2,
+            1,
+            VcState::Active {
+                out_port: 1,
+                out_vc: 0,
+            },
+        );
+        r.pop_flit(2, 1); // flits forwarded, VC still held
         assert_eq!(r.count_occupancy(), (0, 1));
     }
 
@@ -579,8 +736,9 @@ mod tests {
         let mut r = mk();
         let c = cfg();
         put_flit(&mut r, 1, c.escape_vc(0), 0); // escape VC
-        assert_eq!(r.adaptive_occupancy(&c), 0);
+        assert_eq!(r.adaptive_occupancy(), 0);
         put_flit(&mut r, 1, c.adaptive_vc_range().start, 0);
-        assert_eq!(r.adaptive_occupancy(&c), 1);
+        assert_eq!(r.adaptive_occupancy(), 1);
+        assert_eq!(r.tag_occupancy(&c), (1, 0));
     }
 }

@@ -49,7 +49,9 @@ mod tests {
         let mut router = Router::new(&cfg, 0, cfg.coord_of(0), 0);
         // Drain credits on EAST adaptive VCs.
         for vc in cfg.adaptive_vc_range() {
-            router.credits[PORT_EAST][vc] = 0;
+            for _ in 0..cfg.vc_depth {
+                router.take_credit(PORT_EAST, vc);
+            }
         }
         let region = RegionMap::single(&cfg);
         let congestion = vec![0u16; cfg.num_nodes()];
@@ -71,7 +73,7 @@ mod tests {
         let mut router = Router::new(&cfg, 0, cfg.coord_of(0), 0);
         // EAST has full credits but all VCs are held by other packets.
         for vc in cfg.adaptive_vc_range() {
-            router.out_alloc[PORT_EAST][vc] = Some((0, 0));
+            router.alloc_out_vc(PORT_EAST, vc, (0, 0));
         }
         let region = RegionMap::single(&cfg);
         let congestion = vec![0u16; cfg.num_nodes()];

@@ -143,8 +143,8 @@ pub fn productive_ports(cur: Coord, dst: Coord) -> [Option<Port>; 2] {
 pub fn free_adaptive_credits(cfg: &SimConfig, router: &Router, p: Port) -> usize {
     cfg.adaptive_vc_range()
         .map(|vc| {
-            if router.out_alloc[p][vc].is_none() {
-                router.credits[p][vc]
+            if router.out_alloc(p, vc).is_none() {
+                router.credits(p, vc)
             } else {
                 0
             }

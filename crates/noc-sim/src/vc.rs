@@ -2,9 +2,8 @@
 //! machine driven by the router pipeline.
 
 use crate::flit::Flit;
-use crate::ids::Port;
+use crate::ids::{AppId, Port};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// The 1-bit regional/global tag of §IV.A (VC regionalization).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,24 +53,32 @@ pub enum VcState {
     Active { out_port: Port, out_vc: usize },
 }
 
-/// One input virtual channel: a flit FIFO plus pipeline state.
+/// One input virtual channel: pipeline state, the holder tag and the cursor
+/// of its flit FIFO. The FIFO is a fixed-depth ring whose storage is the
+/// VC's `vc_depth`-long stripe of the owning router's slab, so the ring
+/// operations take that stripe as an argument; only the
+/// [`Router`](crate::router::Router) writes either.
 #[derive(Debug, Clone)]
 pub struct InputVc {
-    pub buf: VecDeque<Flit>,
-    pub state: VcState,
+    pub(crate) state: VcState,
     /// Application of the packet currently holding this VC. Set when the
     /// head flit is written into the (empty, idle) VC and cleared when the
     /// tail departs — so it stays valid while the VC is occupied even after
     /// every buffered flit has moved downstream.
-    pub holder: Option<crate::ids::AppId>,
+    pub(crate) holder: Option<AppId>,
+    /// Ring index of the front flit (`< depth`).
+    head: u32,
+    /// Buffered flits (`<= depth`).
+    len: u32,
 }
 
 impl InputVc {
-    pub fn new(depth: usize) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            buf: VecDeque::with_capacity(depth),
             state: VcState::Idle,
             holder: None,
+            head: 0,
+            len: 0,
         }
     }
 
@@ -80,62 +87,163 @@ impl InputVc {
     /// received yet).
     #[inline]
     pub fn occupied(&self) -> bool {
-        !self.buf.is_empty() || self.state != VcState::Idle
+        self.len != 0 || !matches!(self.state, VcState::Idle)
+    }
+
+    /// Ring slot of the `i`-th buffered flit (compare-subtract wrap).
+    #[inline]
+    fn at(&self, depth: usize, i: usize) -> usize {
+        let k = self.head as usize + i;
+        if k >= depth {
+            k - depth
+        } else {
+            k
+        }
+    }
+
+    /// Append `flit` at the back of the FIFO stored in `ring`.
+    #[inline]
+    pub(crate) fn push(&mut self, ring: &mut [Flit], flit: Flit) {
+        debug_assert!((self.len as usize) < ring.len(), "input buffer overflow");
+        ring[self.at(ring.len(), self.len as usize)] = flit;
+        self.len += 1;
+    }
+
+    /// Remove and return the front flit of the FIFO stored in `ring`.
+    #[inline]
+    pub(crate) fn pop(&mut self, ring: &[Flit]) -> Option<Flit> {
+        if self.len == 0 {
+            return None;
+        }
+        let flit = ring[self.head as usize];
+        self.head = self.at(ring.len(), 1) as u32;
+        self.len -= 1;
+        Some(flit)
+    }
+
+    /// The front flit of the FIFO stored in `ring`, mutably.
+    pub(crate) fn front_mut<'a>(&self, ring: &'a mut [Flit]) -> Option<&'a mut Flit> {
+        (self.len != 0).then(|| &mut ring[self.head as usize])
+    }
+
+    /// Back to the freshly constructed state: idle, unheld, empty ring.
+    #[inline]
+    pub(crate) fn reset(&mut self) {
+        *self = Self::new();
+    }
+
+    /// Do the ring cursors index inside a `depth`-long stripe?
+    pub(crate) fn cursor_in_bounds(&self, depth: usize) -> bool {
+        (self.head as usize) < depth && self.len as usize <= depth
+    }
+}
+
+/// Read-only view of one input VC together with its flit FIFO — what
+/// [`Router::ivc`](crate::router::Router::ivc) hands to the phases, the
+/// oracle checkers, policies and tests.
+#[derive(Debug, Clone, Copy)]
+pub struct VcView<'a> {
+    pub(crate) vc: &'a InputVc,
+    pub(crate) ring: &'a [Flit],
+}
+
+impl<'a> VcView<'a> {
+    #[inline]
+    pub fn state(&self) -> VcState {
+        self.vc.state
     }
 
     /// Application of the packet currently holding this VC, if any.
     #[inline]
-    pub fn holder_app(&self) -> Option<crate::ids::AppId> {
-        self.holder
+    pub fn holder(&self) -> Option<AppId> {
+        self.vc.holder
+    }
+
+    /// See [`InputVc::occupied`].
+    #[inline]
+    pub fn occupied(&self) -> bool {
+        self.vc.occupied()
+    }
+
+    /// Buffered flits.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.vc.len as usize
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.vc.len == 0
+    }
+
+    /// The `i`-th buffered flit, front first.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<&'a Flit> {
+        (i < self.len()).then(|| &self.ring[self.vc.at(self.ring.len(), i)])
+    }
+
+    #[inline]
+    pub fn front(&self) -> Option<&'a Flit> {
+        self.get(0)
+    }
+
+    pub fn back(&self) -> Option<&'a Flit> {
+        self.get(self.len().wrapping_sub(1))
+    }
+
+    /// Buffered flits, front to back.
+    pub fn flits(self) -> impl Iterator<Item = &'a Flit> {
+        (0..self.len()).filter_map(move |i| self.get(i))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, PacketInfo};
+    use crate::flit::PacketInfo;
 
-    fn flit() -> Flit {
-        Flit {
-            kind: FlitKind::Single,
-            seq: 0,
-            hops: 0,
-            payload: 0,
-            crc: crate::flit::crc16(0),
-            info: PacketInfo {
+    fn flit(seq: u32) -> Flit {
+        Flit::nth(
+            PacketInfo {
                 id: 0,
                 src: 0,
                 dst: 1,
                 app: 3,
                 class: 0,
-                size: 1,
+                size: 64,
                 birth: 0,
                 inject: 0,
                 reply: None,
             },
-        }
+            seq,
+        )
+    }
+
+    fn view<'a>(vc: &'a InputVc, ring: &'a [Flit]) -> VcView<'a> {
+        VcView { vc, ring }
     }
 
     #[test]
     fn fresh_vc_is_idle_and_unoccupied() {
-        let vc = InputVc::new(5);
+        let vc = InputVc::new();
         assert_eq!(vc.state, VcState::Idle);
         assert!(!vc.occupied());
-        assert!(vc.holder_app().is_none());
+        assert!(vc.holder.is_none());
     }
 
     #[test]
     fn buffered_flit_marks_occupied() {
-        let mut vc = InputVc::new(5);
-        vc.holder = Some(flit().info.app);
-        vc.buf.push_back(flit());
+        let mut vc = InputVc::new();
+        let mut ring = [flit(0); 5];
+        vc.holder = Some(3);
+        vc.push(&mut ring, flit(0));
         assert!(vc.occupied());
-        assert_eq!(vc.holder_app(), Some(3));
+        assert_eq!(view(&vc, &ring).holder(), Some(3));
     }
 
     #[test]
     fn active_empty_vc_still_occupied() {
-        let mut vc = InputVc::new(5);
+        let mut vc = InputVc::new();
         vc.state = VcState::Active {
             out_port: 1,
             out_vc: 0,
@@ -149,17 +257,55 @@ mod tests {
     /// occupancy counting misclassify exactly the VCs that matter for DPA.
     #[test]
     fn holder_survives_buffer_drain() {
-        let mut vc = InputVc::new(5);
+        let mut vc = InputVc::new();
+        let mut ring = [flit(0); 5];
         vc.holder = Some(3);
-        vc.buf.push_back(flit());
+        vc.push(&mut ring, flit(0));
         vc.state = VcState::Active {
             out_port: 2,
             out_vc: 1,
         };
-        vc.buf.pop_front(); // flit forwarded; tail still upstream
-        assert!(vc.buf.is_empty());
+        vc.pop(&ring); // flit forwarded; tail still upstream
+        assert!(view(&vc, &ring).is_empty());
         assert!(vc.occupied());
-        assert_eq!(vc.holder_app(), Some(3), "holder lost after drain");
+        assert_eq!(vc.holder, Some(3), "holder lost after drain");
+    }
+
+    /// The ring keeps FIFO order, `front`/`back`/`flits` and its bounds
+    /// while the cursor laps the stripe several times at every fill level.
+    #[test]
+    fn ring_fifo_wraps_around() {
+        const DEPTH: usize = 5;
+        let mut vc = InputVc::new();
+        let mut ring = [flit(63); DEPTH];
+        let (mut pushed, mut popped) = (0u32, 0u32);
+        for round in 0..4 * DEPTH {
+            // Fill to a level that varies per round, then drain a little
+            // less, so the head visits every ring position.
+            while ((pushed - popped) as usize) < 1 + round % DEPTH {
+                vc.push(&mut ring, flit(pushed));
+                pushed += 1;
+            }
+            assert!(vc.cursor_in_bounds(DEPTH));
+            let v = view(&vc, &ring);
+            assert_eq!(v.len(), (pushed - popped) as usize);
+            assert_eq!(v.front().map(|f| f.seq), Some(popped));
+            assert_eq!(v.back().map(|f| f.seq), Some(pushed - 1));
+            let seqs: Vec<u32> = v.flits().map(|f| f.seq).collect();
+            assert_eq!(seqs, (popped..pushed).collect::<Vec<_>>());
+            assert!(v.get(v.len()).is_none());
+            for _ in 0..(round % 3) + 1 {
+                if let Some(f) = vc.pop(&ring) {
+                    assert_eq!(f.seq, popped);
+                    popped += 1;
+                }
+            }
+        }
+        assert!(pushed as usize > 3 * DEPTH, "the cursor lapped the ring");
+        while vc.pop(&ring).is_some() {}
+        assert!(view(&vc, &ring).front().is_none() && view(&vc, &ring).back().is_none());
+        vc.reset();
+        assert!(!vc.occupied() && vc.cursor_in_bounds(DEPTH));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests of the simulator substrate.
 
-use noc_sim::arbitration::arbitrate_rr;
+use noc_sim::arbitration::{arbitrate_rr, arbitrate_rr_at};
 use noc_sim::network::Network;
 use noc_sim::prelude::*;
 use proptest::prelude::*;
@@ -99,6 +99,32 @@ proptest! {
         let mut ptr = ptr0;
         let w = arbitrate_rr(&reqs, 10, &mut ptr).unwrap();
         prop_assert_eq!(reqs[w].0, max);
+    }
+
+    /// The one-pass compare-subtract arbiter decides exactly what the
+    /// two-pass `%` formula it replaced decided — same winner index, same
+    /// next pointer — for every in-range pointer, with tied priorities and
+    /// repeated slot keys.
+    #[test]
+    fn arbiter_matches_the_modulo_formula(
+        num_slots in 1usize..=64,
+        raw in proptest::collection::vec((0u64..4, 0usize..64), 0..24),
+        ptr_seed in 0usize..64,
+    ) {
+        let reqs: Vec<(u64, usize)> = raw.into_iter().map(|(p, k)| (p, k % num_slots)).collect();
+        let ptr = ptr_seed % num_slots;
+        let reference = reqs.iter().map(|r| r.0).max().map(|max_prio| {
+            let mut best: Option<(usize, usize)> = None; // (rotated distance, req index)
+            for (i, &(p, key)) in reqs.iter().enumerate() {
+                let dist = (key + num_slots - ptr) % num_slots;
+                if p == max_prio && best.is_none_or(|(d, _)| dist < d) {
+                    best = Some((dist, i));
+                }
+            }
+            let widx = best.unwrap().1;
+            (widx, (reqs[widx].1 + 1) % num_slots)
+        });
+        prop_assert_eq!(arbitrate_rr_at(&reqs, num_slots, ptr), reference);
     }
 
     /// Region grids partition the mesh: every node belongs to exactly one

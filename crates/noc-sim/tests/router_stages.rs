@@ -41,9 +41,9 @@ fn wormhole_flits_stay_in_one_vc_per_hop() {
         // Check router 1 (the intermediate hop): at most one occupied VC on
         // its west input port at any time.
         let r = &net.routers[1];
-        let west_occupied = r.inputs[noc_sim::ids::PORT_WEST]
-            .iter()
-            .filter(|vc| vc.occupied())
+        let west_occupied = r
+            .ivcs(noc_sim::ids::PORT_WEST)
+            .filter(noc_sim::vc::VcView::occupied)
             .count();
         assert!(west_occupied <= 1, "wormhole split across VCs");
         seen_multi_vc |= west_occupied == 1;
@@ -76,8 +76,8 @@ fn vc_states_progress_through_pipeline() {
     let mut saw_active = false;
     for _ in 0..30 {
         net.tick();
-        for vc in &net.routers[0].inputs[noc_sim::ids::PORT_LOCAL] {
-            match vc.state {
+        for vc in net.routers[0].ivcs(noc_sim::ids::PORT_LOCAL) {
+            match vc.state() {
                 VcState::Routed { .. } => saw_routed = true,
                 VcState::Active { .. } => saw_active = true,
                 VcState::Idle => {}
@@ -111,11 +111,12 @@ fn credits_return_after_drain() {
         for port in 0..noc_sim::ids::NUM_PORTS {
             for vc in 0..net.cfg.vcs_per_port() {
                 assert_eq!(
-                    r.credits[port][vc], depth,
+                    r.credits(port, vc),
+                    depth,
                     "router {} port {port} vc {vc} leaked credits",
                     r.id
                 );
-                assert!(r.out_alloc[port][vc].is_none(), "output VC leaked");
+                assert!(r.out_alloc(port, vc).is_none(), "output VC leaked");
             }
         }
     }

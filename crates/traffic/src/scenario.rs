@@ -121,6 +121,8 @@ struct AppState {
     pkt_prob: f64,
     own: Pattern,
     outside: Pattern,
+    /// Uniform within the target region, for [`InterDest::Region`].
+    target: Option<Pattern>,
 }
 
 /// A multi-application synthetic workload over a regionalized mesh.
@@ -151,6 +153,12 @@ impl Scenario {
                         pkt_prob: (s.rate_flits / AVG_PACKET_FLITS).min(1.0),
                         own: Pattern::UniformWithin(own_nodes.clone()),
                         outside: Pattern::UniformOutside(own_nodes),
+                        target: match s.inter_dest {
+                            InterDest::Region(t) => {
+                                Some(Pattern::UniformWithin(region.nodes_of(t)))
+                            }
+                            _ => None,
+                        },
                         spec: s,
                     }
                 })
@@ -198,9 +206,7 @@ impl Scenario {
         } else if u < s.intra + s.inter {
             let d = match &s.inter_dest {
                 InterDest::OutsideUniform => state.outside.dest(&self.cfg, src, rng),
-                InterDest::Region(target) => {
-                    Pattern::UniformWithin(self.region.nodes_of(*target)).dest(&self.cfg, src, rng)
-                }
+                InterDest::Region(_) => state.target.as_ref()?.dest(&self.cfg, src, rng),
                 InterDest::Pattern(p) => p
                     .dest(&self.cfg, src, rng)
                     .or_else(|| state.outside.dest(&self.cfg, src, rng)),

@@ -129,6 +129,8 @@ pub struct ParsecWorkload {
     cfg: SimConfig,
     region: RegionMap,
     models: Vec<AppModel>,
+    /// Each application's nodes (its region-local L2 banks).
+    members: Vec<Vec<NodeId>>,
     state: Vec<NodeState>,
     /// Request message class; replies use class 1 when the config has two
     /// classes, else everything shares class 0.
@@ -150,6 +152,9 @@ impl ParsecWorkload {
             reply_class: (cfg.num_classes - 1) as u8,
             cfg: cfg.clone(),
             region: region.clone(),
+            members: (0..models.len())
+                .map(|a| region.nodes_of(a as AppId))
+                .collect(),
             models,
         }
     }
@@ -169,8 +174,7 @@ impl ParsecWorkload {
         let u: f64 = rng.random();
         if u < model.local_fraction {
             // Region-local L2 bank.
-            let own = self.region.nodes_of(app);
-            let d = pick_other(&own, src, rng)?;
+            let d = pick_other(&self.members[app as usize], src, rng)?;
             Some((d, self.cfg.l2_latency))
         } else if u < model.local_fraction + model.mc_fraction {
             // Memory controller at a corner.
@@ -217,8 +221,7 @@ impl TrafficSource for ParsecWorkload {
         if !st.on || st.outstanding >= model.max_outstanding || !rng.random_bool(model.on_rate) {
             return None;
         }
-        let model = model.clone();
-        let (dst, service) = self.draw_dest(&model, app, node, rng)?;
+        let (dst, service) = self.draw_dest(model, app, node, rng)?;
         self.state[node as usize].outstanding += 1;
         Some(NewPacket {
             dst,

@@ -17,6 +17,14 @@
 //! `debug_assert*` stays legal there: it documents the invariant while the
 //! release kernel recovers instead of aborting.
 //!
+//! A third rule with the same scoping (`alloc-in-hot-path`, see
+//! [`ALLOC_RULE`]) bans the allocating conveniences — `collect`, `to_vec`,
+//! `to_owned`, `vec!`, `Vec::new`, `Vec::with_capacity`, `VecDeque::new`,
+//! `Box::new`, `format!`, `to_string` — from the six phase bodies of the
+//! tick kernel: a steady-state tick allocates nothing
+//! (`tests/alloc_free_tick.rs` measures it; this rule names the line that
+//! would break it).
+//!
 //! The issue asked for a `syn`-based AST pass; `syn` is not vendored in this
 //! offline build environment (and pulling it in would violate the
 //! no-new-dependencies constraint), so the lint is a hand-rolled
@@ -118,6 +126,28 @@ pub const PANIC_RULE: Rule = Rule {
           recover with `let .. else { debug_assert!(false, ..); .. }`",
 };
 
+/// The function-scoped allocation rule: the tick kernel's phase bodies keep
+/// their request sets on the stack and drain the link registers in place,
+/// so a steady-state tick never reaches the allocator. A `Type::function`
+/// token matches the two identifiers in sequence.
+pub const ALLOC_RULE: Rule = Rule {
+    name: "alloc-in-hot-path",
+    tokens: &[
+        "collect",
+        "to_vec",
+        "to_owned",
+        "vec",
+        "Vec::new",
+        "Vec::with_capacity",
+        "VecDeque::new",
+        "Box::new",
+        "format",
+        "to_string",
+    ],
+    why: "a steady-state tick allocates nothing; gather into a fixed-size on-stack array \
+          or a buffer sized at construction",
+};
+
 /// The statement-scoped durability rule: in the modules that own crash
 /// safety (the checkpoint runner, the saturation cache, the experiment
 /// service), discarding an IO result with `let _ = …` is how checkpoint
@@ -159,12 +189,14 @@ pub const DURABILITY_SCOPES: &[&str] = &[
     "crates/experiments/src/service",
 ];
 
-/// One file whose named function bodies are held to [`PANIC_RULE`].
+/// One file whose named function bodies are held to function-scoped rules.
 pub struct HotPath {
     /// Path relative to the workspace root.
     pub file: &'static str,
     /// Function names whose bodies are scanned.
     pub functions: &'static [&'static str],
+    /// The rules the bodies are held to.
+    pub rules: &'static [&'static Rule],
 }
 
 /// The hot paths: the tick kernel's pipeline phases and the admission
@@ -182,6 +214,7 @@ pub const HOT_PATHS: &[HotPath] = &[
             "inject_phase",
             "update_state_phase",
         ],
+        rules: &[&PANIC_RULE, &ALLOC_RULE],
     },
     HotPath {
         file: "crates/noc-sim/src/admit.rs",
@@ -191,6 +224,7 @@ pub const HOT_PATHS: &[HotPath] = &[
             "admit_network",
             "admit_network_cached",
         ],
+        rules: &[&PANIC_RULE],
     },
 ];
 
@@ -200,6 +234,7 @@ pub fn rule(name: &str) -> Option<&'static Rule> {
         .iter()
         .find(|r| r.name == name)
         .or((PANIC_RULE.name == name).then_some(&PANIC_RULE))
+        .or((ALLOC_RULE.name == name).then_some(&ALLOC_RULE))
         .or((SWALLOWED_IO_RULE.name == name).then_some(&SWALLOWED_IO_RULE))
 }
 
@@ -576,10 +611,28 @@ fn body_spans(toks: &[Tok], functions: &[&str]) -> Vec<(usize, usize, usize)> {
 }
 
 /// Apply [`PANIC_RULE`] to the bodies of `functions` within one source
-/// text; `path` labels the findings. The `lint: allow(panic-in-hot-path)`
+/// text — [`lint_fn_bodies`] with that one rule.
+pub fn lint_hot_source(path: &str, src: &str, functions: &[&str]) -> Vec<Finding> {
+    lint_fn_bodies(path, src, functions, &[&PANIC_RULE])
+}
+
+/// Does the identifier at `toks[i]` match `pattern` — a bare identifier, or
+/// `Type::function` (the two identifiers in sequence)?
+fn matches_at(toks: &[Tok], i: usize, ident: &str, pattern: &str) -> bool {
+    match pattern.split_once("::") {
+        None => ident == pattern,
+        Some((head, tail)) => {
+            let prev = i.checked_sub(1).and_then(|k| toks.get(k));
+            ident == tail && matches!(prev, Some(Tok::Ident(_, p)) if p == head)
+        }
+    }
+}
+
+/// Apply function-scoped `rules` to the bodies of `functions` within one
+/// source text; `path` labels the findings. The `lint: allow(rule-name)`
 /// hatch works exactly as for the file-wide rules. A name in `functions`
 /// with no body in `src` is a finding too.
-pub fn lint_hot_source(path: &str, src: &str, functions: &[&str]) -> Vec<Finding> {
+pub fn lint_fn_bodies(path: &str, src: &str, functions: &[&str], rules: &[&Rule]) -> Vec<Finding> {
     let (toks, allows) = scan(src);
     let spans = body_spans(&toks, functions);
     let mut findings: Vec<Finding> = functions
@@ -595,20 +648,26 @@ pub fn lint_hot_source(path: &str, src: &str, functions: &[&str]) -> Vec<Finding
         })
         .collect();
     for (_, open, close) in spans {
-        for t in &toks[open..close] {
-            let Tok::Ident(line, ident) = t else { continue };
-            if PANIC_RULE.tokens.contains(&ident.as_str())
-                && !allows
-                    .get(*line)
-                    .is_some_and(|a| a.iter().any(|n| n == PANIC_RULE.name))
-            {
-                findings.push(Finding {
-                    path: path.to_string(),
-                    line: *line,
-                    rule: PANIC_RULE.name,
-                    token: ident.clone(),
-                    why: PANIC_RULE.why,
-                });
+        for i in open..close {
+            let Tok::Ident(line, ident) = &toks[i] else {
+                continue;
+            };
+            for r in rules {
+                let hit = r.tokens.iter().find(|p| matches_at(&toks, i, ident, p));
+                if let Some(pattern) = hit {
+                    if !allows
+                        .get(*line)
+                        .is_some_and(|a| a.iter().any(|n| n == r.name))
+                    {
+                        findings.push(Finding {
+                            path: path.to_string(),
+                            line: *line,
+                            rule: r.name,
+                            token: (*pattern).to_string(),
+                            why: r.why,
+                        });
+                    }
+                }
             }
         }
     }
@@ -725,7 +784,7 @@ pub fn lint_hot_paths(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
     for hp in HOT_PATHS {
         match std::fs::read_to_string(root.join(hp.file)) {
-            Ok(src) => findings.extend(lint_hot_source(hp.file, &src, hp.functions)),
+            Ok(src) => findings.extend(lint_fn_bodies(hp.file, &src, hp.functions, hp.rules)),
             Err(e) => findings.push(unscanned(
                 hp.file,
                 e.kind().to_string(),

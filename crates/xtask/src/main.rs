@@ -1,7 +1,8 @@
 //! `cargo run -p xtask -- lint` — the kernel determinism lint.
 //!
 //! Exits nonzero and prints one line per finding when any banned token
-//! (hash collections, OS entropy, wall clock, unordered parallelism)
+//! (hash collections, OS entropy, wall clock, unordered parallelism; the
+//! panic and allocation families inside the hot-path function bodies)
 //! appears in a kernel crate outside a `// lint: allow(rule)` escape.
 
 use std::process::ExitCode;
@@ -36,6 +37,8 @@ fn print_usage() {
     }
     let p = &xtask::PANIC_RULE;
     eprintln!("  {:<24} {} (function-scoped)", p.name, p.why);
+    let a = &xtask::ALLOC_RULE;
+    eprintln!("  {:<24} {} (tick-kernel phases)", a.name, a.why);
     let s = &xtask::SWALLOWED_IO_RULE;
     eprintln!("  {:<24} {} (durability modules)", s.name, s.why);
 }

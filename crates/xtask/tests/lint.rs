@@ -228,17 +228,89 @@ fn reverting_the_phase_unwrap_rewrite_fails_the_lint() {
     // The shipped file is clean…
     assert!(xtask::lint_hot_source("network.rs", &src, &hot).is_empty());
     // …and reintroducing an unwrap inside sa_phase is caught.
-    let marker = "let Some(w) = arbitrate_rr(&reqs, v, &mut r.sa_in_ptr[in_port]) else {";
+    let marker = "let Some(w) = arbitrate_rr(&reqs[..k], v, &mut r.sa_in_ptr[in_port]) else {";
     assert!(src.contains(marker), "sa_phase rewrite marker missing");
     let reverted = src.replace(
         marker,
-        "let Some(w) = Some(arbitrate_rr(&reqs, v, &mut r.sa_in_ptr[in_port]).unwrap()) else {",
+        "let Some(w) = Some(arbitrate_rr(&reqs[..k], v, &mut r.sa_in_ptr[in_port]).unwrap()) else {",
     );
     let findings = xtask::lint_hot_source("network.rs", &reverted, &hot);
     assert!(
         findings.iter().any(|f| f.token == "unwrap"),
         "lint missed the reverted unwrap: {findings:?}"
     );
+}
+
+/// The function-scoped allocation rule: every banned form fires inside a
+/// listed body, `Type::function` forms need both identifiers, nothing
+/// fires outside the body, and the hatch works.
+#[test]
+fn alloc_rule_flags_each_allocating_form_in_a_phase_body() {
+    let rules = [&xtask::ALLOC_RULE];
+    for (call, token) in [
+        ("let r: Vec<u32> = it.collect();", "collect"),
+        ("let r = s.to_vec();", "to_vec"),
+        ("let r = s.to_owned();", "to_owned"),
+        ("let r = vec![0; n];", "vec"),
+        ("let r: Vec<u32> = Vec::new();", "Vec::new"),
+        (
+            "let r: Vec<u32> = Vec::with_capacity(n);",
+            "Vec::with_capacity",
+        ),
+        ("let r: VecDeque<u32> = VecDeque::new();", "VecDeque::new"),
+        ("let r = Box::new(x);", "Box::new"),
+        ("let r = format!(\"{x}\");", "format"),
+        ("let r = x.to_string();", "to_string"),
+    ] {
+        let src = format!("fn helper() {{\n    {call}\n}}\nfn sa_phase() {{\n    {call}\n}}\n");
+        let f = xtask::lint_fn_bodies("fixture.rs", &src, &["sa_phase"], &rules);
+        assert_eq!(f.len(), 1, "{call}: {f:?}");
+        assert_eq!(
+            (f[0].rule, f[0].token.as_str()),
+            ("alloc-in-hot-path", token)
+        );
+        assert_eq!(f[0].line, 5, "{call} must fire inside the body only");
+    }
+    // The clean shape: a stack array filled in place, a register drained in
+    // place, `Cell::new` / `Vec::push` / a bare `new` — none of them banned.
+    let clean = "fn va_phase(q: &mut Vec<u32>) {\n    let mut reqs = [(0u64, 0usize); 64];\n    \
+                 reqs[0] = (1, 2);\n    q.retain(|x| *x != 0);\n    q.clear();\n    q.push(1);\n    \
+                 let c = Cell::new(0);\n    let w = Wrapper::new();\n}\n";
+    assert!(xtask::lint_fn_bodies("fixture.rs", clean, &["va_phase"], &rules).is_empty());
+    let hatched =
+        "fn rc_phase() {\n    // lint: allow(alloc-in-hot-path)\n    let v = Vec::new();\n}\n";
+    assert!(xtask::lint_fn_bodies("fixture.rs", hatched, &["rc_phase"], &rules).is_empty());
+}
+
+/// Revert check for the allocation rule: putting the per-port request
+/// `Vec` back into `sa_phase` must fail the lint, and the shipped kernel —
+/// like the rest of the workspace — is clean.
+#[test]
+fn reverting_the_on_stack_request_set_fails_the_lint() {
+    assert!(xtask::rule("alloc-in-hot-path").is_some());
+    let path = xtask::workspace_root().join("crates/noc-sim/src/network.rs");
+    let src = std::fs::read_to_string(&path).unwrap();
+    let hp = xtask::HOT_PATHS
+        .iter()
+        .find(|h| h.file.ends_with("network.rs"))
+        .unwrap();
+    assert!(hp.rules.iter().any(|r| r.name == "alloc-in-hot-path"));
+    assert!(xtask::lint_fn_bodies("network.rs", &src, hp.functions, hp.rules).is_empty());
+    let marker = "let Some(w) = arbitrate_rr(&reqs[..k], v, &mut r.sa_in_ptr[in_port]) else {";
+    assert!(src.contains(marker), "sa_phase marker missing");
+    let reverted = src.replace(
+        marker,
+        &format!("let reqs: Vec<(u64, usize)> = reqs[..k].iter().copied().collect();\n{marker}"),
+    );
+    let findings = xtask::lint_fn_bodies("network.rs", &reverted, hp.functions, hp.rules);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "alloc-in-hot-path" && f.token == "collect"),
+        "lint missed the reverted collect: {findings:?}"
+    );
+    let workspace = xtask::lint_workspace(&xtask::workspace_root());
+    assert!(workspace.is_empty(), "{workspace:?}");
 }
 
 /// The hot-path lint must not go blind: a listed function that was renamed

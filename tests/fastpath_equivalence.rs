@@ -89,6 +89,52 @@ fn fast_path_is_bit_identical_across_matrix() {
     }
 }
 
+/// The operating point the mask-driven kernel is built for: `RA_RAIR` +
+/// `DBAR` with both halves at 80 % of the nominal saturation load, the
+/// oracle scanning every cycle — so every router bitmap and ring cursor is
+/// recounted against the slow scan on both sides — then the sources go
+/// quiet and the network drains. Exhaustive mode widens every mask to all
+/// routers and all VC slots and reads each predicate from the VC itself;
+/// the two must agree on the digest, the drain state, the oracle's scan
+/// count and the congestion view, with no violation on either side.
+#[test]
+fn fast_path_is_bit_identical_at_80_percent_load_under_the_oracle() {
+    let run = |exhaustive: bool| {
+        let cfg = SimConfig {
+            oracle: OracleConfig::forced(),
+            ..SimConfig::table1()
+        };
+        let (region, scenario) = two_app(&cfg, 0.3, 0.24, 0.24);
+        let live = Trace::capture(scenario, cfg.num_nodes() as NodeId, 2_500, 42);
+        let source = TraceReplay::new(&live, cfg.num_nodes() as NodeId);
+        let mut net = Network::new(
+            cfg,
+            region,
+            Routing::Dbar.build(),
+            Scheme::rair().build(),
+            Box::new(source),
+            42,
+        );
+        net.set_force_exhaustive(exhaustive);
+        net.run(2_500);
+        let loaded = net.congestion_snapshot().to_vec();
+        net.run(1_500);
+        assert_eq!(net.stats.oracle_violation_count, 0);
+        (
+            net.stats.digest(),
+            net.is_drained(),
+            net.oracle_scans(),
+            loaded,
+            net.congestion_snapshot().to_vec(),
+        )
+    };
+    let (fast, slow) = (run(false), run(true));
+    assert_eq!(fast, slow, "fast/exhaustive divergence at 80 % load");
+    assert!(fast.1, "failed to drain");
+    assert_eq!(fast.2, 4_000, "the oracle scans every cycle");
+    assert!(fast.3.iter().any(|&c| c > 0), "the network was loaded");
+}
+
 /// Scripted inputs run to drain: the end-state digest, the drain state and
 /// the oracle's scan count (the exhaustive mode also ticks through every
 /// idle cycle the fast path jumps over, so equal counts pin the
