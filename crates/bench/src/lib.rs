@@ -1,25 +1,4 @@
-//! Shared helpers for the Criterion benches.
-//!
-//! Each bench (one per paper table/figure) does two things:
-//! 1. regenerates the figure's rows/series once in ultra-quick mode and
-//!    prints them to stderr, so `cargo bench` reproduces the evaluation
-//!    artifacts end-to-end;
-//! 2. times a representative simulation of that figure's workload, giving
-//!    a performance regression signal for the simulator itself.
-
-use experiments::runner::ExpConfig;
-
-/// Ultra-quick experiment windows for the regeneration pass inside benches.
-pub fn bench_config() -> ExpConfig {
-    ExpConfig {
-        warmup: 1_000,
-        measure: 6_000,
-        seed: 0xBE7C4,
-        quick: true,
-        cycle_budget: None,
-        prune: false,
-    }
-}
-
-/// Cycles simulated by the timed portion of each bench.
-pub const TIMED_CYCLES: u64 = 2_000;
+//! Criterion microbenchmarks of the simulator substrate
+//! (`benches/router_micro.rs`): idle, saturated and fast-vs-exhaustive tick
+//! costs, oracle on/off. End-to-end throughput — the figures, `repro serve`,
+//! per-layer kernel numbers — is `rair-bench`'s job (see `BENCHMARK.json`).

@@ -16,6 +16,7 @@
 //! kernel crates are under the wall-clock lint); per-cell analysis cost
 //! is stamped into the row by this driver.
 
+use crate::verify_config::NegativeCase;
 use metrics::Table;
 use model::RoutingKind;
 use noc_sim::admit::{
@@ -73,7 +74,7 @@ fn schemes() -> Vec<Scheme> {
 const ROUTINGS: [Routing; 3] = [Routing::Xy, Routing::Local, Routing::Dbar];
 
 /// The analytical routing abstraction matching a simulated routing choice.
-fn routing_kind(routing: Routing) -> RoutingKind {
+pub(crate) fn routing_kind(routing: Routing) -> RoutingKind {
     match routing {
         Routing::Xy => RoutingKind::DimensionOrder,
         Routing::Local | Routing::Dbar => RoutingKind::Adaptive,
@@ -216,75 +217,24 @@ fn row(
     }
 }
 
-/// Render the matrix as a report table.
+/// The matrix as the one report: the text table and the `rows` of
+/// `ADMIT_report.json` (which also carry the first defect, if any).
 pub fn table(rows: &[AdmitRow]) -> Table {
-    let mut t = Table::new(
+    Table::of(
         "Static admission — progress + non-interference + bandwidth feasibility",
+        rows,
         &[
-            "topology",
-            "region",
-            "routing",
-            "scheme",
-            "verdict",
-            "wait bound",
-            "states",
-            "µs",
+            ("topology", "topology", |r| r.topology.into()),
+            ("region", "region", |r| r.region.into()),
+            ("routing", "routing", |r| r.routing.into()),
+            ("scheme", "scheme", |r| r.scheme.clone().into()),
+            ("verdict", "verdict", |r| r.verdict.into()),
+            ("wait bound", "wait_bound", |r| r.wait_bound.into()),
+            ("states", "states", |r| r.states.into()),
+            ("µs", "micros", |r| r.micros.into()),
+            ("", "defect", |r| r.defect.clone().into()),
         ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.topology.to_string(),
-            r.region.to_string(),
-            r.routing.to_string(),
-            r.scheme.clone(),
-            r.verdict.to_string(),
-            r.wait_bound
-                .map_or_else(|| "-".to_string(), |b| b.to_string()),
-            r.states.to_string(),
-            r.micros.to_string(),
-        ]);
-    }
-    t
-}
-
-/// Serialize the matrix as JSON (hand-rolled — the vendored serde is a
-/// stub).
-pub fn to_json(rows: &[AdmitRow]) -> String {
-    let mut out = String::from("{\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"region\": \"{}\", \"routing\": \"{}\", \
-             \"scheme\": \"{}\", \"verdict\": \"{}\", \"wait_bound\": {}, \
-             \"states\": {}, \"micros\": {}, \"defect\": {}}}{}\n",
-            r.topology,
-            r.region,
-            r.routing,
-            r.scheme,
-            r.verdict,
-            r.wait_bound
-                .map_or_else(|| "null".to_string(), |b| b.to_string()),
-            r.states,
-            r.micros,
-            r.defect.as_ref().map_or_else(
-                || "null".to_string(),
-                |d| format!("\"{}\"", d.replace('\\', "\\\\").replace('"', "\\\""))
-            ),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One deliberately broken configuration and the pipeline's verdict.
-pub struct AdmitNegative {
-    pub name: &'static str,
-    /// Did the pipeline reject it (as it must)?
-    pub rejected: bool,
-    /// The property that refuted it.
-    pub property: String,
-    /// The concrete witness (lasso trace, taint path or overloaded link).
-    pub witness: String,
+    )
 }
 
 /// A two-app region whose app-0 territory is non-convex, so app-0
@@ -305,7 +255,7 @@ fn nonconvex_region(cfg: &SimConfig) -> RegionMap {
 /// Run the injected-fault battery on the canonical config of `kind`.
 /// Every case must come back `rejected` with the named property and a
 /// concrete witness.
-pub fn negative_battery(kind: TopologyKind) -> Vec<AdmitNegative> {
+pub fn negative_battery(kind: TopologyKind) -> Vec<NegativeCase> {
     let cfg = SimConfig::table1_topology(kind);
     let mut cases = Vec::new();
 
@@ -353,9 +303,9 @@ pub fn negative_battery(kind: TopologyKind) -> Vec<AdmitNegative> {
     cases
 }
 
-fn negative(name: &'static str, adm: &Admission) -> AdmitNegative {
+fn negative(name: &'static str, adm: &Admission) -> NegativeCase {
     let rej = adm.rejection();
-    AdmitNegative {
+    NegativeCase {
         name,
         rejected: adm.verdict() == AdmitVerdict::Reject && rej.is_some_and(|p| p.witness.is_some()),
         property: rej.map(|p| p.property.to_string()).unwrap_or_default(),
@@ -451,14 +401,5 @@ mod tests {
         let adm = admit_cell(&cfg, &region, &Scheme::rair(), Routing::Local, &specs);
         assert!(adm.is_admitted());
         assert_eq!(adm.verdict(), AdmitVerdict::Warn);
-    }
-
-    #[test]
-    fn json_is_balanced_and_labelled() {
-        let j = to_json(&run_matrix_for(TopologyKind::Ring));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"topology\": \"ring\""));
-        assert!(j.contains("\"verdict\": \"admit\""));
     }
 }

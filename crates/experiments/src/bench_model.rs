@@ -23,10 +23,11 @@
 //! searches use at most half the stability probes of the cold ones, the
 //! headline acceptance bar for the warm-start path.
 
+use crate::admit::routing_kind;
 use crate::figs::curve;
 use crate::runner::{run_one, ExpConfig};
 use crate::sweep::build_network;
-use metrics::Table;
+use metrics::report::{Table, Value};
 use model::{predict_app_saturation, predict_latencies, warm_hint, PriorityMode, RoutingKind};
 use noc_sim::config::SimConfig;
 use noc_sim::region::RegionMap;
@@ -123,14 +124,6 @@ impl BenchModel {
         let warm: f64 = self.sat.iter().map(|r| r.warm_secs).sum();
         let cold: f64 = self.sat.iter().map(|r| r.cold_secs).sum();
         cold / warm.max(1e-9)
-    }
-}
-
-/// The routing algorithms a saturation row is validated under.
-fn routing_kind(r: Routing) -> RoutingKind {
-    match r {
-        Routing::Xy => RoutingKind::DimensionOrder,
-        _ => RoutingKind::Adaptive,
     }
 }
 
@@ -380,210 +373,90 @@ fn latency_rows(ec: &ExpConfig, halves_sat: f64) -> Vec<LatRow> {
     rows
 }
 
-/// Render the saturation cross-validation as a report table.
+/// The saturation cross-validation as the one report: the text table and
+/// the `saturation_rows` of `BENCH_model.json`.
 pub fn sat_table(b: &BenchModel) -> Table {
-    let mut t = Table::new(
+    Table::of(
         "Model cross-validation — saturation (warm bit-identity checked)",
+        &b.sat,
         &[
-            "config",
-            "routing",
-            "predicted",
-            "measured",
-            "relerr",
-            "warm",
-            "sims w/c",
+            ("config", "config", |r| r.config.clone().into()),
+            ("routing", "routing", |r| r.routing.into()),
+            ("predicted", "predicted", |r| Value::Float(r.predicted, 4)),
+            ("measured", "measured", |r| Value::Float(r.measured, 4)),
+            ("relerr", "", |r| format!("{:+.3}", r.rel_err).into()),
+            ("", "rel_err", |r| Value::Float(r.rel_err, 0)),
+            ("warm", "warm", |r| format!("{:?}", r.warm_outcome).into()),
+            ("sims w/c", "", |r| {
+                format!("{}/{}", r.warm_sims, r.cold_sims).into()
+            }),
+            ("", "warm_sims", |r| u64::from(r.warm_sims).into()),
+            ("", "cold_sims", |r| u64::from(r.cold_sims).into()),
+            ("", "warm_secs", |r| Value::Float(r.warm_secs, 0)),
+            ("", "cold_secs", |r| Value::Float(r.cold_secs, 0)),
+            ("", "table1", |r| r.table1.into()),
         ],
-    );
-    for r in &b.sat {
-        t.row(vec![
-            r.config.clone(),
-            r.routing.to_string(),
-            format!("{:.4}", r.predicted),
-            format!("{:.4}", r.measured),
-            format!("{:+.3}", r.rel_err),
-            format!("{:?}", r.warm_outcome),
-            format!("{}/{}", r.warm_sims, r.cold_sims),
-        ]);
-    }
-    t
+    )
 }
 
-/// Render the latency cross-validation as a report table.
+/// The latency cross-validation as the one report: the text table and the
+/// `latency_rows` of `BENCH_model.json`.
 pub fn lat_table(b: &BenchModel) -> Table {
-    let mut t = Table::new(
+    Table::of(
         "Model cross-validation — latency (halves interference scenario)",
-        &["mode", "load", "app", "predicted", "simulated", "relerr"],
-    );
-    for r in &b.lat {
-        t.row(vec![
-            r.mode.to_string(),
-            format!("{:.1}", r.load_frac),
-            r.app.to_string(),
-            format!("{:.1}", r.predicted),
-            format!("{:.1}", r.simulated),
-            format!("{:+.3}", r.rel_err),
-        ]);
-    }
-    t
+        &b.lat,
+        &[
+            ("mode", "mode", |r| r.mode.into()),
+            ("load", "load_frac", |r| Value::Float(r.load_frac, 1)),
+            ("app", "app", |r| r.app.into()),
+            ("predicted", "predicted", |r| Value::Float(r.predicted, 1)),
+            ("simulated", "simulated", |r| Value::Float(r.simulated, 1)),
+            ("relerr", "", |r| format!("{:+.3}", r.rel_err).into()),
+            ("", "rel_err", |r| Value::Float(r.rel_err, 0)),
+        ],
+    )
 }
 
-/// Serialize the bench as JSON (hand-rolled — the vendored serde is a
-/// stub).
-pub fn to_json(b: &BenchModel) -> String {
+/// The `BENCH_model.json` document.
+pub fn json(b: &BenchModel) -> Value {
+    let f = |x: f64| Value::Float(x, 0);
     let (mean, max, max_cfg) = b.sat_error();
-    let (warm_probes, cold_probes) = b.table1_probes();
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"quick\": {},\n", b.quick));
-    out.push_str(&format!(
-        "  \"efficiency\": {{\"mesh\": {}, \"torus\": {}, \"ring\": {}, \"io\": {}}},\n",
-        model::SATURATION_EFFICIENCY,
-        model::TORUS_EFFICIENCY,
-        model::RING_EFFICIENCY,
-        model::IO_EFFICIENCY,
-    ));
-    out.push_str("  \"saturation_rows\": [\n");
-    for (i, r) in b.sat.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"config\": \"{}\", \"routing\": \"{}\", \"predicted\": {:.6}, \
-             \"measured\": {:.6}, \"rel_err\": {:.4}, \"warm\": \"{:?}\", \
-             \"warm_sims\": {}, \"cold_sims\": {}, \"warm_secs\": {:.3}, \
-             \"cold_secs\": {:.3}, \"table1\": {}}}{}\n",
-            r.config,
-            r.routing,
-            r.predicted,
-            r.measured,
-            r.rel_err,
-            r.warm_outcome,
-            r.warm_sims,
-            r.cold_sims,
-            r.warm_secs,
-            r.cold_secs,
-            r.table1,
-            if i + 1 < b.sat.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"saturation_error\": {{\"mean_abs_rel\": {mean:.4}, \"max_abs_rel\": {max:.4}, \
-         \"max_config\": \"{max_cfg}\"}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"table1_matrix\": {{\"warm_probes\": {warm_probes}, \"cold_probes\": {cold_probes}, \
-         \"probe_ratio\": {:.3}}},\n",
-        f64::from(warm_probes) / f64::from(cold_probes).max(1.0),
-    ));
-    out.push_str(&format!(
-        "  \"warm_wall_speedup\": {:.2},\n",
-        b.warm_speedup()
-    ));
-    out.push_str("  \"latency_rows\": [\n");
-    for (i, r) in b.lat.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"load_frac\": {:.2}, \"app\": {}, \"predicted\": {:.2}, \
-             \"simulated\": {:.2}, \"rel_err\": {:.4}}}{}\n",
-            r.mode,
-            r.load_frac,
-            r.app,
-            r.predicted,
-            r.simulated,
-            r.rel_err,
-            if i + 1 < b.lat.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"sweep\": {{\"full_secs\": {:.3}, \"pruned_secs\": {:.3}, \"speedup\": {:.2}, \
-         \"pruned_points\": {}, \"knee_full\": {}, \"knee_pruned\": {}}}\n",
-        b.sweep_full_secs,
-        b.sweep_pruned_secs,
-        b.sweep_full_secs / b.sweep_pruned_secs.max(1e-9),
-        b.sweep_pruned_points,
-        b.knee_full.map_or("null".into(), |k| format!("{k:.3}")),
-        b.knee_pruned.map_or("null".into(), |k| format!("{k:.3}")),
-    ));
-    out.push_str("}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn synthetic() -> BenchModel {
-        BenchModel {
-            quick: true,
-            sat: vec![
-                SatRow {
-                    config: "halves/intra/app0/Local".into(),
-                    routing: "Local",
-                    predicted: 0.36,
-                    measured: 0.39,
-                    rel_err: -0.077,
-                    warm_outcome: WarmOutcome::Accepted,
-                    warm_sims: 5,
-                    cold_sims: 9,
-                    warm_secs: 1.0,
-                    cold_secs: 2.0,
-                    table1: true,
-                },
-                SatRow {
-                    config: "single/TP".into(),
-                    routing: "Local",
-                    predicted: 0.30,
-                    measured: 0.36,
-                    rel_err: -0.167,
-                    warm_outcome: WarmOutcome::Rejected,
-                    warm_sims: 11,
-                    cold_sims: 9,
-                    warm_secs: 2.4,
-                    cold_secs: 2.0,
-                    table1: false,
-                },
-            ],
-            lat: vec![LatRow {
-                mode: "RO_RR",
-                load_frac: 0.5,
-                app: 0,
-                predicted: 25.0,
-                simulated: 28.0,
-                rel_err: -0.107,
-            }],
-            sweep_full_secs: 10.0,
-            sweep_pruned_secs: 6.0,
-            sweep_pruned_points: 4,
-            knee_full: Some(0.35),
-            knee_pruned: Some(0.35),
-        }
-    }
-
-    #[test]
-    fn aggregates_are_computed_over_the_right_subsets() {
-        let b = synthetic();
-        let (mean, max, max_cfg) = b.sat_error();
-        assert!((mean - 0.122).abs() < 1e-3, "{mean}");
-        assert!((max - 0.167).abs() < 1e-9);
-        assert_eq!(max_cfg, "single/TP");
-        // Probe totals only cover table1 rows, minus the zero-load ref.
-        assert_eq!(b.table1_probes(), (4, 8));
-        // Wall speedup spans the whole matrix.
-        assert!((b.warm_speedup() - 4.0 / 3.4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let j = to_json(&synthetic());
-        assert!(j.contains("\"max_config\": \"single/TP\""));
-        assert!(j.contains("\"warm\": \"Accepted\""));
-        assert!(j.contains("\"probe_ratio\": 0.500"));
-        assert!(j.contains("\"knee_full\": 0.350"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn tables_have_one_row_per_entry() {
-        let b = synthetic();
-        assert_eq!(sat_table(&b).num_rows(), 2);
-        assert_eq!(lat_table(&b).num_rows(), 1);
-    }
+    let (warm, cold) = b.table1_probes();
+    let efficiency = [
+        ("mesh", f(model::SATURATION_EFFICIENCY)),
+        ("torus", f(model::TORUS_EFFICIENCY)),
+        ("ring", f(model::RING_EFFICIENCY)),
+        ("io", f(model::IO_EFFICIENCY)),
+    ];
+    let saturation_error = [
+        ("mean_abs_rel", f(mean)),
+        ("max_abs_rel", f(max)),
+        ("max_config", max_cfg.into()),
+    ];
+    let table1_matrix = [
+        ("warm_probes", u64::from(warm).into()),
+        ("cold_probes", u64::from(cold).into()),
+        ("probe_ratio", f(f64::from(warm) / f64::from(cold).max(1.0))),
+    ];
+    let sweep = [
+        ("full_secs", f(b.sweep_full_secs)),
+        ("pruned_secs", f(b.sweep_pruned_secs)),
+        (
+            "speedup",
+            f(b.sweep_full_secs / b.sweep_pruned_secs.max(1e-9)),
+        ),
+        ("pruned_points", b.sweep_pruned_points.into()),
+        ("knee_full", b.knee_full.map(f).into()),
+        ("knee_pruned", b.knee_pruned.map(f).into()),
+    ];
+    Value::obj([
+        ("quick", b.quick.into()),
+        ("efficiency", Value::obj(efficiency)),
+        ("saturation_rows", sat_table(b).json_rows()),
+        ("saturation_error", Value::obj(saturation_error)),
+        ("table1_matrix", Value::obj(table1_matrix)),
+        ("warm_wall_speedup", f(b.warm_speedup())),
+        ("latency_rows", lat_table(b).json_rows()),
+        ("sweep", Value::obj(sweep)),
+    ])
 }

@@ -1,435 +1,438 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures, and run the
+//! services grown around them.
 //!
-//! Usage:
-//! ```text
-//! repro [--quick] [--seed N] [--windows W,M] [--csv] [--oracle] <experiment>...
-//! repro [--quick] [--windows W,M] serve <jobs-file> [--dir PATH]
-//! repro [--smoke] [--seed N] chaos [--inject-wrong-result]
-//! ```
-//! where `<experiment>` is one of `table1`, `fig9`, `fig10`, `fig12`,
-//! `fig14`, `fig15`, `fig17`, `lbdr`, `oracle`, `curve`, `trace-demo`,
-//! `bench-kernel`, `bench-model`, `verify-config`, `admit`, `resilience`,
-//! `ablation-delta`, `ablation-vcsplit`, `ablation-rank`, `baselines`, or
-//! `all`; `repro --help` prints every flag.
-//!
-//! `--oracle` force-enables the invariant oracle for every simulation of
-//! the invocation (equivalent to `RAIR_ORACLE=1`); the `oracle` experiment
-//! additionally runs the dedicated scheme × routing verification matrix
-//! with per-cycle checking.
+//! The whole command line is two tables: [`SUBCOMMANDS`] (name, role, help,
+//! the flags it reads, handler) and [`FLAGS`] (name, scope, value and setter
+//! into [`Opts`], help). `repro --help`, the usage printed with every error,
+//! the "needs a value" messages and the scope check — a flag that none of
+//! the named subcommands reads is rejected by name — are derived from them.
+//! Flags are applied in table order, presets first, so `--windows`/`--seed`
+//! override `--quick`/`--smoke` wherever they stand in argv. Adding a driver
+//! is one row plus its handler (DESIGN.md §15); a handler reports failure as
+//! an `Err` that `main` prints as `[repro] <message>` before exiting 1.
 
-use experiments::figs;
+use experiments::figs::{self, ablation};
 use experiments::runner::ExpConfig;
-use metrics::Table;
+use experiments::verify_config::NegativeCase;
+use metrics::report::{Table, Value};
+use noc_sim::topology::TopologyKind;
 use std::process::ExitCode;
+use Kind::{Switch, Valued};
+use Role::{Extra, Paper, Solo};
+use Scope::{Every, Row};
 
-const USAGE: &str = "usage: repro [--quick] [--smoke] [--seed N] [--windows W,M] [--csv] [--oracle] [--prune] [--inject-cyclic] [--inject-broken] \
-[--topology mesh|torus|ring|cmesh[:N]] \
-<table1|fig9|fig10|fig12|fig14|fig15|fig17|lbdr|oracle|curve|trace-demo|bench-kernel|bench-model|verify-config|admit|resilience|ablation-delta|ablation-vcsplit|ablation-rank|baselines|all> \
-[--trace-file PATH]\n\
-       repro [--quick] [--windows W,M] serve <jobs-file> [--dir PATH] [--retries N] [--timeout-ms N] [--screen]\n\
-       repro [--smoke] [--seed N] chaos [--inject-wrong-result]";
+/// Everything the flags can set.
+struct Opts {
+    ec: ExpConfig,
+    csv: bool,
+    help: bool,
+    /// CI-sized: quick windows plus a reduced matrix where one exists.
+    smoke: bool,
+    inject_cyclic: bool,
+    inject_broken: bool,
+    inject_wrong_result: bool,
+    topology: TopologyKind,
+    trace_file: String,
+    serve_dir: String,
+    retries: u32,
+    timeout_ms: Option<u64>,
+    screen: bool,
+    /// The positional a solo subcommand takes (`serve`'s jobs file).
+    operand: String,
+}
+
+type Outcome = Result<(), String>;
+
+/// Where a flag is accepted: with `Every` subcommand, or only with one
+/// whose `Row` names it.
+enum Scope {
+    Every,
+    Row,
+}
+
+type Setter = fn(&mut Opts, &str) -> Option<()>;
+
+enum Kind {
+    Switch(fn(&mut Opts)),
+    /// Metavar, what a missing or malformed value "needs", setter.
+    Valued(&'static str, &'static str, Setter),
+}
+
+struct Flag {
+    name: &'static str,
+    scope: Scope,
+    kind: Kind,
+    help: &'static str,
+}
+
+/// A zero measurement window would make every APL 0/0.
+fn set_windows(o: &mut Opts, v: &str) -> Option<()> {
+    let (w, m) = v.split_once(',')?;
+    o.ec.measure = m.trim().parse().ok().filter(|&m| m > 0)?;
+    o.ec.warmup = w.trim().parse().ok()?;
+    Some(())
+}
+
+/// Applied in this order, whatever the argv order: presets before overrides.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--quick", scope: Row, kind: Switch(|o| o.ec = ExpConfig::quick()), help: "2 000 + 15 000-cycle windows instead of the paper's 10K + 100K" },
+    Flag { name: "--smoke", scope: Row, kind: Switch(|o| (o.ec, o.smoke) = (ExpConfig::quick(), true)), help: "CI-sized: --quick windows, and a reduced matrix where one exists" },
+    Flag { name: "--windows", scope: Row, kind: Valued("W,M", "WARMUP,MEASURE cycles (MEASURE > 0)", set_windows), help: "explicit warmup,measure windows" },
+    Flag { name: "--seed", scope: Row, kind: Valued("N", "an integer", |o, v| v.parse().ok().map(|n| o.ec.seed = n)), help: "seed of every random stream" },
+    Flag { name: "--prune", scope: Row, kind: Switch(|o| o.ec.prune = true), help: "shortened confirmation runs for curve points the model classifies" },
+    // Every Network resolves the toggle through SimConfig::oracle / RAIR_ORACLE, so the env var reaches all drivers.
+    Flag { name: "--oracle", scope: Row, kind: Switch(|_| std::env::set_var("RAIR_ORACLE", "1")), help: "force the invariant oracle on in every simulation (as RAIR_ORACLE=1)" },
+    Flag { name: "--csv", scope: Every, kind: Switch(|o| o.csv = true), help: "print tables as CSV" },
+    Flag { name: "--topology", scope: Row, kind: Valued("mesh|torus|ring|cmesh[:N]", "mesh|torus|ring|cmesh[:N]", |o, v| TopologyKind::parse(v).map(|k| o.topology = k)), help: "topology of the verified / admitted matrix" },
+    Flag { name: "--inject-cyclic", scope: Row, kind: Switch(|o| o.inject_cyclic = true), help: "the verifier's negative battery instead (always exits 1)" },
+    Flag { name: "--inject-broken", scope: Row, kind: Switch(|o| o.inject_broken = true), help: "the admission negative battery instead (always exits 1)" },
+    Flag { name: "--inject-wrong-result", scope: Row, kind: Switch(|o| o.inject_wrong_result = true), help: "the chaos negative control instead (always exits 1)" },
+    Flag { name: "--trace-file", scope: Row, kind: Valued("PATH", "a path", |o, v| { o.trace_file = v.into(); Some(()) }), help: "where trace-demo writes its trace" },
+    Flag { name: "--dir", scope: Row, kind: Valued("PATH", "a path", |o, v| { o.serve_dir = v.into(); Some(()) }), help: "state directory of the job service" },
+    Flag { name: "--retries", scope: Row, kind: Valued("N", "an integer", |o, v| v.parse().ok().map(|n| o.retries = n)), help: "attempts before a job is quarantined" },
+    Flag { name: "--timeout-ms", scope: Row, kind: Valued("N", "milliseconds", |o, v| v.parse().ok().map(|n| o.timeout_ms = Some(n))), help: "wall-clock cap per attempt" },
+    Flag { name: "--screen", scope: Row, kind: Switch(|o| o.screen = true), help: "screen jobs through the analytical model first" },
+    Flag { name: "--help", scope: Every, kind: Switch(|o| o.help = true), help: "print this text (also -h)" },
+];
+
+enum Role {
+    /// One of the paper's tables and figures: part of `repro all`.
+    Paper,
+    Extra,
+    /// Takes over the invocation (not combinable with other subcommands)
+    /// and requires this positional operand, if any.
+    Solo(Option<&'static str>),
+}
+
+struct Cmd {
+    name: &'static str,
+    role: Role,
+    help: &'static str,
+    /// Groups of `Row`-scoped flags the handler reads.
+    flags: &'static [&'static [&'static str]],
+    run: fn(&Opts) -> Outcome,
+}
+
+/// What every simulating driver reads: windows, seed, oracle switch.
+const SIM: &[&str] = &["--quick", "--smoke", "--windows", "--seed", "--oracle"];
+/// The pseudo-subcommand that stands for every [`Paper`] row.
+const ALL: &str = "all";
+
+/// `all` runs its members in this order.
+#[rustfmt::skip]
+const SUBCOMMANDS: &[Cmd] = &[
+    Cmd { name: "table1", role: Paper, help: "Table 1: the simulated configuration next to the paper's", flags: &[], run: |o| emit(o, &figs::table1::table()) },
+    Cmd { name: "lbdr", role: Paper, help: "LBDR region confinement: path-length cost (Section III)", flags: &[&["--seed"]], run: |o| emit(o, &figs::lbdr_analysis::table(200_000, o.ec.seed)) },
+    Cmd { name: "fig9", role: Paper, help: "Fig. 9: APL vs inter-region fraction across the MSP stages", flags: &[SIM], run: |o| figure(o, figs::fig9::report(&o.ec)) },
+    Cmd { name: "fig10", role: Paper, help: "Fig. 10: RAIR composed with local / DBAR adaptive routing", flags: &[SIM], run: |o| figure(o, figs::fig10::report(&o.ec)) },
+    Cmd { name: "fig12", role: Paper, help: "Fig. 12: DPA against the two fixed priorities", flags: &[SIM], run: |o| figure(o, figs::fig12::report(&o.ec)) },
+    Cmd { name: "fig14", role: Paper, help: "Fig. 14: six-application synthetic mix", flags: &[SIM], run: |o| figure(o, figs::fig14::report(&o.ec)) },
+    Cmd { name: "fig15", role: Paper, help: "Fig. 15: global traffic patterns", flags: &[SIM], run: |o| figure(o, figs::fig15::report(&o.ec)) },
+    Cmd { name: "fig17", role: Paper, help: "Fig. 17: PARSEC-like slowdowns under an adversary", flags: &[SIM], run: |o| figure(o, figs::fig17::report(&o.ec)) },
+    Cmd { name: "ablation-delta", role: Paper, help: "ablation: DPA hysteresis delta", flags: &[SIM], run: |o| emit(o, &ablation::table(&ablation::delta_sweep(&o.ec))) },
+    Cmd { name: "ablation-vcsplit", role: Paper, help: "ablation: regional/global VC split", flags: &[SIM], run: |o| emit(o, &ablation::table(&ablation::vc_split_sweep(&o.ec))) },
+    Cmd { name: "ablation-rank", role: Paper, help: "ablation: STC rank estimation", flags: &[SIM], run: |o| emit(o, &ablation::table(&ablation::rank_estimation(&o.ec))) },
+    Cmd { name: "baselines", role: Extra, help: "the region-oblivious baselines side by side", flags: &[SIM], run: |o| emit(o, &ablation::table(&ablation::baselines(&o.ec))) },
+    Cmd { name: "curve", role: Extra, help: "load-latency curves and knees of three patterns", flags: &[SIM, &["--prune"]], run: curve },
+    Cmd { name: "oracle", role: Extra, help: "scheme x routing matrix under per-cycle invariant checking", flags: &[SIM], run: oracle },
+    Cmd { name: "trace-demo", role: Extra, help: "capture a trace to a file, replay it under two schemes", flags: &[SIM, &["--trace-file"]], run: |o| emit(o, &figs::trace_demo::run(&o.ec, &o.trace_file)?) },
+    Cmd { name: "bench-model", role: Extra, help: "analytical model vs simulator (BENCH_model.json)", flags: &[SIM], run: bench_model },
+    Cmd { name: "verify-config", role: Extra, help: "static deadlock-freedom and legality proof (VERIFY_report.json)", flags: &[&["--topology", "--inject-cyclic"]], run: verify_config },
+    Cmd { name: "admit", role: Extra, help: "static QoS admission matrix (ADMIT_report.json)", flags: &[&["--topology", "--inject-broken"]], run: admit },
+    Cmd { name: "resilience", role: Extra, help: "fault rate x scheme x routing sweep (RESILIENCE_report.json)", flags: &[SIM], run: resilience },
+    Cmd { name: "serve", role: Solo(Some("a jobs file")), help: "crash-safe job service over a jobs file", flags: &[SIM, &["--dir", "--retries", "--timeout-ms", "--screen"]], run: serve },
+    Cmd { name: "chaos", role: Solo(None), help: "fault-injection battery over the service (CHAOS_report.json)", flags: &[&["--smoke", "--seed", "--oracle", "--inject-wrong-result"]], run: chaos },
+];
+
+impl Cmd {
+    fn reads(&self, flag: &str) -> bool {
+        self.flags.iter().any(|group| group.contains(&flag))
+    }
+}
+
+fn paper() -> Vec<&'static Cmd> {
+    (SUBCOMMANDS.iter().filter(|c| matches!(c.role, Paper))).collect()
+}
+
+fn names(cmds: &[&Cmd]) -> String {
+    cmds.iter().map(|c| c.name).collect::<Vec<_>>().join(" ")
+}
+
+/// `--help`, and the tail of every command-line error.
+fn usage() -> String {
+    let mut u = String::from("usage: repro [FLAG]... <SUBCOMMAND>...\n\n");
+    u += "subcommands, and the flags each reads:\n";
+    for c in SUBCOMMANDS {
+        let name = match c.role {
+            Solo(Some(operand)) => format!("{} <{operand}>", c.name),
+            _ => c.name.to_string(),
+        };
+        u += &format!("  {name:<20}{}\n", c.help);
+        if !c.flags.is_empty() {
+            u += &format!("{:22}[{}]\n", "", c.flags.concat().join(" "));
+        }
+    }
+    u += &format!("  {ALL:<20}{}\n\nflags:\n", names(&paper()));
+    for f in FLAGS {
+        let name = match f.kind {
+            Valued(metavar, ..) => format!("{} {metavar}", f.name),
+            Switch(_) => f.name.to_string(),
+        };
+        u += &format!("  {name:<38} {}\n", f.help);
+    }
+    u.trim_end().to_string()
+}
+
+/// Parse argv into the options and the subcommands to run (none for
+/// `--help`). An `Err` is the message to print above the usage.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<(Opts, Vec<&'static Cmd>), String> {
+    let mut o = Opts {
+        ec: ExpConfig::full(),
+        csv: false,
+        help: false,
+        smoke: false,
+        inject_cyclic: false,
+        inject_broken: false,
+        inject_wrong_result: false,
+        topology: TopologyKind::Mesh,
+        trace_file: "/tmp/rair_trace.bin".into(),
+        serve_dir: "results/serve".into(),
+        retries: 3,
+        timeout_ms: None,
+        screen: false,
+        operand: String::new(),
+    };
+    let (mut given, mut positional) = (Vec::new(), Vec::new());
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        if !a.starts_with('-') {
+            positional.push(a);
+            continue;
+        }
+        let name = if a == "-h" { "--help" } else { a.as_str() };
+        let i = FLAGS.iter().position(|f| f.name == name);
+        let i = i.ok_or_else(|| format!("unknown flag {a}"))?;
+        let value = match FLAGS[i].kind {
+            Valued(_, needs, _) => args.next().ok_or(format!("{name} needs {needs}"))?,
+            Switch(_) => String::new(),
+        };
+        given.push((i, value));
+    }
+    // Table order, not argv order (stable: of a repeated flag the last wins).
+    given.sort_by_key(|(i, _)| *i);
+    for (i, value) in &given {
+        match FLAGS[*i].kind {
+            Switch(set) => set(&mut o),
+            Valued(_, needs, set) => {
+                set(&mut o, value).ok_or(format!("{} needs {needs}", FLAGS[*i].name))?;
+            }
+        }
+    }
+    if o.help {
+        return Ok((o, Vec::new()));
+    }
+    let find = |name: &str| SUBCOMMANDS.iter().find(|c| c.name == name);
+    let solo = |c: &Cmd, other: &str| {
+        let what = "cannot be combined with experiments or extra arguments";
+        format!("{} {what} (`{other}`)", c.name)
+    };
+    let first = positional.first().ok_or("no subcommand given")?;
+    let cmds = if let Some((c, Solo(operand))) = find(first).map(|c| (c, &c.role)) {
+        if let Some(extra) = positional.get(1 + usize::from(operand.is_some())) {
+            return Err(solo(c, extra));
+        }
+        o.operand = match (operand, positional.get(1)) {
+            (Some(what), None) => return Err(format!("{} needs {what}", c.name)),
+            (_, given) => given.cloned().unwrap_or_default(),
+        };
+        vec![c]
+    } else {
+        let mut cmds = Vec::new();
+        for name in positional.iter().filter(|name| *name != ALL) {
+            match find(name) {
+                Some(c) if matches!(c.role, Solo(_)) => return Err(solo(c, first)),
+                Some(c) => cmds.push(c),
+                None => return Err(format!("unknown experiment {name}")),
+            }
+        }
+        if cmds.len() < positional.len() {
+            cmds = paper();
+        }
+        cmds
+    };
+    for (i, _) in &given {
+        let f = &FLAGS[*i];
+        if matches!(f.scope, Row) && !cmds.iter().any(|c| c.reads(f.name)) {
+            return Err(format!("{} is not read by {}", f.name, names(&cmds)));
+        }
+    }
+    Ok((o, cmds))
+}
 
 fn main() -> ExitCode {
-    let mut ec = ExpConfig::full();
-    let mut csv = false;
-    let mut smoke = false;
-    let mut inject_cyclic = false;
-    let mut inject_broken = false;
-    let mut topology = noc_sim::topology::TopologyKind::Mesh;
-    let mut trace_file = String::from("/tmp/rair_trace.bin");
-    let mut serve_dir = String::from("results/serve");
-    let mut retries: u32 = 3;
-    let mut timeout_ms: Option<u64> = None;
-    let mut screen = false;
-    let mut inject_wrong_result = false;
-    let mut experiments: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => {
-                ec = ExpConfig {
-                    seed: ec.seed,
-                    prune: ec.prune,
-                    ..ExpConfig::quick()
-                };
-            }
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => ec.seed = s,
-                None => {
-                    eprintln!("--seed needs an integer\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--csv" => csv = true,
-            // Opt-in: curve points the analytical model classifies as
-            // deep-saturated or trivially stable get shortened
-            // confirmation runs (default digests are untouched).
-            "--prune" => ec.prune = true,
-            // CI-sized: quick windows plus a reduced matrix for the
-            // experiments that support it (currently `resilience`).
-            "--smoke" => {
-                smoke = true;
-                ec = ExpConfig {
-                    seed: ec.seed,
-                    prune: ec.prune,
-                    ..ExpConfig::quick()
-                };
-            }
-            "--oracle" => {
-                // Every Network built by this process resolves the toggle
-                // through SimConfig::oracle / RAIR_ORACLE, so the env var
-                // reaches all experiment drivers without threading a flag.
-                std::env::set_var("RAIR_ORACLE", "1");
-            }
-            "--inject-cyclic" => inject_cyclic = true,
-            "--inject-broken" => inject_broken = true,
-            "--inject-wrong-result" => inject_wrong_result = true,
-            // Explicit warmup,measure override (the chaos battery drives
-            // child sweeps with tiny-but-real windows through this).
-            "--windows" => {
-                // A zero measurement window would make every APL 0/0.
-                let parsed = args.next().and_then(|s| {
-                    let (w, m) = s.split_once(',')?;
-                    let m: u64 = m.trim().parse().ok()?;
-                    (m > 0).then_some((w.trim().parse().ok()?, m))
-                });
-                match parsed {
-                    Some((w, m)) => {
-                        ec.warmup = w;
-                        ec.measure = m;
-                    }
-                    None => {
-                        eprintln!("--windows needs WARMUP,MEASURE cycles (MEASURE > 0)\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--dir" => match args.next() {
-                Some(d) => serve_dir = d,
-                None => {
-                    eprintln!("--dir needs a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--retries" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => retries = n,
-                None => {
-                    eprintln!("--retries needs an integer\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--timeout-ms" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => timeout_ms = Some(n),
-                None => {
-                    eprintln!("--timeout-ms needs milliseconds\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--screen" => screen = true,
-            "--topology" => {
-                match args
-                    .next()
-                    .and_then(|s| noc_sim::topology::TopologyKind::parse(&s))
-                {
-                    Some(k) => topology = k,
-                    None => {
-                        eprintln!("--topology needs mesh|torus|ring|cmesh[:N]\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--trace-file" => match args.next() {
-                Some(p) => trace_file = p,
-                None => {
-                    eprintln!("--trace-file needs a path\n{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-            other => experiments.push(other.to_string()),
-        }
-    }
-    if experiments.is_empty() {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    }
-    // The service subcommands take over the whole invocation (serve also
-    // consumes the following positional as its jobs file).
-    if experiments[0] == "serve" {
-        let Some(jobs_path) = experiments.get(1) else {
-            eprintln!("serve needs a jobs file\n{USAGE}");
+    let (o, cmds) = match parse(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("{msg}\n{}", usage());
             return ExitCode::FAILURE;
-        };
-        return run_serve(jobs_path, &ec, &serve_dir, retries, timeout_ms, screen, csv);
-    }
-    if experiments[0] == "chaos" {
-        return run_chaos_battery(smoke, ec.seed, inject_wrong_result, csv);
-    }
-    if experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "table1",
-            "lbdr",
-            "fig9",
-            "fig10",
-            "fig12",
-            "fig14",
-            "fig15",
-            "fig17",
-            "ablation-delta",
-            "ablation-vcsplit",
-            "ablation-rank",
-        ]
-        .iter()
-        .map(std::string::ToString::to_string)
-        .collect();
-    }
-
-    let emit = |t: &Table| {
-        if csv {
-            print!("{}", t.to_csv());
-        } else {
-            println!("{}", t.render());
         }
     };
-
-    for exp in &experiments {
-        eprintln!(
-            "[repro] running {exp} ({} + {} cycles, seed {})…",
-            ec.warmup, ec.measure, ec.seed
-        );
-        match exp.as_str() {
-            "table1" => emit(&figs::table1::table()),
-            "lbdr" => emit(&figs::lbdr_analysis::table(200_000, ec.seed)),
-            "fig9" => {
-                let r = figs::fig9::run(&ec);
-                emit(&figs::fig9::table(
-                    "Fig.9 — APL vs inter-region fraction p (MSP stages)",
-                    &r,
-                ));
-                let base = r.point("RO_RR", 1.0);
-                let full = r.point("RAIR_VA+SA", 1.0);
-                println!(
-                    "at p=100%: RAIR_VA+SA vs RO_RR: App0 {:+.1}%, App1 {:+.1}%  (paper: -18.9%, <+3%)\n",
-                    (full.apl[0] / base.apl[0] - 1.0) * 100.0,
-                    (full.apl[1] / base.apl[1] - 1.0) * 100.0,
-                );
-            }
-            "fig10" => {
-                let r = figs::fig10::run(&ec);
-                emit(&figs::fig10::table(&r));
-                let base = r.point("RO_RR_Local", 1.0);
-                let rd = r.point("RAIR_DBAR", 1.0);
-                let bd = r.point("RO_RR_DBAR", 1.0);
-                println!(
-                    "at p=100%: RAIR_DBAR vs RO_RR_Local: App0 {:+.1}%, App1 {:+.1}% (paper: -24.8%, -3.3%); vs RO_RR_DBAR: App0 {:+.1}%, App1 {:+.1}% (paper: -12.8%, +1.8%)\n",
-                    (rd.apl[0] / base.apl[0] - 1.0) * 100.0,
-                    (rd.apl[1] / base.apl[1] - 1.0) * 100.0,
-                    (rd.apl[0] / bd.apl[0] - 1.0) * 100.0,
-                    (rd.apl[1] / bd.apl[1] - 1.0) * 100.0,
-                );
-            }
-            "fig12" => {
-                let (a, b) = figs::fig12::run(&ec);
-                emit(&figs::fig12::table(&a));
-                emit(&figs::fig12::table(&b));
-                println!(
-                    "RAIR_DPA avg reduction: (a) {:+.1}%, (b) {:+.1}%  (paper: 12.8%, 12.2%)\n",
-                    a.avg_reduction("RAIR_DPA") * 100.0,
-                    b.avg_reduction("RAIR_DPA") * 100.0,
-                );
-            }
-            "fig14" => {
-                let r = figs::fig14::run(&ec);
-                emit(&figs::fig14::table(&r));
-                println!(
-                    "avg reduction vs RO_RR: RA_DBAR {:+.1}%, RO_Rank {:+.1}%, RA_RAIR {:+.1}%  (paper: 3.4%, 5.8%, 10.1%)\n",
-                    r.avg_reduction("RA_DBAR", None) * 100.0,
-                    r.avg_reduction("RO_Rank", None) * 100.0,
-                    r.avg_reduction("RA_RAIR", None) * 100.0,
-                );
-            }
-            "fig15" => {
-                let r = figs::fig15::run(&ec);
-                emit(&figs::fig15::table(&r));
-                println!(
-                    "RA_RAIR average over patterns: {:+.1}%  (paper: 13.4%)\n",
-                    r.overall_reduction("RA_RAIR") * 100.0
-                );
-            }
-            "fig17" => {
-                let r = figs::fig17::run(&ec);
-                emit(&figs::fig17::table(&r));
-                println!(
-                    "avg slowdowns: RO_RR {:.2}, RA_DBAR {:.2}, RO_Rank {:.2}, RA_RAIR {:.2}  (paper: 1.92, 1.75, 1.47, 1.18)\n",
-                    r.avg_slowdown("RO_RR"),
-                    r.avg_slowdown("RA_DBAR"),
-                    r.avg_slowdown("RO_Rank"),
-                    r.avg_slowdown("RA_RAIR"),
-                );
-            }
-            "oracle" => {
-                let m = figs::oracle_check::run(&ec);
-                emit(&figs::oracle_check::table(&m));
-                println!(
-                    "{}",
-                    metrics::report::oracle_summary(true, m.total_violations())
-                );
-                println!(
-                    "oracle overhead (per-cycle checking, wall time on/off): \
-                     {:.2}x at low load, {:.2}x at high load\n",
-                    m.overhead.0, m.overhead.1
-                );
-                if m.total_violations() > 0 {
-                    eprintln!("[repro] ORACLE FOUND VIOLATIONS — kernel invariants broken");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "resilience" => {
-                let rows = figs::resilience::run(&ec, smoke);
-                emit(&figs::resilience::table(&rows));
-                let json = figs::resilience::to_json(&rows);
-                std::fs::write("RESILIENCE_report.json", &json)
-                    .expect("write RESILIENCE_report.json");
-                eprintln!(
-                    "[repro] wrote {} resilience rows to RESILIENCE_report.json",
-                    rows.len()
-                );
-                let worst = figs::resilience::worst_fraction(&rows);
-                println!(
-                    "worst delivered fraction across faulted cells: {worst:.4} (target >= 0.99)\n"
-                );
-                let viol: u64 = rows.iter().map(|r| r.oracle_violations).sum();
-                if viol > 0 {
-                    eprintln!(
-                        "[repro] RESILIENCE FAILED — {viol} oracle violation(s) under faults"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                if worst < 0.99 {
-                    eprintln!(
-                        "[repro] RESILIENCE FAILED — delivered fraction {worst:.4} below 0.99"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-            "trace-demo" => trace_demo(&ec, &trace_file, csv),
-            "verify-config" => {
-                if inject_cyclic {
-                    return verify_config_negative(topology);
-                }
-                if let Some(code) = verify_config_positive(topology, &emit) {
-                    return code;
-                }
-            }
-            "admit" => {
-                if inject_broken {
-                    return admit_negative(topology);
-                }
-                if let Some(code) = admit_positive(topology, &emit) {
-                    return code;
-                }
-            }
-            "bench-kernel" => {
-                let rows = experiments::bench_kernel::run(&ec);
-                emit(&experiments::bench_kernel::table(&rows));
-                let json = experiments::bench_kernel::to_json(&rows);
-                std::fs::write("BENCH_kernel.json", &json).expect("write BENCH_kernel.json");
-                eprintln!(
-                    "[repro] wrote {} bench rows to BENCH_kernel.json",
-                    rows.len()
-                );
-            }
-            "bench-model" => {
-                let b = experiments::bench_model::run(&ec);
-                emit(&experiments::bench_model::sat_table(&b));
-                emit(&experiments::bench_model::lat_table(&b));
-                let (mean, max, max_cfg) = b.sat_error();
-                let (wp, cp) = b.table1_probes();
-                println!(
-                    "model saturation error: mean |rel| {mean:.3}, max |rel| {max:.3} \
-                     ({max_cfg}); Table-1 probes warm/cold {wp}/{cp}; \
-                     sweep prune speedup {:.2}x ({} points shortened)\n",
-                    b.sweep_full_secs / b.sweep_pruned_secs.max(1e-9),
-                    b.sweep_pruned_points
-                );
-                let json = experiments::bench_model::to_json(&b);
-                std::fs::write("BENCH_model.json", &json).expect("write BENCH_model.json");
-                eprintln!(
-                    "[repro] wrote {} saturation + {} latency rows to BENCH_model.json",
-                    b.sat.len(),
-                    b.lat.len()
-                );
-            }
-            "curve" => {
-                for pattern in [
-                    traffic::pattern::Pattern::UniformRandom,
-                    traffic::pattern::Pattern::Transpose,
-                    traffic::pattern::Pattern::BitComplement,
-                ] {
-                    let c = figs::curve::run(&ec, pattern, 0.6, 12);
-                    emit(&figs::curve::table(&c));
-                    if let Some(k) = figs::curve::knee(&c) {
-                        println!(
-                            "{} knee (3x zero-load) at ~{k:.3} flits/cycle/node\n",
-                            c.pattern
-                        );
-                    }
-                }
-            }
-            "ablation-delta" => emit(&figs::ablation::table(&figs::ablation::delta_sweep(&ec))),
-            "ablation-vcsplit" => {
-                emit(&figs::ablation::table(&figs::ablation::vc_split_sweep(&ec)));
-            }
-            "ablation-rank" => emit(&figs::ablation::table(&figs::ablation::rank_estimation(
-                &ec,
-            ))),
-            "baselines" => emit(&figs::ablation::table(&figs::ablation::baselines(&ec))),
-            other => {
-                eprintln!("unknown experiment {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+    if o.help {
+        println!("{}", usage());
+    }
+    for c in cmds {
+        if !matches!(c.role, Solo(_)) {
+            let (name, ec) = (c.name, &o.ec);
+            let (warmup, measure, seed) = (ec.warmup, ec.measure, ec.seed);
+            eprintln!("[repro] running {name} ({warmup} + {measure} cycles, seed {seed})…");
+        }
+        if let Err(e) = (c.run)(&o) {
+            eprintln!("[repro] {e}");
+            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS
 }
 
-/// Run the static verifier over the full shipped scheme×routing×region
-/// matrix (plus LBDR-confined variants) on the canonical config of the
-/// selected topology. Returns `Some(FAILURE)` when any configuration
-/// fails, printing the witnesses; `None` on success.
-fn verify_config_positive(
-    topology: noc_sim::topology::TopologyKind,
-    emit: &impl Fn(&Table),
-) -> Option<ExitCode> {
-    use experiments::verify_config as vc;
-    let rows = vc::run_matrix_for(topology);
-    emit(&vc::table(&rows));
-    let json = vc::to_json(&rows);
-    std::fs::write("VERIFY_report.json", &json).expect("write VERIFY_report.json");
-    eprintln!(
-        "[repro] wrote {} verification rows ({} topology) to VERIFY_report.json",
-        rows.len(),
-        topology.label()
-    );
-    let mut failed = false;
-    for r in &rows {
-        if r.violations > 0 {
-            failed = true;
-            eprintln!(
-                "[repro] VERIFY FAILED {}/{} (lbdr {}): {}",
-                r.region,
-                r.routing,
-                r.lbdr,
-                r.first_witness.as_deref().unwrap_or("(no witness)")
-            );
+fn emit(o: &Opts, t: &Table) -> Outcome {
+    if o.csv {
+        print!("{}", t.to_csv());
+    } else {
+        println!("{}", t.render());
+    }
+    Ok(())
+}
+
+/// Write a `*_report.json` into the working directory.
+fn write_report(path: &str, doc: &Value, what: &str) -> Outcome {
+    std::fs::write(path, doc.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("[repro] wrote {what} to {path}");
+    Ok(())
+}
+
+/// `{"rows": [...]}` — the document of the three matrix reports.
+fn rows_doc(t: &Table) -> Value {
+    Value::obj([("rows", t.json_rows())])
+}
+
+/// A paper figure: its tables, then the headline line against the paper's.
+fn figure(o: &Opts, (tables, summary): (Vec<Table>, String)) -> Outcome {
+    tables.iter().try_for_each(|t| emit(o, t))?;
+    println!("{summary}\n");
+    Ok(())
+}
+
+/// The verdicts of a negative battery: every deliberately broken config
+/// must have been rejected with a concrete witness (`NOT REJECTED` is a bug
+/// in the check). Always an `Err` — the configs are invalid by construction,
+/// and CI asserts the nonzero exit.
+fn negatives(cases: &[NegativeCase], kind: &str, missed: &str) -> Outcome {
+    for c in cases {
+        let (name, witness) = (c.name, &c.witness);
+        match (c.rejected, c.property.as_str()) {
+            (false, _) => println!("[{name}] NOT REJECTED — {missed}"),
+            (true, "") => println!("[{name}] rejected with witness: {witness}"),
+            (true, property) => println!("[{name}] rejected ({property}) with witness: {witness}"),
         }
+    }
+    let (n, rejected) = (cases.len(), cases.iter().filter(|c| c.rejected).count());
+    Err(format!("{n} injected {kind} configs, {rejected} rejected"))
+}
+
+fn curve(o: &Opts) -> Outcome {
+    use traffic::pattern::Pattern::{BitComplement, Transpose, UniformRandom};
+    for pattern in [UniformRandom, Transpose, BitComplement] {
+        let c = figs::curve::run(&o.ec, pattern, 0.6, 12);
+        emit(o, &figs::curve::table(&c))?;
+        if let Some(k) = figs::curve::knee(&c) {
+            let pattern = &c.pattern;
+            println!("{pattern} knee (3x zero-load) at ~{k:.3} flits/cycle/node\n");
+        }
+    }
+    Ok(())
+}
+
+/// The dedicated scheme × routing verification matrix with per-cycle
+/// checking (`--oracle` merely force-enables the oracle everywhere else).
+fn oracle(o: &Opts) -> Outcome {
+    let m = figs::oracle_check::run(&o.ec);
+    emit(o, &figs::oracle_check::table(&m))?;
+    let (violations, (low, high)) = (m.total_violations(), m.overhead);
+    println!("{}", metrics::report::oracle_summary(true, violations));
+    println!(
+        "oracle overhead (per-cycle checking, wall time on/off): \
+         {low:.2}x at low load, {high:.2}x at high load\n"
+    );
+    match violations {
+        0 => Ok(()),
+        _ => Err("ORACLE FOUND VIOLATIONS — kernel invariants broken".into()),
+    }
+}
+
+fn resilience(o: &Opts) -> Outcome {
+    let rows = figs::resilience::run(&o.ec, o.smoke);
+    let t = figs::resilience::table(&rows);
+    emit(o, &t)?;
+    let what = format!("{} resilience rows", rows.len());
+    write_report("RESILIENCE_report.json", &rows_doc(&t), &what)?;
+    let worst = figs::resilience::worst_fraction(&rows);
+    println!("worst delivered fraction across faulted cells: {worst:.4} (target >= 0.99)\n");
+    match rows.iter().map(|r| r.oracle_violations).sum::<u64>() {
+        0 if worst >= 0.99 => Ok(()),
+        0 => Err(format!(
+            "RESILIENCE FAILED — delivered fraction {worst:.4} below 0.99"
+        )),
+        n => Err(format!(
+            "RESILIENCE FAILED — {n} oracle violation(s) under faults"
+        )),
+    }
+}
+
+fn bench_model(o: &Opts) -> Outcome {
+    use experiments::bench_model as bm;
+    let b = bm::run(&o.ec);
+    emit(o, &bm::sat_table(&b))?;
+    emit(o, &bm::lat_table(&b))?;
+    let (mean, max, max_cfg) = b.sat_error();
+    let (wp, cp) = b.table1_probes();
+    println!(
+        "model saturation error: mean |rel| {mean:.3}, max |rel| {max:.3} \
+         ({max_cfg}); Table-1 probes warm/cold {wp}/{cp}; \
+         sweep prune speedup {:.2}x ({} points shortened)\n",
+        b.sweep_full_secs / b.sweep_pruned_secs.max(1e-9),
+        b.sweep_pruned_points
+    );
+    let what = format!("{} saturation + {} latency rows", b.sat.len(), b.lat.len());
+    write_report("BENCH_model.json", &bm::json(&b), &what)
+}
+
+/// The static verifier over the shipped region × routing matrix (bare and
+/// LBDR-confined) on the canonical config of `--topology`, or with
+/// `--inject-cyclic` its negative battery.
+fn verify_config(o: &Opts) -> Outcome {
+    use experiments::verify_config as vc;
+    if o.inject_cyclic {
+        let mut cases = vc::negative_battery();
+        if o.topology.wraps() {
+            // No dateline lane switch on a wrapping topology → the verifier
+            // must extract the wrap cycle.
+            cases.push(vc::torus_no_dateline_case());
+        }
+        return negatives(&cases, "cyclic/broken", "verifier missed an injected fault");
+    }
+    let rows = vc::run_matrix_for(o.topology);
+    let t = vc::table(&rows);
+    emit(o, &t)?;
+    let (n, topology) = (rows.len(), o.topology.label());
+    let what = format!("{n} verification rows ({topology} topology)");
+    write_report("VERIFY_report.json", &rows_doc(&t), &what)?;
+    let mut failed = false;
+    for r in rows.iter().filter(|r| r.violations > 0) {
+        failed = true;
+        let witness = r.first_witness.as_deref().unwrap_or("(no witness)");
+        let (region, routing, lbdr) = (r.region, r.routing, r.lbdr);
+        eprintln!("[repro] VERIFY FAILED {region}/{routing} (lbdr {lbdr}): {witness}");
     }
     for (label, errs) in vc::scheme_checks() {
         for e in &errs {
@@ -438,290 +441,144 @@ fn verify_config_positive(
         }
     }
     if failed {
-        eprintln!("[repro] static verification FAILED");
-        return Some(ExitCode::FAILURE);
+        return Err("static verification FAILED".into());
     }
-    println!(
-        "static verification: all {} configurations proved deadlock-free and legal\n",
-        rows.len()
-    );
-    None
+    println!("static verification: all {n} configurations proved deadlock-free and legal\n");
+    Ok(())
 }
 
-/// Run the injected-fault battery: every deliberately broken configuration
-/// must be rejected with a concrete witness. Always exits nonzero (the
-/// configurations are invalid); prints `NOT REJECTED` if the verifier
-/// missed one, which the CLI tests treat as a verifier bug.
-fn verify_config_negative(topology: noc_sim::topology::TopologyKind) -> ExitCode {
-    let mut cases = experiments::verify_config::negative_battery();
-    if topology.wraps() {
-        // No dateline lane switch on a wrapping topology → the verifier
-        // must extract the wrap cycle.
-        cases.push(experiments::verify_config::torus_no_dateline_case());
-    }
-    for c in &cases {
-        if c.rejected {
-            println!("[{}] rejected with witness: {}", c.name, c.witness);
-        } else {
-            println!(
-                "[{}] NOT REJECTED — verifier missed an injected fault",
-                c.name
-            );
-        }
-    }
-    eprintln!(
-        "[repro] {} injected cyclic/broken configs, {} rejected",
-        cases.len(),
-        cases.iter().filter(|c| c.rejected).count()
-    );
-    ExitCode::FAILURE
-}
-
-/// Run the static admission pipeline over the shipped scheme × routing ×
-/// region matrix on the canonical config of the selected topology.
-/// Returns `Some(FAILURE)` when any cell is rejected (the golden matrix
-/// must be admitted without false rejections); `None` on success.
-fn admit_positive(
-    topology: noc_sim::topology::TopologyKind,
-    emit: &impl Fn(&Table),
-) -> Option<ExitCode> {
+/// The static admission pipeline over the scheme × routing × region matrix
+/// (the golden matrix must be admitted without a false rejection), or with
+/// `--inject-broken` its negative battery.
+fn admit(o: &Opts) -> Outcome {
     use experiments::admit;
-    let rows = admit::run_matrix_for(topology);
-    emit(&admit::table(&rows));
-    let json = admit::to_json(&rows);
-    std::fs::write("ADMIT_report.json", &json).expect("write ADMIT_report.json");
-    eprintln!(
-        "[repro] wrote {} admission rows ({} topology) to ADMIT_report.json",
-        rows.len(),
-        topology.label()
-    );
-    let mut failed = false;
-    for r in &rows {
-        if r.verdict == "reject" {
-            failed = true;
-            eprintln!(
-                "[repro] ADMIT FAILED {}/{}/{}: {}",
-                r.region,
-                r.routing,
-                r.scheme,
-                r.defect.as_deref().unwrap_or("(no defect detail)")
-            );
-        } else if r.verdict == "warn" {
-            eprintln!(
-                "[repro] admit warning {}/{}/{}: {}",
-                r.region,
-                r.routing,
-                r.scheme,
-                r.defect.as_deref().unwrap_or("(no defect detail)")
-            );
-        }
+    if o.inject_broken {
+        let missed = "admission pipeline missed an injected defect";
+        return negatives(&admit::negative_battery(o.topology), "broken", missed);
     }
-    if failed {
-        eprintln!("[repro] static admission FAILED — false rejection in the golden matrix");
-        return Some(ExitCode::FAILURE);
+    let rows = admit::run_matrix_for(o.topology);
+    let t = admit::table(&rows);
+    emit(o, &t)?;
+    let (n, topology) = (rows.len(), o.topology.label());
+    let what = format!("{n} admission rows ({topology} topology)");
+    write_report("ADMIT_report.json", &rows_doc(&t), &what)?;
+    for r in rows.iter().filter(|r| r.verdict != "admit") {
+        let kind = if r.verdict == "reject" {
+            "ADMIT FAILED"
+        } else {
+            "admit warning"
+        };
+        let cell = format!("{}/{}/{}", r.region, r.routing, r.scheme);
+        let defect = r.defect.as_deref().unwrap_or("(no defect detail)");
+        eprintln!("[repro] {kind} {cell}: {defect}");
+    }
+    if rows.iter().any(|r| r.verdict == "reject") {
+        return Err("static admission FAILED — false rejection in the golden matrix".into());
     }
     let worst = rows.iter().map(|r| r.micros).max().unwrap_or(0);
     println!(
-        "static admission: all {} configurations admitted \
-         (slowest cell {worst} µs, target <= 10 ms)\n",
-        rows.len()
+        "static admission: all {n} configurations admitted \
+         (slowest cell {worst} µs, target <= 10 ms)\n"
     );
-    None
+    Ok(())
 }
 
-/// Run the admission negative battery: every deliberately broken
-/// configuration must be rejected with the named property and a concrete
-/// witness. Always exits nonzero (the configurations are invalid);
-/// prints `NOT REJECTED` if the pipeline missed one, which the CLI tests
-/// treat as a pipeline bug.
-fn admit_negative(topology: noc_sim::topology::TopologyKind) -> ExitCode {
-    let cases = experiments::admit::negative_battery(topology);
-    for c in &cases {
-        if c.rejected {
-            println!(
-                "[{}] rejected ({}) with witness: {}",
-                c.name, c.property, c.witness
-            );
-        } else {
-            println!(
-                "[{}] NOT REJECTED — admission pipeline missed an injected defect",
-                c.name
-            );
-        }
-    }
-    eprintln!(
-        "[repro] {} injected broken configs, {} rejected",
-        cases.len(),
-        cases.iter().filter(|c| c.rejected).count()
-    );
-    ExitCode::FAILURE
-}
-
-/// `repro serve <jobs>` — run a jobs file through the crash-safe service:
-/// journaled transitions, result dedup, admission gate, supervised retries.
-/// Quarantined (poison) jobs are labeled in the report, never abort the
-/// sweep, and do not fail the invocation.
-fn run_serve(
-    jobs_path: &str,
-    ec: &ExpConfig,
-    dir: &str,
-    retries: u32,
-    timeout_ms: Option<u64>,
-    screen: bool,
-    csv: bool,
-) -> ExitCode {
+/// Run a jobs file through the crash-safe service. Quarantined (poison)
+/// jobs are labeled in the report, never abort the sweep, and do not fail
+/// the invocation.
+fn serve(o: &Opts) -> Outcome {
     use experiments::service::{serve, sim_exec, std_store, JobSpec, ServeConfig};
-    let text = match std::fs::read_to_string(jobs_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("[serve] cannot read jobs file {jobs_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let specs = match JobSpec::parse_jobs(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("[serve] invalid jobs file {jobs_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let path = &o.operand;
+    let jobs = std::fs::read_to_string(path)
+        .map_err(|e| format!("serve: cannot read jobs file {path}: {e}"))?;
+    let specs =
+        JobSpec::parse_jobs(&jobs).map_err(|e| format!("serve: invalid jobs file {path}: {e}"))?;
     let scfg = ServeConfig {
-        max_attempts: retries.max(1),
-        timeout_ms,
-        screen,
-        ..ServeConfig::new(dir, *ec)
+        max_attempts: o.retries.max(1),
+        timeout_ms: o.timeout_ms,
+        screen: o.screen,
+        ..ServeConfig::new(&o.serve_dir, o.ec)
     };
-    let exec = sim_exec();
-    let report = serve(std_store(), &specs, &scfg, &exec);
-    let mut t = Table::new(
-        "Experiment service — job outcomes",
-        &["job", "status", "attempts", "source", "detail"],
-    );
-    for o in &report.outcomes {
-        let detail = o.reason.clone().unwrap_or_else(|| {
-            o.result.as_ref().map_or_else(String::new, |r| {
-                format!("APL {}", metrics::report::f2(r.mean_apl(None)))
-            })
-        });
-        t.row(vec![
-            o.spec.label.clone(),
-            o.status.label().to_string(),
-            o.attempts.to_string(),
-            if o.restored { "restored" } else { "executed" }.to_string(),
-            detail,
-        ]);
-    }
-    if csv {
-        print!("{}", t.to_csv());
-    } else {
-        println!("{}", t.render());
-    }
+    let report = serve(std_store(), &specs, &scfg, &sim_exec());
+    emit(o, &report.table())?;
+    let quarantined = report.quarantined();
     println!(
-        "sweep digest {:016x}  ({} resumed, {} cache hits, {} executed, {} quarantined)",
-        report.sweep_digest,
-        report.resumed,
-        report.cache_hits,
-        report.executed,
-        report.quarantined(),
+        "sweep digest {:016x}  ({} resumed, {} cache hits, {} executed, {quarantined} quarantined)",
+        report.sweep_digest, report.resumed, report.cache_hits, report.executed,
     );
-    if report.quarantined() > 0 {
-        eprintln!(
-            "[serve] warning: {} poison job(s) quarantined — see the report for labels",
-            report.quarantined()
-        );
+    if quarantined > 0 {
+        eprintln!("[serve] warning: {quarantined} poison job(s) quarantined — see the report");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// `repro chaos` — run the fault-injection battery and fail the invocation
-/// on any unrecovered fault. `--inject-wrong-result` runs the negative
-/// control instead (always exits nonzero; prints whether the tampered
-/// result was detected).
-fn run_chaos_battery(smoke: bool, seed: u64, inject_wrong_result: bool, csv: bool) -> ExitCode {
+/// The fault-injection battery; any unrecovered fault fails the invocation.
+/// `--inject-wrong-result` runs the negative control instead, which always
+/// exits nonzero: the store is corrupt whether or not the harness caught it.
+fn chaos(o: &Opts) -> Outcome {
     use experiments::service::{run_chaos, run_wrong_result};
-    if inject_wrong_result {
-        let (detected, detail) = run_wrong_result(seed);
-        println!(
-            "[inject-wrong-result] {}: {detail}",
-            if detected { "DETECTED" } else { "NOT DETECTED" }
-        );
-        // The negative control always exits nonzero: the store is corrupt
-        // by construction, whether or not the harness caught it — and CI
-        // asserts the nonzero exit.
-        return ExitCode::FAILURE;
+    if o.inject_wrong_result {
+        let (detected, detail) = run_wrong_result(o.ec.seed);
+        let verdict = if detected { "DETECTED" } else { "NOT DETECTED" };
+        println!("[inject-wrong-result] {verdict}: {detail}");
+        return Err("negative control: the store is corrupt by construction".into());
     }
-    let report = run_chaos(smoke, seed);
-    if csv {
-        print!("{}", report.table().to_csv());
-    } else {
-        println!("{}", report.table().render());
+    let report = run_chaos(o.smoke, o.ec.seed);
+    emit(o, &report.table())?;
+    let n = report.batteries.len();
+    let what = format!("{n} battery results");
+    write_report("CHAOS_report.json", &report.json(), &what)?;
+    if !report.all_green() {
+        return Err("CHAOS FAILED — at least one fault class did not recover".into());
     }
-    std::fs::write("CHAOS_report.json", report.to_json()).expect("write CHAOS_report.json");
-    eprintln!(
-        "[repro] wrote {} battery results to CHAOS_report.json",
-        report.batteries.len()
-    );
-    if report.all_green() {
-        println!(
-            "chaos battery: all {} fault classes recovered with bit-identical digests\n",
-            report.batteries.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("[repro] CHAOS FAILED — at least one fault class did not recover");
-        ExitCode::FAILURE
-    }
+    println!("chaos battery: all {n} fault classes recovered with bit-identical digests\n");
+    Ok(())
 }
 
-/// Capture a six-application trace to `path`, then replay the *identical*
-/// offered traffic under RO_RR and RA_RAIR — the deterministic trace-driven
-/// mode that sharpens scheme comparisons.
-fn trace_demo(ec: &ExpConfig, path: &str, csv: bool) {
-    use experiments::runner::run_one;
-    use experiments::sweep::build_network;
-    use noc_sim::config::SimConfig;
-    use rair::scheme::{Routing, Scheme};
-    use traffic::scenario::{six_app, InterDest};
-    use traffic::trace::{Trace, TraceReplay};
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let cfg = SimConfig::table1();
-    let rates = [0.03, 0.3, 0.1, 0.07, 0.08, 0.3];
-    let cycles = ec.warmup + ec.measure;
-    let (region, scenario) = six_app(&cfg, rates, InterDest::OutsideUniform);
-    let trace = Trace::capture(scenario, cfg.num_nodes() as u16, cycles, ec.seed);
-    std::fs::write(path, trace.to_bytes()).expect("write trace file");
-    eprintln!(
-        "[repro] captured {} events over {} cycles to {path}",
-        trace.events.len(),
-        cycles
-    );
-    let loaded = Trace::from_bytes(std::fs::read(path).expect("read trace file").into())
-        .expect("parse trace file");
-    assert_eq!(loaded, trace, "trace file round-trip mismatch");
-
-    let mut t = metrics::Table::new(
-        "Trace-driven comparison (identical offered traffic from file)",
-        &["scheme", "App0", "App1", "App2", "App3", "App4", "App5"],
-    );
-    for scheme in [Scheme::RoRr, Scheme::rair()] {
-        let replay = TraceReplay::new(&loaded, cfg.num_nodes() as u16);
-        let net = build_network(
-            &cfg,
-            &region,
-            &scheme,
-            Routing::Local,
-            Box::new(replay),
-            ec.seed,
-        );
-        let r = run_one(scheme.label(), net, ec);
-        eprintln!("[{}] {}", r.label, r.kernel_summary());
-        let mut row = vec![r.label.clone()];
-        row.extend((0..6).map(|a| metrics::report::f2(r.app_apl(a))));
-        t.row(row);
-    }
-    if csv {
-        print!("{}", t.to_csv());
-    } else {
-        println!("{}", t.render());
+    /// The tables are the one definition: names are unique, every flag a
+    /// row names exists with `Row` scope, every flag is read by some row
+    /// (or by all), `all` is the paper's evaluation in order, and the usage
+    /// text — what `--help` and every error print — lists every row.
+    #[test]
+    fn tables_are_consistent() {
+        let usage = usage();
+        for (i, c) in SUBCOMMANDS.iter().enumerate() {
+            let name = c.name;
+            let first = name != ALL && SUBCOMMANDS[..i].iter().all(|d| d.name != name);
+            assert!(first, "{name} twice");
+            for flag in c.flags.concat() {
+                let row_scoped = FLAGS
+                    .iter()
+                    .any(|f| f.name == flag && matches!(f.scope, Row));
+                assert!(
+                    row_scoped,
+                    "{name} names {flag}, which is no row-scoped flag"
+                );
+            }
+            assert!(
+                usage.contains(&format!("\n  {name}")),
+                "{name} not in usage"
+            );
+        }
+        for (i, f) in FLAGS.iter().enumerate() {
+            let name = f.name;
+            assert!(FLAGS[..i].iter().all(|g| g.name != name), "{name} twice");
+            let read = SUBCOMMANDS.iter().any(|c| c.reads(name));
+            assert_eq!(read, matches!(f.scope, Row), "{name}: scope vs the rows");
+            assert!(
+                usage.contains(&format!("\n  {name}")),
+                "{name} not in usage"
+            );
+        }
+        let counts = (SUBCOMMANDS.len() + 1, FLAGS.len());
+        assert_eq!(counts, (22, 17), "subcommands (with `all`), flags");
+        let (_, all) = parse(["all".to_string()]).unwrap_or_else(|e| panic!("{e}"));
+        let want = "table1 lbdr fig9 fig10 fig12 fig14 fig15 fig17 \
+                    ablation-delta ablation-vcsplit ablation-rank";
+        assert_eq!(names(&all), want);
     }
 }

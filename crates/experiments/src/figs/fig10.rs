@@ -32,3 +32,19 @@ pub fn table(res: &SweepResult) -> Table {
         res,
     )
 }
+
+/// Run and render: the table `repro fig10` prints, and the headline under it.
+pub fn report(ec: &ExpConfig) -> (Vec<Table>, String) {
+    let r = run(ec);
+    let base = r.point("RO_RR_Local", 1.0);
+    let rd = r.point("RAIR_DBAR", 1.0);
+    let bd = r.point("RO_RR_DBAR", 1.0);
+    let summary = format!(
+        "at p=100%: RAIR_DBAR vs RO_RR_Local: App0 {:+.1}%, App1 {:+.1}% (paper: -24.8%, -3.3%); vs RO_RR_DBAR: App0 {:+.1}%, App1 {:+.1}% (paper: -12.8%, +1.8%)",
+        (rd.apl[0] / base.apl[0] - 1.0) * 100.0,
+        (rd.apl[1] / base.apl[1] - 1.0) * 100.0,
+        (rd.apl[0] / bd.apl[0] - 1.0) * 100.0,
+        (rd.apl[1] / bd.apl[1] - 1.0) * 100.0,
+    );
+    (vec![table(&r)], summary)
+}

@@ -144,6 +144,17 @@ pub fn table(res: &Fig12Result) -> Table {
     t
 }
 
+/// Run and render: the two tables `repro fig12` prints, and the headline.
+pub fn report(ec: &ExpConfig) -> (Vec<Table>, String) {
+    let (a, b) = run(ec);
+    let summary = format!(
+        "RAIR_DPA avg reduction: (a) {:+.1}%, (b) {:+.1}%  (paper: 12.8%, 12.2%)",
+        a.avg_reduction("RAIR_DPA") * 100.0,
+        b.avg_reduction("RAIR_DPA") * 100.0,
+    );
+    (vec![table(&a), table(&b)], summary)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -145,6 +145,18 @@ pub fn table(res: &SixAppResult) -> Table {
     t
 }
 
+/// Run and render: the table `repro fig14` prints, and the headline under it.
+pub fn report(ec: &ExpConfig) -> (Vec<Table>, String) {
+    let r = run(ec);
+    let summary = format!(
+        "avg reduction vs RO_RR: RA_DBAR {:+.1}%, RO_Rank {:+.1}%, RA_RAIR {:+.1}%  (paper: 3.4%, 5.8%, 10.1%)",
+        r.avg_reduction("RA_DBAR", None) * 100.0,
+        r.avg_reduction("RO_Rank", None) * 100.0,
+        r.avg_reduction("RA_RAIR", None) * 100.0,
+    );
+    (vec![table(&r)], summary)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

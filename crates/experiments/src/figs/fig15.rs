@@ -76,6 +76,14 @@ pub fn table(res: &Fig15Result) -> Table {
     t
 }
 
+/// Run and render: the table `repro fig15` prints, and the headline under it.
+pub fn report(ec: &ExpConfig) -> (Vec<Table>, String) {
+    let r = run(ec);
+    let avg = r.overall_reduction("RA_RAIR") * 100.0;
+    let summary = format!("RA_RAIR average over patterns: {avg:+.1}%  (paper: 13.4%)");
+    (vec![table(&r)], summary)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

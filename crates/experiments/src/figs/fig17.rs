@@ -120,6 +120,19 @@ pub fn table(res: &Fig17Result) -> Table {
     t
 }
 
+/// Run and render: the table `repro fig17` prints, and the headline under it.
+pub fn report(ec: &ExpConfig) -> (Vec<Table>, String) {
+    let r = run(ec);
+    let summary = format!(
+        "avg slowdowns: RO_RR {:.2}, RA_DBAR {:.2}, RO_Rank {:.2}, RA_RAIR {:.2}  (paper: 1.92, 1.75, 1.47, 1.18)",
+        r.avg_slowdown("RO_RR"),
+        r.avg_slowdown("RA_DBAR"),
+        r.avg_slowdown("RO_Rank"),
+        r.avg_slowdown("RA_RAIR"),
+    );
+    (vec![table(&r)], summary)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

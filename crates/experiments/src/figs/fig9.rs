@@ -127,6 +127,19 @@ pub fn table(title: &str, res: &SweepResult) -> Table {
     t
 }
 
+/// Run and render: the table `repro fig9` prints, and the headline under it.
+pub fn report(ec: &ExpConfig) -> (Vec<Table>, String) {
+    let r = run(ec);
+    let (base, full) = (r.point("RO_RR", 1.0), r.point("RAIR_VA+SA", 1.0));
+    let summary = format!(
+        "at p=100%: RAIR_VA+SA vs RO_RR: App0 {:+.1}%, App1 {:+.1}%  (paper: -18.9%, <+3%)",
+        (full.apl[0] / base.apl[0] - 1.0) * 100.0,
+        (full.apl[1] / base.apl[1] - 1.0) * 100.0,
+    );
+    let title = "Fig.9 — APL vs inter-region fraction p (MSP stages)";
+    (vec![table(title, &r)], summary)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

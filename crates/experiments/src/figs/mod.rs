@@ -14,6 +14,7 @@ pub mod lbdr_analysis;
 pub mod oracle_check;
 pub mod resilience;
 pub mod table1;
+pub mod trace_demo;
 
 use crate::runner::ExpConfig;
 use crate::sweep::cached_saturation;

@@ -14,7 +14,7 @@
 use crate::runner::{run_one, run_parallel_checkpointed, ExpConfig, Job, RunResult};
 use crate::service::{std_store, Journal};
 use crate::sweep::build_network;
-use metrics::Table;
+use metrics::report::{Table, Value};
 use noc_sim::config::SimConfig;
 use noc_sim::prelude::{FaultEvent, FaultTimeline, ScheduledFault};
 use rair::scheme::{Routing, Scheme};
@@ -176,81 +176,43 @@ pub fn run(ec: &ExpConfig, smoke: bool) -> Vec<ResilRow> {
         .collect()
 }
 
-/// Render the matrix.
+/// The matrix as the one report: the text table and the `rows` of
+/// `RESILIENCE_report.json`. BER and inflation print as `1e-3` and `1.25x`
+/// but are numbers in JSON, where a starved cell's NaN is `null`.
 pub fn table(rows: &[ResilRow]) -> Table {
-    let mut t = Table::new(
+    Table::of(
         "Resilience — delivered fraction / latency inflation under faults",
+        rows,
         &[
-            "scheme",
-            "routing",
-            "BER",
-            "delivered",
-            "dropped",
-            "frac",
-            "inflation",
-            "retx",
-            "retx/flit",
-            "retried",
-            "reconfig",
+            ("scheme", "scheme", |r| r.scheme.clone().into()),
+            ("routing", "routing", |r| r.routing.clone().into()),
+            ("BER", "", |r| format!("{:.0e}", r.ber).into()),
+            ("", "ber", |r| Value::Float(r.ber, 0)),
+            ("delivered", "delivered", |r| r.delivered.into()),
+            ("dropped", "dropped", |r| r.dropped.into()),
+            ("frac", "delivered_fraction", |r| {
+                Value::Float(r.delivered_fraction, 4)
+            }),
+            ("", "apl", |r| Value::Float(r.apl, 0)),
+            ("inflation", "", |r| {
+                format!("{:.2}x", r.latency_inflation).into()
+            }),
+            ("", "latency_inflation", |r| {
+                Value::Float(r.latency_inflation, 0)
+            }),
+            ("retx", "flits_retransmitted", |r| {
+                r.flits_retransmitted.into()
+            }),
+            ("retx/flit", "retransmit_overhead", |r| {
+                Value::Float(r.retransmit_overhead, 4)
+            }),
+            ("retried", "packets_retried", |r| r.packets_retried.into()),
+            ("reconfig", "reconfigurations", |r| {
+                r.reconfigurations.into()
+            }),
+            ("", "oracle_violations", |r| r.oracle_violations.into()),
         ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.scheme.clone(),
-            r.routing.clone(),
-            format!("{:.0e}", r.ber),
-            r.delivered.to_string(),
-            r.dropped.to_string(),
-            format!("{:.4}", r.delivered_fraction),
-            format!("{:.2}x", r.latency_inflation),
-            r.flits_retransmitted.to_string(),
-            format!("{:.4}", r.retransmit_overhead),
-            r.packets_retried.to_string(),
-            r.reconfigurations.to_string(),
-        ]);
-    }
-    t
-}
-
-/// Serialize the matrix as JSON (hand-rolled — the vendored serde is a
-/// stub).
-pub fn to_json(rows: &[ResilRow]) -> String {
-    let mut out = String::from("{\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scheme\": \"{}\", \"routing\": \"{}\", \"ber\": {:e}, \
-             \"delivered\": {}, \"dropped\": {}, \"delivered_fraction\": {:.6}, \
-             \"apl\": {}, \"latency_inflation\": {}, \
-             \"flits_retransmitted\": {}, \"retransmit_overhead\": {:.6}, \
-             \"packets_retried\": {}, \"reconfigurations\": {}, \
-             \"oracle_violations\": {}}}{}\n",
-            r.scheme,
-            r.routing,
-            r.ber,
-            r.delivered,
-            r.dropped,
-            r.delivered_fraction,
-            json_f64(r.apl),
-            json_f64(r.latency_inflation),
-            r.flits_retransmitted,
-            r.retransmit_overhead,
-            r.packets_retried,
-            r.reconfigurations,
-            r.oracle_violations,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// JSON has no NaN; starved cells serialize as null.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.4}")
-    } else {
-        "null".to_string()
-    }
+    )
 }
 
 /// The worst delivered fraction across faulted (BER > 0) cells — the
@@ -299,8 +261,6 @@ mod tests {
             "implausible inflation {}",
             faulted.latency_inflation
         );
-        let j = to_json(&rows);
-        assert!(j.contains("\"delivered_fraction\""));
         assert!(worst_fraction(&rows) >= 0.99);
         assert_eq!(table(&rows).num_rows(), 2);
     }

@@ -21,8 +21,8 @@ pub struct ExpConfig {
     pub warmup: u64,
     pub measure: u64,
     pub seed: u64,
-    /// Quick mode trades statistical tightness for speed (used by the
-    /// Criterion benches and the test suite).
+    /// Quick mode trades statistical tightness for speed (`repro --quick`
+    /// and the test suite).
     pub quick: bool,
     /// Hard cap on simulated cycles per run (warmup + measurement are
     /// clamped to fit). The cycle-domain analogue of a per-config timeout;
@@ -48,7 +48,7 @@ impl ExpConfig {
         }
     }
 
-    /// Reduced windows for benches/tests.
+    /// Reduced windows for `repro --quick` and tests.
     pub fn quick() -> Self {
         Self {
             warmup: 2_000,
@@ -135,6 +135,32 @@ impl RunResult {
     /// and tables degrade visibly instead of panicking at saturation).
     pub fn app_apl(&self, app: usize) -> f64 {
         self.apl[app].unwrap_or(f64::NAN)
+    }
+
+    /// A plausible made-up result for plumbing that needs no simulation (the
+    /// chaos checkpoint battery, the pool/journal/codec tests): every codec
+    /// path is exercised (an absent latency, non-zero counters), and `seed`
+    /// tells results apart.
+    pub(crate) fn fabricated(label: &str, seed: u64) -> RunResult {
+        RunResult {
+            label: label.into(),
+            apl: vec![Some(10.0 + seed as f64), None],
+            total_latency: vec![Some(12.5 + seed as f64), None],
+            delivered: 42 + seed,
+            throughput: 0.125,
+            cycles: 5_000,
+            routers: 64,
+            router_cycles_skipped: 7,
+            state_updates_skipped: 8,
+            idle_cycles_skipped: 9,
+            oracle_enabled: true,
+            oracle_violations: 0,
+            truncated: false,
+            flits_retransmitted: 3,
+            packets_retried: 2,
+            packets_dropped: 1,
+            reconfigurations: 1,
+        }
     }
 
     /// Fold every numeric field (everything but the label, which is
@@ -630,30 +656,6 @@ mod tests {
         assert!(run_parallel(vec![]).is_empty());
     }
 
-    /// A plausible fabricated result for runner-plumbing tests that don't
-    /// need a real simulation.
-    fn stub_result(label: &str) -> RunResult {
-        RunResult {
-            label: label.into(),
-            apl: vec![Some(10.0), None],
-            total_latency: vec![Some(12.5), None],
-            delivered: 42,
-            throughput: 0.125,
-            cycles: 5_000,
-            routers: 64,
-            router_cycles_skipped: 7,
-            state_updates_skipped: 8,
-            idle_cycles_skipped: 9,
-            oracle_enabled: true,
-            oracle_violations: 0,
-            truncated: false,
-            flits_retransmitted: 3,
-            packets_retried: 2,
-            packets_dropped: 1,
-            reconfigurations: 1,
-        }
-    }
-
     #[test]
     fn cycle_budget_truncates_run() {
         let cfg = ExpConfig {
@@ -678,7 +680,7 @@ mod tests {
 
     #[test]
     fn checkpoint_line_round_trips_bit_exactly() {
-        let mut r = stub_result("weird\tlabel\\with\nescapes");
+        let mut r = RunResult::fabricated("weird\tlabel\\with\nescapes", 0);
         r.apl = vec![Some(f64::NAN), None, Some(-0.0)];
         r.total_latency = Vec::new();
         r.truncated = true;
@@ -724,7 +726,7 @@ mod tests {
                 Job::new(label, move || {
                     calls.fetch_add(1, Ordering::SeqCst);
                     assert!(!fail, "always failing");
-                    stub_result(label)
+                    RunResult::fabricated(label, 0)
                 })
             };
             let before = calls.load(Ordering::SeqCst);
@@ -759,7 +761,7 @@ mod tests {
         let (r3, ran) = sweep(false);
         assert_eq!(ran, 3, "both altered rows rejected, their jobs re-run");
         for (r, label) in r3.iter().zip(["a", "bad", "c"]) {
-            let (got, want) = (r.as_ref().unwrap(), stub_result(label));
+            let (got, want) = (r.as_ref().unwrap(), RunResult::fabricated(label, 0));
             assert_eq!(got.delivered, want.delivered, "{label}");
             assert_eq!(got.throughput.to_bits(), want.throughput.to_bits());
         }
@@ -778,8 +780,8 @@ mod tests {
         let store = ChaosStore::scripted(vec![(3, Fault::Enospc)]);
         let journal = Journal::new(&path, &store);
         let jobs = vec![
-            Job::new("a", || stub_result("a")),
-            Job::new("b", || stub_result("b")),
+            Job::new("a", || RunResult::fabricated("a", 0)),
+            Job::new("b", || RunResult::fabricated("b", 0)),
         ];
         let r = run_parallel_checkpointed(jobs, &journal);
         assert!(

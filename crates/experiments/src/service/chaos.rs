@@ -25,6 +25,7 @@ use super::journal::{Journal, WAL_TAG};
 use super::serve::{serve, JobExec, JobSpec, ServeConfig};
 use super::store::{frame, unframe, ChaosConfig, ChaosStore, StdStore};
 use crate::runner::{self, ExpConfig, Job, RunResult};
+use metrics::report::{Table, Value};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -52,47 +53,34 @@ impl ChaosReport {
         self.batteries.iter().all(|b| b.recovered)
     }
 
-    pub fn table(&self) -> metrics::Table {
-        let mut t = metrics::Table::new(
+    /// The batteries as the one report: the text table and the
+    /// `batteries` rows of `CHAOS_report.json`.
+    pub fn table(&self) -> Table {
+        Table::of(
             "Chaos battery — fault injection and recovery",
-            &["battery", "faults", "recovered", "detail"],
-        );
-        for b in &self.batteries {
-            t.row(vec![
-                b.name.to_string(),
-                b.faults.to_string(),
-                if b.recovered { "yes" } else { "NO" }.to_string(),
-                b.detail.clone(),
-            ]);
-        }
-        t
+            &self.batteries,
+            &[
+                ("battery", "battery", |b| b.name.into()),
+                ("faults", "faults", |b| b.faults.into()),
+                ("recovered", "", |b| {
+                    if b.recovered { "yes" } else { "NO" }.into()
+                }),
+                ("", "recovered", |b| b.recovered.into()),
+                ("detail", "detail", |b| b.detail.clone().into()),
+            ],
+        )
     }
 
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let rows: Vec<String> = self
-            .batteries
-            .iter()
-            .map(|b| {
-                format!(
-                    "    {{\"battery\": \"{}\", \"faults\": {}, \"recovered\": {}, \
-                     \"detail\": \"{}\"}}",
-                    b.name,
-                    b.faults,
-                    b.recovered,
-                    esc(&b.detail)
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"reference_digest\": \"{:016x}\",\n  \"all_green\": {},\n  \
-             \"batteries\": [\n{}\n  ]\n}}\n",
-            self.reference_digest,
-            self.all_green(),
-            rows.join(",\n")
-        )
+    /// The `CHAOS_report.json` document.
+    pub fn json(&self) -> Value {
+        Value::obj([
+            (
+                "reference_digest",
+                format!("{:016x}", self.reference_digest).into(),
+            ),
+            ("all_green", self.all_green().into()),
+            ("batteries", self.table().json_rows()),
+        ])
     }
 }
 
@@ -311,27 +299,6 @@ fn battery_checkpoint(dirtag: &str) -> Battery {
     let dir = fresh_dir(dirtag);
     let path = dir.join("sweep.ckpt");
     let journal = Journal::new(&path, &StdStore);
-    let stub = |label: &str| -> RunResult {
-        RunResult {
-            label: label.into(),
-            apl: vec![Some(label.len() as f64 + 7.25)],
-            total_latency: vec![Some(label.len() as f64 + 9.5)],
-            delivered: label.len() as u64 * 3,
-            throughput: 0.25,
-            cycles: 800,
-            routers: 64,
-            router_cycles_skipped: 0,
-            state_updates_skipped: 0,
-            idle_cycles_skipped: 0,
-            oracle_enabled: false,
-            oracle_violations: 0,
-            truncated: false,
-            flits_retransmitted: 0,
-            packets_retried: 0,
-            packets_dropped: 0,
-            reconfigurations: 0,
-        }
-    };
     let digest_of = |rs: &[Result<RunResult, runner::JobError>]| -> u64 {
         let mut d = metrics::Digest::new();
         for r in rs.iter().flatten() {
@@ -347,7 +314,7 @@ fn battery_checkpoint(dirtag: &str) -> Battery {
             if let Some(f) = &fail {
                 assert!(!f.load(Ordering::SeqCst), "injected first-pass failure");
             }
-            stub(label)
+            RunResult::fabricated(label, label.len() as u64)
         })
     };
     // Clean reference (no checkpoint involved).
@@ -514,13 +481,14 @@ fn battery_sigkill(refd: u64, exec: &JobExec, rng: &mut XorShift, smoke: bool) -
     let dir = fresh_dir("sigkill");
     let jobs_path = dir.join("jobs.txt");
     std::fs::write(&jobs_path, chaos_jobs_text()).expect("write chaos jobs");
+    let unstarted = |detail: &str| Battery {
+        name: "sigkill-resume",
+        faults: 0,
+        recovered: false,
+        detail: detail.into(),
+    };
     let Ok(exe) = std::env::current_exe() else {
-        return Battery {
-            name: "sigkill-resume",
-            faults: 0,
-            recovered: false,
-            detail: "current_exe() unavailable".into(),
-        };
+        return unstarted("current_exe() unavailable");
     };
     let kills = if smoke { 1 } else { 3 };
     let mut interrupted = 0u64;
@@ -539,12 +507,7 @@ fn battery_sigkill(refd: u64, exec: &JobExec, rng: &mut XorShift, smoke: bool) -
             .stderr(Stdio::null())
             .spawn()
         else {
-            return Battery {
-                name: "sigkill-resume",
-                faults: 0,
-                recovered: false,
-                detail: "could not spawn child repro serve".into(),
-            };
+            return unstarted("could not spawn child repro serve");
         };
         // Seeded kill point somewhere inside the sweep.
         std::thread::sleep(Duration::from_millis(15 + rng.next() % 120));
@@ -622,9 +585,8 @@ pub fn run_wrong_result(seed: u64) -> (bool, String) {
         }
         // Perturb the delivered-count field of the embedded checkpoint
         // line, then re-frame with a *valid* CRC.
-        let fields: Vec<&str> = payload.split('\t').collect();
         // payload = done, id, rair-ckpt-v1, label, delivered, …
-        let mut fields: Vec<String> = fields.into_iter().map(str::to_string).collect();
+        let mut fields: Vec<String> = payload.split('\t').map(str::to_string).collect();
         if fields.len() > 4 {
             if let Ok(v) = fields[4].parse::<u64>() {
                 fields[4] = (v + 1).to_string();

@@ -35,6 +35,7 @@ use super::pool::{replay_jobs, rows, run_supervised, Policy, Task};
 use super::store::{frame, read_entry, Store};
 use crate::runner::{self, ExpConfig, RunResult};
 use crate::sweep::build_network;
+use metrics::report::{Table, Value};
 use noc_sim::config::SimConfig;
 use noc_sim::region::RegionMap;
 use rair::scheme::{Routing, Scheme};
@@ -341,40 +342,52 @@ impl ServeReport {
             .count()
     }
 
-    /// Minimal JSON by hand (no serde_json in the offline build).
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut rows = Vec::new();
-        for o in &self.outcomes {
-            rows.push(format!(
-                "    {{\"label\": \"{}\", \"id\": \"{:016x}\", \"status\": \"{}\", \
-                 \"attempts\": {}, \"restored\": {}, \"reason\": \"{}\"}}",
-                esc(&o.spec.label),
-                o.id,
-                o.status.label(),
-                o.attempts,
-                o.restored,
-                esc(o.reason.as_deref().unwrap_or(""))
-            ));
-        }
-        format!(
-            "{{\n  \"sweep_digest\": \"{:016x}\",\n  \"resumed\": {},\n  \"cache_hits\": {},\n  \
-             \"executed\": {},\n  \"quarantined\": {},\n  \"journal_write_errors\": {},\n  \
-             \"journal_torn_tail\": {},\n  \"journal_quarantined_rows\": {},\n  \
-             \"result_cache_corrupt\": {},\n  \"jobs\": [\n{}\n  ]\n}}\n",
-            self.sweep_digest,
-            self.resumed,
-            self.cache_hits,
-            self.executed,
-            self.quarantined(),
-            self.journal_write_errors,
-            self.journal_torn_tail,
-            self.journal_quarantined_rows,
-            self.result_cache_corrupt,
-            rows.join(",\n")
+    /// The outcomes as the one report: the text table `repro serve`
+    /// prints and the `jobs` rows of `SERVE_report.json`.
+    pub fn table(&self) -> Table {
+        Table::of(
+            "Experiment service — job outcomes",
+            &self.outcomes,
+            &[
+                ("job", "label", |o| o.spec.label.clone().into()),
+                ("", "id", |o| format!("{:016x}", o.id).into()),
+                ("status", "status", |o| o.status.label().into()),
+                ("attempts", "attempts", |o| u64::from(o.attempts).into()),
+                ("source", "", |o| {
+                    if o.restored { "restored" } else { "executed" }.into()
+                }),
+                ("", "restored", |o| o.restored.into()),
+                ("detail", "", |o| match (&o.reason, &o.result) {
+                    (Some(reason), _) => reason.clone().into(),
+                    (None, Some(r)) => {
+                        format!("APL {}", metrics::report::f2(r.mean_apl(None))).into()
+                    }
+                    (None, None) => "".into(),
+                }),
+                ("", "reason", |o| {
+                    o.reason.clone().unwrap_or_default().into()
+                }),
+            ],
         )
+    }
+
+    /// The `SERVE_report.json` document.
+    pub fn json(&self) -> Value {
+        Value::obj([
+            ("sweep_digest", format!("{:016x}", self.sweep_digest).into()),
+            ("resumed", self.resumed.into()),
+            ("cache_hits", self.cache_hits.into()),
+            ("executed", self.executed.into()),
+            ("quarantined", self.quarantined().into()),
+            ("journal_write_errors", self.journal_write_errors.into()),
+            ("journal_torn_tail", self.journal_torn_tail.into()),
+            (
+                "journal_quarantined_rows",
+                self.journal_quarantined_rows.into(),
+            ),
+            ("result_cache_corrupt", self.result_cache_corrupt.into()),
+            ("jobs", self.table().json_rows()),
+        ])
     }
 }
 
@@ -592,7 +605,7 @@ pub fn serve(
     };
     if let Err(e) = store.write_atomic(
         &scfg.dir.join("SERVE_report.json"),
-        report.to_json().as_bytes(),
+        report.json().to_json().as_bytes(),
     ) {
         eprintln!("[serve] warning: could not write SERVE_report.json: {e}");
     }
@@ -629,31 +642,9 @@ mod tests {
         dir
     }
 
-    fn stub_result(label: &str, seed: u64) -> RunResult {
-        RunResult {
-            label: label.into(),
-            apl: vec![Some(10.0 + seed as f64)],
-            total_latency: vec![Some(12.0 + seed as f64)],
-            delivered: 100 + seed,
-            throughput: 0.1,
-            cycles: 5_000,
-            routers: 64,
-            router_cycles_skipped: 1,
-            state_updates_skipped: 2,
-            idle_cycles_skipped: 3,
-            oracle_enabled: false,
-            oracle_violations: 0,
-            truncated: false,
-            flits_retransmitted: 0,
-            packets_retried: 0,
-            packets_dropped: 0,
-            reconfigurations: 0,
-        }
-    }
-
     /// A fast fake executor: deterministic fabricated results.
     fn stub_exec() -> JobExec {
-        Arc::new(|spec: &JobSpec, _ec: &ExpConfig| stub_result(&spec.label, spec.seed))
+        Arc::new(|spec: &JobSpec, _ec: &ExpConfig| RunResult::fabricated(&spec.label, spec.seed))
     }
 
     fn spec(label: &str, seed: u64) -> JobSpec {
@@ -795,7 +786,7 @@ mod tests {
                 let row = TABLE.iter().position(|(l, _)| *l == label).unwrap();
                 let call = calls[row].fetch_add(1, Ordering::SeqCst) as u32;
                 assert!(call >= TABLE[row].1, "synthetic failure #{call} of {label}");
-                stub_result(label, seed)
+                RunResult::fabricated(label, seed)
             }
         };
         let fresh = || Arc::new((0..4).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
@@ -853,7 +844,7 @@ mod tests {
             reason.contains("2 failed attempt") && reason.contains("failure #1 of poison"),
             "{reason}"
         );
-        assert!(r.to_json().contains("\"status\": \"quarantined\""));
+        assert!(r.json().to_json().contains("\"status\": \"quarantined\""));
         // Resume: the quarantine verdict is replayed, not retried.
         let r2 = serve(&StdStore, &specs, &scfg, &exec);
         assert_eq!(count(&calls), [1, 2, 2, 1], "no retry after quarantine");
@@ -901,7 +892,7 @@ mod tests {
             if spec.label == "hang" {
                 std::thread::sleep(Duration::from_millis(5_000));
             }
-            stub_result(&spec.label, spec.seed)
+            RunResult::fabricated(&spec.label, spec.seed)
         });
         let scfg = ServeConfig {
             backoff_base_ms: 1,
@@ -936,7 +927,7 @@ mod tests {
         let b = Arc::clone(&built);
         let exec: JobExec = Arc::new(move |spec: &JobSpec, _e: &ExpConfig| {
             b.fetch_add(1, Ordering::SeqCst);
-            stub_result(&spec.label, spec.seed)
+            RunResult::fabricated(&spec.label, spec.seed)
         });
         let scfg = ServeConfig::new(&dir, ExpConfig::quick());
         let r = serve(&store, &[bad], &scfg, &exec);

@@ -10,7 +10,7 @@
 //! link filter. Scheme parameters (STC rank totality, DPA hysteresis
 //! bounds) are checked separately — they are routing-independent.
 
-use metrics::Table;
+use metrics::report::{Table, Value};
 use noc_sim::config::SimConfig;
 use noc_sim::ids::{Coord, Port, PORT_EAST, PORT_WEST};
 use noc_sim::region::RegionMap;
@@ -80,12 +80,6 @@ fn schemes() -> Vec<(Scheme, usize)> {
 
 const ROUTINGS: [Routing; 3] = [Routing::Xy, Routing::Local, Routing::Dbar];
 
-/// Run the positive matrix: every shipped region × routing, bare and
-/// LBDR-confined, on the Table 1 mesh.
-pub fn run_matrix() -> Vec<VerifyRow> {
-    run_matrix_for(TopologyKind::Mesh)
-}
-
 /// Run the 4-region × 3-routing × {bare, LBDR} matrix on the canonical
 /// config of `kind` ([`SimConfig::table1_topology`]).
 pub fn run_matrix_for(kind: TopologyKind) -> Vec<VerifyRow> {
@@ -136,65 +130,33 @@ pub fn scheme_checks() -> Vec<(String, Vec<String>)> {
         .collect()
 }
 
-/// Render the matrix as a report table.
+/// The matrix as the one report: the text table and the `rows` of
+/// `VERIFY_report.json`.
 pub fn table(rows: &[VerifyRow]) -> Table {
-    let mut t = Table::new(
+    Table::of(
         "Static verification — escape-CDG acyclicity + region legality",
+        rows,
         &[
-            "region",
-            "routing",
-            "lbdr",
-            "channels",
-            "dep edges",
-            "pairs",
-            "violations",
-            "ms",
+            ("region", "region", |r| r.region.into()),
+            ("routing", "routing", |r| r.routing.into()),
+            ("lbdr", "lbdr", |r| r.lbdr.into()),
+            ("channels", "channels", |r| r.channels.into()),
+            ("dep edges", "dep_edges", |r| r.dep_edges.into()),
+            ("pairs", "pairs", |r| r.pairs.into()),
+            ("violations", "violations", |r| r.violations.into()),
+            ("ms", "millis", |r| Value::Float(r.millis, 1)),
         ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.region.to_string(),
-            r.routing.to_string(),
-            if r.lbdr { "yes" } else { "no" }.to_string(),
-            r.channels.to_string(),
-            r.dep_edges.to_string(),
-            r.pairs.to_string(),
-            r.violations.to_string(),
-            format!("{:.1}", r.millis),
-        ]);
-    }
-    t
+    )
 }
 
-/// Serialize the matrix as JSON (hand-rolled — the vendored serde is a
-/// stub).
-pub fn to_json(rows: &[VerifyRow]) -> String {
-    let mut out = String::from("{\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"region\": \"{}\", \"routing\": \"{}\", \"lbdr\": {}, \
-             \"channels\": {}, \"dep_edges\": {}, \"pairs\": {}, \
-             \"violations\": {}, \"millis\": {:.3}}}{}\n",
-            r.region,
-            r.routing,
-            r.lbdr,
-            r.channels,
-            r.dep_edges,
-            r.pairs,
-            r.violations,
-            r.millis,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One deliberately broken configuration and the verifier's verdict.
+/// One deliberately broken configuration and the verdict of the static
+/// check it was fed to (this verifier, or the admission pipeline).
 pub struct NegativeCase {
     pub name: &'static str,
-    /// Did the verifier reject it (as it must)?
+    /// Did the check reject it (as it must)?
     pub rejected: bool,
+    /// The admission property that refuted it; empty for the verifier.
+    pub property: String,
     /// The first witness (cycle, unreachable pair, …) or defect message.
     pub witness: String,
 }
@@ -324,6 +286,7 @@ pub fn negative_battery() -> Vec<NegativeCase> {
     cases.push(NegativeCase {
         name: "inconsistent-lbdr-bits",
         rejected: !errs.is_empty(),
+        property: String::new(),
         witness: errs.first().cloned().unwrap_or_default(),
     });
 
@@ -332,6 +295,7 @@ pub fn negative_battery() -> Vec<NegativeCase> {
     cases.push(NegativeCase {
         name: "nan-rank-intensity",
         rejected: !errs.is_empty(),
+        property: String::new(),
         witness: errs.first().cloned().unwrap_or_default(),
     });
 
@@ -343,6 +307,7 @@ fn case(name: &'static str, r: &VerifyReport, want: impl Fn(&Witness) -> bool) -
     NegativeCase {
         name,
         rejected: !r.ok() && hit.is_some(),
+        property: String::new(),
         witness: hit
             .map(std::string::ToString::to_string)
             .or_else(|| r.violations.first().map(std::string::ToString::to_string))
@@ -356,7 +321,7 @@ mod tests {
 
     #[test]
     fn positive_matrix_is_clean() {
-        let rows = run_matrix();
+        let rows = run_matrix_for(TopologyKind::Mesh);
         assert_eq!(rows.len(), 4 * 3 * 2);
         for r in &rows {
             assert_eq!(
@@ -407,13 +372,5 @@ mod tests {
             assert!(c.rejected, "{} was not rejected", c.name);
             assert!(!c.witness.is_empty(), "{} has no witness", c.name);
         }
-    }
-
-    #[test]
-    fn json_is_balanced() {
-        let j = to_json(&run_matrix());
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"routing\": \"DBAR\""));
     }
 }

@@ -30,9 +30,13 @@ fn unknown_flag_fails() {
 
 #[test]
 fn help_succeeds() {
-    let out = repro().arg("--help").output().unwrap();
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("usage:"));
+    for flag in ["--help", "-h"] {
+        let out = repro().arg(flag).output().unwrap();
+        assert!(out.status.success());
+        let s = String::from_utf8_lossy(&out.stdout);
+        assert!(s.contains("usage:") && s.contains("\n  serve <a jobs file>"));
+        assert!(!s.contains("bench-kernel"), "{s}");
+    }
 }
 
 #[test]
@@ -212,9 +216,12 @@ fn topology_rejects_unknown_and_out_of_range_cmesh() {
 
 #[test]
 fn topology_accepts_cmesh_bounds() {
+    let dir = std::env::temp_dir().join("rair_topology_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
     for good in ["cmesh:2", "cmesh:8", "cmesh"] {
         let out = repro()
-            .args(["--topology", good, "table1"])
+            .args(["--topology", good, "verify-config"])
+            .current_dir(&dir)
             .output()
             .unwrap();
         assert!(
@@ -223,6 +230,119 @@ fn topology_accepts_cmesh_bounds() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+}
+
+/// `--quick`/`--smoke` are presets: they apply before the explicit
+/// overrides wherever they stand in argv, so both orders run the same
+/// windows (the preset used to win when it came last).
+#[test]
+fn windows_override_presets_in_either_argv_order() {
+    let cache = std::env::temp_dir().join(format!("rair-cli-order-{}", std::process::id()));
+    for args in [
+        ["--windows", "100,200", "--quick", "fig9"],
+        ["--quick", "--windows", "100,200", "fig9"],
+    ] {
+        let out = repro()
+            .args(args)
+            .env("RAIR_CACHE_DIR", &cache)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {err}");
+        assert!(
+            err.contains("[repro] running fig9 (100 + 200 cycles"),
+            "{args:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// A flag none of the named subcommands reads, a trailing positional after
+/// a solo subcommand, and a solo subcommand among experiments all fail up
+/// front, by name, with the usage — nothing runs first.
+#[test]
+fn out_of_scope_flags_and_stray_positionals_fail_with_usage() {
+    let cases: [(&[&str], &str); 8] = [
+        (
+            &["fig14", "--retries", "3"],
+            "--retries is not read by fig14",
+        ),
+        (
+            &["table1", "--inject-cyclic"],
+            "--inject-cyclic is not read by table1",
+        ),
+        (
+            &["--windows", "5,5", "chaos"],
+            "--windows is not read by chaos",
+        ),
+        (
+            &["chaos", "fig14"],
+            "chaos cannot be combined with experiments",
+        ),
+        (&["serve", "jobs.txt", "extra"], "(`extra`)"),
+        (
+            &["fig14", "serve", "x"],
+            "serve cannot be combined with experiments",
+        ),
+        (&["fig9", "fig99"], "unknown experiment fig99"),
+        (&["--timeout-ms"], "--timeout-ms needs milliseconds"),
+    ];
+    for (args, want) in cases {
+        let out = repro().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(
+            err.contains(want) && err.contains("usage:"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("[repro] running"), "{args:?} ran something");
+        assert!(out.stdout.is_empty(), "{args:?} printed results");
+    }
+    // One reader among the named subcommands is enough.
+    let out = repro()
+        .args(["--seed", "3", "table1", "lbdr"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+}
+
+/// An unwritable `--trace-file` is a reported error, not a panic.
+#[test]
+fn trace_demo_reports_an_unwritable_trace_file() {
+    let out = repro()
+        .args(["--quick", "--windows", "100,200"])
+        .args(["--trace-file", "/nonexistent/dir/t.bin", "trace-demo"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("[repro] trace-demo: /nonexistent/dir/t.bin: "),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+/// A report that cannot be written is a reported error (exit 1), not a
+/// panic: run `verify-config` in a directory where the report path is taken
+/// by a directory.
+#[test]
+fn unwritable_report_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("rair-cli-report-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("VERIFY_report.json")).unwrap();
+    let out = repro()
+        .arg("verify-config")
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("[repro] cannot write VERIFY_report.json: "),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

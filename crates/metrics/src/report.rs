@@ -1,28 +1,162 @@
-//! Plain-text table rendering for experiment output.
+//! The one typed report: experiment tables and `*_report.json` bodies.
 //!
-//! The `repro` binary prints one table per paper figure; these tables are the
-//! "same rows/series the paper reports". Rendering is dependency-free,
-//! fixed-width and CSV-exportable.
+//! The `repro` binary prints one table per paper figure: the "same
+//! rows/series the paper reports". A [`Table`] declares its columns once and
+//! holds typed [`Value`] cells; aligned text, CSV and JSON rows all render
+//! from it, dependency-free (the vendored `serde` has no `serde_json`).
 
-/// A simple column-aligned text table.
+use std::fmt;
+
+/// One typed value: a table cell, or a field of a JSON report document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `-` in text, `null` in JSON.
+    Null,
+    /// `yes`/`no` in text, `true`/`false` in JSON.
+    Bool(bool),
+    Int(u64),
+    /// A float and its text decimals; JSON has the full value, or `null`.
+    Float(f64, usize),
+    Str(String),
+    /// Ordered fields: a report document, or an object nested in one.
+    Obj(Vec<(String, Value)>),
+    Arr(Vec<Value>),
+}
+
+impl Value {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Render as a JSON document: the top-level object's fields one per
+    /// line, each element of its arrays on a line of its own, everything
+    /// deeper inline.
+    pub fn to_json(&self) -> String {
+        self.json(0) + "\n"
+    }
+
+    fn json(&self, depth: usize) -> String {
+        match self {
+            Value::Obj(f) => {
+                let field = |(k, v): &(String, Value)| {
+                    format!("\"{}\": {}", json_escape(k), v.json(depth + 1))
+                };
+                let items: Vec<String> = f.iter().map(field).collect();
+                if depth == 0 && !items.is_empty() {
+                    format!("{{\n  {}\n}}", items.join(",\n  "))
+                } else {
+                    format!("{{{}}}", items.join(", "))
+                }
+            }
+            Value::Arr(a) => {
+                let items: Vec<String> = a.iter().map(|v| v.json(depth + 1)).collect();
+                if depth == 1 && !items.is_empty() {
+                    format!("[\n    {}\n  ]", items.join(",\n    "))
+                } else {
+                    format!("[{}]", items.join(", "))
+                }
+            }
+            Value::Null => "null".to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Float(x, _) if !x.is_finite() => "null".to_string(),
+            Value::Float(x, _) => format!("{x:?}"),
+            Value::Str(s) => format!("\"{}\"", json_escape(s)),
+            Value::Int(n) => n.to_string(),
+        }
+    }
+}
+
+/// The text-cell rendering.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("-"),
+            Value::Bool(b) => f.write_str(if *b { "yes" } else { "no" }),
+            Value::Int(n) => write!(f, "{n}"),
+            Value::Float(x, p) => write!(f, "{x:.p$}"),
+            Value::Str(s) => f.write_str(s),
+            Value::Obj(_) | Value::Arr(_) => f.write_str(&self.json(2)),
+        }
+    }
+}
+
+/// Escape `s` for the inside of a JSON string: `"`, `\`, and every control
+/// character below 0x20 (`\n`, `\r`, `\t` by name, the rest as `\u00XX`).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+macro_rules! value_from {
+    ($($t:ty => $make:expr),*) => {$(
+        impl From<$t> for Value {
+            fn from(x: $t) -> Self {
+                $make(x)
+            }
+        }
+    )*};
+}
+value_from!(String => Value::Str, &str => |s: &str| Value::Str(s.into()), bool => Value::Bool,
+    u64 => Value::Int, usize => |n| Value::Int(n as u64));
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// One report column over rows of type `R`: `(text header, JSON key, cell)`.
+pub type Col<'a, R> = (&'a str, &'a str, fn(&R) -> Value);
+
+/// A column-aligned table of typed cells.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     title: String,
+    /// Text header and JSON key per column; empty hides the column there.
     header: Vec<String>,
-    rows: Vec<Vec<String>>,
+    keys: Vec<String>,
+    rows: Vec<Vec<Value>>,
 }
 
 impl Table {
-    /// Create a table with a title and column headers.
+    /// Create a table with a title and column headers (which double as the
+    /// JSON keys).
     pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+        let header: Vec<String> = header.iter().map(ToString::to_string).collect();
         Self {
             title: title.into(),
-            header: header.iter().map(ToString::to_string).collect(),
+            keys: header.clone(),
+            header,
             rows: Vec::new(),
         }
     }
 
-    /// Append a row; panics if the arity doesn't match the header.
+    /// The report over `rows`, every [`Col`] declared once for all three
+    /// renderings. An empty header keeps a column out of text and CSV, an
+    /// empty key out of the JSON rows.
+    pub fn of<R>(title: impl Into<String>, rows: &[R], cols: &[Col<'_, R>]) -> Self {
+        let cells = |r| cols.iter().map(|c| (c.2)(r)).collect();
+        Self {
+            title: title.into(),
+            header: cols.iter().map(|c| c.0.into()).collect(),
+            keys: cols.iter().map(|c| c.1.into()).collect(),
+            rows: rows.iter().map(cells).collect(),
+        }
+    }
+
+    /// Append a row of text cells; panics if the arity doesn't match.
     pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(
             cells.len(),
@@ -31,7 +165,7 @@ impl Table {
             cells.len(),
             self.header.len()
         );
-        self.rows.push(cells);
+        self.rows.push(cells.into_iter().map(Value::Str).collect());
         self
     }
 
@@ -40,10 +174,35 @@ impl Table {
         self.rows.len()
     }
 
+    /// The `cells` of the columns that `names` (headers or keys) keeps.
+    fn shown<T>(names: &[String], cells: impl IntoIterator<Item = T>) -> Vec<T> {
+        let kept = names.iter().zip(cells).filter(|(n, _)| !n.is_empty());
+        kept.map(|(_, c)| c).collect()
+    }
+
+    /// Header line, then the data rows, as text.
+    fn text(&self) -> Vec<Vec<String>> {
+        let cells = |r: &Vec<Value>| Self::shown(&self.header, r.iter().map(Value::to_string));
+        let header = Self::shown(&self.header, self.header.iter().cloned());
+        std::iter::once(header)
+            .chain(self.rows.iter().map(cells))
+            .collect()
+    }
+
+    /// The rows as a JSON array of objects, one field per keyed column.
+    pub fn json_rows(&self) -> Value {
+        let row = |r: &Vec<Value>| {
+            let fields = self.keys.iter().cloned().zip(r.iter().cloned());
+            Value::Obj(Self::shown(&self.keys, fields))
+        };
+        Value::Arr(self.rows.iter().map(row).collect())
+    }
+
     /// Render as an aligned text table.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
-        for row in &self.rows {
+        let lines = self.text();
+        let mut widths = vec![0; lines[0].len()];
+        for row in &lines {
             for (w, c) in widths.iter_mut().zip(row) {
                 *w = (*w).max(c.len());
             }
@@ -63,11 +222,11 @@ impl Table {
             line.push('\n');
             line
         };
-        out.push_str(&fmt_row(&self.header));
+        out.push_str(&fmt_row(&lines[0]));
         let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len().saturating_sub(1));
         out.push_str(&"-".repeat(total));
         out.push('\n');
-        for row in &self.rows {
+        for row in &lines[1..] {
             out.push_str(&fmt_row(row));
         }
         out
@@ -75,7 +234,7 @@ impl Table {
 
     /// Render as CSV (comma-separated, header first).
     pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
+        let esc = |s: &String| {
             if s.contains(',') || s.contains('"') {
                 format!("\"{}\"", s.replace('"', "\"\""))
             } else {
@@ -83,17 +242,8 @@ impl Table {
             }
         };
         let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|s| esc(s))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|s| esc(s)).collect::<Vec<_>>().join(","));
+        for row in self.text() {
+            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out

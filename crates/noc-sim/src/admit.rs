@@ -87,7 +87,7 @@ use crate::routing::RoutingAlgorithm;
 use crate::topology;
 use crate::vc::{VcClass, VcTag};
 use crate::verify::{ChannelClass, ChannelId};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -816,8 +816,8 @@ pub fn admit_network(
     }
 }
 
-/// Process-wide memoized admission, keyed like `verify_network_cached`
-/// (config digest + routing name + region map) plus the automaton's
+/// Process-wide memoized admission, on the verifier's memo
+/// ([`crate::verify::memoized`]) keyed by the network and the automaton's
 /// scheme label. The sweep runner and the DSE service call this as the
 /// pre-simulation gate; repeated cells are free.
 pub fn admit_network_cached(
@@ -826,29 +826,9 @@ pub fn admit_network_cached(
     routing: &dyn RoutingAlgorithm,
     auto: &PriorityAutomaton,
 ) -> Admission {
-    static CACHE: Mutex<std::collections::BTreeMap<u64, Admission>> =
-        Mutex::new(std::collections::BTreeMap::new());
-    let mut d = metrics::Digest::new();
-    cfg.digest_into(&mut d);
-    for b in routing.name().bytes() {
-        d.write_u64(u64::from(b));
-    }
-    for b in auto.name.bytes() {
-        d.write_u64(u64::from(b));
-    }
-    for node in 0..region.len() {
-        d.write_u64(u64::from(region.app_of(node as NodeId)));
-    }
-    let key = d.finish();
-    let Ok(mut cache) = CACHE.lock() else {
-        return admit_network(cfg, region, routing, auto);
-    };
-    if let Some(hit) = cache.get(&key) {
-        return hit.clone();
-    }
-    let adm = admit_network(cfg, region, routing, auto);
-    cache.insert(key, adm.clone());
-    adm
+    static CACHE: Mutex<BTreeMap<u64, Admission>> = Mutex::new(BTreeMap::new());
+    let key = crate::verify::network_key(cfg, region, routing, &auto.name);
+    crate::verify::memoized(&CACHE, key, || admit_network(cfg, region, routing, auto))
 }
 
 #[cfg(test)]

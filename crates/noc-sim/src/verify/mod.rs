@@ -310,9 +310,46 @@ impl<'a> Verifier<'a> {
     }
 }
 
+/// The key both process-wide verifier memos file a network under: config
+/// digest, routing name, region map, and `extra` (admission adds the scheme
+/// label).
+pub(crate) fn network_key(
+    cfg: &SimConfig,
+    region: &RegionMap,
+    routing: &dyn RoutingAlgorithm,
+    extra: &str,
+) -> u64 {
+    let mut d = metrics::Digest::new();
+    cfg.digest_into(&mut d);
+    d.write_str(routing.name());
+    d.write_str(extra);
+    for n in 0..region.len() {
+        d.write_u64(u64::from(region.app_of(n as NodeId)));
+    }
+    d.finish()
+}
+
+/// Look `key` up in a digest-keyed memo, computing (outside the lock) and
+/// remembering the value on a miss. A poisoned lock recomputes instead of
+/// panicking.
+pub(crate) fn memoized<V: Clone>(
+    cache: &Mutex<BTreeMap<u64, V>>,
+    key: u64,
+    compute: impl FnOnce() -> V,
+) -> V {
+    if let Some(hit) = cache.lock().ok().and_then(|c| c.get(&key).cloned()) {
+        return hit;
+    }
+    let value = compute();
+    if let Ok(mut c) = cache.lock() {
+        c.insert(key, value.clone());
+    }
+    value
+}
+
 /// Verify `(cfg, region, routing)` as `Network::new` does, memoizing the
-/// result process-wide (keyed by the config digest, region layout and
-/// routing name) so construction-heavy tests pay the analysis once.
+/// result process-wide (see [`network_key`]) so construction-heavy tests pay
+/// the analysis once.
 ///
 /// Returns the capped violation list plus the uncapped count.
 pub fn verify_network_cached(
@@ -321,22 +358,10 @@ pub fn verify_network_cached(
     routing: &dyn RoutingAlgorithm,
 ) -> (Vec<VerifyViolation>, u64) {
     static CACHE: Mutex<BTreeMap<u64, (Vec<VerifyViolation>, u64)>> = Mutex::new(BTreeMap::new());
-    let mut d = metrics::Digest::new();
-    cfg.digest_into(&mut d);
-    for b in routing.name().bytes() {
-        d.write_u64(b as u64);
-    }
-    for n in 0..region.len() {
-        d.write_u64(region.app_of(n as NodeId) as u64);
-    }
-    let key = d.finish();
-    if let Some(hit) = CACHE.lock().unwrap().get(&key) {
-        return hit.clone();
-    }
-    let report = Verifier::new(cfg, routing).run();
-    let value = (report.violations, report.violation_count);
-    CACHE.lock().unwrap().insert(key, value.clone());
-    value
+    memoized(&CACHE, network_key(cfg, region, routing, ""), || {
+        let report = Verifier::new(cfg, routing).run();
+        (report.violations, report.violation_count)
+    })
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@ fn all_schemes() -> Vec<Scheme> {
         Scheme::RoRr,
         Scheme::RoAge,
         Scheme::ro_rank(vec![0.1, 0.9]),
+        // The one scheme that opts out of update skipping.
+        Scheme::ro_rank_online(2),
         Scheme::rair(),
         Scheme::rair_native_high(),
         Scheme::rair_foreign_high(),
@@ -86,6 +88,27 @@ fn fast_path_is_bit_identical_across_matrix() {
                 );
             }
         }
+    }
+    // One replayed-trace cell per routing, built the way every experiment
+    // driver builds its networks: identical offered traffic into both modes.
+    let cfg = SimConfig::table1();
+    let (region, scenario) = two_app(&cfg, 0.3, 0.09, 0.09);
+    let trace = Trace::capture(scenario, cfg.num_nodes() as NodeId, 1_200, 42);
+    for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
+        let digest = |exhaustive: bool| {
+            let replay = Box::new(TraceReplay::new(&trace, cfg.num_nodes() as NodeId));
+            let scheme = Scheme::ro_rank_online(2);
+            let mut net =
+                experiments::sweep::build_network(&cfg, &region, &scheme, routing, replay, 42);
+            net.set_force_exhaustive(exhaustive);
+            net.run_warmup_measure(240, 960);
+            net.stats.digest()
+        };
+        assert_eq!(
+            digest(false),
+            digest(true),
+            "fast/exhaustive divergence on a replayed trace: {routing:?}"
+        );
     }
 }
 
