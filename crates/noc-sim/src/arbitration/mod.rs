@@ -10,7 +10,8 @@
 //!   [`PriorityPolicy`] assigns each request a numeric priority and ties are
 //!   broken round-robin (so every policy degrades to fair round-robin among
 //!   equal-priority requestors — the paper's rule for traffic within the
-//!   foreign aggregate).
+//!   foreign aggregate). A request with no rival needs no priority, and the
+//!   kernel does not ask for one.
 
 mod age;
 mod round_robin;
@@ -55,15 +56,26 @@ pub struct ArbReq {
 
 /// A priority policy: maps requests to numeric priorities (higher wins).
 ///
-/// Implementations must be cheap — these run on every arbitration of every
-/// router every cycle.
+/// **Contract.** The kernel asks for priorities only where flows compete:
+/// [`priority`](Self::priority) is called for the members of an SA_in,
+/// SA_out or VA_out request set with two or more requests, and never for a
+/// lone request (which wins whatever its priority —
+/// `lone_request_wins_at_any_priority_and_pointer`); the exhaustive
+/// diagnostic mode calls it for every request, and the two must simulate
+/// identically. `priority` must therefore be a *pure function* of its
+/// arguments and the policy's own state as of the last
+/// [`update_router`](Self::update_router): no side effect the simulation
+/// can observe, and of the router only what the state-update phase writes
+/// (region tag, DPA registers and bit) — never the buffers, credits or
+/// arbiter pointers the arbitration phases themselves are moving.
 pub trait PriorityPolicy: Send + Sync {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 
-    /// Priority of `req` at `stage`. For `VaOut` the class of the contested
-    /// output VC is supplied (this is where VC regionalization acts);
-    /// `None` for the SA stages.
+    /// Priority of `req` at `stage`, asked only for contested request sets
+    /// (see the trait-level contract). For `VaOut` the class of the
+    /// contested output VC is supplied (this is where VC regionalization
+    /// acts); `None` for the SA stages.
     fn priority(
         &self,
         stage: ArbStage,
@@ -161,6 +173,26 @@ mod tests {
         let mut ptr = 0;
         assert_eq!(arbitrate_rr(&[], 4, &mut ptr), None);
         assert_eq!(ptr, 0);
+    }
+
+    /// What contest-only arbitration rests on: a lone request wins whatever
+    /// its priority and wherever the pointer stands, and the pointer moves
+    /// just past it — so the kernel need not ask the policy about it.
+    #[test]
+    fn lone_request_wins_at_any_priority_and_pointer() {
+        for num_slots in (1..=12).chain([30, 60]) {
+            for key in 0..num_slots {
+                for ptr in 0..num_slots {
+                    for prio in [0, 1, u64::MAX] {
+                        assert_eq!(
+                            arbitrate_rr_at(&[(prio, key)], num_slots, ptr),
+                            Some((0, (key + 1) % num_slots)),
+                            "slots {num_slots} key {key} ptr {ptr} prio {prio}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

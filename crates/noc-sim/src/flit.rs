@@ -85,19 +85,36 @@ pub struct Flit {
     pub info: PacketInfo,
 }
 
-/// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) over the payload's eight
-/// little-endian bytes — the link-level error-detection code.
-pub fn crc16(payload: u64) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for byte in payload.to_le_bytes() {
-        crc ^= u16::from(byte) << 8;
-        for _ in 0..8 {
+/// One step of CRC-16/CCITT (poly 0x1021) per possible top byte, built at
+/// compile time.
+const CRC16_TABLE: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
             crc = if crc & 0x8000 != 0 {
                 (crc << 1) ^ 0x1021
             } else {
                 crc << 1
             };
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) over the payload's eight
+/// little-endian bytes — the link-level error-detection code. One table
+/// look-up per byte.
+#[inline]
+pub fn crc16(payload: u64) -> u16 {
+    let mut crc: u16 = 0xFFFF;
+    for byte in payload.to_le_bytes() {
+        crc = (crc << 8) ^ CRC16_TABLE[usize::from((crc >> 8) as u8 ^ byte)];
     }
     crc
 }
@@ -184,6 +201,41 @@ mod tests {
         let f: Vec<Flit> = Flit::flits_of(info(2)).collect();
         assert_eq!(f[0].kind, FlitKind::Head);
         assert_eq!(f[1].kind, FlitKind::Tail);
+    }
+
+    /// The bit-serial definition the table caches.
+    fn crc16_bitwise(payload: u64) -> u16 {
+        let mut crc: u16 = 0xFFFF;
+        for byte in payload.to_le_bytes() {
+            crc ^= u16::from(byte) << 8;
+            for _ in 0..8 {
+                crc = if crc & 0x8000 != 0 {
+                    (crc << 1) ^ 0x1021
+                } else {
+                    crc << 1
+                };
+            }
+        }
+        crc
+    }
+
+    #[test]
+    fn crc16_table_equals_the_bit_loop_on_every_byte_at_every_position() {
+        assert_eq!(crc16(0), crc16_bitwise(0));
+        for pos in 0..8 {
+            for byte in 0..=255u64 {
+                let payload = byte << (8 * pos);
+                assert_eq!(crc16(payload), crc16_bitwise(payload), "{payload:#x}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10_000))]
+        #[test]
+        fn crc16_table_equals_the_bit_loop(payload in 0u64..=u64::MAX) {
+            proptest::prop_assert_eq!(crc16(payload), crc16_bitwise(payload));
+        }
     }
 
     #[test]

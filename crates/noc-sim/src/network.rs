@@ -43,7 +43,11 @@
 //! [`set_force_exhaustive`] diagnostic switch, which widens every mask to
 //! all routers / all VC slots and reads each predicate from the VC itself
 //! ([`SimStats::router_cycles_skipped`] and
-//! [`SimStats::state_updates_skipped`] count the elided work).
+//! [`SimStats::state_updates_skipped`] count the elided work). The same
+//! rule — pay only for what happens — holds off the router masks: the
+//! injection phase polls only the NIs of the NI active set, and SA/VA ask
+//! the policy for priorities only where two or more requests meet;
+//! exhaustive mode polls every NI and asks about every request.
 //!
 //! A steady-state tick allocates nothing: arbitration request sets live on
 //! the stack, the link, credit and ejection registers are drained in place,
@@ -77,7 +81,8 @@ use crate::fault::{
 };
 use crate::flit::{Flit, FlitKind, PacketInfo};
 use crate::ids::{
-    opposite, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,
+    opposite, Coord, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH,
+    PORT_WEST,
 };
 use crate::node::Node;
 use crate::oracle::Oracle;
@@ -86,8 +91,8 @@ use crate::router::Router;
 use crate::routing::{RoutingAlgorithm, SelectCtx};
 use crate::source::TrafficSource;
 use crate::stats::SimStats;
-use crate::topology::has_link;
-use crate::vc::{VcState, VcTag};
+use crate::topology::{has_link, neighbor_router};
+use crate::vc::{VcClass, VcState, VcTag};
 use crate::verify::MAX_RECORDED_VIOLATIONS;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -117,17 +122,26 @@ struct VaReq {
     out: (Port, usize),
     /// Requesting input `(port, vc)`.
     inp: (Port, usize),
-    prio: u64,
 }
 
-/// An SA_in winner competing in SA_out.
-#[derive(Debug, Clone, Copy)]
-struct SaCand {
-    in_port: Port,
-    in_vc: usize,
-    out_port: Port,
-    out_vc: usize,
-    prio_out: u64,
+/// Far end of a router's output port: the neighbour router and the input
+/// port the link enters it by (`None`: no link — the local port, a mesh
+/// edge, the unused dimension of a ring).
+type LinkEnd = Option<(NodeId, u8)>;
+
+/// The static link table: entry `[r][p]` is where output port `p` of router
+/// `r` leads — [`neighbor_router`] and [`opposite`] evaluated once, so the
+/// tick does no topology arithmetic per flit.
+fn link_table(cfg: &SimConfig) -> Box<[[LinkEnd; NUM_PORTS]]> {
+    (0..cfg.num_routers())
+        .map(|r| {
+            let at = cfg.router_coord(r);
+            std::array::from_fn(|p| {
+                has_link(cfg, at, p)
+                    .then(|| (neighbor_router(cfg, r, p) as NodeId, opposite(p) as u8))
+            })
+        })
+        .collect()
 }
 
 /// The `w`-th word of a mask with one bit set for each of `n` routers.
@@ -199,8 +213,19 @@ pub struct Network {
     /// last state update. Walked and zeroed by the state-update phase;
     /// all-zero between ticks is a fast-forward precondition.
     dirty_mask: Vec<u64>,
-    /// Diagnostic switch: iterate every router in every phase and never
-    /// skip state updates. Must be bit-identical to the fast path.
+    /// NI active set, the injection-side twin of `active_mask`: bit `i` set
+    /// ⇐ node `i`'s NI holds work ([`Node::has_work`]). Set where work enters
+    /// an NI (packet enqueued, reply scheduled, retry scheduled), cleared by
+    /// the injection phase — which walks it, as fast-forward does — once idle.
+    ni_mask: Vec<u64>,
+    /// Static link table ([`link_table`]).
+    links: Box<[[LinkEnd; NUM_PORTS]]>,
+    /// Router coordinate of every node ([`SimConfig::coord_of`] evaluated
+    /// once — RC and VA_in look destinations up instead of dividing).
+    node_coord: Box<[Coord]>,
+    /// Diagnostic switch: iterate every router and NI in every phase, ask
+    /// the policy about every request and never skip state updates. Must be
+    /// bit-identical to the fast path.
     force_exhaustive: bool,
     /// Idle fast-forward switch (on by default; `set_fast_forward(false)`
     /// forces one `tick()` per cycle so tests can prove bit-identity).
@@ -312,6 +337,11 @@ impl Network {
             fault,
             active_mask: vec![0; n.div_ceil(64)],
             dirty_mask,
+            ni_mask: vec![0; cfg.num_nodes().div_ceil(64)],
+            links: link_table(&cfg),
+            node_coord: (0..cfg.num_nodes())
+                .map(|i| cfg.coord_of(i as NodeId))
+                .collect(),
             force_exhaustive: false,
             fast_forward: true,
             policy_idempotent,
@@ -328,9 +358,11 @@ impl Network {
     }
 
     /// Disable (`true`) or re-enable (`false`) the active-set fast path.
-    /// The exhaustive scan visits every router in every phase and performs
-    /// every state update; results are bit-identical either way — this
-    /// switch exists so tests and benches can prove it.
+    /// The exhaustive scan visits every router and polls every NI in every
+    /// phase, asks the policy for the priority of every arbitration request
+    /// (not only contested ones) and performs every state update; results
+    /// are bit-identical either way — this switch exists so tests and
+    /// benches can prove it.
     pub fn set_force_exhaustive(&mut self, exhaustive: bool) {
         self.force_exhaustive = exhaustive;
     }
@@ -359,21 +391,11 @@ impl Network {
         self.cycle
     }
 
-    /// Neighbor router index through output port `p` (wrap-aware on
-    /// torus/ring; plain index arithmetic on the non-wrapping grids).
+    /// Where port `p` of router `idx` leads: `(neighbour router, the input
+    /// port entered there)`, from the static link table.
     #[inline]
-    pub(crate) fn neighbor(cfg: &SimConfig, idx: usize, p: Port) -> usize {
-        if cfg.topology.wraps() {
-            return crate::topology::neighbor_router(cfg, idx, p);
-        }
-        let w = cfg.width as usize;
-        match p {
-            PORT_NORTH => idx - w,
-            PORT_SOUTH => idx + w,
-            PORT_EAST => idx + 1,
-            PORT_WEST => idx - 1,
-            _ => panic!("neighbor() through non-mesh port"),
-        }
+    fn link(links: &[[LinkEnd; NUM_PORTS]], idx: usize, p: Port) -> Option<(usize, Port)> {
+        links[idx][p].map(|(r, q)| (usize::from(r), Port::from(q)))
     }
 
     /// Advance one cycle.
@@ -521,10 +543,9 @@ impl Network {
             if r.occ_bits == 0 {
                 Self::mark_inactive(&mut self.active_mask, r_idx);
             }
-            if port != PORT_LOCAL {
-                let up = Self::neighbor(&self.cfg, r_idx, port);
+            if let Some((up, up_port)) = Self::link(&self.links, r_idx, port) {
                 for _ in 0..flits {
-                    self.credit_q.push((up, opposite(port), vc));
+                    self.credit_q.push((up, up_port, vc));
                 }
             }
             if let Some(o) = self.oracle.as_deref_mut() {
@@ -542,6 +563,7 @@ impl Network {
                 self.stats.packets_retried += 1;
                 let ready = self.cycle + (RETRY_BACKOFF_BASE << (attempts - 1));
                 self.nodes[info.src as usize].schedule_retry(ready, info);
+                Self::mark_active(&mut self.ni_mask, info.src as usize);
             } else {
                 self.stats.packets_dropped += 1;
             }
@@ -668,13 +690,9 @@ impl Network {
             // behind a tail or masquerade as a head (which would trip the
             // kernel's atomic-VC debug assertions instead of a checker).
             Fault::DuplicateFlit { router, port, vc } => {
-                if port == PORT_LOCAL {
+                let Some((up, out_port)) = Self::link(&self.links, router, port) else {
                     return false;
-                }
-                let coord = self.routers[router].coord;
-                if !has_link(&self.cfg, coord, port) {
-                    return false;
-                }
+                };
                 let Some(&flit) = self.routers[router].ivc(port, vc).back() else {
                     return false;
                 };
@@ -688,8 +706,6 @@ impl Network {
                 {
                     return false;
                 }
-                let up = Self::neighbor(&self.cfg, router, port);
-                let out_port = opposite(port);
                 if !self.routers[up].has_credit(out_port, vc) {
                     return false;
                 }
@@ -731,10 +747,12 @@ impl Network {
                 else {
                     return false;
                 };
-                let nb = Self::neighbor(&self.cfg, router, out);
+                let Some((nb, nb_port)) = Self::link(&self.links, router, out) else {
+                    return false;
+                };
                 // Defensive: the credit precondition already implies the
                 // downstream VC is idle and no arrival is in flight.
-                if self.routers[nb].ivc(opposite(out), vc).occupied() {
+                if self.routers[nb].ivc(nb_port, vc).occupied() {
                     return false;
                 }
                 let r = &mut self.routers[router];
@@ -748,7 +766,7 @@ impl Network {
                 flit.hops += 1;
                 self.in_flight.push(InFlight {
                     dst_router: nb,
-                    in_port: opposite(out),
+                    in_port: nb_port,
                     vc,
                     arrive: self.cycle + 1,
                     flit,
@@ -821,13 +839,17 @@ impl Network {
         // The source must *promise* silence (and zero side effects — no RNG
         // draws) for every node up to the returned cycle.
         let next_src = self.source.next_injection_cycle(self.cycle)?;
+        // Only an NI in the active set can hold a backlog or a pending reply.
         let mut target = end.min(next_src);
-        for n in &self.nodes {
-            if n.backlog() > 0 {
-                return None;
-            }
-            if let Some(r) = n.next_reply_ready() {
-                target = target.min(r);
+        for (w, &word) in self.ni_mask.iter().enumerate() {
+            for b in set_bits(word) {
+                let n = &self.nodes[w * 64 + b];
+                if n.backlog() > 0 {
+                    return None;
+                }
+                if let Some(r) = n.next_reply_ready() {
+                    target = target.min(r);
+                }
             }
         }
         (target > self.cycle).then_some(target)
@@ -875,10 +897,19 @@ impl Network {
     /// Self-check of the incremental bookkeeping against an exhaustive
     /// recount: every router's bitmaps, ring cursors and holder tags
     /// ([`Router::bookkeeping_drift`]) and the network's active bit must
-    /// match what a slow scan finds, so skipping a router or a VC can never
-    /// change a candidate set.
+    /// match what a slow scan finds, and every NI holding work must be in
+    /// the NI active set, so skipping a router, a VC or an NI can never
+    /// change a candidate set. (The NI set may briefly hold an NI whose
+    /// router just died with nothing mid-injection; the end-of-cycle oracle
+    /// scan checks it exactly.)
     #[cfg(debug_assertions)]
     fn debug_verify_active_set(&self) {
+        for (i, n) in self.nodes.iter().enumerate() {
+            assert!(
+                !n.has_work() || self.ni_is_active(i),
+                "NI {i}: work but no active bit"
+            );
+        }
         for (i, r) in self.routers.iter().enumerate() {
             assert_eq!(r.bookkeeping_drift(), None, "router {i}");
             assert_eq!(
@@ -911,12 +942,18 @@ impl Network {
         }
         credit_q.clear();
         let delayed_possible = fault.is_some();
-        in_flight.retain(|a| {
-            if delayed_possible && a.arrive > cycle {
+        // Drain the link registers in place, compacting the (fault-only)
+        // still-delayed flits to the front.
+        let mut kept = 0;
+        for i in 0..in_flight.len() {
+            if delayed_possible && in_flight[i].arrive > cycle {
                 // Still in the link-level retransmission loop: the flit
                 // (and its credit) stay accounted as in flight.
-                return true;
+                in_flight.swap(kept, i);
+                kept += 1;
+                continue;
             }
+            let a = &in_flight[i];
             let router = &mut routers[a.dst_router];
             let ivc = router.ivc(a.in_port, a.vc);
             // Atomic VCs: exactly the head starts a new occupancy interval.
@@ -936,8 +973,8 @@ impl Network {
                     o.note_occupancy(id, a.in_port, a.vc, true, cycle);
                 }
             }
-            false
-        });
+        }
+        in_flight.truncate(kept);
         for i in 0..self.eject_q.len() {
             let (n, flit) = self.eject_q[i];
             self.consume_ejected(n, flit);
@@ -987,6 +1024,7 @@ impl Network {
                 spec.class,
                 spec.size,
             );
+            Self::mark_active(&mut self.ni_mask, node_idx);
         }
         self.source.on_delivered(node_idx as NodeId, &info, now);
     }
@@ -996,12 +1034,15 @@ impl Network {
     /// SA (+ST): per input port, gather the candidates into an on-stack
     /// request set and arbitrate SA_in in the same pass; then SA_out over
     /// the requested output ports, moving the winners through the crossbar
-    /// into the link, ejection and credit registers.
+    /// into the link, ejection and credit registers. The policy is asked
+    /// for priorities only where two or more requests meet (a lone request
+    /// wins [`arbitrate_rr`] whatever its priority).
     fn sa_phase(&mut self) {
         let Network {
             cfg,
             policy,
             routers,
+            links,
             in_flight,
             eject_q,
             credit_q,
@@ -1048,9 +1089,10 @@ impl Network {
                 } else {
                     r.active_bits
                 };
-                // SA_in: one winner per input port.
-                let mut sa_in_winners: [Option<SaCand>; NUM_PORTS] = [None; NUM_PORTS];
-                let mut requested_out: u64 = 0;
+                // SA_in: one winner `(in_vc, out_vc)` per input port; bit
+                // `out_port * NUM_PORTS + in_port` of `out_reqs` says what it asks.
+                let mut sa_in_winners = [(0usize, 0usize); NUM_PORTS];
+                let mut out_reqs: u64 = 0;
                 #[allow(clippy::needless_range_loop)] // in_port also keys sa_in_ptr
                 for in_port in 0..NUM_PORTS {
                     let mut k = 0;
@@ -1060,51 +1102,51 @@ impl Network {
                             continue;
                         };
                         // Credit first: a blocked VC's flit is not even read.
-                        if !r.has_credit(out_port, out_vc) {
+                        if !r.has_credit(out_port, out_vc) || ivc.is_empty() {
                             continue;
                         }
-                        let Some(f) = ivc.front() else { continue };
-                        let req = arb_req(r, &f.info);
-                        reqs[k] = (policy.priority(ArbStage::SaIn, r, None, &req), in_vc);
+                        reqs[k] = (0, in_vc);
                         wants[k] = (out_port, out_vc);
                         k += 1;
                     }
                     if k == 0 {
                         continue;
                     }
+                    if k > 1 || exhaustive {
+                        for q in &mut reqs[..k] {
+                            q.0 = front_priority(&**policy, ArbStage::SaIn, r, None, in_port, q.1);
+                        }
+                    }
                     let Some(w) = arbitrate_rr(&reqs[..k], v, &mut r.sa_in_ptr[in_port]) else {
                         debug_assert!(false, "non-empty request set yields an SA_in winner");
                         continue;
                     };
-                    let (in_vc, (out_port, out_vc)) = (reqs[w].1, wants[w]);
-                    let Some(f) = r.ivc(in_port, in_vc).front() else {
-                        debug_assert!(false, "SA_in winner holds a buffered flit");
-                        continue;
-                    };
-                    let req = arb_req(r, &f.info);
-                    requested_out |= 1 << out_port;
-                    sa_in_winners[in_port] = Some(SaCand {
-                        in_port,
-                        in_vc,
-                        out_port,
-                        out_vc,
-                        prio_out: policy.priority(ArbStage::SaOut, r, None, &req),
-                    });
+                    let (out_port, out_vc) = wants[w];
+                    sa_in_winners[in_port] = (reqs[w].1, out_vc);
+                    out_reqs |= 1 << (out_port * NUM_PORTS + in_port);
                 }
-                if requested_out == 0 {
+                if out_reqs == 0 {
                     continue;
                 }
                 // SA_out: one winner per requested output port among the
-                // SA_in winners. `moved` collects the input-VC slots that
-                // won the crossbar this cycle, feeding the starvation
-                // observer's wait counters.
+                // SA_in winners asking for it. `moved` collects the input-VC
+                // slots that won the crossbar this cycle, feeding the
+                // starvation observer's wait counters.
                 let mut moved: u64 = 0;
-                for out_port in set_bits(requested_out) {
+                for out_port in 0..NUM_PORTS {
+                    let asking = (out_reqs >> (out_port * NUM_PORTS)) & low_bits(NUM_PORTS);
                     let mut k = 0;
-                    for c in sa_in_winners.iter().flatten() {
-                        if c.out_port == out_port {
-                            reqs[k] = (c.prio_out, c.in_port);
-                            k += 1;
+                    for in_port in set_bits(asking) {
+                        reqs[k] = (0, in_port);
+                        k += 1;
+                    }
+                    if k == 0 {
+                        continue;
+                    }
+                    if k > 1 || exhaustive {
+                        for q in &mut reqs[..k] {
+                            let in_vc = sa_in_winners[q.1].0;
+                            q.0 = front_priority(&**policy, ArbStage::SaOut, r, None, q.1, in_vc);
                         }
                     }
                     let Some(w) = arbitrate_rr(&reqs[..k], NUM_PORTS, &mut r.sa_out_ptr[out_port])
@@ -1112,39 +1154,34 @@ impl Network {
                         debug_assert!(false, "non-empty request set yields an SA_out winner");
                         continue;
                     };
-                    let Some(win) = sa_in_winners[reqs[w].1] else {
-                        debug_assert!(false, "SA_out request indexes a populated SA_in winner");
-                        continue;
-                    };
-                    moved |= r.vc_bit(win.in_port, win.in_vc);
+                    let in_port = reqs[w].1;
+                    let (in_vc, out_vc) = sa_in_winners[in_port];
+                    // Static link facts: where the flit goes (nowhere = it
+                    // ejects here) and where its credit returns.
+                    let down = Self::link(links, r_idx, out_port);
+                    debug_assert_eq!(down.is_none(), out_port == PORT_LOCAL, "linkless grant");
+                    moved |= r.vc_bit(in_port, in_vc);
                     // ST: move the flit.
-                    let Some(mut flit) = r.pop_flit(win.in_port, win.in_vc) else {
+                    let Some(mut flit) = r.pop_flit(in_port, in_vc) else {
                         debug_assert!(false, "SA winner holds a buffered flit");
                         continue;
                     };
                     let is_tail = flit.kind.is_tail();
                     if let Some(a) = analysis.as_mut() {
-                        a.link_flits[r_idx][win.out_port] += 1;
-                        if a.watch == Some(flit.info.id) && win.out_port != PORT_LOCAL {
+                        a.link_flits[r_idx][out_port] += 1;
+                        if a.watch == Some(flit.info.id) && out_port != PORT_LOCAL {
                             a.journey.push((
                                 cycle,
                                 JourneyEvent::Forwarded {
                                     router: r.id,
-                                    port: win.out_port,
+                                    port: out_port,
                                 },
                             ));
                         }
                     }
-                    if win.out_port == PORT_LOCAL {
-                        // Keyed by destination *node* (== router index except
-                        // under concentration, where several NIs share a
-                        // router).
-                        eject_q.push((flit.info.dst as usize, flit));
-                    } else {
+                    if let Some((nb, nb_port)) = down {
                         flit.hops += 1;
-                        r.take_credit(win.out_port, win.out_vc);
-                        let nb = Self::neighbor(cfg, r_idx, win.out_port);
-                        let in_port = opposite(win.out_port);
+                        r.take_credit(out_port, out_vc);
                         let mut arrive = cycle + 1;
                         if let Some(fs) = fault.as_deref_mut() {
                             if fs.corrupts() {
@@ -1157,42 +1194,45 @@ impl Network {
                                 // per-slot FIFO floor keeps retransmitted
                                 // flits from being overtaken within their
                                 // link slot.
-                                let k =
-                                    fs.send_attempts(flit.info.id, flit.seq, r_idx, win.out_port);
+                                let k = fs.send_attempts(flit.info.id, flit.seq, r_idx, out_port);
                                 if k > 1 {
                                     stats.flits_retransmitted += u64::from(k - 1);
                                     arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
                                 }
-                                let slot = FaultState::slot(cfg, nb, in_port, win.out_vc);
+                                let slot = FaultState::slot(cfg, nb, nb_port, out_vc);
                                 arrive = arrive.max(fs.last_arrival[slot] + 1);
                                 fs.last_arrival[slot] = arrive;
                             }
                         }
                         in_flight.push(InFlight {
                             dst_router: nb,
-                            in_port,
-                            vc: win.out_vc,
+                            in_port: nb_port,
+                            vc: out_vc,
                             arrive,
                             flit,
                         });
+                    } else {
+                        // Keyed by destination *node* (== router index except
+                        // under concentration, where several NIs share a
+                        // router).
+                        eject_q.push((flit.info.dst as usize, flit));
                     }
-                    if win.in_port != PORT_LOCAL {
-                        let up = Self::neighbor(cfg, r_idx, win.in_port);
-                        credit_q.push((up, opposite(win.in_port), win.in_vc));
+                    if let Some((up, up_port)) = Self::link(links, r_idx, in_port) {
+                        credit_q.push((up, up_port, in_vc));
                     }
                     if is_tail {
                         debug_assert!(
-                            r.ivc(win.in_port, win.in_vc).is_empty(),
+                            r.ivc(in_port, in_vc).is_empty(),
                             "atomic VC violated: flits behind a tail"
                         );
-                        r.release_out_vc(win.out_port, win.out_vc);
-                        r.note_vc_freed(win.in_port, win.in_vc);
+                        r.release_out_vc(out_port, out_vc);
+                        r.note_vc_freed(in_port, in_vc);
                         Self::mark_active(dirty_mask, r_idx);
                         if r.occ_bits == 0 {
                             Self::mark_inactive(active_mask, r_idx);
                         }
                         if let Some(o) = oracle.as_deref_mut() {
-                            o.note_occupancy(r.id, win.in_port, win.in_vc, false, cycle);
+                            o.note_occupancy(r.id, in_port, in_vc, false, cycle);
                         }
                     }
                     stats.last_progress = cycle;
@@ -1228,7 +1268,8 @@ impl Network {
 
     /// VA: VA_in (each routed input VC picks one request; `congestion` is
     /// the previous-cycle view adaptive routing reads) then VA_out (one
-    /// winner per contested output VC), sorted and grouped in a stack
+    /// winner per requested output VC; the policy is asked only where two
+    /// or more inputs want the same one), sorted and grouped in a stack
     /// array. Router-local.
     fn va_phase(&mut self) {
         let Network {
@@ -1237,6 +1278,7 @@ impl Network {
             routing,
             policy,
             routers,
+            node_coord,
             congestion,
             stats,
             active_mask,
@@ -1279,8 +1321,6 @@ impl Network {
                         continue;
                     };
                     debug_assert!(head.kind.is_head());
-                    let info = head.info;
-                    let req = arb_req(r, &info);
                     let request = Self::va_in_select(
                         cfg,
                         region,
@@ -1288,27 +1328,33 @@ impl Network {
                         &**policy,
                         congestion,
                         r,
-                        &info,
-                        &req,
+                        node_coord[head.info.dst as usize],
+                        &arb_req(r, &head.info),
                         adaptive,
                         escape,
                         escape_lane,
                     );
                     if let Some(out) = request {
-                        let class = Some(cfg.vc_class(out.1));
-                        let prio = policy.priority(ArbStage::VaOut, r, class, &req);
-                        va[k] = VaReq { out, inp, prio };
+                        va[k] = VaReq { out, inp };
                         k += 1;
                     }
                 }
-                // VA_out: arbitrate per contested output VC.
+                // VA_out: arbitrate per requested output VC.
                 let va = &mut va[..k];
                 va.sort_unstable_by_key(|q| q.out);
                 for group in va.chunk_by(|a, b| a.out == b.out) {
-                    for (req, q) in reqs.iter_mut().zip(group) {
-                        *req = (q.prio, r.slot(q.inp.0, q.inp.1));
-                    }
                     let (out_port, out_vc) = group[0].out;
+                    let contested = group.len() > 1 || exhaustive;
+                    for (req, q) in reqs.iter_mut().zip(group) {
+                        let (port, vc) = q.inp;
+                        let prio = if contested {
+                            let class = Some(cfg.vc_class(out_vc));
+                            front_priority(&**policy, ArbStage::VaOut, r, class, port, vc)
+                        } else {
+                            0
+                        };
+                        *req = (prio, r.slot(port, vc));
+                    }
                     let ptr = &mut r.va_ptr[out_port * v + out_vc];
                     let Some(w) = arbitrate_rr(&reqs[..group.len()], NUM_PORTS * v, ptr) else {
                         debug_assert!(false, "non-empty request group yields a VA winner");
@@ -1334,7 +1380,7 @@ impl Network {
         policy: &dyn PriorityPolicy,
         congestion: &[u16],
         r: &Router,
-        info: &PacketInfo,
+        dst: Coord,
         req: &ArbReq,
         adaptive: [Option<Port>; 2],
         escape: Port,
@@ -1365,7 +1411,7 @@ impl Network {
             let ctx = SelectCtx {
                 cfg,
                 router: r,
-                dst: cfg.coord_of(info.dst),
+                dst,
                 region,
                 congestion,
             };
@@ -1393,7 +1439,7 @@ impl Network {
         // Escape fallback (guarantees forward progress per Duato); on
         // wrapping topologies the requestable escape VC is pinned to the
         // packet's dateline lane.
-        let esc = cfg.escape_vc_lane(info.class, escape_lane);
+        let esc = cfg.escape_vc_lane(req.class, escape_lane);
         (alloc & r.vc_bit(escape, esc) != 0).then_some((escape, esc))
     }
 
@@ -1405,6 +1451,7 @@ impl Network {
             cfg,
             routing,
             routers,
+            node_coord,
             stats,
             active_mask,
             force_exhaustive,
@@ -1446,7 +1493,7 @@ impl Network {
                         "idle VC front flit must be a head (atomic VCs)"
                     );
                     let dst_node = front.info.dst;
-                    let dst = cfg.coord_of(dst_node);
+                    let dst = node_coord[dst_node as usize];
                     let routed = if dst == cur {
                         if degraded.is_some_and(|t| !t.routable(r_idx, dst_node as usize)) {
                             continue; // parked (dead router)
@@ -1490,7 +1537,9 @@ impl Network {
     /// Injection, in ascending node-id order (packet-id assignment and RNG
     /// stream consumption depend on it): each NI releases its ready replies
     /// and retries, asks the traffic source for a new packet, and streams
-    /// one flit into its router's local input port.
+    /// one flit into its router's local input port. The source is asked for
+    /// every node; the NI itself is polled only while it is in the NI
+    /// active set (an NI outside it has nothing to release or inject).
     fn inject_phase(&mut self) {
         let Network {
             cfg,
@@ -1504,18 +1553,23 @@ impl Network {
             oracle,
             active_mask,
             dirty_mask,
+            ni_mask,
+            force_exhaustive,
             fault,
             rngs,
             ..
         } = self;
-        let cycle = *cycle;
+        let (cycle, exhaustive) = (*cycle, *force_exhaustive);
         let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
         let c = cfg.concentration();
         debug_assert_eq!(nodes.len(), routers.len() * c);
         for (i, (node, rng)) in nodes.iter_mut().zip(rngs.iter_mut()).enumerate() {
             let id = i as NodeId;
-            node.release_replies(cycle);
-            node.release_retries(cycle);
+            let (word, bit) = (i >> 6, 1u64 << (i & 63));
+            if exhaustive || ni_mask[word] & bit != 0 {
+                node.release_replies(cycle);
+                node.release_retries(cycle);
+            }
             if let Some(np) = source.generate(id, cycle, rng) {
                 // The source is external code whose contract violations
                 // must surface in release runs too — the one legitimate
@@ -1549,8 +1603,12 @@ impl Network {
                         inject: 0,
                         reply: np.reply,
                     });
+                    ni_mask[word] |= bit;
                     *next_pkt_id += 1;
                 }
+            }
+            if !exhaustive && ni_mask[word] & bit == 0 {
+                continue;
             }
             let r_idx = i / c;
             let router = &mut routers[r_idx];
@@ -1574,6 +1632,10 @@ impl Network {
                         }
                     }
                 }
+            }
+            // The one clear point of the NI active set.
+            if !node.has_work() {
+                ni_mask[word] &= !bit;
             }
         }
     }
@@ -1650,9 +1712,7 @@ impl Network {
 
     /// True when no flit is anywhere in the network or NIs.
     pub fn is_drained(&self) -> bool {
-        self.flits_in_network() == 0
-            && self.total_backlog() == 0
-            && self.nodes.iter().all(|n| n.pending_replies() == 0)
+        self.flits_in_network() == 0 && !self.nodes.iter().any(Node::has_work)
     }
 
     /// Access the traffic source (e.g. to read scripted-source state).
@@ -1702,10 +1762,34 @@ impl Network {
         self.active_mask[idx >> 6] >> (idx & 63) & 1 == 1
     }
 
+    /// Is node `idx`'s NI in the NI active set (every NI holding work is)?
+    pub fn ni_is_active(&self, idx: usize) -> bool {
+        self.ni_mask[idx >> 6] >> (idx & 63) & 1 == 1
+    }
+
     /// Name of the active routing algorithm.
     pub fn routing_name(&self) -> &'static str {
         self.routing.name()
     }
+}
+
+/// The policy's priority for the flit at the front of input VC
+/// `(port, vc)` of `r` — asked only for the members of a contested request
+/// set (or of every set in exhaustive mode).
+#[inline]
+fn front_priority(
+    policy: &dyn PriorityPolicy,
+    stage: ArbStage,
+    r: &Router,
+    out_vc: Option<VcClass>,
+    port: Port,
+    vc: usize,
+) -> u64 {
+    let Some(f) = r.ivc(port, vc).front() else {
+        debug_assert!(false, "an arbitration request has a buffered flit");
+        return 0;
+    };
+    policy.priority(stage, r, out_vc, &arb_req(r, &f.info))
 }
 
 /// Build an arbitration request for a packet at a router.
@@ -1717,5 +1801,64 @@ fn arb_req(r: &Router, info: &PacketInfo) -> ArbReq {
         birth: info.birth,
         inject: info.inject,
         is_native: r.is_native(info.app),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arbitration::RoundRobin;
+    use crate::routing::XyRouting;
+    use crate::source::NoTraffic;
+    use crate::topology::TopologyKind;
+
+    /// The static tables equal the functions they cache: every link-table
+    /// entry is `neighbor_router` + `opposite` where `has_link` and "none"
+    /// elsewhere (the local port included), and every node's coordinate is
+    /// `coord_of` — on the word-boundary meshes, the wrapping kinds and a
+    /// concentrated mesh.
+    #[test]
+    fn static_tables_equal_the_topology_functions() {
+        let cmesh = TopologyKind::CMesh { concentration: 4 };
+        for (topology, width, height) in [
+            (TopologyKind::Mesh, 8, 8),
+            (TopologyKind::Mesh, 9, 7),
+            (TopologyKind::Mesh, 13, 5),
+            (TopologyKind::Torus, 4, 4),
+            (TopologyKind::Ring, 8, 1),
+            (cmesh, 4, 4),
+        ] {
+            let cfg = SimConfig {
+                topology,
+                width,
+                height,
+                ..SimConfig::table1()
+            };
+            let net = Network::new(
+                cfg.clone(),
+                RegionMap::single(&cfg),
+                Box::new(XyRouting),
+                Box::new(RoundRobin),
+                Box::new(NoTraffic),
+                0,
+            );
+            assert_eq!(net.links.len(), cfg.num_routers());
+            for r in 0..cfg.num_routers() {
+                for p in 0..NUM_PORTS {
+                    let want = has_link(&cfg, cfg.router_coord(r), p)
+                        .then(|| (neighbor_router(&cfg, r, p), opposite(p)));
+                    assert_eq!(
+                        Network::link(&net.links, r, p),
+                        want,
+                        "{topology:?} ({r}, {p})"
+                    );
+                }
+                assert_eq!(net.links[r][PORT_LOCAL], None);
+            }
+            assert_eq!(net.node_coord.len(), cfg.num_nodes());
+            for (i, &c) in net.node_coord.iter().enumerate() {
+                assert_eq!(c, cfg.coord_of(i as NodeId), "{topology:?} node {i}");
+            }
+        }
     }
 }

@@ -124,7 +124,10 @@ impl Node {
             if r.ready > cycle {
                 break;
             }
-            let Reverse(r) = self.replies.pop().unwrap();
+            let Some(Reverse(r)) = self.replies.pop() else {
+                debug_assert!(false, "a peeked reply pops");
+                break;
+            };
             let info = PacketInfo {
                 id: r.id,
                 src: self.id,
@@ -164,11 +167,6 @@ impl Node {
         k
     }
 
-    /// Retries still waiting out their backoff.
-    pub fn pending_retries(&self) -> usize {
-        self.retries.len()
-    }
-
     /// Drop every queued packet (source queues, pending replies, pending
     /// retries) — the NI's router died. Returns the number of packets
     /// dropped; all were already counted as generated, and none of their
@@ -203,6 +201,16 @@ impl Node {
         self.replies.len()
     }
 
+    /// Does the injection phase have anything to do here, now or later — a
+    /// queued packet, a packet mid-injection, a reply in service or a retry
+    /// backing off? Every such NI is in the network's NI active set.
+    pub fn has_work(&self) -> bool {
+        self.inject.is_some()
+            || !self.replies.is_empty()
+            || !self.retries.is_empty()
+            || self.src_q.iter().any(|q| !q.is_empty())
+    }
+
     /// Cycle the earliest pending reply becomes ready (`None` when no reply
     /// is outstanding) — the NI's contribution to the fast-forward target.
     pub fn next_reply_ready(&self) -> Option<u64> {
@@ -226,12 +234,14 @@ impl Node {
         let usable = |vc: usize| router.occ_bits & router.vc_bit(PORT_LOCAL, vc) == 0;
         let n_adaptive = cfg.adaptive_vcs;
         let base = cfg.num_escape_vcs();
-        for k in 0..n_adaptive {
-            let vc = base + (self.vc_rr + k) % n_adaptive;
-            if usable(vc) {
-                self.vc_rr = (self.vc_rr + k + 1) % n_adaptive;
-                return Some(vc);
+        let mut i = self.vc_rr;
+        for _ in 0..n_adaptive {
+            let next = if i + 1 == n_adaptive { 0 } else { i + 1 };
+            if usable(base + i) {
+                self.vc_rr = next;
+                return Some(base + i);
             }
+            i = next;
         }
         (0..cfg.escape_lanes())
             .map(|lane| cfg.escape_vc_lane(class, lane as u8))
@@ -248,22 +258,26 @@ impl Node {
         cycle: u64,
     ) -> Option<InjectedFlit> {
         if self.inject.is_none() {
-            for k in 0..cfg.num_classes {
-                let c = (self.class_rr + k) % cfg.num_classes;
-                if self.src_q[c].is_empty() {
-                    continue;
+            let mut c = self.class_rr;
+            for _ in 0..cfg.num_classes {
+                let next = if c + 1 == cfg.num_classes { 0 } else { c + 1 };
+                if !self.src_q[c].is_empty() {
+                    if let Some(vc) = self.pick_vc(cfg, router, c as MsgClass) {
+                        let Some(mut info) = self.src_q[c].pop_front() else {
+                            debug_assert!(false, "a non-empty class queue pops");
+                            break;
+                        };
+                        info.inject = cycle;
+                        self.inject = Some(InjectProgress {
+                            vc,
+                            info,
+                            next_seq: 0,
+                        });
+                        self.class_rr = next;
+                        break;
+                    }
                 }
-                if let Some(vc) = self.pick_vc(cfg, router, c as MsgClass) {
-                    let mut info = self.src_q[c].pop_front().unwrap();
-                    info.inject = cycle;
-                    self.inject = Some(InjectProgress {
-                        vc,
-                        info,
-                        next_seq: 0,
-                    });
-                    self.class_rr = (c + 1) % cfg.num_classes;
-                    break;
-                }
+                c = next;
             }
         }
         if let Some(p) = &mut self.inject {
@@ -406,6 +420,35 @@ mod tests {
         assert_eq!(first.src, 3);
         assert_eq!(first.dst, 8);
         assert_eq!(first.birth, 10);
+    }
+
+    /// `has_work` sees all four places an NI keeps work — the condition the
+    /// network's NI active set is checked against.
+    #[test]
+    fn has_work_covers_queue_injection_replies_and_retries() {
+        let c = cfg();
+        let mut node = Node::new(&c, 0);
+        let mut router = Router::new(&c, 0, c.coord_of(0), 0);
+        assert!(!node.has_work());
+        // Queued, then mid-injection, then done.
+        node.enqueue(pkt(1, 0, 2));
+        assert!(node.has_work());
+        assert!(node.try_inject(&c, &mut router, 0).is_some());
+        assert!(node.src_q[0].is_empty() && node.has_work(), "mid-injection");
+        assert!(node.try_inject(&c, &mut router, 1).is_some());
+        assert!(!node.has_work());
+        // A reply in service, and a retry backing off, with empty queues.
+        node.schedule_reply(20, 100, 7, 0, 0, 1);
+        assert!(node.has_work() && node.backlog() == 0);
+        node.schedule_retry(30, pkt(2, 0, 1));
+        assert_eq!(node.drop_backlog(), 2);
+        assert!(!node.has_work());
+        // A dead router's NI keeps only the packet it is streaming.
+        node.enqueue(pkt(3, 0, 2));
+        node.enqueue(pkt(4, 0, 1));
+        assert!(node.try_inject(&c, &mut router, 2).is_some());
+        assert_eq!(node.drop_backlog(), 1);
+        assert!(node.has_work(), "mid-injection survives drop_backlog");
     }
 
     #[test]

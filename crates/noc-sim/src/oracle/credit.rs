@@ -4,7 +4,7 @@
 use super::{Checker, OracleViolation};
 use crate::ids::{opposite, Port, NUM_PORTS, PORT_EAST, PORT_NORTH, PORT_SOUTH, PORT_WEST};
 use crate::network::Network;
-use crate::topology::has_link;
+use crate::topology::{has_link, neighbor_router};
 
 /// For the link `r --p--> d` (with `q = opposite(p)` the downstream input
 /// port), the exact invariant between pipeline phases is
@@ -50,7 +50,7 @@ impl Checker for CreditConservation {
                 if !has_link(cfg, r.coord, p) {
                     continue;
                 }
-                let d = Network::neighbor(cfg, i, p);
+                let d = neighbor_router(cfg, i, p);
                 let q = opposite(p);
                 for vc in 0..v {
                     let sum = r.credits(p, vc)

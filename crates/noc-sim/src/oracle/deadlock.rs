@@ -5,6 +5,7 @@ use super::{Checker, OracleViolation};
 use crate::config::SimConfig;
 use crate::ids::{opposite, NodeId, Port, NUM_PORTS, PORT_LOCAL};
 use crate::network::Network;
+use crate::topology::neighbor_router;
 use crate::vc::VcState;
 
 const UNOCCUPIED: u64 = u64::MAX;
@@ -65,7 +66,7 @@ impl DeadlockWatch {
                     if out_port == PORT_LOCAL || !ivc.occupied() {
                         continue;
                     }
-                    let d = Network::neighbor(&net.cfg, i, out_port);
+                    let d = neighbor_router(&net.cfg, i, out_port);
                     next[(i * NUM_PORTS + port) * v + vc] =
                         (d * NUM_PORTS + opposite(out_port)) * v + out_vc;
                 }

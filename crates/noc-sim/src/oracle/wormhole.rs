@@ -2,7 +2,7 @@
 //! atomic VCs, and the consistency of the incremental bookkeeping.
 
 use super::{Checker, OracleViolation};
-use crate::ids::NUM_PORTS;
+use crate::ids::{NodeId, NUM_PORTS};
 use crate::network::Network;
 use crate::vc::VcState;
 
@@ -18,9 +18,11 @@ use crate::vc::VcState;
 /// * buffer depth and credit counters stay within `vc_depth`,
 /// * every router's incremental bookkeeping — the seven bitmaps, the ring
 ///   cursors, the holder tags ([`Router::bookkeeping_drift`]) — and the
-///   network's active bitmask agree with an exhaustive recount — the
+///   network's active bitmask agree with an exhaustive recount, and the NI
+///   active set holds exactly the NIs with work ([`Node::has_work`]) — the
 ///   soundness condition of the mask-driven fast path.
 ///
+/// [`Node::has_work`]: crate::node::Node::has_work
 /// [`Router::bookkeeping_drift`]: crate::router::Router::bookkeeping_drift
 #[derive(Debug, Default)]
 pub struct WormholeContiguity;
@@ -110,6 +112,18 @@ impl Checker for WormholeContiguity {
                         "active bit {} disagrees with {} occupied VCs",
                         net.router_is_active(i),
                         total
+                    ),
+                );
+            }
+        }
+        for (i, n) in net.nodes.iter().enumerate() {
+            if net.ni_is_active(i) != n.has_work() {
+                flag(
+                    cfg.router_of(i as NodeId) as NodeId,
+                    format!(
+                        "NI {i}: active bit {} disagrees with pending work {}",
+                        net.ni_is_active(i),
+                        n.has_work()
                     ),
                 );
             }

@@ -1,4 +1,5 @@
-//! # xtask — kernel determinism lint
+//! # xtask — kernel determinism lint (and [`bench_pairs`], the benchmark
+//! trajectory's measuring task)
 //!
 //! The simulator's headline guarantee is bit-identical replay: the same
 //! config and seed must produce the same [`metrics::Digest`] on every
@@ -20,8 +21,9 @@
 //! A third rule with the same scoping (`alloc-in-hot-path`, see
 //! [`ALLOC_RULE`]) bans the allocating conveniences — `collect`, `to_vec`,
 //! `to_owned`, `vec!`, `Vec::new`, `Vec::with_capacity`, `VecDeque::new`,
-//! `Box::new`, `format!`, `to_string` — from the six phase bodies of the
-//! tick kernel: a steady-state tick allocates nothing
+//! `Box::new`, `format!`, `to_string` — from the phase bodies of the tick
+//! kernel and the NI functions they call: a steady-state tick allocates
+//! nothing
 //! (`tests/alloc_free_tick.rs` measures it; this rule names the line that
 //! would break it).
 //!
@@ -50,6 +52,8 @@
 //! // lint: allow(wall-clock)
 //! let t0 = Instant::now();
 //! ```
+
+pub mod bench_pairs;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -199,22 +203,42 @@ pub struct HotPath {
     pub rules: &'static [&'static Rule],
 }
 
-/// The hot paths: the tick kernel's pipeline phases and the admission
-/// verifier's entry points. A listed file that cannot be read, or a listed
-/// function with no body in its file, is itself a finding — renaming or
-/// moving a hot path must update this list, not silently un-scan it.
+/// The hot paths: the tick kernel's pipeline phases, what they call every
+/// tick (the scan is lexical, so a callee is only checked if it is listed),
+/// and the admission verifier's entry points. A listed file that cannot be
+/// read, or a listed function with no body in its file, is itself a finding
+/// — renaming or moving a hot path must update this list, not silently
+/// un-scan it.
 pub const HOT_PATHS: &[HotPath] = &[
     HotPath {
         file: "crates/noc-sim/src/network.rs",
         functions: &[
             "deliver_phase",
+            "consume_ejected",
             "sa_phase",
             "va_phase",
+            "va_in_select",
             "rc_phase",
             "inject_phase",
             "update_state_phase",
+            "front_priority",
         ],
         rules: &[&PANIC_RULE, &ALLOC_RULE],
+    },
+    HotPath {
+        file: "crates/noc-sim/src/node.rs",
+        functions: &[
+            "release_replies",
+            "release_retries",
+            "try_inject",
+            "pick_vc",
+        ],
+        rules: &[&PANIC_RULE, &ALLOC_RULE],
+    },
+    HotPath {
+        file: "crates/noc-sim/src/arbitration/mod.rs",
+        functions: &["arbitrate_rr_at"],
+        rules: &[&PANIC_RULE],
     },
     HotPath {
         file: "crates/noc-sim/src/admit.rs",

@@ -4,13 +4,29 @@
 //! (hash collections, OS entropy, wall clock, unordered parallelism; the
 //! panic and allocation families inside the hot-path function bodies)
 //! appears in a kernel crate outside a `// lint: allow(rule)` escape.
+//!
+//! `cargo run -p xtask -- bench-pairs …` — alternating parent/change runs
+//! of one `rair-bench` workload, appended to `BENCH_history.jsonl`
+//! ([`xtask::bench_pairs`]).
 
 use std::process::ExitCode;
+use xtask::bench_pairs;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
+        Some("bench-pairs") => {
+            let history = xtask::workspace_root().join("BENCH_history.jsonl");
+            match bench_pairs::Args::parse(&args[1..]).and_then(|a| bench_pairs::run(&a, &history))
+            {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("[bench-pairs] {e}\nusage: {}", bench_pairs::USAGE);
+                    ExitCode::FAILURE
+                }
+            }
+        }
         Some("--help" | "-h") => {
             print_usage();
             ExitCode::SUCCESS
@@ -27,9 +43,12 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!("usage: cargo run -p xtask -- lint");
+    eprintln!("       {}", bench_pairs::USAGE);
     eprintln!();
     eprintln!("tasks:");
-    eprintln!("  lint    ban nondeterministic std/rayon tokens from the kernel crates");
+    eprintln!("  lint         ban nondeterministic std/rayon tokens from the kernel crates");
+    eprintln!("  bench-pairs  alternate rair-bench runs of two checkouts, append them to");
+    eprintln!("               BENCH_history.jsonl and print the gain rule's verdict");
     eprintln!();
     eprintln!("rules:");
     for r in xtask::RULES {

@@ -241,6 +241,42 @@ fn reverting_the_phase_unwrap_rewrite_fails_the_lint() {
     );
 }
 
+/// The lint sees what the phases call: the NI functions run every tick, so
+/// putting the `unwrap()` back into `Node::release_replies` must fail it.
+#[test]
+fn reverting_the_ni_unwrap_rewrite_fails_the_lint() {
+    let hp = xtask::HOT_PATHS
+        .iter()
+        .find(|h| h.file.ends_with("node.rs"))
+        .expect("node.rs is a hot path");
+    for f in [
+        "release_replies",
+        "release_retries",
+        "try_inject",
+        "pick_vc",
+    ] {
+        assert!(hp.functions.contains(&f), "{f} is not scanned");
+    }
+    let src = std::fs::read_to_string(xtask::workspace_root().join(hp.file)).unwrap();
+    assert!(xtask::lint_fn_bodies("node.rs", &src, hp.functions, hp.rules).is_empty());
+    let marker = "let Some(Reverse(r)) = self.replies.pop() else {";
+    assert!(
+        src.contains(marker),
+        "release_replies rewrite marker missing"
+    );
+    let reverted = src.replace(
+        marker,
+        "let Some(Reverse(r)) = Some(self.replies.pop().unwrap()) else {",
+    );
+    let findings = xtask::lint_fn_bodies("node.rs", &reverted, hp.functions, hp.rules);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "panic-in-hot-path" && f.token == "unwrap"),
+        "lint missed the reverted unwrap: {findings:?}"
+    );
+}
+
 /// The function-scoped allocation rule: every banned form fires inside a
 /// listed body, `Type::function` forms need both identifiers, nothing
 /// fires outside the body, and the hatch works.

@@ -8,15 +8,21 @@
 
 use noc_sim::network::Network;
 use noc_sim::prelude::*;
+use noc_sim::router::Router;
 use rair::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use traffic::prelude::*;
 
 fn all_schemes() -> Vec<Scheme> {
     vec![
         Scheme::RoRr,
+        // Per-packet priorities (age): the contested branch of contest-only
+        // arbitration sees more than two priority values.
         Scheme::RoAge,
         Scheme::ro_rank(vec![0.1, 0.9]),
-        // The one scheme that opts out of update skipping.
+        // The one scheme that opts out of update skipping; its ranks sit
+        // behind a mutex and change under a non-idempotent update.
         Scheme::ro_rank_online(2),
         Scheme::rair(),
         Scheme::rair_native_high(),
@@ -266,6 +272,114 @@ fn fast_path_is_bit_identical_at_mask_word_boundaries() {
             .collect();
         assert_scripted_identical(&format!("{w}x{h}"), &cfg, &events, 3_000);
     }
+}
+
+/// Concentrated meshes: four NIs share each router's local port, so node
+/// and router indices differ (`i / c`) and a router's NIs enter and leave
+/// the NI active set independently. 4×4 routers = 64 nodes fills the node
+/// mask's first word exactly; 5×4 = 80 nodes reaches into the second. Every
+/// node sends one request whose delivery schedules a long reply (so NIs sit
+/// in the set with empty queues, awaiting service) and one plain long packet.
+#[test]
+fn fast_path_is_bit_identical_on_concentrated_meshes() {
+    for (w, h) in [(4u8, 4u8), (5, 4)] {
+        let cfg = SimConfig {
+            topology: TopologyKind::CMesh { concentration: 4 },
+            width: w,
+            height: h,
+            ..SimConfig::table1_req_reply()
+        };
+        let n = cfg.num_nodes();
+        assert_eq!(n, 4 * w as usize * h as usize);
+        let packet = |dst: usize, size, reply| NewPacket {
+            dst: (dst % n) as NodeId,
+            app: 0,
+            class: 0,
+            size,
+            reply,
+        };
+        let reply = Some(ReplySpec {
+            service_latency: cfg.l2_latency,
+            size: cfg.long_flits,
+            class: 1,
+        });
+        let events: Vec<_> = (0..n)
+            .flat_map(|i| {
+                [
+                    (i as u64 % 5, packet(i * 7 + 13, cfg.short_flits, reply)),
+                    (2 + i as u64 % 9, packet(i + 5, cfg.long_flits, None)),
+                ]
+                .map(|(at, p)| (at, i as NodeId, p))
+            })
+            .filter(|&(_, src, p)| p.dst != src)
+            .collect();
+        assert_scripted_identical(&format!("cmesh {w}x{h}x4"), &cfg, &events, 4_000);
+    }
+}
+
+/// `RairPolicy::full()` with a call counter around `priority`. Counting is
+/// a side effect the simulation cannot observe, so the wrapper honours the
+/// policy contract.
+struct CountingRair {
+    inner: RairPolicy,
+    calls: Arc<AtomicU64>,
+}
+
+impl PriorityPolicy for CountingRair {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn priority(&self, stage: ArbStage, r: &Router, out_vc: Option<VcClass>, req: &ArbReq) -> u64 {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.priority(stage, r, out_vc, req)
+    }
+    fn update_router(&self, r: &mut Router, cycle: u64) {
+        self.inner.update_router(r, cycle);
+    }
+    fn update_is_idempotent(&self) -> bool {
+        self.inner.update_is_idempotent()
+    }
+    fn vc_tag_preference(&self, r: &Router, req: &ArbReq) -> Option<VcTag> {
+        self.inner.vc_tag_preference(r, req)
+    }
+    fn check_invariant(&self, r: &Router) -> Option<String> {
+        self.inner.check_invariant(r)
+    }
+}
+
+/// Contest-only arbitration: at 80 % of saturation the fast path asks the
+/// policy for fewer than half the priorities the exhaustive mode (which
+/// asks about every request) does — most SA and VA requests have no rival —
+/// and the two still simulate identically.
+#[test]
+fn fast_path_asks_the_policy_only_for_contests() {
+    let run = |exhaustive: bool| {
+        let cfg = SimConfig::table1();
+        let (region, scenario) = two_app(&cfg, 0.3, 0.24, 0.24);
+        let calls = Arc::new(AtomicU64::new(0));
+        let policy = CountingRair {
+            inner: RairPolicy::full(),
+            calls: Arc::clone(&calls),
+        };
+        let mut net = Network::new(
+            cfg,
+            region,
+            Routing::Dbar.build(),
+            Box::new(policy),
+            Box::new(scenario),
+            42,
+        );
+        net.set_force_exhaustive(exhaustive);
+        net.run(3_000);
+        (net.stats.digest(), calls.load(Ordering::Relaxed))
+    };
+    let ((fast_digest, fast_calls), (slow_digest, slow_calls)) = (run(false), run(true));
+    assert_eq!(fast_digest, slow_digest, "fast/exhaustive divergence");
+    assert!(fast_calls > 0, "80 % load has contests");
+    assert!(
+        2 * fast_calls < slow_calls,
+        "fast path made {fast_calls} priority calls, exhaustive {slow_calls}"
+    );
 }
 
 #[test]

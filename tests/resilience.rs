@@ -262,6 +262,61 @@ fn router_kill_degrades_gracefully() {
     assert!(net.stats.recorder.delivered() > delivered_at_kill);
 }
 
+/// The NI active set under faults: a router death drops its NI's backlog
+/// (`kill_node` leaves a mid-injection NI in the set) and the stranded
+/// sweep re-queues extracted packets at their sources (`schedule_retry`
+/// puts the NI back in the set). Polling every NI (exhaustive mode) and
+/// polling the set must simulate the same run — digest, packet drop and
+/// retry counts, and the flit ledger (injected − ejected − in network) —
+/// with the oracle recounting the set against NI state every cycle.
+#[test]
+fn router_kill_with_retries_is_identical_fast_and_exhaustive() {
+    let run = |exhaustive: bool| {
+        let mut cfg = oracle_cfg();
+        cfg.fault = FaultTimeline {
+            transient_ber: 1e-3,
+            seed: 3,
+            events: vec![ScheduledFault {
+                cycle: 500,
+                event: FaultEvent::RouterDown { router: 27 },
+            }],
+        };
+        // Loaded enough that packets are mid-transfer into the dying router.
+        let (region, scenario) = two_app(&cfg, 1.0, 0.15, 0.15);
+        let mut net = Network::new(
+            cfg.clone(),
+            region,
+            Routing::Local.build(),
+            Scheme::rair().build(),
+            Box::new(scenario),
+            11,
+        );
+        net.set_force_exhaustive(exhaustive);
+        net.run(2_500);
+        net.check_oracle_now();
+        assert_eq!(
+            net.stats.oracle_violation_count, 0,
+            "{:?}",
+            net.stats.oracle_violations
+        );
+        (
+            net.stats.digest(),
+            net.stats.packets_dropped,
+            net.stats.packets_retried,
+            net.stats.flits_retransmitted,
+            (
+                net.stats.injected_flits,
+                net.stats.ejected_flits,
+                net.flits_in_network(),
+            ),
+        )
+    };
+    let (fast, slow) = (run(false), run(true));
+    assert_eq!(fast, slow, "fast/exhaustive divergence under faults");
+    assert!(fast.1 > 0, "control: the kill dropped packets");
+    assert!(fast.2 > 0, "control: the sweep scheduled retries");
+}
+
 /// The ISSUE acceptance run: transient CRC errors at 1e-3/flit-traversal
 /// plus one permanent link kill mid-run. The run completes with zero
 /// oracle violations, the degraded topology re-verifies deadlock-free,
