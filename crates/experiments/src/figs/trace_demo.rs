@@ -11,8 +11,8 @@ use traffic::scenario::{six_app, InterDest};
 use traffic::trace::{Trace, TraceReplay};
 
 /// Capture to `path`, read the file back, replay it under both schemes.
-/// An unwritable, unreadable or corrupt trace file is an `Err` of the form
-/// `trace-demo: <path>: <error>`.
+/// An unwritable, unreadable, corrupt or mismatched trace file is an `Err`
+/// of the form `trace-demo: <path>: <error>`.
 pub fn run(ec: &ExpConfig, path: &str) -> Result<Table, String> {
     let at_path = |e: String| format!("trace-demo: {path}: {e}");
     let cfg = SimConfig::table1();
@@ -36,7 +36,9 @@ pub fn run(ec: &ExpConfig, path: &str) -> Result<Table, String> {
         &["scheme", "App0", "App1", "App2", "App3", "App4", "App5"],
     );
     for scheme in [Scheme::RoRr, Scheme::rair()] {
-        let replay = Box::new(TraceReplay::new(&loaded, cfg.num_nodes() as u16));
+        // The trace came from a file: an event this network cannot carry is
+        // an error here, not an abort mid-run.
+        let replay = Box::new(TraceReplay::checked(&loaded, &cfg).map_err(at_path)?);
         let net = build_network(&cfg, &region, &scheme, Routing::Local, replay, ec.seed);
         let r = run_one(scheme.label(), net, ec);
         eprintln!("[{}] {}", r.label, r.kernel_summary());

@@ -45,9 +45,10 @@
 //! ([`SimStats::router_cycles_skipped`] and
 //! [`SimStats::state_updates_skipped`] count the elided work). The same
 //! rule — pay only for what happens — holds off the router masks: the
-//! injection phase polls only the NIs of the NI active set, and SA/VA ask
-//! the policy for priorities only where two or more requests meet;
-//! exhaustive mode polls every NI and asks about every request.
+//! injection phase visits only the nodes whose source promised an arrival
+//! ([`TrafficSource::next_poll`]) and the NIs of the NI active set, and
+//! SA/VA ask the policy for priorities only where two or more requests meet;
+//! exhaustive mode visits every node and asks about every request.
 //!
 //! A steady-state tick allocates nothing: arbitration request sets live on
 //! the stack, the link, credit and ejection registers are drained in place,
@@ -70,6 +71,7 @@
 //!
 //! [`set_force_exhaustive`]: Network::set_force_exhaustive
 //! [`TrafficSource::next_injection_cycle`]: crate::source::TrafficSource::next_injection_cycle
+//! [`TrafficSource::next_poll`]: crate::source::TrafficSource::next_poll
 
 use crate::analysis::{AnalysisState, JourneyEvent};
 use crate::arbitration::{arbitrate_rr, ArbReq, ArbStage, PriorityPolicy};
@@ -218,6 +220,11 @@ pub struct Network {
     /// an NI (packet enqueued, reply scheduled, retry scheduled), cleared by
     /// the injection phase — which walks it, as fast-forward does — once idle.
     ni_mask: Vec<u64>,
+    /// The source's arrival promise ([`TrafficSource::next_poll`]): the
+    /// injection phase asks for node `i`'s packet only at cycle
+    /// `next_poll[i]`; `poll_min[w]` is the earliest promise of mask word `w`.
+    next_poll: Box<[u64]>,
+    poll_min: Box<[u64]>,
     /// Static link table ([`link_table`]).
     links: Box<[[LinkEnd; NUM_PORTS]]>,
     /// Router coordinate of every node ([`SimConfig::coord_of`] evaluated
@@ -338,6 +345,9 @@ impl Network {
             active_mask: vec![0; n.div_ceil(64)],
             dirty_mask,
             ni_mask: vec![0; cfg.num_nodes().div_ceil(64)],
+            // Every node is due at the first tick.
+            next_poll: vec![0; cfg.num_nodes()].into(),
+            poll_min: vec![0; cfg.num_nodes().div_ceil(64)].into(),
             links: link_table(&cfg),
             node_coord: (0..cfg.num_nodes())
                 .map(|i| cfg.coord_of(i as NodeId))
@@ -897,9 +907,10 @@ impl Network {
     /// Self-check of the incremental bookkeeping against an exhaustive
     /// recount: every router's bitmaps, ring cursors and holder tags
     /// ([`Router::bookkeeping_drift`]) and the network's active bit must
-    /// match what a slow scan finds, and every NI holding work must be in
-    /// the NI active set, so skipping a router, a VC or an NI can never
-    /// change a candidate set. (The NI set may briefly hold an NI whose
+    /// match what a slow scan finds, every NI holding work must be in the
+    /// NI active set and no node's arrival promise may precede its word's
+    /// `poll_min`, so skipping a router, a VC, an NI or a source poll can
+    /// never change a candidate set. (The NI set may briefly hold an NI whose
     /// router just died with nothing mid-injection; the end-of-cycle oracle
     /// scan checks it exactly.)
     #[cfg(debug_assertions)]
@@ -909,6 +920,7 @@ impl Network {
                 !n.has_work() || self.ni_is_active(i),
                 "NI {i}: work but no active bit"
             );
+            assert!(self.poll_min[i >> 6] <= self.next_poll[i], "node {i}");
         }
         for (i, r) in self.routers.iter().enumerate() {
             assert_eq!(r.bookkeeping_drift(), None, "router {i}");
@@ -1534,12 +1546,13 @@ impl Network {
 
     // -------------------------------------------------- phase 5: injection
 
-    /// Injection, in ascending node-id order (packet-id assignment and RNG
-    /// stream consumption depend on it): each NI releases its ready replies
-    /// and retries, asks the traffic source for a new packet, and streams
-    /// one flit into its router's local input port. The source is asked for
-    /// every node; the NI itself is polled only while it is in the NI
-    /// active set (an NI outside it has nothing to release or inject).
+    /// Injection, in ascending node-id order (packet-id assignment depends
+    /// on it) over the nodes with something to do: a node whose arrival
+    /// promise is due is asked for its packet and its next promise; an NI of
+    /// the NI active set releases its ready replies and retries and streams
+    /// one flit into its router's local input port. Exhaustive mode visits
+    /// every node and holds the source to its promise: a node not yet due
+    /// must answer `None`.
     fn inject_phase(&mut self) {
         let Network {
             cfg,
@@ -1554,6 +1567,8 @@ impl Network {
             active_mask,
             dirty_mask,
             ni_mask,
+            next_poll,
+            poll_min,
             force_exhaustive,
             fault,
             rngs,
@@ -1563,79 +1578,98 @@ impl Network {
         let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
         let c = cfg.concentration();
         debug_assert_eq!(nodes.len(), routers.len() * c);
-        for (i, (node, rng)) in nodes.iter_mut().zip(rngs.iter_mut()).enumerate() {
-            let id = i as NodeId;
-            let (word, bit) = (i >> 6, 1u64 << (i & 63));
-            if exhaustive || ni_mask[word] & bit != 0 {
-                node.release_replies(cycle);
-                node.release_retries(cycle);
-            }
-            if let Some(np) = source.generate(id, cycle, rng) {
-                // The source is external code whose contract violations
-                // must surface in release runs too — the one legitimate
-                // abort in a pipeline phase.
-                // lint: allow(panic-in-hot-path)
-                assert_ne!(np.dst, id, "source generated self-addressed packet");
-                // lint: allow(panic-in-hot-path)
-                assert!(
-                    (np.app as usize) < stats.generated.len(),
-                    "packet app {} out of range",
-                    np.app
-                );
-                // lint: allow(panic-in-hot-path)
-                assert!(np.size >= 1 && np.size as usize <= cfg.vc_depth);
-                stats.generated[np.app as usize] += 1;
-                if degraded.is_some_and(|t| !t.routable(i, np.dst as usize)) {
-                    // The destination (or this NI's own router) is
-                    // unreachable on the degraded topology: count the
-                    // generation but drop at the source — never injected,
-                    // so the flit ledger is untouched.
-                    stats.packets_dropped += 1;
-                } else {
-                    node.enqueue(PacketInfo {
-                        id: *next_pkt_id,
-                        src: id,
-                        dst: np.dst,
-                        app: np.app,
-                        class: np.class,
-                        size: np.size,
-                        birth: cycle,
-                        inject: 0,
-                        reply: np.reply,
-                    });
-                    ni_mask[word] |= bit;
-                    *next_pkt_id += 1;
+        for (word, polls) in next_poll.chunks_mut(64).enumerate() {
+            let mut due = 0u64;
+            if poll_min[word] <= cycle {
+                for (b, &at) in polls.iter().enumerate() {
+                    due |= u64::from(at <= cycle) << b;
                 }
             }
-            if !exhaustive && ni_mask[word] & bit == 0 {
-                continue;
-            }
-            let r_idx = i / c;
-            let router = &mut routers[r_idx];
-            if let Some(ev) = node.try_inject(cfg, router, cycle) {
-                stats.injected_flits += 1;
-                if let Some(o) = oracle.as_deref_mut() {
-                    o.note_inject(ev.app, cycle);
+            let visit = due | visit_word(ni_mask, word, nodes.len(), exhaustive);
+            for b in set_bits(visit) {
+                let (i, bit) = (word * 64 + b, 1u64 << b);
+                let (id, node, rng) = (i as NodeId, &mut nodes[i], &mut rngs[i]);
+                if exhaustive || ni_mask[word] & bit != 0 {
+                    node.release_replies(cycle);
+                    node.release_retries(cycle);
                 }
-                if ev.head {
-                    // try_inject marked the local VC occupied.
-                    Self::mark_active(active_mask, r_idx);
-                    Self::mark_active(dirty_mask, r_idx);
-                    stats.injected_packets[ev.app as usize] += 1;
-                    if let Some(o) = oracle.as_deref_mut() {
-                        o.note_occupancy(router.id, PORT_LOCAL, ev.vc, true, cycle);
+                let is_due = due & bit != 0;
+                let np = (exhaustive || is_due).then(|| source.generate(id, cycle, rng));
+                if is_due {
+                    polls[b] = source.next_poll(id, cycle + 1, rng);
+                }
+                if let Some(np) = np.flatten() {
+                    // The source is external code whose contract violations
+                    // must surface in release runs too — the one legitimate
+                    // abort in a pipeline phase.
+                    // lint: allow(panic-in-hot-path)
+                    assert!(is_due, "source broke its promise at node {id}");
+                    // lint: allow(panic-in-hot-path)
+                    assert_ne!(np.dst, id, "source generated self-addressed packet");
+                    // lint: allow(panic-in-hot-path)
+                    assert!(
+                        (np.app as usize) < stats.generated.len(),
+                        "packet app {} out of range",
+                        np.app
+                    );
+                    // lint: allow(panic-in-hot-path)
+                    assert!(np.size >= 1 && np.size as usize <= cfg.vc_depth);
+                    stats.generated[np.app as usize] += 1;
+                    if degraded.is_some_and(|t| !t.routable(i, np.dst as usize)) {
+                        // The destination (or this NI's own router) is
+                        // unreachable on the degraded topology: count the
+                        // generation but drop at the source — never injected,
+                        // so the flit ledger is untouched.
+                        stats.packets_dropped += 1;
+                    } else {
+                        node.enqueue(PacketInfo {
+                            id: *next_pkt_id,
+                            src: id,
+                            dst: np.dst,
+                            app: np.app,
+                            class: np.class,
+                            size: np.size,
+                            birth: cycle,
+                            inject: 0,
+                            reply: np.reply,
+                        });
+                        ni_mask[word] |= bit;
+                        *next_pkt_id += 1;
                     }
-                    if let Some(a) = analysis.as_mut() {
-                        if a.watch == Some(ev.packet_id) {
-                            a.journey
-                                .push((cycle, JourneyEvent::Injected { node: node.id }));
+                }
+                if !exhaustive && ni_mask[word] & bit == 0 {
+                    continue;
+                }
+                let r_idx = i / c;
+                let router = &mut routers[r_idx];
+                if let Some(ev) = node.try_inject(cfg, router, cycle) {
+                    stats.injected_flits += 1;
+                    if let Some(o) = oracle.as_deref_mut() {
+                        o.note_inject(ev.app, cycle);
+                    }
+                    if ev.head {
+                        // try_inject marked the local VC occupied.
+                        Self::mark_active(active_mask, r_idx);
+                        Self::mark_active(dirty_mask, r_idx);
+                        stats.injected_packets[ev.app as usize] += 1;
+                        if let Some(o) = oracle.as_deref_mut() {
+                            o.note_occupancy(router.id, PORT_LOCAL, ev.vc, true, cycle);
+                        }
+                        if let Some(a) = analysis.as_mut() {
+                            if a.watch == Some(ev.packet_id) {
+                                a.journey
+                                    .push((cycle, JourneyEvent::Injected { node: node.id }));
+                            }
                         }
                     }
                 }
+                // The one clear point of the NI active set.
+                if !node.has_work() {
+                    ni_mask[word] &= !bit;
+                }
             }
-            // The one clear point of the NI active set.
-            if !node.has_work() {
-                ni_mask[word] &= !bit;
+            if due != 0 {
+                poll_min[word] = polls.iter().copied().min().unwrap_or(u64::MAX);
             }
         }
     }

@@ -68,9 +68,11 @@ impl Pattern {
                         return Some(d);
                     }
                 }
-                let outside: Vec<NodeId> =
-                    (0..n).filter(|d| *d != src && !set.contains(d)).collect();
-                pick_excluding(&outside, src, rng)
+                let outside = || (0..n).filter(|d| *d != src && !set.contains(d));
+                match outside().count() {
+                    0 => None,
+                    count => outside().nth(rng.random_range(0..count)),
+                }
             }
             Pattern::Transpose => {
                 let c = cfg.coord_of(src);
@@ -138,20 +140,14 @@ impl Pattern {
 
 /// Uniform pick from `set`, excluding `src`; `None` if empty after exclusion.
 fn pick_excluding(set: &[NodeId], src: NodeId, rng: &mut SmallRng) -> Option<NodeId> {
-    let has_src = set.contains(&src);
-    let n = set.len() - usize::from(has_src);
+    let src_pos = set.iter().position(|&x| x == src);
+    let n = set.len() - usize::from(src_pos.is_some());
     if n == 0 {
         return None;
     }
-    let mut idx = rng.random_range(0..n);
-    if has_src {
-        // Skip over the source's position.
-        let src_pos = set.iter().position(|&x| x == src).unwrap();
-        if idx >= src_pos {
-            idx += 1;
-        }
-    }
-    Some(set[idx])
+    let idx = rng.random_range(0..n);
+    // Skip over the source's position.
+    Some(set[idx + usize::from(src_pos.is_some_and(|pos| idx >= pos))])
 }
 
 #[cfg(test)]

@@ -10,11 +10,18 @@
 use crate::pattern::Pattern;
 use noc_sim::config::SimConfig;
 use noc_sim::flit::ReplySpec;
-use noc_sim::ids::{AppId, NodeId, APP_NONE};
+use noc_sim::ids::{AppId, NodeId};
 use noc_sim::region::RegionMap;
 use noc_sim::source::{NewPacket, TrafficSource};
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
+
+/// How far [`Scenario::next_poll`] runs a node's Bernoulli draws ahead before
+/// it returns with nothing kept. A node may never produce (rate 10⁻⁹, or a
+/// transpose-diagonal node of a single-region map, whose every success is
+/// discarded), so the look-ahead must be bounded; the bound only sets how
+/// often such a node is polled.
+pub const LOOKAHEAD_HORIZON: u64 = 1024;
 
 /// Average packet size under the paper's 50/50 short/long mix
 /// (1-flit and 5-flit packets).
@@ -117,12 +124,30 @@ impl InterDest {
 #[derive(Debug, Clone)]
 struct AppState {
     spec: AppSpec,
-    /// Packet-generation probability per node per cycle.
-    pkt_prob: f64,
+    /// Packet-generation probability per node per cycle, as the threshold of
+    /// [`arrival_threshold`].
+    arrival: u64,
     own: Pattern,
     outside: Pattern,
     /// Uniform within the target region, for [`InterDest::Region`].
     target: Option<Pattern>,
+}
+
+/// `rng.random_bool(p)` as one integer compare: the draw is `k · 2⁻⁵³` for
+/// the integer `k = next_u64() >> 11`, and scaling `p ≤ 1` by 2⁵³ is exact, so
+/// `k · 2⁻⁵³ < p` ⇔ `k < ⌈p · 2⁵³⌉`. Returns that threshold.
+fn arrival_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "probability {p} outside [0,1]");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// What [`Scenario::next_poll`] has drawn ahead for one node.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ahead {
+    /// The node's draws for every cycle below this one are made.
+    until: u64,
+    /// The packet those draws produced, for `generate(node, until, ..)`.
+    kept: Option<NewPacket>,
 }
 
 /// A multi-application synthetic workload over a regionalized mesh.
@@ -131,7 +156,12 @@ pub struct Scenario {
     cfg: SimConfig,
     region: RegionMap,
     apps: Vec<Option<AppState>>,
+    /// Per-node look-ahead state, sized at construction.
+    ahead: Vec<Ahead>,
     corners: [NodeId; 4],
+    /// `corner_after[k]`: the corner a source sitting on `corners[k]` sends
+    /// to instead (the one after its first occurrence).
+    corner_after: [NodeId; 4],
     mem_latency: u64,
     long_flits: u32,
     reply_class: u8,
@@ -150,7 +180,7 @@ impl Scenario {
                     let own_nodes = region.nodes_of(a as AppId);
                     assert!(!own_nodes.is_empty(), "app {a} has no region");
                     AppState {
-                        pkt_prob: (s.rate_flits / AVG_PACKET_FLITS).min(1.0),
+                        arrival: arrival_threshold((s.rate_flits / AVG_PACKET_FLITS).min(1.0)),
                         own: Pattern::UniformWithin(own_nodes.clone()),
                         outside: Pattern::UniformOutside(own_nodes),
                         target: match s.inter_dest {
@@ -164,8 +194,14 @@ impl Scenario {
                 })
             })
             .collect();
+        let corners = cfg.corners();
         Self {
-            corners: cfg.corners(),
+            ahead: vec![Ahead::default(); cfg.num_nodes()],
+            corner_after: corners.map(|c| {
+                let first = corners.iter().position(|&x| x == c).unwrap_or(0);
+                corners[(first + 1) % 4]
+            }),
+            corners,
             mem_latency: cfg.mem_latency,
             long_flits: cfg.long_flits,
             reply_class: (cfg.num_classes - 1) as u8,
@@ -214,35 +250,31 @@ impl Scenario {
             d.map(|d| (d, false))
         } else {
             // Memory-controller round trip to a random corner.
-            let mut c = self.corners[rng.random_range(0..4)];
-            if c == src {
-                c = self.corners[(self.corners.iter().position(|&x| x == src).unwrap() + 1) % 4];
-            }
-            Some((c, true))
+            let k = rng.random_range(0..4);
+            let c = self.corners[k];
+            Some((if c == src { self.corner_after[k] } else { c }, true))
         }
     }
-}
 
-impl TrafficSource for Scenario {
-    fn num_apps(&self) -> usize {
-        self.apps.len()
-    }
-
-    fn generate(&mut self, node: NodeId, _cycle: u64, rng: &mut SmallRng) -> Option<NewPacket> {
+    /// The state of `node`'s application; `None` for a node that never draws
+    /// (outside every region — `APP_NONE` indexes no application —, a silent
+    /// application, rate 0).
+    fn app_state(&self, node: NodeId) -> Option<&AppState> {
         let app = self.region.app_of(node);
-        if app == APP_NONE {
-            return None;
-        }
-        let state = self.apps[app as usize].as_ref()?;
-        if state.pkt_prob == 0.0 || !rng.random_bool(state.pkt_prob) {
-            return None;
-        }
+        let state = self.apps.get(app as usize)?.as_ref()?;
+        (state.arrival != 0).then_some(state)
+    }
+
+    /// The draws behind a successful arrival draw, in stream order:
+    /// destination (a source with nowhere to send discards the arrival
+    /// here), then size.
+    fn draw_packet(&self, state: &AppState, node: NodeId, rng: &mut SmallRng) -> Option<NewPacket> {
         let (dst, is_mc) = self.draw_dest(state, node, rng)?;
         debug_assert_ne!(dst, node);
         let size = self.draw_size(rng);
         Some(NewPacket {
             dst,
-            app,
+            app: self.region.app_of(node),
             class: 0,
             size,
             reply: is_mc.then_some(ReplySpec {
@@ -252,15 +284,64 @@ impl TrafficSource for Scenario {
             }),
         })
     }
+}
+
+impl TrafficSource for Scenario {
+    fn num_apps(&self) -> usize {
+        self.apps.len()
+    }
+
+    fn generate(&mut self, node: NodeId, cycle: u64, rng: &mut SmallRng) -> Option<NewPacket> {
+        let ahead = &mut self.ahead[node as usize];
+        if cycle < ahead.until {
+            return None;
+        }
+        if let Some(kept) = ahead.kept.take() {
+            debug_assert_eq!(cycle, ahead.until, "node {node} polled past its promise");
+            return Some(kept);
+        }
+        // Plain per-cycle polling: a driver that never asks for the promise,
+        // and the horizon cycle of one that does.
+        let state = self.app_state(node)?;
+        if (rng.next_u64() >> 11) >= state.arrival {
+            return None;
+        }
+        self.draw_packet(state, node, rng)
+    }
+
+    fn next_poll(&mut self, node: NodeId, after: u64, rng: &mut SmallRng) -> u64 {
+        debug_assert!(self.ahead[node as usize].kept.is_none());
+        debug_assert!(self.ahead[node as usize].until <= after);
+        let Some(state) = self.app_state(node) else {
+            return u64::MAX;
+        };
+        let horizon = after.saturating_add(LOOKAHEAD_HORIZON);
+        let mut kept = None;
+        let mut until = after;
+        while until < horizon {
+            if (rng.next_u64() >> 11) < state.arrival {
+                kept = self.draw_packet(state, node, rng);
+                if kept.is_some() {
+                    break;
+                }
+            }
+            until += 1;
+        }
+        self.ahead[node as usize] = Ahead { until, kept };
+        until
+    }
 
     fn next_injection_cycle(&self, _now: u64) -> Option<u64> {
-        // A Bernoulli source must be consulted (and must draw) every cycle;
-        // only the all-silent scenario can promise anything — and then
-        // `generate` short-circuits before touching the RNG, so "never
-        // again" is side-effect-free.
+        // Only the all-silent scenario promises anything here — `generate`
+        // then short-circuits before touching the RNG, so "never again" is
+        // side-effect-free. A scenario with any nonzero rate keeps answering
+        // `None` although `next_poll` knows every node's next arrival:
+        // jumping the clock to the earliest of them would engage the idle
+        // fast-forward on stochastic sources and move the skip counters that
+        // `RunResult::digest_into` folds into every pinned sweep digest.
         self.apps
             .iter()
-            .all(|a| a.as_ref().is_none_or(|s| s.pkt_prob == 0.0))
+            .all(|a| a.as_ref().is_none_or(|s| s.arrival == 0))
             .then_some(u64::MAX)
     }
 }
@@ -492,6 +573,43 @@ mod tests {
             }
         }
         assert!(app3_inter);
+    }
+
+    /// `arrival_threshold` is `random_bool` exactly: for probabilities on
+    /// and around representable boundaries, every draw value next to the
+    /// threshold (and the two ends of the range) decides the same way.
+    #[test]
+    fn arrival_threshold_is_random_bool_at_the_boundaries() {
+        let unit = 1.0 / (1u64 << 53) as f64;
+        let mut probs = vec![0.0, 1.0, 0.5, 0.005, 0.08, 1e-9, 1e-300, f64::MIN_POSITIVE];
+        for k in [1u64, 2, 3, 1 << 20, (1 << 53) - 1] {
+            let p = k as f64 * unit;
+            probs.extend([p, p.next_down(), p.next_up().min(1.0)]);
+        }
+        probs.extend([
+            1.0f64.next_down(),
+            0.3 / AVG_PACKET_FLITS,
+            0.015 / AVG_PACKET_FLITS,
+        ]);
+        for p in probs {
+            let t = arrival_threshold(p);
+            assert_eq!(t == 0, p == 0.0, "only p = 0 never draws: {p:e}");
+            let near = [t.saturating_sub(2), t.saturating_sub(1), t, t + 1];
+            for k in near.into_iter().chain([0, (1 << 53) - 1]) {
+                if k < 1 << 53 {
+                    assert_eq!(k < t, (k as f64 * unit) < p, "p = {p:e}, k = {k}");
+                }
+            }
+        }
+        // And through the generator itself, draw for draw.
+        let (mut a, mut b) = (SmallRng::seed_from_u64(11), SmallRng::seed_from_u64(11));
+        let t = arrival_threshold(0.3 / AVG_PACKET_FLITS);
+        for _ in 0..10_000 {
+            assert_eq!(
+                (a.next_u64() >> 11) < t,
+                b.random_bool(0.3 / AVG_PACKET_FLITS)
+            );
+        }
     }
 
     #[test]

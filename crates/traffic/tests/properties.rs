@@ -2,13 +2,13 @@
 
 use noc_sim::config::SimConfig;
 use noc_sim::region::RegionMap;
-use noc_sim::source::TrafficSource;
+use noc_sim::source::{NewPacket, TrafficSource};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use traffic::pattern::Pattern;
 use traffic::saturation::{bisect_saturation, WarmOutcome, WarmStart};
-use traffic::scenario::{six_app, two_app, InterDest};
+use traffic::scenario::{six_app, two_app, AppSpec, InterDest, Scenario, LOOKAHEAD_HORIZON};
 use traffic::trace::Trace;
 use traffic::workload::{AppModel, ParsecWorkload};
 
@@ -25,8 +25,153 @@ fn any_pattern() -> impl Strategy<Value = Pattern> {
     ]
 }
 
+/// Node `node`'s `(cycle, packet)` arrivals over `cycles` cycles on its own
+/// RNG stream: polled every cycle, or along the source's arrival promise
+/// (`generate` only where `next_poll` said). The second list holds the
+/// promised cycles the look-ahead reached with nothing kept: horizon polls.
+fn arrivals(
+    mut s: Scenario,
+    node: u16,
+    cycles: u64,
+    seed: u64,
+    promise: bool,
+) -> (Vec<(u64, NewPacket)>, Vec<u64>) {
+    let mut rng = SmallRng::seed_from_u64(seed ^ (u64::from(node) + 1).wrapping_mul(0x9E37));
+    let (mut out, mut horizons, mut cycle) = (Vec::new(), Vec::new(), 0);
+    while cycle < cycles {
+        out.extend(s.generate(node, cycle, &mut rng).map(|p| (cycle, p)));
+        let next = if promise {
+            s.next_poll(node, cycle + 1, &mut rng)
+        } else {
+            cycle + 1
+        };
+        if next == cycle + 1 + LOOKAHEAD_HORIZON && next < cycles {
+            horizons.push(next);
+        }
+        cycle = next;
+    }
+    (out, horizons)
+}
+
+/// Region maps by the names the `repro serve` jobs use.
+fn region_named(cfg: &SimConfig, name: &str) -> RegionMap {
+    match name {
+        "single" => RegionMap::single(cfg),
+        "halves" => RegionMap::halves(cfg),
+        "quadrants" => RegionMap::quadrants(cfg),
+        _ => RegionMap::six_regions(cfg),
+    }
+}
+
+/// One application of a random mix, from plain numbers (the vendored
+/// proptest has no `prop_map`): `kind` picks the rate class, `dest` the
+/// inter-region rule, `mix` the fractions.
+fn app_spec(kind: usize, rate: f64, dest: usize, mix: (usize, f64, f64)) -> Option<AppSpec> {
+    let rate_flits = match kind {
+        0 => return None, // a silent application
+        1 => 0.0,
+        2 => 3e-6, // pkt_prob 10⁻⁶: most look-aheads end at the horizon
+        3 => 3.0,  // pkt_prob 1: an arrival every cycle
+        _ => rate,
+    };
+    let inter_dest = match dest {
+        0 => InterDest::OutsideUniform,
+        1 => InterDest::Region(0),
+        2 => InterDest::Pattern(Pattern::Transpose),
+        _ => InterDest::Pattern(Pattern::BitComplement),
+    };
+    let (intra, inter) = match mix {
+        (0, ..) => (1.0, 0.0),
+        (1, ..) => (0.0, 1.0),
+        (2, ..) => (0.0, 0.0),
+        (_, a, b) => (a * b, a * (1.0 - b)),
+    };
+    Some(AppSpec {
+        rate_flits,
+        intra,
+        inter,
+        inter_dest,
+        mc: 1.0 - intra - inter,
+    })
+}
+
+/// The serve-shaped corner: one region, all traffic transposed, an arrival
+/// drawn every cycle. A diagonal node discards every one of them — it never
+/// produces and every one of its look-aheads runs to the horizon — and must
+/// still leave its stream exactly where per-cycle polling does (the
+/// off-diagonal nodes share nothing with it, so they only show the cell is
+/// live).
+#[test]
+fn a_node_that_never_produces_keeps_its_promise() {
+    let cfg = SimConfig::table1();
+    let spec = AppSpec::with_inter(3.0, 1.0, InterDest::Pattern(Pattern::Transpose));
+    let s = Scenario::new(&cfg, &RegionMap::single(&cfg), vec![Some(spec)]);
+    let cycles = 3 * LOOKAHEAD_HORIZON + 100;
+    for node in [0u16, 9, 63] {
+        let (walked, horizons) = arrivals(s.clone(), node, cycles, 5, true);
+        assert_eq!(walked, Vec::new(), "diagonal node {node} produced");
+        assert_eq!(horizons.len(), 3, "node {node} is polled once per horizon");
+    }
+    let (walked, horizons) = arrivals(s.clone(), 1, cycles, 5, true);
+    assert_eq!(walked.len() as u64, cycles);
+    assert_eq!(walked, arrivals(s, 1, cycles, 5, false).0);
+    assert_eq!(horizons, Vec::<u64>::new());
+}
+
+/// An arrival landing exactly on a horizon boundary — the look-ahead ran
+/// `LOOKAHEAD_HORIZON` failed draws, kept nothing, and the per-cycle draw
+/// at the promised cycle itself succeeds — is the same arrival per-cycle
+/// polling sees. At one arrival per horizon on average some node of some
+/// seed gets one quickly.
+#[test]
+fn an_arrival_on_the_horizon_boundary_is_kept() {
+    let cfg = SimConfig::table1();
+    let rate = 3.0 / LOOKAHEAD_HORIZON as f64;
+    let (_region, s) = two_app(&cfg, 0.3, rate, rate);
+    let cycles = 4 * LOOKAHEAD_HORIZON;
+    let mut on_boundary = 0;
+    for seed in 0..256 {
+        for node in 0..64 {
+            let (walked, horizons) = arrivals(s.clone(), node, cycles, seed, true);
+            let hits = walked.iter().filter(|(c, _)| horizons.contains(c)).count();
+            if hits > 0 {
+                on_boundary += hits;
+                assert_eq!(walked, arrivals(s.clone(), node, cycles, seed, false).0);
+            }
+        }
+        if on_boundary >= 2 {
+            return;
+        }
+    }
+    panic!("only {on_boundary} boundary arrivals in 256 seeds");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The arrival promise is per-cycle polling, packet for packet: for any
+    /// application mix on any region map, every node's `(cycle, packet)`
+    /// list is the same whether it is polled every cycle or only where
+    /// `next_poll` said, over more than three look-ahead horizons.
+    #[test]
+    fn the_arrival_promise_equals_per_cycle_polling(
+        map in prop_oneof![Just("single"), Just("halves"), Just("quadrants"), Just("six_regions")],
+        apps in proptest::collection::vec((0usize..8, 0.001f64..0.9, 0usize..4), 6..7),
+        mixes in proptest::collection::vec((0usize..6, 0.0f64..=1.0, 0.0f64..=1.0), 6..7),
+        seed in 0u64..1_000_000,
+    ) {
+        let cfg = SimConfig::table1();
+        let region = region_named(&cfg, map);
+        let specs = apps.iter().zip(&mixes).take(region.num_apps());
+        let specs = specs.map(|(&(kind, rate, dest), &mix)| app_spec(kind, rate, dest, mix));
+        let s = Scenario::new(&cfg, &region, specs.collect());
+        let cycles = 3 * LOOKAHEAD_HORIZON + 500;
+        for node in 0..cfg.num_nodes() as u16 {
+            let polled = arrivals(s.clone(), node, cycles, seed, false).0;
+            let (walked, _) = arrivals(s.clone(), node, cycles, seed, true);
+            prop_assert_eq!(walked, polled, "node {} of {}", node, map);
+        }
+    }
 
     /// Every pattern destination is in-bounds and never the source.
     #[test]

@@ -10,10 +10,14 @@
 //! gain is claimed only on ten pairs or more, when the change wins at least
 //! nine tenths of them (ties count for neither) **and** the medians differ
 //! by more than the distance between the quartiles of the parent's own runs.
+//! The rule cuts both ways: when the *parent* wins nine tenths of the pairs
+//! and the medians are apart by more than the change's quartile distance the
+//! verdict is `LOSS` and the task exits 1 — CI's `bench-gate` job runs it
+//! against the base commit on the one runner.
 //!
 //! The history file is append-only. Timings from different hosts are not
-//! comparable, which is why every row carries its host block and why no CI
-//! job reads the file yet.
+//! comparable, which is why every row carries its host block and why the CI
+//! job uploads its rows as an artifact instead of committing them.
 
 use metrics::report::Value;
 use std::io::Write as _;
@@ -120,6 +124,8 @@ pub struct Verdict {
     pub parent: [f64; 3],
     pub change: [f64; 3],
     pub gain: bool,
+    /// The rule with the sides swapped: the parent beat the change.
+    pub loss: bool,
 }
 
 impl Verdict {
@@ -129,15 +135,19 @@ impl Verdict {
         let (p, c) = (quartiles(parent), quartiles(change));
         let wins = parent.iter().zip(change).filter(|(p, c)| c > p).count();
         let losses = parent.iter().zip(change).filter(|(p, c)| c < p).count();
+        // One side beats the other: nine tenths of at least ten pairs, and
+        // the medians apart by more than the beaten side's own spread.
+        let beats = |won: usize, ahead: f64, [q1, _, q3]: [f64; 3]| {
+            parent.len() >= MIN_PAIRS && 10 * won >= 9 * parent.len() && ahead > q3 - q1
+        };
         Self {
             pairs: parent.len(),
             wins,
             losses,
             parent: p,
             change: c,
-            gain: parent.len() >= MIN_PAIRS
-                && 10 * wins >= 9 * parent.len()
-                && c[1] - p[1] > p[2] - p[0],
+            gain: beats(wins, c[1] - p[1], p),
+            loss: beats(losses, p[1] - c[1], c),
         }
     }
 }
@@ -157,6 +167,8 @@ impl std::fmt::Display for Verdict {
             p3 - p1,
             if self.gain {
                 "GAIN"
+            } else if self.loss {
+                "LOSS"
             } else if self.pairs < MIN_PAIRS {
                 "fewer than ten pairs, no claim"
             } else {
@@ -318,7 +330,11 @@ pub fn run(args: &Args, history: &Path) -> Result<(), String> {
             args.pairs
         );
     }
-    println!("work_per_s: {}", Verdict::of(&column(0, 0), &column(1, 0)));
+    let verdict = Verdict::of(&column(0, 0), &column(1, 0));
+    println!("work_per_s: {verdict}");
+    if verdict.loss {
+        return Err(format!("{}: work_per_s lost to the parent", args.workload));
+    }
     Ok(())
 }
 
@@ -414,9 +430,31 @@ mod tests {
         let v = Verdict::of(&parent, &close);
         assert_eq!((v.wins, v.gain), (10, false));
         assert!(v.to_string().contains("no gain"), "{v}");
+        // The same rule with the sides swapped is a loss: nine of ten pairs
+        // to the parent, medians apart by more than the change's IQR.
+        let slower: Vec<f64> = parent.iter().map(|p| p - 30.0).collect();
+        let v = Verdict::of(&parent, &slower);
+        assert_eq!((v.wins, v.losses, v.gain, v.loss), (0, 10, false, true));
+        assert!(v.to_string().contains("LOSS"), "{v}");
+        let mut nine = slower.clone();
+        nine[0] = 500.0;
+        assert!(Verdict::of(&parent, &nine).loss);
+        let mut eight = slower.clone();
+        (eight[0], eight[1]) = (parent[0], parent[1]);
+        assert!(!Verdict::of(&parent, &eight).loss);
+        // Ten losses inside the change's own spread, and a gain, are no loss.
+        let v = Verdict::of(&close, &parent);
+        assert_eq!((v.losses, v.gain, v.loss), (10, false, false));
+        assert!(!Verdict::of(&parent, &change).loss);
+        // The change's spread is the yardstick of a loss, the parent's of a
+        // gain: a change as noisy as the gap it lost by has not lost.
+        let noisy = (0..10).map(|i| parent[i] - 1.0 - 40.0 * (i % 2) as f64);
+        let v = Verdict::of(&parent, &noisy.collect::<Vec<_>>());
+        assert_eq!((v.losses, v.loss), (10, false), "{v}");
         // Fewer than ten pairs are reported, never claimed.
         let v = Verdict::of(&[1.0, 1.0, 1.0], &[2.0, 2.0, 2.0]);
         assert_eq!((v.pairs, v.wins, v.gain), (3, 3, false));
+        assert!(!Verdict::of(&[2.0, 2.0, 2.0], &[1.0, 1.0, 1.0]).loss);
         assert!(v.to_string().contains("fewer than ten pairs"), "{v}");
     }
 

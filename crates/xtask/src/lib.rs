@@ -204,8 +204,9 @@ pub struct HotPath {
 }
 
 /// The hot paths: the tick kernel's pipeline phases, what they call every
-/// tick (the scan is lexical, so a callee is only checked if it is listed),
-/// and the admission verifier's entry points. A listed file that cannot be
+/// tick (the scan is lexical, so a callee is only checked if it is listed) —
+/// the synthetic scenario's `generate` / `next_poll` included —, and the
+/// admission verifier's entry points. A listed file that cannot be
 /// read, or a listed function with no body in its file, is itself a finding
 /// — renaming or moving a hot path must update this list, not silently
 /// un-scan it.
@@ -233,6 +234,24 @@ pub const HOT_PATHS: &[HotPath] = &[
             "try_inject",
             "pick_vc",
         ],
+        rules: &[&PANIC_RULE, &ALLOC_RULE],
+    },
+    // The source bodies the injection phase drives, and their draw helpers.
+    HotPath {
+        file: "crates/traffic/src/scenario.rs",
+        functions: &[
+            "generate",
+            "next_poll",
+            "app_state",
+            "draw_packet",
+            "draw_dest",
+            "draw_size",
+        ],
+        rules: &[&PANIC_RULE, &ALLOC_RULE],
+    },
+    HotPath {
+        file: "crates/traffic/src/pattern.rs",
+        functions: &["dest", "pick_excluding"],
         rules: &[&PANIC_RULE, &ALLOC_RULE],
     },
     HotPath {

@@ -18,11 +18,15 @@ fn main() -> ExitCode {
         Some("lint") => lint(),
         Some("bench-pairs") => {
             let history = xtask::workspace_root().join("BENCH_history.jsonl");
-            match bench_pairs::Args::parse(&args[1..]).and_then(|a| bench_pairs::run(&a, &history))
-            {
+            // A bad command line gets the usage; a failed run or a `LOSS`
+            // verdict only its own message.
+            let run = bench_pairs::Args::parse(&args[1..])
+                .map_err(|e| format!("{e}\nusage: {}", bench_pairs::USAGE))
+                .and_then(|a| bench_pairs::run(&a, &history));
+            match run {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
-                    eprintln!("[bench-pairs] {e}\nusage: {}", bench_pairs::USAGE);
+                    eprintln!("[bench-pairs] {e}");
                     ExitCode::FAILURE
                 }
             }
@@ -48,7 +52,9 @@ fn print_usage() {
     eprintln!("tasks:");
     eprintln!("  lint         ban nondeterministic std/rayon tokens from the kernel crates");
     eprintln!("  bench-pairs  alternate rair-bench runs of two checkouts, append them to");
-    eprintln!("               BENCH_history.jsonl and print the gain rule's verdict");
+    eprintln!(
+        "               BENCH_history.jsonl and print the pairs rule's verdict (exit 1 on LOSS)"
+    );
     eprintln!();
     eprintln!("rules:");
     for r in xtask::RULES {

@@ -349,6 +349,56 @@ fn reverting_the_on_stack_request_set_fails_the_lint() {
     assert!(workspace.is_empty(), "{workspace:?}");
 }
 
+/// The injection phase drives `Scenario::{generate, next_poll}`, so their
+/// bodies and draw helpers are hot paths: putting the `position(..).unwrap()`
+/// back into `draw_dest`'s corner fallback, or the complement `collect()`
+/// back into `Pattern::dest`, fails the lint.
+#[test]
+fn reverting_the_scenario_draw_rewrites_fails_the_lint() {
+    let hot = |file: &str| {
+        let hp = xtask::HOT_PATHS.iter().find(|h| h.file.ends_with(file));
+        let hp = hp.unwrap_or_else(|| panic!("{file} is not a hot path"));
+        let src = std::fs::read_to_string(xtask::workspace_root().join(hp.file)).unwrap();
+        assert!(xtask::lint_fn_bodies(file, &src, hp.functions, hp.rules).is_empty());
+        (hp, src)
+    };
+    let (hp, src) = hot("scenario.rs");
+    for f in ["generate", "next_poll", "draw_dest"] {
+        assert!(hp.functions.contains(&f), "{f} is not listed");
+    }
+    let marker = "self.corner_after[k]";
+    assert!(src.contains(marker), "draw_dest marker missing");
+    let reverted = src.replace(
+        marker,
+        "self.corners[(self.corners.iter().position(|&x| x == src).unwrap() + 1) % 4]",
+    );
+    let findings = xtask::lint_fn_bodies("scenario.rs", &reverted, hp.functions, hp.rules);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "panic-in-hot-path" && f.token == "unwrap"),
+        "lint missed the reverted unwrap: {findings:?}"
+    );
+
+    let (hp, src) = hot("pattern.rs");
+    let marker = "match outside().count() {";
+    assert!(src.contains(marker), "Pattern::dest marker missing");
+    let reverted = src.replace(
+        marker,
+        &format!(
+            "let all: Vec<NodeId> = outside().collect();
+{marker}"
+        ),
+    );
+    let findings = xtask::lint_fn_bodies("pattern.rs", &reverted, hp.functions, hp.rules);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "alloc-in-hot-path" && f.token == "collect"),
+        "lint missed the reverted collect: {findings:?}"
+    );
+}
+
 /// The hot-path lint must not go blind: a listed function that was renamed
 /// or moved away, and a listed file that cannot be read, are findings.
 #[test]

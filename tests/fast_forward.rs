@@ -55,6 +55,15 @@ fn fast_forward_is_digest_identical_across_matrix() {
                 exhaustive.set_force_exhaustive(true);
                 exhaustive.run(1_500);
                 assert_eq!(fast.cycle(), plain.cycle());
+                // The jump engages exactly where it did before sources made
+                // per-node promises (counts of the commit before them).
+                let skipped = match (r0, scheme.label().as_str(), routing) {
+                    (0.01, ..) => 287,
+                    (_, "RO_Age", Routing::Dbar) => 266,
+                    _ => 268,
+                };
+                assert_eq!(fast.stats.idle_cycles_skipped, skipped);
+                assert_eq!(fast.oracle_scans(), plain.oracle_scans());
                 assert_eq!(
                     fast.stats.digest(),
                     plain.stats.digest(),
@@ -94,12 +103,38 @@ fn fast_forward_engages_on_sparse_traffic() {
     );
     net.run(4_000);
     assert_eq!(net.cycle(), 4_000);
-    assert!(
-        net.stats.idle_cycles_skipped > 3_000,
-        "sparse run skipped only {} cycles",
-        net.stats.idle_cycles_skipped
+    assert_eq!(
+        net.stats.idle_cycles_skipped, 3_968,
+        "all but the 2 x 16 cycles the two packets are in the network"
     );
     assert_eq!(net.stats.recorder.delivered(), 2);
+}
+
+/// A Bernoulli scenario keeps drawing every cycle as far as the idle
+/// fast-forward is concerned (its per-node arrival promise skips *calls*,
+/// never cycles): even at a load that leaves the network empty most of the
+/// time not one cycle is jumped, and switching the jump off changes nothing.
+#[test]
+fn fast_forward_stays_off_for_bernoulli_sources() {
+    let run = |fast: bool| {
+        let cfg = SimConfig::table1();
+        let (region, scenario) = two_app(&cfg, 0.3, 0.0005, 0.0005);
+        let mut net = Network::new(
+            cfg,
+            region,
+            Routing::Local.build(),
+            Scheme::rair().build(),
+            Box::new(scenario),
+            42,
+        );
+        net.set_fast_forward(fast);
+        net.run(20_000);
+        assert!(net.stats.recorder.delivered() > 0);
+        (net.stats.idle_cycles_skipped, net.stats.digest())
+    };
+    let (skipped, digest) = run(true);
+    assert_eq!(skipped, 0, "fast-forward engaged on a stochastic source");
+    assert_eq!(digest, run(false).1);
 }
 
 #[test]
@@ -129,6 +164,7 @@ fn fast_forward_never_crosses_run_boundaries() {
         "jumped past the warmup boundary"
     );
     assert_eq!(net.cycle(), 11_000);
+    assert_eq!(net.stats.idle_cycles_skipped, 10_963);
     assert_eq!(net.stats.recorder.delivered(), 1);
     // The packet (injected after warmup) was measured, not lost to the jump.
     assert!(net
@@ -169,10 +205,7 @@ fn fast_forward_preserves_oracle_scan_schedule() {
     };
     let fast = run(true);
     let plain = run(false);
-    assert!(
-        fast.stats.idle_cycles_skipped > 1_000,
-        "fast-forward never engaged"
-    );
+    assert_eq!(fast.stats.idle_cycles_skipped, 2_022);
     assert_eq!(
         fast.oracle_scans(),
         plain.oracle_scans(),

@@ -10,6 +10,7 @@ use noc_sim::network::Network;
 use noc_sim::prelude::*;
 use noc_sim::router::Router;
 use rair::prelude::*;
+use rand::rngs::SmallRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use traffic::prelude::*;
@@ -116,7 +117,48 @@ fn fast_path_is_bit_identical_across_matrix() {
             "fast/exhaustive divergence on a replayed trace: {routing:?}"
         );
     }
+    // The shape of a `repro serve` job: one region, all traffic transposed,
+    // 0.02 flits/cycle/node, XY. The eight diagonal nodes have no transpose
+    // destination and never produce — their arrival promise is the
+    // look-ahead horizon, every time. A Bernoulli source never lets the idle
+    // fast-forward engage, and the fast path's skip counters are the parent
+    // commit's to the unit.
+    let serve_shaped = |exhaustive: bool| {
+        let region = RegionMap::single(&cfg);
+        let spec = AppSpec::with_inter(0.02, 1.0, InterDest::Pattern(Pattern::Transpose));
+        let scenario = Box::new(Scenario::new(&cfg, &region, vec![Some(spec)]));
+        let mut net = experiments::sweep::build_network(
+            &cfg,
+            &region,
+            &Scheme::rair(),
+            Routing::Xy,
+            scenario,
+            42,
+        );
+        net.set_force_exhaustive(exhaustive);
+        net.run_warmup_measure(1_000, 5_000);
+        net.stats
+    };
+    let (fast, slow) = (serve_shaped(false), serve_shaped(true));
+    assert_eq!(
+        fast.digest(),
+        slow.digest(),
+        "fast/exhaustive divergence: serve-shaped"
+    );
+    assert!(fast.recorder.delivered() > 100, "the cell carries traffic");
+    assert_eq!(
+        (
+            fast.router_cycles_skipped,
+            fast.state_updates_skipped,
+            fast.idle_cycles_skipped
+        ),
+        SERVE_SHAPED_SKIPS,
+    );
 }
+
+/// `(router_cycles_skipped, state_updates_skipped, idle_cycles_skipped)` of
+/// the serve-shaped cell, measured at the commit before the arrival promise.
+const SERVE_SHAPED_SKIPS: (u64, u64, u64) = (961_225, 353_093, 0);
 
 /// The operating point the mask-driven kernel is built for: `RA_RAIR` +
 /// `DBAR` with both halves at 80 % of the nominal saturation load, the
@@ -379,6 +421,65 @@ fn fast_path_asks_the_policy_only_for_contests() {
     assert!(
         2 * fast_calls < slow_calls,
         "fast path made {fast_calls} priority calls, exhaustive {slow_calls}"
+    );
+}
+
+/// A source with a call counter around `generate`, forwarding the arrival
+/// promise as well (a wrapper that forwarded `generate` alone would be
+/// polled every cycle, correctly).
+struct CountingSource<S> {
+    inner: S,
+    generates: Arc<AtomicU64>,
+}
+
+impl<S: TrafficSource> TrafficSource for CountingSource<S> {
+    fn num_apps(&self) -> usize {
+        self.inner.num_apps()
+    }
+    fn generate(&mut self, node: NodeId, cycle: u64, rng: &mut SmallRng) -> Option<NewPacket> {
+        self.generates.fetch_add(1, Ordering::Relaxed);
+        self.inner.generate(node, cycle, rng)
+    }
+    fn next_poll(&mut self, node: NodeId, after: u64, rng: &mut SmallRng) -> u64 {
+        self.inner.next_poll(node, after, rng)
+    }
+    fn next_injection_cycle(&self, now: u64) -> Option<u64> {
+        self.inner.next_injection_cycle(now)
+    }
+}
+
+/// The arrival promise: at 5 % load the fast path asks the source only at
+/// the cycles it promised — fewer than a quarter of the calls of the
+/// exhaustive mode, which asks every node every cycle (and asserts that a
+/// node not yet due answers `None`) — and the two simulate identically.
+#[test]
+fn fast_path_polls_the_source_only_where_it_promised() {
+    let run = |exhaustive: bool| {
+        let cfg = SimConfig::table1();
+        let (region, scenario) = two_app(&cfg, 0.3, 0.015, 0.015);
+        let generates = Arc::new(AtomicU64::new(0));
+        let source = CountingSource {
+            inner: scenario,
+            generates: Arc::clone(&generates),
+        };
+        let mut net = Network::new(
+            cfg,
+            region,
+            Routing::Dbar.build(),
+            Scheme::rair().build(),
+            Box::new(source),
+            42,
+        );
+        net.set_force_exhaustive(exhaustive);
+        net.run(3_000);
+        (net.stats.digest(), generates.load(Ordering::Relaxed))
+    };
+    let ((fast_digest, fast_calls), (slow_digest, slow_calls)) = (run(false), run(true));
+    assert_eq!(fast_digest, slow_digest, "fast/exhaustive divergence");
+    assert_eq!(slow_calls, 64 * 3_000, "exhaustive mode asks every node");
+    assert!(
+        4 * fast_calls < slow_calls,
+        "fast path made {fast_calls} generate calls, exhaustive {slow_calls}"
     );
 }
 
