@@ -80,7 +80,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--smoke", scope: Row, kind: Switch(|o| (o.ec, o.smoke) = (ExpConfig::quick(), true)), help: "CI-sized: --quick windows, and a reduced matrix where one exists" },
     Flag { name: "--windows", scope: Row, kind: Valued("W,M", "WARMUP,MEASURE cycles (MEASURE > 0)", set_windows), help: "explicit warmup,measure windows" },
     Flag { name: "--seed", scope: Row, kind: Valued("N", "an integer", |o, v| v.parse().ok().map(|n| o.ec.seed = n)), help: "seed of every random stream" },
-    Flag { name: "--prune", scope: Row, kind: Switch(|o| o.ec.prune = true), help: "shortened confirmation runs for curve points the model classifies" },
     // Every Network resolves the toggle through SimConfig::oracle / RAIR_ORACLE, so the env var reaches all drivers.
     Flag { name: "--oracle", scope: Row, kind: Switch(|_| std::env::set_var("RAIR_ORACLE", "1")), help: "force the invariant oracle on in every simulation (as RAIR_ORACLE=1)" },
     Flag { name: "--csv", scope: Every, kind: Switch(|o| o.csv = true), help: "print tables as CSV" },
@@ -90,8 +89,8 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--inject-wrong-result", scope: Row, kind: Switch(|o| o.inject_wrong_result = true), help: "the chaos negative control instead (always exits 1)" },
     Flag { name: "--trace-file", scope: Row, kind: Valued("PATH", "a path", |o, v| { o.trace_file = v.into(); Some(()) }), help: "where trace-demo writes its trace" },
     Flag { name: "--dir", scope: Row, kind: Valued("PATH", "a path", |o, v| { o.serve_dir = v.into(); Some(()) }), help: "state directory of the job service" },
-    Flag { name: "--retries", scope: Row, kind: Valued("N", "an integer", |o, v| v.parse().ok().map(|n| o.retries = n)), help: "attempts before a job is quarantined" },
-    Flag { name: "--timeout-ms", scope: Row, kind: Valued("N", "milliseconds", |o, v| v.parse().ok().map(|n| o.timeout_ms = Some(n))), help: "wall-clock cap per attempt" },
+    Flag { name: "--retries", scope: Row, kind: Valued("N", "a positive integer", |o, v| v.parse().ok().filter(|&n| n > 0).map(|n| o.retries = n)), help: "attempts before a job is quarantined" },
+    Flag { name: "--timeout-ms", scope: Row, kind: Valued("N", "a positive number of milliseconds", |o, v| v.parse().ok().filter(|&n| n > 0).map(|n| o.timeout_ms = Some(n))), help: "wall-clock cap per attempt" },
     Flag { name: "--screen", scope: Row, kind: Switch(|o| o.screen = true), help: "screen jobs through the analytical model first" },
     Flag { name: "--help", scope: Every, kind: Switch(|o| o.help = true), help: "print this text (also -h)" },
 ];
@@ -134,10 +133,9 @@ const SUBCOMMANDS: &[Cmd] = &[
     Cmd { name: "ablation-vcsplit", role: Paper, help: "ablation: regional/global VC split", flags: &[SIM], run: |o| emit(o, &ablation::table(&ablation::vc_split_sweep(&o.ec))) },
     Cmd { name: "ablation-rank", role: Paper, help: "ablation: STC rank estimation", flags: &[SIM], run: |o| emit(o, &ablation::table(&ablation::rank_estimation(&o.ec))) },
     Cmd { name: "baselines", role: Extra, help: "the region-oblivious baselines side by side", flags: &[SIM], run: |o| emit(o, &ablation::table(&ablation::baselines(&o.ec))) },
-    Cmd { name: "curve", role: Extra, help: "load-latency curves and knees of three patterns", flags: &[SIM, &["--prune"]], run: curve },
+    Cmd { name: "curve", role: Extra, help: "load-latency curves and knees of three patterns", flags: &[SIM], run: curve },
     Cmd { name: "oracle", role: Extra, help: "scheme x routing matrix under per-cycle invariant checking", flags: &[SIM], run: oracle },
     Cmd { name: "trace-demo", role: Extra, help: "capture a trace to a file, replay it under two schemes", flags: &[SIM, &["--trace-file"]], run: |o| emit(o, &figs::trace_demo::run(&o.ec, &o.trace_file)?) },
-    Cmd { name: "bench-model", role: Extra, help: "analytical model vs simulator (BENCH_model.json)", flags: &[SIM], run: bench_model },
     Cmd { name: "verify-config", role: Extra, help: "static deadlock-freedom and legality proof (VERIFY_report.json)", flags: &[&["--topology", "--inject-cyclic"]], run: verify_config },
     Cmd { name: "admit", role: Extra, help: "static QoS admission matrix (ADMIT_report.json)", flags: &[&["--topology", "--inject-broken"]], run: admit },
     Cmd { name: "resilience", role: Extra, help: "fault rate x scheme x routing sweep (RESILIENCE_report.json)", flags: &[SIM], run: resilience },
@@ -389,24 +387,6 @@ fn resilience(o: &Opts) -> Outcome {
     }
 }
 
-fn bench_model(o: &Opts) -> Outcome {
-    use experiments::bench_model as bm;
-    let b = bm::run(&o.ec);
-    emit(o, &bm::sat_table(&b))?;
-    emit(o, &bm::lat_table(&b))?;
-    let (mean, max, max_cfg) = b.sat_error();
-    let (wp, cp) = b.table1_probes();
-    println!(
-        "model saturation error: mean |rel| {mean:.3}, max |rel| {max:.3} \
-         ({max_cfg}); Table-1 probes warm/cold {wp}/{cp}; \
-         sweep prune speedup {:.2}x ({} points shortened)\n",
-        b.sweep_full_secs / b.sweep_pruned_secs.max(1e-9),
-        b.sweep_pruned_points
-    );
-    let what = format!("{} saturation + {} latency rows", b.sat.len(), b.lat.len());
-    write_report("BENCH_model.json", &bm::json(&b), &what)
-}
-
 /// The static verifier over the shipped region × routing matrix (bare and
 /// LBDR-confined) on the canonical config of `--topology`, or with
 /// `--inject-cyclic` its negative battery.
@@ -494,7 +474,7 @@ fn serve(o: &Opts) -> Outcome {
     let specs =
         JobSpec::parse_jobs(&jobs).map_err(|e| format!("serve: invalid jobs file {path}: {e}"))?;
     let scfg = ServeConfig {
-        max_attempts: o.retries.max(1),
+        max_attempts: o.retries,
         timeout_ms: o.timeout_ms,
         screen: o.screen,
         ..ServeConfig::new(&o.serve_dir, o.ec)
@@ -575,7 +555,7 @@ mod tests {
             );
         }
         let counts = (SUBCOMMANDS.len() + 1, FLAGS.len());
-        assert_eq!(counts, (22, 17), "subcommands (with `all`), flags");
+        assert_eq!(counts, (21, 16), "subcommands (with `all`), flags");
         let (_, all) = parse(["all".to_string()]).unwrap_or_else(|e| panic!("{e}"));
         let want = "table1 lbdr fig9 fig10 fig12 fig14 fig15 fig17 \
                     ablation-delta ablation-vcsplit ablation-rank";

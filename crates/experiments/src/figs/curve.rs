@@ -22,59 +22,17 @@ pub struct Curve {
     /// delivered throughput)` points; latency is `None` past saturation
     /// collapse (nothing delivered).
     pub points: Vec<(f64, Option<f64>, Option<f64>, f64)>,
-    /// Points run with shortened confirmation windows because the
-    /// analytical model classified them as deep-in-saturation or
-    /// trivially stable (0 unless [`ExpConfig::prune`] is set).
-    pub pruned: usize,
-}
-
-/// Pruning classification bands relative to the model-predicted saturation
-/// load: points above `DEEP_SATURATED_FRAC ×` prediction are far past the
-/// knee (latency has already collapsed), points below
-/// `TRIVIALLY_STABLE_FRAC ×` are far below it (latency is pinned at
-/// zero-load) — both get `1/PRUNE_DIVISOR`-length confirmation windows.
-const DEEP_SATURATED_FRAC: f64 = 1.3;
-const TRIVIALLY_STABLE_FRAC: f64 = 0.25;
-const PRUNE_DIVISOR: u64 = 4;
-
-/// The model's saturation prediction for the chip-wide curve config, used
-/// to classify prunable points. `None` when pruning is off or the model
-/// has no prediction (every point then runs full-length).
-fn prune_threshold(ec: &ExpConfig, pattern: &Pattern) -> Option<f64> {
-    if !ec.prune {
-        return None;
-    }
-    let cfg = SimConfig::table1();
-    let region = RegionMap::single(&cfg);
-    let spec = AppSpec {
-        rate_flits: 0.0,
-        intra: 0.0,
-        inter: 1.0,
-        inter_dest: InterDest::Pattern(pattern.clone()),
-        mc: 0.0,
-    };
-    model::predict_app_saturation(&cfg, &region, 0, &spec, model::RoutingKind::Adaptive)
-        .map(|p| p.load)
 }
 
 /// Sweep offered load for a chip-wide pattern under RO_RR + local adaptive
 /// routing (the reference configuration used for saturation search).
 pub fn run(ec: &ExpConfig, pattern: Pattern, max_rate: f64, steps: usize) -> Curve {
-    let predicted = prune_threshold(ec, &pattern);
-    let mut pruned = 0usize;
     let jobs: Vec<Job> = (1..=steps)
         .map(|i| {
             let rate = max_rate * i as f64 / steps as f64;
-            let mut ec = *ec;
-            if let Some(sat) = predicted {
-                if rate > DEEP_SATURATED_FRAC * sat || rate < TRIVIALLY_STABLE_FRAC * sat {
-                    pruned += 1;
-                    ec.warmup = (ec.warmup / PRUNE_DIVISOR).max(1);
-                    ec.measure = (ec.measure / PRUNE_DIVISOR).max(1);
-                }
-            }
+            let ec = *ec;
             let pattern = pattern.clone();
-            let job = Job::new(format!("curve/rate={rate:.3}"), move || {
+            Job::new(format!("curve/rate={rate:.3}"), move || {
                 let cfg = SimConfig::table1();
                 let region = RegionMap::single(&cfg);
                 let spec = AppSpec {
@@ -94,8 +52,7 @@ pub fn run(ec: &ExpConfig, pattern: Pattern, max_rate: f64, steps: usize) -> Cur
                     ec.seed,
                 );
                 run_one(format!("{rate:.3}"), net, &ec)
-            });
-            job
+            })
         })
         .collect();
     let results = run_parallel(jobs);
@@ -109,7 +66,6 @@ pub fn run(ec: &ExpConfig, pattern: Pattern, max_rate: f64, steps: usize) -> Cur
                 (rate, r.apl[0], r.total_latency[0], r.throughput)
             })
             .collect(),
-        pruned,
     }
 }
 
@@ -119,16 +75,8 @@ fn pattern_label(p: &Pattern) -> String {
 
 /// Render the curve with a latency sparkline.
 pub fn table(c: &Curve) -> Table {
-    let pruned = if c.pruned > 0 {
-        format!(", {} of {} points pruned", c.pruned, c.points.len())
-    } else {
-        String::new()
-    };
     let mut t = Table::new(
-        format!(
-            "Load-latency curve — {} (RO_RR, local adaptive{pruned})",
-            c.pattern
-        ),
+        format!("Load-latency curve — {} (RO_RR, local adaptive)", c.pattern),
         &["offered", "APL(net)", "APL(total)", "throughput"],
     );
     for (rate, net, total, thpt) in &c.points {
@@ -168,7 +116,6 @@ mod tests {
             seed: 3,
             quick: true,
             cycle_budget: None,
-            prune: false,
         };
         let c = run(&ec, Pattern::UniformRandom, 0.6, 6);
         assert_eq!(c.points.len(), 6);
@@ -182,38 +129,5 @@ mod tests {
         assert!((0.1..=0.6).contains(&k), "knee {k}");
         // And the rendered table has one row per point.
         assert_eq!(table(&c).num_rows(), 6);
-    }
-
-    #[test]
-    fn pruned_curve_shortens_extreme_points_and_keeps_the_knee() {
-        let ec = ExpConfig {
-            warmup: 1_000,
-            measure: 5_000,
-            seed: 3,
-            quick: true,
-            cycle_budget: None,
-            prune: false,
-        };
-        let full = run(&ec, Pattern::UniformRandom, 0.6, 6);
-        assert_eq!(full.pruned, 0, "pruning must be opt-in");
-        let pruned = run(
-            &ExpConfig { prune: true, ..ec },
-            Pattern::UniformRandom,
-            0.6,
-            6,
-        );
-        // UR saturates near 0.35; the 0.5/0.6 points are deep-saturated
-        // and the 0.1 point trivially stable, so something gets pruned.
-        assert!(pruned.pruned > 0, "no points pruned");
-        assert!(pruned.pruned < pruned.points.len(), "everything pruned");
-        assert_eq!(pruned.points.len(), full.points.len());
-        // The knee survives confirmation-length runs.
-        let (kf, kp) = (knee(&full).unwrap(), knee(&pruned).unwrap());
-        assert!(
-            (kf - kp).abs() < 0.21,
-            "knee moved too far: full {kf} pruned {kp}"
-        );
-        // And the rendered title reports the pruned count.
-        assert!(table(&pruned).render().contains("pruned"));
     }
 }

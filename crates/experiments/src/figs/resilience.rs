@@ -236,7 +236,6 @@ mod tests {
             seed: 0xC0FFEE,
             quick: true,
             cycle_budget: None,
-            prune: false,
         };
         // The checkpoint key embeds the windows/seed, so this test can
         // never poison (or be poisoned by) a real `repro resilience` run.

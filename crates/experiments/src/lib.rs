@@ -9,7 +9,6 @@
 //! line; `repro --help` lists the subcommands and flags.
 
 pub mod admit;
-pub mod bench_model;
 pub mod figs;
 pub mod runner;
 pub mod service;

@@ -28,11 +28,6 @@ pub struct ExpConfig {
     /// clamped to fit). The cycle-domain analogue of a per-config timeout;
     /// `None` means unbounded.
     pub cycle_budget: Option<u64>,
-    /// Opt-in sweep pruning (`repro --prune`): curve points the analytical
-    /// model classifies as deep-in-saturation or trivially stable run with
-    /// shortened windows (a confirmation run) instead of full-length ones.
-    /// Off by default so default digests are untouched.
-    pub prune: bool,
 }
 
 impl ExpConfig {
@@ -44,7 +39,6 @@ impl ExpConfig {
             seed: 0xC0FFEE,
             quick: false,
             cycle_budget: None,
-            prune: false,
         }
     }
 
@@ -56,7 +50,6 @@ impl ExpConfig {
             seed: 0xC0FFEE,
             quick: true,
             cycle_budget: None,
-            prune: false,
         }
     }
 
@@ -557,7 +550,6 @@ mod tests {
             seed: 0,
             quick: true,
             cycle_budget: None,
-            prune: false,
         };
         let r = run_one("probe", tiny_net(1), &cfg);
         assert_eq!(r.delivered, 1);
@@ -622,7 +614,6 @@ mod tests {
             seed: 0,
             quick: true,
             cycle_budget: None,
-            prune: false,
         };
         let mk = |i: usize| -> Job {
             Job::new(format!("job{i}"), move || {
@@ -664,7 +655,6 @@ mod tests {
             seed: 0,
             quick: true,
             cycle_budget: None,
-            prune: false,
         };
         let bounded = run_one("bounded", tiny_net(1), &cfg.with_budget(2_500));
         assert_eq!(bounded.cycles, 2_500, "budget must clamp simulated cycles");

@@ -93,7 +93,6 @@ pub fn chaos_ec() -> ExpConfig {
         seed: 0xC0FFEE,
         quick: true,
         cycle_budget: None,
-        prune: false,
     }
 }
 

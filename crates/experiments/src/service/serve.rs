@@ -68,17 +68,53 @@ pub struct JobSpec {
     pub seed: u64,
 }
 
-const SCHEME_KEYS: &[&str] = &[
-    "ro_rr",
-    "ro_age",
-    "rair",
-    "rair_va",
-    "rair_native_high",
-    "rair_foreign_high",
+/// One `(key, constructor)` table per spec field: [`JobSpec::parse`]
+/// accepts exactly these keys and [`JobSpec::resolve`] builds from them, so
+/// the two cannot drift.
+type Keys<T> = &'static [(&'static str, T)];
+
+const SCHEMES: Keys<fn() -> Scheme> = &[
+    ("ro_rr", || Scheme::RoRr),
+    ("ro_age", || Scheme::RoAge),
+    ("rair", Scheme::rair),
+    ("rair_va", Scheme::rair_va_only),
+    ("rair_native_high", Scheme::rair_native_high),
+    ("rair_foreign_high", Scheme::rair_foreign_high),
 ];
-const ROUTING_KEYS: &[&str] = &["xy", "local", "dbar"];
-const REGION_KEYS: &[&str] = &["single", "halves", "quadrants"];
-const PATTERN_KEYS: &[&str] = &["uniform", "transpose", "bitcomp"];
+const ROUTINGS: Keys<Routing> = &[
+    ("xy", Routing::Xy),
+    ("local", Routing::Local),
+    ("dbar", Routing::Dbar),
+];
+const REGIONS: Keys<fn(&SimConfig) -> RegionMap> = &[
+    ("single", RegionMap::single),
+    ("halves", RegionMap::halves),
+    ("quadrants", RegionMap::quadrants),
+];
+const PATTERNS: Keys<fn() -> Pattern> = &[
+    ("uniform", || Pattern::UniformRandom),
+    ("transpose", || Pattern::Transpose),
+    ("bitcomp", || Pattern::BitComplement),
+];
+
+/// The entry `key` names in `table`, or an error naming the key.
+fn lookup<T: Copy>(kind: &str, key: &str, table: Keys<T>) -> Result<T, String> {
+    let entry = table.iter().find(|(k, _)| *k == key);
+    entry.map(|&(_, v)| v).ok_or_else(|| {
+        let keys: Vec<&str> = table.iter().map(|(k, _)| *k).collect();
+        format!("unknown {kind} `{key}` (one of {})", keys.join("|"))
+    })
+}
+
+/// What the four keys of a [`JobSpec`] name.
+#[derive(Debug)]
+struct JobConfig {
+    scheme: Scheme,
+    routing: Routing,
+    region: RegionMap,
+    /// The per-application traffic spec the job offers.
+    app: AppSpec,
+}
 
 impl JobSpec {
     /// Parse one jobs-file line:
@@ -91,13 +127,6 @@ impl JobSpec {
                 f.len()
             ));
         }
-        let check = |kind: &str, v: &str, keys: &[&str]| -> Result<String, String> {
-            if keys.contains(&v) {
-                Ok(v.to_string())
-            } else {
-                Err(format!("unknown {kind} `{v}` (one of {})", keys.join("|")))
-            }
-        };
         let rate: f64 = f[5]
             .parse()
             .map_err(|_| format!("rate `{}` is not a number", f[5]))?;
@@ -110,15 +139,17 @@ impl JobSpec {
                 .parse()
                 .map_err(|_| format!("seed `{s}` is not an integer"))?,
         };
-        Ok(JobSpec {
+        let spec = JobSpec {
             label: f[0].to_string(),
-            scheme: check("scheme", f[1], SCHEME_KEYS)?,
-            routing: check("routing", f[2], ROUTING_KEYS)?,
-            region: check("region", f[3], REGION_KEYS)?,
-            pattern: check("pattern", f[4], PATTERN_KEYS)?,
+            scheme: f[1].to_string(),
+            routing: f[2].to_string(),
+            region: f[3].to_string(),
+            pattern: f[4].to_string(),
             rate,
             seed,
-        })
+        };
+        spec.resolve(&SimConfig::table1())?;
+        Ok(spec)
     }
 
     /// Parse a whole jobs file (`#` comments and blank lines skipped).
@@ -158,50 +189,22 @@ impl JobSpec {
         d.finish()
     }
 
-    pub fn scheme_value(&self) -> Scheme {
-        match self.scheme.as_str() {
-            "ro_rr" => Scheme::RoRr,
-            "ro_age" => Scheme::RoAge,
-            "rair" => Scheme::rair(),
-            "rair_va" => Scheme::rair_va_only(),
-            "rair_native_high" => Scheme::rair_native_high(),
-            _ => Scheme::rair_foreign_high(),
-        }
-    }
-
-    pub fn routing_value(&self) -> Routing {
-        match self.routing.as_str() {
-            "xy" => Routing::Xy,
-            "dbar" => Routing::Dbar,
-            _ => Routing::Local,
-        }
-    }
-
-    pub fn region_value(&self, cfg: &SimConfig) -> RegionMap {
-        match self.region.as_str() {
-            "halves" => RegionMap::halves(cfg),
-            "quadrants" => RegionMap::quadrants(cfg),
-            _ => RegionMap::single(cfg),
-        }
-    }
-
-    pub fn pattern_value(&self) -> Pattern {
-        match self.pattern.as_str() {
-            "transpose" => Pattern::Transpose,
-            "bitcomp" => Pattern::BitComplement,
-            _ => Pattern::UniformRandom,
-        }
-    }
-
-    /// The per-application traffic spec this job offers.
-    fn app_spec(&self) -> AppSpec {
-        AppSpec {
-            rate_flits: self.rate,
-            intra: 0.0,
-            inter: 1.0,
-            inter_dest: InterDest::Pattern(self.pattern_value()),
-            mc: 0.0,
-        }
+    /// The configuration the four keys name on `cfg`, or an error naming
+    /// the first key no table holds. The fields are plain `String`s, so a
+    /// hand-built spec can carry a key [`JobSpec::parse`] never saw.
+    fn resolve(&self, cfg: &SimConfig) -> Result<JobConfig, String> {
+        Ok(JobConfig {
+            scheme: lookup("scheme", &self.scheme, SCHEMES)?(),
+            routing: lookup("routing", &self.routing, ROUTINGS)?,
+            region: lookup("region", &self.region, REGIONS)?(cfg),
+            app: AppSpec {
+                rate_flits: self.rate,
+                intra: 0.0,
+                inter: 1.0,
+                inter_dest: InterDest::Pattern(lookup("pattern", &self.pattern, PATTERNS)?()),
+                mc: 0.0,
+            },
+        })
     }
 }
 
@@ -213,15 +216,16 @@ pub type JobExec = Arc<dyn Fn(&JobSpec, &ExpConfig) -> RunResult + Send + Sync +
 pub fn sim_exec() -> JobExec {
     Arc::new(|spec: &JobSpec, ec: &ExpConfig| {
         let cfg = SimConfig::table1();
-        let region = spec.region_value(&cfg);
-        let app = spec.app_spec();
-        let specs = (0..region.num_apps()).map(|_| Some(app.clone())).collect();
-        let scenario = Scenario::new(&cfg, &region, specs);
+        // `serve` rejects an unknown key before it builds a task.
+        let job = spec.resolve(&cfg).unwrap_or_else(|e| panic!("{e}"));
+        let apps = job.region.num_apps();
+        let specs = (0..apps).map(|_| Some(job.app.clone())).collect();
+        let scenario = Scenario::new(&cfg, &job.region, specs);
         let net = build_network(
             &cfg,
-            &region,
-            &spec.scheme_value(),
-            spec.routing_value(),
+            &job.region,
+            &job.scheme,
+            job.routing,
             Box::new(scenario),
             spec.seed,
         );
@@ -491,36 +495,39 @@ pub fn serve(
             resolve(i, 0, Ok(r), true);
             continue;
         }
-        // 3. Admission gate — before any network build.
+        // 3. Admission gate — before any network build. A key no table
+        // holds names no configuration to admit.
         let cfg = SimConfig::table1();
-        let region = spec.region_value(&cfg);
-        let alg = spec.routing_value().build();
-        let adm = noc_sim::admit::admit_network_cached(
-            &cfg,
-            &region,
-            alg.as_ref(),
-            &spec.scheme_value().automaton(),
-        );
-        if !adm.is_admitted() {
-            let reason = format!(
-                "admission gate rejected {}: {}",
-                adm.scheme,
-                adm.rejection()
-                    .map(|p| p.detail.clone())
-                    .unwrap_or_default()
+        let admitted = spec.resolve(&cfg).and_then(|job| {
+            let alg = job.routing.build();
+            let adm = noc_sim::admit::admit_network_cached(
+                &cfg,
+                &job.region,
+                alg.as_ref(),
+                &job.scheme.automaton(),
             );
-            journal.append(&rows::note("rejected", id, &reason));
-            resolve(i, 0, Err((JobStatus::Rejected, reason)), false);
-            continue;
-        }
+            match adm.rejection() {
+                None => Ok(job),
+                Some(p) => Err(format!("{}: {}", adm.scheme, p.detail)),
+            }
+        });
+        let job = match admitted {
+            Ok(job) => job,
+            Err(why) => {
+                let reason = format!("admission gate rejected {why}");
+                journal.append(&rows::note("rejected", id, &reason));
+                resolve(i, 0, Err((JobStatus::Rejected, reason)), false);
+                continue;
+            }
+        };
         // 4. Optional surrogate screening: offered load far past the
         // model-predicted saturation will only measure queue blow-up.
         if scfg.screen {
             let predicted = model::predict_app_saturation(
                 &cfg,
-                &region,
+                &job.region,
                 0,
-                &spec.app_spec(),
+                &job.app,
                 model::RoutingKind::Adaptive,
             )
             .map(|p| p.load);
@@ -697,6 +704,37 @@ mod tests {
             assert_ne!(a.id(&ec), c.id(&ec), "{c:?} must change the id");
         }
         assert_ne!(a.id(&ec), a.id(&ExpConfig::full()), "windows are identity");
+    }
+
+    /// A hand-built spec whose key no table holds used to simulate the
+    /// tables' last entry (`rair_foreign_high`, `local`, …) under its name.
+    #[test]
+    fn unknown_key_is_rejected_by_name_not_simulated() {
+        let dir = tmp("unknown-key");
+        let scfg = ServeConfig::new(&dir, ExpConfig::quick());
+        let never: JobExec = Arc::new(|_: &JobSpec, _: &ExpConfig| panic!("must not execute"));
+        for mistype in [
+            |s: &mut JobSpec| s.scheme = "rair_typo".into(),
+            |s: &mut JobSpec| s.routing = "rair_typo".into(),
+            |s: &mut JobSpec| s.region = "rair_typo".into(),
+            |s: &mut JobSpec| s.pattern = "rair_typo".into(),
+        ] {
+            let mut bad = spec("bad", 1);
+            mistype(&mut bad);
+            let err = bad.resolve(&SimConfig::table1()).expect_err("resolved");
+            assert!(err.contains("`rair_typo`"), "{err}");
+            let r = serve(&StdStore, &[bad, spec("good", 2)], &scfg, &stub_exec());
+            assert_eq!(r.outcomes[0].status, JobStatus::Rejected);
+            assert!(r.outcomes[0].reason.as_ref().unwrap().contains(&err));
+            assert_eq!((r.outcomes[1].status, r.executed), (JobStatus::Done, 1));
+            // The verdict is journaled: a resume neither re-gates nor runs it.
+            let r2 = serve(&StdStore, &[r.outcomes[0].spec.clone()], &scfg, &never);
+            assert_eq!(
+                (r2.outcomes[0].status, r2.resumed),
+                (JobStatus::Rejected, 1)
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! at the repository root — so a column edit cannot silently change what CI
 //! artifacts and downstream readers see.
 
-use experiments::bench_model::{self, BenchModel, LatRow, SatRow};
 use experiments::figs::resilience::{self, ResilRow};
 use experiments::service::chaos::Battery;
 use experiments::service::{serve, ChaosReport, JobExec, JobSpec, ServeConfig, StdStore};
@@ -186,92 +185,6 @@ fn chaos_report_schema() {
         committed_row_keys("CHAOS_report.json"),
         shape_keys(want_row)
     );
-}
-
-/// `BENCH_model.json`'s schema, and the aggregates it reports: the error
-/// spans every row, the probe totals only the Table-1 rows (minus the shared
-/// zero-load reference), the wall speedup the whole matrix.
-#[test]
-fn bench_model_report_schema_and_aggregates() {
-    use traffic::saturation::WarmOutcome::{Accepted, Rejected};
-    let sat =
-        |config: &str, predicted, measured, rel_err, warm_outcome, sims, secs, table1| SatRow {
-            config: config.into(),
-            routing: "Local",
-            predicted,
-            measured,
-            rel_err,
-            warm_outcome,
-            warm_sims: sims,
-            cold_sims: 9,
-            warm_secs: secs,
-            cold_secs: 2.0,
-            table1,
-        };
-    let b = BenchModel {
-        quick: true,
-        sat: vec![
-            sat(
-                "halves/intra/app0/Local",
-                0.36,
-                0.39,
-                -0.077,
-                Accepted,
-                5,
-                1.0,
-                true,
-            ),
-            sat(
-                "single/TP",
-                f64::NAN,
-                0.36,
-                -0.167,
-                Rejected,
-                11,
-                2.4,
-                false,
-            ),
-        ],
-        lat: vec![LatRow {
-            mode: "RO_RR",
-            load_frac: 0.5,
-            app: 0,
-            predicted: 25.0,
-            simulated: 28.0,
-            rel_err: -0.107,
-        }],
-        sweep_full_secs: 10.0,
-        sweep_pruned_secs: 6.0,
-        sweep_pruned_points: 4,
-        knee_full: Some(0.35),
-        knee_pruned: None,
-    };
-    let (mean, max, max_cfg) = b.sat_error();
-    assert!(
-        (mean - 0.122).abs() < 1e-3 && (max - 0.167).abs() < 1e-9,
-        "{mean} {max}"
-    );
-    assert_eq!((max_cfg, b.table1_probes()), ("single/TP", (4, 8)));
-    assert!((b.warm_speedup() - 4.0 / 3.4).abs() < 1e-9);
-
-    let want = "{quick:bool,efficiency:{mesh:float,torus:float,ring:float,io:float},\
-                saturation_rows:[{config:str,routing:str,predicted:float,measured:float,\
-                rel_err:float,warm:str,warm_sims:int,cold_sims:int,warm_secs:float,\
-                cold_secs:float,table1:bool}],\
-                saturation_error:{mean_abs_rel:float,max_abs_rel:float,max_config:str},\
-                table1_matrix:{warm_probes:int,cold_probes:int,probe_ratio:float},\
-                warm_wall_speedup:float,\
-                latency_rows:[{mode:str,load_frac:float,app:int,predicted:float,\
-                simulated:float,rel_err:float}],\
-                sweep:{full_secs:float,pruned_secs:float,speedup:float,pruned_points:int,\
-                knee_full:float,knee_pruned:null}}";
-    assert_eq!(shape(&bench_model::json(&b)), want);
-    let doc = bench_model::json(&b).to_json();
-    // A prediction the model declined used to print a bare `NaN`.
-    assert!(doc.contains("\"predicted\": null,") && doc.contains("\"warm\": \"Rejected\""));
-    assert!(doc.contains("\"max_config\": \"single/TP\"") && doc.contains("\"probe_ratio\": 0.5"));
-    assert!(bench_model::sat_table(&b).render().contains("11/9"));
-    assert!(bench_model::lat_table(&b).render().contains("-0.107"));
 }
 
 /// A quarantined job's `reason` is its panic message, which is routinely

@@ -1,7 +1,7 @@
 //! Calibration sweep: measured vs predicted saturation across the
 //! scheme/routing/pattern/topology matrix. Prints one row per config with
 //! the implied efficiency (`measured × channel_load`) so the
-//! [`model::SATURATION_EFFICIENCY`] constant can be re-fit after simulator
+//! `SATURATION_EFFICIENCY` constant of `model` can be re-fit after simulator
 //! changes. Run with `cargo run -p model --release --example calibrate`
 //! (add `quick` for the coarse probe).
 

@@ -1,16 +1,16 @@
-//! Closed-form priority-class performance model for regionalized NoCs.
+//! Closed-form link-load model for regionalized NoCs.
 //!
-//! Following the M/G/1-priority approach of Mandal et al. ("Analytical
-//! Performance Models for NoCs with Multiple Priority Traffic Classes"),
-//! specialized to this repository's simulator: RAIR's native/foreign split
-//! maps onto a two-class non-preemptive priority queue at every shared
-//! channel.
+//! The offered-traffic and channel-load stages of the priority-class
+//! approach of Mandal et al. ("Analytical Performance Models for NoCs with
+//! Multiple Priority Traffic Classes"), specialized to this repository's
+//! simulator: RAIR's native/foreign split is the model's two traffic
+//! classes at every shared channel.
 //!
-//! The model works in three analytic stages, no simulation anywhere:
+//! The model works in two analytic stages, no simulation anywhere:
 //!
 //! 1. **Flow enumeration** — every `(src, dst)` pair an [`AppSpec`]'s
-//!    traffic mix can generate, with its exact packet rate and packet-size
-//!    moments (the scenario's 50/50 short/long request mix; long-packet MC
+//!    traffic mix can generate, with its exact packet rate and mean packet
+//!    size (the scenario's 50/50 short/long request mix; long-packet MC
 //!    replies on the reverse path). Distributions are enumerated from the
 //!    same rules [`traffic::scenario::Scenario::new`] draws from, so the
 //!    offered matrix matches the simulator in expectation.
@@ -20,21 +20,21 @@
 //!    handled uniformly): dimension-order takes the single X-then-Y walk,
 //!    adaptive routing is approximated as a uniform draw over all minimal
 //!    paths with closed-form binomial crossing probabilities per channel.
-//!    Per directed channel the model accumulates, separately for traffic
-//!    that is *native* vs *foreign* at that channel's upstream router:
-//!    packet rate `λ`, utilization `ρ = λ·E[S]` and residual work
-//!    `λ·E[S²]/2`.
-//! 3. **Queueing** — per-channel waiting times from the two-class
-//!    non-preemptive M/G/1 priority formulas ([`mg1_priority_wait`]), and
-//!    the saturation point as the offered load where the busiest channel's
-//!    utilization reaches [`SATURATION_EFFICIENCY`] (an empirical derating
-//!    of the unit-capacity bound, calibrated against the simulator: flow
-//!    control, turn restrictions and finite VC depth keep real channels
-//!    from reaching utilization 1).
+//!    Per directed channel the model accumulates the utilization
+//!    `ρ = λ·E[S]`, separately for traffic that is *native* vs *foreign* at
+//!    that channel's upstream router.
 //!
-//! The saturation predictor is the warm-start hint for
-//! [`traffic::saturation::find_saturation_traced`]; the latency predictor
-//! backs the sweep-pruning heuristic and the cross-validation suite.
+//! The saturation point is the offered load where the busiest channel's
+//! utilization reaches its calibrated efficiency
+//! (`SATURATION_EFFICIENCY` and its per-topology siblings: an empirical
+//! derating of the unit-capacity bound, calibrated against the simulator —
+//! flow control, turn restrictions and finite VC depth keep real channels
+//! from reaching utilization 1).
+//!
+//! Three consumers: [`link_load_map`] is the admission pipeline's
+//! bandwidth-feasibility input, [`predict_app_saturation`] screens
+//! `repro serve --screen` jobs, and [`warm_hint`] warm-starts
+//! [`traffic::saturation::app_saturation_traced`].
 
 use noc_sim::config::SimConfig;
 use noc_sim::ids::{AppId, NodeId};
@@ -50,28 +50,29 @@ use std::fmt;
 /// Derating of the unit-capacity bound on mesh-family topologies
 /// (mesh, concentrated mesh): predicted saturation is the offered load
 /// where the busiest channel reaches this utilization. Calibrated against
-/// measured saturation loads on the Table-1 matrix (see
-/// `repro bench-model`); flow control, turn restrictions and finite VC
-/// depth keep real channels from reaching utilization 1.
-pub const SATURATION_EFFICIENCY: f64 = 0.75;
+/// measured saturation loads on the Table-1 matrix (re-fit with
+/// `cargo run -p model --release --example calibrate`); flow control, turn
+/// restrictions and finite VC depth keep real channels from reaching
+/// utilization 1.
+const SATURATION_EFFICIENCY: f64 = 0.75;
 
 /// Channel-efficiency derating on the torus: the dateline VC restriction
 /// halves the effective VC budget near the wrap crossing, so tori
 /// saturate well below the mesh-calibrated efficiency.
-pub const TORUS_EFFICIENCY: f64 = 0.60;
+const TORUS_EFFICIENCY: f64 = 0.60;
 
 /// Channel-efficiency derating on the ring (1-D torus): the single-path
 /// route keeps head-of-line blocking milder than on the 2-D torus, but the
 /// dateline restriction still costs relative to the mesh.
-pub const RING_EFFICIENCY: f64 = 0.78;
+const RING_EFFICIENCY: f64 = 0.78;
 
 /// Efficiency of a node's dedicated injection/ejection port: with no
 /// cross-traffic interference a dedicated port sustains utilization close
 /// to 1 before backpressure bites (unlike shared router-router channels).
-pub const IO_EFFICIENCY: f64 = 0.90;
+const IO_EFFICIENCY: f64 = 0.90;
 
 /// The calibrated channel efficiency for `cfg`'s topology.
-pub fn saturation_efficiency(cfg: &SimConfig) -> f64 {
+fn saturation_efficiency(cfg: &SimConfig) -> f64 {
     use noc_sim::topology::TopologyKind;
     match cfg.topology {
         TopologyKind::Mesh | TopologyKind::CMesh { .. } => SATURATION_EFFICIENCY,
@@ -92,13 +93,6 @@ fn link_efficiency(cfg: &SimConfig, link: Link) -> f64 {
     }
 }
 
-/// Cycles a head flit spends in each router pipeline at zero load
-/// (route computation + VC allocation + switch traversal).
-pub const ROUTER_LATENCY: f64 = 3.0;
-
-/// Cycles per inter-router link traversal.
-pub const LINK_LATENCY: f64 = 1.0;
-
 /// Relative half-width of the warm-start confidence band, as a fraction of
 /// the predicted load; [`warm_hint`] clamps the absolute margin to
 /// [`MIN_WARM_MARGIN`]..=[`MAX_WARM_MARGIN`]. Sized so the calibrated
@@ -106,11 +100,11 @@ pub const LINK_LATENCY: f64 = 1.0;
 /// then accepts the hint) while the margin stays below one level-3
 /// bisection cell — keeping the number of simulated in-band midpoints at
 /// ~4, half of a cold search's 8.
-pub const WARM_MARGIN_FRAC: f64 = 0.10;
+const WARM_MARGIN_FRAC: f64 = 0.10;
 /// Absolute floor of the warm-start margin (flits/cycle/node).
-pub const MIN_WARM_MARGIN: f64 = 0.035;
+const MIN_WARM_MARGIN: f64 = 0.035;
 /// Absolute ceiling of the warm-start margin (flits/cycle/node).
-pub const MAX_WARM_MARGIN: f64 = 0.06;
+const MAX_WARM_MARGIN: f64 = 0.06;
 
 /// How the model routes flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,17 +115,6 @@ pub enum RoutingKind {
     /// Minimal adaptive, approximated as a uniform draw over all minimal
     /// paths (binomial crossing probabilities on the route lattice).
     Adaptive,
-}
-
-/// Which traffic class gets head-of-line priority at shared channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PriorityMode {
-    /// Single-class FIFO service (round-robin-style schemes).
-    None,
-    /// Native traffic preempts foreign at each channel (RAIR default).
-    NativeHigh,
-    /// Foreign traffic preempts native (the inverted ablation).
-    ForeignHigh,
 }
 
 /// A directed contention point in the network.
@@ -156,15 +139,14 @@ impl fmt::Display for Link {
 }
 
 /// One `(src, dst)` traffic component with its packet rate (packets per
-/// cycle) and service-time moments (flits; 1 flit/cycle channels make
-/// service cycles equal packet flits).
+/// cycle) and mean packet size (flits; 1 flit/cycle channels make service
+/// cycles equal packet flits).
 #[derive(Debug, Clone, Copy)]
 struct Flow {
     src: NodeId,
     dst: NodeId,
     pkt_rate: f64,
     mean: f64,
-    m2: f64,
     app: AppId,
 }
 
@@ -174,8 +156,6 @@ struct Flow {
 struct LinkLoad {
     /// Utilization `Σ λ·E[S]` (flits/cycle).
     rho: [f64; 2],
-    /// Residual work `Σ λ·E[S²]/2` (the M/G/1 numerator).
-    resid: [f64; 2],
 }
 
 // ------------------------------------------------------------------------
@@ -299,7 +279,6 @@ fn app_flows(cfg: &SimConfig, region: &RegionMap, app: AppId, spec: &AppSpec, ou
     let long = f64::from(cfg.long_flits);
     // 50/50 short/long request mix.
     let req_mean = 0.5 * (1.0 + long);
-    let req_m2 = 0.5 * (1.0 + long * long);
     for src in region.nodes_of(app) {
         for (dst, q, is_mc) in dest_distribution(cfg, region, app, spec, src) {
             out.push(Flow {
@@ -307,7 +286,6 @@ fn app_flows(cfg: &SimConfig, region: &RegionMap, app: AppId, spec: &AppSpec, ou
                 dst,
                 pkt_rate: pkt_rate * q,
                 mean: req_mean,
-                m2: req_m2,
                 app,
             });
             if is_mc {
@@ -317,7 +295,6 @@ fn app_flows(cfg: &SimConfig, region: &RegionMap, app: AppId, spec: &AppSpec, ou
                     dst: src,
                     pkt_rate: pkt_rate * q,
                     mean: long,
-                    m2: long * long,
                     app,
                 });
             }
@@ -377,7 +354,7 @@ enum RouteStyle {
 }
 
 impl RoutingKind {
-    /// The route style used for expected-value quantities (loads, waits).
+    /// The route style used for expected link loads.
     fn style(self) -> RouteStyle {
         match self {
             RoutingKind::DimensionOrder => RouteStyle::Dor,
@@ -477,50 +454,10 @@ fn link_loads(
         route_distribution(cfg, f.src, f.dst, style, &mut route);
         for &(link, w) in &route {
             let cls = usize::from(!native_at(cfg, region, link, f.app));
-            let e = loads.entry(link).or_default();
-            let lam = w * f.pkt_rate;
-            e.rho[cls] += lam * f.mean;
-            e.resid[cls] += lam * f.m2 / 2.0;
+            loads.entry(link).or_default().rho[cls] += w * f.pkt_rate * f.mean;
         }
     }
     loads
-}
-
-// ------------------------------------------------------------------------
-// Stage 3: queueing
-// ------------------------------------------------------------------------
-
-/// Mean waiting time of one class in a two-class non-preemptive M/G/1
-/// priority queue: `resid` is the total residual work `Σ λ·E[S²]/2` over
-/// both classes, `rho_high`/`rho_total` the high-class and total
-/// utilizations. `high` selects the class. Returns `f64::INFINITY` at or
-/// beyond saturation of the serving channel.
-pub fn mg1_priority_wait(resid: f64, rho_high: f64, rho_total: f64, high: bool) -> f64 {
-    const EPS: f64 = 1e-9;
-    if high {
-        if rho_high >= 1.0 - EPS {
-            return f64::INFINITY;
-        }
-        resid / (1.0 - rho_high)
-    } else {
-        if rho_high >= 1.0 - EPS || rho_total >= 1.0 - EPS {
-            return f64::INFINITY;
-        }
-        resid / ((1.0 - rho_high) * (1.0 - rho_total))
-    }
-}
-
-/// Waiting time of `flow`-class traffic at one loaded channel under `mode`.
-fn wait_at(load: &LinkLoad, native: bool, mode: PriorityMode) -> f64 {
-    let resid = load.resid[0] + load.resid[1];
-    let total = load.rho[0] + load.rho[1];
-    match mode {
-        // Single class: rho_high = 0 reduces the low-class formula to the
-        // plain Pollaczek-Khinchine mean wait R/(1-ρ).
-        PriorityMode::None => mg1_priority_wait(resid, 0.0, total, false),
-        PriorityMode::NativeHigh => mg1_priority_wait(resid, load.rho[0], total, native),
-        PriorityMode::ForeignHigh => mg1_priority_wait(resid, load.rho[1], total, !native),
-    }
 }
 
 // ------------------------------------------------------------------------
@@ -541,8 +478,8 @@ pub struct SaturationPrediction {
 
 /// Predict the saturation load of `app` running alone with mix `spec`
 /// (the operating point [`traffic::saturation::app_saturation`] measures):
-/// the offered load at which the busiest channel's utilization reaches
-/// [`saturation_efficiency`]. `None` when the spec generates no traffic.
+/// the offered load at which the busiest channel's utilization reaches its
+/// calibrated efficiency. `None` when the spec generates no traffic.
 pub fn predict_app_saturation(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -639,11 +576,10 @@ impl ChannelLoad {
 /// The per-flow link-load map of the multi-application operating point
 /// `specs` — the public API the static admission pipeline's bandwidth
 /// feasibility check is built on. Every contended channel appears with
-/// its class-split utilization (stage 2 of the model, no queueing), in
-/// deterministic [`Link`] order. A channel with `rho_total() > 1` is
-/// physically over-subscribed (the over-subscribed-region rejection);
-/// one above `capacity` but below 1 is feasible only past the calibrated
-/// knee (admitted-with-warning).
+/// its class-split utilization, in deterministic [`Link`] order. A channel
+/// with `rho_total() > 1` is physically over-subscribed (the
+/// over-subscribed-region rejection); one above `capacity` but below 1 is
+/// feasible only past the calibrated knee (admitted-with-warning).
 pub fn link_load_map(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -665,58 +601,6 @@ pub fn link_load_map(
             rho_foreign: load.rho[1],
             capacity: link_efficiency(cfg, link),
         })
-        .collect()
-}
-
-/// Predicted mean packet latency per application (cycles, injection to
-/// ejection) for the multi-application operating point `specs` under
-/// `routing` and priority `mode`. `per_app[a]` is `None` for silent
-/// applications and `Some(f64::INFINITY)` when any channel on the
-/// application's routes is saturated.
-pub fn predict_latencies(
-    cfg: &SimConfig,
-    region: &RegionMap,
-    specs: &[Option<AppSpec>],
-    routing: RoutingKind,
-    mode: PriorityMode,
-) -> Vec<Option<f64>> {
-    assert_eq!(specs.len(), region.num_apps());
-    let mut flows = Vec::new();
-    for (a, spec) in specs.iter().enumerate() {
-        if let Some(s) = spec {
-            app_flows(cfg, region, a as AppId, s, &mut flows);
-        }
-    }
-    let loads = link_loads(cfg, region, &flows, routing.style());
-    let mut lat_sum = vec![0.0_f64; specs.len()];
-    let mut rate_sum = vec![0.0_f64; specs.len()];
-    let mut route = Vec::new();
-    for f in &flows {
-        route.clear();
-        route_distribution(cfg, f.src, f.dst, routing.style(), &mut route);
-        // Every minimal route has the same hop count; the adaptive split
-        // only redistributes which channels are crossed.
-        let hops: f64 = route
-            .iter()
-            .filter(|(l, _)| matches!(l, Link::Hop(_, _)))
-            .map(|&(_, w)| w)
-            .sum();
-        // Zero-load pipeline: every router on the path (hops + the
-        // ejecting router) plus link traversals plus serialization of
-        // the body flits; then the expected queueing wait at each
-        // channel, weighted by the probability of crossing it.
-        let mut lat = (hops + 1.0) * ROUTER_LATENCY + hops * LINK_LATENCY + (f.mean - 1.0);
-        for &(link, w) in &route {
-            let load = &loads[&link];
-            lat += w * wait_at(load, native_at(cfg, region, link, f.app), mode);
-        }
-        lat_sum[f.app as usize] += f.pkt_rate * lat;
-        rate_sum[f.app as usize] += f.pkt_rate;
-    }
-    lat_sum
-        .iter()
-        .zip(&rate_sum)
-        .map(|(&l, &r)| (r > 0.0).then(|| l / r))
         .collect()
 }
 
@@ -823,22 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn mg1_waits_are_ordered_and_blow_up() {
-        // High class never waits longer than low; both grow with load.
-        let resid = 1.3;
-        let (rho_h, rho_l) = (0.4, 0.3);
-        let wh = mg1_priority_wait(resid, rho_h, rho_h + rho_l, true);
-        let wl = mg1_priority_wait(resid, rho_h, rho_h + rho_l, false);
-        assert!(wh > 0.0 && wl > wh, "wh={wh} wl={wl}");
-        // Single-class (P-K) lies between the two priority classes.
-        let w = mg1_priority_wait(resid, 0.0, rho_h + rho_l, false);
-        assert!(wh < w && w < wl);
-        // Saturated channels return infinity rather than negative waits.
-        assert!(mg1_priority_wait(resid, 1.0, 1.0, true).is_infinite());
-        assert!(mg1_priority_wait(resid, 0.2, 1.0, false).is_infinite());
-    }
-
-    #[test]
     fn saturation_prediction_plausible_on_halves() {
         let c = cfg();
         let region = RegionMap::halves(&c);
@@ -871,61 +739,6 @@ mod tests {
             .unwrap()
             .channel_load;
         assert!(ada <= dor + 1e-9, "adaptive {ada} vs dor {dor}");
-    }
-
-    #[test]
-    fn latency_is_monotone_in_load_and_prioritizes_native() {
-        let c = cfg();
-        let region = RegionMap::halves(&c);
-        // App 0 sends 40% of its traffic into app 1's region; app 1 idles
-        // at a low intra load. Foreign traffic crosses app 1's channels.
-        let specs_at = |rate: f64| {
-            vec![
-                Some(AppSpec::with_inter(rate, 0.4, InterDest::Region(1))),
-                Some(AppSpec::intra_only(0.05)),
-            ]
-        };
-        let mut prev = 0.0;
-        for rate in [0.05, 0.15, 0.25, 0.35] {
-            let lat = predict_latencies(
-                &c,
-                &region,
-                &specs_at(rate),
-                RoutingKind::Adaptive,
-                PriorityMode::None,
-            );
-            let l0 = lat[0].unwrap();
-            assert!(l0 >= prev, "latency not monotone at {rate}: {l0} < {prev}");
-            prev = l0;
-        }
-        // Under native-high priority, app 1 (native everywhere it travels)
-        // beats its own single-class latency; the invader pays.
-        let specs = specs_at(0.3);
-        let none = predict_latencies(
-            &c,
-            &region,
-            &specs,
-            RoutingKind::Adaptive,
-            PriorityMode::None,
-        );
-        let native = predict_latencies(
-            &c,
-            &region,
-            &specs,
-            RoutingKind::Adaptive,
-            PriorityMode::NativeHigh,
-        );
-        assert!(native[1].unwrap() <= none[1].unwrap() + 1e-9);
-        assert!(native[0].unwrap() >= none[0].unwrap() - 1e-9);
-        // Silent app slots predict no latency.
-        let lat = predict_latencies(
-            &c,
-            &region,
-            &[Some(AppSpec::intra_only(0.2)), None],
-            RoutingKind::Adaptive,
-            PriorityMode::NativeHigh,
-        );
-        assert!(lat[0].is_some() && lat[1].is_none());
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Cross-validation of the analytical model against the simulator, plus
-//! the model-sanity suite. CI runs this in release under `RAIR_ORACLE=1`
-//! so every probe simulation executed here is also oracle-checked.
+//! Cross-validation of the analytical model against the simulator. CI runs
+//! this in release under `RAIR_ORACLE=1` so every probe simulation executed
+//! here is also oracle-checked.
 
-use model::{predict_app_saturation, predict_latencies, warm_hint, PriorityMode, RoutingKind};
+use model::{predict_app_saturation, warm_hint, RoutingKind};
 use noc_sim::config::SimConfig;
 use noc_sim::region::RegionMap;
 use noc_sim::topology::TopologyKind;
 use rair::scheme::Routing;
 use traffic::saturation::{app_saturation_traced, SaturationProbe};
-use traffic::scenario::{AppSpec, InterDest};
+use traffic::scenario::AppSpec;
 
 fn kind_of(r: Routing) -> RoutingKind {
     match r {
@@ -97,90 +97,4 @@ fn predicted_saturation_tracks_the_simulator_on_table1_configs() {
             "{label}: predicted {pred:.4} vs measured {measured:.4} (rel {rel:+.3})"
         );
     }
-}
-
-/// Sanity: predicted latency is finite, above the zero-load floor, and
-/// non-decreasing in offered load up to near saturation.
-#[test]
-fn predicted_latency_is_monotone_in_load() {
-    let cfg = SimConfig::table1();
-    let region = RegionMap::halves(&cfg);
-    let sat = predict_app_saturation(
-        &cfg,
-        &region,
-        0,
-        &AppSpec::intra_only(0.0),
-        RoutingKind::Adaptive,
-    )
-    .unwrap()
-    .load;
-    let mut prev = 0.0;
-    for frac in [0.1, 0.3, 0.5, 0.7, 0.85] {
-        let specs = vec![
-            Some(AppSpec::intra_only(frac * sat)),
-            Some(AppSpec::intra_only(frac * sat)),
-        ];
-        let lat = predict_latencies(
-            &cfg,
-            &region,
-            &specs,
-            RoutingKind::Adaptive,
-            PriorityMode::None,
-        )[0]
-        .expect("latency defined below saturation");
-        assert!(lat.is_finite() && lat > 10.0, "frac {frac}: latency {lat}");
-        assert!(
-            lat >= prev,
-            "latency fell from {prev} to {lat} at frac {frac}"
-        );
-        prev = lat;
-    }
-}
-
-/// Sanity: under RAIR's native-high priority, the region's native
-/// application never predicts worse latency than under round-robin, and
-/// the foreign (cross-region) application never predicts better — priority
-/// moves queueing delay from native onto foreign traffic at shared links.
-#[test]
-fn priority_shifts_predicted_waiting_from_native_to_foreign() {
-    let cfg = SimConfig::table1();
-    let region = RegionMap::halves(&cfg);
-    let sat = predict_app_saturation(
-        &cfg,
-        &region,
-        0,
-        &AppSpec::intra_only(0.0),
-        RoutingKind::Adaptive,
-    )
-    .unwrap()
-    .load;
-    let rate = 0.6 * sat;
-    // App 0 pushes 40% of its load into app 1's region; app 1 stays home.
-    let specs = vec![
-        Some(AppSpec::with_inter(rate, 0.4, InterDest::Region(1))),
-        Some(AppSpec::intra_only(rate)),
-    ];
-    let base = predict_latencies(
-        &cfg,
-        &region,
-        &specs,
-        RoutingKind::Adaptive,
-        PriorityMode::None,
-    );
-    let prio = predict_latencies(
-        &cfg,
-        &region,
-        &specs,
-        RoutingKind::Adaptive,
-        PriorityMode::NativeHigh,
-    );
-    let (b0, b1) = (base[0].unwrap(), base[1].unwrap());
-    let (p0, p1) = (prio[0].unwrap(), prio[1].unwrap());
-    assert!(p1 <= b1 + 1e-9, "native app got worse: {b1} -> {p1}");
-    assert!(p0 >= b0 - 1e-9, "foreign app got better: {b0} -> {p0}");
-    // And the shift is real at this load, not a degenerate equality.
-    assert!(
-        p0 > b0 || p1 < b1,
-        "priority had no predicted effect at 60% saturation"
-    );
 }

@@ -18,7 +18,6 @@ fn ec() -> ExpConfig {
         seed: 0xFEED,
         quick: true,
         cycle_budget: None,
-        prune: false,
     }
 }
 
@@ -156,7 +155,6 @@ fn fig17_shape_rair_protects_against_adversary() {
         seed: 0xFEED,
         quick: true,
         cycle_budget: None,
-        prune: false,
     };
     let cfg = SimConfig::table1_req_reply();
     let region = RegionMap::quadrants(&cfg);
