@@ -34,11 +34,11 @@ impl TrafficSource for Flood {
 }
 
 /// A fresh single-region mesh driven by `Flood { rate }` (or idle when
-/// `rate == 0.0`), optionally forced onto the exhaustive-scan tick path.
+/// `rate == 0.0`).
 /// `oracle`: `None` = build-default resolution, `Some(false)` = explicitly
 /// disabled (the zero-cost early-out), `Some(true)` = forced per-cycle
 /// checking.
-fn flood_net_oracle(rate: f64, exhaustive: bool, oracle: Option<bool>) -> Network {
+fn flood_net_oracle(rate: f64, oracle: Option<bool>) -> Network {
     let mut cfg = SimConfig::table1();
     match oracle {
         Some(true) => cfg.oracle = OracleConfig::forced(),
@@ -50,20 +50,18 @@ fn flood_net_oracle(rate: f64, exhaustive: bool, oracle: Option<bool>) -> Networ
     } else {
         Box::new(NoTraffic)
     };
-    let mut net = Network::new(
+    Network::new(
         cfg,
         RegionMap::single(&SimConfig::table1()),
         Box::new(DuatoLocalAdaptive),
         Box::new(RoundRobin),
         source,
         1,
-    );
-    net.set_force_exhaustive(exhaustive);
-    net
+    )
 }
 
-fn flood_net(rate: f64, exhaustive: bool) -> Network {
-    flood_net_oracle(rate, exhaustive, None)
+fn flood_net(rate: f64) -> Network {
+    flood_net_oracle(rate, None)
 }
 
 /// The flood mesh with the transient-fault machinery live at `ber` (no
@@ -75,21 +73,19 @@ fn flood_net_fault(rate: f64, ber: f64) -> Network {
         seed: 7,
         events: Vec::new(),
     };
-    let mut net = Network::new(
+    Network::new(
         cfg,
         RegionMap::single(&SimConfig::table1()),
         Box::new(DuatoLocalAdaptive),
         Box::new(RoundRobin),
         Box::new(Flood { rate }),
         1,
-    );
-    net.set_force_exhaustive(false);
-    net
+    )
 }
 
 /// Print what the kernel fast paths elide at this load.
 fn report_skip(label: &str, rate: f64) {
-    let mut net = flood_net(rate, false);
+    let mut net = flood_net(rate);
     net.run(1_000);
     let visits = net.cycle() * net.cfg.num_nodes() as u64;
     eprintln!(
@@ -133,13 +129,15 @@ fn micro(c: &mut Criterion) {
             net.cycle()
         });
     });
-    // The same idle mesh with the fast-forward disabled: measures what the
-    // event-driven jump saves over plain (active-set) ticking.
+    // The same idle mesh ticked cycle by cycle (only `run` jumps the clock):
+    // measures what the event-driven jump saves over plain (active-set)
+    // ticking.
     g.bench_function("idle_1k_cycles_no_ff", |b| {
         b.iter(|| {
-            let mut net = flood_net(0.0, false);
-            net.set_fast_forward(false);
-            net.run(1_000);
+            let mut net = flood_net(0.0);
+            for _ in 0..1_000 {
+                net.tick();
+            }
             net.cycle()
         });
     });
@@ -158,26 +156,22 @@ fn micro(c: &mut Criterion) {
             net.stats.recorder.delivered()
         });
     });
-    // The acceptance pair for the active-set fast path: at ~5% of
-    // saturation the fast tick must beat the exhaustive scan by >=2x; at
-    // ~80% load it must stay within 5%.
+    // The tick at ~5% and ~80% of saturation.
     for (label, rate) in [("low_load", LOW_RATE), ("high_load", HIGH_RATE)] {
-        for (mode, exhaustive) in [("fast", false), ("exhaustive", true)] {
-            g.bench_function(&format!("tick_1k_{label}_{mode}"), |b| {
-                b.iter(|| {
-                    let mut net = flood_net(rate, exhaustive);
-                    net.run(1_000);
-                    net.stats.recorder.delivered()
-                });
+        g.bench_function(&format!("tick_1k_{label}_fast"), |b| {
+            b.iter(|| {
+                let mut net = flood_net(rate);
+                net.run(1_000);
+                net.stats.recorder.delivered()
             });
-        }
+        });
         // The oracle cost model: explicitly disabled must be within noise
         // of the build default (one null-check per tick); forced per-cycle
         // checking shows the full instrumentation cost.
         for (mode, oracle) in [("oracle_off", Some(false)), ("oracle_forced", Some(true))] {
             g.bench_function(&format!("tick_1k_{label}_{mode}"), |b| {
                 b.iter(|| {
-                    let mut net = flood_net_oracle(rate, false, oracle);
+                    let mut net = flood_net_oracle(rate, oracle);
                     net.run(1_000);
                     net.stats.recorder.delivered()
                 });

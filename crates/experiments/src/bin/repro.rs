@@ -65,11 +65,14 @@ struct Flag {
     help: &'static str,
 }
 
-/// A zero measurement window would make every APL 0/0.
+/// A zero measurement window would make every APL 0/0, and a pair whose
+/// sum overflows has no end cycle.
 fn set_windows(o: &mut Opts, v: &str) -> Option<()> {
     let (w, m) = v.split_once(',')?;
-    o.ec.measure = m.trim().parse().ok().filter(|&m| m > 0)?;
-    o.ec.warmup = w.trim().parse().ok()?;
+    let m: u64 = m.trim().parse().ok().filter(|&m| m > 0)?;
+    let w: u64 = w.trim().parse().ok()?;
+    w.checked_add(m)?;
+    (o.ec.warmup, o.ec.measure) = (w, m);
     Some(())
 }
 
@@ -78,7 +81,7 @@ fn set_windows(o: &mut Opts, v: &str) -> Option<()> {
 const FLAGS: &[Flag] = &[
     Flag { name: "--quick", scope: Row, kind: Switch(|o| o.ec = ExpConfig::quick()), help: "2 000 + 15 000-cycle windows instead of the paper's 10K + 100K" },
     Flag { name: "--smoke", scope: Row, kind: Switch(|o| (o.ec, o.smoke) = (ExpConfig::quick(), true)), help: "CI-sized: --quick windows, and a reduced matrix where one exists" },
-    Flag { name: "--windows", scope: Row, kind: Valued("W,M", "WARMUP,MEASURE cycles (MEASURE > 0)", set_windows), help: "explicit warmup,measure windows" },
+    Flag { name: "--windows", scope: Row, kind: Valued("W,M", "WARMUP,MEASURE cycles (MEASURE > 0, WARMUP + MEASURE < 2^64)", set_windows), help: "explicit warmup,measure windows" },
     Flag { name: "--seed", scope: Row, kind: Valued("N", "an integer", |o, v| v.parse().ok().map(|n| o.ec.seed = n)), help: "seed of every random stream" },
     // Every Network resolves the toggle through SimConfig::oracle / RAIR_ORACLE, so the env var reaches all drivers.
     Flag { name: "--oracle", scope: Row, kind: Switch(|_| std::env::set_var("RAIR_ORACLE", "1")), help: "force the invariant oracle on in every simulation (as RAIR_ORACLE=1)" },

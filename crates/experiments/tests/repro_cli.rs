@@ -48,20 +48,29 @@ fn seed_requires_value() {
 
 /// A zero measurement window makes every APL 0/0; `--windows` must reject
 /// it (and malformed pairs) up front instead of printing a table of NaN.
+/// So must a pair whose sum passes `u64::MAX`: the end cycle used to panic
+/// in debug builds and wrap to a 0-cycle capture in release.
 #[test]
 fn windows_rejects_zero_measure_and_malformed_pairs() {
-    for bad in ["100,0", "100", "100,x", ",50"] {
+    for bad in ["100,0", "100", "100,x", ",50", "18446744073709551615,1"] {
         let out = repro()
-            .args(["--quick", "--windows", bad, "fig9"])
+            .args(["--quick", "--windows", bad, "trace-demo"])
             .output()
             .unwrap();
-        assert!(!out.status.success(), "`--windows {bad}` must be rejected");
+        assert_eq!(out.status.code(), Some(1), "`--windows {bad}`");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
             err.contains("--windows needs WARMUP,MEASURE") && err.contains("usage:"),
             "`{bad}`: {err}"
         );
+        assert!(out.stdout.is_empty(), "`{bad}` printed results");
     }
+    // The largest pair that still has an end cycle parses.
+    let out = repro()
+        .args(["--windows", "18446744073709551614,1", "--help"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
 }
 
 #[test]

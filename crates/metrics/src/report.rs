@@ -253,7 +253,7 @@ impl Table {
 /// One-line summary of the simulator's kernel fast paths: what fraction of
 /// router×phase visits and end-of-cycle state updates were elided, and how
 /// many whole cycles the idle fast-forward jumped over without ticking.
-/// `phase_visits` / `state_updates` are the exhaustive-scan totals
+/// `phase_visits` / `state_updates` are the plain-scan totals
 /// (`cycles × routers × phases` and `cycles × routers`); `cycles` is the
 /// total simulated span including fast-forwarded cycles.
 pub fn kernel_summary(

@@ -60,8 +60,8 @@ pub struct ArbReq {
 /// [`priority`](Self::priority) is called for the members of an SA_in,
 /// SA_out or VA_out request set with two or more requests, and never for a
 /// lone request (which wins whatever its priority —
-/// `lone_request_wins_at_any_priority_and_pointer`); the exhaustive
-/// diagnostic mode calls it for every request, and the two must simulate
+/// `lone_request_wins_at_any_priority_and_pointer`); the tests' reference
+/// kernel calls it for every request, and the two must simulate
 /// identically. `priority` must therefore be a *pure function* of its
 /// arguments and the policy's own state as of the last
 /// [`update_router`](Self::update_router): no side effect the simulation

@@ -32,23 +32,21 @@
 //! The network maintains, incrementally at those points, the routers'
 //! occupancy bitmaps ([`Router::occ_bits`] and its siblings) and a
 //! network-wide bitmask of non-empty routers; the SA, VA and RC phases then
-//! walk the set bits of that mask (ascending, the exhaustive-scan order) and,
-//! inside a router, the set bits of the bitmap naming the VCs in the state
+//! walk the set bits of that mask (ascending, index order) and, inside a
+//! router, the set bits of the bitmap naming the VCs in the state
 //! the phase serves, and the end-of-cycle state update walks the set bits
 //! of the dirty mask — routers whose inputs did not change are skipped
 //! (unless analysis is on or the policy's update is not idempotent). A
 //! skipped router or VC contributes no candidates and mutates no arbiter
-//! pointer, so the fast path is bit-identical to the exhaustive scan —
-//! enforced by a debug-build self-check each cycle and the
-//! [`set_force_exhaustive`] diagnostic switch, which widens every mask to
-//! all routers / all VC slots and reads each predicate from the VC itself
-//! ([`SimStats::router_cycles_skipped`] and
+//! pointer, so the fast path is bit-identical to a plain scan — enforced by
+//! a debug-build self-check each cycle and by the tests' reference kernel
+//! (the `reference` child module), which scans everything and reads none of
+//! the masks ([`SimStats::router_cycles_skipped`] and
 //! [`SimStats::state_updates_skipped`] count the elided work). The same
 //! rule — pay only for what happens — holds off the router masks: the
 //! injection phase visits only the nodes whose source promised an arrival
 //! ([`TrafficSource::next_poll`]) and the NIs of the NI active set, and
-//! SA/VA ask the policy for priorities only where two or more requests meet;
-//! exhaustive mode visits every node and asks about every request.
+//! SA/VA ask the policy for priorities only where two or more requests meet.
 //!
 //! A steady-state tick allocates nothing: arbitration request sets live on
 //! the stack, the link, credit and ejection registers are drained in place,
@@ -69,7 +67,6 @@
 //! [`SimStats::idle_cycles_skipped`] counts the elided cycles; results are
 //! bit-identical to plain ticking (see `tests/fast_forward.rs`).
 //!
-//! [`set_force_exhaustive`]: Network::set_force_exhaustive
 //! [`TrafficSource::next_injection_cycle`]: crate::source::TrafficSource::next_injection_cycle
 //! [`TrafficSource::next_poll`]: crate::source::TrafficSource::next_poll
 
@@ -98,6 +95,8 @@ use crate::vc::{VcClass, VcState, VcTag};
 use crate::verify::MAX_RECORDED_VIOLATIONS;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+mod reference;
 
 /// A flit in flight on a link, delivered at cycle `arrive` (the next cycle,
 /// except under link-level retransmission delay — see `sa_phase`).
@@ -152,17 +151,6 @@ fn link_table(cfg: &SimConfig) -> Box<[[LinkEnd; NUM_PORTS]]> {
 #[inline]
 fn full_word(w: usize, n: usize) -> u64 {
     low_bits((n - w * 64).min(64))
-}
-
-/// The `w`-th word of the routers a phase visits: the set bits of `mask`,
-/// or — in exhaustive mode — every one of the `n` routers.
-#[inline]
-fn visit_word(mask: &[u64], w: usize, n: usize, exhaustive: bool) -> u64 {
-    if exhaustive {
-        full_word(w, n)
-    } else {
-        mask[w]
-    }
 }
 
 /// Number of the `n` routers absent from `mask`.
@@ -230,13 +218,6 @@ pub struct Network {
     /// Router coordinate of every node ([`SimConfig::coord_of`] evaluated
     /// once — RC and VA_in look destinations up instead of dividing).
     node_coord: Box<[Coord]>,
-    /// Diagnostic switch: iterate every router and NI in every phase, ask
-    /// the policy about every request and never skip state updates. Must be
-    /// bit-identical to the fast path.
-    force_exhaustive: bool,
-    /// Idle fast-forward switch (on by default; `set_fast_forward(false)`
-    /// forces one `tick()` per cycle so tests can prove bit-identity).
-    fast_forward: bool,
     /// Cached `policy.update_is_idempotent()` (fast-forward precondition:
     /// a non-idempotent policy mutates router state even on idle cycles).
     policy_idempotent: bool,
@@ -352,29 +333,9 @@ impl Network {
             node_coord: (0..cfg.num_nodes())
                 .map(|i| cfg.coord_of(i as NodeId))
                 .collect(),
-            force_exhaustive: false,
-            fast_forward: true,
             policy_idempotent,
             cfg,
         }
-    }
-
-    /// Enable (`true`, the default) or disable the idle fast-forward, which
-    /// jumps the clock over provably-empty cycles in [`Network::run`].
-    /// Results are bit-identical either way — this switch exists so tests
-    /// and benches can prove it.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on;
-    }
-
-    /// Disable (`true`) or re-enable (`false`) the active-set fast path.
-    /// The exhaustive scan visits every router and polls every NI in every
-    /// phase, asks the policy for the priority of every arbitration request
-    /// (not only contested ones) and performs every state update; results
-    /// are bit-identical either way — this switch exists so tests and
-    /// benches can prove it.
-    pub fn set_force_exhaustive(&mut self, exhaustive: bool) {
-        self.force_exhaustive = exhaustive;
     }
 
     /// Number of routers currently holding at least one occupied input VC —
@@ -808,7 +769,8 @@ impl Network {
     }
 
     /// Run `cycles` cycles, fast-forwarding over provably-empty stretches
-    /// (see the module docs; disable with [`Network::set_fast_forward`]).
+    /// (see the module docs) — the only place the clock jumps; a loop of
+    /// [`Network::tick`] is the plain twin.
     pub fn run(&mut self, cycles: u64) {
         let end = self.cycle + cycles;
         while self.cycle < end {
@@ -825,12 +787,7 @@ impl Network {
     /// run-window end, the source's next injection and the next ready reply.
     /// `None` ⇒ this cycle must be ticked normally.
     fn fast_forward_target(&self, end: u64) -> Option<u64> {
-        if !self.fast_forward
-            || self.force_exhaustive
-            || self.analysis.is_some()
-            || !self.policy_idempotent
-            || self.fault.is_some()
-        {
+        if self.analysis.is_some() || !self.policy_idempotent || self.fault.is_some() {
             // An active fault timeline disables fast-forward outright:
             // scheduled events, retransmission arrivals, sweeps and retry
             // backoffs are all cycle-addressed side channels the idle proof
@@ -1066,41 +1023,31 @@ impl Network {
             fault,
             active_mask,
             dirty_mask,
-            force_exhaustive,
             ..
         } = self;
-        let (cycle, exhaustive) = (*cycle, *force_exhaustive);
-        let n = routers.len();
+        let cycle = *cycle;
         let v = cfg.vcs_per_port();
         let port_mask = low_bits(v);
         // Active-set fast path: an empty router contributes no SA candidate
         // and mutates no arbiter pointer. (A visit clears at most its own
         // router's bit, so reading each word as the walk reaches it sees
         // the mask as of the start of the phase.)
-        if !exhaustive {
-            stats.router_cycles_skipped += unset(active_mask, n);
-        }
+        stats.router_cycles_skipped += unset(active_mask, routers.len());
         // On-stack request sets, reused by every arbitration of the phase:
         // `(priority, slot key)` pairs, and per SA_in request the output VC
         // it asks for.
         let mut reqs = [(0u64, 0usize); MAX_VCS];
         let mut wants = [(0, 0); MAX_VCS];
         for w in 0..active_mask.len() {
-            for b in set_bits(visit_word(active_mask, w, n, exhaustive)) {
+            for b in set_bits(active_mask[w]) {
                 let r_idx = w * 64 + b;
                 // Fault injection: a frozen switch allocator grants nothing.
                 if fault_frozen.as_deref().is_some_and(|f| f[r_idx]) {
                     continue;
                 }
                 let r = &mut routers[r_idx];
-                // Every SA candidate is an Active VC; exhaustive mode
-                // widens the walk to every slot without changing any
-                // predicate.
-                let served = if exhaustive {
-                    r.valid_vc_mask()
-                } else {
-                    r.active_bits
-                };
+                // Every SA candidate is an Active VC.
+                let served = r.active_bits;
                 // SA_in: one winner `(in_vc, out_vc)` per input port; bit
                 // `out_port * NUM_PORTS + in_port` of `out_reqs` says what it asks.
                 let mut sa_in_winners = [(0usize, 0usize); NUM_PORTS];
@@ -1124,7 +1071,7 @@ impl Network {
                     if k == 0 {
                         continue;
                     }
-                    if k > 1 || exhaustive {
+                    if k > 1 {
                         for q in &mut reqs[..k] {
                             q.0 = front_priority(&**policy, ArbStage::SaIn, r, None, in_port, q.1);
                         }
@@ -1155,7 +1102,7 @@ impl Network {
                     if k == 0 {
                         continue;
                     }
-                    if k > 1 || exhaustive {
+                    if k > 1 {
                         for q in &mut reqs[..k] {
                             let in_vc = sa_in_winners[q.1].0;
                             q.0 = front_priority(&**policy, ArbStage::SaOut, r, None, q.1, in_vc);
@@ -1294,30 +1241,20 @@ impl Network {
             congestion,
             stats,
             active_mask,
-            force_exhaustive,
             ..
         } = self;
-        let exhaustive = *force_exhaustive;
-        let n = routers.len();
         let v = cfg.vcs_per_port();
-        if !exhaustive {
-            stats.router_cycles_skipped += unset(active_mask, n);
-        }
+        stats.router_cycles_skipped += unset(active_mask, routers.len());
         // On-stack request sets, reused by every router of the phase.
         let mut va = [VaReq::default(); MAX_SLOTS];
         let mut reqs = [(0u64, 0usize); MAX_SLOTS];
-        for w in 0..active_mask.len() {
-            for b in set_bits(visit_word(active_mask, w, n, exhaustive)) {
+        for (w, &word) in active_mask.iter().enumerate() {
+            for b in set_bits(word) {
                 let r = &mut routers[w * 64 + b];
                 // Shared pass: VA_in — each Routed input VC picks one
                 // request.
-                let served = if exhaustive {
-                    r.valid_vc_mask()
-                } else {
-                    r.routed_bits
-                };
                 let mut k = 0;
-                for slot in set_bits(served) {
+                for slot in set_bits(r.routed_bits) {
                     let inp = r.port_vc(slot);
                     let ivc = r.ivc(inp.0, inp.1);
                     let VcState::Routed {
@@ -1356,7 +1293,7 @@ impl Network {
                 va.sort_unstable_by_key(|q| q.out);
                 for group in va.chunk_by(|a, b| a.out == b.out) {
                     let (out_port, out_vc) = group[0].out;
-                    let contested = group.len() > 1 || exhaustive;
+                    let contested = group.len() > 1;
                     for (req, q) in reqs.iter_mut().zip(group) {
                         let (port, vc) = q.inp;
                         let prio = if contested {
@@ -1466,31 +1403,22 @@ impl Network {
             node_coord,
             stats,
             active_mask,
-            force_exhaustive,
             fault,
             ..
         } = self;
-        let exhaustive = *force_exhaustive;
         // After a permanent fault, route from the verified degraded table;
         // heads with no surviving path stay Idle (parked) until the
         // stranded sweep extracts them.
         let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
-        let n = routers.len();
-        if !exhaustive {
-            stats.router_cycles_skipped += unset(active_mask, n);
-        }
-        for w in 0..active_mask.len() {
-            for b in set_bits(visit_word(active_mask, w, n, exhaustive)) {
+        stats.router_cycles_skipped += unset(active_mask, routers.len());
+        for (w, &word) in active_mask.iter().enumerate() {
+            for b in set_bits(word) {
                 let r_idx = w * 64 + b;
                 let r = &mut routers[r_idx];
                 let cur = r.coord;
                 // A head awaiting RC sits in an occupied VC that is neither
                 // Routed nor Active.
-                let served = if exhaustive {
-                    r.valid_vc_mask()
-                } else {
-                    r.occ_bits & !(r.routed_bits | r.active_bits)
-                };
+                let served = r.occ_bits & !(r.routed_bits | r.active_bits);
                 for slot in set_bits(served) {
                     let (in_port, in_vc) = r.port_vc(slot);
                     let ivc = r.ivc(in_port, in_vc);
@@ -1550,9 +1478,7 @@ impl Network {
     /// on it) over the nodes with something to do: a node whose arrival
     /// promise is due is asked for its packet and its next promise; an NI of
     /// the NI active set releases its ready replies and retries and streams
-    /// one flit into its router's local input port. Exhaustive mode visits
-    /// every node and holds the source to its promise: a node not yet due
-    /// must answer `None`.
+    /// one flit into its router's local input port.
     fn inject_phase(&mut self) {
         let Network {
             cfg,
@@ -1569,12 +1495,11 @@ impl Network {
             ni_mask,
             next_poll,
             poll_min,
-            force_exhaustive,
             fault,
             rngs,
             ..
         } = self;
-        let (cycle, exhaustive) = (*cycle, *force_exhaustive);
+        let cycle = *cycle;
         let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
         let c = cfg.concentration();
         debug_assert_eq!(nodes.len(), routers.len() * c);
@@ -1585,25 +1510,22 @@ impl Network {
                     due |= u64::from(at <= cycle) << b;
                 }
             }
-            let visit = due | visit_word(ni_mask, word, nodes.len(), exhaustive);
-            for b in set_bits(visit) {
+            for b in set_bits(due | ni_mask[word]) {
                 let (i, bit) = (word * 64 + b, 1u64 << b);
                 let (id, node, rng) = (i as NodeId, &mut nodes[i], &mut rngs[i]);
-                if exhaustive || ni_mask[word] & bit != 0 {
+                if ni_mask[word] & bit != 0 {
                     node.release_replies(cycle);
                     node.release_retries(cycle);
                 }
-                let is_due = due & bit != 0;
-                let np = (exhaustive || is_due).then(|| source.generate(id, cycle, rng));
-                if is_due {
+                let mut np = None;
+                if due & bit != 0 {
+                    np = source.generate(id, cycle, rng);
                     polls[b] = source.next_poll(id, cycle + 1, rng);
                 }
-                if let Some(np) = np.flatten() {
+                if let Some(np) = np {
                     // The source is external code whose contract violations
                     // must surface in release runs too — the one legitimate
                     // abort in a pipeline phase.
-                    // lint: allow(panic-in-hot-path)
-                    assert!(is_due, "source broke its promise at node {id}");
                     // lint: allow(panic-in-hot-path)
                     assert_ne!(np.dst, id, "source generated self-addressed packet");
                     // lint: allow(panic-in-hot-path)
@@ -1637,7 +1559,7 @@ impl Network {
                         *next_pkt_id += 1;
                     }
                 }
-                if !exhaustive && ni_mask[word] & bit == 0 {
+                if ni_mask[word] & bit == 0 {
                     continue;
                 }
                 let r_idx = i / c;
@@ -1692,17 +1614,20 @@ impl Network {
             analysis,
             stats,
             dirty_mask,
-            force_exhaustive,
             policy_idempotent,
             ..
         } = self;
-        let may_skip = !*force_exhaustive && analysis.is_none() && *policy_idempotent;
+        let may_skip = analysis.is_none() && *policy_idempotent;
         let n = routers.len();
         if may_skip {
             stats.state_updates_skipped += unset(dirty_mask, n);
         }
         for w in 0..dirty_mask.len() {
-            let word = visit_word(dirty_mask, w, n, !may_skip);
+            let word = if may_skip {
+                dirty_mask[w]
+            } else {
+                full_word(w, n)
+            };
             // Clean between ticks — the fast-forward precondition.
             dirty_mask[w] = 0;
             for b in set_bits(word) {
@@ -1809,7 +1734,7 @@ impl Network {
 
 /// The policy's priority for the flit at the front of input VC
 /// `(port, vc)` of `r` — asked only for the members of a contested request
-/// set (or of every set in exhaustive mode).
+/// set.
 #[inline]
 fn front_priority(
     policy: &dyn PriorityPolicy,

@@ -209,12 +209,6 @@ impl Router {
         1u64 << self.slot(port, vc)
     }
 
-    /// Mask of all valid VC slots (low `NUM_PORTS * vcs` bits).
-    #[inline]
-    pub fn valid_vc_mask(&self) -> u64 {
-        low_bits(NUM_PORTS * self.vcs)
-    }
-
     #[inline]
     fn view(&self, slot: usize) -> VcView<'_> {
         VcView {
@@ -516,6 +510,11 @@ mod tests {
         Router::new(&c, 9, c.coord_of(9), 1)
     }
 
+    /// Mask of all valid VC slots of `r`.
+    fn valid_vc_mask(r: &Router) -> u64 {
+        low_bits(NUM_PORTS * r.vcs)
+    }
+
     fn put_flit(r: &mut Router, port: Port, vc: usize, app: AppId) {
         let info = PacketInfo {
             id: 0,
@@ -549,11 +548,9 @@ mod tests {
         assert_eq!(c.vcs_per_port(), 12);
         assert_eq!(NUM_PORTS * c.vcs_per_port(), 60);
         let r = Router::new(&c, 0, c.coord_of(0), 0);
-        assert_eq!(r.valid_vc_mask(), crate::bits::low_bits(60));
-        assert_eq!(r.valid_vc_mask().count_ones(), 60);
-        assert_eq!(r.out_free, r.valid_vc_mask());
-        assert_eq!(r.credits_full, r.valid_vc_mask());
-        assert_eq!(r.adaptive_mask & !r.valid_vc_mask(), 0);
+        assert_eq!(r.out_free, valid_vc_mask(&r));
+        assert_eq!(r.credits_full, valid_vc_mask(&r));
+        assert_eq!(r.adaptive_mask & !valid_vc_mask(&r), 0);
         assert_eq!(r.adaptive_mask.count_ones(), 20);
         // The highest valid slot is bit 59; its single-bit mask is exact.
         assert_eq!(r.vc_bit(NUM_PORTS - 1, c.vcs_per_port() - 1), 1u64 << 59);
@@ -572,7 +569,7 @@ mod tests {
         let r = mk();
         let c = cfg();
         assert!(r.is_idle());
-        assert_eq!(r.allocatable_mask(), r.valid_vc_mask());
+        assert_eq!(r.allocatable_mask(), valid_vc_mask(&r));
         for p in 0..NUM_PORTS {
             for v in 0..c.vcs_per_port() {
                 assert!(r.has_credit(p, v));
@@ -635,7 +632,7 @@ mod tests {
         let c = cfg();
         assert_eq!(r.bookkeeping_drift(), None);
         assert_eq!(r.occ_bits, 0);
-        assert_eq!(r.out_free, r.valid_vc_mask());
+        assert_eq!(r.out_free, valid_vc_mask(&r));
 
         put_flit(&mut r, 1, 2, 0);
         put_flit(&mut r, 3, 0, 1);

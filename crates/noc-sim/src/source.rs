@@ -37,10 +37,8 @@ pub trait TrafficSource: Send {
     /// The per-node arrival promise. The driver has just called
     /// `generate(node, after - 1, ..)`; return the earliest cycle
     /// `c >= after` at which `generate(node, c, ..)` may return a packet or
-    /// have any side effect. The driver then leaves `node` alone until `c`,
-    /// and a `generate(node, earlier, ..)` it makes all the same (the
-    /// network's exhaustive mode does, to check the promise) must return
-    /// `None` and change nothing. `u64::MAX` means never again.
+    /// have any side effect. The driver then leaves `node` alone until `c`.
+    /// `u64::MAX` means never again.
     ///
     /// The precondition is one RNG stream per node, handed to both methods.
     /// An implementation may consume `rng` to find `c`, but only in the exact

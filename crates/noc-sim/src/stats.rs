@@ -28,7 +28,7 @@ pub struct SimStats {
     pub last_progress: u64,
     /// Router×phase visits elided by the active-set fast path (cumulative;
     /// up to 3 per router per cycle — SA, VA and RC each skip routers with
-    /// no occupied input VC). Zero when running force-exhaustive.
+    /// no occupied input VC).
     pub router_cycles_skipped: u64,
     /// Per-router end-of-cycle state updates elided because the router's
     /// occupancy was unchanged (cumulative).

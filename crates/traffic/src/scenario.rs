@@ -293,9 +293,10 @@ impl TrafficSource for Scenario {
 
     fn generate(&mut self, node: NodeId, cycle: u64, rng: &mut SmallRng) -> Option<NewPacket> {
         let ahead = &mut self.ahead[node as usize];
-        if cycle < ahead.until {
-            return None;
-        }
+        debug_assert!(
+            cycle >= ahead.until,
+            "node {node} polled before its promise"
+        );
         if let Some(kept) = ahead.kept.take() {
             debug_assert_eq!(cycle, ahead.until, "node {node} polled past its promise");
             return Some(kept);

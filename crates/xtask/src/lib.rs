@@ -27,6 +27,11 @@
 //! (`tests/alloc_free_tick.rs` measures it; this rule names the line that
 //! would break it).
 //!
+//! A fourth, file-scoped rule (`reference-in-production`, see
+//! [`REFERENCE_RULE`]) keeps the tests' reference kernel out of production:
+//! `tick_reference` / `run_reference` may be named only in the module that
+//! defines them, in `#[cfg(test)]` modules and under `tests/` / `benches/`.
+//!
 //! The issue asked for a `syn`-based AST pass; `syn` is not vendored in this
 //! offline build environment (and pulling it in would violate the
 //! no-new-dependencies constraint), so the lint is a hand-rolled
@@ -193,6 +198,24 @@ pub const DURABILITY_SCOPES: &[&str] = &[
     "crates/experiments/src/service",
 ];
 
+/// The reference-kernel rule: the plain-scan twin of the production tick
+/// exists for tests and benches to compare against, and the release binaries
+/// must not link it. Applied to the non-test code of [`REFERENCE_SCOPES`];
+/// the home module itself is exempt.
+pub const REFERENCE_RULE: Rule = Rule {
+    name: "reference-in-production",
+    tokens: &["tick_reference", "run_reference"],
+    why: "the reference kernel is the tests' twin; production code drives `tick` / `run`",
+};
+
+/// The one module allowed to name [`REFERENCE_RULE`]'s tokens outside tests.
+pub const REFERENCE_HOME: &str = "crates/noc-sim/src/network/reference.rs";
+
+/// Source trees held to [`REFERENCE_RULE`] (read-only for `rair-bench`):
+/// every `src` directory a production binary is built from. Integration
+/// tests and benches live outside them.
+pub const REFERENCE_SCOPES: &[&str] = &["crates", "rair-bench/src", "src"];
+
 /// One file whose named function bodies are held to function-scoped rules.
 pub struct HotPath {
     /// Path relative to the workspace root.
@@ -205,8 +228,10 @@ pub struct HotPath {
 
 /// The hot paths: the tick kernel's pipeline phases, what they call every
 /// tick (the scan is lexical, so a callee is only checked if it is listed) —
-/// the synthetic scenario's `generate` / `next_poll` included —, and the
-/// admission verifier's entry points. A listed file that cannot be
+/// the synthetic scenario's `generate` / `next_poll` included —, the
+/// admission verifier's entry points, and (panic rule only) the parsers of
+/// every file a user or a crash can produce. The reference kernel is not
+/// listed: it may allocate and `expect`. A listed file that cannot be
 /// read, or a listed function with no body in its file, is itself a finding
 /// — renaming or moving a hot path must update this list, not silently
 /// un-scan it.
@@ -269,6 +294,42 @@ pub const HOT_PATHS: &[HotPath] = &[
         ],
         rules: &[&PANIC_RULE],
     },
+    // Byte-level entry points: jobs files, the WAL, framed cache entries,
+    // checkpoint rows and trace files are errors when malformed, not panics.
+    HotPath {
+        file: "crates/experiments/src/service/serve.rs",
+        functions: &["parse", "parse_jobs", "resolve", "lookup"],
+        rules: &[&PANIC_RULE],
+    },
+    HotPath {
+        file: "crates/experiments/src/service/journal.rs",
+        functions: &["replay"],
+        rules: &[&PANIC_RULE],
+    },
+    HotPath {
+        file: "crates/experiments/src/service/store.rs",
+        functions: &["unframe", "read_entry"],
+        rules: &[&PANIC_RULE],
+    },
+    HotPath {
+        file: "crates/experiments/src/service/pool.rs",
+        functions: &["replay_jobs"],
+        rules: &[&PANIC_RULE],
+    },
+    HotPath {
+        file: "crates/experiments/src/runner.rs",
+        functions: &[
+            "parse_checkpoint_line",
+            "parse_latency_field",
+            "unesc_label",
+        ],
+        rules: &[&PANIC_RULE],
+    },
+    HotPath {
+        file: "crates/traffic/src/trace.rs",
+        functions: &["from_bytes", "checked"],
+        rules: &[&PANIC_RULE],
+    },
 ];
 
 /// Look up a rule by name.
@@ -279,6 +340,7 @@ pub fn rule(name: &str) -> Option<&'static Rule> {
         .or((PANIC_RULE.name == name).then_some(&PANIC_RULE))
         .or((ALLOC_RULE.name == name).then_some(&ALLOC_RULE))
         .or((SWALLOWED_IO_RULE.name == name).then_some(&SWALLOWED_IO_RULE))
+        .or((REFERENCE_RULE.name == name).then_some(&REFERENCE_RULE))
 }
 
 /// One lint finding: a banned token in a scanned file, or a listed hot path
@@ -580,10 +642,25 @@ fn record_allows(comment: &str, line: usize, allows: &mut [Vec<String>]) {
 
 /// Lint one source text against `rules`; `path` labels the findings.
 pub fn lint_source(path: &str, src: &str, rules: &[&Rule]) -> Vec<Finding> {
+    lint_source_outside(path, src, rules, |_| Vec::new())
+}
+
+/// [`lint_source`] over the tokens outside the half-open token-index spans
+/// `exempt` picks.
+fn lint_source_outside(
+    path: &str,
+    src: &str,
+    rules: &[&Rule],
+    exempt: impl Fn(&[Tok]) -> Vec<(usize, usize)>,
+) -> Vec<Finding> {
     let (toks, allows) = scan(src);
+    let exempt = exempt(&toks);
     let mut findings = Vec::new();
-    for t in &toks {
+    for (i, t) in toks.iter().enumerate() {
         let Tok::Ident(line, ident) = t else { continue };
+        if exempt.iter().any(|&(open, close)| open < i && i < close) {
+            continue;
+        }
         for r in rules {
             if r.tokens.contains(&ident.as_str())
                 && !allows
@@ -800,13 +877,72 @@ pub fn lint_durability_scopes(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in files {
         let src = std::fs::read_to_string(&f).unwrap_or_default();
-        let label = f
-            .strip_prefix(root)
-            .unwrap_or(&f)
-            .display()
-            .to_string()
-            .replace('\\', "/");
+        let label = label(root, &f);
         findings.extend(lint_swallowed_io_source(&label, &src));
+    }
+    findings
+}
+
+/// Token-index spans (half-open) of the `#[cfg(test)] mod name { … }`
+/// bodies in `toks`.
+fn cfg_test_mod_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
+    let ident = |k: usize| match toks.get(k) {
+        Some(Tok::Ident(_, id)) => id.as_str(),
+        _ => "",
+    };
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        let opens = ident(i) == "cfg"
+            && ident(i + 1) == "test"
+            && ident(i + 2) == "mod"
+            && matches!(toks.get(i + 4), Some(Tok::Open));
+        if !opens {
+            i += 1;
+            continue;
+        }
+        let (open, mut depth, mut close) = (i + 4, 0usize, toks.len());
+        for (k, t) in toks.iter().enumerate().skip(open) {
+            match t {
+                Tok::Open => depth += 1,
+                Tok::Close if depth == 1 => {
+                    close = k;
+                    break;
+                }
+                Tok::Close => depth -= 1,
+                Tok::Ident(..) => {}
+            }
+        }
+        spans.push((open, close));
+        i = close + 1;
+    }
+    spans
+}
+
+/// Apply [`REFERENCE_RULE`] to one production source text: its tokens may
+/// appear inside `#[cfg(test)]` modules only. The `lint: allow` hatch works
+/// as everywhere else.
+pub fn lint_reference_source(path: &str, src: &str) -> Vec<Finding> {
+    lint_source_outside(path, src, &[&REFERENCE_RULE], cfg_test_mod_spans)
+}
+
+/// Lint every `src` tree of [`REFERENCE_SCOPES`] under `root` with
+/// [`REFERENCE_RULE`], [`REFERENCE_HOME`] excepted.
+pub fn lint_reference_scopes(root: &Path) -> Vec<Finding> {
+    let mut files = Vec::new();
+    for scope in REFERENCE_SCOPES {
+        rust_files(&root.join(scope), &mut files);
+    }
+    let mut findings = Vec::new();
+    for f in files {
+        let label = label(root, &f);
+        // Under `crates/`, only the `src` trees: tests and benches may name
+        // the reference.
+        let in_src = label.split('/').any(|part| part == "src");
+        if in_src && label != REFERENCE_HOME {
+            let src = std::fs::read_to_string(&f).unwrap_or_default();
+            findings.extend(lint_reference_source(&label, &src));
+        }
     }
     findings
 }
@@ -838,6 +974,12 @@ pub fn lint_hot_paths(root: &Path) -> Vec<Finding> {
     findings
 }
 
+/// `file`'s path relative to `root`, `/`-separated — how findings name it.
+fn label(root: &Path, file: &Path) -> String {
+    let rel = file.strip_prefix(root).unwrap_or(file);
+    rel.display().to_string().replace('\\', "/")
+}
+
 /// Collect every `.rs` file under `dir`, sorted for deterministic output.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -865,23 +1007,19 @@ pub fn lint_scope(root: &Path, scope: &Scope) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in files {
         let src = std::fs::read_to_string(&f).unwrap_or_default();
-        let label = f
-            .strip_prefix(root)
-            .unwrap_or(&f)
-            .display()
-            .to_string()
-            .replace('\\', "/");
+        let label = label(root, &f);
         findings.extend(lint_source(&label, &src, &rules));
     }
     findings
 }
 
-/// Lint every configured scope, the hot-path function bodies, and the
-/// durability scopes. Empty result = clean tree.
+/// Lint every configured scope, the hot-path function bodies, the
+/// durability scopes and the reference-kernel scopes. Empty result = clean tree.
 pub fn lint_workspace(root: &Path) -> Vec<Finding> {
     let mut findings: Vec<Finding> = SCOPES.iter().flat_map(|s| lint_scope(root, s)).collect();
     findings.extend(lint_hot_paths(root));
     findings.extend(lint_durability_scopes(root));
+    findings.extend(lint_reference_scopes(root));
     findings
 }
 

@@ -66,6 +66,8 @@ fn print_usage() {
     eprintln!("  {:<24} {} (tick-kernel phases)", a.name, a.why);
     let s = &xtask::SWALLOWED_IO_RULE;
     eprintln!("  {:<24} {} (durability modules)", s.name, s.why);
+    let r = &xtask::REFERENCE_RULE;
+    eprintln!("  {:<24} {} (non-test code)", r.name, r.why);
 }
 
 fn lint() -> ExitCode {

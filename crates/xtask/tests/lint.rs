@@ -470,3 +470,70 @@ fn swallowed_io_rule_lookup_and_durability_scopes_clean() {
     let findings = xtask::lint_durability_scopes(&xtask::workspace_root());
     assert!(findings.is_empty(), "{findings:?}");
 }
+
+/// The byte-level entry points are hot paths under the panic rule: putting
+/// an `unwrap()` into `JobSpec::parse` must fail the lint.
+#[test]
+fn a_panicking_jobs_file_parser_fails_the_lint() {
+    let hp = xtask::HOT_PATHS
+        .iter()
+        .find(|h| h.file.ends_with("service/serve.rs"))
+        .expect("serve.rs is a hot path");
+    assert!(hp.functions.contains(&"parse") && hp.functions.contains(&"parse_jobs"));
+    let src = std::fs::read_to_string(xtask::workspace_root().join(hp.file)).unwrap();
+    assert!(xtask::lint_fn_bodies("serve.rs", &src, hp.functions, hp.rules).is_empty());
+    let marker = ".map_err(|_| format!(\"rate `{}` is not a number\", f[5]))?;";
+    assert!(src.contains(marker), "JobSpec::parse marker missing");
+    let reverted = src.replace(marker, ".unwrap();");
+    let findings = xtask::lint_fn_bodies("serve.rs", &reverted, hp.functions, hp.rules);
+    assert!(
+        findings.iter().any(|f| f.token == "unwrap"),
+        "lint missed the unwrap: {findings:?}"
+    );
+}
+
+/// The reference kernel may be named in `#[cfg(test)]` modules only (tests
+/// and benches live outside the scanned `src` trees); comments, strings and
+/// the hatch behave as for every rule.
+#[test]
+fn reference_rule_fires_outside_test_modules_only() {
+    let production = "fn drive(net: &mut Network) {\n    net.run_reference(10);\n}\n";
+    let f = xtask::lint_reference_source("fixture.rs", production);
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!(
+        (f[0].rule, f[0].token.as_str(), f[0].line),
+        ("reference-in-production", "run_reference", 2)
+    );
+    let tested = "/// Twin of `tick_reference`.\nfn tick() {}\n#[cfg(test)]\nmod tests {\n    \
+                  fn t(net: &mut Network) {\n        net.tick_reference();\n    }\n}\n";
+    assert!(xtask::lint_reference_source("fixture.rs", tested).is_empty());
+    // Code after the test module is production again.
+    let after = format!("{tested}fn late(net: &mut Network) {{ net.tick_reference(); }}\n");
+    let f = xtask::lint_reference_source("fixture.rs", &after);
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert_eq!(f[0].line, 9);
+    let hatched =
+        "// lint: allow(reference-in-production)\nfn f(n: &mut Network) { n.tick_reference(); }\n";
+    assert!(xtask::lint_reference_source("fixture.rs", hatched).is_empty());
+}
+
+/// The shipped tree keeps the reference out of production — naming it in
+/// the job runner must fail the lint — and out of `HOT_PATHS` (it may
+/// allocate and `expect`).
+#[test]
+fn reference_kernel_stays_out_of_production_and_hot_paths() {
+    assert!(xtask::rule("reference-in-production").is_some());
+    let root = xtask::workspace_root();
+    assert!(root.join(xtask::REFERENCE_HOME).is_file());
+    let findings = xtask::lint_reference_scopes(&root);
+    assert!(findings.is_empty(), "{findings:?}");
+    assert!(xtask::HOT_PATHS
+        .iter()
+        .all(|h| h.file != xtask::REFERENCE_HOME));
+
+    let src = std::fs::read_to_string(root.join("crates/experiments/src/runner.rs")).unwrap();
+    let marker = "net.run_warmup_measure(";
+    assert!(src.contains(marker), "runner.rs marker missing");
+    let reverted = src.replace(marker, "net.run_reference(");
+    assert!(!xtask::lint_reference_source("runner.rs", &reverted).is_empty());
+}

@@ -2,11 +2,12 @@
 //!
 //! The event-driven kernel jumps the clock over provably-idle spans (no
 //! occupied VC, nothing in flight, source promises silence). These tests
-//! pin its contract: runs are digest-identical to plain ticking across the
-//! scheme × routing matrix and under randomized scripted workloads, the
-//! jump never crosses a `run()` boundary (so warmup/measurement windows are
-//! exact), and the invariant oracle observes exactly the same end-of-cycle
-//! scans it would under plain ticking.
+//! pin its contract: runs are digest-identical to plain ticking (`run` is the
+//! only place the clock jumps, so a `tick()` loop is the plain twin) and to
+//! the reference kernel across the scheme × routing matrix and under
+//! randomized scripted workloads, the jump never crosses a `run()` boundary
+//! (so warmup/measurement windows are exact), and the invariant oracle
+//! observes exactly the same end-of-cycle scans it would under plain ticking.
 
 use noc_sim::network::Network;
 use noc_sim::oracle::OracleConfig;
@@ -30,6 +31,13 @@ fn replay_net(trace: &Trace, region: &RegionMap, scheme: &Scheme, routing: Routi
     )
 }
 
+/// `cycles` plain ticks: what `run` does when the clock never jumps.
+fn tick_through(net: &mut Network, cycles: u64) {
+    for _ in 0..cycles {
+        net.tick();
+    }
+}
+
 #[test]
 fn fast_forward_is_digest_identical_across_matrix() {
     let cfg = SimConfig::table1();
@@ -48,12 +56,9 @@ fn fast_forward_is_digest_identical_across_matrix() {
                 let mut fast = replay_net(&trace, &region, &scheme, routing);
                 fast.run(1_500);
                 let mut plain = replay_net(&trace, &region, &scheme, routing);
-                plain.set_fast_forward(false);
-                plain.run(1_500);
-                let mut exhaustive = replay_net(&trace, &region, &scheme, routing);
-                exhaustive.set_fast_forward(false);
-                exhaustive.set_force_exhaustive(true);
-                exhaustive.run(1_500);
+                tick_through(&mut plain, 1_500);
+                let mut reference = replay_net(&trace, &region, &scheme, routing);
+                reference.run_reference(1_500);
                 assert_eq!(fast.cycle(), plain.cycle());
                 // The jump engages exactly where it did before sources made
                 // per-node promises (counts of the commit before them).
@@ -64,6 +69,7 @@ fn fast_forward_is_digest_identical_across_matrix() {
                 };
                 assert_eq!(fast.stats.idle_cycles_skipped, skipped);
                 assert_eq!(fast.oracle_scans(), plain.oracle_scans());
+                assert_eq!(fast.oracle_scans(), reference.oracle_scans());
                 assert_eq!(
                     fast.stats.digest(),
                     plain.stats.digest(),
@@ -73,8 +79,8 @@ fn fast_forward_is_digest_identical_across_matrix() {
                 );
                 assert_eq!(
                     fast.stats.digest(),
-                    exhaustive.stats.digest(),
-                    "fast-forward diverged from exhaustive: {} {:?} p={p} r0={r0} r1={r1}",
+                    reference.stats.digest(),
+                    "fast-forward diverged from the reference: {} {:?} p={p} r0={r0} r1={r1}",
                     scheme.label(),
                     routing,
                 );
@@ -113,7 +119,7 @@ fn fast_forward_engages_on_sparse_traffic() {
 /// A Bernoulli scenario keeps drawing every cycle as far as the idle
 /// fast-forward is concerned (its per-node arrival promise skips *calls*,
 /// never cycles): even at a load that leaves the network empty most of the
-/// time not one cycle is jumped, and switching the jump off changes nothing.
+/// time not one cycle is jumped, and plain ticking changes nothing.
 #[test]
 fn fast_forward_stays_off_for_bernoulli_sources() {
     let run = |fast: bool| {
@@ -127,8 +133,11 @@ fn fast_forward_stays_off_for_bernoulli_sources() {
             Box::new(scenario),
             42,
         );
-        net.set_fast_forward(fast);
-        net.run(20_000);
+        if fast {
+            net.run(20_000);
+        } else {
+            tick_through(&mut net, 20_000);
+        }
         assert!(net.stats.recorder.delivered() > 0);
         (net.stats.idle_cycles_skipped, net.stats.digest())
     };
@@ -199,8 +208,11 @@ fn fast_forward_preserves_oracle_scan_schedule() {
             Box::new(ScriptedSource::new(1, vec![(100, 0, pkt), (1_900, 3, pkt)])),
             1,
         );
-        net.set_fast_forward(fast);
-        net.run(2_048);
+        if fast {
+            net.run(2_048);
+        } else {
+            tick_through(&mut net, 2_048);
+        }
         net
     };
     let fast = run(true);
@@ -254,9 +266,7 @@ proptest! {
         prop_assert_eq!(fast.cycle(), split);
         fast.run(4_500 - split);
         let mut plain = build();
-        plain.set_fast_forward(false);
-        plain.run(split);
-        plain.run(4_500 - split);
+        tick_through(&mut plain, 4_500);
         prop_assert_eq!(fast.cycle(), plain.cycle());
         prop_assert_eq!(fast.stats.digest(), plain.stats.digest());
     }

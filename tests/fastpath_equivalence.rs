@@ -1,10 +1,14 @@
-//! Bit-identity of the active-set fast path.
+//! Bit-identity of the production kernel and the reference kernel.
 //!
-//! The exhaustive-scan tick visits every router in every phase; the fast
-//! path visits only routers with occupied input VCs and elides unchanged
-//! state updates. These must produce *identical* simulations — same
-//! injections, same arbitration outcomes, same latencies — across the full
-//! scheme × routing matrix at several operating points.
+//! The production tick visits only what its masks, bitmaps, arrival promises
+//! and static tables say can matter; the reference tick
+//! (`Network::tick_reference`) scans every router, port, VC and node every
+//! cycle and reads none of them. The two must produce *identical*
+//! simulations — same injections, same arbitration outcomes, same
+//! latencies — across the full scheme × routing matrix at several operating
+//! points. The negative controls at the end show the comparison has teeth:
+//! a source, an update and a priority function that each break the contract
+//! one production shortcut rests on make the two kernels diverge.
 
 use noc_sim::network::Network;
 use noc_sim::prelude::*;
@@ -32,8 +36,31 @@ fn all_schemes() -> Vec<Scheme> {
     ]
 }
 
+/// Which kernel drives a cell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kernel {
+    Production,
+    Reference,
+}
+use Kernel::{Production, Reference};
+
+impl Kernel {
+    fn run(self, net: &mut Network, cycles: u64) {
+        match self {
+            Production => net.run(cycles),
+            Reference => net.run_reference(cycles),
+        }
+    }
+
+    fn run_warmup_measure(self, net: &mut Network, warmup: u64, measure: u64) {
+        self.run(net, warmup);
+        net.stats.reset_window(net.cycle());
+        self.run(net, measure);
+    }
+}
+
 /// Everything a run observes, minus the skip counters themselves (those
-/// legitimately differ between the two modes).
+/// legitimately differ between the two kernels).
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     injected_packets: Vec<u64>,
@@ -47,7 +74,7 @@ struct Fingerprint {
     last_progress: u64,
 }
 
-fn run(scheme: &Scheme, routing: Routing, p: f64, r1: f64, exhaustive: bool) -> Fingerprint {
+fn run(scheme: &Scheme, routing: Routing, p: f64, r1: f64, kernel: Kernel) -> Fingerprint {
     let cfg = SimConfig::table1();
     let (region, scenario) = two_app(&cfg, p, 0.05, r1);
     let mut net = Network::new(
@@ -58,8 +85,7 @@ fn run(scheme: &Scheme, routing: Routing, p: f64, r1: f64, exhaustive: bool) -> 
         Box::new(scenario),
         42,
     );
-    net.set_force_exhaustive(exhaustive);
-    net.run(1_200);
+    kernel.run(&mut net, 1_200);
     Fingerprint {
         injected_packets: net.stats.injected_packets.clone(),
         injected_flits: net.stats.injected_flits,
@@ -82,12 +108,12 @@ fn fast_path_is_bit_identical_across_matrix() {
     for scheme in all_schemes() {
         for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
             for &(p, r1) in &loads {
-                let fast = run(&scheme, routing, p, r1, false);
-                let slow = run(&scheme, routing, p, r1, true);
+                let fast = run(&scheme, routing, p, r1, Production);
+                let slow = run(&scheme, routing, p, r1, Reference);
                 assert_eq!(
                     fast,
                     slow,
-                    "fast/exhaustive divergence: {} {:?} p={} r1={}",
+                    "production/reference divergence: {} {:?} p={} r1={}",
                     scheme.label(),
                     routing,
                     p,
@@ -97,33 +123,34 @@ fn fast_path_is_bit_identical_across_matrix() {
         }
     }
     // One replayed-trace cell per routing, built the way every experiment
-    // driver builds its networks: identical offered traffic into both modes.
+    // driver builds its networks: identical offered traffic into both kernels
+    // (production fast-forwards over the trace's idle tail, the reference
+    // ticks through it).
     let cfg = SimConfig::table1();
     let (region, scenario) = two_app(&cfg, 0.3, 0.09, 0.09);
     let trace = Trace::capture(scenario, cfg.num_nodes() as NodeId, 1_200, 42);
     for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
-        let digest = |exhaustive: bool| {
+        let digest = |kernel: Kernel| {
             let replay = Box::new(TraceReplay::new(&trace, cfg.num_nodes() as NodeId));
             let scheme = Scheme::ro_rank_online(2);
             let mut net =
                 experiments::sweep::build_network(&cfg, &region, &scheme, routing, replay, 42);
-            net.set_force_exhaustive(exhaustive);
-            net.run_warmup_measure(240, 960);
+            kernel.run_warmup_measure(&mut net, 240, 960);
             net.stats.digest()
         };
         assert_eq!(
-            digest(false),
-            digest(true),
-            "fast/exhaustive divergence on a replayed trace: {routing:?}"
+            digest(Production),
+            digest(Reference),
+            "production/reference divergence on a replayed trace: {routing:?}"
         );
     }
     // The shape of a `repro serve` job: one region, all traffic transposed,
     // 0.02 flits/cycle/node, XY. The eight diagonal nodes have no transpose
     // destination and never produce — their arrival promise is the
     // look-ahead horizon, every time. A Bernoulli source never lets the idle
-    // fast-forward engage, and the fast path's skip counters are the parent
-    // commit's to the unit.
-    let serve_shaped = |exhaustive: bool| {
+    // fast-forward engage, and production's skip counters are pinned to the
+    // unit.
+    let serve_shaped = |kernel: Kernel| {
         let region = RegionMap::single(&cfg);
         let spec = AppSpec::with_inter(0.02, 1.0, InterDest::Pattern(Pattern::Transpose));
         let scenario = Box::new(Scenario::new(&cfg, &region, vec![Some(spec)]));
@@ -135,15 +162,14 @@ fn fast_path_is_bit_identical_across_matrix() {
             scenario,
             42,
         );
-        net.set_force_exhaustive(exhaustive);
-        net.run_warmup_measure(1_000, 5_000);
+        kernel.run_warmup_measure(&mut net, 1_000, 5_000);
         net.stats
     };
-    let (fast, slow) = (serve_shaped(false), serve_shaped(true));
+    let (fast, slow) = (serve_shaped(Production), serve_shaped(Reference));
     assert_eq!(
         fast.digest(),
         slow.digest(),
-        "fast/exhaustive divergence: serve-shaped"
+        "production/reference divergence: serve-shaped"
     );
     assert!(fast.recorder.delivered() > 100, "the cell carries traffic");
     assert_eq!(
@@ -164,13 +190,14 @@ const SERVE_SHAPED_SKIPS: (u64, u64, u64) = (961_225, 353_093, 0);
 /// `DBAR` with both halves at 80 % of the nominal saturation load, the
 /// oracle scanning every cycle — so every router bitmap and ring cursor is
 /// recounted against the slow scan on both sides — then the sources go
-/// quiet and the network drains. Exhaustive mode widens every mask to all
-/// routers and all VC slots and reads each predicate from the VC itself;
-/// the two must agree on the digest, the drain state, the oracle's scan
-/// count and the congestion view, with no violation on either side.
+/// quiet and the network drains. The reference scans every router and VC
+/// slot and reads each predicate from the VC, credit counter and allocation
+/// table themselves; the two must agree on the digest, the drain state, the
+/// oracle's scan count and the congestion view, with no violation on either
+/// side.
 #[test]
 fn fast_path_is_bit_identical_at_80_percent_load_under_the_oracle() {
-    let run = |exhaustive: bool| {
+    let run = |kernel: Kernel| {
         let cfg = SimConfig {
             oracle: OracleConfig::forced(),
             ..SimConfig::table1()
@@ -186,10 +213,9 @@ fn fast_path_is_bit_identical_at_80_percent_load_under_the_oracle() {
             Box::new(source),
             42,
         );
-        net.set_force_exhaustive(exhaustive);
-        net.run(2_500);
+        kernel.run(&mut net, 2_500);
         let loaded = net.congestion_snapshot().to_vec();
-        net.run(1_500);
+        kernel.run(&mut net, 1_500);
         assert_eq!(net.stats.oracle_violation_count, 0);
         (
             net.stats.digest(),
@@ -199,23 +225,23 @@ fn fast_path_is_bit_identical_at_80_percent_load_under_the_oracle() {
             net.congestion_snapshot().to_vec(),
         )
     };
-    let (fast, slow) = (run(false), run(true));
-    assert_eq!(fast, slow, "fast/exhaustive divergence at 80 % load");
+    let (fast, slow) = (run(Production), run(Reference));
+    assert_eq!(fast, slow, "production/reference divergence at 80 % load");
     assert!(fast.1, "failed to drain");
     assert_eq!(fast.2, 4_000, "the oracle scans every cycle");
     assert!(fast.3.iter().any(|&c| c > 0), "the network was loaded");
 }
 
 /// Scripted inputs run to drain: the end-state digest, the drain state and
-/// the oracle's scan count (the exhaustive mode also ticks through every
-/// idle cycle the fast path jumps over, so equal counts pin the
-/// fast-forward's scan replay).
+/// the oracle's scan count (the reference ticks through every idle cycle
+/// production jumps over, so equal counts pin the fast-forward's scan
+/// replay).
 fn run_scripted(
     cfg: &SimConfig,
     events: &[(u64, NodeId, NewPacket)],
     routing: Routing,
     cycles: u64,
-    exhaustive: bool,
+    kernel: Kernel,
 ) -> (u64, bool, u64) {
     let cfg = SimConfig {
         oracle: OracleConfig {
@@ -233,8 +259,8 @@ fn run_scripted(
         Box::new(ScriptedSource::new(1, events.to_vec())),
         7,
     );
-    net.set_force_exhaustive(exhaustive);
-    net.run(cycles);
+    kernel.run(&mut net, cycles);
+    assert_eq!(net.stats.oracle_violation_count, 0);
     (net.stats.digest(), net.is_drained(), net.oracle_scans())
 }
 
@@ -245,9 +271,12 @@ fn assert_scripted_identical(
     cycles: u64,
 ) {
     for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
-        let fast = run_scripted(cfg, events, routing, cycles, false);
-        let slow = run_scripted(cfg, events, routing, cycles, true);
-        assert_eq!(fast, slow, "fast/exhaustive divergence: {what} {routing:?}");
+        let fast = run_scripted(cfg, events, routing, cycles, Production);
+        let slow = run_scripted(cfg, events, routing, cycles, Reference);
+        assert_eq!(
+            fast, slow,
+            "production/reference divergence: {what} {routing:?}"
+        );
         assert!(fast.1, "{what} {routing:?} failed to drain");
         assert!(fast.2 > 0, "{what} {routing:?}: oracle never scanned");
     }
@@ -277,6 +306,33 @@ fn fast_path_is_bit_identical_on_closed_loop_replies() {
         .filter(|&(_, src, p)| p.dst != src)
         .collect();
     assert_scripted_identical("closed loop", &cfg, &events, 4_000);
+    // Fig. 17's sources: ON/OFF chains with MLP feedback through
+    // `on_delivered` under an adversary whose draws interleave with theirs.
+    // Neither can promise an arrival, so production polls them every cycle.
+    let run = |kernel: Kernel| {
+        let region = RegionMap::quadrants(&cfg);
+        let workload = ParsecWorkload::new(&cfg, &region, AppModel::parsec_four());
+        let source = Adversarial::new(workload, 0.2, n as NodeId, cfg.long_flits);
+        let mut net = Network::new(
+            cfg.clone(),
+            region,
+            Routing::Local.build(),
+            Scheme::rair().build(),
+            Box::new(source),
+            42,
+        );
+        kernel.run(&mut net, 2_000);
+        assert!(
+            net.stats.recorder.delivered() > 100,
+            "the cell carries traffic"
+        );
+        net.stats.digest()
+    };
+    assert_eq!(
+        run(Production),
+        run(Reference),
+        "production/reference divergence: parsec + adversary"
+    );
 }
 
 /// Word-boundary router counts for the `u64` activity bitmasks: 63 (9×7),
@@ -389,13 +445,13 @@ impl PriorityPolicy for CountingRair {
     }
 }
 
-/// Contest-only arbitration: at 80 % of saturation the fast path asks the
-/// policy for fewer than half the priorities the exhaustive mode (which
-/// asks about every request) does — most SA and VA requests have no rival —
-/// and the two still simulate identically.
+/// Contest-only arbitration: at 80 % of saturation production asks the
+/// policy for fewer than half the priorities the reference (which asks about
+/// every request, lone ones too) does — most SA and VA requests have no
+/// rival — and the two still simulate identically.
 #[test]
 fn fast_path_asks_the_policy_only_for_contests() {
-    let run = |exhaustive: bool| {
+    let run = |kernel: Kernel| {
         let cfg = SimConfig::table1();
         let (region, scenario) = two_app(&cfg, 0.3, 0.24, 0.24);
         let calls = Arc::new(AtomicU64::new(0));
@@ -411,16 +467,15 @@ fn fast_path_asks_the_policy_only_for_contests() {
             Box::new(scenario),
             42,
         );
-        net.set_force_exhaustive(exhaustive);
-        net.run(3_000);
+        kernel.run(&mut net, 3_000);
         (net.stats.digest(), calls.load(Ordering::Relaxed))
     };
-    let ((fast_digest, fast_calls), (slow_digest, slow_calls)) = (run(false), run(true));
-    assert_eq!(fast_digest, slow_digest, "fast/exhaustive divergence");
+    let ((fast_digest, fast_calls), (slow_digest, slow_calls)) = (run(Production), run(Reference));
+    assert_eq!(fast_digest, slow_digest, "production/reference divergence");
     assert!(fast_calls > 0, "80 % load has contests");
     assert!(
         2 * fast_calls < slow_calls,
-        "fast path made {fast_calls} priority calls, exhaustive {slow_calls}"
+        "production made {fast_calls} priority calls, the reference {slow_calls}"
     );
 }
 
@@ -448,13 +503,13 @@ impl<S: TrafficSource> TrafficSource for CountingSource<S> {
     }
 }
 
-/// The arrival promise: at 5 % load the fast path asks the source only at
-/// the cycles it promised — fewer than a quarter of the calls of the
-/// exhaustive mode, which asks every node every cycle (and asserts that a
-/// node not yet due answers `None`) — and the two simulate identically.
+/// The arrival promise: at 5 % load production asks the source only at the
+/// cycles it promised — fewer than a quarter of the calls of the reference,
+/// which asks every node every cycle and never for a promise — and the two
+/// simulate identically.
 #[test]
 fn fast_path_polls_the_source_only_where_it_promised() {
-    let run = |exhaustive: bool| {
+    let run = |kernel: Kernel| {
         let cfg = SimConfig::table1();
         let (region, scenario) = two_app(&cfg, 0.3, 0.015, 0.015);
         let generates = Arc::new(AtomicU64::new(0));
@@ -470,17 +525,110 @@ fn fast_path_polls_the_source_only_where_it_promised() {
             Box::new(source),
             42,
         );
-        net.set_force_exhaustive(exhaustive);
-        net.run(3_000);
+        kernel.run(&mut net, 3_000);
         (net.stats.digest(), generates.load(Ordering::Relaxed))
     };
-    let ((fast_digest, fast_calls), (slow_digest, slow_calls)) = (run(false), run(true));
-    assert_eq!(fast_digest, slow_digest, "fast/exhaustive divergence");
-    assert_eq!(slow_calls, 64 * 3_000, "exhaustive mode asks every node");
+    let ((fast_digest, fast_calls), (slow_digest, slow_calls)) = (run(Production), run(Reference));
+    assert_eq!(fast_digest, slow_digest, "production/reference divergence");
+    assert_eq!(slow_calls, 64 * 3_000, "the reference asks every node");
     assert!(
         4 * fast_calls < slow_calls,
-        "fast path made {fast_calls} generate calls, exhaustive {slow_calls}"
+        "production made {fast_calls} generate calls, the reference {slow_calls}"
     );
+}
+
+/// Digest and injected-packet counts of a two-app 80 %-load run — the
+/// negative controls' fingerprint.
+fn loaded_run(
+    policy: Box<dyn PriorityPolicy>,
+    source: Option<Box<dyn TrafficSource>>,
+    kernel: Kernel,
+) -> (u64, Vec<u64>) {
+    let cfg = SimConfig::table1();
+    let (region, scenario) = two_app(&cfg, 0.3, 0.24, 0.24);
+    let source = source.unwrap_or_else(|| Box::new(scenario));
+    let mut net = Network::new(cfg, region, Routing::Dbar.build(), policy, source, 42);
+    kernel.run(&mut net, 1_500);
+    (net.stats.digest(), net.stats.injected_packets.clone())
+}
+
+/// Negative control for the arrival promise: node 0 has a packet at cycles
+/// 99 and 100, yet promises "nothing before 100". Production trusts the
+/// promise and never sees the first one; the reference polls every cycle.
+struct EarlySource;
+
+impl TrafficSource for EarlySource {
+    fn num_apps(&self) -> usize {
+        2
+    }
+    fn generate(&mut self, node: NodeId, cycle: u64, _: &mut SmallRng) -> Option<NewPacket> {
+        (node == 0 && (99..=100).contains(&cycle)).then_some(NewPacket {
+            dst: 9,
+            app: 0,
+            class: 0,
+            size: 1,
+            reply: None,
+        })
+    }
+    fn next_poll(&mut self, node: NodeId, after: u64, _: &mut SmallRng) -> u64 {
+        if node == 0 && after <= 100 {
+            100
+        } else {
+            u64::MAX
+        }
+    }
+}
+
+#[test]
+fn a_source_that_breaks_its_promise_diverges() {
+    let run = |kernel| loaded_run(Box::new(RoundRobin), Some(Box::new(EarlySource)), kernel);
+    let ((_, fast), (_, slow)) = (run(Production), run(Reference));
+    assert_eq!((fast[0], slow[0]), (1, 2), "injected packets of app 0");
+}
+
+/// Negative control for state-update skipping: the update flips the DPA bit
+/// on every call — not a fixed point on unchanged registers — while claiming
+/// to be idempotent. Production calls it on dirty routers only.
+struct FlippingRair(RairPolicy);
+
+impl PriorityPolicy for FlippingRair {
+    fn name(&self) -> &'static str {
+        "flipping"
+    }
+    fn priority(&self, stage: ArbStage, r: &Router, out_vc: Option<VcClass>, req: &ArbReq) -> u64 {
+        self.0.priority(stage, r, out_vc, req)
+    }
+    fn update_router(&self, r: &mut Router, _cycle: u64) {
+        r.dpa_native_high = !r.dpa_native_high;
+    }
+    fn update_is_idempotent(&self) -> bool {
+        true
+    }
+}
+
+#[test]
+fn an_update_that_lies_about_idempotence_diverges() {
+    let run = |kernel| loaded_run(Box::new(FlippingRair(RairPolicy::full())), None, kernel);
+    assert_ne!(run(Production).0, run(Reference).0);
+}
+
+/// Negative control for contest-only arbitration: a priority that depends
+/// on how often the policy was asked. Production asks about contests only.
+struct ImpurePriority(AtomicU64);
+
+impl PriorityPolicy for ImpurePriority {
+    fn name(&self) -> &'static str {
+        "impure"
+    }
+    fn priority(&self, _: ArbStage, _: &Router, _: Option<VcClass>, _: &ArbReq) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed) % 3
+    }
+}
+
+#[test]
+fn an_impure_priority_diverges() {
+    let run = |kernel| loaded_run(Box::new(ImpurePriority(AtomicU64::new(0))), None, kernel);
+    assert_ne!(run(Production).0, run(Reference).0);
 }
 
 #[test]
@@ -502,7 +650,7 @@ fn fast_path_actually_skips_work() {
     );
     assert!(net.stats.state_updates_skipped > 0);
 
-    // And the exhaustive mode really is exhaustive.
+    // And the reference skips nothing.
     let cfg = SimConfig::table1();
     let (region, scenario) = two_app(&cfg, 0.2, 0.01, 0.02);
     let mut net = Network::new(
@@ -513,8 +661,7 @@ fn fast_path_actually_skips_work() {
         Box::new(scenario),
         42,
     );
-    net.set_force_exhaustive(true);
-    net.run(1_200);
+    net.run_reference(1_200);
     assert_eq!(net.stats.router_cycles_skipped, 0);
     assert_eq!(net.stats.state_updates_skipped, 0);
 }

@@ -265,13 +265,13 @@ fn router_kill_degrades_gracefully() {
 /// The NI active set under faults: a router death drops its NI's backlog
 /// (`kill_node` leaves a mid-injection NI in the set) and the stranded
 /// sweep re-queues extracted packets at their sources (`schedule_retry`
-/// puts the NI back in the set). Polling every NI (exhaustive mode) and
+/// puts the NI back in the set). Polling every NI (the reference kernel) and
 /// polling the set must simulate the same run — digest, packet drop and
 /// retry counts, and the flit ledger (injected − ejected − in network) —
 /// with the oracle recounting the set against NI state every cycle.
 #[test]
-fn router_kill_with_retries_is_identical_fast_and_exhaustive() {
-    let run = |exhaustive: bool| {
+fn router_kill_with_retries_is_identical_to_the_reference() {
+    let run = |reference: bool| {
         let mut cfg = oracle_cfg();
         cfg.fault = FaultTimeline {
             transient_ber: 1e-3,
@@ -291,8 +291,11 @@ fn router_kill_with_retries_is_identical_fast_and_exhaustive() {
             Box::new(scenario),
             11,
         );
-        net.set_force_exhaustive(exhaustive);
-        net.run(2_500);
+        if reference {
+            net.run_reference(2_500);
+        } else {
+            net.run(2_500);
+        }
         net.check_oracle_now();
         assert_eq!(
             net.stats.oracle_violation_count, 0,
@@ -312,7 +315,7 @@ fn router_kill_with_retries_is_identical_fast_and_exhaustive() {
         )
     };
     let (fast, slow) = (run(false), run(true));
-    assert_eq!(fast, slow, "fast/exhaustive divergence under faults");
+    assert_eq!(fast, slow, "production/reference divergence under faults");
     assert!(fast.1 > 0, "control: the kill dropped packets");
     assert!(fast.2 > 0, "control: the sweep scheduled retries");
 }

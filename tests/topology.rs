@@ -1,5 +1,5 @@
-//! Cross-topology differential suite: the same kernel (fast path and
-//! exhaustive scan), verifier and oracle must agree on every supported
+//! Cross-topology differential suite: the production kernel, the reference
+//! kernel, the verifier and the oracle must agree on every supported
 //! topology.
 //!
 //! For random rectangular region maps × {mesh, torus, ring, cmesh} ×
@@ -12,8 +12,8 @@
 //! (b) all-pairs routability — the legality pass actually visited every
 //!     ordered router pair,
 //! (c) end-state digests are deterministic: bit-identical across repeated
-//!     runs of one seed and between the active-set fast path and the
-//!     exhaustive scan, and
+//!     runs of one seed and between the production kernel and the
+//!     reference kernel, and
 //! (d) the full invariant oracle (credit conservation, routing legality,
 //!     deadlock watchdog, …) stays clean at 5 % and 30 % offered load.
 
@@ -82,7 +82,7 @@ fn digest_of(
     cfg: &SimConfig,
     region: &RegionMap,
     routing: Routing,
-    force_exhaustive: bool,
+    reference: bool,
     oracle: bool,
     load: f64,
     seed: u64,
@@ -110,8 +110,13 @@ fn digest_of(
         Box::new(scenario),
         seed,
     );
-    net.set_force_exhaustive(force_exhaustive);
-    net.run_warmup_measure(150, 350);
+    if reference {
+        net.run_reference(150);
+        net.stats.reset_window(net.cycle());
+        net.run_reference(350);
+    } else {
+        net.run_warmup_measure(150, 350);
+    }
     net.check_oracle_now();
     (net.stats.digest(), net.stats.oracle_violation_count)
 }
@@ -229,7 +234,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random rectangular region maps over random matrix points: verifier
-    /// (+ LBDR on non-wrapping kinds), fast-vs-exhaustive digest identity,
+    /// (+ LBDR on non-wrapping kinds), production-vs-reference digest identity,
     /// and a clean oracle at 5% and 30% load.
     #[test]
     fn differential_random_regions(
@@ -259,7 +264,7 @@ proptest! {
         }
 
         // (c) + (d): runs with the oracle at 5% and 30% load must be
-        // violation-free and reproducible; the exhaustive scan (with and
+        // violation-free and reproducible; the reference kernel (with and
         // without the oracle) must produce the identical digest.
         for load in [0.05, 0.30] {
             let (d1, v1) = digest_of(&cfg, &region, routing, false, true, load, seed);
@@ -267,10 +272,11 @@ proptest! {
             let (d1b, _) = digest_of(&cfg, &region, routing, false, true, load, seed);
             prop_assert_eq!(d1, d1b, "same-seed rerun digest drift");
             for oracle in [true, false] {
-                let (dx, _) = digest_of(&cfg, &region, routing, true, oracle, load, seed);
+                let (dx, vx) = digest_of(&cfg, &region, routing, true, oracle, load, seed);
+                prop_assert_eq!(vx, 0, "{} {w}x{h} reference oracle violations", kind.label());
                 prop_assert_eq!(
                     d1, dx,
-                    "{} {w}x{h} exhaustive (oracle {oracle}, {}) digest mismatch at load {load}",
+                    "{} {w}x{h} reference (oracle {oracle}, {}) digest mismatch at load {load}",
                     kind.label(), routing.label()
                 );
             }
