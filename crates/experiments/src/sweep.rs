@@ -3,7 +3,8 @@
 //!
 //! The paper expresses all synthetic loads as a percentage of each
 //! application's saturation load. Saturation measurement is itself a
-//! binary-search of simulations, so results are cached — keyed by a
+//! search over simulations ([`traffic::saturation::search_saturation`];
+//! no model is consulted), so results are cached — keyed by a
 //! [`metrics::Digest`] folded over the actual measurement parameters
 //! `(probe, cfg, region assignment, app, spec)`, never by the
 //! caller-supplied label, so two call sites can never share a stale load by
@@ -12,8 +13,9 @@
 //! The disk layer persists each measured load under `results/cache/` (one
 //! tiny CRC-framed file per key, through the [`Store`] seam; override the
 //! directory with `RAIR_CACHE_DIR`), so a second `repro` invocation performs
-//! **zero** binary searches for loads it has already measured. The in-memory layer is bounded (FIFO eviction) so
-//! an unbounded sweep cannot grow the process without limit.
+//! **zero** searches for loads it has already measured. The in-memory
+//! layer is bounded (FIFO eviction) so an unbounded sweep cannot grow the
+//! process without limit.
 
 use crate::runner::{self, ExpConfig};
 use crate::service::{self, Store};
@@ -25,8 +27,8 @@ use rair::scheme::{Routing, Scheme};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
-use traffic::saturation::{app_saturation_traced, SaturationProbe, WarmOutcome};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use traffic::saturation::{app_saturation_traced, SaturationProbe};
 use traffic::scenario::AppSpec;
 
 /// Build a network from the scheme/routing matrix plus a traffic source.
@@ -114,14 +116,22 @@ impl MemCache {
     }
 }
 
-fn sat_cache() -> &'static Mutex<MemCache> {
+/// The in-memory layer, locked. A figure driver that panics inside the
+/// panic-safe runner while holding the guard poisons the mutex; `insert`
+/// and `clear` leave the map valid at every step (a key missing from
+/// `order` is at worst never evicted), so the guard is recovered instead of
+/// failing every later lookup of the sweep.
+fn sat_cache() -> MutexGuard<'static, MemCache> {
     static CACHE: OnceLock<Mutex<MemCache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(MemCache {
-            map: BTreeMap::new(),
-            order: VecDeque::new(),
+    CACHE
+        .get_or_init(|| {
+            Mutex::new(MemCache {
+                map: BTreeMap::new(),
+                order: VecDeque::new(),
+            })
         })
-    })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Where a saturation value came from.
@@ -131,20 +141,14 @@ pub enum SatLookup {
     MemHit,
     /// Loaded from the persistent disk cache.
     DiskHit,
-    /// Measured by a model-warm-started binary search whose bracket
-    /// verified against the simulator (bit-identical to a cold search,
-    /// at a fraction of the simulations).
-    Warmed,
-    /// Measured by a cold binary search (no model hint, or the hint was
-    /// rejected by bracket verification).
+    /// Measured by a saturation search.
     Searched,
 }
 
 /// Cumulative lookup counters.
 static MEM_HITS: AtomicU64 = AtomicU64::new(0);
 static DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static WARMED_SEARCHES: AtomicU64 = AtomicU64::new(0);
-static COLD_SEARCHES: AtomicU64 = AtomicU64::new(0);
+static SEARCHES: AtomicU64 = AtomicU64::new(0);
 /// Disk entries that failed the frame or the decoder and were set aside
 /// as `*.corrupt` (each one degraded to a re-search, never a panic or a
 /// wrong value).
@@ -155,14 +159,16 @@ pub fn saturation_cache_corrupt_count() -> u64 {
     CACHE_CORRUPT.load(Ordering::Relaxed)
 }
 
-/// Process-wide saturation-cache counters: `(mem_hits, disk_hits,
-/// warmed_searches, cold_searches)` since startup.
+/// Process-wide saturation-cache counters: `(mem_hits, disk_hits, 0,
+/// searches)` since startup. The third field counted model-warmed searches;
+/// there are none any more, and the shape stays for the frozen benchmark
+/// harness until ROADMAP item 3's `benchmark` PR.
 pub fn saturation_cache_stats() -> (u64, u64, u64, u64) {
     (
         MEM_HITS.load(Ordering::Relaxed),
         DISK_HITS.load(Ordering::Relaxed),
-        WARMED_SEARCHES.load(Ordering::Relaxed),
-        COLD_SEARCHES.load(Ordering::Relaxed),
+        0,
+        SEARCHES.load(Ordering::Relaxed),
     )
 }
 
@@ -261,25 +267,15 @@ fn disk_write(store: &dyn Store, key: u64, value: f64, label: &str) {
     }
 }
 
-/// Is model warm-starting of saturation searches disabled? The
-/// `RAIR_COLD_SAT` kill switch (any non-empty value but `0`) forces every
-/// search cold — warm and cold return bit-identical loads, so this only
-/// matters for probe-count comparisons and distrust of the model.
-fn cold_searches_forced() -> bool {
-    std::env::var("RAIR_COLD_SAT").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// Saturation load of application `app` running alone with traffic mix
 /// `spec` on `region` (round-robin arbitration, local adaptive routing),
 /// plus where the value came from. `label` is used only in diagnostics and
 /// the on-disk comment line; the cache key is derived from the parameters
 /// themselves.
 ///
-/// On a cache miss the binary search is warm-started from the analytical
-/// model's prediction ([`model::warm_hint`]); the warm protocol verifies
-/// its bracket against the simulator and falls back to the cold path when
-/// rejected, so the returned load is bit-identical either way (cache
-/// contents and golden digests do not depend on the model).
+/// On a cache miss the load is searched
+/// ([`traffic::saturation::app_saturation_traced`]), validated and written
+/// to both layers.
 pub fn try_cached_saturation_traced(
     label: &str,
     ec: &ExpConfig,
@@ -295,34 +291,23 @@ pub fn try_cached_saturation_traced(
         SaturationProbe::default()
     };
     let key = sat_digest(&probe, cfg, region, app, spec);
-    if let Some(&v) = sat_cache().lock().unwrap().map.get(&key) {
+    if let Some(&v) = sat_cache().map.get(&key) {
         MEM_HITS.fetch_add(1, Ordering::Relaxed);
         return Ok((v, SatLookup::MemHit));
     }
     if let Some(v) = disk_read(store, key) {
         DISK_HITS.fetch_add(1, Ordering::Relaxed);
-        sat_cache().lock().unwrap().insert(key, v);
+        sat_cache().insert(key, v);
         return Ok((v, SatLookup::DiskHit));
     }
-    let warm = if cold_searches_forced() {
-        None
-    } else {
-        model::warm_hint(cfg, region, app, spec, model::RoutingKind::Adaptive)
-    };
-    let out = app_saturation_traced(&probe, cfg, region, app, spec, warm, || {
+    let out = app_saturation_traced(&probe, cfg, region, app, spec, None, || {
         Routing::Local.build()
     });
-    let lookup = if out.warm == WarmOutcome::Accepted {
-        WARMED_SEARCHES.fetch_add(1, Ordering::Relaxed);
-        SatLookup::Warmed
-    } else {
-        COLD_SEARCHES.fetch_add(1, Ordering::Relaxed);
-        SatLookup::Searched
-    };
+    SEARCHES.fetch_add(1, Ordering::Relaxed);
     let sat = validate_sat(label, app, out.load)?;
-    sat_cache().lock().unwrap().insert(key, sat);
+    sat_cache().insert(key, sat);
     disk_write(store, key, sat, label);
-    Ok((sat, lookup))
+    Ok((sat, SatLookup::Searched))
 }
 
 /// Reject a degenerate measured load (zero, negative, NaN, ∞) with the
@@ -375,7 +360,7 @@ pub fn cached_saturation(
 /// `RAIR_CACHE_DIR` pointed at a temp directory to isolate tests from the
 /// repository-level cache.
 pub fn clear_saturation_cache() {
-    let mut c = sat_cache().lock().unwrap();
+    let mut c = sat_cache();
     c.map.clear();
     c.order.clear();
 }
@@ -484,14 +469,9 @@ mod tests {
         let region = RegionMap::halves(&cfg);
         let ec = ExpConfig::quick();
         let spec = AppSpec::intra_only(0.0);
-        // Cold start: one real binary search (model-warmed or cold — warm
-        // acceptance is bit-identical, so either outcome yields the same
-        // load), persisted to disk.
+        // Cold start: one real search, persisted to disk.
         let (a, la) = cached_saturation_traced("test/halves0", &ec, &cfg, &region, 0, &spec);
-        assert!(
-            matches!(la, SatLookup::Warmed | SatLookup::Searched),
-            "{la:?}"
-        );
+        assert_eq!(la, SatLookup::Searched);
         assert!(a > 0.05 && a < 1.0, "saturation {a}");
         // Same parameters under a different label: in-memory hit, identical
         // value.
@@ -507,6 +487,32 @@ mod tests {
         // And it was promoted back into memory.
         let (_, ld) = cached_saturation_traced("rerun2", &ec, &cfg, &region, 0, &spec);
         assert_eq!(ld, SatLookup::MemHit);
+    }
+
+    /// A job that panics while it holds the memory layer (the panic-safe
+    /// runner catches it and moves on) must not take every later lookup of
+    /// the process down with it.
+    #[test]
+    fn lookups_survive_a_poisoned_memory_layer() {
+        let _guard = env_lock();
+        let _tmp = TempCacheDir::new("poisoned");
+        clear_saturation_cache();
+        let cfg = SimConfig::table1();
+        let region = RegionMap::quadrants(&cfg);
+        let ec = ExpConfig::quick();
+        let spec = AppSpec::intra_only(0.0);
+        let key = sat_digest(&SaturationProbe::quick(), &cfg, &region, 3, &spec);
+        disk_write(service::std_store(), key, 0.4375, "poisoned/seed");
+        let holder = std::thread::spawn(|| {
+            let _held = sat_cache();
+            panic!("poisoning the saturation cache on purpose");
+        });
+        assert!(holder.join().is_err());
+        let (v, how) = cached_saturation_traced("poisoned/disk", &ec, &cfg, &region, 3, &spec);
+        assert_eq!((v, how), (0.4375, SatLookup::DiskHit));
+        let (v, how) = cached_saturation_traced("poisoned/mem", &ec, &cfg, &region, 3, &spec);
+        assert_eq!((v, how), (0.4375, SatLookup::MemHit));
+        clear_saturation_cache();
     }
 
     /// Corrupting a *live* cache entry must cost a re-search, never

@@ -31,10 +31,13 @@
 //! flow control, turn restrictions and finite VC depth keep real channels
 //! from reaching utilization 1).
 //!
-//! Three consumers: [`link_load_map`] is the admission pipeline's
-//! bandwidth-feasibility input, [`predict_app_saturation`] screens
-//! `repro serve --screen` jobs, and [`warm_hint`] warm-starts
-//! [`traffic::saturation::app_saturation_traced`].
+//! Two consumers: [`link_load_map`] is the admission pipeline's
+//! bandwidth-feasibility input and [`predict_app_saturation`] screens
+//! `repro serve --screen` jobs. The saturation search does **not** consult
+//! the model: as a warm start its prediction sat 1–6 grid cells under all
+//! six Fig. 14 knees and made the searches slower than cold
+//! (EXPERIMENTS.md, "Measured and not taken"). [`warm_hint`] is kept only
+//! as a call shape for the frozen benchmark harness.
 
 use noc_sim::config::SimConfig;
 use noc_sim::ids::{AppId, NodeId};
@@ -92,19 +95,6 @@ fn link_efficiency(cfg: &SimConfig, link: Link) -> f64 {
         _ => saturation_efficiency(cfg),
     }
 }
-
-/// Relative half-width of the warm-start confidence band, as a fraction of
-/// the predicted load; [`warm_hint`] clamps the absolute margin to
-/// [`MIN_WARM_MARGIN`]..=[`MAX_WARM_MARGIN`]. Sized so the calibrated
-/// error band of the Table-1 configs fits inside the margin (the search
-/// then accepts the hint) while the margin stays below one level-3
-/// bisection cell — keeping the number of simulated in-band midpoints at
-/// ~4, half of a cold search's 8.
-const WARM_MARGIN_FRAC: f64 = 0.10;
-/// Absolute floor of the warm-start margin (flits/cycle/node).
-const MIN_WARM_MARGIN: f64 = 0.035;
-/// Absolute ceiling of the warm-start margin (flits/cycle/node).
-const MAX_WARM_MARGIN: f64 = 0.06;
 
 /// How the model routes flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -531,10 +521,11 @@ pub fn predict_app_saturation(
     })
 }
 
-/// The model's warm-start hint for a saturation search of `app` alone
-/// under `spec`: the predicted load with a confidence margin wide enough
-/// to absorb the model's calibrated error band. `None` when the model has
-/// no prediction (the search then runs cold).
+/// [`predict_app_saturation`] wrapped as the hint
+/// [`traffic::saturation::app_saturation_traced`] accepts and ignores.
+/// Nothing in this repository calls it; the frozen benchmark harness
+/// (`rair-bench/src/layers.rs`) does, and it goes with ROADMAP item 3's
+/// `benchmark` PR.
 pub fn warm_hint(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -542,12 +533,8 @@ pub fn warm_hint(
     spec: &AppSpec,
     routing: RoutingKind,
 ) -> Option<WarmStart> {
-    let pred = predict_app_saturation(cfg, region, app, spec, routing)?;
-    let margin = (pred.load * WARM_MARGIN_FRAC).clamp(MIN_WARM_MARGIN, MAX_WARM_MARGIN);
-    Some(WarmStart {
-        predicted: pred.load,
-        margin,
-    })
+    let predicted = predict_app_saturation(cfg, region, app, spec, routing)?.load;
+    Some(WarmStart { predicted })
 }
 
 /// One channel of the public load map: its predicted utilization at the
@@ -765,21 +752,5 @@ mod tests {
         assert!(labels[0].starts_with("inject(n"), "{labels:?}");
         // At a tiny offered load nothing is over-subscribed.
         assert!(map.iter().all(|cl| cl.rho_total() < 1.0));
-    }
-
-    #[test]
-    fn warm_hint_margin_is_clamped() {
-        let c = cfg();
-        let region = RegionMap::halves(&c);
-        let h = warm_hint(
-            &c,
-            &region,
-            0,
-            &AppSpec::intra_only(0.0),
-            RoutingKind::Adaptive,
-        )
-        .unwrap();
-        assert!(h.margin >= MIN_WARM_MARGIN && h.margin <= MAX_WARM_MARGIN);
-        assert!(h.predicted > 0.0);
     }
 }

@@ -1,26 +1,40 @@
-//! Cross-validation of the analytical model against the simulator. CI runs
+//! Cross-validation on real networks: the saturation search against its
+//! bisection twin, and the analytical model against the simulator. CI runs
 //! this in release under `RAIR_ORACLE=1` so every probe simulation executed
 //! here is also oracle-checked.
 
-use model::{predict_app_saturation, warm_hint, RoutingKind};
+use model::{predict_app_saturation, RoutingKind};
 use noc_sim::config::SimConfig;
 use noc_sim::region::RegionMap;
 use noc_sim::topology::TopologyKind;
 use rair::scheme::Routing;
-use traffic::saturation::{app_saturation_traced, SaturationProbe};
-use traffic::scenario::AppSpec;
+use std::collections::BTreeMap;
+use traffic::saturation::{
+    app_saturation_traced, app_stability, search_saturation, SaturationProbe,
+};
+use traffic::scenario::{AppSpec, InterDest};
 
-fn kind_of(r: Routing) -> RoutingKind {
-    match r {
-        Routing::Xy => RoutingKind::DimensionOrder,
-        _ => RoutingKind::Adaptive,
+/// The twin: a plain interval-halving search that keeps one bit of every
+/// probe. Returns the load and the number of probes.
+fn bisect_twin(iters: u32, max_rate: f64, mut stable: impl FnMut(f64) -> bool) -> (f64, u32) {
+    if stable(max_rate) {
+        return (max_rate, 1);
     }
+    let (mut lo, mut hi) = (0.0_f64, max_rate);
+    for _ in 0..iters {
+        let mid = 0.5 * (lo + hi);
+        if stable(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo, iters + 1)
 }
 
-/// A deliberately short probe for the identity matrix: bit-identity of the
-/// warm-started search must hold for *any* probe, including one the model
-/// was never calibrated against (short windows shift the measured loads,
-/// exercising both the accepted and the rejected/fallback paths).
+/// A deliberately short probe for the identity matrix: landing on the
+/// twin's cell must hold for *any* probe, including windows so short that
+/// the backlog estimate is noisy.
 fn mini_probe() -> SaturationProbe {
     SaturationProbe {
         warmup: 300,
@@ -30,11 +44,12 @@ fn mini_probe() -> SaturationProbe {
     }
 }
 
-/// The headline warm-start invariant on real networks: across routings and
-/// topologies, the warm-started search returns the bit-identical load of
-/// the cold one — golden digests cannot depend on the model.
+/// The headline invariant on real networks: across routings and
+/// topologies the extrapolating search returns the bit-identical load of
+/// the plain bisection — golden digests cannot depend on where the search
+/// chose to probe.
 #[test]
-fn warm_and_cold_searches_are_bit_identical_across_routing_and_topology() {
+fn search_and_bisection_twin_are_bit_identical_across_routing_and_topology() {
     let probe = mini_probe();
     let mut cases: Vec<(SimConfig, Routing)> = [Routing::Local, Routing::Xy, Routing::Dbar]
         .into_iter()
@@ -50,24 +65,111 @@ fn warm_and_cold_searches_are_bit_identical_across_routing_and_topology() {
     for (cfg, routing) in cases {
         let region = RegionMap::halves(&cfg);
         let spec = AppSpec::intra_only(0.0);
-        let hint = warm_hint(&cfg, &region, 0, &spec, kind_of(routing));
-        assert!(
-            hint.is_some(),
-            "model declined a hint on {}/{routing:?}",
-            cfg.topology.label()
-        );
-        let cold = app_saturation_traced(&probe, &cfg, &region, 0, &spec, None, || routing.build());
-        let warm = app_saturation_traced(&probe, &cfg, &region, 0, &spec, hint, || routing.build());
+        let mut oracle = app_stability(&probe, &cfg, &region, 0, &spec, || routing.build());
+        let (twin, _) = bisect_twin(probe.iters, 1.0, |r| oracle(r).0);
+        let found =
+            app_saturation_traced(&probe, &cfg, &region, 0, &spec, None, || routing.build());
         assert_eq!(
-            warm.load.to_bits(),
-            cold.load.to_bits(),
-            "warm diverged on {}/{routing:?} ({:?}): {} vs {}",
+            found.load.to_bits(),
+            twin.to_bits(),
+            "search diverged on {}/{routing:?}: {} vs {}",
             cfg.topology.label(),
-            warm.warm,
-            warm.load,
-            cold.load
+            found.load,
+            twin
         );
+        assert!(found.simulations <= 2 * probe.iters + 3);
     }
+}
+
+/// The eight curves `repro --quick all` searches, with the loads its cache
+/// holds: Table 1's two regionalizations and the six applications of
+/// Fig. 14 under the 75/20/5 mix.
+fn production_curves() -> Vec<(String, RegionMap, u8, AppSpec, f64)> {
+    let cfg = SimConfig::table1();
+    let mix = AppSpec {
+        rate_flits: 0.0,
+        intra: 0.75,
+        inter: 0.20,
+        inter_dest: InterDest::OutsideUniform,
+        mc: 0.05,
+    };
+    let intra = AppSpec::intra_only(0.0);
+    let mut curves = vec![
+        (
+            "halves/intra".to_string(),
+            RegionMap::halves(&cfg),
+            0,
+            intra.clone(),
+            0.375,
+        ),
+        (
+            "quadrants/intra".to_string(),
+            RegionMap::quadrants(&cfg),
+            0,
+            intra,
+            0.65625,
+        ),
+    ];
+    let six = [0.71875, 0.75, 0.84375, 0.84375, 0.71875, 0.75];
+    for (app, load) in six.into_iter().enumerate() {
+        curves.push((
+            format!("six/mix/app{app}"),
+            RegionMap::six_regions(&cfg),
+            app as u8,
+            mix.clone(),
+            load,
+        ));
+    }
+    curves
+}
+
+/// Release-mode audit of the premise and the economics of the search on
+/// the production curves (8 × 33 quick-probe simulations; CI's `model` job
+/// runs it with `--include-ignored`). Premise: each curve is monotone over
+/// the whole 1/32 grid, so "`lo` stable, `lo + 1` unstable" names one cell.
+/// Identity: the search lands on the twin's cell, which is the load the
+/// cache has always held. Economics, pinned as counts: Fig. 14's six
+/// searches take at most 21 stability probes (the twin: 36) and no curve
+/// costs more than one probe over the twin.
+#[test]
+#[ignore = "release-mode audit: 8 curves x 33 quick-probe simulations"]
+fn production_curves_are_monotone_and_searched_in_fewer_probes() {
+    let probe = SaturationProbe::quick();
+    let cfg = SimConfig::table1();
+    let cells = 1u32 << probe.iters;
+    let mut six_app_probes = 0;
+    for (label, region, app, spec, cached) in production_curves() {
+        let mut oracle =
+            app_stability(&probe, &cfg, &region, app, &spec, || Routing::Local.build());
+        // Every grid point once; the twin and the search both read the map.
+        let grid: BTreeMap<u64, (bool, f64)> = (1..=cells)
+            .map(|k| f64::from(k) / f64::from(cells))
+            .map(|rate| (rate.to_bits(), oracle(rate)))
+            .collect();
+        let stable: Vec<bool> = grid.values().map(|&(s, _)| s).collect();
+        assert_eq!(
+            stable.windows(2).filter(|w| w[0] != w[1]).count(),
+            1,
+            "{label}: stability is not monotone over the grid"
+        );
+        let (twin, twin_probes) = bisect_twin(probe.iters, 1.0, |r| grid[&r.to_bits()].0);
+        let mut sequence = Vec::new();
+        let (load, probes) = search_saturation(probe.iters, 1.0, |r| {
+            sequence.push((r * f64::from(cells)) as u32);
+            grid[&r.to_bits()]
+        });
+        println!("{label}: {sequence:?} ({probes} probes, twin {twin_probes})");
+        assert_eq!(load.to_bits(), twin.to_bits(), "{label}: {sequence:?}");
+        assert_eq!(load, cached, "{label}: not the load production caches");
+        assert!(probes <= twin_probes + 1, "{label}: {sequence:?}");
+        if label.starts_with("six/") {
+            six_app_probes += probes;
+        }
+    }
+    assert!(
+        six_app_probes <= 21,
+        "Fig. 14 searches: {six_app_probes} probes"
+    );
 }
 
 /// Pinned accuracy bound on the paper's Table-1 regionalizations. The

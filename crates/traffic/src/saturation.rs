@@ -4,9 +4,12 @@
 //! application's *saturation load* (e.g. "App 1 at 90 % of its saturation
 //! load"). The saturation load depends on the traffic pattern, the region
 //! layout and the routing algorithm, so we measure it the way network
-//! architects do: binary-search the offered load for the knee where the
-//! network stops admitting the offered traffic (source queues start growing
-//! without bound).
+//! architects do: search the offered load for the knee where the network
+//! stops admitting the offered traffic (source queues start growing without
+//! bound). The result is a cell of the dyadic grid a bisection of
+//! `[0, max_rate]` walks; [`search_saturation`] reaches it in fewer
+//! simulations by reading the accepted throughput that every unstable
+//! probe already measures.
 
 use crate::scenario::{AppSpec, Scenario, AVG_PACKET_FLITS};
 use noc_sim::arbitration::RoundRobin;
@@ -15,7 +18,6 @@ use noc_sim::ids::AppId;
 use noc_sim::network::Network;
 use noc_sim::region::RegionMap;
 use noc_sim::routing::RoutingAlgorithm;
-use std::collections::BTreeMap;
 
 /// Parameters for a saturation search.
 #[derive(Debug, Clone, Copy)]
@@ -33,7 +35,8 @@ pub struct SaturationProbe {
     /// the paper's near-knee "90% of saturation" operating points; tighten
     /// this for a conservative latency-knee definition instead.
     pub latency_blowup: f64,
-    /// Binary-search iterations (each halves the interval).
+    /// Depth of the search grid: the load is resolved to one cell of
+    /// `max_rate / 2^iters` (what that many interval halvings reach).
     pub iters: u32,
     /// RNG seed for the trials.
     pub seed: u64,
@@ -75,33 +78,16 @@ impl SaturationProbe {
     }
 }
 
-/// A model-derived hint for warm-starting a saturation search.
-///
-/// `predicted` is where an analytical model expects the saturation load;
-/// `margin` is the half-width of its confidence band. The warm search
-/// replays the cold bisection's exact decision path, letting the model
-/// decide midpoints farther than `margin` from `predicted` and simulating
-/// the rest, then verifies the final bracket endpoints against the
-/// simulator — so an accepted warm search returns the bit-identical load
-/// the cold search would, in a fraction of the simulations.
+/// A model-derived hint for a saturation search. **Ignored**: the search
+/// extrapolates from its own probes ([`search_saturation`]) and never
+/// consults a model. The type and the `hint` argument of
+/// [`app_saturation_traced`] survive only as the call shape the frozen
+/// benchmark harness (`rair-bench/src/layers.rs`) compiles against; both go
+/// with ROADMAP item 3's `benchmark` PR.
 #[derive(Debug, Clone, Copy)]
 pub struct WarmStart {
     /// Predicted saturation load (same units as the search domain).
     pub predicted: f64,
-    /// Confidence half-width around `predicted`.
-    pub margin: f64,
-}
-
-/// How a traced saturation search used its warm-start hint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WarmOutcome {
-    /// No hint was supplied; the search ran cold.
-    NoHint,
-    /// The warm bracket verified against the simulator and was returned.
-    Accepted,
-    /// Endpoint verification failed; the search fell back to the cold
-    /// path (reusing every probe already simulated).
-    Rejected,
 }
 
 /// Result of a traced saturation search.
@@ -110,136 +96,144 @@ pub struct SearchOutcome {
     /// The measured saturation load.
     pub load: f64,
     /// Full simulations executed, including the zero-load latency
-    /// reference (a cold full-probe search runs `iters + 2`).
+    /// reference (a bisection would run `iters + 2`).
     pub simulations: u32,
-    /// Whether the warm-start hint was used.
-    pub warm: WarmOutcome,
 }
 
-/// Memoizing wrapper around the stability oracle: every rate is simulated
-/// at most once per search, so the warm phase, its endpoint verification
-/// and a possible cold fallback never repeat a probe.
-struct Prober<F> {
-    stable: F,
-    memo: BTreeMap<u64, bool>,
-    count: u32,
-}
-
-impl<F: FnMut(f64) -> bool> Prober<F> {
-    fn probe(&mut self, rate: f64) -> bool {
-        let bits = rate.to_bits();
-        if let Some(&v) = self.memo.get(&bits) {
-            return v;
+/// Rate of point `k` (`0..=2^iters`) of the level-`iters` dyadic grid of
+/// `[0, max_rate]`, produced by the arithmetic of an interval-halving
+/// search whose up/down decisions are the bits of `k`. Every probe and the
+/// returned load are therefore the exact `f64` a bisection computes, for
+/// any `max_rate` (`max_rate * k / 2^iters` is an ulp off for e.g. 0.7).
+fn grid_rate(iters: u32, max_rate: f64, k: u64) -> f64 {
+    if k >> iters != 0 {
+        return max_rate;
+    }
+    let (mut lo, mut hi) = (0.0_f64, max_rate);
+    for bit in (0..iters).rev() {
+        let mid = 0.5 * (lo + hi);
+        if (k >> bit) & 1 == 1 {
+            lo = mid;
+        } else {
+            hi = mid;
         }
-        let v = (self.stable)(rate);
-        self.count += 1;
-        self.memo.insert(bits, v);
-        v
     }
-
-    /// Has any probe at or below `rate` already come back unstable?
-    /// Under the monotone-stability premise of the bisection this proves
-    /// `rate` itself unstable without another simulation.
-    fn proven_unstable_below(&self, rate: f64) -> bool {
-        self.memo
-            .iter()
-            .any(|(&bits, &stable)| !stable && f64::from_bits(bits) <= rate)
-    }
+    lo
 }
 
-/// Replay the cold bisection's decision path using the model for
-/// out-of-margin midpoints, then verify the final bracket. Returns the
-/// verified load, or `None` when verification fails (caller falls back to
-/// the cold path, reusing `p`'s memo).
+/// Probes a bisection of a `width`-cell bracket still needs: `⌈log2 width⌉`.
+fn bisection_depth(width: u64) -> u32 {
+    u64::BITS - (width - 1).leading_zeros()
+}
+
+/// The saturation search core: the highest stable point of the
+/// level-`iters` dyadic grid of `[0, max_rate]`, and the number of `probe`
+/// evaluations spent finding it.
 ///
-/// Bit-identity argument: the cold loop's midpoints are the exact dyadic
-/// subdivisions of `[0, max_rate]`, so both searches walk the same
-/// candidate grid. The warm loop's final `[lo, hi]` is one level-`iters`
-/// cell of that grid; verifying `lo` stable and `hi` unstable proves (under
-/// the same monotone-threshold premise the cold bisection rests on) that it
-/// is *the* cell containing the stability threshold — the one the cold
-/// search converges to — hence `lo` is the cold result, bit for bit.
-fn warm_search<F: FnMut(f64) -> bool>(
+/// `probe(rate)` must be a deterministic function of the rate returning
+/// `(stable, knee_estimate)`. The estimate is read only from unstable
+/// probes and is advisory: it places the next probe, it never decides a
+/// cell. `max_rate` is probed first (stable there ⇒ it is returned). Then
+/// the bracket `(lo, hi)` — `lo` stable (`0` by premise, never probed),
+/// `hi` unstable — closes on one cell: each probe goes to the grid cell
+/// under the estimate of the current `hi`, strictly inside the bracket;
+/// while probes come back stable the next one steps up by 1, 2, 4 … cells,
+/// and every new unstable probe brings a new estimate. The search ends with
+/// `lo` verified stable and `lo + 1` verified unstable, which under the
+/// monotone-stability premise any bracketing search rests on is *the* cell
+/// a bisection converges to — same `f64`, bit for bit (`grid_rate`).
+///
+/// A guess may shrink the bracket by a single cell, so it is taken only
+/// while bisecting what it could leave still fits `2 * iters + 2` probes in
+/// total; otherwise the probe is the midpoint. Garbage estimates (NaN, ±∞,
+/// negative, above `max_rate`) therefore cost at most `iters + 1` probes
+/// over a bisection and never the result.
+pub fn search_saturation(
     iters: u32,
     max_rate: f64,
-    w: WarmStart,
-    p: &mut Prober<F>,
-) -> Option<f64> {
-    if !(w.predicted.is_finite() && w.margin.is_finite()) || w.margin <= 0.0 || w.predicted <= 0.0 {
-        return None;
+    mut probe: impl FnMut(f64) -> (bool, f64),
+) -> (f64, u32) {
+    assert!(
+        iters <= 52,
+        "a {iters}-level grid is finer than f64 resolves"
+    );
+    let cells = 1u64 << iters;
+    let (stable, mut knee) = probe(max_rate);
+    if stable {
+        return (max_rate, 1);
     }
-    let (mut lo, mut hi) = (0.0_f64, max_rate);
-    for _ in 0..iters {
-        let mid = 0.5 * (lo + hi);
-        let go_up = if (mid - w.predicted).abs() <= w.margin {
-            p.probe(mid)
+    let mut probes = 1;
+    let (mut lo, mut hi) = (0, cells);
+    // Cells to step up from `lo`; 0 = aim under `knee` instead.
+    let mut step = 0;
+    while hi - lo > 1 {
+        let width = hi - lo;
+        let aim = if probes + 1 + bisection_depth(width - 1) > 2 * iters + 2 {
+            lo + width / 2
+        } else if step > 0 {
+            lo + step
         } else {
-            mid <= w.predicted
+            // Saturating cast: NaN and negatives land on 0, +∞ on the top.
+            (knee / max_rate * cells as f64) as u64
         };
-        if go_up {
-            lo = mid;
-        } else {
-            hi = mid;
+        let k = aim.clamp(lo + 1, hi - 1);
+        probes += 1;
+        match probe(grid_rate(iters, max_rate, k)) {
+            (true, _) => {
+                lo = k;
+                step = (2 * step).max(1);
+            }
+            (false, estimate) => {
+                hi = k;
+                knee = estimate;
+                step = 0;
+            }
         }
     }
-    // Verify the upper edge. When the bracket never moved off max_rate the
-    // cold search would have started with its max_rate probe — replicate
-    // it, including the stable-at-max early return.
-    if hi >= max_rate {
-        if p.probe(max_rate) {
-            return Some(max_rate);
-        }
-    } else if p.probe(hi) {
-        return None;
-    }
-    // Verify the lower edge (0 needs no probe: the cold loop never probes
-    // its initial lo either).
-    if lo > 0.0 && !p.probe(lo) {
-        return None;
-    }
-    Some(lo)
+    (grid_rate(iters, max_rate, lo), probes)
 }
 
-/// Memo-aware bisection core shared by the cold and warm-started searches.
-/// `stable` must be a deterministic function of the rate. Returns the
-/// measured load, the number of `stable` evaluations and the warm-start
-/// outcome.
-pub fn bisect_saturation(
-    iters: u32,
+/// The stability measurement a saturation search evaluates:
+/// `build(rate)` constructs a fresh network offering `rate`
+/// flits/cycle/node over `active_nodes` nodes. Runs the zero-load latency
+/// reference once, then returns the probe [`search_saturation`] takes:
+/// `rate -> (stable, knee_estimate)`. The estimate is a by-product of the
+/// backlog criterion: a run that left `backlog` of its `offered` packets
+/// in the source queues accepted `rate * (1 - backlog / offered)`, and at
+/// the knee that fraction is exactly `backlog_fraction`.
+fn stability_oracle<'a>(
+    probe: &'a SaturationProbe,
+    active_nodes: usize,
     max_rate: f64,
-    warm: Option<WarmStart>,
-    stable: impl FnMut(f64) -> bool,
-) -> (f64, u32, WarmOutcome) {
-    let mut p = Prober {
-        stable,
-        memo: BTreeMap::new(),
-        count: 0,
+    mut build: impl FnMut(f64) -> Network + 'a,
+) -> impl FnMut(f64) -> (bool, f64) + 'a {
+    // Zero-load latency reference for the latency-knee criterion.
+    let zero_load = {
+        let mut net = build((0.02 * max_rate).max(1e-3));
+        net.run_warmup_measure(probe.warmup, probe.measure);
+        net.stats
+            .recorder
+            .overall_mean(metrics::LatencyKind::Total)
+            .unwrap_or(20.0)
     };
-    let outcome = match warm {
-        Some(w) => {
-            if let Some(load) = warm_search(iters, max_rate, w, &mut p) {
-                return (load, p.count, WarmOutcome::Accepted);
-            }
-            WarmOutcome::Rejected
-        }
-        None => WarmOutcome::NoHint,
-    };
-    // Establish that max_rate is unstable; if even max_rate is stable,
-    // return it. A rejected warm phase usually proved instability somewhere
-    // already — then the probe is skipped instead of re-simulated.
-    if !p.proven_unstable_below(max_rate) && p.probe(max_rate) {
-        return (max_rate, p.count, outcome);
+    move |rate: f64| {
+        let mut net = build(rate);
+        net.run_warmup_measure(probe.warmup, probe.measure);
+        let total_cycles = probe.warmup + probe.measure;
+        let offered_packets = rate / AVG_PACKET_FLITS * active_nodes as f64 * total_cycles as f64;
+        let backlog = net.total_backlog() as f64;
+        let backlog_ok = backlog < probe.backlog_fraction * offered_packets;
+        let latency_ok = net
+            .stats
+            .recorder
+            .overall_mean(metrics::LatencyKind::Total)
+            .is_some_and(|l| l <= probe.latency_blowup * zero_load);
+        let accepted = rate * (1.0 - backlog / offered_packets);
+        (
+            backlog_ok && latency_ok,
+            accepted / (1.0 - probe.backlog_fraction),
+        )
     }
-    let (mut lo, mut hi) = (0.0_f64, max_rate);
-    for _ in 0..iters {
-        let mid = 0.5 * (lo + hi);
-        if p.probe(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    (lo, p.count, outcome)
 }
 
 /// Generic saturation search: `build(rate)` constructs a fresh network
@@ -251,48 +245,53 @@ pub fn find_saturation(
     max_rate: f64,
     build: impl FnMut(f64) -> Network,
 ) -> f64 {
-    find_saturation_traced(probe, active_nodes, max_rate, None, build).load
+    find_saturation_traced(probe, active_nodes, max_rate, build).load
 }
 
-/// [`find_saturation`] with an optional model warm-start and full probe
-/// accounting. With `warm: None` the search is exactly the classic cold
-/// bisection; with a hint it returns the bit-identical load while
-/// simulating only in-margin midpoints plus the bracket verification.
+/// [`find_saturation`] with full probe accounting.
 pub fn find_saturation_traced(
     probe: &SaturationProbe,
     active_nodes: usize,
     max_rate: f64,
-    warm: Option<WarmStart>,
-    mut build: impl FnMut(f64) -> Network,
+    build: impl FnMut(f64) -> Network,
 ) -> SearchOutcome {
-    // Zero-load latency reference for the latency-knee criterion.
-    let zero_load = {
-        let mut net = build((0.02 * max_rate).max(1e-3));
-        net.run_warmup_measure(probe.warmup, probe.measure);
-        net.stats
-            .recorder
-            .overall_mean(metrics::LatencyKind::Total)
-            .unwrap_or(20.0)
-    };
-    let stable_at = |rate: f64| -> bool {
-        let mut net = build(rate);
-        let total_cycles = probe.warmup + probe.measure;
-        net.run_warmup_measure(probe.warmup, probe.measure.max(total_cycles - probe.warmup));
-        let offered_packets = rate / AVG_PACKET_FLITS * active_nodes as f64 * total_cycles as f64;
-        let backlog_ok = (net.total_backlog() as f64) < probe.backlog_fraction * offered_packets;
-        let latency_ok = net
-            .stats
-            .recorder
-            .overall_mean(metrics::LatencyKind::Total)
-            .is_some_and(|l| l <= probe.latency_blowup * zero_load);
-        backlog_ok && latency_ok
-    };
-    let (load, probes, warm) = bisect_saturation(probe.iters, max_rate, warm, stable_at);
+    let oracle = stability_oracle(probe, active_nodes, max_rate, build);
+    let (load, probes) = search_saturation(probe.iters, max_rate, oracle);
     SearchOutcome {
         load,
         simulations: probes + 1,
-        warm,
     }
+}
+
+/// `(active nodes, network builder)` of application `app` running *alone*
+/// with its configured traffic mix (all other applications silent), under
+/// round-robin arbitration and the given routing algorithm.
+fn app_alone<'a>(
+    probe: &'a SaturationProbe,
+    cfg: &'a SimConfig,
+    region: &'a RegionMap,
+    app: AppId,
+    spec: &'a AppSpec,
+    routing: impl Fn() -> Box<dyn RoutingAlgorithm> + 'a,
+) -> (usize, impl FnMut(f64) -> Network + 'a) {
+    let active = region.nodes_of(app).len();
+    assert!(active > 0, "app {app} has no nodes");
+    (active, move |rate| {
+        let mut specs: Vec<Option<AppSpec>> = vec![None; region.num_apps()];
+        specs[app as usize] = Some(AppSpec {
+            rate_flits: rate,
+            ..spec.clone()
+        });
+        let scenario = Scenario::new(cfg, region, specs);
+        Network::new(
+            cfg.clone(),
+            region.clone(),
+            routing(),
+            Box::new(RoundRobin),
+            Box::new(scenario),
+            probe.seed,
+        )
+    })
 }
 
 /// Saturation load of one application running *alone* with its configured
@@ -310,35 +309,34 @@ pub fn app_saturation(
     app_saturation_traced(probe, cfg, region, app, spec, None, routing).load
 }
 
-/// [`app_saturation`] with an optional model warm-start and probe
-/// accounting.
+/// [`app_saturation`] with probe accounting. `_hint` is ignored (see
+/// [`WarmStart`]).
 pub fn app_saturation_traced(
     probe: &SaturationProbe,
     cfg: &SimConfig,
     region: &RegionMap,
     app: AppId,
     spec: &AppSpec,
-    warm: Option<WarmStart>,
+    _hint: Option<WarmStart>,
     routing: impl Fn() -> Box<dyn RoutingAlgorithm>,
 ) -> SearchOutcome {
-    let active = region.nodes_of(app).len();
-    assert!(active > 0, "app {app} has no nodes");
-    find_saturation_traced(probe, active, 1.0, warm, |rate| {
-        let mut specs: Vec<Option<AppSpec>> = vec![None; region.num_apps()];
-        specs[app as usize] = Some(AppSpec {
-            rate_flits: rate,
-            ..spec.clone()
-        });
-        let scenario = Scenario::new(cfg, region, specs);
-        Network::new(
-            cfg.clone(),
-            region.clone(),
-            routing(),
-            Box::new(RoundRobin),
-            Box::new(scenario),
-            probe.seed,
-        )
-    })
+    let (active, build) = app_alone(probe, cfg, region, app, spec, routing);
+    find_saturation_traced(probe, active, 1.0, build)
+}
+
+/// The `rate -> (stable, knee_estimate)` probe [`app_saturation`] searches
+/// with, for callers that evaluate the curve themselves (the search's
+/// bisection twin and the grid audit in `model/tests/cross_validation.rs`).
+pub fn app_stability<'a>(
+    probe: &'a SaturationProbe,
+    cfg: &'a SimConfig,
+    region: &'a RegionMap,
+    app: AppId,
+    spec: &'a AppSpec,
+    routing: impl Fn() -> Box<dyn RoutingAlgorithm> + 'a,
+) -> impl FnMut(f64) -> (bool, f64) + 'a {
+    let (active, build) = app_alone(probe, cfg, region, app, spec, routing);
+    stability_oracle(probe, active, 1.0, build)
 }
 
 #[cfg(test)]
@@ -361,156 +359,122 @@ mod tests {
         );
     }
 
-    /// A recording threshold oracle: stable strictly below `t`.
-    fn recording_oracle(
+    /// The twin: a plain interval-halving search that keeps one bit per
+    /// probe. `search_saturation` must land on its cell, bit for bit.
+    fn bisect_twin(iters: u32, max_rate: f64, mut stable: impl FnMut(f64) -> bool) -> (f64, u32) {
+        if stable(max_rate) {
+            return (max_rate, 1);
+        }
+        let (mut lo, mut hi) = (0.0_f64, max_rate);
+        for _ in 0..iters {
+            let mid = 0.5 * (lo + hi);
+            if stable(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo, iters + 1)
+    }
+
+    /// A threshold curve with the backlog an overloaded network shows:
+    /// stable strictly below `t`, accepted throughput flat at `plateau`
+    /// above it. Records every probed rate.
+    fn plateau_oracle(
         t: f64,
+        plateau: f64,
         probed: &std::cell::RefCell<Vec<f64>>,
-    ) -> impl FnMut(f64) -> bool + '_ {
+    ) -> impl FnMut(f64) -> (bool, f64) + '_ {
         move |r: f64| {
             probed.borrow_mut().push(r);
-            r < t
+            (r < t, plateau)
         }
     }
 
     #[test]
-    fn warm_search_bit_identical_on_synthetic_thresholds() {
+    fn grid_points_are_the_bisections_own_floats() {
+        // Every point of the grid, reached by steering the twin to it.
+        for max_rate in [1.0, 0.7, 2.0, 0.3] {
+            for iters in 0..=6u32 {
+                for k in 0..(1u64 << iters) {
+                    let want = grid_rate(iters, max_rate, k);
+                    let (lo, _) = bisect_twin(iters, max_rate, |r| r <= want && r < max_rate);
+                    assert_eq!(lo.to_bits(), want.to_bits(), "{max_rate}/{iters}/{k}");
+                }
+                assert_eq!(grid_rate(iters, max_rate, 1 << iters), max_rate);
+            }
+        }
+    }
+
+    #[test]
+    fn search_lands_on_the_twins_cell_for_good_and_bad_estimates() {
         for t in [0.0005, 0.0773, 0.31, 0.375, 0.5, 0.74, 0.991, 1.2] {
             for iters in [5u32, 7] {
-                let cold_probes = std::cell::RefCell::new(Vec::new());
-                let (cold, cold_n, oc) =
-                    bisect_saturation(iters, 1.0, None, recording_oracle(t, &cold_probes));
-                assert_eq!(oc, WarmOutcome::NoHint);
-                for err in [-0.04, -0.01, 0.0, 0.02, 0.045] {
-                    let warm = WarmStart {
-                        predicted: t + err,
-                        margin: 0.05,
-                    };
-                    if warm.predicted <= 0.0 {
-                        // Nonsensical hint: ignored, search runs cold.
-                        let (load, n, oc) = bisect_saturation(iters, 1.0, Some(warm), |r| r < t);
-                        assert_eq!(load.to_bits(), cold.to_bits());
-                        assert_eq!((n, oc), (cold_n, WarmOutcome::Rejected));
-                        continue;
+                let (cold, cold_n) = bisect_twin(iters, 1.0, |r| r < t);
+                // An estimate on the knee, a few cells off either way, and
+                // nowhere near it.
+                for plateau in [t, t - 0.09, t + 0.06, 0.02, 5.0] {
+                    let probed = std::cell::RefCell::new(Vec::new());
+                    let (load, n) =
+                        search_saturation(iters, 1.0, plateau_oracle(t, plateau, &probed));
+                    assert_eq!(load.to_bits(), cold.to_bits(), "t={t} plateau={plateau}");
+                    assert_eq!(n as usize, probed.borrow().len());
+                    assert!(n <= 2 * iters + 2, "t={t} plateau={plateau}: {n} probes");
+                    if plateau == t && t < 1.0 {
+                        // max_rate, the cell under the knee, the one above.
+                        assert!(n <= 3 && n < cold_n, "t={t}: {n} vs {cold_n}");
                     }
-                    let probes = std::cell::RefCell::new(Vec::new());
-                    let (load, n, oc) =
-                        bisect_saturation(iters, 1.0, Some(warm), recording_oracle(t, &probes));
-                    assert_eq!(load.to_bits(), cold.to_bits(), "t={t} err={err}");
-                    assert_eq!(oc, WarmOutcome::Accepted, "t={t} err={err}");
-                    // An in-band hint only ever simulates rates the cold
-                    // search also simulated — never more work, usually
-                    // far less.
-                    assert!(n <= cold_n, "t={t} err={err}: {n} > {cold_n}");
-                    for r in probes.borrow().iter() {
-                        assert!(
-                            cold_probes.borrow().contains(r),
-                            "warm probed {r}, cold never did (t={t} err={err})"
-                        );
-                    }
+                    let mut bits: Vec<u64> = probed.borrow().iter().map(|r| r.to_bits()).collect();
+                    bits.sort_unstable();
+                    bits.dedup();
+                    assert_eq!(bits.len(), n as usize, "rate probed twice for t={t}");
                 }
             }
         }
     }
 
     #[test]
-    fn warm_search_halves_probe_count_near_accurate_hints() {
-        // The headline economics: with a full-depth probe (7 iters, 8 cold
-        // stability sims) an accurate hint needs at most half of them.
-        for t in [0.17, 0.375, 0.52, 0.81] {
-            let (_, cold_n, _) = bisect_saturation(7, 1.0, None, |r| r < t);
-            assert_eq!(cold_n, 8);
-            let warm = WarmStart {
-                predicted: t + 0.01,
-                margin: 0.03,
-            };
-            let (_, warm_n, _) = bisect_saturation(7, 1.0, Some(warm), |r| r < t);
-            assert!(
-                warm_n * 2 <= cold_n,
-                "t={t}: {warm_n} sims vs cold {cold_n}"
-            );
+    fn stable_at_max_rate_returns_max_after_one_probe() {
+        let probed = std::cell::RefCell::new(Vec::new());
+        let (load, n) = search_saturation(5, 0.7, plateau_oracle(9.0, f64::NAN, &probed));
+        assert_eq!((load, n), (0.7, 1));
+        assert_eq!(*probed.borrow(), [0.7]);
+    }
+
+    #[test]
+    fn unstable_at_the_first_cell_collapses_to_zero() {
+        // Nothing is stable: the load is 0.0 (a `SaturationError` one
+        // layer up), as the twin's, and rate 0 itself is never simulated.
+        for plateau in [0.0, 0.4, f64::NEG_INFINITY] {
+            let probed = std::cell::RefCell::new(Vec::new());
+            let (load, n) = search_saturation(5, 1.0, plateau_oracle(0.0, plateau, &probed));
+            assert_eq!(load.to_bits(), 0.0f64.to_bits());
+            assert!(n <= 12);
+            assert!(probed.borrow().iter().all(|&r| r > 0.0));
+            assert!(probed.borrow().contains(&(1.0 / 32.0)));
         }
     }
 
     #[test]
-    fn rejected_warm_hint_falls_back_to_identical_cold_result() {
-        for (t, pred) in [(0.3, 0.85), (0.8, 0.15), (0.45, 0.95)] {
-            let (cold, _, _) = bisect_saturation(7, 1.0, None, |r| r < t);
-            let warm = WarmStart {
-                predicted: pred,
-                margin: 0.03,
-            };
-            let probes = std::cell::RefCell::new(Vec::new());
-            let (load, _, oc) = bisect_saturation(7, 1.0, Some(warm), recording_oracle(t, &probes));
-            assert_eq!(load.to_bits(), cold.to_bits(), "t={t} pred={pred}");
-            assert_eq!(oc, WarmOutcome::Rejected);
-            // No rate is ever simulated twice, even across the
-            // warm-then-cold fallback.
-            let list = probes.borrow();
-            let mut bits: Vec<u64> = list.iter().map(|r| r.to_bits()).collect();
-            bits.sort_unstable();
-            bits.dedup();
-            assert_eq!(bits.len(), list.len(), "duplicate probe for t={t}");
-        }
+    fn zero_iterations_probe_max_rate_only() {
+        assert_eq!(search_saturation(0, 1.0, |r| (r < 0.5, 0.5)), (0.0, 1));
+        assert_eq!(search_saturation(0, 1.0, |_| (true, 0.5)), (1.0, 1));
+        assert_eq!(bisect_twin(0, 1.0, |r| r < 0.5), (0.0, 1));
     }
 
     #[test]
-    fn fallback_skips_max_rate_probe_when_instability_already_proven() {
-        // A hint far above the true threshold: the warm phase simulates
-        // unstable in-band midpoints, verification rejects the bracket, and
-        // the cold fallback must not re-establish what the memo already
-        // proves — max_rate is never simulated.
-        let t = 0.3;
-        let probes = std::cell::RefCell::new(Vec::new());
-        let warm = WarmStart {
-            predicted: 0.9,
-            margin: 0.05,
-        };
-        let (load, _, oc) = bisect_saturation(7, 1.0, Some(warm), recording_oracle(t, &probes));
-        assert_eq!(oc, WarmOutcome::Rejected);
-        let (cold, _, _) = bisect_saturation(7, 1.0, None, |r| r < t);
-        assert_eq!(load.to_bits(), cold.to_bits());
-        assert!(
-            !probes.borrow().iter().any(|&r| r >= 1.0),
-            "fallback re-probed max_rate: {:?}",
-            probes.borrow()
-        );
-    }
-
-    #[test]
-    fn stable_at_max_rate_returns_max_under_warm_hint_too() {
-        // Everything stable: cold returns max_rate; a high hint must agree.
-        let (cold, _, _) = bisect_saturation(5, 1.0, None, |_r| true);
-        assert_eq!(cold, 1.0);
-        let warm = WarmStart {
-            predicted: 1.3,
-            margin: 0.05,
-        };
-        let (load, _, oc) = bisect_saturation(5, 1.0, Some(warm), |_r| true);
-        assert_eq!(load, 1.0);
-        assert_eq!(oc, WarmOutcome::Accepted);
-    }
-
-    #[test]
-    fn degenerate_hints_are_ignored() {
-        for warm in [
-            WarmStart {
-                predicted: f64::NAN,
-                margin: 0.05,
-            },
-            WarmStart {
-                predicted: 0.4,
-                margin: 0.0,
-            },
-            WarmStart {
-                predicted: -0.2,
-                margin: 0.05,
-            },
-        ] {
-            let (cold, cold_n, _) = bisect_saturation(5, 1.0, None, |r| r < 0.4);
-            let (load, n, oc) = bisect_saturation(5, 1.0, Some(warm), |r| r < 0.4);
-            assert_eq!(load.to_bits(), cold.to_bits());
-            assert_eq!(n, cold_n);
-            assert_eq!(oc, WarmOutcome::Rejected);
+    fn garbage_estimates_stay_within_the_probe_ceiling() {
+        // The estimate that wastes the most: always the cell just under
+        // `hi`, always unstable. Guesses stop when the budget says so.
+        for iters in 1..=8u32 {
+            let mut n_probes = 0;
+            let (load, n) = search_saturation(iters, 1.0, |r| {
+                n_probes += 1;
+                (r < 1e-9, r)
+            });
+            assert_eq!(load, 0.0);
+            assert_eq!(n, n_probes);
+            assert!(n <= 2 * iters + 2, "iters={iters}: {n}");
         }
     }
 

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use traffic::pattern::Pattern;
-use traffic::saturation::{bisect_saturation, WarmOutcome, WarmStart};
+use traffic::saturation::search_saturation;
 use traffic::scenario::{six_app, two_app, AppSpec, InterDest, Scenario, LOOKAHEAD_HORIZON};
 use traffic::trace::Trace;
 use traffic::workload::{AppModel, ParsecWorkload};
@@ -206,35 +206,6 @@ proptest! {
         }
     }
 
-    /// The warm-started bisection returns the bit-identical load of the
-    /// cold one for *every* monotone stability threshold, prediction and
-    /// margin — accurate hints, wildly wrong hints, degenerate margins.
-    /// This is the invariant that lets the sweep cache accept warm results
-    /// without perturbing golden digests.
-    #[test]
-    fn warm_bisection_is_bit_identical_to_cold(
-        threshold in 0.001f64..1.2,
-        predicted in 0.001f64..1.2,
-        margin in 0.0005f64..0.3,
-        iters in 1u32..9,
-        max_rate in prop_oneof![Just(1.0f64), Just(0.7), Just(2.0)],
-    ) {
-        let stable = |rate: f64| rate <= threshold;
-        let (cold, cold_probes, oc) = bisect_saturation(iters, max_rate, None, stable);
-        prop_assert_eq!(oc, WarmOutcome::NoHint);
-        let warm = Some(WarmStart { predicted, margin });
-        let (load, warm_probes, outcome) = bisect_saturation(iters, max_rate, warm, stable);
-        prop_assert_eq!(
-            load.to_bits(), cold.to_bits(),
-            "warm {} != cold {} (t={}, pred={}, m={}, iters={}, {:?})",
-            load, cold, threshold, predicted, margin, iters, outcome
-        );
-        // The memo guarantees a probe is never repeated, so even a
-        // rejected warm phase costs at most the cold search plus the
-        // warm midpoints and bracket verification.
-        prop_assert!(warm_probes <= cold_probes + iters + 2);
-    }
-
     /// Six-app scenarios respect the 75/20/5 mix within tolerance, for any
     /// inter-destination rule.
     #[test]
@@ -298,5 +269,79 @@ proptest! {
         let t = Trace::capture(s, 64, 400, seed);
         let back = Trace::from_bytes(t.to_bytes()).unwrap();
         prop_assert_eq!(t, back);
+    }
+}
+
+/// The twin of `search_saturation`: a plain interval-halving search that
+/// keeps one bit of every probe.
+fn bisect_twin(iters: u32, max_rate: f64, stable: impl Fn(f64) -> bool) -> f64 {
+    if stable(max_rate) {
+        return max_rate;
+    }
+    let (mut lo, mut hi) = (0.0_f64, max_rate);
+    for _ in 0..iters {
+        let mid = 0.5 * (lo + hi);
+        if stable(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+proptest! {
+    // Pure arithmetic, no simulation: many cases are cheap.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The extrapolating search returns the bit-identical load of the plain
+    /// bisection for *every* monotone stability threshold, grid depth and
+    /// `max_rate`, whatever the knee estimates say — honest, a cell off,
+    /// arbitrary, NaN, ±∞, negative, above `max_rate`, or chosen to waste
+    /// the most probes. Estimates place probes; they never decide a cell.
+    /// This is the invariant that keeps cache contents and golden digests
+    /// independent of the probe order. It also never simulates a rate
+    /// twice and never spends more than `2 * iters + 2` probes.
+    #[test]
+    fn search_is_bit_identical_to_bisection_under_adversarial_estimates(
+        threshold in 0.0f64..1.2,
+        iters in 1u32..9,
+        max_rate in prop_oneof![Just(1.0f64), Just(0.7), Just(2.0)],
+        estimates in proptest::collection::vec((0u8..9, -4.0f64..4.0), 18..19),
+    ) {
+        let t = threshold * max_rate;
+        let stable = |rate: f64| rate <= t;
+        let twin = bisect_twin(iters, max_rate, stable);
+        let mut probed: Vec<f64> = Vec::new();
+        let (load, probes) = search_saturation(iters, max_rate, |rate| {
+            let (kind, x) = estimates[probed.len() % estimates.len()];
+            probed.push(rate);
+            let estimate = match kind {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => -x.abs(),
+                4 => max_rate * (1.0 + x.abs()),
+                5 => x * 1e300,
+                6 => x * max_rate,
+                // The accepted throughput of a real overloaded network:
+                // the knee, a little off.
+                7 => t * (1.0 + 0.02 * x),
+                // The most wasteful answer: just under the probe itself.
+                _ => rate * (1.0 - f64::EPSILON),
+            };
+            (stable(rate), estimate)
+        });
+        prop_assert_eq!(
+            load.to_bits(), twin.to_bits(),
+            "search {} != twin {} (t={}, iters={}, max={}, probed {:?})",
+            load, twin, t, iters, max_rate, probed
+        );
+        prop_assert_eq!(probes as usize, probed.len());
+        prop_assert!(probes <= 2 * iters + 2, "{} probes: {:?}", probes, probed);
+        let mut bits: Vec<u64> = probed.iter().map(|r| r.to_bits()).collect();
+        bits.sort_unstable();
+        bits.dedup();
+        prop_assert_eq!(bits.len(), probed.len(), "a rate was probed twice: {:?}", probed);
     }
 }
