@@ -132,10 +132,10 @@ const SUBCOMMANDS: &[Cmd] = &[
     Cmd { name: "fig14", role: Paper, help: "Fig. 14: six-application synthetic mix", flags: &[SIM], run: |o| figure(o, figs::fig14::report(&o.ec)) },
     Cmd { name: "fig15", role: Paper, help: "Fig. 15: global traffic patterns", flags: &[SIM], run: |o| figure(o, figs::fig15::report(&o.ec)) },
     Cmd { name: "fig17", role: Paper, help: "Fig. 17: PARSEC-like slowdowns under an adversary", flags: &[SIM], run: |o| figure(o, figs::fig17::report(&o.ec)) },
-    Cmd { name: "ablation-delta", role: Paper, help: "ablation: DPA hysteresis delta", flags: &[SIM], run: |o| emit(o, &ablation::table(&ablation::delta_sweep(&o.ec))) },
-    Cmd { name: "ablation-vcsplit", role: Paper, help: "ablation: regional/global VC split", flags: &[SIM], run: |o| emit(o, &ablation::table(&ablation::vc_split_sweep(&o.ec))) },
-    Cmd { name: "ablation-rank", role: Paper, help: "ablation: STC rank estimation", flags: &[SIM], run: |o| emit(o, &ablation::table(&ablation::rank_estimation(&o.ec))) },
-    Cmd { name: "baselines", role: Extra, help: "the region-oblivious baselines side by side", flags: &[SIM], run: |o| emit(o, &ablation::table(&ablation::baselines(&o.ec))) },
+    Cmd { name: "ablation-delta", role: Paper, help: "ablation: DPA hysteresis delta", flags: &[SIM], run: |o| emit(o, &ablation::delta_sweep(&o.ec)) },
+    Cmd { name: "ablation-vcsplit", role: Paper, help: "ablation: regional/global VC split", flags: &[SIM], run: |o| emit(o, &ablation::vc_split_sweep(&o.ec)) },
+    Cmd { name: "ablation-rank", role: Paper, help: "ablation: STC rank estimation", flags: &[SIM], run: |o| emit(o, &ablation::rank_estimation(&o.ec)) },
+    Cmd { name: "baselines", role: Extra, help: "the region-oblivious baselines side by side", flags: &[SIM], run: |o| emit(o, &ablation::baselines(&o.ec)) },
     Cmd { name: "curve", role: Extra, help: "load-latency curves and knees of three patterns", flags: &[SIM], run: curve },
     Cmd { name: "oracle", role: Extra, help: "scheme x routing matrix under per-cycle invariant checking", flags: &[SIM], run: oracle },
     Cmd { name: "trace-demo", role: Extra, help: "capture a trace to a file, replay it under two schemes", flags: &[SIM, &["--trace-file"]], run: |o| emit(o, &figs::trace_demo::run(&o.ec, &o.trace_file)?) },
@@ -250,15 +250,13 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<(Opts, Vec<&'static C
         vec![c]
     } else {
         let mut cmds = Vec::new();
-        for name in positional.iter().filter(|name| *name != ALL) {
+        for name in &positional {
             match find(name) {
+                _ if name == ALL => cmds.extend(paper()),
                 Some(c) if matches!(c.role, Solo(_)) => return Err(solo(c, first)),
                 Some(c) => cmds.push(c),
                 None => return Err(format!("unknown experiment {name}")),
             }
-        }
-        if cmds.len() < positional.len() {
-            cmds = paper();
         }
         cmds
     };
@@ -342,12 +340,13 @@ fn negatives(cases: &[NegativeCase], kind: &str, missed: &str) -> Outcome {
 }
 
 fn curve(o: &Opts) -> Outcome {
+    use figs::curve;
     use traffic::pattern::Pattern::{BitComplement, Transpose, UniformRandom};
     for pattern in [UniformRandom, Transpose, BitComplement] {
-        let c = figs::curve::run(&o.ec, pattern, 0.6, 12);
-        emit(o, &figs::curve::table(&c))?;
-        if let Some(k) = figs::curve::knee(&c) {
-            let pattern = &c.pattern;
+        let points = curve::run(&o.ec, &pattern, 0.6, 12);
+        emit(o, &curve::table(&pattern, &points))?;
+        if let Some(k) = curve::knee(&points) {
+            let pattern = pattern.label();
             println!("{pattern} knee (3x zero-load) at ~{k:.3} flits/cycle/node\n");
         }
     }
@@ -563,5 +562,9 @@ mod tests {
         let want = "table1 lbdr fig9 fig10 fig12 fig14 fig15 fig17 \
                     ablation-delta ablation-vcsplit ablation-rank";
         assert_eq!(names(&all), want);
+        // `all` stands for its rows in place; extras named with it still run.
+        let args = ["baselines", "all", "curve"].map(String::from);
+        let (_, cmds) = parse(args).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(names(&cmds), format!("baselines {want} curve"));
     }
 }

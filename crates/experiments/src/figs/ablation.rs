@@ -1,185 +1,131 @@
 //! Ablation studies for RAIR's design parameters (§IV.C and §VI of the
-//! paper discuss both qualitatively; these benches quantify them on the
-//! six-application scenario of Fig. 13/14).
+//! paper discuss the first two qualitatively; these studies quantify them
+//! on the six-application scenario of Fig. 13/14).
 //!
 //! * **Hysteresis width Δ** — the paper observed Δ ∈ 0.1…0.3 works with
 //!   the best case around 0.2.
 //! * **Regional:global VC split** — §VI argues a roughly equal split
 //!   supports generic traffic best.
+//! * **Oracle vs online STC ranking**, and every region-oblivious
+//!   **baseline** side by side — extensions beyond the paper.
 
-use crate::figs::fig14::six_app_rates;
-use crate::runner::{run_one, run_parallel, ExpConfig, Job, RunResult};
-use crate::sweep::build_network;
+use crate::figs::fig14::{six_app_cell, six_app_rates};
+use crate::figs::{AplTable, Cell};
+use crate::runner::ExpConfig;
 use metrics::report::{f2, pct};
 use metrics::Table;
 use noc_sim::config::SimConfig;
 use rair::dpa::DpaMode;
 use rair::msp::MspConfig;
 use rair::scheme::{Routing, Scheme};
-use traffic::scenario::{six_app, InterDest};
+use traffic::scenario::InterDest;
 
-/// `(parameter label, per-app APL)` rows, with RO_RR as row 0.
-#[derive(Debug, Clone)]
-pub struct AblationResult {
-    pub title: String,
-    pub rows: Vec<(String, Vec<f64>)>,
+/// One row of a study: the six-app UR scenario at `rates` under `cfg`.
+fn cell(label: impl Into<String>, cfg: SimConfig, scheme: Scheme, rates: [f64; 6]) -> Cell {
+    six_app_cell(
+        label,
+        cfg,
+        scheme,
+        Routing::Local,
+        rates,
+        InterDest::OutsideUniform,
+    )
 }
 
-impl AblationResult {
-    /// APL reduction of row `label` relative to the RO_RR baseline row,
-    /// averaged per application (the paper's aggregation).
-    pub fn reduction(&self, label: &str) -> f64 {
-        let base = &self.rows[0].1;
-        let v = &self
-            .rows
-            .iter()
-            .find(|(l, _)| l == label)
-            .unwrap_or_else(|| panic!("no row {label}"))
-            .1;
-        let s: f64 = v.iter().zip(base).map(|(a, b)| 1.0 - a / b).sum();
-        s / v.len() as f64
-    }
+/// Run a study's cells at the six-app loads and render them under `title`.
+fn report(ec: &ExpConfig, title: &str, cells: fn([f64; 6]) -> Vec<Cell>) -> Table {
+    table(title, &AplTable::run(ec, cells(six_app_rates(ec))))
 }
 
-fn run_rows(
-    ec: &ExpConfig,
-    title: &str,
-    configs: Vec<(String, SimConfig, Scheme)>,
-) -> AblationResult {
-    let rates = six_app_rates(ec);
-    let jobs: Vec<Job> = configs
-        .into_iter()
-        .map(|(label, cfg, scheme)| {
-            let ec = *ec;
-
-            Job::new(label.clone(), move || {
-                let (region, scenario) = six_app(&cfg, rates, InterDest::OutsideUniform);
-                let net = build_network(
-                    &cfg,
-                    &region,
-                    &scheme,
-                    Routing::Local,
-                    Box::new(scenario),
-                    ec.seed,
-                );
-                run_one(label.clone(), net, &ec)
-            })
-        })
-        .collect();
-    let results = run_parallel(jobs);
-    AblationResult {
-        title: title.to_string(),
-        rows: results
-            .into_iter()
-            .map(|r: RunResult| {
-                let apl: Vec<f64> = (0..6).map(|a| r.app_apl(a)).collect();
-                (r.label, apl)
-            })
-            .collect(),
+/// RO_RR, then RAIR across DPA hysteresis widths Δ.
+pub fn delta_cells(rates: [f64; 6]) -> Vec<Cell> {
+    let cfg = SimConfig::table1();
+    let mut cells = vec![cell("RO_RR", cfg.clone(), Scheme::RoRr, rates)];
+    for delta in [0.0, 0.1, 0.2, 0.3, 0.5] {
+        let scheme = Scheme::Rair {
+            msp: MspConfig::va_and_sa(),
+            dpa: DpaMode::Dynamic { delta },
+        };
+        cells.push(cell(format!("RAIR d={delta}"), cfg.clone(), scheme, rates));
     }
+    cells
 }
 
 /// Sweep the DPA hysteresis width Δ.
-pub fn delta_sweep(ec: &ExpConfig) -> AblationResult {
-    let cfg = SimConfig::table1();
-    let mut configs = vec![("RO_RR".to_string(), cfg.clone(), Scheme::RoRr)];
-    for delta in [0.0, 0.1, 0.2, 0.3, 0.5] {
-        configs.push((
-            format!("RAIR d={delta}"),
-            cfg.clone(),
-            Scheme::Rair {
-                msp: MspConfig::va_and_sa(),
-                dpa: DpaMode::Dynamic { delta },
-            },
-        ));
-    }
-    run_rows(
-        ec,
-        "Ablation — DPA hysteresis width (six-app UR scenario)",
-        configs,
-    )
+pub fn delta_sweep(ec: &ExpConfig) -> Table {
+    let title = "Ablation — DPA hysteresis width (six-app UR scenario)";
+    report(ec, title, delta_cells)
 }
 
-/// Sweep the regional:global adaptive-VC split.
-pub fn vc_split_sweep(ec: &ExpConfig) -> AblationResult {
+/// RO_RR, then RAIR across every regional:global adaptive-VC split.
+pub fn vc_split_cells(rates: [f64; 6]) -> Vec<Cell> {
     let base = SimConfig::table1();
-    let mut configs = vec![("RO_RR".to_string(), base.clone(), Scheme::RoRr)];
+    let mut cells = vec![cell("RO_RR", base.clone(), Scheme::RoRr, rates)];
     for regional in 0..=base.adaptive_vcs {
         let mut cfg = base.clone();
         cfg.regional_vcs = regional;
-        configs.push((
-            format!("RAIR {}R:{}G", regional, base.adaptive_vcs - regional),
-            cfg,
-            Scheme::rair(),
-        ));
+        let label = format!("RAIR {}R:{}G", regional, base.adaptive_vcs - regional);
+        cells.push(cell(label, cfg, Scheme::rair(), rates));
     }
-    run_rows(
-        ec,
-        "Ablation — regional:global VC split (six-app UR scenario)",
-        configs,
-    )
+    cells
+}
+
+/// Sweep the regional:global adaptive-VC split.
+pub fn vc_split_sweep(ec: &ExpConfig) -> Table {
+    let title = "Ablation — regional:global VC split (six-app UR scenario)";
+    report(ec, title, vc_split_cells)
+}
+
+/// RO_RR, RO_Age, oracle and online STC, and RA_RAIR.
+pub fn baselines_cells(rates: [f64; 6]) -> Vec<Cell> {
+    let cfg = SimConfig::table1();
+    [
+        ("RO_RR", Scheme::RoRr),
+        ("RO_Age", Scheme::RoAge),
+        ("RO_Rank", Scheme::ro_rank(rates.to_vec())),
+        ("RO_RankOnline", Scheme::ro_rank_online(6)),
+        ("RA_RAIR", Scheme::rair()),
+    ]
+    .into_iter()
+    .map(|(label, scheme)| cell(label, cfg.clone(), scheme, rates))
+    .collect()
 }
 
 /// All region-oblivious baselines side by side (round-robin, oldest-first,
 /// oracle and online STC) against RAIR on the six-app scenario — extends
 /// the paper's comparison with the age-based arbiter it cites as an early
 /// region-oblivious proposal \[1\].
-pub fn baselines(ec: &ExpConfig) -> AblationResult {
+pub fn baselines(ec: &ExpConfig) -> Table {
+    let title = "Extension — all baselines vs RAIR (six-app UR scenario)";
+    report(ec, title, baselines_cells)
+}
+
+/// RO_RR, oracle and online STC ranking, and RA_RAIR.
+pub fn rank_cells(rates: [f64; 6]) -> Vec<Cell> {
     let cfg = SimConfig::table1();
-    let rates = six_app_rates(ec);
-    let configs = vec![
-        ("RO_RR".to_string(), cfg.clone(), Scheme::RoRr),
-        ("RO_Age".to_string(), cfg.clone(), Scheme::RoAge),
-        (
-            "RO_Rank".to_string(),
-            cfg.clone(),
-            Scheme::ro_rank(rates.to_vec()),
-        ),
-        (
-            "RO_RankOnline".to_string(),
-            cfg.clone(),
-            Scheme::ro_rank_online(6),
-        ),
-        ("RA_RAIR".to_string(), cfg, Scheme::rair()),
-    ];
-    run_rows(
-        ec,
-        "Extension — all baselines vs RAIR (six-app UR scenario)",
-        configs,
-    )
+    [
+        ("RO_RR", Scheme::RoRr),
+        ("RO_Rank (oracle)", Scheme::ro_rank(rates.to_vec())),
+        ("RO_RankOnline", Scheme::ro_rank_online(6)),
+        ("RA_RAIR", Scheme::rair()),
+    ]
+    .into_iter()
+    .map(|(label, scheme)| cell(label, cfg.clone(), scheme, rates))
+    .collect()
 }
 
 /// Oracle vs online STC ranking (extension beyond the paper, which grants
 /// STC an optimal-ranking oracle): how much of RO_Rank's benefit survives
 /// when intensities must be estimated at run time?
-pub fn rank_estimation(ec: &ExpConfig) -> AblationResult {
-    let cfg = SimConfig::table1();
-    let rates = six_app_rates(ec);
-    let configs = vec![
-        ("RO_RR".to_string(), cfg.clone(), Scheme::RoRr),
-        (
-            "RO_Rank (oracle)".to_string(),
-            cfg.clone(),
-            Scheme::ro_rank(rates.to_vec()),
-        ),
-        (
-            "RO_RankOnline".to_string(),
-            cfg.clone(),
-            Scheme::ro_rank_online(6),
-        ),
-        ("RA_RAIR".to_string(), cfg, Scheme::rair()),
-    ];
-    run_rows(
-        ec,
-        "Ablation — oracle vs online STC ranking (six-app UR scenario)",
-        configs,
-    )
+pub fn rank_estimation(ec: &ExpConfig) -> Table {
+    let title = "Ablation — oracle vs online STC ranking (six-app UR scenario)";
+    report(ec, title, rank_cells)
 }
 
-/// Render an ablation result.
-pub fn table(res: &AblationResult) -> Table {
-    let mut t = Table::new(res.title.clone(), &["config", "mean APL", "vs RO_RR"]);
-    for (label, apl) in &res.rows {
+/// Render a study: mean APL per row and its reduction vs RO_RR.
+pub fn table(title: &str, res: &AplTable) -> Table {
+    let mut t = Table::new(title, &["config", "mean APL", "vs RO_RR"]);
+    for (label, apl) in &res.schemes {
         let mean = apl.iter().sum::<f64>() / apl.len() as f64;
         t.row(vec![
             label.clone(),
@@ -187,7 +133,7 @@ pub fn table(res: &AblationResult) -> Table {
             if label == "RO_RR" {
                 "—".into()
             } else {
-                pct(res.reduction(label))
+                pct(res.avg_reduction(label, None))
             },
         ]);
     }

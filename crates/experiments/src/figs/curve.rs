@@ -4,8 +4,8 @@
 //! behavior every scenario is positioned against) reproducible and
 //! inspectable.
 
-use crate::runner::{run_one, run_parallel, ExpConfig, Job};
-use crate::sweep::build_network;
+use crate::figs::{run_cells, Cell};
+use crate::runner::{ExpConfig, RunResult};
 use metrics::report::f2;
 use metrics::Table;
 use noc_sim::config::SimConfig;
@@ -14,25 +14,20 @@ use rair::scheme::{Routing, Scheme};
 use traffic::pattern::Pattern;
 use traffic::scenario::{AppSpec, InterDest, Scenario};
 
-/// One load-latency curve.
-#[derive(Debug, Clone)]
-pub struct Curve {
-    pub pattern: String,
-    /// `(offered flits/cycle/node, mean network APL, mean total APL,
-    /// delivered throughput)` points; latency is `None` past saturation
-    /// collapse (nothing delivered).
-    pub points: Vec<(f64, Option<f64>, Option<f64>, f64)>,
+/// `steps` evenly spaced offered loads up to `max_rate` flits/cycle/node.
+fn rates(max_rate: f64, steps: usize) -> impl Iterator<Item = f64> {
+    (1..=steps).map(move |i| max_rate * i as f64 / steps as f64)
 }
 
-/// Sweep offered load for a chip-wide pattern under RO_RR + local adaptive
-/// routing (the reference configuration used for saturation search).
-pub fn run(ec: &ExpConfig, pattern: Pattern, max_rate: f64, steps: usize) -> Curve {
-    let jobs: Vec<Job> = (1..=steps)
-        .map(|i| {
-            let rate = max_rate * i as f64 / steps as f64;
-            let ec = *ec;
+/// One cell per offered load of a chip-wide `pattern` under RO_RR + local
+/// adaptive routing (the reference configuration used for saturation
+/// search).
+pub fn cells(pattern: &Pattern, max_rate: f64, steps: usize) -> Vec<Cell> {
+    rates(max_rate, steps)
+        .map(|rate| {
             let pattern = pattern.clone();
-            Job::new(format!("curve/rate={rate:.3}"), move || {
+            let label = format!("curve/rate={rate:.3}");
+            Cell::new(label, Scheme::RoRr, Routing::Local, move || {
                 let cfg = SimConfig::table1();
                 let region = RegionMap::single(&cfg);
                 let spec = AppSpec {
@@ -43,48 +38,39 @@ pub fn run(ec: &ExpConfig, pattern: Pattern, max_rate: f64, steps: usize) -> Cur
                     mc: 0.0,
                 };
                 let scenario = Scenario::new(&cfg, &region, vec![Some(spec)]);
-                let net = build_network(
-                    &cfg,
-                    &region,
-                    &Scheme::RoRr,
-                    Routing::Local,
-                    Box::new(scenario),
-                    ec.seed,
-                );
-                run_one(format!("{rate:.3}"), net, &ec)
+                (cfg, region, Box::new(scenario))
             })
         })
-        .collect();
-    let results = run_parallel(jobs);
-    Curve {
-        pattern: pattern_label(&pattern),
-        points: results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let rate = max_rate * (i + 1) as f64 / steps as f64;
-                (rate, r.apl[0], r.total_latency[0], r.throughput)
-            })
-            .collect(),
-    }
+        .collect()
 }
 
-fn pattern_label(p: &Pattern) -> String {
-    p.label().to_string()
+/// Sweep offered load: `(offered flits/cycle/node, result)` per point.
+pub fn run(
+    ec: &ExpConfig,
+    pattern: &Pattern,
+    max_rate: f64,
+    steps: usize,
+) -> Vec<(f64, RunResult)> {
+    let results = run_cells(ec, cells(pattern, max_rate, steps));
+    rates(max_rate, steps).zip(results).collect()
 }
 
-/// Render the curve with a latency sparkline.
-pub fn table(c: &Curve) -> Table {
+/// Render the curve: mean network and total APL (`—` past saturation
+/// collapse, when nothing was delivered) and delivered throughput.
+pub fn table(pattern: &Pattern, points: &[(f64, RunResult)]) -> Table {
     let mut t = Table::new(
-        format!("Load-latency curve — {} (RO_RR, local adaptive)", c.pattern),
+        format!(
+            "Load-latency curve — {} (RO_RR, local adaptive)",
+            pattern.label()
+        ),
         &["offered", "APL(net)", "APL(total)", "throughput"],
     );
-    for (rate, net, total, thpt) in &c.points {
+    for (rate, r) in points {
         t.row(vec![
             format!("{rate:.3}"),
-            net.map_or("—".into(), f2),
-            total.map_or("—".into(), f2),
-            format!("{thpt:.3}"),
+            r.apl[0].map_or("—".into(), f2),
+            r.total_latency[0].map_or("—".into(), f2),
+            format!("{:.3}", r.throughput),
         ]);
     }
     t
@@ -92,11 +78,11 @@ pub fn table(c: &Curve) -> Table {
 
 /// The knee estimate: first offered load where total latency exceeds
 /// 3× the first point's latency (or the last stable point).
-pub fn knee(c: &Curve) -> Option<f64> {
-    let base = c.points.first()?.2?;
-    for (rate, _, total, _) in &c.points {
-        match total {
-            Some(t) if *t > 3.0 * base => return Some(*rate),
+pub fn knee(points: &[(f64, RunResult)]) -> Option<f64> {
+    let base = points.first()?.1.total_latency[0]?;
+    for (rate, r) in points {
+        match r.total_latency[0] {
+            Some(t) if t > 3.0 * base => return Some(*rate),
             None => return Some(*rate),
             _ => {}
         }
@@ -117,17 +103,17 @@ mod tests {
             quick: true,
             cycle_budget: None,
         };
-        let c = run(&ec, Pattern::UniformRandom, 0.6, 6);
-        assert_eq!(c.points.len(), 6);
+        let c = run(&ec, &Pattern::UniformRandom, 0.6, 6);
+        assert_eq!(c.len(), 6);
         // Latency at the lightest load is near zero-load (~20 cycles).
-        let first = c.points[0].1.unwrap();
+        let first = c[0].1.apl[0].unwrap();
         assert!((10.0..40.0).contains(&first), "zero-load APL {first}");
         // Throughput rises with offered load up to saturation.
-        assert!(c.points[2].3 > c.points[0].3);
+        assert!(c[2].1.throughput > c[0].1.throughput);
         // A knee exists below the 0.6 ceiling for UR on an 8x8 mesh.
         let k = knee(&c).expect("no knee found");
         assert!((0.1..=0.6).contains(&k), "knee {k}");
         // And the rendered table has one row per point.
-        assert_eq!(table(&c).num_rows(), 6);
+        assert_eq!(table(&Pattern::UniformRandom, &c).num_rows(), 6);
     }
 }

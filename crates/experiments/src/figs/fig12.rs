@@ -13,9 +13,8 @@
 //! each — the paper reports 12.8 % (a) and 12.2 % (b) average APL
 //! reduction for RAIR_DPA over RO_RR.
 
-use crate::figs::quadrant_sat;
-use crate::runner::{run_one, run_parallel, ExpConfig, Job, RunResult};
-use crate::sweep::build_network;
+use crate::figs::{quadrant_sat, AplTable, Cell};
+use crate::runner::ExpConfig;
 use metrics::report::pct;
 use metrics::Table;
 use noc_sim::config::SimConfig;
@@ -40,105 +39,53 @@ impl Variant {
     }
 }
 
-/// Results for one scenario variant.
-#[derive(Debug, Clone)]
-pub struct Fig12Result {
-    pub variant: Variant,
-    /// `(label, per-app APL)`, RO_RR first.
-    pub schemes: Vec<(String, Vec<f64>)>,
-}
-
-impl Fig12Result {
-    /// APL reduction of `label` vs RO_RR, averaged over applications
-    /// (positive = improvement).
-    pub fn avg_reduction(&self, label: &str) -> f64 {
-        let base = &self.schemes[0].1;
-        let (_, apl) = self
-            .schemes
-            .iter()
-            .find(|(l, _)| l == label)
-            .unwrap_or_else(|| panic!("no scheme {label}"));
-        let per_app: Vec<f64> = apl.iter().zip(base).map(|(a, b)| 1.0 - a / b).collect();
-        per_app.iter().sum::<f64>() / per_app.len() as f64
-    }
-}
-
-fn schemes() -> Vec<(&'static str, Scheme)> {
-    vec![
+/// The four cells of one variant, RO_RR first, with the low apps at `low`
+/// and the hot app at `high` flits/cycle/node.
+pub fn cells(variant: Variant, low: f64, high: f64) -> Vec<Cell> {
+    [
         ("RO_RR", Scheme::RoRr),
         ("RAIR_NativeH", Scheme::rair_native_high()),
         ("RAIR_ForeignH", Scheme::rair_foreign_high()),
         ("RAIR_DPA", Scheme::rair()),
     ]
-}
-
-/// Run one variant.
-pub fn run_variant(ec: &ExpConfig, variant: Variant) -> Fig12Result {
-    // Low apps at 5 % and the hot app at 90 % of the quadrant's intra-region
-    // saturation load. The paper gives no numeric loads for Fig. 11; these
-    // keep region 3's total offered load (its own 90 % plus the three low
-    // apps' 30 % inter-region shares in scenario (a)) just below saturation,
-    // which reproduces the paper's reported DPA gains (see EXPERIMENTS.md).
-    let sat = quadrant_sat(ec);
-    let (low, high) = (0.05 * sat, 0.90 * sat);
-    let jobs: Vec<Job> = schemes()
-        .into_iter()
-        .map(|(label, scheme)| {
-            let ec = *ec;
-            let label = label.to_string();
-
-            Job::new(label.clone(), move || {
-                let cfg = SimConfig::table1();
-                let (region, scenario) = match variant {
-                    Variant::A => four_app_dpa_a(&cfg, low, high),
-                    Variant::B => four_app_dpa_b(&cfg, low, high),
-                };
-                let net = build_network(
-                    &cfg,
-                    &region,
-                    &scheme,
-                    Routing::Local,
-                    Box::new(scenario),
-                    ec.seed,
-                );
-                run_one(label.clone(), net, &ec)
-            })
+    .into_iter()
+    .map(|(label, scheme)| {
+        Cell::new(label, scheme, Routing::Local, move || {
+            let cfg = SimConfig::table1();
+            let (region, scenario) = match variant {
+                Variant::A => four_app_dpa_a(&cfg, low, high),
+                Variant::B => four_app_dpa_b(&cfg, low, high),
+            };
+            (cfg, region, Box::new(scenario))
         })
-        .collect();
-    let results = run_parallel(jobs);
-    Fig12Result {
-        variant,
-        schemes: results
-            .into_iter()
-            .map(|r: RunResult| {
-                let apl = (0..4).map(|a| r.app_apl(a)).collect();
-                (r.label, apl)
-            })
-            .collect(),
-    }
+    })
+    .collect()
 }
 
-/// Run both variants.
-pub fn run(ec: &ExpConfig) -> (Fig12Result, Fig12Result) {
-    (run_variant(ec, Variant::A), run_variant(ec, Variant::B))
+/// `(low, high)` loads: the low apps at 5 % and the hot app at 90 % of the
+/// quadrant's intra-region saturation load. The paper gives no numeric
+/// loads for Fig. 11; these keep region 3's total offered load (its own
+/// 90 % plus the three low apps' 30 % inter-region shares in scenario (a))
+/// just below saturation, which reproduces the paper's reported DPA gains
+/// (see EXPERIMENTS.md).
+pub fn loads(ec: &ExpConfig) -> (f64, f64) {
+    let sat = quadrant_sat(ec);
+    (0.05 * sat, 0.90 * sat)
 }
 
 /// Render one variant's table: APL reduction vs RO_RR per app + average.
-pub fn table(res: &Fig12Result) -> Table {
+pub fn table(variant: Variant, res: &AplTable) -> Table {
     let mut t = Table::new(
         format!(
             "Fig.12({}) — APL reduction vs RO_RR (DPA scenarios)",
-            res.variant.label()
+            variant.label()
         ),
         &["scheme", "App0", "App1", "App2", "App3", "avg"],
     );
-    let base = res.schemes[0].1.clone();
     for (label, apl) in res.schemes.iter().skip(1) {
-        let red: Vec<f64> = apl.iter().zip(&base).map(|(a, b)| 1.0 - a / b).collect();
-        let avg = red.iter().sum::<f64>() / red.len() as f64;
         let mut row = vec![label.clone()];
-        row.extend(red.iter().map(|&r| pct(r)));
-        row.push(pct(avg));
+        row.extend((0..apl.len()).map(|a| pct(res.reduction(label, a))));
+        row.push(pct(res.avg_reduction(label, None)));
         t.row(row);
     }
     t
@@ -146,45 +93,29 @@ pub fn table(res: &Fig12Result) -> Table {
 
 /// Run and render: the two tables `repro fig12` prints, and the headline.
 pub fn report(ec: &ExpConfig) -> (Vec<Table>, String) {
-    let (a, b) = run(ec);
+    let (low, high) = loads(ec);
+    let [a, b] = [Variant::A, Variant::B].map(|v| AplTable::run(ec, cells(v, low, high)));
     let summary = format!(
         "RAIR_DPA avg reduction: (a) {:+.1}%, (b) {:+.1}%  (paper: 12.8%, 12.2%)",
-        a.avg_reduction("RAIR_DPA") * 100.0,
-        b.avg_reduction("RAIR_DPA") * 100.0,
+        a.avg_reduction("RAIR_DPA", None) * 100.0,
+        b.avg_reduction("RAIR_DPA", None) * 100.0,
     );
-    (vec![table(&a), table(&b)], summary)
+    (vec![table(Variant::A, &a), table(Variant::B, &b)], summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn synthetic() -> Fig12Result {
-        Fig12Result {
-            variant: Variant::A,
+    #[test]
+    fn table_skips_baseline_row() {
+        let res = AplTable {
             schemes: vec![
                 ("RO_RR".into(), vec![20.0, 20.0, 20.0, 40.0]),
                 ("RAIR_DPA".into(), vec![16.0, 18.0, 14.0, 44.0]),
             ],
-        }
-    }
-
-    #[test]
-    fn avg_reduction_arithmetic() {
-        let r = synthetic();
-        // Per-app reductions: 0.2, 0.1, 0.3, -0.1 → avg 0.125.
-        assert!((r.avg_reduction("RAIR_DPA") - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "no scheme")]
-    fn unknown_scheme_panics() {
-        synthetic().avg_reduction("NOPE");
-    }
-
-    #[test]
-    fn table_skips_baseline_row() {
-        let t = table(&synthetic());
+        };
+        let t = table(Variant::A, &res);
         assert_eq!(t.num_rows(), 1);
         let s = t.render();
         assert!(s.contains("RAIR_DPA"));

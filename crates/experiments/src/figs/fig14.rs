@@ -8,8 +8,9 @@
 //! paper reports average APL reductions vs RO_RR of 3.4 % (RA_DBAR),
 //! 5.8 % (RO_Rank) and 10.1 % (RA_RAIR).
 
-use crate::runner::{run_one, run_parallel, ExpConfig, Job, RunResult};
-use crate::sweep::{build_network, cached_saturation};
+use crate::figs::{AplTable, Cell};
+use crate::runner::ExpConfig;
+use crate::sweep::cached_saturation;
 use metrics::report::{f2, pct};
 use metrics::Table;
 use noc_sim::config::SimConfig;
@@ -23,9 +24,6 @@ pub const LOAD_FRACTIONS: [f64; 6] = [0.10, 0.90, 0.30, 0.20, 0.25, 0.90];
 
 /// The low/medium-load applications whose improvement the paper highlights.
 pub const LOW_APPS: [usize; 4] = [0, 2, 3, 4];
-
-/// The high-load applications.
-pub const HIGH_APPS: [usize; 2] = [1, 5];
 
 /// Per-application offered loads (flits/cycle/node): fraction × that
 /// application's measured saturation load under the full 75/20/5 mix.
@@ -47,87 +45,49 @@ pub fn six_app_rates(ec: &ExpConfig) -> [f64; 6] {
     rates
 }
 
-/// Result of one six-application comparison.
-#[derive(Debug, Clone)]
-pub struct SixAppResult {
-    /// Global-traffic pattern label ("UR", "TP", …).
-    pub pattern: String,
-    /// `(scheme label, per-app APL)`, RO_RR first.
-    pub schemes: Vec<(String, Vec<f64>)>,
+/// One cell on the six-application scenario of Fig. 13 under `cfg`, with
+/// the applications at `rates` flits/cycle/node and global traffic drawn
+/// by `global` — shared by Figure 15 and the ablations.
+pub fn six_app_cell(
+    label: impl Into<String>,
+    cfg: SimConfig,
+    scheme: Scheme,
+    routing: Routing,
+    rates: [f64; 6],
+    global: InterDest,
+) -> Cell {
+    Cell::new(label, scheme, routing, move || {
+        let (region, scenario) = six_app(&cfg, rates, global.clone());
+        (cfg.clone(), region, Box::new(scenario))
+    })
 }
 
-impl SixAppResult {
-    /// Average APL reduction of `label` vs RO_RR over the given apps (all
-    /// six when `None`); positive = improvement.
-    pub fn avg_reduction(&self, label: &str, apps: Option<&[usize]>) -> f64 {
-        let base = &self.schemes[0].1;
-        let (_, apl) = self
-            .schemes
-            .iter()
-            .find(|(l, _)| l == label)
-            .unwrap_or_else(|| panic!("no scheme {label}"));
-        let idx: Vec<usize> = apps.map_or((0..6).collect(), <[usize]>::to_vec);
-        let r: f64 = idx.iter().map(|&a| 1.0 - apl[a] / base[a]).sum();
-        r / idx.len() as f64
-    }
-}
-
-/// The four compared schemes, with their routing algorithms (all schemes
-/// are augmented with Duato adaptive routing; RA_DBAR uses DBAR — §V.A/E).
-fn schemes(rates: &[f64; 6]) -> Vec<(&'static str, Scheme, Routing)> {
-    vec![
+/// The four compared cells, RO_RR first (all schemes are augmented with
+/// Duato adaptive routing; RA_DBAR uses DBAR — §V.A/E).
+pub fn cells(rates: [f64; 6], global: &InterDest) -> Vec<Cell> {
+    [
         ("RO_RR", Scheme::RoRr, Routing::Local),
         ("RA_DBAR", Scheme::RoRr, Routing::Dbar),
         ("RO_Rank", Scheme::ro_rank(rates.to_vec()), Routing::Local),
         ("RA_RAIR", Scheme::rair(), Routing::Local),
     ]
-}
-
-/// Run the six-application comparison for one global-traffic destination
-/// rule. Shared by Figures 14 and 15.
-pub fn run_with_global(ec: &ExpConfig, pattern_label: &str, global: InterDest) -> SixAppResult {
-    let rates = six_app_rates(ec);
-    let jobs: Vec<Job> = schemes(&rates)
-        .into_iter()
-        .map(|(label, scheme, routing)| {
-            let ec = *ec;
-            let label = label.to_string();
-            let global = global.clone();
-
-            Job::new(label.clone(), move || {
-                let cfg = SimConfig::table1();
-                let (region, scenario) = six_app(&cfg, rates, global.clone());
-                let net =
-                    build_network(&cfg, &region, &scheme, routing, Box::new(scenario), ec.seed);
-                run_one(label.clone(), net, &ec)
-            })
-        })
-        .collect();
-    let results = run_parallel(jobs);
-    SixAppResult {
-        pattern: pattern_label.to_string(),
-        schemes: results
-            .into_iter()
-            .map(|r: RunResult| {
-                let apl = (0..6).map(|a| r.app_apl(a)).collect();
-                (r.label, apl)
-            })
-            .collect(),
-    }
+    .into_iter()
+    .map(|(label, scheme, routing)| {
+        let cfg = SimConfig::table1();
+        six_app_cell(label, cfg, scheme, routing, rates, global.clone())
+    })
+    .collect()
 }
 
 /// Run Figure 14 (uniform-random global traffic).
-pub fn run(ec: &ExpConfig) -> SixAppResult {
-    run_with_global(ec, "UR", InterDest::OutsideUniform)
+pub fn run(ec: &ExpConfig) -> AplTable {
+    AplTable::run(ec, cells(six_app_rates(ec), &InterDest::OutsideUniform))
 }
 
 /// Render the figure's table: per-app APL plus average reduction vs RO_RR.
-pub fn table(res: &SixAppResult) -> Table {
+pub fn table(res: &AplTable) -> Table {
     let mut t = Table::new(
-        format!(
-            "Fig.14 — six-app RNoC, {} global traffic: APL per app (cycles)",
-            res.pattern
-        ),
+        "Fig.14 — six-app RNoC, UR global traffic: APL per app (cycles)",
         &[
             "scheme", "App0", "App1", "App2", "App3", "App4", "App5", "avg red.",
         ],
@@ -161,28 +121,6 @@ pub fn report(ec: &ExpConfig) -> (Vec<Table>, String) {
 mod tests {
     use super::*;
 
-    fn synthetic() -> SixAppResult {
-        SixAppResult {
-            pattern: "UR".into(),
-            schemes: vec![
-                ("RO_RR".into(), vec![20.0; 6]),
-                ("RA_RAIR".into(), vec![18.0, 22.0, 18.0, 18.0, 18.0, 22.0]),
-            ],
-        }
-    }
-
-    #[test]
-    fn avg_reduction_all_and_subset() {
-        let r = synthetic();
-        // Low apps: 0.1 each; high apps: -0.1 each → overall (4*0.1-2*0.1)/6.
-        let all = r.avg_reduction("RA_RAIR", None);
-        assert!((all - 0.2 / 6.0).abs() < 1e-12);
-        let low = r.avg_reduction("RA_RAIR", Some(&LOW_APPS));
-        assert!((low - 0.1).abs() < 1e-12);
-        let high = r.avg_reduction("RA_RAIR", Some(&HIGH_APPS));
-        assert!((high + 0.1).abs() < 1e-12);
-    }
-
     #[test]
     fn load_fractions_match_paper_text() {
         // Apps 1 and 5 are the 90% high-load ones; the rest are 10–30%.
@@ -195,7 +133,13 @@ mod tests {
 
     #[test]
     fn table_marks_baseline() {
-        let t = table(&synthetic());
+        let res = AplTable {
+            schemes: vec![
+                ("RO_RR".into(), vec![20.0; 6]),
+                ("RA_RAIR".into(), vec![18.0, 22.0, 18.0, 18.0, 18.0, 22.0]),
+            ],
+        };
+        let t = table(&res);
         assert_eq!(t.num_rows(), 2);
         assert!(t.render().contains("—"));
     }

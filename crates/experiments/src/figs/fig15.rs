@@ -7,31 +7,14 @@
 //! reduction over RO_RR across the patterns — demonstrating that RAIR
 //! places no implicit restrictions on the global traffic pattern.
 
-use crate::figs::fig14::{run_with_global, SixAppResult};
+use crate::figs::fig14::{cells, six_app_rates};
+use crate::figs::AplTable;
 use crate::runner::ExpConfig;
 use metrics::report::pct;
 use metrics::Table;
 use noc_sim::config::SimConfig;
 use traffic::pattern::Pattern;
 use traffic::scenario::InterDest;
-
-/// Results per global-traffic pattern.
-#[derive(Debug, Clone)]
-pub struct Fig15Result {
-    pub per_pattern: Vec<SixAppResult>,
-}
-
-impl Fig15Result {
-    /// Average reduction of `scheme` vs RO_RR across all patterns.
-    pub fn overall_reduction(&self, scheme: &str) -> f64 {
-        let s: f64 = self
-            .per_pattern
-            .iter()
-            .map(|r| r.avg_reduction(scheme, None))
-            .sum();
-        s / self.per_pattern.len() as f64
-    }
-}
 
 /// The swept global-traffic patterns.
 pub fn patterns() -> Vec<(&'static str, InterDest)> {
@@ -50,27 +33,28 @@ pub fn patterns() -> Vec<(&'static str, InterDest)> {
     ]
 }
 
-/// Run Figure 15.
-pub fn run(ec: &ExpConfig) -> Fig15Result {
-    let per_pattern = patterns()
-        .into_iter()
-        .map(|(label, global)| run_with_global(ec, label, global))
-        .collect();
-    Fig15Result { per_pattern }
+/// Average reduction of `scheme` vs RO_RR across the per-pattern tables.
+fn overall_reduction(per_pattern: &[AplTable], scheme: &str) -> f64 {
+    let s: f64 = per_pattern
+        .iter()
+        .map(|r| r.avg_reduction(scheme, None))
+        .sum();
+    s / per_pattern.len() as f64
 }
 
-/// Render the figure's table: average APL reduction vs RO_RR per pattern.
-pub fn table(res: &Fig15Result) -> Table {
+/// Render the figure's table from one [`AplTable`] per pattern of
+/// [`patterns`]: average APL reduction vs RO_RR per pattern.
+pub fn table(per_pattern: &[AplTable]) -> Table {
     let mut t = Table::new(
         "Fig.15 — average APL reduction vs RO_RR per global traffic pattern",
         &["scheme", "UR", "TP", "BC", "HS", "avg"],
     );
     for scheme in ["RA_DBAR", "RO_Rank", "RA_RAIR"] {
         let mut row = vec![scheme.to_string()];
-        for r in &res.per_pattern {
+        for r in per_pattern {
             row.push(pct(r.avg_reduction(scheme, None)));
         }
-        row.push(pct(res.overall_reduction(scheme)));
+        row.push(pct(overall_reduction(per_pattern, scheme)));
         t.row(row);
     }
     t
@@ -78,31 +62,31 @@ pub fn table(res: &Fig15Result) -> Table {
 
 /// Run and render: the table `repro fig15` prints, and the headline under it.
 pub fn report(ec: &ExpConfig) -> (Vec<Table>, String) {
-    let r = run(ec);
-    let avg = r.overall_reduction("RA_RAIR") * 100.0;
+    let rates = six_app_rates(ec);
+    let per_pattern: Vec<AplTable> = patterns()
+        .iter()
+        .map(|(_, global)| AplTable::run(ec, cells(rates, global)))
+        .collect();
+    let avg = overall_reduction(&per_pattern, "RA_RAIR") * 100.0;
     let summary = format!("RA_RAIR average over patterns: {avg:+.1}%  (paper: 13.4%)");
-    (vec![table(&r)], summary)
+    (vec![table(&per_pattern)], summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figs::fig14::SixAppResult;
 
     #[test]
     fn overall_reduction_averages_patterns() {
-        let mk = |apl: f64| SixAppResult {
-            pattern: "X".into(),
+        let mk = |apl: f64| AplTable {
             schemes: vec![
                 ("RO_RR".into(), vec![20.0; 6]),
                 ("RA_RAIR".into(), vec![apl; 6]),
             ],
         };
-        let r = Fig15Result {
-            per_pattern: vec![mk(18.0), mk(16.0)],
-        };
         // Reductions 0.1 and 0.2 → 0.15 overall.
-        assert!((r.overall_reduction("RA_RAIR") - 0.15).abs() < 1e-12);
+        let r = overall_reduction(&[mk(18.0), mk(16.0)], "RA_RAIR");
+        assert!((r - 0.15).abs() < 1e-12);
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! 1.18 (RA_RAIR — DPA identifies the adversary as low-criticality foreign
 //! traffic in every region and deprioritizes it).
 
-use crate::runner::{run_one, run_parallel, ExpConfig, Job};
-use crate::sweep::build_network;
+use crate::figs::{AplTable, Cell};
+use crate::runner::ExpConfig;
 use metrics::report::f2;
 use metrics::Table;
 use noc_sim::config::SimConfig;
 use noc_sim::region::RegionMap;
+use noc_sim::source::TrafficSource;
 use rair::scheme::{Routing, Scheme};
 use traffic::adversarial::Adversarial;
 use traffic::workload::{AppModel, ParsecWorkload};
@@ -22,88 +23,57 @@ use traffic::workload::{AppModel, ParsecWorkload};
 /// Adversarial load used by the paper (flits/cycle/node).
 pub const ADVERSARIAL_RATE: f64 = 0.4;
 
-/// Result: per-scheme slowdowns.
-#[derive(Debug, Clone)]
-pub struct Fig17Result {
-    /// Application names in region order.
-    pub apps: Vec<String>,
-    /// `(scheme label, per-app slowdown, average slowdown)`.
-    pub schemes: Vec<(String, Vec<f64>, f64)>,
-}
-
-impl Fig17Result {
-    /// Average slowdown of `label`.
-    pub fn avg_slowdown(&self, label: &str) -> f64 {
-        self.schemes
-            .iter()
-            .find(|(l, _, _)| l == label)
-            .unwrap_or_else(|| panic!("no scheme {label}"))
-            .2
-    }
-}
-
-fn schemes(models: &[AppModel]) -> Vec<(&'static str, Scheme, Routing)> {
+/// Per scheme, a no-adversary cell (`RO_RR`) followed by the same scheme
+/// under chip-wide uniform adversarial traffic at `adv_rate`
+/// flits/cycle/node (`RO_RR+adv`).
+pub fn cells(adv_rate: f64) -> Vec<Cell> {
+    let models = AppModel::parsec_four();
     let intensities: Vec<f64> = models.iter().map(AppModel::mean_rate).collect();
-    vec![
+    let schemes = [
         ("RO_RR", Scheme::RoRr, Routing::Local),
         ("RA_DBAR", Scheme::RoRr, Routing::Dbar),
         ("RO_Rank", Scheme::ro_rank(intensities), Routing::Local),
         ("RA_RAIR", Scheme::rair(), Routing::Local),
-    ]
-}
-
-/// Run Figure 17: for each scheme, one baseline run (no adversary) and one
-/// adversarial run; slowdown = APL_adv / APL_base per application.
-pub fn run(ec: &ExpConfig) -> Fig17Result {
-    let models = AppModel::parsec_four();
-    let mut jobs: Vec<Job> = Vec::new();
-    for (label, scheme, routing) in schemes(&models) {
+    ];
+    let mut cells = Vec::new();
+    for (label, scheme, routing) in schemes {
         for adversarial in [false, true] {
-            let ec = *ec;
-            let scheme = scheme.clone();
             let models = models.clone();
             let label = format!("{label}{}", if adversarial { "+adv" } else { "" });
-            jobs.push(Job::new(label.clone(), move || {
+            cells.push(Cell::new(label, scheme.clone(), routing, move || {
                 let cfg = SimConfig::table1_req_reply();
                 let region = RegionMap::quadrants(&cfg);
                 let workload = ParsecWorkload::new(&cfg, &region, models.clone());
-                let net = if adversarial {
-                    let adv = Adversarial::new(
-                        workload,
-                        ADVERSARIAL_RATE,
-                        cfg.num_nodes() as u16,
-                        cfg.long_flits,
-                    );
-                    build_network(&cfg, &region, &scheme, routing, Box::new(adv), ec.seed)
+                let source: Box<dyn TrafficSource> = if adversarial {
+                    let nodes = cfg.num_nodes() as u16;
+                    Box::new(Adversarial::new(workload, adv_rate, nodes, cfg.long_flits))
                 } else {
-                    build_network(&cfg, &region, &scheme, routing, Box::new(workload), ec.seed)
+                    Box::new(workload)
                 };
-                run_one(label.clone(), net, &ec)
+                (cfg, region, source)
             }));
         }
     }
-    let results = run_parallel(jobs);
-    let mut out = Vec::new();
-    for pair in results.chunks(2) {
-        let base = &pair[0];
-        let adv = &pair[1];
-        let slow: Vec<f64> = (0..4).map(|a| adv.app_apl(a) / base.app_apl(a)).collect();
-        let avg = slow.iter().sum::<f64>() / slow.len() as f64;
-        out.push((base.label.clone(), slow, avg));
-    }
-    Fig17Result {
-        apps: AppModel::parsec_four()
-            .into_iter()
-            .map(|m| m.name)
-            .collect(),
-        schemes: out,
-    }
+    cells
 }
 
-/// Render the figure's table.
-pub fn table(res: &Fig17Result) -> Table {
+/// Per-application APL slowdown of scheme `label`: APL with the adversary
+/// over APL without, for each PARSEC application.
+pub fn slowdowns(res: &AplTable, label: &str) -> Vec<f64> {
+    let adv = res.apl(&format!("{label}+adv"));
+    res.apl(label).iter().zip(adv).map(|(b, a)| a / b).collect()
+}
+
+/// Average of [`slowdowns`] over the applications.
+pub fn avg_slowdown(res: &AplTable, label: &str) -> f64 {
+    let slow = slowdowns(res, label);
+    slow.iter().sum::<f64>() / slow.len() as f64
+}
+
+/// Render the figure's table: per-app and average slowdown per scheme.
+pub fn table(res: &AplTable) -> Table {
     let header: Vec<String> = std::iter::once("scheme".to_string())
-        .chain(res.apps.iter().cloned())
+        .chain(AppModel::parsec_four().into_iter().map(|m| m.name))
         .chain(std::iter::once("avg".to_string()))
         .collect();
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
@@ -111,10 +81,10 @@ pub fn table(res: &Fig17Result) -> Table {
         "Fig.17 — APL slowdown under adversarial traffic (lower is better)",
         &header_refs,
     );
-    for (label, slow, avg) in &res.schemes {
+    for (label, _) in res.schemes.iter().filter(|(l, _)| !l.ends_with("+adv")) {
         let mut row = vec![label.clone()];
-        row.extend(slow.iter().map(|&s| f2(s)));
-        row.push(f2(*avg));
+        row.extend(slowdowns(res, label).iter().map(|&s| f2(s)));
+        row.push(f2(avg_slowdown(res, label)));
         t.row(row);
     }
     t
@@ -122,13 +92,13 @@ pub fn table(res: &Fig17Result) -> Table {
 
 /// Run and render: the table `repro fig17` prints, and the headline under it.
 pub fn report(ec: &ExpConfig) -> (Vec<Table>, String) {
-    let r = run(ec);
+    let r = AplTable::run(ec, cells(ADVERSARIAL_RATE));
     let summary = format!(
         "avg slowdowns: RO_RR {:.2}, RA_DBAR {:.2}, RO_Rank {:.2}, RA_RAIR {:.2}  (paper: 1.92, 1.75, 1.47, 1.18)",
-        r.avg_slowdown("RO_RR"),
-        r.avg_slowdown("RA_DBAR"),
-        r.avg_slowdown("RO_Rank"),
-        r.avg_slowdown("RA_RAIR"),
+        avg_slowdown(&r, "RO_RR"),
+        avg_slowdown(&r, "RA_DBAR"),
+        avg_slowdown(&r, "RO_Rank"),
+        avg_slowdown(&r, "RA_RAIR"),
     );
     (vec![table(&r)], summary)
 }
@@ -138,25 +108,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn avg_slowdown_lookup() {
-        let r = Fig17Result {
-            apps: vec!["a".into(), "b".into()],
-            schemes: vec![("RO_RR".into(), vec![2.0, 4.0], 3.0)],
+    fn slowdowns_pair_each_scheme_with_its_adversarial_run() {
+        let res = AplTable {
+            schemes: vec![
+                ("RO_RR".into(), vec![10.0, 20.0, 10.0, 10.0]),
+                // The adversary is a fifth application: its column is ignored.
+                ("RO_RR+adv".into(), vec![20.0, 80.0, 20.0, 40.0, 99.0]),
+            ],
         };
-        assert_eq!(r.avg_slowdown("RO_RR"), 3.0);
-        let t = table(&r);
+        assert_eq!(slowdowns(&res, "RO_RR"), vec![2.0, 4.0, 2.0, 4.0]);
+        assert_eq!(avg_slowdown(&res, "RO_RR"), 3.0);
+        let t = table(&res);
         assert_eq!(t.num_rows(), 1);
         assert!(t.render().contains("3.00"));
-    }
-
-    #[test]
-    #[should_panic(expected = "no scheme")]
-    fn unknown_scheme_panics() {
-        Fig17Result {
-            apps: vec![],
-            schemes: vec![],
-        }
-        .avg_slowdown("X");
     }
 
     #[test]

@@ -8,43 +8,16 @@
 //! reduces App 0's APL by 18.9 % with < 3 % increase for App 1, and
 //! RAIR_VA+SA > RAIR_VA across the whole range.
 
-use crate::figs::two_app_rates;
-use crate::runner::{run_one, run_parallel, ExpConfig, Job, RunResult};
-use crate::sweep::build_network;
+use crate::figs::{two_app_rates, AplTable, Cell};
+use crate::runner::ExpConfig;
 use metrics::report::f2;
 use metrics::Table;
 use noc_sim::config::SimConfig;
 use rair::scheme::{Routing, Scheme};
 use traffic::scenario::two_app;
 
-/// One point of a two-application sweep.
-#[derive(Debug, Clone)]
-pub struct TwoAppPoint {
-    /// Inter-region fraction of App 0's traffic.
-    pub p: f64,
-    /// APL of App 0 and App 1 (cycles).
-    pub apl: [f64; 2],
-}
-
-/// A set of labelled series over the `p` sweep.
-#[derive(Debug, Clone)]
-pub struct SweepResult {
-    pub series: Vec<(String, Vec<TwoAppPoint>)>,
-}
-
-impl SweepResult {
-    /// Point of `series_label` at inter-region fraction `p`.
-    pub fn point(&self, series_label: &str, p: f64) -> &TwoAppPoint {
-        self.series
-            .iter()
-            .find(|(l, _)| l == series_label)
-            .unwrap_or_else(|| panic!("no series {series_label}"))
-            .1
-            .iter()
-            .find(|pt| (pt.p - p).abs() < 1e-9)
-            .unwrap_or_else(|| panic!("no point p={p}"))
-    }
-}
+/// One series of a two-application sweep: `(label, scheme, routing)`.
+pub type Series = (&'static str, Scheme, Routing);
 
 /// The swept inter-region fractions.
 pub fn p_values(ec: &ExpConfig) -> Vec<f64> {
@@ -55,72 +28,66 @@ pub fn p_values(ec: &ExpConfig) -> Vec<f64> {
     }
 }
 
-/// Generic two-application sweep over (label, scheme, routing) series —
-/// shared by Figures 9 and 10.
-pub(crate) fn sweep(ec: &ExpConfig, series_defs: &[(&str, Scheme, Routing)]) -> SweepResult {
-    let (rate0, rate1) = two_app_rates(ec);
-    let ps = p_values(ec);
-    let mut jobs: Vec<Job> = Vec::new();
-    for (label, scheme, routing) in series_defs.iter().cloned() {
-        for &p in &ps {
-            let ec = *ec;
-            let scheme = scheme.clone();
-            let label = label.to_string();
-            jobs.push(Job::new(format!("{label}/p={p}"), move || {
-                let cfg = SimConfig::table1();
-                let (region, scenario) = two_app(&cfg, p, rate0, rate1);
-                let net =
-                    build_network(&cfg, &region, &scheme, routing, Box::new(scenario), ec.seed);
-                run_one(label.clone(), net, &ec)
-            }));
+/// The compared series: RO_RR and RAIR with MSP at VA only and at VA+SA.
+pub fn series() -> Vec<Series> {
+    vec![
+        ("RO_RR", Scheme::RoRr, Routing::Local),
+        ("RAIR_VA", Scheme::rair_va_only(), Routing::Local),
+        ("RAIR_VA+SA", Scheme::rair(), Routing::Local),
+    ]
+}
+
+/// Row label of `series` at inter-region fraction `p` (`RO_RR/p=1`).
+pub fn cell_label(series: &str, p: f64) -> String {
+    format!("{series}/p={p}")
+}
+
+/// One cell per (series, p), series-major, on the two-application scenario
+/// with App 0 at `rate0` and App 1 at `rate1` flits/cycle/node — shared by
+/// Figures 9 and 10.
+pub fn cells(series: &[Series], ps: &[f64], (rate0, rate1): (f64, f64)) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for (label, scheme, routing) in series {
+        for &p in ps {
+            cells.push(Cell::new(
+                cell_label(label, p),
+                scheme.clone(),
+                *routing,
+                move || {
+                    let cfg = SimConfig::table1();
+                    let (region, scenario) = two_app(&cfg, p, rate0, rate1);
+                    (cfg, region, Box::new(scenario))
+                },
+            ));
         }
     }
-    let results = run_parallel(jobs);
-    let mut series = Vec::new();
-    let mut it = results.into_iter();
-    for (label, _, _) in series_defs {
-        let pts: Vec<TwoAppPoint> = ps
-            .iter()
-            .map(|&p| {
-                let r: RunResult = it.next().unwrap();
-                TwoAppPoint {
-                    p,
-                    apl: [r.app_apl(0), r.app_apl(1)],
-                }
-            })
-            .collect();
-        series.push((label.to_string(), pts));
-    }
-    SweepResult { series }
+    cells
 }
 
-/// Run the Figure 9 experiment.
-pub fn run(ec: &ExpConfig) -> SweepResult {
-    sweep(
-        ec,
-        &[
-            ("RO_RR", Scheme::RoRr, Routing::Local),
-            ("RAIR_VA", Scheme::rair_va_only(), Routing::Local),
-            ("RAIR_VA+SA", Scheme::rair(), Routing::Local),
-        ],
-    )
+/// Run `series` over the p sweep at the Fig. 8 reference loads and render
+/// it under `title` — shared by Figures 9 and 10.
+pub(crate) fn sweep(ec: &ExpConfig, title: &str, series: &[Series]) -> (Table, AplTable) {
+    let ps = p_values(ec);
+    let res = AplTable::run(ec, cells(series, &ps, two_app_rates(ec)));
+    (table(title, series, &ps, &res), res)
 }
 
-/// Render the sweep as the figure's series table.
-pub fn table(title: &str, res: &SweepResult) -> Table {
+/// The sweep as the figure's series table: one row per `p`, an App 0 and an
+/// App 1 column per series.
+pub fn table(title: &str, series: &[Series], ps: &[f64], res: &AplTable) -> Table {
     let mut header: Vec<String> = vec!["p".into()];
-    for (label, _) in &res.series {
+    for (label, ..) in series {
         header.push(format!("{label}:App0"));
         header.push(format!("{label}:App1"));
     }
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut t = Table::new(title, &header_refs);
-    let n = res.series[0].1.len();
-    for i in 0..n {
-        let mut row = vec![format!("{:.0}%", res.series[0].1[i].p * 100.0)];
-        for (_, pts) in &res.series {
-            row.push(f2(pts[i].apl[0]));
-            row.push(f2(pts[i].apl[1]));
+    for &p in ps {
+        let mut row = vec![format!("{:.0}%", p * 100.0)];
+        for (label, ..) in series {
+            let apl = res.apl(&cell_label(label, p));
+            row.push(f2(apl[0]));
+            row.push(f2(apl[1]));
         }
         t.row(row);
     }
@@ -129,77 +96,30 @@ pub fn table(title: &str, res: &SweepResult) -> Table {
 
 /// Run and render: the table `repro fig9` prints, and the headline under it.
 pub fn report(ec: &ExpConfig) -> (Vec<Table>, String) {
-    let r = run(ec);
-    let (base, full) = (r.point("RO_RR", 1.0), r.point("RAIR_VA+SA", 1.0));
+    let title = "Fig.9 — APL vs inter-region fraction p (MSP stages)";
+    let (t, r) = sweep(ec, title, &series());
+    let (base, full) = (cell_label("RO_RR", 1.0), cell_label("RAIR_VA+SA", 1.0));
     let summary = format!(
         "at p=100%: RAIR_VA+SA vs RO_RR: App0 {:+.1}%, App1 {:+.1}%  (paper: -18.9%, <+3%)",
-        (full.apl[0] / base.apl[0] - 1.0) * 100.0,
-        (full.apl[1] / base.apl[1] - 1.0) * 100.0,
+        r.change(&full, &base, 0) * 100.0,
+        r.change(&full, &base, 1) * 100.0,
     );
-    let title = "Fig.9 — APL vs inter-region fraction p (MSP stages)";
-    (vec![table(title, &r)], summary)
+    (vec![t], summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn synthetic() -> SweepResult {
-        SweepResult {
-            series: vec![
-                (
-                    "RO_RR".into(),
-                    vec![
-                        TwoAppPoint {
-                            p: 0.0,
-                            apl: [18.0, 25.0],
-                        },
-                        TwoAppPoint {
-                            p: 1.0,
-                            apl: [37.0, 32.0],
-                        },
-                    ],
-                ),
-                (
-                    "RAIR_VA+SA".into(),
-                    vec![
-                        TwoAppPoint {
-                            p: 0.0,
-                            apl: [18.0, 25.0],
-                        },
-                        TwoAppPoint {
-                            p: 1.0,
-                            apl: [28.0, 33.0],
-                        },
-                    ],
-                ),
-            ],
-        }
-    }
-
-    #[test]
-    fn point_lookup() {
-        let r = synthetic();
-        assert_eq!(r.point("RO_RR", 1.0).apl[0], 37.0);
-        assert_eq!(r.point("RAIR_VA+SA", 0.0).apl[1], 25.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no series")]
-    fn missing_series_panics() {
-        synthetic().point("NOPE", 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no point")]
-    fn missing_point_panics() {
-        synthetic().point("RO_RR", 0.37);
-    }
-
     #[test]
     fn table_has_row_per_p_and_column_per_series_app() {
-        let r = synthetic();
-        let t = table("t", &r);
+        let ps = [0.0, 1.0];
+        let series = series();
+        let schemes = series
+            .iter()
+            .flat_map(|(label, ..)| ps.map(|p| (cell_label(label, p), vec![18.0, 25.0])))
+            .collect();
+        let t = table("t", &series, &ps, &AplTable { schemes });
         assert_eq!(t.num_rows(), 2);
         let s = t.render();
         assert!(s.contains("RO_RR:App0"));

@@ -11,9 +11,9 @@
 //! reconfiguration count. The sweep goes through the checkpointed runner,
 //! so an interrupted `repro resilience` resumes instead of restarting.
 
-use crate::runner::{run_one, run_parallel_checkpointed, ExpConfig, Job, RunResult};
+use crate::figs::Cell;
+use crate::runner::{run_parallel_checkpointed, ExpConfig, RunResult};
 use crate::service::{std_store, Journal};
-use crate::sweep::build_network;
 use metrics::report::{Table, Value};
 use noc_sim::config::SimConfig;
 use noc_sim::prelude::{FaultEvent, FaultTimeline, ScheduledFault};
@@ -111,17 +111,14 @@ pub fn run(ec: &ExpConfig, smoke: bool) -> Vec<ResilRow> {
         for &ber in bers {
             let label = cell_label(ec, &scheme, routing, ber);
             cells.push((scheme.label().to_string(), routing, ber));
-            let ec = *ec;
-            let scheme = scheme.clone();
-            let label2 = label.clone();
-            jobs.push(Job::new(label, move || {
+            let fault = timeline(ec, ber);
+            let cell = Cell::new(label, scheme.clone(), routing, move || {
                 let mut cfg = SimConfig::table1();
-                cfg.fault = timeline(&ec, ber);
+                cfg.fault = fault.clone();
                 let (region, scenario) = two_app(&cfg, 1.0, 0.04, 0.15);
-                let net =
-                    build_network(&cfg, &region, &scheme, routing, Box::new(scenario), ec.seed);
-                run_one(label2.clone(), net, &ec)
-            }));
+                (cfg, region, Box::new(scenario))
+            });
+            jobs.push(cell.job(ec));
         }
     }
     let checkpoint = Journal::new(

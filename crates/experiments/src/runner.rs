@@ -497,24 +497,6 @@ pub fn run_parallel_checkpointed(
     results
 }
 
-/// Like [`run_parallel_results`], but panics — after every job has finished
-/// — if any job failed, listing the failed labels. Figure drivers need all
-/// results, so a missing one is fatal, just not before the sweep completes.
-pub fn run_parallel(jobs: Vec<Job>) -> Vec<RunResult> {
-    let results = run_parallel_results(jobs);
-    let failures: Vec<String> = results
-        .iter()
-        .filter_map(|r| r.as_ref().err().map(std::string::ToString::to_string))
-        .collect();
-    assert!(
-        failures.is_empty(),
-        "{} sweep job(s) failed:\n  {}",
-        failures.len(),
-        failures.join("\n  ")
-    );
-    results.into_iter().map(|r| r.unwrap()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,47 +586,6 @@ mod tests {
         // mean over delivered apps only; NaN when nothing delivered at all.
         assert_eq!(r.mean_apl(None), 12.0);
         assert!(r.mean_apl(Some(&[0])).is_nan());
-    }
-
-    #[test]
-    fn parallel_matches_serial_and_preserves_order() {
-        let cfg = ExpConfig {
-            warmup: 1_000,
-            measure: 2_500,
-            seed: 0,
-            quick: true,
-            cycle_budget: None,
-        };
-        let mk = |i: usize| -> Job {
-            Job::new(format!("job{i}"), move || {
-                run_one(format!("job{i}"), tiny_net(i as u64), &cfg)
-            })
-        };
-        let serial: Vec<RunResult> = (0..6).map(|i| ((mk(i)).run)()).collect();
-        let parallel = run_parallel((0..6).map(mk).collect());
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.label, p.label);
-            assert_eq!(s.delivered, p.delivered);
-            assert_eq!(s.apl, p.apl, "parallelism changed results");
-        }
-    }
-
-    #[test]
-    fn run_parallel_reports_failed_labels() {
-        let caught =
-            std::panic::catch_unwind(|| run_parallel(vec![Job::new("doomed", || panic!("nope"))]));
-        let payload = caught.unwrap_err();
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("doomed"), "missing label in: {msg}");
-    }
-
-    #[test]
-    fn empty_jobs_ok() {
-        assert!(run_parallel(vec![]).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The one supervised worker pool under `experiments`.
 //!
-//! Every sweep of independent, deterministic runs — `run_parallel`,
-//! `run_parallel_checkpointed` and `repro serve` — is one call to
+//! Every sweep of independent, deterministic runs — the figures'
+//! `run_cells`, `run_parallel_checkpointed` and `repro serve` — is one call to
 //! [`run_supervised`]: [`Task`]s drained by `RAIR_THREADS` workers, each
 //! attempt under `catch_unwind` (plus a wall-clock timeout on a detached
 //! thread when the [`Policy`] sets one), retried with bounded deterministic

@@ -63,8 +63,8 @@ pub const DEFAULT_MAX_RECORDED: usize = 64;
 /// Oracle toggle and tuning knobs, carried in [`SimConfig`].
 ///
 /// `None` fields resolve at `Network::new` time: the oracle is **on in
-/// debug builds** and in builds with the `oracle` cargo feature, off by
-/// default in release; the `RAIR_ORACLE` environment variable overrides the
+/// debug builds**, off by default in release; the `RAIR_ORACLE`
+/// environment variable overrides the
 /// build-profile default (`"0"`/empty disables, anything else enables), and
 /// an explicit `enabled` in the config beats both.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -115,7 +115,7 @@ impl OracleConfig {
         }
         match std::env::var("RAIR_ORACLE") {
             Ok(v) => !(v.is_empty() || v == "0"),
-            Err(_) => cfg!(debug_assertions) || cfg!(feature = "oracle"),
+            Err(_) => cfg!(debug_assertions),
         }
     }
 

@@ -10,7 +10,7 @@
 //! thread-local: the harness's other threads must not be charged to a
 //! cell). The claim is about the production kernel, so the invariant
 //! oracle — an observer that formats and scans at will — is switched off
-//! explicitly, whatever `RAIR_ORACLE` or the `oracle` feature say.
+//! explicitly, whatever `RAIR_ORACLE` says.
 
 use noc_sim::network::Network;
 use noc_sim::prelude::*;
