@@ -20,7 +20,8 @@ pub fn run(ec: &ExpConfig, path: &str) -> Result<Table, String> {
     let cycles = ec.warmup + ec.measure;
     let (region, scenario) = six_app(&cfg, rates, InterDest::OutsideUniform);
     let trace = Trace::capture(scenario, cfg.num_nodes() as u16, cycles, ec.seed);
-    std::fs::write(path, trace.to_bytes()).map_err(|e| at_path(e.to_string()))?;
+    let bytes = trace.to_bytes().map_err(at_path)?;
+    std::fs::write(path, bytes).map_err(|e| at_path(e.to_string()))?;
     let events = trace.events.len();
     eprintln!("[repro] captured {events} events over {cycles} cycles to {path}");
     let bytes = std::fs::read(path).map_err(|e| at_path(e.to_string()))?;

@@ -134,7 +134,6 @@ mod tests {
     fn router_with_local_holder(app: AppId) -> Router {
         let cfg = SimConfig::table1();
         let mut r = Router::new(&cfg, 0, cfg.coord_of(0), 0);
-        r.note_vc_occupied(PORT_LOCAL, 1, app);
         let info = PacketInfo {
             id: 0,
             src: 0,
@@ -146,6 +145,7 @@ mod tests {
             inject: 0,
             reply: None,
         };
+        r.note_vc_occupied(PORT_LOCAL, 1, &info);
         r.push_flit(PORT_LOCAL, 1, Flit::nth(info, 0));
         r
     }

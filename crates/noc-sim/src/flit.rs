@@ -46,7 +46,9 @@ pub struct ReplySpec {
 ///
 /// In hardware only the head flit carries this; duplicating it per flit is a
 /// standard simulator convenience (GARNET does the same) and keeps the flit
-/// a small `Copy` value.
+/// a small `Copy` value. Router buffers store it once per VC instead (see
+/// [`InputVc`](crate::vc::InputVc)); only flits on links and in the
+/// ejection register carry their own copy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PacketInfo {
     /// Globally unique packet id (monotonic per run).

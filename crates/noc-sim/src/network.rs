@@ -664,7 +664,7 @@ impl Network {
                 let Some((up, out_port)) = Self::link(&self.links, router, port) else {
                     return false;
                 };
-                let Some(&flit) = self.routers[router].ivc(port, vc).back() else {
+                let Some(flit) = self.routers[router].ivc(port, vc).back() else {
                     return false;
                 };
                 if flit.kind.is_head() || flit.kind.is_tail() {
@@ -930,7 +930,7 @@ impl Network {
             debug_assert!(ivc.len() < cfg.vc_depth, "input buffer overflow");
             let newly_occupied = !ivc.occupied();
             if newly_occupied {
-                router.note_vc_occupied(a.in_port, a.vc, a.flit.info.app);
+                router.note_vc_occupied(a.in_port, a.vc, &a.flit.info);
                 Self::mark_active(active_mask, a.dst_router);
                 Self::mark_active(dirty_mask, a.dst_router);
             }
@@ -1265,11 +1265,11 @@ impl Network {
                     else {
                         continue;
                     };
-                    let Some(head) = ivc.front() else {
+                    let Some(packet) = ivc.packet() else {
                         debug_assert!(false, "routed VC holds its head flit");
                         continue;
                     };
-                    debug_assert!(head.kind.is_head());
+                    debug_assert!(ivc.front().is_some_and(|f| f.kind.is_head()));
                     let request = Self::va_in_select(
                         cfg,
                         region,
@@ -1277,8 +1277,8 @@ impl Network {
                         &**policy,
                         congestion,
                         r,
-                        node_coord[head.info.dst as usize],
-                        &arb_req(r, &head.info),
+                        node_coord[packet.dst as usize],
+                        &arb_req(r, packet),
                         adaptive,
                         escape,
                         escape_lane,
@@ -1425,14 +1425,15 @@ impl Network {
                     if ivc.state() != VcState::Idle {
                         continue;
                     }
-                    let Some(front) = ivc.front() else {
+                    // Occupied and idle: the head is buffered.
+                    let Some(packet) = ivc.packet() else {
                         continue;
                     };
                     debug_assert!(
-                        front.kind.is_head(),
+                        ivc.front().is_some_and(|f| f.kind.is_head()),
                         "idle VC front flit must be a head (atomic VCs)"
                     );
-                    let dst_node = front.info.dst;
+                    let dst_node = packet.dst;
                     let dst = node_coord[dst_node as usize];
                     let routed = if dst == cur {
                         if degraded.is_some_and(|t| !t.routable(r_idx, dst_node as usize)) {
@@ -1734,7 +1735,7 @@ impl Network {
 
 /// The policy's priority for the flit at the front of input VC
 /// `(port, vc)` of `r` — asked only for the members of a contested request
-/// set.
+/// set, each of which buffers a flit of the VC's packet.
 #[inline]
 fn front_priority(
     policy: &dyn PriorityPolicy,
@@ -1744,11 +1745,12 @@ fn front_priority(
     port: Port,
     vc: usize,
 ) -> u64 {
-    let Some(f) = r.ivc(port, vc).front() else {
+    let ivc = r.ivc(port, vc);
+    let Some(packet) = ivc.packet().filter(|_| !ivc.is_empty()) else {
         debug_assert!(false, "an arbitration request has a buffered flit");
         return 0;
     };
-    policy.priority(stage, r, out_vc, &arb_req(r, &f.info))
+    policy.priority(stage, r, out_vc, &arb_req(r, packet))
 }
 
 /// Build an arbitration request for a packet at a router.

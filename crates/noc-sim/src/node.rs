@@ -290,7 +290,7 @@ impl Node {
                     vc: p.vc,
                 };
                 if ev.head {
-                    router.note_vc_occupied(PORT_LOCAL, p.vc, flit.info.app);
+                    router.note_vc_occupied(PORT_LOCAL, p.vc, &p.info);
                 }
                 router.push_flit(PORT_LOCAL, p.vc, flit);
                 p.next_seq += 1;
@@ -361,9 +361,10 @@ mod tests {
         assert_eq!(occupied.len(), 1);
         let vc = router.ivc(PORT_LOCAL, occupied[0]);
         assert_eq!(vc.len(), 5);
-        // Materialised on demand, the flits are the ones `flits_of` lists.
-        let info = vc.front().unwrap().info;
-        assert!(vc.flits().copied().eq(Flit::flits_of(info)));
+        // Rebuilt from their ring records and the VC's descriptor, the
+        // flits are the ones `flits_of` lists.
+        let info = *vc.packet().unwrap();
+        assert!(vc.flits().eq(Flit::flits_of(info)));
     }
 
     #[test]
@@ -373,7 +374,7 @@ mod tests {
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
         // Occupy every local VC.
         for vc in 0..c.vcs_per_port() {
-            router.note_vc_occupied(PORT_LOCAL, vc, 9);
+            router.note_vc_occupied(PORT_LOCAL, vc, &pkt(9, 0, 1));
         }
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, 0).is_none());
@@ -397,7 +398,7 @@ mod tests {
         let mut node = Node::new(&c, 0);
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
         for vc in c.adaptive_vc_range() {
-            router.note_vc_occupied(PORT_LOCAL, vc, 9);
+            router.note_vc_occupied(PORT_LOCAL, vc, &pkt(9, 0, 1));
         }
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, 0).is_some());

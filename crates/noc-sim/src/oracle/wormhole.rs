@@ -50,11 +50,12 @@ impl Checker for WormholeContiguity {
                     if r.credits(port, vc) > cfg.vc_depth {
                         flag(r.id, at(&format!("credit counter {}", r.credits(port, vc))));
                     }
+                    // Each buffered flit keeps its own packet id; they
+                    // must all be the front flit's.
+                    let front_id = ivc.front().map(|h| h.info.id);
                     let mut prev_seq = None;
                     for f in ivc.flits() {
-                        if Some(f.info.app) != ivc.holder()
-                            || ivc.front().map(|h| h.info.id) != Some(f.info.id)
-                        {
+                        if Some(f.info.app) != ivc.holder() || front_id != Some(f.info.id) {
                             flag(
                                 r.id,
                                 at(&format!(

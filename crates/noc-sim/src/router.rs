@@ -5,8 +5,9 @@
 //! between them. Each router holds, flat and indexed by VC slot
 //! (`slot = port * vcs + vc`, the bit position in every bitmap):
 //!
-//! * the input VCs' pipeline state and their flit FIFOs (fixed-depth rings
-//!   in one slab),
+//! * the input VCs' pipeline state, the descriptor of the packet holding
+//!   each, and their flit FIFOs (fixed-depth rings of slim per-flit records
+//!   in one slab; a buffered flit is its record plus its VC's descriptor),
 //! * output-VC allocation table and credit counters toward downstream,
 //! * rotating-arbiter pointers for VA_out, SA_in and SA_out,
 //! * the DPA occupancy registers (`OVC_n`, `OVC_f`) and the hysteresis
@@ -21,9 +22,9 @@
 
 use crate::bits::low_bits;
 use crate::config::SimConfig;
-use crate::flit::{Flit, FlitKind, PacketInfo};
+use crate::flit::{Flit, PacketInfo};
 use crate::ids::{AppId, Coord, NodeId, Port, APP_NONE, NUM_PORTS, PORT_LOCAL};
-use crate::vc::{InputVc, VcState, VcTag, VcView};
+use crate::vc::{InputVc, RingFlit, VcState, VcTag, VcView};
 
 /// Names of the seven bitmaps, in the order [`Router::bitsets`] and
 /// [`Router::recount_bitsets`] return them.
@@ -48,11 +49,11 @@ pub struct Router {
     /// unassigned). Packets whose app matches are native traffic here.
     pub app: AppId,
 
-    /// Input VCs by slot.
+    /// Input VCs by slot, each with the descriptor of the packet holding it.
     inputs: Box<[InputVc]>,
     /// Every input VC's flit ring: slot `s` owns
     /// `slab[s * vc_depth..][..vc_depth]`.
-    slab: Box<[Flit]>,
+    slab: Box<[RingFlit]>,
     /// Output-VC allocation by slot: `Some((in_port, in_vc))` while a
     /// packet holds the output VC.
     out_alloc: Box<[Option<(Port, usize)>]>,
@@ -129,32 +130,12 @@ impl Router {
         // helper is exact.
         let slots = NUM_PORTS * v;
         let valid = low_bits(slots);
-        // Ring storage starts as copies of an arbitrary flit; a slot is only
-        // ever read below its VC's `len`.
-        let filler = Flit {
-            kind: FlitKind::Single,
-            seq: 0,
-            hops: 0,
-            payload: 0,
-            crc: 0,
-            info: PacketInfo {
-                id: 0,
-                src: 0,
-                dst: 0,
-                app: 0,
-                class: 0,
-                size: 1,
-                birth: 0,
-                inject: 0,
-                reply: None,
-            },
-        };
         let mut r = Self {
             id,
             coord,
             app,
             inputs: vec![InputVc::new(); slots].into(),
-            slab: vec![filler; slots * cfg.vc_depth].into(),
+            slab: vec![RingFlit::EMPTY; slots * cfg.vc_depth].into(),
             out_alloc: vec![None; slots].into(),
             credits: vec![cfg.vc_depth; slots].into(),
             va_ptr: vec![0; slots].into(),
@@ -217,7 +198,7 @@ impl Router {
         }
     }
 
-    /// Input VC `(port, vc)`: state, holder and buffered flits.
+    /// Input VC `(port, vc)`: state, holding packet and buffered flits.
     #[inline]
     pub fn ivc(&self, port: Port, vc: usize) -> VcView<'_> {
         self.view(self.slot(port, vc))
@@ -240,15 +221,18 @@ impl Router {
         self.out_alloc[self.slot(port, vc)]
     }
 
-    /// Write `flit` at the back of input VC `(port, vc)`'s FIFO.
+    /// Write `flit` at the back of input VC `(port, vc)`'s FIFO. Its packet
+    /// fields other than the id are not stored: the VC's descriptor
+    /// ([`note_vc_occupied`](Self::note_vc_occupied)) stands for them.
     #[inline]
     pub fn push_flit(&mut self, port: Port, vc: usize, flit: Flit) {
         let slot = self.slot(port, vc);
         let ring = &mut self.slab[slot * self.vc_depth..][..self.vc_depth];
-        self.inputs[slot].push(ring, flit);
+        self.inputs[slot].push(ring, &flit);
     }
 
-    /// Take the front flit of input VC `(port, vc)`'s FIFO.
+    /// Take the front flit of input VC `(port, vc)`'s FIFO, rebuilt whole
+    /// from its ring record and the VC's descriptor.
     #[inline]
     pub fn pop_flit(&mut self, port: Port, vc: usize) -> Option<Flit> {
         let slot = self.slot(port, vc);
@@ -256,9 +240,9 @@ impl Router {
         self.inputs[slot].pop(ring)
     }
 
-    /// The front flit of input VC `(port, vc)`, mutably — for the
-    /// differential harness's payload corruption only.
-    pub(crate) fn front_flit_mut(&mut self, port: Port, vc: usize) -> Option<&mut Flit> {
+    /// The front flit's ring record of input VC `(port, vc)`, mutably — for
+    /// the differential harness's payload corruption only.
+    pub(crate) fn front_flit_mut(&mut self, port: Port, vc: usize) -> Option<&mut RingFlit> {
         let slot = self.slot(port, vc);
         let ring = &mut self.slab[slot * self.vc_depth..][..self.vc_depth];
         self.inputs[slot].front_mut(ring)
@@ -270,7 +254,7 @@ impl Router {
     pub fn set_vc_state(&mut self, port: Port, vc: usize, state: VcState) {
         let slot = self.slot(port, vc);
         let bit = 1u64 << slot;
-        self.inputs[slot].state = state;
+        self.inputs[slot].set_state(state);
         self.routed_bits &= !bit;
         self.active_bits &= !bit;
         match state {
@@ -281,22 +265,22 @@ impl Router {
     }
 
     /// Record that input VC `(port, vc)` transitioned unoccupied → occupied
-    /// by a packet of `app` (the head is about to be written).
+    /// by `packet` (its head is about to be written): the VC's descriptor.
     #[inline]
-    pub fn note_vc_occupied(&mut self, port: Port, vc: usize, app: AppId) {
+    pub fn note_vc_occupied(&mut self, port: Port, vc: usize, packet: &PacketInfo) {
         let slot = self.slot(port, vc);
         let bit = 1u64 << slot;
         debug_assert_eq!(self.occ_bits & bit, 0);
-        self.inputs[slot].holder = Some(app);
+        self.inputs[slot].packet = Some(*packet);
         self.occ_bits |= bit;
-        if self.is_native(app) {
+        if self.is_native(packet.app) {
             self.native_bits |= bit;
         }
     }
 
     /// Record that input VC `(port, vc)` transitioned occupied → unoccupied
-    /// (tail departed, or the packet was extracted): back to idle, unheld,
-    /// with an empty ring.
+    /// (tail departed, or the packet was extracted): back to idle, with no
+    /// descriptor and an empty ring.
     #[inline]
     pub fn note_vc_freed(&mut self, port: Port, vc: usize) {
         let slot = self.slot(port, vc);
@@ -391,10 +375,10 @@ impl Router {
             if ivc.occupied() {
                 occ |= bit;
             }
-            if ivc.holder.is_some_and(|a| self.is_native(a)) {
+            if ivc.packet.as_ref().is_some_and(|p| self.is_native(p.app)) {
                 native |= bit;
             }
-            match ivc.state {
+            match ivc.state() {
                 VcState::Idle => {}
                 VcState::Routed { .. } => routed |= bit,
                 VcState::Active { .. } => active |= bit,
@@ -413,7 +397,7 @@ impl Router {
     }
 
     /// Compare every piece of incremental bookkeeping — the seven bitmaps,
-    /// the ring cursors and the occupied ⇔ holder tag rule — against the
+    /// the ring cursors and the occupied ⇔ descriptor rule — against the
     /// slow scan; `Some(description)` of the first disagreement. Skipping a
     /// router or a VC on the strength of a bitmap is sound exactly while
     /// this returns `None` (checked every debug tick and by the oracle's
@@ -430,10 +414,10 @@ impl Router {
             let at = self.port_vc(slot);
             if !ivc.cursor_in_bounds(self.vc_depth) {
                 Some(format!("input {at:?}: ring cursor out of bounds ({ivc:?})"))
-            } else if ivc.occupied() != ivc.holder.is_some() {
+            } else if ivc.occupied() != ivc.packet.is_some() {
                 Some(format!(
                     "input {at:?}: holder {:?} disagrees with occupancy {}",
-                    ivc.holder,
+                    ivc.packet.map(|p| p.app),
                     ivc.occupied()
                 ))
             } else {
@@ -527,8 +511,33 @@ mod tests {
             inject: 0,
             reply: None,
         };
-        r.note_vc_occupied(port, vc, app);
+        r.note_vc_occupied(port, vc, &info);
         r.push_flit(port, vc, Flit::nth(info, 0));
+    }
+
+    /// Bytes of one router's state: the struct and every boxed slice it
+    /// owns.
+    fn state_bytes(r: &Router) -> usize {
+        use std::mem::size_of_val;
+        size_of::<Router>()
+            + size_of_val(&*r.inputs)
+            + size_of_val(&*r.slab)
+            + size_of_val(&*r.out_alloc)
+            + size_of_val(&*r.credits)
+            + size_of_val(&*r.va_ptr)
+            + size_of_val(&*r.arb_wait)
+    }
+
+    /// A Table-1 router's state (25 VC slots of depth 5), pinned so that a
+    /// new or wider field cannot regrow it unnoticed; peak RSS on large
+    /// meshes is mostly this times the router count.
+    #[test]
+    fn table1_router_state_is_pinned() {
+        let r = mk();
+        assert_eq!((r.inputs.len(), r.slab.len()), (25, 125));
+        assert_eq!(size_of::<RingFlit>(), 32);
+        assert_eq!(size_of::<InputVc>(), 80);
+        assert_eq!(state_bytes(&r), 7_372);
     }
 
     #[test]

@@ -73,30 +73,39 @@ impl Trace {
         }
     }
 
-    /// Serialize to the compact binary format.
-    pub fn to_bytes(&self) -> Bytes {
+    /// Serialize to the compact binary format. A value wider than its
+    /// field (a packet over 255 flits, a service latency over `u32::MAX`
+    /// cycles, more than `u16::MAX` apps) is an error naming the field, not
+    /// a file that replays different traffic.
+    pub fn to_bytes(&self) -> Result<Bytes, String> {
+        fn narrow<T: TryFrom<u64>>(field: &str, i: usize, v: u64) -> Result<T, String> {
+            T::try_from(v)
+                .map_err(|_| format!("trace event {i}: {field} {v} does not fit the format"))
+        }
         let mut buf = BytesMut::with_capacity(24 + self.events.len() * 20);
         buf.put_slice(MAGIC);
-        buf.put_u16(self.num_apps as u16);
+        let num_apps = u16::try_from(self.num_apps)
+            .map_err(|_| format!("num_apps {} does not fit the format", self.num_apps))?;
+        buf.put_u16(num_apps);
         buf.put_u64(self.events.len() as u64);
-        for e in &self.events {
+        for (i, e) in self.events.iter().enumerate() {
             buf.put_u64(e.cycle);
             buf.put_u16(e.node);
             buf.put_u16(e.packet.dst);
             buf.put_u8(e.packet.app);
             buf.put_u8(e.packet.class);
-            buf.put_u8(e.packet.size as u8);
+            buf.put_u8(narrow("size", i, e.packet.size.into())?);
             match e.packet.reply {
                 None => buf.put_u8(0),
                 Some(r) => {
                     buf.put_u8(1);
-                    buf.put_u32(r.service_latency as u32);
-                    buf.put_u8(r.size as u8);
+                    buf.put_u32(narrow("service_latency", i, r.service_latency)?);
+                    buf.put_u8(narrow("reply size", i, r.size.into())?);
                     buf.put_u8(r.class);
                 }
             }
         }
-        buf.freeze()
+        Ok(buf.freeze())
     }
 
     /// Parse the binary format.
@@ -246,7 +255,7 @@ mod tests {
         let (_r, scenario) = two_app(&cfg, 0.3, 0.2, 0.4);
         let trace = Trace::capture(scenario, 64, 500, 77);
         assert!(!trace.events.is_empty());
-        let bytes = trace.to_bytes();
+        let bytes = trace.to_bytes().unwrap();
         let back = Trace::from_bytes(bytes).unwrap();
         assert_eq!(trace, back);
     }
@@ -278,7 +287,7 @@ mod tests {
         let cfg = SimConfig::table1();
         let (_r, scenario) = two_app(&cfg, 0.0, 0.1, 0.0);
         let trace = Trace::capture(scenario, 64, 100, 1);
-        let bytes = trace.to_bytes();
+        let bytes = trace.to_bytes().unwrap();
         let truncated = bytes.slice(0..bytes.len().saturating_sub(3));
         assert!(Trace::from_bytes(truncated).is_err());
     }
@@ -325,8 +334,10 @@ mod tests {
             let walked = Trace::capture(s.clone(), 64, 6_000, 12648430);
             assert!(!walked.events.is_empty());
             assert_eq!(
-                walked.to_bytes(),
-                capture_per_cycle(s, 64, 6_000, 12648430).to_bytes(),
+                walked.to_bytes().unwrap(),
+                capture_per_cycle(s, 64, 6_000, 12648430)
+                    .to_bytes()
+                    .unwrap(),
                 "two_app at {rate}"
             );
         }
@@ -406,7 +417,7 @@ mod tests {
             ("app out of range", foreign_app, "app 1 of 1"),
         ] {
             // The bytes round-trip: only the replay constructor can object.
-            let trace = Trace::from_bytes(one(e).to_bytes()).unwrap();
+            let trace = Trace::from_bytes(one(e).to_bytes().unwrap()).unwrap();
             let err = TraceReplay::checked(&trace, &cfg).err();
             assert!(
                 err.as_deref()
@@ -426,13 +437,61 @@ mod tests {
         );
     }
 
+    /// Each field the format narrows round-trips at its widest value and is
+    /// an error naming the field one past it — never a file that replays
+    /// other traffic (a 300-flit packet used to come back as 44 flits).
+    #[test]
+    fn narrowed_fields_round_trip_or_are_named() {
+        let one = |size, reply| Trace {
+            num_apps: 1,
+            events: vec![TraceEvent {
+                cycle: 3,
+                node: 5,
+                packet: NewPacket {
+                    dst: 9,
+                    app: 0,
+                    class: 0,
+                    size,
+                    reply,
+                },
+            }],
+        };
+        let reply = |service_latency, size| {
+            Some(ReplySpec {
+                service_latency,
+                size,
+                class: 0,
+            })
+        };
+        for fits in [one(255, None), one(1, reply(u64::from(u32::MAX), 255))] {
+            assert_eq!(Trace::from_bytes(fits.to_bytes().unwrap()), Ok(fits));
+        }
+        for (wide, says) in [
+            (one(300, None), "size 300"),
+            (one(256, None), "size 256"),
+            (one(1, reply(1 << 32, 1)), "service_latency 4294967296"),
+            (one(1, reply(6, 300)), "reply size 300"),
+        ] {
+            let want = format!("trace event 0: {says} does not fit the format");
+            assert_eq!(wide.to_bytes(), Err(want));
+        }
+        let apps = Trace {
+            num_apps: 1 << 16,
+            events: Vec::new(),
+        };
+        assert_eq!(
+            apps.to_bytes(),
+            Err("num_apps 65536 does not fit the format".to_string())
+        );
+    }
+
     #[test]
     fn mc_reply_specs_survive_roundtrip() {
         let cfg = SimConfig::table1();
         let (_r, scenario) = crate::scenario::six_app(&cfg, [0.3; 6], InterDest::OutsideUniform);
         let trace = Trace::capture(scenario, 64, 2000, 9);
         assert!(trace.events.iter().any(|e| e.packet.reply.is_some()));
-        let back = Trace::from_bytes(trace.to_bytes()).unwrap();
+        let back = Trace::from_bytes(trace.to_bytes().unwrap()).unwrap();
         assert_eq!(trace, back);
     }
 }

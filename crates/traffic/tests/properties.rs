@@ -267,7 +267,7 @@ proptest! {
         let cfg = SimConfig::table1();
         let (_r, s) = two_app(&cfg, p, 0.2, 0.1);
         let t = Trace::capture(s, 64, 400, seed);
-        let back = Trace::from_bytes(t.to_bytes()).unwrap();
+        let back = Trace::from_bytes(t.to_bytes().unwrap()).unwrap();
         prop_assert_eq!(t, back);
     }
 }

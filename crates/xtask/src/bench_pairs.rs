@@ -6,14 +6,19 @@
 //! for every pair `i` — the same seed on both sides, the side that runs
 //! first alternating pair by pair, the run length the harness's default —
 //! appends one JSON row per run to `BENCH_history.jsonl` at the root of the
-//! checkout xtask was built from, and prints the gain rule as a verdict: a
+//! checkout xtask was built from, and prints the gain rule as a verdict on
+//! every end-to-end metric, each in its `BENCHMARK.json` direction
+//! (`work_per_s` higher is better, `peak_rss_mb` and `setup_s` lower): a
 //! gain is claimed only on ten pairs or more, when the change wins at least
 //! nine tenths of them (ties count for neither) **and** the medians differ
 //! by more than the distance between the quartiles of the parent's own runs.
 //! The rule cuts both ways: when the *parent* wins nine tenths of the pairs
 //! and the medians are apart by more than the change's quartile distance the
-//! verdict is `LOSS` and the task exits 1 — CI's `bench-gate` job runs it
-//! against the base commit on the one runner.
+//! verdict is `LOSS`. `sim_apl_cycles` is not judged but checked: both sides
+//! of a pair simulate the same traffic, so a pair whose APLs differ is a
+//! behaviour change. Either failure — a `LOSS` on any metric or an APL
+//! mismatch — exits 1; CI's `bench-gate` job runs the task against the base
+//! commit on the one runner.
 //!
 //! The history file is append-only. Timings from different hosts are not
 //! comparable, which is why every row carries its host block and why the CI
@@ -24,8 +29,25 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// The end-to-end metrics of `BENCHMARK.json`, in row order.
-pub const METRICS: [&str; 4] = ["work_per_s", "sim_apl_cycles", "peak_rss_mb", "setup_s"];
+/// Which way an end-to-end metric improves (`BENCHMARK.json`'s `better`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    Higher,
+    Lower,
+}
+
+/// The end-to-end metrics of `BENCHMARK.json`, in row order, with the way
+/// each improves.
+pub const METRICS: [(&str, Better); 4] = [
+    ("work_per_s", Better::Higher),
+    ("sim_apl_cycles", Better::Lower),
+    ("peak_rss_mb", Better::Lower),
+    ("setup_s", Better::Lower),
+];
+
+/// `sim_apl_cycles`' place in [`METRICS`]: checked identical within each
+/// pair, not judged.
+const APL: usize = 1;
 
 /// Fewest pairs a gain may be claimed on; fewer are reported, not claimed.
 pub const MIN_PAIRS: usize = 10;
@@ -100,7 +122,7 @@ pub fn parse_run(workload: &str, stdout: &str) -> Result<Run, String> {
         return Err(format!("{workload}: the run failed a check"));
     }
     let mut run = [0.0; 4];
-    for (slot, name) in run.iter_mut().zip(METRICS) {
+    for (slot, (name, _)) in run.iter_mut().zip(METRICS) {
         *slot = field(name)?;
     }
     Ok(run)
@@ -115,7 +137,8 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     v[lo] + frac * (v[(lo + 1).min(v.len() - 1)] - v[lo])
 }
 
-/// The gain rule applied to one higher-is-better metric over paired runs.
+/// The gain rule applied to one metric over paired runs, in the metric's
+/// direction.
 #[derive(Debug, PartialEq)]
 pub struct Verdict {
     pub pairs: usize,
@@ -130,15 +153,21 @@ pub struct Verdict {
 
 impl Verdict {
     /// `parent[i]` and `change[i]` are the two sides of pair `i`.
-    pub fn of(parent: &[f64], change: &[f64]) -> Self {
+    pub fn of(better: Better, parent: &[f64], change: &[f64]) -> Self {
         let quartiles = |v: &[f64]| [0.25, 0.5, 0.75].map(|q| quantile(v, q));
         let (p, c) = (quartiles(parent), quartiles(change));
-        let wins = parent.iter().zip(change).filter(|(p, c)| c > p).count();
-        let losses = parent.iter().zip(change).filter(|(p, c)| c < p).count();
+        // How far `to` is ahead of `from`, in the metric's direction.
+        let ahead = |from: f64, to: f64| match better {
+            Better::Higher => to - from,
+            Better::Lower => from - to,
+        };
+        let pairs = || parent.iter().zip(change);
+        let wins = pairs().filter(|&(&p, &c)| ahead(p, c) > 0.0).count();
+        let losses = pairs().filter(|&(&p, &c)| ahead(c, p) > 0.0).count();
         // One side beats the other: nine tenths of at least ten pairs, and
         // the medians apart by more than the beaten side's own spread.
-        let beats = |won: usize, ahead: f64, [q1, _, q3]: [f64; 3]| {
-            parent.len() >= MIN_PAIRS && 10 * won >= 9 * parent.len() && ahead > q3 - q1
+        let beats = |won: usize, by: f64, [q1, _, q3]: [f64; 3]| {
+            parent.len() >= MIN_PAIRS && 10 * won >= 9 * parent.len() && by > q3 - q1
         };
         Self {
             pairs: parent.len(),
@@ -146,8 +175,8 @@ impl Verdict {
             losses,
             parent: p,
             change: c,
-            gain: beats(wins, c[1] - p[1], p),
-            loss: beats(losses, p[1] - c[1], c),
+            gain: beats(wins, ahead(p[1], c[1]), p),
+            loss: beats(losses, ahead(c[1], p[1]), c),
         }
     }
 }
@@ -176,6 +205,49 @@ impl std::fmt::Display for Verdict {
             }
         )
     }
+}
+
+/// Judge paired runs (`parent[i]` and `change[i]` are pair `i`): the
+/// `sim_apl_cycles` of every pair must match, and every other metric gets
+/// the pairs rule in its own direction. Returns the report lines, and what
+/// the set fails on — an APL mismatch or a `LOSS` on any metric.
+pub fn judge(parent: &[Run], change: &[Run]) -> (Vec<String>, Result<(), String>) {
+    let column = |runs: &[Run], m: usize| runs.iter().map(|r| r[m]).collect::<Vec<_>>();
+    let mut lines = Vec::new();
+    let mut failures = Vec::new();
+    for (m, &(name, better)) in METRICS.iter().enumerate() {
+        let (p, c) = (column(parent, m), column(change, m));
+        if m == APL {
+            let differ: Vec<usize> = (0..p.len()).filter(|&i| p[i] != c[i]).collect();
+            lines.push(format!(
+                "{name}: median {} -> {} ({} of {} pairs identical)",
+                quantile(&p, 0.5),
+                quantile(&c, 0.5),
+                p.len() - differ.len(),
+                p.len()
+            ));
+            if !differ.is_empty() {
+                failures.push(format!("{name} differs within pair(s) {differ:?}"));
+            }
+            continue;
+        }
+        let verdict = Verdict::of(better, &p, &c);
+        let way = if better == Better::Higher {
+            "higher"
+        } else {
+            "lower"
+        };
+        lines.push(format!("{name} ({way} is better): {verdict}"));
+        if verdict.loss {
+            failures.push(format!("{name} lost to the parent"));
+        }
+    }
+    let outcome = if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; "))
+    };
+    (lines, outcome)
 }
 
 fn first_line_of(dir: &Path, cmd: &str, args: &[&str]) -> Option<String> {
@@ -238,7 +310,7 @@ pub fn row(
         ("host".to_string(), host.clone()),
     ];
     let metrics = METRICS.iter().zip(run);
-    fields.extend(metrics.map(|(name, x)| (name.to_string(), Value::Float(*x, 0))));
+    fields.extend(metrics.map(|((name, _), x)| (name.to_string(), Value::Float(*x, 0))));
     Value::Obj(fields).to_string()
 }
 
@@ -268,8 +340,8 @@ fn run_once(checkout: &Path, workload: &str, seed: u64) -> Result<Run, String> {
     })
 }
 
-/// Build both sides, run the pairs, append the rows to `history`, print the
-/// per-metric summary and the verdict on `work_per_s`.
+/// Build both sides, run the pairs, append the rows to `history`, print
+/// [`judge`]'s lines and fail where it does.
 pub fn run(args: &Args, history: &Path) -> Result<(), String> {
     let sides = [("parent", &args.parent), ("change", &args.change)];
     for (role, checkout) in sides {
@@ -307,11 +379,13 @@ pub fn run(args: &Args, history: &Path) -> Result<(), String> {
                 &run,
             );
             writeln!(file, "{line}").map_err(|e| format!("{}: {e}", history.display()))?;
-            eprintln!("[bench-pairs] pair {pair} {role}: work_per_s {}", run[0]);
+            eprintln!(
+                "[bench-pairs] pair {pair} {role}: work_per_s {} peak_rss_mb {}",
+                run[0], run[2]
+            );
             runs[side].push(run);
         }
     }
-    let column = |side: usize, m: usize| runs[side].iter().map(|r| r[m]).collect::<Vec<_>>();
     println!(
         "{} — {} pair(s), seeds {SEED_BASE}..={}, parent {} -> change {}",
         args.workload,
@@ -320,22 +394,11 @@ pub fn run(args: &Args, history: &Path) -> Result<(), String> {
         commits[0],
         commits[1]
     );
-    for (m, name) in METRICS.iter().enumerate().skip(1) {
-        let (p, c) = (column(0, m), column(1, m));
-        let same = p.iter().zip(&c).filter(|(p, c)| p == c).count();
-        println!(
-            "{name}: median {} -> {} ({same} of {} pairs identical)",
-            quantile(&p, 0.5),
-            quantile(&c, 0.5),
-            args.pairs
-        );
+    let (lines, outcome) = judge(&runs[0], &runs[1]);
+    for line in lines {
+        println!("{line}");
     }
-    let verdict = Verdict::of(&column(0, 0), &column(1, 0));
-    println!("work_per_s: {verdict}");
-    if verdict.loss {
-        return Err(format!("{}: work_per_s lost to the parent", args.workload));
-    }
-    Ok(())
+    outcome.map_err(|e| format!("{}: {e}", args.workload))
 }
 
 #[cfg(test)]
@@ -413,49 +476,140 @@ mod tests {
         let parent: Vec<f64> = (0..10).map(|i| 100.0 + f64::from(i)).collect();
         // Ten wins, medians 30 apart, parent IQR 4.5: a gain.
         let change: Vec<f64> = parent.iter().map(|p| p + 30.0).collect();
-        let v = Verdict::of(&parent, &change);
+        let v = Verdict::of(Better::Higher, &parent, &change);
         assert_eq!((v.wins, v.losses, v.gain), (10, 0, true));
         assert!(v.to_string().contains("GAIN"), "{v}");
         // Nine wins and a loss still pass; eight wins and two ties do not
         // (ties count for neither side).
         let mut nine = change.clone();
         nine[0] = 50.0;
-        assert!(Verdict::of(&parent, &nine).gain);
+        assert!(Verdict::of(Better::Higher, &parent, &nine).gain);
         let mut eight = change.clone();
         (eight[0], eight[1]) = (parent[0], parent[1]);
-        let v = Verdict::of(&parent, &eight);
+        let v = Verdict::of(Better::Higher, &parent, &eight);
         assert_eq!((v.wins, v.losses, v.gain), (8, 0, false));
         // Ten wins by less than the parent's own spread: no gain.
         let close: Vec<f64> = parent.iter().map(|p| p + 1.0).collect();
-        let v = Verdict::of(&parent, &close);
+        let v = Verdict::of(Better::Higher, &parent, &close);
         assert_eq!((v.wins, v.gain), (10, false));
         assert!(v.to_string().contains("no gain"), "{v}");
         // The same rule with the sides swapped is a loss: nine of ten pairs
         // to the parent, medians apart by more than the change's IQR.
         let slower: Vec<f64> = parent.iter().map(|p| p - 30.0).collect();
-        let v = Verdict::of(&parent, &slower);
+        let v = Verdict::of(Better::Higher, &parent, &slower);
         assert_eq!((v.wins, v.losses, v.gain, v.loss), (0, 10, false, true));
         assert!(v.to_string().contains("LOSS"), "{v}");
         let mut nine = slower.clone();
         nine[0] = 500.0;
-        assert!(Verdict::of(&parent, &nine).loss);
+        assert!(Verdict::of(Better::Higher, &parent, &nine).loss);
         let mut eight = slower.clone();
         (eight[0], eight[1]) = (parent[0], parent[1]);
-        assert!(!Verdict::of(&parent, &eight).loss);
+        assert!(!Verdict::of(Better::Higher, &parent, &eight).loss);
         // Ten losses inside the change's own spread, and a gain, are no loss.
-        let v = Verdict::of(&close, &parent);
+        let v = Verdict::of(Better::Higher, &close, &parent);
         assert_eq!((v.losses, v.gain, v.loss), (10, false, false));
-        assert!(!Verdict::of(&parent, &change).loss);
+        assert!(!Verdict::of(Better::Higher, &parent, &change).loss);
         // The change's spread is the yardstick of a loss, the parent's of a
         // gain: a change as noisy as the gap it lost by has not lost.
         let noisy = (0..10).map(|i| parent[i] - 1.0 - 40.0 * (i % 2) as f64);
-        let v = Verdict::of(&parent, &noisy.collect::<Vec<_>>());
+        let v = Verdict::of(Better::Higher, &parent, &noisy.collect::<Vec<_>>());
         assert_eq!((v.losses, v.loss), (10, false), "{v}");
         // Fewer than ten pairs are reported, never claimed.
-        let v = Verdict::of(&[1.0, 1.0, 1.0], &[2.0, 2.0, 2.0]);
+        let v = Verdict::of(Better::Higher, &[1.0, 1.0, 1.0], &[2.0, 2.0, 2.0]);
         assert_eq!((v.pairs, v.wins, v.gain), (3, 3, false));
-        assert!(!Verdict::of(&[2.0, 2.0, 2.0], &[1.0, 1.0, 1.0]).loss);
+        assert!(!Verdict::of(Better::Higher, &[2.0, 2.0, 2.0], &[1.0, 1.0, 1.0]).loss);
         assert!(v.to_string().contains("fewer than ten pairs"), "{v}");
+    }
+
+    /// Lower is better for memory and setup time: the same rule, mirrored.
+    #[test]
+    fn a_lower_is_better_metric_gains_when_it_falls_and_loses_when_it_rises() {
+        let parent: Vec<f64> = (0..10).map(|i| 7.3 + 0.01 * f64::from(i)).collect();
+        let smaller: Vec<f64> = parent.iter().map(|p| p - 1.6).collect();
+        let v = Verdict::of(Better::Lower, &parent, &smaller);
+        assert_eq!((v.wins, v.losses, v.gain, v.loss), (10, 0, true, false));
+        assert!(v.to_string().contains("GAIN"), "{v}");
+        let larger: Vec<f64> = parent.iter().map(|p| p + 1.6).collect();
+        let v = Verdict::of(Better::Lower, &parent, &larger);
+        assert_eq!((v.wins, v.losses, v.gain, v.loss), (0, 10, false, true));
+        assert!(v.to_string().contains("LOSS"), "{v}");
+        // The same numbers read as higher-is-better swap the verdicts.
+        assert!(Verdict::of(Better::Higher, &parent, &larger).gain);
+    }
+
+    /// Ten pairs of `[work_per_s, sim_apl_cycles, peak_rss_mb, setup_s]`.
+    fn runs(work: f64, apl: f64, rss: f64, setup: f64) -> Vec<Run> {
+        (0..10)
+            .map(|i| {
+                let d = f64::from(i) * 1e-3;
+                [work + d, apl, rss + d, setup + d]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_metric_is_judged_and_any_loss_or_apl_mismatch_fails() {
+        let parent = runs(100.0, 34.2, 7.3, 0.18);
+        let (lines, outcome) = judge(&parent, &runs(100.0, 34.2, 5.6, 0.18));
+        assert_eq!(outcome, Ok(()));
+        assert_eq!(lines.len(), 4);
+        assert!(
+            lines[0].starts_with("work_per_s (higher is better)"),
+            "{lines:?}"
+        );
+        assert!(lines[1].contains("10 of 10 pairs identical"), "{lines:?}");
+        assert!(
+            lines[2].starts_with("peak_rss_mb (lower is better)"),
+            "{lines:?}"
+        );
+        assert!(lines[2].ends_with("GAIN"), "{lines:?}");
+        assert!(
+            lines[3].starts_with("setup_s (lower is better)"),
+            "{lines:?}"
+        );
+        // A slower setup fails the set, whatever the throughput does.
+        let (_, outcome) = judge(&parent, &runs(200.0, 34.2, 7.3, 0.5));
+        assert_eq!(outcome, Err("setup_s lost to the parent".to_string()));
+        // One pair whose APLs differ is an error, not noise.
+        let mut moved = parent.clone();
+        moved[3][APL] += 0.5;
+        let (lines, outcome) = judge(&parent, &moved);
+        assert!(lines[1].contains("9 of 10 pairs identical"), "{lines:?}");
+        assert_eq!(
+            outcome,
+            Err("sim_apl_cycles differs within pair(s) [3]".to_string())
+        );
+    }
+
+    /// The metric table is `BENCHMARK.json`'s `end_to_end` list: the same
+    /// names in the same order, each with its `better` field (the file is
+    /// read, never written).
+    #[test]
+    fn the_metric_table_matches_benchmark_json() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCHMARK.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let start = text.find("\"end_to_end\"").expect("an end_to_end list");
+        let list = &text[start..];
+        let list = &list[..list.find(']').expect("a closed list")];
+        let field = |key: &str| -> Vec<String> {
+            let quoted = format!("\"{key}\": \"");
+            list.match_indices(&quoted)
+                .map(|(at, _)| {
+                    let v = &list[at + quoted.len()..];
+                    v[..v.find('"').unwrap()].to_string()
+                })
+                .collect()
+        };
+        let way = |b: Better| {
+            if b == Better::Higher {
+                "higher"
+            } else {
+                "lower"
+            }
+        };
+        assert_eq!(field("name"), METRICS.map(|(name, _)| name));
+        assert_eq!(field("better"), METRICS.map(|(_, b)| way(b)));
+        assert_eq!(METRICS[APL].0, "sim_apl_cycles");
     }
 
     #[test]

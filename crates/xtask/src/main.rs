@@ -18,8 +18,8 @@ fn main() -> ExitCode {
         Some("lint") => lint(),
         Some("bench-pairs") => {
             let history = xtask::workspace_root().join("BENCH_history.jsonl");
-            // A bad command line gets the usage; a failed run or a `LOSS`
-            // verdict only its own message.
+            // A bad command line gets the usage; a failed run, a `LOSS`
+            // verdict or an APL mismatch only its own message.
             let run = bench_pairs::Args::parse(&args[1..])
                 .map_err(|e| format!("{e}\nusage: {}", bench_pairs::USAGE))
                 .and_then(|a| bench_pairs::run(&a, &history));

@@ -130,7 +130,7 @@ proptest! {
         let cfg = SimConfig::table1();
         let (_region, scenario) = two_app(&cfg, p, 0.1, 0.2);
         let trace = Trace::capture(scenario, 64, 1_000, seed);
-        let bytes = trace.to_bytes();
+        let bytes = trace.to_bytes().unwrap();
         let back = Trace::from_bytes(bytes).unwrap();
         prop_assert_eq!(&trace, &back);
         let mut replay = TraceReplay::new(&back, 64);

@@ -118,6 +118,48 @@ fn duplicated_flit_caught_by_wormhole_or_conservation() {
     );
 }
 
+/// A body flit of another packet written behind a buffered, non-tail flit:
+/// sequence number and kind continue the holder's packet, only the packet
+/// id differs. Every buffered flit keeps its own id, so the one-packet-per-VC
+/// rule of atomic VCs catches it.
+#[test]
+fn second_packet_in_a_vc_caught_by_wormhole_contiguity() {
+    let mut net = loaded_net(&oracle_cfg(25_000), 19);
+    let depth = net.cfg.vc_depth;
+    let mut injected = false;
+    'run: for _ in 0..500 {
+        net.tick();
+        for r in &mut net.routers {
+            for port in 0..NUM_PORTS {
+                for vc in 0..net.cfg.vcs_per_port() {
+                    let ivc = r.ivc(port, vc);
+                    let Some(back) = ivc.back().filter(|b| !b.kind.is_tail()) else {
+                        continue;
+                    };
+                    if ivc.len() == depth {
+                        continue;
+                    }
+                    let other = PacketInfo {
+                        id: back.info.id + (1 << 40),
+                        ..back.info
+                    };
+                    r.push_flit(port, vc, Flit::nth(other, back.seq + 1));
+                    injected = true;
+                    break 'run;
+                }
+            }
+        }
+    }
+    assert!(injected, "no buffered non-tail flit with room behind it");
+    assert!(net.check_oracle_now() > 0);
+    let caught = net
+        .stats
+        .oracle_violations
+        .iter()
+        .any(|v| v.checker == "wormhole-contiguity" && v.detail.contains("in a VC held by"));
+    assert!(caught, "hit: {:?}", net.stats.oracle_violations);
+}
+
 #[test]
 fn corrupted_payload_caught_by_crc_integrity() {
     let mut net = loaded_net(&oracle_cfg(25_000), 17);
