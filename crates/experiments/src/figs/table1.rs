@@ -26,10 +26,11 @@ pub fn table() -> Table {
         "128 cycles".into(),
         format!("{} cycles", c.mem_latency),
     ]);
+    // A long packet is a head flit plus the block's data flits, 16 B each.
     t.row(vec![
         "Block size".into(),
         "64 bytes".into(),
-        format!("{} bytes", c.block_bytes),
+        format!("{} bytes", (c.long_flits - 1) * 16),
     ]);
     t.row(vec![
         "Virtual channels".into(),

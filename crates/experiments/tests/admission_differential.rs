@@ -133,7 +133,9 @@ fn starvation_violations(scheme: &Scheme, bound: u64) -> u64 {
         99,
     );
     assert!(
-        net.attach_checker(Box::new(StarvationWatch::with_bound(&cfg, bound))),
+        net.attach_checker(Box::new(
+            StarvationWatch::with_bound(&cfg, bound).expect("the oracle scans every cycle")
+        )),
         "oracle must be enabled for the observer"
     );
     net.run(CYCLES);

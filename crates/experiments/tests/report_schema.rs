@@ -226,7 +226,12 @@ fn serve_report_escapes_a_multiline_panic_message() {
         "{:?}",
         tokens[reason + 1]
     );
-    // The text table carries the same message in its `detail` column.
-    assert!(report.table().to_csv().contains("left\n  right\t"));
+    // The text table carries the same message in its `detail` column, one
+    // quoted CSV field for all its lines.
+    let csv = report.table().to_csv();
+    assert!(
+        csv.ends_with(",\"quarantined after 1 failed attempt(s); last: panicked: left\n  right\t\"\"q\"\"\"\n"),
+        "{csv}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -232,10 +232,12 @@ impl Table {
         out
     }
 
-    /// Render as CSV (comma-separated, header first).
+    /// Render as CSV (comma-separated, header first). A cell holding a
+    /// comma, a quote or a line break is quoted (RFC 4180), so a multi-line
+    /// cell stays one record.
     pub fn to_csv(&self) -> String {
         let esc = |s: &String| {
-            if s.contains(',') || s.contains('"') {
+            if s.contains([',', '"', '\n', '\r']) {
                 format!("\"{}\"", s.replace('"', "\"\""))
             } else {
                 s.to_string()

@@ -73,4 +73,9 @@ fn one_column_spec_feeds_text_csv_and_json() {
     );
     assert_eq!(Value::Null.to_string(), "-");
     assert_eq!(t.num_rows(), 1);
+    // A line break quotes its cell too (RFC 4180): a multi-line cell stays
+    // inside its record.
+    let mut t = Table::new("", &["who", "why"]);
+    t.row(vec!["job".into(), "left\n  right\r".into()]);
+    assert_eq!(t.to_csv(), "who,why\njob,\"left\n  right\r\"\n");
 }

@@ -43,8 +43,6 @@ pub struct SimConfig {
     pub l2_latency: u64,
     /// Memory service latency in cycles.
     pub mem_latency: u64,
-    /// Cache block size in bytes (documentation only; implied by long_flits).
-    pub block_bytes: usize,
     /// Invariant-oracle toggle and tuning (see [`OracleConfig`]).
     pub oracle: OracleConfig,
     /// Static deadlock-freedom/legality verifier toggle (see
@@ -78,7 +76,6 @@ impl SimConfig {
             long_flits: 5,
             l2_latency: 6,
             mem_latency: 128,
-            block_bytes: 64,
             oracle: OracleConfig::default(),
             verify: VerifyConfig::default(),
             fault: FaultTimeline::default(),
@@ -308,10 +305,10 @@ impl SimConfig {
     }
 
     /// Fold every simulation-relevant parameter into `d`. Used to build
-    /// collision-proof cache keys; deliberately excludes `block_bytes`
-    /// (documentation only) and `oracle`/`verify` (observability, not
-    /// behaviour). The fault timeline is folded in only when non-empty, so
-    /// pre-fault digests (golden files, cache keys) are unchanged.
+    /// collision-proof cache keys; deliberately excludes `oracle`/`verify`
+    /// (observability, not behaviour). The fault timeline is folded in only
+    /// when non-empty, so pre-fault digests (golden files, cache keys) are
+    /// unchanged.
     /// Likewise the topology is folded in only when it is not the
     /// default mesh, so mesh digests predating the topology field hold.
     pub fn digest_into(&self, d: &mut metrics::Digest) {
@@ -345,7 +342,6 @@ mod tests {
         assert_eq!(c.vc_depth, 5); // 5-flit/VC
         assert_eq!(c.l2_latency, 6); // 6-cycle L2
         assert_eq!(c.mem_latency, 128); // 128-cycle memory
-        assert_eq!(c.block_bytes, 64); // 64-byte blocks
         assert_eq!(c.short_flits, 1); // 16B single-flit
         assert_eq!(c.long_flits, 5); // 64B + head flit
         assert!(c.validate().is_ok());

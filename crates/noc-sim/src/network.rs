@@ -36,9 +36,9 @@
 //! router, the set bits of the bitmap naming the VCs in the state
 //! the phase serves, and the end-of-cycle state update walks the set bits
 //! of the dirty mask — routers whose inputs did not change are skipped
-//! (unless analysis is on or the policy's update is not idempotent). A
-//! skipped router or VC contributes no candidates and mutates no arbiter
-//! pointer, so the fast path is bit-identical to a plain scan — enforced by
+//! (unless the policy's update is not idempotent). A skipped router or VC
+//! contributes no candidates and mutates no arbiter pointer, so the fast
+//! path is bit-identical to a plain scan — enforced by
 //! a debug-build self-check each cycle and by the tests' reference kernel
 //! (the `reference` child module), which scans everything and reads none of
 //! the masks ([`SimStats::router_cycles_skipped`] and
@@ -63,14 +63,14 @@
 //! then jumps the clock straight to the next event — the earliest of the
 //! next injection, the next ready reply and the end of the run window —
 //! replaying the oracle's end-of-cycle scans at every check-interval multiple
-//! it jumps across, so the oracle observes the identical schedule.
+//! it jumps across, so the oracle, and every observer attached to it, sees
+//! the identical schedule.
 //! [`SimStats::idle_cycles_skipped`] counts the elided cycles; results are
 //! bit-identical to plain ticking (see `tests/fast_forward.rs`).
 //!
 //! [`TrafficSource::next_injection_cycle`]: crate::source::TrafficSource::next_injection_cycle
 //! [`TrafficSource::next_poll`]: crate::source::TrafficSource::next_poll
 
-use crate::analysis::{AnalysisState, JourneyEvent};
 use crate::arbitration::{arbitrate_rr, ArbReq, ArbStage, PriorityPolicy};
 use crate::bits::{low_bits, set_bits};
 use crate::config::SimConfig;
@@ -84,7 +84,7 @@ use crate::ids::{
     PORT_WEST,
 };
 use crate::node::Node;
-use crate::oracle::Oracle;
+use crate::oracle::{Checker, Oracle};
 use crate::region::RegionMap;
 use crate::router::Router;
 use crate::routing::{RoutingAlgorithm, SelectCtx};
@@ -179,8 +179,6 @@ pub struct Network {
     /// injection phase.
     rngs: Vec<SmallRng>,
     pub stats: SimStats,
-    /// Optional analysis instrumentation (None = zero-overhead fast path).
-    analysis: Option<AnalysisState>,
     /// Invariant oracle (`None` = disabled; the per-cycle cost of the
     /// disabled oracle is one null-check).
     oracle: Option<Box<Oracle>>,
@@ -319,7 +317,6 @@ impl Network {
             congestion: vec![0; n],
             rngs,
             stats,
-            analysis: None,
             oracle,
             fault_frozen: None,
             fault,
@@ -384,9 +381,6 @@ impl Network {
         self.update_state_phase();
         if self.oracle.is_some() {
             self.flush_oracle(false);
-        }
-        if let Some(a) = &mut self.analysis {
-            a.cycles += 1;
         }
         self.cycle += 1;
     }
@@ -459,7 +453,7 @@ impl Network {
             }
         }
         if let Some(mut o) = self.oracle.take() {
-            o.note_reconfigure(self);
+            o.notify(|c, _| c.on_reconfigure(self));
             self.oracle = Some(o);
         }
     }
@@ -520,7 +514,7 @@ impl Network {
                 }
             }
             if let Some(o) = self.oracle.as_deref_mut() {
-                o.note_occupancy(r_idx as NodeId, port, vc, false, self.cycle);
+                o.notify(|c, _| c.on_occupancy(r_idx as NodeId, port, vc, false, self.cycle));
             }
             fs.note_dropped_flits(info.app as usize, flits as u64);
             let attempts = fs.bump_retry(info.id);
@@ -614,11 +608,11 @@ impl Network {
     }
 
     /// Attach an extra checker to the invariant oracle (e.g. the
-    /// starvation observer with a statically proven wait bound). Returns
-    /// `false` — and attaches nothing — when the oracle is disabled for
-    /// this network; enable it via `SimConfig::oracle` before
-    /// construction.
-    pub fn attach_checker(&mut self, checker: Box<dyn crate::oracle::Checker>) -> bool {
+    /// starvation observer with a statically proven wait bound, or an
+    /// [`Analysis`](crate::analysis::Analysis)). Returns `false` — and
+    /// attaches nothing — when the oracle is disabled for this network;
+    /// enable it via `SimConfig::oracle` before construction.
+    pub fn attach_checker(&mut self, checker: Box<dyn Checker>) -> bool {
         match self.oracle.as_deref_mut() {
             Some(o) => {
                 o.add_checker(checker);
@@ -626,6 +620,11 @@ impl Network {
             }
             None => false,
         }
+    }
+
+    /// The first attached checker of type `T` (`None` without the oracle).
+    pub fn checker<T: Checker>(&self) -> Option<&T> {
+        self.oracle.as_deref()?.checker()
     }
 
     /// Corrupt the simulation state for the differential test harness.
@@ -743,7 +742,7 @@ impl Network {
                     flit,
                 });
                 if let Some(o) = self.oracle.as_deref_mut() {
-                    o.note_occupancy(router as NodeId, port, vc, false, self.cycle);
+                    o.notify(|c, _| c.on_occupancy(router as NodeId, port, vc, false, self.cycle));
                 }
                 true
             }
@@ -787,7 +786,7 @@ impl Network {
     /// run-window end, the source's next injection and the next ready reply.
     /// `None` ⇒ this cycle must be ticked normally.
     fn fast_forward_target(&self, end: u64) -> Option<u64> {
-        if self.analysis.is_some() || !self.policy_idempotent || self.fault.is_some() {
+        if !self.policy_idempotent || self.fault.is_some() {
             // An active fault timeline disables fast-forward outright:
             // scheduled events, retransmission arrivals, sweeps and retry
             // backoffs are all cycle-addressed side channels the idle proof
@@ -937,9 +936,9 @@ impl Network {
             router.push_flit(a.in_port, a.vc, a.flit);
             if let Some(o) = oracle.as_deref_mut() {
                 let id = a.dst_router as NodeId;
-                o.note_arrival(cfg, id, a.in_port, a.vc, &a.flit, cycle);
+                o.notify(|c, out| c.on_arrival(cfg, id, a.in_port, a.vc, &a.flit, cycle, out));
                 if newly_occupied {
-                    o.note_occupancy(id, a.in_port, a.vc, true, cycle);
+                    o.notify(|c, _| c.on_occupancy(id, a.in_port, a.vc, true, cycle));
                 }
             }
         }
@@ -958,23 +957,13 @@ impl Network {
         self.stats.ejected_flits += 1;
         let now = self.cycle;
         if let Some(o) = self.oracle.as_deref_mut() {
-            o.note_eject(flit.info.app, now);
+            o.notify(|c, _| c.on_eject(node_idx as NodeId, &flit, now));
         }
         if !flit.kind.is_tail() {
             return;
         }
         let info = flit.info;
         debug_assert_eq!(info.dst as usize, node_idx, "flit ejected at wrong node");
-        if let Some(a) = &mut self.analysis {
-            if a.watch == Some(info.id) {
-                a.journey.push((
-                    now,
-                    JourneyEvent::Delivered {
-                        node: node_idx as NodeId,
-                    },
-                ));
-            }
-        }
         let network = now.saturating_sub(info.inject);
         let total = now.saturating_sub(info.birth);
         self.stats
@@ -1017,7 +1006,6 @@ impl Network {
             credit_q,
             stats,
             cycle,
-            analysis,
             oracle,
             fault_frozen,
             fault,
@@ -1088,10 +1076,7 @@ impl Network {
                     continue;
                 }
                 // SA_out: one winner per requested output port among the
-                // SA_in winners asking for it. `moved` collects the input-VC
-                // slots that won the crossbar this cycle, feeding the
-                // starvation observer's wait counters.
-                let mut moved: u64 = 0;
+                // SA_in winners asking for it.
                 for out_port in 0..NUM_PORTS {
                     let asking = (out_reqs >> (out_port * NUM_PORTS)) & low_bits(NUM_PORTS);
                     let mut k = 0;
@@ -1119,24 +1104,14 @@ impl Network {
                     // ejects here) and where its credit returns.
                     let down = Self::link(links, r_idx, out_port);
                     debug_assert_eq!(down.is_none(), out_port == PORT_LOCAL, "linkless grant");
-                    moved |= r.vc_bit(in_port, in_vc);
                     // ST: move the flit.
                     let Some(mut flit) = r.pop_flit(in_port, in_vc) else {
                         debug_assert!(false, "SA winner holds a buffered flit");
                         continue;
                     };
                     let is_tail = flit.kind.is_tail();
-                    if let Some(a) = analysis.as_mut() {
-                        a.link_flits[r_idx][out_port] += 1;
-                        if a.watch == Some(flit.info.id) && out_port != PORT_LOCAL {
-                            a.journey.push((
-                                cycle,
-                                JourneyEvent::Forwarded {
-                                    router: r.id,
-                                    port: out_port,
-                                },
-                            ));
-                        }
+                    if let Some(o) = oracle.as_deref_mut() {
+                        o.notify(|c, _| c.on_forward(r.id, in_port, in_vc, out_port, &flit, cycle));
                     }
                     if let Some((nb, nb_port)) = down {
                         flit.hops += 1;
@@ -1191,33 +1166,10 @@ impl Network {
                             Self::mark_inactive(active_mask, r_idx);
                         }
                         if let Some(o) = oracle.as_deref_mut() {
-                            o.note_occupancy(r.id, in_port, in_vc, false, cycle);
+                            o.notify(|c, _| c.on_occupancy(r.id, in_port, in_vc, false, cycle));
                         }
                     }
                     stats.last_progress = cycle;
-                }
-                // Starvation observer: advance the per-VC head-of-line wait
-                // counters. Any routed (Active) VC with a buffered head
-                // flit that failed to move this cycle waited one more —
-                // whether it lost arbitration or was credit-starved by a
-                // standing foreign backlog; a crossbar winner starts fresh
-                // (its next head flit begins a new wait). The counter of a
-                // VC that is not Active is already zero, so the VCs served
-                // above (a departed tail's among them) are the only ones to
-                // visit. Gated on the oracle being attached so the
-                // un-observed kernel stays untouched.
-                if oracle.is_some() {
-                    for slot in set_bits(served) {
-                        let (port, vc) = r.port_vc(slot);
-                        let ivc = r.ivc(port, vc);
-                        let waiting =
-                            matches!(ivc.state(), VcState::Active { .. }) && !ivc.is_empty();
-                        r.arb_wait[slot] = if moved & (1u64 << slot) != 0 || !waiting {
-                            0
-                        } else {
-                            r.arb_wait[slot].saturating_add(1)
-                        };
-                    }
                 }
             }
         }
@@ -1489,7 +1441,6 @@ impl Network {
             stats,
             next_pkt_id,
             cycle,
-            analysis,
             oracle,
             active_mask,
             dirty_mask,
@@ -1568,7 +1519,7 @@ impl Network {
                 if let Some(ev) = node.try_inject(cfg, router, cycle) {
                     stats.injected_flits += 1;
                     if let Some(o) = oracle.as_deref_mut() {
-                        o.note_inject(ev.app, cycle);
+                        o.notify(|c, _| c.on_inject(id, &ev, cycle));
                     }
                     if ev.head {
                         // try_inject marked the local VC occupied.
@@ -1576,13 +1527,9 @@ impl Network {
                         Self::mark_active(dirty_mask, r_idx);
                         stats.injected_packets[ev.app as usize] += 1;
                         if let Some(o) = oracle.as_deref_mut() {
-                            o.note_occupancy(router.id, PORT_LOCAL, ev.vc, true, cycle);
-                        }
-                        if let Some(a) = analysis.as_mut() {
-                            if a.watch == Some(ev.packet_id) {
-                                a.journey
-                                    .push((cycle, JourneyEvent::Injected { node: node.id }));
-                            }
+                            o.notify(|c, _| {
+                                c.on_occupancy(router.id, PORT_LOCAL, ev.vc, true, cycle);
+                            });
                         }
                     }
                 }
@@ -1603,22 +1550,19 @@ impl Network {
     /// this cycle would recompute the identical OVC registers and
     /// congestion export, and an idempotent policy update is a fixed point
     /// on unchanged registers — so the whole update is elided for clean
-    /// routers. Analysis accumulates per-cycle occupancy sums, so it
-    /// disables the skip.
+    /// routers.
     fn update_state_phase(&mut self) {
         let Network {
-            cfg,
             policy,
             routers,
             congestion,
             cycle,
-            analysis,
             stats,
             dirty_mask,
             policy_idempotent,
             ..
         } = self;
-        let may_skip = analysis.is_none() && *policy_idempotent;
+        let may_skip = *policy_idempotent;
         let n = routers.len();
         if may_skip {
             stats.state_updates_skipped += unset(dirty_mask, n);
@@ -1638,13 +1582,6 @@ impl Network {
                 r.ovc_foreign = foreign;
                 policy.update_router(r, *cycle);
                 congestion[w * 64 + b] = r.adaptive_occupancy();
-                if let Some(a) = analysis.as_mut() {
-                    a.occ_native += native as u64;
-                    a.occ_foreign += foreign as u64;
-                    let (reg, glob) = r.tag_occupancy(cfg);
-                    a.occ_regional += reg as u64;
-                    a.occ_global += glob as u64;
-                }
             }
         }
     }
@@ -1678,25 +1615,6 @@ impl Network {
     /// Access the traffic source (e.g. to read scripted-source state).
     pub fn source(&self) -> &dyn TrafficSource {
         &*self.source
-    }
-
-    /// Enable run-time analysis instrumentation (link counts, occupancy
-    /// breakdown, packet tracing). Counters start from zero.
-    pub fn enable_analysis(&mut self) {
-        self.analysis = Some(AnalysisState::new(self.cfg.num_routers()));
-    }
-
-    /// Trace one packet id's journey (requires analysis to be enabled).
-    pub fn watch_packet(&mut self, id: u64) {
-        self.analysis
-            .as_mut()
-            .expect("enable_analysis() first")
-            .watch = Some(id);
-    }
-
-    /// Read the analysis state, if enabled.
-    pub fn analysis(&self) -> Option<&AnalysisState> {
-        self.analysis.as_ref()
     }
 
     /// Per-router adaptive-VC occupancy snapshot (previous cycle) — the

@@ -68,10 +68,6 @@ fn priority_of(
 impl Network {
     /// Advance one cycle on the reference kernel (see the module docs).
     pub fn tick_reference(&mut self) {
-        assert!(
-            self.analysis.is_none(),
-            "the reference kernel carries no analysis instrumentation"
-        );
         if self.fault.is_some() {
             self.process_fault_events();
         }
@@ -140,14 +136,7 @@ impl Network {
                     *winner = Some((reqs[w].1, wants[w].0, wants[w].1));
                 }
             }
-            // Production leaves a router's wait counters alone on a cycle
-            // without a single SA request; the starvation observer reads
-            // them, so the twin does too.
-            if sa_in.iter().all(Option::is_none) {
-                continue;
-            }
             // SA_out, then ST for each winner.
-            let mut moved = vec![false; NUM_PORTS * v];
             for out_port in 0..NUM_PORTS {
                 let reqs: Vec<(u64, usize)> = (0..NUM_PORTS)
                     .filter_map(|in_port| match sa_in[in_port] {
@@ -164,10 +153,12 @@ impl Network {
                 };
                 let in_port = reqs[w].1;
                 let (in_vc, _, out_vc) = sa_in[in_port].expect("an SA_out request won SA_in");
-                moved[r.slot(in_port, in_vc)] = true;
                 let mut flit = r
                     .pop_flit(in_port, in_vc)
                     .expect("SA winner holds a buffered flit");
+                if let Some(o) = oracle.as_deref_mut() {
+                    o.notify(|c, _| c.on_forward(r.id, in_port, in_vc, out_port, &flit, cycle));
+                }
                 if let Some((nb, nb_port)) = far_end(cfg, r_idx, out_port) {
                     flit.hops += 1;
                     r.take_credit(out_port, out_vc);
@@ -201,23 +192,10 @@ impl Network {
                     r.release_out_vc(out_port, out_vc);
                     r.note_vc_freed(in_port, in_vc);
                     if let Some(o) = oracle.as_deref_mut() {
-                        o.note_occupancy(r.id, in_port, in_vc, false, cycle);
+                        o.notify(|c, _| c.on_occupancy(r.id, in_port, in_vc, false, cycle));
                     }
                 }
                 stats.last_progress = cycle;
-            }
-            // Starvation observer: head-of-line wait of every Active VC.
-            if oracle.is_some() {
-                for (slot, &moved) in moved.iter().enumerate() {
-                    let (port, vc) = r.port_vc(slot);
-                    let ivc = r.ivc(port, vc);
-                    let waiting = matches!(ivc.state(), VcState::Active { .. }) && !ivc.is_empty();
-                    r.arb_wait[slot] = if moved || !waiting {
-                        0
-                    } else {
-                        r.arb_wait[slot].saturating_add(1)
-                    };
-                }
             }
         }
     }
@@ -401,9 +379,9 @@ impl Network {
                 stats.injected_packets[ev.app as usize] += 1;
             }
             if let Some(o) = oracle.as_deref_mut() {
-                o.note_inject(ev.app, cycle);
+                o.notify(|c, _| c.on_inject(id, &ev, cycle));
                 if ev.head {
-                    o.note_occupancy(router.id, PORT_LOCAL, ev.vc, true, cycle);
+                    o.notify(|c, _| c.on_occupancy(router.id, PORT_LOCAL, ev.vc, true, cycle));
                 }
             }
         }

@@ -4,8 +4,10 @@
 //! the network legitimately and are added back into the balance.
 
 use super::{Checker, OracleViolation};
-use crate::ids::{AppId, NUM_PORTS};
+use crate::flit::Flit;
+use crate::ids::{AppId, NodeId, NUM_PORTS};
 use crate::network::Network;
+use crate::node::InjectedFlit;
 use crate::vc::VcView;
 
 /// Counts injections and ejections per application from the hooks and
@@ -41,12 +43,12 @@ impl Checker for FlitConservation {
         "flit-conservation"
     }
 
-    fn on_inject(&mut self, app: AppId, _cycle: u64) {
-        Self::bump(&mut self.injected, app);
+    fn on_inject(&mut self, _node: NodeId, flit: &InjectedFlit, _cycle: u64) {
+        Self::bump(&mut self.injected, flit.app);
     }
 
-    fn on_eject(&mut self, app: AppId, _cycle: u64) {
-        Self::bump(&mut self.ejected, app);
+    fn on_eject(&mut self, _node: NodeId, flit: &Flit, _cycle: u64) {
+        Self::bump(&mut self.ejected, flit.info.app);
     }
 
     fn end_of_cycle(&mut self, net: &Network, out: &mut Vec<OracleViolation>) {

@@ -3,14 +3,20 @@
 //!
 //! The oracle is a correctness layer over the wormhole/VC/credit model, in
 //! the spirit of the assertion-based checkers NoC evaluation frameworks use
-//! as their ground truth. It observes the kernel at three kinds of points:
+//! as their ground truth, and the kernel's only observation surface. It
+//! observes the kernel at four kinds of points:
 //!
 //! * the **two occupancy-transition points** — a head flit written into an
 //!   empty idle VC (arrival or injection) and a tail flit departing through
 //!   the crossbar — via the cheap `on_*` hooks,
-//! * every **link arrival** (for per-hop routing legality),
+//! * every **injection, switch traversal, link arrival and ejection** of a
+//!   flit,
 //! * **end of cycle**, where the expensive whole-network scans run, gated
 //!   by [`OracleConfig::check_interval`].
+//!
+//! Observers that count per cycle — [`Analysis`](crate::analysis::Analysis)
+//! and [`StarvationWatch`] — are checkers too: attached with
+//! [`Network::attach_checker`] and read back with [`Network::checker`].
 //!
 //! Violations are structured [`OracleViolation`] values carried in
 //! [`SimStats`](crate::stats::SimStats) and rendered by `metrics::report`.
@@ -42,9 +48,11 @@ pub use wormhole::WormholeContiguity;
 
 use crate::config::SimConfig;
 use crate::flit::Flit;
-use crate::ids::{AppId, NodeId, Port};
+use crate::ids::{NodeId, Port};
 use crate::network::Network;
+use crate::node::InjectedFlit;
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::fmt;
 
 /// Default no-progress horizon in cycles: comfortably above the longest
@@ -136,6 +144,17 @@ impl OracleConfig {
     }
 }
 
+/// The constructor check of a per-cycle observer ([`Checker::per_cycle`]):
+/// `Err` naming `observer` unless `cfg` scans every cycle.
+pub(crate) fn every_cycle(cfg: &SimConfig, observer: &str) -> Result<(), String> {
+    match cfg.oracle.check_interval {
+        1 => Ok(()),
+        k => Err(format!(
+            "{observer} counts every cycle: oracle.check_interval must be 1, not {k}"
+        )),
+    }
+}
+
 /// One recorded invariant violation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OracleViolation {
@@ -159,21 +178,44 @@ impl fmt::Display for OracleViolation {
     }
 }
 
-/// A protocol invariant checker.
+/// A protocol invariant checker or a per-cycle observer.
 ///
-/// The `on_*` hooks are called at the kernel's occupancy-transition and
-/// arrival points and must be cheap (they run per flit event); whole-network
-/// scans belong in [`end_of_cycle`](Checker::end_of_cycle), which the oracle
-/// calls every [`OracleConfig::check_interval`] cycles (and on demand).
-pub trait Checker: Send {
+/// The `on_*` hooks are called at the kernel's flit-event and
+/// occupancy-transition points and must be cheap (they run per flit event);
+/// whole-network scans belong in [`end_of_cycle`](Checker::end_of_cycle),
+/// which the oracle calls every [`OracleConfig::check_interval`] cycles (and
+/// on demand).
+pub trait Checker: Any + Send {
     /// Name used in violation records and reports.
     fn name(&self) -> &'static str;
 
-    /// A flit of `app` entered the network through a local port.
-    fn on_inject(&mut self, _app: AppId, _cycle: u64) {}
+    /// Whether this checker counts something at every end-of-cycle scan.
+    /// Such an observer needs `check_interval` 1 (its constructor returns a
+    /// named error for any other), and the oracle does not hand it a
+    /// scan forced between two ticks: that scan sees the state the last
+    /// tick's scan already counted.
+    fn per_cycle(&self) -> bool {
+        false
+    }
 
-    /// A flit of `app` was consumed by its destination NI.
-    fn on_eject(&mut self, _app: AppId, _cycle: u64) {}
+    /// Flit `flit` entered the network at `node`'s NI.
+    fn on_inject(&mut self, _node: NodeId, _flit: &InjectedFlit, _cycle: u64) {}
+
+    /// Flit `flit` won the crossbar of `router`, from input VC
+    /// `(in_port, in_vc)` to output `out_port` (the local port: it ejects).
+    fn on_forward(
+        &mut self,
+        _router: NodeId,
+        _in_port: Port,
+        _in_vc: usize,
+        _out_port: Port,
+        _flit: &Flit,
+        _cycle: u64,
+    ) {
+    }
+
+    /// Flit `flit` was consumed by `node`'s NI.
+    fn on_eject(&mut self, _node: NodeId, _flit: &Flit, _cycle: u64) {}
 
     /// A flit arrived over a link into `(router, in_port, vc)`.
     #[allow(clippy::too_many_arguments)]
@@ -258,45 +300,21 @@ impl Oracle {
         self.checkers.push(checker);
     }
 
-    pub(crate) fn note_inject(&mut self, app: AppId, cycle: u64) {
-        for c in &mut self.checkers {
-            c.on_inject(app, cycle);
-        }
+    /// The first attached checker of type `T`.
+    pub(crate) fn checker<T: Checker>(&self) -> Option<&T> {
+        self.checkers
+            .iter()
+            .find_map(|c| (&**c as &dyn Any).downcast_ref())
     }
 
-    pub(crate) fn note_eject(&mut self, app: AppId, cycle: u64) {
-        for c in &mut self.checkers {
-            c.on_eject(app, cycle);
-        }
-    }
-
-    pub(crate) fn note_arrival(
+    /// Hand one kernel event to every checker, with the list its
+    /// violations go to.
+    pub(crate) fn notify(
         &mut self,
-        cfg: &SimConfig,
-        router: NodeId,
-        in_port: Port,
-        vc: usize,
-        flit: &Flit,
-        cycle: u64,
-    ) {
-        let Self {
-            checkers, pending, ..
-        } = self;
-        for c in checkers {
-            c.on_arrival(cfg, router, in_port, vc, flit, cycle, pending);
-        }
-    }
-
-    pub(crate) fn note_occupancy(
-        &mut self,
-        router: NodeId,
-        port: Port,
-        vc: usize,
-        occupied: bool,
-        cycle: u64,
+        mut hook: impl FnMut(&mut dyn Checker, &mut Vec<OracleViolation>),
     ) {
         for c in &mut self.checkers {
-            c.on_occupancy(router, port, vc, occupied, cycle);
+            hook(&mut **c, &mut self.pending);
         }
     }
 
@@ -311,13 +329,9 @@ impl Oracle {
             checkers, pending, ..
         } = self;
         for c in checkers {
-            c.end_of_cycle(net, pending);
-        }
-    }
-
-    pub(crate) fn note_reconfigure(&mut self, net: &Network) {
-        for c in &mut self.checkers {
-            c.on_reconfigure(net);
+            if !(force && c.per_cycle()) {
+                c.end_of_cycle(net, pending);
+            }
         }
     }
 

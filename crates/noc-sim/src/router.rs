@@ -69,14 +69,6 @@ pub struct Router {
     /// SA_out rotating pointer per output port (over input-port indices).
     pub(crate) sa_out_ptr: [usize; NUM_PORTS],
 
-    /// Consecutive cycles each routed (Active) input VC has held a head
-    /// flit without moving it through the crossbar — whether it lost
-    /// arbitration or was credit-starved — by slot. Maintained by the SA
-    /// phase only while the oracle observes the run — the starvation
-    /// observer's raw signal, never read by the kernel itself. Nonzero only
-    /// for `Active` VCs.
-    pub(crate) arb_wait: Box<[u32]>,
-
     /// DPA register: occupied VCs holding native traffic (previous cycle).
     pub ovc_native: u32,
     /// DPA register: occupied VCs holding foreign traffic (previous cycle).
@@ -141,7 +133,6 @@ impl Router {
             va_ptr: vec![0; slots].into(),
             sa_in_ptr: [0; NUM_PORTS],
             sa_out_ptr: [0; NUM_PORTS],
-            arb_wait: vec![0; slots].into(),
             ovc_native: 0,
             ovc_foreign: 0,
             dpa_native_high: false,
@@ -525,7 +516,6 @@ mod tests {
             + size_of_val(&*r.out_alloc)
             + size_of_val(&*r.credits)
             + size_of_val(&*r.va_ptr)
-            + size_of_val(&*r.arb_wait)
     }
 
     /// A Table-1 router's state (25 VC slots of depth 5), pinned so that a
@@ -537,7 +527,7 @@ mod tests {
         assert_eq!((r.inputs.len(), r.slab.len()), (25, 125));
         assert_eq!(size_of::<RingFlit>(), 32);
         assert_eq!(size_of::<InputVc>(), 80);
-        assert_eq!(state_bytes(&r), 7_372);
+        assert_eq!(state_bytes(&r), 7_256);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! White-box tests of individual router pipeline behaviors, driven through
 //! the public `Network` API with scripted single packets.
 
+use noc_sim::analysis::Analysis;
 use noc_sim::network::Network;
 use noc_sim::prelude::*;
 use noc_sim::vc::VcState;
 
-fn net_with(
+fn net_on(
+    cfg: SimConfig,
     events: Vec<(u64, NodeId, NewPacket)>,
     policy: Box<dyn noc_sim::arbitration::PriorityPolicy>,
 ) -> Network {
-    let cfg = SimConfig::table1();
     Network::new(
         cfg,
         RegionMap::single(&SimConfig::table1()),
@@ -18,6 +19,26 @@ fn net_with(
         Box::new(ScriptedSource::new(1, events)),
         1,
     )
+}
+
+fn net_with(
+    events: Vec<(u64, NodeId, NewPacket)>,
+    policy: Box<dyn noc_sim::arbitration::PriorityPolicy>,
+) -> Network {
+    net_on(SimConfig::table1(), events, policy)
+}
+
+/// A round-robin network with the analysis observer attached, tracing
+/// packet `watch`, under an oracle that scans every cycle.
+fn analysed(events: Vec<(u64, NodeId, NewPacket)>, watch: Option<u64>) -> Network {
+    let cfg = SimConfig {
+        oracle: OracleConfig::forced(),
+        ..SimConfig::table1()
+    };
+    let analysis = Analysis::new(&cfg, watch).unwrap();
+    let mut net = net_on(cfg, events, Box::new(RoundRobin));
+    assert!(net.attach_checker(Box::new(analysis)));
+    net
 }
 
 fn pkt(dst: NodeId, size: u32) -> NewPacket {
@@ -204,12 +225,10 @@ fn local_port_injection_contends_with_through_traffic() {
 fn analysis_records_links_and_journey() {
     // One packet 0 -> 2 (two hops east): analysis must record its journey
     // and the link counters along row 0.
-    let mut net = net_with(vec![(0, 0, pkt(2, 1))], Box::new(RoundRobin));
-    net.enable_analysis();
-    net.watch_packet(0); // first packet gets id 0
+    let mut net = analysed(vec![(0, 0, pkt(2, 1))], Some(0)); // first packet gets id 0
     net.run(60);
     assert!(net.is_drained());
-    let a = net.analysis().unwrap();
+    let a = net.checker::<Analysis>().unwrap();
     assert_eq!(a.cycles, 60);
     // Journey: injected at 0, forwarded east twice, delivered at 2.
     use noc_sim::analysis::JourneyEvent::*;
@@ -241,14 +260,21 @@ fn analysis_records_links_and_journey() {
 #[test]
 fn analysis_occupancy_breakdown_accumulates() {
     let events: Vec<(u64, NodeId, NewPacket)> = (0..10).map(|i| (i, 0u16, pkt(63, 5))).collect();
-    let mut net = net_with(events, Box::new(RoundRobin));
-    net.enable_analysis();
+    let mut net = analysed(events.clone(), None);
     net.run(400);
-    let a = net.analysis().unwrap();
+    let a = net.checker::<Analysis>().unwrap();
     // Single-region map: everything is native.
     assert!(a.occ_native > 0);
     assert_eq!(a.occ_foreign, 0);
     assert_eq!(a.foreign_occupancy_share(), 0.0);
     // Packets used adaptive VCs of both tags at some point.
     assert!(a.occ_regional + a.occ_global > 0);
+    // A scan forced between two ticks sees the state the last tick's scan
+    // already counted: it counts nothing again.
+    let mut forced = analysed(events, None);
+    for _ in 0..400 {
+        forced.tick();
+        forced.check_oracle_now();
+    }
+    assert_eq!(forced.checker::<Analysis>(), Some(a));
 }

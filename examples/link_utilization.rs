@@ -1,17 +1,17 @@
 //! Link-utilization analysis: where does inter-region traffic actually
 //! flow, and what is the hottest link on the chip?
 //!
-//! Runs the six-application Fig. 13 scenario with analysis instrumentation
-//! enabled, prints a per-router forwarding-activity heatmap, the hottest
-//! link, the foreign share of VC occupancy, and traces one packet's journey
-//! hop by hop.
+//! Runs the six-application Fig. 13 scenario with the analysis observer
+//! attached to the invariant oracle, prints a per-router forwarding-activity
+//! heatmap, the hottest link, the foreign share of VC occupancy, and traces
+//! one packet's journey hop by hop.
 //!
 //! ```text
 //! cargo run --release --example link_utilization
 //! ```
 
 use metrics::viz::heatmap;
-use noc_sim::analysis::JourneyEvent;
+use noc_sim::analysis::{Analysis, JourneyEvent};
 use noc_sim::ids::port_name;
 use noc_sim::network::Network;
 use noc_sim::prelude::*;
@@ -19,7 +19,11 @@ use rair::prelude::*;
 use traffic::prelude::*;
 
 fn main() {
-    let cfg = SimConfig::table1();
+    // The observer counts every cycle: the oracle must scan every cycle.
+    let cfg = SimConfig {
+        oracle: OracleConfig::forced(),
+        ..SimConfig::table1()
+    };
     let rates = [0.03, 0.3, 0.1, 0.07, 0.08, 0.3];
     let (region, scenario) = six_app(&cfg, rates, InterDest::OutsideUniform);
     let mut net = Network::new(
@@ -30,11 +34,12 @@ fn main() {
         Box::new(scenario),
         2026,
     );
-    net.enable_analysis();
-    net.watch_packet(5_000); // trace the 5000th generated packet
+    // Trace the 5000th generated packet.
+    let analysis = Analysis::new(&cfg, Some(5_000)).expect("the oracle scans every cycle");
+    assert!(net.attach_checker(Box::new(analysis)), "the oracle is on");
     net.run(20_000);
 
-    let a = net.analysis().expect("analysis enabled");
+    let a = net.checker::<Analysis>().expect("analysis attached");
     println!("six-app RNoC (Fig. 13 layout), RAIR, 20K cycles\n");
     println!("per-router forwarding activity (flits onto mesh links):");
     print!("{}", heatmap(&a.forwarding_activity(), cfg.width as usize));

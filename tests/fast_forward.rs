@@ -9,8 +9,9 @@
 //! (so warmup/measurement windows are exact), and the invariant oracle
 //! observes exactly the same end-of-cycle scans it would under plain ticking.
 
+use noc_sim::analysis::Analysis;
 use noc_sim::network::Network;
-use noc_sim::oracle::OracleConfig;
+use noc_sim::oracle::{Checker, OracleConfig, StarvationWatch};
 use noc_sim::prelude::*;
 use proptest::prelude::*;
 use rair::prelude::*;
@@ -226,6 +227,79 @@ fn fast_forward_preserves_oracle_scan_schedule() {
     assert!(fast.oracle_scans() >= 2_048 / 16);
     assert_eq!(fast.stats.oracle_violation_count, 0);
     assert_eq!(fast.stats.digest(), plain.stats.digest());
+}
+
+/// The observers ride the oracle's scan schedule, which the fast-forward
+/// replays cycle by cycle: on sparse traffic with the analysis observer and
+/// a starvation watch attached, `run` jumps most of the span and still
+/// leaves both exactly as plain ticking does. Observing perturbs nothing:
+/// the digest (which folds in the oracle's verdict) and all three skip
+/// counters equal those of the same network with the oracle off.
+#[test]
+fn observers_see_the_same_run_through_the_fast_forward() {
+    let pkt = |dst, size| NewPacket {
+        dst,
+        app: 0,
+        class: 0,
+        size,
+        reply: None,
+    };
+    // Four long packets race down row 0 into node 7, then one stray.
+    let mut script: Vec<_> = (0..4).map(|src| (200, src, pkt(7, 5))).collect();
+    script.push((2_500, 5, pkt(9, 1)));
+    let run = |oracle: OracleConfig, observed: bool, fast: bool| {
+        let cfg = SimConfig {
+            oracle,
+            ..SimConfig::table1()
+        };
+        let observers: [Box<dyn Checker>; 2] = [
+            Box::new(Analysis::new(&cfg, Some(1)).unwrap()),
+            Box::new(StarvationWatch::new(&cfg).unwrap()),
+        ];
+        let mut net = Network::new(
+            cfg,
+            RegionMap::single(&SimConfig::table1()),
+            Box::new(DuatoLocalAdaptive),
+            Box::new(RoundRobin),
+            Box::new(ScriptedSource::new(1, script.clone())),
+            1,
+        );
+        if observed {
+            for o in observers {
+                assert!(net.attach_checker(o));
+            }
+        }
+        if fast {
+            net.run(4_000);
+        } else {
+            tick_through(&mut net, 4_000);
+        }
+        net
+    };
+    let off = OracleConfig {
+        enabled: Some(false),
+        ..OracleConfig::forced()
+    };
+    let fast = run(OracleConfig::forced(), true, true);
+    let plain = run(OracleConfig::forced(), true, false);
+    let bare = run(off, false, true);
+    assert!(fast.stats.idle_cycles_skipped > 3_000, "the jump engages");
+    let analysis = fast.checker::<Analysis>().unwrap();
+    assert_eq!(Some(analysis), plain.checker::<Analysis>());
+    assert_eq!(analysis.cycles, 4_000);
+    assert!(analysis.occ_native > 0 && analysis.journey.len() > 2);
+    let watch = fast.checker::<StarvationWatch>();
+    assert!(watch.is_some() && watch == plain.checker::<StarvationWatch>());
+    let kernel = |net: &Network| {
+        let s = &net.stats;
+        let skips = (
+            s.router_cycles_skipped,
+            s.state_updates_skipped,
+            s.idle_cycles_skipped,
+        );
+        (s.digest(), skips)
+    };
+    assert_eq!(kernel(&fast), kernel(&bare), "observing changed the run");
 }
 
 proptest! {

@@ -10,7 +10,9 @@
 //! a source, an update and a priority function that each break the contract
 //! one production shortcut rests on make the two kernels diverge.
 
+use noc_sim::analysis::Analysis;
 use noc_sim::network::Network;
+use noc_sim::oracle::StarvationWatch;
 use noc_sim::prelude::*;
 use noc_sim::router::Router;
 use rair::prelude::*;
@@ -193,18 +195,28 @@ const SERVE_SHAPED_SKIPS: (u64, u64, u64) = (961_225, 353_093, 0);
 /// quiet and the network drains. The reference scans every router and VC
 /// slot and reads each predicate from the VC, credit counter and allocation
 /// table themselves; the two must agree on the digest, the drain state, the
-/// oracle's scan count and the congestion view, with no violation on either
-/// side.
+/// oracle's scan count and the congestion view, with no protocol violation
+/// on either side. Both kernels feed the same observers through the oracle's
+/// hooks: the analysis observer's link counts, occupancy sums and traced
+/// journey, and a starvation watch whose bound is low enough to fire, must
+/// come out identical too.
 #[test]
 fn fast_path_is_bit_identical_at_80_percent_load_under_the_oracle() {
     let run = |kernel: Kernel| {
+        // Every violation recorded, so all of them can be checked below.
+        let oracle = OracleConfig {
+            max_recorded: usize::MAX,
+            ..OracleConfig::forced()
+        };
         let cfg = SimConfig {
-            oracle: OracleConfig::forced(),
+            oracle,
             ..SimConfig::table1()
         };
         let (region, scenario) = two_app(&cfg, 0.3, 0.24, 0.24);
         let live = Trace::capture(scenario, cfg.num_nodes() as NodeId, 2_500, 42);
         let source = TraceReplay::new(&live, cfg.num_nodes() as NodeId);
+        let analysis = Analysis::new(&cfg, Some(WATCHED)).unwrap();
+        let starvation = StarvationWatch::with_bound(&cfg, STARVATION_BOUND).unwrap();
         let mut net = Network::new(
             cfg,
             region,
@@ -213,24 +225,49 @@ fn fast_path_is_bit_identical_at_80_percent_load_under_the_oracle() {
             Box::new(source),
             42,
         );
+        assert!(net.attach_checker(Box::new(analysis)));
+        assert!(net.attach_checker(Box::new(starvation)));
         kernel.run(&mut net, 2_500);
         let loaded = net.congestion_snapshot().to_vec();
         kernel.run(&mut net, 1_500);
-        assert_eq!(net.stats.oracle_violation_count, 0);
+        let violations = &net.stats.oracle_violations;
+        assert_eq!(violations.len() as u64, net.stats.oracle_violation_count);
+        assert!(violations
+            .iter()
+            .all(|v| v.checker == "starvation-observer"));
         (
-            net.stats.digest(),
-            net.is_drained(),
-            net.oracle_scans(),
-            loaded,
-            net.congestion_snapshot().to_vec(),
+            (
+                net.stats.digest(),
+                net.is_drained(),
+                net.oracle_scans(),
+                loaded,
+                net.congestion_snapshot().to_vec(),
+            ),
+            net.checker::<Analysis>().unwrap().clone(),
+            violations.clone(),
         )
     };
     let (fast, slow) = (run(Production), run(Reference));
-    assert_eq!(fast, slow, "production/reference divergence at 80 % load");
-    assert!(fast.1, "failed to drain");
-    assert_eq!(fast.2, 4_000, "the oracle scans every cycle");
-    assert!(fast.3.iter().any(|&c| c > 0), "the network was loaded");
+    assert_eq!(
+        fast.0, slow.0,
+        "production/reference divergence at 80 % load"
+    );
+    assert_eq!(fast.1, slow.1, "the analysis observers disagree");
+    assert_eq!(fast.2, slow.2, "the starvation watches disagree");
+    let (kernel, analysis, starved) = fast;
+    assert!(kernel.1, "failed to drain");
+    assert_eq!(kernel.2, 4_000, "the oracle scans every cycle");
+    assert!(kernel.3.iter().any(|&c| c > 0), "the network was loaded");
+    assert_eq!(analysis.cycles, 4_000);
+    assert!(analysis.occ_foreign > 0 && analysis.occ_regional + analysis.occ_global > 0);
+    assert!(analysis.journey.len() > 2, "{:?}", analysis.journey);
+    assert!(!starved.is_empty(), "the low bound fires");
 }
+
+/// The packet the oracle cell traces, and a native wait bound low enough
+/// for its starvation watch to fire at 80 % load.
+const WATCHED: u64 = 1_000;
+const STARVATION_BOUND: u64 = 10;
 
 /// Scripted inputs run to drain: the end-state digest, the drain state and
 /// the oracle's scan count (the reference ticks through every idle cycle
