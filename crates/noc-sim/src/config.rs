@@ -8,6 +8,13 @@ use crate::vc::{VcClass, VcTag};
 use crate::verify::VerifyConfig;
 use serde::{Deserialize, Serialize};
 
+/// The most message classes a config may name.
+pub const MAX_CLASSES: usize = 4;
+
+/// The deepest VC buffer a config may name: a router keeps its credit
+/// counters, and a buffered flit its sequence number, in one byte.
+pub const MAX_VC_DEPTH: usize = u8::MAX as usize;
+
 /// Network and router-microarchitecture configuration.
 ///
 /// Defaults follow Table 1 of the paper: 64 nodes (8×8 mesh), 128-bit links
@@ -271,12 +278,16 @@ impl SimConfig {
             }
         }
         if !self.fault.is_empty() && self.topology != TopologyKind::Mesh {
-            // The detour escape function's turn-model proof is
-            // mesh-specific (see crate::topology docs).
-            return Err("fault timelines are only supported on the mesh topology".into());
+            return Err(format!(
+                "fault timelines are mesh-only, not {}: the degraded routing's \
+                 detour escape function is deadlock-free by a turn-model argument \
+                 on the mesh alone (no wraparound links or dateline lanes, one \
+                 node per router)",
+                self.topology.label()
+            ));
         }
-        if self.num_classes == 0 || self.num_classes > 4 {
-            return Err("num_classes must be 1..=4".into());
+        if !(1..=MAX_CLASSES).contains(&self.num_classes) {
+            return Err(format!("num_classes must be 1..={MAX_CLASSES}"));
         }
         if self.adaptive_vcs == 0 {
             return Err("need at least one adaptive VC".into());
@@ -284,11 +295,28 @@ impl SimConfig {
         if self.regional_vcs > self.adaptive_vcs {
             return Err("regional_vcs exceeds adaptive_vcs".into());
         }
-        if self.vc_depth == 0 {
-            return Err("vc_depth must be nonzero".into());
+        if !(1..=MAX_VC_DEPTH).contains(&self.vc_depth) {
+            return Err(format!(
+                "vc_depth must be 1..={MAX_VC_DEPTH} (credits and flit sequence \
+                 numbers are stored as bytes), got {}",
+                self.vc_depth
+            ));
+        }
+        if self.short_flits == 0 {
+            return Err("short_flits must be nonzero".into());
+        }
+        if self.long_flits == 0 {
+            return Err("long_flits must be nonzero".into());
+        }
+        if self.short_flits as usize > self.vc_depth {
+            return Err(
+                "short packets must fit in one VC (atomic VCs): short_flits > vc_depth".into(),
+            );
         }
         if self.long_flits as usize > self.vc_depth {
-            return Err("long packets must fit in one VC (atomic VCs)".into());
+            return Err(
+                "long packets must fit in one VC (atomic VCs): long_flits > vc_depth".into(),
+            );
         }
         if self.num_nodes() > NodeId::MAX as usize {
             return Err("too many nodes for NodeId".into());
@@ -451,6 +479,84 @@ mod tests {
         c.topology = TopologyKind::Torus;
         c.fault.transient_ber = 1e-3;
         assert!(c.validate().is_err());
+    }
+
+    /// The fault-timeline rejection names the topology it refuses and says
+    /// why: the degraded routing's deadlock argument holds on the mesh only.
+    #[test]
+    fn non_mesh_fault_timeline_error_names_the_topology() {
+        for topology in [
+            TopologyKind::Torus,
+            TopologyKind::Ring,
+            TopologyKind::CMesh { concentration: 4 },
+        ] {
+            let mut c = SimConfig::table1_topology(topology);
+            assert!(c.validate().is_ok());
+            c.fault.transient_ber = 1e-3;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains(&format!("not {}:", topology.label())), "{err}");
+            assert!(err.contains("turn-model"), "{err}");
+        }
+        let mut mesh = SimConfig::table1();
+        mesh.fault.transient_ber = 1e-3;
+        assert!(mesh.validate().is_ok());
+    }
+
+    /// `c` rejected with an error that names `field`.
+    fn rejected_naming(c: &SimConfig, field: &str) {
+        let err = c.validate().unwrap_err();
+        assert!(err.contains(field), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_zero_short_flits() {
+        let c = SimConfig {
+            short_flits: 0,
+            ..SimConfig::table1()
+        };
+        rejected_naming(&c, "short_flits must be nonzero");
+    }
+
+    #[test]
+    fn validation_rejects_zero_long_flits() {
+        let c = SimConfig {
+            long_flits: 0,
+            ..SimConfig::table1()
+        };
+        rejected_naming(&c, "long_flits must be nonzero");
+    }
+
+    #[test]
+    fn validation_rejects_short_packets_deeper_than_a_vc() {
+        let c = SimConfig {
+            short_flits: 6,
+            ..SimConfig::table1()
+        };
+        rejected_naming(&c, "short_flits > vc_depth");
+        let fits = SimConfig {
+            short_flits: 5,
+            ..SimConfig::table1()
+        };
+        assert!(fits.validate().is_ok());
+    }
+
+    /// A credit counter and a buffered flit's sequence number are bytes, so
+    /// 255 is the deepest legal VC; 0 and 256 are refused by name.
+    #[test]
+    fn validation_bounds_vc_depth_to_a_byte() {
+        for depth in [0, MAX_VC_DEPTH + 1] {
+            let c = SimConfig {
+                vc_depth: depth,
+                ..SimConfig::table1()
+            };
+            rejected_naming(&c, "vc_depth must be 1..=255");
+        }
+        let deepest = SimConfig {
+            vc_depth: MAX_VC_DEPTH,
+            long_flits: MAX_VC_DEPTH as u32,
+            ..SimConfig::table1()
+        };
+        assert!(deepest.validate().is_ok());
     }
 
     #[test]

@@ -71,7 +71,7 @@
 //! [`TrafficSource::next_injection_cycle`]: crate::source::TrafficSource::next_injection_cycle
 //! [`TrafficSource::next_poll`]: crate::source::TrafficSource::next_poll
 
-use crate::arbitration::{arbitrate_rr, ArbReq, ArbStage, PriorityPolicy};
+use crate::arbitration::{arbitrate_rr, arbitrate_rr_at, ArbReq, ArbStage, PriorityPolicy};
 use crate::bits::{low_bits, set_bits};
 use crate::config::SimConfig;
 use crate::fault::{
@@ -80,8 +80,8 @@ use crate::fault::{
 };
 use crate::flit::{Flit, FlitKind, PacketInfo};
 use crate::ids::{
-    opposite, Coord, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH,
-    PORT_WEST,
+    opposite, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH,
+    PORT_SOUTH, PORT_WEST,
 };
 use crate::node::Node;
 use crate::oracle::{Checker, Oracle};
@@ -91,7 +91,7 @@ use crate::routing::{RoutingAlgorithm, SelectCtx};
 use crate::source::TrafficSource;
 use crate::stats::SimStats;
 use crate::topology::{has_link, neighbor_router};
-use crate::vc::{VcClass, VcState, VcTag};
+use crate::vc::{byte, VcClass, VcState, VcTag};
 use crate::verify::MAX_RECORDED_VIOLATIONS;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -1257,10 +1257,13 @@ impl Network {
                         *req = (prio, r.slot(port, vc));
                     }
                     let ptr = &mut r.va_ptr[out_port * v + out_vc];
-                    let Some(w) = arbitrate_rr(&reqs[..group.len()], NUM_PORTS * v, ptr) else {
+                    let at = usize::from(*ptr);
+                    let Some((w, next)) = arbitrate_rr_at(&reqs[..group.len()], NUM_PORTS * v, at)
+                    else {
                         debug_assert!(false, "non-empty request group yields a VA winner");
                         continue;
                     };
+                    *ptr = byte(next);
                     let (in_port, in_vc) = group[w].inp;
                     r.alloc_out_vc(out_port, out_vc, (in_port, in_vc));
                     r.set_vc_state(in_port, in_vc, VcState::Active { out_port, out_vc });
@@ -1486,8 +1489,18 @@ impl Network {
                         "packet app {} out of range",
                         np.app
                     );
+                    // Packets and their replies fit a VC (atomic VCs; a
+                    // buffered flit's sequence number is a byte) and ride a
+                    // class the NI has a queue for.
+                    let fits = |size: u32, class: MsgClass| {
+                        (1..=cfg.vc_depth).contains(&(size as usize))
+                            && usize::from(class) < cfg.num_classes
+                    };
                     // lint: allow(panic-in-hot-path)
-                    assert!(np.size >= 1 && np.size as usize <= cfg.vc_depth);
+                    assert!(
+                        fits(np.size, np.class) && np.reply.is_none_or(|r| fits(r.size, r.class)),
+                        "packet outside the config: {np:?}"
+                    );
                     stats.generated[np.app as usize] += 1;
                     if degraded.is_some_and(|t| !t.routable(i, np.dst as usize)) {
                         // The destination (or this NI's own router) is
@@ -1687,9 +1700,91 @@ fn arb_req(r: &Router, info: &PacketInfo) -> ArbReq {
 mod tests {
     use super::*;
     use crate::arbitration::RoundRobin;
+    use crate::flit::ReplySpec;
     use crate::routing::XyRouting;
-    use crate::source::NoTraffic;
+    use crate::source::{NewPacket, NoTraffic, ScriptedSource};
     use crate::topology::TopologyKind;
+
+    /// The source contract, on both kernels: a packet whose reply would not
+    /// fit a VC, or that names a message class the NIs keep no queue for,
+    /// stops the run by name at generation instead of being buffered with a
+    /// truncated sequence number or parked in a queue nothing serves.
+    #[test]
+    fn packets_outside_the_config_are_refused_on_both_kernels() {
+        let ok = NewPacket {
+            dst: 5,
+            app: 0,
+            class: 0,
+            size: 1,
+            reply: None,
+        };
+        let reply = |size, class| {
+            Some(ReplySpec {
+                service_latency: 6,
+                size,
+                class,
+            })
+        };
+        for (what, packet, refused) in [
+            (
+                "a fitting request and reply",
+                NewPacket {
+                    reply: reply(5, 0),
+                    ..ok
+                },
+                false,
+            ),
+            (
+                "a reply deeper than a VC",
+                NewPacket {
+                    reply: reply(6, 0),
+                    ..ok
+                },
+                true,
+            ),
+            (
+                "a class past num_classes",
+                NewPacket { class: 1, ..ok },
+                true,
+            ),
+            (
+                "a reply class past num_classes",
+                NewPacket {
+                    reply: reply(5, 1),
+                    ..ok
+                },
+                true,
+            ),
+        ] {
+            for reference in [false, true] {
+                let run = std::panic::catch_unwind(|| {
+                    let cfg = SimConfig::table1();
+                    let mut net = Network::new(
+                        cfg.clone(),
+                        RegionMap::single(&cfg),
+                        Box::new(XyRouting),
+                        Box::new(RoundRobin),
+                        Box::new(ScriptedSource::new(1, vec![(0, 0, packet)])),
+                        0,
+                    );
+                    if reference {
+                        net.tick_reference();
+                    } else {
+                        net.tick();
+                    }
+                });
+                let Err(panic) = run else {
+                    assert!(!refused, "{what} accepted (reference {reference})");
+                    continue;
+                };
+                let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(
+                    refused && msg.contains("packet outside the config"),
+                    "{what} (reference {reference}): {msg}"
+                );
+            }
+        }
+    }
 
     /// The static tables equal the functions they cache: every link-table
     /// entry is `neighbor_router` + `opposite` where `has_link` and "none"

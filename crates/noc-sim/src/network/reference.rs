@@ -15,7 +15,8 @@
 //! keep the routers' bitmaps coherent, so the oracle's bookkeeping recount
 //! checks them on this side too), the LT/BW phase, fault events and the
 //! stranded sweep, the oracle hooks and flush, the NI's release/inject
-//! methods, [`arbitrate_rr`], [`arb_req`] and the policy/routing traits.
+//! methods, [`arbitrate_rr`] and [`arbitrate_rr_at`], [`arb_req`] and the
+//! policy/routing traits.
 //!
 //! **Never read here** — the network's router, dirty and NI masks, the
 //! sources' arrival promises and their per-word minimum, the static link
@@ -28,11 +29,11 @@
 //! production binaries (CI checks `nm`).
 
 use super::{arb_req, InFlight, Network};
-use crate::arbitration::{arbitrate_rr, ArbReq, ArbStage, PriorityPolicy};
+use crate::arbitration::{arbitrate_rr, arbitrate_rr_at, ArbReq, ArbStage, PriorityPolicy};
 use crate::config::SimConfig;
 use crate::fault::{FaultState, RETRANSMIT_LATENCY};
 use crate::flit::PacketInfo;
-use crate::ids::{opposite, Coord, NodeId, Port, NUM_PORTS, PORT_LOCAL};
+use crate::ids::{opposite, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_LOCAL};
 use crate::region::RegionMap;
 use crate::router::Router;
 use crate::routing::{RoutingAlgorithm, SelectCtx};
@@ -259,7 +260,9 @@ impl Network {
                         })
                         .collect();
                     let ptr = &mut r.va_ptr[out_port * v + out_vc];
-                    if let Some(w) = arbitrate_rr(&reqs, NUM_PORTS * v, ptr) {
+                    let at = usize::from(*ptr);
+                    if let Some((w, next)) = arbitrate_rr_at(&reqs, NUM_PORTS * v, at) {
+                        *ptr = next as u8;
                         let (in_port, in_vc) = group[w];
                         r.alloc_out_vc(out_port, out_vc, (in_port, in_vc));
                         r.set_vc_state(in_port, in_vc, VcState::Active { out_port, out_vc });
@@ -349,7 +352,14 @@ impl Network {
             node.release_retries(cycle);
             if let Some(np) = source.generate(id, cycle, rng) {
                 assert_ne!(np.dst, id, "source generated self-addressed packet");
-                assert!(np.size >= 1 && np.size as usize <= cfg.vc_depth);
+                let fits = |size: u32, class: MsgClass| {
+                    (1..=cfg.vc_depth).contains(&(size as usize))
+                        && usize::from(class) < cfg.num_classes
+                };
+                assert!(
+                    fits(np.size, np.class) && np.reply.is_none_or(|r| fits(r.size, r.class)),
+                    "packet outside the config: {np:?}"
+                );
                 stats.generated[np.app as usize] += 1;
                 if degraded.is_some_and(|t| !t.routable(i, np.dst as usize)) {
                     // Unreachable on the degraded topology: generated, then

@@ -1,8 +1,14 @@
 //! Network interface (NI): per-node source queues, flit injection into the
 //! router's local input port, and reply scheduling for closed-loop
 //! workloads.
+//!
+//! A fresh NI owns no heap memory: its class queues are an inline array of
+//! empty deques, and they, the reply heap and the retry list grow to their
+//! high-water mark during warm-up. Below saturation a warm NI therefore
+//! never reaches the allocator (`tests/alloc_free_tick.rs`); past it the
+//! source queues grow without bound, which is the saturation signal.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MAX_CLASSES};
 use crate::flit::{Flit, PacketInfo};
 use crate::ids::{MsgClass, NodeId, PORT_LOCAL};
 use crate::router::Router;
@@ -48,17 +54,14 @@ struct InjectProgress {
     next_seq: u32,
 }
 
-/// Source-queue and reply-heap entries reserved per NI at construction, so
-/// below saturation the queues never grow (and so never allocate) mid-run.
-const NI_QUEUE_RESERVE: usize = 32;
-
 /// One node's network interface.
 #[derive(Debug)]
 pub struct Node {
     pub id: NodeId,
-    /// Per-message-class source queues (unbounded; open-loop backlog shows
-    /// up here and is the saturation signal).
-    src_q: Vec<VecDeque<PacketInfo>>,
+    /// Per-message-class source queues, indexed by class; those past the
+    /// config's `num_classes` stay empty (unbounded; open-loop backlog
+    /// shows up here and is the saturation signal).
+    src_q: [VecDeque<PacketInfo>; MAX_CLASSES],
     inject: Option<InjectProgress>,
     class_rr: usize,
     vc_rr: usize,
@@ -70,19 +73,18 @@ pub struct Node {
 }
 
 impl Node {
-    /// Create an empty NI. The per-node generation RNG lives in the
-    /// [`Network`](crate::network::Network), not here — the NI itself is
-    /// RNG-free.
+    /// Create an empty NI, holding no heap memory. The per-node generation
+    /// RNG lives in the [`Network`](crate::network::Network), not here — the
+    /// NI itself is RNG-free.
     pub fn new(cfg: &SimConfig, id: NodeId) -> Self {
+        debug_assert!(cfg.num_classes <= MAX_CLASSES, "validated class count");
         Self {
             id,
-            src_q: (0..cfg.num_classes)
-                .map(|_| VecDeque::with_capacity(NI_QUEUE_RESERVE))
-                .collect(),
+            src_q: Default::default(),
             inject: None,
             class_rr: 0,
             vc_rr: 0,
-            replies: BinaryHeap::with_capacity(NI_QUEUE_RESERVE),
+            replies: BinaryHeap::new(),
             retries: Vec::new(),
         }
     }
@@ -199,6 +201,16 @@ impl Node {
     /// Replies still being serviced.
     pub fn pending_replies(&self) -> usize {
         self.replies.len()
+    }
+
+    /// Heap bytes the NI's queues own (every other field is inline): 0 when
+    /// fresh, then each queue's high-water capacity — the queues never
+    /// shrink, so this grows exactly when one of them reallocates.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.src_q.iter().map(VecDeque::capacity).sum::<usize>() * size_of::<PacketInfo>()
+            + self.replies.capacity() * size_of::<Reverse<PendingReply>>()
+            + self.retries.capacity() * size_of::<(u64, PacketInfo)>()
     }
 
     /// Does the injection phase have anything to do here, now or later — a
@@ -336,6 +348,28 @@ mod tests {
             birth: 0,
             inject: 0,
             reply: None,
+        }
+    }
+
+    /// A fresh NI reserves nothing, for every legal class count: its queues
+    /// grow to their high-water mark in warm-up instead.
+    #[test]
+    fn fresh_node_owns_no_heap_memory() {
+        for num_classes in 1..=MAX_CLASSES {
+            let c = SimConfig {
+                num_classes,
+                ..cfg()
+            };
+            let mut node = Node::new(&c, 0);
+            assert_eq!(node.heap_bytes(), 0, "{num_classes} classes");
+            // Queued work grows it, and draining keeps the capacity.
+            node.enqueue(pkt(1, (num_classes - 1) as MsgClass, 1));
+            node.schedule_reply(20, 100, 7, 0, 0, 1);
+            node.schedule_retry(30, pkt(2, 0, 1));
+            let grown = node.heap_bytes();
+            assert!(grown > 0);
+            assert_eq!(node.drop_backlog(), 3);
+            assert_eq!(node.heap_bytes(), grown);
         }
     }
 

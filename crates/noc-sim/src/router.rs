@@ -24,7 +24,7 @@ use crate::bits::low_bits;
 use crate::config::SimConfig;
 use crate::flit::{Flit, PacketInfo};
 use crate::ids::{AppId, Coord, NodeId, Port, APP_NONE, NUM_PORTS, PORT_LOCAL};
-use crate::vc::{InputVc, RingFlit, VcState, VcTag, VcView};
+use crate::vc::{byte, InputVc, RingFlit, VcState, VcTag, VcView};
 
 /// Names of the seven bitmaps, in the order [`Router::bitsets`] and
 /// [`Router::recount_bitsets`] return them.
@@ -37,6 +37,9 @@ pub const BITSET_NAMES: [&str; 7] = [
     "routed_bits",
     "active_bits",
 ];
+
+/// `out_alloc`'s "no packet holds this output VC".
+const OUT_FREE: u8 = u8::MAX;
 
 /// A single mesh router.
 #[derive(Debug)]
@@ -54,16 +57,18 @@ pub struct Router {
     /// Every input VC's flit ring: slot `s` owns
     /// `slab[s * vc_depth..][..vc_depth]`.
     slab: Box<[RingFlit]>,
-    /// Output-VC allocation by slot: `Some((in_port, in_vc))` while a
-    /// packet holds the output VC.
-    out_alloc: Box<[Option<(Port, usize)>]>,
-    /// Credits toward the downstream input VC, by slot. The local
-    /// (ejection) port has effectively infinite credit.
-    credits: Box<[usize]>,
+    /// Output-VC allocation by slot: the slot of the input VC holding the
+    /// output VC, or [`OUT_FREE`]. A slot fits a byte (config validation
+    /// caps a router at 64).
+    out_alloc: Box<[u8]>,
+    /// Credits toward the downstream input VC, by slot (at most `vc_depth`,
+    /// which config validation caps at 255). The local (ejection) port has
+    /// effectively infinite credit.
+    credits: Box<[u8]>,
 
     /// VA_out rotating pointer, one per output-VC slot, rotating over
     /// input-VC slots.
-    pub(crate) va_ptr: Box<[usize]>,
+    pub(crate) va_ptr: Box<[u8]>,
     /// SA_in rotating pointer per input port (over VC indices).
     pub(crate) sa_in_ptr: [usize; NUM_PORTS],
     /// SA_out rotating pointer per output port (over input-port indices).
@@ -128,8 +133,8 @@ impl Router {
             app,
             inputs: vec![InputVc::new(); slots].into(),
             slab: vec![RingFlit::EMPTY; slots * cfg.vc_depth].into(),
-            out_alloc: vec![None; slots].into(),
-            credits: vec![cfg.vc_depth; slots].into(),
+            out_alloc: vec![OUT_FREE; slots].into(),
+            credits: vec![u8::try_from(cfg.vc_depth).expect("validated vc_depth"); slots].into(),
             va_ptr: vec![0; slots].into(),
             sa_in_ptr: [0; NUM_PORTS],
             sa_out_ptr: [0; NUM_PORTS],
@@ -203,13 +208,14 @@ impl Router {
     /// Credits toward the downstream input VC behind output `(port, vc)`.
     #[inline]
     pub fn credits(&self, port: Port, vc: usize) -> usize {
-        self.credits[self.slot(port, vc)]
+        usize::from(self.credits[self.slot(port, vc)])
     }
 
     /// The input VC `(in_port, in_vc)` holding output VC `(port, vc)`.
     #[inline]
     pub fn out_alloc(&self, port: Port, vc: usize) -> Option<(Port, usize)> {
-        self.out_alloc[self.slot(port, vc)]
+        let holder = self.out_alloc[self.slot(port, vc)];
+        (holder != OUT_FREE).then(|| self.port_vc(usize::from(holder)))
     }
 
     /// Write `flit` at the back of input VC `(port, vc)`'s FIFO. Its packet
@@ -307,8 +313,8 @@ impl Router {
         let bit = 1u64 << slot;
         let c = &mut self.credits[slot];
         *c += 1;
-        debug_assert!(*c <= self.vc_depth);
-        let full = *c == self.vc_depth;
+        debug_assert!(usize::from(*c) <= self.vc_depth);
+        let full = usize::from(*c) == self.vc_depth;
         self.credits_avail |= bit;
         if full {
             self.credits_full |= bit;
@@ -319,8 +325,8 @@ impl Router {
     #[inline]
     pub fn alloc_out_vc(&mut self, port: Port, vc: usize, holder: (Port, usize)) {
         let slot = self.slot(port, vc);
-        debug_assert!(self.out_alloc[slot].is_none());
-        self.out_alloc[slot] = Some(holder);
+        debug_assert_eq!(self.out_alloc[slot], OUT_FREE);
+        self.out_alloc[slot] = byte(self.slot(holder.0, holder.1));
         self.out_free &= !(1u64 << slot);
     }
 
@@ -328,8 +334,8 @@ impl Router {
     #[inline]
     pub fn release_out_vc(&mut self, port: Port, vc: usize) {
         let slot = self.slot(port, vc);
-        debug_assert!(self.out_alloc[slot].is_some());
-        self.out_alloc[slot] = None;
+        debug_assert_ne!(self.out_alloc[slot], OUT_FREE);
+        self.out_alloc[slot] = OUT_FREE;
         self.out_free |= 1u64 << slot;
     }
 
@@ -374,10 +380,10 @@ impl Router {
                 VcState::Routed { .. } => routed |= bit,
                 VcState::Active { .. } => active |= bit,
             }
-            if self.out_alloc[slot].is_none() {
+            if self.out_alloc[slot] == OUT_FREE {
                 free |= bit;
             }
-            if self.credits[slot] == self.vc_depth {
+            if usize::from(self.credits[slot]) == self.vc_depth {
                 full |= bit;
             }
             if self.credits[slot] > 0 {
@@ -475,6 +481,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::mem::size_of_val;
 
     fn cfg() -> SimConfig {
         SimConfig::table1()
@@ -509,7 +516,6 @@ mod tests {
     /// Bytes of one router's state: the struct and every boxed slice it
     /// owns.
     fn state_bytes(r: &Router) -> usize {
-        use std::mem::size_of_val;
         size_of::<Router>()
             + size_of_val(&*r.inputs)
             + size_of_val(&*r.slab)
@@ -525,9 +531,45 @@ mod tests {
     fn table1_router_state_is_pinned() {
         let r = mk();
         assert_eq!((r.inputs.len(), r.slab.len()), (25, 125));
-        assert_eq!(size_of::<RingFlit>(), 32);
+        assert_eq!(size_of::<RingFlit>(), 24);
         assert_eq!(size_of::<InputVc>(), 80);
-        assert_eq!(state_bytes(&r), 7_256);
+        // One byte a slot for each of `out_alloc`, `credits` and `va_ptr`.
+        assert_eq!(size_of_val(&*r.out_alloc) + size_of_val(&*r.credits), 50);
+        assert_eq!(state_bytes(&r), 5_331);
+    }
+
+    /// The byte-wide tables read back through the accessors' wide types:
+    /// every holder slot of the densest legal layout, and credit counts at
+    /// the deepest legal VC.
+    #[test]
+    fn byte_tables_round_trip_through_the_accessors() {
+        let c = SimConfig {
+            topology: crate::topology::TopologyKind::Torus,
+            num_classes: 4,
+            vc_depth: crate::config::MAX_VC_DEPTH,
+            long_flits: 5,
+            ..SimConfig::table1()
+        };
+        c.validate().expect("densest, deepest layout validates");
+        let mut r = Router::new(&c, 0, c.coord_of(0), 0);
+        let slots = NUM_PORTS * c.vcs_per_port();
+        for s in 0..slots {
+            let (out, holder) = (r.port_vc(s), r.port_vc(slots - 1 - s));
+            assert_eq!(r.out_alloc(out.0, out.1), None);
+            r.alloc_out_vc(out.0, out.1, holder);
+            assert_eq!(r.out_alloc(out.0, out.1), Some(holder));
+        }
+        assert_eq!(r.out_free, 0);
+        assert_eq!(r.credits(1, 0), 255);
+        for left in (0..255).rev() {
+            r.take_credit(1, 0);
+            assert_eq!(r.credits(1, 0), left);
+        }
+        for _ in 0..255 {
+            r.return_credit(1, 0);
+        }
+        assert_eq!(r.credits(1, 0), 255);
+        assert_eq!(r.bookkeeping_drift(), None);
     }
 
     #[test]

@@ -74,9 +74,9 @@ enum PackedState {
 /// The packed "no adaptive candidate".
 const NO_PORT: u8 = u8::MAX;
 
-/// A port or VC index as a byte.
+/// A port, VC or slot index as a byte.
 #[inline]
-fn byte(x: usize) -> u8 {
+pub(crate) fn byte(x: usize) -> u8 {
     debug_assert!(x < usize::from(NO_PORT), "index {x} does not pack");
     x as u8
 }
@@ -129,15 +129,16 @@ impl From<PackedState> for VcState {
 /// between the flits of one packet, plus the packet id, so that the
 /// one-packet-per-VC check compares stored values rather than copies of one
 /// descriptor. Everything else comes from the VC's [`InputVc::packet`]
-/// descriptor when the flit is read back — 32 bytes a slot instead of an
-/// 88-byte [`Flit`].
+/// descriptor when the flit is read back — 24 bytes a slot instead of an
+/// 88-byte [`Flit`]. The sequence number is a byte: a packet fits its VC
+/// (the source contract), whose depth config validation caps at 255.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RingFlit {
     id: u64,
     pub(crate) payload: u64,
-    seq: u32,
     hops: u32,
     crc: u16,
+    seq: u8,
     kind: FlitKind,
 }
 
@@ -155,12 +156,13 @@ impl RingFlit {
 
     #[inline]
     fn of(f: &Flit) -> Self {
+        debug_assert!(f.seq <= u32::from(u8::MAX), "seq {} does not pack", f.seq);
         Self {
             id: f.info.id,
             payload: f.payload,
-            seq: f.seq,
             hops: f.hops,
             crc: f.crc,
+            seq: f.seq as u8,
             kind: f.kind,
         }
     }
@@ -170,7 +172,7 @@ impl RingFlit {
     fn with(self, packet: &PacketInfo) -> Flit {
         Flit {
             kind: self.kind,
-            seq: self.seq,
+            seq: u32::from(self.seq),
             hops: self.hops,
             payload: self.payload,
             crc: self.crc,
@@ -527,6 +529,38 @@ mod tests {
             vc.reset();
             prop_assert!(!vc.occupied() && vc.cursor_in_bounds(depth as usize));
         }
+    }
+
+    /// The byte-wide sequence number at its limit: a 255-flit packet fills
+    /// a 255-deep VC (the deepest config validation accepts) and reads back
+    /// whole, its last flit at `seq = 254`, with the cursor wrapping past
+    /// the end of the stripe on the way.
+    #[test]
+    fn deepest_vc_round_trips_the_last_sequence_number() {
+        let depth = crate::config::MAX_VC_DEPTH;
+        let mut vc = InputVc::new();
+        let mut ring = vec![RingFlit::EMPTY; depth];
+        // Start mid-stripe so the packet wraps.
+        vc.packet = Some(info(1, 3));
+        for f in Flit::flits_of(info(1, 3)) {
+            vc.push(&mut ring, &f);
+            vc.pop(&ring);
+        }
+        let pkt = info(2, depth as u32);
+        vc.packet = Some(pkt);
+        for f in Flit::flits_of(pkt) {
+            vc.push(&mut ring, &f);
+        }
+        let v = view(&vc, &ring);
+        assert_eq!(v.len(), depth);
+        let last = v.back().unwrap();
+        assert_eq!((last.seq, last.kind), (254, FlitKind::Tail));
+        assert_eq!(last, Flit::nth(pkt, 254));
+        assert!(v.flits().eq(Flit::flits_of(pkt)));
+        for want in Flit::flits_of(pkt) {
+            assert_eq!(vc.pop(&ring), Some(want));
+        }
+        assert!(vc.cursor_in_bounds(depth));
     }
 
     /// A ring read back without a packet to complete it yields nothing.
