@@ -1,5 +1,7 @@
 //! `repro admit` — the static QoS admission pipeline over the
-//! scheme × routing × region matrix of one topology.
+//! scheme × routing × region matrix of every canonical topology, then over
+//! its [`controls`]: broken configurations that must each be rejected by
+//! the property they violate, with a witness.
 //!
 //! Each cell runs the kernel's admission pipeline
 //! ([`noc_sim::admit::admit_network_cached`]: progress/starvation-freedom
@@ -58,7 +60,7 @@ pub struct AdmitRow {
 
 /// The seven shipped schemes (the golden/Table-1 matrix). The
 /// `RAIR_ForeignH` priority inversion is deliberately absent — it is the
-/// pinned negative of [`negative_battery`].
+/// pinned negative of [`controls`].
 fn schemes() -> Vec<Scheme> {
     vec![
         Scheme::RoRr,
@@ -170,19 +172,22 @@ pub fn admit_cell(
 }
 
 /// Run the shipped scheme × routing × region matrix on the canonical
-/// config of `kind` ([`SimConfig::table1_topology`]).
-pub fn run_matrix_for(kind: TopologyKind) -> Vec<AdmitRow> {
-    let cfg = SimConfig::table1_topology(kind);
+/// config ([`SimConfig::table1_topology`]) of each of `kinds`, in order;
+/// `repro admit` runs [`TopologyKind::CANONICAL`].
+pub fn run_matrix(kinds: &[TopologyKind]) -> Vec<AdmitRow> {
     let mut rows = Vec::new();
-    for (rname, region) in crate::verify_config::regions(&cfg) {
-        let specs: Vec<Option<AppSpec>> = (0..region.num_apps())
-            .map(|_| Some(AppSpec::intra_only(MATRIX_RATE)))
-            .collect();
-        for routing in ROUTINGS {
-            for scheme in schemes() {
-                let t0 = Instant::now();
-                let adm = admit_cell(&cfg, &region, &scheme, routing, &specs);
-                rows.push(row(kind.label(), rname, routing.label(), &adm, t0));
+    for &kind in kinds {
+        let cfg = SimConfig::table1_topology(kind);
+        for (rname, region) in crate::verify_config::regions(&cfg) {
+            let specs: Vec<Option<AppSpec>> = (0..region.num_apps())
+                .map(|_| Some(AppSpec::intra_only(MATRIX_RATE)))
+                .collect();
+            for routing in ROUTINGS {
+                for scheme in schemes() {
+                    let t0 = Instant::now();
+                    let adm = admit_cell(&cfg, &region, &scheme, routing, &specs);
+                    rows.push(row(kind.label(), rname, routing.label(), &adm, t0));
+                }
             }
         }
     }
@@ -252,67 +257,66 @@ fn nonconvex_region(cfg: &SimConfig) -> RegionMap {
     }
 }
 
-/// Run the injected-fault battery on the canonical config of `kind`.
-/// Every case must come back `rejected` with the named property and a
-/// concrete witness.
-pub fn negative_battery(kind: TopologyKind) -> Vec<NegativeCase> {
-    let cfg = SimConfig::table1_topology(kind);
+/// The negative controls: three broken configurations on the canonical
+/// config of each [`TopologyKind::CANONICAL`] kind, named
+/// `<topology>-<defect>`. Every one must come back rejected by the named
+/// property, with a concrete witness.
+pub fn controls() -> Vec<NegativeCase> {
     let mut cases = Vec::new();
+    for kind in TopologyKind::CANONICAL {
+        let cfg = SimConfig::table1_topology(kind);
+        // 1. The pinned priority inversion: foreign traffic permanently HIGH
+        //    at every MSP stage — a native request at a contested point can
+        //    lose every future arbitration (a lasso through ¬W).
+        let halves = RegionMap::halves(&cfg);
+        let specs = vec![Some(AppSpec::intra_only(MATRIX_RATE)); halves.num_apps()];
+        let adm = admit_cell(
+            &cfg,
+            &halves,
+            &Scheme::rair_foreign_high(),
+            Routing::Local,
+            &specs,
+        );
+        cases.push(negative(kind, "priority-inversion", &adm));
 
-    // 1. The pinned priority inversion: foreign traffic permanently HIGH
-    //    at every MSP stage — a native request at a contested point can
-    //    lose every future arbitration (a lasso through ¬W).
-    let halves = RegionMap::halves(&cfg);
-    let specs = vec![Some(AppSpec::intra_only(MATRIX_RATE)); halves.num_apps()];
-    let adm = admit_cell(
-        &cfg,
-        &halves,
-        &Scheme::rair_foreign_high(),
-        Routing::Local,
-        &specs,
-    );
-    cases.push(negative("priority-inversion", &adm));
+        // 2. Inverted VC steering: foreign traffic preferring the
+        //    native-reserved *regional* VCs, on a non-convex region map whose
+        //    app-0 minimal paths transit app-1 territory — the taint walk
+        //    must extract a concrete foreign-into-regional channel path.
+        let mut auto = Scheme::rair().automaton();
+        auto.name = "RAIR_InvertedSteering".to_string();
+        auto.foreign_pref = Some(VcTag::Regional);
+        let region = nonconvex_region(&cfg);
+        let alg = Routing::Xy.build();
+        let adm = Admission {
+            scheme: auto.name.clone(),
+            properties: vec![
+                noc_sim::admit::check_progress(&cfg, &auto),
+                noc_sim::admit::check_non_interference(&cfg, &region, alg.as_ref(), &auto),
+            ],
+        };
+        cases.push(negative(kind, "inverted-steering", &adm));
 
-    // 2. Inverted VC steering: foreign traffic preferring the
-    //    native-reserved *regional* VCs, on a non-convex region map whose
-    //    app-0 minimal paths transit app-1 territory — the taint walk
-    //    must extract a concrete foreign-into-regional channel path.
-    let mut auto = Scheme::rair().automaton();
-    auto.name = "RAIR_InvertedSteering".to_string();
-    auto.foreign_pref = Some(VcTag::Regional);
-    let region = nonconvex_region(&cfg);
-    let alg = Routing::Xy.build();
-    let adm = Admission {
-        scheme: auto.name.clone(),
-        properties: vec![
-            noc_sim::admit::check_progress(&cfg, &auto),
-            noc_sim::admit::check_non_interference(&cfg, &region, alg.as_ref(), &auto),
-        ],
-    };
-    cases.push(negative("inverted-steering", &adm));
-
-    // 3. An over-subscribed region: app 0 offers 1.5 flits/cycle/node —
-    //    beyond the physical capacity of its own injection channels.
-    let specs = vec![
-        Some(AppSpec::intra_only(1.5)),
-        Some(AppSpec::intra_only(MATRIX_RATE)),
-    ];
-    let adm = admit_cell(&cfg, &halves, &Scheme::rair(), Routing::Local, &specs);
-    cases.push(negative("over-subscribed-region", &adm));
-
+        // 3. An over-subscribed region: app 0 offers 1.5 flits/cycle/node —
+        //    beyond the physical capacity of its own injection channels.
+        let specs = vec![
+            Some(AppSpec::intra_only(1.5)),
+            Some(AppSpec::intra_only(MATRIX_RATE)),
+        ];
+        let adm = admit_cell(&cfg, &halves, &Scheme::rair(), Routing::Local, &specs);
+        cases.push(negative(kind, "over-subscribed-region", &adm));
+    }
     cases
 }
 
-fn negative(name: &'static str, adm: &Admission) -> NegativeCase {
+fn negative(kind: TopologyKind, defect: &str, adm: &Admission) -> NegativeCase {
     let rej = adm.rejection();
+    let witness = rej.and_then(|p| p.witness.as_ref());
     NegativeCase {
-        name,
-        rejected: adm.verdict() == AdmitVerdict::Reject && rej.is_some_and(|p| p.witness.is_some()),
-        property: rej.map(|p| p.property.to_string()).unwrap_or_default(),
-        witness: rej
-            .and_then(|p| p.witness.as_ref())
-            .map(std::string::ToString::to_string)
-            .unwrap_or_default(),
+        name: format!("{}-{defect}", kind.label()),
+        caught: adm.verdict() == AdmitVerdict::Reject && witness.is_some(),
+        property: rej.map_or("", |p| p.property),
+        witness: witness.map(ToString::to_string).unwrap_or_default(),
     }
 }
 
@@ -322,60 +326,33 @@ mod tests {
     use noc_sim::admit::{PROP_NON_INTERFERENCE, PROP_PROGRESS};
 
     #[test]
-    fn mesh_matrix_admits_every_shipped_cell() {
-        let rows = run_matrix_for(TopologyKind::Mesh);
-        assert_eq!(rows.len(), 4 * 3 * 7);
+    fn every_topology_admits_every_shipped_cell() {
+        let rows = run_matrix(&TopologyKind::CANONICAL);
+        assert_eq!(rows.len(), 4 * 4 * 3 * 7);
         for r in &rows {
             assert_eq!(
                 r.verdict, "admit",
-                "{}/{}/{}: {:?}",
-                r.region, r.routing, r.scheme, r.defect
+                "{} {}/{}/{}: {:?}",
+                r.topology, r.region, r.routing, r.scheme, r.defect
             );
             assert!(r.defect.is_none(), "{:?}", r.defect);
         }
-        // Round-robin and RAIR schemes carry a proven wait bound.
+        // Every shipped scheme carries a proven wait bound.
         assert!(rows.iter().all(|r| r.wait_bound.is_some()));
     }
 
     #[test]
-    fn per_topology_matrices_admit_everything() {
-        for kind in [
-            TopologyKind::Torus,
-            TopologyKind::Ring,
-            TopologyKind::CMesh { concentration: 4 },
-        ] {
-            for r in run_matrix_for(kind) {
-                assert_eq!(
-                    r.verdict,
-                    "admit",
-                    "{} {}/{}/{}: {:?}",
-                    kind.label(),
-                    r.region,
-                    r.routing,
-                    r.scheme,
-                    r.defect
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn negative_battery_rejects_each_case_with_named_property() {
-        for kind in [
-            TopologyKind::Mesh,
-            TopologyKind::Torus,
-            TopologyKind::Ring,
-            TopologyKind::CMesh { concentration: 4 },
-        ] {
-            let cases = negative_battery(kind);
-            assert_eq!(cases.len(), 3, "{}", kind.label());
-            for c in &cases {
-                assert!(c.rejected, "{} not rejected on {}", c.name, kind.label());
+    fn every_control_is_rejected_by_its_named_property() {
+        let cases = controls();
+        assert_eq!(cases.len(), 4 * 3);
+        let want = [PROP_PROGRESS, PROP_NON_INTERFERENCE, PROP_FEASIBILITY];
+        for (kind, cases) in TopologyKind::CANONICAL.iter().zip(cases.chunks(3)) {
+            for (c, property) in cases.iter().zip(want) {
+                assert!(c.name.starts_with(kind.label()), "{}", c.name);
+                assert!(c.caught, "{} not rejected", c.name);
                 assert!(!c.witness.is_empty(), "{} has no witness", c.name);
+                assert_eq!(c.property, property, "{}", c.name);
             }
-            assert_eq!(cases[0].property, PROP_PROGRESS);
-            assert_eq!(cases[1].property, PROP_NON_INTERFERENCE);
-            assert_eq!(cases[2].property, PROP_FEASIBILITY);
         }
     }
 

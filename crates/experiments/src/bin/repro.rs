@@ -13,7 +13,7 @@
 
 use experiments::figs::{self, ablation};
 use experiments::runner::ExpConfig;
-use experiments::verify_config::NegativeCase;
+use experiments::verify_config::{controls_table, judge_controls, NegativeCase};
 use metrics::report::{Table, Value};
 use noc_sim::topology::TopologyKind;
 use std::process::ExitCode;
@@ -28,10 +28,6 @@ struct Opts {
     help: bool,
     /// CI-sized: quick windows plus a reduced matrix where one exists.
     smoke: bool,
-    inject_cyclic: bool,
-    inject_broken: bool,
-    inject_wrong_result: bool,
-    topology: TopologyKind,
     trace_file: String,
     serve_dir: String,
     retries: u32,
@@ -83,13 +79,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--smoke", scope: Row, kind: Switch(|o| (o.ec, o.smoke) = (ExpConfig::quick(), true)), help: "CI-sized: --quick windows, and a reduced matrix where one exists" },
     Flag { name: "--windows", scope: Row, kind: Valued("W,M", "WARMUP,MEASURE cycles (MEASURE > 0, WARMUP + MEASURE < 2^64)", set_windows), help: "explicit warmup,measure windows" },
     Flag { name: "--seed", scope: Row, kind: Valued("N", "an integer", |o, v| v.parse().ok().map(|n| o.ec.seed = n)), help: "seed of every random stream" },
-    // Every Network resolves the toggle through SimConfig::oracle / RAIR_ORACLE, so the env var reaches all drivers.
-    Flag { name: "--oracle", scope: Row, kind: Switch(|_| std::env::set_var("RAIR_ORACLE", "1")), help: "force the invariant oracle on in every simulation (as RAIR_ORACLE=1)" },
     Flag { name: "--csv", scope: Every, kind: Switch(|o| o.csv = true), help: "print tables as CSV" },
-    Flag { name: "--topology", scope: Row, kind: Valued("mesh|torus|ring|cmesh[:N]", "mesh|torus|ring|cmesh[:N]", |o, v| TopologyKind::parse(v).map(|k| o.topology = k)), help: "topology of the verified / admitted matrix" },
-    Flag { name: "--inject-cyclic", scope: Row, kind: Switch(|o| o.inject_cyclic = true), help: "the verifier's negative battery instead (always exits 1)" },
-    Flag { name: "--inject-broken", scope: Row, kind: Switch(|o| o.inject_broken = true), help: "the admission negative battery instead (always exits 1)" },
-    Flag { name: "--inject-wrong-result", scope: Row, kind: Switch(|o| o.inject_wrong_result = true), help: "the chaos negative control instead (always exits 1)" },
     Flag { name: "--trace-file", scope: Row, kind: Valued("PATH", "a path", |o, v| { o.trace_file = v.into(); Some(()) }), help: "where trace-demo writes its trace" },
     Flag { name: "--dir", scope: Row, kind: Valued("PATH", "a path", |o, v| { o.serve_dir = v.into(); Some(()) }), help: "state directory of the job service" },
     Flag { name: "--retries", scope: Row, kind: Valued("N", "a positive integer", |o, v| v.parse().ok().filter(|&n| n > 0).map(|n| o.retries = n)), help: "attempts before a job is quarantined" },
@@ -116,8 +106,9 @@ struct Cmd {
     run: fn(&Opts) -> Outcome,
 }
 
-/// What every simulating driver reads: windows, seed, oracle switch.
-const SIM: &[&str] = &["--quick", "--smoke", "--windows", "--seed", "--oracle"];
+/// What every simulating driver reads: windows and seed. (`RAIR_ORACLE=1`
+/// forces the invariant oracle on in every simulation.)
+const SIM: &[&str] = &["--quick", "--smoke", "--windows", "--seed"];
 /// The pseudo-subcommand that stands for every [`Paper`] row.
 const ALL: &str = "all";
 
@@ -139,11 +130,11 @@ const SUBCOMMANDS: &[Cmd] = &[
     Cmd { name: "curve", role: Extra, help: "load-latency curves and knees of three patterns", flags: &[SIM], run: curve },
     Cmd { name: "oracle", role: Extra, help: "scheme x routing matrix under per-cycle invariant checking", flags: &[SIM], run: oracle },
     Cmd { name: "trace-demo", role: Extra, help: "capture a trace to a file, replay it under two schemes", flags: &[SIM, &["--trace-file"]], run: |o| emit(o, &figs::trace_demo::run(&o.ec, &o.trace_file)?) },
-    Cmd { name: "verify-config", role: Extra, help: "static deadlock-freedom and legality proof (VERIFY_report.json)", flags: &[&["--topology", "--inject-cyclic"]], run: verify_config },
-    Cmd { name: "admit", role: Extra, help: "static QoS admission matrix (ADMIT_report.json)", flags: &[&["--topology", "--inject-broken"]], run: admit },
+    Cmd { name: "verify-config", role: Extra, help: "static deadlock-freedom and legality proof (VERIFY_report.json)", flags: &[], run: verify_config },
+    Cmd { name: "admit", role: Extra, help: "static QoS admission matrix (ADMIT_report.json)", flags: &[], run: admit },
     Cmd { name: "resilience", role: Extra, help: "fault rate x scheme x routing sweep (RESILIENCE_report.json)", flags: &[SIM], run: resilience },
     Cmd { name: "serve", role: Solo(Some("a jobs file")), help: "crash-safe job service over a jobs file", flags: &[SIM, &["--dir", "--retries", "--timeout-ms", "--screen"]], run: serve },
-    Cmd { name: "chaos", role: Solo(None), help: "fault-injection battery over the service (CHAOS_report.json)", flags: &[&["--smoke", "--seed", "--oracle", "--inject-wrong-result"]], run: chaos },
+    Cmd { name: "chaos", role: Solo(None), help: "fault-injection battery over the service (CHAOS_report.json)", flags: &[&["--smoke", "--seed"]], run: chaos },
 ];
 
 impl Cmd {
@@ -193,10 +184,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<(Opts, Vec<&'static C
         csv: false,
         help: false,
         smoke: false,
-        inject_cyclic: false,
-        inject_broken: false,
-        inject_wrong_result: false,
-        topology: TopologyKind::Mesh,
         trace_file: "/tmp/rair_trace.bin".into(),
         serve_dir: "results/serve".into(),
         retries: 3,
@@ -282,9 +269,15 @@ fn main() -> ExitCode {
     }
     for c in cmds {
         if !matches!(c.role, Solo(_)) {
-            let (name, ec) = (c.name, &o.ec);
-            let (warmup, measure, seed) = (ec.warmup, ec.measure, ec.seed);
-            eprintln!("[repro] running {name} ({warmup} + {measure} cycles, seed {seed})…");
+            // Only what the command reads: its windows, its seed.
+            let ec = &o.ec;
+            let windows = format!("{} + {} cycles", ec.warmup, ec.measure);
+            let windows = c.reads("--windows").then_some(windows);
+            let seed = c.reads("--seed").then(|| format!("seed {}", ec.seed));
+            let what = [windows, seed].into_iter().flatten().collect::<Vec<_>>();
+            let what = (!what.is_empty()).then(|| format!(" ({})", what.join(", ")));
+            let what = what.unwrap_or_default();
+            eprintln!("[repro] running {}{what}…", c.name);
         }
         if let Err(e) = (c.run)(&o) {
             eprintln!("[repro] {e}");
@@ -310,9 +303,15 @@ fn write_report(path: &str, doc: &Value, what: &str) -> Outcome {
     Ok(())
 }
 
-/// `{"rows": [...]}` — the document of the three matrix reports.
-fn rows_doc(t: &Table) -> Value {
-    Value::obj([("rows", t.json_rows())])
+/// Print a static self-check's matrix, then its negative controls, and
+/// write both to the report at `path` as `rows` and `controls`.
+fn self_check(o: &Opts, path: &str, rows: &Table, controls: &[NegativeCase]) -> Outcome {
+    let ct = controls_table(controls);
+    emit(o, rows)?;
+    emit(o, &ct)?;
+    let doc = Value::obj([("rows", rows.json_rows()), ("controls", ct.json_rows())]);
+    let what = format!("{} rows and {} controls", rows.num_rows(), controls.len());
+    write_report(path, &doc, &what)
 }
 
 /// A paper figure: its tables, then the headline line against the paper's.
@@ -320,23 +319,6 @@ fn figure(o: &Opts, (tables, summary): (Vec<Table>, String)) -> Outcome {
     tables.iter().try_for_each(|t| emit(o, t))?;
     println!("{summary}\n");
     Ok(())
-}
-
-/// The verdicts of a negative battery: every deliberately broken config
-/// must have been rejected with a concrete witness (`NOT REJECTED` is a bug
-/// in the check). Always an `Err` — the configs are invalid by construction,
-/// and CI asserts the nonzero exit.
-fn negatives(cases: &[NegativeCase], kind: &str, missed: &str) -> Outcome {
-    for c in cases {
-        let (name, witness) = (c.name, &c.witness);
-        match (c.rejected, c.property.as_str()) {
-            (false, _) => println!("[{name}] NOT REJECTED — {missed}"),
-            (true, "") => println!("[{name}] rejected with witness: {witness}"),
-            (true, property) => println!("[{name}] rejected ({property}) with witness: {witness}"),
-        }
-    }
-    let (n, rejected) = (cases.len(), cases.iter().filter(|c| c.rejected).count());
-    Err(format!("{n} injected {kind} configs, {rejected} rejected"))
 }
 
 fn curve(o: &Opts) -> Outcome {
@@ -354,7 +336,8 @@ fn curve(o: &Opts) -> Outcome {
 }
 
 /// The dedicated scheme × routing verification matrix with per-cycle
-/// checking (`--oracle` merely force-enables the oracle everywhere else).
+/// checking (`RAIR_ORACLE=1` merely force-enables the oracle everywhere
+/// else).
 fn oracle(o: &Opts) -> Outcome {
     let m = figs::oracle_check::run(&o.ec);
     emit(o, &figs::oracle_check::table(&m))?;
@@ -375,7 +358,8 @@ fn resilience(o: &Opts) -> Outcome {
     let t = figs::resilience::table(&rows);
     emit(o, &t)?;
     let what = format!("{} resilience rows", rows.len());
-    write_report("RESILIENCE_report.json", &rows_doc(&t), &what)?;
+    let doc = Value::obj([("rows", t.json_rows())]);
+    write_report("RESILIENCE_report.json", &doc, &what)?;
     let worst = figs::resilience::worst_fraction(&rows);
     println!("worst delivered fraction across faulted cells: {worst:.4} (target >= 0.99)\n");
     match rows.iter().map(|r| r.oracle_violations).sum::<u64>() {
@@ -390,31 +374,18 @@ fn resilience(o: &Opts) -> Outcome {
 }
 
 /// The static verifier over the shipped region × routing matrix (bare and
-/// LBDR-confined) on the canonical config of `--topology`, or with
-/// `--inject-cyclic` its negative battery.
+/// LBDR-confined) of every canonical topology, then its negative controls.
 fn verify_config(o: &Opts) -> Outcome {
     use experiments::verify_config as vc;
-    if o.inject_cyclic {
-        let mut cases = vc::negative_battery();
-        if o.topology.wraps() {
-            // No dateline lane switch on a wrapping topology → the verifier
-            // must extract the wrap cycle.
-            cases.push(vc::torus_no_dateline_case());
-        }
-        return negatives(&cases, "cyclic/broken", "verifier missed an injected fault");
-    }
-    let rows = vc::run_matrix_for(o.topology);
-    let t = vc::table(&rows);
-    emit(o, &t)?;
-    let (n, topology) = (rows.len(), o.topology.label());
-    let what = format!("{n} verification rows ({topology} topology)");
-    write_report("VERIFY_report.json", &rows_doc(&t), &what)?;
+    let rows = vc::run_matrix(&TopologyKind::CANONICAL);
+    let controls = vc::controls();
+    self_check(o, "VERIFY_report.json", &vc::table(&rows), &controls)?;
     let mut failed = false;
     for r in rows.iter().filter(|r| r.violations > 0) {
         failed = true;
         let witness = r.first_witness.as_deref().unwrap_or("(no witness)");
-        let (region, routing, lbdr) = (r.region, r.routing, r.lbdr);
-        eprintln!("[repro] VERIFY FAILED {region}/{routing} (lbdr {lbdr}): {witness}");
+        let cell = format!("{}/{}/{}", r.topology, r.region, r.routing);
+        eprintln!("[repro] VERIFY FAILED {cell} (lbdr {}): {witness}", r.lbdr);
     }
     for (label, errs) in vc::scheme_checks() {
         for e in &errs {
@@ -425,42 +396,42 @@ fn verify_config(o: &Opts) -> Outcome {
     if failed {
         return Err("static verification FAILED".into());
     }
-    println!("static verification: all {n} configurations proved deadlock-free and legal\n");
+    judge_controls(&controls)?;
+    let (n, k) = (rows.len(), controls.len());
+    println!(
+        "static verification: all {n} configurations proved deadlock-free and legal, \
+         all {k} negative controls rejected with a witness\n"
+    );
     Ok(())
 }
 
 /// The static admission pipeline over the scheme × routing × region matrix
-/// (the golden matrix must be admitted without a false rejection), or with
-/// `--inject-broken` its negative battery.
+/// of every canonical topology (the golden matrix must be admitted without
+/// a false rejection), then its negative controls.
 fn admit(o: &Opts) -> Outcome {
     use experiments::admit;
-    if o.inject_broken {
-        let missed = "admission pipeline missed an injected defect";
-        return negatives(&admit::negative_battery(o.topology), "broken", missed);
-    }
-    let rows = admit::run_matrix_for(o.topology);
-    let t = admit::table(&rows);
-    emit(o, &t)?;
-    let (n, topology) = (rows.len(), o.topology.label());
-    let what = format!("{n} admission rows ({topology} topology)");
-    write_report("ADMIT_report.json", &rows_doc(&t), &what)?;
+    let rows = admit::run_matrix(&TopologyKind::CANONICAL);
+    let controls = admit::controls();
+    self_check(o, "ADMIT_report.json", &admit::table(&rows), &controls)?;
     for r in rows.iter().filter(|r| r.verdict != "admit") {
         let kind = if r.verdict == "reject" {
             "ADMIT FAILED"
         } else {
             "admit warning"
         };
-        let cell = format!("{}/{}/{}", r.region, r.routing, r.scheme);
+        let cell = format!("{}/{}/{}/{}", r.topology, r.region, r.routing, r.scheme);
         let defect = r.defect.as_deref().unwrap_or("(no defect detail)");
         eprintln!("[repro] {kind} {cell}: {defect}");
     }
     if rows.iter().any(|r| r.verdict == "reject") {
         return Err("static admission FAILED — false rejection in the golden matrix".into());
     }
+    judge_controls(&controls)?;
     let worst = rows.iter().map(|r| r.micros).max().unwrap_or(0);
+    let (n, k) = (rows.len(), controls.len());
     println!(
         "static admission: all {n} configurations admitted \
-         (slowest cell {worst} µs, target <= 10 ms)\n"
+         (slowest cell {worst} µs, target <= 10 ms), all {k} negative controls rejected\n"
     );
     Ok(())
 }
@@ -494,26 +465,23 @@ fn serve(o: &Opts) -> Outcome {
     Ok(())
 }
 
-/// The fault-injection battery; any unrecovered fault fails the invocation.
-/// `--inject-wrong-result` runs the negative control instead, which always
-/// exits nonzero: the store is corrupt whether or not the harness caught it.
+/// The fault-injection battery, then its negative control; an unrecovered
+/// fault or an undetected tamper fails the invocation.
 fn chaos(o: &Opts) -> Outcome {
-    use experiments::service::{run_chaos, run_wrong_result};
-    if o.inject_wrong_result {
-        let (detected, detail) = run_wrong_result(o.ec.seed);
-        let verdict = if detected { "DETECTED" } else { "NOT DETECTED" };
-        println!("[inject-wrong-result] {verdict}: {detail}");
-        return Err("negative control: the store is corrupt by construction".into());
-    }
-    let report = run_chaos(o.smoke, o.ec.seed);
+    let report = experiments::service::run_chaos(o.smoke, o.ec.seed);
     emit(o, &report.table())?;
-    let n = report.batteries.len();
-    let what = format!("{n} battery results");
+    emit(o, &controls_table(&report.controls))?;
+    let (n, k) = (report.batteries.len(), report.controls.len());
+    let what = format!("{n} battery results and {k} controls");
     write_report("CHAOS_report.json", &report.json(), &what)?;
     if !report.all_green() {
         return Err("CHAOS FAILED — at least one fault class did not recover".into());
     }
-    println!("chaos battery: all {n} fault classes recovered with bit-identical digests\n");
+    judge_controls(&report.controls)?;
+    println!(
+        "chaos battery: all {n} fault classes recovered with bit-identical digests, \
+         all {k} negative controls detected\n"
+    );
     Ok(())
 }
 
@@ -524,11 +492,11 @@ mod tests {
     use proptest::prelude::*;
 
     /// Flag values that sit on or past an edge: a zero measurement window, a
-    /// window sum that overflows, a concentration the topology rejects.
+    /// window sum that overflows, a zero retry count.
     #[rustfmt::skip]
     const VALUES: &[&str] = &[
         "5,5", "1,0", "0,1", "18446744073709551615,1", "1,18446744073709551615", ",", "-1",
-        "0", "7", "cmesh:9", "cmesh:0", "cmesh:", "torus", "", " ", "x.bin",
+        "0", "7", "", " ", "x.bin",
     ];
 
     proptest! {
@@ -603,7 +571,7 @@ mod tests {
             );
         }
         let counts = (SUBCOMMANDS.len() + 1, FLAGS.len());
-        assert_eq!(counts, (21, 16), "subcommands (with `all`), flags");
+        assert_eq!(counts, (21, 11), "subcommands (with `all`), flags");
         let (_, all) = parse(["all".to_string()]).unwrap_or_else(|e| panic!("{e}"));
         let want = "table1 lbdr fig9 fig10 fig12 fig14 fig15 fig17 \
                     ablation-delta ablation-vcsplit ablation-rank";

@@ -18,17 +18,18 @@
 //! `corrupt_or_old_generation_entry_is_set_aside_and_research_is_identical`,
 //! and SIGKILL mid-sweep by `tests/chaos.rs` against the real binary.
 //!
-//! The `--inject-wrong-result` negative tampers a journal `done` row with a
-//! *recomputed* CRC — a valid-looking but wrong result. The digest
-//! comparison must detect the divergence; the invocation always exits
-//! nonzero (the store is corrupt by construction), and prints whether the
-//! tamper was caught. A chaos harness whose negative control passes
-//! silently is not testing anything.
+//! Then its negative control, `wrong-result`: the same reference journal
+//! with one `done` row tampered under a *recomputed* CRC — a valid-looking
+//! but wrong result that no local check can see. Resuming from it must
+//! diverge from the reference digest; `repro chaos` fails if it does not
+//! ([`crate::verify_config::judge_controls`]), since a chaos harness whose
+//! negative control passes silently is not testing anything.
 
 use super::journal::WAL_TAG;
 use super::serve::{serve, JobExec, JobSpec, ServeConfig};
 use super::store::{frame, unframe, ChaosConfig, ChaosStore, StdStore};
 use crate::runner::ExpConfig;
+use crate::verify_config::{controls_table, NegativeCase};
 use metrics::report::{Table, Value};
 use std::path::{Path, PathBuf};
 
@@ -43,11 +44,11 @@ pub struct Battery {
     pub detail: String,
 }
 
-/// The full battery report.
-#[derive(Debug)]
+/// The batteries and the negative control of one `repro chaos` run.
 pub struct ChaosReport {
     pub reference_digest: u64,
     pub batteries: Vec<Battery>,
+    pub controls: Vec<NegativeCase>,
 }
 
 impl ChaosReport {
@@ -82,6 +83,7 @@ impl ChaosReport {
             ),
             ("all_green", self.all_green().into()),
             ("batteries", self.table().json_rows()),
+            ("controls", controls_table(&self.controls).json_rows()),
         ])
     }
 }
@@ -284,9 +286,9 @@ fn battery_append_faults(refd: u64, exec: &JobExec, seed: u64) -> Battery {
     }
 }
 
-/// Run the full battery. `smoke` trims repetition counts for CI's quick
-/// lane; `seed` drives every randomized choice (cut points, chaos-store
-/// draws).
+/// Run the full battery, then the negative control on the same reference
+/// journal. `smoke` trims repetition counts for CI's quick lane; `seed`
+/// drives every randomized choice (cut points, chaos-store draws).
 pub fn run(smoke: bool, seed: u64) -> ChaosReport {
     let exec = super::serve::sim_exec();
     eprintln!("[chaos] measuring reference sweep (untouched storage)…");
@@ -300,57 +302,46 @@ pub fn run(smoke: bool, seed: u64) -> ChaosReport {
     ChaosReport {
         reference_digest: refd,
         batteries,
+        controls: vec![wrong_result(refd, &journal, &exec)],
     }
 }
 
-/// The negative control: tamper a journal `done` row *with a recomputed
-/// CRC* (structurally valid, semantically wrong) and verify the sweep
-/// digest comparison detects the divergence. Returns `(detected, detail)`.
-pub fn run_wrong_result(seed: u64) -> (bool, String) {
-    let _ = seed;
-    let exec = super::serve::sim_exec();
-    let (refd, journal) = reference(&exec);
-    let text = String::from_utf8_lossy(&journal);
-    let mut tampered: Vec<String> = Vec::new();
-    let mut hit = false;
-    for line in text.lines() {
-        let Some(payload) = unframe(WAL_TAG, line) else {
-            tampered.push(line.to_string());
-            continue;
-        };
-        if hit || !payload.starts_with("done\t") {
-            tampered.push(line.to_string());
-            continue;
-        }
-        // Perturb the delivered-count field of the embedded checkpoint
-        // line, then re-frame with a *valid* CRC.
-        // payload = done, id, rair-ckpt-v1, label, delivered, …
-        let mut fields: Vec<String> = payload.split('\t').map(str::to_string).collect();
-        if fields.len() > 4 {
-            if let Ok(v) = fields[4].parse::<u64>() {
-                fields[4] = (v + 1).to_string();
-                hit = true;
-            }
-        }
-        tampered.push(frame(WAL_TAG, &fields.join("\t")));
+/// The negative control: the first journal `done` row tampered *with a
+/// recomputed CRC* (structurally valid, semantically wrong); resuming from
+/// it must diverge from the reference digest. (A journal without such a
+/// row resumes untampered, and the control reads as missed.)
+fn wrong_result(refd: u64, journal: &[u8], exec: &JobExec) -> NegativeCase {
+    // Perturb the delivered-count field of the embedded checkpoint line —
+    // payload = done, id, rair-ckpt-v1, label, delivered, … — and re-frame.
+    let tamper = |line: &str| {
+        let mut fields: Vec<String> = (unframe(WAL_TAG, line)?.split('\t'))
+            .map(str::to_string)
+            .collect();
+        let delivered: u64 = fields
+            .get(4)
+            .filter(|_| fields[0] == "done")?
+            .parse()
+            .ok()?;
+        fields[4] = (delivered + 1).to_string();
+        Some(frame(WAL_TAG, &fields.join("\t")))
+    };
+    let mut lines: Vec<String> = String::from_utf8_lossy(journal)
+        .lines()
+        .map(str::to_string)
+        .collect();
+    if let Some((i, row)) = (lines.iter().enumerate()).find_map(|(i, l)| Some((i, tamper(l)?))) {
+        lines[i] = row;
     }
-    if !hit {
-        return (false, "no done row found to tamper".into());
-    }
-    let seeded = tampered.join("\n") + "\n";
-    let (d, report) = resume_with_journal("wrongresult", seeded.as_bytes(), &exec);
-    let detected = d != refd;
-    (
-        detected,
-        format!(
-            "tampered digest {d:016x} vs reference {refd:016x}: {} \
-             (journal rows quarantined: {} — CRC is valid, so none, by design)",
-            if detected {
-                "divergence DETECTED"
-            } else {
-                "NOT DETECTED — digest failed to catch a wrong result"
-            },
-            report.journal_quarantined_rows
+    let seeded = lines.join("\n") + "\n";
+    let (d, report) = resume_with_journal("wrongresult", seeded.as_bytes(), exec);
+    let quarantined = report.journal_quarantined_rows;
+    NegativeCase {
+        name: "wrong-result".into(),
+        caught: d != refd,
+        property: "sweep-digest",
+        witness: format!(
+            "tampered digest {d:016x} vs reference {refd:016x} \
+             ({quarantined} journal rows quarantined: the CRC is valid)"
         ),
-    )
+    }
 }

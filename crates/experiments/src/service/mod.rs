@@ -23,7 +23,7 @@ pub mod pool;
 pub mod serve;
 pub mod store;
 
-pub use chaos::{run as run_chaos, run_wrong_result, ChaosReport};
+pub use chaos::{run as run_chaos, ChaosReport};
 pub use journal::{Journal, Replay, WAL_TAG};
 pub use serve::{serve, sim_exec, JobExec, JobSpec, JobStatus, ServeConfig, ServeReport};
 pub use store::{

@@ -1,14 +1,16 @@
-//! `repro verify-config` — run the static deadlock-freedom and legality
-//! verifier over the full shipped scheme × routing × region matrix, plus a
-//! battery of deliberately broken configurations that must each be
-//! rejected with a concrete witness.
+//! `repro verify-config` — the static deadlock-freedom and legality
+//! verifier over the shipped region × routing matrix of every canonical
+//! topology, then over its [`controls`]: broken configurations that must
+//! each be rejected with a concrete witness.
 //!
-//! Every row of the positive matrix proves, for one `(region, routing)`
-//! pair: escape-CDG acyclicity (Tarjan over the extended dependency
-//! graph), escape connectedness, and all-pairs minimal-path legality; the
-//! LBDR rows additionally apply the region-derived connectivity bits as a
-//! link filter. Scheme parameters (STC rank totality, DPA hysteresis
-//! bounds) are checked separately — they are routing-independent.
+//! Every row of the positive matrix proves, for one `(topology, region,
+//! routing)` triple: escape-CDG acyclicity (Tarjan over the extended
+//! dependency graph), escape connectedness, and all-pairs minimal-path
+//! legality; the LBDR rows additionally apply the region-derived
+//! connectivity bits as a link filter. Scheme parameters (STC rank
+//! totality, DPA hysteresis bounds) are checked separately — they are
+//! routing-independent. [`NegativeCase`], [`controls_table`] and
+//! [`judge_controls`] serve the controls of `admit` and `chaos` as well.
 
 use metrics::report::{Table, Value};
 use noc_sim::config::SimConfig;
@@ -20,8 +22,9 @@ use noc_sim::verify::{Verifier, VerifyReport, Witness};
 use rair::scheme::{Routing, Scheme};
 use std::time::Instant;
 
-/// One verified `(region, routing)` point of the positive matrix.
+/// One verified `(topology, region, routing)` point of the positive matrix.
 pub struct VerifyRow {
+    pub topology: &'static str,
     pub region: &'static str,
     pub routing: &'static str,
     /// Whether LBDR connectivity bits confined the analysis to regions.
@@ -81,45 +84,39 @@ fn schemes() -> Vec<(Scheme, usize)> {
 const ROUTINGS: [Routing; 3] = [Routing::Xy, Routing::Local, Routing::Dbar];
 
 /// Run the 4-region × 3-routing × {bare, LBDR} matrix on the canonical
-/// config of `kind` ([`SimConfig::table1_topology`]).
-pub fn run_matrix_for(kind: TopologyKind) -> Vec<VerifyRow> {
-    let cfg = SimConfig::table1_topology(kind);
+/// config ([`SimConfig::table1_topology`]) of each of `kinds`, in order;
+/// `repro verify-config` runs [`TopologyKind::CANONICAL`].
+pub fn run_matrix(kinds: &[TopologyKind]) -> Vec<VerifyRow> {
     let mut rows = Vec::new();
-    for (rname, region) in regions(&cfg) {
-        for routing in ROUTINGS {
-            let alg = routing.build();
-            for lbdr in [false, true] {
-                let t0 = Instant::now();
-                let report = if lbdr {
-                    rair::verify::verify_lbdr(&cfg, &region, alg.as_ref())
-                } else {
-                    Verifier::new(&cfg, alg.as_ref()).run()
-                };
-                rows.push(row(rname, routing.label(), lbdr, &report, t0));
+    for &kind in kinds {
+        let cfg = SimConfig::table1_topology(kind);
+        for (region, map) in regions(&cfg) {
+            for routing in ROUTINGS {
+                let alg = routing.build();
+                for lbdr in [false, true] {
+                    let t0 = Instant::now();
+                    let r = if lbdr {
+                        rair::verify::verify_lbdr(&cfg, &map, alg.as_ref())
+                    } else {
+                        Verifier::new(&cfg, alg.as_ref()).run()
+                    };
+                    rows.push(VerifyRow {
+                        topology: kind.label(),
+                        region,
+                        routing: routing.label(),
+                        lbdr,
+                        channels: r.channels,
+                        dep_edges: r.dep_edges,
+                        pairs: r.pairs_checked,
+                        violations: r.violation_count,
+                        millis: t0.elapsed().as_secs_f64() * 1e3,
+                        first_witness: r.violations.first().map(ToString::to_string),
+                    });
+                }
             }
         }
     }
     rows
-}
-
-fn row(
-    region: &'static str,
-    routing: &'static str,
-    lbdr: bool,
-    r: &VerifyReport,
-    t0: Instant,
-) -> VerifyRow {
-    VerifyRow {
-        region,
-        routing,
-        lbdr,
-        channels: r.channels,
-        dep_edges: r.dep_edges,
-        pairs: r.pairs_checked,
-        violations: r.violation_count,
-        millis: t0.elapsed().as_secs_f64() * 1e3,
-        first_witness: r.violations.first().map(std::string::ToString::to_string),
-    }
 }
 
 /// Check every shipped scheme's parameters; returns `(label, defects)`.
@@ -137,6 +134,7 @@ pub fn table(rows: &[VerifyRow]) -> Table {
         "Static verification — escape-CDG acyclicity + region legality",
         rows,
         &[
+            ("topology", "topology", |r| r.topology.into()),
             ("region", "region", |r| r.region.into()),
             ("routing", "routing", |r| r.routing.into()),
             ("lbdr", "lbdr", |r| r.lbdr.into()),
@@ -149,16 +147,48 @@ pub fn table(rows: &[VerifyRow]) -> Table {
     )
 }
 
-/// One deliberately broken configuration and the verdict of the static
-/// check it was fed to (this verifier, or the admission pipeline).
+/// One negative control of a self-check — a deliberately broken
+/// configuration, or for `chaos` a tampered journal — and whether the check
+/// caught it.
 pub struct NegativeCase {
-    pub name: &'static str,
-    /// Did the check reject it (as it must)?
-    pub rejected: bool,
-    /// The admission property that refuted it; empty for the verifier.
-    pub property: String,
+    pub name: String,
+    /// Did the check reject or detect it (as it must)?
+    pub caught: bool,
+    /// The property that refuted it.
+    pub property: &'static str,
     /// The first witness (cycle, unreachable pair, …) or defect message.
     pub witness: String,
+}
+
+/// The controls as the one rendering: the text table and the `controls`
+/// rows of `VERIFY_report.json`, `ADMIT_report.json` and
+/// `CHAOS_report.json`.
+pub fn controls_table(cases: &[NegativeCase]) -> Table {
+    Table::of(
+        "Negative controls — each must be caught, with a witness",
+        cases,
+        &[
+            ("control", "control", |c| c.name.clone().into()),
+            ("caught", "", |c| if c.caught { "yes" } else { "NO" }.into()),
+            ("", "caught", |c| c.caught.into()),
+            ("property", "property", |c| c.property.into()),
+            ("witness", "witness", |c| c.witness.clone().into()),
+        ],
+    )
+}
+
+/// The one verdict on a self-check's controls: `Err` naming every control
+/// that was not caught. A check whose control passes silently is not
+/// testing anything.
+pub fn judge_controls(cases: &[NegativeCase]) -> Result<(), String> {
+    let missed: Vec<&str> = (cases.iter().filter(|c| !c.caught))
+        .map(|c| c.name.as_str())
+        .collect();
+    let (m, n, names) = (missed.len(), cases.len(), missed.join(", "));
+    match m {
+        0 => Ok(()),
+        _ => Err(format!("{m} of {n} negative controls NOT CAUGHT: {names}")),
+    }
 }
 
 /// Mixed dimension-order "escape": XY toward even-parity destinations, YX
@@ -231,42 +261,40 @@ impl RoutingAlgorithm for NoDatelineEscape {
     }
 }
 
-/// The torus negative case behind `verify-config --topology torus
-/// --inject-cyclic`: without the dateline lane switch the verifier must
-/// reject the escape network with a concrete wrap-cycle witness.
-pub fn torus_no_dateline_case() -> NegativeCase {
-    let cfg = SimConfig::table1_topology(TopologyKind::Torus);
+/// A wrapping topology's escape without its dateline lane switch
+/// ([`NoDatelineEscape`]): the verifier must reject it with the lane-0
+/// wrap cycle as the witness.
+pub fn no_dateline_case(kind: TopologyKind) -> NegativeCase {
+    let cfg = SimConfig::table1_topology(kind);
     let r = Verifier::new(&cfg, &NoDatelineEscape).run();
-    case("torus-no-dateline-escape", &r, |w| {
-        matches!(w, Witness::Cycle(_))
-    })
+    let name = format!("{}-no-dateline-escape", kind.label());
+    case(&name, &r, is_cycle)
 }
 
-/// Run the injected-fault battery. Every case must come back `rejected`
-/// with a printed witness.
-pub fn negative_battery() -> Vec<NegativeCase> {
+fn is_cycle(w: &Witness) -> bool {
+    matches!(w, Witness::Cycle(_))
+}
+
+/// The verifier's negative controls: five broken mesh configurations, then
+/// the torus and the ring without their dateline lane switch. Every one
+/// must come back caught, with a witness.
+pub fn controls() -> Vec<NegativeCase> {
     let cfg = SimConfig::table1();
-    let mut cases = Vec::new();
+    let local = noc_sim::routing::DuatoLocalAdaptive;
 
     // 1. Escape VCs disabled under fully-adaptive routing: the adaptive
     //    CDG alone must carry deadlock freedom, and it cannot.
-    let r = Verifier::new(&cfg, &noc_sim::routing::DuatoLocalAdaptive)
-        .without_escape()
-        .run();
-    cases.push(case("escape-vcs-disabled", &r, |w| {
-        matches!(w, Witness::Cycle(_))
-    }));
+    let r = Verifier::new(&cfg, &local).without_escape().run();
+    let mut cases = vec![case("escape-vcs-disabled", &r, is_cycle)];
 
     // 2. A "routing scheme" whose escape function mixes XY and YX by
     //    destination parity: all eight turns allowed, cyclic escape CDG.
     let r = Verifier::new(&cfg, &MixedDorEscape).run();
-    cases.push(case("mixed-dor-escape", &r, |w| {
-        matches!(w, Witness::Cycle(_))
-    }));
+    cases.push(case("mixed-dor-escape", &r, is_cycle));
 
     // 3. A region map that severs a dimension: every east-west link
     //    between x=3 and x=4 removed.
-    let r = Verifier::new(&cfg, &noc_sim::routing::DuatoLocalAdaptive)
+    let r = Verifier::new(&cfg, &local)
         .with_link_filter(|router, port| {
             let c = SimConfig::table1().coord_of(router);
             !((c.x == 3 && port == PORT_EAST) || (c.x == 4 && port == PORT_WEST))
@@ -283,35 +311,36 @@ pub fn negative_battery() -> Vec<NegativeCase> {
     let mut bits = rair::lbdr::ConnectivityBits::full(&cfg);
     bits.sever(27, PORT_EAST);
     let errs = bits.check_consistency(&cfg);
-    cases.push(NegativeCase {
-        name: "inconsistent-lbdr-bits",
-        rejected: !errs.is_empty(),
-        property: String::new(),
-        witness: errs.first().cloned().unwrap_or_default(),
-    });
+    cases.push(defect("inconsistent-lbdr-bits", "lbdr-consistency", errs));
 
     // 5. A NaN STC intensity: the rank comparison is not a total order.
     let errs = rair::verify::check_scheme(&Scheme::ro_rank(vec![0.1, f64::NAN]), 2);
-    cases.push(NegativeCase {
-        name: "nan-rank-intensity",
-        rejected: !errs.is_empty(),
-        property: String::new(),
-        witness: errs.first().cloned().unwrap_or_default(),
-    });
+    cases.push(defect("nan-rank-intensity", "scheme-parameters", errs));
 
+    cases.extend([TopologyKind::Torus, TopologyKind::Ring].map(no_dateline_case));
     cases
 }
 
-fn case(name: &'static str, r: &VerifyReport, want: impl Fn(&Witness) -> bool) -> NegativeCase {
+/// A verifier control: caught by a violation whose witness is the kind
+/// `want` accepts, and shown by that violation's check and witness.
+fn case(name: &str, r: &VerifyReport, want: impl Fn(&Witness) -> bool) -> NegativeCase {
     let hit = r.violations.iter().find(|v| want(&v.witness));
+    let shown = hit.or(r.violations.first());
     NegativeCase {
-        name,
-        rejected: !r.ok() && hit.is_some(),
-        property: String::new(),
-        witness: hit
-            .map(std::string::ToString::to_string)
-            .or_else(|| r.violations.first().map(std::string::ToString::to_string))
-            .unwrap_or_default(),
+        name: name.into(),
+        caught: !r.ok() && hit.is_some(),
+        property: shown.map_or("", |v| v.check),
+        witness: shown.map(|v| v.witness.to_string()).unwrap_or_default(),
+    }
+}
+
+/// A control refuted by a list of defect messages (caught iff non-empty).
+fn defect(name: &str, property: &'static str, errs: Vec<String>) -> NegativeCase {
+    NegativeCase {
+        name: name.into(),
+        caught: !errs.is_empty(),
+        property,
+        witness: errs.into_iter().next().unwrap_or_default(),
     }
 }
 
@@ -321,7 +350,7 @@ mod tests {
 
     #[test]
     fn positive_matrix_is_clean() {
-        let rows = run_matrix_for(TopologyKind::Mesh);
+        let rows = run_matrix(&[TopologyKind::Mesh]);
         assert_eq!(rows.len(), 4 * 3 * 2);
         for r in &rows {
             assert_eq!(
@@ -335,42 +364,67 @@ mod tests {
         }
     }
 
+    /// The wrapping and concentrated kinds, the concentrated mesh at both
+    /// ends of its supported range (2 and 8 NIs per router) as well.
     #[test]
     fn per_topology_matrices_are_clean() {
         for kind in [
             TopologyKind::Torus,
             TopologyKind::Ring,
+            TopologyKind::CMesh { concentration: 2 },
             TopologyKind::CMesh { concentration: 4 },
+            TopologyKind::CMesh { concentration: 8 },
         ] {
-            let rows = run_matrix_for(kind);
-            assert_eq!(rows.len(), 4 * 3 * 2, "{}", kind.label());
+            let rows = run_matrix(&[kind]);
+            assert_eq!(rows.len(), 4 * 3 * 2, "{kind:?}");
             for r in &rows {
                 assert_eq!(
-                    r.violations,
-                    0,
-                    "{} {}/{} (lbdr {}): {:?}",
-                    kind.label(),
-                    r.region,
-                    r.routing,
-                    r.lbdr,
-                    r.first_witness
+                    r.violations, 0,
+                    "{kind:?} {}/{} (lbdr {}): {:?}",
+                    r.region, r.routing, r.lbdr, r.first_witness
                 );
             }
         }
     }
 
     #[test]
-    fn torus_without_datelines_is_rejected() {
-        let c = torus_no_dateline_case();
-        assert!(c.rejected, "no-dateline torus escape was not rejected");
-        assert!(!c.witness.is_empty());
-    }
-
-    #[test]
     fn every_injected_fault_is_rejected_with_witness() {
-        for c in negative_battery() {
-            assert!(c.rejected, "{} was not rejected", c.name);
+        let cases = controls();
+        let names: Vec<&str> = cases.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "escape-vcs-disabled",
+                "mixed-dor-escape",
+                "severed-dimension",
+                "inconsistent-lbdr-bits",
+                "nan-rank-intensity",
+                "torus-no-dateline-escape",
+                "ring-no-dateline-escape",
+            ]
+        );
+        for c in &cases {
+            assert!(c.caught, "{} was not rejected", c.name);
             assert!(!c.witness.is_empty(), "{} has no witness", c.name);
         }
+        assert_eq!(judge_controls(&cases), Ok(()));
+        // The ring's lane-0 wrap cycle runs once around all 16 routers.
+        let ring = &cases[6].witness;
+        assert_eq!(ring.matches(":esc0").count(), 17, "{ring}");
+        assert!(ring.contains("r15:E:esc0 -> r0:E:esc0"), "{ring}");
+    }
+
+    /// A control the check misses fails it, by name — the only way a
+    /// self-check fails on its controls.
+    #[test]
+    fn a_missed_control_fails_the_check_by_name() {
+        let mut cases = controls();
+        cases[1].caught = false;
+        cases[6].caught = false;
+        let err = judge_controls(&cases).unwrap_err();
+        assert_eq!(
+            err,
+            "2 of 7 negative controls NOT CAUGHT: mixed-dor-escape, ring-no-dateline-escape"
+        );
     }
 }

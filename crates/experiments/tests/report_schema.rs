@@ -7,7 +7,7 @@
 use experiments::figs::resilience::{self, ResilRow};
 use experiments::service::chaos::Battery;
 use experiments::service::{serve, ChaosReport, JobExec, JobSpec, ServeConfig, StdStore};
-use experiments::verify_config;
+use experiments::verify_config::{self, controls_table, NegativeCase};
 use experiments::{admit, ExpConfig, RunResult};
 use metrics::report::Value;
 use std::sync::Arc;
@@ -62,14 +62,15 @@ fn strings(json: &str) -> Vec<(String, bool)> {
     out
 }
 
-/// The keys of the first array row of the report committed at the repo root.
-fn committed_row_keys(file: &str) -> String {
+/// The keys of the first row of the top-level array `array` in the report
+/// committed at the repo root.
+fn committed_row_keys(file: &str, array: &str) -> String {
     let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    let row = text
-        .lines()
+    let start = format!("  \"{array}\": [");
+    let row = (text.lines().skip_while(|l| !l.starts_with(&start)))
         .find(|l| l.starts_with("    {"))
-        .expect("a row");
+        .unwrap_or_else(|| panic!("{file}: no {array} row"));
     let keys: Vec<String> = (strings(row).into_iter().filter(|(_, key)| *key))
         .map(|(k, _)| k)
         .collect();
@@ -83,14 +84,49 @@ fn shape_keys(row_shape: &str) -> String {
     keys.join(" ")
 }
 
+/// The `controls` row of the three self-check reports.
+const CONTROL_ROW: &str = "{control:str,caught:bool,property:str,witness:str}";
+
+fn control(caught: bool) -> NegativeCase {
+    NegativeCase {
+        name: "ring-no-dateline-escape".into(),
+        caught,
+        property: "escape-cdg-acyclic",
+        witness: "cycle r15:E:esc0 -> \"r0\"".into(),
+    }
+}
+
+/// One control type, rendered by one function into all three reports: the
+/// text says `NO` in capitals, JSON says `false`.
+#[test]
+fn controls_schema() {
+    let t = controls_table(&[control(true), control(false)]);
+    assert_eq!(shape(&t.json_rows()), format!("[{CONTROL_ROW}]"));
+    assert!(t.render().contains("  NO  "), "{}", t.render());
+    for file in [
+        "VERIFY_report.json",
+        "ADMIT_report.json",
+        "CHAOS_report.json",
+    ] {
+        assert_eq!(
+            committed_row_keys(file, "controls"),
+            shape_keys(CONTROL_ROW),
+            "{file}"
+        );
+    }
+}
+
 #[test]
 fn verify_report_schema() {
-    let rows = verify_config::run_matrix_for(noc_sim::topology::TopologyKind::Ring);
+    let rows = verify_config::run_matrix(&[noc_sim::topology::TopologyKind::Ring]);
     let got = shape(&verify_config::table(&rows).json_rows());
-    let want = "[{region:str,routing:str,lbdr:bool,channels:int,dep_edges:int,pairs:int,\
-                violations:int,millis:float}]";
+    let want = "[{topology:str,region:str,routing:str,lbdr:bool,channels:int,dep_edges:int,\
+                pairs:int,violations:int,millis:float}]";
     assert_eq!(got, want);
-    assert_eq!(committed_row_keys("VERIFY_report.json"), shape_keys(want));
+    assert_eq!(
+        committed_row_keys("VERIFY_report.json", "rows"),
+        shape_keys(want)
+    );
 }
 
 #[test]
@@ -117,7 +153,10 @@ fn admit_report_schema() {
     // An unproven bound and an absent defect are `null`, not omitted.
     let Value::Arr(rows) = json else { panic!() };
     assert!(shape(&rows[1]).ends_with("wait_bound:null,states:int,micros:int,defect:null}"));
-    assert_eq!(committed_row_keys("ADMIT_report.json"), shape_keys(want));
+    assert_eq!(
+        committed_row_keys("ADMIT_report.json", "rows"),
+        shape_keys(want)
+    );
 }
 
 #[test]
@@ -156,7 +195,7 @@ fn resilience_report_schema() {
         t.render()
     );
     assert_eq!(
-        committed_row_keys("RESILIENCE_report.json"),
+        committed_row_keys("RESILIENCE_report.json", "rows"),
         shape_keys(want)
     );
 }
@@ -171,9 +210,12 @@ fn chaos_report_schema() {
             recovered: false,
             detail: "cut@7: \"diverged\"".into(),
         }],
+        controls: vec![control(true)],
     };
     let want_row = "{battery:str,faults:int,recovered:bool,detail:str}";
-    let want = format!("{{reference_digest:str,all_green:bool,batteries:[{want_row}]}}");
+    let want = format!(
+        "{{reference_digest:str,all_green:bool,batteries:[{want_row}],controls:[{CONTROL_ROW}]}}"
+    );
     assert_eq!(shape(&report.json()), want);
     assert!(report
         .json()
@@ -182,7 +224,7 @@ fn chaos_report_schema() {
     // The text table says `NO` in capitals; JSON says `false`.
     assert!(report.table().render().contains("  NO  "));
     assert_eq!(
-        committed_row_keys("CHAOS_report.json"),
+        committed_row_keys("CHAOS_report.json", "batteries"),
         shape_keys(want_row)
     );
 }

@@ -103,7 +103,8 @@ fn lbdr_reports_14_percent() {
 #[test]
 fn oracle_experiment_reports_zero_violations() {
     let out = repro()
-        .args(["--quick", "--oracle", "oracle"])
+        .args(["--quick", "oracle"])
+        .env("RAIR_ORACLE", "1")
         .output()
         .unwrap();
     assert!(
@@ -138,34 +139,74 @@ fn verify_config_proves_all_shipped_configs() {
         .current_dir(&dir)
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {err}");
+    // It simulates nothing, so its banner names no windows and no seed.
+    assert!(err.contains("[repro] running verify-config…"), "{err}");
+    assert!(!err.contains("cycles") && !err.contains("seed"), "{err}");
     let s = String::from_utf8_lossy(&out.stdout);
     assert!(s.contains("Static verification"), "{s}");
-    assert!(s.contains("proved deadlock-free and legal"), "{s}");
+    assert!(
+        s.contains("all 96 configurations proved deadlock-free and legal"),
+        "{s}"
+    );
     assert!(dir.join("VERIFY_report.json").exists());
     std::fs::remove_file(dir.join("VERIFY_report.json")).ok();
 }
 
+/// Plain `verify-config` runs its negative controls too, and prints each as
+/// caught with a concrete witness.
 #[test]
-fn verify_config_inject_cyclic_exits_nonzero_with_witnesses() {
+fn verify_config_prints_every_control_rejected_with_a_witness() {
+    let dir = std::env::temp_dir().join(format!("rair-cli-controls-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     let out = repro()
-        .args(["verify-config", "--inject-cyclic"])
+        .arg("verify-config")
+        .current_dir(&dir)
         .output()
         .unwrap();
-    assert!(!out.status.success(), "injected faults must exit nonzero");
+    assert!(out.status.success());
     let s = String::from_utf8_lossy(&out.stdout);
-    assert!(s.contains("rejected with witness"), "{s}");
-    // The cyclic configs print a concrete channel cycle.
-    assert!(s.contains("cycle r"), "{s}");
+    let controls = [
+        "escape-vcs-disabled",
+        "mixed-dor-escape",
+        "severed-dimension",
+        "inconsistent-lbdr-bits",
+        "nan-rank-intensity",
+        "torus-no-dateline-escape",
+        "ring-no-dateline-escape",
+    ];
+    for name in controls {
+        let line = s.lines().find(|l| l.trim_start().starts_with(name));
+        let line = line.unwrap_or_else(|| panic!("{name} not printed: {s}"));
+        let cells: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(cells[1], "yes", "{line}");
+        assert!(cells.len() > 3, "{name} has no witness: {line}");
+    }
+    // The cyclic configs print a concrete channel cycle; the severed mesh
+    // an unreachable pair or a router without an escape channel.
+    assert!(s.contains("cycle r15:E:esc0 -> r0:E:esc0"), "{s}");
     assert!(
         s.contains("unreachable pair") || s.contains("no escape channel"),
         "{s}"
     );
-    assert!(!s.contains("NOT REJECTED"), "verifier missed a fault: {s}");
+    assert!(s.contains("all 7 negative controls rejected"), "{s}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The banner names only what a command reads: `table1` neither windows
+/// nor seed, `lbdr` its seed alone.
+#[test]
+fn banner_names_only_the_windows_and_seed_a_command_reads() {
+    let out = repro()
+        .args(["--seed", "3", "table1", "lbdr"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("[repro] running table1…\n"), "{err}");
+    assert!(err.contains("[repro] running lbdr (seed 3)…\n"), "{err}");
+    assert!(!err.contains("cycles"), "{err}");
 }
 
 #[test]
@@ -193,52 +234,6 @@ fn trace_demo_roundtrips_through_file() {
     assert!(path.exists(), "trace file not written");
     assert!(std::fs::metadata(&path).unwrap().len() > 1000);
     std::fs::remove_file(&path).ok();
-}
-
-/// Tightened `--topology` parsing: unknown kinds and out-of-range cmesh
-/// concentrations (`c < 2` collapses to a plain mesh, `c > 8` exceeds the
-/// router model) must fail up front with the usage line instead of
-/// panicking later inside config validation.
-#[test]
-fn topology_rejects_unknown_and_out_of_range_cmesh() {
-    for bad in [
-        "hypercube",
-        "cmesh:0",
-        "cmesh:1",
-        "cmesh:9",
-        "cmesh:255",
-        "cmesh:x",
-        "cmesh:",
-    ] {
-        let out = repro()
-            .args(["--topology", bad, "table1"])
-            .output()
-            .unwrap();
-        assert!(!out.status.success(), "`{bad}` must be rejected");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains("--topology needs mesh|torus|ring|cmesh[:N]"),
-            "`{bad}`: {err}"
-        );
-    }
-}
-
-#[test]
-fn topology_accepts_cmesh_bounds() {
-    let dir = std::env::temp_dir().join("rair_topology_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    for good in ["cmesh:2", "cmesh:8", "cmesh"] {
-        let out = repro()
-            .args(["--topology", good, "verify-config"])
-            .current_dir(&dir)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "`{good}` rejected: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
 }
 
 /// `--quick`/`--smoke` are presets: they apply before the explicit
@@ -277,8 +272,8 @@ fn out_of_scope_flags_and_stray_positionals_fail_with_usage() {
             "--retries is not read by fig14",
         ),
         (
-            &["table1", "--inject-cyclic"],
-            "--inject-cyclic is not read by table1",
+            &["table1", "--trace-file", "t.bin"],
+            "--trace-file is not read by table1",
         ),
         (
             &["--windows", "5,5", "chaos"],
@@ -318,28 +313,44 @@ fn out_of_scope_flags_and_stray_positionals_fail_with_usage() {
     assert!(out.status.success());
 }
 
-/// What PR 21 retired is gone by name, and the two `serve` knobs reject a
-/// zero at parse time: `--retries 0` used to run as 1, and `--timeout-ms 0`
-/// timed every attempt out at once and journaled `quarantine` rows a later
-/// resume then honoured. (The retired names are spelled in halves so that a
-/// grep of the tree for them stays empty.)
+/// What was retired is gone by name — a flag and a subcommand of the
+/// model, and the five flags that split a self-check by topology, ran its
+/// negative controls alone or spelled `RAIR_ORACLE=1` — and the two `serve`
+/// knobs reject a zero at parse time: `--retries 0` used to run as 1, and
+/// `--timeout-ms 0` timed every attempt out at once and journaled
+/// `quarantine` rows a later resume then honoured. (The retired names are
+/// spelled in halves so that a grep of the tree for them stays empty.)
 #[test]
 fn retired_names_and_zero_valued_serve_knobs_fail_with_usage() {
     let (flag, experiment) = (["--pr", "une"].concat(), ["bench", "-model"].concat());
-    let cases: [(&[&str], String); 4] = [
-        (&[&flag, "curve"], format!("unknown flag {flag}")),
-        (&[&experiment], format!("unknown experiment {experiment}")),
+    let mut cases: Vec<(Vec<&str>, String)> = vec![
+        (vec![flag.as_str(), "curve"], format!("unknown flag {flag}")),
         (
-            &["--retries", "0", "serve", "jobs.txt"],
+            vec![experiment.as_str()],
+            format!("unknown experiment {experiment}"),
+        ),
+        (
+            vec!["--retries", "0", "serve", "jobs.txt"],
             "--retries needs a positive integer".into(),
         ),
         (
-            &["--timeout-ms", "0", "serve", "jobs.txt"],
+            vec!["--timeout-ms", "0", "serve", "jobs.txt"],
             "--timeout-ms needs a positive number of milliseconds".into(),
         ),
     ];
+    let retired = [
+        ("--topo", "logy", "verify-config"),
+        ("--inject", "-cyclic", "verify-config"),
+        ("--inject", "-broken", "admit"),
+        ("--inject", "-wrong-result", "chaos"),
+        ("--ora", "cle", "oracle"),
+    ]
+    .map(|(a, b, cmd)| ([a, b].concat(), cmd));
+    for (flag, cmd) in &retired {
+        cases.push((vec![flag.as_str(), *cmd], format!("unknown flag {flag}")));
+    }
     for (args, want) in cases {
-        let out = repro().args(args).output().unwrap();
+        let out = repro().args(&args).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
         assert!(

@@ -101,7 +101,8 @@ impl SimConfig {
     /// The canonical Table-1-scale configuration for each topology: the
     /// 8×8 mesh itself, an 8×8 torus, a 16-router ring and a 4×4
     /// concentrated mesh with 4 NIs per router (64 nodes, like the mesh).
-    /// Used by the cross-topology golden digests and `--topology` CLI.
+    /// Used by the cross-topology golden digests and by the matrix of every
+    /// static self-check ([`TopologyKind::CANONICAL`]).
     pub fn table1_topology(kind: TopologyKind) -> Self {
         let (width, height) = match kind {
             TopologyKind::Mesh | TopologyKind::Torus => (8, 8),

@@ -106,7 +106,8 @@ impl Default for OracleConfig {
 
 impl OracleConfig {
     /// Force-enabled, record-only, checking every cycle — the configuration
-    /// the differential harness and the `repro --oracle` matrix use.
+    /// the differential harness and the `repro oracle` matrix use whatever
+    /// `RAIR_ORACLE` says.
     pub fn forced() -> Self {
         Self {
             enabled: Some(true),

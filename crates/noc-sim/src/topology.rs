@@ -32,7 +32,10 @@
 //!   the *same* chosen minimal directions, adaptive detours can only
 //!   move a packet further along that order, so the extended
 //!   dependencies stay acyclic too (the verifier checks this
-//!   computationally rather than trusting the argument).
+//!   computationally rather than trusting the argument). `repro
+//!   verify-config` proves every [`TopologyKind::CANONICAL`] config in one
+//!   run, and must reject the torus and the ring with the lane switch
+//!   removed, each with its lane-0 wrap cycle as the witness.
 //!
 //! ## Concentration
 //!
@@ -76,34 +79,23 @@ pub enum TopologyKind {
 }
 
 impl TopologyKind {
-    /// Short lowercase label (also the `--topology` CLI spelling).
+    /// One of each kind, in report order (a 4-NI concentrated mesh): with
+    /// [`SimConfig::table1_topology`], the matrix every static self-check
+    /// (`repro verify-config`, `repro admit`) runs in one invocation.
+    pub const CANONICAL: [TopologyKind; 4] = [
+        TopologyKind::Mesh,
+        TopologyKind::Torus,
+        TopologyKind::Ring,
+        TopologyKind::CMesh { concentration: 4 },
+    ];
+
+    /// Short lowercase label (the `topology` column of the reports).
     pub fn label(self) -> &'static str {
         match self {
             TopologyKind::Mesh => "mesh",
             TopologyKind::Torus => "torus",
             TopologyKind::Ring => "ring",
             TopologyKind::CMesh { .. } => "cmesh",
-        }
-    }
-
-    /// Parse a CLI spelling (`mesh`, `torus`, `ring`, `cmesh` or
-    /// `cmesh:<c>` with `c` in 2..=8). `cmesh` without a factor means
-    /// concentration 4; anything else — unknown kinds, `cmesh:0`,
-    /// `cmesh:1` (that's a mesh) or past-8 concentrations the router
-    /// model does not support — is rejected rather than deferred to a
-    /// later panic in config validation.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "mesh" => Some(TopologyKind::Mesh),
-            "torus" => Some(TopologyKind::Torus),
-            "ring" => Some(TopologyKind::Ring),
-            "cmesh" => Some(TopologyKind::CMesh { concentration: 4 }),
-            _ => {
-                let c: u8 = s.strip_prefix("cmesh:")?.parse().ok()?;
-                (2..=8)
-                    .contains(&c)
-                    .then_some(TopologyKind::CMesh { concentration: c })
-            }
         }
     }
 
@@ -339,39 +331,6 @@ mod tests {
             }
         }
         v
-    }
-
-    #[test]
-    fn parse_roundtrips_labels() {
-        for kind in [
-            TopologyKind::Mesh,
-            TopologyKind::Torus,
-            TopologyKind::Ring,
-            TopologyKind::CMesh { concentration: 4 },
-        ] {
-            assert_eq!(TopologyKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(
-            TopologyKind::parse("cmesh:2"),
-            Some(TopologyKind::CMesh { concentration: 2 })
-        );
-        assert_eq!(
-            TopologyKind::parse("cmesh:8"),
-            Some(TopologyKind::CMesh { concentration: 8 })
-        );
-        assert_eq!(TopologyKind::parse("hypercube"), None);
-        // Out-of-range concentrations fail at parse time, not later in
-        // config validation: 0/1 collapse to a mesh, 9+ exceed the model.
-        for bad in [
-            "cmesh:0",
-            "cmesh:1",
-            "cmesh:9",
-            "cmesh:255",
-            "cmesh:-1",
-            "cmesh:",
-        ] {
-            assert_eq!(TopologyKind::parse(bad), None, "{bad}");
-        }
     }
 
     #[test]

@@ -72,12 +72,12 @@ fn escape_vcs_disabled_yields_a_cycle_witness() {
 
 #[test]
 fn torus_without_datelines_yields_a_wrap_cycle_witness() {
-    // The torus negative case behind `repro verify-config --topology torus
-    // --inject-cyclic`: correct minimal dimension-order escape, but every
-    // packet pinned to dateline lane 0 — the wraparound link closes the
-    // lane-0 channel ring and the verifier must extract that cycle.
-    let case = experiments::verify_config::torus_no_dateline_case();
-    assert!(case.rejected, "no-dateline torus escape was not rejected");
+    // The torus control of `repro verify-config`: correct minimal
+    // dimension-order escape, but every packet pinned to dateline lane 0 —
+    // the wraparound link closes the lane-0 channel ring and the verifier
+    // must extract that cycle.
+    let case = experiments::verify_config::no_dateline_case(TopologyKind::Torus);
+    assert!(case.caught, "no-dateline torus escape was not rejected");
     assert!(!case.witness.is_empty(), "no witness extracted");
 
     let cfg = SimConfig::table1_topology(TopologyKind::Torus);
