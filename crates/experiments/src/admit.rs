@@ -76,7 +76,7 @@ fn schemes() -> Vec<Scheme> {
 const ROUTINGS: [Routing; 3] = [Routing::Xy, Routing::Local, Routing::Dbar];
 
 /// The analytical routing abstraction matching a simulated routing choice.
-fn routing_kind(routing: Routing) -> RoutingKind {
+pub(crate) fn routing_kind(routing: Routing) -> RoutingKind {
     match routing {
         Routing::Xy => RoutingKind::DimensionOrder,
         Routing::Local | Routing::Dbar => RoutingKind::Adaptive,

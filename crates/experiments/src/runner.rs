@@ -50,13 +50,6 @@ impl ExpConfig {
             cycle_budget: None,
         }
     }
-
-    /// Cap simulated cycles per run (see [`ExpConfig::cycle_budget`]).
-    #[must_use]
-    pub fn with_budget(mut self, cycles: u64) -> Self {
-        self.cycle_budget = Some(cycles);
-        self
-    }
 }
 
 /// Result of one simulation run.
@@ -115,11 +108,6 @@ impl RunResult {
             return f64::NAN;
         }
         vals.iter().sum::<f64>() / vals.len() as f64
-    }
-
-    /// APL of one application, or `None` if it delivered nothing.
-    pub fn try_app_apl(&self, app: usize) -> Option<f64> {
-        self.apl[app]
     }
 
     /// APL of one application; `NaN` when it delivered nothing (so ratios
@@ -480,7 +468,6 @@ mod tests {
             reconfigurations: 0,
         };
         assert!(r.app_apl(0).is_nan());
-        assert_eq!(r.try_app_apl(0), None);
         assert_eq!(r.app_apl(1), 12.0);
         // mean over delivered apps only; NaN when nothing delivered at all.
         assert_eq!(r.mean_apl(None), 12.0);
@@ -496,14 +483,28 @@ mod tests {
             quick: true,
             cycle_budget: None,
         };
-        let bounded = run_one("bounded", tiny_net(1), &cfg.with_budget(2_500));
+        let bounded = run_one(
+            "bounded",
+            tiny_net(1),
+            &ExpConfig {
+                cycle_budget: Some(2_500),
+                ..cfg
+            },
+        );
         assert_eq!(bounded.cycles, 2_500, "budget must clamp simulated cycles");
         assert!(bounded.truncated);
         let free = run_one("free", tiny_net(1), &cfg);
         assert_eq!(free.cycles, 5_000);
         assert!(!free.truncated);
         // A budget that already covers the windows changes nothing.
-        let roomy = run_one("roomy", tiny_net(1), &cfg.with_budget(10_000));
+        let roomy = run_one(
+            "roomy",
+            tiny_net(1),
+            &ExpConfig {
+                cycle_budget: Some(10_000),
+                ..cfg
+            },
+        );
         assert_eq!(roomy.cycles, 5_000);
         assert!(!roomy.truncated);
     }

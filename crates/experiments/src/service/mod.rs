@@ -5,30 +5,32 @@
 //! backoff, poison-job quarantine) runs every sweep in the crate — the
 //! figure drivers' `run_cells` (resumable when given a journal) and
 //! `repro serve` — and, given a journal, records every state transition
-//! in one per-line-CRC'd WAL ([`journal`]). On top of it, [`serve`] turns a jobs
-//! file into something a long-lived design-space exploration can sit on:
-//! results are deduplicated against a digest-keyed result cache and every
-//! job passes the admission gate before it is built. All filesystem traffic
-//! goes through the injectable [`store::Store`] trait (and one framed-entry
-//! codec beside it), so the [`chaos`] battery can deterministically
-//! inject torn and corrupt journal rows, EIO, ENOSPC, torn writes and
-//! crash-before-rename, and prove, digest-for-digest, that each recovers
-//! (`tests/chaos.rs` SIGKILLs the real binary). See DESIGN.md §14 for the
-//! architecture, journal grammar, and the failure taxonomy / recovery
-//! matrix.
+//! in one per-line-CRC'd WAL ([`journal`]). The crate's one cache layer
+//! (`cache::Cache`: bounded memory over one framed file per key) holds
+//! the saturation loads and `serve`'s job results. On top of it, [`serve`]
+//! turns a jobs file into something a long-lived design-space exploration
+//! can sit on: results are deduplicated against a digest-keyed result cache
+//! and every job passes the admission gate before it is built. All
+//! filesystem traffic goes through the injectable [`store::Store`] trait
+//! (and one framed-entry codec beside it), so the [`chaos`] battery can
+//! deterministically inject torn and corrupt journal rows, EIO, ENOSPC,
+//! torn writes and crash-before-rename, and prove, digest-for-digest, that
+//! each recovers (`tests/chaos.rs` SIGKILLs the real binary). See DESIGN.md
+//! §14 for the architecture, journal grammar, and the failure taxonomy /
+//! recovery matrix.
 
+pub(crate) mod cache;
 pub mod chaos;
 pub mod journal;
 pub mod pool;
 pub mod serve;
 pub mod store;
 
+pub(crate) use cache::Cache;
 pub use chaos::{run as run_chaos, ChaosReport};
 pub use journal::{Journal, Replay, WAL_TAG};
 pub use serve::{serve, sim_exec, JobExec, JobSpec, JobStatus, ServeConfig, ServeReport};
-pub use store::{
-    crc32, frame, read_entry, std_store, ChaosConfig, ChaosStore, Fault, StdStore, Store,
-};
+pub use store::{crc32, frame, std_store, ChaosConfig, ChaosStore, Fault, StdStore, Store};
 
 /// Recursively copy a directory tree — enough for tests that snapshot a
 /// service directory (journal + result cache) and resume from the copy.

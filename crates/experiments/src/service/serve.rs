@@ -9,12 +9,10 @@
 //!    matching `done`/`failed` count as consumed attempts, so a job that
 //!    kills the process on every attempt is quarantined after
 //!    `max_attempts` crash-resume cycles instead of crash-looping forever.
-//! 2. **Result dedup** — finished results are also persisted under
-//!    `<dir>/results/cache/job_<id>.txt`, keyed by the job's parameter
-//!    digest (the label is excluded, so relabeled duplicates dedup). A
-//!    valid cache entry satisfies a job without simulation; an entry that
-//!    fails the shared frame ([`super::store::read_entry`]) is renamed
-//!    `*.corrupt`, counted, and treated as a miss.
+//! 2. **Result dedup** — finished results also go to a `Cache` under
+//!    `<dir>/results/cache`, keyed by the job's parameter digest (the label
+//!    is excluded, so relabeled duplicates dedup). A valid entry satisfies
+//!    a job without simulation; a corrupt one is set aside and missed.
 //! 3. **Gates** — every pending job passes the static admission pipeline
 //!    before any network is built (a rejected scheme is recorded and
 //!    skipped), and with [`ServeConfig::screen`] the analytical surrogate
@@ -30,9 +28,10 @@
 //! killed+resumed sweep equals an uninterrupted one" is checkable as a
 //! single `u64` comparison.
 
+use super::cache::Cache;
 use super::journal::Journal;
 use super::pool::{replay_jobs, rows, run_supervised, Policy, Task};
-use super::store::{frame, read_entry, Store};
+use super::store::Store;
 use crate::runner::{self, ExpConfig, RunResult};
 use crate::sweep::build_network;
 use metrics::report::{Table, Value};
@@ -41,7 +40,6 @@ use noc_sim::region::RegionMap;
 use rair::scheme::{Routing, Scheme};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use traffic::pattern::Pattern;
 use traffic::scenario::{AppSpec, InterDest, Scenario};
@@ -267,14 +265,6 @@ impl ServeConfig {
     fn journal_path(&self) -> PathBuf {
         self.dir.join("journal.wal")
     }
-
-    fn cache_dir(&self) -> PathBuf {
-        self.dir.join("results").join("cache")
-    }
-
-    fn result_path(&self, id: u64) -> PathBuf {
-        self.cache_dir().join(format!("job_{id:016x}.txt"))
-    }
 }
 
 /// Terminal state of one job.
@@ -395,12 +385,15 @@ impl ServeReport {
     }
 }
 
-/// Result-cache file format: one [`frame`]d line tagged `rair-res-v1`
-/// whose payload is a [`runner::checkpoint_line`] result row.
-const RESULT_TAG: &str = "rair-res-v1";
-
-fn encode_result(r: &RunResult) -> String {
-    format!("{}\n", frame(RESULT_TAG, &runner::checkpoint_line(r)))
+/// The job-result cache: `job_<id>.txt` under `<dir>/results/cache`, one
+/// `rair-res-v1` frame around a [`runner::checkpoint_line`] result row.
+fn result_cache() -> Cache<RunResult> {
+    Cache::new(
+        "job",
+        "rair-res-v1",
+        runner::checkpoint_line,
+        runner::parse_checkpoint_line,
+    )
 }
 
 /// Execute a jobs list under the service. See the module docs for the
@@ -412,10 +405,11 @@ pub fn serve(
     scfg: &ServeConfig,
     exec: &JobExec,
 ) -> ServeReport {
-    if let Err(e) = store.create_dir_all(&scfg.cache_dir()) {
+    let (results, cache_dir) = (result_cache(), scfg.dir.join("results").join("cache"));
+    if let Err(e) = store.create_dir_all(&cache_dir) {
         eprintln!(
-            "[serve] warning: could not create {} ({e}); results will not be cached",
-            scfg.cache_dir().display()
+            "[serve] warning: could not create {}: {e}",
+            cache_dir.display()
         );
     }
     let journal = Journal::new(scfg.journal_path(), store);
@@ -429,7 +423,6 @@ pub fn serve(
         primary_of.entry(id).or_insert(i);
     }
 
-    let result_cache_corrupt = AtomicU64::new(0);
     let mut resumed = 0usize;
     let mut cache_hits = 0usize;
     // Outcome slots for the primary occurrence of each id.
@@ -481,14 +474,7 @@ pub fn serve(
         }
         journal.append(&rows::note("queued", id, &spec.label));
         // 2. Result cache: an identical job finished in some earlier sweep.
-        let cached = read_entry(
-            store,
-            &scfg.result_path(id),
-            RESULT_TAG,
-            runner::parse_checkpoint_line,
-            &result_cache_corrupt,
-        );
-        if let Some(mut r) = cached {
+        if let Some(mut r) = results.get(store, &cache_dir, id) {
             r.label = spec.label.clone();
             journal.append(&rows::done(id, &r));
             cache_hits += 1;
@@ -522,26 +508,20 @@ pub fn serve(
         };
         // 4. Optional surrogate screening: offered load far past the
         // model-predicted saturation will only measure queue blow-up.
-        if scfg.screen {
-            let predicted = model::predict_app_saturation(
-                &cfg,
-                &job.region,
-                0,
-                &job.app,
-                model::RoutingKind::Adaptive,
-            )
-            .map(|p| p.load);
-            if let Some(sat) = predicted {
-                if spec.rate > 1.5 * sat {
-                    let reason = format!(
-                        "screened: offered {:.3} > 1.5x predicted saturation {sat:.3}",
-                        spec.rate
-                    );
-                    journal.append(&rows::note("screened", id, &reason));
-                    resolve(i, 0, Err((JobStatus::Screened, reason)), false);
-                    continue;
-                }
-            }
+        let kind = scfg.screen.then(|| crate::admit::routing_kind(job.routing));
+        let predicted =
+            kind.and_then(|k| model::predict_app_saturation(&cfg, &job.region, 0, &job.app, k));
+        if let Some(sat) = predicted
+            .map(|p| p.load)
+            .filter(|&sat| spec.rate > 1.5 * sat)
+        {
+            let reason = format!(
+                "screened: offered {:.3} > 1.5x predicted saturation {sat:.3}",
+                spec.rate
+            );
+            journal.append(&rows::note("screened", id, &reason));
+            resolve(i, 0, Err((JobStatus::Screened, reason)), false);
+            continue;
         }
         let (exec, spec, ec) = (Arc::clone(exec), spec.clone(), scfg.ec);
         task_line.push(i);
@@ -560,16 +540,9 @@ pub fn serve(
         backoff_base_ms: scfg.backoff_base_ms,
         timeout_ms: scfg.timeout_ms,
     };
-    let cache_result = |t: &Task, r: &RunResult| {
-        let written = store.write_atomic(&scfg.result_path(t.id), encode_result(r).as_bytes());
-        if let Err(e) = written {
-            eprintln!(
-                "[serve] warning: could not cache result of '{}': {e}",
-                t.label
-            );
-        }
-    };
-    let finished = run_supervised(&tasks, &policy, Some(&journal), &cache_result);
+    let finished = run_supervised(&tasks, &policy, Some(&journal), &|t, r| {
+        results.put(store, &cache_dir, t.id, r, "");
+    });
     let executed = finished.iter().filter(|o| o.result.is_ok()).count();
     for (i, o) in task_line.into_iter().zip(finished) {
         let verdict = o.result.map_err(|e| (JobStatus::Quarantined, e.message));
@@ -606,7 +579,7 @@ pub fn serve(
         journal_write_errors: journal.write_errors(),
         journal_torn_tail: replay.torn_tail,
         journal_quarantined_rows: replay.quarantined.len(),
-        result_cache_corrupt: result_cache_corrupt.load(Ordering::Relaxed),
+        result_cache_corrupt: results.stats().corrupt,
         sweep_digest,
         outcomes: final_outcomes,
     };
@@ -638,7 +611,7 @@ fn digest_outcomes(outcomes: &[JobOutcome]) -> u64 {
 mod tests {
     use super::*;
     use crate::service::store::{unframe, StdStore};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn tmp(tag: &str) -> PathBuf {
@@ -790,7 +763,8 @@ mod tests {
         assert_eq!(r1.executed, 1);
         // Corrupt the cached result and wipe the journal (so the cache is
         // the only shortcut) — the entry must be quarantined and re-run.
-        let rpath = scfg.result_path(specs[0].id(&scfg.ec));
+        let cache_dir = dir.join("results").join("cache");
+        let rpath = result_cache().path(&cache_dir, specs[0].id(&scfg.ec));
         let mut bytes = std::fs::read(&rpath).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x20;
@@ -988,14 +962,21 @@ mod tests {
         // 0.9 flits/cycle/node uniform on an 8x8 mesh is far past any
         // predicted saturation.
         let deep = JobSpec::parse("deep ro_rr local single uniform 0.90 1").unwrap();
+        // Dimension-order routing saturates transpose long before adaptive
+        // routing does (predicted ≈ 0.107 vs 0.30): the `xy` job is screened
+        // against its own routing's prediction, its `local` twin runs.
+        let xy = JobSpec::parse("xy ro_rr xy single transpose 0.30 1").unwrap();
+        let local = JobSpec::parse("local ro_rr local single transpose 0.30 1").unwrap();
         let exec = stub_exec();
         let scfg = ServeConfig {
             screen: true,
             ..ServeConfig::new(&dir, ExpConfig::quick())
         };
-        let r = serve(&store, std::slice::from_ref(&deep), &scfg, &exec);
-        assert_eq!(r.outcomes[0].status, JobStatus::Screened);
-        assert_eq!(r.executed, 0);
+        let r = serve(&store, &[deep.clone(), xy, local], &scfg, &exec);
+        let status: Vec<JobStatus> = r.outcomes.iter().map(|o| o.status).collect();
+        let screened = JobStatus::Screened;
+        assert_eq!(status, [screened, screened, JobStatus::Done]);
+        assert_eq!(r.executed, 1);
         // Without screening the same job runs.
         let dir2 = tmp("screen-off");
         let scfg2 = ServeConfig::new(&dir2, ExpConfig::quick());
@@ -1037,17 +1018,20 @@ mod tests {
         );
 
         let entry = format!("rair-res-v1\t6b206049\t{ROW}\n");
-        let decoded = unframe(RESULT_TAG, entry.trim_end_matches('\n'))
-            .and_then(runner::parse_checkpoint_line)
+        let (results, cache_dir) = (result_cache(), dir.join("results").join("cache"));
+        let path = results.path(&cache_dir, r.outcomes[0].id);
+        std::fs::write(&path, &entry).unwrap();
+        let decoded = (results.get(&StdStore, &cache_dir, r.outcomes[0].id))
             .expect("parent-written entry decodes");
         assert_eq!(decoded.delivered, 107);
+        results.put(&StdStore, &cache_dir, r.outcomes[0].id, &decoded, "");
         assert_eq!(
-            encode_result(&decoded),
+            std::fs::read_to_string(&path).unwrap(),
             entry,
             "re-encoding is byte-identical"
         );
         let flipped = entry.replacen("107", "108", 1);
-        assert_eq!(unframe(RESULT_TAG, flipped.trim_end_matches('\n')), None);
+        assert_eq!(unframe("rair-res-v1", flipped.trim_end_matches('\n')), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

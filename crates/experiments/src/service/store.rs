@@ -1,16 +1,16 @@
 //! Injectable storage backend for the durability layer.
 //!
 //! Everything the experiments crate persists — the job journal (also the
-//! figure-side sweep checkpoint), the result cache and the saturation cache
-//! — goes through the [`Store`] trait instead of `std::fs`, framed by the
-//! one codec here ([`frame`] / [`unframe`] / [`read_entry`]). Production code
-//! uses [`StdStore`]; tests and the `repro chaos` battery inject a
-//! [`ChaosStore`] that deterministically turns individual operations into
-//! the failures real disks produce: `EIO`, `ENOSPC`, torn appends (a
-//! prefix of the bytes lands, then the write "fails"), and a crash between
-//! writing a temp file and renaming it into place. Every IO failure path in
-//! the service is therefore drivable from a test, with a seed instead of a
-//! flaky loopback device.
+//! figure-side sweep checkpoint) and the two `Cache` instances (saturation
+//! loads, job results) — goes through the [`Store`] trait instead of
+//! `std::fs`, framed by the one codec here ([`frame`] / [`unframe`]).
+//! Production code uses [`StdStore`]; tests and the `repro chaos` battery
+//! inject a [`ChaosStore`] that deterministically turns individual
+//! operations into the failures real disks produce: `EIO`, `ENOSPC`, torn
+//! appends (a prefix of the bytes lands, then the write "fails"), and a
+//! crash between writing a temp file and renaming it into place. Every IO
+//! failure path in the service is therefore drivable from a test, with a
+//! seed instead of a flaky loopback device.
 //!
 //! Two contracts matter to callers:
 //!
@@ -47,41 +47,6 @@ pub fn unframe<'a>(tag: &str, line: &'a str) -> Option<&'a str> {
     let crc = u32::from_str_radix(parts.next()?, 16).ok()?;
     let payload = parts.next()?;
     (crc32(payload.as_bytes()) == crc).then_some(payload)
-}
-
-/// Read a single-entry cache file: [`unframe`] its first line and `decode`
-/// the payload. A missing or unreadable file is a plain miss; an entry that
-/// fails the frame or the decoder is a miss too, but counted in `corrupt`,
-/// warned about and renamed `<name>.corrupt` for post-mortems.
-pub fn read_entry<T>(
-    store: &dyn Store,
-    path: &Path,
-    tag: &str,
-    decode: impl FnOnce(&str) -> Option<T>,
-    corrupt: &AtomicU64,
-) -> Option<T> {
-    if !store.exists(path) {
-        return None;
-    }
-    let bytes = store.read(path).ok()?;
-    let hit = std::str::from_utf8(&bytes)
-        .ok()
-        .and_then(|text| unframe(tag, text.lines().next()?))
-        .and_then(decode);
-    if hit.is_none() {
-        corrupt.fetch_add(1, Ordering::Relaxed);
-        let mut aside = path.as_os_str().to_owned();
-        aside.push(".corrupt");
-        eprintln!(
-            "[store] warning: {tag} entry {} failed validation (CRC/framing/parse); \
-             setting it aside as *.corrupt and treating it as a miss",
-            path.display()
-        );
-        if let Err(e) = store.rename(path, Path::new(&aside)) {
-            eprintln!("[store] warning: could not set aside corrupt entry: {e}");
-        }
-    }
-    hit
 }
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `bytes`. Bitwise
@@ -235,8 +200,9 @@ impl Fault {
 
 /// Per-mille injection rates for the seeded chaos mode. Rates apply per
 /// *eligible operation* (torn only on appends/writes, crash-before-rename
-/// only on atomic writes); classes are drawn in the declared order.
-#[derive(Debug, Clone, Copy)]
+/// only on atomic writes); classes are drawn in the declared order. The
+/// default injects nothing.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ChaosConfig {
     pub seed: u64,
     pub eio_per_mille: u16,
@@ -284,9 +250,9 @@ struct ChaosState {
 /// - **Seeded**: every eligible operation draws from a seeded xorshift
 ///   RNG against the [`ChaosConfig`] per-mille rates. The same seed over
 ///   the same operation sequence injects the same faults.
-/// - **Scripted**: [`ChaosStore::fail_op`] forces one specific fault at
-///   one specific global operation index — the precision tool for "the
-///   k-th append fails" tests.
+/// - **Scripted**: [`ChaosStore::scripted`] forces given faults at given
+///   global operation indices — the precision tool for "the k-th append
+///   fails" tests.
 pub struct ChaosStore {
     inner: StdStore,
     cfg: ChaosConfig,
@@ -311,23 +277,10 @@ impl ChaosStore {
 
     /// A store that injects no seeded faults, only scripted ones.
     pub fn scripted(script: Vec<(u64, Fault)>) -> Self {
-        let mut s = Self::new(ChaosConfig {
-            seed: 0,
-            eio_per_mille: 0,
-            enospc_per_mille: 0,
-            torn_per_mille: 0,
-            crash_rename_per_mille: 0,
-            fail_reads: false,
-        });
-        s.script = script;
-        s
-    }
-
-    /// Add a scripted fault at global operation index `op`.
-    #[must_use]
-    pub fn fail_op(mut self, op: u64, fault: Fault) -> Self {
-        self.script.push((op, fault));
-        self
+        Self {
+            script,
+            ..Self::new(ChaosConfig::default())
+        }
     }
 
     /// Faults injected so far (battery coverage assertions).

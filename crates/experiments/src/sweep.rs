@@ -1,33 +1,26 @@
 //! Shared experiment plumbing: network construction from (scheme, routing)
-//! and a two-level (memory + disk) saturation-load cache.
+//! and the saturation-load cache.
 //!
 //! The paper expresses all synthetic loads as a percentage of each
 //! application's saturation load. Saturation measurement is itself a
-//! search over simulations ([`traffic::saturation::search_saturation`];
-//! no model is consulted), so results are cached — keyed by a
-//! [`metrics::Digest`] folded over the actual measurement parameters
-//! `(probe, cfg, region assignment, app, spec)`, never by the
-//! caller-supplied label, so two call sites can never share a stale load by
-//! reusing a label string. The label is kept for diagnostics only.
-//!
-//! The disk layer persists each measured load under `results/cache/` (one
-//! tiny CRC-framed file per key, through the [`Store`] seam; override the
-//! directory with `RAIR_CACHE_DIR`), so a second `repro` invocation performs
-//! **zero** searches for loads it has already measured. The in-memory
-//! layer is bounded (FIFO eviction) so an unbounded sweep cannot grow the
-//! process without limit.
+//! search over simulations ([`traffic::saturation::search_saturation`]), so
+//! loads go through one `service::Cache` instance — keyed by a
+//! [`metrics::Digest`] of the measurement parameters `(probe, cfg, region
+//! assignment, app, spec)`, never by the caller's label, so two call sites
+//! can never share a stale load by reusing a label string. Its disk layer
+//! keeps one file per load, so a second `repro` invocation performs
+//! **zero** searches for loads it has already measured.
 
 use crate::runner::{self, ExpConfig};
-use crate::service::{self, Store};
+use crate::service::{self, Cache};
 use noc_sim::config::SimConfig;
 use noc_sim::network::Network;
 use noc_sim::region::RegionMap;
 use noc_sim::source::TrafficSource;
 use rair::scheme::{Routing, Scheme};
-use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use traffic::saturation::{app_saturation_traced, SaturationProbe};
 use traffic::scenario::AppSpec;
 
@@ -95,114 +88,34 @@ pub fn admission_gate_stats() -> (u64, u64) {
     )
 }
 
-/// In-memory cache capacity; evicted entries survive on disk.
-const MEM_CACHE_CAP: usize = 256;
-
-/// Bounded FIFO map: the in-memory layer of the saturation cache.
-struct MemCache {
-    map: BTreeMap<u64, f64>,
-    order: VecDeque<u64>,
+/// The saturation-load cache: `sat_<key>.txt` holds the load's bit pattern
+/// under the `rair-sat-v3` frame, then a `# label = load` comment. Older
+/// generations (`v2 <bits> <crc>`, a bare bit pattern) and framed values a
+/// search would reject fail the decoder and are re-searched once.
+pub(crate) const fn saturation_cache() -> Cache<f64> {
+    Cache::new(
+        "sat",
+        "rair-sat-v3",
+        |&load| runner::f64_field(load),
+        |hex| runner::parse_f64_field(hex).filter(|&v| is_load(v)),
+    )
 }
 
-impl MemCache {
-    fn insert(&mut self, key: u64, value: f64) {
-        if self.map.insert(key, value).is_none() {
-            self.order.push_back(key);
-            while self.order.len() > MEM_CACHE_CAP {
-                let evict = self.order.pop_front().unwrap();
-                self.map.remove(&evict);
-            }
-        }
-    }
-}
-
-/// The in-memory layer, locked. A figure driver that panics inside the
-/// panic-safe runner while holding the guard poisons the mutex; `insert`
-/// and `clear` leave the map valid at every step (a key missing from
-/// `order` is at worst never evicted), so the guard is recovered instead of
-/// failing every later lookup of the sweep.
-fn sat_cache() -> MutexGuard<'static, MemCache> {
-    static CACHE: OnceLock<Mutex<MemCache>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            Mutex::new(MemCache {
-                map: BTreeMap::new(),
-                order: VecDeque::new(),
-            })
-        })
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Where a saturation value came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SatLookup {
-    /// Served from the process-wide in-memory cache.
-    MemHit,
-    /// Loaded from the persistent disk cache.
-    DiskHit,
-    /// Measured by a saturation search.
-    Searched,
-}
-
-/// Cumulative lookup counters.
-static MEM_HITS: AtomicU64 = AtomicU64::new(0);
-static DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static SEARCHES: AtomicU64 = AtomicU64::new(0);
-/// Disk entries that failed the frame or the decoder and were set aside
-/// as `*.corrupt` (each one degraded to a re-search, never a panic or a
-/// wrong value).
-static CACHE_CORRUPT: AtomicU64 = AtomicU64::new(0);
-
-/// Corrupt disk-cache entries detected (and set aside) since startup.
-pub fn saturation_cache_corrupt_count() -> u64 {
-    CACHE_CORRUPT.load(Ordering::Relaxed)
-}
+/// The process-wide instance behind [`cached_saturation`].
+static SATURATION: Cache<f64> = saturation_cache();
 
 /// Process-wide saturation-cache counters: `(mem_hits, disk_hits, 0,
 /// searches)` since startup. The third field counted model-warmed searches;
 /// there are none any more, and the shape stays for the frozen benchmark
-/// harness until ROADMAP item 3's `benchmark` PR.
+/// harness until ROADMAP item 4's `benchmark` PR.
 pub fn saturation_cache_stats() -> (u64, u64, u64, u64) {
-    (
-        MEM_HITS.load(Ordering::Relaxed),
-        DISK_HITS.load(Ordering::Relaxed),
-        0,
-        SEARCHES.load(Ordering::Relaxed),
-    )
+    let s = SATURATION.stats();
+    (s.mem_hits, s.disk_hits, 0, s.misses)
 }
 
-/// A saturation search that produced no usable load (collapsed to zero or
-/// a non-finite value). Raised as a structured error so the panic-safe
-/// runner turns one degenerate configuration into a reported job failure
-/// instead of aborting the whole sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SaturationError {
-    /// The caller-supplied diagnostic label of the search.
-    pub label: String,
-    /// The application whose saturation was being measured.
-    pub app: u8,
-    /// The degenerate measured value.
-    pub load: f64,
-}
-
-impl std::fmt::Display for SaturationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "saturation search collapsed to {} for {} (app {})",
-            self.load, self.label, self.app
-        )
-    }
-}
-
-impl std::error::Error for SaturationError {}
-
-/// Canonical cache key: a collision-resistant digest folded over every
-/// parameter the measured saturation load depends on. Unlike the earlier
-/// `Debug`-string key, each component is written through the pinned
-/// [`metrics::Digest`] with explicit discriminants and length prefixes, so
-/// the key is stable across Rust versions and derive-order changes.
+/// Cache key: a digest of every parameter the measured load depends on,
+/// written through the pinned [`metrics::Digest`] with explicit
+/// discriminants and length prefixes, so it is stable across Rust versions.
 fn sat_digest(
     probe: &SaturationProbe,
     cfg: &SimConfig,
@@ -225,133 +138,30 @@ fn sat_digest(
     d.finish()
 }
 
-/// Directory of the persistent cache: `RAIR_CACHE_DIR` if set, else
-/// `results/cache` relative to the working directory.
-fn cache_dir() -> PathBuf {
-    std::env::var_os("RAIR_CACHE_DIR")
-        .map_or_else(|| PathBuf::from("results").join("cache"), PathBuf::from)
-}
-
-fn cache_path(key: u64) -> PathBuf {
-    cache_dir().join(format!("sat_{key:016x}.txt"))
-}
-
-/// Frame tag of a disk entry (`rair-sat-v3 \t crc \t <bits:016x>`, the shared
-/// [`service::frame`]). Older generations (`v2 <bits> <crc>`, a bare bit
-/// pattern) fail it, are set aside once and re-searched to the same load.
-const SAT_TAG: &str = "rair-sat-v3";
-
-/// Read a cached value from disk ([`service::read_entry`]: a corrupt entry,
-/// or one holding a value a search would reject, is counted, set aside as
-/// `*.corrupt` and treated as a miss).
-fn disk_read(store: &dyn Store, key: u64) -> Option<f64> {
-    let decode = |hex: &str| runner::parse_f64_field(hex).filter(|&v| is_load(v));
-    service::read_entry(store, &cache_path(key), SAT_TAG, decode, &CACHE_CORRUPT)
-}
-
-/// Persist a value: framed bit pattern first, a human-readable comment
-/// line second, written atomically so no reader ever sees a torn entry.
-/// Failures are warned about but non-fatal — the cache is an optimization.
-fn disk_write(store: &dyn Store, key: u64, value: f64, label: &str) {
-    let body = format!(
-        "{}\n# {label} = {value:.6} flits/cycle/node\n",
-        service::frame(SAT_TAG, &runner::f64_field(value)),
-    );
-    let written = store
-        .create_dir_all(&cache_dir())
-        .and_then(|()| store.write_atomic(&cache_path(key), body.as_bytes()));
-    if let Err(e) = written {
-        eprintln!(
-            "[sweep] warning: could not persist saturation cache entry \
-             sat_{key:016x}: {e}"
-        );
-    }
-}
-
-/// Saturation load of application `app` running alone with traffic mix
-/// `spec` on `region` (round-robin arbitration, local adaptive routing),
-/// plus where the value came from. `label` is used only in diagnostics and
-/// the on-disk comment line; the cache key is derived from the parameters
-/// themselves.
-///
-/// On a cache miss the load is searched
-/// ([`traffic::saturation::app_saturation_traced`]), validated and written
-/// to both layers.
-pub fn try_cached_saturation_traced(
-    label: &str,
-    ec: &ExpConfig,
-    cfg: &SimConfig,
-    region: &RegionMap,
-    app: u8,
-    spec: &AppSpec,
-) -> Result<(f64, SatLookup), SaturationError> {
-    let store = service::std_store();
-    let probe = if ec.quick {
-        SaturationProbe::quick()
-    } else {
-        SaturationProbe::default()
-    };
-    let key = sat_digest(&probe, cfg, region, app, spec);
-    if let Some(&v) = sat_cache().map.get(&key) {
-        MEM_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok((v, SatLookup::MemHit));
-    }
-    if let Some(v) = disk_read(store, key) {
-        DISK_HITS.fetch_add(1, Ordering::Relaxed);
-        sat_cache().insert(key, v);
-        return Ok((v, SatLookup::DiskHit));
-    }
-    let out = app_saturation_traced(&probe, cfg, region, app, spec, None, || {
-        Routing::Local.build()
-    });
-    SEARCHES.fetch_add(1, Ordering::Relaxed);
-    let sat = validate_sat(label, app, out.load)?;
-    sat_cache().insert(key, sat);
-    disk_write(store, key, sat, label);
-    Ok((sat, SatLookup::Searched))
-}
-
 /// Whether `v` is a usable saturation load: positive and finite. The one
 /// test a searched load and a cached one must both pass.
 fn is_load(v: f64) -> bool {
     v > 0.0 && v.is_finite()
 }
 
-/// Reject a degenerate measured load (zero, negative, NaN, ∞) with the
-/// structured error; a search can collapse to zero when even the smallest
-/// probed rate is unstable (e.g. a mis-specified region with no eject
-/// capacity).
-fn validate_sat(label: &str, app: u8, sat: f64) -> Result<f64, SaturationError> {
-    if is_load(sat) {
-        Ok(sat)
-    } else {
-        Err(SaturationError {
-            label: label.to_string(),
-            app,
-            load: sat,
-        })
-    }
+/// `load`, or a panic naming the search when it collapsed (to zero when
+/// even the smallest probed rate is unstable). Inside the panic-safe pool
+/// that is one failed job with the label in its message, not a sweep abort.
+fn usable(label: &str, app: u8, load: f64) -> f64 {
+    assert!(
+        is_load(load),
+        "saturation search collapsed to {load} for {label} (app {app})"
+    );
+    load
 }
 
-/// [`try_cached_saturation_traced`], panicking on a degenerate search with
-/// the structured error's message. Figure drivers run inside the
-/// panic-safe parallel runner, which downcasts string payloads — so a
-/// degenerate configuration surfaces as one failed job with the label in
-/// its message, not a sweep abort.
-pub fn cached_saturation_traced(
-    label: &str,
-    ec: &ExpConfig,
-    cfg: &SimConfig,
-    region: &RegionMap,
-    app: u8,
-    spec: &AppSpec,
-) -> (f64, SatLookup) {
-    try_cached_saturation_traced(label, ec, cfg, region, app, spec)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`cached_saturation_traced`] without the provenance (the common case for
-/// figure drivers).
+/// Saturation load of application `app` running alone with traffic mix
+/// `spec` on `region` (round-robin arbitration, local adaptive routing).
+/// `label` only names the search in diagnostics and the entry's comment.
+/// The disk layer is `RAIR_CACHE_DIR`, else `results/cache` under the
+/// working directory, resolved on every call. On a miss the load is
+/// searched ([`traffic::saturation::app_saturation_traced`]), validated and
+/// written to both layers.
 pub fn cached_saturation(
     label: &str,
     ec: &ExpConfig,
@@ -360,16 +170,31 @@ pub fn cached_saturation(
     app: u8,
     spec: &AppSpec,
 ) -> f64 {
-    cached_saturation_traced(label, ec, cfg, region, app, spec).0
+    let store = service::std_store();
+    let dir = std::env::var_os("RAIR_CACHE_DIR")
+        .map_or_else(|| Path::new("results").join("cache"), PathBuf::from);
+    let probe = if ec.quick {
+        SaturationProbe::quick()
+    } else {
+        SaturationProbe::default()
+    };
+    let key = sat_digest(&probe, cfg, region, app, spec);
+    if let Some(load) = SATURATION.get(store, &dir, key) {
+        return load;
+    }
+    let out = app_saturation_traced(&probe, cfg, region, app, spec, None, || {
+        Routing::Local.build()
+    });
+    let load = usable(label, app, out.load);
+    let note = format!("# {label} = {load:.6} flits/cycle/node\n");
+    SATURATION.put(store, &dir, key, &load, &note);
+    load
 }
 
-/// Clear the in-memory saturation cache (tests). Disk entries persist; use
-/// `RAIR_CACHE_DIR` pointed at a temp directory to isolate tests from the
-/// repository-level cache.
+/// Empty the in-memory layer, as in a new process; disk entries stay (point
+/// `RAIR_CACHE_DIR` at a temp directory to isolate a test from them).
 pub fn clear_saturation_cache() {
-    let mut c = sat_cache();
-    c.map.clear();
-    c.order.clear();
+    SATURATION.clear();
 }
 
 #[cfg(test)]
@@ -412,18 +237,60 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_loads_become_structured_errors() {
-        assert_eq!(validate_sat("lbl", 0, 0.375).unwrap(), 0.375);
+    fn degenerate_loads_panic_with_the_label() {
+        assert_eq!(usable("lbl", 0, 0.375), 0.375);
         for bad in [0.0, -0.1, f64::NAN, f64::INFINITY] {
-            let e = validate_sat("fig9/halves", 1, bad).unwrap_err();
-            assert_eq!(e.label, "fig9/halves");
-            assert_eq!(e.app, 1);
-            let msg = e.to_string();
-            assert!(
-                msg.contains("collapsed") && msg.contains("fig9/halves"),
-                "{msg}"
-            );
+            let err = std::panic::catch_unwind(|| usable("fig9/halves", 1, bad)).unwrap_err();
+            let msg = err.downcast_ref::<String>().unwrap();
+            let want = format!("saturation search collapsed to {bad} for fig9/halves (app 1)");
+            assert_eq!(msg, &want);
         }
+    }
+
+    #[test]
+    fn saturation_cache_layers_and_zero_searches_on_rerun() {
+        let _guard = env_lock();
+        let tmp = TempCacheDir::new("layers");
+        clear_saturation_cache();
+        let cfg = SimConfig::table1();
+        let region = RegionMap::halves(&cfg);
+        let ec = ExpConfig::quick();
+        let spec = AppSpec::intra_only(0.0);
+        // `(mem hits, disk hits, searches)` of one lookup.
+        let lookup = |label: &str| {
+            let (m0, d0, _, s0) = saturation_cache_stats();
+            let load = cached_saturation(label, &ec, &cfg, &region, 0, &spec);
+            let (m1, d1, _, s1) = saturation_cache_stats();
+            (load, (m1 - m0, d1 - d0, s1 - s0))
+        };
+        // Cold start: one real search, persisted to disk.
+        let (a, how) = lookup("test/halves0");
+        assert_eq!(how, (0, 0, 1));
+        assert!(a > 0.05 && a < 1.0, "saturation {a}");
+        // The entry's bytes are a compatibility surface, and the cache adds
+        // no other file to the directory (rair-bench's `fig14_*` children
+        // count exactly one file per load).
+        let name = "sat_c814a9c1c895f6cb.txt";
+        let files: Vec<String> = std::fs::read_dir(&tmp.dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(files, [name]);
+        assert_eq!(
+            std::fs::read_to_string(tmp.dir.join(name)).unwrap(),
+            "rair-sat-v3\t430f78bd\t3fd8000000000000\n# test/halves0 = 0.375000 flits/cycle/node\n"
+        );
+        // Same parameters under a different label: in-memory hit, identical
+        // value.
+        let (b, how) = lookup("other/label");
+        assert_eq!((a.to_bits(), how), (b.to_bits(), (1, 0, 0)));
+        // Fresh process simulated by clearing the memory layer: the disk
+        // entry answers — a second `repro` run performs zero searches.
+        clear_saturation_cache();
+        let (c, how) = lookup("rerun");
+        assert_eq!((a.to_bits(), how), (c.to_bits(), (0, 1, 0)));
+        // And it was promoted back into memory.
+        assert_eq!(lookup("rerun2").1, (1, 0, 0));
     }
 
     #[test]
@@ -465,168 +332,6 @@ mod tests {
         assert_eq!(net.policy_name(), "RA_RAIR");
         let (_, rejects1) = admission_gate_stats();
         assert!(rejects1 > rejects0, "static rejection not counted");
-    }
-
-    #[test]
-    fn saturation_cache_layers_and_zero_searches_on_rerun() {
-        let _guard = env_lock();
-        let _tmp = TempCacheDir::new("layers");
-        clear_saturation_cache();
-        let cfg = SimConfig::table1();
-        let region = RegionMap::halves(&cfg);
-        let ec = ExpConfig::quick();
-        let spec = AppSpec::intra_only(0.0);
-        // Cold start: one real search, persisted to disk.
-        let (a, la) = cached_saturation_traced("test/halves0", &ec, &cfg, &region, 0, &spec);
-        assert_eq!(la, SatLookup::Searched);
-        assert!(a > 0.05 && a < 1.0, "saturation {a}");
-        // Same parameters under a different label: in-memory hit, identical
-        // value.
-        let (b, lb) = cached_saturation_traced("other/label", &ec, &cfg, &region, 0, &spec);
-        assert_eq!(lb, SatLookup::MemHit);
-        assert_eq!(a, b);
-        // Fresh process simulated by clearing the memory layer: the disk
-        // entry answers — a second `repro` run performs zero searches.
-        clear_saturation_cache();
-        let (c, lc) = cached_saturation_traced("rerun", &ec, &cfg, &region, 0, &spec);
-        assert_eq!(lc, SatLookup::DiskHit);
-        assert_eq!(a.to_bits(), c.to_bits(), "disk roundtrip not bit-exact");
-        // And it was promoted back into memory.
-        let (_, ld) = cached_saturation_traced("rerun2", &ec, &cfg, &region, 0, &spec);
-        assert_eq!(ld, SatLookup::MemHit);
-    }
-
-    /// A job that panics while it holds the memory layer (the panic-safe
-    /// runner catches it and moves on) must not take every later lookup of
-    /// the process down with it.
-    #[test]
-    fn lookups_survive_a_poisoned_memory_layer() {
-        let _guard = env_lock();
-        let _tmp = TempCacheDir::new("poisoned");
-        clear_saturation_cache();
-        let cfg = SimConfig::table1();
-        let region = RegionMap::quadrants(&cfg);
-        let ec = ExpConfig::quick();
-        let spec = AppSpec::intra_only(0.0);
-        let key = sat_digest(&SaturationProbe::quick(), &cfg, &region, 3, &spec);
-        disk_write(service::std_store(), key, 0.4375, "poisoned/seed");
-        let holder = std::thread::spawn(|| {
-            let _held = sat_cache();
-            panic!("poisoning the saturation cache on purpose");
-        });
-        assert!(holder.join().is_err());
-        let (v, how) = cached_saturation_traced("poisoned/disk", &ec, &cfg, &region, 3, &spec);
-        assert_eq!((v, how), (0.4375, SatLookup::DiskHit));
-        let (v, how) = cached_saturation_traced("poisoned/mem", &ec, &cfg, &region, 3, &spec);
-        assert_eq!((v, how), (0.4375, SatLookup::MemHit));
-        clear_saturation_cache();
-    }
-
-    /// Corrupting a *live* cache entry must cost a re-search, never
-    /// correctness: whether a bit of the framed value rots, the value is
-    /// not a load at all (NaN, zero, negative — validly framed values a
-    /// search would reject), or the entry is of an older generation (v2,
-    /// legacy), the damaged file is set aside as `*.corrupt`, counted once,
-    /// and the re-searched load is bit-identical.
-    #[test]
-    fn corrupt_or_old_generation_entry_is_set_aside_and_research_is_identical() {
-        let _guard = env_lock();
-        let _tmp = TempCacheDir::new("corrupt-live");
-        clear_saturation_cache();
-        let cfg = SimConfig::table1();
-        let region = RegionMap::halves(&cfg);
-        let ec = ExpConfig::quick();
-        let spec = AppSpec::intra_only(0.0);
-        let (v1, _) = cached_saturation_traced("corrupt/live", &ec, &cfg, &region, 0, &spec);
-        let key = sat_digest(&SaturationProbe::quick(), &cfg, &region, 0, &spec);
-        let path = cache_path(key);
-        let live = std::fs::read_to_string(&path).unwrap();
-        let hex = runner::f64_field(v1);
-        let framed = service::frame(SAT_TAG, &hex);
-        assert_eq!(live.lines().next(), Some(framed.as_str()));
-        for (what, entry) in [
-            (
-                "bit rot",
-                live.replacen(&hex, &runner::f64_field(v1 * 2.0), 1),
-            ),
-            (
-                "not a load",
-                service::frame(SAT_TAG, &runner::f64_field(f64::NAN)),
-            ),
-            ("zero", service::frame(SAT_TAG, &runner::f64_field(0.0))),
-            (
-                "negative",
-                service::frame(SAT_TAG, &runner::f64_field(-0.25)),
-            ),
-            (
-                "v2",
-                format!("v2 {hex} {:08x}\n", service::crc32(hex.as_bytes())),
-            ),
-            ("legacy", format!("{hex}\n# legacy comment\n")),
-        ] {
-            std::fs::write(&path, entry).unwrap();
-            // lint: allow(swallowed-io-error)
-            let _ = std::fs::remove_file(path.with_extension("txt.corrupt"));
-            clear_saturation_cache();
-            let before = saturation_cache_corrupt_count();
-            let (v2, how) = cached_saturation_traced("corrupt/again", &ec, &cfg, &region, 0, &spec);
-            assert_ne!(how, SatLookup::DiskHit, "{what}: entry must be a miss");
-            assert_eq!(v1.to_bits(), v2.to_bits(), "{what}: re-search diverged");
-            assert_eq!(saturation_cache_corrupt_count(), before + 1, "{what}");
-            assert!(path.with_extension("txt.corrupt").exists(), "{what}");
-            let rewritten = std::fs::read_to_string(&path).unwrap();
-            assert_eq!(rewritten.lines().next(), Some(framed.as_str()), "{what}");
-        }
-    }
-
-    /// The disk layer under injected write faults: `ENOSPC` is non-fatal
-    /// (the lookup still returns the value it searched) and leaves no
-    /// entry; a crash before the rename leaves a stray temp file that the
-    /// next read ignores — both cost a re-search, never the value.
-    #[test]
-    fn disk_write_faults_leave_a_miss_never_a_torn_entry() {
-        use crate::service::{ChaosStore, Fault};
-        let _guard = env_lock();
-        let tmp = TempCacheDir::new("write-faults");
-        // Ops per write: create_dir_all, write_atomic (`exists` is not drawn).
-        let store = ChaosStore::scripted(vec![(1, Fault::Enospc), (3, Fault::CrashBeforeRename)]);
-        for _fault in ["enospc", "crash-before-rename"] {
-            disk_write(&store, 0xFA17, 0.314159, "demo/label");
-            assert_eq!(disk_read(&store, 0xFA17), None);
-            assert!(!cache_path(0xFA17).exists());
-        }
-        assert_eq!(store.injected().len(), 2, "both scripted faults fired");
-        let files: Vec<String> = std::fs::read_dir(&tmp.dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert!(
-            matches!(&files[..], [stray] if stray.contains(".tmp.")),
-            "only the crashed write's temp file survives: {files:?}"
-        );
-        disk_write(&store, 0xFA17, 0.314159, "demo/label");
-        let bits = disk_read(&store, 0xFA17).map(f64::to_bits);
-        assert_eq!(bits, Some(0.314159f64.to_bits()));
-    }
-
-    #[test]
-    fn memory_layer_is_bounded() {
-        let mut cache = MemCache {
-            map: BTreeMap::new(),
-            order: VecDeque::new(),
-        };
-        for k in 0..(MEM_CACHE_CAP as u64 + 50) {
-            cache.insert(k, k as f64);
-        }
-        assert_eq!(cache.map.len(), MEM_CACHE_CAP);
-        assert_eq!(cache.order.len(), MEM_CACHE_CAP);
-        // FIFO: the oldest keys were evicted, the newest survive.
-        assert!(!cache.map.contains_key(&0));
-        assert!(cache.map.contains_key(&(MEM_CACHE_CAP as u64 + 49)));
-        // Re-inserting an existing key must not duplicate its order slot.
-        let before = cache.order.len();
-        cache.insert(MEM_CACHE_CAP as u64 + 49, 1.0);
-        assert_eq!(cache.order.len(), before);
     }
 
     #[test]

@@ -130,19 +130,6 @@ impl LatencyRecorder {
         s.mean()
     }
 
-    /// Unweighted average of the per-application mean latencies.
-    ///
-    /// This is how the paper averages "over all applications" (each
-    /// application counts once regardless of its packet volume).
-    pub fn mean_of_app_means(&self, kind: LatencyKind) -> Option<f64> {
-        let means: Vec<f64> = self.apps.iter().filter_map(|a| a.mean(kind)).collect();
-        if means.is_empty() {
-            None
-        } else {
-            Some(means.iter().sum::<f64>() / means.len() as f64)
-        }
-    }
-
     /// Clear all accumulators (warmup boundary).
     pub fn reset(&mut self) {
         self.apps.iter_mut().for_each(PerAppLatency::reset);
@@ -197,16 +184,9 @@ mod tests {
         r.record(1, 110, 110, 1, 1);
         // Packet-weighted mean = (9*10 + 110)/10 = 20.
         assert!((r.overall_mean(LatencyKind::Network).unwrap() - 20.0).abs() < 1e-12);
-        // App-weighted mean = (10 + 110)/2 = 60.
-        assert!((r.mean_of_app_means(LatencyKind::Network).unwrap() - 60.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_app_excluded_from_app_mean() {
-        let mut r = LatencyRecorder::new(3);
-        r.record(0, 10, 10, 1, 1);
-        r.record(2, 30, 30, 1, 1);
-        assert!((r.mean_of_app_means(LatencyKind::Network).unwrap() - 20.0).abs() < 1e-12);
+        // Per-application means weigh each app's packets only.
+        assert_eq!(r.app(0).mean(LatencyKind::Network), Some(10.0));
+        assert_eq!(r.app(1).mean(LatencyKind::Network), Some(110.0));
     }
 
     #[test]

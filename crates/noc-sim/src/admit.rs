@@ -202,6 +202,7 @@ impl PriorityAutomaton {
     /// A frozen DPA bit with RAIR's VC steering: `native_high = true`
     /// models RAIR_NativeH, `false` models the RAIR_ForeignH priority
     /// inversion (the pinned negative).
+    #[cfg(test)]
     pub fn fixed_bit(name: &str, native_high: bool) -> Self {
         PriorityAutomaton {
             name: name.to_string(),

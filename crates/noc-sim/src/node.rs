@@ -198,11 +198,6 @@ impl Node {
             + self.retries.len()
     }
 
-    /// Replies still being serviced.
-    pub fn pending_replies(&self) -> usize {
-        self.replies.len()
-    }
-
     /// Heap bytes the NI's queues own (every other field is inline): 0 when
     /// fresh, then each queue's high-water capacity — the queues never
     /// shrink, so this grows exactly when one of them reallocates.
@@ -227,14 +222,6 @@ impl Node {
     /// is outstanding) — the NI's contribution to the fast-forward target.
     pub fn next_reply_ready(&self) -> Option<u64> {
         self.replies.peek().map(|Reverse(r)| r.ready)
-    }
-
-    /// Flits queued at the NI that already left the source queues (belong to
-    /// the packet mid-injection).
-    pub fn inflight_inject_flits(&self) -> usize {
-        self.inject
-            .as_ref()
-            .map_or(0, |p| (p.info.size - p.next_seq) as usize)
     }
 
     /// Find an injectable local input VC for a packet of `class`: idle,
@@ -447,7 +434,7 @@ mod tests {
         node.schedule_reply(10, 101, 8, 0, 0, 1);
         assert_eq!(node.release_replies(5), 0);
         assert_eq!(node.release_replies(10), 1);
-        assert_eq!(node.pending_replies(), 1);
+        assert_eq!(node.replies.len(), 1);
         assert_eq!(node.release_replies(25), 1);
         // Released replies sit in the source queue with src = this node.
         assert_eq!(node.backlog(), 2);

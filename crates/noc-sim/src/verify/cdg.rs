@@ -15,7 +15,9 @@
 //!   requests `e2`. Because all usable hops are minimal under the
 //!   topology's distance, the adaptive reachability closure is computed by
 //!   dynamic programming in increasing distance order (the adaptive
-//!   subgraph per destination is a DAG).
+//!   subgraph per destination is a DAG), directly as bitsets of the escape
+//!   channels reached, which join the graph's dense per-channel rows by
+//!   word ORs.
 //! * **full adaptive graph** (`without_escape`): direct dependencies
 //!   between consecutive adaptive channels — this is what must be acyclic
 //!   when no escape path exists. Lanes are irrelevant here (only lane 0 is
@@ -30,6 +32,62 @@ use crate::config::SimConfig;
 use crate::ids::{Coord, NodeId, Port};
 use crate::topology;
 use std::collections::{BTreeSet, VecDeque};
+
+/// The dependency graph: one dense bitset row per channel. Every
+/// destination re-derives most edges, and a duplicate costs one OR. Rows
+/// are walked in ascending target order, which fixes the order Tarjan and
+/// the cycle extraction visit edges in, and so every witness cycle.
+struct DepRows {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl DepRows {
+    fn new(channels: usize) -> Self {
+        let words = channels.div_ceil(64);
+        Self {
+            words,
+            bits: vec![0; channels * words],
+        }
+    }
+
+    fn channels(&self) -> usize {
+        self.bits.len() / self.words
+    }
+
+    fn row_mut(&mut self, from: usize) -> &mut [u64] {
+        &mut self.bits[from * self.words..(from + 1) * self.words]
+    }
+
+    fn insert(&mut self, from: usize, to: usize) {
+        self.bits[from * self.words + (to >> 6)] |= 1 << (to & 63);
+    }
+
+    fn contains(&self, from: usize, to: usize) -> bool {
+        self.bits[from * self.words + (to >> 6)] >> (to & 63) & 1 == 1
+    }
+
+    /// The first dependency target of `from` at or after `at`.
+    fn next(&self, from: usize, at: usize) -> Option<usize> {
+        let row = &self.bits[from * self.words..(from + 1) * self.words];
+        let mut w = at >> 6;
+        let mut bits = row.get(w)? & (!0 << (at & 63));
+        while bits == 0 {
+            w += 1;
+            bits = *row.get(w)?;
+        }
+        Some((w << 6) + bits.trailing_zeros() as usize)
+    }
+
+    /// Every dependency target of `from`, ascending.
+    fn targets(&self, from: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next(from, 0), move |&t| self.next(from, t + 1))
+    }
+
+    fn edges(&self) -> usize {
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
 
 /// Capped violation recorder (the count is uncapped).
 pub(super) struct Violations {
@@ -103,9 +161,12 @@ pub(super) fn run(v: &Verifier<'_>) -> VerifyReport {
     let cfg = v.cfg;
     let n = cfg.num_routers();
     let lanes = cfg.escape_lanes();
-    let words = n.div_ceil(64);
     let mut vio = Violations::new();
-    let mut adj: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n * 4 * lanes];
+    let mut adj = DepRows::new(n * 4 * lanes);
+    let mut reach = Reach {
+        bits: vec![0; if v.use_escape { adj.words * n } else { 0 }],
+        span: vec![(0, 0); n],
+    };
     let mut bad_hops: BTreeSet<(usize, Port)> = BTreeSet::new();
     let mut pairs = 0usize;
 
@@ -187,10 +248,12 @@ pub(super) fn run(v: &Verifier<'_>) -> VerifyReport {
             }
         }
 
-        order.sort_by_key(|&r| topology::distance(cfg, cfg.router_coord(r), d));
+        order.sort_by_cached_key(|&r| topology::distance(cfg, cfg.router_coord(r), d));
 
         if v.use_escape {
-            extend_escape_edges(cfg, dst_idx, &order, &adap, &esc, words, lanes, &mut adj);
+            extend_escape_edges(
+                cfg, dst_idx, &order, &adap, &esc, lanes, &mut adj, &mut reach,
+            );
         } else {
             direct_adaptive_edges(cfg, dst_idx, &adap, lanes, &mut adj);
         }
@@ -198,8 +261,7 @@ pub(super) fn run(v: &Verifier<'_>) -> VerifyReport {
         legality::check_dst(cfg, v, dst_idx, &order, &adap, &esc, &mut vio);
     }
 
-    let adj: Vec<Vec<u32>> = adj.into_iter().map(|s| s.into_iter().collect()).collect();
-    let dep_edges = adj.iter().map(Vec::len).sum();
+    let dep_edges = adj.edges();
     if let Some(comp) = first_nontrivial_scc(&adj) {
         let cycle = extract_cycle(&adj, &comp);
         vio.record_front(
@@ -243,50 +305,73 @@ fn extend_escape_edges(
     order: &[usize],
     adap: &[[Option<Port>; 2]],
     esc: &[Option<(Port, u8)>],
-    words: usize,
     lanes: usize,
-    adj: &mut [BTreeSet<u32>],
+    adj: &mut DepRows,
+    reach: &mut Reach,
 ) {
-    // closure[r] = bitset of routers reachable from r via adaptive channels
-    // (including r itself), never entering the destination. Processed in
-    // increasing distance order so successors are already final.
-    let mut closure = vec![0u64; words * cfg.num_routers()];
+    // reach[r] = the escape channels requested at the routers reachable
+    // from r via adaptive channels (including r itself), never entering the
+    // destination: a channel bitset, so a whole target set joins a row in
+    // one pass of word ORs over the words it spans. Processed in increasing
+    // distance order so successors are already final.
+    let words = adj.words;
+    let next = |r: usize, p: Port| cfg.router_at(topology::step(cfg, cfg.router_coord(r), p));
     for &r in order {
         if r == dst_idx {
             continue;
         }
-        let base = r * words;
-        closure[base + (r >> 6)] |= 1 << (r & 63);
-        for p in adap[r].into_iter().flatten() {
-            let r2 = cfg.router_at(topology::step(cfg, cfg.router_coord(r), p));
-            if r2 == dst_idx {
-                continue;
-            }
-            let b2 = r2 * words;
-            for w in 0..words {
-                let bits = closure[b2 + w];
-                closure[base + w] |= bits;
-            }
+        let own = esc[r].map(|(p, lane)| chan(lanes, r, p, lane as usize));
+        let succ = adap[r].map(|p| p.map(|p| next(r, p)).filter(|&r2| r2 != dst_idx));
+        let spans = own.map(|c| (c >> 6, (c >> 6) + 1));
+        let spans = spans
+            .into_iter()
+            .chain(succ.iter().flatten().map(|&r2| reach.span[r2]));
+        let (lo, hi) = (spans.filter(|(lo, hi)| lo < hi))
+            .reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
+            .unwrap_or((0, 0));
+        reach.span[r] = (lo, hi);
+        reach.bits[r * words + lo..r * words + hi].fill(0);
+        if let Some(c) = own {
+            reach.bits[r * words + (c >> 6)] |= 1 << (c & 63);
+        }
+        for &r2 in succ.iter().flatten() {
+            let (lo, hi) = reach.span[r2];
+            let (row, from) = row_pair(&mut reach.bits, words, r, r2);
+            or_into(&mut row[lo..hi], &from[lo..hi]);
         }
     }
     for (r, &e) in esc.iter().enumerate() {
         let Some((p, lane)) = e else { continue };
-        let r2 = cfg.router_at(topology::step(cfg, cfg.router_coord(r), p));
-        if r2 == dst_idx {
-            continue;
+        let r2 = next(r, p);
+        if r2 != dst_idx {
+            let (lo, hi) = reach.span[r2];
+            let src = chan(lanes, r, p, lane as usize);
+            let from = &reach.bits[r2 * words..(r2 + 1) * words];
+            or_into(&mut adj.row_mut(src)[lo..hi], &from[lo..hi]);
         }
-        let src = chan(lanes, r, p, lane as usize) as u32;
-        let b2 = r2 * words;
-        for w in 0..words {
-            let mut bits = closure[b2 + w];
-            while bits != 0 {
-                let r3 = (w << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if let Some((p3, lane3)) = esc[r3] {
-                    adj[src as usize].insert(chan(lanes, r3, p3, lane3 as usize) as u32);
-                }
-            }
-        }
+    }
+}
+
+/// Scratch of [`extend_escape_edges`]: one channel bitset per router, and
+/// the word range `(lo, hi)` outside which it is empty.
+struct Reach {
+    bits: Vec<u64>,
+    span: Vec<(usize, usize)>,
+}
+
+fn or_into(row: &mut [u64], from: &[u64]) {
+    row.iter_mut().zip(from).for_each(|(w, b)| *w |= b);
+}
+
+/// Row `a` (mutable) and row `b` (`a != b`) of a matrix of `words`-wide
+/// rows.
+fn row_pair(m: &mut [u64], words: usize, a: usize, b: usize) -> (&mut [u64], &[u64]) {
+    if a < b {
+        let (lo, hi) = m.split_at_mut(b * words);
+        (&mut lo[a * words..(a + 1) * words], &hi[..words])
+    } else {
+        let (lo, hi) = m.split_at_mut(a * words);
+        (&mut hi[..words], &lo[b * words..(b + 1) * words])
     }
 }
 
@@ -297,7 +382,7 @@ fn direct_adaptive_edges(
     dst_idx: usize,
     adap: &[[Option<Port>; 2]],
     lanes: usize,
-    adj: &mut [BTreeSet<u32>],
+    adj: &mut DepRows,
 ) {
     for (r, ports) in adap.iter().enumerate() {
         for p in ports.iter().flatten() {
@@ -306,7 +391,7 @@ fn direct_adaptive_edges(
                 continue;
             }
             for p2 in adap[r2].into_iter().flatten() {
-                adj[chan(lanes, r, *p, 0)].insert(chan(lanes, r2, p2, 0) as u32);
+                adj.insert(chan(lanes, r, *p, 0), chan(lanes, r2, p2, 0));
             }
         }
     }
@@ -314,9 +399,9 @@ fn direct_adaptive_edges(
 
 /// Iterative Tarjan SCC; returns the members of the first strongly
 /// connected component that contains a cycle (size > 1, or a self-loop).
-fn first_nontrivial_scc(adj: &[Vec<u32>]) -> Option<Vec<usize>> {
+fn first_nontrivial_scc(adj: &DepRows) -> Option<Vec<usize>> {
     const UNSET: usize = usize::MAX;
-    let n = adj.len();
+    let n = adj.channels();
     let mut index = vec![UNSET; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
@@ -328,6 +413,7 @@ fn first_nontrivial_scc(adj: &[Vec<u32>]) -> Option<Vec<usize>> {
             continue;
         }
         frames.push((start, 0));
+        // A frame is a channel and the first target bit it has not tried.
         while let Some(&(v, ci)) = frames.last() {
             if ci == 0 {
                 index[v] = next;
@@ -336,9 +422,8 @@ fn first_nontrivial_scc(adj: &[Vec<u32>]) -> Option<Vec<usize>> {
                 stack.push(v);
                 on_stack[v] = true;
             }
-            if ci < adj[v].len() {
-                frames.last_mut().unwrap().1 += 1;
-                let w = adj[v][ci] as usize;
+            if let Some(w) = adj.next(v, ci) {
+                frames.last_mut().unwrap().1 = w + 1;
                 if index[w] == UNSET {
                     frames.push((w, 0));
                 } else if on_stack[w] {
@@ -356,7 +441,7 @@ fn first_nontrivial_scc(adj: &[Vec<u32>]) -> Option<Vec<usize>> {
                             break;
                         }
                     }
-                    if comp.len() > 1 || adj[v].contains(&(v as u32)) {
+                    if comp.len() > 1 || adj.contains(v, v) {
                         return Some(comp);
                     }
                 } else if let Some(&(u, _)) = frames.last() {
@@ -371,15 +456,14 @@ fn first_nontrivial_scc(adj: &[Vec<u32>]) -> Option<Vec<usize>> {
 /// Extract one concrete cycle from a strongly connected component: BFS
 /// within the component from an arbitrary member until an edge closes back
 /// on it.
-fn extract_cycle(adj: &[Vec<u32>], comp: &[usize]) -> Vec<usize> {
+fn extract_cycle(adj: &DepRows, comp: &[usize]) -> Vec<usize> {
     let in_comp: BTreeSet<usize> = comp.iter().copied().collect();
     let s = comp[0];
-    let mut parent = vec![usize::MAX; adj.len()];
+    let mut parent = vec![usize::MAX; adj.channels()];
     let mut seen: BTreeSet<usize> = BTreeSet::from([s]);
     let mut q = VecDeque::from([s]);
     while let Some(u) = q.pop_front() {
-        for &w in &adj[u] {
-            let w = w as usize;
+        for w in adj.targets(u) {
             if w == s {
                 let mut path = vec![u];
                 let mut x = u;

@@ -38,11 +38,6 @@ impl<S: TrafficSource> Adversarial<S> {
             long_flits,
         }
     }
-
-    /// The adversary's application id.
-    pub fn adversary_app(&self) -> u8 {
-        self.inner.num_apps() as u8
-    }
 }
 
 impl<S: TrafficSource> TrafficSource for Adversarial<S> {
@@ -101,7 +96,6 @@ mod tests {
     fn adversary_rate_and_app_id() {
         let mut adv = Adversarial::new(NoTraffic, 0.4, 64, 5);
         assert_eq!(adv.num_apps(), 2);
-        assert_eq!(adv.adversary_app(), 1);
         let mut rng = SmallRng::seed_from_u64(1);
         let mut flits = 0u64;
         let cycles = 30_000u64;

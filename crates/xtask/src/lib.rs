@@ -308,7 +308,12 @@ pub const HOT_PATHS: &[HotPath] = &[
     },
     HotPath {
         file: "crates/experiments/src/service/store.rs",
-        functions: &["unframe", "read_entry"],
+        functions: &["unframe"],
+        rules: &[&PANIC_RULE],
+    },
+    HotPath {
+        file: "crates/experiments/src/service/cache.rs",
+        functions: &["read_entry"],
         rules: &[&PANIC_RULE],
     },
     HotPath {

@@ -134,16 +134,19 @@ fn workspace_is_clean() {
     );
 }
 
-/// Revert-one-satellite check: the PR converted `sweep.rs` from `HashMap`
-/// to `BTreeMap`. Undo that conversion textually and the lint must fail —
-/// proving the lint actually guards the conversion rather than both
-/// changes passing vacuously.
+/// Revert-one-satellite check: `sweep.rs` was converted from `Hash*` to
+/// `BTree*` collections (its warn-once set is a `BTreeSet`). Undo that
+/// conversion textually and the lint must fail — proving the lint actually
+/// guards the conversion rather than both changes passing vacuously.
 #[test]
-fn reverting_the_sweep_btreemap_conversion_fails_the_lint() {
+fn reverting_the_sweep_btree_conversion_fails_the_lint() {
     let path = xtask::workspace_root().join("crates/experiments/src/sweep.rs");
     let src = std::fs::read_to_string(&path).unwrap();
-    assert!(src.contains("BTreeMap"), "sweep.rs no longer uses BTreeMap");
-    let reverted = src.replace("BTreeMap", "HashMap");
+    assert!(
+        src.contains("BTree"),
+        "sweep.rs no longer uses a BTree collection"
+    );
+    let reverted = src.replace("BTree", "Hash");
     let findings = lint_source("crates/experiments/src/sweep.rs", &reverted, &all_rules());
     assert!(
         findings.iter().any(|f| f.rule == "hash-collections"),
