@@ -128,7 +128,7 @@ impl PriorityPolicy for StcRankOnline {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::flit::{Flit, PacketInfo};
+    use crate::flit::{Flit, PacketInfo, PacketTable};
     use crate::ids::AppId;
 
     fn router_with_local_holder(app: AppId) -> Router {
@@ -145,7 +145,8 @@ mod tests {
             inject: 0,
             reply: None,
         };
-        r.note_vc_occupied(PORT_LOCAL, 1, &info);
+        let packet = PacketTable::default().insert(info);
+        r.note_vc_occupied(PORT_LOCAL, 1, packet, app);
         r.push_flit(PORT_LOCAL, 1, Flit::nth(info, 0));
         r
     }

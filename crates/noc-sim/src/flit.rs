@@ -2,6 +2,8 @@
 
 use crate::ids::{AppId, MsgClass, NodeId};
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroU32;
+use std::sync::{Mutex, PoisonError};
 
 /// Position of a flit within its packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,13 +44,14 @@ pub struct ReplySpec {
     pub class: MsgClass,
 }
 
-/// Routing- and accounting-relevant packet metadata, carried by every flit.
+/// Routing- and accounting-relevant packet metadata: the packet's
+/// descriptor.
 ///
-/// In hardware only the head flit carries this; duplicating it per flit is a
-/// standard simulator convenience (GARNET does the same) and keeps the flit
-/// a small `Copy` value. Router buffers store it once per VC instead (see
-/// [`InputVc`](crate::vc::InputVc)); only flits on links and in the
-/// ejection register carry their own copy.
+/// In hardware only the head flit carries this. The simulator stores it
+/// once per packet per network, in the [`PacketTable`], from the cycle its
+/// head enters the injection VC until its tail is consumed at the
+/// destination NI; the VCs it holds, its flits on links and in the
+/// ejection register name it by a 4-byte [`PacketRef`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PacketInfo {
     /// Globally unique packet id (monotonic per run).
@@ -72,7 +75,10 @@ pub struct PacketInfo {
     pub reply: Option<ReplySpec>,
 }
 
-/// A single flow-control unit.
+/// A single flow-control unit, whole: its own fields plus a copy of its
+/// packet's descriptor. The kernel moves the 24-byte [`RingFlit`] record
+/// and a [`PacketRef`] instead; a `Flit` is built from the two only for an
+/// attached oracle checker or a test's view of a VC.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Flit {
     pub kind: FlitKind,
@@ -85,6 +91,219 @@ pub struct Flit {
     /// CRC-16/CCITT over `payload`, checked by the oracle's CRC checker.
     pub crc: u16,
     pub info: PacketInfo,
+}
+
+/// What the kernel keeps of a flit in a VC's ring, on a link and in the
+/// ejection register: the fields that differ between the flits of one
+/// packet, plus the packet id, so that the one-packet-per-VC check compares
+/// stored values rather than copies of one descriptor. Everything else is
+/// the packet's descriptor in the [`PacketTable`] — 24 bytes a flit instead
+/// of an 88-byte [`Flit`]. The sequence number is a byte: a packet fits its
+/// VC (the source contract), whose depth config validation caps at 255.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingFlit {
+    pub(crate) id: u64,
+    pub(crate) payload: u64,
+    pub(crate) hops: u32,
+    pub(crate) crc: u16,
+    pub(crate) seq: u8,
+    pub(crate) kind: FlitKind,
+}
+
+impl RingFlit {
+    /// Ring storage before a flit is written; a slot is only ever read
+    /// below its VC's `len`.
+    pub(crate) const EMPTY: Self = Self {
+        id: 0,
+        payload: 0,
+        seq: 0,
+        hops: 0,
+        crc: 0,
+        kind: FlitKind::Single,
+    };
+
+    /// Flit `seq` of the packet `info` describes, as the NI writes it into
+    /// the injection VC.
+    #[inline]
+    pub(crate) fn nth(info: &PacketInfo, seq: u32) -> Self {
+        Self::from(&Flit::nth(*info, seq))
+    }
+
+    /// The whole flit again, its packet fields (bar the id) from `packet`.
+    #[inline]
+    pub(crate) fn with(self, packet: &PacketInfo) -> Flit {
+        Flit {
+            kind: self.kind,
+            seq: u32::from(self.seq),
+            hops: self.hops,
+            payload: self.payload,
+            crc: self.crc,
+            info: PacketInfo {
+                id: self.id,
+                ..*packet
+            },
+        }
+    }
+}
+
+impl From<&Flit> for RingFlit {
+    #[inline]
+    fn from(f: &Flit) -> Self {
+        debug_assert!(f.seq <= u32::from(u8::MAX), "seq {} does not pack", f.seq);
+        Self {
+            id: f.info.id,
+            payload: f.payload,
+            hops: f.hops,
+            crc: f.crc,
+            seq: f.seq as u8,
+            kind: f.kind,
+        }
+    }
+}
+
+impl From<Flit> for RingFlit {
+    #[inline]
+    fn from(f: Flit) -> Self {
+        Self::from(&f)
+    }
+}
+
+/// A packet's slot in the [`PacketTable`]. Four bytes, and `Option<PacketRef>`
+/// too (slot `i` is stored as `i + 1`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct PacketRef(NonZeroU32);
+
+impl PacketRef {
+    #[inline]
+    fn index(self) -> usize {
+        self.0.get() as usize - 1
+    }
+}
+
+/// The network's packet descriptors, one per live packet: a slab whose
+/// freed slots are reused last in, first out, so a steady state keeps
+/// touching the same few. The NI inserts a packet's descriptor when its
+/// head enters the injection VC; the destination NI frees it when it
+/// consumes the tail, and a fault path that takes a packet out of the
+/// network frees it there.
+#[derive(Debug, Default)]
+pub struct PacketTable {
+    slots: Vec<PacketInfo>,
+    free: Vec<u32>,
+}
+
+/// The emptied buffers of dropped tables, for the next
+/// [`PacketTable::with_capacity`] to reuse.
+///
+/// A table reserves the fault-free bound but touches only its high-water
+/// mark, which is what makes it cheap. That holds for a fresh reservation,
+/// which glibc maps on pages of its own. Freeing one raises glibc's mmap
+/// threshold past its size, though, so later reservations of that size
+/// come out of the brk heap, and the layout they leave there costs later
+/// networks fresh pages: remaking the reservation for each of the
+/// benchmark's four `mesh16_mid` networks cost most of the saving
+/// (EXPERIMENTS.md). Reusing it keeps one mapping per concurrently live
+/// network.
+static SPARE: Mutex<Vec<(Vec<PacketInfo>, Vec<u32>)>> = Mutex::new(Vec::new());
+
+/// At most this many spare buffer pairs are kept (a sweep runs one network
+/// per worker thread); more are freed.
+const MAX_SPARE: usize = 16;
+
+impl PacketTable {
+    /// An empty table that holds `n` live packets without reallocating.
+    /// Only the slots actually used are ever written, so reserved pages
+    /// stay untouched; the buffers are a dropped table's when one is spare.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        // Every update of the list is one push or pop, so a poisoned list
+        // is still a valid one.
+        let spare = SPARE.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let (mut slots, mut free) = spare.unwrap_or_default();
+        slots.reserve(n);
+        free.reserve(n);
+        Self { slots, free }
+    }
+
+    /// Store `info`, returning its handle.
+    #[inline]
+    pub(crate) fn insert(&mut self, info: PacketInfo) -> PacketRef {
+        let index = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = info;
+                i
+            }
+            None => {
+                self.slots.push(info);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        PacketRef(NonZeroU32::MIN.saturating_add(index))
+    }
+
+    /// Release `packet`'s slot; its handle must not be used again.
+    #[inline]
+    pub(crate) fn free(&mut self, packet: PacketRef) {
+        self.free.push(packet.index() as u32);
+    }
+
+    /// The descriptor `packet` names.
+    #[inline]
+    pub(crate) fn get(&self, packet: PacketRef) -> &PacketInfo {
+        &self.slots[packet.index()]
+    }
+
+    /// Descriptors currently stored.
+    pub(crate) fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Reconcile the table with `held`, every handle the network holds (a
+    /// packet in several VCs or on several links is listed once per
+    /// place): each must name a live slot, and the live slots must be
+    /// exactly those. `Err` describes the first disagreement. Sorts and
+    /// dedups `held`.
+    pub(crate) fn audit(&self, held: &mut Vec<PacketRef>) -> Result<(), String> {
+        held.sort_unstable();
+        held.dedup();
+        let mut is_free = vec![false; self.slots.len()];
+        for &i in &self.free {
+            match is_free.get_mut(i as usize) {
+                Some(f) if !*f => *f = true,
+                Some(_) => return Err(format!("packet slot {i} was freed twice")),
+                None => return Err(format!("free list names slot {i} of {}", self.slots.len())),
+            }
+        }
+        if let Some(p) = held.iter().find(|p| is_free.get(p.index()) != Some(&false)) {
+            return Err(format!("packet slot {} is held but not live", p.index()));
+        }
+        if held.len() != self.live() {
+            return Err(format!(
+                "{} live packet descriptors, {} held by VCs, links and the ejection register",
+                self.live(),
+                held.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl Drop for PacketTable {
+    /// Hand the emptied buffers to [`SPARE`].
+    fn drop(&mut self) {
+        if self.slots.capacity() == 0 {
+            return;
+        }
+        let (mut slots, mut free) = (
+            std::mem::take(&mut self.slots),
+            std::mem::take(&mut self.free),
+        );
+        slots.clear();
+        free.clear();
+        let mut spare = SPARE.lock().unwrap_or_else(PoisonError::into_inner);
+        if spare.len() < MAX_SPARE {
+            spare.push((slots, free));
+        }
+    }
 }
 
 /// One step of CRC-16/CCITT (poly 0x1021) per possible top byte, built at
@@ -249,6 +468,33 @@ mod tests {
                 assert_ne!(crc16(base), crc16(base ^ (1u64 << bit)), "bit {bit}");
             }
         }
+    }
+
+    /// Freed slots are reused last in, first out, and the audit names a
+    /// leaked descriptor, a held handle to a freed slot and a double free.
+    #[test]
+    fn packet_table_reuses_slots_lifo_and_audits_what_is_held() {
+        assert_eq!(std::mem::size_of::<Option<PacketRef>>(), 4);
+        let mut t = PacketTable::default();
+        let (a, b, c) = (t.insert(info(1)), t.insert(info(2)), t.insert(info(3)));
+        assert_eq!(t.get(b).size, 2);
+        t.free(a);
+        t.free(c);
+        assert_eq!(t.live(), 1);
+        assert_eq!(t.insert(info(4)), c);
+        assert_eq!((t.get(c).size, t.live()), (4, 2));
+        assert_eq!(t.audit(&mut vec![b, c, b]), Ok(()));
+        let leaked = t.audit(&mut vec![b]).unwrap_err();
+        assert!(
+            leaked.contains("2 live packet descriptors, 1 held"),
+            "{leaked}"
+        );
+        let stale = t.audit(&mut vec![a, b, c]).unwrap_err();
+        assert!(stale.contains("held but not live"), "{stale}");
+        t.free(b);
+        t.free(b);
+        let twice = t.audit(&mut vec![c]).unwrap_err();
+        assert!(twice.contains("freed twice"), "{twice}");
     }
 
     #[test]

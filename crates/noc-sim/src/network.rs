@@ -50,7 +50,8 @@
 //!
 //! A steady-state tick allocates nothing: arbitration request sets live on
 //! the stack, the link, credit and ejection registers are drained in place,
-//! and all router state is preallocated (`tests/alloc_free_tick.rs`, and the
+//! all router state is preallocated and the packet table reserves its
+//! fault-free bound (`tests/alloc_free_tick.rs`, and the
 //! `alloc-in-hot-path` lint over the six phase bodies).
 //!
 //! ## Idle fast-forward
@@ -78,7 +79,7 @@ use crate::fault::{
     DegradedMode, DegradedTable, Fault, FaultEvent, FaultState, MAX_SOURCE_RETRIES,
     RETRANSMIT_LATENCY, RETRY_BACKOFF_BASE, STRANDED_SCAN_INTERVAL,
 };
-use crate::flit::{Flit, FlitKind, PacketInfo};
+use crate::flit::{FlitKind, PacketInfo, PacketRef, PacketTable, RingFlit};
 use crate::ids::{
     opposite, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH,
     PORT_SOUTH, PORT_WEST,
@@ -98,15 +99,30 @@ use rand::SeedableRng;
 
 mod reference;
 
-/// A flit in flight on a link, delivered at cycle `arrive` (the next cycle,
-/// except under link-level retransmission delay — see `sa_phase`).
+/// A flit in flight on a link, delivered into input VC `(in_port, vc)` of
+/// router `dst_router` at cycle `arrive` (the next cycle, except under
+/// link-level retransmission delay — see `sa_phase`): its record and its
+/// packet's handle, 40 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
-    pub(crate) dst_router: usize,
-    pub(crate) in_port: Port,
-    pub(crate) vc: usize,
+    pub(crate) flit: RingFlit,
     pub(crate) arrive: u64,
-    pub(crate) flit: Flit,
+    pub(crate) packet: PacketRef,
+    pub(crate) dst_router: NodeId,
+    pub(crate) in_port: u8,
+    pub(crate) vc: u8,
+}
+
+impl InFlight {
+    /// Router, input port and VC the flit lands in.
+    #[inline]
+    pub(crate) fn dst(&self) -> (usize, Port, usize) {
+        (
+            usize::from(self.dst_router),
+            Port::from(self.in_port),
+            usize::from(self.vc),
+        )
+    }
 }
 
 /// VC slots per router: `SimConfig::validate` caps `NUM_PORTS * vcs_per_port`
@@ -170,8 +186,13 @@ pub struct Network {
     pub nodes: Vec<Node>,
     cycle: u64,
     next_pkt_id: u64,
+    /// One descriptor per live packet; VCs, link records and the ejection
+    /// register name packets by handle into it.
+    pub packets: PacketTable,
     pub(crate) in_flight: Vec<InFlight>,
-    pub(crate) eject_q: Vec<(usize, Flit)>,
+    /// The ejection register: flits that won the local output port this
+    /// cycle, consumed by their destination NI at the next.
+    pub(crate) eject_q: Vec<(PacketRef, RingFlit)>,
     pub(crate) credit_q: Vec<(usize, Port, usize)>,
     /// Previous-cycle adaptive occupancy per router (congestion view).
     congestion: Vec<u16>,
@@ -299,6 +320,18 @@ impl Network {
         let dirty_mask = (0..n.div_ceil(64)).map(|w| full_word(w, n)).collect();
         let policy_idempotent = policy.update_is_idempotent();
         let fault = (!cfg.fault.is_empty()).then(|| Box::new(FaultState::new(&cfg, num_apps)));
+        // Sized for a cycle's maximum (one flit per output port, one
+        // credit per input port, one ejection per router) so draining them
+        // in place never reallocates.
+        let in_flight = Vec::with_capacity(n * (NUM_PORTS - 1));
+        let eject_q = Vec::with_capacity(n);
+        // A live packet holds an input VC or has a flit on a link or in
+        // the ejection register, so without faults (whose retransmission
+        // delays can keep more flits on a link) the table never outgrows
+        // this; slots past the high-water mark are reserved, never touched.
+        let packets = PacketTable::with_capacity(
+            n * NUM_PORTS * cfg.vcs_per_port() + in_flight.capacity() + eject_q.capacity(),
+        );
         Self {
             region,
             routing,
@@ -308,11 +341,9 @@ impl Network {
             nodes,
             cycle: 0,
             next_pkt_id: 0,
-            // Sized for a cycle's maximum (one flit per output port, one
-            // credit per input port, one ejection per router) so draining
-            // them in place never reallocates.
-            in_flight: Vec::with_capacity(n * (NUM_PORTS - 1)),
-            eject_q: Vec::with_capacity(n),
+            packets,
+            in_flight,
+            eject_q,
             credit_q: Vec::with_capacity(n * (NUM_PORTS - 1)),
             congestion: vec![0; n],
             rngs,
@@ -470,9 +501,9 @@ impl Network {
     /// Extract fully-resident parked packets that can no longer be routed
     /// (their VC state is not `Active`, the head is at the front and the
     /// tail at the back). The buffer is cleared, per-flit credits are
-    /// returned upstream, the flits enter the drop ledger, and the packet
-    /// is either re-queued at its source NI (bounded retries, exponential
-    /// backoff) or dropped for good.
+    /// returned upstream, the flits enter the drop ledger, the descriptor
+    /// leaves the packet table, and the packet is either re-queued at its
+    /// source NI (bounded retries, exponential backoff) or dropped for good.
     fn sweep_stranded(&mut self) {
         let Some(fs) = self.fault.take() else { return };
         let mut fs = fs;
@@ -484,7 +515,9 @@ impl Network {
                     if matches!(ivc.state(), VcState::Active { .. }) {
                         continue;
                     }
-                    let (Some(front), Some(back)) = (ivc.front(), ivc.back()) else {
+                    let (Some(front), Some(back)) =
+                        (ivc.front(&self.packets), ivc.back(&self.packets))
+                    else {
                         continue;
                     };
                     if !front.kind.is_head() || !back.kind.is_tail() {
@@ -501,8 +534,11 @@ impl Network {
         for (r_idx, port, vc) in extracted {
             let r = &mut self.routers[r_idx];
             let ivc = r.ivc(port, vc);
-            let info = ivc.front().expect("checked above").info;
+            let packet = ivc.packet_ref().expect("checked above");
+            let info = *self.packets.get(packet);
             let flits = ivc.len();
+            // Fully resident: no flit of the packet is anywhere else.
+            self.packets.free(packet);
             r.note_vc_freed(port, vc);
             Self::mark_active(&mut self.dirty_mask, r_idx);
             if r.occ_bits == 0 {
@@ -663,17 +699,14 @@ impl Network {
                 let Some((up, out_port)) = Self::link(&self.links, router, port) else {
                     return false;
                 };
-                let Some(flit) = self.routers[router].ivc(port, vc).back() else {
+                let ivc = self.routers[router].ivc(port, vc);
+                let (Some(flit), Some(packet)) = (ivc.back(&self.packets), ivc.packet_ref()) else {
                     return false;
                 };
                 if flit.kind.is_head() || flit.kind.is_tail() {
                     return false;
                 }
-                if self
-                    .in_flight
-                    .iter()
-                    .any(|a| a.dst_router == router && a.in_port == port && a.vc == vc)
-                {
+                if self.in_flight.iter().any(|a| a.dst() == (router, port, vc)) {
                     return false;
                 }
                 if !self.routers[up].has_credit(out_port, vc) {
@@ -681,11 +714,12 @@ impl Network {
                 }
                 self.routers[up].take_credit(out_port, vc);
                 self.in_flight.push(InFlight {
-                    dst_router: router,
-                    in_port: port,
-                    vc,
+                    flit: RingFlit::from(&flit),
                     arrive: self.cycle + 1,
-                    flit,
+                    packet,
+                    dst_router: router as NodeId,
+                    in_port: byte(port),
+                    vc: byte(vc),
                 });
                 true
             }
@@ -695,7 +729,7 @@ impl Network {
             Fault::MisrouteFlit { router, port, vc } => {
                 let cur = self.routers[router].coord;
                 let ivc = self.routers[router].ivc(port, vc);
-                let Some(front) = ivc.front() else {
+                let Some(front) = ivc.front(&self.packets) else {
                     return false;
                 };
                 if ivc.len() != 1
@@ -726,7 +760,7 @@ impl Network {
                     return false;
                 }
                 let r = &mut self.routers[router];
-                let mut flit = r.pop_flit(port, vc).expect("checked above");
+                let (mut flit, packet) = r.pop_flit(port, vc).expect("checked above");
                 r.note_vc_freed(port, vc);
                 Self::mark_active(&mut self.dirty_mask, router);
                 if r.occ_bits == 0 {
@@ -735,11 +769,12 @@ impl Network {
                 r.take_credit(out, vc);
                 flit.hops += 1;
                 self.in_flight.push(InFlight {
-                    dst_router: nb,
-                    in_port: nb_port,
-                    vc,
-                    arrive: self.cycle + 1,
                     flit,
+                    arrive: self.cycle + 1,
+                    packet,
+                    dst_router: nb as NodeId,
+                    in_port: byte(nb_port),
+                    vc: byte(vc),
                 });
                 if let Some(o) = self.oracle.as_deref_mut() {
                     o.notify(|c, _| c.on_occupancy(router as NodeId, port, vc, false, self.cycle));
@@ -894,6 +929,7 @@ impl Network {
         let Network {
             cfg,
             routers,
+            packets,
             in_flight,
             credit_q,
             oracle,
@@ -922,48 +958,55 @@ impl Network {
                 continue;
             }
             let a = &in_flight[i];
-            let router = &mut routers[a.dst_router];
-            let ivc = router.ivc(a.in_port, a.vc);
+            let (r_idx, port, vc) = a.dst();
+            let router = &mut routers[r_idx];
+            let ivc = router.ivc(port, vc);
             // Atomic VCs: exactly the head starts a new occupancy interval.
             debug_assert_eq!(a.flit.kind.is_head(), !ivc.occupied());
             debug_assert!(ivc.len() < cfg.vc_depth, "input buffer overflow");
             let newly_occupied = !ivc.occupied();
             if newly_occupied {
-                router.note_vc_occupied(a.in_port, a.vc, &a.flit.info);
-                Self::mark_active(active_mask, a.dst_router);
-                Self::mark_active(dirty_mask, a.dst_router);
+                router.note_vc_occupied(port, vc, a.packet, packets.get(a.packet).app);
+                Self::mark_active(active_mask, r_idx);
+                Self::mark_active(dirty_mask, r_idx);
             }
-            router.push_flit(a.in_port, a.vc, a.flit);
+            router.push_flit(port, vc, a.flit);
             if let Some(o) = oracle.as_deref_mut() {
-                let id = a.dst_router as NodeId;
-                o.notify(|c, out| c.on_arrival(cfg, id, a.in_port, a.vc, &a.flit, cycle, out));
+                let id = a.dst_router;
+                let flit = a.flit.with(packets.get(a.packet));
+                o.notify(|c, out| c.on_arrival(cfg, id, port, vc, &flit, cycle, out));
                 if newly_occupied {
-                    o.notify(|c, _| c.on_occupancy(id, a.in_port, a.vc, true, cycle));
+                    o.notify(|c, _| c.on_occupancy(id, port, vc, true, cycle));
                 }
             }
         }
         in_flight.truncate(kept);
         for i in 0..self.eject_q.len() {
-            let (n, flit) = self.eject_q[i];
-            self.consume_ejected(n, flit);
+            let (packet, flit) = self.eject_q[i];
+            self.consume_ejected(packet, flit);
         }
         self.eject_q.clear();
     }
 
-    /// Consume one flit ejected at `node_idx`'s NI: eject accounting, the
-    /// oracle's eject note, latency recording and closed-loop reply
-    /// scheduling.
-    fn consume_ejected(&mut self, node_idx: usize, flit: Flit) {
+    /// Consume one flit ejected at its destination NI: eject accounting,
+    /// the oracle's eject note and, at the tail, latency recording,
+    /// closed-loop reply scheduling and the end of the packet's descriptor.
+    fn consume_ejected(&mut self, packet: PacketRef, flit: RingFlit) {
         self.stats.ejected_flits += 1;
         let now = self.cycle;
         if let Some(o) = self.oracle.as_deref_mut() {
-            o.notify(|c, _| c.on_eject(node_idx as NodeId, &flit, now));
+            let info = self.packets.get(packet);
+            let flit = flit.with(info);
+            o.notify(|c, _| c.on_eject(info.dst, &flit, now));
         }
         if !flit.kind.is_tail() {
             return;
         }
-        let info = flit.info;
-        debug_assert_eq!(info.dst as usize, node_idx, "flit ejected at wrong node");
+        let info = *self.packets.get(packet);
+        self.packets.free(packet);
+        // Keyed by destination *node* (== router index except under
+        // concentration, where several NIs share a router).
+        let node_idx = usize::from(info.dst);
         let network = now.saturating_sub(info.inject);
         let total = now.saturating_sub(info.birth);
         self.stats
@@ -1000,6 +1043,7 @@ impl Network {
             cfg,
             policy,
             routers,
+            packets,
             links,
             in_flight,
             eject_q,
@@ -1061,7 +1105,15 @@ impl Network {
                     }
                     if k > 1 {
                         for q in &mut reqs[..k] {
-                            q.0 = front_priority(&**policy, ArbStage::SaIn, r, None, in_port, q.1);
+                            q.0 = front_priority(
+                                &**policy,
+                                ArbStage::SaIn,
+                                r,
+                                packets,
+                                None,
+                                in_port,
+                                q.1,
+                            );
                         }
                     }
                     let Some(w) = arbitrate_rr(&reqs[..k], v, &mut r.sa_in_ptr[in_port]) else {
@@ -1090,7 +1142,15 @@ impl Network {
                     if k > 1 {
                         for q in &mut reqs[..k] {
                             let in_vc = sa_in_winners[q.1].0;
-                            q.0 = front_priority(&**policy, ArbStage::SaOut, r, None, q.1, in_vc);
+                            q.0 = front_priority(
+                                &**policy,
+                                ArbStage::SaOut,
+                                r,
+                                packets,
+                                None,
+                                q.1,
+                                in_vc,
+                            );
                         }
                     }
                     let Some(w) = arbitrate_rr(&reqs[..k], NUM_PORTS, &mut r.sa_out_ptr[out_port])
@@ -1105,12 +1165,13 @@ impl Network {
                     let down = Self::link(links, r_idx, out_port);
                     debug_assert_eq!(down.is_none(), out_port == PORT_LOCAL, "linkless grant");
                     // ST: move the flit.
-                    let Some(mut flit) = r.pop_flit(in_port, in_vc) else {
+                    let Some((mut flit, packet)) = r.pop_flit(in_port, in_vc) else {
                         debug_assert!(false, "SA winner holds a buffered flit");
                         continue;
                     };
                     let is_tail = flit.kind.is_tail();
                     if let Some(o) = oracle.as_deref_mut() {
+                        let flit = flit.with(packets.get(packet));
                         o.notify(|c, _| c.on_forward(r.id, in_port, in_vc, out_port, &flit, cycle));
                     }
                     if let Some((nb, nb_port)) = down {
@@ -1128,7 +1189,8 @@ impl Network {
                                 // per-slot FIFO floor keeps retransmitted
                                 // flits from being overtaken within their
                                 // link slot.
-                                let k = fs.send_attempts(flit.info.id, flit.seq, r_idx, out_port);
+                                let seq = u32::from(flit.seq);
+                                let k = fs.send_attempts(flit.id, seq, r_idx, out_port);
                                 if k > 1 {
                                     stats.flits_retransmitted += u64::from(k - 1);
                                     arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
@@ -1139,17 +1201,15 @@ impl Network {
                             }
                         }
                         in_flight.push(InFlight {
-                            dst_router: nb,
-                            in_port: nb_port,
-                            vc: out_vc,
-                            arrive,
                             flit,
+                            arrive,
+                            packet,
+                            dst_router: nb as NodeId,
+                            in_port: byte(nb_port),
+                            vc: byte(out_vc),
                         });
                     } else {
-                        // Keyed by destination *node* (== router index except
-                        // under concentration, where several NIs share a
-                        // router).
-                        eject_q.push((flit.info.dst as usize, flit));
+                        eject_q.push((packet, flit));
                     }
                     if let Some((up, up_port)) = Self::link(links, r_idx, in_port) {
                         credit_q.push((up, up_port, in_vc));
@@ -1189,6 +1249,7 @@ impl Network {
             routing,
             policy,
             routers,
+            packets,
             node_coord,
             congestion,
             stats,
@@ -1217,11 +1278,11 @@ impl Network {
                     else {
                         continue;
                     };
-                    let Some(packet) = ivc.packet() else {
+                    let Some(packet) = ivc.packet(packets) else {
                         debug_assert!(false, "routed VC holds its head flit");
                         continue;
                     };
-                    debug_assert!(ivc.front().is_some_and(|f| f.kind.is_head()));
+                    debug_assert!(ivc.front(packets).is_some_and(|f| f.kind.is_head()));
                     let request = Self::va_in_select(
                         cfg,
                         region,
@@ -1250,7 +1311,7 @@ impl Network {
                         let (port, vc) = q.inp;
                         let prio = if contested {
                             let class = Some(cfg.vc_class(out_vc));
-                            front_priority(&**policy, ArbStage::VaOut, r, class, port, vc)
+                            front_priority(&**policy, ArbStage::VaOut, r, packets, class, port, vc)
                         } else {
                             0
                         };
@@ -1355,6 +1416,7 @@ impl Network {
             cfg,
             routing,
             routers,
+            packets,
             node_coord,
             stats,
             active_mask,
@@ -1381,11 +1443,11 @@ impl Network {
                         continue;
                     }
                     // Occupied and idle: the head is buffered.
-                    let Some(packet) = ivc.packet() else {
+                    let Some(packet) = ivc.packet(packets) else {
                         continue;
                     };
                     debug_assert!(
-                        ivc.front().is_some_and(|f| f.kind.is_head()),
+                        ivc.front(packets).is_some_and(|f| f.kind.is_head()),
                         "idle VC front flit must be a head (atomic VCs)"
                     );
                     let dst_node = packet.dst;
@@ -1439,6 +1501,7 @@ impl Network {
         let Network {
             cfg,
             routers,
+            packets,
             nodes,
             source,
             stats,
@@ -1529,7 +1592,7 @@ impl Network {
                 }
                 let r_idx = i / c;
                 let router = &mut routers[r_idx];
-                if let Some(ev) = node.try_inject(cfg, router, cycle) {
+                if let Some(ev) = node.try_inject(cfg, router, packets, cycle) {
                     stats.injected_flits += 1;
                     if let Some(o) = oracle.as_deref_mut() {
                         o.notify(|c, _| c.on_inject(id, &ev, cycle));
@@ -1672,12 +1735,13 @@ fn front_priority(
     policy: &dyn PriorityPolicy,
     stage: ArbStage,
     r: &Router,
+    packets: &PacketTable,
     out_vc: Option<VcClass>,
     port: Port,
     vc: usize,
 ) -> u64 {
     let ivc = r.ivc(port, vc);
-    let Some(packet) = ivc.packet().filter(|_| !ivc.is_empty()) else {
+    let Some(packet) = ivc.packet(packets).filter(|_| !ivc.is_empty()) else {
         debug_assert!(false, "an arbitration request has a buffered flit");
         return 0;
     };
@@ -1784,6 +1848,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A flit off the router buffers is its 24-byte record plus its
+    /// packet's 4-byte handle: 40 bytes on a link, 32 in the ejection
+    /// register. Pinned so that a wider field cannot regrow the registers,
+    /// which are sized for a cycle's maximum at construction.
+    #[test]
+    fn link_and_ejection_records_are_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<RingFlit>(), 24);
+        assert_eq!(size_of::<Option<PacketRef>>(), 4);
+        assert_eq!(size_of::<InFlight>(), 40);
+        assert_eq!(size_of::<(PacketRef, RingFlit)>(), 32);
     }
 
     /// The static tables equal the functions they cache: every link-table

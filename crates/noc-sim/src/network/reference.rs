@@ -3,7 +3,8 @@
 //!
 //! [`Network::tick_reference`] visits every router, port, VC and node in
 //! index order, every cycle, and decides everything from first-hand state:
-//! a VC's pipeline state, holder tag and FIFO, the credit counter, the
+//! a VC's pipeline state, holder tag, FIFO and its packet's descriptor, the
+//! credit counter, the
 //! output-VC allocation table, and the topology functions for the far end
 //! of a port. It asks the policy for the priority of *every* request (lone
 //! ones too), offers every node a `generate` every cycle without ever
@@ -13,10 +14,10 @@
 //! **Shared with production** — only what is not mask-driven: the
 //! `Router`/`Node`/`FaultState` containers and their write methods (which
 //! keep the routers' bitmaps coherent, so the oracle's bookkeeping recount
-//! checks them on this side too), the LT/BW phase, fault events and the
-//! stranded sweep, the oracle hooks and flush, the NI's release/inject
-//! methods, [`arbitrate_rr`] and [`arbitrate_rr_at`], [`arb_req`] and the
-//! policy/routing traits.
+//! checks them on this side too), the packet table, the LT/BW phase, fault
+//! events and the stranded sweep, the oracle hooks and flush, the NI's
+//! release/inject methods, [`arbitrate_rr`] and [`arbitrate_rr_at`],
+//! [`arb_req`] and the policy/routing traits.
 //!
 //! **Never read here** — the network's router, dirty and NI masks, the
 //! sources' arrival promises and their per-word minimum, the static link
@@ -32,13 +33,13 @@ use super::{arb_req, InFlight, Network};
 use crate::arbitration::{arbitrate_rr, arbitrate_rr_at, ArbReq, ArbStage, PriorityPolicy};
 use crate::config::SimConfig;
 use crate::fault::{FaultState, RETRANSMIT_LATENCY};
-use crate::flit::PacketInfo;
+use crate::flit::{PacketInfo, PacketTable};
 use crate::ids::{opposite, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_LOCAL};
 use crate::region::RegionMap;
 use crate::router::Router;
 use crate::routing::{RoutingAlgorithm, SelectCtx};
 use crate::topology::{has_link, neighbor_router};
-use crate::vc::{VcClass, VcState};
+use crate::vc::{byte, VcClass, VcState};
 
 /// Far end of output port `p` of router `idx`, from the topology functions.
 fn far_end(cfg: &SimConfig, idx: usize, p: Port) -> Option<(usize, Port)> {
@@ -56,12 +57,13 @@ fn priority_of(
     policy: &dyn PriorityPolicy,
     stage: ArbStage,
     r: &Router,
+    packets: &PacketTable,
     out_vc: Option<VcClass>,
     (port, vc): (Port, usize),
 ) -> u64 {
     let front = r
         .ivc(port, vc)
-        .front()
+        .front(packets)
         .expect("an arbitration request has a buffered flit");
     policy.priority(stage, r, out_vc, &arb_req(r, &front.info))
 }
@@ -99,6 +101,7 @@ impl Network {
             cfg,
             policy,
             routers,
+            packets,
             in_flight,
             eject_q,
             credit_q,
@@ -129,7 +132,7 @@ impl Network {
                         continue;
                     }
                     let at = (in_port, in_vc);
-                    let prio = priority_of(&**policy, ArbStage::SaIn, r, None, at);
+                    let prio = priority_of(&**policy, ArbStage::SaIn, r, packets, None, at);
                     reqs.push((prio, in_vc));
                     wants.push((out_port, out_vc));
                 }
@@ -143,7 +146,8 @@ impl Network {
                     .filter_map(|in_port| match sa_in[in_port] {
                         Some((in_vc, want, _)) if want == out_port => {
                             let at = (in_port, in_vc);
-                            let prio = priority_of(&**policy, ArbStage::SaOut, r, None, at);
+                            let prio =
+                                priority_of(&**policy, ArbStage::SaOut, r, packets, None, at);
                             Some((prio, in_port))
                         }
                         _ => None,
@@ -154,10 +158,11 @@ impl Network {
                 };
                 let in_port = reqs[w].1;
                 let (in_vc, _, out_vc) = sa_in[in_port].expect("an SA_out request won SA_in");
-                let mut flit = r
+                let (mut flit, packet) = r
                     .pop_flit(in_port, in_vc)
                     .expect("SA winner holds a buffered flit");
                 if let Some(o) = oracle.as_deref_mut() {
+                    let flit = flit.with(packets.get(packet));
                     o.notify(|c, _| c.on_forward(r.id, in_port, in_vc, out_port, &flit, cycle));
                 }
                 if let Some((nb, nb_port)) = far_end(cfg, r_idx, out_port) {
@@ -167,7 +172,7 @@ impl Network {
                     if let Some(fs) = fault.as_deref_mut().filter(|fs| fs.corrupts()) {
                         // Link-level ARQ, resolved at send time (see the
                         // production SA phase).
-                        let k = fs.send_attempts(flit.info.id, flit.seq, r_idx, out_port);
+                        let k = fs.send_attempts(flit.id, u32::from(flit.seq), r_idx, out_port);
                         stats.flits_retransmitted += u64::from(k - 1);
                         arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
                         let slot = FaultState::slot(cfg, nb, nb_port, out_vc);
@@ -175,15 +180,16 @@ impl Network {
                         fs.last_arrival[slot] = arrive;
                     }
                     in_flight.push(InFlight {
-                        dst_router: nb,
-                        in_port: nb_port,
-                        vc: out_vc,
-                        arrive,
                         flit,
+                        arrive,
+                        packet,
+                        dst_router: nb as NodeId,
+                        in_port: byte(nb_port),
+                        vc: byte(out_vc),
                     });
                 } else {
                     assert_eq!(out_port, PORT_LOCAL, "grant on a linkless port");
-                    eject_q.push((flit.info.dst as usize, flit));
+                    eject_q.push((packet, flit));
                 }
                 if let Some((up, up_port)) = far_end(cfg, r_idx, in_port) {
                     credit_q.push((up, up_port, in_vc));
@@ -210,6 +216,7 @@ impl Network {
             routing,
             policy,
             routers,
+            packets,
             congestion,
             ..
         } = self;
@@ -228,7 +235,7 @@ impl Network {
                 else {
                     continue;
                 };
-                let head = ivc.front().expect("routed VC holds its head flit");
+                let head = ivc.front(packets).expect("routed VC holds its head flit");
                 let out = va_in_select(
                     cfg,
                     region,
@@ -255,7 +262,8 @@ impl Network {
                         .iter()
                         .map(|&inp| {
                             let class = Some(cfg.vc_class(out_vc));
-                            let prio = priority_of(&**policy, ArbStage::VaOut, r, class, inp);
+                            let prio =
+                                priority_of(&**policy, ArbStage::VaOut, r, packets, class, inp);
                             (prio, r.slot(inp.0, inp.1))
                         })
                         .collect();
@@ -278,6 +286,7 @@ impl Network {
             cfg,
             routing,
             routers,
+            packets,
             fault,
             ..
         } = self;
@@ -287,7 +296,7 @@ impl Network {
             for slot in 0..NUM_PORTS * v {
                 let (in_port, in_vc) = r.port_vc(slot);
                 let ivc = r.ivc(in_port, in_vc);
-                let (VcState::Idle, Some(front)) = (ivc.state(), ivc.front()) else {
+                let (VcState::Idle, Some(front)) = (ivc.state(), ivc.front(packets)) else {
                     continue;
                 };
                 assert!(front.kind.is_head(), "idle VC front flit must be a head");
@@ -333,6 +342,7 @@ impl Network {
         let Network {
             cfg,
             routers,
+            packets,
             nodes,
             source,
             stats,
@@ -381,7 +391,7 @@ impl Network {
                 }
             }
             let router = &mut routers[i / c];
-            let Some(ev) = node.try_inject(cfg, router, cycle) else {
+            let Some(ev) = node.try_inject(cfg, router, packets, cycle) else {
                 continue;
             };
             stats.injected_flits += 1;

@@ -9,7 +9,7 @@
 //! source queues grow without bound, which is the saturation signal.
 
 use crate::config::{SimConfig, MAX_CLASSES};
-use crate::flit::{Flit, PacketInfo};
+use crate::flit::{PacketInfo, PacketRef, PacketTable, RingFlit};
 use crate::ids::{MsgClass, NodeId, PORT_LOCAL};
 use crate::router::Router;
 use std::cmp::Reverse;
@@ -45,12 +45,12 @@ impl PartialOrd for PendingReply {
     }
 }
 
-/// A packet mid-injection: the local VC its flits stream into and the next
-/// flit to materialise.
+/// A packet mid-injection: the local VC its flits stream into, its
+/// descriptor's handle and the next flit to materialise.
 #[derive(Debug)]
 struct InjectProgress {
     vc: usize,
-    info: PacketInfo,
+    packet: PacketRef,
     next_seq: u32,
 }
 
@@ -249,11 +249,13 @@ impl Node {
 
     /// Inject up to one flit into the router's local input port. Starts a
     /// new packet (class queues served round-robin) when none is
-    /// mid-injection. Returns the injected flit's accounting info, if any.
+    /// mid-injection, storing its descriptor in `packets` as its head goes
+    /// in. Returns the injected flit's accounting info, if any.
     pub fn try_inject(
         &mut self,
         cfg: &SimConfig,
         router: &mut Router,
+        packets: &mut PacketTable,
         cycle: u64,
     ) -> Option<InjectedFlit> {
         if self.inject.is_none() {
@@ -267,9 +269,10 @@ impl Node {
                             break;
                         };
                         info.inject = cycle;
+                        // The picked VC is empty: the head goes in below.
                         self.inject = Some(InjectProgress {
                             vc,
-                            info,
+                            packet: packets.insert(info),
                             next_seq: 0,
                         });
                         self.class_rr = next;
@@ -281,19 +284,20 @@ impl Node {
         }
         if let Some(p) = &mut self.inject {
             if router.ivc(PORT_LOCAL, p.vc).len() < cfg.vc_depth {
-                let flit = Flit::nth(p.info, p.next_seq);
+                let info = packets.get(p.packet);
+                let flit = RingFlit::nth(info, p.next_seq);
                 let ev = InjectedFlit {
                     head: flit.kind.is_head(),
-                    app: flit.info.app,
-                    packet_id: flit.info.id,
+                    app: info.app,
+                    packet_id: info.id,
                     vc: p.vc,
                 };
                 if ev.head {
-                    router.note_vc_occupied(PORT_LOCAL, p.vc, &p.info);
+                    router.note_vc_occupied(PORT_LOCAL, p.vc, p.packet, info.app);
                 }
                 router.push_flit(PORT_LOCAL, p.vc, flit);
                 p.next_seq += 1;
-                if p.next_seq == p.info.size {
+                if p.next_seq == info.size {
                     self.inject = None;
                 }
                 return Some(ev);
@@ -318,7 +322,7 @@ pub struct InjectedFlit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::ReplySpec;
+    use crate::flit::{Flit, ReplySpec};
 
     fn cfg() -> SimConfig {
         SimConfig::table1()
@@ -365,10 +369,11 @@ mod tests {
         let c = cfg();
         let mut node = Node::new(&c, 0);
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
+        let mut packets = PacketTable::default();
         node.enqueue(pkt(1, 0, 5));
         let mut injected = 0;
         for cycle in 0..5 {
-            if let Some(ev) = node.try_inject(&c, &mut router, cycle) {
+            if let Some(ev) = node.try_inject(&c, &mut router, &mut packets, cycle) {
                 injected += 1;
                 assert_eq!(ev.head, cycle == 0);
             }
@@ -382,10 +387,12 @@ mod tests {
         assert_eq!(occupied.len(), 1);
         let vc = router.ivc(PORT_LOCAL, occupied[0]);
         assert_eq!(vc.len(), 5);
-        // Rebuilt from their ring records and the VC's descriptor, the
-        // flits are the ones `flits_of` lists.
-        let info = *vc.packet().unwrap();
-        assert!(vc.flits().eq(Flit::flits_of(info)));
+        // Rebuilt from their ring records and the descriptor the VC's
+        // handle names, the flits are the ones `flits_of` lists: the
+        // packet's, stamped with its injection cycle.
+        let info = *vc.packet(&packets).unwrap();
+        assert_eq!((info.id, info.inject, packets.live()), (1, 0, 1));
+        assert!(vc.flits(&packets).eq(Flit::flits_of(info)));
     }
 
     #[test]
@@ -393,12 +400,13 @@ mod tests {
         let c = cfg();
         let mut node = Node::new(&c, 0);
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
+        let mut packets = PacketTable::default();
         // Occupy every local VC.
         for vc in 0..c.vcs_per_port() {
-            router.note_vc_occupied(PORT_LOCAL, vc, &pkt(9, 0, 1));
+            router.note_vc_occupied(PORT_LOCAL, vc, packets.insert(pkt(9, 0, 1)), 0);
         }
         node.enqueue(pkt(1, 0, 1));
-        assert!(node.try_inject(&c, &mut router, 0).is_none());
+        assert!(node.try_inject(&c, &mut router, &mut packets, 0).is_none());
         assert_eq!(node.backlog(), 1);
     }
 
@@ -407,8 +415,9 @@ mod tests {
         let c = cfg();
         let mut node = Node::new(&c, 0);
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
+        let mut packets = PacketTable::default();
         node.enqueue(pkt(1, 0, 1));
-        assert!(node.try_inject(&c, &mut router, 0).is_some());
+        assert!(node.try_inject(&c, &mut router, &mut packets, 0).is_some());
         let esc = c.escape_vc(0);
         assert!(router.ivc(PORT_LOCAL, esc).is_empty());
     }
@@ -418,11 +427,12 @@ mod tests {
         let c = cfg();
         let mut node = Node::new(&c, 0);
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
+        let mut packets = PacketTable::default();
         for vc in c.adaptive_vc_range() {
-            router.note_vc_occupied(PORT_LOCAL, vc, &pkt(9, 0, 1));
+            router.note_vc_occupied(PORT_LOCAL, vc, packets.insert(pkt(9, 0, 1)), 0);
         }
         node.enqueue(pkt(1, 0, 1));
-        assert!(node.try_inject(&c, &mut router, 0).is_some());
+        assert!(node.try_inject(&c, &mut router, &mut packets, 0).is_some());
         assert_eq!(router.ivc(PORT_LOCAL, c.escape_vc(0)).len(), 1);
     }
 
@@ -451,13 +461,14 @@ mod tests {
         let c = cfg();
         let mut node = Node::new(&c, 0);
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
+        let mut packets = PacketTable::default();
         assert!(!node.has_work());
         // Queued, then mid-injection, then done.
         node.enqueue(pkt(1, 0, 2));
         assert!(node.has_work());
-        assert!(node.try_inject(&c, &mut router, 0).is_some());
+        assert!(node.try_inject(&c, &mut router, &mut packets, 0).is_some());
         assert!(node.src_q[0].is_empty() && node.has_work(), "mid-injection");
-        assert!(node.try_inject(&c, &mut router, 1).is_some());
+        assert!(node.try_inject(&c, &mut router, &mut packets, 1).is_some());
         assert!(!node.has_work());
         // A reply in service, and a retry backing off, with empty queues.
         node.schedule_reply(20, 100, 7, 0, 0, 1);
@@ -468,7 +479,7 @@ mod tests {
         // A dead router's NI keeps only the packet it is streaming.
         node.enqueue(pkt(3, 0, 2));
         node.enqueue(pkt(4, 0, 1));
-        assert!(node.try_inject(&c, &mut router, 2).is_some());
+        assert!(node.try_inject(&c, &mut router, &mut packets, 2).is_some());
         assert_eq!(node.drop_backlog(), 1);
         assert!(node.has_work(), "mid-injection survives drop_backlog");
     }
@@ -478,12 +489,15 @@ mod tests {
         let c = SimConfig::table1_req_reply();
         let mut node = Node::new(&c, 0);
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
+        let mut packets = PacketTable::default();
         node.enqueue(pkt(1, 0, 1));
         node.enqueue(pkt(2, 1, 1));
         node.enqueue(pkt(3, 0, 1));
         // Three single-flit packets, alternating classes 0,1,0.
         for cycle in 0..3 {
-            assert!(node.try_inject(&c, &mut router, cycle).is_some());
+            assert!(node
+                .try_inject(&c, &mut router, &mut packets, cycle)
+                .is_some());
         }
         assert_eq!(node.backlog(), 0);
     }

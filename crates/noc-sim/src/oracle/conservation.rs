@@ -1,23 +1,28 @@
 //! Flit conservation: injected = in-flight + ejected (+ dropped), per
 //! application. Under an active fault timeline the network keeps a drop
 //! ledger (stranded-packet extraction, terminal drops); ledgered flits left
-//! the network legitimately and are added back into the balance.
+//! the network legitimately and are added back into the balance. Packet
+//! accounting rides along: the packet table's live descriptors are exactly
+//! the packets the VCs, link records and ejection register hold.
 
 use super::{Checker, OracleViolation};
-use crate::flit::Flit;
+use crate::flit::{Flit, PacketRef};
 use crate::ids::{AppId, NodeId, NUM_PORTS};
 use crate::network::Network;
 use crate::node::InjectedFlit;
-use crate::vc::VcView;
 
 /// Counts injections and ejections per application from the hooks and
 /// reconciles them against an exhaustive scan of every flit still inside
-/// the network (input buffers, link registers, ejection queue).
+/// the network (input buffers, link registers, ejection queue); the same
+/// scan lists every packet handle held there, which must name exactly the
+/// packet table's live descriptors — a descriptor the kernel forgot to free
+/// or freed twice is caught here.
 #[derive(Debug, Default)]
 pub struct FlitConservation {
     injected: Vec<u64>,
     ejected: Vec<u64>,
     scratch: Vec<i64>,
+    held: Vec<PacketRef>,
 }
 
 impl FlitConservation {
@@ -26,6 +31,7 @@ impl FlitConservation {
             injected: vec![0; num_apps],
             ejected: vec![0; num_apps],
             scratch: Vec::new(),
+            held: Vec::new(),
         }
     }
 
@@ -62,18 +68,33 @@ impl Checker for FlitConservation {
             }
             self.scratch[i] += 1;
         };
+        let packets = &net.packets;
+        self.held.clear();
         for r in &net.routers {
             for port in 0..NUM_PORTS {
-                for f in r.ivcs(port).flat_map(VcView::flits) {
-                    count(f.info.app);
+                for ivc in r.ivcs(port) {
+                    self.held.extend(ivc.packet_ref());
+                    for f in ivc.flits(packets) {
+                        count(f.info.app);
+                    }
                 }
             }
         }
         for a in &net.in_flight {
-            count(a.flit.info.app);
+            self.held.push(a.packet);
+            count(packets.get(a.packet).app);
         }
-        for (_, f) in &net.eject_q {
-            count(f.info.app);
+        for &(packet, _) in &net.eject_q {
+            self.held.push(packet);
+            count(packets.get(packet).app);
+        }
+        if let Err(detail) = packets.audit(&mut self.held) {
+            out.push(OracleViolation {
+                cycle: net.cycle(),
+                checker: self.name(),
+                router: None,
+                detail,
+            });
         }
         for (app, &in_net) in self.scratch.iter().enumerate() {
             let injected = self.injected.get(app).copied().unwrap_or(0) as i64;

@@ -27,7 +27,7 @@ impl Checker for CrcIntegrity {
         for (r, router) in net.routers.iter().enumerate() {
             for port in 0..NUM_PORTS {
                 for (vc, ivc) in router.ivcs(port).enumerate() {
-                    for f in ivc.flits() {
+                    for f in ivc.flits(&net.packets) {
                         if crc16(f.payload) != f.crc {
                             out.push(OracleViolation {
                                 cycle: net.cycle(),

@@ -38,7 +38,8 @@ impl Checker for CreditConservation {
         self.in_flight.clear();
         self.in_flight.resize(slots, 0);
         for a in &net.in_flight {
-            self.in_flight[idx(a.dst_router, a.in_port, a.vc)] += 1;
+            let (router, port, vc) = a.dst();
+            self.in_flight[idx(router, port, vc)] += 1;
         }
         self.queued_credits.clear();
         self.queued_credits.resize(slots, 0);

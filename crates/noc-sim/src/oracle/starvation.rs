@@ -106,7 +106,9 @@ impl Checker for StarvationWatch {
                         self.reported[global] = false;
                         continue;
                     }
-                    let (Some((out_port, out_vc)), Some(packet)) = (active, ivc.packet()) else {
+                    let (Some((out_port, out_vc)), Some(packet)) =
+                        (active, ivc.packet(&net.packets))
+                    else {
                         continue;
                     };
                     if self.reported[global] || !r.is_native(packet.app) {

@@ -52,9 +52,9 @@ impl Checker for WormholeContiguity {
                     }
                     // Each buffered flit keeps its own packet id; they
                     // must all be the front flit's.
-                    let front_id = ivc.front().map(|h| h.info.id);
+                    let front_id = ivc.front(&net.packets).map(|h| h.info.id);
                     let mut prev_seq = None;
-                    for f in ivc.flits() {
+                    for f in ivc.flits(&net.packets) {
                         if Some(f.info.app) != ivc.holder() || front_id != Some(f.info.id) {
                             flag(
                                 r.id,
@@ -88,7 +88,7 @@ impl Checker for WormholeContiguity {
                     }
                     // Until switch allocation, the head must lead the buffer.
                     if !matches!(ivc.state(), VcState::Active { .. }) {
-                        if let Some(front) = ivc.front() {
+                        if let Some(front) = ivc.front(&net.packets) {
                             if !front.kind.is_head() {
                                 flag(
                                     r.id,

@@ -5,9 +5,10 @@
 //! between them. Each router holds, flat and indexed by VC slot
 //! (`slot = port * vcs + vc`, the bit position in every bitmap):
 //!
-//! * the input VCs' pipeline state, the descriptor of the packet holding
-//!   each, and their flit FIFOs (fixed-depth rings of slim per-flit records
-//!   in one slab; a buffered flit is its record plus its VC's descriptor),
+//! * the input VCs' pipeline state, the handle (and application) of the
+//!   packet holding each, and their flit FIFOs (fixed-depth rings of slim
+//!   per-flit records in one slab; a buffered flit is its record plus the
+//!   descriptor its VC's handle names in the network's packet table),
 //! * output-VC allocation table and credit counters toward downstream,
 //! * rotating-arbiter pointers for VA_out, SA_in and SA_out,
 //! * the DPA occupancy registers (`OVC_n`, `OVC_f`) and the hysteresis
@@ -22,9 +23,9 @@
 
 use crate::bits::low_bits;
 use crate::config::SimConfig;
-use crate::flit::{Flit, PacketInfo};
+use crate::flit::{PacketRef, RingFlit};
 use crate::ids::{AppId, Coord, NodeId, Port, APP_NONE, NUM_PORTS, PORT_LOCAL};
-use crate::vc::{byte, InputVc, RingFlit, VcState, VcTag, VcView};
+use crate::vc::{byte, InputVc, VcState, VcTag, VcView};
 
 /// Names of the seven bitmaps, in the order [`Router::bitsets`] and
 /// [`Router::recount_bitsets`] return them.
@@ -52,7 +53,7 @@ pub struct Router {
     /// unassigned). Packets whose app matches are native traffic here.
     pub app: AppId,
 
-    /// Input VCs by slot, each with the descriptor of the packet holding it.
+    /// Input VCs by slot, each with the handle of the packet holding it.
     inputs: Box<[InputVc]>,
     /// Every input VC's flit ring: slot `s` owns
     /// `slab[s * vc_depth..][..vc_depth]`.
@@ -218,23 +219,27 @@ impl Router {
         (holder != OUT_FREE).then(|| self.port_vc(usize::from(holder)))
     }
 
-    /// Write `flit` at the back of input VC `(port, vc)`'s FIFO. Its packet
-    /// fields other than the id are not stored: the VC's descriptor
+    /// Write `flit` at the back of input VC `(port, vc)`'s FIFO. A whole
+    /// [`Flit`](crate::flit::Flit) is cut to its record: packet fields other
+    /// than the id are not stored, the VC's handle
     /// ([`note_vc_occupied`](Self::note_vc_occupied)) stands for them.
     #[inline]
-    pub fn push_flit(&mut self, port: Port, vc: usize, flit: Flit) {
+    pub fn push_flit(&mut self, port: Port, vc: usize, flit: impl Into<RingFlit>) {
         let slot = self.slot(port, vc);
         let ring = &mut self.slab[slot * self.vc_depth..][..self.vc_depth];
-        self.inputs[slot].push(ring, &flit);
+        self.inputs[slot].push(ring, flit.into());
     }
 
-    /// Take the front flit of input VC `(port, vc)`'s FIFO, rebuilt whole
-    /// from its ring record and the VC's descriptor.
+    /// Take the front flit record of input VC `(port, vc)`'s FIFO, with the
+    /// handle of the packet it belongs to (`None` when the VC is empty or
+    /// unheld).
     #[inline]
-    pub fn pop_flit(&mut self, port: Port, vc: usize) -> Option<Flit> {
+    pub(crate) fn pop_flit(&mut self, port: Port, vc: usize) -> Option<(RingFlit, PacketRef)> {
         let slot = self.slot(port, vc);
         let ring = &self.slab[slot * self.vc_depth..][..self.vc_depth];
-        self.inputs[slot].pop(ring)
+        let ivc = &mut self.inputs[slot];
+        let packet = ivc.packet?;
+        Some((ivc.pop(ring)?, packet))
     }
 
     /// The front flit's ring record of input VC `(port, vc)`, mutably — for
@@ -262,22 +267,23 @@ impl Router {
     }
 
     /// Record that input VC `(port, vc)` transitioned unoccupied → occupied
-    /// by `packet` (its head is about to be written): the VC's descriptor.
+    /// by `packet` of application `app` (its head is about to be written):
+    /// the VC's handle.
     #[inline]
-    pub fn note_vc_occupied(&mut self, port: Port, vc: usize, packet: &PacketInfo) {
+    pub fn note_vc_occupied(&mut self, port: Port, vc: usize, packet: PacketRef, app: AppId) {
         let slot = self.slot(port, vc);
         let bit = 1u64 << slot;
         debug_assert_eq!(self.occ_bits & bit, 0);
-        self.inputs[slot].packet = Some(*packet);
+        self.inputs[slot].hold(packet, app);
         self.occ_bits |= bit;
-        if self.is_native(packet.app) {
+        if self.is_native(app) {
             self.native_bits |= bit;
         }
     }
 
     /// Record that input VC `(port, vc)` transitioned occupied → unoccupied
     /// (tail departed, or the packet was extracted): back to idle, with no
-    /// descriptor and an empty ring.
+    /// handle and an empty ring.
     #[inline]
     pub fn note_vc_freed(&mut self, port: Port, vc: usize) {
         let slot = self.slot(port, vc);
@@ -372,7 +378,7 @@ impl Router {
             if ivc.occupied() {
                 occ |= bit;
             }
-            if ivc.packet.as_ref().is_some_and(|p| self.is_native(p.app)) {
+            if ivc.holder().is_some_and(|app| self.is_native(app)) {
                 native |= bit;
             }
             match ivc.state() {
@@ -394,7 +400,7 @@ impl Router {
     }
 
     /// Compare every piece of incremental bookkeeping — the seven bitmaps,
-    /// the ring cursors and the occupied ⇔ descriptor rule — against the
+    /// the ring cursors and the occupied ⇔ handle rule — against the
     /// slow scan; `Some(description)` of the first disagreement. Skipping a
     /// router or a VC on the strength of a bitmap is sound exactly while
     /// this returns `None` (checked every debug tick and by the oracle's
@@ -414,7 +420,7 @@ impl Router {
             } else if ivc.occupied() != ivc.packet.is_some() {
                 Some(format!(
                     "input {at:?}: holder {:?} disagrees with occupancy {}",
-                    ivc.packet.map(|p| p.app),
+                    ivc.holder(),
                     ivc.occupied()
                 ))
             } else {
@@ -481,6 +487,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flit::{Flit, FlitKind, PacketInfo, PacketTable};
     use std::mem::size_of_val;
 
     fn cfg() -> SimConfig {
@@ -497,6 +504,8 @@ mod tests {
         low_bits(NUM_PORTS * r.vcs)
     }
 
+    /// A single-flit packet of `app` in input VC `(port, vc)`. Router state
+    /// names the packet by handle only, so the table it came from can go.
     fn put_flit(r: &mut Router, port: Port, vc: usize, app: AppId) {
         let info = PacketInfo {
             id: 0,
@@ -509,7 +518,8 @@ mod tests {
             inject: 0,
             reply: None,
         };
-        r.note_vc_occupied(port, vc, &info);
+        let packet = PacketTable::default().insert(info);
+        r.note_vc_occupied(port, vc, packet, app);
         r.push_flit(port, vc, Flit::nth(info, 0));
     }
 
@@ -532,10 +542,10 @@ mod tests {
         let r = mk();
         assert_eq!((r.inputs.len(), r.slab.len()), (25, 125));
         assert_eq!(size_of::<RingFlit>(), 24);
-        assert_eq!(size_of::<InputVc>(), 80);
+        assert_eq!(size_of::<InputVc>(), 12);
         // One byte a slot for each of `out_alloc`, `credits` and `va_ptr`.
         assert_eq!(size_of_val(&*r.out_alloc) + size_of_val(&*r.credits), 50);
-        assert_eq!(state_bytes(&r), 5_331);
+        assert_eq!(state_bytes(&r), 3_631);
     }
 
     /// The byte-wide tables read back through the accessors' wide types:
@@ -721,7 +731,10 @@ mod tests {
         }
         r.release_out_vc(2, 3);
         assert_ne!(r.allocatable_mask() & r.vc_bit(2, 3), 0);
-        assert_eq!(r.pop_flit(1, 2).map(|f| f.info.app), Some(0));
+        assert_eq!(
+            r.pop_flit(1, 2).map(|(f, _)| f.kind),
+            Some(FlitKind::Single)
+        );
         r.note_vc_freed(1, 2);
         assert_eq!(r.occ_bits, r.vc_bit(3, 0));
         assert_eq!(r.active_bits, 0);

@@ -1,7 +1,7 @@
 //! Virtual-channel state: classification tags and the per-input-VC state
 //! machine driven by the router pipeline.
 
-use crate::flit::{Flit, FlitKind, PacketInfo};
+use crate::flit::{Flit, PacketInfo, PacketRef, PacketTable, RingFlit};
 use crate::ids::{AppId, Port};
 use serde::{Deserialize, Serialize};
 
@@ -125,82 +125,29 @@ impl From<PackedState> for VcState {
     }
 }
 
-/// What a ring slot keeps of a buffered flit: the fields that differ
-/// between the flits of one packet, plus the packet id, so that the
-/// one-packet-per-VC check compares stored values rather than copies of one
-/// descriptor. Everything else comes from the VC's [`InputVc::packet`]
-/// descriptor when the flit is read back — 24 bytes a slot instead of an
-/// 88-byte [`Flit`]. The sequence number is a byte: a packet fits its VC
-/// (the source contract), whose depth config validation caps at 255.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RingFlit {
-    id: u64,
-    pub(crate) payload: u64,
-    hops: u32,
-    crc: u16,
-    seq: u8,
-    kind: FlitKind,
-}
-
-impl RingFlit {
-    /// Ring storage before a flit is written; a slot is only ever read
-    /// below its VC's `len`.
-    pub(crate) const EMPTY: Self = Self {
-        id: 0,
-        payload: 0,
-        seq: 0,
-        hops: 0,
-        crc: 0,
-        kind: FlitKind::Single,
-    };
-
-    #[inline]
-    fn of(f: &Flit) -> Self {
-        debug_assert!(f.seq <= u32::from(u8::MAX), "seq {} does not pack", f.seq);
-        Self {
-            id: f.info.id,
-            payload: f.payload,
-            hops: f.hops,
-            crc: f.crc,
-            seq: f.seq as u8,
-            kind: f.kind,
-        }
-    }
-
-    /// The whole flit again, its packet fields (bar the id) from `packet`.
-    #[inline]
-    fn with(self, packet: &PacketInfo) -> Flit {
-        Flit {
-            kind: self.kind,
-            seq: u32::from(self.seq),
-            hops: self.hops,
-            payload: self.payload,
-            crc: self.crc,
-            info: PacketInfo {
-                id: self.id,
-                ..*packet
-            },
-        }
-    }
-}
-
-/// One input virtual channel: the descriptor of the packet holding it, its
-/// pipeline state and the cursor of its flit FIFO. The FIFO is a
-/// fixed-depth ring whose storage is the VC's `vc_depth`-long stripe of the
-/// owning router's slab, so the ring operations take that stripe as an
-/// argument; only the [`Router`](crate::router::Router) writes either.
+/// One input virtual channel: the handle of the packet holding it and that
+/// packet's application, its pipeline state and the cursor of its flit
+/// FIFO — 12 bytes. The FIFO is a fixed-depth ring whose storage is the
+/// VC's `vc_depth`-long stripe of the owning router's slab, so the ring
+/// operations take that stripe as an argument; the cursors are bytes
+/// (config validation caps `vc_depth` at 255). Only the
+/// [`Router`](crate::router::Router) writes either.
 #[derive(Debug, Clone)]
 pub struct InputVc {
     /// The packet currently holding this VC. Written when its head is
     /// written into the (empty, idle) VC and cleared when the tail departs
     /// — so it stays valid while the VC is occupied even after every
     /// buffered flit has moved downstream. Atomic VCs hold one packet at a
-    /// time, so its buffered flits share this one copy.
-    pub(crate) packet: Option<PacketInfo>,
+    /// time, so its buffered flits share this one handle.
+    pub(crate) packet: Option<PacketRef>,
+    /// The holding packet's application (meaningless while `packet` is
+    /// `None`): what the router's native/foreign split and the policies
+    /// read without going to the packet table.
+    app: AppId,
     /// Ring index of the front flit (`< depth`).
-    head: u32,
+    head: u8,
     /// Buffered flits (`<= depth`).
-    len: u32,
+    len: u8,
     state: PackedState,
 }
 
@@ -208,6 +155,7 @@ impl InputVc {
     pub(crate) fn new() -> Self {
         Self {
             packet: None,
+            app: 0,
             head: 0,
             len: 0,
             state: PackedState::Idle,
@@ -224,6 +172,19 @@ impl InputVc {
         self.state = state.into();
     }
 
+    /// Hand the VC to `packet` of application `app`.
+    #[inline]
+    pub(crate) fn hold(&mut self, packet: PacketRef, app: AppId) {
+        self.packet = Some(packet);
+        self.app = app;
+    }
+
+    /// Application of the packet holding this VC, if any.
+    #[inline]
+    pub(crate) fn holder(&self) -> Option<AppId> {
+        self.packet.map(|_| self.app)
+    }
+
     /// Occupied = holds at least one flit or is allocated to an in-flight
     /// packet (its flits may all have moved on while the tail hasn't been
     /// received yet).
@@ -235,7 +196,7 @@ impl InputVc {
     /// Ring slot of the `i`-th buffered flit (compare-subtract wrap).
     #[inline]
     fn at(&self, depth: usize, i: usize) -> usize {
-        let k = self.head as usize + i;
+        let k = usize::from(self.head) + i;
         if k >= depth {
             k - depth
         } else {
@@ -245,28 +206,28 @@ impl InputVc {
 
     /// Append `flit` at the back of the FIFO stored in `ring`.
     #[inline]
-    pub(crate) fn push(&mut self, ring: &mut [RingFlit], flit: &Flit) {
-        debug_assert!((self.len as usize) < ring.len(), "input buffer overflow");
-        ring[self.at(ring.len(), self.len as usize)] = RingFlit::of(flit);
+    pub(crate) fn push(&mut self, ring: &mut [RingFlit], flit: RingFlit) {
+        debug_assert!(usize::from(self.len) < ring.len(), "input buffer overflow");
+        ring[self.at(ring.len(), usize::from(self.len))] = flit;
         self.len += 1;
     }
 
-    /// Remove and return the front flit of the FIFO stored in `ring`
-    /// (`None` when empty, or when no packet holds the VC to complete it).
+    /// Remove and return the front flit record of the FIFO stored in
+    /// `ring` (`None` when empty).
     #[inline]
-    pub(crate) fn pop(&mut self, ring: &[RingFlit]) -> Option<Flit> {
+    pub(crate) fn pop(&mut self, ring: &[RingFlit]) -> Option<RingFlit> {
         if self.len == 0 {
             return None;
         }
-        let flit = ring[self.head as usize].with(self.packet.as_ref()?);
-        self.head = self.at(ring.len(), 1) as u32;
+        let flit = ring[usize::from(self.head)];
+        self.head = self.at(ring.len(), 1) as u8;
         self.len -= 1;
         Some(flit)
     }
 
     /// The front flit's ring record, mutably.
     pub(crate) fn front_mut<'a>(&self, ring: &'a mut [RingFlit]) -> Option<&'a mut RingFlit> {
-        (self.len != 0).then(|| &mut ring[self.head as usize])
+        (self.len != 0).then(|| &mut ring[usize::from(self.head)])
     }
 
     /// Back to the freshly constructed state: idle, unheld, empty ring.
@@ -277,15 +238,17 @@ impl InputVc {
 
     /// Do the ring cursors index inside a `depth`-long stripe?
     pub(crate) fn cursor_in_bounds(&self, depth: usize) -> bool {
-        (self.head as usize) < depth && self.len as usize <= depth
+        usize::from(self.head) < depth && usize::from(self.len) <= depth
     }
 }
 
 /// Read-only view of one input VC together with its flit FIFO — what
 /// [`Router::ivc`](crate::router::Router::ivc) hands to the phases, the
-/// oracle checkers, policies and tests. The packet descriptor is lent by
-/// reference; a whole [`Flit`] is rebuilt by value, from its ring record
-/// and the descriptor, only where one is asked for.
+/// oracle checkers, policies and tests. State, occupancy and the holder's
+/// application are the VC's own; the packet descriptor lives in the
+/// network's [`PacketTable`], so the reads that need it take the table,
+/// and a whole [`Flit`] is rebuilt by value, from its ring record and the
+/// descriptor, only where one is asked for.
 #[derive(Debug, Clone, Copy)]
 pub struct VcView<'a> {
     pub(crate) vc: &'a InputVc,
@@ -298,16 +261,22 @@ impl<'a> VcView<'a> {
         self.vc.state()
     }
 
-    /// The packet currently holding this VC, if any.
+    /// Handle of the packet currently holding this VC, if any.
     #[inline]
-    pub fn packet(&self) -> Option<&'a PacketInfo> {
-        self.vc.packet.as_ref()
+    pub(crate) fn packet_ref(&self) -> Option<PacketRef> {
+        self.vc.packet
+    }
+
+    /// The packet currently holding this VC, if any, from `packets`.
+    #[inline]
+    pub fn packet<'t>(&self, packets: &'t PacketTable) -> Option<&'t PacketInfo> {
+        self.vc.packet.map(|p| packets.get(p))
     }
 
     /// Application of the packet currently holding this VC, if any.
     #[inline]
     pub fn holder(&self) -> Option<AppId> {
-        self.packet().map(|p| p.app)
+        self.vc.holder()
     }
 
     /// See [`InputVc::occupied`].
@@ -319,7 +288,7 @@ impl<'a> VcView<'a> {
     /// Buffered flits.
     #[inline]
     pub fn len(&self) -> usize {
-        self.vc.len as usize
+        usize::from(self.vc.len)
     }
 
     #[inline]
@@ -327,34 +296,35 @@ impl<'a> VcView<'a> {
         self.vc.len == 0
     }
 
-    /// The `i`-th buffered flit, front first.
+    /// The `i`-th buffered flit, front first, completed from `packets`.
     #[inline]
-    pub fn get(&self, i: usize) -> Option<Flit> {
+    pub fn get(&self, i: usize, packets: &PacketTable) -> Option<Flit> {
         if i >= self.len() {
             return None;
         }
         let slot = self.ring[self.vc.at(self.ring.len(), i)];
-        self.packet().map(|p| slot.with(p))
+        self.packet(packets).map(|p| slot.with(p))
     }
 
     #[inline]
-    pub fn front(&self) -> Option<Flit> {
-        self.get(0)
+    pub fn front(&self, packets: &PacketTable) -> Option<Flit> {
+        self.get(0, packets)
     }
 
-    pub fn back(&self) -> Option<Flit> {
-        self.get(self.len().wrapping_sub(1))
+    pub fn back(&self, packets: &PacketTable) -> Option<Flit> {
+        self.get(self.len().wrapping_sub(1), packets)
     }
 
     /// Buffered flits, front to back.
-    pub fn flits(self) -> impl Iterator<Item = Flit> + 'a {
-        (0..self.len()).filter_map(move |i| self.get(i))
+    pub fn flits<'t>(self, packets: &'t PacketTable) -> impl Iterator<Item = Flit> + use<'a, 't> {
+        (0..self.len()).filter_map(move |i| self.get(i, packets))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flit::FlitKind;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -378,20 +348,25 @@ mod tests {
         VcView { vc, ring }
     }
 
+    /// `vc` handed to `pkt`, stored in `packets`.
+    fn hold(vc: &mut InputVc, packets: &mut PacketTable, pkt: PacketInfo) {
+        vc.hold(packets.insert(pkt), pkt.app);
+    }
+
     #[test]
     fn fresh_vc_is_idle_and_unoccupied() {
         let vc = InputVc::new();
         assert_eq!(vc.state(), VcState::Idle);
         assert!(!vc.occupied());
-        assert!(vc.packet.is_none());
+        assert!(vc.packet.is_none() && vc.holder().is_none());
     }
 
     #[test]
     fn buffered_flit_marks_occupied() {
         let mut vc = InputVc::new();
         let mut ring = [RingFlit::EMPTY; 5];
-        vc.packet = Some(info(0, 1));
-        vc.push(&mut ring, &Flit::nth(info(0, 1), 0));
+        hold(&mut vc, &mut PacketTable::default(), info(0, 1));
+        vc.push(&mut ring, RingFlit::nth(&info(0, 1), 0));
         assert!(vc.occupied());
         assert_eq!(view(&vc, &ring).holder(), Some(3));
     }
@@ -441,8 +416,8 @@ mod tests {
     fn holder_survives_buffer_drain() {
         let mut vc = InputVc::new();
         let mut ring = [RingFlit::EMPTY; 5];
-        vc.packet = Some(info(0, 2));
-        vc.push(&mut ring, &Flit::nth(info(0, 2), 0));
+        hold(&mut vc, &mut PacketTable::default(), info(0, 2));
+        vc.push(&mut ring, RingFlit::nth(&info(0, 2), 0));
         vc.set_state(VcState::Active {
             out_port: 2,
             out_vc: 1,
@@ -458,17 +433,17 @@ mod tests {
     }
 
     /// Every read of the ring, against the model.
-    fn reads_agree(vc: &InputVc, ring: &[RingFlit], model: &VecDeque<Flit>) {
+    fn reads_agree(vc: &InputVc, ring: &[RingFlit], packets: &PacketTable, model: &VecDeque<Flit>) {
         let v = view(vc, ring);
         assert!(vc.cursor_in_bounds(ring.len()));
         assert_eq!(v.len(), model.len());
         for (i, want) in model.iter().enumerate() {
-            assert_eq!(v.get(i).as_ref(), Some(want), "get({i})");
+            assert_eq!(v.get(i, packets).as_ref(), Some(want), "get({i})");
         }
-        assert_eq!(v.get(model.len()), None);
-        assert_eq!(v.front().as_ref(), model.front());
-        assert_eq!(v.back().as_ref(), model.back());
-        assert!(v.flits().eq(model.iter().copied()));
+        assert_eq!(v.get(model.len(), packets), None);
+        assert_eq!(v.front(packets).as_ref(), model.front());
+        assert_eq!(v.back(packets).as_ref(), model.back());
+        assert!(v.flits(packets).eq(model.iter().copied()));
     }
 
     proptest! {
@@ -479,21 +454,23 @@ mod tests {
         /// stripe) or reset as a freed VC is. A duplicated body flit (the
         /// `DuplicateFlit` shape, one flit over the packet size) and a
         /// payload flipped past its CRC are read back as written. Each
-        /// flit read through `get` / `front` / `back` / `flits` / `pop`
-        /// equals the model's field for field, per-flit id and hops
-        /// included.
+        /// flit read through `get` / `front` / `back` / `flits`, completed
+        /// from the packet table, equals the model's field for field,
+        /// per-flit id and hops included, and each `pop` returns the
+        /// model's ring record.
         #[test]
         fn ring_fifo_matches_a_deque_model(depth in 1..=7u32, seed in 0..u64::MAX) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut vc = InputVc::new();
             let mut ring = vec![RingFlit::EMPTY; depth as usize];
+            let mut packets = PacketTable::default();
             let mut model = VecDeque::new();
             for id in 0..rng.random_range(1..12u64) {
                 let pkt = info(100 + id, rng.random_range(1..=depth));
                 if rng.random_bool(0.5) {
                     vc.reset();
                 }
-                vc.packet = Some(pkt);
+                hold(&mut vc, &mut packets, pkt);
                 let mut flits: Vec<Flit> = Flit::flits_of(pkt).collect();
                 if rng.random_bool(0.3) {
                     let s = rng.random_range(0..pkt.size) as usize;
@@ -508,70 +485,74 @@ mod tests {
                     // The duplicate pays a real credit: it lands only once
                     // a flit has left a full buffer.
                     if model.len() == depth as usize {
-                        let want = model.pop_front();
+                        let want = model.pop_front().map(RingFlit::from);
                         prop_assert_eq!(vc.pop(&ring), want);
                     }
-                    vc.push(&mut ring, &f);
+                    vc.push(&mut ring, RingFlit::from(&f));
                     model.push_back(f);
-                    reads_agree(&vc, &ring, &model);
+                    reads_agree(&vc, &ring, &packets, &model);
                     for _ in 0..rng.random_range(0..3u32) {
-                        let want = model.pop_front();
+                        let want = model.pop_front().map(RingFlit::from);
                         prop_assert_eq!(vc.pop(&ring), want);
                     }
-                    reads_agree(&vc, &ring, &model);
+                    reads_agree(&vc, &ring, &packets, &model);
                 }
                 while let Some(want) = model.pop_front() {
-                    prop_assert_eq!(vc.pop(&ring), Some(want));
+                    prop_assert_eq!(vc.pop(&ring), Some(RingFlit::from(want)));
                 }
                 prop_assert_eq!(vc.pop(&ring), None);
-                reads_agree(&vc, &ring, &model);
+                reads_agree(&vc, &ring, &packets, &model);
             }
             vc.reset();
             prop_assert!(!vc.occupied() && vc.cursor_in_bounds(depth as usize));
         }
     }
 
-    /// The byte-wide sequence number at its limit: a 255-flit packet fills
-    /// a 255-deep VC (the deepest config validation accepts) and reads back
-    /// whole, its last flit at `seq = 254`, with the cursor wrapping past
-    /// the end of the stripe on the way.
+    /// The byte-wide sequence number and cursors at their limit: a
+    /// 255-flit packet fills a 255-deep VC (the deepest config validation
+    /// accepts) and reads back whole, its last flit at `seq = 254`, with
+    /// the cursor wrapping past the end of the stripe on the way.
     #[test]
     fn deepest_vc_round_trips_the_last_sequence_number() {
         let depth = crate::config::MAX_VC_DEPTH;
         let mut vc = InputVc::new();
         let mut ring = vec![RingFlit::EMPTY; depth];
+        let mut packets = PacketTable::default();
         // Start mid-stripe so the packet wraps.
-        vc.packet = Some(info(1, 3));
+        hold(&mut vc, &mut packets, info(1, 3));
         for f in Flit::flits_of(info(1, 3)) {
-            vc.push(&mut ring, &f);
+            vc.push(&mut ring, RingFlit::from(&f));
             vc.pop(&ring);
         }
         let pkt = info(2, depth as u32);
-        vc.packet = Some(pkt);
+        hold(&mut vc, &mut packets, pkt);
         for f in Flit::flits_of(pkt) {
-            vc.push(&mut ring, &f);
+            vc.push(&mut ring, RingFlit::from(&f));
         }
         let v = view(&vc, &ring);
         assert_eq!(v.len(), depth);
-        let last = v.back().unwrap();
+        let last = v.back(&packets).unwrap();
         assert_eq!((last.seq, last.kind), (254, FlitKind::Tail));
         assert_eq!(last, Flit::nth(pkt, 254));
-        assert!(v.flits().eq(Flit::flits_of(pkt)));
+        assert!(v.flits(&packets).eq(Flit::flits_of(pkt)));
         for want in Flit::flits_of(pkt) {
-            assert_eq!(vc.pop(&ring), Some(want));
+            assert_eq!(vc.pop(&ring).map(|r| r.with(&pkt)), Some(want));
         }
         assert!(vc.cursor_in_bounds(depth));
     }
 
-    /// A ring read back without a packet to complete it yields nothing.
+    /// A ring read back through the view without a packet to complete it
+    /// yields nothing; the record itself still pops.
     #[test]
     fn flits_need_their_packet() {
         let mut vc = InputVc::new();
         let mut ring = [RingFlit::EMPTY; 2];
-        vc.push(&mut ring, &Flit::nth(info(0, 1), 0));
-        assert_eq!(view(&vc, &ring).front(), None);
-        assert_eq!(vc.pop(&ring), None);
+        let packets = PacketTable::default();
+        let flit = RingFlit::nth(&info(0, 1), 0);
+        vc.push(&mut ring, flit);
+        assert_eq!(view(&vc, &ring).front(&packets), None);
         assert_eq!(view(&vc, &ring).len(), 1);
+        assert_eq!(vc.pop(&ring), Some(flit));
     }
 
     #[test]

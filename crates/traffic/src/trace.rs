@@ -16,6 +16,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 const MAGIC: &[u8; 8] = b"RAIRTRC1";
+/// Bytes of an event without a reply: cycle (8), node and destination
+/// (2 each), app, class, size and the reply flag (1 each). A reply adds 6.
+const EVENT_MIN_BYTES: usize = 16;
 
 /// One recorded generation event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,15 +122,15 @@ impl Trace {
             return Err("bad trace magic".into());
         }
         let num_apps = buf.get_u16() as usize;
-        // An event is at least 15 bytes: a header promising more of them
-        // than the bytes left can hold is corrupt (and must not size a Vec).
+        // A header promising more events than the bytes left can hold is
+        // corrupt (and must not size a Vec).
         let count = usize::try_from(buf.get_u64()).unwrap_or(usize::MAX);
-        if count > buf.remaining() / 15 {
+        if count > buf.remaining() / EVENT_MIN_BYTES {
             return Err("truncated trace event".into());
         }
         let mut events = Vec::with_capacity(count);
         for _ in 0..count {
-            if buf.remaining() < 15 {
+            if buf.remaining() < EVENT_MIN_BYTES {
                 return Err("truncated trace event".into());
             }
             let cycle = buf.get_u64();
@@ -435,6 +438,46 @@ mod tests {
             Trace::from_bytes(huge.freeze()),
             Err("truncated trace event".to_string())
         );
+    }
+
+    /// A trace cut anywhere short of its end is an `Err`, never a panic:
+    /// multi-event traces with and without replies, cut at every length.
+    #[test]
+    fn every_truncation_is_an_error() {
+        let event = |cycle, reply| TraceEvent {
+            cycle,
+            node: 1,
+            packet: NewPacket {
+                dst: 2,
+                app: 0,
+                class: 0,
+                size: 3,
+                reply,
+            },
+        };
+        let reply = Some(ReplySpec {
+            service_latency: 6,
+            size: 1,
+            class: 0,
+        });
+        for events in [
+            vec![event(0, None)],
+            vec![event(0, None), event(1, None), event(2, None)],
+            vec![event(0, reply), event(1, reply)],
+            vec![event(0, None), event(1, reply), event(2, None)],
+            vec![event(0, reply), event(1, None)],
+        ] {
+            let trace = Trace {
+                num_apps: 1,
+                events,
+            };
+            let bytes = trace.to_bytes().unwrap();
+            assert_eq!(Trace::from_bytes(bytes.clone()), Ok(trace.clone()));
+            for len in 0..bytes.len() {
+                let cut = Trace::from_bytes(bytes.slice(0..len));
+                assert!(cut.is_err(), "{} of {} bytes: {cut:?}", len, bytes.len());
+            }
+        }
     }
 
     /// Each field the format narrows round-trips at its widest value and is

@@ -280,7 +280,7 @@ pub fn host_block() -> Value {
 }
 
 /// Short commit of `checkout`, `-dirty` appended when the work tree differs.
-fn commit_of(checkout: &Path) -> String {
+pub fn commit_of(checkout: &Path) -> String {
     let head = first_line_of(checkout, "git", &["rev-parse", "--short", "HEAD"]);
     let dirty = first_line_of(checkout, "git", &["status", "--porcelain"]).is_some();
     let suffix = if dirty { "-dirty" } else { "" };

@@ -1,5 +1,5 @@
-//! # xtask — kernel determinism lint (and [`bench_pairs`], the benchmark
-//! trajectory's measuring task)
+//! # xtask — kernel determinism lint (and [`bench_pairs`] and [`tier1`], the
+//! benchmark trajectory's measuring tasks)
 //!
 //! The simulator's headline guarantee is bit-identical replay: the same
 //! config and seed must produce the same [`metrics::Digest`] on every
@@ -59,6 +59,7 @@
 //! ```
 
 pub mod bench_pairs;
+pub mod tier1;
 
 use std::fmt;
 use std::path::{Path, PathBuf};

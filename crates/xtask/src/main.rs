@@ -8,9 +8,12 @@
 //! `cargo run -p xtask -- bench-pairs …` — alternating parent/change runs
 //! of one `rair-bench` workload, appended to `BENCH_history.jsonl`
 //! ([`xtask::bench_pairs`]).
+//!
+//! `cargo run -p xtask -- tier1 …` — one timed `cargo test -q` of a
+//! checkout, appended to `BENCH_history.jsonl` ([`xtask::tier1`]).
 
 use std::process::ExitCode;
-use xtask::bench_pairs;
+use xtask::{bench_pairs, tier1};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -27,6 +30,22 @@ fn main() -> ExitCode {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
                     eprintln!("[bench-pairs] {e}");
+                    ExitCode::FAILURE
+                }
+            }
+        }
+        Some("tier1") => {
+            let history = xtask::workspace_root().join("BENCH_history.jsonl");
+            let run = tier1::Args::parse(&args[1..])
+                .map_err(|e| format!("{e}\nusage: {}", tier1::USAGE))
+                .and_then(|a| tier1::run(&a, &history));
+            match run {
+                Ok(wall_s) => {
+                    println!("tier1_wall_s {wall_s:.3}");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("[tier1] {e}");
                     ExitCode::FAILURE
                 }
             }
@@ -48,6 +67,7 @@ fn main() -> ExitCode {
 fn print_usage() {
     eprintln!("usage: cargo run -p xtask -- lint");
     eprintln!("       {}", bench_pairs::USAGE);
+    eprintln!("       {}", tier1::USAGE);
     eprintln!();
     eprintln!("tasks:");
     eprintln!("  lint         ban nondeterministic std/rayon tokens from the kernel crates");
@@ -55,6 +75,8 @@ fn print_usage() {
     eprintln!(
         "               BENCH_history.jsonl and print the pairs rule's verdict (exit 1 on LOSS)"
     );
+    eprintln!("  tier1        time one prebuilt `cargo test -q` of a checkout and append a");
+    eprintln!("               tier1_wall_s row to BENCH_history.jsonl");
     eprintln!();
     eprintln!("rules:");
     for r in xtask::RULES {

@@ -133,7 +133,7 @@ fn second_packet_in_a_vc_caught_by_wormhole_contiguity() {
             for port in 0..NUM_PORTS {
                 for vc in 0..net.cfg.vcs_per_port() {
                     let ivc = r.ivc(port, vc);
-                    let Some(back) = ivc.back().filter(|b| !b.kind.is_tail()) else {
+                    let Some(back) = ivc.back(&net.packets).filter(|b| !b.kind.is_tail()) else {
                         continue;
                     };
                     if ivc.len() == depth {
