@@ -524,7 +524,7 @@ pub fn predict_app_saturation(
 /// [`predict_app_saturation`] wrapped as the hint
 /// [`traffic::saturation::app_saturation_traced`] accepts and ignores.
 /// Nothing in this repository calls it; the frozen benchmark harness
-/// (`rair-bench/src/layers.rs`) does, and it goes with ROADMAP item 3's
+/// (`rair-bench/src/layers.rs`) does, and it goes with ROADMAP item 4's
 /// `benchmark` PR.
 pub fn warm_hint(
     cfg: &SimConfig,

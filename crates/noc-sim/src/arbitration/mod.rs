@@ -126,10 +126,12 @@ pub trait PriorityPolicy: Send + Sync {
 /// after `*ptr` (cyclically) wins, and the pointer advances past it — a
 /// standard rotating-priority arbiter.
 ///
-/// Returns the index *into `reqs`* of the winner.
-pub fn arbitrate_rr(reqs: &[(u64, usize)], num_slots: usize, ptr: &mut usize) -> Option<usize> {
-    let (widx, next_ptr) = arbitrate_rr_at(reqs, num_slots, *ptr)?;
-    *ptr = next_ptr;
+/// Returns the index *into `reqs`* of the winner. The pointer is a byte, as
+/// routers store it: a router's slots fit one (config validation caps them
+/// at 64).
+pub fn arbitrate_rr(reqs: &[(u64, usize)], num_slots: usize, ptr: &mut u8) -> Option<usize> {
+    let (widx, next_ptr) = arbitrate_rr_at(reqs, num_slots, usize::from(*ptr))?;
+    *ptr = crate::vc::byte(next_ptr);
     Some(widx)
 }
 

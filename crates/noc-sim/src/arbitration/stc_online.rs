@@ -128,7 +128,7 @@ impl PriorityPolicy for StcRankOnline {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::flit::{Flit, PacketInfo, PacketTable};
+    use crate::flit::{Flit, PacketInfo, PacketTable, RingFlit};
     use crate::ids::AppId;
 
     fn router_with_local_holder(app: AppId) -> Router {
@@ -146,8 +146,8 @@ mod tests {
             reply: None,
         };
         let packet = PacketTable::default().insert(info);
-        r.note_vc_occupied(PORT_LOCAL, 1, packet, app);
-        r.push_flit(PORT_LOCAL, 1, Flit::nth(info, 0));
+        r.note_vc_occupied(PORT_LOCAL, 1, packet, app, 0);
+        r.push_flit(PORT_LOCAL, 1, RingFlit::of(&Flit::nth(info, 0), packet));
         r
     }
 

@@ -92,9 +92,19 @@ pub enum Fault {
         port: Port,
         vc: usize,
     },
-    /// Flip payload bits of the front flit of input `(port, vc)` at
-    /// `router` without updating its CRC — caught by `CrcIntegrity`.
+    /// Flip a bit of the stored CRC of the front flit of input `(port,
+    /// vc)` at `router`, so its payload fails the check — caught by
+    /// `CrcIntegrity`.
     CorruptFlit {
+        router: usize,
+        port: Port,
+        vc: usize,
+    },
+    /// Add one to the hop count of a body or tail flit on the link into
+    /// input `(port, vc)` at `router`, whose VC its packet already holds,
+    /// so it disagrees with the count the VC keeps for the packet — caught
+    /// by `WormholeContiguity`.
+    MiscountHops {
         router: usize,
         port: Port,
         vc: usize,

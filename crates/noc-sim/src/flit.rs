@@ -76,8 +76,9 @@ pub struct PacketInfo {
 }
 
 /// A single flow-control unit, whole: its own fields plus a copy of its
-/// packet's descriptor. The kernel moves the 24-byte [`RingFlit`] record
-/// and a [`PacketRef`] instead; a `Flit` is built from the two only for an
+/// packet's descriptor. The kernel moves the 8-byte [`RingFlit`] record
+/// instead; a `Flit` is built from the record, the descriptor its handle
+/// names and the hop count of the VC or link holding it only for an
 /// attached oracle checker or a test's view of a VC.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Flit {
@@ -86,7 +87,8 @@ pub struct Flit {
     pub seq: u32,
     /// Links traversed so far (incremented on every router-to-router hop).
     pub hops: u32,
-    /// Stand-in data word; link-level error control protects it with [`crc16`].
+    /// Stand-in data word, [`payload_of`] the packet id and `seq`;
+    /// link-level error control protects it with [`crc16`].
     pub payload: u64,
     /// CRC-16/CCITT over `payload`, checked by the oracle's CRC checker.
     pub crc: u16,
@@ -94,17 +96,21 @@ pub struct Flit {
 }
 
 /// What the kernel keeps of a flit in a VC's ring, on a link and in the
-/// ejection register: the fields that differ between the flits of one
-/// packet, plus the packet id, so that the one-packet-per-VC check compares
-/// stored values rather than copies of one descriptor. Everything else is
-/// the packet's descriptor in the [`PacketTable`] — 24 bytes a flit instead
-/// of an 88-byte [`Flit`]. The sequence number is a byte: a packet fits its
-/// VC (the source contract), whose depth config validation caps at 255.
+/// ejection register: the handle of its packet's descriptor in the
+/// [`PacketTable`] and the fields that differ between the flits of one
+/// packet — 8 bytes a flit instead of an 88-byte [`Flit`]. Each flit keeps
+/// its own handle, so the one-packet-per-VC check compares stored values
+/// rather than copies of the VC's. The payload is not stored: it is
+/// [`payload_of`] the packet id and `seq`, and is derived when a `Flit` is
+/// built. The CRC is stored, so a corrupted flit is one whose stored CRC no
+/// longer matches that payload. The hop count is not stored either: every
+/// flit of a packet at one VC has travelled the same path, so the VC keeps
+/// one count for its packet, and a link or ejection record carries it
+/// beside the flit. The sequence number is a byte: a packet fits its VC
+/// (the source contract), whose depth config validation caps at 255.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingFlit {
-    pub(crate) id: u64,
-    pub(crate) payload: u64,
-    pub(crate) hops: u32,
+    pub(crate) packet: PacketRef,
     pub(crate) crc: u16,
     pub(crate) seq: u8,
     pub(crate) kind: FlitKind,
@@ -114,57 +120,50 @@ impl RingFlit {
     /// Ring storage before a flit is written; a slot is only ever read
     /// below its VC's `len`.
     pub(crate) const EMPTY: Self = Self {
-        id: 0,
-        payload: 0,
-        seq: 0,
-        hops: 0,
+        packet: PacketRef(NonZeroU32::MIN),
         crc: 0,
+        seq: 0,
         kind: FlitKind::Single,
     };
 
-    /// Flit `seq` of the packet `info` describes, as the NI writes it into
-    /// the injection VC.
+    /// The record of `flit`, a flit of the packet stored under `packet`.
     #[inline]
-    pub(crate) fn nth(info: &PacketInfo, seq: u32) -> Self {
-        Self::from(&Flit::nth(*info, seq))
+    pub fn of(flit: &Flit, packet: PacketRef) -> Self {
+        debug_assert!(
+            flit.seq <= u32::from(u8::MAX),
+            "seq {} does not pack",
+            flit.seq
+        );
+        Self {
+            packet,
+            crc: flit.crc,
+            seq: flit.seq as u8,
+            kind: flit.kind,
+        }
     }
 
-    /// The whole flit again, its packet fields (bar the id) from `packet`.
+    /// Flit `seq` of the packet `info` describes, stored under `packet`, as
+    /// the NI writes it into the injection VC.
     #[inline]
-    pub(crate) fn with(self, packet: &PacketInfo) -> Flit {
+    pub(crate) fn nth(packet: PacketRef, info: &PacketInfo, seq: u32) -> Self {
+        Self::of(&Flit::nth(*info, seq), packet)
+    }
+
+    /// The whole flit again: its packet fields from the descriptor its
+    /// handle names in `packets`, its payload derived, its hop count
+    /// `hops` (the holding VC's or link record's).
+    #[inline]
+    pub(crate) fn with(self, packets: &PacketTable, hops: u32) -> Flit {
+        let info = *packets.get(self.packet);
+        let seq = u32::from(self.seq);
         Flit {
             kind: self.kind,
-            seq: u32::from(self.seq),
-            hops: self.hops,
-            payload: self.payload,
+            seq,
+            hops,
+            payload: payload_of(info.id, seq),
             crc: self.crc,
-            info: PacketInfo {
-                id: self.id,
-                ..*packet
-            },
+            info,
         }
-    }
-}
-
-impl From<&Flit> for RingFlit {
-    #[inline]
-    fn from(f: &Flit) -> Self {
-        debug_assert!(f.seq <= u32::from(u8::MAX), "seq {} does not pack", f.seq);
-        Self {
-            id: f.info.id,
-            payload: f.payload,
-            hops: f.hops,
-            crc: f.crc,
-            seq: f.seq as u8,
-            kind: f.kind,
-        }
-    }
-}
-
-impl From<Flit> for RingFlit {
-    #[inline]
-    fn from(f: Flit) -> Self {
-        Self::from(&f)
     }
 }
 
@@ -226,7 +225,7 @@ impl PacketTable {
 
     /// Store `info`, returning its handle.
     #[inline]
-    pub(crate) fn insert(&mut self, info: PacketInfo) -> PacketRef {
+    pub fn insert(&mut self, info: PacketInfo) -> PacketRef {
         let index = match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = info;
@@ -258,9 +257,9 @@ impl PacketTable {
     }
 
     /// Reconcile the table with `held`, every handle the network holds (a
-    /// packet in several VCs or on several links is listed once per
-    /// place): each must name a live slot, and the live slots must be
-    /// exactly those. `Err` describes the first disagreement. Sorts and
+    /// packet held by several VCs or with several flits buffered or on
+    /// links is listed once per place): each must name a live slot, and
+    /// the live slots must be exactly those. `Err` describes the first disagreement. Sorts and
     /// dedups `held`.
     pub(crate) fn audit(&self, held: &mut Vec<PacketRef>) -> Result<(), String> {
         held.sort_unstable();

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use crate::fault::{
         DegradedMode, DegradedTable, Fault, FaultEvent, FaultTimeline, ScheduledFault,
     };
-    pub use crate::flit::{Flit, FlitKind, PacketInfo, ReplySpec};
+    pub use crate::flit::{Flit, FlitKind, PacketInfo, ReplySpec, RingFlit};
     pub use crate::ids::{AppId, Coord, MsgClass, NodeId, Port, APP_NONE};
     pub use crate::network::Network;
     pub use crate::oracle::{OracleConfig, OracleViolation};

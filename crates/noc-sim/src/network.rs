@@ -79,7 +79,7 @@ use crate::fault::{
     DegradedMode, DegradedTable, Fault, FaultEvent, FaultState, MAX_SOURCE_RETRIES,
     RETRANSMIT_LATENCY, RETRY_BACKOFF_BASE, STRANDED_SCAN_INTERVAL,
 };
-use crate::flit::{FlitKind, PacketInfo, PacketRef, PacketTable, RingFlit};
+use crate::flit::{FlitKind, PacketInfo, PacketTable, RingFlit};
 use crate::ids::{
     opposite, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH,
     PORT_SOUTH, PORT_WEST,
@@ -101,13 +101,14 @@ mod reference;
 
 /// A flit in flight on a link, delivered into input VC `(in_port, vc)` of
 /// router `dst_router` at cycle `arrive` (the next cycle, except under
-/// link-level retransmission delay — see `sa_phase`): its record and its
-/// packet's handle, 40 bytes.
+/// link-level retransmission delay — see `sa_phase`): its record and the
+/// links its packet will have traversed on arrival, 24 bytes. A head's
+/// count becomes its VC's; a later flit's must equal it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
     pub(crate) flit: RingFlit,
     pub(crate) arrive: u64,
-    pub(crate) packet: PacketRef,
+    pub(crate) hops: u32,
     pub(crate) dst_router: NodeId,
     pub(crate) in_port: u8,
     pub(crate) vc: u8,
@@ -191,8 +192,9 @@ pub struct Network {
     pub packets: PacketTable,
     pub(crate) in_flight: Vec<InFlight>,
     /// The ejection register: flits that won the local output port this
-    /// cycle, consumed by their destination NI at the next.
-    pub(crate) eject_q: Vec<(PacketRef, RingFlit)>,
+    /// cycle, with their packet's hop count, consumed by their destination
+    /// NI at the next.
+    pub(crate) eject_q: Vec<(RingFlit, u32)>,
     pub(crate) credit_q: Vec<(usize, Port, usize)>,
     /// Previous-cycle adaptive occupancy per router (congestion view).
     congestion: Vec<u16>,
@@ -700,7 +702,8 @@ impl Network {
                     return false;
                 };
                 let ivc = self.routers[router].ivc(port, vc);
-                let (Some(flit), Some(packet)) = (ivc.back(&self.packets), ivc.packet_ref()) else {
+                let (Some(flit), Some(hops)) = (ivc.record(ivc.len().wrapping_sub(1)), ivc.hops())
+                else {
                     return false;
                 };
                 if flit.kind.is_head() || flit.kind.is_tail() {
@@ -714,9 +717,9 @@ impl Network {
                 }
                 self.routers[up].take_credit(out_port, vc);
                 self.in_flight.push(InFlight {
-                    flit: RingFlit::from(&flit),
+                    flit,
                     arrive: self.cycle + 1,
-                    packet,
+                    hops,
                     dst_router: router as NodeId,
                     in_port: byte(port),
                     vc: byte(vc),
@@ -760,18 +763,17 @@ impl Network {
                     return false;
                 }
                 let r = &mut self.routers[router];
-                let (mut flit, packet) = r.pop_flit(port, vc).expect("checked above");
+                let (flit, hops) = r.pop_flit(port, vc).expect("checked above");
                 r.note_vc_freed(port, vc);
                 Self::mark_active(&mut self.dirty_mask, router);
                 if r.occ_bits == 0 {
                     Self::mark_inactive(&mut self.active_mask, router);
                 }
                 r.take_credit(out, vc);
-                flit.hops += 1;
                 self.in_flight.push(InFlight {
                     flit,
                     arrive: self.cycle + 1,
-                    packet,
+                    hops: hops + 1,
                     dst_router: nb as NodeId,
                     in_port: byte(nb_port),
                     vc: byte(vc),
@@ -781,14 +783,30 @@ impl Network {
                 }
                 true
             }
-            // Flip a payload bit without updating the CRC: data corruption
-            // that escaped the link-level error control. Caught by the
-            // CRC-integrity scan.
+            // Flip a bit of the stored CRC, so the flit's payload no longer
+            // matches it: data corruption that escaped the link-level error
+            // control. Caught by the CRC-integrity scan.
             Fault::CorruptFlit { router, port, vc } => {
                 let Some(f) = self.routers[router].front_flit_mut(port, vc) else {
                     return false;
                 };
-                f.payload ^= 1;
+                f.crc ^= 1;
+                true
+            }
+            // Add one to the hop count of a body or tail flit on the link
+            // into a VC its packet already holds, so that the flit
+            // disagrees with the one count the VC keeps for the packet.
+            // Caught by wormhole contiguity while the flit is on the link.
+            Fault::MiscountHops { router, port, vc } => {
+                let held = self.routers[router].ivc(port, vc).packet_ref();
+                let Some(a) = self.in_flight.iter_mut().find(|a| {
+                    a.dst() == (router, port, vc)
+                        && !a.flit.kind.is_head()
+                        && Some(a.flit.packet) == held
+                }) else {
+                    return false;
+                };
+                a.hops += 1;
                 true
             }
             // Freeze the router's switch allocator: flits queue behind it
@@ -966,14 +984,15 @@ impl Network {
             debug_assert!(ivc.len() < cfg.vc_depth, "input buffer overflow");
             let newly_occupied = !ivc.occupied();
             if newly_occupied {
-                router.note_vc_occupied(port, vc, a.packet, packets.get(a.packet).app);
+                let app = packets.get(a.flit.packet).app;
+                router.note_vc_occupied(port, vc, a.flit.packet, app, a.hops);
                 Self::mark_active(active_mask, r_idx);
                 Self::mark_active(dirty_mask, r_idx);
             }
             router.push_flit(port, vc, a.flit);
             if let Some(o) = oracle.as_deref_mut() {
                 let id = a.dst_router;
-                let flit = a.flit.with(packets.get(a.packet));
+                let flit = a.flit.with(packets, a.hops);
                 o.notify(|c, out| c.on_arrival(cfg, id, port, vc, &flit, cycle, out));
                 if newly_occupied {
                     o.notify(|c, _| c.on_occupancy(id, port, vc, true, cycle));
@@ -982,28 +1001,28 @@ impl Network {
         }
         in_flight.truncate(kept);
         for i in 0..self.eject_q.len() {
-            let (packet, flit) = self.eject_q[i];
-            self.consume_ejected(packet, flit);
+            let (flit, hops) = self.eject_q[i];
+            self.consume_ejected(flit, hops);
         }
         self.eject_q.clear();
     }
 
-    /// Consume one flit ejected at its destination NI: eject accounting,
-    /// the oracle's eject note and, at the tail, latency recording,
-    /// closed-loop reply scheduling and the end of the packet's descriptor.
-    fn consume_ejected(&mut self, packet: PacketRef, flit: RingFlit) {
+    /// Consume one flit of a packet that traversed `hops` links, ejected at
+    /// its destination NI: eject accounting, the oracle's eject note and,
+    /// at the tail, latency recording, closed-loop reply scheduling and the
+    /// end of the packet's descriptor.
+    fn consume_ejected(&mut self, flit: RingFlit, hops: u32) {
         self.stats.ejected_flits += 1;
         let now = self.cycle;
         if let Some(o) = self.oracle.as_deref_mut() {
-            let info = self.packets.get(packet);
-            let flit = flit.with(info);
-            o.notify(|c, _| c.on_eject(info.dst, &flit, now));
+            let flit = flit.with(&self.packets, hops);
+            o.notify(|c, _| c.on_eject(flit.info.dst, &flit, now));
         }
         if !flit.kind.is_tail() {
             return;
         }
-        let info = *self.packets.get(packet);
-        self.packets.free(packet);
+        let info = *self.packets.get(flit.packet);
+        self.packets.free(flit.packet);
         // Keyed by destination *node* (== router index except under
         // concentration, where several NIs share a router).
         let node_idx = usize::from(info.dst);
@@ -1011,7 +1030,7 @@ impl Network {
         let total = now.saturating_sub(info.birth);
         self.stats
             .recorder
-            .record(info.app as usize, network, total, flit.hops, info.size);
+            .record(info.app as usize, network, total, hops, info.size);
         self.stats.last_progress = now;
         if let Some(spec) = info.reply {
             let id = self.next_pkt_id;
@@ -1165,17 +1184,16 @@ impl Network {
                     let down = Self::link(links, r_idx, out_port);
                     debug_assert_eq!(down.is_none(), out_port == PORT_LOCAL, "linkless grant");
                     // ST: move the flit.
-                    let Some((mut flit, packet)) = r.pop_flit(in_port, in_vc) else {
+                    let Some((flit, hops)) = r.pop_flit(in_port, in_vc) else {
                         debug_assert!(false, "SA winner holds a buffered flit");
                         continue;
                     };
                     let is_tail = flit.kind.is_tail();
                     if let Some(o) = oracle.as_deref_mut() {
-                        let flit = flit.with(packets.get(packet));
+                        let flit = flit.with(packets, hops);
                         o.notify(|c, _| c.on_forward(r.id, in_port, in_vc, out_port, &flit, cycle));
                     }
                     if let Some((nb, nb_port)) = down {
-                        flit.hops += 1;
                         r.take_credit(out_port, out_vc);
                         let mut arrive = cycle + 1;
                         if let Some(fs) = fault.as_deref_mut() {
@@ -1189,8 +1207,8 @@ impl Network {
                                 // per-slot FIFO floor keeps retransmitted
                                 // flits from being overtaken within their
                                 // link slot.
-                                let seq = u32::from(flit.seq);
-                                let k = fs.send_attempts(flit.id, seq, r_idx, out_port);
+                                let (id, seq) = (packets.get(flit.packet).id, u32::from(flit.seq));
+                                let k = fs.send_attempts(id, seq, r_idx, out_port);
                                 if k > 1 {
                                     stats.flits_retransmitted += u64::from(k - 1);
                                     arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
@@ -1203,13 +1221,13 @@ impl Network {
                         in_flight.push(InFlight {
                             flit,
                             arrive,
-                            packet,
+                            hops: hops + 1,
                             dst_router: nb as NodeId,
                             in_port: byte(nb_port),
                             vc: byte(out_vc),
                         });
                     } else {
-                        eject_q.push((packet, flit));
+                        eject_q.push((flit, hops));
                     }
                     if let Some((up, up_port)) = Self::link(links, r_idx, in_port) {
                         credit_q.push((up, up_port, in_vc));
@@ -1850,17 +1868,18 @@ mod tests {
         }
     }
 
-    /// A flit off the router buffers is its 24-byte record plus its
-    /// packet's 4-byte handle: 40 bytes on a link, 32 in the ejection
-    /// register. Pinned so that a wider field cannot regrow the registers,
-    /// which are sized for a cycle's maximum at construction.
+    /// A flit off the router buffers is its 8-byte record plus its
+    /// packet's hop count: 24 bytes on a link, 12 in the ejection register.
+    /// Pinned so that a wider field cannot regrow the registers, which are
+    /// sized for a cycle's maximum at construction.
     #[test]
     fn link_and_ejection_records_are_pinned() {
+        use crate::flit::PacketRef;
         use std::mem::size_of;
-        assert_eq!(size_of::<RingFlit>(), 24);
+        assert_eq!(size_of::<RingFlit>(), 8);
         assert_eq!(size_of::<Option<PacketRef>>(), 4);
-        assert_eq!(size_of::<InFlight>(), 40);
-        assert_eq!(size_of::<(PacketRef, RingFlit)>(), 32);
+        assert_eq!(size_of::<InFlight>(), 24);
+        assert_eq!(size_of::<(RingFlit, u32)>(), 12);
     }
 
     /// The static tables equal the functions they cache: every link-table

@@ -49,7 +49,7 @@ fn far_end(cfg: &SimConfig, idx: usize, p: Port) -> Option<(usize, Port)> {
 /// May a new packet be allocated output VC `(p, vc)`: no holder and the
 /// downstream buffer fully drained (local credits are never consumed).
 fn allocatable(r: &Router, p: Port, vc: usize) -> bool {
-    r.out_alloc(p, vc).is_none() && r.credits(p, vc) == r.vc_depth
+    r.out_alloc(p, vc).is_none() && r.credits(p, vc) == r.vc_depth()
 }
 
 /// The policy's priority for the flit at the front of input VC `(port, vc)`.
@@ -158,21 +158,21 @@ impl Network {
                 };
                 let in_port = reqs[w].1;
                 let (in_vc, _, out_vc) = sa_in[in_port].expect("an SA_out request won SA_in");
-                let (mut flit, packet) = r
+                let (flit, hops) = r
                     .pop_flit(in_port, in_vc)
                     .expect("SA winner holds a buffered flit");
                 if let Some(o) = oracle.as_deref_mut() {
-                    let flit = flit.with(packets.get(packet));
+                    let flit = flit.with(packets, hops);
                     o.notify(|c, _| c.on_forward(r.id, in_port, in_vc, out_port, &flit, cycle));
                 }
                 if let Some((nb, nb_port)) = far_end(cfg, r_idx, out_port) {
-                    flit.hops += 1;
                     r.take_credit(out_port, out_vc);
                     let mut arrive = cycle + 1;
                     if let Some(fs) = fault.as_deref_mut().filter(|fs| fs.corrupts()) {
                         // Link-level ARQ, resolved at send time (see the
                         // production SA phase).
-                        let k = fs.send_attempts(flit.id, u32::from(flit.seq), r_idx, out_port);
+                        let id = packets.get(flit.packet).id;
+                        let k = fs.send_attempts(id, u32::from(flit.seq), r_idx, out_port);
                         stats.flits_retransmitted += u64::from(k - 1);
                         arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
                         let slot = FaultState::slot(cfg, nb, nb_port, out_vc);
@@ -182,14 +182,14 @@ impl Network {
                     in_flight.push(InFlight {
                         flit,
                         arrive,
-                        packet,
+                        hops: hops + 1,
                         dst_router: nb as NodeId,
                         in_port: byte(nb_port),
                         vc: byte(out_vc),
                     });
                 } else {
                     assert_eq!(out_port, PORT_LOCAL, "grant on a linkless port");
-                    eject_q.push((packet, flit));
+                    eject_q.push((flit, hops));
                 }
                 if let Some((up, up_port)) = far_end(cfg, r_idx, in_port) {
                     credit_q.push((up, up_port, in_vc));
@@ -270,7 +270,7 @@ impl Network {
                     let ptr = &mut r.va_ptr[out_port * v + out_vc];
                     let at = usize::from(*ptr);
                     if let Some((w, next)) = arbitrate_rr_at(&reqs, NUM_PORTS * v, at) {
-                        *ptr = next as u8;
+                        *ptr = byte(next);
                         let (in_port, in_vc) = group[w];
                         r.alloc_out_vc(out_port, out_vc, (in_port, in_vc));
                         r.set_vc_state(in_port, in_vc, VcState::Active { out_port, out_vc });

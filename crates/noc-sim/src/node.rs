@@ -285,7 +285,7 @@ impl Node {
         if let Some(p) = &mut self.inject {
             if router.ivc(PORT_LOCAL, p.vc).len() < cfg.vc_depth {
                 let info = packets.get(p.packet);
-                let flit = RingFlit::nth(info, p.next_seq);
+                let flit = RingFlit::nth(p.packet, info, p.next_seq);
                 let ev = InjectedFlit {
                     head: flit.kind.is_head(),
                     app: info.app,
@@ -293,7 +293,7 @@ impl Node {
                     vc: p.vc,
                 };
                 if ev.head {
-                    router.note_vc_occupied(PORT_LOCAL, p.vc, p.packet, info.app);
+                    router.note_vc_occupied(PORT_LOCAL, p.vc, p.packet, info.app, 0);
                 }
                 router.push_flit(PORT_LOCAL, p.vc, flit);
                 p.next_seq += 1;
@@ -403,7 +403,7 @@ mod tests {
         let mut packets = PacketTable::default();
         // Occupy every local VC.
         for vc in 0..c.vcs_per_port() {
-            router.note_vc_occupied(PORT_LOCAL, vc, packets.insert(pkt(9, 0, 1)), 0);
+            router.note_vc_occupied(PORT_LOCAL, vc, packets.insert(pkt(9, 0, 1)), 0, 0);
         }
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, &mut packets, 0).is_none());
@@ -429,7 +429,7 @@ mod tests {
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
         let mut packets = PacketTable::default();
         for vc in c.adaptive_vc_range() {
-            router.note_vc_occupied(PORT_LOCAL, vc, packets.insert(pkt(9, 0, 1)), 0);
+            router.note_vc_occupied(PORT_LOCAL, vc, packets.insert(pkt(9, 0, 1)), 0, 0);
         }
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, &mut packets, 0).is_some());

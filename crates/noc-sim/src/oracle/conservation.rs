@@ -3,7 +3,8 @@
 //! ledger (stranded-packet extraction, terminal drops); ledgered flits left
 //! the network legitimately and are added back into the balance. Packet
 //! accounting rides along: the packet table's live descriptors are exactly
-//! the packets the VCs, link records and ejection register hold.
+//! the packets the VCs, buffered flits, link records and ejection register
+//! hold.
 
 use super::{Checker, OracleViolation};
 use crate::flit::{Flit, PacketRef};
@@ -14,9 +15,10 @@ use crate::node::InjectedFlit;
 /// Counts injections and ejections per application from the hooks and
 /// reconciles them against an exhaustive scan of every flit still inside
 /// the network (input buffers, link registers, ejection queue); the same
-/// scan lists every packet handle held there, which must name exactly the
-/// packet table's live descriptors — a descriptor the kernel forgot to free
-/// or freed twice is caught here.
+/// scan lists every packet handle held there — each VC's and each flit
+/// record's — which must name exactly the packet table's live descriptors:
+/// a descriptor the kernel forgot to free or freed twice, or a flit naming
+/// a freed one, is caught here.
 #[derive(Debug, Default)]
 pub struct FlitConservation {
     injected: Vec<u64>,
@@ -74,6 +76,7 @@ impl Checker for FlitConservation {
             for port in 0..NUM_PORTS {
                 for ivc in r.ivcs(port) {
                     self.held.extend(ivc.packet_ref());
+                    self.held.extend(ivc.records().map(|f| f.packet));
                     for f in ivc.flits(packets) {
                         count(f.info.app);
                     }
@@ -81,12 +84,12 @@ impl Checker for FlitConservation {
             }
         }
         for a in &net.in_flight {
-            self.held.push(a.packet);
-            count(packets.get(a.packet).app);
+            self.held.push(a.flit.packet);
+            count(packets.get(a.flit.packet).app);
         }
-        for &(packet, _) in &net.eject_q {
-            self.held.push(packet);
-            count(packets.get(packet).app);
+        for (f, _) in &net.eject_q {
+            self.held.push(f.packet);
+            count(packets.get(f.packet).app);
         }
         if let Err(detail) = packets.audit(&mut self.held) {
             out.push(OracleViolation {

@@ -10,9 +10,13 @@ use crate::vc::VcState;
 ///
 /// * occupied ⇔ a holder application is recorded (atomic VCs: one packet
 ///   owns the VC from its head arriving to its tail departing),
-/// * all buffered flits belong to the holder's packet, with strictly
-///   consecutive sequence numbers and head/body/tail kinds matching their
-///   position in the packet,
+/// * all buffered flits belong to the holder's packet (each flit's own
+///   handle is the VC's), with strictly consecutive sequence numbers and
+///   head/body/tail kinds matching their position in the packet,
+/// * a body or tail flit on a link into a VC its packet holds carries the
+///   hop count the VC keeps for the packet (the flits of a packet follow
+///   one path, so a VC keeps one count for all of them) — checked on the
+///   link, where every flit spends the end of the cycle it was sent in,
 /// * a VC that has not yet been switch-allocated still holds its head flit
 ///   at the front (flits never overtake within a packet),
 /// * buffer depth and credit counters stay within `vc_depth`,
@@ -50,12 +54,12 @@ impl Checker for WormholeContiguity {
                     if r.credits(port, vc) > cfg.vc_depth {
                         flag(r.id, at(&format!("credit counter {}", r.credits(port, vc))));
                     }
-                    // Each buffered flit keeps its own packet id; they
-                    // must all be the front flit's.
-                    let front_id = ivc.front(&net.packets).map(|h| h.info.id);
+                    // Each buffered flit keeps its own packet handle; they
+                    // must all be the VC's.
                     let mut prev_seq = None;
-                    for f in ivc.flits(&net.packets) {
-                        if Some(f.info.app) != ivc.holder() || front_id != Some(f.info.id) {
+                    for (rec, f) in ivc.records().zip(ivc.flits(&net.packets)) {
+                        let foreign = Some(rec.packet) != ivc.packet_ref();
+                        if foreign || Some(f.info.app) != ivc.holder() {
                             flag(
                                 r.id,
                                 at(&format!(
@@ -113,6 +117,24 @@ impl Checker for WormholeContiguity {
                         "active bit {} disagrees with {} occupied VCs",
                         net.router_is_active(i),
                         total
+                    ),
+                );
+            }
+        }
+        for a in &net.in_flight {
+            let (router, port, vc) = a.dst();
+            let ivc = net.routers[router].ivc(port, vc);
+            let held = ivc.packet_ref() == Some(a.flit.packet);
+            let Some(hops) = ivc.hops().filter(|_| held && !a.flit.kind.is_head()) else {
+                continue;
+            };
+            if hops != a.hops {
+                flag(
+                    net.routers[router].id,
+                    format!(
+                        "input ({port}, {vc}): {:?} flit {} arrives with {} hops, \
+                         its packet's VC keeps {hops}",
+                        a.flit.kind, a.flit.seq, a.hops
                     ),
                 );
             }

@@ -5,10 +5,11 @@
 //! between them. Each router holds, flat and indexed by VC slot
 //! (`slot = port * vcs + vc`, the bit position in every bitmap):
 //!
-//! * the input VCs' pipeline state, the handle (and application) of the
-//!   packet holding each, and their flit FIFOs (fixed-depth rings of slim
-//!   per-flit records in one slab; a buffered flit is its record plus the
-//!   descriptor its VC's handle names in the network's packet table),
+//! * the input VCs' pipeline state, the handle (and application and hop
+//!   count) of the packet holding each, and their flit FIFOs (fixed-depth
+//!   rings of 8-byte per-flit records in one slab; a buffered flit is its
+//!   record, the descriptor the record's handle names in the network's
+//!   packet table and its VC's hop count),
 //! * output-VC allocation table and credit counters toward downstream,
 //! * rotating-arbiter pointers for VA_out, SA_in and SA_out,
 //! * the DPA occupancy registers (`OVC_n`, `OVC_f`) and the hysteresis
@@ -71,9 +72,9 @@ pub struct Router {
     /// input-VC slots.
     pub(crate) va_ptr: Box<[u8]>,
     /// SA_in rotating pointer per input port (over VC indices).
-    pub(crate) sa_in_ptr: [usize; NUM_PORTS],
+    pub(crate) sa_in_ptr: [u8; NUM_PORTS],
     /// SA_out rotating pointer per output port (over input-port indices).
-    pub(crate) sa_out_ptr: [usize; NUM_PORTS],
+    pub(crate) sa_out_ptr: [u8; NUM_PORTS],
 
     /// DPA register: occupied VCs holding native traffic (previous cycle).
     pub ovc_native: u32,
@@ -84,11 +85,12 @@ pub struct Router {
     /// (§IV.C case 3).
     pub dpa_native_high: bool,
 
-    /// VCs per port (cached from config; the slot stride).
-    pub(crate) vcs: usize,
+    /// VCs per port (cached from config; the slot stride). A byte, like
+    /// every index into the slots.
+    vcs: u8,
     /// Downstream buffer depth (cached from config; full-credit threshold
-    /// and ring length).
-    pub(crate) vc_depth: usize,
+    /// and ring length). A byte: config validation caps it at 255.
+    vc_depth: u8,
     /// Slots of the adaptive VCs of every port (cached from config).
     adaptive_mask: u64,
 
@@ -128,6 +130,7 @@ impl Router {
         // helper is exact.
         let slots = NUM_PORTS * v;
         let valid = low_bits(slots);
+        let depth = u8::try_from(cfg.vc_depth).expect("validated vc_depth");
         let mut r = Self {
             id,
             coord,
@@ -135,15 +138,15 @@ impl Router {
             inputs: vec![InputVc::new(); slots].into(),
             slab: vec![RingFlit::EMPTY; slots * cfg.vc_depth].into(),
             out_alloc: vec![OUT_FREE; slots].into(),
-            credits: vec![u8::try_from(cfg.vc_depth).expect("validated vc_depth"); slots].into(),
+            credits: vec![depth; slots].into(),
             va_ptr: vec![0; slots].into(),
             sa_in_ptr: [0; NUM_PORTS],
             sa_out_ptr: [0; NUM_PORTS],
             ovc_native: 0,
             ovc_foreign: 0,
             dpa_native_high: false,
-            vcs: v,
-            vc_depth: cfg.vc_depth,
+            vcs: byte(v),
+            vc_depth: depth,
             adaptive_mask: 0,
             occ_bits: 0,
             out_free: valid,
@@ -157,25 +160,64 @@ impl Router {
         r
     }
 
+    /// Bytes of this router's state: the struct and every boxed slice it
+    /// owns. Peak RSS on a large mesh is mostly this times the router
+    /// count.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        size_of::<Self>()
+            + size_of_val(&*self.inputs)
+            + size_of_val(&*self.slab)
+            + size_of_val(&*self.out_alloc)
+            + size_of_val(&*self.credits)
+            + size_of_val(&*self.va_ptr)
+    }
+
+    /// VCs per port.
+    #[inline]
+    pub(crate) fn vcs(&self) -> usize {
+        usize::from(self.vcs)
+    }
+
+    /// Flits an input VC buffers (the config's `vc_depth`).
+    #[inline]
+    pub(crate) fn vc_depth(&self) -> usize {
+        usize::from(self.vc_depth)
+    }
+
+    /// Input VC `slot`'s stripe of the slab.
+    #[inline]
+    fn stripe(&self, slot: usize) -> std::ops::Range<usize> {
+        let depth = self.vc_depth();
+        slot * depth..(slot + 1) * depth
+    }
+
+    /// The slot of input VC `(port, vc)` and its stripe of the slab.
+    #[inline]
+    fn stripe_of(&self, port: Port, vc: usize) -> (usize, std::ops::Range<usize>) {
+        let slot = self.slot(port, vc);
+        (slot, self.stripe(slot))
+    }
+
     /// Replicate a per-port VC mask over all ports.
     fn every_port(&self, vc_mask: u64) -> u64 {
-        (0..NUM_PORTS).fold(0, |m, p| m | vc_mask << (p * self.vcs))
+        (0..NUM_PORTS).fold(0, |m, p| m | vc_mask << (p * self.vcs()))
     }
 
     /// Flat index of VC `(port, vc)` — also its bit position in the bitmaps.
     #[inline]
     pub fn slot(&self, port: Port, vc: usize) -> usize {
-        debug_assert!(port < NUM_PORTS && vc < self.vcs);
-        port * self.vcs + vc
+        debug_assert!(port < NUM_PORTS && vc < self.vcs());
+        port * self.vcs() + vc
     }
 
     /// The `(port, vc)` of flat index `slot`. Ports are few: subtract, don't
     /// divide.
     #[inline]
     pub fn port_vc(&self, mut slot: usize) -> (Port, usize) {
-        let mut port = 0;
-        while slot >= self.vcs {
-            slot -= self.vcs;
+        let (mut port, vcs) = (0, self.vcs());
+        while slot >= vcs {
+            slot -= vcs;
             port += 1;
         }
         (port, slot)
@@ -191,7 +233,7 @@ impl Router {
     fn view(&self, slot: usize) -> VcView<'_> {
         VcView {
             vc: &self.inputs[slot],
-            ring: &self.slab[slot * self.vc_depth..][..self.vc_depth],
+            ring: &self.slab[self.stripe(slot)],
         }
     }
 
@@ -203,7 +245,7 @@ impl Router {
 
     /// The input VCs of `port`, ascending VC index.
     pub fn ivcs(&self, port: Port) -> impl Iterator<Item = VcView<'_>> {
-        (0..self.vcs).map(move |vc| self.ivc(port, vc))
+        (0..self.vcs()).map(move |vc| self.ivc(port, vc))
     }
 
     /// Credits toward the downstream input VC behind output `(port, vc)`.
@@ -219,34 +261,32 @@ impl Router {
         (holder != OUT_FREE).then(|| self.port_vc(usize::from(holder)))
     }
 
-    /// Write `flit` at the back of input VC `(port, vc)`'s FIFO. A whole
-    /// [`Flit`](crate::flit::Flit) is cut to its record: packet fields other
-    /// than the id are not stored, the VC's handle
-    /// ([`note_vc_occupied`](Self::note_vc_occupied)) stands for them.
+    /// Write `flit` at the back of input VC `(port, vc)`'s FIFO. Its hop
+    /// count is the VC's ([`note_vc_occupied`](Self::note_vc_occupied)).
     #[inline]
-    pub fn push_flit(&mut self, port: Port, vc: usize, flit: impl Into<RingFlit>) {
-        let slot = self.slot(port, vc);
-        let ring = &mut self.slab[slot * self.vc_depth..][..self.vc_depth];
-        self.inputs[slot].push(ring, flit.into());
+    pub fn push_flit(&mut self, port: Port, vc: usize, flit: RingFlit) {
+        let (slot, stripe) = self.stripe_of(port, vc);
+        let ring = &mut self.slab[stripe];
+        self.inputs[slot].push(ring, flit);
     }
 
     /// Take the front flit record of input VC `(port, vc)`'s FIFO, with the
-    /// handle of the packet it belongs to (`None` when the VC is empty or
-    /// unheld).
+    /// hop count of the packet holding the VC (`None` when the VC is empty
+    /// or unheld).
     #[inline]
-    pub(crate) fn pop_flit(&mut self, port: Port, vc: usize) -> Option<(RingFlit, PacketRef)> {
+    pub(crate) fn pop_flit(&mut self, port: Port, vc: usize) -> Option<(RingFlit, u32)> {
         let slot = self.slot(port, vc);
-        let ring = &self.slab[slot * self.vc_depth..][..self.vc_depth];
+        let ring = &self.slab[self.stripe(slot)];
         let ivc = &mut self.inputs[slot];
-        let packet = ivc.packet?;
-        Some((ivc.pop(ring)?, packet))
+        let hops = ivc.hops()?;
+        Some((ivc.pop(ring)?, hops))
     }
 
     /// The front flit's ring record of input VC `(port, vc)`, mutably — for
-    /// the differential harness's payload corruption only.
+    /// the differential harness's CRC corruption only.
     pub(crate) fn front_flit_mut(&mut self, port: Port, vc: usize) -> Option<&mut RingFlit> {
-        let slot = self.slot(port, vc);
-        let ring = &mut self.slab[slot * self.vc_depth..][..self.vc_depth];
+        let (slot, stripe) = self.stripe_of(port, vc);
+        let ring = &mut self.slab[stripe];
         self.inputs[slot].front_mut(ring)
     }
 
@@ -267,14 +307,21 @@ impl Router {
     }
 
     /// Record that input VC `(port, vc)` transitioned unoccupied → occupied
-    /// by `packet` of application `app` (its head is about to be written):
-    /// the VC's handle.
+    /// by `packet` of application `app`, which has traversed `hops` links
+    /// (its head is about to be written): the VC's handle and hop count.
     #[inline]
-    pub fn note_vc_occupied(&mut self, port: Port, vc: usize, packet: PacketRef, app: AppId) {
+    pub fn note_vc_occupied(
+        &mut self,
+        port: Port,
+        vc: usize,
+        packet: PacketRef,
+        app: AppId,
+        hops: u32,
+    ) {
         let slot = self.slot(port, vc);
         let bit = 1u64 << slot;
         debug_assert_eq!(self.occ_bits & bit, 0);
-        self.inputs[slot].hold(packet, app);
+        self.inputs[slot].hold(packet, app, hops);
         self.occ_bits |= bit;
         if self.is_native(app) {
             self.native_bits |= bit;
@@ -319,8 +366,8 @@ impl Router {
         let bit = 1u64 << slot;
         let c = &mut self.credits[slot];
         *c += 1;
-        debug_assert!(usize::from(*c) <= self.vc_depth);
-        let full = usize::from(*c) == self.vc_depth;
+        debug_assert!(*c <= self.vc_depth);
+        let full = *c == self.vc_depth;
         self.credits_avail |= bit;
         if full {
             self.credits_full |= bit;
@@ -389,7 +436,7 @@ impl Router {
             if self.out_alloc[slot] == OUT_FREE {
                 free |= bit;
             }
-            if usize::from(self.credits[slot]) == self.vc_depth {
+            if self.credits[slot] == self.vc_depth {
                 full |= bit;
             }
             if self.credits[slot] > 0 {
@@ -415,7 +462,7 @@ impl Router {
         }
         self.inputs.iter().enumerate().find_map(|(slot, ivc)| {
             let at = self.port_vc(slot);
-            if !ivc.cursor_in_bounds(self.vc_depth) {
+            if !ivc.cursor_in_bounds(self.vc_depth()) {
                 Some(format!("input {at:?}: ring cursor out of bounds ({ivc:?})"))
             } else if ivc.occupied() != ivc.packet.is_some() {
                 Some(format!(
@@ -488,6 +535,7 @@ impl Router {
 mod tests {
     use super::*;
     use crate::flit::{Flit, FlitKind, PacketInfo, PacketTable};
+    use crate::topology::TopologyKind;
     use std::mem::size_of_val;
 
     fn cfg() -> SimConfig {
@@ -501,7 +549,7 @@ mod tests {
 
     /// Mask of all valid VC slots of `r`.
     fn valid_vc_mask(r: &Router) -> u64 {
-        low_bits(NUM_PORTS * r.vcs)
+        low_bits(NUM_PORTS * r.vcs())
     }
 
     /// A single-flit packet of `app` in input VC `(port, vc)`. Router state
@@ -519,19 +567,8 @@ mod tests {
             reply: None,
         };
         let packet = PacketTable::default().insert(info);
-        r.note_vc_occupied(port, vc, packet, app);
-        r.push_flit(port, vc, Flit::nth(info, 0));
-    }
-
-    /// Bytes of one router's state: the struct and every boxed slice it
-    /// owns.
-    fn state_bytes(r: &Router) -> usize {
-        size_of::<Router>()
-            + size_of_val(&*r.inputs)
-            + size_of_val(&*r.slab)
-            + size_of_val(&*r.out_alloc)
-            + size_of_val(&*r.credits)
-            + size_of_val(&*r.va_ptr)
+        r.note_vc_occupied(port, vc, packet, app, 0);
+        r.push_flit(port, vc, RingFlit::of(&Flit::nth(info, 0), packet));
     }
 
     /// A Table-1 router's state (25 VC slots of depth 5), pinned so that a
@@ -541,11 +578,26 @@ mod tests {
     fn table1_router_state_is_pinned() {
         let r = mk();
         assert_eq!((r.inputs.len(), r.slab.len()), (25, 125));
-        assert_eq!(size_of::<RingFlit>(), 24);
-        assert_eq!(size_of::<InputVc>(), 12);
+        assert_eq!(size_of::<RingFlit>(), 8);
+        assert_eq!(size_of::<InputVc>(), 16);
         // One byte a slot for each of `out_alloc`, `credits` and `va_ptr`.
         assert_eq!(size_of_val(&*r.out_alloc) + size_of_val(&*r.credits), 50);
-        assert_eq!(state_bytes(&r), 3_631);
+        assert_eq!(r.heap_bytes(), 1_651);
+    }
+
+    /// A 2-class torus router (35 VC slots: two dateline lanes per class
+    /// plus the adaptive VCs, depth 5) at its byte count.
+    #[test]
+    fn torus_router_state_is_pinned() {
+        let c = SimConfig {
+            topology: TopologyKind::Torus,
+            num_classes: 2,
+            ..cfg()
+        };
+        c.validate().expect("2-class torus validates");
+        let r = Router::new(&c, 0, c.coord_of(0), 0);
+        assert_eq!(r.inputs.len(), NUM_PORTS * c.vcs_per_port());
+        assert_eq!(r.heap_bytes(), 2_536);
     }
 
     /// The byte-wide tables read back through the accessors' wide types:

@@ -125,10 +125,10 @@ impl From<PackedState> for VcState {
     }
 }
 
-/// One input virtual channel: the handle of the packet holding it and that
-/// packet's application, its pipeline state and the cursor of its flit
-/// FIFO — 12 bytes. The FIFO is a fixed-depth ring whose storage is the
-/// VC's `vc_depth`-long stripe of the owning router's slab, so the ring
+/// One input virtual channel: the handle of the packet holding it, that
+/// packet's application and hop count, its pipeline state and the cursor
+/// of its flit FIFO — 16 bytes. The FIFO is a fixed-depth ring whose
+/// storage is the VC's `vc_depth`-long stripe of the owning router's slab, so the ring
 /// operations take that stripe as an argument; the cursors are bytes
 /// (config validation caps `vc_depth` at 255). Only the
 /// [`Router`](crate::router::Router) writes either.
@@ -140,6 +140,11 @@ pub struct InputVc {
     /// buffered flit has moved downstream. Atomic VCs hold one packet at a
     /// time, so its buffered flits share this one handle.
     pub(crate) packet: Option<PacketRef>,
+    /// Links the holding packet traversed to reach this VC (meaningless
+    /// while `packet` is `None`): set from the head's link record, or 0 at
+    /// injection. Its flits all came the same way, so this is every
+    /// buffered flit's hop count; one leaving over a link carries it + 1.
+    hops: u32,
     /// The holding packet's application (meaningless while `packet` is
     /// `None`): what the router's native/foreign split and the policies
     /// read without going to the packet table.
@@ -155,6 +160,7 @@ impl InputVc {
     pub(crate) fn new() -> Self {
         Self {
             packet: None,
+            hops: 0,
             app: 0,
             head: 0,
             len: 0,
@@ -172,11 +178,19 @@ impl InputVc {
         self.state = state.into();
     }
 
-    /// Hand the VC to `packet` of application `app`.
+    /// Hand the VC to `packet` of application `app`, which has traversed
+    /// `hops` links to reach it.
     #[inline]
-    pub(crate) fn hold(&mut self, packet: PacketRef, app: AppId) {
+    pub(crate) fn hold(&mut self, packet: PacketRef, app: AppId, hops: u32) {
         self.packet = Some(packet);
         self.app = app;
+        self.hops = hops;
+    }
+
+    /// Hop count of the packet holding this VC, if any (see the field).
+    #[inline]
+    pub(crate) fn hops(&self) -> Option<u32> {
+        self.packet.map(|_| self.hops)
     }
 
     /// Application of the packet holding this VC, if any.
@@ -244,11 +258,12 @@ impl InputVc {
 
 /// Read-only view of one input VC together with its flit FIFO — what
 /// [`Router::ivc`](crate::router::Router::ivc) hands to the phases, the
-/// oracle checkers, policies and tests. State, occupancy and the holder's
-/// application are the VC's own; the packet descriptor lives in the
-/// network's [`PacketTable`], so the reads that need it take the table,
-/// and a whole [`Flit`] is rebuilt by value, from its ring record and the
-/// descriptor, only where one is asked for.
+/// oracle checkers, policies and tests. State, occupancy, the holder's
+/// application and hop count are the VC's own; packet descriptors live in
+/// the network's [`PacketTable`], so the reads that need one take the
+/// table, and a whole [`Flit`] is rebuilt by value, from its ring record,
+/// the descriptor the record names and the VC's hop count, only where one
+/// is asked for.
 #[derive(Debug, Clone, Copy)]
 pub struct VcView<'a> {
     pub(crate) vc: &'a InputVc,
@@ -279,6 +294,12 @@ impl<'a> VcView<'a> {
         self.vc.holder()
     }
 
+    /// Hop count of the packet holding this VC, if any.
+    #[inline]
+    pub fn hops(&self) -> Option<u32> {
+        self.vc.hops()
+    }
+
     /// See [`InputVc::occupied`].
     #[inline]
     pub fn occupied(&self) -> bool {
@@ -296,14 +317,23 @@ impl<'a> VcView<'a> {
         self.vc.len == 0
     }
 
-    /// The `i`-th buffered flit, front first, completed from `packets`.
+    /// The `i`-th buffered flit, front first, completed from `packets`
+    /// (`None` past the back or while the VC is unheld).
     #[inline]
     pub fn get(&self, i: usize, packets: &PacketTable) -> Option<Flit> {
-        if i >= self.len() {
-            return None;
-        }
-        let slot = self.ring[self.vc.at(self.ring.len(), i)];
-        self.packet(packets).map(|p| slot.with(p))
+        let hops = self.hops()?;
+        self.record(i).map(|r| r.with(packets, hops))
+    }
+
+    /// The `i`-th buffered flit's ring record, front first.
+    #[inline]
+    pub(crate) fn record(&self, i: usize) -> Option<RingFlit> {
+        (i < self.len()).then(|| self.ring[self.vc.at(self.ring.len(), i)])
+    }
+
+    /// Buffered flits' ring records, front to back.
+    pub(crate) fn records(self) -> impl Iterator<Item = RingFlit> + use<'a> {
+        (0..self.len()).filter_map(move |i| self.record(i))
     }
 
     #[inline]
@@ -348,9 +378,12 @@ mod tests {
         VcView { vc, ring }
     }
 
-    /// `vc` handed to `pkt`, stored in `packets`.
-    fn hold(vc: &mut InputVc, packets: &mut PacketTable, pkt: PacketInfo) {
-        vc.hold(packets.insert(pkt), pkt.app);
+    /// `vc` handed to `pkt`, stored in `packets`, after `hops` links;
+    /// returns the packet's handle.
+    fn hold(vc: &mut InputVc, packets: &mut PacketTable, pkt: PacketInfo, hops: u32) -> PacketRef {
+        let packet = packets.insert(pkt);
+        vc.hold(packet, pkt.app, hops);
+        packet
     }
 
     #[test]
@@ -365,8 +398,8 @@ mod tests {
     fn buffered_flit_marks_occupied() {
         let mut vc = InputVc::new();
         let mut ring = [RingFlit::EMPTY; 5];
-        hold(&mut vc, &mut PacketTable::default(), info(0, 1));
-        vc.push(&mut ring, RingFlit::nth(&info(0, 1), 0));
+        let packet = hold(&mut vc, &mut PacketTable::default(), info(0, 1), 0);
+        vc.push(&mut ring, RingFlit::nth(packet, &info(0, 1), 0));
         assert!(vc.occupied());
         assert_eq!(view(&vc, &ring).holder(), Some(3));
     }
@@ -416,8 +449,8 @@ mod tests {
     fn holder_survives_buffer_drain() {
         let mut vc = InputVc::new();
         let mut ring = [RingFlit::EMPTY; 5];
-        hold(&mut vc, &mut PacketTable::default(), info(0, 2));
-        vc.push(&mut ring, RingFlit::nth(&info(0, 2), 0));
+        let packet = hold(&mut vc, &mut PacketTable::default(), info(0, 2), 0);
+        vc.push(&mut ring, RingFlit::nth(packet, &info(0, 2), 0));
         vc.set_state(VcState::Active {
             out_port: 2,
             out_vc: 1,
@@ -449,15 +482,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// The ring against a `VecDeque<Flit>`: packets of every size from
-        /// 1 to the depth stream through one VC, popped at random points,
-        /// the cursor left where the last packet ended (so it laps the
-        /// stripe) or reset as a freed VC is. A duplicated body flit (the
-        /// `DuplicateFlit` shape, one flit over the packet size) and a
-        /// payload flipped past its CRC are read back as written. Each
-        /// flit read through `get` / `front` / `back` / `flits`, completed
-        /// from the packet table, equals the model's field for field,
-        /// per-flit id and hops included, and each `pop` returns the
-        /// model's ring record.
+        /// 1 to the depth stream through one VC, each after its own random
+        /// number of hops, popped at random points, the cursor left where
+        /// the last packet ended (so it laps the stripe) or reset as a
+        /// freed VC is. A duplicated body flit (the `DuplicateFlit` shape,
+        /// one flit over the packet size) and a CRC flipped past its
+        /// payload are read back as written. Each flit read through `get` /
+        /// `front` / `back` / `flits`, completed from the packet table and
+        /// the VC's hop count, equals the model's field for field, derived
+        /// payload and hops included, and each `pop` returns the record of
+        /// the model's flit.
         #[test]
         fn ring_fifo_matches_a_deque_model(depth in 1..=7u32, seed in 0..u64::MAX) {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -470,35 +504,36 @@ mod tests {
                 if rng.random_bool(0.5) {
                     vc.reset();
                 }
-                hold(&mut vc, &mut packets, pkt);
-                let mut flits: Vec<Flit> = Flit::flits_of(pkt).collect();
+                let hops = rng.random_range(0..40u32);
+                let packet = hold(&mut vc, &mut packets, pkt, hops);
+                let record = |f: Flit| RingFlit::of(&f, packet);
+                let mut flits: Vec<Flit> = Flit::flits_of(pkt).map(|f| Flit { hops, ..f }).collect();
                 if rng.random_bool(0.3) {
                     let s = rng.random_range(0..pkt.size) as usize;
-                    flits[s].payload ^= 1;
+                    flits[s].crc ^= 1;
                 }
                 let body = flits.iter().rposition(|f| f.kind == FlitKind::Body);
                 if let Some(b) = body.filter(|_| rng.random_bool(0.5)) {
                     flits.insert(b + 1, flits[b]);
                 }
-                for mut f in flits {
-                    f.hops = rng.random_range(0..40u32);
+                for f in flits {
                     // The duplicate pays a real credit: it lands only once
                     // a flit has left a full buffer.
                     if model.len() == depth as usize {
-                        let want = model.pop_front().map(RingFlit::from);
+                        let want = model.pop_front().map(record);
                         prop_assert_eq!(vc.pop(&ring), want);
                     }
-                    vc.push(&mut ring, RingFlit::from(&f));
+                    vc.push(&mut ring, record(f));
                     model.push_back(f);
                     reads_agree(&vc, &ring, &packets, &model);
                     for _ in 0..rng.random_range(0..3u32) {
-                        let want = model.pop_front().map(RingFlit::from);
+                        let want = model.pop_front().map(record);
                         prop_assert_eq!(vc.pop(&ring), want);
                     }
                     reads_agree(&vc, &ring, &packets, &model);
                 }
                 while let Some(want) = model.pop_front() {
-                    prop_assert_eq!(vc.pop(&ring), Some(RingFlit::from(want)));
+                    prop_assert_eq!(vc.pop(&ring), Some(record(want)));
                 }
                 prop_assert_eq!(vc.pop(&ring), None);
                 reads_agree(&vc, &ring, &packets, &model);
@@ -519,15 +554,15 @@ mod tests {
         let mut ring = vec![RingFlit::EMPTY; depth];
         let mut packets = PacketTable::default();
         // Start mid-stripe so the packet wraps.
-        hold(&mut vc, &mut packets, info(1, 3));
+        let first = hold(&mut vc, &mut packets, info(1, 3), 0);
         for f in Flit::flits_of(info(1, 3)) {
-            vc.push(&mut ring, RingFlit::from(&f));
+            vc.push(&mut ring, RingFlit::of(&f, first));
             vc.pop(&ring);
         }
         let pkt = info(2, depth as u32);
-        hold(&mut vc, &mut packets, pkt);
+        let packet = hold(&mut vc, &mut packets, pkt, 0);
         for f in Flit::flits_of(pkt) {
-            vc.push(&mut ring, RingFlit::from(&f));
+            vc.push(&mut ring, RingFlit::of(&f, packet));
         }
         let v = view(&vc, &ring);
         assert_eq!(v.len(), depth);
@@ -536,19 +571,19 @@ mod tests {
         assert_eq!(last, Flit::nth(pkt, 254));
         assert!(v.flits(&packets).eq(Flit::flits_of(pkt)));
         for want in Flit::flits_of(pkt) {
-            assert_eq!(vc.pop(&ring).map(|r| r.with(&pkt)), Some(want));
+            assert_eq!(vc.pop(&ring).map(|r| r.with(&packets, 0)), Some(want));
         }
         assert!(vc.cursor_in_bounds(depth));
     }
 
-    /// A ring read back through the view without a packet to complete it
-    /// yields nothing; the record itself still pops.
+    /// A ring read back through the view of a VC no packet holds yields
+    /// nothing; the record itself still pops.
     #[test]
     fn flits_need_their_packet() {
         let mut vc = InputVc::new();
         let mut ring = [RingFlit::EMPTY; 2];
-        let packets = PacketTable::default();
-        let flit = RingFlit::nth(&info(0, 1), 0);
+        let mut packets = PacketTable::default();
+        let flit = RingFlit::nth(packets.insert(info(0, 1)), &info(0, 1), 0);
         vc.push(&mut ring, flit);
         assert_eq!(view(&vc, &ring).front(&packets), None);
         assert_eq!(view(&vc, &ring).len(), 1);

@@ -88,7 +88,7 @@ proptest! {
     #[test]
     fn arbiter_never_inverts_priority(
         reqs in proptest::collection::vec((0u64..5, 0usize..10), 1..10),
-        ptr0 in 0usize..10,
+        ptr0 in 0u8..10,
     ) {
         // De-duplicate slot keys (hardware has one request per slot).
         let mut seen = std::collections::BTreeSet::new();

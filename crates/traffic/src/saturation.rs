@@ -83,7 +83,7 @@ impl SaturationProbe {
 /// consults a model. The type and the `hint` argument of
 /// [`app_saturation_traced`] survive only as the call shape the frozen
 /// benchmark harness (`rair-bench/src/layers.rs`) compiles against; both go
-/// with ROADMAP item 3's `benchmark` PR.
+/// with ROADMAP item 4's `benchmark` PR.
 #[derive(Debug, Clone, Copy)]
 pub struct WarmStart {
     /// Predicted saturation load (same units as the search domain).

@@ -9,8 +9,9 @@
 //! of one `rair-bench` workload, appended to `BENCH_history.jsonl`
 //! ([`xtask::bench_pairs`]).
 //!
-//! `cargo run -p xtask -- tier1 …` — one timed `cargo test -q` of a
-//! checkout, appended to `BENCH_history.jsonl` ([`xtask::tier1`]).
+//! `cargo run -p xtask -- tier1 …` — timed `cargo test -q` runs of a
+//! checkout, or alternating pairs of two, appended to
+//! `BENCH_history.jsonl` ([`xtask::tier1`]).
 
 use std::process::ExitCode;
 use xtask::{bench_pairs, tier1};
@@ -40,10 +41,7 @@ fn main() -> ExitCode {
                 .map_err(|e| format!("{e}\nusage: {}", tier1::USAGE))
                 .and_then(|a| tier1::run(&a, &history));
             match run {
-                Ok(wall_s) => {
-                    println!("tier1_wall_s {wall_s:.3}");
-                    ExitCode::SUCCESS
-                }
+                Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
                     eprintln!("[tier1] {e}");
                     ExitCode::FAILURE
@@ -75,8 +73,9 @@ fn print_usage() {
     eprintln!(
         "               BENCH_history.jsonl and print the pairs rule's verdict (exit 1 on LOSS)"
     );
-    eprintln!("  tier1        time one prebuilt `cargo test -q` of a checkout and append a");
-    eprintln!("               tier1_wall_s row to BENCH_history.jsonl");
+    eprintln!("  tier1        time prebuilt `cargo test -q` runs (one, or alternating pairs of");
+    eprintln!("               two checkouts judged by the pairs rule) and append tier1_wall_s");
+    eprintln!("               rows to BENCH_history.jsonl");
     eprintln!();
     eprintln!("rules:");
     for r in xtask::RULES {

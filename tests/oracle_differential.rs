@@ -120,8 +120,9 @@ fn duplicated_flit_caught_by_wormhole_or_conservation() {
 
 /// A body flit of another packet written behind a buffered, non-tail flit:
 /// sequence number and kind continue the holder's packet, only the packet
-/// id differs. Every buffered flit keeps its own id, so the one-packet-per-VC
-/// rule of atomic VCs catches it.
+/// (its id and its handle in the packet table) differs. Every buffered flit
+/// keeps its own handle, so the one-packet-per-VC rule of atomic VCs
+/// catches it.
 #[test]
 fn second_packet_in_a_vc_caught_by_wormhole_contiguity() {
     let mut net = loaded_net(&oracle_cfg(25_000), 19);
@@ -143,7 +144,9 @@ fn second_packet_in_a_vc_caught_by_wormhole_contiguity() {
                         id: back.info.id + (1 << 40),
                         ..back.info
                     };
-                    r.push_flit(port, vc, Flit::nth(other, back.seq + 1));
+                    let packet = net.packets.insert(other);
+                    let flit = Flit::nth(other, back.seq + 1);
+                    r.push_flit(port, vc, RingFlit::of(&flit, packet));
                     injected = true;
                     break 'run;
                 }
@@ -158,6 +161,40 @@ fn second_packet_in_a_vc_caught_by_wormhole_contiguity() {
         .iter()
         .any(|v| v.checker == "wormhole-contiguity" && v.detail.contains("in a VC held by"));
     assert!(caught, "hit: {:?}", net.stats.oracle_violations);
+}
+
+/// A body or tail flit on a link whose hop count disagrees with the one its
+/// packet's VC downstream keeps. The count moved from each flit to the VC,
+/// and wormhole contiguity guards the move; no counter changes.
+#[test]
+fn miscounted_hops_caught_by_wormhole_contiguity() {
+    let mut net = loaded_net(&oracle_cfg(25_000), 23);
+    let mut injected = false;
+    for _ in 0..500 {
+        net.tick();
+        if inject_anywhere(&mut net, |router, port, vc| Fault::MiscountHops {
+            router,
+            port,
+            vc,
+        }) {
+            injected = true;
+            break;
+        }
+    }
+    assert!(injected, "no body flit on a link into its packet's VC");
+    // Check without ticking: the edited record is still on the link.
+    assert!(net.check_oracle_now() > 0);
+    let caught = net
+        .stats
+        .oracle_violations
+        .iter()
+        .any(|v| v.checker == "wormhole-contiguity" && v.detail.contains("hops"));
+    assert!(caught, "hit: {:?}", net.stats.oracle_violations);
+    let hit = checkers_hit(&net);
+    assert!(
+        !hit.contains("flit-conservation") && !hit.contains("credit-conservation"),
+        "a hop count perturbed accounting: {hit:?}"
+    );
 }
 
 #[test]
