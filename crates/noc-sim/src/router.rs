@@ -192,13 +192,6 @@ impl Router {
         slot * depth..(slot + 1) * depth
     }
 
-    /// The slot of input VC `(port, vc)` and its stripe of the slab.
-    #[inline]
-    fn stripe_of(&self, port: Port, vc: usize) -> (usize, std::ops::Range<usize>) {
-        let slot = self.slot(port, vc);
-        (slot, self.stripe(slot))
-    }
-
     /// Replicate a per-port VC mask over all ports.
     fn every_port(&self, vc_mask: u64) -> u64 {
         (0..NUM_PORTS).fold(0, |m, p| m | vc_mask << (p * self.vcs()))
@@ -265,7 +258,8 @@ impl Router {
     /// count is the VC's ([`note_vc_occupied`](Self::note_vc_occupied)).
     #[inline]
     pub fn push_flit(&mut self, port: Port, vc: usize, flit: RingFlit) {
-        let (slot, stripe) = self.stripe_of(port, vc);
+        let slot = self.slot(port, vc);
+        let stripe = self.stripe(slot);
         let ring = &mut self.slab[stripe];
         self.inputs[slot].push(ring, flit);
     }
@@ -285,7 +279,8 @@ impl Router {
     /// The front flit's ring record of input VC `(port, vc)`, mutably — for
     /// the differential harness's CRC corruption only.
     pub(crate) fn front_flit_mut(&mut self, port: Port, vc: usize) -> Option<&mut RingFlit> {
-        let (slot, stripe) = self.stripe_of(port, vc);
+        let slot = self.slot(port, vc);
+        let stripe = self.stripe(slot);
         let ring = &mut self.slab[stripe];
         self.inputs[slot].front_mut(ring)
     }
@@ -585,8 +580,8 @@ mod tests {
         assert_eq!(r.heap_bytes(), 1_651);
     }
 
-    /// A 2-class torus router (35 VC slots: two dateline lanes per class
-    /// plus the adaptive VCs, depth 5) at its byte count.
+    /// A 2-class torus router (40 VC slots: two dateline lanes per class
+    /// plus the four adaptive VCs on each port, depth 5) at its byte count.
     #[test]
     fn torus_router_state_is_pinned() {
         let c = SimConfig {
@@ -596,7 +591,7 @@ mod tests {
         };
         c.validate().expect("2-class torus validates");
         let r = Router::new(&c, 0, c.coord_of(0), 0);
-        assert_eq!(r.inputs.len(), NUM_PORTS * c.vcs_per_port());
+        assert_eq!((r.inputs.len(), r.slab.len()), (40, 200));
         assert_eq!(r.heap_bytes(), 2_536);
     }
 

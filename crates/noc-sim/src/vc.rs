@@ -296,7 +296,7 @@ impl<'a> VcView<'a> {
 
     /// Hop count of the packet holding this VC, if any.
     #[inline]
-    pub fn hops(&self) -> Option<u32> {
+    pub(crate) fn hops(&self) -> Option<u32> {
         self.vc.hops()
     }
 
