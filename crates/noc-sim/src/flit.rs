@@ -259,8 +259,8 @@ impl PacketTable {
     /// Reconcile the table with `held`, every handle the network holds (a
     /// packet held by several VCs or with several flits buffered or on
     /// links is listed once per place): each must name a live slot, and
-    /// the live slots must be exactly those. `Err` describes the first disagreement. Sorts and
-    /// dedups `held`.
+    /// the live slots must be exactly those. `Err` describes the first
+    /// disagreement. Sorts and dedups `held`.
     pub(crate) fn audit(&self, held: &mut Vec<PacketRef>) -> Result<(), String> {
         held.sort_unstable();
         held.dedup();
