@@ -270,7 +270,7 @@ impl Network {
                     let ptr = &mut r.va_ptr[out_port * v + out_vc];
                     let at = usize::from(*ptr);
                     if let Some((w, next)) = arbitrate_rr_at(&reqs, NUM_PORTS * v, at) {
-                        *ptr = byte(next);
+                        *ptr = next as u8;
                         let (in_port, in_vc) = group[w];
                         r.alloc_out_vc(out_port, out_vc, (in_port, in_vc));
                         r.set_vc_state(in_port, in_vc, VcState::Active { out_port, out_vc });
