@@ -74,7 +74,8 @@ pub struct RunResult {
     pub router_cycles_skipped: u64,
     /// End-of-cycle router state updates elided.
     pub state_updates_skipped: u64,
-    /// Whole cycles jumped over by the idle fast-forward without ticking.
+    /// Always 0: the clock no longer jumps. Kept because the checkpoint row
+    /// and the pinned sweep digests carry it; ROADMAP item 4 retires it.
     pub idle_cycles_skipped: u64,
     /// Whether the invariant oracle was active during the run.
     pub oracle_enabled: bool,
@@ -176,7 +177,7 @@ impl RunResult {
     }
 
     /// One-line report of how much per-cycle kernel work the active-set
-    /// fast path and the idle fast-forward elided during this run.
+    /// fast path elided during this run.
     pub fn kernel_summary(&self) -> String {
         let visits = self.cycles * self.routers as u64;
         metrics::report::kernel_summary(
@@ -184,8 +185,6 @@ impl RunResult {
             self.router_cycles_skipped,
             visits,
             self.state_updates_skipped,
-            self.cycles,
-            self.idle_cycles_skipped,
         )
     }
 }
@@ -424,25 +423,18 @@ mod tests {
         assert_eq!(r.delivered, 1);
         assert!(r.app_apl(0) > 0.0);
         assert!(r.mean_apl(None) > 0.0);
-        // A single-packet run is almost entirely idle: between the idle
-        // fast-forward (whole cycles jumped, 3 phase visits per router each)
-        // and the active-set fast path (visits elided inside real ticks),
-        // nearly all router work must have been skipped.
-        assert_eq!(r.cycles, 5_000);
-        assert_eq!(r.routers, 64);
-        let elided = r.router_cycles_skipped + 3 * r.routers as u64 * r.idle_cycles_skipped;
+        // A single-packet run is almost entirely idle: every cycle is
+        // ticked, and inside those ticks the active-set fast path elides all
+        // but the few router visits and state updates the packet's path
+        // needs.
+        assert_eq!((r.cycles, r.routers, r.idle_cycles_skipped), (5_000, 64, 0));
+        let visits = r.cycles * r.routers as u64;
         assert!(
-            elided > r.cycles * r.routers as u64 * 3 / 2,
-            "fast paths barely skipped: {elided}"
+            r.router_cycles_skipped > 3 * visits - 100,
+            "the active set barely skipped: {}",
+            r.router_cycles_skipped
         );
-        // The source injects exactly one packet at cycle 2100; everything
-        // before and most of the drain after it fast-forwards.
-        assert!(
-            r.idle_cycles_skipped > 4_000,
-            "idle fast-forward skipped only {} cycles",
-            r.idle_cycles_skipped
-        );
-        assert!(r.state_updates_skipped > 0);
+        assert!(r.state_updates_skipped > visits - 100);
         assert!(r.kernel_summary().starts_with("kernel:"));
     }
 

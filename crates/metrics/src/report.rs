@@ -253,18 +253,14 @@ impl Table {
 }
 
 /// One-line summary of the simulator's kernel fast paths: what fraction of
-/// router×phase visits and end-of-cycle state updates were elided, and how
-/// many whole cycles the idle fast-forward jumped over without ticking.
+/// router×phase visits and end-of-cycle state updates were elided.
 /// `phase_visits` / `state_updates` are the plain-scan totals
-/// (`cycles × routers × phases` and `cycles × routers`); `cycles` is the
-/// total simulated span including fast-forwarded cycles.
+/// (`cycles × routers × phases` and `cycles × routers`).
 pub fn kernel_summary(
     phase_visits: u64,
     phase_visits_skipped: u64,
     state_updates: u64,
     state_updates_skipped: u64,
-    cycles: u64,
-    idle_cycles_skipped: u64,
 ) -> String {
     let frac = |skipped: u64, total: u64| {
         if total == 0 {
@@ -275,17 +271,13 @@ pub fn kernel_summary(
     };
     format!(
         "kernel: skipped {:.1}% of router phase visits ({}/{}), \
-         {:.1}% of state updates ({}/{}), \
-         fast-forwarded {:.1}% of cycles ({}/{})",
+         {:.1}% of state updates ({}/{})",
         frac(phase_visits_skipped, phase_visits),
         phase_visits_skipped,
         phase_visits,
         frac(state_updates_skipped, state_updates),
         state_updates_skipped,
         state_updates,
-        frac(idle_cycles_skipped, cycles),
-        idle_cycles_skipped,
-        cycles,
     )
 }
 
@@ -346,14 +338,14 @@ mod tests {
 
     #[test]
     fn kernel_summary_fractions() {
-        let s = kernel_summary(1000, 930, 500, 250, 200, 40);
-        assert!(s.contains("93.0%"), "{s}");
-        assert!(s.contains("50.0%"), "{s}");
-        assert!(s.contains("930/1000"), "{s}");
-        assert!(s.contains("20.0%"), "{s}");
-        assert!(s.contains("40/200"), "{s}");
+        let s = kernel_summary(1000, 930, 500, 250);
+        assert_eq!(
+            s,
+            "kernel: skipped 93.0% of router phase visits (930/1000), \
+             50.0% of state updates (250/500)"
+        );
         // Zero totals (e.g. a zero-cycle run) must not divide by zero.
-        assert!(kernel_summary(0, 0, 0, 0, 0, 0).contains("0.0%"));
+        assert!(kernel_summary(0, 0, 0, 0).contains("0.0%"));
     }
 
     #[test]

@@ -54,22 +54,6 @@
 //! fault-free bound (`tests/alloc_free_tick.rs`, and the
 //! `alloc-in-hot-path` lint over the six phase bodies).
 //!
-//! ## Idle fast-forward
-//!
-//! When the active set is empty, nothing is in flight on links or in
-//! ejection/credit registers, every NI queue is empty and the traffic source
-//! can promise its next injection cycle ([`TrafficSource::next_injection_cycle`]),
-//! a `tick()` is a provable no-op: no phase has a candidate, no state-update
-//! runs (all routers clean) and the source draws no randomness. [`Network::run`]
-//! then jumps the clock straight to the next event — the earliest of the
-//! next injection, the next ready reply and the end of the run window —
-//! replaying the oracle's end-of-cycle scans at every check-interval multiple
-//! it jumps across, so the oracle, and every observer attached to it, sees
-//! the identical schedule.
-//! [`SimStats::idle_cycles_skipped`] counts the elided cycles; results are
-//! bit-identical to plain ticking (see `tests/fast_forward.rs`).
-//!
-//! [`TrafficSource::next_injection_cycle`]: crate::source::TrafficSource::next_injection_cycle
 //! [`TrafficSource::next_poll`]: crate::source::TrafficSource::next_poll
 
 use crate::arbitration::{arbitrate_rr, arbitrate_rr_at, ArbReq, ArbStage, PriorityPolicy};
@@ -217,17 +201,16 @@ pub struct Network {
     /// Active-set bitmask: bit `i` set ⇔ router `i` has at least one
     /// occupied input VC. Maintained at the occupancy transition points
     /// (head arrival/injection, tail departure). SA, VA and RC walk its set
-    /// bits; it also feeds the idle fast-forward precondition and the
-    /// public queries.
+    /// bits; it also feeds the public queries.
     active_mask: Vec<u64>,
     /// Dirty bitmask: bit `i` set ⇔ router `i`'s occupancy changed since its
-    /// last state update. Walked and zeroed by the state-update phase;
-    /// all-zero between ticks is a fast-forward precondition.
+    /// last state update. Walked and zeroed by the state-update phase, so
+    /// all-zero between ticks.
     dirty_mask: Vec<u64>,
     /// NI active set, the injection-side twin of `active_mask`: bit `i` set
     /// ⇐ node `i`'s NI holds work ([`Node::has_work`]). Set where work enters
     /// an NI (packet enqueued, reply scheduled, retry scheduled), cleared by
-    /// the injection phase — which walks it, as fast-forward does — once idle.
+    /// the injection phase — which walks it — once idle.
     ni_mask: Vec<u64>,
     /// The source's arrival promise ([`TrafficSource::next_poll`]): the
     /// injection phase asks for node `i`'s packet only at cycle
@@ -239,8 +222,9 @@ pub struct Network {
     /// Router coordinate of every node ([`SimConfig::coord_of`] evaluated
     /// once — RC and VA_in look destinations up instead of dividing).
     node_coord: Box<[Coord]>,
-    /// Cached `policy.update_is_idempotent()` (fast-forward precondition:
-    /// a non-idempotent policy mutates router state even on idle cycles).
+    /// Cached `policy.update_is_idempotent()` (state-update skipping
+    /// precondition: a non-idempotent policy mutates router state even on
+    /// idle cycles).
     policy_idempotent: bool,
 }
 
@@ -820,87 +804,15 @@ impl Network {
         }
     }
 
-    /// Run `cycles` cycles, fast-forwarding over provably-empty stretches
-    /// (see the module docs) — the only place the clock jumps; a loop of
-    /// [`Network::tick`] is the plain twin.
+    /// Run `cycles` cycles: a loop of [`Network::tick`].
     pub fn run(&mut self, cycles: u64) {
-        let end = self.cycle + cycles;
-        while self.cycle < end {
-            if let Some(target) = self.fast_forward_target(end) {
-                self.fast_forward_to(target);
-            } else {
-                self.tick();
-            }
+        for _ in 0..cycles {
+            self.tick();
         }
-    }
-
-    /// If the network is provably idle, the cycle the clock may jump to
-    /// (exclusive of any cycle that could see an event): the earliest of the
-    /// run-window end, the source's next injection and the next ready reply.
-    /// `None` ⇒ this cycle must be ticked normally.
-    fn fast_forward_target(&self, end: u64) -> Option<u64> {
-        if !self.policy_idempotent || self.fault.is_some() {
-            // An active fault timeline disables fast-forward outright:
-            // scheduled events, retransmission arrivals, sweeps and retry
-            // backoffs are all cycle-addressed side channels the idle proof
-            // does not cover.
-            return None;
-        }
-        // Nothing buffered in any router, nothing in flight on links or in
-        // the ejection/credit registers, and every router clean (so the
-        // state-update phase would be a no-op).
-        if self.active_mask.iter().any(|&w| w != 0) || self.dirty_mask.iter().any(|&w| w != 0) {
-            return None;
-        }
-        if !self.in_flight.is_empty() || !self.eject_q.is_empty() || !self.credit_q.is_empty() {
-            return None;
-        }
-        // The source must *promise* silence (and zero side effects — no RNG
-        // draws) for every node up to the returned cycle.
-        let next_src = self.source.next_injection_cycle(self.cycle)?;
-        // Only an NI in the active set can hold a backlog or a pending reply.
-        let mut target = end.min(next_src);
-        for (w, &word) in self.ni_mask.iter().enumerate() {
-            for b in set_bits(word) {
-                let n = &self.nodes[w * 64 + b];
-                if n.backlog() > 0 {
-                    return None;
-                }
-                if let Some(r) = n.next_reply_ready() {
-                    target = target.min(r);
-                }
-            }
-        }
-        (target > self.cycle).then_some(target)
-    }
-
-    /// Jump the clock to `target`, replaying the oracle's end-of-cycle scan
-    /// at every check-interval multiple crossed — the identical schedule
-    /// plain ticking would have produced (`tick` flushes with the
-    /// pre-increment cycle value, so multiples in `[cycle, target)` scan).
-    fn fast_forward_to(&mut self, target: u64) {
-        debug_assert!(target > self.cycle);
-        let start = self.cycle;
-        if self.oracle.is_some() {
-            let k = self
-                .oracle
-                .as_ref()
-                .map_or(1, |o| o.check_interval())
-                .max(1);
-            let mut c = start.next_multiple_of(k);
-            while c < target {
-                self.cycle = c;
-                self.flush_oracle(false);
-                c += k;
-            }
-        }
-        self.cycle = target;
-        self.stats.idle_cycles_skipped += target - start;
     }
 
     /// Number of end-of-cycle oracle scans performed so far (0 when the
-    /// oracle is disabled). Fast-forwarded runs must report the same count
-    /// as plain ticking — asserted by `tests/fast_forward.rs`.
+    /// oracle is disabled).
     pub fn oracle_scans(&self) -> u64 {
         self.oracle.as_ref().map_or(0, |o| o.scans())
     }
@@ -1667,7 +1579,6 @@ impl Network {
             } else {
                 full_word(w, n)
             };
-            // Clean between ticks — the fast-forward precondition.
             dirty_mask[w] = 0;
             for b in set_bits(word) {
                 let r = &mut routers[w * 64 + b];

@@ -8,8 +8,7 @@
 //! output-VC allocation table, and the topology functions for the far end
 //! of a port. It asks the policy for the priority of *every* request (lone
 //! ones too), offers every node a `generate` every cycle without ever
-//! asking the source for a promise, updates every router every cycle and
-//! never jumps the clock.
+//! asking the source for a promise and updates every router every cycle.
 //!
 //! **Shared with production** — only what is not mask-driven: the
 //! `Router`/`Node`/`FaultState` containers and their write methods (which

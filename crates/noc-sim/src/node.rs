@@ -218,12 +218,6 @@ impl Node {
             || self.src_q.iter().any(|q| !q.is_empty())
     }
 
-    /// Cycle the earliest pending reply becomes ready (`None` when no reply
-    /// is outstanding) — the NI's contribution to the fast-forward target.
-    pub fn next_reply_ready(&self) -> Option<u64> {
-        self.replies.peek().map(|Reverse(r)| r.ready)
-    }
-
     /// Find an injectable local input VC for a packet of `class`: idle,
     /// empty, unheld. Adaptive VCs are preferred (rotating among them for
     /// fairness); the class's escape VC(s) are the fallback (any lane works

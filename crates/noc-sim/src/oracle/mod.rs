@@ -262,7 +262,6 @@ pub struct Oracle {
     check_interval: u64,
     max_recorded: usize,
     /// End-of-cycle scans actually performed (the interval gate passed).
-    /// Fast-forwarded runs must match plain ticking scan-for-scan.
     scans: u64,
 }
 
@@ -346,10 +345,6 @@ impl Oracle {
 
     pub(crate) fn max_recorded(&self) -> usize {
         self.max_recorded
-    }
-
-    pub(crate) fn check_interval(&self) -> u64 {
-        self.check_interval
     }
 
     pub(crate) fn scans(&self) -> u64 {

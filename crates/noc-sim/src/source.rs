@@ -53,27 +53,9 @@ pub trait TrafficSource: Send {
     /// `generate`; [`NoTraffic`], [`ScriptedSource`] and, in the `traffic`
     /// crate, the trace replay and the synthetic `Scenario` implement the
     /// promise. A driver that never calls `next_poll` sees plain per-cycle
-    /// behaviour from every source. The promise never moves the clock: the
-    /// idle fast-forward still asks
-    /// [`next_injection_cycle`](Self::next_injection_cycle) alone.
+    /// behaviour from every source. The promise never moves the clock.
     fn next_poll(&mut self, _node: NodeId, after: u64, _rng: &mut SmallRng) -> u64 {
         after
-    }
-
-    /// The earliest cycle `>= now` at which [`generate`](Self::generate)
-    /// might return a packet for *any* node — the contract backing the
-    /// network's idle fast-forward, separate from [`next_poll`](Self::next_poll)
-    /// (which skips calls, never cycles).
-    ///
-    /// Returning `Some(c)` is a promise that for every cycle in `[now, c)`
-    /// and every node, `generate` would return `None` **with zero side
-    /// effects** — in particular, without drawing from the node's RNG (an
-    /// elided call must leave the RNG stream untouched). `Some(u64::MAX)`
-    /// means the source will never inject again. The default `None` means
-    /// "unknown — call me every cycle"; any source that consults the RNG
-    /// each cycle (Bernoulli processes, ON/OFF chains) must keep it.
-    fn next_injection_cycle(&self, _now: u64) -> Option<u64> {
-        None
     }
 
     /// A packet was delivered (tail ejected) at `node`. Closed-loop sources
@@ -96,10 +78,6 @@ impl TrafficSource for NoTraffic {
 
     fn next_poll(&mut self, _: NodeId, _: u64, _: &mut SmallRng) -> u64 {
         u64::MAX
-    }
-
-    fn next_injection_cycle(&self, _now: u64) -> Option<u64> {
-        Some(u64::MAX)
     }
 }
 
@@ -140,12 +118,6 @@ impl EventQueues {
     pub fn next_due(&self, node: NodeId) -> u64 {
         let front = self.per_node.get(node as usize).and_then(VecDeque::front);
         front.map_or(u64::MAX, |e| e.0)
-    }
-
-    /// Cycle of the earliest event left on any node (`u64::MAX`: none).
-    pub fn earliest(&self) -> u64 {
-        let fronts = self.per_node.iter().filter_map(VecDeque::front);
-        fronts.map(|e| e.0).min().unwrap_or(u64::MAX)
     }
 
     /// Events not yet emitted.
@@ -189,12 +161,6 @@ impl TrafficSource for ScriptedSource {
     fn next_poll(&mut self, node: NodeId, after: u64, _rng: &mut SmallRng) -> u64 {
         self.queues.next_due(node).max(after)
     }
-
-    fn next_injection_cycle(&self, now: u64) -> Option<u64> {
-        // Events are consumed without RNG; a past-due event (two of a
-        // node's events share a cycle) clamps to now.
-        Some(self.queues.earliest().max(now))
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +188,7 @@ mod tests {
 
     /// The per-node queues emit what the linear scan over one cycle-sorted
     /// list did: per node in cycle order, ties in script order, a past-due
-    /// event at the next poll — and the two promises name those cycles.
+    /// event at the next poll — and the arrival promise names those cycles.
     #[test]
     fn scripted_source_queues_keep_the_scan_order() {
         let pkt = |size| NewPacket {
@@ -240,7 +206,7 @@ mod tests {
         ];
         let mut s = ScriptedSource::new(1, script);
         let mut rng = SmallRng::seed_from_u64(0);
-        assert_eq!(s.next_injection_cycle(0), Some(3));
+        assert_eq!(s.next_poll(0, 0, &mut rng), 3);
         assert_eq!(s.next_poll(2, 1, &mut rng), 3);
         assert_eq!(
             s.next_poll(1, 1, &mut rng),
@@ -257,15 +223,11 @@ mod tests {
         // The second cycle-3 event is past due: promised for, and emitted
         // at, the very next poll.
         assert_eq!(s.next_poll(2, 4, &mut rng), 4);
-        assert_eq!(s.next_injection_cycle(4), Some(4));
         assert_eq!(s.generate(2, 4, &mut rng), Some(pkt(3)));
         assert_eq!(s.next_poll(2, 5, &mut rng), 7);
         assert_eq!(s.generate(0, 6, &mut rng), Some(pkt(4)));
         assert_eq!(s.generate(2, 7, &mut rng), Some(pkt(1)));
-        assert_eq!(
-            (s.remaining(), s.next_injection_cycle(8)),
-            (0, Some(u64::MAX))
-        );
+        assert_eq!((s.remaining(), s.next_poll(2, 8, &mut rng)), (0, u64::MAX));
         assert_eq!(NoTraffic.next_poll(0, 1, &mut rng), u64::MAX);
     }
 

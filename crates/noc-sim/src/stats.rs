@@ -33,9 +33,8 @@ pub struct SimStats {
     /// Per-router end-of-cycle state updates elided because the router's
     /// occupancy was unchanged (cumulative).
     pub state_updates_skipped: u64,
-    /// Whole cycles elided by the idle fast-forward (cumulative; the clock
-    /// jumped over them without ticking). Zero when fast-forward is off or
-    /// never engages.
+    /// Always 0: the clock no longer jumps. Kept because the frozen
+    /// benchmark harness reads it; ROADMAP item 4 retires it.
     pub idle_cycles_skipped: u64,
     /// Invariant violations recorded by the oracle, capped at
     /// `SimConfig::oracle.max_recorded` ([`Self::oracle_violation_count`]

@@ -75,15 +75,6 @@ impl<S: TrafficSource> TrafficSource for Adversarial<S> {
             self.inner.on_delivered(node, info, cycle);
         }
     }
-
-    fn next_injection_cycle(&self, now: u64) -> Option<u64> {
-        // An active adversary is a Bernoulli process: it consults the RNG
-        // every node-cycle, so elided calls would desynchronize the stream.
-        if self.rate_flits > 0.0 {
-            return None;
-        }
-        self.inner.next_injection_cycle(now)
-    }
 }
 
 #[cfg(test)]

@@ -331,20 +331,6 @@ impl TrafficSource for Scenario {
         self.ahead[node as usize] = Ahead { until, kept };
         until
     }
-
-    fn next_injection_cycle(&self, _now: u64) -> Option<u64> {
-        // Only the all-silent scenario promises anything here — `generate`
-        // then short-circuits before touching the RNG, so "never again" is
-        // side-effect-free. A scenario with any nonzero rate keeps answering
-        // `None` although `next_poll` knows every node's next arrival:
-        // jumping the clock to the earliest of them would engage the idle
-        // fast-forward on stochastic sources and move the skip counters that
-        // `RunResult::digest_into` folds into every pinned sweep digest.
-        self.apps
-            .iter()
-            .all(|a| a.as_ref().is_none_or(|s| s.arrival == 0))
-            .then_some(u64::MAX)
-    }
 }
 
 // ------------------------------------------------------------------------

@@ -238,12 +238,6 @@ impl TrafficSource for TraceReplay {
     fn next_poll(&mut self, node: NodeId, after: u64, _rng: &mut SmallRng) -> u64 {
         self.queues.next_due(node).max(after)
     }
-
-    fn next_injection_cycle(&self, now: u64) -> Option<u64> {
-        // Events are consumed without RNG; a past-due front event (two of a
-        // node's events share a cycle) clamps to now.
-        Some(self.queues.earliest().max(now))
-    }
 }
 
 #[cfg(test)]

@@ -236,12 +236,6 @@ impl TrafficSource for ParsecWorkload {
         })
     }
 
-    fn next_injection_cycle(&self, _now: u64) -> Option<u64> {
-        // The ON/OFF Markov chain draws from every node's RNG every cycle;
-        // skipping calls would desynchronize the streams. Keep the default.
-        None
-    }
-
     fn on_delivered(&mut self, node: NodeId, info: &PacketInfo, _cycle: u64) {
         // A reply delivered at `node` retires one outstanding request there.
         if info.class == self.reply_class && info.reply.is_none() && self.cfg.num_classes > 1 {

@@ -12,9 +12,10 @@
 
 use noc_sim::analysis::Analysis;
 use noc_sim::network::Network;
-use noc_sim::oracle::StarvationWatch;
+use noc_sim::oracle::{Checker, StarvationWatch};
 use noc_sim::prelude::*;
 use noc_sim::router::Router;
+use proptest::prelude::*;
 use rair::prelude::*;
 use rand::rngs::SmallRng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,9 +126,8 @@ fn fast_path_is_bit_identical_across_matrix() {
         }
     }
     // One replayed-trace cell per routing, built the way every experiment
-    // driver builds its networks: identical offered traffic into both kernels
-    // (production fast-forwards over the trace's idle tail, the reference
-    // ticks through it).
+    // driver builds its networks: identical offered traffic into both
+    // kernels, including the trace's idle tail.
     let cfg = SimConfig::table1();
     let (region, scenario) = two_app(&cfg, 0.3, 0.09, 0.09);
     let trace = Trace::capture(scenario, cfg.num_nodes() as NodeId, 1_200, 42);
@@ -149,9 +149,8 @@ fn fast_path_is_bit_identical_across_matrix() {
     // The shape of a `repro serve` job: one region, all traffic transposed,
     // 0.02 flits/cycle/node, XY. The eight diagonal nodes have no transpose
     // destination and never produce — their arrival promise is the
-    // look-ahead horizon, every time. A Bernoulli source never lets the idle
-    // fast-forward engage, and production's skip counters are pinned to the
-    // unit.
+    // look-ahead horizon, every time. Production's skip counters are pinned
+    // to the unit.
     let serve_shaped = |kernel: Kernel| {
         let region = RegionMap::single(&cfg);
         let spec = AppSpec::with_inter(0.02, 1.0, InterDest::Pattern(Pattern::Transpose));
@@ -185,7 +184,8 @@ fn fast_path_is_bit_identical_across_matrix() {
 }
 
 /// `(router_cycles_skipped, state_updates_skipped, idle_cycles_skipped)` of
-/// the serve-shaped cell, measured at the commit before the arrival promise.
+/// the serve-shaped cell, measured at the commit before the arrival promise
+/// (the last counter is always 0: the clock never jumps).
 const SERVE_SHAPED_SKIPS: (u64, u64, u64) = (961_225, 353_093, 0);
 
 /// The operating point the mask-driven kernel is built for: `RA_RAIR` +
@@ -270,9 +270,7 @@ const WATCHED: u64 = 1_000;
 const STARVATION_BOUND: u64 = 10;
 
 /// Scripted inputs run to drain: the end-state digest, the drain state and
-/// the oracle's scan count (the reference ticks through every idle cycle
-/// production jumps over, so equal counts pin the fast-forward's scan
-/// replay).
+/// the oracle's scan count.
 fn run_scripted(
     cfg: &SimConfig,
     events: &[(u64, NodeId, NewPacket)],
@@ -316,6 +314,150 @@ fn assert_scripted_identical(
         );
         assert!(fast.1, "{what} {routing:?} failed to drain");
         assert!(fast.2 > 0, "{what} {routing:?}: oracle never scanned");
+    }
+}
+
+/// Light replayed traces: at 1 % and 8 % load the mesh sits empty for
+/// stretches, the trace replay promises each node's next event and both
+/// kernels tick through the gaps — across the four fixed and adaptive
+/// schemes and the three routings, with identical digests and oracle scans.
+#[test]
+fn fast_path_is_bit_identical_on_light_replayed_traces() {
+    let cfg = SimConfig::table1();
+    for &(p, r0, r1) in &[(0.2, 0.01, 0.01), (0.5, 0.08, 0.1)] {
+        let (region, scenario) = two_app(&cfg, p, r0, r1);
+        let trace = Trace::capture(scenario, 64, 1_200, 7);
+        for scheme in [
+            Scheme::RoRr,
+            Scheme::RoAge,
+            Scheme::ro_rank(vec![0.1, 0.9]),
+            Scheme::rair(),
+        ] {
+            for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
+                let run = |kernel: Kernel| {
+                    let mut net = Network::new(
+                        cfg.clone(),
+                        region.clone(),
+                        routing.build(),
+                        scheme.build(),
+                        Box::new(TraceReplay::new(&trace, 64)),
+                        42,
+                    );
+                    kernel.run(&mut net, 1_500);
+                    (net.stats.digest(), net.oracle_scans())
+                };
+                assert_eq!(
+                    run(Production),
+                    run(Reference),
+                    "production/reference divergence: {} {routing:?} p={p} r0={r0} r1={r1}",
+                    scheme.label(),
+                );
+            }
+        }
+    }
+}
+
+/// The analysis observer and a starvation watch riding the oracle's hooks
+/// over a sparse script (four long packets racing down row 0 into node 7,
+/// then one stray): both kernels leave them identical. Observing perturbs
+/// nothing: the digest (which folds in the oracle's verdict) and the skip
+/// counters equal those of the same network with the oracle off.
+#[test]
+fn observers_see_the_same_sparse_run_on_both_kernels() {
+    let pkt = |dst, size| NewPacket {
+        dst,
+        app: 0,
+        class: 0,
+        size,
+        reply: None,
+    };
+    let mut script: Vec<_> = (0..4).map(|src| (200, src, pkt(7, 5))).collect();
+    script.push((2_500, 5, pkt(9, 1)));
+    let run = |oracle: OracleConfig, observed: bool, kernel: Kernel| {
+        let cfg = SimConfig {
+            oracle,
+            ..SimConfig::table1()
+        };
+        let observers: [Box<dyn Checker>; 2] = [
+            Box::new(Analysis::new(&cfg, Some(1)).unwrap()),
+            Box::new(StarvationWatch::new(&cfg).unwrap()),
+        ];
+        let mut net = Network::new(
+            cfg,
+            RegionMap::single(&SimConfig::table1()),
+            Box::new(DuatoLocalAdaptive),
+            Box::new(RoundRobin),
+            Box::new(ScriptedSource::new(1, script.clone())),
+            1,
+        );
+        if observed {
+            for o in observers {
+                assert!(net.attach_checker(o));
+            }
+        }
+        kernel.run(&mut net, 4_000);
+        net
+    };
+    let off = OracleConfig {
+        enabled: Some(false),
+        ..OracleConfig::forced()
+    };
+    let fast = run(OracleConfig::forced(), true, Production);
+    let slow = run(OracleConfig::forced(), true, Reference);
+    let bare = run(off, false, Production);
+    let analysis = fast.checker::<Analysis>().unwrap();
+    assert_eq!(Some(analysis), slow.checker::<Analysis>());
+    assert_eq!(analysis.cycles, 4_000);
+    assert!(analysis.occ_native > 0 && analysis.journey.len() > 2);
+    let watch = fast.checker::<StarvationWatch>();
+    assert!(watch.is_some() && watch == slow.checker::<StarvationWatch>());
+    let kernel = |net: &Network| {
+        let s = &net.stats;
+        (s.digest(), s.router_cycles_skipped, s.state_updates_skipped)
+    };
+    assert_eq!(kernel(&fast), kernel(&bare), "observing changed the run");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Randomized scripted workloads: arbitrary event times (with long
+    /// gaps), sources and sizes, production split into two `run` calls at
+    /// an arbitrary cycle — digest-identical to the reference, cycle for
+    /// cycle.
+    #[test]
+    fn fast_path_matches_reference_on_random_scripts(
+        events in proptest::collection::vec(
+            (0u64..4_000, 0u16..64, 0u16..64, prop_oneof![Just(1u32), Just(5u32)]),
+            0..40,
+        ),
+        split in 1u64..4_500,
+    ) {
+        let script: Vec<(u64, NodeId, NewPacket)> = events
+            .iter()
+            .map(|&(cycle, node, dst, size)| {
+                let dst = if dst == node { (dst + 1) % 64 } else { dst };
+                (cycle, node, NewPacket { dst, app: 0, class: 0, size, reply: None })
+            })
+            .collect();
+        let build = || {
+            Network::new(
+                SimConfig::table1(),
+                RegionMap::single(&SimConfig::table1()),
+                Box::new(DuatoLocalAdaptive),
+                Box::new(RoundRobin),
+                Box::new(ScriptedSource::new(1, script.clone())),
+                9,
+            )
+        };
+        let mut fast = build();
+        fast.run(split);
+        prop_assert_eq!(fast.cycle(), split);
+        fast.run(4_500 - split);
+        let mut slow = build();
+        slow.run_reference(4_500);
+        prop_assert_eq!(fast.cycle(), slow.cycle());
+        prop_assert_eq!(fast.stats.digest(), slow.stats.digest());
     }
 }
 
@@ -534,9 +676,6 @@ impl<S: TrafficSource> TrafficSource for CountingSource<S> {
     }
     fn next_poll(&mut self, node: NodeId, after: u64, rng: &mut SmallRng) -> u64 {
         self.inner.next_poll(node, after, rng)
-    }
-    fn next_injection_cycle(&self, now: u64) -> Option<u64> {
-        self.inner.next_injection_cycle(now)
     }
 }
 
