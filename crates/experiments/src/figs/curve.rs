@@ -101,7 +101,6 @@ mod tests {
             measure: 5_000,
             seed: 3,
             quick: true,
-            cycle_budget: None,
         };
         let c = run(&ec, &Pattern::UniformRandom, 0.6, 6);
         assert_eq!(c.len(), 6);

@@ -45,8 +45,7 @@ pub fn cells(adv_rate: f64) -> Vec<Cell> {
                 let region = RegionMap::quadrants(&cfg);
                 let workload = ParsecWorkload::new(&cfg, &region, models.clone());
                 let source: Box<dyn TrafficSource> = if adversarial {
-                    let nodes = cfg.num_nodes() as u16;
-                    Box::new(Adversarial::new(workload, adv_rate, nodes, cfg.long_flits))
+                    Box::new(Adversarial::new(workload, adv_rate, &cfg))
                 } else {
                     Box::new(workload)
                 };

@@ -245,7 +245,6 @@ mod tests {
             measure: 2_500,
             seed: 0,
             quick: true,
-            cycle_budget: None,
         }
     }
 

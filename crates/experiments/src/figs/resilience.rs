@@ -226,7 +226,6 @@ mod tests {
             measure: 2_400,
             seed: 0xC0FFEE,
             quick: true,
-            cycle_budget: None,
         };
         // The checkpoint key embeds the windows/seed, so this test can
         // never poison (or be poisoned by) a real `repro resilience` run.

@@ -4,10 +4,8 @@
 //! Sweeps of many runs are cell lists run by [`crate::figs::run_cells`] on
 //! the crate's one supervised pool ([`crate::service::pool`]: panics caught
 //! and retried, a poison job reported with its label after the whole sweep
-//! has finished, journaled resume). Runaway configurations are bounded in
-//! the cycle domain, not wall-clock (`Instant` is banned by the determinism
-//! lint): [`ExpConfig::cycle_budget`] clamps a run, which is then marked
-//! [`RunResult::truncated`] instead of silently passing.
+//! has finished, journaled resume). Every run is bounded by its windows,
+//! in the cycle domain (`Instant` is banned by the determinism lint).
 
 use metrics::LatencyKind;
 use noc_sim::network::Network;
@@ -22,10 +20,6 @@ pub struct ExpConfig {
     /// Quick mode trades statistical tightness for speed (`repro --quick`
     /// and the test suite).
     pub quick: bool,
-    /// Hard cap on simulated cycles per run (warmup + measurement are
-    /// clamped to fit). The cycle-domain analogue of a per-config timeout;
-    /// `None` means unbounded.
-    pub cycle_budget: Option<u64>,
 }
 
 impl ExpConfig {
@@ -36,7 +30,6 @@ impl ExpConfig {
             measure: 100_000,
             seed: 0xC0FFEE,
             quick: false,
-            cycle_budget: None,
         }
     }
 
@@ -47,7 +40,6 @@ impl ExpConfig {
             measure: 15_000,
             seed: 0xC0FFEE,
             quick: true,
-            cycle_budget: None,
         }
     }
 }
@@ -81,8 +73,9 @@ pub struct RunResult {
     pub oracle_enabled: bool,
     /// Invariant violations the oracle recorded (0 when disabled).
     pub oracle_violations: u64,
-    /// Whether [`ExpConfig::cycle_budget`] clamped the warmup/measurement
-    /// windows, i.e. the run timed out in the cycle domain.
+    /// Always false: no run is clamped short of its windows any more. Kept
+    /// because the checkpoint row and the pinned sweep digests carry it;
+    /// ROADMAP item 4 retires it.
     pub truncated: bool,
     /// Link-level retransmissions performed (0 without a fault timeline).
     pub flits_retransmitted: u64,
@@ -192,11 +185,7 @@ impl RunResult {
 /// Run one already-built network through warmup + measurement and collect
 /// the result.
 pub fn run_one(label: impl Into<String>, mut net: Network, cfg: &ExpConfig) -> RunResult {
-    let budget = cfg.cycle_budget.unwrap_or(u64::MAX);
-    let warmup = cfg.warmup.min(budget);
-    let measure = cfg.measure.min(budget - warmup);
-    let truncated = (warmup, measure) != (cfg.warmup, cfg.measure);
-    net.run_warmup_measure(warmup, measure);
+    net.run_warmup_measure(cfg.warmup, cfg.measure);
     let rec = &net.stats.recorder;
     let napps = rec.num_apps();
     RunResult {
@@ -216,7 +205,7 @@ pub fn run_one(label: impl Into<String>, mut net: Network, cfg: &ExpConfig) -> R
         idle_cycles_skipped: net.stats.idle_cycles_skipped,
         oracle_enabled: net.oracle_enabled(),
         oracle_violations: net.stats.oracle_violation_count,
-        truncated,
+        truncated: false,
         flits_retransmitted: net.stats.flits_retransmitted,
         packets_retried: net.stats.packets_retried,
         packets_dropped: net.stats.packets_dropped,
@@ -417,7 +406,6 @@ mod tests {
             measure: 3_000,
             seed: 0,
             quick: true,
-            cycle_budget: None,
         };
         let r = run_one("probe", tiny_net(1), &cfg);
         assert_eq!(r.delivered, 1);
@@ -464,41 +452,6 @@ mod tests {
         // mean over delivered apps only; NaN when nothing delivered at all.
         assert_eq!(r.mean_apl(None), 12.0);
         assert!(r.mean_apl(Some(&[0])).is_nan());
-    }
-
-    #[test]
-    fn cycle_budget_truncates_run() {
-        let cfg = ExpConfig {
-            warmup: 2_000,
-            measure: 3_000,
-            seed: 0,
-            quick: true,
-            cycle_budget: None,
-        };
-        let bounded = run_one(
-            "bounded",
-            tiny_net(1),
-            &ExpConfig {
-                cycle_budget: Some(2_500),
-                ..cfg
-            },
-        );
-        assert_eq!(bounded.cycles, 2_500, "budget must clamp simulated cycles");
-        assert!(bounded.truncated);
-        let free = run_one("free", tiny_net(1), &cfg);
-        assert_eq!(free.cycles, 5_000);
-        assert!(!free.truncated);
-        // A budget that already covers the windows changes nothing.
-        let roomy = run_one(
-            "roomy",
-            tiny_net(1),
-            &ExpConfig {
-                cycle_budget: Some(10_000),
-                ..cfg
-            },
-        );
-        assert_eq!(roomy.cycles, 5_000);
-        assert!(!roomy.truncated);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use super::journal::WAL_TAG;
 use super::serve::{serve, JobExec, JobSpec, ServeConfig};
-use super::store::{frame, unframe, ChaosConfig, ChaosStore, StdStore};
+use super::store::{frame, unframe, ChaosStore, StdStore};
 use crate::runner::ExpConfig;
 use crate::verify_config::{controls_table, NegativeCase};
 use metrics::report::{Table, Value};
@@ -96,7 +96,6 @@ pub fn chaos_ec() -> ExpConfig {
         measure: 600,
         seed: 0xC0FFEE,
         quick: true,
-        cycle_budget: None,
     }
 }
 
@@ -259,7 +258,7 @@ fn battery_interior(refd: u64, journal: &[u8], exec: &JobExec) -> Battery {
 /// the reference digest.
 fn battery_append_faults(refd: u64, exec: &JobExec, seed: u64) -> Battery {
     let dir = fresh_dir("appendfaults");
-    let store = ChaosStore::new(ChaosConfig::battery(seed));
+    let store = ChaosStore::new(seed);
     let report = serve(&store, &chaos_jobs(), &scfg(&dir), exec);
     let injected = store.injected();
     let classes: std::collections::BTreeSet<&str> =

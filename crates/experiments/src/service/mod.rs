@@ -30,7 +30,7 @@ pub(crate) use cache::Cache;
 pub use chaos::{run as run_chaos, ChaosReport};
 pub use journal::{Journal, Replay, WAL_TAG};
 pub use serve::{serve, sim_exec, JobExec, JobSpec, JobStatus, ServeConfig, ServeReport};
-pub use store::{crc32, frame, std_store, ChaosConfig, ChaosStore, Fault, StdStore, Store};
+pub use store::{crc32, frame, std_store, ChaosStore, Fault, StdStore, Store};
 
 /// Recursively copy a directory tree — enough for tests that snapshot a
 /// service directory (journal + result cache) and resume from the copy.

@@ -73,8 +73,7 @@ pub struct Policy {
 /// The figure sweeps' policy: simulation jobs are deterministic, so a
 /// reproduced panic is a real kernel/config bug and a one-off is a
 /// host-level hiccup the sweep should survive — one retry, no backoff, no
-/// wall-clock timeout ([`runner::ExpConfig::cycle_budget`] bounds runaway
-/// runs).
+/// wall-clock timeout (every run is bounded by its windows, in cycles).
 pub(crate) const SWEEP_POLICY: Policy = Policy {
     max_attempts: 2,
     backoff_base_ms: 0,

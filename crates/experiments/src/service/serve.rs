@@ -183,7 +183,10 @@ impl JobSpec {
         d.write_u64(ec.warmup);
         d.write_u64(ec.measure);
         d.write_u64(ec.seed);
-        d.write_u64(ec.cycle_budget.map_or(u64::MAX, |b| b));
+        // The slot of a per-run cycle budget (`u64::MAX` = none, the only
+        // value): it keeps job ids, result file names and the pinned sweep
+        // digest what they are.
+        d.write_u64(u64::MAX);
         d.finish()
     }
 

@@ -198,36 +198,17 @@ impl Fault {
     }
 }
 
-/// Per-mille injection rates for the seeded chaos mode. Rates apply per
-/// *eligible operation* (torn only on appends/writes, crash-before-rename
-/// only on atomic writes); classes are drawn in the declared order. The
-/// default injects nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChaosConfig {
-    pub seed: u64,
-    pub eio_per_mille: u16,
-    pub enospc_per_mille: u16,
-    pub torn_per_mille: u16,
-    pub crash_rename_per_mille: u16,
-    /// Whether reads are also eligible for `EIO` (resume paths must treat
-    /// an unreadable journal/cache as absent, never panic).
-    pub fail_reads: bool,
-}
-
-impl ChaosConfig {
-    /// An aggressive default battery mix: roughly one in four mutations
-    /// faults, so even short sweeps exercise every failure class.
-    pub fn battery(seed: u64) -> Self {
-        Self {
-            seed,
-            eio_per_mille: 80,
-            enospc_per_mille: 80,
-            torn_per_mille: 80,
-            crash_rename_per_mille: 120,
-            fail_reads: false,
-        }
-    }
-}
+/// Per-mille injection rates of the seeded chaos mode, in draw order: an
+/// aggressive mix in which roughly one in four mutations faults, so even
+/// short sweeps exercise every failure class. A rate applies per *eligible
+/// operation* (torn only on appends/writes, crash-before-rename only on
+/// atomic writes); reads never draw a seeded fault.
+const CHAOS_RATES: [(Fault, u16); 4] = [
+    (Fault::Eio, 80),
+    (Fault::Enospc, 80),
+    (Fault::Torn, 80),
+    (Fault::CrashBeforeRename, 120),
+];
 
 /// One injected fault, for assertions and the chaos report.
 #[derive(Debug, Clone)]
@@ -247,39 +228,42 @@ struct ChaosState {
 /// A [`Store`] wrapping [`StdStore`] that deterministically injects
 /// faults. Two modes, combinable:
 ///
-/// - **Seeded**: every eligible operation draws from a seeded xorshift
-///   RNG against the [`ChaosConfig`] per-mille rates. The same seed over
-///   the same operation sequence injects the same faults.
-/// - **Scripted**: [`ChaosStore::scripted`] forces given faults at given
-///   global operation indices — the precision tool for "the k-th append
-///   fails" tests.
+/// - **Seeded** ([`ChaosStore::new`]): every eligible operation draws from
+///   a seeded xorshift RNG against the `CHAOS_RATES` per-mille rates. The
+///   same seed over the same operation sequence injects the same faults.
+/// - **Scripted** ([`ChaosStore::scripted`]): given faults at given global
+///   operation indices and nothing else — the precision tool for "the k-th
+///   append fails" tests.
 pub struct ChaosStore {
     inner: StdStore,
-    cfg: ChaosConfig,
+    seeded: bool,
     script: Vec<(u64, Fault)>,
     state: Mutex<ChaosState>,
 }
 
 impl ChaosStore {
-    pub fn new(cfg: ChaosConfig) -> Self {
+    /// A store injecting seeded faults at the `CHAOS_RATES` mix.
+    pub fn new(seed: u64) -> Self {
         Self {
             inner: StdStore,
-            cfg,
+            seeded: true,
             script: Vec::new(),
             state: Mutex::new(ChaosState {
                 // xorshift must not start at 0; fold in a non-zero pad.
-                rng: cfg.seed | 0x9E37_79B9_7F4A_7C15,
+                rng: seed | 0x9E37_79B9_7F4A_7C15,
                 ops: 0,
                 injected: Vec::new(),
             }),
         }
     }
 
-    /// A store that injects no seeded faults, only scripted ones.
+    /// A store that injects no seeded faults, only scripted ones. Its RNG
+    /// still runs on the seed-0 stream, which sets the torn-prefix cuts.
     pub fn scripted(script: Vec<(u64, Fault)>) -> Self {
         Self {
+            seeded: false,
             script,
-            ..Self::new(ChaosConfig::default())
+            ..Self::new(0)
         }
     }
 
@@ -314,22 +298,17 @@ impl ChaosStore {
         st.rng = x;
         let scripted = self.script.iter().find(|(o, _)| *o == op).map(|(_, f)| *f);
         let fault = scripted.or_else(|| {
-            if is_read && !self.cfg.fail_reads {
+            if is_read || !self.seeded {
                 return None;
             }
             let roll = (x % 1000) as u16;
-            let classes: [(Fault, u16, bool); 4] = [
-                (Fault::Eio, self.cfg.eio_per_mille, true),
-                (Fault::Enospc, self.cfg.enospc_per_mille, !is_read),
-                (Fault::Torn, self.cfg.torn_per_mille, torn_ok && !is_read),
-                (
-                    Fault::CrashBeforeRename,
-                    self.cfg.crash_rename_per_mille,
-                    crash_ok && !is_read,
-                ),
-            ];
             let mut lo = 0u16;
-            for (f, rate, eligible) in classes {
+            for (f, rate) in CHAOS_RATES {
+                let eligible = match f {
+                    Fault::Torn => torn_ok,
+                    Fault::CrashBeforeRename => crash_ok,
+                    Fault::Eio | Fault::Enospc => true,
+                };
                 if !eligible {
                     continue;
                 }
@@ -488,7 +467,7 @@ mod tests {
     fn chaos_store_is_deterministic_per_seed() {
         let dir = tmp_dir("det");
         let run = |seed: u64| {
-            let s = ChaosStore::new(ChaosConfig::battery(seed));
+            let s = ChaosStore::new(seed);
             let mut outcomes = Vec::new();
             for i in 0..40 {
                 let p = dir.join(format!("d{seed}-{i}.txt"));

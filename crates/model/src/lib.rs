@@ -45,7 +45,7 @@ use noc_sim::region::RegionMap;
 use noc_sim::topology::{productive_ports, step};
 use traffic::pattern::Pattern;
 use traffic::saturation::WarmStart;
-use traffic::scenario::{AppSpec, InterDest, AVG_PACKET_FLITS};
+use traffic::scenario::{AppSpec, InterDest, PacketMix};
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -265,10 +265,10 @@ fn app_flows(cfg: &SimConfig, region: &RegionMap, app: AppId, spec: &AppSpec, ou
     if spec.rate_flits <= 0.0 {
         return;
     }
-    let pkt_rate = spec.rate_flits / AVG_PACKET_FLITS;
-    let long = f64::from(cfg.long_flits);
-    // 50/50 short/long request mix.
-    let req_mean = 0.5 * (1.0 + long);
+    let mix = PacketMix::of(cfg);
+    let req_mean = mix.mean_flits();
+    let pkt_rate = spec.rate_flits / req_mean;
+    let long = f64::from(mix.long);
     for src in region.nodes_of(app) {
         for (dst, q, is_mc) in dest_distribution(cfg, region, app, spec, src) {
             out.push(Flow {
@@ -655,7 +655,7 @@ mod tests {
         let mut flows = Vec::new();
         app_flows(&c, &region, 0, &spec, &mut flows);
         let pkts: f64 = flows.iter().map(|f| f.pkt_rate).sum();
-        let expect = 32.0 * 0.3 / AVG_PACKET_FLITS;
+        let expect = 32.0 * 0.3 / PacketMix::of(&c).mean_flits();
         assert!((pkts - expect).abs() < 1e-9, "{pkts} vs {expect}");
         assert!(flows
             .iter()

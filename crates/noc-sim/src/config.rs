@@ -5,7 +5,6 @@ use crate::ids::{Coord, MsgClass, NodeId, NUM_PORTS};
 use crate::oracle::OracleConfig;
 use crate::topology::TopologyKind;
 use crate::vc::{VcClass, VcTag};
-use crate::verify::VerifyConfig;
 use serde::{Deserialize, Serialize};
 
 /// The most message classes a config may name.
@@ -50,11 +49,11 @@ pub struct SimConfig {
     pub l2_latency: u64,
     /// Memory service latency in cycles.
     pub mem_latency: u64,
-    /// Invariant-oracle toggle and tuning (see [`OracleConfig`]).
+    /// Invariant-oracle toggle and tuning (see [`OracleConfig`]). The
+    /// same switch runs the static deadlock-freedom/legality verifier at
+    /// `Network::new` (and makes a violation panic when it resolves to
+    /// panic).
     pub oracle: OracleConfig,
-    /// Static deadlock-freedom/legality verifier toggle (see
-    /// [`VerifyConfig`]); resolved at `Network::new`.
-    pub verify: VerifyConfig,
     /// Fault timeline (transient BER + scheduled permanent faults). The
     /// default (empty) timeline keeps the resilience machinery fully
     /// off-path and out of the behavioral digest.
@@ -84,7 +83,6 @@ impl SimConfig {
             l2_latency: 6,
             mem_latency: 128,
             oracle: OracleConfig::default(),
-            verify: VerifyConfig::default(),
             fault: FaultTimeline::default(),
         }
     }
@@ -334,7 +332,7 @@ impl SimConfig {
     }
 
     /// Fold every simulation-relevant parameter into `d`. Used to build
-    /// collision-proof cache keys; deliberately excludes `oracle`/`verify`
+    /// collision-proof cache keys; deliberately excludes `oracle`
     /// (observability, not behaviour). The fault timeline is folded in only
     /// when non-empty, so pre-fault digests (golden files, cache keys) are
     /// unchanged.

@@ -81,6 +81,6 @@ pub mod prelude {
     pub use crate::stats::SimStats;
     pub use crate::topology::TopologyKind;
     pub use crate::vc::{VcClass, VcTag};
-    pub use crate::verify::{Verifier, VerifyConfig, VerifyReport, VerifyViolation, Witness};
+    pub use crate::verify::{Verifier, VerifyReport, VerifyViolation, Witness};
     pub use metrics::LatencyKind;
 }

@@ -274,20 +274,18 @@ impl Network {
             })
             .collect();
         let num_apps = source.num_apps();
-        let oracle = cfg
-            .oracle
-            .resolve_enabled()
-            .then(|| Box::new(Oracle::from_config(&cfg, num_apps)));
-        // Static deadlock-freedom/legality verification, resolved like the
-        // oracle (debug-on / release-off / RAIR_VERIFY env): no illegal
-        // configuration reaches the cycle kernel. Results are memoized
-        // process-wide, so construction-heavy tests verify each distinct
-        // configuration once.
+        let checked = cfg.oracle.resolve_enabled();
+        let oracle = checked.then(|| Box::new(Oracle::from_config(&cfg, num_apps)));
+        // Static deadlock-freedom/legality verification, switched by the
+        // oracle's config (debug-on / release-off / RAIR_ORACLE env): no
+        // illegal configuration reaches a checked kernel. Results are
+        // memoized process-wide, so construction-heavy tests verify each
+        // distinct configuration once.
         let mut stats = SimStats::new(num_apps);
-        if cfg.verify.resolve_enabled() {
+        if checked {
             let (violations, count) =
                 crate::verify::verify_network_cached(&cfg, &region, routing.as_ref());
-            if count > 0 && cfg.verify.resolve_panic() {
+            if count > 0 && cfg.oracle.resolve_panic() {
                 panic!(
                     "static verifier: {} violation(s) for routing {}:\n{}",
                     count,

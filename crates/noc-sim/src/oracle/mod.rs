@@ -74,14 +74,16 @@ pub const DEFAULT_MAX_RECORDED: usize = 64;
 /// debug builds**, off by default in release; the `RAIR_ORACLE`
 /// environment variable overrides the
 /// build-profile default (`"0"`/empty disables, anything else enables), and
-/// an explicit `enabled` in the config beats both.
+/// an explicit `enabled` in the config beats both. The same two decisions
+/// switch the static verifier ([`crate::verify`]) that `Network::new` runs
+/// before the first cycle, and whether its violations panic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OracleConfig {
     /// Explicit on/off; `None` = resolve from env/build profile.
     pub enabled: Option<bool>,
-    /// Panic on the first violation; `None` = panic in debug builds only
-    /// (turning every debug test into an oracle-enforced one), record-only
-    /// in release.
+    /// Panic on the first violation (the oracle's or the static
+    /// verifier's); `None` = panic in debug builds only (turning every
+    /// debug test into an oracle-enforced one), record-only in release.
     pub panic_on_violation: Option<bool>,
     /// Cycles a VC may stay occupied (or the whole network may go without
     /// crossbar progress) before the deadlock/livelock checker flags it.

@@ -26,9 +26,9 @@
 //! are interchangeable for dependency purposes and collapse to one
 //! `Adaptive` channel node per port.
 //!
-//! [`VerifyConfig`] wires the verifier into `Network::new` with the same
-//! debug-on / release-off / environment-variable resolution the invariant
-//! oracle uses (`RAIR_VERIFY` instead of `RAIR_ORACLE`); results are cached
+//! `Network::new` runs the verifier whenever the invariant oracle is on
+//! ([`crate::oracle::OracleConfig`]: debug-on / release-off / `RAIR_ORACLE`)
+//! and panics on a violation when the oracle would; results are cached
 //! process-wide so repeated constructions of the same configuration (e.g.
 //! proptest loops) verify once.
 
@@ -48,49 +48,6 @@ use std::sync::Mutex;
 /// (the count is unbounded) — a severed mesh yields thousands of
 /// unreachable pairs and the first few witnesses tell the whole story.
 pub const MAX_RECORDED_VIOLATIONS: usize = 32;
-
-/// Static-verifier toggle, carried in [`SimConfig`].
-///
-/// `None` fields resolve at `Network::new` time exactly like
-/// [`crate::oracle::OracleConfig`]: on in debug builds, off by default in
-/// release; the `RAIR_VERIFY` environment variable overrides the
-/// build-profile default (`"0"`/empty disables, anything else enables) and
-/// an explicit `enabled` beats both.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct VerifyConfig {
-    /// Explicit on/off; `None` = resolve from env/build profile.
-    pub enabled: Option<bool>,
-    /// Panic on any violation; `None` = panic in debug builds only,
-    /// record-only (surfaced through `SimStats`) in release.
-    pub panic_on_violation: Option<bool>,
-}
-
-impl VerifyConfig {
-    /// Force-enabled, record-only — what the `repro verify-config`
-    /// negative battery uses to collect witnesses without aborting.
-    pub fn forced() -> Self {
-        Self {
-            enabled: Some(true),
-            panic_on_violation: Some(false),
-        }
-    }
-
-    /// Resolve the effective on/off decision (see the type-level docs).
-    pub fn resolve_enabled(&self) -> bool {
-        if let Some(e) = self.enabled {
-            return e;
-        }
-        match std::env::var("RAIR_VERIFY") {
-            Ok(v) => !(v.is_empty() || v == "0"),
-            Err(_) => cfg!(debug_assertions),
-        }
-    }
-
-    /// Resolve the effective panic-on-violation decision.
-    pub fn resolve_panic(&self) -> bool {
-        self.panic_on_violation.unwrap_or(cfg!(debug_assertions))
-    }
-}
 
 /// The dependency class of a channel node in the CDG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -449,19 +406,6 @@ mod tests {
         // the other: the uncapped count sees them all, the report is capped.
         assert!(r.violation_count as usize > MAX_RECORDED_VIOLATIONS);
         assert_eq!(r.violations.len(), MAX_RECORDED_VIOLATIONS);
-    }
-
-    #[test]
-    fn resolution_mirrors_oracle_semantics() {
-        let mut v = VerifyConfig {
-            enabled: Some(false),
-            ..VerifyConfig::default()
-        };
-        assert!(!v.resolve_enabled());
-        v.enabled = Some(true);
-        assert!(v.resolve_enabled());
-        assert!(VerifyConfig::forced().resolve_enabled());
-        assert!(!VerifyConfig::forced().resolve_panic());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! application id that owns no region — so it is foreign traffic everywhere,
 //! which is exactly how RAIR's DPA identifies and deprioritizes it.
 
-use crate::scenario::AVG_PACKET_FLITS;
+use crate::scenario::PacketMix;
+use noc_sim::config::SimConfig;
 use noc_sim::flit::PacketInfo;
 use noc_sim::ids::NodeId;
 use noc_sim::source::{NewPacket, TrafficSource};
@@ -24,18 +25,19 @@ pub struct Adversarial<S> {
     /// Adversarial load in flits/cycle/node.
     pub rate_flits: f64,
     num_nodes: u16,
-    long_flits: u32,
+    mix: PacketMix,
 }
 
 impl<S: TrafficSource> Adversarial<S> {
     /// Superimpose `rate_flits` flits/cycle/node of chip-wide uniform
-    /// random traffic (the paper uses 0.4).
-    pub fn new(inner: S, rate_flits: f64, num_nodes: u16, long_flits: u32) -> Self {
+    /// random traffic over `cfg`'s nodes, in `cfg`'s packet mix (the paper
+    /// uses 0.4).
+    pub fn new(inner: S, rate_flits: f64, cfg: &SimConfig) -> Self {
         Self {
             inner,
             rate_flits,
-            num_nodes,
-            long_flits,
+            num_nodes: cfg.num_nodes() as u16,
+            mix: PacketMix::of(cfg),
         }
     }
 }
@@ -49,7 +51,7 @@ impl<S: TrafficSource> TrafficSource for Adversarial<S> {
         if let Some(p) = self.inner.generate(node, cycle, rng) {
             return Some(p);
         }
-        let prob = (self.rate_flits / AVG_PACKET_FLITS).min(1.0);
+        let prob = (self.rate_flits / self.mix.mean_flits()).min(1.0);
         if prob == 0.0 || !rng.random_bool(prob) {
             return None;
         }
@@ -61,11 +63,7 @@ impl<S: TrafficSource> TrafficSource for Adversarial<S> {
             dst,
             app: self.inner.num_apps() as u8,
             class: 0,
-            size: if rng.random_bool(0.5) {
-                1
-            } else {
-                self.long_flits
-            },
+            size: self.mix.draw(rng),
             reply: None,
         })
     }
@@ -85,7 +83,7 @@ mod tests {
 
     #[test]
     fn adversary_rate_and_app_id() {
-        let mut adv = Adversarial::new(NoTraffic, 0.4, 64, 5);
+        let mut adv = Adversarial::new(NoTraffic, 0.4, &SimConfig::table1());
         assert_eq!(adv.num_apps(), 2);
         let mut rng = SmallRng::seed_from_u64(1);
         let mut flits = 0u64;
@@ -112,7 +110,7 @@ mod tests {
             reply: None,
         };
         let inner = ScriptedSource::new(1, vec![(5, 0, pkt)]);
-        let mut adv = Adversarial::new(inner, 1.0, 64, 5);
+        let mut adv = Adversarial::new(inner, 1.0, &SimConfig::table1());
         let mut rng = SmallRng::seed_from_u64(2);
         // At cycle 5 on node 0 the scripted packet must come through.
         let got = adv.generate(0, 5, &mut rng).unwrap();
@@ -122,7 +120,7 @@ mod tests {
 
     #[test]
     fn zero_rate_adversary_is_silent() {
-        let mut adv = Adversarial::new(NoTraffic, 0.0, 64, 5);
+        let mut adv = Adversarial::new(NoTraffic, 0.0, &SimConfig::table1());
         let mut rng = SmallRng::seed_from_u64(3);
         for cyc in 0..1000 {
             assert!(adv.generate(0, cyc, &mut rng).is_none());

@@ -29,8 +29,7 @@ pub mod prelude {
     pub use crate::pattern::Pattern;
     pub use crate::saturation::{app_saturation, find_saturation, SaturationProbe};
     pub use crate::scenario::{
-        four_app_dpa_a, four_app_dpa_b, six_app, two_app, AppSpec, InterDest, Scenario,
-        AVG_PACKET_FLITS,
+        four_app_dpa_a, four_app_dpa_b, six_app, two_app, AppSpec, InterDest, PacketMix, Scenario,
     };
     pub use crate::trace::{Trace, TraceEvent, TraceReplay};
     pub use crate::workload::{AppModel, ParsecWorkload};

@@ -11,13 +11,23 @@
 //! simulations by reading the accepted throughput that every unstable
 //! probe already measures.
 
-use crate::scenario::{AppSpec, Scenario, AVG_PACKET_FLITS};
+use crate::scenario::{AppSpec, PacketMix, Scenario};
 use noc_sim::arbitration::RoundRobin;
 use noc_sim::config::SimConfig;
 use noc_sim::ids::AppId;
 use noc_sim::network::Network;
 use noc_sim::region::RegionMap;
 use noc_sim::routing::RoutingAlgorithm;
+
+/// A trial is *stable* when the end-of-run source backlog is below this
+/// fraction of the packets offered during the whole trial.
+pub const BACKLOG_FRACTION: f64 = 0.03;
+
+/// A trial is also *unstable* once mean total packet latency exceeds this
+/// multiple of the zero-load latency: a loose guard, because the primary
+/// criterion is admission (backlog), which matches the paper's near-knee
+/// "90% of saturation" operating points.
+pub const LATENCY_BLOWUP: f64 = 8.0;
 
 /// Parameters for a saturation search.
 #[derive(Debug, Clone, Copy)]
@@ -26,15 +36,6 @@ pub struct SaturationProbe {
     pub warmup: u64,
     /// Measurement cycles per trial.
     pub measure: u64,
-    /// A trial is *stable* when the end-of-run source backlog is below this
-    /// fraction of the packets offered during the whole trial.
-    pub backlog_fraction: f64,
-    /// A trial is also *unstable* once mean total packet latency exceeds
-    /// this multiple of the zero-load latency. The default is a loose 8x
-    /// guard: the primary criterion is admission (backlog), which matches
-    /// the paper's near-knee "90% of saturation" operating points; tighten
-    /// this for a conservative latency-knee definition instead.
-    pub latency_blowup: f64,
     /// Depth of the search grid: the load is resolved to one cell of
     /// `max_rate / 2^iters` (what that many interval halvings reach).
     pub iters: u32,
@@ -47,8 +48,6 @@ impl Default for SaturationProbe {
         Self {
             warmup: 2_000,
             measure: 8_000,
-            backlog_fraction: 0.03,
-            latency_blowup: 8.0,
             iters: 7,
             seed: 0xA11CE,
         }
@@ -67,12 +66,14 @@ impl SaturationProbe {
     }
 
     /// Fold every parameter that affects the measured saturation value into
-    /// `d` — part of the collision-proof persistent-cache key.
+    /// `d` — part of the collision-proof persistent-cache key. The key
+    /// names the whole stability criterion, so its two constants go in
+    /// too, between the windows and the grid depth.
     pub fn digest_into(&self, d: &mut metrics::Digest) {
         d.write_u64(self.warmup);
         d.write_u64(self.measure);
-        d.write_f64(self.backlog_fraction);
-        d.write_f64(self.latency_blowup);
+        d.write_f64(BACKLOG_FRACTION);
+        d.write_f64(LATENCY_BLOWUP);
         d.write_u64(self.iters as u64);
         d.write_u64(self.seed);
     }
@@ -200,7 +201,7 @@ pub fn search_saturation(
 /// `rate -> (stable, knee_estimate)`. The estimate is a by-product of the
 /// backlog criterion: a run that left `backlog` of its `offered` packets
 /// in the source queues accepted `rate * (1 - backlog / offered)`, and at
-/// the knee that fraction is exactly `backlog_fraction`.
+/// the knee that fraction is exactly [`BACKLOG_FRACTION`].
 fn stability_oracle<'a>(
     probe: &'a SaturationProbe,
     active_nodes: usize,
@@ -220,18 +221,19 @@ fn stability_oracle<'a>(
         let mut net = build(rate);
         net.run_warmup_measure(probe.warmup, probe.measure);
         let total_cycles = probe.warmup + probe.measure;
-        let offered_packets = rate / AVG_PACKET_FLITS * active_nodes as f64 * total_cycles as f64;
+        let offered_packets =
+            rate / PacketMix::of(&net.cfg).mean_flits() * active_nodes as f64 * total_cycles as f64;
         let backlog = net.total_backlog() as f64;
-        let backlog_ok = backlog < probe.backlog_fraction * offered_packets;
+        let backlog_ok = backlog < BACKLOG_FRACTION * offered_packets;
         let latency_ok = net
             .stats
             .recorder
             .overall_mean(metrics::LatencyKind::Total)
-            .is_some_and(|l| l <= probe.latency_blowup * zero_load);
+            .is_some_and(|l| l <= LATENCY_BLOWUP * zero_load);
         let accepted = rate * (1.0 - backlog / offered_packets);
         (
             backlog_ok && latency_ok,
-            accepted / (1.0 - probe.backlog_fraction),
+            accepted / (1.0 - BACKLOG_FRACTION),
         )
     }
 }

@@ -23,9 +23,40 @@ use rand::{Rng, RngCore};
 /// often such a node is polled.
 pub const LOOKAHEAD_HORIZON: u64 = 1024;
 
-/// Average packet size under the paper's 50/50 short/long mix
-/// (1-flit and 5-flit packets).
-pub const AVG_PACKET_FLITS: f64 = 3.0;
+/// The paper's one fixed traffic decision (Table 1, §V.A): a packet is short
+/// (`cfg.short_flits`) or long (`cfg.long_flits`) with equal probability.
+/// Every source, model and search that turns a flit rate into a packet rate
+/// reads the sizes here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketMix {
+    pub short: u32,
+    pub long: u32,
+}
+
+impl PacketMix {
+    /// The mix `cfg`'s packet sizes give.
+    pub fn of(cfg: &SimConfig) -> Self {
+        Self {
+            short: cfg.short_flits,
+            long: cfg.long_flits,
+        }
+    }
+
+    /// Mean packet size in flits: `(short + long) / 2`, exactly 3.0 at
+    /// Table 1's 1-flit and 5-flit packets.
+    pub fn mean_flits(self) -> f64 {
+        (f64::from(self.short) + f64::from(self.long)) / 2.0
+    }
+
+    /// Draw one packet size, 50/50 short/long (one `random_bool` draw).
+    pub fn draw(self, rng: &mut impl Rng) -> u32 {
+        if rng.random_bool(0.5) {
+            self.short
+        } else {
+            self.long
+        }
+    }
+}
 
 /// How an application's inter-region (global) traffic picks destinations.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,7 +194,7 @@ pub struct Scenario {
     /// to instead (the one after its first occurrence).
     corner_after: [NodeId; 4],
     mem_latency: u64,
-    long_flits: u32,
+    mix: PacketMix,
     reply_class: u8,
 }
 
@@ -171,6 +202,7 @@ impl Scenario {
     /// Build a scenario; `specs[app]` may be `None` for silent applications.
     pub fn new(cfg: &SimConfig, region: &RegionMap, specs: Vec<Option<AppSpec>>) -> Self {
         assert_eq!(specs.len(), region.num_apps());
+        let mix = PacketMix::of(cfg);
         let apps = specs
             .into_iter()
             .enumerate()
@@ -180,7 +212,7 @@ impl Scenario {
                     let own_nodes = region.nodes_of(a as AppId);
                     assert!(!own_nodes.is_empty(), "app {a} has no region");
                     AppState {
-                        arrival: arrival_threshold((s.rate_flits / AVG_PACKET_FLITS).min(1.0)),
+                        arrival: arrival_threshold((s.rate_flits / mix.mean_flits()).min(1.0)),
                         own: Pattern::UniformWithin(own_nodes.clone()),
                         outside: Pattern::UniformOutside(own_nodes),
                         target: match s.inter_dest {
@@ -203,7 +235,7 @@ impl Scenario {
             }),
             corners,
             mem_latency: cfg.mem_latency,
-            long_flits: cfg.long_flits,
+            mix,
             reply_class: (cfg.num_classes - 1) as u8,
             cfg: cfg.clone(),
             region: region.clone(),
@@ -218,15 +250,6 @@ impl Scenario {
             .iter()
             .map(|a| a.as_ref().map_or(0.0, |s| s.spec.rate_flits))
             .collect()
-    }
-
-    /// Draw a packet size: 50/50 short/long (§V.A).
-    fn draw_size(&self, rng: &mut SmallRng) -> u32 {
-        if rng.random_bool(0.5) {
-            1
-        } else {
-            self.long_flits
-        }
     }
 
     fn draw_dest(
@@ -271,7 +294,7 @@ impl Scenario {
     fn draw_packet(&self, state: &AppState, node: NodeId, rng: &mut SmallRng) -> Option<NewPacket> {
         let (dst, is_mc) = self.draw_dest(state, node, rng)?;
         debug_assert_ne!(dst, node);
-        let size = self.draw_size(rng);
+        let size = self.mix.draw(rng);
         Some(NewPacket {
             dst,
             app: self.region.app_of(node),
@@ -279,7 +302,7 @@ impl Scenario {
             size,
             reply: is_mc.then_some(ReplySpec {
                 service_latency: self.mem_latency,
-                size: self.long_flits,
+                size: self.mix.long,
                 class: self.reply_class,
             }),
         })
@@ -478,6 +501,34 @@ mod tests {
         assert!((rate - 0.3).abs() < 0.02, "offered {rate} vs 0.3");
     }
 
+    /// The mix follows the config's packet sizes: with 4-flit long packets
+    /// the mean packet is 2.5 flits, and the offered flit rate still
+    /// matches `rate_flits` (a fixed 3-flit mean would offer 2.5/3 of it).
+    #[test]
+    fn offered_load_follows_the_configured_packet_sizes() {
+        let c = SimConfig {
+            long_flits: 4,
+            ..cfg()
+        };
+        c.validate().unwrap();
+        assert_eq!(PacketMix::of(&c).mean_flits(), 2.5);
+        let region = RegionMap::halves(&c);
+        let mut s = Scenario::new(&c, &region, vec![Some(AppSpec::intra_only(0.3)), None]);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut flits = 0u64;
+        let cycles = 20_000;
+        for cyc in 0..cycles {
+            for node in region.nodes_of(0) {
+                if let Some(p) = s.generate(node, cyc, &mut rng) {
+                    assert!(p.size == 1 || p.size == 4, "size {}", p.size);
+                    flits += p.size as u64;
+                }
+            }
+        }
+        let rate = flits as f64 / cycles as f64 / 32.0;
+        assert!((rate / 0.3 - 1.0).abs() < 0.02, "offered {rate} vs 0.3");
+    }
+
     #[test]
     fn silent_app_generates_nothing() {
         let c = cfg();
@@ -573,11 +624,7 @@ mod tests {
             let p = k as f64 * unit;
             probs.extend([p, p.next_down(), p.next_up().min(1.0)]);
         }
-        probs.extend([
-            1.0f64.next_down(),
-            0.3 / AVG_PACKET_FLITS,
-            0.015 / AVG_PACKET_FLITS,
-        ]);
+        probs.extend([1.0f64.next_down(), 0.3 / 3.0, 0.015 / 3.0]);
         for p in probs {
             let t = arrival_threshold(p);
             assert_eq!(t == 0, p == 0.0, "only p = 0 never draws: {p:e}");
@@ -590,12 +637,9 @@ mod tests {
         }
         // And through the generator itself, draw for draw.
         let (mut a, mut b) = (SmallRng::seed_from_u64(11), SmallRng::seed_from_u64(11));
-        let t = arrival_threshold(0.3 / AVG_PACKET_FLITS);
+        let t = arrival_threshold(0.3 / 3.0);
         for _ in 0..10_000 {
-            assert_eq!(
-                (a.next_u64() >> 11) < t,
-                b.random_bool(0.3 / AVG_PACKET_FLITS)
-            );
+            assert_eq!((a.next_u64() >> 11) < t, b.random_bool(0.3 / 3.0));
         }
     }
 

@@ -271,7 +271,7 @@ pub const HOT_PATHS: &[HotPath] = &[
             "app_state",
             "draw_packet",
             "draw_dest",
-            "draw_size",
+            "draw",
         ],
         rules: &[&PANIC_RULE, &ALLOC_RULE],
     },

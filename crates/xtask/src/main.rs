@@ -9,8 +9,8 @@
 //! of one `rair-bench` workload, appended to `BENCH_history.jsonl`
 //! ([`xtask::bench_pairs`]).
 //!
-//! `cargo run -p xtask -- tier1 …` — timed `cargo test -q` runs of a
-//! checkout, or alternating pairs of two, appended to
+//! `cargo run -p xtask -- tier1 …` — alternating pairs of timed
+//! `cargo test -q` runs of two checkouts, appended to
 //! `BENCH_history.jsonl` ([`xtask::tier1`]).
 
 use std::process::ExitCode;
@@ -73,9 +73,9 @@ fn print_usage() {
     eprintln!(
         "               BENCH_history.jsonl and print the pairs rule's verdict (exit 1 on LOSS)"
     );
-    eprintln!("  tier1        time prebuilt `cargo test -q` runs (one, or alternating pairs of");
-    eprintln!("               two checkouts judged by the pairs rule) and append tier1_wall_s");
-    eprintln!("               rows to BENCH_history.jsonl");
+    eprintln!("  tier1        time alternating pairs of prebuilt `cargo test -q` runs of two");
+    eprintln!("               checkouts, append tier1_wall_s rows to BENCH_history.jsonl and");
+    eprintln!("               print the pairs rule's verdict (exit 1 on LOSS)");
     eprintln!();
     eprintln!("rules:");
     for r in xtask::RULES {

@@ -28,7 +28,7 @@ fn run(scheme: &Scheme, routing: Routing, adversarial: bool) -> Vec<f64> {
     let mut net = if adversarial {
         // A rogue agent injecting 0.4 flits/cycle/node chip-wide, tagged as
         // a fifth application that owns no region.
-        let adv = Adversarial::new(workload, 0.4, cfg.num_nodes() as u16, cfg.long_flits);
+        let adv = Adversarial::new(workload, 0.4, &cfg);
         Network::new(
             cfg.clone(),
             region,

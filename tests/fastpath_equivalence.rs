@@ -491,7 +491,7 @@ fn fast_path_is_bit_identical_on_closed_loop_replies() {
     let run = |kernel: Kernel| {
         let region = RegionMap::quadrants(&cfg);
         let workload = ParsecWorkload::new(&cfg, &region, AppModel::parsec_four());
-        let source = Adversarial::new(workload, 0.2, n as NodeId, cfg.long_flits);
+        let source = Adversarial::new(workload, 0.2, &cfg);
         let mut net = Network::new(
             cfg.clone(),
             region,

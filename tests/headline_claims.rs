@@ -20,7 +20,6 @@ fn ec() -> ExpConfig {
         measure: 12_000,
         seed: 0xFEED,
         quick: true,
-        cycle_budget: None,
     }
 }
 
@@ -164,7 +163,6 @@ fn fig17_shape_rair_protects_against_adversary() {
         measure: 30_000,
         seed: 0xFEED,
         quick: true,
-        cycle_budget: None,
     };
     let keep = [
         "RO_RR",

@@ -136,10 +136,11 @@ fn inconsistent_lbdr_bits_are_rejected() {
     assert!(errs[0].contains("asymmetric"), "{}", errs[0]);
 }
 
-/// A config with the verifier force-enabled and recording (not panicking).
+/// A config with the oracle, and with it the verifier, force-enabled and
+/// recording (not panicking).
 fn verified_cfg() -> SimConfig {
     let mut cfg = SimConfig::table1();
-    cfg.verify = VerifyConfig::forced();
+    cfg.oracle = OracleConfig::forced();
     cfg
 }
 
@@ -147,9 +148,10 @@ fn verified_cfg() -> SimConfig {
 #[should_panic(expected = "static verifier")]
 fn network_new_panics_on_a_cyclic_routing_function() {
     let mut cfg = SimConfig::table1();
-    cfg.verify = VerifyConfig {
+    cfg.oracle = OracleConfig {
         enabled: Some(true),
         panic_on_violation: Some(true),
+        ..OracleConfig::default()
     };
     let region = RegionMap::single(&cfg);
     let _net = Network::new(
@@ -180,6 +182,30 @@ fn network_new_records_violations_when_panic_disabled() {
         .verify_violations
         .iter()
         .any(|v| matches!(v.witness, Witness::Cycle(_))));
+}
+
+#[test]
+fn network_new_skips_the_verifier_when_the_oracle_is_off() {
+    // In every build profile: an explicit `enabled: Some(false)` switches
+    // the static verifier off with the oracle, so even a cyclic routing
+    // function builds and nothing is recorded.
+    let mut cfg = SimConfig::table1();
+    cfg.oracle = OracleConfig {
+        enabled: Some(false),
+        ..OracleConfig::default()
+    };
+    let region = RegionMap::single(&cfg);
+    let net = Network::new(
+        cfg.clone(),
+        region,
+        Box::new(MixedDor),
+        Scheme::RoRr.build(),
+        Box::new(NoTraffic),
+        1,
+    );
+    assert!(!net.oracle_enabled());
+    assert_eq!(net.stats.verify_violation_count, 0);
+    assert!(net.stats.verify_violations.is_empty());
 }
 
 #[test]
