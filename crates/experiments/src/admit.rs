@@ -9,9 +9,8 @@
 //! steering) and appends the experiments-layer **bandwidth feasibility**
 //! property built on the analytical model's per-flow link-load map
 //! ([`model::link_load_map`]): a channel whose predicted utilization
-//! exceeds 1.0 flit/cycle is physically over-subscribed (rejected); one
-//! above its calibrated efficiency but below 1.0 is feasible only past
-//! the saturation knee (admitted with a warning).
+//! exceeds 1 flit/cycle is physically over-subscribed, and the cell is
+//! rejected.
 //!
 //! Feasibility lives here rather than in `noc-sim` because it needs the
 //! `model` crate (which depends on `noc-sim`) and the wall clock (the
@@ -34,8 +33,8 @@ use traffic::scenario::AppSpec;
 
 /// Canonical per-app offered load (flits/cycle/node) of the matrix's
 /// feasibility check: well inside every topology's capacity, so the
-/// shipped matrix is feasible everywhere and any warning or rejection is
-/// a config defect, not a workload artifact.
+/// shipped matrix is feasible everywhere and any rejection is a config
+/// defect, not a workload artifact.
 pub const MATRIX_RATE: f64 = 0.05;
 
 /// One admitted (or refuted) cell of the matrix.
@@ -44,7 +43,7 @@ pub struct AdmitRow {
     pub region: &'static str,
     pub routing: &'static str,
     pub scheme: String,
-    /// Aggregate verdict label: `admit`, `warn` or `reject`.
+    /// Aggregate verdict label: `admit` or `reject`.
     pub verdict: &'static str,
     /// Static native head-flit wait bound (cycles), when proven.
     pub wait_bound: Option<u64>,
@@ -54,7 +53,7 @@ pub struct AdmitRow {
     /// Wall-clock analysis cost of the whole cell, stamped here (the
     /// kernel reports no wall time — it is under the wall-clock lint).
     pub micros: u64,
-    /// First rejecting or warning property with its witness, if any.
+    /// First rejecting property with its witness, if any.
     pub defect: Option<String>,
 }
 
@@ -84,10 +83,8 @@ pub(crate) fn routing_kind(routing: Routing) -> RoutingKind {
 }
 
 /// Bandwidth feasibility of the operating point `specs` on
-/// `cfg` × `region` × `routing`: flag the worst channel of the model's
-/// link-load map. `rho > 1` ⇒ reject (physically over-subscribed);
-/// `capacity < rho ≤ 1` ⇒ warn (past the calibrated saturation knee);
-/// otherwise admit.
+/// `cfg` × `region` × `routing`: reject if the worst channel of the
+/// model's link-load map is offered more than 1 flit/cycle, else admit.
 pub fn check_feasibility(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -106,11 +103,9 @@ pub fn check_feasibility(
         micros: t0.elapsed().as_micros() as u64,
         wait_bound: None,
     };
-    let worst = loads.iter().max_by(|a, b| {
-        (a.rho_total() - a.capacity)
-            .partial_cmp(&(b.rho_total() - b.capacity))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    let worst = loads
+        .iter()
+        .max_by(|a, b| a.rho_total().total_cmp(&b.rho_total()));
     let Some(w) = worst else {
         return report(
             AdmitVerdict::Admit,
@@ -119,38 +114,19 @@ pub fn check_feasibility(
         );
     };
     let (rho, link) = (w.rho_total(), w.link.to_string());
-    let witness = AdmitWitness::Overload {
-        link: link.clone(),
-        offered: rho,
-        capacity: w.capacity,
-    };
     if rho > 1.0 {
         report(
             AdmitVerdict::Reject,
             format!(
                 "channel {link} is over-subscribed: offered load {rho:.3} flits/cycle \
-                 exceeds physical capacity 1.0 ({links} channels checked)"
+                 exceeds capacity 1 ({links} channels checked)"
             ),
-            Some(witness),
-        )
-    } else if rho > w.capacity {
-        report(
-            AdmitVerdict::Warn,
-            format!(
-                "channel {link} is past its calibrated saturation knee: offered load \
-                 {rho:.3} > efficiency {:.2} ({links} channels checked)",
-                w.capacity
-            ),
-            Some(witness),
+            Some(AdmitWitness::Overload { link, offered: rho }),
         )
     } else {
         report(
             AdmitVerdict::Admit,
-            format!(
-                "all {links} channels within calibrated capacity \
-                 (worst: {link} at {rho:.3} of {:.2})",
-                w.capacity
-            ),
+            format!("all {links} channels within capacity (worst: {link} at {rho:.3})"),
             None,
         )
     }
@@ -357,26 +333,36 @@ mod tests {
     }
 
     #[test]
-    fn feasibility_warns_between_knee_and_capacity() {
+    fn feasibility_admits_up_to_unit_load_and_rejects_past_it() {
         let cfg = SimConfig::table1();
         let region = RegionMap::halves(&cfg);
-        // 0.35 flits/cycle/node aggregates to ~0.89 on the worst interior
-        // hop channel: below physical capacity 1.0 but past the 0.75
-        // calibrated saturation efficiency.
-        let specs = vec![
-            Some(AppSpec::intra_only(0.35)),
-            Some(AppSpec::intra_only(MATRIX_RATE)),
-        ];
-        let rep = check_feasibility(&cfg, &region, &specs, Routing::Local);
-        assert_eq!(rep.verdict, AdmitVerdict::Warn, "{}", rep.detail);
+        let worst = |rate: f64| {
+            let specs = vec![
+                Some(AppSpec::intra_only(rate)),
+                Some(AppSpec::intra_only(MATRIX_RATE)),
+            ];
+            let rep = check_feasibility(&cfg, &region, &specs, Routing::Local);
+            let rho = model::link_load_map(&cfg, &region, &specs, RoutingKind::Adaptive)
+                .iter()
+                .map(model::ChannelLoad::rho_total)
+                .fold(0.0, f64::max);
+            (rep, rho, specs)
+        };
+        // 0.35 flits/cycle/node puts ~0.89 on the worst interior hop
+        // channel: inside unit capacity.
+        let (rep, rho, specs) = worst(0.35);
+        assert!(rho > 0.75 && rho <= 1.0, "worst channel at {rho}");
+        assert_eq!(rep.verdict, AdmitVerdict::Admit, "{}", rep.detail);
+        assert!(rep.witness.is_none());
+        let adm = admit_cell(&cfg, &region, &Scheme::rair(), Routing::Local, &specs);
+        assert_eq!(adm.verdict(), AdmitVerdict::Admit);
+        // 0.45 puts the same channel past 1 flit/cycle.
+        let (rep, rho, _) = worst(0.45);
+        assert!(rho > 1.0, "worst channel at {rho}");
+        assert_eq!(rep.verdict, AdmitVerdict::Reject, "{}", rep.detail);
         assert!(matches!(
             rep.witness,
-            Some(AdmitWitness::Overload { offered, capacity, .. })
-                if offered <= 1.0 && offered > capacity
+            Some(AdmitWitness::Overload { offered, .. }) if offered == rho
         ));
-        // A warned cell is still admitted (not rejected).
-        let adm = admit_cell(&cfg, &region, &Scheme::rair(), Routing::Local, &specs);
-        assert!(adm.is_admitted());
-        assert_eq!(adm.verdict(), AdmitVerdict::Warn);
     }
 }

@@ -413,15 +413,10 @@ fn admit(o: &Opts) -> Outcome {
     let rows = admit::run_matrix(&TopologyKind::CANONICAL);
     let controls = admit::controls();
     self_check(o, "ADMIT_report.json", &admit::table(&rows), &controls)?;
-    for r in rows.iter().filter(|r| r.verdict != "admit") {
-        let kind = if r.verdict == "reject" {
-            "ADMIT FAILED"
-        } else {
-            "admit warning"
-        };
+    for r in rows.iter().filter(|r| r.verdict == "reject") {
         let cell = format!("{}/{}/{}/{}", r.topology, r.region, r.routing, r.scheme);
         let defect = r.defect.as_deref().unwrap_or("(no defect detail)");
-        eprintln!("[repro] {kind} {cell}: {defect}");
+        eprintln!("[repro] ADMIT FAILED {cell}: {defect}");
     }
     if rows.iter().any(|r| r.verdict == "reject") {
         return Err("static admission FAILED — false rejection in the golden matrix".into());

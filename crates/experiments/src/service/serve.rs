@@ -15,8 +15,8 @@
 //!    a job without simulation; a corrupt one is set aside and missed.
 //! 3. **Gates** — every pending job passes the static admission pipeline
 //!    before any network is built (a rejected scheme is recorded and
-//!    skipped), and with [`ServeConfig::screen`] the analytical surrogate
-//!    screens out jobs offered far past their predicted saturation.
+//!    skipped), and with [`ServeConfig::screen`] the analytical model
+//!    screens out jobs offered far past their saturation bound.
 //! 4. **Supervision** — the surviving jobs run on the crate's one
 //!    supervised pool ([`super::pool::run_supervised`]: `catch_unwind`,
 //!    optional wall-clock timeout, bounded backoff, poison-job quarantine
@@ -249,7 +249,8 @@ pub struct ServeConfig {
     pub backoff_base_ms: u64,
     /// Wall-clock cap per attempt; `None` means unbounded.
     pub timeout_ms: Option<u64>,
-    /// Screen jobs through the analytical surrogate before simulating.
+    /// Screen jobs through the analytical model's saturation bound before
+    /// simulating.
     pub screen: bool,
 }
 
@@ -509,18 +510,19 @@ pub fn serve(
                 continue;
             }
         };
-        // 4. Optional surrogate screening: offered load far past the
-        // model-predicted saturation will only measure queue blow-up.
+        // 4. Optional model screening: offered load far past the model's
+        // unit-capacity saturation bound will only measure queue blow-up.
         let kind = scfg.screen.then(|| crate::admit::routing_kind(job.routing));
         let predicted =
             kind.and_then(|k| model::predict_app_saturation(&cfg, &job.region, 0, &job.app, k));
         if let Some(sat) = predicted
             .map(|p| p.load)
-            .filter(|&sat| spec.rate > 1.5 * sat)
+            .filter(|&sat| spec.rate > model::SCREEN_MARGIN * sat)
         {
             let reason = format!(
-                "screened: offered {:.3} > 1.5x predicted saturation {sat:.3}",
-                spec.rate
+                "screened: offered {:.3} > {}x saturation bound {sat:.3}",
+                spec.rate,
+                model::SCREEN_MARGIN
             );
             journal.append(&rows::note("screened", id, &reason));
             resolve(i, 0, Err((JobStatus::Screened, reason)), false);
@@ -963,11 +965,11 @@ mod tests {
         let dir = tmp("screen");
         let store = StdStore;
         // 0.9 flits/cycle/node uniform on an 8x8 mesh is far past any
-        // predicted saturation.
+        // saturation bound.
         let deep = JobSpec::parse("deep ro_rr local single uniform 0.90 1").unwrap();
         // Dimension-order routing saturates transpose long before adaptive
-        // routing does (predicted ≈ 0.107 vs 0.30): the `xy` job is screened
-        // against its own routing's prediction, its `local` twin runs.
+        // routing does (bounds ≈ 0.143 vs 0.40): the `xy` job is screened
+        // against its own routing's bound, its `local` twin runs.
         let xy = JobSpec::parse("xy ro_rr xy single transpose 0.30 1").unwrap();
         let local = JobSpec::parse("local ro_rr local single transpose 0.30 1").unwrap();
         let exec = stub_exec();

@@ -136,14 +136,14 @@ fn admit_report_schema() {
         region: "halves",
         routing: "XY",
         scheme: "RA_RAIR".into(),
-        verdict: "warn",
+        verdict: "reject",
         wait_bound,
         states: 753,
         micros: 1162,
         defect: defect.map(String::from),
     };
     let rows = [
-        row(Some(1460), Some("feasibility: \"knee\"")),
+        row(Some(1460), Some("feasibility: \"overload\"")),
         row(None, None),
     ];
     let json = admit::table(&rows).json_rows();

@@ -71,9 +71,8 @@
 //!    computed in `crates/experiments` from `crates/model`'s per-flow
 //!    link-load maps — the model crate depends on this one, so the check
 //!    cannot live here. The experiments driver appends it to the same
-//!    [`Admission`] report: offered native load above raw link capacity
-//!    rejects (the over-subscribed-region negative), load above the
-//!    calibrated efficiency but below raw capacity admits with a warning.
+//!    [`Admission`] report: offered load above one flit/cycle on any
+//!    channel rejects (the over-subscribed-region negative).
 //!
 //! Timing note: this crate is subject to the wall-clock determinism lint,
 //! so [`PropertyReport::micros`] is left 0 here and stamped by the
@@ -81,7 +80,7 @@
 
 use crate::arbitration::ArbStage;
 use crate::config::SimConfig;
-use crate::ids::{AppId, Coord, NodeId, Port, APP_NONE, NUM_PORTS};
+use crate::ids::{AppId, NodeId, Port, APP_NONE, NUM_PORTS};
 use crate::region::RegionMap;
 use crate::routing::RoutingAlgorithm;
 use crate::topology;
@@ -110,9 +109,6 @@ const MAX_OCC: u32 = 24;
 pub enum AdmitVerdict {
     /// Property proven.
     Admit,
-    /// Property holds with a flagged risk (feasibility above the
-    /// calibrated knee): admitted-with-warning, not rejected.
-    Warn,
     /// Property refuted; the report carries a concrete witness.
     Reject,
 }
@@ -122,7 +118,6 @@ impl AdmitVerdict {
     pub fn label(self) -> &'static str {
         match self {
             AdmitVerdict::Admit => "admit",
-            AdmitVerdict::Warn => "warn",
             AdmitVerdict::Reject => "reject",
         }
     }
@@ -274,14 +269,12 @@ pub enum AdmitWitness {
         /// Output channels along the flow; the last one is the violation.
         path: Vec<ChannelId>,
     },
-    /// Offered native load exceeds link capacity at a bottleneck.
+    /// Offered load exceeds a channel's capacity of one flit/cycle.
     Overload {
         /// Bottleneck link label (`"r12->r13"` style).
         link: String,
         /// Offered load in flits/cycle.
         offered: f64,
-        /// Capacity threshold it exceeds (raw or calibrated).
-        capacity: f64,
     },
 }
 
@@ -320,14 +313,10 @@ impl fmt::Display for AdmitWitness {
                 }
                 Ok(())
             }
-            AdmitWitness::Overload {
-                link,
-                offered,
-                capacity,
-            } => {
+            AdmitWitness::Overload { link, offered } => {
                 write!(
                     f,
-                    "link {link}: offered {offered:.3} > capacity {capacity:.3} flits/cycle"
+                    "link {link}: offered {offered:.3} > capacity 1 flit/cycle"
                 )
             }
         }
@@ -386,7 +375,7 @@ impl Admission {
             .unwrap_or(AdmitVerdict::Admit)
     }
 
-    /// Is the config safe to simulate (admit or admit-with-warning)?
+    /// Is the config safe to simulate (no property rejects it)?
     pub fn is_admitted(&self) -> bool {
         self.verdict() != AdmitVerdict::Reject
     }
@@ -647,16 +636,6 @@ fn native_at(owner: AppId, app: AppId) -> bool {
     owner == app || owner == APP_NONE
 }
 
-/// Is `p` a minimal linked hop from `cur` toward `d`? (Defensive guard —
-/// non-minimal routing functions are the CDG verifier's finding, not
-/// ours; skipping them keeps the taint walk terminating regardless.)
-fn minimal_hop(cfg: &SimConfig, cur: Coord, d: Coord, p: Port) -> bool {
-    (1..=4).contains(&p)
-        && topology::has_link(cfg, cur, p)
-        && topology::distance(cfg, topology::step(cfg, cur, p), d) + 1
-            == topology::distance(cfg, cur, d)
-}
-
 /// Prove or refute region non-interference of the scheme's VC steering on
 /// `cfg` × `region` × `routing` (see module docs for the taint domain and
 /// the two deliberate scope exemptions).
@@ -722,7 +701,9 @@ pub fn check_non_interference(
                     hops.adaptive.iter().flatten().map(|&p| (p, true)).collect();
                 ports.push((hops.escape, false));
                 for (p, adaptive) in ports {
-                    if !minimal_hop(cfg, c, d, p) {
+                    // Non-minimal hops are the CDG verifier's finding, not
+                    // ours; skipping them keeps the walk terminating.
+                    if !topology::minimal_hop(cfg, c, d, p) {
                         continue;
                     }
                     let y = cfg.router_at(topology::step(cfg, c, p));

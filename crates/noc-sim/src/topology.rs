@@ -209,6 +209,15 @@ pub fn step(cfg: &SimConfig, c: Coord, p: Port) -> Coord {
     }
 }
 
+/// Is `p` a minimal hop from `cur` toward `d`: a non-local port with a
+/// physical link whose step reduces the topology's distance by one?
+#[inline]
+pub fn minimal_hop(cfg: &SimConfig, cur: Coord, d: Coord, p: Port) -> bool {
+    (1..=4).contains(&p)
+        && has_link(cfg, cur, p)
+        && distance(cfg, step(cfg, cur, p), d) + 1 == distance(cfg, cur, d)
+}
+
 /// The chosen minimal X-direction port toward `dst` (`None` when the X
 /// offset is resolved). On wrapping topologies ties at exactly half the
 /// ring go east, deterministically, so every router along a minimal path

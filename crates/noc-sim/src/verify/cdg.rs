@@ -141,15 +141,6 @@ fn chan_id(lanes: usize, idx: usize, escape: bool) -> ChannelId {
     }
 }
 
-/// Is `p` a legal hop from `cur` toward `d`: a non-local port with a
-/// physical link, and minimal (reduces the topology's distance)?
-fn valid_hop(cfg: &SimConfig, cur: Coord, d: Coord, p: Port) -> bool {
-    (1..=4).contains(&p)
-        && topology::has_link(cfg, cur, p)
-        && topology::distance(cfg, topology::step(cfg, cur, p), d) + 1
-            == topology::distance(cfg, cur, d)
-}
-
 /// Detour-escape relaxation: any port with a physical link is a legal
 /// *escape* hop (fault detours are deliberately non-minimal); reachability
 /// is then proven by the escape-chain walk instead of the distance DP.
@@ -189,7 +180,7 @@ pub(super) fn run(v: &Verifier<'_>) -> VerifyReport {
             let hops = v.routing.next_hops(cfg, cur, d);
             let mut k = 0;
             for p in hops.adaptive.into_iter().flatten() {
-                if !valid_hop(cfg, cur, d, p) {
+                if !topology::minimal_hop(cfg, cur, d, p) {
                     if bad_hops.insert((r, p)) {
                         vio.record(
                             "routing-function",
@@ -212,7 +203,7 @@ pub(super) fn run(v: &Verifier<'_>) -> VerifyReport {
                 let e_ok = if v.detour_escape {
                     valid_detour_hop(cfg, cur, e)
                 } else {
-                    valid_hop(cfg, cur, d, e)
+                    topology::minimal_hop(cfg, cur, d, e)
                 };
                 if !e_ok || hops.escape_lane as usize >= lanes {
                     if bad_hops.insert((r, e)) {

@@ -27,7 +27,7 @@ pub mod workload;
 pub mod prelude {
     pub use crate::adversarial::Adversarial;
     pub use crate::pattern::Pattern;
-    pub use crate::saturation::{app_saturation, find_saturation, SaturationProbe};
+    pub use crate::saturation::{app_saturation, SaturationProbe};
     pub use crate::scenario::{
         four_app_dpa_a, four_app_dpa_b, six_app, two_app, AppSpec, InterDest, PacketMix, Scenario,
     };

@@ -238,33 +238,6 @@ fn stability_oracle<'a>(
     }
 }
 
-/// Generic saturation search: `build(rate)` constructs a fresh network
-/// offering `rate` flits/cycle/node over `active_nodes` nodes. Returns the
-/// highest stable rate found in `(0, max_rate]`.
-pub fn find_saturation(
-    probe: &SaturationProbe,
-    active_nodes: usize,
-    max_rate: f64,
-    build: impl FnMut(f64) -> Network,
-) -> f64 {
-    find_saturation_traced(probe, active_nodes, max_rate, build).load
-}
-
-/// [`find_saturation`] with full probe accounting.
-pub fn find_saturation_traced(
-    probe: &SaturationProbe,
-    active_nodes: usize,
-    max_rate: f64,
-    build: impl FnMut(f64) -> Network,
-) -> SearchOutcome {
-    let oracle = stability_oracle(probe, active_nodes, max_rate, build);
-    let (load, probes) = search_saturation(probe.iters, max_rate, oracle);
-    SearchOutcome {
-        load,
-        simulations: probes + 1,
-    }
-}
-
 /// `(active nodes, network builder)` of application `app` running *alone*
 /// with its configured traffic mix (all other applications silent), under
 /// round-robin arbitration and the given routing algorithm.
@@ -323,7 +296,12 @@ pub fn app_saturation_traced(
     routing: impl Fn() -> Box<dyn RoutingAlgorithm>,
 ) -> SearchOutcome {
     let (active, build) = app_alone(probe, cfg, region, app, spec, routing);
-    find_saturation_traced(probe, active, 1.0, build)
+    let oracle = stability_oracle(probe, active, 1.0, build);
+    let (load, probes) = search_saturation(probe.iters, 1.0, oracle);
+    SearchOutcome {
+        load,
+        simulations: probes + 1,
+    }
 }
 
 /// The `rate -> (stable, knee_estimate)` probe [`app_saturation`] searches
