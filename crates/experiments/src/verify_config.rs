@@ -16,7 +16,7 @@ use metrics::report::{Table, Value};
 use noc_sim::config::SimConfig;
 use noc_sim::ids::{Coord, Port, PORT_EAST, PORT_WEST};
 use noc_sim::region::RegionMap;
-use noc_sim::routing::{escape_port, NextHops, RoutingAlgorithm, SelectCtx};
+use noc_sim::routing::{NextHops, RoutingAlgorithm, SelectCtx};
 use noc_sim::topology::TopologyKind;
 use noc_sim::verify::{Verifier, VerifyReport, Witness};
 use rair::scheme::{Routing, Scheme};
@@ -193,13 +193,14 @@ pub fn judge_controls(cases: &[NegativeCase]) -> Result<(), String> {
 
 /// Mixed dimension-order "escape": XY toward even-parity destinations, YX
 /// toward odd — the union of both turn sets allows all eight turns, a
-/// textbook cyclic CDG. Used only to prove the verifier finds the cycle.
-struct MixedDorEscape;
+/// textbook cyclic mesh CDG. Only ever handed to the verifier (directly,
+/// or through `Network::new`'s static check) to prove it finds the cycle.
+pub struct MixedDorEscape;
 
 impl MixedDorEscape {
-    fn esc(cur: Coord, dst: Coord) -> Port {
+    fn esc(cfg: &SimConfig, cur: Coord, dst: Coord) -> Port {
         if (dst.x + dst.y).is_multiple_of(2) {
-            escape_port(cur, dst) // XY
+            noc_sim::topology::escape_hop(cfg, cur, dst).0 // XY
         } else if dst.y != cur.y {
             // YX: exhaust Y first.
             if dst.y > cur.y {
@@ -219,16 +220,13 @@ impl RoutingAlgorithm for MixedDorEscape {
     fn name(&self) -> &'static str {
         "MixedDOR"
     }
-    fn adaptive_ports(&self, _cfg: &SimConfig, cur: Coord, dst: Coord) -> [Option<Port>; 2] {
-        [Some(Self::esc(cur, dst)), None]
-    }
     fn select(&self, _ctx: &SelectCtx<'_>, _cands: &[Port]) -> usize {
         0
     }
-    fn next_hops(&self, _cfg: &SimConfig, cur: Coord, dst: Coord) -> NextHops {
+    fn next_hops(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> NextHops {
         NextHops {
             adaptive: [None, None],
-            escape: Self::esc(cur, dst),
+            escape: Self::esc(cfg, cur, dst),
             escape_lane: 0,
         }
     }
@@ -244,9 +242,6 @@ pub struct NoDatelineEscape;
 impl RoutingAlgorithm for NoDatelineEscape {
     fn name(&self) -> &'static str {
         "NoDateline"
-    }
-    fn adaptive_ports(&self, _cfg: &SimConfig, _cur: Coord, _dst: Coord) -> [Option<Port>; 2] {
-        [None, None]
     }
     fn select(&self, _ctx: &SelectCtx<'_>, _cands: &[Port]) -> usize {
         0

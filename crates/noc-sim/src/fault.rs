@@ -35,8 +35,8 @@ use crate::ids::{
     PORT_WEST,
 };
 use crate::region::RegionMap;
-use crate::routing::{escape_port, step, NextHops, RoutingAlgorithm, SelectCtx};
-use crate::topology::has_link;
+use crate::routing::{NextHops, RoutingAlgorithm, SelectCtx};
+use crate::topology::{escape_hop, has_link, step};
 use crate::verify::{Verifier, VerifyReport};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -305,7 +305,7 @@ impl DegradedTable {
                 let cs = cfg.coord_of(s as NodeId);
                 esc[s * n + d] = match mode {
                     DegradedMode::Strict => {
-                        let p = escape_port(cs, cd);
+                        let (p, _lane) = escape_hop(cfg, cs, cd);
                         link_alive(cfg, dead_links, cs, p).then_some(p)
                     }
                     DegradedMode::Detour => detour_escape(cfg, region, dead_links, cs, cd),
@@ -330,7 +330,7 @@ impl DegradedTable {
                         break;
                     }
                     let Some(p) = esc[r * n + d] else { break };
-                    c = step(c, p);
+                    c = step(cfg, c, p);
                 }
             }
             // Adaptive ports. Strict mode keeps the base routing's minimal
@@ -352,11 +352,12 @@ impl DegradedTable {
                     }
                     let cs = cfg.coord_of(s as NodeId);
                     let mut k = 0;
-                    for p in routing.adaptive_ports(cfg, cs, cd).into_iter().flatten() {
+                    let adaptive = routing.next_hops(cfg, cs, cd).adaptive;
+                    for p in adaptive.into_iter().flatten() {
                         if !link_alive(cfg, dead_links, cs, p) {
                             continue;
                         }
-                        let nbr = cfg.node_at(step(cs, p)) as usize;
+                        let nbr = cfg.node_at(step(cfg, cs, p)) as usize;
                         if routable[nbr * n + d] {
                             adap[s * n + d][k] = Some(p);
                             k += 1;
@@ -409,11 +410,6 @@ struct DegradedRouting<'a> {
 impl RoutingAlgorithm for DegradedRouting<'_> {
     fn name(&self) -> &'static str {
         "degraded"
-    }
-
-    fn adaptive_ports(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> [Option<Port>; 2] {
-        let (s, d) = (cfg.node_at(cur) as usize, cfg.node_at(dst) as usize);
-        self.table.adap_at(s, d)
     }
 
     fn select(&self, _ctx: &SelectCtx<'_>, _cands: &[Port]) -> usize {
@@ -506,8 +502,8 @@ fn sidestep_v(
     let n_ok = link_alive(cfg, dead, cur, PORT_NORTH);
     if s_ok && n_ok {
         let app = region.app_of(cfg.node_at(cur));
-        let app_s = region.app_of(cfg.node_at(step(cur, PORT_SOUTH)));
-        let app_n = region.app_of(cfg.node_at(step(cur, PORT_NORTH)));
+        let app_s = region.app_of(cfg.node_at(step(cfg, cur, PORT_SOUTH)));
+        let app_n = region.app_of(cfg.node_at(step(cfg, cur, PORT_NORTH)));
         if app_s != app && app_n == app {
             Some(PORT_NORTH)
         } else {
@@ -559,7 +555,7 @@ fn detour_escape(
         };
         return link_alive(cfg, dead, cur, p).then_some(p);
     }
-    let p = escape_port(cur, dst);
+    let (p, _lane) = escape_hop(cfg, cur, dst);
     if p == PORT_EAST || p == PORT_WEST {
         // X phase: sidestep one row when the next horizontal link is dead.
         return if link_alive(cfg, dead, cur, p) {
@@ -645,7 +641,7 @@ impl FaultState {
                 return;
             }
             self.dead_links.insert((r, p));
-            let nbr = cfg.node_at(step(c, p)) as usize;
+            let nbr = cfg.node_at(step(cfg, c, p)) as usize;
             self.dead_links.insert((nbr, opposite(p)));
         };
         match ev {
@@ -727,7 +723,7 @@ mod tests {
         let mut s = BTreeSet::new();
         for &(r, p) in links {
             s.insert((r, p));
-            let nbr = cfg.node_at(step(cfg.coord_of(r as NodeId), p)) as usize;
+            let nbr = cfg.node_at(step(&cfg, cfg.coord_of(r as NodeId), p)) as usize;
             s.insert((nbr, opposite(p)));
         }
         s

@@ -17,7 +17,8 @@ pub const APP_NONE: AppId = AppId::MAX;
 /// request/reply workloads use two.
 pub type MsgClass = u8;
 
-/// Router port index. `PORT_LOCAL` is the NI port; the rest are mesh links.
+/// Router port index. `PORT_LOCAL` is the NI port; the rest are the four
+/// directional links (a ring uses only east and west).
 pub type Port = usize;
 
 pub const PORT_LOCAL: Port = 0;
@@ -25,7 +26,7 @@ pub const PORT_NORTH: Port = 1;
 pub const PORT_EAST: Port = 2;
 pub const PORT_SOUTH: Port = 3;
 pub const PORT_WEST: Port = 4;
-/// Ports per router in a 2-D mesh (local + 4 directions).
+/// Ports per router on every topology (local + 4 directions).
 pub const NUM_PORTS: usize = 5;
 
 /// Opposite direction of a (non-local) port: flits leaving output port `p`
@@ -53,20 +54,14 @@ pub fn port_name(p: Port) -> &'static str {
     }
 }
 
-/// 2-D mesh coordinate. `x` grows eastward, `y` grows southward
-/// (row-major: `id = y * width + x`).
+/// Router coordinate on any of the four topologies (mesh, torus, ring,
+/// concentrated mesh). `x` grows eastward, `y` grows southward (row-major:
+/// router `id = y * width + x`; a ring is the single row `y = 0`). Hop
+/// distances live in [`crate::topology`], which knows about wraparound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Coord {
     pub x: u8,
     pub y: u8,
-}
-
-impl Coord {
-    /// Manhattan distance (minimal hop count) to `other`.
-    #[inline]
-    pub fn hops_to(&self, other: Coord) -> u32 {
-        (self.x.abs_diff(other.x) + self.y.abs_diff(other.y)) as u32
-    }
 }
 
 #[cfg(test)]
@@ -84,14 +79,5 @@ mod tests {
     #[should_panic]
     fn opposite_of_local_panics() {
         opposite(PORT_LOCAL);
-    }
-
-    #[test]
-    fn manhattan_distance() {
-        let a = Coord { x: 1, y: 2 };
-        let b = Coord { x: 4, y: 0 };
-        assert_eq!(a.hops_to(b), 5);
-        assert_eq!(b.hops_to(a), 5);
-        assert_eq!(a.hops_to(a), 0);
     }
 }

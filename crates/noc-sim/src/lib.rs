@@ -1,9 +1,11 @@
 //! # noc-sim — cycle-accurate NoC simulator
 //!
-//! A from-scratch, GARNET-equivalent simulator of a 2-D mesh network-on-chip
-//! with wormhole switching, virtual channels, credit-based flow control and
-//! the canonical pipelined router (RC → VA → SA → ST → LT) including all
-//! four arbitration steps (VA_in, VA_out, SA_in, SA_out).
+//! A from-scratch, GARNET-equivalent simulator of a network-on-chip — a
+//! 2-D mesh (the paper's topology), a 2-D torus, a ring or a concentrated
+//! mesh ([`topology::TopologyKind`]) — with wormhole switching, virtual
+//! channels, credit-based flow control and the canonical pipelined router
+//! (RC → VA → SA → ST → LT) including all four arbitration steps (VA_in,
+//! VA_out, SA_in, SA_out).
 //!
 //! This crate is the substrate for the reproduction of *"RAIR: Interference
 //! Reduction in Regionalized Networks-on-Chip"* (IPDPS 2013). It provides:

@@ -75,7 +75,7 @@ use crate::router::Router;
 use crate::routing::{RoutingAlgorithm, SelectCtx};
 use crate::source::TrafficSource;
 use crate::stats::SimStats;
-use crate::topology::{has_link, neighbor_router};
+use crate::topology::{has_link, minimal_hop, neighbor_router};
 use crate::vc::{byte, VcClass, VcState, VcTag};
 use crate::verify::MAX_RECORDED_VIOLATIONS;
 use rand::rngs::SmallRng;
@@ -728,7 +728,7 @@ impl Network {
                     .into_iter()
                     .find(|&p| {
                         has_link(&self.cfg, cur, p)
-                            && crate::routing::step(cur, p).hops_to(dst) >= cur.hops_to(dst)
+                            && !minimal_hop(&self.cfg, cur, dst, p)
                             && self.routers[router].allocatable_mask()
                                 & self.routers[router].vc_bit(p, vc)
                                 != 0

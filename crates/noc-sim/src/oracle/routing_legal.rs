@@ -13,8 +13,10 @@ use crate::topology;
 /// the hop it sent the flit over is `opposite(in_port)`.
 ///
 /// * **Minimality** (all VCs): the hop must reduce the topology's distance
-///   to the destination by exactly one — both the adaptive routing
-///   functions and the escape path are minimal in this design.
+///   to the destination by exactly one ([`topology::minimal_hop`], the
+///   predicate the static verifier and the admission walk apply) — both
+///   the adaptive routing functions and the escape path are minimal in
+///   this design.
 /// * **Duato legality** (escape VCs, index `< num_escape_vcs`): the hop
 ///   must be exactly the dimension-order (port, dateline-lane) pair the
 ///   escape sub-network prescribes at the upstream router, or the escape
@@ -57,7 +59,7 @@ impl Checker for RoutingLegality {
         let here = cfg.router_coord(router as usize);
         let upstream = topology::step(cfg, here, in_port);
         let dst = cfg.coord_of(flit.info.dst);
-        if topology::distance(cfg, upstream, dst) != topology::distance(cfg, here, dst) + 1 {
+        if !topology::minimal_hop(cfg, upstream, dst, opposite(in_port)) {
             out.push(OracleViolation {
                 cycle,
                 checker: self.name(),

@@ -19,7 +19,7 @@
 //! DBAR slightly fresher information than real hardware would have —
 //! favourable to the baseline.
 
-use super::{free_adaptive_credits, RoutingAlgorithm, SelectCtx};
+use super::{free_adaptive_credits, NextHops, RoutingAlgorithm, SelectCtx};
 use crate::config::SimConfig;
 use crate::ids::{Coord, Port};
 
@@ -66,8 +66,8 @@ impl RoutingAlgorithm for DbarAdaptive {
         "DBAR"
     }
 
-    fn adaptive_ports(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> [Option<Port>; 2] {
-        crate::topology::productive_ports(cfg, cur, dst)
+    fn next_hops(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> NextHops {
+        NextHops::minimal(cfg, cur, dst)
     }
 
     fn select(&self, ctx: &SelectCtx<'_>, cands: &[Port]) -> usize {

@@ -1,6 +1,6 @@
 //! Local-information adaptive routing (Duato escape + free-VC selection).
 
-use super::{free_adaptive_credits, RoutingAlgorithm, SelectCtx};
+use super::{free_adaptive_credits, NextHops, RoutingAlgorithm, SelectCtx};
 use crate::config::SimConfig;
 use crate::ids::{Coord, Port};
 
@@ -16,8 +16,8 @@ impl RoutingAlgorithm for DuatoLocalAdaptive {
         "Local"
     }
 
-    fn adaptive_ports(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> [Option<Port>; 2] {
-        crate::topology::productive_ports(cfg, cur, dst)
+    fn next_hops(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> NextHops {
+        NextHops::minimal(cfg, cur, dst)
     }
 
     fn select(&self, ctx: &SelectCtx<'_>, cands: &[Port]) -> usize {

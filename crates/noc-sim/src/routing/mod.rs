@@ -8,13 +8,12 @@
 //! [`crate::topology`]).
 //!
 //! The pieces:
-//! * [`RoutingAlgorithm::adaptive_ports`] — the productive output ports a
-//!   packet may take adaptively (route computation, RC stage), from
-//!   [`crate::topology::productive_ports`].
-//! * [`crate::topology::escape_hop`] — the dimension-order escape port
-//!   and lane (shared by all algorithms; it is the escape path).
-//!   [`escape_port`] remains as the mesh-specific XY function the fault
-//!   subsystem's detour logic builds on.
+//! * [`RoutingAlgorithm::next_hops`] — the routing function: the ports a
+//!   packet may take on the adaptive VCs and the escape port and lane
+//!   ([`NextHops::minimal`] for the fully-adaptive algorithms, built on
+//!   [`crate::topology::productive_ports`] and
+//!   [`crate::topology::escape_hop`]). Route computation, the static
+//!   verifier, the admission walk and the fault tables all read it.
 //! * [`RoutingAlgorithm::select`] — the selection function choosing among
 //!   candidate ports; this is where local-adaptive and DBAR differ, and
 //!   where DBAR's region-aware truncation of congestion information lives.
@@ -28,7 +27,7 @@ pub use duato::DuatoLocalAdaptive;
 pub use xy::XyRouting;
 
 use crate::config::SimConfig;
-use crate::ids::{Coord, Port, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST};
+use crate::ids::{Coord, Port};
 use crate::region::RegionMap;
 use crate::router::Router;
 
@@ -53,34 +52,20 @@ pub trait RoutingAlgorithm: Send + Sync {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 
-    /// Productive output ports usable on adaptive VCs, up to one per
-    /// dimension. Must be minimal under the topology's distance (every
-    /// returned port reduces [`crate::topology::distance`]).
-    /// `cur != dst` is guaranteed by the caller.
-    fn adaptive_ports(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> [Option<Port>; 2];
+    /// Pure, state-independent enumeration of the routing function at
+    /// `(cur, dst)`: every output port a packet may legally occupy a VC on,
+    /// split by VC class. Route computation (in both kernels) legalizes
+    /// exactly these; the static verifier ([`crate::verify`]) builds the
+    /// channel dependency graph from them. Every adaptive port must be
+    /// minimal under the topology's distance
+    /// ([`crate::topology::minimal_hop`]). `cur != dst` is guaranteed by
+    /// the caller.
+    fn next_hops(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> NextHops;
 
     /// Choose among `cands` (a non-empty subset of the adaptive ports, each
     /// known to have an allocatable adaptive VC). Returns an index into
     /// `cands`.
     fn select(&self, ctx: &SelectCtx<'_>, cands: &[Port]) -> usize;
-
-    /// Pure, state-independent enumeration of the routing function at
-    /// `(cur, dst)`: every output port a packet may legally occupy a VC on,
-    /// split by VC class. The static verifier ([`crate::verify`]) builds
-    /// the channel dependency graph from this; it must describe exactly
-    /// the port/VC-class pairs the RC/VA stages legalize at runtime. The
-    /// default mirrors the kernel: the algorithm's adaptive ports on
-    /// adaptive VCs plus the topology's dimension-order escape hop (port
-    /// and lane) on the escape VCs.
-    /// `cur != dst` is guaranteed by the caller.
-    fn next_hops(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> NextHops {
-        let (escape, escape_lane) = crate::topology::escape_hop(cfg, cur, dst);
-        NextHops {
-            adaptive: self.adaptive_ports(cfg, cur, dst),
-            escape,
-            escape_lane,
-        }
-    }
 }
 
 /// The statically-enumerated legal hops at one `(cur, dst)` point — see
@@ -96,46 +81,18 @@ pub struct NextHops {
     pub escape_lane: u8,
 }
 
-/// Dimension-order (XY) port toward `dst` on a *non-wrapping* (mesh)
-/// topology: exhaust X offset first, then Y. This is the mesh escape
-/// path (the fault subsystem's detour functions are built on it);
-/// topology-generic callers use [`crate::topology::escape_hop`].
-/// Returns `PORT_LOCAL` when `cur == dst`.
-#[inline]
-pub fn escape_port(cur: Coord, dst: Coord) -> Port {
-    if dst.x > cur.x {
-        PORT_EAST
-    } else if dst.x < cur.x {
-        PORT_WEST
-    } else if dst.y > cur.y {
-        PORT_SOUTH
-    } else if dst.y < cur.y {
-        PORT_NORTH
-    } else {
-        PORT_LOCAL
+impl NextHops {
+    /// Minimal fully-adaptive routing: the topology's productive ports on
+    /// the adaptive VCs, its dimension-order escape hop on the escape VCs.
+    #[inline]
+    pub fn minimal(cfg: &SimConfig, cur: Coord, dst: Coord) -> Self {
+        let (escape, escape_lane) = crate::topology::escape_hop(cfg, cur, dst);
+        Self {
+            adaptive: crate::topology::productive_ports(cfg, cur, dst),
+            escape,
+            escape_lane,
+        }
     }
-}
-
-/// The (up to two) minimal productive directions from `cur` to `dst` on
-/// a *non-wrapping* (mesh) topology; topology-generic callers use
-/// [`crate::topology::productive_ports`].
-#[inline]
-pub fn productive_ports(cur: Coord, dst: Coord) -> [Option<Port>; 2] {
-    let xp = if dst.x > cur.x {
-        Some(PORT_EAST)
-    } else if dst.x < cur.x {
-        Some(PORT_WEST)
-    } else {
-        None
-    };
-    let yp = if dst.y > cur.y {
-        Some(PORT_SOUTH)
-    } else if dst.y < cur.y {
-        Some(PORT_NORTH)
-    } else {
-        None
-    };
-    [xp, yp]
 }
 
 /// Sum of free credits over the adaptive VCs of output port `p` — the
@@ -150,71 +107,4 @@ pub fn free_adaptive_credits(cfg: &SimConfig, router: &Router, p: Port) -> usize
             }
         })
         .sum()
-}
-
-/// Step one hop from `c` through output port `p` on a *non-wrapping*
-/// mesh (must be in-bounds; callers guarantee productivity).
-/// Topology-generic callers use [`crate::topology::step`], which wraps.
-#[inline]
-pub fn step(c: Coord, p: Port) -> Coord {
-    match p {
-        PORT_NORTH => Coord { x: c.x, y: c.y - 1 },
-        PORT_SOUTH => Coord { x: c.x, y: c.y + 1 },
-        PORT_EAST => Coord { x: c.x + 1, y: c.y },
-        PORT_WEST => Coord { x: c.x - 1, y: c.y },
-        _ => panic!("step() through non-mesh port"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn c(x: u8, y: u8) -> Coord {
-        Coord { x, y }
-    }
-
-    #[test]
-    fn escape_is_x_first() {
-        assert_eq!(escape_port(c(0, 0), c(3, 3)), PORT_EAST);
-        assert_eq!(escape_port(c(3, 0), c(3, 3)), PORT_SOUTH);
-        assert_eq!(escape_port(c(3, 3), c(0, 3)), PORT_WEST);
-        assert_eq!(escape_port(c(3, 3), c(3, 0)), PORT_NORTH);
-        assert_eq!(escape_port(c(2, 2), c(2, 2)), PORT_LOCAL);
-    }
-
-    #[test]
-    fn productive_ports_cover_quadrants() {
-        assert_eq!(
-            productive_ports(c(2, 2), c(5, 7)),
-            [Some(PORT_EAST), Some(PORT_SOUTH)]
-        );
-        assert_eq!(
-            productive_ports(c(2, 2), c(0, 0)),
-            [Some(PORT_WEST), Some(PORT_NORTH)]
-        );
-        assert_eq!(productive_ports(c(2, 2), c(2, 7)), [None, Some(PORT_SOUTH)]);
-        assert_eq!(productive_ports(c(2, 2), c(7, 2)), [Some(PORT_EAST), None]);
-    }
-
-    #[test]
-    fn every_productive_port_reduces_distance() {
-        for sx in 0..8 {
-            for sy in 0..8 {
-                for dx in 0..8 {
-                    for dy in 0..8 {
-                        let (s, d) = (c(sx, sy), c(dx, dy));
-                        if s == d {
-                            continue;
-                        }
-                        for p in productive_ports(s, d).into_iter().flatten() {
-                            assert_eq!(step(s, p).hops_to(d) + 1, s.hops_to(d));
-                        }
-                        let e = escape_port(s, d);
-                        assert_eq!(step(s, e).hops_to(d) + 1, s.hops_to(d));
-                    }
-                }
-            }
-        }
-    }
 }

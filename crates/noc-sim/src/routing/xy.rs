@@ -1,6 +1,6 @@
 //! Deterministic dimension-order (XY) routing.
 
-use super::{RoutingAlgorithm, SelectCtx};
+use super::{NextHops, RoutingAlgorithm, SelectCtx};
 use crate::config::SimConfig;
 use crate::ids::{Coord, Port};
 
@@ -16,8 +16,13 @@ impl RoutingAlgorithm for XyRouting {
         "XY"
     }
 
-    fn adaptive_ports(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> [Option<Port>; 2] {
-        [Some(crate::topology::escape_hop(cfg, cur, dst).0), None]
+    fn next_hops(&self, cfg: &SimConfig, cur: Coord, dst: Coord) -> NextHops {
+        let (escape, escape_lane) = crate::topology::escape_hop(cfg, cur, dst);
+        NextHops {
+            adaptive: [Some(escape), None],
+            escape,
+            escape_lane,
+        }
     }
 
     fn select(&self, _ctx: &SelectCtx<'_>, _cands: &[Port]) -> usize {
@@ -37,9 +42,15 @@ mod tests {
         let r = XyRouting;
         let cur = Coord { x: 0, y: 0 };
         let dst = Coord { x: 3, y: 3 };
-        assert_eq!(r.adaptive_ports(&cfg, cur, dst), [Some(PORT_EAST), None]);
+        assert_eq!(
+            r.next_hops(&cfg, cur, dst).adaptive,
+            [Some(PORT_EAST), None]
+        );
         let cur2 = Coord { x: 3, y: 0 };
-        assert_eq!(r.adaptive_ports(&cfg, cur2, dst), [Some(PORT_SOUTH), None]);
+        assert_eq!(
+            r.next_hops(&cfg, cur2, dst).adaptive,
+            [Some(PORT_SOUTH), None]
+        );
     }
 
     #[test]
@@ -49,6 +60,9 @@ mod tests {
         let r = XyRouting;
         let cur = Coord { x: 0, y: 0 };
         let dst = Coord { x: 7, y: 0 };
-        assert_eq!(r.adaptive_ports(&cfg, cur, dst), [Some(PORT_WEST), None]);
+        assert_eq!(
+            r.next_hops(&cfg, cur, dst).adaptive,
+            [Some(PORT_WEST), None]
+        );
     }
 }

@@ -1,13 +1,13 @@
 //! Topology abstraction: mesh, torus, ring and concentrated mesh.
 //!
 //! The simulator kernel is topology-parameterized through free functions
-//! ([`distance`], [`step`], [`has_link`], [`productive_ports`],
-//! [`escape_hop`], …) taking `&SimConfig` and dispatching on
-//! [`SimConfig::topology`]. The cycle kernel, the routing algorithms, the
-//! invariant oracle and the static verifier all route their geometry
-//! through these, so a single match (usually branch-predicted perfectly —
-//! the kind never changes mid-run) replaces the old hardwired mesh
-//! arithmetic.
+//! ([`distance`], [`step`], [`has_link`], [`minimal_hop`],
+//! [`productive_ports`], [`escape_hop`], …) taking `&SimConfig` and
+//! dispatching on [`SimConfig::topology`]. They are the only hop
+//! functions: the cycle kernel, the routing algorithms, the invariant
+//! oracle, the static verifier, the admission walk and the fault tables
+//! all route their geometry through them, and a mesh is just the kind
+//! whose links do not wrap.
 //!
 //! ## Escape routing per topology
 //!
@@ -151,19 +151,12 @@ fn dim_dist(wrap: bool, a: u8, b: u8, size: u8) -> u32 {
     }
 }
 
-/// Minimal hop distance between two router coordinates.
+/// Minimal hop distance between two router coordinates (a ring's single
+/// row contributes no Y offset).
 #[inline]
 pub fn distance(cfg: &SimConfig, a: Coord, b: Coord) -> u32 {
-    if cfg.topology.wraps() {
-        dim_dist(true, a.x, b.x, cfg.width)
-            + if cfg.topology == TopologyKind::Ring {
-                0
-            } else {
-                dim_dist(true, a.y, b.y, cfg.height)
-            }
-    } else {
-        a.hops_to(b)
-    }
+    let wrap = cfg.topology.wraps();
+    dim_dist(wrap, a.x, b.x, cfg.width) + dim_dist(wrap, a.y, b.y, cfg.height)
 }
 
 /// Does the directed link out of `c` through port `p` exist?
@@ -283,13 +276,11 @@ pub fn productive_ports(cfg: &SimConfig, cur: Coord, dst: Coord) -> [Option<Port
 /// the chosen minimal directions, plus the escape *lane* a packet
 /// entering an escape VC here must use. Lane 1 while the remaining path
 /// in the chosen direction still crosses that direction's wraparound
-/// link, lane 0 after — the dateline scheme; always lane 0 on mesh
-/// variants. Returns `(PORT_LOCAL, 0)` at the destination.
+/// link, lane 0 after — the dateline scheme; on mesh variants the chosen
+/// direction never points past the destination, so the lane is always 0
+/// (plain XY). Returns `(PORT_LOCAL, 0)` at the destination.
 #[inline]
 pub fn escape_hop(cfg: &SimConfig, cur: Coord, dst: Coord) -> (Port, u8) {
-    if !cfg.topology.wraps() {
-        return (crate::routing::escape_port(cur, dst), 0);
-    }
     if let Some(p) = x_dir(cfg, cur, dst) {
         // Going east the wrap link is crossed iff the destination column
         // is behind us (dst.x < cur.x); symmetrically for west.
@@ -340,6 +331,28 @@ mod tests {
             }
         }
         v
+    }
+
+    #[test]
+    fn mesh_escape_is_x_first() {
+        let cfg = cfg_kind(TopologyKind::Mesh, 8, 8);
+        let esc = |a, b| escape_hop(&cfg, a, b);
+        assert_eq!(esc(c(0, 0), c(3, 3)), (PORT_EAST, 0));
+        assert_eq!(esc(c(3, 0), c(3, 3)), (PORT_SOUTH, 0));
+        assert_eq!(esc(c(3, 3), c(0, 3)), (PORT_WEST, 0));
+        assert_eq!(esc(c(3, 3), c(3, 0)), (PORT_NORTH, 0));
+        assert_eq!(esc(c(2, 2), c(2, 2)), (PORT_LOCAL, 0));
+    }
+
+    #[test]
+    fn mesh_productive_ports_cover_quadrants() {
+        let cfg = cfg_kind(TopologyKind::Mesh, 8, 8);
+        let prod = |a, b| productive_ports(&cfg, a, b);
+        assert_eq!(prod(c(2, 2), c(5, 7)), [Some(PORT_EAST), Some(PORT_SOUTH)]);
+        assert_eq!(prod(c(2, 2), c(0, 0)), [Some(PORT_WEST), Some(PORT_NORTH)]);
+        assert_eq!(prod(c(2, 2), c(2, 7)), [None, Some(PORT_SOUTH)]);
+        assert_eq!(prod(c(2, 2), c(7, 2)), [Some(PORT_EAST), None]);
+        assert_eq!(distance(&cfg, c(1, 2), c(4, 0)), 5);
     }
 
     #[test]

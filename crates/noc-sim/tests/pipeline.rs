@@ -137,7 +137,7 @@ fn minimal_routing_invariant() {
     }
     let expected_hops: f64 = [(0u16, 63u16), (7, 56), (12, 34), (33, 2), (63, 0)]
         .iter()
-        .map(|&(s, d)| cfg.coord_of(s).hops_to(cfg.coord_of(d)) as f64)
+        .map(|&(s, d)| noc_sim::topology::distance(&cfg, cfg.coord_of(s), cfg.coord_of(d)) as f64)
         .sum::<f64>()
         / 5.0;
     let mut net = Network::new(

@@ -57,7 +57,7 @@ proptest! {
                 src,
                 NewPacket { dst, app: 0, class: 0, size, reply: None },
             ));
-            total_hops += cfg.coord_of(src).hops_to(cfg.coord_of(dst)) as u64;
+            total_hops += noc_sim::topology::distance(&cfg, cfg.coord_of(src), cfg.coord_of(dst)) as u64;
             count += 1;
         }
         prop_assume!(count > 0);
@@ -227,7 +227,6 @@ fn dbar_window(
     dst: Coord,
     p: Port,
 ) -> Vec<NodeId> {
-    use noc_sim::routing::step;
     let my_region = region.app_of(cfg.node_at(src));
     let mut c = src;
     let mut window = Vec::new();
@@ -239,7 +238,7 @@ fn dbar_window(
         if at_dst_dim {
             break;
         }
-        c = step(c, p);
+        c = noc_sim::topology::step(cfg, c, p);
         let node = cfg.node_at(c);
         window.push(node);
         if region.app_of(node) != my_region {
@@ -279,7 +278,7 @@ proptest! {
             region.app_of(cfg.node_at(src)),
         );
         let dbar = DbarAdaptive;
-        let [a, b] = noc_sim::routing::productive_ports(src, dst);
+        let [a, b] = noc_sim::topology::productive_ports(&cfg, src, dst);
         let cands = [a.unwrap(), b.unwrap()];
 
         let pick = |congestion: &[u16]| {

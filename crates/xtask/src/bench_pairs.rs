@@ -1,24 +1,31 @@
-//! `cargo run -p xtask -- bench-pairs` — alternating parent/change runs of
-//! one `rair-bench` workload, appended to the repo's benchmark trajectory.
+//! The pairs driver, and `cargo run -p xtask -- bench-pairs` on it —
+//! alternating parent/change runs of one `rair-bench` workload, appended to
+//! the repo's benchmark trajectory.
 //!
-//! The task builds `rair-bench` in two checkouts (each into its own
-//! `rair-bench/target`), runs `--workload W --seed 300+i --trace 0` on both
-//! for every pair `i` — the same seed on both sides, the side that runs
-//! first alternating pair by pair, the run length the harness's default —
-//! appends one JSON row per run to `BENCH_history.jsonl` at the root of the
-//! checkout xtask was built from, and prints the gain rule as a verdict on
-//! every end-to-end metric, each in its `BENCHMARK.json` direction
-//! (`work_per_s` higher is better, `peak_rss_mb` and `setup_s` lower): a
-//! gain is claimed only on ten pairs or more, when the change wins at least
-//! nine tenths of them (ties count for neither) **and** the medians differ
-//! by more than the distance between the quartiles of the parent's own runs.
-//! The rule cuts both ways: when the *parent* wins nine tenths of the pairs
-//! and the medians are apart by more than the change's quartile distance the
-//! verdict is `LOSS`. `sim_apl_cycles` is not judged but checked: both sides
-//! of a pair simulate the same traffic, so a pair whose APLs differ is a
-//! behaviour change. Either failure — a `LOSS` on any metric or an APL
-//! mismatch — exits 1; CI's `bench-gate` job runs the task against the base
-//! commit on the one runner.
+//! [`drive`] serves every pairs task: it builds one [`Measurement`] in two
+//! checkouts, runs it once per side for every pair — the side that runs
+//! first alternating pair by pair — appends one JSON row per run to
+//! `BENCH_history.jsonl` at the root of the checkout xtask was built from,
+//! and prints the pairs rule as a verdict on every metric of the
+//! measurement, each in its own direction: a gain is claimed only on ten
+//! pairs or more, when the change wins at least nine tenths of them (ties
+//! count for neither) **and** the medians differ by more than the distance
+//! between the quartiles of the parent's own runs. The rule cuts both ways:
+//! when the *parent* wins nine tenths of the pairs and the medians are apart
+//! by more than the change's quartile distance the verdict is `LOSS`. A
+//! measurement may name one metric that is checked instead of judged: both
+//! sides of a pair must reproduce it exactly. Either failure — a `LOSS` on
+//! any metric or a mismatch — exits 1.
+//!
+//! [`Bench`] is `bench-pairs`' measurement: `rair-bench --workload W --seed
+//! 300+i --trace 0` (the same seed on both sides of pair `i`, the run
+//! length the harness's default) built into each checkout's own
+//! `rair-bench/target`, judged on the end-to-end metrics of
+//! `BENCHMARK.json` in its directions (`work_per_s` higher is better,
+//! `peak_rss_mb` and `setup_s` lower), with `sim_apl_cycles` checked: both
+//! sides of a pair simulate the same traffic, so a pair whose APLs differ is
+//! a behaviour change. CI's `bench-gate` job runs it against the base commit
+//! on the one runner. [`crate::tier1`] is the other measurement.
 //!
 //! The history file is append-only. Timings from different hosts are not
 //! comparable, which is why every row carries its host block and why the CI
@@ -59,43 +66,133 @@ pub const SEED_BASE: u64 = 300;
 pub const USAGE: &str = "cargo run -p xtask -- bench-pairs --pr N --parent <checkout> \
                          --change <checkout> --workload W [--pairs 10]";
 
-/// Parsed command line.
+/// The command line every pairs task shares.
 #[derive(Debug, PartialEq)]
-pub struct Args {
+pub struct Pairs {
     pub pr: u32,
+    pub pairs: usize,
     pub parent: PathBuf,
     pub change: PathBuf,
-    pub workload: String,
-    pub pairs: usize,
 }
 
-impl Args {
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
-        let (mut pr, mut parent, mut change, mut workload, mut pairs) =
-            (None, None, None, None, 10);
+impl Pairs {
+    /// Parse `--pr N --pairs N --parent DIR --change DIR` and the task's
+    /// `own` flags, whose values come back in `own`'s order. Every flag
+    /// takes one value; `--pairs` falls back to `default_pairs`, and is
+    /// required without one.
+    pub fn parse<const N: usize>(
+        argv: &[String],
+        own: [&str; N],
+        default_pairs: Option<usize>,
+    ) -> Result<(Self, [Option<String>; N]), String> {
+        let (mut pr, mut pairs, mut parent, mut change) = (None, default_pairs, None, None);
+        let mut values = std::array::from_fn(|_| None);
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
             let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
             match flag.as_str() {
                 "--pr" => pr = Some(value.parse().map_err(|_| "--pr needs a number")?),
+                "--pairs" => match value.parse() {
+                    Ok(n) if n > 0 => pairs = Some(n),
+                    _ => return Err("--pairs needs a number of at least 1".into()),
+                },
                 "--parent" => parent = Some(PathBuf::from(value)),
                 "--change" => change = Some(PathBuf::from(value)),
-                "--workload" => workload = Some(value.clone()),
-                "--pairs" => {
-                    pairs = value.parse().map_err(|_| "--pairs needs a number")?;
-                    if pairs == 0 {
-                        return Err("--pairs must be at least 1".into());
-                    }
-                }
-                other => return Err(format!("unknown flag {other}")),
+                other => match own.iter().position(|f| *f == other) {
+                    Some(i) => values[i] = Some(value.clone()),
+                    None => return Err(format!("unknown flag {other}")),
+                },
             }
         }
-        Ok(Self {
+        let pairs = Self {
             pr: pr.ok_or("--pr is required")?,
+            pairs: pairs.ok_or("--pairs is required")?,
             parent: parent.ok_or("--parent is required")?,
             change: change.ok_or("--change is required")?,
-            workload: workload.ok_or("--workload is required")?,
-            pairs,
+        };
+        Ok((pairs, values))
+    }
+}
+
+/// What a pairs task measures: built once per checkout, then run once per
+/// side of every pair.
+pub trait Measurement {
+    /// The `workload` field of its rows and the title of its verdict.
+    fn workload(&self) -> &str;
+    /// The metrics of one run, in row order, each with the way it improves.
+    fn metrics(&self) -> &'static [(&'static str, Better)];
+    /// The metric both sides of a pair must reproduce exactly: checked, not
+    /// judged.
+    fn identical(&self) -> Option<usize> {
+        None
+    }
+    /// The seed pair `pair` runs on, if the runs take one (its rows then
+    /// carry a `seed` field).
+    fn seed(&self, _pair: usize) -> Option<u64> {
+        None
+    }
+    /// Build `checkout` before the first pair.
+    fn build(&self, checkout: &Path) -> Result<(), String>;
+    /// One run of `checkout` in pair `pair`: the metrics, in
+    /// [`Self::metrics`] order.
+    fn run(&self, checkout: &Path, pair: usize) -> Result<Vec<f64>, String>;
+}
+
+/// `bench-pairs`' measurement: one `rair-bench` workload.
+#[derive(Debug, PartialEq)]
+pub struct Bench {
+    pub workload: String,
+}
+
+impl Bench {
+    /// The command line: the shared flags (`--pairs` defaults to 10) and
+    /// `--workload W`.
+    pub fn parse(argv: &[String]) -> Result<(Pairs, Self), String> {
+        let (pairs, [workload]) = Pairs::parse(argv, ["--workload"], Some(10))?;
+        let workload = workload.ok_or("--workload is required")?;
+        Ok((pairs, Self { workload }))
+    }
+}
+
+impl Measurement for Bench {
+    fn workload(&self) -> &str {
+        &self.workload
+    }
+
+    fn metrics(&self) -> &'static [(&'static str, Better)] {
+        &METRICS
+    }
+
+    fn identical(&self) -> Option<usize> {
+        Some(APL)
+    }
+
+    fn seed(&self, pair: usize) -> Option<u64> {
+        Some(SEED_BASE + pair as u64)
+    }
+
+    fn build(&self, checkout: &Path) -> Result<(), String> {
+        let ok = harness(checkout, "build")
+            .status()
+            .is_ok_and(|s| s.success());
+        ok.then_some(())
+            .ok_or_else(|| "building rair-bench failed".into())
+    }
+
+    fn run(&self, checkout: &Path, pair: usize) -> Result<Vec<f64>, String> {
+        let seed = SEED_BASE + pair as u64;
+        let out = harness(checkout, "run")
+            .args(["--", "--workload", &self.workload, "--trace", "0", "--seed"])
+            .arg(seed.to_string())
+            .output()
+            .map_err(|e| format!("cannot run cargo: {e}"))?;
+        let run = parse_run(&self.workload, &String::from_utf8_lossy(&out.stdout));
+        run.map(Vec::from).map_err(|e| {
+            format!(
+                "{} (seed {seed}): {e}\n{}",
+                checkout.display(),
+                String::from_utf8_lossy(&out.stderr)
+            )
         })
     }
 }
@@ -207,17 +304,22 @@ impl std::fmt::Display for Verdict {
     }
 }
 
-/// Judge paired runs (`parent[i]` and `change[i]` are pair `i`): the
-/// `sim_apl_cycles` of every pair must match, and every other metric gets
-/// the pairs rule in its own direction. Returns the report lines, and what
-/// the set fails on — an APL mismatch or a `LOSS` on any metric.
-pub fn judge(parent: &[Run], change: &[Run]) -> (Vec<String>, Result<(), String>) {
-    let column = |runs: &[Run], m: usize| runs.iter().map(|r| r[m]).collect::<Vec<_>>();
+/// Judge paired runs of `metrics` (`parent[i]` and `change[i]` are pair
+/// `i`): the metric at `identical` must match within every pair, and every
+/// other metric gets the pairs rule in its own direction. Returns the report
+/// lines, and what the set fails on — a mismatch or a `LOSS` on any metric.
+pub fn judge<R: AsRef<[f64]>>(
+    metrics: &[(&str, Better)],
+    identical: Option<usize>,
+    parent: &[R],
+    change: &[R],
+) -> (Vec<String>, Result<(), String>) {
+    let column = |runs: &[R], m: usize| runs.iter().map(|r| r.as_ref()[m]).collect::<Vec<_>>();
     let mut lines = Vec::new();
     let mut failures = Vec::new();
-    for (m, &(name, better)) in METRICS.iter().enumerate() {
+    for (m, &(name, better)) in metrics.iter().enumerate() {
         let (p, c) = (column(parent, m), column(change, m));
-        if m == APL {
+        if Some(m) == identical {
             let differ: Vec<usize> = (0..p.len()).filter(|&i| p[i] != c[i]).collect();
             lines.push(format!(
                 "{name}: median {} -> {} ({} of {} pairs identical)",
@@ -288,7 +390,8 @@ pub fn commit_of(checkout: &Path) -> String {
 }
 
 /// One history row, on a single line, rendered by the repo's one JSON
-/// writer ([`metrics::report::Value`]).
+/// writer ([`metrics::report::Value`]): `pr`, `commit`, `role`, `pair`,
+/// `workload`, `seed` (when the run has one), `host`, then the metrics.
 #[allow(clippy::too_many_arguments)]
 pub fn row(
     pr: u32,
@@ -296,9 +399,9 @@ pub fn row(
     role: &str,
     pair: usize,
     workload: &str,
-    seed: u64,
+    seed: Option<u64>,
     host: &Value,
-    run: &Run,
+    metrics: &[(&str, f64)],
 ) -> String {
     let mut fields = vec![
         ("pr".to_string(), u64::from(pr).into()),
@@ -306,11 +409,14 @@ pub fn row(
         ("role".to_string(), role.into()),
         ("pair".to_string(), pair.into()),
         ("workload".to_string(), workload.into()),
-        ("seed".to_string(), seed.into()),
-        ("host".to_string(), host.clone()),
     ];
-    let metrics = METRICS.iter().zip(run);
-    fields.extend(metrics.map(|((name, _), x)| (name.to_string(), Value::Float(*x, 0))));
+    fields.extend(seed.map(|s| ("seed".to_string(), s.into())));
+    fields.push(("host".to_string(), host.clone()));
+    fields.extend(
+        metrics
+            .iter()
+            .map(|&(name, x)| (name.to_string(), Value::Float(x, 0))),
+    );
     Value::Obj(fields).to_string()
 }
 
@@ -325,33 +431,14 @@ fn harness(checkout: &Path, verb: &str) -> Command {
     c
 }
 
-fn run_once(checkout: &Path, workload: &str, seed: u64) -> Result<Run, String> {
-    let out = harness(checkout, "run")
-        .args(["--", "--workload", workload, "--trace", "0", "--seed"])
-        .arg(seed.to_string())
-        .output()
-        .map_err(|e| format!("cannot run cargo: {e}"))?;
-    parse_run(workload, &String::from_utf8_lossy(&out.stdout)).map_err(|e| {
-        format!(
-            "{} (seed {seed}): {e}\n{}",
-            checkout.display(),
-            String::from_utf8_lossy(&out.stderr)
-        )
-    })
-}
-
-/// Build both sides, run the pairs, append the rows to `history`, print
-/// [`judge`]'s lines and fail where it does.
-pub fn run(args: &Args, history: &Path) -> Result<(), String> {
-    let sides = [("parent", &args.parent), ("change", &args.change)];
+/// The pairs driver: build `m` on both sides, run `pairs`' pairs, append
+/// the rows to `history`, print [`judge`]'s lines and fail where it does.
+pub fn drive(pairs: &Pairs, m: &impl Measurement, history: &Path) -> Result<(), String> {
+    let workload = m.workload();
+    let sides = [("parent", &pairs.parent), ("change", &pairs.change)];
     for (role, checkout) in sides {
-        eprintln!("[bench-pairs] building {role} ({})", checkout.display());
-        let ok = harness(checkout, "build")
-            .status()
-            .is_ok_and(|s| s.success());
-        if !ok {
-            return Err(format!("{role}: building rair-bench failed"));
-        }
+        eprintln!("[{workload}] building {role} ({})", checkout.display());
+        m.build(checkout).map_err(|e| format!("{role}: {e}"))?;
     }
     let host = host_block();
     let commits = sides.map(|(_, checkout)| commit_of(checkout));
@@ -360,45 +447,39 @@ pub fn run(args: &Args, history: &Path) -> Result<(), String> {
         .append(true)
         .open(history)
         .map_err(|e| format!("cannot open {}: {e}", history.display()))?;
-    let mut runs: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
-    for pair in 0..args.pairs {
-        let seed = SEED_BASE + pair as u64;
+    let names = m.metrics();
+    let mut runs: [Vec<Vec<f64>>; 2] = [Vec::new(), Vec::new()];
+    for pair in 0..pairs.pairs {
         // Alternate which side runs first, so a drifting host favours neither.
         let order = if pair % 2 == 0 { [0, 1] } else { [1, 0] };
         for side in order {
             let (role, checkout) = sides[side];
-            let run = run_once(checkout, &args.workload, seed)?;
+            let run = m.run(checkout, pair)?;
+            let metrics: Vec<(&str, f64)> =
+                names.iter().map(|&(n, _)| n).zip(run.clone()).collect();
+            let (commit, seed) = (&commits[side], m.seed(pair));
             let line = row(
-                args.pr,
-                &commits[side],
-                role,
-                pair,
-                &args.workload,
-                seed,
-                &host,
-                &run,
+                pairs.pr, commit, role, pair, workload, seed, &host, &metrics,
             );
             writeln!(file, "{line}").map_err(|e| format!("{}: {e}", history.display()))?;
-            eprintln!(
-                "[bench-pairs] pair {pair} {role}: work_per_s {} peak_rss_mb {}",
-                run[0], run[2]
-            );
+            let shown: Vec<String> = metrics.iter().map(|(n, x)| format!("{n} {x}")).collect();
+            eprintln!("[{workload}] pair {pair} {role}: {}", shown.join(" "));
             runs[side].push(run);
         }
     }
+    let seeds = match (m.seed(0), m.seed(pairs.pairs - 1)) {
+        (Some(a), Some(b)) => format!(", seeds {a}..={b}"),
+        _ => String::new(),
+    };
     println!(
-        "{} — {} pair(s), seeds {SEED_BASE}..={}, parent {} -> change {}",
-        args.workload,
-        args.pairs,
-        SEED_BASE + args.pairs as u64 - 1,
-        commits[0],
-        commits[1]
+        "{workload} — {} pair(s){seeds}, parent {} -> change {}",
+        pairs.pairs, commits[0], commits[1]
     );
-    let (lines, outcome) = judge(&runs[0], &runs[1]);
+    let (lines, outcome) = judge(names, m.identical(), &runs[0], &runs[1]);
     for line in lines {
         println!("{line}");
     }
-    outcome.map_err(|e| format!("{}: {e}", args.workload))
+    outcome.map_err(|e| format!("{workload}: {e}"))
 }
 
 #[cfg(test)]
@@ -411,13 +492,14 @@ mod tests {
 
     #[test]
     fn command_line() {
-        let a = Args::parse(&argv(
+        let (a, b) = Bench::parse(&argv(
             "--pr 18 --parent /p --change /c --workload mesh8_low",
         ))
         .unwrap();
-        assert_eq!((a.pr, a.pairs, a.workload.as_str()), (18, 10, "mesh8_low"));
+        assert_eq!((a.pr, a.pairs, b.workload.as_str()), (18, 10, "mesh8_low"));
         assert_eq!((a.parent, a.change), ("/p".into(), "/c".into()));
-        let a = Args::parse(&argv("--pairs 3 --pr 1 --parent p --change c --workload w")).unwrap();
+        let (a, _) =
+            Bench::parse(&argv("--pairs 3 --pr 1 --parent p --change c --workload w")).unwrap();
         assert_eq!(a.pairs, 3);
         for bad in [
             "--parent p --change c --workload w",
@@ -428,7 +510,7 @@ mod tests {
             "--pr x --parent p --change c --workload w",
             "--pr 1 --parent p --change c --workload w --seconds 5",
         ] {
-            assert!(Args::parse(&argv(bad)).is_err(), "{bad}");
+            assert!(Bench::parse(&argv(bad)).is_err(), "{bad}");
         }
     }
 
@@ -550,7 +632,7 @@ mod tests {
     #[test]
     fn every_metric_is_judged_and_any_loss_or_apl_mismatch_fails() {
         let parent = runs(100.0, 34.2, 7.3, 0.18);
-        let (lines, outcome) = judge(&parent, &runs(100.0, 34.2, 5.6, 0.18));
+        let (lines, outcome) = judge(&METRICS, Some(APL), &parent, &runs(100.0, 34.2, 5.6, 0.18));
         assert_eq!(outcome, Ok(()));
         assert_eq!(lines.len(), 4);
         assert!(
@@ -568,12 +650,12 @@ mod tests {
             "{lines:?}"
         );
         // A slower setup fails the set, whatever the throughput does.
-        let (_, outcome) = judge(&parent, &runs(200.0, 34.2, 7.3, 0.5));
+        let (_, outcome) = judge(&METRICS, Some(APL), &parent, &runs(200.0, 34.2, 7.3, 0.5));
         assert_eq!(outcome, Err("setup_s lost to the parent".to_string()));
         // One pair whose APLs differ is an error, not noise.
         let mut moved = parent.clone();
         moved[3][APL] += 0.5;
-        let (lines, outcome) = judge(&parent, &moved);
+        let (lines, outcome) = judge(&METRICS, Some(APL), &parent, &moved);
         assert!(lines[1].contains("9 of 10 pairs identical"), "{lines:?}");
         assert_eq!(
             outcome,
@@ -621,15 +703,16 @@ mod tests {
             ("rustc", Value::Null),
         ]);
         let run = [490650.5, 19.25, 4.0, 0.049];
+        let metrics: Vec<(&str, f64)> = METRICS.iter().map(|&(n, _)| n).zip(run).collect();
         let line = row(
             18,
             "abc1234-dirty",
             "change",
             3,
             "mesh8_low",
-            303,
+            Some(303),
             &host,
-            &run,
+            &metrics,
         );
         assert_eq!(
             line,

@@ -1,5 +1,5 @@
-//! # xtask — kernel determinism lint (and [`bench_pairs`] and [`tier1`], the
-//! benchmark trajectory's measuring tasks)
+//! # xtask — kernel determinism lint (and the pairs driver [`bench_pairs`] with
+//! its two measurements, `bench-pairs` and [`tier1`])
 //!
 //! The simulator's headline guarantee is bit-identical replay: the same
 //! config and seed must produce the same [`metrics::Digest`] on every

@@ -12,42 +12,21 @@
 //! `cargo run -p xtask -- tier1 …` — alternating pairs of timed
 //! `cargo test -q` runs of two checkouts, appended to
 //! `BENCH_history.jsonl` ([`xtask::tier1`]).
+//!
+//! Both run on one pairs driver, [`xtask::bench_pairs::drive`].
 
 use std::process::ExitCode;
-use xtask::{bench_pairs, tier1};
+use xtask::bench_pairs::{self, Measurement, Pairs};
+use xtask::tier1;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
         Some("bench-pairs") => {
-            let history = xtask::workspace_root().join("BENCH_history.jsonl");
-            // A bad command line gets the usage; a failed run, a `LOSS`
-            // verdict or an APL mismatch only its own message.
-            let run = bench_pairs::Args::parse(&args[1..])
-                .map_err(|e| format!("{e}\nusage: {}", bench_pairs::USAGE))
-                .and_then(|a| bench_pairs::run(&a, &history));
-            match run {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("[bench-pairs] {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            pairs_task(bench_pairs::USAGE, bench_pairs::Bench::parse(&args[1..]))
         }
-        Some("tier1") => {
-            let history = xtask::workspace_root().join("BENCH_history.jsonl");
-            let run = tier1::Args::parse(&args[1..])
-                .map_err(|e| format!("{e}\nusage: {}", tier1::USAGE))
-                .and_then(|a| tier1::run(&a, &history));
-            match run {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("[tier1] {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
+        Some("tier1") => pairs_task(tier1::USAGE, tier1::Tier1::parse(&args[1..])),
         Some("--help" | "-h") => {
             print_usage();
             ExitCode::SUCCESS
@@ -57,6 +36,22 @@ fn main() -> ExitCode {
                 eprintln!("unknown task `{cmd}`");
             }
             print_usage();
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Run a pairs task on the pairs driver. A bad command line gets the usage;
+/// a failed run, a `LOSS` verdict or a mismatch only its own message.
+fn pairs_task(usage: &str, parsed: Result<(Pairs, impl Measurement), String>) -> ExitCode {
+    let history = xtask::workspace_root().join("BENCH_history.jsonl");
+    let run = parsed
+        .map_err(|e| format!("{e}\nusage: {usage}"))
+        .and_then(|(pairs, m)| bench_pairs::drive(&pairs, &m, &history));
+    match run {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("[xtask] {e}");
             ExitCode::FAILURE
         }
     }

@@ -1,7 +1,9 @@
 //! Differential tests of the invariant oracle: seeded fault-injection
 //! mutators corrupt one protocol rule each, and the test asserts the
-//! corresponding checker — and only a relevant checker — catches it.
-//! The final test runs the *unmutated* kernel across the scheme × routing
+//! corresponding checker — and only a relevant checker — catches it. The
+//! five `inject_fault` controls (drop-credit, duplicate, misroute, corrupt,
+//! miscount-hops) run on every canonical topology, since each reads the
+//! topology's links and hop functions. The final test runs the *unmutated* kernel across the scheme × routing
 //! × load matrix with per-cycle checking and asserts zero violations, so
 //! the mutators prove detection power and the matrix proves a clean kernel.
 
@@ -12,10 +14,10 @@ use rair::prelude::*;
 use std::collections::HashSet;
 use traffic::prelude::*;
 
-/// Table 1 config with the oracle force-enabled, recording (not panicking)
-/// and checking every cycle.
-fn oracle_cfg(stall_horizon: u64) -> SimConfig {
-    let mut cfg = SimConfig::table1();
+/// Table 1 config of `kind` with the oracle force-enabled, recording (not
+/// panicking) and checking every cycle.
+fn oracle_cfg(kind: TopologyKind, stall_horizon: u64) -> SimConfig {
+    let mut cfg = SimConfig::table1_topology(kind);
     cfg.oracle = OracleConfig {
         enabled: Some(true),
         panic_on_violation: Some(false),
@@ -43,7 +45,7 @@ fn loaded_net(cfg: &SimConfig, seed: u64) -> Network {
 /// Try `mk(router, port, vc)` over every slot until one applies.
 fn inject_anywhere(net: &mut Network, mk: impl Fn(usize, Port, usize) -> Fault) -> bool {
     let v = net.cfg.vcs_per_port();
-    for router in 0..net.cfg.num_nodes() {
+    for router in 0..net.cfg.num_routers() {
         for port in 0..NUM_PORTS {
             for vc in 0..v {
                 if net.inject_fault(mk(router, port, vc)) {
@@ -53,6 +55,27 @@ fn inject_anywhere(net: &mut Network, mk: impl Fn(usize, Port, usize) -> Fault) 
         }
     }
     false
+}
+
+/// A loaded network of `kind`, ticked until `mk` applies to some slot (at
+/// most `cycles` ticks).
+fn mutated(
+    kind: TopologyKind,
+    seed: u64,
+    cycles: u32,
+    mk: impl Fn(usize, Port, usize) -> Fault,
+) -> Network {
+    let mut net = loaded_net(&oracle_cfg(kind, 25_000), seed);
+    let injected = (0..cycles).any(|_| {
+        net.tick();
+        inject_anywhere(&mut net, &mk)
+    });
+    let fault = mk(0, 0, 0);
+    assert!(
+        injected,
+        "{kind:?}: no slot for {fault:?} in {cycles} cycles"
+    );
+    net
 }
 
 /// Names of the checkers that recorded at least one violation.
@@ -66,56 +89,52 @@ fn checkers_hit(net: &Network) -> HashSet<&'static str> {
 
 #[test]
 fn dropped_credit_caught_by_credit_conservation() {
-    let mut net = loaded_net(&oracle_cfg(25_000), 7);
-    net.run(300);
-    assert_eq!(net.stats.oracle_violation_count, 0, "clean before fault");
-    assert!(
-        inject_anywhere(&mut net, |router, port, vc| Fault::DropCredit {
-            router,
-            port,
-            vc
-        }),
-        "no slot with a credit to drop after 300 loaded cycles"
-    );
-    assert!(net.check_oracle_now() > 0);
-    assert!(
-        checkers_hit(&net).contains("credit-conservation"),
-        "hit: {:?}",
-        checkers_hit(&net)
-    );
+    for kind in TopologyKind::CANONICAL {
+        let mut net = loaded_net(&oracle_cfg(kind, 25_000), 7);
+        net.run(300);
+        assert_eq!(
+            net.stats.oracle_violation_count, 0,
+            "{kind:?}: clean before fault"
+        );
+        assert!(
+            inject_anywhere(&mut net, |router, port, vc| Fault::DropCredit {
+                router,
+                port,
+                vc
+            }),
+            "{kind:?}: no slot with a credit to drop after 300 loaded cycles"
+        );
+        assert!(net.check_oracle_now() > 0, "{kind:?}");
+        let hit = checkers_hit(&net);
+        assert!(hit.contains("credit-conservation"), "{kind:?} hit: {hit:?}");
+    }
 }
 
 #[test]
 fn duplicated_flit_caught_by_wormhole_or_conservation() {
-    let mut net = loaded_net(&oracle_cfg(25_000), 11);
-    let mut injected = false;
-    for _ in 0..500 {
-        net.tick();
-        if inject_anywhere(&mut net, |router, port, vc| Fault::DuplicateFlit {
+    for kind in TopologyKind::CANONICAL {
+        let mut net = mutated(kind, 11, 500, |router, port, vc| Fault::DuplicateFlit {
             router,
             port,
             vc,
-        }) {
-            injected = true;
-            break;
-        }
+        });
+        // Check without ticking: the phantom copy sits on the link
+        // (in-flight), so the conservation scan already sees one more flit
+        // than was injected.
+        assert!(net.check_oracle_now() > 0, "{kind:?}");
+        let hit = checkers_hit(&net);
+        assert!(
+            hit.contains("wormhole-contiguity") || hit.contains("flit-conservation"),
+            "{kind:?} hit: {hit:?}"
+        );
+        // The replay pays a real upstream credit, so credit accounting
+        // stays coherent — the duplicate must be caught as a protocol-level
+        // phantom, not as a credit-bookkeeping discrepancy.
+        assert!(
+            !hit.contains("credit-conservation"),
+            "{kind:?}: duplicate bypassed credit accounting: {hit:?}"
+        );
     }
-    assert!(injected, "no buffered flit with room to duplicate");
-    // Check without ticking: the phantom copy sits on the link (in-flight),
-    // so the conservation scan already sees one more flit than was injected.
-    assert!(net.check_oracle_now() > 0);
-    let hit = checkers_hit(&net);
-    assert!(
-        hit.contains("wormhole-contiguity") || hit.contains("flit-conservation"),
-        "hit: {hit:?}"
-    );
-    // The replay pays a real upstream credit, so credit accounting stays
-    // coherent — the duplicate must be caught as a protocol-level phantom,
-    // not as a credit-bookkeeping discrepancy.
-    assert!(
-        !hit.contains("credit-conservation"),
-        "duplicate bypassed credit accounting: {hit:?}"
-    );
 }
 
 /// A body flit of another packet written behind a buffered, non-tail flit:
@@ -125,7 +144,7 @@ fn duplicated_flit_caught_by_wormhole_or_conservation() {
 /// catches it.
 #[test]
 fn second_packet_in_a_vc_caught_by_wormhole_contiguity() {
-    let mut net = loaded_net(&oracle_cfg(25_000), 19);
+    let mut net = loaded_net(&oracle_cfg(TopologyKind::Mesh, 25_000), 19);
     let depth = net.cfg.vc_depth;
     let mut injected = false;
     'run: for _ in 0..500 {
@@ -168,90 +187,64 @@ fn second_packet_in_a_vc_caught_by_wormhole_contiguity() {
 /// and wormhole contiguity guards the move; no counter changes.
 #[test]
 fn miscounted_hops_caught_by_wormhole_contiguity() {
-    let mut net = loaded_net(&oracle_cfg(25_000), 23);
-    let mut injected = false;
-    for _ in 0..500 {
-        net.tick();
-        if inject_anywhere(&mut net, |router, port, vc| Fault::MiscountHops {
+    for kind in TopologyKind::CANONICAL {
+        let mut net = mutated(kind, 23, 500, |router, port, vc| Fault::MiscountHops {
             router,
             port,
             vc,
-        }) {
-            injected = true;
-            break;
-        }
+        });
+        // Check without ticking: the edited record is still on the link.
+        assert!(net.check_oracle_now() > 0, "{kind:?}");
+        let caught = net
+            .stats
+            .oracle_violations
+            .iter()
+            .any(|v| v.checker == "wormhole-contiguity" && v.detail.contains("hops"));
+        assert!(caught, "{kind:?} hit: {:?}", net.stats.oracle_violations);
+        let hit = checkers_hit(&net);
+        assert!(
+            !hit.contains("flit-conservation") && !hit.contains("credit-conservation"),
+            "{kind:?}: a hop count perturbed accounting: {hit:?}"
+        );
     }
-    assert!(injected, "no body flit on a link into its packet's VC");
-    // Check without ticking: the edited record is still on the link.
-    assert!(net.check_oracle_now() > 0);
-    let caught = net
-        .stats
-        .oracle_violations
-        .iter()
-        .any(|v| v.checker == "wormhole-contiguity" && v.detail.contains("hops"));
-    assert!(caught, "hit: {:?}", net.stats.oracle_violations);
-    let hit = checkers_hit(&net);
-    assert!(
-        !hit.contains("flit-conservation") && !hit.contains("credit-conservation"),
-        "a hop count perturbed accounting: {hit:?}"
-    );
 }
 
 #[test]
 fn corrupted_payload_caught_by_crc_integrity() {
-    let mut net = loaded_net(&oracle_cfg(25_000), 17);
-    let mut injected = false;
-    for _ in 0..500 {
-        net.tick();
-        if inject_anywhere(&mut net, |router, port, vc| Fault::CorruptFlit {
+    for kind in TopologyKind::CANONICAL {
+        let mut net = mutated(kind, 17, 500, |router, port, vc| Fault::CorruptFlit {
             router,
             port,
             vc,
-        }) {
-            injected = true;
-            break;
-        }
+        });
+        // A single payload bit-flip leaves every counter and state machine
+        // intact; only the end-to-end CRC walk can see it.
+        assert!(net.check_oracle_now() > 0, "{kind:?}");
+        let hit = checkers_hit(&net);
+        assert!(hit.contains("crc-integrity"), "{kind:?} hit: {hit:?}");
+        assert!(
+            !hit.contains("flit-conservation") && !hit.contains("credit-conservation"),
+            "{kind:?}: payload corruption perturbed accounting: {hit:?}"
+        );
     }
-    assert!(
-        injected,
-        "no buffered flit whose payload could be corrupted"
-    );
-    // A single payload bit-flip leaves every counter and state machine
-    // intact; only the end-to-end CRC walk can see it.
-    assert!(net.check_oracle_now() > 0);
-    let hit = checkers_hit(&net);
-    assert!(hit.contains("crc-integrity"), "hit: {hit:?}");
-    assert!(
-        !hit.contains("flit-conservation") && !hit.contains("credit-conservation"),
-        "payload corruption perturbed accounting: {hit:?}"
-    );
 }
 
 #[test]
 fn misrouted_flit_caught_by_routing_legality() {
-    let mut net = loaded_net(&oracle_cfg(25_000), 13);
-    let mut injected = false;
-    for _ in 0..800 {
-        net.tick();
-        if inject_anywhere(&mut net, |router, port, vc| Fault::MisrouteFlit {
+    for kind in TopologyKind::CANONICAL {
+        let mut net = mutated(kind, 13, 800, |router, port, vc| Fault::MisrouteFlit {
             router,
             port,
             vc,
-        }) {
-            injected = true;
-            break;
-        }
+        });
+        let clean = net.stats.oracle_violation_count;
+        assert_eq!(clean, 0, "{kind:?}: clean before arrival");
+        // The misrouted flit lands next cycle; the arrival hook flags the
+        // unproductive hop at end of that same tick.
+        net.tick();
+        let hit = checkers_hit(&net);
+        assert!(hit.contains("routing-legality"), "{kind:?} hit: {hit:?}");
     }
-    assert!(injected, "no single-flit packet eligible for misrouting");
-    assert_eq!(net.stats.oracle_violation_count, 0, "clean before arrival");
-    // The misrouted flit lands next cycle; the arrival hook flags the
-    // unproductive hop at end of that same tick.
-    net.tick();
-    assert!(
-        checkers_hit(&net).contains("routing-legality"),
-        "hit: {:?}",
-        checkers_hit(&net)
-    );
 }
 
 #[test]
@@ -259,7 +252,7 @@ fn frozen_arbiter_caught_by_deadlock_watchdog() {
     // One scripted packet whose router is frozen before it can ever win
     // switch allocation: the network makes no progress while the flits sit
     // in the injection VC, so the global no-progress watchdog fires.
-    let cfg = oracle_cfg(400);
+    let cfg = oracle_cfg(TopologyKind::Mesh, 400);
     let pkt = NewPacket {
         dst: 9,
         app: 0,
@@ -287,7 +280,7 @@ fn frozen_arbiter_caught_by_deadlock_watchdog() {
 
 #[test]
 fn unmutated_kernel_is_violation_free_across_matrix() {
-    let cfg = oracle_cfg(25_000);
+    let cfg = oracle_cfg(TopologyKind::Mesh, 25_000);
     let schemes = [
         Scheme::RoRr,
         Scheme::RoAge,

@@ -49,7 +49,7 @@ fn in_bounds_ports(cfg: &SimConfig, router: NodeId) -> Vec<Port> {
 /// Both directions of the link out of `router` through `port`, mirroring
 /// how the kernel registers a `LinkDown` event.
 fn link_pair(cfg: &SimConfig, router: NodeId, port: Port) -> BTreeSet<(usize, Port)> {
-    let nbr = cfg.node_at(noc_sim::routing::step(cfg.coord_of(router), port));
+    let nbr = cfg.node_at(noc_sim::topology::step(cfg, cfg.coord_of(router), port));
     let opp = match port {
         1 => 3,
         2 => 4,

@@ -5,48 +5,13 @@
 //! trip the runtime deadlock watchdog, across randomized region maps,
 //! schemes and loads.
 
-use noc_sim::ids::{PORT_EAST, PORT_NORTH, PORT_SOUTH, PORT_WEST};
+use experiments::verify_config::MixedDorEscape;
+use noc_sim::ids::{PORT_EAST, PORT_WEST};
 use noc_sim::network::Network;
 use noc_sim::prelude::*;
-use noc_sim::routing::{escape_port, SelectCtx};
 use proptest::prelude::*;
 use rair::prelude::*;
 use traffic::prelude::*;
-
-/// A deliberately broken "escape" function: XY toward even-parity
-/// destinations, YX toward odd. The turn union is cyclic, so the verifier
-/// must reject any network built on it.
-struct MixedDor;
-
-impl RoutingAlgorithm for MixedDor {
-    fn name(&self) -> &'static str {
-        "MixedDOR-test"
-    }
-    fn adaptive_ports(&self, _cfg: &SimConfig, _cur: Coord, _dst: Coord) -> [Option<Port>; 2] {
-        [None, None]
-    }
-    fn select(&self, _ctx: &SelectCtx<'_>, _cands: &[Port]) -> usize {
-        0
-    }
-    fn next_hops(&self, _cfg: &SimConfig, cur: Coord, dst: Coord) -> NextHops {
-        let escape = if (dst.x + dst.y).is_multiple_of(2) {
-            escape_port(cur, dst)
-        } else if dst.y > cur.y {
-            PORT_SOUTH
-        } else if dst.y < cur.y {
-            PORT_NORTH
-        } else if dst.x > cur.x {
-            PORT_EAST
-        } else {
-            PORT_WEST
-        };
-        NextHops {
-            adaptive: [None, None],
-            escape,
-            escape_lane: 0,
-        }
-    }
-}
 
 #[test]
 fn escape_vcs_disabled_yields_a_cycle_witness() {
@@ -157,7 +122,7 @@ fn network_new_panics_on_a_cyclic_routing_function() {
     let _net = Network::new(
         cfg.clone(),
         region,
-        Box::new(MixedDor),
+        Box::new(MixedDorEscape),
         Scheme::RoRr.build(),
         Box::new(NoTraffic),
         1,
@@ -171,7 +136,7 @@ fn network_new_records_violations_when_panic_disabled() {
     let net = Network::new(
         cfg.clone(),
         region,
-        Box::new(MixedDor),
+        Box::new(MixedDorEscape),
         Scheme::RoRr.build(),
         Box::new(NoTraffic),
         1,
@@ -198,7 +163,7 @@ fn network_new_skips_the_verifier_when_the_oracle_is_off() {
     let net = Network::new(
         cfg.clone(),
         region,
-        Box::new(MixedDor),
+        Box::new(MixedDorEscape),
         Scheme::RoRr.build(),
         Box::new(NoTraffic),
         1,
