@@ -72,8 +72,6 @@ fn schemes() -> Vec<Scheme> {
     ]
 }
 
-const ROUTINGS: [Routing; 3] = [Routing::Xy, Routing::Local, Routing::Dbar];
-
 /// The analytical routing abstraction matching a simulated routing choice.
 pub(crate) fn routing_kind(routing: Routing) -> RoutingKind {
     match routing {
@@ -158,7 +156,7 @@ pub fn run_matrix(kinds: &[TopologyKind]) -> Vec<AdmitRow> {
             let specs: Vec<Option<AppSpec>> = (0..region.num_apps())
                 .map(|_| Some(AppSpec::intra_only(MATRIX_RATE)))
                 .collect();
-            for routing in ROUTINGS {
+            for routing in Routing::ALL {
                 for scheme in schemes() {
                     let t0 = Instant::now();
                     let adm = admit_cell(&cfg, &region, &scheme, routing, &specs);

@@ -11,20 +11,36 @@
 //! is one row plus its handler (DESIGN.md §15); a handler reports failure as
 //! an `Err` that `main` prints as `[repro] <message>` before exiting 1.
 
-use experiments::figs::{self, ablation};
+use experiments::figs;
 use experiments::runner::ExpConfig;
 use experiments::verify_config::{controls_table, judge_controls, NegativeCase};
 use metrics::report::{Table, Value};
 use noc_sim::topology::TopologyKind;
+use std::cell::Cell;
 use std::process::ExitCode;
 use Kind::{Switch, Valued};
 use Role::{Extra, Paper, Solo};
 use Scope::{Every, Row};
 
+/// `println!` for prose beside rendered tables; `eprintln!` under `--csv`,
+/// whose stdout carries CSV records only.
+macro_rules! say {
+    ($o:expr, $($arg:tt)*) => {
+        if $o.csv {
+            eprintln!($($arg)*);
+        } else {
+            println!($($arg)*);
+        }
+    };
+}
+
 /// Everything the flags can set.
 struct Opts {
     ec: ExpConfig,
     csv: bool,
+    /// Whether a table has been printed yet (CSV tables are separated by
+    /// one blank line).
+    printed: Cell<bool>,
     help: bool,
     /// CI-sized: quick windows plus a reduced matrix where one exists.
     smoke: bool,
@@ -123,12 +139,8 @@ const SUBCOMMANDS: &[Cmd] = &[
     Cmd { name: "fig14", role: Paper, help: "Fig. 14: six-application synthetic mix", flags: &[SIM], run: |o| figure(o, figs::fig14::report(&o.ec)) },
     Cmd { name: "fig15", role: Paper, help: "Fig. 15: global traffic patterns", flags: &[SIM], run: |o| figure(o, figs::fig15::report(&o.ec)) },
     Cmd { name: "fig17", role: Paper, help: "Fig. 17: PARSEC-like slowdowns under an adversary", flags: &[SIM], run: |o| figure(o, figs::fig17::report(&o.ec)) },
-    Cmd { name: "ablation-delta", role: Paper, help: "ablation: DPA hysteresis delta", flags: &[SIM], run: |o| emit(o, &ablation::delta_sweep(&o.ec)) },
-    Cmd { name: "ablation-vcsplit", role: Paper, help: "ablation: regional/global VC split", flags: &[SIM], run: |o| emit(o, &ablation::vc_split_sweep(&o.ec)) },
-    Cmd { name: "ablation-rank", role: Paper, help: "ablation: STC rank estimation", flags: &[SIM], run: |o| emit(o, &ablation::rank_estimation(&o.ec)) },
-    Cmd { name: "baselines", role: Extra, help: "the region-oblivious baselines side by side", flags: &[SIM], run: |o| emit(o, &ablation::baselines(&o.ec)) },
+    Cmd { name: "ablation", role: Paper, help: "baselines, DPA hysteresis delta and regional/global VC split, vs RO_RR", flags: &[SIM], run: |o| emit(o, &figs::ablation::run(&o.ec)) },
     Cmd { name: "curve", role: Extra, help: "load-latency curves and knees of three patterns", flags: &[SIM], run: curve },
-    Cmd { name: "oracle", role: Extra, help: "scheme x routing matrix under per-cycle invariant checking", flags: &[SIM], run: oracle },
     Cmd { name: "trace-demo", role: Extra, help: "capture a trace to a file, replay it under two schemes", flags: &[SIM, &["--trace-file"]], run: |o| emit(o, &figs::trace_demo::run(&o.ec, &o.trace_file)?) },
     Cmd { name: "verify-config", role: Extra, help: "static deadlock-freedom and legality proof (VERIFY_report.json)", flags: &[], run: verify_config },
     Cmd { name: "admit", role: Extra, help: "static QoS admission matrix (ADMIT_report.json)", flags: &[], run: admit },
@@ -182,6 +194,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<(Opts, Vec<&'static C
     let mut o = Opts {
         ec: ExpConfig::full(),
         csv: false,
+        printed: Cell::new(false),
         help: false,
         smoke: false,
         trace_file: "/tmp/rair_trace.bin".into(),
@@ -289,7 +302,8 @@ fn main() -> ExitCode {
 
 fn emit(o: &Opts, t: &Table) -> Outcome {
     if o.csv {
-        print!("{}", t.to_csv());
+        let gap = if o.printed.replace(true) { "\n" } else { "" };
+        print!("{gap}{}", t.to_csv());
     } else {
         println!("{}", t.render());
     }
@@ -317,7 +331,7 @@ fn self_check(o: &Opts, path: &str, rows: &Table, controls: &[NegativeCase]) -> 
 /// A paper figure: its tables, then the headline line against the paper's.
 fn figure(o: &Opts, (tables, summary): (Vec<Table>, String)) -> Outcome {
     tables.iter().try_for_each(|t| emit(o, t))?;
-    println!("{summary}\n");
+    say!(o, "{summary}\n");
     Ok(())
 }
 
@@ -329,28 +343,13 @@ fn curve(o: &Opts) -> Outcome {
         emit(o, &curve::table(&pattern, &points))?;
         if let Some(k) = curve::knee(&points) {
             let pattern = pattern.label();
-            println!("{pattern} knee (3x zero-load) at ~{k:.3} flits/cycle/node\n");
+            say!(
+                o,
+                "{pattern} knee (3x zero-load) at ~{k:.3} flits/cycle/node\n"
+            );
         }
     }
     Ok(())
-}
-
-/// The dedicated scheme × routing verification matrix with per-cycle
-/// checking (`RAIR_ORACLE=1` merely force-enables the oracle everywhere
-/// else).
-fn oracle(o: &Opts) -> Outcome {
-    let m = figs::oracle_check::run(&o.ec);
-    emit(o, &figs::oracle_check::table(&m))?;
-    let (violations, (low, high)) = (m.total_violations(), m.overhead);
-    println!("{}", metrics::report::oracle_summary(true, violations));
-    println!(
-        "oracle overhead (per-cycle checking, wall time on/off): \
-         {low:.2}x at low load, {high:.2}x at high load\n"
-    );
-    match violations {
-        0 => Ok(()),
-        _ => Err("ORACLE FOUND VIOLATIONS — kernel invariants broken".into()),
-    }
 }
 
 fn resilience(o: &Opts) -> Outcome {
@@ -361,7 +360,10 @@ fn resilience(o: &Opts) -> Outcome {
     let doc = Value::obj([("rows", t.json_rows())]);
     write_report("RESILIENCE_report.json", &doc, &what)?;
     let worst = figs::resilience::worst_fraction(&rows);
-    println!("worst delivered fraction across faulted cells: {worst:.4} (target >= 0.99)\n");
+    say!(
+        o,
+        "worst delivered fraction across faulted cells: {worst:.4} (target >= 0.99)\n"
+    );
     match rows.iter().map(|r| r.oracle_violations).sum::<u64>() {
         0 if worst >= 0.99 => Ok(()),
         0 => Err(format!(
@@ -398,7 +400,8 @@ fn verify_config(o: &Opts) -> Outcome {
     }
     judge_controls(&controls)?;
     let (n, k) = (rows.len(), controls.len());
-    println!(
+    say!(
+        o,
         "static verification: all {n} configurations proved deadlock-free and legal, \
          all {k} negative controls rejected with a witness\n"
     );
@@ -424,7 +427,8 @@ fn admit(o: &Opts) -> Outcome {
     judge_controls(&controls)?;
     let worst = rows.iter().map(|r| r.micros).max().unwrap_or(0);
     let (n, k) = (rows.len(), controls.len());
-    println!(
+    say!(
+        o,
         "static admission: all {n} configurations admitted \
          (slowest cell {worst} µs, target <= 10 ms), all {k} negative controls rejected\n"
     );
@@ -450,9 +454,13 @@ fn serve(o: &Opts) -> Outcome {
     let report = serve(std_store(), &specs, &scfg, &sim_exec());
     emit(o, &report.table())?;
     let quarantined = report.quarantined();
-    println!(
+    say!(
+        o,
         "sweep digest {:016x}  ({} resumed, {} cache hits, {} executed, {quarantined} quarantined)",
-        report.sweep_digest, report.resumed, report.cache_hits, report.executed,
+        report.sweep_digest,
+        report.resumed,
+        report.cache_hits,
+        report.executed,
     );
     if quarantined > 0 {
         eprintln!("[serve] warning: {quarantined} poison job(s) quarantined — see the report");
@@ -473,7 +481,8 @@ fn chaos(o: &Opts) -> Outcome {
         return Err("CHAOS FAILED — at least one fault class did not recover".into());
     }
     judge_controls(&report.controls)?;
-    println!(
+    say!(
+        o,
         "chaos battery: all {n} fault classes recovered with bit-identical digests, \
          all {k} negative controls detected\n"
     );
@@ -566,14 +575,13 @@ mod tests {
             );
         }
         let counts = (SUBCOMMANDS.len() + 1, FLAGS.len());
-        assert_eq!(counts, (21, 11), "subcommands (with `all`), flags");
+        assert_eq!(counts, (17, 11), "subcommands (with `all`), flags");
         let (_, all) = parse(["all".to_string()]).unwrap_or_else(|e| panic!("{e}"));
-        let want = "table1 lbdr fig9 fig10 fig12 fig14 fig15 fig17 \
-                    ablation-delta ablation-vcsplit ablation-rank";
+        let want = "table1 lbdr fig9 fig10 fig12 fig14 fig15 fig17 ablation";
         assert_eq!(names(&all), want);
         // `all` stands for its rows in place; extras named with it still run.
-        let args = ["baselines", "all", "curve"].map(String::from);
+        let args = ["trace-demo", "all", "curve"].map(String::from);
         let (_, cmds) = parse(args).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(names(&cmds), format!("baselines {want} curve"));
+        assert_eq!(names(&cmds), format!("trace-demo {want} curve"));
     }
 }

@@ -19,7 +19,6 @@ pub mod fig15;
 pub mod fig17;
 pub mod fig9;
 pub mod lbdr_analysis;
-pub mod oracle_check;
 pub mod resilience;
 pub mod table1;
 pub mod trace_demo;

@@ -1,13 +1,13 @@
 //! # experiments — regenerating the paper's evaluation
 //!
-//! One driver per table/figure of §V (plus the §III LBDR analysis, three
-//! ablations and the side-by-side `baselines`), all built on one cell runner
+//! One driver per table/figure of §V (plus the §III LBDR analysis and one
+//! sweep of the ablations and baselines), all built on one cell runner
 //! ([`figs::run_cells`], read back as a [`figs::AplTable`]) over the one
 //! supervised pool ([`service::pool`]), and the saturation-load cache
 //! ([`sweep::cached_saturation`], one `service::Cache` instance) that
 //! anchors the "% of saturation" load definitions. `run_cells` is the only
-//! way a driver runs more than one simulation — the oracle matrix,
-//! trace-demo and the journaled, resumable resilience sweep included; only
+//! way a driver runs more than one simulation — trace-demo and the
+//! journaled, resumable resilience sweep included; only
 //! `repro serve` calls the pool itself.
 //!
 //! The `repro` binary exposes every driver and service from the command

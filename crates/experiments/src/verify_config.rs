@@ -81,8 +81,6 @@ fn schemes() -> Vec<(Scheme, usize)> {
     ]
 }
 
-const ROUTINGS: [Routing; 3] = [Routing::Xy, Routing::Local, Routing::Dbar];
-
 /// Run the 4-region × 3-routing × {bare, LBDR} matrix on the canonical
 /// config ([`SimConfig::table1_topology`]) of each of `kinds`, in order;
 /// `repro verify-config` runs [`TopologyKind::CANONICAL`].
@@ -91,7 +89,7 @@ pub fn run_matrix(kinds: &[TopologyKind]) -> Vec<VerifyRow> {
     for &kind in kinds {
         let cfg = SimConfig::table1_topology(kind);
         for (region, map) in regions(&cfg) {
-            for routing in ROUTINGS {
+            for routing in Routing::ALL {
                 let alg = routing.build();
                 for lbdr in [false, true] {
                     let t0 = Instant::now();

@@ -281,18 +281,6 @@ pub fn kernel_summary(
     )
 }
 
-/// One-line summary of the invariant-oracle verdict for a run (or a batch
-/// of runs whose violation counts were summed).
-pub fn oracle_summary(enabled: bool, violations: u64) -> String {
-    if !enabled {
-        "oracle: disabled".to_string()
-    } else if violations == 0 {
-        "oracle: enabled — no invariant violations".to_string()
-    } else {
-        format!("oracle: enabled — {violations} invariant violation(s) recorded")
-    }
-}
-
 /// Format a float with 2 decimal places (latency cells).
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
@@ -346,13 +334,6 @@ mod tests {
         );
         // Zero totals (e.g. a zero-cycle run) must not divide by zero.
         assert!(kernel_summary(0, 0, 0, 0).contains("0.0%"));
-    }
-
-    #[test]
-    fn oracle_summary_states() {
-        assert_eq!(oracle_summary(false, 0), "oracle: disabled");
-        assert!(oracle_summary(true, 0).contains("no invariant violations"));
-        assert!(oracle_summary(true, 3).contains("3 invariant violation(s)"));
     }
 
     #[test]

@@ -107,9 +107,10 @@ impl Default for OracleConfig {
 }
 
 impl OracleConfig {
-    /// Force-enabled, record-only, checking every cycle — the configuration
-    /// the differential harness and the `repro oracle` matrix use whatever
-    /// `RAIR_ORACLE` says.
+    /// Force-enabled, record-only, checking every cycle, whatever
+    /// `RAIR_ORACLE` says — what the observers (`Analysis`,
+    /// `StarvationWatch`) require, and what the tests and `rair-bench`'s
+    /// oracle variant run under.
     pub fn forced() -> Self {
         Self {
             enabled: Some(true),

@@ -173,6 +173,9 @@ pub enum Routing {
 }
 
 impl Routing {
+    /// Every routing, in the order the matrices visit them.
+    pub const ALL: [Routing; 3] = [Routing::Xy, Routing::Local, Routing::Dbar];
+
     /// Instantiate the routing algorithm.
     pub fn build(&self) -> Box<dyn RoutingAlgorithm> {
         match self {

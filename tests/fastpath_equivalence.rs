@@ -109,7 +109,7 @@ fn fast_path_is_bit_identical_across_matrix() {
     // Light, moderate and near-saturating loads for the heavy app.
     let loads = [(0.2, 0.02), (0.8, 0.15), (1.0, 0.35)];
     for scheme in all_schemes() {
-        for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
+        for routing in Routing::ALL {
             for &(p, r1) in &loads {
                 let fast = run(&scheme, routing, p, r1, Production);
                 let slow = run(&scheme, routing, p, r1, Reference);
@@ -131,7 +131,7 @@ fn fast_path_is_bit_identical_across_matrix() {
     let cfg = SimConfig::table1();
     let (region, scenario) = two_app(&cfg, 0.3, 0.09, 0.09);
     let trace = Trace::capture(scenario, cfg.num_nodes() as NodeId, 1_200, 42);
-    for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
+    for routing in Routing::ALL {
         let digest = |kernel: Kernel| {
             let replay = Box::new(TraceReplay::new(&trace, cfg.num_nodes() as NodeId));
             let scheme = Scheme::ro_rank_online(2);
@@ -305,7 +305,7 @@ fn assert_scripted_identical(
     events: &[(u64, NodeId, NewPacket)],
     cycles: u64,
 ) {
-    for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
+    for routing in Routing::ALL {
         let fast = run_scripted(cfg, events, routing, cycles, Production);
         let slow = run_scripted(cfg, events, routing, cycles, Reference);
         assert_eq!(
@@ -333,7 +333,7 @@ fn fast_path_is_bit_identical_on_light_replayed_traces() {
             Scheme::ro_rank(vec![0.1, 0.9]),
             Scheme::rair(),
         ] {
-            for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
+            for routing in Routing::ALL {
                 let run = |kernel: Kernel| {
                     let mut net = Network::new(
                         cfg.clone(),

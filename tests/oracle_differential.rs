@@ -287,10 +287,9 @@ fn unmutated_kernel_is_violation_free_across_matrix() {
         Scheme::ro_rank(vec![0.1, 0.3]),
         Scheme::rair(),
     ];
-    let routings = [Routing::Xy, Routing::Local, Routing::Dbar];
     let loads = [(0.2, 0.02, 0.05), (1.0, 0.08, 0.3)];
     for scheme in &schemes {
-        for routing in routings {
+        for routing in Routing::ALL {
             for (p, r0, r1) in loads {
                 let (region, scenario) = two_app(&cfg, p, r0, r1);
                 let mut net = Network::new(
@@ -301,7 +300,7 @@ fn unmutated_kernel_is_violation_free_across_matrix() {
                     Box::new(scenario),
                     0xC0FFEE,
                 );
-                net.run(1_200);
+                net.run(2_000);
                 net.check_oracle_now();
                 assert_eq!(
                     net.stats.oracle_violation_count,

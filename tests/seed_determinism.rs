@@ -37,7 +37,7 @@ fn all_schemes() -> Vec<Scheme> {
 #[test]
 fn same_seed_same_digest_across_matrix() {
     for scheme in all_schemes() {
-        for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
+        for routing in Routing::ALL {
             let a = digest_of(&scheme, routing, 42);
             let b = digest_of(&scheme, routing, 42);
             assert_eq!(
@@ -56,7 +56,7 @@ fn different_seeds_differ() {
     // A loaded run's packet schedule depends on the seed, so distinct seeds
     // must fingerprint differently (collision odds are negligible across 3
     // pairs of 64-bit digests).
-    for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
+    for routing in Routing::ALL {
         let a = digest_of(&Scheme::rair(), routing, 1);
         let b = digest_of(&Scheme::rair(), routing, 2);
         assert_ne!(a, b, "seed ignored under {}", routing.label());

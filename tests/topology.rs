@@ -53,10 +53,6 @@ fn matrix() -> Vec<(TopologyKind, u8, u8)> {
     ]
 }
 
-fn routings() -> [Routing; 3] {
-    [Routing::Xy, Routing::Local, Routing::Dbar]
-}
-
 /// A two-region map split at column `xcut` (1 ≤ xcut < width): region 0
 /// west of the cut, region 1 east. Rectangular on every kind; on wrapping
 /// kinds it only steers traffic (no LBDR confinement is applied there —
@@ -129,7 +125,7 @@ fn verifier_passes_on_every_topology_and_radix() {
     for (kind, w, h) in matrix() {
         let cfg = cfg_kind(kind, w, h);
         let n = cfg.num_routers();
-        for routing in routings() {
+        for routing in Routing::ALL {
             let alg = routing.build();
             let report = Verifier::new(&cfg, alg.as_ref()).run();
             assert!(
@@ -155,7 +151,7 @@ fn verifier_passes_on_every_topology_and_radix() {
 fn verifier_passes_at_max_radix() {
     for kind in [TopologyKind::Mesh, TopologyKind::Torus] {
         let cfg = cfg_kind(kind, 32, 32);
-        for routing in routings() {
+        for routing in Routing::ALL {
             let alg = routing.build();
             let report = Verifier::new(&cfg, alg.as_ref()).run();
             assert!(

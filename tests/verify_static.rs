@@ -176,7 +176,7 @@ fn network_new_skips_the_verifier_when_the_oracle_is_off() {
 #[test]
 fn shipped_routings_verify_clean_through_network_new() {
     let cfg = verified_cfg();
-    for routing in [Routing::Xy, Routing::Local, Routing::Dbar] {
+    for routing in Routing::ALL {
         let (region, scenario) = two_app(&cfg, 0.5, 0.02, 0.02);
         let net = Network::new(
             cfg.clone(),
