@@ -94,7 +94,7 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--quick", scope: Row, kind: Switch(|o| o.ec = ExpConfig::quick()), help: "2 000 + 15 000-cycle windows instead of the paper's 10K + 100K" },
     Flag { name: "--smoke", scope: Row, kind: Switch(|o| (o.ec, o.smoke) = (ExpConfig::quick(), true)), help: "CI-sized: --quick windows, and a reduced matrix where one exists" },
     Flag { name: "--windows", scope: Row, kind: Valued("W,M", "WARMUP,MEASURE cycles (MEASURE > 0, WARMUP + MEASURE < 2^64)", set_windows), help: "explicit warmup,measure windows" },
-    Flag { name: "--seed", scope: Row, kind: Valued("N", "an integer", |o, v| v.parse().ok().map(|n| o.ec.seed = n)), help: "seed of every random stream" },
+    Flag { name: "--seed", scope: Row, kind: Valued("N", "an integer", |o, v| v.parse().ok().map(|n| o.ec.seed = n)), help: "seed of every random stream but the saturation searches', which is fixed" },
     Flag { name: "--csv", scope: Every, kind: Switch(|o| o.csv = true), help: "print tables as CSV" },
     Flag { name: "--trace-file", scope: Row, kind: Valued("PATH", "a path", |o, v| { o.trace_file = v.into(); Some(()) }), help: "where trace-demo writes its trace" },
     Flag { name: "--dir", scope: Row, kind: Valued("PATH", "a path", |o, v| { o.serve_dir = v.into(); Some(()) }), help: "state directory of the job service" },
@@ -133,8 +133,7 @@ const ALL: &str = "all";
 const SUBCOMMANDS: &[Cmd] = &[
     Cmd { name: "table1", role: Paper, help: "Table 1: the simulated configuration next to the paper's", flags: &[], run: |o| emit(o, &figs::table1::table()) },
     Cmd { name: "lbdr", role: Paper, help: "LBDR region confinement: path-length cost (Section III)", flags: &[&["--seed"]], run: |o| emit(o, &figs::lbdr_analysis::table(200_000, o.ec.seed)) },
-    Cmd { name: "fig9", role: Paper, help: "Fig. 9: APL vs inter-region fraction across the MSP stages", flags: &[SIM], run: |o| figure(o, figs::fig9::report(&o.ec)) },
-    Cmd { name: "fig10", role: Paper, help: "Fig. 10: RAIR composed with local / DBAR adaptive routing", flags: &[SIM], run: |o| figure(o, figs::fig10::report(&o.ec)) },
+    Cmd { name: "fig9", role: Paper, help: "Figs. 9 and 10: APL vs inter-region fraction across the MSP stages and routings", flags: &[SIM], run: |o| figs::fig9::report(&o.ec).into_iter().try_for_each(|f| figure(o, f)) },
     Cmd { name: "fig12", role: Paper, help: "Fig. 12: DPA against the two fixed priorities", flags: &[SIM], run: |o| figure(o, figs::fig12::report(&o.ec)) },
     Cmd { name: "fig14", role: Paper, help: "Fig. 14: six-application synthetic mix", flags: &[SIM], run: |o| figure(o, figs::fig14::report(&o.ec)) },
     Cmd { name: "fig15", role: Paper, help: "Fig. 15: global traffic patterns", flags: &[SIM], run: |o| figure(o, figs::fig15::report(&o.ec)) },
@@ -575,9 +574,9 @@ mod tests {
             );
         }
         let counts = (SUBCOMMANDS.len() + 1, FLAGS.len());
-        assert_eq!(counts, (17, 11), "subcommands (with `all`), flags");
+        assert_eq!(counts, (16, 11), "subcommands (with `all`), flags");
         let (_, all) = parse(["all".to_string()]).unwrap_or_else(|e| panic!("{e}"));
-        let want = "table1 lbdr fig9 fig10 fig12 fig14 fig15 fig17 ablation";
+        let want = "table1 lbdr fig9 fig12 fig14 fig15 fig17 ablation";
         assert_eq!(names(&all), want);
         // `all` stands for its rows in place; extras named with it still run.
         let args = ["trace-demo", "all", "curve"].map(String::from);

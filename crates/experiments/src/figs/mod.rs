@@ -12,7 +12,6 @@
 
 pub mod ablation;
 pub mod curve;
-pub mod fig10;
 pub mod fig12;
 pub mod fig14;
 pub mod fig15;

@@ -257,6 +257,23 @@ fn windows_override_presets_in_either_argv_order() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
+/// `fig9` renders Figs. 9 and 10 from one sweep, each above its headline.
+#[test]
+fn fig9_prints_the_fig9_and_fig10_tables() {
+    let cache = std::env::temp_dir().join(format!("rair-cli-fig9-{}", std::process::id()));
+    let out = repro()
+        .args(["--quick", "--windows", "100,300", "fig9"])
+        .env("RAIR_CACHE_DIR", &cache)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&cache);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    let s = String::from_utf8_lossy(&out.stdout);
+    let at = ["== Fig.9 ", "VA+SA vs", "== Fig.10 ", "DBAR vs"].map(|w| s.find(w));
+    assert!(at.iter().all(Option::is_some) && at.is_sorted(), "{s}");
+}
+
 /// A flag none of the named subcommands reads, a trailing positional after
 /// a solo subcommand, and a solo subcommand among experiments all fail up
 /// front, by name, with the usage — nothing runs first.
@@ -312,8 +329,9 @@ fn out_of_scope_flags_and_stray_positionals_fail_with_usage() {
 /// What was retired is gone by name — a flag and a subcommand of the
 /// model, the five flags that split a self-check by topology, ran its
 /// negative controls alone or spelled `RAIR_ORACLE=1`, the oracle matrix
-/// (tier-1's `oracle_differential` runs it) and the four six-app studies
-/// that `ablation` runs as one sweep — and the two `serve`
+/// (tier-1's `oracle_differential` runs it), the four six-app studies
+/// that `ablation` runs as one sweep and the Fig. 10 subcommand, whose
+/// table `fig9` prints from the same sweep — and the two `serve`
 /// knobs reject a zero at parse time: `--retries 0` used to run as 1, and
 /// `--timeout-ms 0` timed every attempt out at once and journaled
 /// `quarantine` rows a later resume then honoured. (The retired names are
@@ -353,6 +371,7 @@ fn retired_names_and_zero_valued_serve_knobs_fail_with_usage() {
         ("ablation", "-vcsplit"),
         ("ablation", "-rank"),
         ("base", "lines"),
+        ("fig", "10"),
     ]
     .map(|(a, b)| [a, b].concat());
     for name in &experiments {

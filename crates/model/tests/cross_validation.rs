@@ -41,7 +41,6 @@ fn mini_probe() -> SaturationProbe {
         warmup: 300,
         measure: 1_200,
         iters: 4,
-        ..SaturationProbe::default()
     }
 }
 

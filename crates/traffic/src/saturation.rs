@@ -39,8 +39,6 @@ pub struct SaturationProbe {
     /// Depth of the search grid: the load is resolved to one cell of
     /// `max_rate / 2^iters` (what that many interval halvings reach).
     pub iters: u32,
-    /// RNG seed for the trials.
-    pub seed: u64,
 }
 
 impl Default for SaturationProbe {
@@ -49,33 +47,36 @@ impl Default for SaturationProbe {
             warmup: 2_000,
             measure: 8_000,
             iters: 7,
-            seed: 0xA11CE,
         }
     }
 }
 
 impl SaturationProbe {
+    /// RNG seed of every trial: one saturation load per configuration,
+    /// whatever seed the simulations that run at it use.
+    pub const SEED: u64 = 0xA11CE;
+
     /// A faster, coarser probe for tests and quick mode.
     pub fn quick() -> Self {
         Self {
             warmup: 500,
             measure: 3_000,
             iters: 5,
-            ..Self::default()
         }
     }
 
     /// Fold every parameter that affects the measured saturation value into
     /// `d` — part of the collision-proof persistent-cache key. The key
     /// names the whole stability criterion, so its two constants go in
-    /// too, between the windows and the grid depth.
+    /// too, between the windows and the grid depth; the constant seed
+    /// keeps its place after the depth, so existing keys still match.
     pub fn digest_into(&self, d: &mut metrics::Digest) {
         d.write_u64(self.warmup);
         d.write_u64(self.measure);
         d.write_f64(BACKLOG_FRACTION);
         d.write_f64(LATENCY_BLOWUP);
         d.write_u64(self.iters as u64);
-        d.write_u64(self.seed);
+        d.write_u64(Self::SEED);
     }
 }
 
@@ -242,7 +243,6 @@ fn stability_oracle<'a>(
 /// with its configured traffic mix (all other applications silent), under
 /// round-robin arbitration and the given routing algorithm.
 fn app_alone<'a>(
-    probe: &'a SaturationProbe,
     cfg: &'a SimConfig,
     region: &'a RegionMap,
     app: AppId,
@@ -264,7 +264,7 @@ fn app_alone<'a>(
             routing(),
             Box::new(RoundRobin),
             Box::new(scenario),
-            probe.seed,
+            SaturationProbe::SEED,
         )
     })
 }
@@ -295,7 +295,7 @@ pub fn app_saturation_traced(
     _hint: Option<WarmStart>,
     routing: impl Fn() -> Box<dyn RoutingAlgorithm>,
 ) -> SearchOutcome {
-    let (active, build) = app_alone(probe, cfg, region, app, spec, routing);
+    let (active, build) = app_alone(cfg, region, app, spec, routing);
     let oracle = stability_oracle(probe, active, 1.0, build);
     let (load, probes) = search_saturation(probe.iters, 1.0, oracle);
     SearchOutcome {
@@ -315,7 +315,7 @@ pub fn app_stability<'a>(
     spec: &'a AppSpec,
     routing: impl Fn() -> Box<dyn RoutingAlgorithm> + 'a,
 ) -> impl FnMut(f64) -> (bool, f64) + 'a {
-    let (active, build) = app_alone(probe, cfg, region, app, spec, routing);
+    let (active, build) = app_alone(cfg, region, app, spec, routing);
     stability_oracle(probe, active, 1.0, build)
 }
 
@@ -468,7 +468,6 @@ mod tests {
             warmup: 200,
             measure: 500,
             iters: 3,
-            ..SaturationProbe::default()
         };
         let sat = app_saturation(&probe, &cfg, &region, 0, &AppSpec::intra_only(0.0), || {
             Box::new(DuatoLocalAdaptive)

@@ -9,9 +9,10 @@
 //! [`AplTable`].
 
 use experiments::figs::fig12::Variant;
-use experiments::figs::fig9::{cell_label, Series};
-use experiments::figs::{fig10, fig12, fig14, fig15, fig17, fig9, AplTable, Cell};
+use experiments::figs::fig9::cell_label;
+use experiments::figs::{fig12, fig14, fig15, fig17, fig9, AplTable, Cell};
 use experiments::runner::ExpConfig;
+use std::sync::OnceLock;
 use traffic::scenario::InterDest;
 
 fn ec() -> ExpConfig {
@@ -35,21 +36,22 @@ const SIX_APP_RATES: [f64; 6] = [0.072, 0.675, 0.253, 0.169, 0.18, 0.675];
 
 /// Only the cells whose label is in `keep`: the shape claims need fewer
 /// rows than the figure prints.
-fn only(cells: Vec<Cell>, keep: &[&str]) -> Vec<Cell> {
+fn only(cells: Vec<Cell>, keep: &[impl AsRef<str>]) -> Vec<Cell> {
     cells
         .into_iter()
-        .filter(|c| keep.contains(&c.label.as_str()))
+        .filter(|c| keep.iter().any(|k| k.as_ref() == c.label))
         .collect()
 }
 
-/// Figs. 9/10 cells of `series` at inter-region fraction `p`.
-fn two_app(series: &[Series], p: f64) -> AplTable {
-    AplTable::run(&ec(), fig9::cells(series, &[p], (RATE_LIGHT, RATE_HEAVY)))
+/// Every Figs. 9/10 series at p = 1, run once for both figures' cases.
+fn two_app_at_p1() -> &'static AplTable {
+    static TABLE: OnceLock<AplTable> = OnceLock::new();
+    TABLE.get_or_init(|| AplTable::run(&ec(), fig9::cells(&[1.0], (RATE_LIGHT, RATE_HEAVY))))
 }
 
 #[test]
 fn fig9_shape_rair_accelerates_interregion_traffic() {
-    let t = two_app(&fig9::series(), 1.0);
+    let t = two_app_at_p1();
     // RAIR_VA+SA must cut the light app's APL substantially (paper: -18.9%).
     let gain_full = t.reduction(&cell_label("RAIR_VA+SA", 1.0), 0);
     let gain_va = t.reduction(&cell_label("RAIR_VA", 1.0), 0);
@@ -69,17 +71,18 @@ fn fig9_shape_rair_accelerates_interregion_traffic() {
 fn fig9_no_interference_no_effect_at_p0() {
     // With no inter-region traffic the schemes coincide (no foreign flows
     // anywhere → all priorities compare equal-class requests).
-    let t = two_app(&fig9::series(), 0.0);
+    let keep = ["RO_RR", "RAIR_VA+SA"].map(|s| cell_label(s, 0.0));
+    let cells = fig9::cells(&[0.0], (RATE_LIGHT, RATE_HEAVY));
+    let t = AplTable::run(&ec(), only(cells, &keep));
     let diff = t.reduction(&cell_label("RAIR_VA+SA", 0.0), 0).abs();
     assert!(diff < 0.02, "p=0 divergence {diff}");
 }
 
 #[test]
 fn fig10_shape_dbar_composes_with_rair() {
-    let t = two_app(&fig10::series(), 1.0);
+    let t = two_app_at_p1();
     let [ro_local, rair_local, ro_dbar, rair_dbar] =
-        ["RO_RR_Local", "RAIR_Local", "RO_RR_DBAR", "RAIR_DBAR"]
-            .map(|s| t.apl(&cell_label(s, 1.0)));
+        ["RO_RR", "RAIR_VA+SA", "RO_RR_DBAR", "RAIR_DBAR"].map(|s| t.apl(&cell_label(s, 1.0)));
     // RAIR+DBAR is the best configuration for the light app (paper §V.C).
     assert!(rair_dbar[0] < ro_local[0]);
     assert!(rair_dbar[0] < ro_dbar[0]);
