@@ -253,7 +253,7 @@ fn resolve_worker_count(env_threads: Option<&str>, jobs: usize) -> (usize, Optio
 }
 
 /// Version tag opening every [`RunResult`] row; bump when the row layout
-/// changes so old journal and result-cache rows are ignored, not misparsed.
+/// changes so old journal rows are ignored, not misparsed.
 const CHECKPOINT_TAG: &str = "rair-ckpt-v1";
 
 pub(crate) fn esc_label(s: &str) -> String {
@@ -322,8 +322,7 @@ fn parse_latency_field(s: &str) -> Option<Vec<Option<f64>>> {
 }
 
 /// One completed result as a single row (tab-separated, version-tagged,
-/// floats bit-exact): the payload of journal `done` rows and result-cache
-/// entries.
+/// floats bit-exact): the payload of journal `done` rows.
 pub(crate) fn checkpoint_line(r: &RunResult) -> String {
     format!(
         "{CHECKPOINT_TAG}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",

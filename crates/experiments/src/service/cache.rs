@@ -1,17 +1,19 @@
-//! The one cache layer: a bounded FIFO memory layer over one CRC-framed
-//! file per key in a directory given on every call, read and written
-//! through the [`Store`] seam. Its two instances hold the saturation loads
-//! ([`crate::sweep`], `sat_<key>.txt`) and `repro serve`'s job results
-//! ([`super::serve`], `job_<id>.txt`).
+//! The saturation-load cache: a bounded FIFO memory layer over one
+//! CRC-framed file per key in a directory given on every call, read and
+//! written through the [`Store`] seam. Its one instance lives in
+//! [`crate::sweep`].
 //!
-//! An entry's first line is the [`frame`]d value; lines after it are a note
-//! readers ignore. A file that fails the frame or the decoder is renamed
+//! An entry, `sat_<key:016x>.txt`, holds the load's bit pattern under the
+//! [`frame`] tagged [`TAG`]; lines after it are a note readers ignore.
+//! Older generations (`v2 <bits> <crc>`, a bare bit pattern), a file that
+//! fails the frame and a framed value a search would reject are renamed
 //! `*.corrupt`, counted and read as a miss: a recomputation, never a wrong
 //! value. A put writes atomically (`create_dir_all`, then `write_atomic`)
 //! and only warns on failure. The cache adds no other file: no index, no
 //! lock.
 
 use super::store::{frame, unframe, Store};
+use crate::runner;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -20,6 +22,18 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Entries the memory layer holds; the oldest is evicted first and
 /// survives on disk.
 const MEM_CAP: usize = 256;
+
+/// File-name prefix: `key` lives in `<dir>/sat_<key:016x>.txt`.
+const PREFIX: &str = "sat";
+
+/// Frame tag of an entry's first line.
+const TAG: &str = "rair-sat-v3";
+
+/// The load a framed value (its bit pattern, [`runner::f64_field`]) holds,
+/// if a search would accept it.
+fn decode(hex: &str) -> Option<f64> {
+    runner::parse_f64_field(hex).filter(|&v| crate::sweep::is_load(v))
+}
 
 /// Lookup counters of one [`Cache`] since it was built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,34 +46,19 @@ pub(crate) struct CacheStats {
     pub corrupt: u64,
 }
 
-/// A two-layer cache of `V` keyed by a `u64` digest. The codec is two
-/// function pointers, so an instance can live in a `static`.
-pub(crate) struct Cache<V> {
-    /// File-name prefix: `key` lives in `<dir>/<prefix>_<key:016x>.txt`.
-    prefix: &'static str,
-    /// Frame tag of the entry's first line.
-    tag: &'static str,
-    encode: fn(&V) -> String,
-    decode: fn(&str) -> Option<V>,
-    mem: Mutex<VecDeque<(u64, V)>>,
+/// A two-layer cache of saturation loads keyed by a `u64` digest; `const`
+/// constructible, so it can live in a `static`.
+pub(crate) struct Cache {
+    mem: Mutex<VecDeque<(u64, f64)>>,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
 }
 
-impl<V: Clone> Cache<V> {
-    pub(crate) const fn new(
-        prefix: &'static str,
-        tag: &'static str,
-        encode: fn(&V) -> String,
-        decode: fn(&str) -> Option<V>,
-    ) -> Self {
+impl Cache {
+    pub(crate) const fn new() -> Self {
         Self {
-            prefix,
-            tag,
-            encode,
-            decode,
             mem: Mutex::new(VecDeque::new()),
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -69,32 +68,32 @@ impl<V: Clone> Cache<V> {
     }
 
     /// The file that holds `key` under `dir`.
-    pub(crate) fn path(&self, dir: &Path, key: u64) -> PathBuf {
-        dir.join(format!("{}_{key:016x}.txt", self.prefix))
+    fn path(&self, dir: &Path, key: u64) -> PathBuf {
+        dir.join(format!("{PREFIX}_{key:016x}.txt"))
     }
 
     /// The value of `key`: from memory, else from its file under `dir`
     /// (and then remembered), else `None`.
-    pub(crate) fn get(&self, store: &dyn Store, dir: &Path, key: u64) -> Option<V> {
+    pub(crate) fn get(&self, store: &dyn Store, dir: &Path, key: u64) -> Option<f64> {
         if let Some((_, v)) = self.mem().iter().find(|(k, _)| *k == key) {
             self.mem_hits.fetch_add(1, Relaxed);
-            return Some(v.clone());
+            return Some(*v);
         }
         let Some(value) = self.read_entry(store, &self.path(dir, key)) else {
             self.misses.fetch_add(1, Relaxed);
             return None;
         };
         self.disk_hits.fetch_add(1, Relaxed);
-        self.remember(key, value.clone());
+        self.remember(key, value);
         Some(value)
     }
 
     /// Remember `value` under `key` and persist it: the framed value, then
     /// `note` verbatim (empty, or whole lines of its own).
-    pub(crate) fn put(&self, store: &dyn Store, dir: &Path, key: u64, value: &V, note: &str) {
-        self.remember(key, value.clone());
+    pub(crate) fn put(&self, store: &dyn Store, dir: &Path, key: u64, value: f64, note: &str) {
+        self.remember(key, value);
         let path = self.path(dir, key);
-        let body = format!("{}\n{note}", frame(self.tag, &(self.encode)(value)));
+        let body = format!("{}\n{note}", frame(TAG, &runner::f64_field(value)));
         let written = store
             .create_dir_all(dir)
             .and_then(|()| store.write_atomic(&path, body.as_bytes()));
@@ -120,11 +119,11 @@ impl<V: Clone> Cache<V> {
     /// The memory layer, locked. A job that panics while it holds the guard
     /// (the pool catches it and moves on) poisons the mutex; every step
     /// leaves the queue valid, so the guard is recovered.
-    fn mem(&self) -> MutexGuard<'_, VecDeque<(u64, V)>> {
+    fn mem(&self) -> MutexGuard<'_, VecDeque<(u64, f64)>> {
         self.mem.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn remember(&self, key: u64, value: V) {
+    fn remember(&self, key: u64, value: f64) {
         let mut mem = self.mem();
         if let Some(slot) = mem.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = value;
@@ -140,23 +139,22 @@ impl<V: Clone> Cache<V> {
     /// miss; one whose first line fails the frame or the decoder is a miss
     /// too, but counted, warned about and renamed `<name>.corrupt` for
     /// post-mortems.
-    fn read_entry(&self, store: &dyn Store, path: &Path) -> Option<V> {
+    fn read_entry(&self, store: &dyn Store, path: &Path) -> Option<f64> {
         if !store.exists(path) {
             return None;
         }
         let bytes = store.read(path).ok()?;
         let hit = std::str::from_utf8(&bytes)
             .ok()
-            .and_then(|text| unframe(self.tag, text.lines().next()?))
-            .and_then(self.decode);
+            .and_then(|text| unframe(TAG, text.lines().next()?))
+            .and_then(decode);
         if hit.is_none() {
             self.corrupt.fetch_add(1, Relaxed);
             let mut aside = path.as_os_str().to_owned();
             aside.push(".corrupt");
             eprintln!(
-                "[cache] warning: {} entry {} failed validation (CRC/framing/parse); \
+                "[cache] warning: {TAG} entry {} failed validation (CRC/framing/parse); \
                  setting it aside as *.corrupt and treating it as a miss",
-                self.tag,
                 path.display()
             );
             if let Err(e) = store.rename(path, Path::new(&aside)) {
@@ -170,7 +168,6 @@ impl<V: Clone> Cache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner;
     use crate::service::{crc32, ChaosStore, Fault, StdStore};
 
     /// A fresh, empty directory for one test.
@@ -193,7 +190,7 @@ mod tests {
 
     #[test]
     fn memory_layer_is_a_bounded_fifo() {
-        let cache = crate::sweep::saturation_cache();
+        let cache = Cache::new();
         for k in 0..(MEM_CAP as u64 + 50) {
             cache.remember(k, k as f64);
         }
@@ -215,9 +212,9 @@ mod tests {
     #[test]
     fn corrupt_or_old_generation_entry_is_set_aside_as_a_miss() {
         let dir = tmp_dir("corrupt");
-        let cache = crate::sweep::saturation_cache();
+        let cache = Cache::new();
         let (key, load) = (0x5A7, 0.375);
-        cache.put(&StdStore, &dir, key, &load, "# live = 0.375000\n");
+        cache.put(&StdStore, &dir, key, load, "# live = 0.375000\n");
         let path = cache.path(&dir, key);
         let live = std::fs::read_to_string(&path).unwrap();
         let hex = runner::f64_field(load);
@@ -243,7 +240,7 @@ mod tests {
             assert_eq!(after.misses, before.misses + 1, "{what}");
             assert!(path.with_extension("txt.corrupt").exists(), "{what}");
             assert!(!path.exists(), "{what}");
-            cache.put(&StdStore, &dir, key, &load, "");
+            cache.put(&StdStore, &dir, key, load, "");
             let rewritten = std::fs::read_to_string(&path).unwrap();
             assert_eq!(rewritten.lines().next(), Some(framed.as_str()), "{what}");
         }
@@ -257,11 +254,11 @@ mod tests {
     #[test]
     fn write_faults_keep_the_value_and_leave_a_miss_never_a_torn_entry() {
         let dir = tmp_dir("write-faults");
-        let cache = crate::sweep::saturation_cache();
+        let cache = Cache::new();
         // Ops per put: create_dir_all, write_atomic (`exists` is not drawn).
         let store = ChaosStore::scripted(vec![(1, Fault::Enospc), (3, Fault::CrashBeforeRename)]);
         for fault in ["enospc", "crash-before-rename"] {
-            cache.put(&store, &dir, 0xFA17, &0.314159, "# demo\n");
+            cache.put(&store, &dir, 0xFA17, 0.314159, "# demo\n");
             assert_eq!(cache.get(&store, &dir, 0xFA17), Some(0.314159), "{fault}");
             cache.clear();
             assert_eq!(cache.get(&store, &dir, 0xFA17), None, "{fault}");
@@ -273,7 +270,7 @@ mod tests {
             matches!(&names[..], [stray] if stray.contains(".tmp.")),
             "only the crashed write's temp file survives: {names:?}"
         );
-        cache.put(&store, &dir, 0xFA17, &0.314159, "# demo\n");
+        cache.put(&store, &dir, 0xFA17, 0.314159, "# demo\n");
         cache.clear();
         let bits = cache.get(&store, &dir, 0xFA17).map(f64::to_bits);
         assert_eq!(bits, Some(0.314159f64.to_bits()));
@@ -285,8 +282,8 @@ mod tests {
     #[test]
     fn lookups_survive_a_poisoned_memory_layer() {
         let dir = tmp_dir("poisoned");
-        let cache = crate::sweep::saturation_cache();
-        cache.put(&StdStore, &dir, 3, &0.4375, "");
+        let cache = Cache::new();
+        cache.put(&StdStore, &dir, 3, 0.4375, "");
         cache.clear();
         std::thread::scope(|s| {
             let holder = s.spawn(|| {

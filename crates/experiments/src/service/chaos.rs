@@ -14,7 +14,7 @@
 //! The other fault classes are covered by tests, not batteries: an altered
 //! digit inside a journaled sweep row by `pool`'s
 //! `checkpointed_sweep_resumes_cleans_up_and_rejects_altered_rows`, a
-//! corrupt cache entry by `cache`'s
+//! corrupt saturation-cache entry by `cache`'s
 //! `corrupt_or_old_generation_entry_is_set_aside_as_a_miss`,
 //! and SIGKILL mid-sweep by `tests/chaos.rs` against the real binary.
 //!

@@ -5,12 +5,13 @@
 //! backoff, poison-job quarantine) runs every sweep in the crate — the
 //! figure drivers' `run_cells` (resumable when given a journal) and
 //! `repro serve` — and, given a journal, records every state transition
-//! in one per-line-CRC'd WAL ([`journal`]). The crate's one cache layer
-//! (`cache::Cache`: bounded memory over one framed file per key) holds
-//! the saturation loads and `serve`'s job results. On top of it, [`serve`]
-//! turns a jobs file into something a long-lived design-space exploration
-//! can sit on: results are deduplicated against a digest-keyed result cache
-//! and every job passes the admission gate before it is built. All
+//! in one per-line-CRC'd WAL ([`journal`]). On top of it, [`serve`] turns
+//! a jobs file into something a long-lived design-space exploration can
+//! sit on: a finished job is one `done` row in its journal, keyed by a
+//! digest of the job's parameters, so a resume runs only what that journal
+//! does not hold, and every job passes the admission gate before it is
+//! built. The saturation loads live in the crate's one cache
+//! (`cache::Cache`: bounded memory over one framed file per key). All
 //! filesystem traffic goes through the injectable [`store::Store`] trait
 //! (and one framed-entry codec beside it), so the [`chaos`] battery can
 //! deterministically inject torn and corrupt journal rows, EIO, ENOSPC,
@@ -31,22 +32,6 @@ pub use chaos::{run as run_chaos, ChaosReport};
 pub use journal::{Journal, Replay, WAL_TAG};
 pub use serve::{serve, sim_exec, JobExec, JobSpec, JobStatus, ServeConfig, ServeReport};
 pub use store::{crc32, frame, std_store, ChaosStore, Fault, StdStore, Store};
-
-/// Recursively copy a directory tree — enough for tests that snapshot a
-/// service directory (journal + result cache) and resume from the copy.
-#[cfg(test)]
-pub(crate) fn copy_dir_for_tests(src: &std::path::Path, dst: &std::path::Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap().flatten() {
-        let from = entry.path();
-        let to = dst.join(entry.file_name());
-        if from.is_dir() {
-            copy_dir_for_tests(&from, &to);
-        } else {
-            std::fs::copy(&from, &to).unwrap();
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -220,16 +220,9 @@ fn run_attempt(run: &Work, timeout_ms: Option<u64>) -> Result<RunResult, String>
 }
 
 /// Run every task under supervision and return the outcomes in task
-/// order. `on_done` runs on the worker right after a task's `done` row is
-/// journaled (`serve` persists its result cache there). Parallelism never
-/// changes results — runs are independent and deterministic — and progress
-/// is reported on stderr as tasks finish.
-pub fn run_supervised(
-    tasks: &[Task],
-    policy: &Policy,
-    journal: Option<&Journal>,
-    on_done: &(dyn Fn(&Task, &RunResult) + Sync),
-) -> Vec<Outcome> {
+/// order. Parallelism never changes results — runs are independent and
+/// deterministic — and progress is reported on stderr as tasks finish.
+pub fn run_supervised(tasks: &[Task], policy: &Policy, journal: Option<&Journal>) -> Vec<Outcome> {
     let log = |row: String| {
         if let Some(j) = journal {
             j.append(&row);
@@ -242,7 +235,6 @@ pub fn run_supervised(
             match run_attempt(&t.run, policy.timeout_ms) {
                 Ok(r) => {
                     log(rows::done(t.id, &r));
-                    on_done(t, &r);
                     return Outcome {
                         attempts: attempt,
                         result: Ok(r),
@@ -319,7 +311,7 @@ pub(crate) fn run_sweep(
     journal: Option<&Journal>,
 ) -> Vec<Result<RunResult, JobError>> {
     let supervised = |tasks: &[Task]| -> Vec<Result<RunResult, JobError>> {
-        let outcomes = run_supervised(tasks, &SWEEP_POLICY, journal, &|_, _| {});
+        let outcomes = run_supervised(tasks, &SWEEP_POLICY, journal);
         outcomes.into_iter().map(|o| o.result).collect()
     };
     let Some(journal) = journal else {

@@ -9,26 +9,27 @@
 //!    matching `done`/`failed` count as consumed attempts, so a job that
 //!    kills the process on every attempt is quarantined after
 //!    `max_attempts` crash-resume cycles instead of crash-looping forever.
-//! 2. **Result dedup** — finished results also go to a `Cache` under
-//!    `<dir>/results/cache`, keyed by the job's parameter digest (the label
-//!    is excluded, so relabeled duplicates dedup). A valid entry satisfies
-//!    a job without simulation; a corrupt one is set aside and missed.
-//! 3. **Gates** — every pending job passes the static admission pipeline
+//!    A finished job exists once, as its `done` row: reusing results in
+//!    another state directory means copying `journal.wal` there.
+//! 2. **Gates** — every pending job passes the static admission pipeline
 //!    before any network is built (a rejected scheme is recorded and
 //!    skipped), and with [`ServeConfig::screen`] the analytical model
 //!    screens out jobs offered far past their saturation bound.
-//! 4. **Supervision** — the surviving jobs run on the crate's one
+//! 3. **Supervision** — the surviving jobs run on the crate's one
 //!    supervised pool ([`super::pool::run_supervised`]: `catch_unwind`,
 //!    optional wall-clock timeout, bounded backoff, poison-job quarantine
 //!    after `max_attempts` failures — labeled in the report, never
 //!    aborting the sweep).
+//!
+//! Lines with the same [`JobSpec::id`] (a parameter digest that excludes
+//! the label) are one job: only the first runs, the others copy its
+//! outcome under their own label.
 //!
 //! The sweep digest folds every job's id, terminal status, and (for done
 //! jobs) the full bit pattern of its result, in jobs-file order — so "a
 //! killed+resumed sweep equals an uninterrupted one" is checkable as a
 //! single `u64` comparison.
 
-use super::cache::Cache;
 use super::journal::Journal;
 use super::pool::{replay_jobs, rows, run_supervised, Policy, Task};
 use super::store::Store;
@@ -184,8 +185,8 @@ impl JobSpec {
         d.write_u64(ec.measure);
         d.write_u64(ec.seed);
         // The slot of a per-run cycle budget (`u64::MAX` = none, the only
-        // value): it keeps job ids, result file names and the pinned sweep
-        // digest what they are.
+        // value): it keeps job ids and the pinned sweep digest what they
+        // are.
         d.write_u64(u64::MAX);
         d.finish()
     }
@@ -237,8 +238,8 @@ pub fn sim_exec() -> JobExec {
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// State directory: holds `journal.wal`, `results/cache/` and the
-    /// `SERVE_report.json`.
+    /// State directory, created if missing: holds `journal.wal` (and its
+    /// `.quarantine` when replay set rows aside) and `SERVE_report.json`.
     pub dir: PathBuf,
     pub ec: ExpConfig,
     /// Attempts (including those consumed by earlier crashed invocations)
@@ -308,7 +309,7 @@ pub struct JobOutcome {
     /// Why the job was rejected/screened/quarantined.
     pub reason: Option<String>,
     /// Satisfied without running a simulation in this invocation (journal
-    /// replay, result-cache hit, or dedup against an identical job).
+    /// replay, or dedup against an identical job).
     pub restored: bool,
 }
 
@@ -321,15 +322,14 @@ pub struct ServeReport {
     pub sweep_digest: u64,
     /// Jobs satisfied from the journal.
     pub resumed: usize,
-    /// Jobs satisfied from the result cache (or by intra-run dedup).
+    /// Duplicates of an earlier line of this jobs file (same
+    /// [`JobSpec::id`]): they copy that line's outcome and never run.
     pub cache_hits: usize,
     /// Fresh simulations executed by this invocation.
     pub executed: usize,
     pub journal_write_errors: u64,
     pub journal_torn_tail: bool,
     pub journal_quarantined_rows: usize,
-    /// Result-cache files that failed validation and were set aside.
-    pub result_cache_corrupt: u64,
 }
 
 impl ServeReport {
@@ -383,21 +383,9 @@ impl ServeReport {
                 "journal_quarantined_rows",
                 self.journal_quarantined_rows.into(),
             ),
-            ("result_cache_corrupt", self.result_cache_corrupt.into()),
             ("jobs", self.table().json_rows()),
         ])
     }
-}
-
-/// The job-result cache: `job_<id>.txt` under `<dir>/results/cache`, one
-/// `rair-res-v1` frame around a [`runner::checkpoint_line`] result row.
-fn result_cache() -> Cache<RunResult> {
-    Cache::new(
-        "job",
-        "rair-res-v1",
-        runner::checkpoint_line,
-        runner::parse_checkpoint_line,
-    )
 }
 
 /// Execute a jobs list under the service. See the module docs for the
@@ -409,11 +397,10 @@ pub fn serve(
     scfg: &ServeConfig,
     exec: &JobExec,
 ) -> ServeReport {
-    let (results, cache_dir) = (result_cache(), scfg.dir.join("results").join("cache"));
-    if let Err(e) = store.create_dir_all(&cache_dir) {
+    if let Err(e) = store.create_dir_all(&scfg.dir) {
         eprintln!(
             "[serve] warning: could not create {}: {e}",
-            cache_dir.display()
+            scfg.dir.display()
         );
     }
     let journal = Journal::new(scfg.journal_path(), store);
@@ -428,7 +415,6 @@ pub fn serve(
     }
 
     let mut resumed = 0usize;
-    let mut cache_hits = 0usize;
     // Outcome slots for the primary occurrence of each id.
     let mut outcomes: Vec<Option<JobOutcome>> = vec![None; specs.len()];
     let mut resolve = |i: usize,
@@ -477,16 +463,8 @@ pub fn serve(
             continue;
         }
         journal.append(&rows::note("queued", id, &spec.label));
-        // 2. Result cache: an identical job finished in some earlier sweep.
-        if let Some(mut r) = results.get(store, &cache_dir, id) {
-            r.label = spec.label.clone();
-            journal.append(&rows::done(id, &r));
-            cache_hits += 1;
-            resolve(i, 0, Ok(r), true);
-            continue;
-        }
-        // 3. Admission gate — before any network build. A key no table
-        // holds names no configuration to admit.
+        // 2. Gates. Admission first, before any network build; a key no
+        // table holds names no configuration to admit.
         let cfg = SimConfig::table1();
         let admitted = spec.resolve(&cfg).and_then(|job| {
             let alg = job.routing.build();
@@ -510,7 +488,7 @@ pub fn serve(
                 continue;
             }
         };
-        // 4. Optional model screening: offered load far past the model's
+        // Then optional model screening: offered load far past the model's
         // unit-capacity saturation bound will only measure queue blow-up.
         let kind = scfg.screen.then(|| crate::admit::routing_kind(job.routing));
         let predicted =
@@ -538,16 +516,13 @@ pub fn serve(
         });
     }
 
-    // The supervised pool over the surviving jobs; each fresh result is
-    // persisted to the result cache as soon as its `done` row is journaled.
+    // 3. The supervised pool over the surviving jobs.
     let policy = Policy {
         max_attempts: scfg.max_attempts,
         backoff_base_ms: scfg.backoff_base_ms,
         timeout_ms: scfg.timeout_ms,
     };
-    let finished = run_supervised(&tasks, &policy, Some(&journal), &|t, r| {
-        results.put(store, &cache_dir, t.id, r, "");
-    });
+    let finished = run_supervised(&tasks, &policy, Some(&journal));
     let executed = finished.iter().filter(|o| o.result.is_ok()).count();
     for (i, o) in task_line.into_iter().zip(finished) {
         let verdict = o.result.map_err(|e| (JobStatus::Quarantined, e.message));
@@ -570,7 +545,6 @@ pub fn serve(
         if let Some(r) = o.result.as_mut() {
             r.label = spec.label.clone();
         }
-        cache_hits += 1;
         final_outcomes.push(o);
     }
 
@@ -579,12 +553,11 @@ pub fn serve(
 
     let report = ServeReport {
         resumed,
-        cache_hits,
+        cache_hits: specs.len() - primary_of.len(),
         executed,
         journal_write_errors: journal.write_errors(),
         journal_torn_tail: replay.torn_tail,
         journal_quarantined_rows: replay.quarantined.len(),
-        result_cache_corrupt: results.stats().corrupt,
         sweep_digest,
         outcomes: final_outcomes,
     };
@@ -615,7 +588,7 @@ fn digest_outcomes(outcomes: &[JobOutcome]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::store::{unframe, StdStore};
+    use crate::service::store::StdStore;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -739,51 +712,19 @@ mod tests {
             r2.sweep_digest, r1.sweep_digest,
             "resume must be bit-identical"
         );
-        // A fresh state dir with the same result cache also skips the sims.
+        // A fresh state dir seeded with a copy of the journal alone also
+        // skips the sims.
         let dir2 = tmp("basic2");
         let scfg2 = ServeConfig {
             dir: dir2.clone(),
             ..scfg.clone()
         };
-        std::fs::create_dir_all(dir2.join("results")).unwrap();
-        crate::service::copy_dir_for_tests(
-            &dir.join("results").join("cache"),
-            &dir2.join("results").join("cache"),
-        );
+        std::fs::copy(scfg.journal_path(), scfg2.journal_path()).unwrap();
         let r3 = serve(&store, &specs, &scfg2, &exec);
-        assert_eq!(r3.executed, 0, "result cache must satisfy identical jobs");
+        assert_eq!(r3.executed, 0, "the journal must satisfy identical jobs");
         assert_eq!(r3.sweep_digest, r1.sweep_digest);
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&dir2).unwrap();
-    }
-
-    #[test]
-    fn corrupt_result_cache_entry_is_set_aside_and_rerun() {
-        let dir = tmp("corrupt-cache");
-        let store = StdStore;
-        let specs = vec![spec("x", 3)];
-        let scfg = ServeConfig::new(&dir, ExpConfig::quick());
-        let exec = stub_exec();
-        let r1 = serve(&store, &specs, &scfg, &exec);
-        assert_eq!(r1.executed, 1);
-        // Corrupt the cached result and wipe the journal (so the cache is
-        // the only shortcut) — the entry must be quarantined and re-run.
-        let cache_dir = dir.join("results").join("cache");
-        let rpath = result_cache().path(&cache_dir, specs[0].id(&scfg.ec));
-        let mut bytes = std::fs::read(&rpath).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x20;
-        std::fs::write(&rpath, &bytes).unwrap();
-        std::fs::remove_file(scfg.journal_path()).unwrap();
-        let r2 = serve(&store, &specs, &scfg, &exec);
-        assert_eq!(r2.result_cache_corrupt, 1);
-        assert_eq!(r2.executed, 1, "corrupt entry must be a miss, not a hit");
-        assert_eq!(r2.sweep_digest, r1.sweep_digest, "re-run value identical");
-        assert!(
-            rpath.with_extension("txt.corrupt").exists(),
-            "corrupt entry preserved for post-mortems"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The supervision contract, one table through both front doors of the
@@ -819,7 +760,7 @@ mod tests {
                 Task::new(*label, move || run(label, seed))
             })
             .collect();
-        let outcomes = run_supervised(&tasks, &SWEEP_POLICY, None, &|_, _| {});
+        let outcomes = run_supervised(&tasks, &SWEEP_POLICY, None);
         assert_eq!(count(&calls), [1, 2, 2, 1]);
         for (i, ok) in [(0, "ok0"), (1, "flaky"), (3, "ok1")] {
             let label = &outcomes[i].result.as_ref().unwrap().label;
@@ -992,12 +933,14 @@ mod tests {
     }
 
     /// Bytes on disk are a compatibility surface: a literal `journal.wal`
-    /// and result-cache entry as the pre-pool service wrote them (one job,
-    /// `fix ro_rr local single uniform 0.10 7` under `ExpConfig::quick()`)
-    /// must resume with nothing executed and the digest that service
-    /// reported, and the entry must decode and re-encode byte-identically.
+    /// as the pre-pool service wrote it (one job, `fix ro_rr local single
+    /// uniform 0.10 7` under `ExpConfig::quick()`) must resume with nothing
+    /// executed and the digest that service reported. So must a state
+    /// directory that also holds the `results/cache/job_<id>.txt` entry
+    /// older services wrote beside the journal: serve never opens it, and
+    /// writes nothing under `results/`.
     #[test]
-    fn wal_and_result_cache_bytes_are_unchanged() {
+    fn parent_written_state_dirs_resume_unchanged() {
         const ROW: &str = "rair-ckpt-v1\tfix\t107\t3fb999999999999a\t5000\t64\t1\t2\t3\t0\t0\t0\t0\
                            \t0\t0\t0\t4031000000000000\t4033000000000000";
         let wal = format!(
@@ -1006,37 +949,47 @@ mod tests {
              rair-wal-v1\t0ee6968d\tdone\tf2e4b3f9d4e01fa5\t{ROW}\n\
              rair-wal-v1\t02715c2a\tsweep-done\t12eb357f9f4c5268\t1\n"
         );
-        let dir = tmp("fixture");
-        let scfg = ServeConfig::new(&dir, ExpConfig::quick());
-        std::fs::write(scfg.journal_path(), &wal).unwrap();
         let never: JobExec = Arc::new(|_: &JobSpec, _: &ExpConfig| panic!("must not execute"));
-        let r = serve(&StdStore, &[spec("fix", 7)], &scfg, &never);
-        assert_eq!((r.executed, r.resumed), (0, 1));
-        assert_eq!(r.sweep_digest, 0x12eb_357f_9f4c_5268);
-        assert_eq!(r.outcomes[0].id, 0xf2e4_b3f9_d4e0_1fa5);
-        assert!(!r.journal_torn_tail && r.journal_quarantined_rows == 0);
-        // A resolved job is not journaled again: only `sweep-done` is added.
-        let after = std::fs::read_to_string(scfg.journal_path()).unwrap();
-        assert_eq!(
-            after.strip_prefix(wal.as_str()).map(|t| t.lines().count()),
-            Some(1)
-        );
-
-        let entry = format!("rair-res-v1\t6b206049\t{ROW}\n");
-        let (results, cache_dir) = (result_cache(), dir.join("results").join("cache"));
-        let path = results.path(&cache_dir, r.outcomes[0].id);
-        std::fs::write(&path, &entry).unwrap();
-        let decoded = (results.get(&StdStore, &cache_dir, r.outcomes[0].id))
-            .expect("parent-written entry decodes");
-        assert_eq!(decoded.delivered, 107);
-        results.put(&StdStore, &cache_dir, r.outcomes[0].id, &decoded, "");
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            entry,
-            "re-encoding is byte-identical"
-        );
-        let flipped = entry.replacen("107", "108", 1);
-        assert_eq!(unframe("rair-res-v1", flipped.trim_end_matches('\n')), None);
-        std::fs::remove_dir_all(&dir).unwrap();
+        let entries = |dir: &std::path::Path| -> Vec<String> {
+            let mut names: Vec<String> = (std::fs::read_dir(dir).unwrap())
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        for with_old_entry in [false, true] {
+            let dir = tmp("fixture");
+            let scfg = ServeConfig::new(&dir, ExpConfig::quick());
+            std::fs::write(scfg.journal_path(), &wal).unwrap();
+            let old = dir.join("results").join("cache");
+            let old_entry = old.join("job_f2e4b3f9d4e01fa5.txt");
+            if with_old_entry {
+                std::fs::create_dir_all(&old).unwrap();
+                std::fs::write(&old_entry, format!("{ROW}\n")).unwrap();
+            }
+            let r = serve(&StdStore, &[spec("fix", 7)], &scfg, &never);
+            assert_eq!((r.executed, r.resumed), (0, 1), "{with_old_entry}");
+            assert_eq!(r.sweep_digest, 0x12eb_357f_9f4c_5268);
+            assert_eq!(r.outcomes[0].id, 0xf2e4_b3f9_d4e0_1fa5);
+            assert!(!r.journal_torn_tail && r.journal_quarantined_rows == 0);
+            // A resolved job is not journaled again: only `sweep-done` is added.
+            let after = std::fs::read_to_string(scfg.journal_path()).unwrap();
+            assert_eq!(
+                after.strip_prefix(wal.as_str()).map(|t| t.lines().count()),
+                Some(1)
+            );
+            let mut want = vec!["SERVE_report.json", "journal.wal"];
+            if with_old_entry {
+                want.push("results");
+                assert_eq!(entries(&dir.join("results")), ["cache"]);
+                assert_eq!(entries(&old), ["job_f2e4b3f9d4e01fa5.txt"]);
+                assert_eq!(
+                    std::fs::read_to_string(&old_entry).unwrap(),
+                    format!("{ROW}\n")
+                );
+            }
+            assert_eq!(entries(&dir), want, "serve writes nothing under results/");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Injectable storage backend for the durability layer.
 //!
 //! Everything the experiments crate persists — the job journal (also the
-//! figure-side sweep checkpoint) and the two `Cache` instances (saturation
-//! loads, job results) — goes through the [`Store`] trait instead of
-//! `std::fs`, framed by the one codec here ([`frame`] / [`unframe`]).
+//! figure-side sweep checkpoint) and the saturation-load `Cache` — goes
+//! through the [`Store`] trait instead of `std::fs`, framed by the one
+//! codec here ([`frame`] / [`unframe`]).
 //! Production code uses [`StdStore`]; tests and the `repro chaos` battery
 //! inject a [`ChaosStore`] that deterministically turns individual
 //! operations into the failures real disks produce: `EIO`, `ENOSPC`, torn
@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One framed line: `tag \t crc32(payload) as 8 hex digits \t payload`. The
-/// single on-disk frame of the WAL (`rair-wal-v1`), the result cache
-/// (`rair-res-v1`) and the saturation cache (`rair-sat-v3`).
+/// single on-disk frame of the WAL (`rair-wal-v1`) and the saturation cache
+/// (`rair-sat-v3`).
 pub fn frame(tag: &str, payload: &str) -> String {
     format!("{tag}\t{:08x}\t{payload}", crc32(payload.as_bytes()))
 }
@@ -434,7 +434,7 @@ mod tests {
         bad.push(if flip == 'x' { 'y' } else { 'x' });
         assert_eq!(unframe("rair-wal-v1", &bad), None);
         // Wrong tag, truncated frame, garbage: all rejected.
-        assert_eq!(unframe("rair-res-v1", &line), None);
+        assert_eq!(unframe("rair-sat-v3", &line), None);
         assert_eq!(unframe("rair-wal-v1", "rair-wal-v0\t00000000\tx"), None);
         assert_eq!(unframe("rair-wal-v1", "rair-wal-v1\tzz\tx"), None);
         assert_eq!(unframe("rair-wal-v1", "rair-wal-v1\t00000000"), None);

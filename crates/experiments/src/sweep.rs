@@ -11,7 +11,7 @@
 //! keeps one file per load, so a second `repro` invocation performs
 //! **zero** searches for loads it has already measured.
 
-use crate::runner::{self, ExpConfig};
+use crate::runner::ExpConfig;
 use crate::service::{self, Cache};
 use noc_sim::config::SimConfig;
 use noc_sim::network::Network;
@@ -67,21 +67,10 @@ pub fn build_network(
 /// Schemes already warned about (one log line per scheme per process).
 static ADMIT_WARNED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 
-/// The saturation-load cache: `sat_<key>.txt` holds the load's bit pattern
-/// under the `rair-sat-v3` frame, then a `# label = load` comment. Older
-/// generations (`v2 <bits> <crc>`, a bare bit pattern) and framed values a
-/// search would reject fail the decoder and are re-searched once.
-pub(crate) const fn saturation_cache() -> Cache<f64> {
-    Cache::new(
-        "sat",
-        "rair-sat-v3",
-        |&load| runner::f64_field(load),
-        |hex| runner::parse_f64_field(hex).filter(|&v| is_load(v)),
-    )
-}
-
-/// The process-wide instance behind [`cached_saturation`].
-static SATURATION: Cache<f64> = saturation_cache();
+/// The process-wide saturation-load cache behind [`cached_saturation`]:
+/// `sat_<key>.txt` holds the load under the `rair-sat-v3` frame, then a
+/// `# label = load` comment.
+static SATURATION: Cache = Cache::new();
 
 /// Process-wide saturation-cache counters: `(mem_hits, disk_hits, 0,
 /// searches)` since startup. The third field counted model-warmed searches;
@@ -119,7 +108,7 @@ fn sat_digest(
 
 /// Whether `v` is a usable saturation load: positive and finite. The one
 /// test a searched load and a cached one must both pass.
-fn is_load(v: f64) -> bool {
+pub(crate) fn is_load(v: f64) -> bool {
     v > 0.0 && v.is_finite()
 }
 
@@ -166,7 +155,7 @@ pub fn cached_saturation(
     });
     let load = usable(label, app, out.load);
     let note = format!("# {label} = {load:.6} flits/cycle/node\n");
-    SATURATION.put(store, &dir, key, &load, &note);
+    SATURATION.put(store, &dir, key, load, &note);
     load
 }
 

@@ -251,7 +251,7 @@ fn serve_report_escapes_a_multiline_panic_message() {
     let want = format!(
         "{{sweep_digest:str,resumed:int,cache_hits:int,executed:int,quarantined:int,\
          journal_write_errors:int,journal_torn_tail:bool,journal_quarantined_rows:int,\
-         result_cache_corrupt:int,jobs:[{row}]}}"
+         jobs:[{row}]}}"
     );
     assert_eq!(shape(&report.json()), want);
 
