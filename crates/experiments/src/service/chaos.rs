@@ -305,11 +305,30 @@ pub fn run(smoke: bool, seed: u64) -> ChaosReport {
     }
 }
 
-/// The negative control: the first journal `done` row tampered *with a
-/// recomputed CRC* (structurally valid, semantically wrong); resuming from
-/// it must diverge from the reference digest. (A journal without such a
-/// row resumes untampered, and the control reads as missed.)
+/// The negative control: the `done` row of the smallest job id tampered
+/// *with a recomputed CRC* (structurally valid, semantically wrong);
+/// resuming from it must diverge from the reference digest. The row is
+/// chosen by id, not by position, because two workers finish jobs in either
+/// order. (A journal without such a row resumes untampered, and the
+/// control reads as missed.)
 fn wrong_result(refd: u64, journal: &[u8], exec: &JobExec) -> NegativeCase {
+    let (seeded, _) = tamper_smallest_done(journal);
+    let (d, report) = resume_with_journal("wrongresult", seeded.as_bytes(), exec);
+    let quarantined = report.journal_quarantined_rows;
+    NegativeCase {
+        name: "wrong-result".into(),
+        caught: d != refd,
+        property: "sweep-digest",
+        witness: format!(
+            "tampered digest {d:016x} vs reference {refd:016x} \
+             ({quarantined} journal rows quarantined: the CRC is valid)"
+        ),
+    }
+}
+
+/// `journal` with the `done` row of the smallest job id tampered, and that
+/// id (`None` when no row is a `done` row).
+fn tamper_smallest_done(journal: &[u8]) -> (String, Option<String>) {
     // Perturb the delivered-count field of the embedded checkpoint line —
     // payload = done, id, rair-ckpt-v1, label, delivered, … — and re-frame.
     let tamper = |line: &str| {
@@ -322,25 +341,45 @@ fn wrong_result(refd: u64, journal: &[u8], exec: &JobExec) -> NegativeCase {
             .parse()
             .ok()?;
         fields[4] = (delivered + 1).to_string();
-        Some(frame(WAL_TAG, &fields.join("\t")))
+        let id = fields[1].clone();
+        Some((id, frame(WAL_TAG, &fields.join("\t"))))
     };
     let mut lines: Vec<String> = String::from_utf8_lossy(journal)
         .lines()
         .map(str::to_string)
         .collect();
-    if let Some((i, row)) = (lines.iter().enumerate()).find_map(|(i, l)| Some((i, tamper(l)?))) {
+    // Ids are fixed-width hex, so the smallest string is the smallest id.
+    let target = (lines.iter().enumerate())
+        .filter_map(|(i, l)| tamper(l).map(|(id, row)| (id, i, row)))
+        .min_by(|a, b| a.0.cmp(&b.0));
+    let id = target.map(|(id, i, row)| {
         lines[i] = row;
-    }
-    let seeded = lines.join("\n") + "\n";
-    let (d, report) = resume_with_journal("wrongresult", seeded.as_bytes(), exec);
-    let quarantined = report.journal_quarantined_rows;
-    NegativeCase {
-        name: "wrong-result".into(),
-        caught: d != refd,
-        property: "sweep-digest",
-        witness: format!(
-            "tampered digest {d:016x} vs reference {refd:016x} \
-             ({quarantined} journal rows quarantined: the CRC is valid)"
-        ),
+        id
+    });
+    (lines.join("\n") + "\n", id)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The control's witness must not depend on which worker finished
+    /// first: the reference journal's rows in reverse order name the same
+    /// tampered id and resume to the same tampered digest.
+    #[test]
+    fn wrong_result_ignores_the_journal_row_order() {
+        let exec = super::super::serve::sim_exec();
+        let (refd, journal) = reference(&exec);
+        let text = String::from_utf8(journal.clone()).unwrap();
+        let reversed = text.lines().rev().collect::<Vec<_>>().join("\n") + "\n";
+        assert_ne!(reversed, text);
+        let (_, id) = tamper_smallest_done(&journal);
+        let (_, id_reversed) = tamper_smallest_done(reversed.as_bytes());
+        assert!(id.is_some(), "no done row in the reference journal");
+        assert_eq!(id, id_reversed);
+        let control = wrong_result(refd, &journal, &exec);
+        let control_reversed = wrong_result(refd, reversed.as_bytes(), &exec);
+        assert!(control.caught);
+        assert_eq!(control.witness, control_reversed.witness);
     }
 }

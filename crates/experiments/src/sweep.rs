@@ -73,9 +73,11 @@ static ADMIT_WARNED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 static SATURATION: Cache = Cache::new();
 
 /// Process-wide saturation-cache counters: `(mem_hits, disk_hits, 0,
-/// searches)` since startup. The third field counted model-warmed searches;
-/// there are none any more, and the shape stays for the frozen benchmark
-/// harness until ROADMAP item 4's `benchmark` PR.
+/// searches)` since startup. The third field once counted model-warmed
+/// searches apart from cold ones; every search now starts under the
+/// model's bound and counts as a search, and the zero keeps the shape the
+/// frozen benchmark harness compiles against until ROADMAP item 4's
+/// `benchmark` PR.
 pub fn saturation_cache_stats() -> (u64, u64, u64, u64) {
     let s = SATURATION.stats();
     (s.mem_hits, s.disk_hits, 0, s.misses)
@@ -128,8 +130,9 @@ fn usable(label: &str, app: u8, load: f64) -> f64 {
 /// `label` only names the search in diagnostics and the entry's comment.
 /// The disk layer is `RAIR_CACHE_DIR`, else `results/cache` under the
 /// working directory, resolved on every call. On a miss the load is
-/// searched ([`traffic::saturation::app_saturation_traced`]), validated and
-/// written to both layers.
+/// searched ([`traffic::saturation::app_saturation_traced`], starting under
+/// the model's unit-capacity bound, [`model::warm_hint`]), validated and
+/// written to both layers. A hit does no model work.
 pub fn cached_saturation(
     label: &str,
     ec: &ExpConfig,
@@ -150,7 +153,8 @@ pub fn cached_saturation(
     if let Some(load) = SATURATION.get(store, &dir, key) {
         return load;
     }
-    let out = app_saturation_traced(&probe, cfg, region, app, spec, None, || {
+    let bound = model::warm_hint(cfg, region, app, spec, model::RoutingKind::Adaptive);
+    let out = app_saturation_traced(&probe, cfg, region, app, spec, bound, || {
         Routing::Local.build()
     });
     let load = usable(label, app, out.load);

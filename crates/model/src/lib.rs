@@ -32,13 +32,15 @@
 //! estimate (the pointwise minimum of two oblivious route maps) is not a
 //! strict bound, which is what [`SCREEN_MARGIN`] allows for.
 //!
-//! Two consumers: [`link_load_map`] is the admission pipeline's
-//! bandwidth-feasibility input and [`predict_app_saturation`] screens
-//! `repro serve --screen` jobs. The saturation search does **not** consult
-//! the model: as a warm start its prediction sat 1–6 grid cells under all
-//! six Fig. 14 knees and made the searches slower than cold
-//! (EXPERIMENTS.md, "Measured and not taken"). [`warm_hint`] is kept only
-//! as a call shape for the frozen benchmark harness.
+//! Three consumers: [`link_load_map`] is the admission pipeline's
+//! bandwidth-feasibility input, [`predict_app_saturation`] screens
+//! `repro serve --screen` jobs, and [`warm_hint`] places the first probe of
+//! every saturation search one grid cell under the bound
+//! ([`traffic::saturation::search_saturation`]). The bound sits above all
+//! eight production knees, so that probe replaces the search's `max_rate`
+//! probe with one nearer the knee; it places probes only, never the load.
+//! (A fitted prediction sat 1–6 cells *under* the Fig. 14 knees and made
+//! the searches slower; EXPERIMENTS.md, "Measured and not taken".)
 
 use noc_sim::config::SimConfig;
 use noc_sim::ids::{AppId, NodeId};
@@ -477,11 +479,9 @@ pub fn predict_app_saturation(
     })
 }
 
-/// [`predict_app_saturation`] wrapped as the hint
-/// [`traffic::saturation::app_saturation_traced`] accepts and ignores.
-/// Nothing in this repository calls it; the frozen benchmark harness
-/// (`rair-bench/src/layers.rs`) does, and it goes with ROADMAP item 4's
-/// `benchmark` PR.
+/// [`predict_app_saturation`] wrapped as the bound
+/// [`traffic::saturation::app_saturation_traced`] starts its search under.
+/// `experiments::sweep::cached_saturation` computes it on every cache miss.
 pub fn warm_hint(
     cfg: &SimConfig,
     region: &RegionMap,

@@ -3,7 +3,7 @@
 //! the simulator. CI runs this in release under `RAIR_ORACLE=1` so every
 //! probe simulation executed here is also oracle-checked.
 
-use model::{predict_app_saturation, RoutingKind, SCREEN_MARGIN};
+use model::{predict_app_saturation, warm_hint, RoutingKind, SCREEN_MARGIN};
 use noc_sim::config::SimConfig;
 use noc_sim::region::RegionMap;
 use noc_sim::topology::TopologyKind;
@@ -44,10 +44,19 @@ fn mini_probe() -> SaturationProbe {
     }
 }
 
+/// The model's routing class for a routing algorithm.
+fn kind_of(routing: Routing) -> RoutingKind {
+    match routing {
+        Routing::Xy => RoutingKind::DimensionOrder,
+        _ => RoutingKind::Adaptive,
+    }
+}
+
 /// The headline invariant on real networks: across routings and
 /// topologies the extrapolating search returns the bit-identical load of
-/// the plain bisection — golden digests cannot depend on where the search
-/// chose to probe.
+/// the plain bisection, with and without the model's bound placing its
+/// first probe — golden digests cannot depend on where the search chose to
+/// probe.
 #[test]
 fn search_and_bisection_twin_are_bit_identical_across_routing_and_topology() {
     let probe = mini_probe();
@@ -67,24 +76,30 @@ fn search_and_bisection_twin_are_bit_identical_across_routing_and_topology() {
         let spec = AppSpec::intra_only(0.0);
         let mut oracle = app_stability(&probe, &cfg, &region, 0, &spec, || routing.build());
         let (twin, _) = bisect_twin(probe.iters, 1.0, |r| oracle(r).0);
-        let found =
-            app_saturation_traced(&probe, &cfg, &region, 0, &spec, None, || routing.build());
-        assert_eq!(
-            found.load.to_bits(),
-            twin.to_bits(),
-            "search diverged on {}/{routing:?}: {} vs {}",
-            cfg.topology.label(),
-            found.load,
-            twin
-        );
-        assert!(found.simulations <= 2 * probe.iters + 3);
+        let bound = warm_hint(&cfg, &region, 0, &spec, kind_of(routing));
+        assert!(bound.is_some(), "{}: no bound", cfg.topology.label());
+        for hint in [None, bound] {
+            let found =
+                app_saturation_traced(&probe, &cfg, &region, 0, &spec, hint, || routing.build());
+            assert_eq!(
+                found.load.to_bits(),
+                twin.to_bits(),
+                "search diverged on {}/{routing:?} (bound {:?}): {} vs {}",
+                cfg.topology.label(),
+                hint.map(|h| h.predicted),
+                found.load,
+                twin
+            );
+            assert!(found.simulations <= 2 * probe.iters + 3);
+        }
     }
 }
 
 /// The eight curves `repro --quick all` searches, with the loads its cache
-/// holds: Table 1's two regionalizations and the six applications of
-/// Fig. 14 under the 75/20/5 mix.
-fn production_curves() -> Vec<(String, RegionMap, u8, AppSpec, f64)> {
+/// holds and the most stability probes the bound-placed search may take:
+/// Table 1's two regionalizations and the six applications of Fig. 14
+/// under the 75/20/5 mix.
+fn production_curves() -> Vec<(String, RegionMap, u8, AppSpec, f64, u32)> {
     let cfg = SimConfig::table1();
     let mix = AppSpec {
         rate_flits: 0.0,
@@ -101,6 +116,7 @@ fn production_curves() -> Vec<(String, RegionMap, u8, AppSpec, f64)> {
             0,
             intra.clone(),
             0.375,
+            3,
         ),
         (
             "quadrants/intra".to_string(),
@@ -108,16 +124,25 @@ fn production_curves() -> Vec<(String, RegionMap, u8, AppSpec, f64)> {
             0,
             intra,
             0.65625,
+            3,
         ),
     ];
-    let six = [0.71875, 0.75, 0.84375, 0.84375, 0.71875, 0.75];
-    for (app, load) in six.into_iter().enumerate() {
+    let six = [
+        (0.71875, 3),
+        (0.75, 2),
+        (0.84375, 2),
+        (0.84375, 2),
+        (0.71875, 3),
+        (0.75, 2),
+    ];
+    for (app, (load, pin)) in six.into_iter().enumerate() {
         curves.push((
             format!("six/mix/app{app}"),
             RegionMap::six_regions(&cfg),
             app as u8,
             mix.clone(),
             load,
+            pin,
         ));
     }
     curves
@@ -127,10 +152,13 @@ fn production_curves() -> Vec<(String, RegionMap, u8, AppSpec, f64)> {
 /// the production curves (8 × 33 quick-probe simulations; CI's `model` job
 /// runs it with `--include-ignored`). Premise: each curve is monotone over
 /// the whole 1/32 grid, so "`lo` stable, `lo + 1` unstable" names one cell.
-/// Identity: the search lands on the twin's cell, which is the load the
-/// cache has always held. Economics, pinned as counts: Fig. 14's six
-/// searches take at most 21 stability probes (the twin: 36) and no curve
-/// costs more than one probe over the twin.
+/// Identity: the search, its first probe placed one cell under the model's
+/// unit-capacity bound as `cached_saturation` places it, lands on the
+/// twin's cell, which is the load the cache has always held. Economics,
+/// pinned as counts: each curve takes at most its pin (together 20; the
+/// max-rate-first search took 29), Fig. 14's six searches at most 14
+/// stability probes (max-rate-first: 20, the twin: 36), and no curve costs
+/// more than one probe over the twin.
 #[test]
 #[ignore = "release-mode audit: 8 curves x 33 quick-probe simulations"]
 fn production_curves_are_monotone_and_searched_in_fewer_probes() {
@@ -138,7 +166,7 @@ fn production_curves_are_monotone_and_searched_in_fewer_probes() {
     let cfg = SimConfig::table1();
     let cells = 1u32 << probe.iters;
     let mut six_app_probes = 0;
-    for (label, region, app, spec, cached) in production_curves() {
+    for (label, region, app, spec, cached, pin) in production_curves() {
         let mut oracle =
             app_stability(&probe, &cfg, &region, app, &spec, || Routing::Local.build());
         // Every grid point once; the twin and the search both read the map.
@@ -153,21 +181,28 @@ fn production_curves_are_monotone_and_searched_in_fewer_probes() {
             "{label}: stability is not monotone over the grid"
         );
         let (twin, twin_probes) = bisect_twin(probe.iters, 1.0, |r| grid[&r.to_bits()].0);
+        let bound = warm_hint(&cfg, &region, app, &spec, RoutingKind::Adaptive)
+            .expect("every production curve offers traffic")
+            .predicted;
         let mut sequence = Vec::new();
-        let (load, probes) = search_saturation(probe.iters, 1.0, |r| {
+        let (load, probes) = search_saturation(probe.iters, 1.0, Some(bound), |r| {
             sequence.push((r * f64::from(cells)) as u32);
             grid[&r.to_bits()]
         });
-        println!("{label}: {sequence:?} ({probes} probes, twin {twin_probes})");
+        println!(
+            "{label}: bound at cell {:.2}, {sequence:?} ({probes} probes, twin {twin_probes})",
+            bound * f64::from(cells)
+        );
         assert_eq!(load.to_bits(), twin.to_bits(), "{label}: {sequence:?}");
         assert_eq!(load, cached, "{label}: not the load production caches");
         assert!(probes <= twin_probes + 1, "{label}: {sequence:?}");
+        assert!(probes <= pin, "{label}: {sequence:?} over its pin {pin}");
         if label.starts_with("six/") {
             six_app_probes += probes;
         }
     }
     assert!(
-        six_app_probes <= 21,
+        six_app_probes <= 14,
         "Fig. 14 searches: {six_app_probes} probes"
     );
 }
@@ -246,11 +281,7 @@ fn bound_holds_within_its_margin_on_the_audit_matrix() {
         "config", "measured", "bound", "ratio"
     );
     for (label, cfg, region, app, spec, routing) in cases {
-        let kind = match routing {
-            Routing::Xy => RoutingKind::DimensionOrder,
-            _ => RoutingKind::Adaptive,
-        };
-        let bound = predict_app_saturation(&cfg, &region, app, &spec, kind)
+        let bound = predict_app_saturation(&cfg, &region, app, &spec, kind_of(routing))
             .expect("every audited config offers traffic")
             .load;
         let measured = app_saturation(&probe, &cfg, &region, app, &spec, || routing.build());

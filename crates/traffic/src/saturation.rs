@@ -8,7 +8,8 @@
 //! stops admitting the offered traffic (source queues start growing without
 //! bound). The result is a cell of the dyadic grid a bisection of
 //! `[0, max_rate]` walks; [`search_saturation`] reaches it in fewer
-//! simulations by reading the accepted throughput that every unstable
+//! simulations by starting one cell under the caller's channel-load bound
+//! ([`WarmStart`]) and reading the accepted throughput that every unstable
 //! probe already measures.
 
 use crate::scenario::{AppSpec, PacketMix, Scenario};
@@ -80,12 +81,11 @@ impl SaturationProbe {
     }
 }
 
-/// A model-derived hint for a saturation search. **Ignored**: the search
-/// extrapolates from its own probes ([`search_saturation`]) and never
-/// consults a model. The type and the `hint` argument of
-/// [`app_saturation_traced`] survive only as the call shape the frozen
-/// benchmark harness (`rair-bench/src/layers.rs`) compiles against; both go
-/// with ROADMAP item 4's `benchmark` PR.
+/// A model-derived bound for a saturation search: the unit-capacity load
+/// at which the busiest channel's utilization reaches 1 (`model::warm_hint`).
+/// [`search_saturation`] spends its first probe one cell under it instead of
+/// at `max_rate`. It places probes only, so a wrong bound costs probes,
+/// never the load.
 #[derive(Debug, Clone, Copy)]
 pub struct WarmStart {
     /// Predicted saturation load (same units as the search domain).
@@ -135,24 +135,31 @@ fn bisection_depth(width: u64) -> u32 {
 /// `probe(rate)` must be a deterministic function of the rate returning
 /// `(stable, knee_estimate)`. The estimate is read only from unstable
 /// probes and is advisory: it places the next probe, it never decides a
-/// cell. `max_rate` is probed first (stable there ⇒ it is returned). Then
-/// the bracket `(lo, hi)` — `lo` stable (`0` by premise, never probed),
-/// `hi` unstable — closes on one cell: each probe goes to the grid cell
-/// under the estimate of the current `hi`, strictly inside the bracket;
-/// while probes come back stable the next one steps up by 1, 2, 4 … cells,
-/// and every new unstable probe brings a new estimate. The search ends with
-/// `lo` verified stable and `lo + 1` verified unstable, which under the
-/// monotone-stability premise any bracketing search rests on is *the* cell
-/// a bisection converges to — same `f64`, bit for bit (`grid_rate`).
+/// cell. `bound` places the first probe the same way: it goes to the
+/// highest grid point at least one cell under the bound (the cell under
+/// `max_rate` for no bound, NaN or +∞; the first cell for a bound at or
+/// below one cell). Then the bracket `(lo, hi)` — `lo` stable
+/// (`0` by premise, never probed), `hi` unstable (`max_rate` presumed so)
+/// — closes on one cell: each probe goes to the grid cell under the
+/// estimate of the current `hi`, strictly inside the bracket; while probes
+/// come back stable the next one steps up by 1, 2, 4 … cells, and every
+/// new unstable probe brings a new estimate. `max_rate` itself is probed
+/// only if the search climbs to the cell under it (stable there ⇒
+/// `max_rate` is returned). The search ends with `lo` verified stable and
+/// `lo + 1` verified unstable, which under the monotone-stability premise
+/// any bracketing search rests on is *the* cell a bisection converges to —
+/// same `f64`, bit for bit (`grid_rate`).
 ///
 /// A guess may shrink the bracket by a single cell, so it is taken only
-/// while bisecting what it could leave still fits `2 * iters + 2` probes in
-/// total; otherwise the probe is the midpoint. Garbage estimates (NaN, ±∞,
-/// negative, above `max_rate`) therefore cost at most `iters + 1` probes
-/// over a bisection and never the result.
+/// while bisecting what it could leave, plus the held-back `max_rate`
+/// probe, still fits `2 * iters + 2` probes in total; otherwise the probe
+/// is the midpoint. Garbage bounds and estimates (NaN, ±∞, negative, above
+/// `max_rate`) therefore cost at most `iters + 1` probes over a bisection
+/// and never the result.
 pub fn search_saturation(
     iters: u32,
     max_rate: f64,
+    bound: Option<f64>,
     mut probe: impl FnMut(f64) -> (bool, f64),
 ) -> (f64, u32) {
     assert!(
@@ -160,23 +167,23 @@ pub fn search_saturation(
         "a {iters}-level grid is finer than f64 resolves"
     );
     let cells = 1u64 << iters;
-    let (stable, mut knee) = probe(max_rate);
-    if stable {
-        return (max_rate, 1);
-    }
-    let mut probes = 1;
+    let at_cell = |rate: f64| rate / max_rate * cells as f64;
+    // Where the next guess aims, in cells: one under the bound at first.
+    let mut knee = at_cell(bound.filter(|b| !b.is_nan()).unwrap_or(f64::INFINITY)) - 1.0;
+    let mut probes = 0;
     let (mut lo, mut hi) = (0, cells);
     // Cells to step up from `lo`; 0 = aim under `knee` instead.
     let mut step = 0;
     while hi - lo > 1 {
         let width = hi - lo;
-        let aim = if probes + 1 + bisection_depth(width - 1) > 2 * iters + 2 {
+        let top_held_back = u32::from(hi == cells);
+        let aim = if probes + 1 + bisection_depth(width - 1) + top_held_back > 2 * iters + 2 {
             lo + width / 2
         } else if step > 0 {
             lo + step
         } else {
             // Saturating cast: NaN and negatives land on 0, +∞ on the top.
-            (knee / max_rate * cells as f64) as u64
+            knee as u64
         };
         let k = aim.clamp(lo + 1, hi - 1);
         probes += 1;
@@ -187,9 +194,15 @@ pub fn search_saturation(
             }
             (false, estimate) => {
                 hi = k;
-                knee = estimate;
+                knee = at_cell(estimate);
                 step = 0;
             }
+        }
+    }
+    if hi == cells {
+        probes += 1;
+        if probe(max_rate).0 {
+            return (max_rate, probes);
         }
     }
     (grid_rate(iters, max_rate, lo), probes)
@@ -284,20 +297,23 @@ pub fn app_saturation(
     app_saturation_traced(probe, cfg, region, app, spec, None, routing).load
 }
 
-/// [`app_saturation`] with probe accounting. `_hint` is ignored (see
-/// [`WarmStart`]).
+/// [`app_saturation`] with probe accounting, its first probe placed one
+/// grid cell under `hint`'s bound (see [`search_saturation`]; `None` starts
+/// one cell under the top of the range). The load does not depend on the
+/// hint.
 pub fn app_saturation_traced(
     probe: &SaturationProbe,
     cfg: &SimConfig,
     region: &RegionMap,
     app: AppId,
     spec: &AppSpec,
-    _hint: Option<WarmStart>,
+    hint: Option<WarmStart>,
     routing: impl Fn() -> Box<dyn RoutingAlgorithm>,
 ) -> SearchOutcome {
     let (active, build) = app_alone(cfg, region, app, spec, routing);
     let oracle = stability_oracle(probe, active, 1.0, build);
-    let (load, probes) = search_saturation(probe.iters, 1.0, oracle);
+    let bound = hint.map(|h| h.predicted);
+    let (load, probes) = search_saturation(probe.iters, 1.0, bound, oracle);
     SearchOutcome {
         load,
         simulations: probes + 1,
@@ -386,39 +402,83 @@ mod tests {
         }
     }
 
+    /// Every bound a caller could pass — on the knee, a few cells either
+    /// side, above `max_rate`, at or below one cell, NaN, ±∞, none — and
+    /// estimates on the knee, a few cells off either way, and nowhere near
+    /// it. The bound places the first probe and the estimates the later
+    /// ones; the cell stays the twin's, the probes stay under the ceiling,
+    /// and `max_rate` is probed only when every lower point is stable.
     #[test]
     fn search_lands_on_the_twins_cell_for_good_and_bad_estimates() {
         for t in [0.0005, 0.0773, 0.31, 0.375, 0.5, 0.74, 0.991, 1.2] {
             for iters in [5u32, 7] {
+                let cells = 1u64 << iters;
+                let cell = 1.0 / cells as f64;
                 let (cold, cold_n) = bisect_twin(iters, 1.0, |r| r < t);
-                // An estimate on the knee, a few cells off either way, and
-                // nowhere near it.
-                for plateau in [t, t - 0.09, t + 0.06, 0.02, 5.0] {
+                let top_stable = grid_rate(iters, 1.0, cells - 1) < t;
+                let bounds = [
+                    Some(t),
+                    Some(t - 3.0 * cell),
+                    Some(t + 3.0 * cell),
+                    Some(1.0 + 2.0 * cell),
+                    Some(7.0),
+                    Some(cell),
+                    Some(0.5 * cell),
+                    Some(0.0),
+                    Some(f64::NAN),
+                    Some(f64::INFINITY),
+                    Some(f64::NEG_INFINITY),
+                    None,
+                ];
+                for (bound, plateau) in bounds
+                    .into_iter()
+                    .flat_map(|b| [t, t - 0.09, t + 0.06, 0.02, 5.0, f64::NAN].map(|p| (b, p)))
+                {
+                    let what = format!("t={t} iters={iters} bound={bound:?} plateau={plateau}");
                     let probed = std::cell::RefCell::new(Vec::new());
                     let (load, n) =
-                        search_saturation(iters, 1.0, plateau_oracle(t, plateau, &probed));
-                    assert_eq!(load.to_bits(), cold.to_bits(), "t={t} plateau={plateau}");
-                    assert_eq!(n as usize, probed.borrow().len());
-                    assert!(n <= 2 * iters + 2, "t={t} plateau={plateau}: {n} probes");
-                    if plateau == t && t < 1.0 {
-                        // max_rate, the cell under the knee, the one above.
-                        assert!(n <= 3 && n < cold_n, "t={t}: {n} vs {cold_n}");
+                        search_saturation(iters, 1.0, bound, plateau_oracle(t, plateau, &probed));
+                    let probed = probed.into_inner();
+                    assert_eq!(load.to_bits(), cold.to_bits(), "{what}");
+                    assert_eq!(n as usize, probed.len(), "{what}");
+                    assert!(n <= 2 * iters + 2, "{what}: {n} probes");
+                    assert!(top_stable || !probed.contains(&1.0), "{what}");
+                    // The first probe: the highest point at least one cell
+                    // under the bound, inside (0, max_rate).
+                    let b = bound.filter(|b| !b.is_nan()).unwrap_or(f64::INFINITY);
+                    let first = ((b - cell) / cell).floor().clamp(1.0, (cells - 1) as f64);
+                    assert_eq!(probed[0], first * cell, "{what}");
+                    if plateau == t && bound.is_none() && t < 1.0 {
+                        // The cell under max_rate, the cell under the knee,
+                        // the one above.
+                        assert!(n <= 3 && n < cold_n, "{what}: {n} vs {cold_n}");
                     }
-                    let mut bits: Vec<u64> = probed.borrow().iter().map(|r| r.to_bits()).collect();
+                    if plateau == t && bound == Some(t + 3.0 * cell) && t < 0.9 {
+                        // Over the knee, under it, the cell above it.
+                        assert!(n <= 3, "{what}: {probed:?}");
+                    }
+                    let mut bits: Vec<u64> = probed.iter().map(|r| r.to_bits()).collect();
                     bits.sort_unstable();
                     bits.dedup();
-                    assert_eq!(bits.len(), n as usize, "rate probed twice for t={t}");
+                    assert_eq!(bits.len(), n as usize, "rate probed twice: {what}");
                 }
             }
         }
     }
 
     #[test]
-    fn stable_at_max_rate_returns_max_after_one_probe() {
-        let probed = std::cell::RefCell::new(Vec::new());
-        let (load, n) = search_saturation(5, 0.7, plateau_oracle(9.0, f64::NAN, &probed));
-        assert_eq!((load, n), (0.7, 1));
-        assert_eq!(*probed.borrow(), [0.7]);
+    fn stable_everywhere_climbs_to_max_rate_last() {
+        for bound in [None, Some(0.35), Some(0.01), Some(3.0)] {
+            let probed = std::cell::RefCell::new(Vec::new());
+            let (load, n) =
+                search_saturation(5, 0.7, bound, plateau_oracle(9.0, f64::NAN, &probed));
+            let probed = probed.into_inner();
+            assert_eq!(load, 0.7, "bound {bound:?}");
+            assert_eq!(n as usize, probed.len());
+            assert!(n <= 12, "bound {bound:?}: {probed:?}");
+            // The cell under max_rate, then max_rate itself, once.
+            assert_eq!(probed[probed.len() - 2..], [0.7 * 31.0 / 32.0, 0.7]);
+        }
     }
 
     #[test]
@@ -427,7 +487,7 @@ mod tests {
         // layer up), as the twin's, and rate 0 itself is never simulated.
         for plateau in [0.0, 0.4, f64::NEG_INFINITY] {
             let probed = std::cell::RefCell::new(Vec::new());
-            let (load, n) = search_saturation(5, 1.0, plateau_oracle(0.0, plateau, &probed));
+            let (load, n) = search_saturation(5, 1.0, None, plateau_oracle(0.0, plateau, &probed));
             assert_eq!(load.to_bits(), 0.0f64.to_bits());
             assert!(n <= 12);
             assert!(probed.borrow().iter().all(|&r| r > 0.0));
@@ -437,8 +497,13 @@ mod tests {
 
     #[test]
     fn zero_iterations_probe_max_rate_only() {
-        assert_eq!(search_saturation(0, 1.0, |r| (r < 0.5, 0.5)), (0.0, 1));
-        assert_eq!(search_saturation(0, 1.0, |_| (true, 0.5)), (1.0, 1));
+        for bound in [None, Some(0.25), Some(4.0)] {
+            assert_eq!(
+                search_saturation(0, 1.0, bound, |r| (r < 0.5, 0.5)),
+                (0.0, 1)
+            );
+            assert_eq!(search_saturation(0, 1.0, bound, |_| (true, 0.5)), (1.0, 1));
+        }
         assert_eq!(bisect_twin(0, 1.0, |r| r < 0.5), (0.0, 1));
     }
 
@@ -448,7 +513,7 @@ mod tests {
         // `hi`, always unstable. Guesses stop when the budget says so.
         for iters in 1..=8u32 {
             let mut n_probes = 0;
-            let (load, n) = search_saturation(iters, 1.0, |r| {
+            let (load, n) = search_saturation(iters, 1.0, None, |r| {
                 n_probes += 1;
                 (r < 1e-9, r)
             });

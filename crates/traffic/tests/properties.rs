@@ -296,24 +296,39 @@ proptest! {
 
     /// The extrapolating search returns the bit-identical load of the plain
     /// bisection for *every* monotone stability threshold, grid depth and
-    /// `max_rate`, whatever the knee estimates say — honest, a cell off,
-    /// arbitrary, NaN, ±∞, negative, above `max_rate`, or chosen to waste
-    /// the most probes. Estimates place probes; they never decide a cell.
-    /// This is the invariant that keeps cache contents and golden digests
-    /// independent of the probe order. It also never simulates a rate
-    /// twice and never spends more than `2 * iters + 2` probes.
+    /// `max_rate`, whatever the bound and the knee estimates say — honest,
+    /// a cell off, arbitrary, NaN, ±∞, negative, above `max_rate`, absent,
+    /// or chosen to waste the most probes. Bounds and estimates place
+    /// probes; they never decide a cell. This is the invariant that keeps
+    /// cache contents and golden digests independent of the probe order.
+    /// It also never simulates a rate twice, never spends more than
+    /// `2 * iters + 2` probes, and probes `max_rate` only when every lower
+    /// grid point is stable.
     #[test]
     fn search_is_bit_identical_to_bisection_under_adversarial_estimates(
         threshold in 0.0f64..1.2,
         iters in 1u32..9,
         max_rate in prop_oneof![Just(1.0f64), Just(0.7), Just(2.0)],
+        bound in (0u8..8, -4.0f64..4.0),
         estimates in proptest::collection::vec((0u8..9, -4.0f64..4.0), 18..19),
     ) {
         let t = threshold * max_rate;
         let stable = |rate: f64| rate <= t;
         let twin = bisect_twin(iters, max_rate, stable);
+        let bound = match bound {
+            (0, _) => None,
+            (1, _) => Some(f64::NAN),
+            (2, _) => Some(f64::INFINITY),
+            (3, _) => Some(f64::NEG_INFINITY),
+            (4, x) => Some(-x.abs() * max_rate),
+            (5, x) => Some(max_rate * (1.0 + x.abs())),
+            (6, x) => Some(x.abs() / 4.0 * max_rate),
+            // The unit-capacity bound of a real network: a little over the
+            // knee.
+            (_, x) => Some(t * (1.0 + 0.05 * x.abs())),
+        };
         let mut probed: Vec<f64> = Vec::new();
-        let (load, probes) = search_saturation(iters, max_rate, |rate| {
+        let (load, probes) = search_saturation(iters, max_rate, bound, |rate| {
             let (kind, x) = estimates[probed.len() % estimates.len()];
             probed.push(rate);
             let estimate = match kind {
@@ -339,6 +354,12 @@ proptest! {
         );
         prop_assert_eq!(probes as usize, probed.len());
         prop_assert!(probes <= 2 * iters + 2, "{} probes: {:?}", probes, probed);
+        // The grid point under max_rate, as the halvings compute it.
+        let under_top = (0..iters).fold(0.0, |lo, _| 0.5 * (lo + max_rate));
+        prop_assert!(
+            stable(under_top) || !probed.contains(&max_rate),
+            "max_rate probed above an unstable point: {:?}", probed
+        );
         let mut bits: Vec<u64> = probed.iter().map(|r| r.to_bits()).collect();
         bits.sort_unstable();
         bits.dedup();
