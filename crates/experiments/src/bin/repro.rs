@@ -11,9 +11,9 @@
 //! is one row plus its handler (DESIGN.md §15); a handler reports failure as
 //! an `Err` that `main` prints as `[repro] <message>` before exiting 1.
 
+use experiments::admit::{controls_table, judge_controls};
 use experiments::figs;
 use experiments::runner::ExpConfig;
-use experiments::verify_config::{controls_table, judge_controls, NegativeCase};
 use metrics::report::{Table, Value};
 use noc_sim::topology::TopologyKind;
 use std::cell::Cell;
@@ -141,8 +141,7 @@ const SUBCOMMANDS: &[Cmd] = &[
     Cmd { name: "ablation", role: Paper, help: "baselines, DPA hysteresis delta and regional/global VC split, vs RO_RR", flags: &[SIM], run: |o| emit(o, &figs::ablation::run(&o.ec)) },
     Cmd { name: "curve", role: Extra, help: "load-latency curves and knees of three patterns", flags: &[SIM], run: curve },
     Cmd { name: "trace-demo", role: Extra, help: "capture a trace to a file, replay it under two schemes", flags: &[SIM, &["--trace-file"]], run: |o| emit(o, &figs::trace_demo::run(&o.ec, &o.trace_file)?) },
-    Cmd { name: "verify-config", role: Extra, help: "static deadlock-freedom and legality proof (VERIFY_report.json)", flags: &[], run: verify_config },
-    Cmd { name: "admit", role: Extra, help: "static QoS admission matrix (ADMIT_report.json)", flags: &[], run: admit },
+    Cmd { name: "admit", role: Extra, help: "static gate: QoS, deadlock freedom, LBDR and scheme checks of every shipped config (ADMIT_report.json)", flags: &[], run: admit },
     Cmd { name: "resilience", role: Extra, help: "fault rate x scheme x routing sweep (RESILIENCE_report.json)", flags: &[SIM], run: resilience },
     Cmd { name: "serve", role: Solo(Some("a jobs file")), help: "crash-safe job service over a jobs file", flags: &[SIM, &["--dir", "--retries", "--timeout-ms", "--screen"]], run: serve },
     Cmd { name: "chaos", role: Solo(None), help: "fault-injection battery over the service (CHAOS_report.json)", flags: &[&["--smoke", "--seed"]], run: chaos },
@@ -316,17 +315,6 @@ fn write_report(path: &str, doc: &Value, what: &str) -> Outcome {
     Ok(())
 }
 
-/// Print a static self-check's matrix, then its negative controls, and
-/// write both to the report at `path` as `rows` and `controls`.
-fn self_check(o: &Opts, path: &str, rows: &Table, controls: &[NegativeCase]) -> Outcome {
-    let ct = controls_table(controls);
-    emit(o, rows)?;
-    emit(o, &ct)?;
-    let doc = Value::obj([("rows", rows.json_rows()), ("controls", ct.json_rows())]);
-    let what = format!("{} rows and {} controls", rows.num_rows(), controls.len());
-    write_report(path, &doc, &what)
-}
-
 /// A paper figure: its tables, then the headline line against the paper's.
 fn figure(o: &Opts, (tables, summary): (Vec<Table>, String)) -> Outcome {
     tables.iter().try_for_each(|t| emit(o, t))?;
@@ -374,47 +362,24 @@ fn resilience(o: &Opts) -> Outcome {
     }
 }
 
-/// The static verifier over the shipped region × routing matrix (bare and
-/// LBDR-confined) of every canonical topology, then its negative controls.
-fn verify_config(o: &Opts) -> Outcome {
-    use experiments::verify_config as vc;
-    let rows = vc::run_matrix(&TopologyKind::CANONICAL);
-    let controls = vc::controls();
-    self_check(o, "VERIFY_report.json", &vc::table(&rows), &controls)?;
-    let mut failed = false;
-    for r in rows.iter().filter(|r| r.violations > 0) {
-        failed = true;
-        let witness = r.first_witness.as_deref().unwrap_or("(no witness)");
-        let cell = format!("{}/{}/{}", r.topology, r.region, r.routing);
-        eprintln!("[repro] VERIFY FAILED {cell} (lbdr {}): {witness}", r.lbdr);
-    }
-    for (label, errs) in vc::scheme_checks() {
-        for e in &errs {
-            failed = true;
-            eprintln!("[repro] SCHEME CHECK FAILED {label}: {e}");
-        }
-    }
-    if failed {
-        return Err("static verification FAILED".into());
-    }
-    judge_controls(&controls)?;
-    let (n, k) = (rows.len(), controls.len());
-    say!(
-        o,
-        "static verification: all {n} configurations proved deadlock-free and legal, \
-         all {k} negative controls rejected with a witness\n"
-    );
-    Ok(())
-}
-
-/// The static admission pipeline over the scheme × routing × region matrix
-/// of every canonical topology (the golden matrix must be admitted without
-/// a false rejection), then its negative controls.
+/// The one static gate over the scheme × routing × region matrix of every
+/// canonical topology (every shipped cell must be admitted under every
+/// property), then its negative controls; the matrix and the controls are
+/// printed and written to `ADMIT_report.json` as `rows` and `controls`.
 fn admit(o: &Opts) -> Outcome {
     use experiments::admit;
     let rows = admit::run_matrix(&TopologyKind::CANONICAL);
     let controls = admit::controls();
-    self_check(o, "ADMIT_report.json", &admit::table(&rows), &controls)?;
+    let (t, ct) = (admit::table(&rows), controls_table(&controls));
+    emit(o, &t)?;
+    emit(o, &ct)?;
+    let doc = Value::obj([("rows", t.json_rows()), ("controls", ct.json_rows())]);
+    let (n, k) = (rows.len(), controls.len());
+    write_report(
+        "ADMIT_report.json",
+        &doc,
+        &format!("{n} rows and {k} controls"),
+    )?;
     for r in rows.iter().filter(|r| r.verdict == "reject") {
         let cell = format!("{}/{}/{}/{}", r.topology, r.region, r.routing, r.scheme);
         let defect = r.defect.as_deref().unwrap_or("(no defect detail)");
@@ -425,10 +390,10 @@ fn admit(o: &Opts) -> Outcome {
     }
     judge_controls(&controls)?;
     let worst = rows.iter().map(|r| r.micros).max().unwrap_or(0);
-    let (n, k) = (rows.len(), controls.len());
+    let p = rows.first().map_or(0, |r| r.properties.len());
     say!(
         o,
-        "static admission: all {n} configurations admitted \
+        "static admission: all {n} configurations admitted under {p} properties \
          (slowest cell {worst} µs, target <= 10 ms), all {k} negative controls rejected\n"
     );
     Ok(())
@@ -574,7 +539,7 @@ mod tests {
             );
         }
         let counts = (SUBCOMMANDS.len() + 1, FLAGS.len());
-        assert_eq!(counts, (16, 11), "subcommands (with `all`), flags");
+        assert_eq!(counts, (15, 11), "subcommands (with `all`), flags");
         let (_, all) = parse(["all".to_string()]).unwrap_or_else(|e| panic!("{e}"));
         let want = "table1 lbdr fig9 fig12 fig14 fig15 fig17 ablation";
         assert_eq!(names(&all), want);

@@ -18,6 +18,5 @@ pub mod figs;
 pub mod runner;
 pub mod service;
 pub mod sweep;
-pub mod verify_config;
 
 pub use runner::{run_one, ExpConfig, RunResult};

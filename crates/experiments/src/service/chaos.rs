@@ -22,14 +22,14 @@
 //! with one `done` row tampered under a *recomputed* CRC — a valid-looking
 //! but wrong result that no local check can see. Resuming from it must
 //! diverge from the reference digest; `repro chaos` fails if it does not
-//! ([`crate::verify_config::judge_controls`]), since a chaos harness whose
+//! ([`crate::admit::judge_controls`]), since a chaos harness whose
 //! negative control passes silently is not testing anything.
 
 use super::journal::WAL_TAG;
 use super::serve::{serve, JobExec, JobSpec, ServeConfig};
 use super::store::{frame, unframe, ChaosStore, StdStore};
+use crate::admit::{controls_table, NegativeCase};
 use crate::runner::ExpConfig;
-use crate::verify_config::{controls_table, NegativeCase};
 use metrics::report::{Table, Value};
 use std::path::{Path, PathBuf};
 

@@ -10,7 +10,7 @@
 //! property name and a replayable witness trace, regardless of the
 //! sampled region geometry.
 
-use experiments::admit::{admit_cell, MATRIX_RATE};
+use experiments::admit::{admit_cell, MATRIX_RATE, PROP_LBDR_CONFINEMENT};
 use noc_sim::admit::{AdmitWitness, PROP_FEASIBILITY, PROP_PROGRESS};
 use noc_sim::config::SimConfig;
 use noc_sim::network::Network;
@@ -57,7 +57,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Every random rectangular region map on every topology kind is
-    /// admitted under RAIR with a finite wait bound, and a short
+    /// admitted under RAIR with a finite wait bound — except that on a
+    /// wrapping topology LBDR confinement may reject it with a route
+    /// witness, since a minimal path between two routers of a region wider
+    /// than half the ring can wrap through a neighbor region — and a short
     /// oracle-watched run of exactly that configuration stays clean.
     #[test]
     fn random_rect_regions_admit_and_run_watchdog_clean(
@@ -71,11 +74,17 @@ proptest! {
         let region = rect_region(&cfg, fx, fy);
         let specs = low_specs(&region);
         let adm = admit_cell(&cfg, &region, &Scheme::rair(), routing, &specs);
-        prop_assert!(
-            adm.is_admitted(),
-            "rejected: {:?}",
-            adm.rejection().map(|p| (p.property, p.detail.clone()))
-        );
+        match adm.rejection() {
+            Some(rej) if cfg.topology.wraps() => {
+                prop_assert_eq!(rej.property, PROP_LBDR_CONFINEMENT, "{}", rej.detail);
+                prop_assert!(matches!(rej.witness, Some(AdmitWitness::Route(_))));
+            }
+            rej => prop_assert!(
+                rej.is_none(),
+                "rejected: {:?}",
+                rej.map(|p| (p.property, p.detail.clone()))
+            ),
+        }
         prop_assert!(adm.wait_bound().is_some(), "admitted without a bound");
 
         // Watchdog-clean: the full oracle checker set observes a short

@@ -4,11 +4,11 @@
 //! at the repository root — so a column edit cannot silently change what CI
 //! artifacts and downstream readers see.
 
+use experiments::admit::{self, controls_table, NegativeCase};
 use experiments::figs::resilience::{self, ResilRow};
 use experiments::service::chaos::Battery;
 use experiments::service::{serve, ChaosReport, JobExec, JobSpec, ServeConfig, StdStore};
-use experiments::verify_config::{self, controls_table, NegativeCase};
-use experiments::{admit, ExpConfig, RunResult};
+use experiments::{ExpConfig, RunResult};
 use metrics::report::Value;
 use std::sync::Arc;
 
@@ -84,7 +84,7 @@ fn shape_keys(row_shape: &str) -> String {
     keys.join(" ")
 }
 
-/// The `controls` row of the three self-check reports.
+/// The `controls` row of the two self-check reports.
 const CONTROL_ROW: &str = "{control:str,caught:bool,property:str,witness:str}";
 
 fn control(caught: bool) -> NegativeCase {
@@ -96,37 +96,20 @@ fn control(caught: bool) -> NegativeCase {
     }
 }
 
-/// One control type, rendered by one function into all three reports: the
-/// text says `NO` in capitals, JSON says `false`.
+/// One control type, rendered by one function into both reports: the text
+/// says `NO` in capitals, JSON says `false`.
 #[test]
 fn controls_schema() {
     let t = controls_table(&[control(true), control(false)]);
     assert_eq!(shape(&t.json_rows()), format!("[{CONTROL_ROW}]"));
     assert!(t.render().contains("  NO  "), "{}", t.render());
-    for file in [
-        "VERIFY_report.json",
-        "ADMIT_report.json",
-        "CHAOS_report.json",
-    ] {
+    for file in ["ADMIT_report.json", "CHAOS_report.json"] {
         assert_eq!(
             committed_row_keys(file, "controls"),
             shape_keys(CONTROL_ROW),
             "{file}"
         );
     }
-}
-
-#[test]
-fn verify_report_schema() {
-    let rows = verify_config::run_matrix(&[noc_sim::topology::TopologyKind::Ring]);
-    let got = shape(&verify_config::table(&rows).json_rows());
-    let want = "[{topology:str,region:str,routing:str,lbdr:bool,channels:int,dep_edges:int,\
-                pairs:int,violations:int,millis:float}]";
-    assert_eq!(got, want);
-    assert_eq!(
-        committed_row_keys("VERIFY_report.json", "rows"),
-        shape_keys(want)
-    );
 }
 
 #[test]
@@ -137,6 +120,7 @@ fn admit_report_schema() {
         routing: "XY",
         scheme: "RA_RAIR".into(),
         verdict: "reject",
+        properties: vec!["progress", "bandwidth-feasibility"],
         wait_bound,
         states: 753,
         micros: 1162,
@@ -147,9 +131,13 @@ fn admit_report_schema() {
         row(None, None),
     ];
     let json = admit::table(&rows).json_rows();
-    let want = "[{topology:str,region:str,routing:str,scheme:str,verdict:str,wait_bound:int,\
-                states:int,micros:int,defect:str}]";
+    let want = "[{topology:str,region:str,routing:str,scheme:str,verdict:str,properties:str,\
+                wait_bound:int,states:int,micros:int,defect:str}]";
     assert_eq!(shape(&json), want);
+    // A real matrix renders the same shape, admitted rows with a `null` defect.
+    let real = admit::run_matrix(&[noc_sim::topology::TopologyKind::Ring]);
+    let real = shape(&admit::table(&real).json_rows());
+    assert_eq!(real, want.replace("defect:str", "defect:null"));
     // An unproven bound and an absent defect are `null`, not omitted.
     let Value::Arr(rows) = json else { panic!() };
     assert!(shape(&rows[1]).ends_with("wait_bound:null,states:int,micros:int,defect:null}"));

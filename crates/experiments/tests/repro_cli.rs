@@ -127,40 +127,42 @@ fn lbdr_reports_14_percent() {
 }
 
 #[test]
-fn verify_config_proves_all_shipped_configs() {
-    let dir = std::env::temp_dir().join("rair_verify_cli_test");
+fn admit_proves_every_shipped_config_under_every_property() {
+    let dir = std::env::temp_dir().join(format!("rair-cli-admit-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let out = repro()
-        .arg("verify-config")
-        .current_dir(&dir)
-        .output()
-        .unwrap();
+    let out = repro().arg("admit").current_dir(&dir).output().unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {err}");
     // It simulates nothing, so its banner names no windows and no seed.
-    assert!(err.contains("[repro] running verify-config…"), "{err}");
+    assert!(err.contains("[repro] running admit…"), "{err}");
     assert!(!err.contains("cycles") && !err.contains("seed"), "{err}");
     let s = String::from_utf8_lossy(&out.stdout);
-    assert!(s.contains("Static verification"), "{s}");
+    assert!(s.contains("Static admission"), "{s}");
     assert!(
-        s.contains("all 96 configurations proved deadlock-free and legal"),
+        s.contains("all 336 configurations admitted under 6 properties"),
         "{s}"
     );
-    assert!(dir.join("VERIFY_report.json").exists());
-    std::fs::remove_file(dir.join("VERIFY_report.json")).ok();
+    // Every row of the report was checked for deadlock freedom too.
+    let report = std::fs::read_to_string(dir.join("ADMIT_report.json")).unwrap();
+    let rows: Vec<&str> = (report.lines())
+        .filter(|l| l.contains("\"verdict\": "))
+        .collect();
+    assert_eq!(rows.len(), 336);
+    for row in rows {
+        assert!(row.contains("\"verdict\": \"admit\""), "{row}");
+        assert!(row.contains(" deadlock-freedom lbdr-confinement "), "{row}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Plain `verify-config` runs its negative controls too, and prints each as
-/// caught with a concrete witness.
+/// `admit` runs its negative controls too, and prints each of the static
+/// verifier's, and the unranked-application scheme, as caught with a
+/// concrete witness.
 #[test]
-fn verify_config_prints_every_control_rejected_with_a_witness() {
+fn admit_prints_every_verifier_control_rejected_with_a_witness() {
     let dir = std::env::temp_dir().join(format!("rair-cli-controls-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let out = repro()
-        .arg("verify-config")
-        .current_dir(&dir)
-        .output()
-        .unwrap();
+    let out = repro().arg("admit").current_dir(&dir).output().unwrap();
     assert!(out.status.success());
     let s = String::from_utf8_lossy(&out.stdout);
     let controls = [
@@ -171,6 +173,7 @@ fn verify_config_prints_every_control_rejected_with_a_witness() {
         "nan-rank-intensity",
         "torus-no-dateline-escape",
         "ring-no-dateline-escape",
+        "unranked-application",
     ];
     for name in controls {
         let line = s.lines().find(|l| l.trim_start().starts_with(name));
@@ -186,7 +189,7 @@ fn verify_config_prints_every_control_rejected_with_a_witness() {
         s.contains("unreachable pair") || s.contains("no escape channel"),
         "{s}"
     );
-    assert!(s.contains("all 7 negative controls rejected"), "{s}");
+    assert!(s.contains("all 20 negative controls rejected"), "{s}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -330,8 +333,9 @@ fn out_of_scope_flags_and_stray_positionals_fail_with_usage() {
 /// model, the five flags that split a self-check by topology, ran its
 /// negative controls alone or spelled `RAIR_ORACLE=1`, the oracle matrix
 /// (tier-1's `oracle_differential` runs it), the four six-app studies
-/// that `ablation` runs as one sweep and the Fig. 10 subcommand, whose
-/// table `fig9` prints from the same sweep — and the two `serve`
+/// that `ablation` runs as one sweep, the Fig. 10 subcommand, whose
+/// table `fig9` prints from the same sweep, and the static verifier's own
+/// subcommand, whose matrix and controls `admit` runs — and the two `serve`
 /// knobs reject a zero at parse time: `--retries 0` used to run as 1, and
 /// `--timeout-ms 0` timed every attempt out at once and journaled
 /// `quarantine` rows a later resume then honoured. (The retired names are
@@ -355,8 +359,8 @@ fn retired_names_and_zero_valued_serve_knobs_fail_with_usage() {
         ),
     ];
     let retired = [
-        ("--topo", "logy", "verify-config"),
-        ("--inject", "-cyclic", "verify-config"),
+        ("--topo", "logy", "admit"),
+        ("--inject", "-cyclic", "admit"),
         ("--inject", "-broken", "admit"),
         ("--inject", "-wrong-result", "chaos"),
         ("--ora", "cle", "oracle"),
@@ -372,6 +376,7 @@ fn retired_names_and_zero_valued_serve_knobs_fail_with_usage() {
         ("ablation", "-rank"),
         ("base", "lines"),
         ("fig", "10"),
+        ("verify", "-config"),
     ]
     .map(|(a, b)| [a, b].concat());
     for name in &experiments {
@@ -407,21 +412,17 @@ fn trace_demo_reports_an_unwritable_trace_file() {
 }
 
 /// A report that cannot be written is a reported error (exit 1), not a
-/// panic: run `verify-config` in a directory where the report path is taken
-/// by a directory.
+/// panic: run `admit` in a directory where the report path is taken by a
+/// directory.
 #[test]
 fn unwritable_report_is_an_error_not_a_panic() {
     let dir = std::env::temp_dir().join(format!("rair-cli-report-{}", std::process::id()));
-    std::fs::create_dir_all(dir.join("VERIFY_report.json")).unwrap();
-    let out = repro()
-        .arg("verify-config")
-        .current_dir(&dir)
-        .output()
-        .unwrap();
+    std::fs::create_dir_all(dir.join("ADMIT_report.json")).unwrap();
+    let out = repro().arg("admit").current_dir(&dir).output().unwrap();
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("[repro] cannot write VERIFY_report.json: "),
+        err.contains("[repro] cannot write ADMIT_report.json: "),
         "{err}"
     );
     assert!(!err.contains("panicked"), "{err}");

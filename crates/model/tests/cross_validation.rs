@@ -207,6 +207,43 @@ fn production_curves_are_monotone_and_searched_in_fewer_probes() {
     );
 }
 
+/// Release-mode audit of the full-window searches (`repro` without
+/// `--quick`) on the same eight curves, each started one cell under the
+/// bound: the loads they find and the stability probes each takes, pinned.
+/// A probe that fails only the latency guard pulls the next one under its
+/// rate, so Fig. 14's six searches take 27 probes (reading the backlog
+/// alone they took 33, walking down one cell per probe).
+#[test]
+#[ignore = "release-mode audit: 8 full-window saturation searches"]
+fn full_window_searches_are_pinned() {
+    let cfg = SimConfig::table1();
+    let probe = SaturationProbe::default();
+    let pins = [
+        (0.390625, 8),
+        (0.6640625, 4),
+        (0.7421875, 5),
+        (0.7421875, 5),
+        (0.828125, 4),
+        (0.828125, 4),
+        (0.734375, 5),
+        (0.7578125, 4),
+    ];
+    let mut six_app_probes = 0;
+    for ((label, region, app, spec, ..), (load, pin)) in production_curves().into_iter().zip(pins) {
+        let hint = warm_hint(&cfg, &region, app, &spec, RoutingKind::Adaptive);
+        let out = app_saturation_traced(&probe, &cfg, &region, app, &spec, hint, || {
+            Routing::Local.build()
+        });
+        let probes = out.simulations - 1;
+        println!("{label}: {} ({probes} probes)", out.load);
+        assert_eq!((out.load, probes), (load, pin), "{label}");
+        if label.starts_with("six/") {
+            six_app_probes += probes;
+        }
+    }
+    assert_eq!(six_app_probes, 27, "Fig. 14 searches");
+}
+
 /// The audit's thirteen configurations: three routings on Table 1's
 /// halves, quadrants, two Fig. 14 apps, chip-wide
 /// uniform/transpose/bit-complement/hotspot traffic, and halves on the

@@ -74,6 +74,12 @@
 //!    [`Admission`] report: offered load above one flit/cycle on any
 //!    channel rejects (the over-subscribed-region negative).
 //!
+//! The experiments driver then appends the routing substrate's and the
+//! scheme's static checks — deadlock freedom ([`crate::verify`]), LBDR
+//! confinement and scheme parameters (`rair::verify`) — so one
+//! [`Admission`] is the whole static verdict on a configuration
+//! ([`AdmitWitness::Route`], [`AdmitWitness::Parameter`]).
+//!
 //! Timing note: this crate is subject to the wall-clock determinism lint,
 //! so [`PropertyReport::micros`] is left 0 here and stamped by the
 //! experiments driver, which is exempt.
@@ -276,6 +282,11 @@ pub enum AdmitWitness {
         /// Offered load in flits/cycle.
         offered: f64,
     },
+    /// The static verifier's first violation: an escape-CDG cycle, a router
+    /// without an escape channel, or a pair without a legal minimal path.
+    Route(crate::verify::VerifyViolation),
+    /// A scheme parameter that leaves the priority order partial.
+    Parameter(String),
 }
 
 impl fmt::Display for AdmitWitness {
@@ -319,6 +330,8 @@ impl fmt::Display for AdmitWitness {
                     "link {link}: offered {offered:.3} > capacity 1 flit/cycle"
                 )
             }
+            AdmitWitness::Route(v) => write!(f, "{v}"),
+            AdmitWitness::Parameter(defect) => f.write_str(defect),
         }
     }
 }
@@ -327,7 +340,7 @@ impl fmt::Display for AdmitWitness {
 #[derive(Debug, Clone)]
 pub struct PropertyReport {
     /// Property name ([`PROP_PROGRESS`] / [`PROP_NON_INTERFERENCE`] /
-    /// [`PROP_FEASIBILITY`]).
+    /// [`PROP_FEASIBILITY`], or one the experiments driver appends).
     pub property: &'static str,
     /// The verdict.
     pub verdict: AdmitVerdict,

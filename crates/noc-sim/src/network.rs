@@ -283,22 +283,22 @@ impl Network {
         // distinct configuration once.
         let mut stats = SimStats::new(num_apps);
         if checked {
-            let (violations, count) =
-                crate::verify::verify_network_cached(&cfg, &region, routing.as_ref());
-            if count > 0 && cfg.oracle.resolve_panic() {
+            let report = crate::verify::verify_network_cached(&cfg, routing.as_ref());
+            if !report.ok() && cfg.oracle.resolve_panic() {
                 panic!(
                     "static verifier: {} violation(s) for routing {}:\n{}",
-                    count,
+                    report.violation_count,
                     routing.name(),
-                    violations
+                    report
+                        .violations
                         .iter()
                         .map(|v| format!("  {v}"))
                         .collect::<Vec<_>>()
                         .join("\n")
                 );
             }
-            stats.verify_violations = violations;
-            stats.verify_violation_count = count;
+            stats.verify_violations = report.violations;
+            stats.verify_violation_count = report.violation_count;
         }
         // Every router starts dirty so the first state update always runs.
         let dirty_mask = (0..n.div_ceil(64)).map(|w| full_word(w, n)).collect();

@@ -32,10 +32,10 @@
 //!   the *same* chosen minimal directions, adaptive detours can only
 //!   move a packet further along that order, so the extended
 //!   dependencies stay acyclic too (the verifier checks this
-//!   computationally rather than trusting the argument). `repro
-//!   verify-config` proves every [`TopologyKind::CANONICAL`] config in one
-//!   run, and must reject the torus and the ring with the lane switch
-//!   removed, each with its lane-0 wrap cycle as the witness.
+//!   computationally rather than trusting the argument). `repro admit`
+//!   proves every [`TopologyKind::CANONICAL`] config in one run, and must
+//!   reject the torus and the ring with the lane switch removed, each with
+//!   its lane-0 wrap cycle as the witness.
 //!
 //! ## Concentration
 //!
@@ -80,8 +80,8 @@ pub enum TopologyKind {
 
 impl TopologyKind {
     /// One of each kind, in report order (a 4-NI concentrated mesh): with
-    /// [`SimConfig::table1_topology`], the matrix every static self-check
-    /// (`repro verify-config`, `repro admit`) runs in one invocation.
+    /// [`SimConfig::table1_topology`], the matrix the static gate
+    /// (`repro admit`) runs in one invocation.
     pub const CANONICAL: [TopologyKind; 4] = [
         TopologyKind::Mesh,
         TopologyKind::Torus,

@@ -267,23 +267,28 @@ impl<'a> Verifier<'a> {
     }
 }
 
-/// The key both process-wide verifier memos file a network under: config
-/// digest, routing name, region map, and `extra` (admission adds the scheme
-/// label).
+/// The key admission's process-wide memo files a network under: config
+/// digest, routing name, `extra` (the scheme label) and region map.
 pub(crate) fn network_key(
     cfg: &SimConfig,
     region: &RegionMap,
     routing: &dyn RoutingAlgorithm,
     extra: &str,
 ) -> u64 {
-    let mut d = metrics::Digest::new();
-    cfg.digest_into(&mut d);
-    d.write_str(routing.name());
-    d.write_str(extra);
+    let mut d = routing_key(cfg, routing, extra);
     for n in 0..region.len() {
         d.write_u64(u64::from(region.app_of(n as NodeId)));
     }
     d.finish()
+}
+
+/// [`network_key`] without the region map, unfinished.
+fn routing_key(cfg: &SimConfig, routing: &dyn RoutingAlgorithm, extra: &str) -> metrics::Digest {
+    let mut d = metrics::Digest::new();
+    cfg.digest_into(&mut d);
+    d.write_str(routing.name());
+    d.write_str(extra);
+    d
 }
 
 /// Look `key` up in a digest-keyed memo, computing (outside the lock) and
@@ -304,21 +309,14 @@ pub(crate) fn memoized<V: Clone>(
     value
 }
 
-/// Verify `(cfg, region, routing)` as `Network::new` does, memoizing the
-/// result process-wide (see [`network_key`]) so construction-heavy tests pay
-/// the analysis once.
-///
-/// Returns the capped violation list plus the uncapped count.
-pub fn verify_network_cached(
-    cfg: &SimConfig,
-    region: &RegionMap,
-    routing: &dyn RoutingAlgorithm,
-) -> (Vec<VerifyViolation>, u64) {
-    static CACHE: Mutex<BTreeMap<u64, (Vec<VerifyViolation>, u64)>> = Mutex::new(BTreeMap::new());
-    memoized(&CACHE, network_key(cfg, region, routing, ""), || {
-        let report = Verifier::new(cfg, routing).run();
-        (report.violations, report.violation_count)
-    })
+/// Verify `(cfg, routing)` as `Network::new` does, memoizing the report
+/// process-wide under the config digest and routing name (the unfiltered
+/// criterion does not read the region map) so construction-heavy tests and
+/// the admission matrix pay the analysis once.
+pub fn verify_network_cached(cfg: &SimConfig, routing: &dyn RoutingAlgorithm) -> VerifyReport {
+    static CACHE: Mutex<BTreeMap<u64, VerifyReport>> = Mutex::new(BTreeMap::new());
+    let key = routing_key(cfg, routing, "").finish();
+    memoized(&CACHE, key, || Verifier::new(cfg, routing).run())
 }
 
 #[cfg(test)]
@@ -412,11 +410,10 @@ mod tests {
     #[test]
     fn cached_network_entrypoint_is_clean_for_table1() {
         let cfg = SimConfig::table1();
-        let region = RegionMap::quadrants(&cfg);
-        let (v, count) = verify_network_cached(&cfg, &region, &DbarAdaptive);
-        assert!(v.is_empty() && count == 0);
+        let r = verify_network_cached(&cfg, &DbarAdaptive);
+        assert!(r.ok() && r.violations.is_empty());
         // Second lookup hits the cache (same result either way).
-        let (v2, c2) = verify_network_cached(&cfg, &region, &DbarAdaptive);
-        assert!(v2.is_empty() && c2 == 0);
+        let r2 = verify_network_cached(&cfg, &DbarAdaptive);
+        assert!(r2.ok() && r2.pairs_checked == r.pairs_checked);
     }
 }

@@ -30,6 +30,17 @@ pub const BACKLOG_FRACTION: f64 = 0.03;
 /// "90% of saturation" operating points.
 pub const LATENCY_BLOWUP: f64 = 8.0;
 
+/// How steeply a probe past [`LATENCY_BLOWUP`] pulls the knee estimate
+/// under its rate: by `(LATENCY_BLOWUP / ratio)^(1 / 2^LATENCY_KNEE_ROOTS)`,
+/// the 32nd root. Near the knee the production curves' latency ratio grows
+/// like `rate^11` (exponent ≈ 0.09); 1/32 is deliberately flatter, so an
+/// estimate lands at or just under the knee: an undershoot costs one
+/// stable probe, an overshoot one unstable probe per cell. Square roots
+/// keep `libm` out of the binary (`powf` links it, which costs every
+/// `repro` process ≈ 0.5 MB of peak RSS). It places probes only, never the
+/// load.
+const LATENCY_KNEE_ROOTS: u32 = 5;
+
 /// Parameters for a saturation search.
 #[derive(Debug, Clone, Copy)]
 pub struct SaturationProbe {
@@ -212,10 +223,7 @@ pub fn search_saturation(
 /// `build(rate)` constructs a fresh network offering `rate`
 /// flits/cycle/node over `active_nodes` nodes. Runs the zero-load latency
 /// reference once, then returns the probe [`search_saturation`] takes:
-/// `rate -> (stable, knee_estimate)`. The estimate is a by-product of the
-/// backlog criterion: a run that left `backlog` of its `offered` packets
-/// in the source queues accepted `rate * (1 - backlog / offered)`, and at
-/// the knee that fraction is exactly [`BACKLOG_FRACTION`].
+/// `rate -> (stable, knee_estimate)`, the estimate from [`knee_estimate`].
 fn stability_oracle<'a>(
     probe: &'a SaturationProbe,
     active_nodes: usize,
@@ -239,17 +247,30 @@ fn stability_oracle<'a>(
             rate / PacketMix::of(&net.cfg).mean_flits() * active_nodes as f64 * total_cycles as f64;
         let backlog = net.total_backlog() as f64;
         let backlog_ok = backlog < BACKLOG_FRACTION * offered_packets;
-        let latency_ok = net
-            .stats
-            .recorder
-            .overall_mean(metrics::LatencyKind::Total)
-            .is_some_and(|l| l <= LATENCY_BLOWUP * zero_load);
-        let accepted = rate * (1.0 - backlog / offered_packets);
+        let latency = (net.stats.recorder).overall_mean(metrics::LatencyKind::Total);
+        let latency_ok = latency.is_some_and(|l| l <= LATENCY_BLOWUP * zero_load);
+        let blowup = latency.filter(|_| !latency_ok).map(|l| l / zero_load);
         (
             backlog_ok && latency_ok,
-            accepted / (1.0 - BACKLOG_FRACTION),
+            knee_estimate(rate, backlog / offered_packets, blowup),
         )
     }
+}
+
+/// Where a probe at `rate` places the knee, read from both stability
+/// criteria. A run that left `backlog_fraction` of its offered packets in
+/// the source queues accepted `rate * (1 - backlog_fraction)`, and at the
+/// knee that fraction is exactly [`BACKLOG_FRACTION`]. A run whose mean
+/// latency is `blowup` × zero-load, past [`LATENCY_BLOWUP`], also says the
+/// knee is under `rate` ([`LATENCY_KNEE_ROOTS`]) even when its backlog is
+/// not; the lower of the two estimates is taken.
+fn knee_estimate(rate: f64, backlog_fraction: f64, blowup: Option<f64>) -> f64 {
+    let accepted = rate * (1.0 - backlog_fraction);
+    let by_backlog = accepted / (1.0 - BACKLOG_FRACTION);
+    blowup.map_or(by_backlog, |ratio| {
+        let pull = (0..LATENCY_KNEE_ROOTS).fold(LATENCY_BLOWUP / ratio, |f, _| f.sqrt());
+        by_backlog.min(rate * pull)
+    })
 }
 
 /// `(active nodes, network builder)` of application `app` running *alone*
@@ -353,6 +374,34 @@ mod tests {
             (0.1..0.95).contains(&sat),
             "implausible saturation load {sat}"
         );
+    }
+
+    /// Within the latency guard the estimate is the backlog one, bit for
+    /// bit; past it, the estimate falls under the probed rate even with the
+    /// backlog under its limit (a probe on Fig. 14's app 0 curve: 2.29 %
+    /// backlog, 8.56× zero-load latency, one cell over the knee), and
+    /// lower the further past the guard.
+    #[test]
+    fn knee_estimate_reads_the_latency_blowup() {
+        let rate = 96.0 / 128.0;
+        let by_backlog = |b: f64| rate * (1.0 - b) / (1.0 - BACKLOG_FRACTION);
+        for b in [0.0, 0.0229, 0.0578, 0.4] {
+            assert_eq!(
+                knee_estimate(rate, b, None).to_bits(),
+                by_backlog(b).to_bits()
+            );
+        }
+        assert!(by_backlog(0.0229) > rate, "the backlog alone overshoots");
+        let knee = knee_estimate(rate, 0.0229, Some(8.56));
+        assert!(knee < rate && knee > 95.0 / 128.0, "{}", knee * 128.0);
+        let mut last = rate;
+        for ratio in [8.01, 9.0, 12.0, 18.8, 80.0] {
+            let knee = knee_estimate(rate, 0.0, Some(ratio));
+            assert!(knee < last, "{ratio}: {knee}");
+            last = knee;
+        }
+        // A deep backlog still wins when it places the knee lower.
+        assert_eq!(knee_estimate(rate, 0.4, Some(9.0)), by_backlog(0.4));
     }
 
     /// The twin: a plain interval-halving search that keeps one bit per

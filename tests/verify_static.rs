@@ -5,7 +5,7 @@
 //! trip the runtime deadlock watchdog, across randomized region maps,
 //! schemes and loads.
 
-use experiments::verify_config::MixedDorEscape;
+use experiments::admit::MixedDorEscape;
 use noc_sim::ids::{PORT_EAST, PORT_WEST};
 use noc_sim::network::Network;
 use noc_sim::prelude::*;
@@ -37,16 +37,16 @@ fn escape_vcs_disabled_yields_a_cycle_witness() {
 
 #[test]
 fn torus_without_datelines_yields_a_wrap_cycle_witness() {
-    // The torus control of `repro verify-config`: correct minimal
+    // The torus control of `repro admit`: correct minimal
     // dimension-order escape, but every packet pinned to dateline lane 0 —
     // the wraparound link closes the lane-0 channel ring and the verifier
     // must extract that cycle.
-    let case = experiments::verify_config::no_dateline_case(TopologyKind::Torus);
+    let case = experiments::admit::no_dateline_case(TopologyKind::Torus);
     assert!(case.caught, "no-dateline torus escape was not rejected");
     assert!(!case.witness.is_empty(), "no witness extracted");
 
     let cfg = SimConfig::table1_topology(TopologyKind::Torus);
-    let report = Verifier::new(&cfg, &experiments::verify_config::NoDatelineEscape).run();
+    let report = Verifier::new(&cfg, &experiments::admit::NoDatelineEscape).run();
     assert!(!report.ok());
     let cycle = report
         .violations
