@@ -8,9 +8,11 @@
 //! of the priority machinery + region non-interference of the VC
 //! steering) and appends four properties, in this order:
 //!
-//! - **bandwidth feasibility**, built on the analytical model's per-flow
-//!   link-load map ([`model::link_load_map`]): a channel whose predicted
-//!   utilization exceeds 1 flit/cycle is physically over-subscribed;
+//! - **bandwidth feasibility**, built on the analytical model's link-load
+//!   map ([`model::link_load_map`]): a channel whose predicted utilization
+//!   exceeds 1 flit/cycle is physically over-subscribed (for one
+//!   application: an offered load past its saturation bound,
+//!   [`model::warm_hint`]);
 //! - **deadlock freedom**: escape-CDG acyclicity, escape connectedness and
 //!   all-pairs legality ([`noc_sim::verify::verify_network_cached`]);
 //! - **LBDR confinement**: the same criterion with every region confined
@@ -130,7 +132,7 @@ fn schemes(num_apps: usize) -> Vec<Scheme> {
 }
 
 /// The analytical routing abstraction matching a simulated routing choice.
-pub(crate) fn routing_kind(routing: Routing) -> RoutingKind {
+fn routing_kind(routing: Routing) -> RoutingKind {
     match routing {
         Routing::Xy => RoutingKind::DimensionOrder,
         Routing::Local | Routing::Dbar => RoutingKind::Adaptive,
@@ -162,6 +164,8 @@ fn property(
 /// Bandwidth feasibility of the operating point `specs` on
 /// `cfg` × `region` × `routing`: reject if the worst channel of the
 /// model's link-load map is offered more than 1 flit/cycle, else admit.
+/// The map is the one the saturation bound reads, so an application alone
+/// is admitted exactly up to its bound.
 pub fn check_feasibility(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -783,37 +787,45 @@ mod tests {
         );
     }
 
+    /// Feasibility and the saturation bound read one load map: an
+    /// application alone is admitted just under its bound and rejected
+    /// just over it, on every canonical topology under both routing kinds,
+    /// with the map's worst channel as the witness.
     #[test]
     fn feasibility_admits_up_to_unit_load_and_rejects_past_it() {
-        let cfg = SimConfig::table1();
-        let region = RegionMap::halves(&cfg);
-        let worst = |rate: f64| {
-            let specs = vec![
-                Some(AppSpec::intra_only(rate)),
-                Some(AppSpec::intra_only(MATRIX_RATE)),
-            ];
-            let rep = check_feasibility(&cfg, &region, &specs, Routing::Local);
-            let rho = model::link_load_map(&cfg, &region, &specs, RoutingKind::Adaptive)
-                .iter()
-                .map(model::ChannelLoad::rho_total)
-                .fold(0.0, f64::max);
-            (rep, rho, specs)
-        };
-        // 0.35 flits/cycle/node puts ~0.89 on the worst interior hop
-        // channel: inside unit capacity.
-        let (rep, rho, specs) = worst(0.35);
-        assert!(rho > 0.75 && rho <= 1.0, "worst channel at {rho}");
-        assert_eq!(rep.verdict, AdmitVerdict::Admit, "{}", rep.detail);
-        assert!(rep.witness.is_none());
-        let adm = admit_cell(&cfg, &region, &Scheme::rair(), Routing::Local, &specs);
-        assert_eq!(adm.verdict(), AdmitVerdict::Admit);
-        // 0.45 puts the same channel past 1 flit/cycle.
-        let (rep, rho, _) = worst(0.45);
-        assert!(rho > 1.0, "worst channel at {rho}");
-        assert_eq!(rep.verdict, AdmitVerdict::Reject, "{}", rep.detail);
-        assert!(matches!(
-            rep.witness,
-            Some(AdmitWitness::Overload { offered, .. }) if offered == rho
-        ));
+        for kind in TopologyKind::CANONICAL {
+            let cfg = SimConfig::table1_topology(kind);
+            let region = RegionMap::halves(&cfg);
+            for routing in [Routing::Local, Routing::Xy] {
+                let intra = AppSpec::intra_only(0.0);
+                let bound = model::warm_hint(&cfg, &region, 0, &intra, routing_kind(routing))
+                    .unwrap()
+                    .predicted;
+                let at = |rate: f64| {
+                    let specs = vec![Some(AppSpec::intra_only(rate)), None];
+                    let rep = check_feasibility(&cfg, &region, &specs, routing);
+                    let rho = model::link_load_map(&cfg, &region, &specs, routing_kind(routing))
+                        .iter()
+                        .map(model::ChannelLoad::rho_total)
+                        .fold(0.0, f64::max);
+                    (rep, rho, specs)
+                };
+                let label = format!("{}/{routing:?} at bound {bound}", kind.label());
+                let (rep, rho, specs) = at(bound * (1.0 - 1e-9));
+                assert!(rho <= 1.0, "{label}: worst channel at {rho}");
+                assert_eq!(rep.verdict, AdmitVerdict::Admit, "{label}: {}", rep.detail);
+                assert!(rep.witness.is_none());
+                let adm = admit_cell(&cfg, &region, &Scheme::rair(), routing, &specs);
+                assert_eq!(adm.verdict(), AdmitVerdict::Admit, "{label}");
+                let (rep, rho, _) = at(bound * (1.0 + 1e-9));
+                assert!(rho > 1.0, "{label}: worst channel at {rho}");
+                assert_eq!(rep.verdict, AdmitVerdict::Reject, "{label}: {}", rep.detail);
+                assert!(
+                    matches!(rep.witness, Some(AdmitWitness::Overload { offered, .. }) if offered == rho),
+                    "{label}: {:?}",
+                    rep.witness
+                );
+            }
+        }
     }
 }

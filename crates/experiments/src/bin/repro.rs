@@ -48,7 +48,6 @@ struct Opts {
     serve_dir: String,
     retries: u32,
     timeout_ms: Option<u64>,
-    screen: bool,
     /// The positional a solo subcommand takes (`serve`'s jobs file).
     operand: String,
 }
@@ -100,7 +99,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--dir", scope: Row, kind: Valued("PATH", "a path", |o, v| { o.serve_dir = v.into(); Some(()) }), help: "state directory of the job service" },
     Flag { name: "--retries", scope: Row, kind: Valued("N", "a positive integer", |o, v| v.parse().ok().filter(|&n| n > 0).map(|n| o.retries = n)), help: "attempts before a job is quarantined" },
     Flag { name: "--timeout-ms", scope: Row, kind: Valued("N", "a positive number of milliseconds", |o, v| v.parse().ok().filter(|&n| n > 0).map(|n| o.timeout_ms = Some(n))), help: "wall-clock cap per attempt" },
-    Flag { name: "--screen", scope: Row, kind: Switch(|o| o.screen = true), help: "screen jobs through the analytical model first" },
     Flag { name: "--help", scope: Every, kind: Switch(|o| o.help = true), help: "print this text (also -h)" },
 ];
 
@@ -143,7 +141,7 @@ const SUBCOMMANDS: &[Cmd] = &[
     Cmd { name: "trace-demo", role: Extra, help: "capture a trace to a file, replay it under two schemes", flags: &[SIM, &["--trace-file"]], run: |o| emit(o, &figs::trace_demo::run(&o.ec, &o.trace_file)?) },
     Cmd { name: "admit", role: Extra, help: "static gate: QoS, deadlock freedom, LBDR and scheme checks of every shipped config (ADMIT_report.json)", flags: &[], run: admit },
     Cmd { name: "resilience", role: Extra, help: "fault rate x scheme x routing sweep (RESILIENCE_report.json)", flags: &[SIM], run: resilience },
-    Cmd { name: "serve", role: Solo(Some("a jobs file")), help: "crash-safe job service over a jobs file", flags: &[SIM, &["--dir", "--retries", "--timeout-ms", "--screen"]], run: serve },
+    Cmd { name: "serve", role: Solo(Some("a jobs file")), help: "crash-safe job service over a jobs file", flags: &[SIM, &["--dir", "--retries", "--timeout-ms"]], run: serve },
     Cmd { name: "chaos", role: Solo(None), help: "fault-injection battery over the service (CHAOS_report.json)", flags: &[&["--smoke", "--seed"]], run: chaos },
 ];
 
@@ -199,7 +197,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<(Opts, Vec<&'static C
         serve_dir: "results/serve".into(),
         retries: 3,
         timeout_ms: None,
-        screen: false,
         operand: String::new(),
     };
     let (mut given, mut positional) = (Vec::new(), Vec::new());
@@ -412,7 +409,6 @@ fn serve(o: &Opts) -> Outcome {
     let scfg = ServeConfig {
         max_attempts: o.retries,
         timeout_ms: o.timeout_ms,
-        screen: o.screen,
         ..ServeConfig::new(&o.serve_dir, o.ec)
     };
     let report = serve(std_store(), &specs, &scfg, &sim_exec());
@@ -539,7 +535,7 @@ mod tests {
             );
         }
         let counts = (SUBCOMMANDS.len() + 1, FLAGS.len());
-        assert_eq!(counts, (15, 11), "subcommands (with `all`), flags");
+        assert_eq!(counts, (15, 10), "subcommands (with `all`), flags");
         let (_, all) = parse(["all".to_string()]).unwrap_or_else(|e| panic!("{e}"));
         let want = "table1 lbdr fig9 fig12 fig14 fig15 fig17 ablation";
         assert_eq!(names(&all), want);

@@ -1,8 +1,8 @@
 //! Crash-safe job journal: a versioned, per-line-CRC'd write-ahead log.
 //!
 //! Every job transition — the pool's `running`, `done`, `failed` and
-//! `quarantine` ([`super::pool`]), serve's `queued`, `rejected`, `screened`
-//! and `sweep-done` — is one line in the shared [`super::store::frame`]:
+//! `quarantine` ([`super::pool`]), serve's `queued`, `rejected` and
+//! `sweep-done` — is one line in the shared [`super::store::frame`]:
 //!
 //! ```text
 //! rair-wal-v1 \t <crc32 of payload, 8 hex digits> \t <payload>

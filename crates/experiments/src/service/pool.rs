@@ -134,7 +134,7 @@ pub(crate) mod rows {
     }
 
     /// `queued` (text = label) and the terminal verdicts `rejected` /
-    /// `screened` / `quarantine` (text = reason).
+    /// `quarantine` (text = reason).
     pub fn note(kind: &str, id: u64, text: &str) -> String {
         format!("{kind}\t{id:016x}\t{}", runner::esc_label(text))
     }
@@ -150,7 +150,7 @@ pub(crate) struct ReplayedJob {
     /// `running` rows observed (attempts consumed, across invocations).
     pub runs: u32,
     pub done: Option<RunResult>,
-    /// `(row kind, reason)` of a `rejected` / `screened` / `quarantine` row.
+    /// `(row kind, reason)` of a `rejected` / `quarantine` row.
     pub terminal: Option<(String, String)>,
 }
 
@@ -179,7 +179,7 @@ pub(crate) fn replay_jobs(payloads: &[String]) -> BTreeMap<u64, ReplayedJob> {
                     st.done = Some(r);
                 }
             }
-            "rejected" | "screened" | "quarantine" => {
+            "rejected" | "quarantine" => {
                 st.terminal = Some((kind.to_string(), runner::unesc_label(rest)));
             }
             _ => {}

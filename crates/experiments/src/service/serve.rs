@@ -11,10 +11,9 @@
 //!    `max_attempts` crash-resume cycles instead of crash-looping forever.
 //!    A finished job exists once, as its `done` row: reusing results in
 //!    another state directory means copying `journal.wal` there.
-//! 2. **Gates** — every pending job passes the static admission pipeline
+//! 2. **Gate** — every pending job passes the static admission pipeline
 //!    before any network is built (a rejected scheme is recorded and
-//!    skipped), and with [`ServeConfig::screen`] the analytical model
-//!    screens out jobs offered far past their saturation bound.
+//!    skipped).
 //! 3. **Supervision** — the surviving jobs run on the crate's one
 //!    supervised pool ([`super::pool::run_supervised`]: `catch_unwind`,
 //!    optional wall-clock timeout, bounded backoff, poison-job quarantine
@@ -250,9 +249,6 @@ pub struct ServeConfig {
     pub backoff_base_ms: u64,
     /// Wall-clock cap per attempt; `None` means unbounded.
     pub timeout_ms: Option<u64>,
-    /// Screen jobs through the analytical model's saturation bound before
-    /// simulating.
-    pub screen: bool,
 }
 
 impl ServeConfig {
@@ -263,7 +259,6 @@ impl ServeConfig {
             max_attempts: 3,
             backoff_base_ms: 50,
             timeout_ms: None,
-            screen: false,
         }
     }
 
@@ -279,8 +274,6 @@ pub enum JobStatus {
     Done,
     /// Statically rejected by the admission gate; never built.
     Rejected,
-    /// Screened out by the analytical surrogate; never built.
-    Screened,
     /// Failed `max_attempts` times (panic/timeout) — poison, labeled and
     /// skipped, never aborting the sweep.
     Quarantined,
@@ -291,7 +284,6 @@ impl JobStatus {
         match self {
             JobStatus::Done => "done",
             JobStatus::Rejected => "rejected",
-            JobStatus::Screened => "screened",
             JobStatus::Quarantined => "quarantined",
         }
     }
@@ -306,7 +298,7 @@ pub struct JobOutcome {
     /// Attempts consumed across all invocations (0 for gated/restored jobs).
     pub attempts: u32,
     pub result: Option<RunResult>,
-    /// Why the job was rejected/screened/quarantined.
+    /// Why the job was rejected/quarantined.
     pub reason: Option<String>,
     /// Satisfied without running a simulation in this invocation (journal
     /// replay, or dedup against an identical job).
@@ -446,7 +438,8 @@ pub fn serve(
         }
         let st = replayed.get(&id);
         // 1. Journal replay: a done row or a terminal verdict stands (and is
-        // not journaled again).
+        // not journaled again). Older binaries also wrote `screened` rows;
+        // replay ignores them, so such a job is gated and run.
         if let Some(r) = st.and_then(|s| s.done.clone()) {
             resumed += 1;
             resolve(i, 0, Ok(r), true);
@@ -456,15 +449,14 @@ pub fn serve(
             resumed += 1;
             let status = match kind.as_str() {
                 "rejected" => JobStatus::Rejected,
-                "screened" => JobStatus::Screened,
                 _ => JobStatus::Quarantined,
             };
             resolve(i, 0, Err((status, reason)), true);
             continue;
         }
         journal.append(&rows::note("queued", id, &spec.label));
-        // 2. Gates. Admission first, before any network build; a key no
-        // table holds names no configuration to admit.
+        // 2. The admission gate, before any network build; a key no table
+        // holds names no configuration to admit.
         let cfg = SimConfig::table1();
         let admitted = spec.resolve(&cfg).and_then(|job| {
             let alg = job.routing.build();
@@ -475,35 +467,14 @@ pub fn serve(
                 &job.scheme.automaton(),
             );
             match adm.rejection() {
-                None => Ok(job),
+                None => Ok(()),
                 Some(p) => Err(format!("{}: {}", adm.scheme, p.detail)),
             }
         });
-        let job = match admitted {
-            Ok(job) => job,
-            Err(why) => {
-                let reason = format!("admission gate rejected {why}");
-                journal.append(&rows::note("rejected", id, &reason));
-                resolve(i, 0, Err((JobStatus::Rejected, reason)), false);
-                continue;
-            }
-        };
-        // Then optional model screening: offered load far past the model's
-        // unit-capacity saturation bound will only measure queue blow-up.
-        let kind = scfg.screen.then(|| crate::admit::routing_kind(job.routing));
-        let predicted =
-            kind.and_then(|k| model::predict_app_saturation(&cfg, &job.region, 0, &job.app, k));
-        if let Some(sat) = predicted
-            .map(|p| p.load)
-            .filter(|&sat| spec.rate > model::SCREEN_MARGIN * sat)
-        {
-            let reason = format!(
-                "screened: offered {:.3} > {}x saturation bound {sat:.3}",
-                spec.rate,
-                model::SCREEN_MARGIN
-            );
-            journal.append(&rows::note("screened", id, &reason));
-            resolve(i, 0, Err((JobStatus::Screened, reason)), false);
+        if let Err(why) = admitted {
+            let reason = format!("admission gate rejected {why}");
+            journal.append(&rows::note("rejected", id, &reason));
+            resolve(i, 0, Err((JobStatus::Rejected, reason)), false);
             continue;
         }
         let (exec, spec, ec) = (Arc::clone(exec), spec.clone(), scfg.ec);
@@ -901,35 +872,34 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Older binaries screened jobs through the analytical model and
+    /// journaled a terminal `screened` row. Replay ignores that kind (as it
+    /// ignores any kind it does not read), so the job is gated and run: a
+    /// literal journal such a binary wrote for `deep ro_rr local single
+    /// uniform 0.90 1` under `ExpConfig::quick()`.
     #[test]
-    fn screening_skips_deep_saturated_jobs() {
-        let dir = tmp("screen");
-        let store = StdStore;
-        // 0.9 flits/cycle/node uniform on an 8x8 mesh is far past any
-        // saturation bound.
+    fn an_old_screened_row_is_ignored_and_the_job_runs() {
+        const WAL: &str = "rair-wal-v1\t24eb7194\tqueued\t9b4e05cad69cf542\tdeep\n\
+                           rair-wal-v1\td9d22712\tscreened\t9b4e05cad69cf542\t\
+                           screened: offered 0.900 > 1.5x saturation bound 0.492\n\
+                           rair-wal-v1\tb4294949\tsweep-done\t74745a76994632ef\t1\n";
+        let dir = tmp("old-screened");
+        let scfg = ServeConfig::new(&dir, ExpConfig::quick());
+        std::fs::write(scfg.journal_path(), WAL).unwrap();
         let deep = JobSpec::parse("deep ro_rr local single uniform 0.90 1").unwrap();
-        // Dimension-order routing saturates transpose long before adaptive
-        // routing does (bounds ≈ 0.143 vs 0.40): the `xy` job is screened
-        // against its own routing's bound, its `local` twin runs.
-        let xy = JobSpec::parse("xy ro_rr xy single transpose 0.30 1").unwrap();
-        let local = JobSpec::parse("local ro_rr local single transpose 0.30 1").unwrap();
-        let exec = stub_exec();
-        let scfg = ServeConfig {
-            screen: true,
-            ..ServeConfig::new(&dir, ExpConfig::quick())
-        };
-        let r = serve(&store, &[deep.clone(), xy, local], &scfg, &exec);
-        let status: Vec<JobStatus> = r.outcomes.iter().map(|o| o.status).collect();
-        let screened = JobStatus::Screened;
-        assert_eq!(status, [screened, screened, JobStatus::Done]);
-        assert_eq!(r.executed, 1);
-        // Without screening the same job runs.
-        let dir2 = tmp("screen-off");
-        let scfg2 = ServeConfig::new(&dir2, ExpConfig::quick());
-        let r2 = serve(&store, &[deep], &scfg2, &exec);
-        assert_eq!(r2.outcomes[0].status, JobStatus::Done);
+        let r = serve(&StdStore, &[deep], &scfg, &stub_exec());
+        assert_eq!(r.outcomes[0].id, 0x9b4e_05ca_d69c_f542);
+        assert_eq!(r.outcomes[0].status, JobStatus::Done);
+        assert_eq!((r.executed, r.resumed), (1, 0));
+        assert!(!r.journal_torn_tail && r.journal_quarantined_rows == 0);
+        // The job is queued again and run; no `screened` row is added.
+        let after = std::fs::read_to_string(scfg.journal_path()).unwrap();
+        let added = after.strip_prefix(WAL).unwrap();
+        let kinds: Vec<&str> = (added.lines())
+            .map(|l| l.split('\t').nth(2).unwrap())
+            .collect();
+        assert_eq!(kinds, ["queued", "running", "done", "sweep-done"]);
         std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&dir2).unwrap();
     }
 
     /// Bytes on disk are a compatibility surface: a literal `journal.wal`

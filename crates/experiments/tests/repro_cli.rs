@@ -330,8 +330,9 @@ fn out_of_scope_flags_and_stray_positionals_fail_with_usage() {
 }
 
 /// What was retired is gone by name — a flag and a subcommand of the
-/// model, the five flags that split a self-check by topology, ran its
-/// negative controls alone or spelled `RAIR_ORACLE=1`, the oracle matrix
+/// model, `serve`'s model screen (admission is its one gate), the five
+/// flags that split a self-check by topology, ran its negative controls
+/// alone or spelled `RAIR_ORACLE=1`, the oracle matrix
 /// (tier-1's `oracle_differential` runs it), the four six-app studies
 /// that `ablation` runs as one sweep, the Fig. 10 subcommand, whose
 /// table `fig9` prints from the same sweep, and the static verifier's own
@@ -358,6 +359,11 @@ fn retired_names_and_zero_valued_serve_knobs_fail_with_usage() {
             "--timeout-ms needs a positive number of milliseconds".into(),
         ),
     ];
+    let screen = ["--scr", "een"].concat();
+    cases.push((
+        vec!["serve", "jobs.txt", screen.as_str()],
+        format!("unknown flag {screen}"),
+    ));
     let retired = [
         ("--topo", "logy", "admit"),
         ("--inject", "-cyclic", "admit"),

@@ -14,30 +14,31 @@
 //!    replies on the reverse path). Distributions are enumerated from the
 //!    same rules [`traffic::scenario::Scenario::new`] draws from, so the
 //!    offered matrix matches the simulator in expectation.
-//! 2. **Link loads** — each flow is spread over its minimal-route lattice
+//! 2. **Link loads** — each flow is placed on its minimal-route lattice
 //!    (wrap-aware chosen minimal directions via
 //!    [`noc_sim::topology::productive_ports`], so torus/ring/cmesh are
-//!    handled uniformly): dimension-order takes the single X-then-Y walk,
-//!    adaptive routing is approximated as a uniform draw over all minimal
-//!    paths with closed-form binomial crossing probabilities per channel.
-//!    Per directed channel the model accumulates the utilization
-//!    `ρ = λ·E[S]`, separately for traffic that is *native* vs *foreign* at
-//!    that channel's upstream router.
+//!    handled uniformly). Per directed channel the model accumulates the
+//!    utilization `ρ = λ·E[S]`, separately for traffic that is *native* vs
+//!    *foreign* at that channel's upstream router. Dimension-order takes
+//!    the single X-then-Y walk. Adaptive routing takes, per channel, the
+//!    smaller of two oblivious extremes: a uniform draw over all minimal
+//!    paths (closed-form binomial crossing probabilities) and the 50/50
+//!    blend of the X-first and Y-first walks.
 //!
-//! Every channel carries at most one flit per cycle, so the saturation
-//! bound is the offered load at which the busiest channel's utilization
-//! reaches 1. Nothing is fitted to the simulator. Flow control, turn
-//! restrictions and finite VC depth keep real channels below utilization 1,
-//! so measured saturation usually sits under the bound. The adaptive
-//! estimate (the pointwise minimum of two oblivious route maps) is not a
-//! strict bound, which is what [`SCREEN_MARGIN`] allows for.
-//!
-//! Three consumers: [`link_load_map`] is the admission pipeline's
-//! bandwidth-feasibility input, [`predict_app_saturation`] screens
-//! `repro serve --screen` jobs, and [`warm_hint`] places the first probe of
-//! every saturation search one grid cell under the bound
-//! ([`traffic::saturation::search_saturation`]). The bound sits above all
-//! eight production knees, so that probe replaces the search's `max_rate`
+//! That estimate is the one answer to "how loaded is each channel per unit
+//! of offered load", and it has two readers. [`link_load_map`] is the
+//! admission pipeline's bandwidth-feasibility input (a channel past 1
+//! flit/cycle is over-subscribed). [`warm_hint`] is the saturation bound,
+//! the offered load at which the busiest channel of the same map reaches 1
+//! flit/cycle, and places the first probe of every saturation search one
+//! grid cell under it ([`traffic::saturation::search_saturation`]). So for
+//! one application, feasibility admits exactly the loads at or under the
+//! bound. Nothing is fitted to the simulator. Flow control, turn
+//! restrictions and finite VC depth keep real channels below utilization
+//! 1, so measured saturation usually sits under the bound; the adaptive
+//! estimate is not strict, though (the audit in `tests/cross_validation.rs`
+//! measures up to 1.031× the bound). The bound sits above all eight
+//! production knees, so the first probe replaces the search's `max_rate`
 //! probe with one nearer the knee; it places probes only, never the load.
 //! (A fitted prediction sat 1–6 cells *under* the Fig. 14 knees and made
 //! the searches slower; EXPERIMENTS.md, "Measured and not taken".)
@@ -103,6 +104,12 @@ struct Flow {
 struct LinkLoad {
     /// Utilization `Σ λ·E[S]` (flits/cycle).
     rho: [f64; 2],
+}
+
+impl LinkLoad {
+    fn total(&self) -> f64 {
+        self.rho[0] + self.rho[1]
+    }
 }
 
 // ------------------------------------------------------------------------
@@ -300,16 +307,6 @@ enum RouteStyle {
     Mix,
 }
 
-impl RoutingKind {
-    /// The route style used for expected link loads.
-    fn style(self) -> RouteStyle {
-        match self {
-            RoutingKind::DimensionOrder => RouteStyle::Dor,
-            RoutingKind::Adaptive => RouteStyle::Spread,
-        }
-    }
-}
-
 /// The channels a `src → dst` packet crosses, with their crossing
 /// probabilities (summing to 1 per lattice stage).
 ///
@@ -387,101 +384,95 @@ fn native_at(cfg: &SimConfig, region: &RegionMap, link: Link, app: AppId) -> boo
     region.is_native(tag_node, app)
 }
 
-/// Accumulate every flow's load onto its channels.
-fn link_loads(
-    cfg: &SimConfig,
-    region: &RegionMap,
-    flows: &[Flow],
-    style: RouteStyle,
-) -> BTreeMap<Link, LinkLoad> {
-    let mut loads: BTreeMap<Link, LinkLoad> = BTreeMap::new();
+/// Per-channel loads, one slot per channel the topology could have, in
+/// [`Link`] order: the injection channels, the router pairs
+/// (`from · routers + to`), the ejection channels. `None` marks a channel
+/// no flow's routes cross. (A dense table, not a map: the matrix of
+/// `repro admit` builds two of these per adaptive cell.)
+type LoadTable = Vec<Option<LinkLoad>>;
+
+/// The slot of `link` in a [`LoadTable`].
+fn slot(cfg: &SimConfig, link: Link) -> usize {
+    let (nodes, routers) = (cfg.num_nodes(), cfg.num_routers());
+    match link {
+        Link::Inject(n) => n as usize,
+        Link::Hop(from, to) => nodes + from as usize * routers + to as usize,
+        Link::Eject(r) => nodes + routers * routers + r as usize,
+    }
+}
+
+/// The channel of slot `i` ([`slot`]'s inverse).
+fn link_at(cfg: &SimConfig, i: usize) -> Link {
+    let (nodes, routers) = (cfg.num_nodes(), cfg.num_routers());
+    match i.checked_sub(nodes) {
+        None => Link::Inject(i as NodeId),
+        Some(h) if h < routers * routers => Link::Hop((h / routers) as u32, (h % routers) as u32),
+        Some(h) => Link::Eject((h - routers * routers) as u32),
+    }
+}
+
+/// Accumulate every flow's load onto its channels, routed in one style.
+fn link_loads(cfg: &SimConfig, region: &RegionMap, flows: &[Flow], style: RouteStyle) -> LoadTable {
+    let routers = cfg.num_routers();
+    let mut loads: LoadTable = vec![None; cfg.num_nodes() + routers * routers + routers];
     let mut route = Vec::new();
     for f in flows {
         route.clear();
         route_distribution(cfg, f.src, f.dst, style, &mut route);
         for &(link, w) in &route {
             let cls = usize::from(!native_at(cfg, region, link, f.app));
-            loads.entry(link).or_default().rho[cls] += w * f.pkt_rate * f.mean;
+            let load = loads[slot(cfg, link)].get_or_insert_with(LinkLoad::default);
+            load.rho[cls] += w * f.pkt_rate * f.mean;
         }
     }
     loads
+}
+
+/// The model's one per-channel estimate of `flows` under `routing`.
+///
+/// Dimension-order is exact: the X-then-Y walk. Adaptive routing steers by
+/// local congestion between two oblivious extremes: uniform path sampling
+/// (which bulges load into the lattice center) and the deterministic XY/YX
+/// boundary pair (which piles load onto corners). Congestion avoidance
+/// relieves whichever is locally worse, so each channel carries the
+/// smaller of the two maps' loads, with that map's native/foreign split.
+fn channel_loads(
+    cfg: &SimConfig,
+    region: &RegionMap,
+    flows: &[Flow],
+    routing: RoutingKind,
+) -> LoadTable {
+    match routing {
+        RoutingKind::DimensionOrder => link_loads(cfg, region, flows, RouteStyle::Dor),
+        RoutingKind::Adaptive => {
+            let mix = link_loads(cfg, region, flows, RouteStyle::Mix);
+            let mut loads = link_loads(cfg, region, flows, RouteStyle::Spread);
+            for (load, m) in loads.iter_mut().zip(mix) {
+                // Spread crosses every channel of a flow's lattice, mix its
+                // boundary only: a channel mix never crosses carries 0.
+                if let Some(load) = load {
+                    let m = m.unwrap_or_default();
+                    if m.total() < load.total() {
+                        *load = m;
+                    }
+                }
+            }
+            loads
+        }
+    }
 }
 
 // ------------------------------------------------------------------------
 // Public predictions
 // ------------------------------------------------------------------------
 
-/// A saturation bound with its bottleneck diagnosis.
-#[derive(Debug, Clone, Copy)]
-pub struct SaturationPrediction {
-    /// Saturation bound (flits/cycle/node over the app's nodes).
-    pub load: f64,
-    /// Flit rate of the bottleneck channel at unit offered load; `load`
-    /// is `1 / channel_load`.
-    pub channel_load: f64,
-    /// The channel that saturates first.
-    pub bottleneck: Link,
-}
-
-/// How far measured saturation may sit above [`predict_app_saturation`]'s
-/// bound. The adaptive estimate is not strict: the audit in
-/// `tests/cross_validation.rs` measures up to 1.031× the bound, and
-/// `repro serve --screen` skips only jobs offered past this multiple.
-pub const SCREEN_MARGIN: f64 = 1.5;
-
-/// Predict the saturation load of `app` running alone with mix `spec`
-/// (the operating point [`traffic::saturation::app_saturation`] measures):
-/// the offered load at which the busiest channel's utilization reaches 1
-/// flit/cycle. `None` when the spec generates no traffic.
-pub fn predict_app_saturation(
-    cfg: &SimConfig,
-    region: &RegionMap,
-    app: AppId,
-    spec: &AppSpec,
-    routing: RoutingKind,
-) -> Option<SaturationPrediction> {
-    let unit = AppSpec {
-        rate_flits: 1.0,
-        ..spec.clone()
-    };
-    let mut flows = Vec::new();
-    app_flows(cfg, region, app, &unit, &mut flows);
-    if flows.is_empty() {
-        return None;
-    }
-    let loads = link_loads(cfg, region, &flows, routing.style());
-    // Adaptive routing steers by local congestion between two oblivious
-    // extremes: uniform path sampling (which bulges load into the lattice
-    // center) and the deterministic XY/YX boundary pair (which piles load
-    // onto corners). Congestion avoidance relieves whichever is locally
-    // worse, so estimate each channel's achievable load as the pointwise
-    // minimum of the two maps. Dimension-order is exact.
-    let mix = (routing == RoutingKind::Adaptive)
-        .then(|| link_loads(cfg, region, &flows, RouteStyle::Mix));
-    let est = |l: &Link, load: &LinkLoad| -> f64 {
-        let spread = load.rho[0] + load.rho[1];
-        match &mix {
-            Some(m) => m.get(l).map_or(0.0, |ml| ml.rho[0] + ml.rho[1]).min(spread),
-            None => spread,
-        }
-    };
-    let (bottleneck, channel_load) = loads
-        .iter()
-        .map(|(l, load)| (*l, est(l, load)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))?;
-    if channel_load <= 0.0 {
-        return None;
-    }
-    Some(SaturationPrediction {
-        load: 1.0 / channel_load,
-        channel_load,
-        bottleneck,
-    })
-}
-
-/// [`predict_app_saturation`] wrapped as the bound
+/// The saturation bound of `app` running alone with mix `spec` (the
+/// operating point [`traffic::saturation::app_saturation`] measures): the
+/// offered load at which the busiest channel of [`link_load_map`] reaches
+/// 1 flit/cycle, as the bound
 /// [`traffic::saturation::app_saturation_traced`] starts its search under.
 /// `experiments::sweep::cached_saturation` computes it on every cache miss.
+/// `None` when the spec generates no traffic.
 pub fn warm_hint(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -489,8 +480,18 @@ pub fn warm_hint(
     spec: &AppSpec,
     routing: RoutingKind,
 ) -> Option<WarmStart> {
-    let predicted = predict_app_saturation(cfg, region, app, spec, routing)?.load;
-    Some(WarmStart { predicted })
+    let mut specs = vec![None; region.num_apps()];
+    specs[usize::from(app)] = Some(AppSpec {
+        rate_flits: 1.0,
+        ..spec.clone()
+    });
+    let peak = link_load_map(cfg, region, &specs, routing)
+        .iter()
+        .map(ChannelLoad::rho_total)
+        .fold(0.0, f64::max);
+    (peak > 0.0).then(|| WarmStart {
+        predicted: 1.0 / peak,
+    })
 }
 
 /// One channel of the public load map: its predicted utilization at the
@@ -513,12 +514,12 @@ impl ChannelLoad {
     }
 }
 
-/// The per-flow link-load map of the multi-application operating point
-/// `specs` — the public API the static admission pipeline's bandwidth
-/// feasibility check is built on. Every contended channel appears with
-/// its class-split utilization, in deterministic [`Link`] order. A channel
-/// with `rho_total() > 1` is physically over-subscribed (the
-/// over-subscribed-region rejection).
+/// The link-load map of the multi-application operating point `specs` —
+/// the input of the static admission pipeline's bandwidth feasibility
+/// check and of [`warm_hint`]'s bound. Every channel a flow's minimal
+/// routes may cross appears with its class-split utilization, in
+/// deterministic [`Link`] order. A channel with `rho_total() > 1` is
+/// physically over-subscribed (the over-subscribed-region rejection).
 pub fn link_load_map(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -532,12 +533,14 @@ pub fn link_load_map(
             app_flows(cfg, region, a as AppId, s, &mut flows);
         }
     }
-    link_loads(cfg, region, &flows, routing.style())
-        .into_iter()
-        .map(|(link, load)| ChannelLoad {
-            link,
-            rho_native: load.rho[0],
-            rho_foreign: load.rho[1],
+    (channel_loads(cfg, region, &flows, routing).into_iter())
+        .enumerate()
+        .filter_map(|(i, load)| {
+            load.map(|load| ChannelLoad {
+                link: link_at(cfg, i),
+                rho_native: load.rho[0],
+                rho_foreign: load.rho[1],
+            })
         })
         .collect()
 }
@@ -644,39 +647,114 @@ mod tests {
         assert!(route.iter().all(|&(_, w)| w == 1.0));
     }
 
-    #[test]
-    fn saturation_prediction_plausible_on_halves() {
-        let c = cfg();
-        let region = RegionMap::halves(&c);
-        let p = predict_app_saturation(
-            &c,
-            &region,
-            0,
-            &AppSpec::intra_only(0.0),
-            RoutingKind::Adaptive,
-        )
-        .unwrap();
-        assert!(
-            p.load > 0.15 && p.load < 0.9,
-            "implausible prediction {p:?}"
-        );
-        // The bottleneck of intra-half UR is a router-to-router channel,
-        // not an injection port.
-        assert!(matches!(p.bottleneck, Link::Hop(_, _)), "{p:?}");
+    /// The load map of `app` alone at `rate` under `spec`'s mix.
+    fn alone(
+        c: &SimConfig,
+        region: &RegionMap,
+        spec: &AppSpec,
+        rate: f64,
+        routing: RoutingKind,
+    ) -> Vec<ChannelLoad> {
+        let mut specs = vec![None; region.num_apps()];
+        specs[0] = Some(AppSpec {
+            rate_flits: rate,
+            ..spec.clone()
+        });
+        link_load_map(c, region, &specs, routing)
+    }
+
+    fn peak(map: &[ChannelLoad]) -> f64 {
+        map.iter().map(ChannelLoad::rho_total).fold(0.0, f64::max)
     }
 
     #[test]
-    fn adaptive_never_loads_bottleneck_more_than_dor() {
+    fn saturation_bound_plausible_on_halves() {
         let c = cfg();
         let region = RegionMap::halves(&c);
         let spec = AppSpec::intra_only(0.0);
-        let dor = predict_app_saturation(&c, &region, 0, &spec, RoutingKind::DimensionOrder)
+        let bound = warm_hint(&c, &region, 0, &spec, RoutingKind::Adaptive)
             .unwrap()
-            .channel_load;
-        let ada = predict_app_saturation(&c, &region, 0, &spec, RoutingKind::Adaptive)
-            .unwrap()
-            .channel_load;
-        assert!(ada <= dor + 1e-9, "adaptive {ada} vs dor {dor}");
+            .predicted;
+        assert!(bound > 0.15 && bound < 0.9, "implausible bound {bound}");
+        // The bottleneck of intra-half UR is a router-to-router channel,
+        // not an injection port.
+        let map = alone(&c, &region, &spec, 1.0, RoutingKind::Adaptive);
+        let top = map
+            .iter()
+            .max_by(|a, b| a.rho_total().total_cmp(&b.rho_total()))
+            .unwrap();
+        assert!(matches!(top.link, Link::Hop(_, _)), "{top:?}");
+    }
+
+    /// Halves/intra and chip-wide UR, transpose and bit-complement, the
+    /// four canonical topologies, both routing kinds.
+    fn bound_cases() -> Vec<(String, SimConfig, RegionMap, AppSpec)> {
+        let pat = |p: Pattern| AppSpec::with_inter(0.0, 1.0, InterDest::Pattern(p));
+        let mut cases = Vec::new();
+        for kind in noc_sim::topology::TopologyKind::CANONICAL {
+            let c = SimConfig::table1_topology(kind);
+            let (halves, single) = (RegionMap::halves(&c), RegionMap::single(&c));
+            for (label, region, spec) in [
+                ("halves/intra", halves, AppSpec::intra_only(0.0)),
+                ("single/UR", single.clone(), AppSpec::intra_only(0.0)),
+                ("single/TP", single.clone(), pat(Pattern::Transpose)),
+                ("single/BC", single, pat(Pattern::BitComplement)),
+            ] {
+                cases.push((format!("{}/{label}", kind.label()), c.clone(), region, spec));
+            }
+        }
+        cases
+    }
+
+    /// One estimate, two readers: the load map of an application alone at
+    /// its saturation bound peaks at exactly one flit/cycle.
+    #[test]
+    fn load_map_peaks_at_unit_load_at_the_bound() {
+        for (label, c, region, spec) in bound_cases() {
+            for routing in [RoutingKind::DimensionOrder, RoutingKind::Adaptive] {
+                let Some(hint) = warm_hint(&c, &region, 0, &spec, routing) else {
+                    // Transpose is undefined off the square grids.
+                    assert_eq!(peak(&alone(&c, &region, &spec, 1.0, routing)), 0.0);
+                    assert!(label.ends_with("/TP") && c.width != c.height, "{label}");
+                    continue;
+                };
+                let top = peak(&alone(&c, &region, &spec, hint.predicted, routing));
+                assert!((top - 1.0).abs() <= 1e-12, "{label} {routing:?}: {top}");
+            }
+        }
+    }
+
+    /// On these cases adaptive routing's feasibility limit is never below
+    /// XY's (the uniform path spread alone put chip-wide bit-complement's
+    /// at 0.105 against XY's 0.25, a rejection of loads the simulator runs
+    /// stably).
+    #[test]
+    fn adaptive_feasibility_limit_is_at_least_the_dor_one() {
+        for (label, c, region, spec) in bound_cases() {
+            let limit = |k| 1.0 / peak(&alone(&c, &region, &spec, 1.0, k));
+            let (dor, ada) = (
+                limit(RoutingKind::DimensionOrder),
+                limit(RoutingKind::Adaptive),
+            );
+            assert!(ada >= dor * (1.0 - 1e-12), "{label}: {ada} < {dor}");
+        }
+    }
+
+    /// The dense table's slots enumerate the channels in [`Link`] order,
+    /// so the public map comes out sorted.
+    #[test]
+    fn load_table_slots_round_trip_in_link_order() {
+        for kind in noc_sim::topology::TopologyKind::CANONICAL {
+            let c = SimConfig::table1_topology(kind);
+            let len = c.num_nodes() + c.num_routers() * (c.num_routers() + 1);
+            let links: Vec<Link> = (0..len).map(|i| link_at(&c, i)).collect();
+            assert!(links.windows(2).all(|w| w[0] < w[1]), "{}", kind.label());
+            assert!(
+                (0..len).all(|i| slot(&c, links[i]) == i),
+                "{}",
+                kind.label()
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! the simulator. CI runs this in release under `RAIR_ORACLE=1` so every
 //! probe simulation executed here is also oracle-checked.
 
-use model::{predict_app_saturation, warm_hint, RoutingKind, SCREEN_MARGIN};
+use model::{warm_hint, RoutingKind};
 use noc_sim::config::SimConfig;
 use noc_sim::region::RegionMap;
 use noc_sim::topology::TopologyKind;
@@ -303,12 +303,16 @@ fn audit_matrix() -> Vec<(String, SimConfig, RegionMap, u8, AppSpec, Routing)> {
 /// Release-mode audit of the unit-capacity bound (13 quick-probe
 /// saturation searches; CI's `model` job runs it with
 /// `--include-ignored`). Prints measured saturation, the bound and their
-/// ratio per configuration, and asserts the property `serve --screen`
-/// relies on: no configuration saturates above `SCREEN_MARGIN` times its
-/// bound.
+/// ratio per configuration, and asserts that each measurement sits within
+/// `[0.5, 1.5] ×` its bound.
 #[test]
 #[ignore = "release-mode audit: 13 quick-probe saturation searches"]
 fn bound_holds_within_its_margin_on_the_audit_matrix() {
+    // A regression guard on the load map, not a property of the bound: a
+    // map that lost or doubled a flow moves the bound by 2× or more. The
+    // adaptive estimate is not strict (`single/HS` measures 1.031×), hence
+    // the headroom above 1.
+    const GUARD: f64 = 1.5;
     let probe = SaturationProbe::quick();
     let cases = audit_matrix();
     assert_eq!(cases.len(), 13);
@@ -318,15 +322,15 @@ fn bound_holds_within_its_margin_on_the_audit_matrix() {
         "config", "measured", "bound", "ratio"
     );
     for (label, cfg, region, app, spec, routing) in cases {
-        let bound = predict_app_saturation(&cfg, &region, app, &spec, kind_of(routing))
+        let bound = warm_hint(&cfg, &region, app, &spec, kind_of(routing))
             .expect("every audited config offers traffic")
-            .load;
+            .predicted;
         let measured = app_saturation(&probe, &cfg, &region, app, &spec, || routing.build());
         let ratio = measured / bound;
         println!("{label:<24} {measured:>9.4} {bound:>9.4} {ratio:>7.3}");
         assert!(
-            ratio <= SCREEN_MARGIN,
-            "{label}: measured {measured:.4} > {SCREEN_MARGIN} x bound {bound:.4}"
+            (0.5..=GUARD).contains(&ratio),
+            "{label}: measured {measured:.4} outside [0.5, {GUARD}] x bound {bound:.4}"
         );
         if ratio > worst.1 {
             worst = (label, ratio);
