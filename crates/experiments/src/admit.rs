@@ -1,7 +1,11 @@
-//! `repro admit` — the one static gate on a configuration: the admission
-//! pipeline over the scheme × routing × region matrix of every canonical
-//! topology, then over its [`controls`]: broken configurations that must
-//! each be rejected by the property they violate, with a witness.
+//! The one static gate on a configuration, [`admit_cell`], and `repro
+//! admit`: the gate over the scheme × routing × region matrix of every
+//! canonical topology, then over its [`controls`]: broken configurations
+//! that must each be rejected by the property they violate, with a
+//! witness. `repro serve` runs the same gate on every job at the job's
+//! offered load; network construction runs none (a test pins every figure
+//! cell's verdict). `serve` calls it outside its pool's `catch_unwind`, so
+//! its bodies are held to the panic lint.
 //!
 //! Each cell runs the kernel's admission pipeline
 //! ([`noc_sim::admit::admit_network_cached`]: progress/starvation-freedom
@@ -161,11 +165,12 @@ fn property(
     }
 }
 
-/// Bandwidth feasibility of the operating point `specs` on
-/// `cfg` × `region` × `routing`: reject if the worst channel of the
-/// model's link-load map is offered more than 1 flit/cycle, else admit.
-/// The map is the one the saturation bound reads, so an application alone
-/// is admitted exactly up to its bound.
+/// Bandwidth feasibility of the operating point `specs` (one entry per
+/// application of `region`, or none at all) on `cfg` × `region` ×
+/// `routing`: reject if the worst channel of the model's link-load map is
+/// offered more than 1 flit/cycle, else admit. The map is the one the
+/// saturation bound reads, so an application alone is admitted exactly up
+/// to its bound. Without specs nothing is offered and the check is vacuous.
 pub fn check_feasibility(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -173,7 +178,12 @@ pub fn check_feasibility(
     routing: Routing,
 ) -> PropertyReport {
     let t0 = Instant::now();
-    let loads = model::link_load_map(cfg, region, specs, routing_kind(routing));
+    let loads = if specs.len() == region.num_apps() {
+        model::link_load_map(cfg, region, specs, routing_kind(routing))
+    } else {
+        debug_assert!(specs.is_empty(), "one spec per application, or none");
+        Vec::new()
+    };
     let links = loads.len() as u64;
     let report = |detail, witness| property(PROP_FEASIBILITY, t0, links, detail, witness);
     let worst = loads
@@ -245,7 +255,9 @@ pub fn admit_cell(
 
 /// The scheme-independent properties of one network at the load `specs`:
 /// feasibility, deadlock freedom and LBDR confinement. The matrix computes
-/// them once for the network's seven schemes.
+/// them once for the network's seven schemes; the last two do not read the
+/// load and are memoized per network, so a jobs file pays them once per
+/// configuration.
 fn network_properties(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -524,14 +536,7 @@ pub fn controls() -> Vec<NegativeCase> {
         auto.name = "RAIR_InvertedSteering".to_string();
         auto.foreign_pref = Some(VcTag::Regional);
         let region = nonconvex_region(&cfg);
-        let alg = Routing::Xy.build();
-        let adm = Admission {
-            scheme: auto.name.clone(),
-            properties: vec![
-                noc_sim::admit::check_progress(&cfg, &auto),
-                noc_sim::admit::check_non_interference(&cfg, &region, alg.as_ref(), &auto),
-            ],
-        };
+        let adm = noc_sim::admit::admit_network(&cfg, &region, Routing::Xy.build().as_ref(), &auto);
         cases.push(negative(name("inverted-steering"), &adm));
 
         // 3. An over-subscribed region: app 0 offers 1.5 flits/cycle/node —

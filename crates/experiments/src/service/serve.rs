@@ -11,9 +11,11 @@
 //!    `max_attempts` crash-resume cycles instead of crash-looping forever.
 //!    A finished job exists once, as its `done` row: reusing results in
 //!    another state directory means copying `journal.wal` there.
-//! 2. **Gate** — every pending job passes the static admission pipeline
-//!    before any network is built (a rejected scheme is recorded and
-//!    skipped).
+//! 2. **Gate** — every pending job passes `repro admit`'s gate
+//!    ([`crate::admit::admit_cell`]: all six properties, bandwidth
+//!    feasibility at the job's own offered load included) before any
+//!    network is built; a rejected job is journaled with the first
+//!    rejecting property's detail and skipped.
 //! 3. **Supervision** — the surviving jobs run on the crate's one
 //!    supervised pool ([`super::pool::run_supervised`]: `catch_unwind`,
 //!    optional wall-clock timeout, bounded backoff, poison-job quarantine
@@ -32,6 +34,7 @@
 use super::journal::Journal;
 use super::pool::{replay_jobs, rows, run_supervised, Policy, Task};
 use super::store::Store;
+use crate::admit::admit_cell;
 use crate::runner::{self, ExpConfig, RunResult};
 use crate::sweep::build_network;
 use metrics::report::{Table, Value};
@@ -110,8 +113,9 @@ struct JobConfig {
     scheme: Scheme,
     routing: Routing,
     region: RegionMap,
-    /// The per-application traffic spec the job offers.
-    app: AppSpec,
+    /// The traffic every application of the region map offers: the one
+    /// operating point the gate admits and the simulation runs.
+    specs: Vec<Option<AppSpec>>,
 }
 
 impl JobSpec {
@@ -194,17 +198,21 @@ impl JobSpec {
     /// the first key no table holds. The fields are plain `String`s, so a
     /// hand-built spec can carry a key [`JobSpec::parse`] never saw.
     fn resolve(&self, cfg: &SimConfig) -> Result<JobConfig, String> {
+        let scheme = lookup("scheme", &self.scheme, SCHEMES)?();
+        let routing = lookup("routing", &self.routing, ROUTINGS)?;
+        let region = lookup("region", &self.region, REGIONS)?(cfg);
+        let app = AppSpec {
+            rate_flits: self.rate,
+            intra: 0.0,
+            inter: 1.0,
+            inter_dest: InterDest::Pattern(lookup("pattern", &self.pattern, PATTERNS)?()),
+            mc: 0.0,
+        };
         Ok(JobConfig {
-            scheme: lookup("scheme", &self.scheme, SCHEMES)?(),
-            routing: lookup("routing", &self.routing, ROUTINGS)?,
-            region: lookup("region", &self.region, REGIONS)?(cfg),
-            app: AppSpec {
-                rate_flits: self.rate,
-                intra: 0.0,
-                inter: 1.0,
-                inter_dest: InterDest::Pattern(lookup("pattern", &self.pattern, PATTERNS)?()),
-                mc: 0.0,
-            },
+            scheme,
+            routing,
+            specs: vec![Some(app); region.num_apps()],
+            region,
         })
     }
 }
@@ -219,9 +227,7 @@ pub fn sim_exec() -> JobExec {
         let cfg = SimConfig::table1();
         // `serve` rejects an unknown key before it builds a task.
         let job = spec.resolve(&cfg).unwrap_or_else(|e| panic!("{e}"));
-        let apps = job.region.num_apps();
-        let specs = (0..apps).map(|_| Some(job.app.clone())).collect();
-        let scenario = Scenario::new(&cfg, &job.region, specs);
+        let scenario = Scenario::new(&cfg, &job.region, job.specs);
         let net = build_network(
             &cfg,
             &job.region,
@@ -455,21 +461,14 @@ pub fn serve(
             continue;
         }
         journal.append(&rows::note("queued", id, &spec.label));
-        // 2. The admission gate, before any network build; a key no table
-        // holds names no configuration to admit.
+        // 2. The admission gate, `repro admit`'s, at the job's operating
+        // point, before any network build; a key no table holds names no
+        // configuration to admit.
         let cfg = SimConfig::table1();
         let admitted = spec.resolve(&cfg).and_then(|job| {
-            let alg = job.routing.build();
-            let adm = noc_sim::admit::admit_network_cached(
-                &cfg,
-                &job.region,
-                alg.as_ref(),
-                &job.scheme.automaton(),
-            );
-            match adm.rejection() {
-                None => Ok(()),
-                Some(p) => Err(format!("{}: {}", adm.scheme, p.detail)),
-            }
+            let adm = admit_cell(&cfg, &job.region, &job.scheme, job.routing, &job.specs);
+            adm.rejection()
+                .map_or(Ok(()), |p| Err(format!("{}: {}", adm.scheme, p.detail)))
         });
         if let Err(why) = admitted {
             let reason = format!("admission gate rejected {why}");
@@ -874,11 +873,13 @@ mod tests {
 
     /// Older binaries screened jobs through the analytical model and
     /// journaled a terminal `screened` row. Replay ignores that kind (as it
-    /// ignores any kind it does not read), so the job is gated and run: a
-    /// literal journal such a binary wrote for `deep ro_rr local single
-    /// uniform 0.90 1` under `ExpConfig::quick()`.
+    /// ignores any kind it does not read), so the job is queued and gated
+    /// afresh: a literal journal such a binary wrote for `deep ro_rr local
+    /// single uniform 0.90 1` under `ExpConfig::quick()`. The gate decides
+    /// on the job's own load, which is past chip-wide UR's bound (0.492),
+    /// so bandwidth feasibility rejects it.
     #[test]
-    fn an_old_screened_row_is_ignored_and_the_job_runs() {
+    fn an_old_screened_row_is_ignored_and_the_job_is_gated_afresh() {
         const WAL: &str = "rair-wal-v1\t24eb7194\tqueued\t9b4e05cad69cf542\tdeep\n\
                            rair-wal-v1\td9d22712\tscreened\t9b4e05cad69cf542\t\
                            screened: offered 0.900 > 1.5x saturation bound 0.492\n\
@@ -889,16 +890,56 @@ mod tests {
         let deep = JobSpec::parse("deep ro_rr local single uniform 0.90 1").unwrap();
         let r = serve(&StdStore, &[deep], &scfg, &stub_exec());
         assert_eq!(r.outcomes[0].id, 0x9b4e_05ca_d69c_f542);
-        assert_eq!(r.outcomes[0].status, JobStatus::Done);
-        assert_eq!((r.executed, r.resumed), (1, 0));
+        assert_eq!(r.outcomes[0].status, JobStatus::Rejected);
+        let reason = r.outcomes[0].reason.as_deref().unwrap();
+        assert!(reason.contains("over-subscribed"), "{reason}");
+        assert_eq!((r.executed, r.resumed), (0, 0));
         assert!(!r.journal_torn_tail && r.journal_quarantined_rows == 0);
-        // The job is queued again and run; no `screened` row is added.
+        // The job is queued again and gated; no `screened` row is added.
         let after = std::fs::read_to_string(scfg.journal_path()).unwrap();
         let added = after.strip_prefix(WAL).unwrap();
         let kinds: Vec<&str> = (added.lines())
             .map(|l| l.split('\t').nth(2).unwrap())
             .collect();
-        assert_eq!(kinds, ["queued", "running", "done", "sweep-done"]);
+        assert_eq!(kinds, ["queued", "rejected", "sweep-done"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Serve's gate is `repro admit`'s: single/transpose/XY is feasible up
+    /// to 1/7 flits/cycle/node, so 0.15 is rejected by bandwidth
+    /// feasibility, with the over-subscribed channel as the witness, before
+    /// any build, and 0.14 runs.
+    #[test]
+    fn an_over_subscribed_job_is_rejected_by_feasibility_before_any_build() {
+        let dir = tmp("overload");
+        let built = Arc::new(AtomicUsize::new(0));
+        let b = Arc::clone(&built);
+        let exec: JobExec = Arc::new(move |spec: &JobSpec, _e: &ExpConfig| {
+            b.fetch_add(1, Ordering::SeqCst);
+            RunResult::fabricated(&spec.label, spec.seed)
+        });
+        let over = JobSpec::parse("over rair xy single transpose 0.15").unwrap();
+        let under = JobSpec::parse("under rair xy single transpose 0.14").unwrap();
+        let cfg = SimConfig::table1();
+        let job = over.resolve(&cfg).unwrap();
+        let adm = admit_cell(&cfg, &job.region, &job.scheme, job.routing, &job.specs);
+        let rej = adm.rejection().expect("0.15 over-subscribes a channel");
+        assert_eq!(rej.property, noc_sim::admit::PROP_FEASIBILITY);
+        assert!(
+            matches!(rej.witness, Some(noc_sim::admit::AdmitWitness::Overload { offered, .. })
+                if offered > 1.0),
+            "{:?}",
+            rej.witness
+        );
+        let scfg = ServeConfig::new(&dir, ExpConfig::quick());
+        let r = serve(&StdStore, &[over, under], &scfg, &exec);
+        let got: Vec<_> = r.outcomes.iter().map(|o| o.status).collect();
+        assert_eq!(got, [JobStatus::Rejected, JobStatus::Done]);
+        assert_eq!(built.load(Ordering::SeqCst), 1, "only 0.14 is built");
+        assert_eq!(
+            r.outcomes[0].reason.as_deref(),
+            Some(format!("admission gate rejected RA_RAIR: {}", rej.detail).as_str())
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

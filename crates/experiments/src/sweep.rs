@@ -18,20 +18,15 @@ use noc_sim::network::Network;
 use noc_sim::region::RegionMap;
 use noc_sim::source::TrafficSource;
 use rair::scheme::{Routing, Scheme};
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
 use traffic::saturation::{app_saturation_traced, SaturationProbe};
 use traffic::scenario::AppSpec;
 
 /// Build a network from the scheme/routing matrix plus a traffic source.
-///
-/// Every construction first consults the static admission pipeline's
-/// process-wide cache ([`noc_sim::admit::admit_network_cached`]) — the
-/// pre-simulation gate of the sweep runner. A statically rejected scheme
-/// is still simulated (the paper deliberately measures the
-/// `RAIR_ForeignH` priority inversion as an ablation) but the rejection
-/// is logged once per scheme.
+/// Construction only constructs: admission is `crate::admit`'s gate, which
+/// `repro admit` and `serve` run, and the figure cells' verdicts are pinned
+/// by a test (the `RAIR_ForeignH` inversion is simulated on purpose, as a
+/// measured ablation).
 pub fn build_network(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -40,32 +35,15 @@ pub fn build_network(
     source: Box<dyn TrafficSource>,
     seed: u64,
 ) -> Network {
-    let alg = routing.build();
-    let adm = noc_sim::admit::admit_network_cached(cfg, region, alg.as_ref(), &scheme.automaton());
-    if !adm.is_admitted() {
-        let mut warned = ADMIT_WARNED.lock().unwrap_or_else(PoisonError::into_inner);
-        if warned.insert(adm.scheme.clone()) {
-            eprintln!(
-                "[admit] {} rejected statically — simulating anyway (measured ablation): {}",
-                adm.scheme,
-                adm.rejection()
-                    .map(|p| p.detail.clone())
-                    .unwrap_or_default()
-            );
-        }
-    }
     Network::new(
         cfg.clone(),
         region.clone(),
-        alg,
+        routing.build(),
         scheme.build(),
         source,
         seed,
     )
 }
-
-/// Schemes already warned about (one log line per scheme per process).
-static ADMIT_WARNED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 
 /// The process-wide saturation-load cache behind [`cached_saturation`]:
 /// `sat_<key>.txt` holds the load under the `rair-sat-v3` frame, then a
@@ -178,7 +156,7 @@ mod tests {
     /// Serializes tests that touch the process-wide cache layers or the
     /// `RAIR_CACHE_DIR` environment variable.
     fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -281,9 +259,8 @@ mod tests {
         assert_eq!(net.routing_name(), "DBAR");
     }
 
-    /// The pre-simulation gate flags a statically rejected scheme but
-    /// still constructs the network — the `RAIR_ForeignH` inversion is a
-    /// measured ablation, not an error.
+    /// Construction does not gate: a statically rejected scheme builds —
+    /// the `RAIR_ForeignH` inversion is a measured ablation, not an error.
     #[test]
     fn statically_rejected_scheme_still_builds() {
         let cfg = SimConfig::table1();

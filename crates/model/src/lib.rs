@@ -44,9 +44,9 @@
 //! the searches slower; EXPERIMENTS.md, "Measured and not taken".)
 
 use noc_sim::config::SimConfig;
-use noc_sim::ids::{AppId, NodeId};
+use noc_sim::ids::{AppId, NodeId, PORT_EAST, PORT_NORTH, PORT_SOUTH, PORT_WEST};
 use noc_sim::region::RegionMap;
-use noc_sim::topology::{productive_ports, step};
+use noc_sim::topology::{has_link, neighbor_router, productive_ports, step};
 use traffic::pattern::Pattern;
 use traffic::saturation::WarmStart;
 use traffic::scenario::{AppSpec, InterDest, PacketMix};
@@ -193,12 +193,11 @@ fn dest_distribution(
                 pattern_distribution(cfg, &Pattern::UniformWithin(region.nodes_of(*target)), src)
             }
             InterDest::Pattern(p) => {
-                let d = pattern_distribution(cfg, p, src);
+                let mut d = pattern_distribution(cfg, p, src);
                 // The scenario redirects draws whose pattern destination is
                 // undefined to outside-uniform; mirror that for the
                 // missing mass.
                 let covered: f64 = d.iter().map(|(_, q)| q).sum();
-                let mut d = d;
                 if covered < 1.0 - 1e-12 {
                     for (dst, q) in pattern_distribution(cfg, &outside, src) {
                         d.push((dst, (1.0 - covered) * q));
@@ -223,9 +222,15 @@ fn dest_distribution(
     acc.into_iter().map(|((d, mc), q)| (d, q, mc)).collect()
 }
 
-/// Enumerate every flow application `app` offers under `spec` (requests
+/// Hand `out` every flow application `app` offers under `spec` (requests
 /// plus MC reply packets on the reverse path).
-fn app_flows(cfg: &SimConfig, region: &RegionMap, app: AppId, spec: &AppSpec, out: &mut Vec<Flow>) {
+fn app_flows(
+    cfg: &SimConfig,
+    region: &RegionMap,
+    app: AppId,
+    spec: &AppSpec,
+    out: &mut impl FnMut(Flow),
+) {
     if spec.rate_flits <= 0.0 {
         return;
     }
@@ -235,7 +240,7 @@ fn app_flows(cfg: &SimConfig, region: &RegionMap, app: AppId, spec: &AppSpec, ou
     let long = f64::from(mix.long);
     for src in region.nodes_of(app) {
         for (dst, q, is_mc) in dest_distribution(cfg, region, app, spec, src) {
-            out.push(Flow {
+            out(Flow {
                 src,
                 dst,
                 pkt_rate: pkt_rate * q,
@@ -244,7 +249,7 @@ fn app_flows(cfg: &SimConfig, region: &RegionMap, app: AppId, spec: &AppSpec, ou
             });
             if is_mc {
                 // The corner answers every MC request with one long packet.
-                out.push(Flow {
+                out(Flow {
                     src: dst,
                     dst: src,
                     pkt_rate: pkt_rate * q,
@@ -329,30 +334,16 @@ fn route_distribution(
     let ys = axis_seq(cfg, sc, dc, 1);
     let (a, b) = (xs.len() - 1, ys.len() - 1);
     let r_at = |x: u8, y: u8| cfg.router_at(noc_sim::ids::Coord { x, y }) as u32;
+    let (xs, ys) = (&xs, &ys);
+    // The X hops along row `y` and the Y hops along column `x`, at weight `w`.
+    let x_run = move |y, w| (0..a).map(move |i| (Link::Hop(r_at(xs[i], y), r_at(xs[i + 1], y)), w));
+    let y_run = move |x, w| (0..b).map(move |j| (Link::Hop(r_at(x, ys[j]), r_at(x, ys[j + 1])), w));
     match style {
-        RouteStyle::Dor => {
-            for i in 0..a {
-                out.push((Link::Hop(r_at(xs[i], ys[0]), r_at(xs[i + 1], ys[0])), 1.0));
-            }
-            for j in 0..b {
-                out.push((Link::Hop(r_at(xs[a], ys[j]), r_at(xs[a], ys[j + 1])), 1.0));
-            }
-        }
+        RouteStyle::Dor => out.extend(x_run(ys[0], 1.0).chain(y_run(xs[a], 1.0))),
         RouteStyle::Mix => {
-            // X-first boundary walk…
-            for i in 0..a {
-                out.push((Link::Hop(r_at(xs[i], ys[0]), r_at(xs[i + 1], ys[0])), 0.5));
-            }
-            for j in 0..b {
-                out.push((Link::Hop(r_at(xs[a], ys[j]), r_at(xs[a], ys[j + 1])), 0.5));
-            }
-            // …and the Y-first one.
-            for j in 0..b {
-                out.push((Link::Hop(r_at(xs[0], ys[j]), r_at(xs[0], ys[j + 1])), 0.5));
-            }
-            for i in 0..a {
-                out.push((Link::Hop(r_at(xs[i], ys[b]), r_at(xs[i + 1], ys[b])), 0.5));
-            }
+            // The X-first boundary walk, then the Y-first one.
+            out.extend(x_run(ys[0], 0.5).chain(y_run(xs[a], 0.5)));
+            out.extend(y_run(xs[0], 0.5).chain(x_run(ys[b], 0.5)));
         }
         RouteStyle::Spread => {
             let total = binom(a + b, a);
@@ -384,51 +375,65 @@ fn native_at(cfg: &SimConfig, region: &RegionMap, link: Link, app: AppId) -> boo
     region.is_native(tag_node, app)
 }
 
-/// Per-channel loads, one slot per channel the topology could have, in
-/// [`Link`] order: the injection channels, the router pairs
-/// (`from · routers + to`), the ejection channels. `None` marks a channel
-/// no flow's routes cross. (A dense table, not a map: the matrix of
-/// `repro admit` builds two of these per adaptive cell.)
+/// Per-channel loads, one slot per channel of [`Slots`], in [`Link`]
+/// order. `None` marks a channel no flow's routes cross. (A dense table,
+/// not a map: the matrix of `repro admit` builds two of these per adaptive
+/// cell, and `serve` one or two per job.)
 type LoadTable = Vec<Option<LinkLoad>>;
 
-/// The slot of `link` in a [`LoadTable`].
-fn slot(cfg: &SimConfig, link: Link) -> usize {
-    let (nodes, routers) = (cfg.num_nodes(), cfg.num_routers());
-    match link {
-        Link::Inject(n) => n as usize,
-        Link::Hop(from, to) => nodes + from as usize * routers + to as usize,
-        Link::Eject(r) => nodes + routers * routers + r as usize,
+/// The channels of a configuration, one table slot each, in [`Link`]
+/// order: injection, each router's links to its neighbours in ascending
+/// order (`u32::MAX` pads a router with fewer than four), ejection.
+struct Slots {
+    nodes: usize,
+    nbrs: Vec<[u32; 4]>,
+}
+
+impl Slots {
+    fn new(cfg: &SimConfig) -> Self {
+        let nbr = |r, p| match has_link(cfg, cfg.router_coord(r), p) {
+            true => neighbor_router(cfg, r, p) as u32,
+            false => u32::MAX,
+        };
+        let nbrs = (0..cfg.num_routers()).map(|r| {
+            let mut n = [PORT_NORTH, PORT_EAST, PORT_SOUTH, PORT_WEST].map(|p| nbr(r, p));
+            n.sort_unstable();
+            n
+        });
+        let (nodes, nbrs) = (cfg.num_nodes(), nbrs.collect());
+        Slots { nodes, nbrs }
+    }
+
+    fn len(&self) -> usize {
+        self.nodes + 5 * self.nbrs.len()
+    }
+
+    /// The slot of `link`; `None` for a hop between routers that are not
+    /// neighbours (no route takes one).
+    fn slot(&self, link: Link) -> Option<usize> {
+        Some(match link {
+            Link::Inject(n) => n as usize,
+            Link::Hop(from, to) => {
+                let k = self.nbrs.get(from as usize)?.iter().position(|&n| n == to);
+                self.nodes + 4 * from as usize + k?
+            }
+            Link::Eject(r) => self.nodes + 4 * self.nbrs.len() + r as usize,
+        })
+    }
+
+    /// Every slot's channel, in slot order (padding slots name router
+    /// `u32::MAX`; no load reaches them).
+    fn links(&self) -> impl Iterator<Item = Link> + '_ {
+        let hop = |(from, n): (usize, &[u32; 4])| n.map(|to| Link::Hop(from as u32, to));
+        let hops = self.nbrs.iter().enumerate().flat_map(hop);
+        let injects = (0..self.nodes).map(|n| Link::Inject(n as NodeId));
+        let ejects = (0..self.nbrs.len()).map(|r| Link::Eject(r as u32));
+        injects.chain(hops).chain(ejects)
     }
 }
 
-/// The channel of slot `i` ([`slot`]'s inverse).
-fn link_at(cfg: &SimConfig, i: usize) -> Link {
-    let (nodes, routers) = (cfg.num_nodes(), cfg.num_routers());
-    match i.checked_sub(nodes) {
-        None => Link::Inject(i as NodeId),
-        Some(h) if h < routers * routers => Link::Hop((h / routers) as u32, (h % routers) as u32),
-        Some(h) => Link::Eject((h - routers * routers) as u32),
-    }
-}
-
-/// Accumulate every flow's load onto its channels, routed in one style.
-fn link_loads(cfg: &SimConfig, region: &RegionMap, flows: &[Flow], style: RouteStyle) -> LoadTable {
-    let routers = cfg.num_routers();
-    let mut loads: LoadTable = vec![None; cfg.num_nodes() + routers * routers + routers];
-    let mut route = Vec::new();
-    for f in flows {
-        route.clear();
-        route_distribution(cfg, f.src, f.dst, style, &mut route);
-        for &(link, w) in &route {
-            let cls = usize::from(!native_at(cfg, region, link, f.app));
-            let load = loads[slot(cfg, link)].get_or_insert_with(LinkLoad::default);
-            load.rho[cls] += w * f.pkt_rate * f.mean;
-        }
-    }
-    loads
-}
-
-/// The model's one per-channel estimate of `flows` under `routing`.
+/// The model's one per-channel estimate of the operating point `specs`
+/// under `routing`.
 ///
 /// Dimension-order is exact: the X-then-Y walk. Adaptive routing steers by
 /// local congestion between two oblivious extremes: uniform path sampling
@@ -436,30 +441,54 @@ fn link_loads(cfg: &SimConfig, region: &RegionMap, flows: &[Flow], style: RouteS
 /// boundary pair (which piles load onto corners). Congestion avoidance
 /// relieves whichever is locally worse, so each channel carries the
 /// smaller of the two maps' loads, with that map's native/foreign split.
+///
+/// Flows are routed as they are enumerated, into every style's table at
+/// once, so no flow list is held; each channel still sums its flows in
+/// enumeration order.
 fn channel_loads(
     cfg: &SimConfig,
     region: &RegionMap,
-    flows: &[Flow],
+    slots: &Slots,
+    specs: &[Option<AppSpec>],
     routing: RoutingKind,
 ) -> LoadTable {
-    match routing {
-        RoutingKind::DimensionOrder => link_loads(cfg, region, flows, RouteStyle::Dor),
-        RoutingKind::Adaptive => {
-            let mix = link_loads(cfg, region, flows, RouteStyle::Mix);
-            let mut loads = link_loads(cfg, region, flows, RouteStyle::Spread);
-            for (load, m) in loads.iter_mut().zip(mix) {
-                // Spread crosses every channel of a flow's lattice, mix its
-                // boundary only: a channel mix never crosses carries 0.
-                if let Some(load) = load {
-                    let m = m.unwrap_or_default();
-                    if m.total() < load.total() {
-                        *load = m;
-                    }
-                }
+    let styles: &[RouteStyle] = match routing {
+        RoutingKind::DimensionOrder => &[RouteStyle::Dor],
+        RoutingKind::Adaptive => &[RouteStyle::Spread, RouteStyle::Mix],
+    };
+    let mut tables: Vec<LoadTable> = vec![vec![None; slots.len()]; styles.len()];
+    let mut route = Vec::new();
+    let mut add = |f: Flow| {
+        for (loads, &style) in tables.iter_mut().zip(styles) {
+            route.clear();
+            route_distribution(cfg, f.src, f.dst, style, &mut route);
+            for &(link, w) in &route {
+                let Some(i) = slots.slot(link) else { continue };
+                let cls = usize::from(!native_at(cfg, region, link, f.app));
+                let load = loads[i].get_or_insert_with(LinkLoad::default);
+                load.rho[cls] += w * f.pkt_rate * f.mean;
             }
-            loads
+        }
+    };
+    for (a, spec) in specs.iter().enumerate() {
+        if let Some(s) = spec {
+            app_flows(cfg, region, a as AppId, s, &mut add);
         }
     }
+    let mut tables = tables.into_iter();
+    let mut loads = tables.next().unwrap_or_default();
+    // Dimension-order has one table and no mix to zip with.
+    for (load, m) in loads.iter_mut().zip(tables.next().unwrap_or_default()) {
+        // Spread crosses every channel of a flow's lattice, mix its
+        // boundary only: a channel mix never crosses carries 0.
+        if let Some(load) = load {
+            let m = m.unwrap_or_default();
+            if m.total() < load.total() {
+                *load = m;
+            }
+        }
+    }
+    loads
 }
 
 // ------------------------------------------------------------------------
@@ -527,17 +556,12 @@ pub fn link_load_map(
     routing: RoutingKind,
 ) -> Vec<ChannelLoad> {
     assert_eq!(specs.len(), region.num_apps());
-    let mut flows = Vec::new();
-    for (a, spec) in specs.iter().enumerate() {
-        if let Some(s) = spec {
-            app_flows(cfg, region, a as AppId, s, &mut flows);
-        }
-    }
-    (channel_loads(cfg, region, &flows, routing).into_iter())
-        .enumerate()
-        .filter_map(|(i, load)| {
+    let slots = Slots::new(cfg);
+    let loads = channel_loads(cfg, region, &slots, specs, routing);
+    (slots.links().zip(loads))
+        .filter_map(|(link, load)| {
             load.map(|load| ChannelLoad {
-                link: link_at(cfg, i),
+                link,
                 rho_native: load.rho[0],
                 rho_foreign: load.rho[1],
             })
@@ -607,7 +631,7 @@ mod tests {
         let region = RegionMap::halves(&c);
         let spec = AppSpec::intra_only(0.3);
         let mut flows = Vec::new();
-        app_flows(&c, &region, 0, &spec, &mut flows);
+        app_flows(&c, &region, 0, &spec, &mut |f| flows.push(f));
         let pkts: f64 = flows.iter().map(|f| f.pkt_rate).sum();
         let expect = 32.0 * 0.3 / PacketMix::of(&c).mean_flits();
         assert!((pkts - expect).abs() < 1e-9, "{pkts} vs {expect}");
@@ -746,14 +770,26 @@ mod tests {
     fn load_table_slots_round_trip_in_link_order() {
         for kind in noc_sim::topology::TopologyKind::CANONICAL {
             let c = SimConfig::table1_topology(kind);
-            let len = c.num_nodes() + c.num_routers() * (c.num_routers() + 1);
-            let links: Vec<Link> = (0..len).map(|i| link_at(&c, i)).collect();
-            assert!(links.windows(2).all(|w| w[0] < w[1]), "{}", kind.label());
+            let slots = Slots::new(&c);
+            let links: Vec<(usize, Link)> = (slots.links().enumerate())
+                .filter(|(_, l)| !matches!(l, Link::Hop(_, u32::MAX)))
+                .collect();
+            let label = kind.label();
+            assert_eq!(slots.links().count(), slots.len(), "{label}");
+            assert!(links.windows(2).all(|w| w[0].1 < w[1].1), "{label}");
             assert!(
-                (0..len).all(|i| slot(&c, links[i]) == i),
-                "{}",
-                kind.label()
+                links.iter().all(|&(i, l)| slots.slot(l) == Some(i)),
+                "{label}"
             );
+            // One hop slot per directed link of the topology.
+            let hops = links.iter().filter(|(_, l)| matches!(l, Link::Hop(..)));
+            let directed: usize = (0..c.num_routers())
+                .map(|r| {
+                    let at = c.router_coord(r);
+                    (1..=4).filter(|&p| has_link(&c, at, p)).count()
+                })
+                .sum();
+            assert_eq!(hops.count(), directed, "{label}");
         }
     }
 
@@ -781,5 +817,28 @@ mod tests {
         assert!(labels[0].starts_with("inject(n"), "{labels:?}");
         // At a tiny offered load nothing is over-subscribed.
         assert!(map.iter().all(|cl| cl.rho_total() < 1.0));
+    }
+
+    /// A chip-wide center-hotspot pattern has a bound on every canonical
+    /// topology under both routing kinds, the one-row ring included, where
+    /// no 2×2 block of routers fits.
+    #[test]
+    fn center_hotspot_traffic_has_a_bound_on_every_topology() {
+        for kind in noc_sim::topology::TopologyKind::CANONICAL {
+            let c = SimConfig::table1_topology(kind);
+            let region = RegionMap::single(&c);
+            let hotspot = Pattern::Hotspot {
+                spots: Pattern::center_hotspots(&c),
+                bias: 0.5,
+            };
+            let spec = AppSpec::with_inter(0.0, 1.0, InterDest::Pattern(hotspot));
+            for routing in [RoutingKind::DimensionOrder, RoutingKind::Adaptive] {
+                let bound = warm_hint(&c, &region, 0, &spec, routing).map(|w| w.predicted);
+                assert!(
+                    bound.is_some_and(|b| b > 0.0 && b.is_finite()),
+                    "{kind:?}/{routing:?}: {bound:?}"
+                );
+            }
+        }
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! Given a full configuration (scheme × routing × topology × region map),
 //! `admit` proves or refutes — *without running the simulator* — the
-//! property families that make a config safe to hand to the sweep runner,
-//! and folds the verdicts into one machine-readable [`Admission`] report:
+//! kernel's two QoS properties of a config, the first two of the one
+//! admission gate, `experiments::admit::admit_cell` (which `repro admit`
+//! and `repro serve` call; network construction calls no admission), and
+//! folds the verdicts into one machine-readable [`Admission`] report:
 //!
 //! 1. **Progress / starvation-freedom** ([`check_progress`], property
 //!    name [`PROP_PROGRESS`]). The priority machinery of a scheme is
@@ -160,8 +162,8 @@ pub type PriorityFn = Box<dyn Fn(ArbStage, bool, Option<VcClass>, bool) -> u64 +
 /// `rair::Scheme::automaton()` for the shipped schemes, or by the
 /// constructors here for synthetic/test machines.
 pub struct PriorityAutomaton {
-    /// Scheme label (also the cache-key component — labels are unique
-    /// per scheme semantics).
+    /// Scheme label, the report's `scheme`. Labels do not name
+    /// parameters, so the memo keys on the functions' tables as well.
     pub name: String,
     /// DPA-bit transition function.
     pub step: StepFn,
@@ -794,8 +796,8 @@ pub fn check_non_interference(
     )
 }
 
-/// Run the full static admission pipeline (progress + non-interference;
-/// the experiments driver appends bandwidth feasibility).
+/// The kernel's half of admission: progress, then non-interference
+/// (`experiments::admit::admit_cell` appends the other four properties).
 pub fn admit_network(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -812,9 +814,12 @@ pub fn admit_network(
 }
 
 /// Process-wide memoized admission, on the verifier's memo
-/// ([`crate::verify::memoized`]) keyed by the network and the automaton's
-/// scheme label. The sweep runner and the DSE service call this as the
-/// pre-simulation gate; repeated cells are free.
+/// ([`crate::verify::memoized`]) keyed by the network and by everything the
+/// two checks read of the automaton ([`automaton_digest_into`]), so two
+/// schemes under one label (`RO_Rank` at two batch windows, RAIR at two
+/// hysteresis widths) never share a verdict or a wait bound. The full gate,
+/// `experiments::admit::admit_cell`, calls this for its first two
+/// properties; repeated cells are free.
 pub fn admit_network_cached(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -822,8 +827,49 @@ pub fn admit_network_cached(
     auto: &PriorityAutomaton,
 ) -> Admission {
     static CACHE: Mutex<BTreeMap<u64, Admission>> = Mutex::new(BTreeMap::new());
-    let key = crate::verify::network_key(cfg, region, routing, &auto.name);
-    crate::verify::memoized(&CACHE, key, || admit_network(cfg, region, routing, auto))
+    let mut d = crate::verify::network_digest(cfg, region, routing);
+    automaton_digest_into(cfg, auto, &mut d);
+    crate::verify::memoized(&CACHE, d.finish(), || {
+        admit_network(cfg, region, routing, auto)
+    })
+}
+
+/// Fold into `d` everything [`check_progress`] and
+/// [`check_non_interference`] read of `auto` on `cfg`: its label (the
+/// report's `scheme`), aging, VC steering and reset bit, and its step and
+/// priority functions tabulated over the grid [`check_progress`] explores.
+fn automaton_digest_into(cfg: &SimConfig, auto: &PriorityAutomaton, d: &mut metrics::Digest) {
+    d.write_str(&auto.name);
+    let (aging, window) = match auto.aging {
+        Aging::None => (0, 0),
+        Aging::OldestFirst => (1, 0),
+        Aging::Batched { window } => (2, window),
+    };
+    d.write_u64(aging);
+    d.write_u64(window);
+    for pref in [auto.native_pref, auto.foreign_pref] {
+        d.write_u64(match pref {
+            None => 0,
+            Some(VcTag::Regional) => 1,
+            Some(VcTag::Global) => 2,
+        });
+    }
+    d.write_u64(u64::from(auto.initial_native_high));
+    let cap = occ_cap(cfg);
+    let points = contested_points(cfg);
+    for nh in [false, true] {
+        // One word per row of the step table: bit `f` is step(nh, n, f)
+        // (the cap is at most 24, so a row fits).
+        for n in 0..=cap {
+            let row = (0..=cap).fold(0u64, |row, f| row | u64::from((auto.step)(nh, n, f)) << f);
+            d.write_u64(row);
+        }
+        for &(_, stage, vc) in &points {
+            for is_native in [true, false] {
+                d.write_u64((auto.priority)(stage, nh, vc, is_native));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -971,6 +1017,38 @@ mod tests {
         assert_eq!(format!("{a}"), format!("{b}"));
         assert!(a.rejection().is_none());
         assert!(a.wait_bound().is_some());
+    }
+
+    /// The memo keys on what the checks read, not on the label: under one
+    /// name, a batched rank at two windows keeps two wait bounds, and a
+    /// frozen DPA bit at both values keeps both verdicts.
+    #[test]
+    fn cached_admission_keys_on_parameters_not_the_label() {
+        let cfg = SimConfig::table1();
+        let region = RegionMap::halves(&cfg);
+        let local = crate::routing::DuatoLocalAdaptive;
+        let cases = [
+            (
+                PriorityAutomaton::aging("RO_Rank", Some(2_000)),
+                PriorityAutomaton::aging("RO_Rank", Some(32_000)),
+            ),
+            (
+                PriorityAutomaton::fixed_bit("RAIR", true),
+                PriorityAutomaton::fixed_bit("RAIR", false),
+            ),
+        ];
+        for (a, b) in &cases {
+            for auto in [a, b] {
+                let cached = admit_network_cached(&cfg, &region, &local, auto);
+                let fresh = admit_network(&cfg, &region, &local, auto);
+                assert_eq!(format!("{cached}"), format!("{fresh}"));
+                assert_eq!(cached.wait_bound(), fresh.wait_bound());
+            }
+        }
+        let bound = |auto| admit_network_cached(&cfg, &region, &local, auto).wait_bound();
+        assert_eq!(bound(&cases[0].0), Some(5_460));
+        assert_eq!(bound(&cases[0].1), Some(65_460));
+        assert!(!admit_network_cached(&cfg, &region, &local, &cases[1].1).is_admitted());
     }
 
     #[test]

@@ -267,34 +267,32 @@ impl<'a> Verifier<'a> {
     }
 }
 
-/// The key admission's process-wide memo files a network under: config
-/// digest, routing name, `extra` (the scheme label) and region map.
-pub(crate) fn network_key(
+/// The memo key of a network, unfinished: config digest, routing name and
+/// region map (admission folds in the automaton).
+pub fn network_digest(
     cfg: &SimConfig,
     region: &RegionMap,
     routing: &dyn RoutingAlgorithm,
-    extra: &str,
-) -> u64 {
-    let mut d = routing_key(cfg, routing, extra);
+) -> metrics::Digest {
+    let mut d = routing_digest(cfg, routing);
     for n in 0..region.len() {
         d.write_u64(u64::from(region.app_of(n as NodeId)));
     }
-    d.finish()
+    d
 }
 
-/// [`network_key`] without the region map, unfinished.
-fn routing_key(cfg: &SimConfig, routing: &dyn RoutingAlgorithm, extra: &str) -> metrics::Digest {
+/// [`network_digest`] without the region map.
+fn routing_digest(cfg: &SimConfig, routing: &dyn RoutingAlgorithm) -> metrics::Digest {
     let mut d = metrics::Digest::new();
     cfg.digest_into(&mut d);
     d.write_str(routing.name());
-    d.write_str(extra);
     d
 }
 
 /// Look `key` up in a digest-keyed memo, computing (outside the lock) and
 /// remembering the value on a miss. A poisoned lock recomputes instead of
 /// panicking.
-pub(crate) fn memoized<V: Clone>(
+pub fn memoized<V: Clone>(
     cache: &Mutex<BTreeMap<u64, V>>,
     key: u64,
     compute: impl FnOnce() -> V,
@@ -315,7 +313,7 @@ pub(crate) fn memoized<V: Clone>(
 /// the admission matrix pay the analysis once.
 pub fn verify_network_cached(cfg: &SimConfig, routing: &dyn RoutingAlgorithm) -> VerifyReport {
     static CACHE: Mutex<BTreeMap<u64, VerifyReport>> = Mutex::new(BTreeMap::new());
-    let key = routing_key(cfg, routing, "").finish();
+    let key = routing_digest(cfg, routing).finish();
     memoized(&CACHE, key, || Verifier::new(cfg, routing).run())
 }
 

@@ -16,6 +16,8 @@ use noc_sim::config::SimConfig;
 use noc_sim::region::RegionMap;
 use noc_sim::routing::RoutingAlgorithm;
 use noc_sim::verify::{Verifier, VerifyReport};
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Check that a scheme's parameters define a *total* priority order for
 /// `num_apps` applications. Returns one message per defect (empty = ok).
@@ -86,21 +88,27 @@ pub fn check_scheme(scheme: &Scheme, num_apps: usize) -> Vec<String> {
 /// filter (packets cannot leave their region) and legality is required for
 /// every intra-region pair. Deadlock-freedom of the escape subgraph is
 /// re-proven under the restriction — a subgraph of an acyclic graph is
-/// acyclic, but the verifier computes it rather than assuming it.
+/// acyclic, but the verifier computes it rather than assuming it. Memoized
+/// process-wide per network ([`noc_sim::verify::network_digest`]): `repro
+/// serve` gates every job on it, and a jobs file repeats a few networks.
 pub fn verify_lbdr(
     cfg: &SimConfig,
     region: &RegionMap,
     routing: &dyn RoutingAlgorithm,
 ) -> VerifyReport {
-    let bits = ConnectivityBits::from_region(cfg, region);
-    // The verifier hands the filters *router* indices; region membership is
-    // per node, so map a router to its base node (region maps are constant
-    // within a router on a concentrated mesh).
-    let c = cfg.concentration() as u16;
-    Verifier::new(cfg, routing)
-        .with_link_filter(move |r, p| bits.usable(r, p))
-        .with_pair_filter(move |r, d| region.app_of(r * c) == region.app_of(d * c))
-        .run()
+    static CACHE: Mutex<BTreeMap<u64, VerifyReport>> = Mutex::new(BTreeMap::new());
+    let key = noc_sim::verify::network_digest(cfg, region, routing).finish();
+    noc_sim::verify::memoized(&CACHE, key, || {
+        let bits = ConnectivityBits::from_region(cfg, region);
+        // The verifier hands the filters *router* indices; region membership
+        // is per node, so map a router to its base node (region maps are
+        // constant within a router on a concentrated mesh).
+        let c = cfg.concentration() as u16;
+        Verifier::new(cfg, routing)
+            .with_link_filter(move |r, p| bits.usable(r, p))
+            .with_pair_filter(move |r, d| region.app_of(r * c) == region.app_of(d * c))
+            .run()
+    })
 }
 
 #[cfg(test)]

@@ -32,13 +32,19 @@ pub enum Pattern {
 }
 
 impl Pattern {
-    /// The four chip-center hotspot nodes used as the default HS target set
-    /// on an even-sized mesh.
+    /// The default HS target set: the base nodes of the 2×2 block of
+    /// routers at the chip's center (on a one-row ring, the four central
+    /// routers of the row), clipped to the chip, so every topology gets
+    /// distinct in-range nodes.
     pub fn center_hotspots(cfg: &SimConfig) -> Vec<NodeId> {
-        let (mx, my) = (cfg.width / 2, cfg.height / 2);
-        [(mx - 1, my - 1), (mx, my - 1), (mx - 1, my), (mx, my)]
-            .into_iter()
-            .map(|(x, y)| cfg.node_at(noc_sim::ids::Coord { x, y }))
+        let (bw, bh) = if cfg.height == 1 { (4, 1) } else { (2, 2) };
+        let span = |len: u8, b: u8| (len / 2).saturating_sub(b / 2)..(len / 2 + b - b / 2).min(len);
+        let xs = span(cfg.width, bw);
+        (span(cfg.height, bh))
+            .flat_map(|y| {
+                xs.clone()
+                    .map(move |x| cfg.node_at(noc_sim::ids::Coord { x, y }))
+            })
             .collect()
     }
 
@@ -267,6 +273,28 @@ mod tests {
             let d = hs.dest(&c, spots[0], &mut r).unwrap();
             assert_ne!(d, spots[0]);
         }
+    }
+
+    /// Four distinct in-range hotspots on every canonical topology (the
+    /// ring has one row, so its block is the row's four central routers);
+    /// the 8×8 mesh keeps the paper's central block.
+    #[test]
+    fn center_hotspots_are_distinct_and_on_chip_everywhere() {
+        for kind in noc_sim::topology::TopologyKind::CANONICAL {
+            let c = SimConfig::table1_topology(kind);
+            let spots = Pattern::center_hotspots(&c);
+            let mut distinct = spots.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), 4, "{kind:?}: {spots:?}");
+            assert!(
+                spots.iter().all(|&n| (n as usize) < c.num_nodes()),
+                "{kind:?}: {spots:?}"
+            );
+        }
+        let ring = SimConfig::table1_topology(noc_sim::topology::TopologyKind::Ring);
+        assert_eq!(Pattern::center_hotspots(&ring), [6, 7, 8, 9]);
+        assert_eq!(Pattern::center_hotspots(&cfg()), [27, 28, 35, 36]);
     }
 
     #[test]

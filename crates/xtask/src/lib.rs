@@ -295,6 +295,20 @@ pub const HOT_PATHS: &[HotPath] = &[
         ],
         rules: &[&PANIC_RULE],
     },
+    // The full admission gate: `serve` runs it before the supervised pool,
+    // outside `catch_unwind`, so a panic here ends the service.
+    HotPath {
+        file: "crates/experiments/src/admit.rs",
+        functions: &[
+            "admit_cell",
+            "admit_with",
+            "network_properties",
+            "check_feasibility",
+            "check_scheme_parameters",
+            "verified",
+        ],
+        rules: &[&PANIC_RULE],
+    },
     // Byte-level entry points: jobs files, the WAL, framed cache entries,
     // checkpoint rows and trace files are errors when malformed, not panics.
     HotPath {

@@ -134,26 +134,26 @@ fn workspace_is_clean() {
     );
 }
 
-/// Revert-one-satellite check: `sweep.rs` was converted from `Hash*` to
-/// `BTree*` collections (its warn-once set is a `BTreeSet`). Undo that
-/// conversion textually and the lint must fail — proving the lint actually
-/// guards the conversion rather than both changes passing vacuously.
+/// Revert-one-satellite check: the experiments crate keeps its maps in
+/// `BTree*` collections (`serve.rs` dedups jobs through a `BTreeMap`).
+/// Undo that textually and the lint must fail — proving the lint actually
+/// guards the conversion rather than both versions passing vacuously.
 #[test]
-fn reverting_the_sweep_btree_conversion_fails_the_lint() {
-    let path = xtask::workspace_root().join("crates/experiments/src/sweep.rs");
-    let src = std::fs::read_to_string(&path).unwrap();
+fn reverting_a_btree_conversion_fails_the_lint() {
+    let file = "crates/experiments/src/service/serve.rs";
+    let src = std::fs::read_to_string(xtask::workspace_root().join(file)).unwrap();
     assert!(
         src.contains("BTree"),
-        "sweep.rs no longer uses a BTree collection"
+        "{file} no longer uses a BTree collection"
     );
     let reverted = src.replace("BTree", "Hash");
-    let findings = lint_source("crates/experiments/src/sweep.rs", &reverted, &all_rules());
+    let findings = lint_source(file, &reverted, &all_rules());
     assert!(
         findings.iter().any(|f| f.rule == "hash-collections"),
         "lint missed the reverted HashMap: {findings:?}"
     );
     // And the shipped file, unreverted, is clean under the same rules.
-    assert!(lint_source("sweep.rs", &src, &all_rules())
+    assert!(lint_source(file, &src, &all_rules())
         .iter()
         .all(|f| f.rule != "hash-collections"));
 }

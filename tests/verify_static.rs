@@ -3,9 +3,12 @@
 //! witnesses, `Network::new` enforces the verdict, and — the theorem the
 //! verifier exists to discharge — statically verified configurations never
 //! trip the runtime deadlock watchdog, across randomized region maps,
-//! schemes and loads.
+//! schemes and loads. Every figure cell's admission verdict is pinned here
+//! too: network construction does not consult admission.
 
-use experiments::admit::MixedDorEscape;
+use experiments::admit::{admit_cell, MixedDorEscape};
+use experiments::figs::{ablation, curve, fig12, fig14, fig15, fig17, fig9, Cell};
+use experiments::runner::ExpConfig;
 use noc_sim::ids::{PORT_EAST, PORT_WEST};
 use noc_sim::network::Network;
 use noc_sim::prelude::*;
@@ -194,6 +197,52 @@ fn shipped_routings_verify_clean_through_network_new() {
             net.stats.verify_violations
         );
     }
+}
+
+/// Every cell the figures simulate, at pinned rates, through the one
+/// admission gate with no operating point (feasibility is vacuous): all are
+/// admitted but the two named ablations, each by the property it is built
+/// to violate. EXPERIMENTS.md names the same list.
+#[test]
+fn every_figure_cell_is_admitted_but_the_named_ablations() {
+    const REJECTED: [(&str, &str); 2] = [
+        // Fig. 12's frozen foreign-high DPA bit: a native request can lose
+        // every future arbitration.
+        ("RAIR_ForeignH", "progress"),
+        // The ablation's zero-width hysteresis, outside (0, 1).
+        ("RAIR d=0", "scheme-parameters"),
+    ];
+    let six = [0.072, 0.675, 0.253, 0.169, 0.18, 0.675];
+    let mut cells: Vec<Cell> = fig9::cells(&fig9::p_values(&ExpConfig::full()), (0.035, 0.33));
+    for variant in [fig12::Variant::A, fig12::Variant::B] {
+        cells.extend(fig12::cells(variant, 0.033, 0.59));
+    }
+    for (_, global) in fig15::patterns() {
+        cells.extend(fig14::cells(six, &global));
+    }
+    cells.extend(fig17::cells(fig17::ADVERSARIAL_RATE));
+    cells.extend(ablation::cells(six));
+    for pattern in [
+        Pattern::UniformRandom,
+        Pattern::Transpose,
+        Pattern::BitComplement,
+    ] {
+        cells.extend(curve::cells(&pattern, 0.6, 12));
+    }
+    assert_eq!(cells.len(), 55 + 8 + 16 + 8 + 13 + 36);
+    let mut seen = Vec::new();
+    for cell in &cells {
+        let (cfg, region, _source) = (cell.build)();
+        let adm = admit_cell(&cfg, &region, &cell.scheme, cell.routing, &[]);
+        let want = REJECTED.iter().find(|(label, _)| *label == cell.label);
+        let got = adm.rejection().map(|p| p.property);
+        assert_eq!(got, want.map(|w| w.1), "{}: {adm}", cell.label);
+        if let Some(p) = adm.rejection() {
+            assert!(p.witness.is_some(), "{}: {p}", cell.label);
+            seen.push(cell.label.as_str());
+        }
+    }
+    assert_eq!(seen, ["RAIR_ForeignH", "RAIR_ForeignH", "RAIR d=0"]);
 }
 
 fn any_routing() -> impl Strategy<Value = Routing> {
