@@ -8,7 +8,7 @@
 //! its bodies are held to the panic lint.
 //!
 //! Each cell runs the kernel's admission pipeline
-//! ([`noc_sim::admit::admit_network_cached`]: progress/starvation-freedom
+//! ([`noc_sim::admit::admit_network`]: progress/starvation-freedom
 //! of the priority machinery + region non-interference of the VC
 //! steering) and appends four properties, in this order:
 //!
@@ -35,7 +35,7 @@
 use metrics::report::Table;
 use model::RoutingKind;
 use noc_sim::admit::{
-    admit_network_cached, Admission, AdmitVerdict, AdmitWitness, PropertyReport, PROP_FEASIBILITY,
+    admit_network, Admission, AdmitVerdict, AdmitWitness, PropertyReport, PROP_FEASIBILITY,
 };
 use noc_sim::config::SimConfig;
 use noc_sim::ids::{Coord, Port, PORT_EAST, PORT_WEST};
@@ -287,7 +287,7 @@ fn admit_with(
     network: &[PropertyReport; 3],
 ) -> Admission {
     let alg = routing.build();
-    let mut adm = admit_network_cached(cfg, region, alg.as_ref(), &scheme.automaton());
+    let mut adm = admit_network(cfg, region, alg.as_ref(), &scheme.automaton());
     adm.properties.extend_from_slice(network);
     adm.properties
         .push(check_scheme_parameters(scheme, region.num_apps()));

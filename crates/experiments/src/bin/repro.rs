@@ -141,7 +141,8 @@ const SUBCOMMANDS: &[Cmd] = &[
     Cmd { name: "trace-demo", role: Extra, help: "capture a trace to a file, replay it under two schemes", flags: &[SIM, &["--trace-file"]], run: |o| emit(o, &figs::trace_demo::run(&o.ec, &o.trace_file)?) },
     Cmd { name: "admit", role: Extra, help: "static gate: QoS, deadlock freedom, LBDR and scheme checks of every shipped config (ADMIT_report.json)", flags: &[], run: admit },
     Cmd { name: "resilience", role: Extra, help: "fault rate x scheme x routing sweep (RESILIENCE_report.json)", flags: &[SIM], run: resilience },
-    Cmd { name: "serve", role: Solo(Some("a jobs file")), help: "crash-safe job service over a jobs file", flags: &[SIM, &["--dir", "--retries", "--timeout-ms"]], run: serve },
+    // Not `--seed`: each job's simulation is seeded by the job's own seed.
+    Cmd { name: "serve", role: Solo(Some("a jobs file")), help: "crash-safe job service over a jobs file", flags: &[&["--quick", "--smoke", "--windows"], &["--dir", "--retries", "--timeout-ms"]], run: serve },
     Cmd { name: "chaos", role: Solo(None), help: "fault-injection battery over the service (CHAOS_report.json)", flags: &[&["--smoke", "--seed"]], run: chaos },
 ];
 

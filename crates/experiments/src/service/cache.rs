@@ -1,7 +1,9 @@
-//! The saturation-load cache: a bounded FIFO memory layer over one
-//! CRC-framed file per key in a directory given on every call, read and
-//! written through the [`Store`] seam. Its one instance lives in
-//! [`crate::sweep`].
+//! The saturation-load cache: one CRC-framed file per key in a directory
+//! given on every call, read and written through the [`Store`] seam. Its
+//! one instance lives in [`crate::sweep`]. It keeps no memory layer: every
+//! lookup reads the directory it is given, so an answer is always what that
+//! directory holds. A disk hit costs tens of microseconds, and no workload
+//! reads a key often enough to pay for more.
 //!
 //! An entry, `sat_<key:016x>.txt`, holds the load's bit pattern under the
 //! [`frame`] tagged [`TAG`]; lines after it are a note readers ignore.
@@ -9,19 +11,13 @@
 //! fails the frame and a framed value a search would reject are renamed
 //! `*.corrupt`, counted and read as a miss: a recomputation, never a wrong
 //! value. A put writes atomically (`create_dir_all`, then `write_atomic`)
-//! and only warns on failure. The cache adds no other file: no index, no
-//! lock.
+//! and only warns on failure, so the next lookup of that key misses and
+//! searches again. The cache adds no other file: no index, no lock.
 
 use super::store::{frame, unframe, Store};
 use crate::runner;
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Entries the memory layer holds; the oldest is evicted first and
-/// survives on disk.
-const MEM_CAP: usize = 256;
 
 /// File-name prefix: `key` lives in `<dir>/sat_<key:016x>.txt`.
 const PREFIX: &str = "sat";
@@ -38,19 +34,16 @@ fn decode(hex: &str) -> Option<f64> {
 /// Lookup counters of one [`Cache`] since it was built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CacheStats {
-    pub mem_hits: u64,
     pub disk_hits: u64,
-    /// Lookups neither layer answered (a corrupt entry is one of them).
+    /// Lookups no entry answered (a corrupt entry is one of them).
     pub misses: u64,
     /// Disk entries set aside as `*.corrupt`.
     pub corrupt: u64,
 }
 
-/// A two-layer cache of saturation loads keyed by a `u64` digest; `const`
+/// A disk cache of saturation loads keyed by a `u64` digest; `const`
 /// constructible, so it can live in a `static`.
 pub(crate) struct Cache {
-    mem: Mutex<VecDeque<(u64, f64)>>,
-    mem_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
     corrupt: AtomicU64,
@@ -59,8 +52,6 @@ pub(crate) struct Cache {
 impl Cache {
     pub(crate) const fn new() -> Self {
         Self {
-            mem: Mutex::new(VecDeque::new()),
-            mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
@@ -72,26 +63,19 @@ impl Cache {
         dir.join(format!("{PREFIX}_{key:016x}.txt"))
     }
 
-    /// The value of `key`: from memory, else from its file under `dir`
-    /// (and then remembered), else `None`.
+    /// The value of `key` in its file under `dir`, else `None`.
     pub(crate) fn get(&self, store: &dyn Store, dir: &Path, key: u64) -> Option<f64> {
-        if let Some((_, v)) = self.mem().iter().find(|(k, _)| *k == key) {
-            self.mem_hits.fetch_add(1, Relaxed);
-            return Some(*v);
-        }
         let Some(value) = self.read_entry(store, &self.path(dir, key)) else {
             self.misses.fetch_add(1, Relaxed);
             return None;
         };
         self.disk_hits.fetch_add(1, Relaxed);
-        self.remember(key, value);
         Some(value)
     }
 
-    /// Remember `value` under `key` and persist it: the framed value, then
-    /// `note` verbatim (empty, or whole lines of its own).
+    /// Persist `value` under `key`: the framed value, then `note` verbatim
+    /// (empty, or whole lines of its own).
     pub(crate) fn put(&self, store: &dyn Store, dir: &Path, key: u64, value: f64, note: &str) {
-        self.remember(key, value);
         let path = self.path(dir, key);
         let body = format!("{}\n{note}", frame(TAG, &runner::f64_field(value)));
         let written = store
@@ -102,37 +86,12 @@ impl Cache {
         }
     }
 
-    /// Empty the memory layer; files stay.
-    pub(crate) fn clear(&self) {
-        self.mem().clear();
-    }
-
     pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
-            mem_hits: self.mem_hits.load(Relaxed),
             disk_hits: self.disk_hits.load(Relaxed),
             misses: self.misses.load(Relaxed),
             corrupt: self.corrupt.load(Relaxed),
         }
-    }
-
-    /// The memory layer, locked. A job that panics while it holds the guard
-    /// (the pool catches it and moves on) poisons the mutex; every step
-    /// leaves the queue valid, so the guard is recovered.
-    fn mem(&self) -> MutexGuard<'_, VecDeque<(u64, f64)>> {
-        self.mem.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn remember(&self, key: u64, value: f64) {
-        let mut mem = self.mem();
-        if let Some(slot) = mem.iter_mut().find(|(k, _)| *k == key) {
-            slot.1 = value;
-            return;
-        }
-        if mem.len() == MEM_CAP {
-            mem.pop_front();
-        }
-        mem.push_back((key, value));
     }
 
     /// Decode the file at `path`. A missing or unreadable file is a plain
@@ -188,19 +147,21 @@ mod tests {
         names
     }
 
+    /// A lookup answers from the directory it is given: a load put under
+    /// one directory is a miss under another, and a hit under its own.
     #[test]
-    fn memory_layer_is_a_bounded_fifo() {
+    fn lookups_answer_from_the_directory_they_are_given() {
+        let (a, b) = (tmp_dir("dir-a"), tmp_dir("dir-b"));
         let cache = Cache::new();
-        for k in 0..(MEM_CAP as u64 + 50) {
-            cache.remember(k, k as f64);
+        cache.put(&StdStore, &a, 0xD1, 0.3125, "");
+        assert_eq!(cache.get(&StdStore, &b, 0xD1), None);
+        assert_eq!((cache.stats().disk_hits, cache.stats().misses), (0, 1));
+        assert_eq!(cache.get(&StdStore, &a, 0xD1), Some(0.3125));
+        assert_eq!((cache.stats().disk_hits, cache.stats().misses), (1, 1));
+        assert!(files(&b).is_empty(), "a lookup writes nothing");
+        for dir in [a, b] {
+            std::fs::remove_dir_all(dir).unwrap();
         }
-        let keys: Vec<u64> = cache.mem().iter().map(|&(k, _)| k).collect();
-        // FIFO: the oldest keys were evicted, the newest survive in order.
-        assert_eq!(keys, (50..MEM_CAP as u64 + 50).collect::<Vec<_>>());
-        // Re-remembering a key replaces its value in place.
-        cache.remember(MEM_CAP as u64 + 49, 1.0);
-        assert_eq!(cache.mem().len(), MEM_CAP);
-        assert_eq!(cache.mem().back(), Some(&(MEM_CAP as u64 + 49, 1.0)));
     }
 
     /// A damaged entry costs a recomputation, never correctness: whether a
@@ -232,7 +193,6 @@ mod tests {
             std::fs::write(&path, entry).unwrap();
             // lint: allow(swallowed-io-error)
             let _ = std::fs::remove_file(path.with_extension("txt.corrupt"));
-            cache.clear();
             let before = cache.stats();
             assert_eq!(cache.get(&StdStore, &dir, key), None, "{what}");
             let after = cache.stats();
@@ -247,20 +207,18 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The disk layer under injected write faults: `ENOSPC` is non-fatal
-    /// (memory keeps the value) and leaves no entry; a crash before the
-    /// rename leaves a stray temp file that the next read ignores. Both
-    /// cost a recomputation in the next process, never the value.
+    /// Under injected write faults: `ENOSPC` is non-fatal and leaves no
+    /// entry, so the next lookup misses (and its caller searches again); a
+    /// crash before the rename leaves a stray temp file that the next read
+    /// ignores. Both cost a recomputation, never the value.
     #[test]
-    fn write_faults_keep_the_value_and_leave_a_miss_never_a_torn_entry() {
+    fn write_faults_leave_a_miss_never_a_torn_entry() {
         let dir = tmp_dir("write-faults");
         let cache = Cache::new();
         // Ops per put: create_dir_all, write_atomic (`exists` is not drawn).
         let store = ChaosStore::scripted(vec![(1, Fault::Enospc), (3, Fault::CrashBeforeRename)]);
         for fault in ["enospc", "crash-before-rename"] {
             cache.put(&store, &dir, 0xFA17, 0.314159, "# demo\n");
-            assert_eq!(cache.get(&store, &dir, 0xFA17), Some(0.314159), "{fault}");
-            cache.clear();
             assert_eq!(cache.get(&store, &dir, 0xFA17), None, "{fault}");
             assert!(!cache.path(&dir, 0xFA17).exists(), "{fault}");
         }
@@ -271,31 +229,8 @@ mod tests {
             "only the crashed write's temp file survives: {names:?}"
         );
         cache.put(&store, &dir, 0xFA17, 0.314159, "# demo\n");
-        cache.clear();
         let bits = cache.get(&store, &dir, 0xFA17).map(f64::to_bits);
         assert_eq!(bits, Some(0.314159f64.to_bits()));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A job that panics while it holds the memory layer (the pool catches
-    /// it and moves on) must not take every later lookup down with it.
-    #[test]
-    fn lookups_survive_a_poisoned_memory_layer() {
-        let dir = tmp_dir("poisoned");
-        let cache = Cache::new();
-        cache.put(&StdStore, &dir, 3, 0.4375, "");
-        cache.clear();
-        std::thread::scope(|s| {
-            let holder = s.spawn(|| {
-                let _held = cache.mem();
-                panic!("poisoning the memory layer on purpose");
-            });
-            assert!(holder.join().is_err());
-        });
-        assert_eq!(cache.get(&StdStore, &dir, 3), Some(0.4375));
-        assert_eq!(cache.get(&StdStore, &dir, 3), Some(0.4375));
-        let s = cache.stats();
-        assert_eq!((s.mem_hits, s.disk_hits, s.misses), (1, 1, 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

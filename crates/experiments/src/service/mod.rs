@@ -11,7 +11,7 @@
 //! digest of the job's parameters, so a resume runs only what that journal
 //! does not hold, and every job passes the admission gate before it is
 //! built. The saturation loads live in the crate's one cache
-//! (`cache::Cache`: bounded memory over one framed file per key). All
+//! (`cache::Cache`: one framed file per key, read on every lookup). All
 //! filesystem traffic goes through the injectable [`store::Store`] trait
 //! (and one framed-entry codec beside it), so the [`chaos`] battery can
 //! deterministically inject torn and corrupt journal rows, EIO, ENOSPC,

@@ -172,7 +172,11 @@ impl JobSpec {
     }
 
     /// The job's identity: a digest of every result-determining parameter
-    /// (spec fields + the windows/seed of `ec`), excluding the label.
+    /// (spec fields + the windows of `ec`), excluding the label. It also
+    /// folds in `ec.seed`, which no job's result reads (the job's own seed
+    /// seeds its simulation, and `repro serve` takes no `--seed`): the word
+    /// keeps job ids and the pinned sweep digest (`d9d698b6ccf73385` for
+    /// the demo) what they are.
     pub fn id(&self, ec: &ExpConfig) -> u64 {
         let mut d = metrics::Digest::new();
         // Domain tag ("RAIRJOB" + version): keys of this family can never

@@ -7,9 +7,9 @@
 //! loads go through one `service::Cache` instance — keyed by a
 //! [`metrics::Digest`] of the measurement parameters `(probe, cfg, region
 //! assignment, app, spec)`, never by the caller's label, so two call sites
-//! can never share a stale load by reusing a label string. Its disk layer
-//! keeps one file per load, so a second `repro` invocation performs
-//! **zero** searches for loads it has already measured.
+//! can never share a stale load by reusing a label string. It keeps one
+//! file per load and reads it on every lookup, so a second `repro`
+//! invocation performs **zero** searches for loads it has already measured.
 
 use crate::runner::ExpConfig;
 use crate::service::{self, Cache};
@@ -50,15 +50,15 @@ pub fn build_network(
 /// `# label = load` comment.
 static SATURATION: Cache = Cache::new();
 
-/// Process-wide saturation-cache counters: `(mem_hits, disk_hits, 0,
-/// searches)` since startup. The third field once counted model-warmed
-/// searches apart from cold ones; every search now starts under the
-/// model's bound and counts as a search, and the zero keeps the shape the
-/// frozen benchmark harness compiles against until ROADMAP item 4's
-/// `benchmark` PR.
+/// Process-wide saturation-cache counters: `(0, disk_hits, 0, searches)`
+/// since startup. The first field once counted memory-layer hits and the
+/// third model-warmed searches apart from cold ones; the cache has no
+/// memory layer and every search starts under the model's bound, and the
+/// zeros keep the shape the frozen benchmark harness compiles against
+/// until ROADMAP item 4's `benchmark` PR.
 pub fn saturation_cache_stats() -> (u64, u64, u64, u64) {
     let s = SATURATION.stats();
-    (s.mem_hits, s.disk_hits, 0, s.misses)
+    (0, s.disk_hits, 0, s.misses)
 }
 
 /// Cache key: a digest of every parameter the measured load depends on,
@@ -106,11 +106,11 @@ fn usable(label: &str, app: u8, load: f64) -> f64 {
 /// Saturation load of application `app` running alone with traffic mix
 /// `spec` on `region` (round-robin arbitration, local adaptive routing).
 /// `label` only names the search in diagnostics and the entry's comment.
-/// The disk layer is `RAIR_CACHE_DIR`, else `results/cache` under the
-/// working directory, resolved on every call. On a miss the load is
-/// searched ([`traffic::saturation::app_saturation_traced`], starting under
-/// the model's unit-capacity bound, [`model::warm_hint`]), validated and
-/// written to both layers. A hit does no model work.
+/// The cache directory is `RAIR_CACHE_DIR`, else `results/cache` under
+/// the working directory, resolved and read on every call. On a miss the
+/// load is searched ([`traffic::saturation::app_saturation_traced`],
+/// starting under the model's unit-capacity bound, [`model::warm_hint`]),
+/// validated and written there. A hit does no model work.
 pub fn cached_saturation(
     label: &str,
     ec: &ExpConfig,
@@ -141,11 +141,11 @@ pub fn cached_saturation(
     load
 }
 
-/// Empty the in-memory layer, as in a new process; disk entries stay (point
-/// `RAIR_CACHE_DIR` at a temp directory to isolate a test from them).
-pub fn clear_saturation_cache() {
-    SATURATION.clear();
-}
+/// Does nothing: the cache keeps no memory layer, so every lookup already
+/// reads its directory as a new process would. It stays because the frozen
+/// benchmark harness calls it until ROADMAP item 4's `benchmark` PR (point
+/// `RAIR_CACHE_DIR` at a temp directory to isolate a test from entries).
+pub fn clear_saturation_cache() {}
 
 #[cfg(test)]
 mod tests {
@@ -153,7 +153,7 @@ mod tests {
     use noc_sim::source::NoTraffic;
     use traffic::scenario::InterDest;
 
-    /// Serializes tests that touch the process-wide cache layers or the
+    /// Serializes tests that touch the process-wide cache counters or the
     /// `RAIR_CACHE_DIR` environment variable.
     fn env_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -201,12 +201,12 @@ mod tests {
     fn saturation_cache_layers_and_zero_searches_on_rerun() {
         let _guard = env_lock();
         let tmp = TempCacheDir::new("layers");
-        clear_saturation_cache();
         let cfg = SimConfig::table1();
         let region = RegionMap::halves(&cfg);
         let ec = ExpConfig::quick();
         let spec = AppSpec::intra_only(0.0);
-        // `(mem hits, disk hits, searches)` of one lookup.
+        // `(memory hits, disk hits, searches)` of one lookup; the first
+        // reads 0, as the cache keeps no memory layer.
         let lookup = |label: &str| {
             let (m0, d0, _, s0) = saturation_cache_stats();
             let load = cached_saturation(label, &ec, &cfg, &region, 0, &spec);
@@ -230,17 +230,13 @@ mod tests {
             std::fs::read_to_string(tmp.dir.join(name)).unwrap(),
             "rair-sat-v3\t430f78bd\t3fd8000000000000\n# test/halves0 = 0.375000 flits/cycle/node\n"
         );
-        // Same parameters under a different label: in-memory hit, identical
-        // value.
-        let (b, how) = lookup("other/label");
-        assert_eq!((a.to_bits(), how), (b.to_bits(), (1, 0, 0)));
-        // Fresh process simulated by clearing the memory layer: the disk
-        // entry answers — a second `repro` run performs zero searches.
-        clear_saturation_cache();
-        let (c, how) = lookup("rerun");
-        assert_eq!((a.to_bits(), how), (c.to_bits(), (0, 1, 0)));
-        // And it was promoted back into memory.
-        assert_eq!(lookup("rerun2").1, (1, 0, 0));
+        // Same parameters under a different label, and again: the entry
+        // answers each time with the identical value — a second `repro` run
+        // performs zero searches.
+        for label in ["other/label", "rerun"] {
+            let (b, how) = lookup(label);
+            assert_eq!((a.to_bits(), how), (b.to_bits(), (0, 1, 0)), "{label}");
+        }
     }
 
     #[test]

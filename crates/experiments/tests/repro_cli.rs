@@ -282,10 +282,15 @@ fn fig9_prints_the_fig9_and_fig10_tables() {
 /// front, by name, with the usage — nothing runs first.
 #[test]
 fn out_of_scope_flags_and_stray_positionals_fail_with_usage() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 9] = [
         (
             &["fig14", "--retries", "3"],
             "--retries is not read by fig14",
+        ),
+        // Each job's own seed seeds its simulation.
+        (
+            &["--seed", "3", "serve", "x.jobs"],
+            "--seed is not read by serve",
         ),
         (
             &["table1", "--trace-file", "t.bin"],
@@ -313,7 +318,7 @@ fn out_of_scope_flags_and_stray_positionals_fail_with_usage() {
     for (args, want) in cases {
         let out = repro().args(args).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail");
         assert!(
             err.contains(want) && err.contains("usage:"),
             "{args:?}: {err}"

@@ -276,6 +276,30 @@ fn binom(n: usize, k: usize) -> f64 {
     r
 }
 
+/// `C(n, k)` for every `k ≤ n ≤` a configuration's longest minimal route,
+/// each entry filled by [`binom`] itself, so a coefficient read here is
+/// bit-identical to the call it stands for.
+struct Binomials {
+    stride: usize,
+    c: Vec<f64>,
+}
+
+impl Binomials {
+    fn new(cfg: &SimConfig) -> Self {
+        // A minimal route takes at most `width - 1 + height - 1` hops.
+        let stride = usize::from(cfg.width) + usize::from(cfg.height);
+        let c = (0..stride * stride)
+            .map(|i| (i / stride, i % stride))
+            .map(|(n, k)| if k <= n { binom(n, k) } else { 0.0 })
+            .collect();
+        Binomials { stride, c }
+    }
+
+    fn get(&self, n: usize, k: usize) -> f64 {
+        self.c[n * self.stride + k]
+    }
+}
+
 /// The coordinate sequence of the chosen minimal direction along one
 /// dimension (`dim` 0 = X, 1 = Y), from `from` toward `to` — wrap-aware
 /// through [`productive_ports`], so torus/ring dateline direction choices
@@ -312,56 +336,74 @@ enum RouteStyle {
     Mix,
 }
 
-/// The channels a `src → dst` packet crosses, with their crossing
-/// probabilities (summing to 1 per lattice stage).
-///
-/// Minimal routes form an `a × b` lattice over the chosen minimal
-/// directions (`a` X-steps, `b` Y-steps). Under `Spread` the fraction of
-/// the `C(a+b, a)` minimal paths crossing the X-channel leaving lattice
-/// point `(i, j)` is `C(i+j, i) · C(a-1-i + b-j, a-1-i) / C(a+b, a)`,
-/// and symmetrically for Y-channels.
-fn route_distribution(
-    cfg: &SimConfig,
+/// One flow's minimal-route lattice: its endpoints and the coordinates its
+/// chosen minimal directions visit along X and along Y. A flow builds it
+/// once and routes every style from it.
+struct Lattice {
     src: NodeId,
-    dst: NodeId,
-    style: RouteStyle,
-    out: &mut Vec<(Link, f64)>,
-) {
-    out.push((Link::Inject(src), 1.0));
-    let (rs, rd) = (cfg.router_of(src), cfg.router_of(dst));
-    let (sc, dc) = (cfg.router_coord(rs), cfg.router_coord(rd));
-    let xs = axis_seq(cfg, sc, dc, 0);
-    let ys = axis_seq(cfg, sc, dc, 1);
-    let (a, b) = (xs.len() - 1, ys.len() - 1);
-    let r_at = |x: u8, y: u8| cfg.router_at(noc_sim::ids::Coord { x, y }) as u32;
-    let (xs, ys) = (&xs, &ys);
-    // The X hops along row `y` and the Y hops along column `x`, at weight `w`.
-    let x_run = move |y, w| (0..a).map(move |i| (Link::Hop(r_at(xs[i], y), r_at(xs[i + 1], y)), w));
-    let y_run = move |x, w| (0..b).map(move |j| (Link::Hop(r_at(x, ys[j]), r_at(x, ys[j + 1])), w));
-    match style {
-        RouteStyle::Dor => out.extend(x_run(ys[0], 1.0).chain(y_run(xs[a], 1.0))),
-        RouteStyle::Mix => {
-            // The X-first boundary walk, then the Y-first one.
-            out.extend(x_run(ys[0], 0.5).chain(y_run(xs[a], 0.5)));
-            out.extend(y_run(xs[0], 0.5).chain(x_run(ys[b], 0.5)));
-        }
-        RouteStyle::Spread => {
-            let total = binom(a + b, a);
-            for i in 0..a {
-                for (j, &yj) in ys.iter().enumerate() {
-                    let w = binom(i + j, i) * binom(a - 1 - i + b - j, a - 1 - i) / total;
-                    out.push((Link::Hop(r_at(xs[i], yj), r_at(xs[i + 1], yj)), w));
-                }
-            }
-            for j in 0..b {
-                for (i, &xi) in xs.iter().enumerate() {
-                    let w = binom(i + j, j) * binom(a - i + b - 1 - j, b - 1 - j) / total;
-                    out.push((Link::Hop(r_at(xi, ys[j]), r_at(xi, ys[j + 1])), w));
-                }
-            }
-        }
+    rd: usize,
+    xs: Vec<u8>,
+    ys: Vec<u8>,
+}
+
+impl Lattice {
+    fn new(cfg: &SimConfig, src: NodeId, dst: NodeId) -> Self {
+        let rd = cfg.router_of(dst);
+        let (sc, dc) = (cfg.router_coord(cfg.router_of(src)), cfg.router_coord(rd));
+        let (xs, ys) = (axis_seq(cfg, sc, dc, 0), axis_seq(cfg, sc, dc, 1));
+        Lattice { src, rd, xs, ys }
     }
-    out.push((Link::Eject(rd as u32), 1.0));
+
+    /// The channels a packet of the flow crosses under `style`, with their
+    /// crossing probabilities (summing to 1 per lattice stage).
+    ///
+    /// Minimal routes form an `a × b` lattice over the chosen minimal
+    /// directions (`a` X-steps, `b` Y-steps). Under `Spread` the fraction
+    /// of the `C(a+b, a)` minimal paths crossing the X-channel leaving
+    /// lattice point `(i, j)` is `C(i+j, i) · C(a-1-i + b-j, a-1-i) /
+    /// C(a+b, a)`, and symmetrically for Y-channels.
+    fn route(
+        &self,
+        cfg: &SimConfig,
+        binom: &Binomials,
+        style: RouteStyle,
+        out: &mut Vec<(Link, f64)>,
+    ) {
+        out.push((Link::Inject(self.src), 1.0));
+        let (xs, ys) = (&self.xs, &self.ys);
+        let (a, b) = (xs.len() - 1, ys.len() - 1);
+        let r_at = |x: u8, y: u8| cfg.router_at(noc_sim::ids::Coord { x, y }) as u32;
+        // The X hops along row `y` and the Y hops along column `x`, at weight `w`.
+        let x_run =
+            move |y, w| (0..a).map(move |i| (Link::Hop(r_at(xs[i], y), r_at(xs[i + 1], y)), w));
+        let y_run =
+            move |x, w| (0..b).map(move |j| (Link::Hop(r_at(x, ys[j]), r_at(x, ys[j + 1])), w));
+        match style {
+            RouteStyle::Dor => out.extend(x_run(ys[0], 1.0).chain(y_run(xs[a], 1.0))),
+            RouteStyle::Mix => {
+                // The X-first boundary walk, then the Y-first one.
+                out.extend(x_run(ys[0], 0.5).chain(y_run(xs[a], 0.5)));
+                out.extend(y_run(xs[0], 0.5).chain(x_run(ys[b], 0.5)));
+            }
+            RouteStyle::Spread => {
+                let c = |n, k| binom.get(n, k);
+                let total = c(a + b, a);
+                for i in 0..a {
+                    for (j, &yj) in ys.iter().enumerate() {
+                        let w = c(i + j, i) * c(a - 1 - i + b - j, a - 1 - i) / total;
+                        out.push((Link::Hop(r_at(xs[i], yj), r_at(xs[i + 1], yj)), w));
+                    }
+                }
+                for j in 0..b {
+                    for (i, &xi) in xs.iter().enumerate() {
+                        let w = c(i + j, j) * c(a - i + b - 1 - j, b - 1 - j) / total;
+                        out.push((Link::Hop(r_at(xi, ys[j]), r_at(xi, ys[j + 1])), w));
+                    }
+                }
+            }
+        }
+        out.push((Link::Eject(self.rd as u32), 1.0));
+    }
 }
 
 /// Is `flow` native traffic at `link` (the upstream router's region tag
@@ -457,11 +499,13 @@ fn channel_loads(
         RoutingKind::Adaptive => &[RouteStyle::Spread, RouteStyle::Mix],
     };
     let mut tables: Vec<LoadTable> = vec![vec![None; slots.len()]; styles.len()];
+    let binom = Binomials::new(cfg);
     let mut route = Vec::new();
     let mut add = |f: Flow| {
+        let lattice = Lattice::new(cfg, f.src, f.dst);
         for (loads, &style) in tables.iter_mut().zip(styles) {
             route.clear();
-            route_distribution(cfg, f.src, f.dst, style, &mut route);
+            lattice.route(cfg, &binom, style, &mut route);
             for &(link, w) in &route {
                 let Some(i) = slots.slot(link) else { continue };
                 let cls = usize::from(!native_at(cfg, region, link, f.app));
@@ -647,7 +691,7 @@ mod tests {
             let d = noc_sim::topology::distance(&c, c.coord_of(src), c.coord_of(dst));
             for style in [RouteStyle::Dor, RouteStyle::Spread, RouteStyle::Mix] {
                 let mut route = Vec::new();
-                route_distribution(&c, src, dst, style, &mut route);
+                Lattice::new(&c, src, dst).route(&c, &Binomials::new(&c), style, &mut route);
                 assert_eq!(route[0], (Link::Inject(src), 1.0));
                 assert_eq!(
                     *route.last().unwrap(),
@@ -667,7 +711,7 @@ mod tests {
         }
         // Dimension-order is a single walk: every weight is exactly 1.
         let mut route = Vec::new();
-        route_distribution(&c, 0, 63, RouteStyle::Dor, &mut route);
+        Lattice::new(&c, 0, 63).route(&c, &Binomials::new(&c), RouteStyle::Dor, &mut route);
         assert!(route.iter().all(|&(_, w)| w == 1.0));
     }
 

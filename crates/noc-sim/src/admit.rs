@@ -80,7 +80,9 @@
 //! scheme's static checks — deadlock freedom ([`crate::verify`]), LBDR
 //! confinement and scheme parameters (`rair::verify`) — so one
 //! [`Admission`] is the whole static verdict on a configuration
-//! ([`AdmitWitness::Route`], [`AdmitWitness::Parameter`]).
+//! ([`AdmitWitness::Route`], [`AdmitWitness::Parameter`]). Of those, only
+//! the deadlock and LBDR checks are memoized per network
+//! ([`crate::verify::memoized`]); the two checks here run on every call.
 //!
 //! Timing note: this crate is subject to the wall-clock determinism lint,
 //! so [`PropertyReport::micros`] is left 0 here and stamped by the
@@ -94,9 +96,8 @@ use crate::routing::RoutingAlgorithm;
 use crate::topology;
 use crate::vc::{VcClass, VcTag};
 use crate::verify::{ChannelClass, ChannelId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Mutex;
 
 /// Property name: progress / native starvation-freedom.
 pub const PROP_PROGRESS: &str = "progress";
@@ -163,7 +164,7 @@ pub type PriorityFn = Box<dyn Fn(ArbStage, bool, Option<VcClass>, bool) -> u64 +
 /// constructors here for synthetic/test machines.
 pub struct PriorityAutomaton {
     /// Scheme label, the report's `scheme`. Labels do not name
-    /// parameters, so the memo keys on the functions' tables as well.
+    /// parameters: two automata under one label may differ.
     pub name: String,
     /// DPA-bit transition function.
     pub step: StepFn,
@@ -813,64 +814,11 @@ pub fn admit_network(
     }
 }
 
-/// Process-wide memoized admission, on the verifier's memo
-/// ([`crate::verify::memoized`]) keyed by the network and by everything the
-/// two checks read of the automaton ([`automaton_digest_into`]), so two
-/// schemes under one label (`RO_Rank` at two batch windows, RAIR at two
-/// hysteresis widths) never share a verdict or a wait bound. The full gate,
-/// `experiments::admit::admit_cell`, calls this for its first two
-/// properties; repeated cells are free.
-pub fn admit_network_cached(
-    cfg: &SimConfig,
-    region: &RegionMap,
-    routing: &dyn RoutingAlgorithm,
-    auto: &PriorityAutomaton,
-) -> Admission {
-    static CACHE: Mutex<BTreeMap<u64, Admission>> = Mutex::new(BTreeMap::new());
-    let mut d = crate::verify::network_digest(cfg, region, routing);
-    automaton_digest_into(cfg, auto, &mut d);
-    crate::verify::memoized(&CACHE, d.finish(), || {
-        admit_network(cfg, region, routing, auto)
-    })
-}
-
-/// Fold into `d` everything [`check_progress`] and
-/// [`check_non_interference`] read of `auto` on `cfg`: its label (the
-/// report's `scheme`), aging, VC steering and reset bit, and its step and
-/// priority functions tabulated over the grid [`check_progress`] explores.
-fn automaton_digest_into(cfg: &SimConfig, auto: &PriorityAutomaton, d: &mut metrics::Digest) {
-    d.write_str(&auto.name);
-    let (aging, window) = match auto.aging {
-        Aging::None => (0, 0),
-        Aging::OldestFirst => (1, 0),
-        Aging::Batched { window } => (2, window),
-    };
-    d.write_u64(aging);
-    d.write_u64(window);
-    for pref in [auto.native_pref, auto.foreign_pref] {
-        d.write_u64(match pref {
-            None => 0,
-            Some(VcTag::Regional) => 1,
-            Some(VcTag::Global) => 2,
-        });
-    }
-    d.write_u64(u64::from(auto.initial_native_high));
-    let cap = occ_cap(cfg);
-    let points = contested_points(cfg);
-    for nh in [false, true] {
-        // One word per row of the step table: bit `f` is step(nh, n, f)
-        // (the cap is at most 24, so a row fits).
-        for n in 0..=cap {
-            let row = (0..=cap).fold(0u64, |row, f| row | u64::from((auto.step)(nh, n, f)) << f);
-            d.write_u64(row);
-        }
-        for &(_, stage, vc) in &points {
-            for is_native in [true, false] {
-                d.write_u64((auto.priority)(stage, nh, vc, is_native));
-            }
-        }
-    }
-}
+/// [`admit_network`] under the name the frozen benchmark harness calls
+/// until ROADMAP item 4's `benchmark` PR. It memoizes nothing: a check
+/// costs about 0.1 ms, and no workload repeats one often enough to pay for
+/// a key over the whole automaton.
+pub use admit_network as admit_network_cached;
 
 #[cfg(test)]
 mod tests {
@@ -1019,7 +967,7 @@ mod tests {
         assert!(a.wait_bound().is_some());
     }
 
-    /// The memo keys on what the checks read, not on the label: under one
+    /// Verdicts follow what the checks read, not the label: under one
     /// name, a batched rank at two windows keeps two wait bounds, and a
     /// frozen DPA bit at both values keeps both verdicts.
     #[test]

@@ -63,8 +63,7 @@ pub mod verify;
 /// Commonly used items in one import.
 pub mod prelude {
     pub use crate::admit::{
-        admit_network, admit_network_cached, Admission, AdmitVerdict, AdmitWitness,
-        PriorityAutomaton, PropertyReport,
+        admit_network, Admission, AdmitVerdict, AdmitWitness, PriorityAutomaton, PropertyReport,
     };
     pub use crate::arbitration::{AgeBased, ArbReq, ArbStage, PriorityPolicy, RoundRobin, StcRank};
     pub use crate::config::SimConfig;

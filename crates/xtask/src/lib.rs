@@ -287,12 +287,7 @@ pub const HOT_PATHS: &[HotPath] = &[
     },
     HotPath {
         file: "crates/noc-sim/src/admit.rs",
-        functions: &[
-            "check_progress",
-            "check_non_interference",
-            "admit_network",
-            "admit_network_cached",
-        ],
+        functions: &["check_progress", "check_non_interference", "admit_network"],
         rules: &[&PANIC_RULE],
     },
     // The full admission gate: `serve` runs it before the supervised pool,
