@@ -44,7 +44,9 @@
 //! the searches slower; EXPERIMENTS.md, "Measured and not taken".)
 
 use noc_sim::config::SimConfig;
-use noc_sim::ids::{AppId, NodeId, PORT_EAST, PORT_NORTH, PORT_SOUTH, PORT_WEST};
+use noc_sim::ids::{
+    AppId, Coord, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,
+};
 use noc_sim::region::RegionMap;
 use noc_sim::topology::{has_link, neighbor_router, productive_ports, step};
 use traffic::pattern::Pattern;
@@ -303,25 +305,25 @@ impl Binomials {
 /// The coordinate sequence of the chosen minimal direction along one
 /// dimension (`dim` 0 = X, 1 = Y), from `from` toward `to` — wrap-aware
 /// through [`productive_ports`], so torus/ring dateline direction choices
-/// match the simulator's.
-fn axis_seq(
-    cfg: &SimConfig,
-    from: noc_sim::ids::Coord,
-    to: noc_sim::ids::Coord,
-    dim: usize,
-) -> Vec<u8> {
+/// match the simulator's — and the port it steps by (`PORT_LOCAL` when it
+/// takes no step). A walk keeps its direction: after the first step the
+/// chosen one is strictly shorter.
+fn axis_seq(cfg: &SimConfig, from: Coord, to: Coord, dim: usize) -> (Vec<u8>, Port) {
     let mut cur = from;
     let target = if dim == 0 {
-        noc_sim::ids::Coord { x: to.x, y: from.y }
+        Coord { x: to.x, y: from.y }
     } else {
-        noc_sim::ids::Coord { x: from.x, y: to.y }
+        Coord { x: from.x, y: to.y }
     };
     let mut seq = vec![if dim == 0 { cur.x } else { cur.y }];
+    let mut port = PORT_LOCAL;
     while let Some(p) = productive_ports(cfg, cur, target)[dim] {
+        debug_assert!(port == PORT_LOCAL || port == p, "a minimal walk turns back");
+        port = p;
         cur = step(cfg, cur, p);
         seq.push(if dim == 0 { cur.x } else { cur.y });
     }
-    seq
+    (seq, port)
 }
 
 /// How one flow's load is spread over its minimal-route lattice.
@@ -336,26 +338,39 @@ enum RouteStyle {
     Mix,
 }
 
-/// One flow's minimal-route lattice: its endpoints and the coordinates its
-/// chosen minimal directions visit along X and along Y. A flow builds it
-/// once and routes every style from it.
+/// One flow's minimal-route lattice: its destination router, the coordinates its
+/// chosen minimal directions visit along X and along Y, and the ports of
+/// those two walks. A flow builds it once and routes every style from it.
 struct Lattice {
-    src: NodeId,
     rd: usize,
     xs: Vec<u8>,
     ys: Vec<u8>,
+    ports: [Port; 2],
 }
+
+/// A channel resolved to its load-table slot and the class of the flow's
+/// traffic on it (`0` native, `1` foreign: the upstream router's region
+/// tag against the flow's application).
+type Chan = (usize, usize);
 
 impl Lattice {
     fn new(cfg: &SimConfig, src: NodeId, dst: NodeId) -> Self {
         let rd = cfg.router_of(dst);
         let (sc, dc) = (cfg.router_coord(cfg.router_of(src)), cfg.router_coord(rd));
-        let (xs, ys) = (axis_seq(cfg, sc, dc, 0), axis_seq(cfg, sc, dc, 1));
-        Lattice { src, rd, xs, ys }
+        let ((xs, px), (ys, py)) = (axis_seq(cfg, sc, dc, 0), axis_seq(cfg, sc, dc, 1));
+        Lattice {
+            rd,
+            xs,
+            ys,
+            ports: [px, py],
+        }
     }
 
-    /// The channels a packet of the flow crosses under `style`, with their
-    /// crossing probabilities (summing to 1 per lattice stage).
+    /// Hand `out` the channels a packet of the flow crosses under `style`
+    /// with their crossing probabilities (summing to 1 per lattice stage):
+    /// the injection channel `ends[0]`, the hops — `x(i, j)` is the X hop
+    /// leaving lattice point `(i, j)`, `y(i, j)` the Y hop —, the ejection
+    /// channel `ends[1]`.
     ///
     /// Minimal routes form an `a × b` lattice over the chosen minimal
     /// directions (`a` X-steps, `b` Y-steps). Under `Spread` the fraction
@@ -364,57 +379,51 @@ impl Lattice {
     /// C(a+b, a)`, and symmetrically for Y-channels.
     fn route(
         &self,
-        cfg: &SimConfig,
         binom: &Binomials,
         style: RouteStyle,
-        out: &mut Vec<(Link, f64)>,
+        ends: [Chan; 2],
+        (x, y): (impl Fn(usize, usize) -> Chan, impl Fn(usize, usize) -> Chan),
+        out: &mut impl FnMut(Chan, f64),
     ) {
-        out.push((Link::Inject(self.src), 1.0));
-        let (xs, ys) = (&self.xs, &self.ys);
-        let (a, b) = (xs.len() - 1, ys.len() - 1);
-        let r_at = |x: u8, y: u8| cfg.router_at(noc_sim::ids::Coord { x, y }) as u32;
-        // The X hops along row `y` and the Y hops along column `x`, at weight `w`.
-        let x_run =
-            move |y, w| (0..a).map(move |i| (Link::Hop(r_at(xs[i], y), r_at(xs[i + 1], y)), w));
-        let y_run =
-            move |x, w| (0..b).map(move |j| (Link::Hop(r_at(x, ys[j]), r_at(x, ys[j + 1])), w));
+        out(ends[0], 1.0);
+        let (a, b) = (self.xs.len() - 1, self.ys.len() - 1);
+        // The X hops along lattice row `j` and the Y hops along column `i`.
+        let mut x_run = |j, w| (0..a).for_each(|i| out(x(i, j), w));
         match style {
-            RouteStyle::Dor => out.extend(x_run(ys[0], 1.0).chain(y_run(xs[a], 1.0))),
+            RouteStyle::Dor => {
+                x_run(0, 1.0);
+                (0..b).for_each(|j| out(y(a, j), 1.0));
+            }
             RouteStyle::Mix => {
                 // The X-first boundary walk, then the Y-first one.
-                out.extend(x_run(ys[0], 0.5).chain(y_run(xs[a], 0.5)));
-                out.extend(y_run(xs[0], 0.5).chain(x_run(ys[b], 0.5)));
+                x_run(0, 0.5);
+                (0..b).for_each(|j| out(y(a, j), 0.5));
+                (0..b).for_each(|j| out(y(0, j), 0.5));
+                (0..a).for_each(|i| out(x(i, b), 0.5));
             }
             RouteStyle::Spread => {
                 let c = |n, k| binom.get(n, k);
                 let total = c(a + b, a);
                 for i in 0..a {
-                    for (j, &yj) in ys.iter().enumerate() {
-                        let w = c(i + j, i) * c(a - 1 - i + b - j, a - 1 - i) / total;
-                        out.push((Link::Hop(r_at(xs[i], yj), r_at(xs[i + 1], yj)), w));
+                    for j in 0..=b {
+                        out(
+                            x(i, j),
+                            c(i + j, i) * c(a - 1 - i + b - j, a - 1 - i) / total,
+                        );
                     }
                 }
                 for j in 0..b {
-                    for (i, &xi) in xs.iter().enumerate() {
-                        let w = c(i + j, j) * c(a - i + b - 1 - j, b - 1 - j) / total;
-                        out.push((Link::Hop(r_at(xi, ys[j]), r_at(xi, ys[j + 1])), w));
+                    for i in 0..=a {
+                        out(
+                            y(i, j),
+                            c(i + j, j) * c(a - i + b - 1 - j, b - 1 - j) / total,
+                        );
                     }
                 }
             }
         }
-        out.push((Link::Eject(self.rd as u32), 1.0));
+        out(ends[1], 1.0);
     }
-}
-
-/// Is `flow` native traffic at `link` (the upstream router's region tag
-/// matches the flow's application)?
-fn native_at(cfg: &SimConfig, region: &RegionMap, link: Link, app: AppId) -> bool {
-    let tag_node = match link {
-        Link::Inject(n) => n,
-        Link::Hop(from, _) => (from as usize * cfg.concentration()) as NodeId,
-        Link::Eject(r) => (r as usize * cfg.concentration()) as NodeId,
-    };
-    region.is_native(tag_node, app)
 }
 
 /// Per-channel loads, one slot per channel of [`Slots`], in [`Link`]
@@ -429,6 +438,9 @@ type LoadTable = Vec<Option<LinkLoad>>;
 struct Slots {
     nodes: usize,
     nbrs: Vec<[u32; 4]>,
+    /// Per router and port, the slot of the hop leaving by it
+    /// (`usize::MAX`: no link), built once.
+    hops: Vec<[usize; NUM_PORTS]>,
 }
 
 impl Slots {
@@ -437,30 +449,39 @@ impl Slots {
             true => neighbor_router(cfg, r, p) as u32,
             false => u32::MAX,
         };
-        let nbrs = (0..cfg.num_routers()).map(|r| {
+        let nodes = cfg.num_nodes();
+        let (mut nbrs, mut hops) = (Vec::new(), Vec::new());
+        for r in 0..cfg.num_routers() {
             let mut n = [PORT_NORTH, PORT_EAST, PORT_SOUTH, PORT_WEST].map(|p| nbr(r, p));
             n.sort_unstable();
-            n
-        });
-        let (nodes, nbrs) = (cfg.num_nodes(), nbrs.collect());
-        Slots { nodes, nbrs }
+            // A port's hop takes the first slot naming its neighbour (two
+            // ports may reach the same router on a 2-wide ring or torus).
+            hops.push(std::array::from_fn(|p| match nbr(r, p) {
+                u32::MAX => usize::MAX,
+                to => nodes + 4 * r + n.iter().position(|&m| m == to).unwrap_or(0),
+            }));
+            nbrs.push(n);
+        }
+        Slots { nodes, nbrs, hops }
     }
 
     fn len(&self) -> usize {
         self.nodes + 5 * self.nbrs.len()
     }
 
-    /// The slot of `link`; `None` for a hop between routers that are not
-    /// neighbours (no route takes one).
-    fn slot(&self, link: Link) -> Option<usize> {
-        Some(match link {
-            Link::Inject(n) => n as usize,
-            Link::Hop(from, to) => {
-                let k = self.nbrs.get(from as usize)?.iter().position(|&n| n == to);
-                self.nodes + 4 * from as usize + k?
-            }
-            Link::Eject(r) => self.nodes + 4 * self.nbrs.len() + r as usize,
-        })
+    /// The slot of node `n`'s injection channel.
+    fn inject(&self, n: NodeId) -> usize {
+        usize::from(n)
+    }
+
+    /// The slot of the hop leaving router `r` by port `p`.
+    fn hop(&self, r: usize, p: Port) -> usize {
+        self.hops[r][p]
+    }
+
+    /// The slot of router `r`'s ejection channel.
+    fn eject(&self, r: usize) -> usize {
+        self.nodes + 4 * self.nbrs.len() + r
     }
 
     /// Every slot's channel, in slot order (padding slots name router
@@ -486,7 +507,9 @@ impl Slots {
 ///
 /// Flows are routed as they are enumerated, into every style's table at
 /// once, so no flow list is held; each channel still sums its flows in
-/// enumeration order.
+/// enumeration order. Each channel a flow may cross is resolved to its
+/// slot and class once: spread crosses every channel of the lattice, mix a
+/// subset.
 fn channel_loads(
     cfg: &SimConfig,
     region: &RegionMap,
@@ -494,24 +517,45 @@ fn channel_loads(
     specs: &[Option<AppSpec>],
     routing: RoutingKind,
 ) -> LoadTable {
-    let styles: &[RouteStyle] = match routing {
-        RoutingKind::DimensionOrder => &[RouteStyle::Dor],
-        RoutingKind::Adaptive => &[RouteStyle::Spread, RouteStyle::Mix],
-    };
-    let mut tables: Vec<LoadTable> = vec![vec![None; slots.len()]; styles.len()];
+    let adaptive = routing == RoutingKind::Adaptive;
+    let mut tables: Vec<LoadTable> = vec![vec![None; slots.len()]; 1 + usize::from(adaptive)];
     let binom = Binomials::new(cfg);
-    let mut route = Vec::new();
+    let conc = cfg.concentration();
+    // The X hops of the lattice, row-major by `(i, j)`, then the Y hops.
+    let mut grid: Vec<Chan> = Vec::new();
     let mut add = |f: Flow| {
         let lattice = Lattice::new(cfg, f.src, f.dst);
-        for (loads, &style) in tables.iter_mut().zip(styles) {
-            route.clear();
-            lattice.route(cfg, &binom, style, &mut route);
-            for &(link, w) in &route {
-                let Some(i) = slots.slot(link) else { continue };
-                let cls = usize::from(!native_at(cfg, region, link, f.app));
-                let load = loads[i].get_or_insert_with(LinkLoad::default);
-                load.rho[cls] += w * f.pkt_rate * f.mean;
-            }
+        let (xs, ys, [px, py]) = (&lattice.xs, &lattice.ys, lattice.ports);
+        let (a, b) = (xs.len() - 1, ys.len() - 1);
+        let class = |node: usize| usize::from(!region.is_native(node as NodeId, f.app));
+        let hop = |i: usize, j: usize, p: Port| {
+            let r = cfg.router_at(Coord { x: xs[i], y: ys[j] });
+            (slots.hop(r, p), class(r * conc))
+        };
+        let ends = [
+            (slots.inject(f.src), class(usize::from(f.src))),
+            (slots.eject(lattice.rd), class(lattice.rd * conc)),
+        ];
+        let add_to = |loads: &mut LoadTable, (slot, cls): Chan, w: f64| {
+            let load = loads[slot].get_or_insert_with(LinkLoad::default);
+            load.rho[cls] += w * f.pkt_rate * f.mean;
+        };
+        if !adaptive {
+            let walk = (|i, j| hop(i, j, px), |i, j| hop(i, j, py));
+            let out = &mut |c, w| add_to(&mut tables[0], c, w);
+            lattice.route(&binom, RouteStyle::Dor, ends, walk, out);
+            return;
+        }
+        grid.clear();
+        grid.extend((0..a).flat_map(|i| (0..=b).map(move |j| hop(i, j, px))));
+        grid.extend((0..b).flat_map(|j| (0..=a).map(move |i| hop(i, j, py))));
+        let lattice_hops = (
+            |i, j| grid[i * (b + 1) + j],
+            |i, j| grid[a * (b + 1) + j * (a + 1) + i],
+        );
+        for (loads, style) in tables.iter_mut().zip([RouteStyle::Spread, RouteStyle::Mix]) {
+            let out = &mut |c, w| add_to(loads, c, w);
+            lattice.route(&binom, style, ends, lattice_hops, out);
         }
     };
     for (a, spec) in specs.iter().enumerate() {
@@ -690,8 +734,7 @@ mod tests {
         for (src, dst) in [(0u16, 63u16), (7, 56), (10, 10), (3, 4)] {
             let d = noc_sim::topology::distance(&c, c.coord_of(src), c.coord_of(dst));
             for style in [RouteStyle::Dor, RouteStyle::Spread, RouteStyle::Mix] {
-                let mut route = Vec::new();
-                Lattice::new(&c, src, dst).route(&c, &Binomials::new(&c), style, &mut route);
+                let route = route_links(&c, src, dst, style);
                 assert_eq!(route[0], (Link::Inject(src), 1.0));
                 assert_eq!(
                     *route.last().unwrap(),
@@ -710,9 +753,25 @@ mod tests {
             }
         }
         // Dimension-order is a single walk: every weight is exactly 1.
-        let mut route = Vec::new();
-        Lattice::new(&c, 0, 63).route(&c, &Binomials::new(&c), RouteStyle::Dor, &mut route);
+        let route = route_links(&c, 0, 63, RouteStyle::Dor);
         assert!(route.iter().all(|&(_, w)| w == 1.0));
+    }
+
+    /// The route of `src → dst` under `style`, its channels named by the
+    /// [`Link`]s of the slots they resolve to.
+    fn route_links(c: &SimConfig, src: NodeId, dst: NodeId, style: RouteStyle) -> Vec<(Link, f64)> {
+        let slots = Slots::new(c);
+        let links: Vec<Link> = slots.links().collect();
+        let lattice = Lattice::new(c, src, dst);
+        let (xs, ys, [px, py]) = (&lattice.xs, &lattice.ys, lattice.ports);
+        let hop =
+            |i: usize, j: usize, p| (slots.hop(c.router_at(Coord { x: xs[i], y: ys[j] }), p), 0);
+        let ends = [(slots.inject(src), 0), (slots.eject(lattice.rd), 0)];
+        let walk = (|i, j| hop(i, j, px), |i, j| hop(i, j, py));
+        let mut route = Vec::new();
+        let out = &mut |(slot, _), w| route.push((links[slot], w));
+        lattice.route(&Binomials::new(c), style, ends, walk, out);
+        route
     }
 
     /// The load map of `app` alone at `rate` under `spec`'s mix.
@@ -821,10 +880,17 @@ mod tests {
             let label = kind.label();
             assert_eq!(slots.links().count(), slots.len(), "{label}");
             assert!(links.windows(2).all(|w| w[0].1 < w[1].1), "{label}");
-            assert!(
-                links.iter().all(|&(i, l)| slots.slot(l) == Some(i)),
-                "{label}"
-            );
+            let resolves = |i, l| match l {
+                Link::Inject(n) => slots.inject(n) == i,
+                Link::Eject(r) => slots.eject(r as usize) == i,
+                Link::Hop(from, to) => (1..NUM_PORTS).any(|p| {
+                    let from = from as usize;
+                    has_link(&c, c.router_coord(from), p)
+                        && neighbor_router(&c, from, p) as u32 == to
+                        && slots.hop(from, p) == i
+                }),
+            };
+            assert!(links.iter().all(|&(i, l)| resolves(i, l)), "{label}");
             // One hop slot per directed link of the topology.
             let hops = links.iter().filter(|(_, l)| matches!(l, Link::Hop(..)));
             let directed: usize = (0..c.num_routers())

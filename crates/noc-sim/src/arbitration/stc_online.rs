@@ -146,8 +146,11 @@ mod tests {
             reply: None,
         };
         let packet = PacketTable::default().insert(info);
-        r.note_vc_occupied(PORT_LOCAL, 1, packet, app, 0);
-        r.push_flit(PORT_LOCAL, 1, RingFlit::of(&Flit::nth(info, 0), packet));
+        r.note_vc_occupied(r.slot(PORT_LOCAL, 1), packet, app, 0);
+        r.push_flit(
+            r.slot(PORT_LOCAL, 1),
+            RingFlit::of(&Flit::nth(info, 0), packet),
+        );
         r
     }
 

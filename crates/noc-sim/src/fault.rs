@@ -588,8 +588,9 @@ pub(crate) struct FaultState {
     /// The verified degraded routing, present after the first permanent
     /// fault.
     pub(crate) table: Option<DegradedTable>,
-    /// Last scheduled arrival cycle per `(router, in_port, vc)` slot, so
-    /// retransmitted flits never overtake within a link slot.
+    /// Last scheduled arrival cycle per input VC, by
+    /// [`vc_index`](crate::ids::vc_index), so retransmitted flits never
+    /// overtake within a link's VC.
     pub(crate) last_arrival: Vec<u64>,
     /// Flits dropped per app — the ledger the conservation checkers add
     /// back into their balance.
@@ -689,12 +690,6 @@ impl FaultState {
             }
         }
         MAX_SEND_ATTEMPTS
-    }
-
-    /// Flat index of an input-VC slot (for [`Self::last_arrival`]).
-    #[inline]
-    pub(crate) fn slot(cfg: &SimConfig, router: usize, port: Port, vc: usize) -> usize {
-        (router * NUM_PORTS + port) * cfg.vcs_per_port() + vc
     }
 
     /// Record `flits` flits of `app` dropped (extraction or terminal drop).

@@ -65,8 +65,8 @@ use crate::fault::{
 };
 use crate::flit::{FlitKind, PacketInfo, PacketTable, RingFlit};
 use crate::ids::{
-    opposite, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH,
-    PORT_SOUTH, PORT_WEST,
+    opposite, vc_index, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL,
+    PORT_NORTH, PORT_SOUTH, PORT_WEST,
 };
 use crate::node::Node;
 use crate::oracle::{Checker, Oracle};
@@ -76,38 +76,41 @@ use crate::routing::{RoutingAlgorithm, SelectCtx};
 use crate::source::TrafficSource;
 use crate::stats::SimStats;
 use crate::topology::{has_link, minimal_hop, neighbor_router};
-use crate::vc::{byte, VcClass, VcState, VcTag};
+use crate::vc::{byte, Adaptive, VcClass, VcState, VcTag};
 use crate::verify::MAX_RECORDED_VIOLATIONS;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 mod reference;
 
-/// A flit in flight on a link, delivered into input VC `(in_port, vc)` of
-/// router `dst_router` at cycle `arrive` (the next cycle, except under
-/// link-level retransmission delay — see `sa_phase`): its record and the
-/// links its packet will have traversed on arrival, 24 bytes. A head's
-/// count becomes its VC's; a later flit's must equal it.
+/// A flit in flight on a link, delivered into input VC `slot` of router
+/// `dst_router` at cycle `arrive` (the next cycle, except under link-level
+/// retransmission delay — see `sa_phase`): its record and the links its
+/// packet will have traversed on arrival, 24 bytes. A head's count becomes
+/// its VC's; a later flit's must equal it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
     pub(crate) flit: RingFlit,
     pub(crate) arrive: u64,
     pub(crate) hops: u32,
     pub(crate) dst_router: NodeId,
-    pub(crate) in_port: u8,
-    pub(crate) vc: u8,
+    pub(crate) slot: u8,
 }
 
 impl InFlight {
-    /// Router, input port and VC the flit lands in.
+    /// Router and input VC slot the flit lands in.
     #[inline]
-    pub(crate) fn dst(&self) -> (usize, Port, usize) {
-        (
-            usize::from(self.dst_router),
-            Port::from(self.in_port),
-            usize::from(self.vc),
-        )
+    pub(crate) fn dst(&self) -> (usize, usize) {
+        (usize::from(self.dst_router), usize::from(self.slot))
     }
+}
+
+/// The slot VC `slot` of port `from` has at port `to`, routers having `vcs`
+/// VCs per port: a VC keeps its index across a link, so this maps an output
+/// VC to the input VC it feeds downstream (and back, for credits).
+#[inline]
+pub(crate) fn across(slot: usize, from: Port, to: Port, vcs: usize) -> usize {
+    slot - from * vcs + to * vcs
 }
 
 /// VC slots per router: `SimConfig::validate` caps `NUM_PORTS * vcs_per_port`
@@ -117,13 +120,14 @@ const MAX_SLOTS: usize = 64;
 /// Hence the most VCs one port can have.
 const MAX_VCS: usize = MAX_SLOTS / NUM_PORTS;
 
-/// A VA_out request gathered during the shared (read-only) pass.
+/// A VA_out request gathered during the shared (read-only) pass, as
+/// bytes: the requested output VC slot and its port, the requesting input
+/// VC slot.
 #[derive(Debug, Clone, Copy, Default)]
 struct VaReq {
-    /// Requested output `(port, vc)`; tuple order is slot order.
-    out: (Port, usize),
-    /// Requesting input `(port, vc)`.
-    inp: (Port, usize),
+    out: u8,
+    out_port: u8,
+    inp: u8,
 }
 
 /// Far end of a router's output port: the neighbour router and the input
@@ -179,7 +183,8 @@ pub struct Network {
     /// cycle, with their packet's hop count, consumed by their destination
     /// NI at the next.
     pub(crate) eject_q: Vec<(RingFlit, u32)>,
-    pub(crate) credit_q: Vec<(usize, Port, usize)>,
+    /// Credits returning next cycle: `(router, output VC slot)`.
+    pub(crate) credit_q: Vec<(usize, usize)>,
     /// Previous-cycle adaptive occupancy per router (congestion view).
     congestion: Vec<u16>,
     /// Per-node traffic RNG streams, drawn from in node-id order by the
@@ -457,13 +462,11 @@ impl Network {
                 }
             }
         }
-        let v = self.cfg.vcs_per_port();
+        let slots = NUM_PORTS * self.cfg.vcs_per_port();
         for r in &mut self.routers {
-            for port in 0..NUM_PORTS {
-                for vc in 0..v {
-                    if matches!(r.ivc(port, vc).state(), VcState::Routed { .. }) {
-                        r.set_vc_state(port, vc, VcState::Idle);
-                    }
+            for slot in 0..slots {
+                if matches!(r.ivc(slot).state(), VcState::Routed { .. }) {
+                    r.set_vc_state(slot, VcState::Idle);
                 }
             }
         }
@@ -492,49 +495,49 @@ impl Network {
         let Some(fs) = self.fault.take() else { return };
         let mut fs = fs;
         let table = fs.table.as_ref();
-        let mut extracted: Vec<(usize, Port, usize)> = Vec::new();
+        let v = self.cfg.vcs_per_port();
+        let mut extracted: Vec<(usize, usize)> = Vec::new();
         for (r_idx, r) in self.routers.iter().enumerate() {
-            for port in 0..NUM_PORTS {
-                for (vc, ivc) in r.ivcs(port).enumerate() {
-                    if matches!(ivc.state(), VcState::Active { .. }) {
-                        continue;
-                    }
-                    let (Some(front), Some(back)) =
-                        (ivc.front(&self.packets), ivc.back(&self.packets))
-                    else {
-                        continue;
-                    };
-                    if !front.kind.is_head() || !back.kind.is_tail() {
-                        continue; // not fully resident yet
-                    }
-                    let routable = !fs.dead_routers.contains(&r_idx)
-                        && table.is_none_or(|t| t.routable(r_idx, front.info.dst as usize));
-                    if !routable {
-                        extracted.push((r_idx, port, vc));
-                    }
+            for slot in 0..NUM_PORTS * v {
+                let ivc = r.ivc(slot);
+                if matches!(ivc.state(), VcState::Active { .. }) {
+                    continue;
+                }
+                let (Some(front), Some(back)) = (ivc.front(&self.packets), ivc.back(&self.packets))
+                else {
+                    continue;
+                };
+                if !front.kind.is_head() || !back.kind.is_tail() {
+                    continue; // not fully resident yet
+                }
+                let routable = !fs.dead_routers.contains(&r_idx)
+                    && table.is_none_or(|t| t.routable(r_idx, front.info.dst as usize));
+                if !routable {
+                    extracted.push((r_idx, slot));
                 }
             }
         }
-        for (r_idx, port, vc) in extracted {
+        for (r_idx, slot) in extracted {
             let r = &mut self.routers[r_idx];
-            let ivc = r.ivc(port, vc);
+            let ivc = r.ivc(slot);
             let packet = ivc.packet_ref().expect("checked above");
             let info = *self.packets.get(packet);
             let flits = ivc.len();
             // Fully resident: no flit of the packet is anywhere else.
             self.packets.free(packet);
-            r.note_vc_freed(port, vc);
+            r.note_vc_freed(slot);
             Self::mark_active(&mut self.dirty_mask, r_idx);
             if r.occ_bits == 0 {
                 Self::mark_inactive(&mut self.active_mask, r_idx);
             }
+            let port = r.port_vc(slot).0;
             if let Some((up, up_port)) = Self::link(&self.links, r_idx, port) {
                 for _ in 0..flits {
-                    self.credit_q.push((up, up_port, vc));
+                    self.credit_q.push((up, across(slot, port, up_port, v)));
                 }
             }
             if let Some(o) = self.oracle.as_deref_mut() {
-                o.notify(|c, _| c.on_occupancy(r_idx as NodeId, port, vc, false, self.cycle));
+                o.occupancy(r, slot, false, self.cycle);
             }
             fs.note_dropped_flits(info.app as usize, flits as u64);
             let attempts = fs.bump_retry(info.id);
@@ -659,16 +662,15 @@ impl Network {
             // fuller than it is. Breaks credit conservation only.
             Fault::DropCredit { router, port, vc } => {
                 let r = &mut self.routers[router];
-                if port == PORT_LOCAL
-                    || !has_link(&self.cfg, r.coord, port)
-                    || r.credits(port, vc) == 0
+                let slot = r.slot(port, vc);
+                if port == PORT_LOCAL || !has_link(&self.cfg, r.coord, port) || r.credits(slot) == 0
                 {
                     return false;
                 }
                 // take_credit keeps the bitmaps coherent with the (now
                 // corrupted) counter — the checkers, not the bookkeeping
                 // self-check, must catch this fault.
-                r.take_credit(port, vc);
+                r.take_credit(slot);
                 true
             }
             // Spurious replay-buffer fire: the upstream link sends a copy of
@@ -683,7 +685,8 @@ impl Network {
                 let Some((up, out_port)) = Self::link(&self.links, router, port) else {
                     return false;
                 };
-                let ivc = self.routers[router].ivc(port, vc);
+                let slot = self.routers[router].slot(port, vc);
+                let ivc = self.routers[router].ivc(slot);
                 let (Some(flit), Some(hops)) = (ivc.record(ivc.len().wrapping_sub(1)), ivc.hops())
                 else {
                     return false;
@@ -691,20 +694,20 @@ impl Network {
                 if flit.kind.is_head() || flit.kind.is_tail() {
                     return false;
                 }
-                if self.in_flight.iter().any(|a| a.dst() == (router, port, vc)) {
+                if self.in_flight.iter().any(|a| a.dst() == (router, slot)) {
                     return false;
                 }
-                if !self.routers[up].has_credit(out_port, vc) {
+                let up_slot = self.routers[up].slot(out_port, vc);
+                if !self.routers[up].has_credit(up_slot) {
                     return false;
                 }
-                self.routers[up].take_credit(out_port, vc);
+                self.routers[up].take_credit(up_slot);
                 self.in_flight.push(InFlight {
                     flit,
                     arrive: self.cycle + 1,
                     hops,
                     dst_router: router as NodeId,
-                    in_port: byte(port),
-                    vc: byte(vc),
+                    slot: byte(slot),
                 });
                 true
             }
@@ -713,7 +716,8 @@ impl Network {
             // flit stays in flight): only routing legality is broken.
             Fault::MisrouteFlit { router, port, vc } => {
                 let cur = self.routers[router].coord;
-                let ivc = self.routers[router].ivc(port, vc);
+                let slot = self.routers[router].slot(port, vc);
+                let ivc = self.routers[router].ivc(slot);
                 let Some(front) = ivc.front(&self.packets) else {
                     return false;
                 };
@@ -727,11 +731,10 @@ impl Network {
                 let Some(out) = [PORT_NORTH, PORT_EAST, PORT_SOUTH, PORT_WEST]
                     .into_iter()
                     .find(|&p| {
+                        let r = &self.routers[router];
                         has_link(&self.cfg, cur, p)
                             && !minimal_hop(&self.cfg, cur, dst, p)
-                            && self.routers[router].allocatable_mask()
-                                & self.routers[router].vc_bit(p, vc)
-                                != 0
+                            && r.allocatable_mask() >> r.slot(p, vc) & 1 != 0
                     })
                 else {
                     return false;
@@ -741,27 +744,27 @@ impl Network {
                 };
                 // Defensive: the credit precondition already implies the
                 // downstream VC is idle and no arrival is in flight.
-                if self.routers[nb].ivc(nb_port, vc).occupied() {
+                let nb_slot = self.routers[nb].slot(nb_port, vc);
+                if self.routers[nb].ivc(nb_slot).occupied() {
                     return false;
                 }
                 let r = &mut self.routers[router];
-                let (flit, hops) = r.pop_flit(port, vc).expect("checked above");
-                r.note_vc_freed(port, vc);
+                let (flit, hops) = r.pop_flit(slot).expect("checked above");
+                r.note_vc_freed(slot);
                 Self::mark_active(&mut self.dirty_mask, router);
                 if r.occ_bits == 0 {
                     Self::mark_inactive(&mut self.active_mask, router);
                 }
-                r.take_credit(out, vc);
+                r.take_credit(r.slot(out, vc));
                 self.in_flight.push(InFlight {
                     flit,
                     arrive: self.cycle + 1,
                     hops: hops + 1,
                     dst_router: nb as NodeId,
-                    in_port: byte(nb_port),
-                    vc: byte(vc),
+                    slot: byte(nb_slot),
                 });
                 if let Some(o) = self.oracle.as_deref_mut() {
-                    o.notify(|c, _| c.on_occupancy(router as NodeId, port, vc, false, self.cycle));
+                    o.occupancy(r, slot, false, self.cycle);
                 }
                 true
             }
@@ -769,7 +772,8 @@ impl Network {
             // matches it: data corruption that escaped the link-level error
             // control. Caught by the CRC-integrity scan.
             Fault::CorruptFlit { router, port, vc } => {
-                let Some(f) = self.routers[router].front_flit_mut(port, vc) else {
+                let r = &mut self.routers[router];
+                let Some(f) = r.front_flit_mut(r.slot(port, vc)) else {
                     return false;
                 };
                 f.crc ^= 1;
@@ -780,9 +784,10 @@ impl Network {
             // disagrees with the one count the VC keeps for the packet.
             // Caught by wormhole contiguity while the flit is on the link.
             Fault::MiscountHops { router, port, vc } => {
-                let held = self.routers[router].ivc(port, vc).packet_ref();
+                let slot = self.routers[router].slot(port, vc);
+                let held = self.routers[router].ivc(slot).packet_ref();
                 let Some(a) = self.in_flight.iter_mut().find(|a| {
-                    a.dst() == (router, port, vc)
+                    a.dst() == (router, slot)
                         && !a.flit.kind.is_head()
                         && Some(a.flit.packet) == held
                 }) else {
@@ -869,8 +874,8 @@ impl Network {
         } = self;
         let cycle = *cycle;
         // Credits first (they free space the SA stage may use this cycle).
-        for &(r, port, vc) in credit_q.iter() {
-            routers[r].return_credit(port, vc);
+        for &(r, slot) in credit_q.iter() {
+            routers[r].return_credit(slot);
         }
         credit_q.clear();
         let delayed_possible = fault.is_some();
@@ -886,26 +891,25 @@ impl Network {
                 continue;
             }
             let a = &in_flight[i];
-            let (r_idx, port, vc) = a.dst();
+            let (r_idx, slot) = a.dst();
             let router = &mut routers[r_idx];
-            let ivc = router.ivc(port, vc);
+            let ivc = router.ivc(slot);
             // Atomic VCs: exactly the head starts a new occupancy interval.
             debug_assert_eq!(a.flit.kind.is_head(), !ivc.occupied());
             debug_assert!(ivc.len() < cfg.vc_depth, "input buffer overflow");
             let newly_occupied = !ivc.occupied();
             if newly_occupied {
                 let app = packets.get(a.flit.packet).app;
-                router.note_vc_occupied(port, vc, a.flit.packet, app, a.hops);
+                router.note_vc_occupied(slot, a.flit.packet, app, a.hops);
                 Self::mark_active(active_mask, r_idx);
                 Self::mark_active(dirty_mask, r_idx);
             }
-            router.push_flit(port, vc, a.flit);
+            router.push_flit(slot, a.flit);
             if let Some(o) = oracle.as_deref_mut() {
-                let id = a.dst_router;
                 let flit = a.flit.with(packets, a.hops);
-                o.notify(|c, out| c.on_arrival(cfg, id, port, vc, &flit, cycle, out));
+                o.arrival(cfg, router, slot, &flit, cycle);
                 if newly_occupied {
-                    o.notify(|c, _| c.on_occupancy(id, port, vc, true, cycle));
+                    o.occupancy(router, slot, true, cycle);
                 }
             }
         }
@@ -995,8 +999,8 @@ impl Network {
         // the mask as of the start of the phase.)
         stats.router_cycles_skipped += unset(active_mask, routers.len());
         // On-stack request sets, reused by every arbitration of the phase:
-        // `(priority, slot key)` pairs, and per SA_in request the output VC
-        // it asks for.
+        // `(priority, key)` pairs, and per SA_in request the output port and
+        // VC slot it asks for.
         let mut reqs = [(0u64, 0usize); MAX_VCS];
         let mut wants = [(0, 0); MAX_VCS];
         for w in 0..active_mask.len() {
@@ -1009,24 +1013,28 @@ impl Network {
                 let r = &mut routers[r_idx];
                 // Every SA candidate is an Active VC.
                 let served = r.active_bits;
-                // SA_in: one winner `(in_vc, out_vc)` per input port; bit
-                // `out_port * NUM_PORTS + in_port` of `out_reqs` says what it asks.
+                // SA_in: one winner `(in_slot, out_slot)` per input port;
+                // bit `out_port * NUM_PORTS + in_port` of `out_reqs` says
+                // what it asks. SA_in rotates over the port's VC indices,
+                // the offsets of its slots from `base`.
                 let mut sa_in_winners = [(0usize, 0usize); NUM_PORTS];
                 let mut out_reqs: u64 = 0;
                 #[allow(clippy::needless_range_loop)] // in_port also keys sa_in_ptr
                 for in_port in 0..NUM_PORTS {
+                    let base = in_port * v;
                     let mut k = 0;
-                    for in_vc in set_bits((served >> (in_port * v)) & port_mask) {
-                        let ivc = r.ivc(in_port, in_vc);
-                        let VcState::Active { out_port, out_vc } = ivc.state() else {
+                    for slot in set_bits(served & (port_mask << base)) {
+                        let ivc = r.ivc(slot);
+                        let VcState::Active { out_port, out_slot } = ivc.state() else {
                             continue;
                         };
+                        let out_slot = usize::from(out_slot);
                         // Credit first: a blocked VC's flit is not even read.
-                        if !r.has_credit(out_port, out_vc) || ivc.is_empty() {
+                        if !r.has_credit(out_slot) || ivc.is_empty() {
                             continue;
                         }
-                        reqs[k] = (0, in_vc);
-                        wants[k] = (out_port, out_vc);
+                        reqs[k] = (0, slot - base);
+                        wants[k] = (usize::from(out_port), out_slot);
                         k += 1;
                     }
                     if k == 0 {
@@ -1034,23 +1042,16 @@ impl Network {
                     }
                     if k > 1 {
                         for q in &mut reqs[..k] {
-                            q.0 = front_priority(
-                                &**policy,
-                                ArbStage::SaIn,
-                                r,
-                                packets,
-                                None,
-                                in_port,
-                                q.1,
-                            );
+                            let slot = base + q.1;
+                            q.0 = front_priority(&**policy, ArbStage::SaIn, r, packets, None, slot);
                         }
                     }
                     let Some(w) = arbitrate_rr(&reqs[..k], v, &mut r.sa_in_ptr[in_port]) else {
                         debug_assert!(false, "non-empty request set yields an SA_in winner");
                         continue;
                     };
-                    let (out_port, out_vc) = wants[w];
-                    sa_in_winners[in_port] = (reqs[w].1, out_vc);
+                    let (out_port, out_slot) = wants[w];
+                    sa_in_winners[in_port] = (base + reqs[w].1, out_slot);
                     out_reqs |= 1 << (out_port * NUM_PORTS + in_port);
                 }
                 if out_reqs == 0 {
@@ -1070,16 +1071,9 @@ impl Network {
                     }
                     if k > 1 {
                         for q in &mut reqs[..k] {
-                            let in_vc = sa_in_winners[q.1].0;
-                            q.0 = front_priority(
-                                &**policy,
-                                ArbStage::SaOut,
-                                r,
-                                packets,
-                                None,
-                                q.1,
-                                in_vc,
-                            );
+                            let slot = sa_in_winners[q.1].0;
+                            q.0 =
+                                front_priority(&**policy, ArbStage::SaOut, r, packets, None, slot);
                         }
                     }
                     let Some(w) = arbitrate_rr(&reqs[..k], NUM_PORTS, &mut r.sa_out_ptr[out_port])
@@ -1088,23 +1082,24 @@ impl Network {
                         continue;
                     };
                     let in_port = reqs[w].1;
-                    let (in_vc, out_vc) = sa_in_winners[in_port];
+                    let (in_slot, out_slot) = sa_in_winners[in_port];
                     // Static link facts: where the flit goes (nowhere = it
                     // ejects here) and where its credit returns.
                     let down = Self::link(links, r_idx, out_port);
                     debug_assert_eq!(down.is_none(), out_port == PORT_LOCAL, "linkless grant");
                     // ST: move the flit.
-                    let Some((flit, hops)) = r.pop_flit(in_port, in_vc) else {
+                    let Some((flit, hops)) = r.pop_flit(in_slot) else {
                         debug_assert!(false, "SA winner holds a buffered flit");
                         continue;
                     };
                     let is_tail = flit.kind.is_tail();
                     if let Some(o) = oracle.as_deref_mut() {
                         let flit = flit.with(packets, hops);
-                        o.notify(|c, _| c.on_forward(r.id, in_port, in_vc, out_port, &flit, cycle));
+                        o.forward(r, in_slot, out_port, &flit, cycle);
                     }
                     if let Some((nb, nb_port)) = down {
-                        r.take_credit(out_port, out_vc);
+                        r.take_credit(out_slot);
+                        let nb_slot = across(out_slot, out_port, nb_port, v);
                         let mut arrive = cycle + 1;
                         if let Some(fs) = fault.as_deref_mut() {
                             if fs.corrupts() {
@@ -1123,9 +1118,9 @@ impl Network {
                                     stats.flits_retransmitted += u64::from(k - 1);
                                     arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
                                 }
-                                let slot = FaultState::slot(cfg, nb, nb_port, out_vc);
-                                arrive = arrive.max(fs.last_arrival[slot] + 1);
-                                fs.last_arrival[slot] = arrive;
+                                let at = vc_index(nb, NUM_PORTS * v, nb_slot);
+                                arrive = arrive.max(fs.last_arrival[at] + 1);
+                                fs.last_arrival[at] = arrive;
                             }
                         }
                         in_flight.push(InFlight {
@@ -1133,28 +1128,27 @@ impl Network {
                             arrive,
                             hops: hops + 1,
                             dst_router: nb as NodeId,
-                            in_port: byte(nb_port),
-                            vc: byte(out_vc),
+                            slot: byte(nb_slot),
                         });
                     } else {
                         eject_q.push((flit, hops));
                     }
                     if let Some((up, up_port)) = Self::link(links, r_idx, in_port) {
-                        credit_q.push((up, up_port, in_vc));
+                        credit_q.push((up, across(in_slot, in_port, up_port, v)));
                     }
                     if is_tail {
                         debug_assert!(
-                            r.ivc(in_port, in_vc).is_empty(),
+                            r.ivc(in_slot).is_empty(),
                             "atomic VC violated: flits behind a tail"
                         );
-                        r.release_out_vc(out_port, out_vc);
-                        r.note_vc_freed(in_port, in_vc);
+                        r.release_out_vc(out_slot);
+                        r.note_vc_freed(in_slot);
                         Self::mark_active(dirty_mask, r_idx);
                         if r.occ_bits == 0 {
                             Self::mark_inactive(active_mask, r_idx);
                         }
                         if let Some(o) = oracle.as_deref_mut() {
-                            o.notify(|c, _| c.on_occupancy(r.id, in_port, in_vc, false, cycle));
+                            o.occupancy(r, in_slot, false, cycle);
                         }
                     }
                     stats.last_progress = cycle;
@@ -1196,8 +1190,7 @@ impl Network {
                 // request.
                 let mut k = 0;
                 for slot in set_bits(r.routed_bits) {
-                    let inp = r.port_vc(slot);
-                    let ivc = r.ivc(inp.0, inp.1);
+                    let ivc = r.ivc(slot);
                     let VcState::Routed {
                         adaptive,
                         escape,
@@ -1221,31 +1214,36 @@ impl Network {
                         node_coord[packet.dst as usize],
                         &arb_req(r, packet),
                         adaptive,
-                        escape,
+                        usize::from(escape),
                         escape_lane,
                     );
-                    if let Some(out) = request {
-                        va[k] = VaReq { out, inp };
+                    if let Some((out_port, out)) = request {
+                        va[k] = VaReq {
+                            out: byte(out),
+                            out_port: byte(out_port),
+                            inp: byte(slot),
+                        };
                         k += 1;
                     }
                 }
-                // VA_out: arbitrate per requested output VC.
+                // VA_out: arbitrate per requested output VC, in slot order.
                 let va = &mut va[..k];
-                va.sort_unstable_by_key(|q| q.out);
+                va.sort_unstable_by_key(|q| (q.out, q.inp));
                 for group in va.chunk_by(|a, b| a.out == b.out) {
-                    let (out_port, out_vc) = group[0].out;
+                    let (out, out_port) =
+                        (usize::from(group[0].out), usize::from(group[0].out_port));
                     let contested = group.len() > 1;
                     for (req, q) in reqs.iter_mut().zip(group) {
-                        let (port, vc) = q.inp;
+                        let inp = usize::from(q.inp);
                         let prio = if contested {
-                            let class = Some(cfg.vc_class(out_vc));
-                            front_priority(&**policy, ArbStage::VaOut, r, packets, class, port, vc)
+                            let class = Some(cfg.vc_class(out - out_port * v));
+                            front_priority(&**policy, ArbStage::VaOut, r, packets, class, inp)
                         } else {
                             0
                         };
-                        *req = (prio, r.slot(port, vc));
+                        *req = (prio, inp);
                     }
-                    let ptr = &mut r.va_ptr[out_port * v + out_vc];
+                    let ptr = &mut r.va_ptr[out];
                     let at = usize::from(*ptr);
                     let Some((w, next)) = arbitrate_rr_at(&reqs[..group.len()], NUM_PORTS * v, at)
                     else {
@@ -1253,18 +1251,19 @@ impl Network {
                         continue;
                     };
                     *ptr = byte(next);
-                    let (in_port, in_vc) = group[w].inp;
-                    r.alloc_out_vc(out_port, out_vc, (in_port, in_vc));
-                    r.set_vc_state(in_port, in_vc, VcState::Active { out_port, out_vc });
+                    let inp = usize::from(group[w].inp);
+                    r.alloc_out_vc(out, inp);
+                    r.set_vc_state(inp, VcState::active(out_port, out));
                 }
             }
         }
     }
 
-    /// VA_in: pick the (output port, output VC) a routed input VC requests
-    /// this cycle. Adaptive candidates first (routing selection function +
-    /// the policy's VC-tag preference); the escape VC of the packet's
-    /// dateline lane as fallback; `None` when nothing is allocatable.
+    /// VA_in: pick the (output port, output VC slot) a routed input VC
+    /// requests this cycle. Adaptive candidates first (routing selection
+    /// function + the policy's VC-tag preference); the escape VC of the
+    /// packet's dateline lane as fallback; `None` when nothing is
+    /// allocatable.
     #[allow(clippy::too_many_arguments)]
     fn va_in_select(
         cfg: &SimConfig,
@@ -1275,27 +1274,26 @@ impl Network {
         r: &Router,
         dst: Coord,
         req: &ArbReq,
-        adaptive: [Option<Port>; 2],
+        adaptive: Adaptive,
         escape: Port,
         escape_lane: u8,
     ) -> Option<(Port, usize)> {
         let v = cfg.vcs_per_port();
         // Ejection at the destination: any free local "output VC". The
-        // local port occupies the low `v` bits (PORT_LOCAL == 0); bit order
-        // is ascending VC index, so trailing_zeros replicates the old
-        // ascending `find` exactly.
+        // local port occupies the low `v` slots (PORT_LOCAL == 0), in
+        // ascending VC index.
         if escape == PORT_LOCAL {
             let free = r.out_free & low_bits(v);
             return (free != 0).then(|| (PORT_LOCAL, free.trailing_zeros() as usize));
         }
         // Allocatable = no holder AND downstream fully drained — one mask op
-        // per candidate port instead of a scan over the adaptive range.
+        // per candidate port, whose lowest set bit is the slot asked for.
         let alloc = r.allocatable_mask();
         let adaptive_mask = low_bits(cfg.adaptive_vcs) << cfg.num_escape_vcs();
         let mut cands: [Port; 2] = [0; 2];
         let mut n = 0;
-        for p in adaptive.into_iter().flatten() {
-            if (alloc >> (p * v)) & adaptive_mask != 0 {
+        for p in adaptive.ports() {
+            if alloc & (adaptive_mask << (p * v)) != 0 {
                 cands[n] = p;
                 n += 1;
             }
@@ -1309,7 +1307,7 @@ impl Network {
                 congestion,
             };
             let p = cands[routing.select(&ctx, &cands[..n])];
-            let pa = (alloc >> (p * v)) & adaptive_mask;
+            let pa = alloc & (adaptive_mask << (p * v));
             debug_assert_ne!(pa, 0);
             if let Some(tag) = policy.vc_tag_preference(r, req) {
                 // Regional adaptive VCs are the contiguous indices right
@@ -1322,7 +1320,7 @@ impl Network {
                             << (cfg.num_escape_vcs() + cfg.regional_vcs)
                     }
                 };
-                let m = pa & tag_mask;
+                let m = pa & (tag_mask << (p * v));
                 if m != 0 {
                     return Some((p, m.trailing_zeros() as usize));
                 }
@@ -1331,9 +1329,10 @@ impl Network {
         }
         // Escape fallback (guarantees forward progress per Duato); on
         // wrapping topologies the requestable escape VC is pinned to the
-        // packet's dateline lane.
-        let esc = cfg.escape_vc_lane(req.class, escape_lane);
-        (alloc & r.vc_bit(escape, esc) != 0).then_some((escape, esc))
+        // packet's dateline lane. The escape port comes from the routing
+        // function, so its VC is converted to a slot here.
+        let esc = r.slot(escape, cfg.escape_vc_lane(req.class, escape_lane));
+        (alloc >> esc & 1 != 0).then_some((escape, esc))
     }
 
     // --------------------------------------------------------- phase 4: RC
@@ -1365,8 +1364,7 @@ impl Network {
                 // Routed nor Active.
                 let served = r.occ_bits & !(r.routed_bits | r.active_bits);
                 for slot in set_bits(served) {
-                    let (in_port, in_vc) = r.port_vc(slot);
-                    let ivc = r.ivc(in_port, in_vc);
+                    let ivc = r.ivc(slot);
                     if ivc.state() != VcState::Idle {
                         continue;
                     }
@@ -1384,11 +1382,7 @@ impl Network {
                         if degraded.is_some_and(|t| !t.routable(r_idx, dst_node as usize)) {
                             continue; // parked (dead router)
                         }
-                        VcState::Routed {
-                            adaptive: [Some(PORT_LOCAL), None],
-                            escape: PORT_LOCAL,
-                            escape_lane: 0,
-                        }
+                        VcState::routed([Some(PORT_LOCAL), None], PORT_LOCAL, 0)
                     } else if let Some(t) = degraded {
                         let (s, d) = (r_idx, dst_node as usize);
                         if !t.routable(s, d) {
@@ -1397,22 +1391,14 @@ impl Network {
                         let Some(escape) = t.esc_at(s, d) else {
                             continue;
                         };
-                        VcState::Routed {
-                            adaptive: t.adap_at(s, d),
-                            escape,
-                            escape_lane: 0,
-                        }
+                        VcState::routed(t.adap_at(s, d), escape, 0)
                     } else {
                         // The kernel legalizes exactly what the static
                         // verifier enumerated: the algorithm's next_hops.
                         let hops = routing.next_hops(cfg, cur, dst);
-                        VcState::Routed {
-                            adaptive: hops.adaptive,
-                            escape: hops.escape,
-                            escape_lane: hops.escape_lane,
-                        }
+                        VcState::routed(hops.adaptive, hops.escape, hops.escape_lane)
                     };
-                    r.set_vc_state(in_port, in_vc, routed);
+                    r.set_vc_state(slot, routed);
                 }
             }
         }
@@ -1654,9 +1640,9 @@ impl Network {
     }
 }
 
-/// The policy's priority for the flit at the front of input VC
-/// `(port, vc)` of `r` — asked only for the members of a contested request
-/// set, each of which buffers a flit of the VC's packet.
+/// The policy's priority for the flit at the front of input VC `slot` of
+/// `r` — asked only for the members of a contested request set, each of
+/// which buffers a flit of the VC's packet.
 #[inline]
 fn front_priority(
     policy: &dyn PriorityPolicy,
@@ -1664,10 +1650,9 @@ fn front_priority(
     r: &Router,
     packets: &PacketTable,
     out_vc: Option<VcClass>,
-    port: Port,
-    vc: usize,
+    slot: usize,
 ) -> u64 {
-    let ivc = r.ivc(port, vc);
+    let ivc = r.ivc(slot);
     let Some(packet) = ivc.packet(packets).filter(|_| !ivc.is_empty()) else {
         debug_assert!(false, "an arbitration request has a buffered flit");
         return 0;

@@ -31,37 +31,37 @@
 use super::{arb_req, InFlight, Network};
 use crate::arbitration::{arbitrate_rr, arbitrate_rr_at, ArbReq, ArbStage, PriorityPolicy};
 use crate::config::SimConfig;
-use crate::fault::{FaultState, RETRANSMIT_LATENCY};
+use crate::fault::RETRANSMIT_LATENCY;
 use crate::flit::{PacketInfo, PacketTable};
-use crate::ids::{opposite, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_LOCAL};
+use crate::ids::{opposite, vc_index, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_LOCAL};
 use crate::region::RegionMap;
 use crate::router::Router;
 use crate::routing::{RoutingAlgorithm, SelectCtx};
 use crate::topology::{has_link, neighbor_router};
-use crate::vc::{byte, VcClass, VcState};
+use crate::vc::{byte, Adaptive, VcClass, VcState};
 
 /// Far end of output port `p` of router `idx`, from the topology functions.
 fn far_end(cfg: &SimConfig, idx: usize, p: Port) -> Option<(usize, Port)> {
     has_link(cfg, cfg.router_coord(idx), p).then(|| (neighbor_router(cfg, idx, p), opposite(p)))
 }
 
-/// May a new packet be allocated output VC `(p, vc)`: no holder and the
+/// May a new packet be allocated output VC `slot`: no holder and the
 /// downstream buffer fully drained (local credits are never consumed).
-fn allocatable(r: &Router, p: Port, vc: usize) -> bool {
-    r.out_alloc(p, vc).is_none() && r.credits(p, vc) == r.vc_depth()
+fn allocatable(r: &Router, slot: usize) -> bool {
+    r.out_alloc(slot).is_none() && r.credits(slot) == r.vc_depth()
 }
 
-/// The policy's priority for the flit at the front of input VC `(port, vc)`.
+/// The policy's priority for the flit at the front of input VC `slot`.
 fn priority_of(
     policy: &dyn PriorityPolicy,
     stage: ArbStage,
     r: &Router,
     packets: &PacketTable,
     out_vc: Option<VcClass>,
-    (port, vc): (Port, usize),
+    slot: usize,
 ) -> u64 {
     let front = r
-        .ivc(port, vc)
+        .ivc(slot)
         .front(packets)
         .expect("an arbitration request has a buffered flit");
     policy.priority(stage, r, out_vc, &arb_req(r, &front.info))
@@ -117,36 +117,37 @@ impl Network {
             if fault_frozen.as_deref().is_some_and(|f| f[r_idx]) {
                 continue;
             }
-            // SA_in: per input port, the winning `(in_vc, out_port, out_vc)`.
+            // SA_in: per input port, the winning `(in_slot, out_port,
+            // out_slot)`, rotating over the port's VC indices.
             let mut sa_in = [None; NUM_PORTS];
             for (in_port, winner) in sa_in.iter_mut().enumerate() {
                 let (mut reqs, mut wants) = (Vec::new(), Vec::new());
                 for in_vc in 0..v {
-                    let ivc = r.ivc(in_port, in_vc);
-                    let VcState::Active { out_port, out_vc } = ivc.state() else {
+                    let slot = r.slot(in_port, in_vc);
+                    let ivc = r.ivc(slot);
+                    let VcState::Active { out_port, out_slot } = ivc.state() else {
                         continue;
                     };
-                    let credit = out_port == PORT_LOCAL || r.credits(out_port, out_vc) > 0;
+                    let (out_port, out_slot) = (usize::from(out_port), usize::from(out_slot));
+                    let credit = out_port == PORT_LOCAL || r.credits(out_slot) > 0;
                     if !credit || ivc.is_empty() {
                         continue;
                     }
-                    let at = (in_port, in_vc);
-                    let prio = priority_of(&**policy, ArbStage::SaIn, r, packets, None, at);
+                    let prio = priority_of(&**policy, ArbStage::SaIn, r, packets, None, slot);
                     reqs.push((prio, in_vc));
-                    wants.push((out_port, out_vc));
+                    wants.push((slot, out_port, out_slot));
                 }
                 if let Some(w) = arbitrate_rr(&reqs, v, &mut r.sa_in_ptr[in_port]) {
-                    *winner = Some((reqs[w].1, wants[w].0, wants[w].1));
+                    *winner = Some(wants[w]);
                 }
             }
             // SA_out, then ST for each winner.
             for out_port in 0..NUM_PORTS {
                 let reqs: Vec<(u64, usize)> = (0..NUM_PORTS)
                     .filter_map(|in_port| match sa_in[in_port] {
-                        Some((in_vc, want, _)) if want == out_port => {
-                            let at = (in_port, in_vc);
+                        Some((slot, want, _)) if want == out_port => {
                             let prio =
-                                priority_of(&**policy, ArbStage::SaOut, r, packets, None, at);
+                                priority_of(&**policy, ArbStage::SaOut, r, packets, None, slot);
                             Some((prio, in_port))
                         }
                         _ => None,
@@ -156,16 +157,19 @@ impl Network {
                     continue;
                 };
                 let in_port = reqs[w].1;
-                let (in_vc, _, out_vc) = sa_in[in_port].expect("an SA_out request won SA_in");
+                let (in_slot, _, out_slot) = sa_in[in_port].expect("an SA_out request won SA_in");
                 let (flit, hops) = r
-                    .pop_flit(in_port, in_vc)
+                    .pop_flit(in_slot)
                     .expect("SA winner holds a buffered flit");
                 if let Some(o) = oracle.as_deref_mut() {
                     let flit = flit.with(packets, hops);
-                    o.notify(|c, _| c.on_forward(r.id, in_port, in_vc, out_port, &flit, cycle));
+                    o.forward(r, in_slot, out_port, &flit, cycle);
                 }
                 if let Some((nb, nb_port)) = far_end(cfg, r_idx, out_port) {
-                    r.take_credit(out_port, out_vc);
+                    r.take_credit(out_slot);
+                    // The downstream input VC: the same VC index, at the
+                    // port the link enters.
+                    let nb_slot = r.slot(nb_port, r.port_vc(out_slot).1);
                     let mut arrive = cycle + 1;
                     if let Some(fs) = fault.as_deref_mut().filter(|fs| fs.corrupts()) {
                         // Link-level ARQ, resolved at send time (see the
@@ -174,31 +178,30 @@ impl Network {
                         let k = fs.send_attempts(id, u32::from(flit.seq), r_idx, out_port);
                         stats.flits_retransmitted += u64::from(k - 1);
                         arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
-                        let slot = FaultState::slot(cfg, nb, nb_port, out_vc);
-                        arrive = arrive.max(fs.last_arrival[slot] + 1);
-                        fs.last_arrival[slot] = arrive;
+                        let at = vc_index(nb, NUM_PORTS * v, nb_slot);
+                        arrive = arrive.max(fs.last_arrival[at] + 1);
+                        fs.last_arrival[at] = arrive;
                     }
                     in_flight.push(InFlight {
                         flit,
                         arrive,
                         hops: hops + 1,
                         dst_router: nb as NodeId,
-                        in_port: byte(nb_port),
-                        vc: byte(out_vc),
+                        slot: byte(nb_slot),
                     });
                 } else {
                     assert_eq!(out_port, PORT_LOCAL, "grant on a linkless port");
                     eject_q.push((flit, hops));
                 }
                 if let Some((up, up_port)) = far_end(cfg, r_idx, in_port) {
-                    credit_q.push((up, up_port, in_vc));
+                    credit_q.push((up, r.slot(up_port, r.port_vc(in_slot).1)));
                 }
                 if flit.kind.is_tail() {
-                    assert!(r.ivc(in_port, in_vc).is_empty(), "flits behind a tail");
-                    r.release_out_vc(out_port, out_vc);
-                    r.note_vc_freed(in_port, in_vc);
+                    assert!(r.ivc(in_slot).is_empty(), "flits behind a tail");
+                    r.release_out_vc(out_slot);
+                    r.note_vc_freed(in_slot);
                     if let Some(o) = oracle.as_deref_mut() {
-                        o.notify(|c, _| c.on_occupancy(r.id, in_port, in_vc, false, cycle));
+                        o.occupancy(r, in_slot, false, cycle);
                     }
                 }
                 stats.last_progress = cycle;
@@ -221,11 +224,11 @@ impl Network {
         } = self;
         let v = cfg.vcs_per_port();
         for r in routers.iter_mut() {
-            // `(requested output VC, requesting input VC)`, input-slot order.
+            // `((output port, requested output VC), requesting input VC)`,
+            // input-slot order.
             let mut requests = Vec::new();
             for slot in 0..NUM_PORTS * v {
-                let inp = r.port_vc(slot);
-                let ivc = r.ivc(inp.0, inp.1);
+                let ivc = r.ivc(slot);
                 let VcState::Routed {
                     adaptive,
                     escape,
@@ -245,35 +248,32 @@ impl Network {
                     cfg.coord_of(head.info.dst),
                     &arb_req(r, &head.info),
                     adaptive,
-                    escape,
+                    usize::from(escape),
                     escape_lane,
                 );
-                requests.extend(out.map(|out| (out, inp)));
+                requests.extend(out.map(|out| (out, slot)));
             }
-            for out_port in 0..NUM_PORTS {
-                for out_vc in 0..v {
-                    let group: Vec<(Port, usize)> = requests
-                        .iter()
-                        .filter(|(out, _)| *out == (out_port, out_vc))
-                        .map(|&(_, inp)| inp)
-                        .collect();
-                    let reqs: Vec<(u64, usize)> = group
-                        .iter()
-                        .map(|&inp| {
-                            let class = Some(cfg.vc_class(out_vc));
-                            let prio =
-                                priority_of(&**policy, ArbStage::VaOut, r, packets, class, inp);
-                            (prio, r.slot(inp.0, inp.1))
-                        })
-                        .collect();
-                    let ptr = &mut r.va_ptr[out_port * v + out_vc];
-                    let at = usize::from(*ptr);
-                    if let Some((w, next)) = arbitrate_rr_at(&reqs, NUM_PORTS * v, at) {
-                        *ptr = next as u8;
-                        let (in_port, in_vc) = group[w];
-                        r.alloc_out_vc(out_port, out_vc, (in_port, in_vc));
-                        r.set_vc_state(in_port, in_vc, VcState::Active { out_port, out_vc });
-                    }
+            for out in 0..NUM_PORTS * v {
+                let (out_port, out_vc) = r.port_vc(out);
+                let group: Vec<usize> = requests
+                    .iter()
+                    .filter(|&&(want, _)| want == (out_port, out))
+                    .map(|&(_, inp)| inp)
+                    .collect();
+                let reqs: Vec<(u64, usize)> = group
+                    .iter()
+                    .map(|&inp| {
+                        let class = Some(cfg.vc_class(out_vc));
+                        let prio = priority_of(&**policy, ArbStage::VaOut, r, packets, class, inp);
+                        (prio, inp)
+                    })
+                    .collect();
+                let ptr = &mut r.va_ptr[out];
+                let at = usize::from(*ptr);
+                if let Some((w, next)) = arbitrate_rr_at(&reqs, NUM_PORTS * v, at) {
+                    *ptr = next as u8;
+                    r.alloc_out_vc(out, group[w]);
+                    r.set_vc_state(group[w], VcState::active(out_port, out));
                 }
             }
         }
@@ -293,8 +293,7 @@ impl Network {
         let v = cfg.vcs_per_port();
         for (r_idx, r) in routers.iter_mut().enumerate() {
             for slot in 0..NUM_PORTS * v {
-                let (in_port, in_vc) = r.port_vc(slot);
-                let ivc = r.ivc(in_port, in_vc);
+                let ivc = r.ivc(slot);
                 let (VcState::Idle, Some(front)) = (ivc.state(), ivc.front(packets)) else {
                     continue;
                 };
@@ -307,29 +306,17 @@ impl Network {
                     continue;
                 }
                 let routed = if dst == r.coord {
-                    VcState::Routed {
-                        adaptive: [Some(PORT_LOCAL), None],
-                        escape: PORT_LOCAL,
-                        escape_lane: 0,
-                    }
+                    VcState::routed([Some(PORT_LOCAL), None], PORT_LOCAL, 0)
                 } else if let Some(t) = degraded {
                     let Some(escape) = t.esc_at(s, d) else {
                         continue;
                     };
-                    VcState::Routed {
-                        adaptive: t.adap_at(s, d),
-                        escape,
-                        escape_lane: 0,
-                    }
+                    VcState::routed(t.adap_at(s, d), escape, 0)
                 } else {
                     let hops = routing.next_hops(cfg, r.coord, dst);
-                    VcState::Routed {
-                        adaptive: hops.adaptive,
-                        escape: hops.escape,
-                        escape_lane: hops.escape_lane,
-                    }
+                    VcState::routed(hops.adaptive, hops.escape, hops.escape_lane)
                 };
-                r.set_vc_state(in_port, in_vc, routed);
+                r.set_vc_state(slot, routed);
             }
         }
     }
@@ -461,7 +448,7 @@ impl Network {
     }
 }
 
-/// VA_in: the `(output port, output VC)` a routed input VC requests this
+/// VA_in: the `(output port, output VC slot)` a routed input VC requests this
 /// cycle — an allocatable adaptive VC of the port the routing function
 /// selects (the policy's tag preference first), else the escape VC of the
 /// packet's dateline lane, else nothing.
@@ -475,23 +462,23 @@ fn va_in_select(
     r: &Router,
     dst: Coord,
     req: &ArbReq,
-    adaptive: [Option<Port>; 2],
+    adaptive: Adaptive,
     escape: Port,
     escape_lane: u8,
 ) -> Option<(Port, usize)> {
     // Ejection at the destination: any unheld local "output VC".
     if escape == PORT_LOCAL {
         return (0..cfg.vcs_per_port())
-            .find(|&vc| r.out_alloc(PORT_LOCAL, vc).is_none())
-            .map(|vc| (PORT_LOCAL, vc));
+            .map(|vc| r.slot(PORT_LOCAL, vc))
+            .find(|&slot| r.out_alloc(slot).is_none())
+            .map(|slot| (PORT_LOCAL, slot));
     }
     let free = |p: Port| {
         cfg.adaptive_vc_range()
-            .filter(move |&vc| allocatable(r, p, vc))
+            .filter(move |&vc| allocatable(r, r.slot(p, vc)))
     };
     let cands: Vec<Port> = adaptive
-        .into_iter()
-        .flatten()
+        .ports()
         .filter(|&p| free(p).next().is_some())
         .collect();
     if !cands.is_empty() {
@@ -506,8 +493,10 @@ fn va_in_select(
         let tagged = policy
             .vc_tag_preference(r, req)
             .and_then(|tag| free(p).find(|&vc| cfg.vc_class(vc).tag() == Some(tag)));
-        return tagged.or_else(|| free(p).next()).map(|vc| (p, vc));
+        return tagged
+            .or_else(|| free(p).next())
+            .map(|vc| (p, r.slot(p, vc)));
     }
-    let esc = cfg.escape_vc_lane(req.class, escape_lane);
-    allocatable(r, escape, esc).then_some((escape, esc))
+    let esc = r.slot(escape, cfg.escape_vc_lane(req.class, escape_lane));
+    allocatable(r, esc).then_some((escape, esc))
 }

@@ -224,7 +224,7 @@ impl Node {
     /// at the injection port — the dateline lane only constrains the
     /// *output* VC a routed head may request).
     fn pick_vc(&mut self, cfg: &SimConfig, router: &Router, class: MsgClass) -> Option<usize> {
-        let usable = |vc: usize| router.occ_bits & router.vc_bit(PORT_LOCAL, vc) == 0;
+        let usable = |vc: usize| router.occ_bits >> router.slot(PORT_LOCAL, vc) & 1 == 0;
         let n_adaptive = cfg.adaptive_vcs;
         let base = cfg.num_escape_vcs();
         let mut i = self.vc_rr;
@@ -277,7 +277,8 @@ impl Node {
             }
         }
         if let Some(p) = &mut self.inject {
-            if router.ivc(PORT_LOCAL, p.vc).len() < cfg.vc_depth {
+            let slot = router.slot(PORT_LOCAL, p.vc);
+            if router.ivc(slot).len() < cfg.vc_depth {
                 let info = packets.get(p.packet);
                 let flit = RingFlit::nth(p.packet, info, p.next_seq);
                 let ev = InjectedFlit {
@@ -287,9 +288,9 @@ impl Node {
                     vc: p.vc,
                 };
                 if ev.head {
-                    router.note_vc_occupied(PORT_LOCAL, p.vc, p.packet, info.app, 0);
+                    router.note_vc_occupied(slot, p.packet, info.app, 0);
                 }
-                router.push_flit(PORT_LOCAL, p.vc, flit);
+                router.push_flit(slot, flit);
                 p.next_seq += 1;
                 if p.next_seq == info.size {
                     self.inject = None;
@@ -376,10 +377,10 @@ mod tests {
         assert_eq!(node.backlog(), 0);
         // All five flits went into a single VC (wormhole/atomic).
         let occupied: Vec<usize> = (0..c.vcs_per_port())
-            .filter(|&v| !router.ivc(PORT_LOCAL, v).is_empty())
+            .filter(|&v| !router.ivc(router.slot(PORT_LOCAL, v)).is_empty())
             .collect();
         assert_eq!(occupied.len(), 1);
-        let vc = router.ivc(PORT_LOCAL, occupied[0]);
+        let vc = router.ivc(router.slot(PORT_LOCAL, occupied[0]));
         assert_eq!(vc.len(), 5);
         // Rebuilt from their ring records and the descriptor the VC's
         // handle names, the flits are the ones `flits_of` lists: the
@@ -397,7 +398,12 @@ mod tests {
         let mut packets = PacketTable::default();
         // Occupy every local VC.
         for vc in 0..c.vcs_per_port() {
-            router.note_vc_occupied(PORT_LOCAL, vc, packets.insert(pkt(9, 0, 1)), 0, 0);
+            router.note_vc_occupied(
+                router.slot(PORT_LOCAL, vc),
+                packets.insert(pkt(9, 0, 1)),
+                0,
+                0,
+            );
         }
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, &mut packets, 0).is_none());
@@ -413,7 +419,7 @@ mod tests {
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, &mut packets, 0).is_some());
         let esc = c.escape_vc(0);
-        assert!(router.ivc(PORT_LOCAL, esc).is_empty());
+        assert!(router.ivc(router.slot(PORT_LOCAL, esc)).is_empty());
     }
 
     #[test]
@@ -423,11 +429,16 @@ mod tests {
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
         let mut packets = PacketTable::default();
         for vc in c.adaptive_vc_range() {
-            router.note_vc_occupied(PORT_LOCAL, vc, packets.insert(pkt(9, 0, 1)), 0, 0);
+            router.note_vc_occupied(
+                router.slot(PORT_LOCAL, vc),
+                packets.insert(pkt(9, 0, 1)),
+                0,
+                0,
+            );
         }
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, &mut packets, 0).is_some());
-        assert_eq!(router.ivc(PORT_LOCAL, c.escape_vc(0)).len(), 1);
+        assert_eq!(router.ivc(router.slot(PORT_LOCAL, c.escape_vc(0))).len(), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! everything the credits are lent against must equal the buffer depth.
 
 use super::{Checker, OracleViolation};
-use crate::ids::{opposite, Port, NUM_PORTS, PORT_EAST, PORT_NORTH, PORT_SOUTH, PORT_WEST};
+use crate::ids::{opposite, vc_index, NUM_PORTS, PORT_EAST, PORT_NORTH, PORT_SOUTH, PORT_WEST};
 use crate::network::Network;
 use crate::topology::{has_link, neighbor_router};
 
@@ -10,7 +10,7 @@ use crate::topology::{has_link, neighbor_router};
 /// port), the exact invariant between pipeline phases is
 ///
 /// ```text
-/// r.credits(p, v) + d.ivc(q, v).len()
+/// r.credits(slot(p, v)) + d.ivc(slot(q, v)).len()
 ///   + #{in-flight flits destined to (d, q, v)}
 ///   + #{queued credit returns for (r, p, v)}   == vc_depth
 /// ```
@@ -33,18 +33,17 @@ impl Checker for CreditConservation {
     fn end_of_cycle(&mut self, net: &Network, out: &mut Vec<OracleViolation>) {
         let cfg = &net.cfg;
         let v = cfg.vcs_per_port();
-        let slots = cfg.num_routers() * NUM_PORTS * v;
-        let idx = |router: usize, port: Port, vc: usize| (router * NUM_PORTS + port) * v + vc;
+        let slots = NUM_PORTS * v;
         self.in_flight.clear();
-        self.in_flight.resize(slots, 0);
+        self.in_flight.resize(cfg.num_routers() * slots, 0);
         for a in &net.in_flight {
-            let (router, port, vc) = a.dst();
-            self.in_flight[idx(router, port, vc)] += 1;
+            let (router, slot) = a.dst();
+            self.in_flight[vc_index(router, slots, slot)] += 1;
         }
         self.queued_credits.clear();
-        self.queued_credits.resize(slots, 0);
-        for &(router, port, vc) in &net.credit_q {
-            self.queued_credits[idx(router, port, vc)] += 1;
+        self.queued_credits.resize(cfg.num_routers() * slots, 0);
+        for &(router, slot) in &net.credit_q {
+            self.queued_credits[vc_index(router, slots, slot)] += 1;
         }
         for (i, r) in net.routers.iter().enumerate() {
             for p in [PORT_NORTH, PORT_EAST, PORT_SOUTH, PORT_WEST] {
@@ -54,10 +53,12 @@ impl Checker for CreditConservation {
                 let d = neighbor_router(cfg, i, p);
                 let q = opposite(p);
                 for vc in 0..v {
-                    let sum = r.credits(p, vc)
-                        + net.routers[d].ivc(q, vc).len()
-                        + self.in_flight[idx(d, q, vc)] as usize
-                        + self.queued_credits[idx(i, p, vc)] as usize;
+                    let (up, down) = (r.slot(p, vc), r.slot(q, vc));
+                    let (at_up, at_down) = (vc_index(i, slots, up), vc_index(d, slots, down));
+                    let sum = r.credits(up)
+                        + net.routers[d].ivc(down).len()
+                        + self.in_flight[at_down] as usize
+                        + self.queued_credits[at_up] as usize;
                     if sum != cfg.vc_depth {
                         out.push(OracleViolation {
                             cycle: net.cycle(),
@@ -66,10 +67,10 @@ impl Checker for CreditConservation {
                             detail: format!(
                                 "link ({i} --{p}--> {d}) vc {vc}: credits {} + downstream buf {} \
                                  + in-flight {} + queued credits {} = {sum} != depth {}",
-                                r.credits(p, vc),
-                                net.routers[d].ivc(q, vc).len(),
-                                self.in_flight[idx(d, q, vc)],
-                                self.queued_credits[idx(i, p, vc)],
+                                r.credits(up),
+                                net.routers[d].ivc(down).len(),
+                                self.in_flight[at_down],
+                                self.queued_credits[at_up],
                                 cfg.vc_depth
                             ),
                         });

@@ -3,7 +3,7 @@
 
 use super::{Checker, OracleViolation};
 use crate::config::SimConfig;
-use crate::ids::{opposite, NodeId, Port, NUM_PORTS, PORT_LOCAL};
+use crate::ids::{opposite, slot, vc_index, NodeId, Port, NUM_PORTS, PORT_LOCAL};
 use crate::network::Network;
 use crate::topology::neighbor_router;
 use crate::vc::VcState;
@@ -27,8 +27,8 @@ const UNOCCUPIED: u64 = u64::MAX;
 pub struct DeadlockWatch {
     horizon: u64,
     vcs_per_port: usize,
-    /// Cycle each `(router, port, vc)` became occupied; [`UNOCCUPIED`] when
-    /// free. Diagnostic input to the stall report.
+    /// Cycle each input VC became occupied, by [`vc_index`];
+    /// [`UNOCCUPIED`] when free. Diagnostic input to the stall report.
     since: Vec<u64>,
     /// `last_progress` value the global watchdog already reported for
     /// (re-arm: one report per distinct stall, not one per check).
@@ -45,36 +45,44 @@ impl DeadlockWatch {
         }
     }
 
-    fn slot(&self, router: NodeId, port: Port, vc: usize) -> usize {
-        (router as usize * NUM_PORTS + port) * self.vcs_per_port + vc
+    /// VC slots per router.
+    fn slots(&self) -> usize {
+        NUM_PORTS * self.vcs_per_port
+    }
+
+    /// `(router, port, vc)` of network-wide VC index `at`.
+    fn vc_at(&self, net: &Network, at: usize) -> (usize, Port, usize) {
+        let router = at / self.slots();
+        let (port, vc) = net.routers[router].port_vc(at % self.slots());
+        (router, port, vc)
     }
 
     /// Search the wait-for graph for a cycle: each switch-allocated
     /// (`Active`) input VC waits on the downstream input VC its output
     /// leads to. Returns the cycle as `(router, port, vc)` triples.
     fn find_wait_cycle(&self, net: &Network) -> Option<Vec<(usize, Port, usize)>> {
-        let v = self.vcs_per_port;
-        let slots = net.routers.len() * NUM_PORTS * v;
-        // Functional graph: at most one successor per slot.
-        let mut next = vec![usize::MAX; slots];
+        let slots = self.slots();
+        let total = net.routers.len() * slots;
+        // Functional graph: at most one successor per VC.
+        let mut next = vec![usize::MAX; total];
         for (i, r) in net.routers.iter().enumerate() {
-            for port in 0..NUM_PORTS {
-                for (vc, ivc) in r.ivcs(port).enumerate() {
-                    let VcState::Active { out_port, out_vc } = ivc.state() else {
-                        continue;
-                    };
-                    if out_port == PORT_LOCAL || !ivc.occupied() {
-                        continue;
-                    }
-                    let d = neighbor_router(&net.cfg, i, out_port);
-                    next[(i * NUM_PORTS + port) * v + vc] =
-                        (d * NUM_PORTS + opposite(out_port)) * v + out_vc;
+            for slot in 0..slots {
+                let ivc = r.ivc(slot);
+                let VcState::Active { out_port, out_slot } = ivc.state() else {
+                    continue;
+                };
+                let out_port = usize::from(out_port);
+                if out_port == PORT_LOCAL || !ivc.occupied() {
+                    continue;
                 }
+                let d = neighbor_router(&net.cfg, i, out_port);
+                let down = r.slot(opposite(out_port), r.port_vc(usize::from(out_slot)).1);
+                next[vc_index(i, slots, slot)] = vc_index(d, slots, down);
             }
         }
         // Color-marking walk: 0 unvisited, 1 on current path, 2 done.
-        let mut color = vec![0u8; slots];
-        for start in 0..slots {
+        let mut color = vec![0u8; total];
+        for start in 0..total {
             if color[start] != 0 {
                 continue;
             }
@@ -87,12 +95,7 @@ impl DeadlockWatch {
             }
             if cur != usize::MAX && color[cur] == 1 {
                 let pos = path.iter().position(|&s| s == cur).unwrap();
-                return Some(
-                    path[pos..]
-                        .iter()
-                        .map(|&s| (s / (NUM_PORTS * v), s / v % NUM_PORTS, s % v))
-                        .collect(),
-                );
+                return Some(path[pos..].iter().map(|&s| self.vc_at(net, s)).collect());
             }
             for s in path {
                 color[s] = 2;
@@ -108,13 +111,13 @@ impl Checker for DeadlockWatch {
     }
 
     fn on_occupancy(&mut self, router: NodeId, port: Port, vc: usize, occupied: bool, cycle: u64) {
-        let slot = self.slot(router, port, vc);
-        self.since[slot] = if occupied { cycle } else { UNOCCUPIED };
+        let slot = slot(self.vcs_per_port, port, vc);
+        let at = vc_index(usize::from(router), self.slots(), slot);
+        self.since[at] = if occupied { cycle } else { UNOCCUPIED };
     }
 
     fn end_of_cycle(&mut self, net: &Network, out: &mut Vec<OracleViolation>) {
         let now = net.cycle();
-        let v = self.vcs_per_port;
         let stalled = now.saturating_sub(net.stats.last_progress) > self.horizon;
         if stalled
             && net.flits_in_network() > 0
@@ -131,12 +134,10 @@ impl Checker for DeadlockWatch {
                 .enumerate()
                 .filter(|&(_, &s)| s != UNOCCUPIED)
                 .min_by_key(|&(_, &s)| s)
-                .map(|(slot, &s)| {
+                .map(|(at, &s)| {
+                    let (router, port, vc) = self.vc_at(net, at);
                     format!(
-                        "; oldest stuck VC: router {} input ({}, {}) since cycle {s}",
-                        slot / (NUM_PORTS * v),
-                        slot / v % NUM_PORTS,
-                        slot % v
+                        "; oldest stuck VC: router {router} input ({port}, {vc}) since cycle {s}"
                     )
                 })
                 .unwrap_or_default();

@@ -51,6 +51,7 @@ use crate::flit::Flit;
 use crate::ids::{NodeId, Port};
 use crate::network::Network;
 use crate::node::InjectedFlit;
+use crate::router::Router;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
@@ -311,7 +312,8 @@ impl Oracle {
     }
 
     /// Hand one kernel event to every checker, with the list its
-    /// violations go to.
+    /// violations go to. The kernel names a VC by its router slot, the
+    /// hooks by `(port, vc)`: the three methods below convert.
     pub(crate) fn notify(
         &mut self,
         mut hook: impl FnMut(&mut dyn Checker, &mut Vec<OracleViolation>),
@@ -319,6 +321,38 @@ impl Oracle {
         for c in &mut self.checkers {
             hook(&mut **c, &mut self.pending);
         }
+    }
+
+    /// A flit arrived over a link into input VC `slot` of `router`.
+    pub(crate) fn arrival(
+        &mut self,
+        cfg: &SimConfig,
+        router: &Router,
+        slot: usize,
+        flit: &Flit,
+        cycle: u64,
+    ) {
+        let (port, vc) = router.port_vc(slot);
+        self.notify(|c, out| c.on_arrival(cfg, router.id, port, vc, flit, cycle, out));
+    }
+
+    /// `flit` won `router`'s crossbar from input VC `slot` to `out_port`.
+    pub(crate) fn forward(
+        &mut self,
+        router: &Router,
+        slot: usize,
+        out_port: Port,
+        flit: &Flit,
+        cycle: u64,
+    ) {
+        let (port, vc) = router.port_vc(slot);
+        self.notify(|c, _| c.on_forward(router.id, port, vc, out_port, flit, cycle));
+    }
+
+    /// Input VC `slot` of `router` became occupied (or free).
+    pub(crate) fn occupancy(&mut self, router: &Router, slot: usize, occupied: bool, cycle: u64) {
+        let (port, vc) = router.port_vc(slot);
+        self.notify(|c, _| c.on_occupancy(router.id, port, vc, occupied, cycle));
     }
 
     /// Run the end-of-cycle scans if due (or `force`d), gathering violations

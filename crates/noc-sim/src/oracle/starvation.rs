@@ -4,7 +4,7 @@
 use super::{every_cycle, Checker, OracleViolation};
 use crate::config::SimConfig;
 use crate::flit::Flit;
-use crate::ids::{NodeId, Port, NUM_PORTS};
+use crate::ids::{slot, vc_index, NodeId, Port, NUM_PORTS};
 use crate::network::Network;
 use crate::vc::VcState;
 
@@ -32,8 +32,7 @@ use crate::vc::VcState;
 pub struct StarvationWatch {
     bound: u64,
     vcs_per_port: usize,
-    /// Consecutive waiting cycles by global slot
-    /// (`router * NUM_PORTS * vcs_per_port + port * vcs_per_port + vc`).
+    /// Consecutive waiting cycles by network-wide VC index ([`vc_index`]).
     wait: Vec<u64>,
     /// Per router, the input-VC slots that won the crossbar this cycle.
     moved: Vec<u64>,
@@ -83,50 +82,47 @@ impl Checker for StarvationWatch {
         _flit: &Flit,
         _cycle: u64,
     ) {
-        self.moved[router as usize] |= 1 << (in_port * self.vcs_per_port + in_vc);
+        self.moved[router as usize] |= 1 << slot(self.vcs_per_port, in_port, in_vc);
     }
 
     fn end_of_cycle(&mut self, net: &Network, out: &mut Vec<OracleViolation>) {
-        let v = self.vcs_per_port;
+        let slots = NUM_PORTS * self.vcs_per_port;
         for (i, r) in net.routers.iter().enumerate() {
             let moved = std::mem::take(&mut self.moved[i]);
-            for port in 0..NUM_PORTS {
-                for (vc, ivc) in r.ivcs(port).enumerate() {
-                    let slot = port * v + vc;
-                    let global = i * NUM_PORTS * v + slot;
-                    let active = match ivc.state() {
-                        VcState::Active { out_port, out_vc } => Some((out_port, out_vc)),
-                        _ => None,
-                    };
-                    let waiting = active.is_some() && !ivc.is_empty() && moved & (1 << slot) == 0;
-                    let wait = &mut self.wait[global];
-                    *wait = if waiting { *wait + 1 } else { 0 };
-                    let wait = *wait;
-                    if wait <= self.bound {
-                        self.reported[global] = false;
-                        continue;
-                    }
-                    let (Some((out_port, out_vc)), Some(packet)) =
-                        (active, ivc.packet(&net.packets))
-                    else {
-                        continue;
-                    };
-                    if self.reported[global] || !r.is_native(packet.app) {
-                        continue;
-                    }
-                    self.reported[global] = true;
-                    out.push(OracleViolation {
-                        cycle: net.cycle(),
-                        checker: self.name(),
-                        router: Some(r.id),
-                        detail: format!(
-                            "native head flit of app {} (packet {}) in input ({port}, {vc}) \
-                             has failed to traverse toward ({out_port}, {out_vc}) for \
-                             {wait} consecutive cycles (> bound {})",
-                            packet.app, packet.id, self.bound
-                        ),
-                    });
+            for slot in 0..slots {
+                let ivc = r.ivc(slot);
+                let global = vc_index(i, slots, slot);
+                let active = match ivc.state() {
+                    VcState::Active { out_slot, .. } => Some(usize::from(out_slot)),
+                    _ => None,
+                };
+                let waiting = active.is_some() && !ivc.is_empty() && moved & (1 << slot) == 0;
+                let wait = &mut self.wait[global];
+                *wait = if waiting { *wait + 1 } else { 0 };
+                let wait = *wait;
+                if wait <= self.bound {
+                    self.reported[global] = false;
+                    continue;
                 }
+                let (Some(out_slot), Some(packet)) = (active, ivc.packet(&net.packets)) else {
+                    continue;
+                };
+                if self.reported[global] || !r.is_native(packet.app) {
+                    continue;
+                }
+                self.reported[global] = true;
+                let ((port, vc), (out_port, out_vc)) = (r.port_vc(slot), r.port_vc(out_slot));
+                out.push(OracleViolation {
+                    cycle: net.cycle(),
+                    checker: self.name(),
+                    router: Some(r.id),
+                    detail: format!(
+                        "native head flit of app {} (packet {}) in input ({port}, {vc}) \
+                         has failed to traverse toward ({out_port}, {out_vc}) for \
+                         {wait} consecutive cycles (> bound {})",
+                        packet.app, packet.id, self.bound
+                    ),
+                });
             }
         }
     }

@@ -51,8 +51,9 @@ impl Checker for WormholeContiguity {
             for port in 0..NUM_PORTS {
                 for (vc, ivc) in r.ivcs(port).enumerate() {
                     let at = |what: &str| format!("input ({port}, {vc}): {what}");
-                    if r.credits(port, vc) > cfg.vc_depth {
-                        flag(r.id, at(&format!("credit counter {}", r.credits(port, vc))));
+                    let credits = r.credits(r.slot(port, vc));
+                    if credits > cfg.vc_depth {
+                        flag(r.id, at(&format!("credit counter {credits}")));
                     }
                     // Each buffered flit keeps its own packet handle; they
                     // must all be the VC's.
@@ -122,13 +123,14 @@ impl Checker for WormholeContiguity {
             }
         }
         for a in &net.in_flight {
-            let (router, port, vc) = a.dst();
-            let ivc = net.routers[router].ivc(port, vc);
+            let (router, slot) = a.dst();
+            let ivc = net.routers[router].ivc(slot);
             let held = ivc.packet_ref() == Some(a.flit.packet);
             let Some(hops) = ivc.hops().filter(|_| held && !a.flit.kind.is_head()) else {
                 continue;
             };
             if hops != a.hops {
+                let (port, vc) = net.routers[router].port_vc(slot);
                 flag(
                     net.routers[router].id,
                     format!(

@@ -3,7 +3,8 @@
 //! State only — the pipeline stages themselves are driven by
 //! [`crate::network::Network`], which owns all routers and moves flits
 //! between them. Each router holds, flat and indexed by VC slot
-//! (`slot = port * vcs + vc`, the bit position in every bitmap):
+//! (`slot = port * vcs + vc`, the bit position in every bitmap and the
+//! kernel's one name for a VC — every VC method here takes one):
 //!
 //! * the input VCs' pipeline state, the handle (and application and hop
 //!   count) of the packet holding each, and their flit FIFOs (fixed-depth
@@ -25,7 +26,7 @@
 use crate::bits::low_bits;
 use crate::config::SimConfig;
 use crate::flit::{PacketRef, RingFlit};
-use crate::ids::{AppId, Coord, NodeId, Port, APP_NONE, NUM_PORTS, PORT_LOCAL};
+use crate::ids::{AppId, Coord, NodeId, Port, APP_NONE, NUM_PORTS};
 use crate::vc::{byte, InputVc, VcState, VcTag, VcView};
 
 /// Names of the seven bitmaps, in the order [`Router::bitsets`] and
@@ -197,15 +198,16 @@ impl Router {
         (0..NUM_PORTS).fold(0, |m, p| m | vc_mask << (p * self.vcs()))
     }
 
-    /// Flat index of VC `(port, vc)` — also its bit position in the bitmaps.
+    /// The [`slot`](crate::ids::slot) of VC `(port, vc)`. This and
+    /// [`port_vc`](Self::port_vc) convert where `(port, vc)` is the
+    /// interface (checker hooks, routing, faults, tests).
     #[inline]
     pub fn slot(&self, port: Port, vc: usize) -> usize {
         debug_assert!(port < NUM_PORTS && vc < self.vcs());
-        port * self.vcs() + vc
+        crate::ids::slot(self.vcs(), port, vc)
     }
 
-    /// The `(port, vc)` of flat index `slot`. Ports are few: subtract, don't
-    /// divide.
+    /// The `(port, vc)` of `slot`. Ports are few: subtract, don't divide.
     #[inline]
     pub fn port_vc(&self, mut slot: usize) -> (Port, usize) {
         let (mut port, vcs) = (0, self.vcs());
@@ -216,80 +218,65 @@ impl Router {
         (port, slot)
     }
 
-    /// The bit representing VC slot `(port, vc)` in the bitmaps.
+    /// Input VC `slot`: state, holding packet and buffered flits.
     #[inline]
-    pub fn vc_bit(&self, port: Port, vc: usize) -> u64 {
-        1u64 << self.slot(port, vc)
-    }
-
-    #[inline]
-    fn view(&self, slot: usize) -> VcView<'_> {
+    pub fn ivc(&self, slot: usize) -> VcView<'_> {
         VcView {
             vc: &self.inputs[slot],
             ring: &self.slab[self.stripe(slot)],
         }
     }
 
-    /// Input VC `(port, vc)`: state, holding packet and buffered flits.
-    #[inline]
-    pub fn ivc(&self, port: Port, vc: usize) -> VcView<'_> {
-        self.view(self.slot(port, vc))
-    }
-
     /// The input VCs of `port`, ascending VC index.
     pub fn ivcs(&self, port: Port) -> impl Iterator<Item = VcView<'_>> {
-        (0..self.vcs()).map(move |vc| self.ivc(port, vc))
+        (0..self.vcs()).map(move |vc| self.ivc(self.slot(port, vc)))
     }
 
-    /// Credits toward the downstream input VC behind output `(port, vc)`.
+    /// Credits toward the downstream input VC behind output VC `slot`.
     #[inline]
-    pub fn credits(&self, port: Port, vc: usize) -> usize {
-        usize::from(self.credits[self.slot(port, vc)])
+    pub fn credits(&self, slot: usize) -> usize {
+        usize::from(self.credits[slot])
     }
 
-    /// The input VC `(in_port, in_vc)` holding output VC `(port, vc)`.
+    /// The input VC slot holding output VC `slot`.
     #[inline]
-    pub fn out_alloc(&self, port: Port, vc: usize) -> Option<(Port, usize)> {
-        let holder = self.out_alloc[self.slot(port, vc)];
-        (holder != OUT_FREE).then(|| self.port_vc(usize::from(holder)))
+    pub fn out_alloc(&self, slot: usize) -> Option<usize> {
+        let holder = self.out_alloc[slot];
+        (holder != OUT_FREE).then_some(usize::from(holder))
     }
 
-    /// Write `flit` at the back of input VC `(port, vc)`'s FIFO. Its hop
-    /// count is the VC's ([`note_vc_occupied`](Self::note_vc_occupied)).
+    /// Write `flit` at the back of input VC `slot`'s FIFO. Its hop count is
+    /// the VC's ([`note_vc_occupied`](Self::note_vc_occupied)).
     #[inline]
-    pub fn push_flit(&mut self, port: Port, vc: usize, flit: RingFlit) {
-        let slot = self.slot(port, vc);
+    pub fn push_flit(&mut self, slot: usize, flit: RingFlit) {
         let stripe = self.stripe(slot);
         let ring = &mut self.slab[stripe];
         self.inputs[slot].push(ring, flit);
     }
 
-    /// Take the front flit record of input VC `(port, vc)`'s FIFO, with the
-    /// hop count of the packet holding the VC (`None` when the VC is empty
-    /// or unheld).
+    /// Take the front flit record of input VC `slot`'s FIFO, with the hop
+    /// count of the packet holding the VC (`None` when the VC is empty or
+    /// unheld).
     #[inline]
-    pub(crate) fn pop_flit(&mut self, port: Port, vc: usize) -> Option<(RingFlit, u32)> {
-        let slot = self.slot(port, vc);
+    pub(crate) fn pop_flit(&mut self, slot: usize) -> Option<(RingFlit, u32)> {
         let ring = &self.slab[self.stripe(slot)];
         let ivc = &mut self.inputs[slot];
         let hops = ivc.hops()?;
         Some((ivc.pop(ring)?, hops))
     }
 
-    /// The front flit's ring record of input VC `(port, vc)`, mutably — for
-    /// the differential harness's CRC corruption only.
-    pub(crate) fn front_flit_mut(&mut self, port: Port, vc: usize) -> Option<&mut RingFlit> {
-        let slot = self.slot(port, vc);
+    /// The front flit's ring record of input VC `slot`, mutably — for the
+    /// differential harness's CRC corruption only.
+    pub(crate) fn front_flit_mut(&mut self, slot: usize) -> Option<&mut RingFlit> {
         let stripe = self.stripe(slot);
         let ring = &mut self.slab[stripe];
         self.inputs[slot].front_mut(ring)
     }
 
-    /// Move input VC `(port, vc)` to pipeline state `state` — the only
-    /// writer of `routed_bits` / `active_bits`.
+    /// Move input VC `slot` to pipeline state `state` — the only writer of
+    /// `routed_bits` / `active_bits`.
     #[inline]
-    pub fn set_vc_state(&mut self, port: Port, vc: usize, state: VcState) {
-        let slot = self.slot(port, vc);
+    pub fn set_vc_state(&mut self, slot: usize, state: VcState) {
         let bit = 1u64 << slot;
         self.inputs[slot].set_state(state);
         self.routed_bits &= !bit;
@@ -301,19 +288,11 @@ impl Router {
         }
     }
 
-    /// Record that input VC `(port, vc)` transitioned unoccupied → occupied
-    /// by `packet` of application `app`, which has traversed `hops` links
-    /// (its head is about to be written): the VC's handle and hop count.
+    /// Record that input VC `slot` transitioned unoccupied → occupied by
+    /// `packet` of application `app`, which has traversed `hops` links (its
+    /// head is about to be written): the VC's handle and hop count.
     #[inline]
-    pub fn note_vc_occupied(
-        &mut self,
-        port: Port,
-        vc: usize,
-        packet: PacketRef,
-        app: AppId,
-        hops: u32,
-    ) {
-        let slot = self.slot(port, vc);
+    pub fn note_vc_occupied(&mut self, slot: usize, packet: PacketRef, app: AppId, hops: u32) {
         let bit = 1u64 << slot;
         debug_assert_eq!(self.occ_bits & bit, 0);
         self.inputs[slot].hold(packet, app, hops);
@@ -323,12 +302,11 @@ impl Router {
         }
     }
 
-    /// Record that input VC `(port, vc)` transitioned occupied → unoccupied
-    /// (tail departed, or the packet was extracted): back to idle, with no
-    /// handle and an empty ring.
+    /// Record that input VC `slot` transitioned occupied → unoccupied (tail
+    /// departed, or the packet was extracted): back to idle, with no handle
+    /// and an empty ring.
     #[inline]
-    pub fn note_vc_freed(&mut self, port: Port, vc: usize) {
-        let slot = self.slot(port, vc);
+    pub fn note_vc_freed(&mut self, slot: usize) {
         let bit = 1u64 << slot;
         debug_assert_ne!(self.occ_bits & bit, 0);
         self.inputs[slot].reset();
@@ -338,11 +316,11 @@ impl Router {
         self.active_bits &= !bit;
     }
 
-    /// Consume one credit toward downstream `(port, vc)`, keeping the
-    /// credit bitmaps coherent. The local port never consumes credits.
+    /// Consume one credit toward the downstream VC behind output VC `slot`,
+    /// keeping the credit bitmaps coherent. The local port never consumes
+    /// credits.
     #[inline]
-    pub fn take_credit(&mut self, port: Port, vc: usize) {
-        let slot = self.slot(port, vc);
+    pub fn take_credit(&mut self, slot: usize) {
         let bit = 1u64 << slot;
         let c = &mut self.credits[slot];
         debug_assert!(*c > 0);
@@ -354,10 +332,9 @@ impl Router {
         }
     }
 
-    /// Return one credit from downstream `(port, vc)`.
+    /// Return one credit from the downstream VC behind output VC `slot`.
     #[inline]
-    pub fn return_credit(&mut self, port: Port, vc: usize) {
-        let slot = self.slot(port, vc);
+    pub fn return_credit(&mut self, slot: usize) {
         let bit = 1u64 << slot;
         let c = &mut self.credits[slot];
         *c += 1;
@@ -369,19 +346,17 @@ impl Router {
         }
     }
 
-    /// Grant output VC `(port, vc)` to `holder = (in_port, in_vc)`.
+    /// Grant output VC `slot` to the input VC in slot `holder`.
     #[inline]
-    pub fn alloc_out_vc(&mut self, port: Port, vc: usize, holder: (Port, usize)) {
-        let slot = self.slot(port, vc);
+    pub fn alloc_out_vc(&mut self, slot: usize, holder: usize) {
         debug_assert_eq!(self.out_alloc[slot], OUT_FREE);
-        self.out_alloc[slot] = byte(self.slot(holder.0, holder.1));
+        self.out_alloc[slot] = byte(holder);
         self.out_free &= !(1u64 << slot);
     }
 
-    /// Release output VC `(port, vc)` (tail departed through the crossbar).
+    /// Release output VC `slot` (tail departed through the crossbar).
     #[inline]
-    pub fn release_out_vc(&mut self, port: Port, vc: usize) {
-        let slot = self.slot(port, vc);
+    pub fn release_out_vc(&mut self, slot: usize) {
         debug_assert_ne!(self.out_alloc[slot], OUT_FREE);
         self.out_alloc[slot] = OUT_FREE;
         self.out_free |= 1u64 << slot;
@@ -478,10 +453,12 @@ impl Router {
         self.app == APP_NONE || self.app == app
     }
 
-    /// Is there a credit available to forward one flit on `(port, vc)`?
+    /// Is there a credit available to forward one flit on output VC
+    /// `slot`? The local port's slots, the first `vcs` (`PORT_LOCAL` is 0),
+    /// always have one.
     #[inline]
-    pub fn has_credit(&self, port: Port, vc: usize) -> bool {
-        port == PORT_LOCAL || self.credits_avail & self.vc_bit(port, vc) != 0
+    pub fn has_credit(&self, slot: usize) -> bool {
+        slot < self.vcs() || self.credits_avail >> slot & 1 != 0
     }
 
     /// Occupied input VCs, split into (native, foreign) with respect to
@@ -517,7 +494,7 @@ impl Router {
 
     /// Total flits buffered in this router's input VCs (conservation checks).
     pub fn buffered_flits(&self) -> usize {
-        (0..self.inputs.len()).map(|s| self.view(s).len()).sum()
+        (0..self.inputs.len()).map(|s| self.ivc(s).len()).sum()
     }
 
     /// True when the router holds no packets at all.
@@ -530,6 +507,7 @@ impl Router {
 mod tests {
     use super::*;
     use crate::flit::{Flit, FlitKind, PacketInfo, PacketTable};
+    use crate::ids::PORT_LOCAL;
     use crate::topology::TopologyKind;
     use std::mem::size_of_val;
 
@@ -540,6 +518,11 @@ mod tests {
     fn mk() -> Router {
         let c = cfg();
         Router::new(&c, 9, c.coord_of(9), 1)
+    }
+
+    /// The bit of VC `(port, vc)` in `r`'s bitmaps.
+    fn bit(r: &Router, port: Port, vc: usize) -> u64 {
+        1 << r.slot(port, vc)
     }
 
     /// Mask of all valid VC slots of `r`.
@@ -562,8 +545,8 @@ mod tests {
             reply: None,
         };
         let packet = PacketTable::default().insert(info);
-        r.note_vc_occupied(port, vc, packet, app, 0);
-        r.push_flit(port, vc, RingFlit::of(&Flit::nth(info, 0), packet));
+        r.note_vc_occupied(r.slot(port, vc), packet, app, 0);
+        r.push_flit(r.slot(port, vc), RingFlit::of(&Flit::nth(info, 0), packet));
     }
 
     /// A Table-1 router's state (25 VC slots of depth 5), pinned so that a
@@ -611,21 +594,21 @@ mod tests {
         let mut r = Router::new(&c, 0, c.coord_of(0), 0);
         let slots = NUM_PORTS * c.vcs_per_port();
         for s in 0..slots {
-            let (out, holder) = (r.port_vc(s), r.port_vc(slots - 1 - s));
-            assert_eq!(r.out_alloc(out.0, out.1), None);
-            r.alloc_out_vc(out.0, out.1, holder);
-            assert_eq!(r.out_alloc(out.0, out.1), Some(holder));
+            let (out, holder) = (s, slots - 1 - s);
+            assert_eq!(r.out_alloc(out), None);
+            r.alloc_out_vc(out, holder);
+            assert_eq!(r.out_alloc(out), Some(holder));
         }
         assert_eq!(r.out_free, 0);
-        assert_eq!(r.credits(1, 0), 255);
+        assert_eq!(r.credits(r.slot(1, 0)), 255);
         for left in (0..255).rev() {
-            r.take_credit(1, 0);
-            assert_eq!(r.credits(1, 0), left);
+            r.take_credit(r.slot(1, 0));
+            assert_eq!(r.credits(r.slot(1, 0)), left);
         }
         for _ in 0..255 {
-            r.return_credit(1, 0);
+            r.return_credit(r.slot(1, 0));
         }
-        assert_eq!(r.credits(1, 0), 255);
+        assert_eq!(r.credits(r.slot(1, 0)), 255);
         assert_eq!(r.bookkeeping_drift(), None);
     }
 
@@ -651,7 +634,7 @@ mod tests {
         assert_eq!(r.adaptive_mask & !valid_vc_mask(&r), 0);
         assert_eq!(r.adaptive_mask.count_ones(), 20);
         // The highest valid slot is bit 59; its single-bit mask is exact.
-        assert_eq!(r.vc_bit(NUM_PORTS - 1, c.vcs_per_port() - 1), 1u64 << 59);
+        assert_eq!(bit(&r, NUM_PORTS - 1, c.vcs_per_port() - 1), 1u64 << 59);
 
         // One more adaptive VC would need 65 slots — validate must reject
         // it rather than let a mask construction overflow at runtime.
@@ -670,9 +653,9 @@ mod tests {
         assert_eq!(r.allocatable_mask(), valid_vc_mask(&r));
         for p in 0..NUM_PORTS {
             for v in 0..c.vcs_per_port() {
-                assert!(r.has_credit(p, v));
-                assert_eq!(r.credits(p, v), c.vc_depth);
-                assert!(r.out_alloc(p, v).is_none());
+                assert!(r.has_credit(r.slot(p, v)));
+                assert_eq!(r.credits(r.slot(p, v)), c.vc_depth);
+                assert!(r.out_alloc(r.slot(p, v)).is_none());
             }
         }
         assert_eq!(r.count_occupancy(), (0, 0));
@@ -703,13 +686,13 @@ mod tests {
     fn atomic_reallocation_gate() {
         let mut r = mk();
         // A partially drained downstream buffer blocks reallocation…
-        r.take_credit(1, 2);
-        assert_eq!(r.allocatable_mask() & r.vc_bit(1, 2), 0);
-        r.return_credit(1, 2);
-        assert_ne!(r.allocatable_mask() & r.vc_bit(1, 2), 0);
+        r.take_credit(r.slot(1, 2));
+        assert_eq!(r.allocatable_mask() & bit(&r, 1, 2), 0);
+        r.return_credit(r.slot(1, 2));
+        assert_ne!(r.allocatable_mask() & bit(&r, 1, 2), 0);
         // …and so does a holder.
-        r.alloc_out_vc(1, 2, (0, 0));
-        assert_eq!(r.allocatable_mask() & r.vc_bit(1, 2), 0);
+        r.alloc_out_vc(r.slot(1, 2), r.slot(0, 0));
+        assert_eq!(r.allocatable_mask() & bit(&r, 1, 2), 0);
     }
 
     #[test]
@@ -717,11 +700,11 @@ mod tests {
         let mut r = mk();
         let c = cfg();
         for _ in 0..c.vc_depth {
-            r.take_credit(PORT_LOCAL, 0);
-            r.take_credit(1, 0);
+            r.take_credit(r.slot(PORT_LOCAL, 0));
+            r.take_credit(r.slot(1, 0));
         }
-        assert!(r.has_credit(PORT_LOCAL, 0));
-        assert!(!r.has_credit(1, 0));
+        assert!(r.has_credit(r.slot(PORT_LOCAL, 0)));
+        assert!(!r.has_credit(r.slot(1, 0)));
     }
 
     #[test]
@@ -734,58 +717,43 @@ mod tests {
 
         put_flit(&mut r, 1, 2, 0);
         put_flit(&mut r, 3, 0, 1);
-        assert_eq!(r.occ_bits, r.vc_bit(1, 2) | r.vc_bit(3, 0));
-        assert_eq!(r.native_bits, r.vc_bit(3, 0));
+        assert_eq!(r.occ_bits, bit(&r, 1, 2) | bit(&r, 3, 0));
+        assert_eq!(r.native_bits, bit(&r, 3, 0));
 
         // Walk one VC through the pipeline states.
-        r.set_vc_state(
-            1,
-            2,
-            VcState::Routed {
-                adaptive: [Some(2), None],
-                escape: 2,
-                escape_lane: 0,
-            },
-        );
-        assert_eq!((r.routed_bits, r.active_bits), (r.vc_bit(1, 2), 0));
-        r.set_vc_state(
-            1,
-            2,
-            VcState::Active {
-                out_port: 2,
-                out_vc: 3,
-            },
-        );
-        assert_eq!((r.routed_bits, r.active_bits), (0, r.vc_bit(1, 2)));
+        r.set_vc_state(r.slot(1, 2), VcState::routed([Some(2), None], 2, 0));
+        assert_eq!((r.routed_bits, r.active_bits), (bit(&r, 1, 2), 0));
+        r.set_vc_state(r.slot(1, 2), VcState::active(2, r.slot(2, 3)));
+        assert_eq!((r.routed_bits, r.active_bits), (0, bit(&r, 1, 2)));
 
         // Allocate an output VC and drain the downstream buffer by one.
-        r.alloc_out_vc(2, 3, (1, 2));
-        r.take_credit(2, 3);
-        assert_eq!(r.allocatable_mask() & r.vc_bit(2, 3), 0);
-        assert_ne!(r.credits_avail & r.vc_bit(2, 3), 0);
+        r.alloc_out_vc(r.slot(2, 3), r.slot(1, 2));
+        r.take_credit(r.slot(2, 3));
+        assert_eq!(r.allocatable_mask() & bit(&r, 2, 3), 0);
+        assert_ne!(r.credits_avail & bit(&r, 2, 3), 0);
         assert_eq!(r.bookkeeping_drift(), None);
 
         // Drain to zero credits: availability bit clears too.
         for _ in 1..c.vc_depth {
-            r.take_credit(2, 3);
+            r.take_credit(r.slot(2, 3));
         }
-        assert_eq!(r.credits_avail & r.vc_bit(2, 3), 0);
-        assert!(!r.has_credit(2, 3));
+        assert_eq!(r.credits_avail & bit(&r, 2, 3), 0);
+        assert!(!r.has_credit(r.slot(2, 3)));
 
         // Return everything and release: slot becomes allocatable again.
         for _ in 0..c.vc_depth {
-            r.return_credit(2, 3);
+            r.return_credit(r.slot(2, 3));
         }
-        r.release_out_vc(2, 3);
-        assert_ne!(r.allocatable_mask() & r.vc_bit(2, 3), 0);
+        r.release_out_vc(r.slot(2, 3));
+        assert_ne!(r.allocatable_mask() & bit(&r, 2, 3), 0);
         assert_eq!(
-            r.pop_flit(1, 2).map(|(f, _)| f.kind),
+            r.pop_flit(r.slot(1, 2)).map(|(f, _)| f.kind),
             Some(FlitKind::Single)
         );
-        r.note_vc_freed(1, 2);
-        assert_eq!(r.occ_bits, r.vc_bit(3, 0));
+        r.note_vc_freed(r.slot(1, 2));
+        assert_eq!(r.occ_bits, bit(&r, 3, 0));
         assert_eq!(r.active_bits, 0);
-        assert_eq!(r.ivc(1, 2).state(), VcState::Idle);
+        assert_eq!(r.ivc(r.slot(1, 2)).state(), VcState::Idle);
         assert_eq!(r.bookkeeping_drift(), None);
     }
 
@@ -817,15 +785,8 @@ mod tests {
         // on (tail still upstream) — the case the buggy holder lookup lost.
         let mut r = mk(); // router app = 1
         put_flit(&mut r, 2, 1, 0); // foreign
-        r.set_vc_state(
-            2,
-            1,
-            VcState::Active {
-                out_port: 1,
-                out_vc: 0,
-            },
-        );
-        r.pop_flit(2, 1); // flits forwarded, VC still held
+        r.set_vc_state(r.slot(2, 1), VcState::active(1, r.slot(1, 0)));
+        r.pop_flit(r.slot(2, 1)); // flits forwarded, VC still held
         assert_eq!(r.count_occupancy(), (0, 1));
     }
 

@@ -50,7 +50,7 @@ mod tests {
         // Drain credits on EAST adaptive VCs.
         for vc in cfg.adaptive_vc_range() {
             for _ in 0..cfg.vc_depth {
-                router.take_credit(PORT_EAST, vc);
+                router.take_credit(router.slot(PORT_EAST, vc));
             }
         }
         let region = RegionMap::single(&cfg);
@@ -73,7 +73,7 @@ mod tests {
         let mut router = Router::new(&cfg, 0, cfg.coord_of(0), 0);
         // EAST has full credits but all VCs are held by other packets.
         for vc in cfg.adaptive_vc_range() {
-            router.alloc_out_vc(PORT_EAST, vc, (0, 0));
+            router.alloc_out_vc(router.slot(PORT_EAST, vc), router.slot(0, 0));
         }
         let region = RegionMap::single(&cfg);
         let congestion = vec![0u16; cfg.num_nodes()];

@@ -100,8 +100,9 @@ impl NextHops {
 pub fn free_adaptive_credits(cfg: &SimConfig, router: &Router, p: Port) -> usize {
     cfg.adaptive_vc_range()
         .map(|vc| {
-            if router.out_alloc(p, vc).is_none() {
-                router.credits(p, vc)
+            let slot = router.slot(p, vc);
+            if router.out_alloc(slot).is_none() {
+                router.credits(slot)
             } else {
                 0
             }

@@ -34,7 +34,9 @@ impl VcClass {
     }
 }
 
-/// Pipeline state of an input VC.
+/// Pipeline state of an input VC, stored as the phases read it: ports,
+/// slots and lanes are bytes (config validation caps a router at 64 VC
+/// slots), so a state is 5 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VcState {
     /// No packet allocated to this VC.
@@ -45,84 +47,59 @@ pub enum VcState {
     /// escape lane the packet must ride here (always 0 on non-wrapping
     /// topologies; the dateline lane on torus/ring).
     Routed {
-        adaptive: [Option<Port>; 2],
-        escape: Port,
-        escape_lane: u8,
-    },
-    /// Output VC allocated; flits compete in switch allocation.
-    Active { out_port: Port, out_vc: usize },
-}
-
-/// [`VcState`] as an [`InputVc`] stores it. Ports and VC indices fit a byte
-/// (config validation caps a router at 64 VC slots), so the 48-byte enum
-/// packs into 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PackedState {
-    Idle,
-    /// An absent adaptive candidate is [`NO_PORT`].
-    Routed {
-        adaptive: [u8; 2],
+        adaptive: Adaptive,
         escape: u8,
         escape_lane: u8,
     },
-    Active {
-        out_port: u8,
-        out_vc: u8,
-    },
+    /// Output VC `out_slot` (a router slot) allocated; flits compete in
+    /// switch allocation. Its port is kept too: SA_out and the link table
+    /// read it.
+    Active { out_port: u8, out_slot: u8 },
 }
 
-/// The packed "no adaptive candidate".
+impl VcState {
+    /// `Routed` toward the candidates `adaptive`, escape port `escape` on
+    /// lane `escape_lane`.
+    #[inline]
+    pub fn routed(adaptive: [Option<Port>; 2], escape: Port, escape_lane: u8) -> Self {
+        Self::Routed {
+            adaptive: Adaptive(adaptive.map(|p| p.map_or(NO_PORT, byte))),
+            escape: byte(escape),
+            escape_lane,
+        }
+    }
+
+    /// `Active` on output VC `out_slot` of port `out_port`.
+    #[inline]
+    pub fn active(out_port: Port, out_slot: usize) -> Self {
+        Self::Active {
+            out_port: byte(out_port),
+            out_slot: byte(out_slot),
+        }
+    }
+}
+
+/// A routed head's adaptive candidate ports, an absent one stored as
+/// [`NO_PORT`]; read them with [`Adaptive::ports`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Adaptive([u8; 2]);
+
+impl Adaptive {
+    /// The candidate ports, in routing order.
+    #[inline]
+    pub fn ports(self) -> impl Iterator<Item = Port> {
+        self.0.into_iter().filter(|&p| p != NO_PORT).map(Port::from)
+    }
+}
+
+/// The stored "no adaptive candidate".
 const NO_PORT: u8 = u8::MAX;
 
 /// A port, VC or slot index as a byte.
 #[inline]
 pub(crate) fn byte(x: usize) -> u8 {
-    debug_assert!(x < usize::from(NO_PORT), "index {x} does not pack");
+    debug_assert!(x < usize::from(NO_PORT), "index {x} does not fit a byte");
     x as u8
-}
-
-impl From<VcState> for PackedState {
-    #[inline]
-    fn from(s: VcState) -> Self {
-        match s {
-            VcState::Idle => Self::Idle,
-            VcState::Routed {
-                adaptive,
-                escape,
-                escape_lane,
-            } => Self::Routed {
-                adaptive: adaptive.map(|p| p.map_or(NO_PORT, byte)),
-                escape: byte(escape),
-                escape_lane,
-            },
-            VcState::Active { out_port, out_vc } => Self::Active {
-                out_port: byte(out_port),
-                out_vc: byte(out_vc),
-            },
-        }
-    }
-}
-
-impl From<PackedState> for VcState {
-    #[inline]
-    fn from(s: PackedState) -> Self {
-        match s {
-            PackedState::Idle => Self::Idle,
-            PackedState::Routed {
-                adaptive,
-                escape,
-                escape_lane,
-            } => Self::Routed {
-                adaptive: adaptive.map(|p| (p != NO_PORT).then_some(Port::from(p))),
-                escape: Port::from(escape),
-                escape_lane,
-            },
-            PackedState::Active { out_port, out_vc } => Self::Active {
-                out_port: Port::from(out_port),
-                out_vc: usize::from(out_vc),
-            },
-        }
-    }
 }
 
 /// One input virtual channel: the handle of the packet holding it, that
@@ -153,7 +130,7 @@ pub struct InputVc {
     head: u8,
     /// Buffered flits (`<= depth`).
     len: u8,
-    state: PackedState,
+    state: VcState,
 }
 
 impl InputVc {
@@ -164,18 +141,18 @@ impl InputVc {
             app: 0,
             head: 0,
             len: 0,
-            state: PackedState::Idle,
+            state: VcState::Idle,
         }
     }
 
     #[inline]
     pub(crate) fn state(&self) -> VcState {
-        self.state.into()
+        self.state
     }
 
     #[inline]
     pub(crate) fn set_state(&mut self, state: VcState) {
-        self.state = state.into();
+        self.state = state;
     }
 
     /// Hand the VC to `packet` of application `app`, which has traversed
@@ -204,7 +181,7 @@ impl InputVc {
     /// received yet).
     #[inline]
     pub fn occupied(&self) -> bool {
-        self.len != 0 || self.state != PackedState::Idle
+        self.len != 0 || self.state != VcState::Idle
     }
 
     /// Ring slot of the `i`-th buffered flit (compare-subtract wrap).
@@ -407,38 +384,37 @@ mod tests {
     #[test]
     fn active_empty_vc_still_occupied() {
         let mut vc = InputVc::new();
-        vc.set_state(VcState::Active {
-            out_port: 1,
-            out_vc: 0,
-        });
+        vc.set_state(VcState::active(1, 0));
         assert!(vc.occupied());
     }
 
-    /// Every state survives packing, at the largest port and VC index a
-    /// valid config can name.
+    /// Every state reads back what it was built from, at the largest port
+    /// and slot a valid config can name; an absent candidate is skipped.
     #[test]
-    fn states_pack_losslessly() {
-        for state in [
-            VcState::Idle,
-            VcState::Routed {
-                adaptive: [Some(4), None],
-                escape: 0,
-                escape_lane: 1,
-            },
-            VcState::Routed {
-                adaptive: [None, Some(0)],
-                escape: 4,
-                escape_lane: 0,
-            },
+    fn states_read_back_what_they_were_built_from() {
+        for (adaptive, escape, lane) in [([Some(4), None], 0, 1), ([None, Some(0)], 4, 0)] {
+            let mut vc = InputVc::new();
+            vc.set_state(VcState::routed(adaptive, escape, lane));
+            let VcState::Routed {
+                adaptive: stored,
+                escape: e,
+                escape_lane: l,
+            } = vc.state()
+            else {
+                panic!("routed state lost");
+            };
+            assert!(stored.ports().eq(adaptive.into_iter().flatten()));
+            assert_eq!((usize::from(e), l), (escape, lane));
+        }
+        let mut vc = InputVc::new();
+        vc.set_state(VcState::active(4, 63));
+        assert_eq!(
+            vc.state(),
             VcState::Active {
                 out_port: 4,
-                out_vc: 63,
-            },
-        ] {
-            let mut vc = InputVc::new();
-            vc.set_state(state);
-            assert_eq!(vc.state(), state);
-        }
+                out_slot: 63
+            }
+        );
     }
 
     /// Regression: a VC whose buffered flits have all moved downstream while
@@ -451,10 +427,7 @@ mod tests {
         let mut ring = [RingFlit::EMPTY; 5];
         let packet = hold(&mut vc, &mut PacketTable::default(), info(0, 2), 0);
         vc.push(&mut ring, RingFlit::nth(packet, &info(0, 2), 0));
-        vc.set_state(VcState::Active {
-            out_port: 2,
-            out_vc: 1,
-        });
+        vc.set_state(VcState::active(2, 1));
         vc.pop(&ring); // flit forwarded; tail still upstream
         assert!(view(&vc, &ring).is_empty());
         assert!(vc.occupied());

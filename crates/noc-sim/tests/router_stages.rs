@@ -132,12 +132,12 @@ fn credits_return_after_drain() {
         for port in 0..noc_sim::ids::NUM_PORTS {
             for vc in 0..net.cfg.vcs_per_port() {
                 assert_eq!(
-                    r.credits(port, vc),
+                    r.credits(r.slot(port, vc)),
                     depth,
                     "router {} port {port} vc {vc} leaked credits",
                     r.id
                 );
-                assert!(r.out_alloc(port, vc).is_none(), "output VC leaked");
+                assert!(r.out_alloc(r.slot(port, vc)).is_none(), "output VC leaked");
             }
         }
     }

@@ -252,6 +252,50 @@ pub const HOT_PATHS: &[HotPath] = &[
         ],
         rules: &[&PANIC_RULE, &ALLOC_RULE],
     },
+    // The router and input-VC state writes and reads every phase makes.
+    HotPath {
+        file: "crates/noc-sim/src/router.rs",
+        functions: &[
+            "stripe",
+            "ivc",
+            "credits",
+            "has_credit",
+            "allocatable_mask",
+            "push_flit",
+            "pop_flit",
+            "set_vc_state",
+            "note_vc_occupied",
+            "note_vc_freed",
+            "take_credit",
+            "return_credit",
+            "alloc_out_vc",
+            "release_out_vc",
+            "count_occupancy",
+            "adaptive_occupancy",
+        ],
+        rules: &[&PANIC_RULE, &ALLOC_RULE],
+    },
+    HotPath {
+        file: "crates/noc-sim/src/vc.rs",
+        functions: &[
+            "routed",
+            "active",
+            "ports",
+            "byte",
+            "new",
+            "state",
+            "set_state",
+            "hold",
+            "hops",
+            "holder",
+            "occupied",
+            "at",
+            "push",
+            "pop",
+            "reset",
+        ],
+        rules: &[&PANIC_RULE, &ALLOC_RULE],
+    },
     HotPath {
         file: "crates/noc-sim/src/node.rs",
         functions: &[

@@ -152,7 +152,7 @@ fn second_packet_in_a_vc_caught_by_wormhole_contiguity() {
         for r in &mut net.routers {
             for port in 0..NUM_PORTS {
                 for vc in 0..net.cfg.vcs_per_port() {
-                    let ivc = r.ivc(port, vc);
+                    let ivc = r.ivc(r.slot(port, vc));
                     let Some(back) = ivc.back(&net.packets).filter(|b| !b.kind.is_tail()) else {
                         continue;
                     };
@@ -165,7 +165,7 @@ fn second_packet_in_a_vc_caught_by_wormhole_contiguity() {
                     };
                     let packet = net.packets.insert(other);
                     let flit = Flit::nth(other, back.seq + 1);
-                    r.push_flit(port, vc, RingFlit::of(&flit, packet));
+                    r.push_flit(r.slot(port, vc), RingFlit::of(&flit, packet));
                     injected = true;
                     break 'run;
                 }
