@@ -140,7 +140,6 @@ const SUBCOMMANDS: &[Cmd] = &[
     Cmd { name: "curve", role: Extra, help: "load-latency curves and knees of three patterns", flags: &[SIM], run: curve },
     Cmd { name: "trace-demo", role: Extra, help: "capture a trace to a file, replay it under two schemes", flags: &[SIM, &["--trace-file"]], run: |o| emit(o, &figs::trace_demo::run(&o.ec, &o.trace_file)?) },
     Cmd { name: "admit", role: Extra, help: "static gate: QoS, deadlock freedom, LBDR and scheme checks of every shipped config (ADMIT_report.json)", flags: &[], run: admit },
-    Cmd { name: "resilience", role: Extra, help: "fault rate x scheme x routing sweep (RESILIENCE_report.json)", flags: &[SIM], run: resilience },
     // Not `--seed`: each job's simulation is seeded by the job's own seed.
     Cmd { name: "serve", role: Solo(Some("a jobs file")), help: "crash-safe job service over a jobs file", flags: &[&["--quick", "--smoke", "--windows"], &["--dir", "--retries", "--timeout-ms"]], run: serve },
     Cmd { name: "chaos", role: Solo(None), help: "fault-injection battery over the service (CHAOS_report.json)", flags: &[&["--smoke", "--seed"]], run: chaos },
@@ -337,29 +336,6 @@ fn curve(o: &Opts) -> Outcome {
     Ok(())
 }
 
-fn resilience(o: &Opts) -> Outcome {
-    let rows = figs::resilience::run(&o.ec, o.smoke);
-    let t = figs::resilience::table(&rows);
-    emit(o, &t)?;
-    let what = format!("{} resilience rows", rows.len());
-    let doc = Value::obj([("rows", t.json_rows())]);
-    write_report("RESILIENCE_report.json", &doc, &what)?;
-    let worst = figs::resilience::worst_fraction(&rows);
-    say!(
-        o,
-        "worst delivered fraction across faulted cells: {worst:.4} (target >= 0.99)\n"
-    );
-    match rows.iter().map(|r| r.oracle_violations).sum::<u64>() {
-        0 if worst >= 0.99 => Ok(()),
-        0 => Err(format!(
-            "RESILIENCE FAILED — delivered fraction {worst:.4} below 0.99"
-        )),
-        n => Err(format!(
-            "RESILIENCE FAILED — {n} oracle violation(s) under faults"
-        )),
-    }
-}
-
 /// The one static gate over the scheme × routing × region matrix of every
 /// canonical topology (every shipped cell must be admitted under every
 /// property), then its negative controls; the matrix and the controls are
@@ -536,7 +512,7 @@ mod tests {
             );
         }
         let counts = (SUBCOMMANDS.len() + 1, FLAGS.len());
-        assert_eq!(counts, (15, 10), "subcommands (with `all`), flags");
+        assert_eq!(counts, (14, 10), "subcommands (with `all`), flags");
         let (_, all) = parse(["all".to_string()]).unwrap_or_else(|e| panic!("{e}"));
         let want = "table1 lbdr fig9 fig12 fig14 fig15 fig17 ablation";
         assert_eq!(names(&all), want);

@@ -51,7 +51,7 @@ pub fn run(
     max_rate: f64,
     steps: usize,
 ) -> Vec<(f64, RunResult)> {
-    let results = run_cells(ec, cells(pattern, max_rate, steps), None);
+    let results = run_cells(ec, cells(pattern, max_rate, steps));
     rates(max_rate, steps).zip(results).collect()
 }
 

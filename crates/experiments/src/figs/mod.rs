@@ -18,13 +18,11 @@ pub mod fig15;
 pub mod fig17;
 pub mod fig9;
 pub mod lbdr_analysis;
-pub mod resilience;
 pub mod table1;
 pub mod trace_demo;
 
 use crate::runner::{run_one, ExpConfig, RunResult};
-use crate::service::pool::{self, Task};
-use crate::service::Journal;
+use crate::service::pool::{run_supervised, Task, SWEEP_POLICY};
 use crate::sweep::{build_network, cached_saturation};
 use noc_sim::config::SimConfig;
 use noc_sim::region::RegionMap;
@@ -76,15 +74,13 @@ impl Cell {
 /// Run `cells` on the supervised pool ([`crate::service::pool`]); results
 /// come back in cell order. Panics — after every cell has finished — if any
 /// failed, listing the failed labels: a figure needs all of its cells, just
-/// not before the sweep completes.
-///
-/// With a `journal` the sweep resumes: cells whose `done` row survives from
-/// an interrupted run are replayed instead of re-run (labels must then be
-/// unique — a cell's journal key is its label digest), and the file is
-/// removed once every cell has succeeded.
-pub fn run_cells(ec: &ExpConfig, cells: Vec<Cell>, journal: Option<&Journal>) -> Vec<RunResult> {
-    let tasks = cells.into_iter().map(|c| c.job(ec)).collect();
-    let results = pool::run_sweep(tasks, journal);
+/// not before the sweep completes. A cell is tried twice ([`SWEEP_POLICY`]).
+pub fn run_cells(ec: &ExpConfig, cells: Vec<Cell>) -> Vec<RunResult> {
+    let tasks: Vec<Task> = cells.into_iter().map(|c| c.job(ec)).collect();
+    let results: Vec<_> = run_supervised(&tasks, &SWEEP_POLICY, None)
+        .into_iter()
+        .map(|o| o.result)
+        .collect();
     let failures: Vec<String> = results
         .iter()
         .filter_map(|r| r.as_ref().err().map(ToString::to_string))
@@ -110,7 +106,7 @@ pub struct AplTable {
 impl AplTable {
     /// Run `cells` and keep every application's APL per row.
     pub fn run(ec: &ExpConfig, cells: Vec<Cell>) -> AplTable {
-        let schemes = run_cells(ec, cells, None)
+        let schemes = run_cells(ec, cells)
             .into_iter()
             .map(|r| {
                 let apl = (0..r.apl.len()).map(|a| r.app_apl(a)).collect();
@@ -267,7 +263,7 @@ mod tests {
     #[test]
     fn parallel_matches_serial_and_preserves_order() {
         let serial: Vec<RunResult> = (0..6).map(|i| (tiny_cell(i).job(&ec()).run)()).collect();
-        let parallel = run_cells(&ec(), (0..6).map(tiny_cell).collect(), None);
+        let parallel = run_cells(&ec(), (0..6).map(tiny_cell).collect());
         assert_eq!(serial.len(), parallel.len());
         for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             assert_eq!(p.label, format!("job{i}"));
@@ -280,7 +276,7 @@ mod tests {
     #[test]
     fn run_cells_reports_failed_labels() {
         let doomed = Cell::new("doomed", Scheme::RoRr, Routing::Local, || panic!("nope"));
-        let run = std::panic::AssertUnwindSafe(|| run_cells(&ec(), vec![doomed], None));
+        let run = std::panic::AssertUnwindSafe(|| run_cells(&ec(), vec![doomed]));
         let caught = std::panic::catch_unwind(run);
         let payload = caught.unwrap_err();
         let msg = payload
@@ -292,6 +288,6 @@ mod tests {
 
     #[test]
     fn empty_cells_ok() {
-        assert!(run_cells(&ec(), vec![], None).is_empty());
+        assert!(run_cells(&ec(), vec![]).is_empty());
     }
 }

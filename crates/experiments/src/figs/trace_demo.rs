@@ -49,7 +49,7 @@ pub fn run(ec: &ExpConfig, path: &str) -> Result<Table, String> {
         "Trace-driven comparison (identical offered traffic from file)",
         &["scheme", "App0", "App1", "App2", "App3", "App4", "App5"],
     );
-    for r in run_cells(ec, cells.into(), None) {
+    for r in run_cells(ec, cells.into()) {
         eprintln!("[{}] {}", r.label, r.kernel_summary());
         let mut row = vec![r.label.clone()];
         row.extend((0..6).map(|a| metrics::report::f2(r.app_apl(a))));

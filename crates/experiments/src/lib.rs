@@ -6,9 +6,9 @@
 //! supervised pool ([`service::pool`]), and the saturation-load cache
 //! ([`sweep::cached_saturation`], one `service::Cache` instance) that
 //! anchors the "% of saturation" load definitions. `run_cells` is the only
-//! way a driver runs more than one simulation — trace-demo and the
-//! journaled, resumable resilience sweep included; only
-//! `repro serve` calls the pool itself.
+//! way a driver runs more than one simulation — trace-demo included; only
+//! `repro serve` calls the pool itself, and only serve's jobs resume after
+//! a crash (its journal); a figure sweep reruns from the start.
 //!
 //! The `repro` binary exposes every driver and service from the command
 //! line; `repro --help` lists the subcommands and flags.

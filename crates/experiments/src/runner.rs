@@ -4,8 +4,9 @@
 //! Sweeps of many runs are cell lists run by [`crate::figs::run_cells`] on
 //! the crate's one supervised pool ([`crate::service::pool`]: panics caught
 //! and retried, a poison job reported with its label after the whole sweep
-//! has finished, journaled resume). Every run is bounded by its windows,
-//! in the cycle domain (`Instant` is banned by the determinism lint).
+//! has finished; only `repro serve` journals and resumes). Every run is
+//! bounded by its windows, in the cycle domain (`Instant` is banned by the
+//! determinism lint).
 
 use metrics::LatencyKind;
 use noc_sim::network::Network;
@@ -77,14 +78,6 @@ pub struct RunResult {
     /// because the checkpoint row and the pinned sweep digests carry it;
     /// ROADMAP item 4 retires it.
     pub truncated: bool,
-    /// Link-level retransmissions performed (0 without a fault timeline).
-    pub flits_retransmitted: u64,
-    /// Stranded packets re-injected by the source-side retry path.
-    pub packets_retried: u64,
-    /// Packets dropped as undeliverable (drop ledger total).
-    pub packets_dropped: u64,
-    /// Routing reconfigurations after permanent faults.
-    pub reconfigurations: u64,
 }
 
 impl RunResult {
@@ -129,17 +122,15 @@ impl RunResult {
             oracle_enabled: true,
             oracle_violations: 0,
             truncated: false,
-            flits_retransmitted: 3,
-            packets_retried: 2,
-            packets_dropped: 1,
-            reconfigurations: 1,
         }
     }
 
     /// Fold every numeric field (everything but the label, which is
     /// presentation) into a digest. Floats go in by bit pattern and
     /// `None` latencies get a distinct marker, so the fold distinguishes
-    /// every state the checkpoint format can round-trip.
+    /// every state the checkpoint format can round-trip. Four literal zeros
+    /// stand where the retired fault counters were folded, so pinned sweep
+    /// digests hold; ROADMAP item 4 drops them in its one re-pin.
     pub fn digest_into(&self, d: &mut metrics::Digest) {
         for v in [&self.apl, &self.total_latency] {
             d.write_u64(v.len() as u64);
@@ -163,10 +154,9 @@ impl RunResult {
         d.write_u64(u64::from(self.oracle_enabled));
         d.write_u64(self.oracle_violations);
         d.write_u64(u64::from(self.truncated));
-        d.write_u64(self.flits_retransmitted);
-        d.write_u64(self.packets_retried);
-        d.write_u64(self.packets_dropped);
-        d.write_u64(self.reconfigurations);
+        for _ in 0..4 {
+            d.write_u64(0);
+        }
     }
 
     /// One-line report of how much per-cycle kernel work the active-set
@@ -206,10 +196,6 @@ pub fn run_one(label: impl Into<String>, mut net: Network, cfg: &ExpConfig) -> R
         oracle_enabled: net.oracle_enabled(),
         oracle_violations: net.stats.oracle_violation_count,
         truncated: false,
-        flits_retransmitted: net.stats.flits_retransmitted,
-        packets_retried: net.stats.packets_retried,
-        packets_dropped: net.stats.packets_dropped,
-        reconfigurations: net.stats.reconfigurations,
     }
 }
 
@@ -322,10 +308,12 @@ fn parse_latency_field(s: &str) -> Option<Vec<Option<f64>>> {
 }
 
 /// One completed result as a single row (tab-separated, version-tagged,
-/// floats bit-exact): the payload of journal `done` rows.
+/// floats bit-exact): the payload of journal `done` rows. Columns 12–15,
+/// where the retired fault counters were, are always `0`, so rows keep the
+/// grammar older binaries write and read.
 pub(crate) fn checkpoint_line(r: &RunResult) -> String {
     format!(
-        "{CHECKPOINT_TAG}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        "{CHECKPOINT_TAG}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t0\t0\t0\t0\t{}\t{}",
         esc_label(&r.label),
         r.delivered,
         f64_field(r.throughput),
@@ -337,10 +325,6 @@ pub(crate) fn checkpoint_line(r: &RunResult) -> String {
         u8::from(r.oracle_enabled),
         r.oracle_violations,
         u8::from(r.truncated),
-        r.flits_retransmitted,
-        r.packets_retried,
-        r.packets_dropped,
-        r.reconfigurations,
         latency_field(&r.apl),
         latency_field(&r.total_latency),
     )
@@ -351,6 +335,10 @@ pub(crate) fn checkpoint_line(r: &RunResult) -> String {
 pub(crate) fn parse_checkpoint_line(line: &str) -> Option<RunResult> {
     let f: Vec<&str> = line.split('\t').collect();
     if f.len() != 18 || f[0] != CHECKPOINT_TAG {
+        return None;
+    }
+    // The four retired counter columns: still numbers, never read.
+    if f[12..16].iter().any(|c| c.parse::<u64>().is_err()) {
         return None;
     }
     Some(RunResult {
@@ -365,10 +353,6 @@ pub(crate) fn parse_checkpoint_line(line: &str) -> Option<RunResult> {
         oracle_enabled: f[9] == "1",
         oracle_violations: f[10].parse().ok()?,
         truncated: f[11] == "1",
-        flits_retransmitted: f[12].parse().ok()?,
-        packets_retried: f[13].parse().ok()?,
-        packets_dropped: f[14].parse().ok()?,
-        reconfigurations: f[15].parse().ok()?,
         apl: parse_latency_field(f[16])?,
         total_latency: parse_latency_field(f[17])?,
     })
@@ -441,10 +425,6 @@ mod tests {
             oracle_enabled: false,
             oracle_violations: 0,
             truncated: false,
-            flits_retransmitted: 0,
-            packets_retried: 0,
-            packets_dropped: 0,
-            reconfigurations: 0,
         };
         assert!(r.app_apl(0).is_nan());
         assert_eq!(r.app_apl(1), 12.0);
@@ -466,10 +446,6 @@ mod tests {
         assert_eq!(p.cycles, r.cycles);
         assert_eq!(p.oracle_enabled, r.oracle_enabled);
         assert!(p.truncated);
-        assert_eq!(p.flits_retransmitted, r.flits_retransmitted);
-        assert_eq!(p.packets_retried, r.packets_retried);
-        assert_eq!(p.packets_dropped, r.packets_dropped);
-        assert_eq!(p.reconfigurations, r.reconfigurations);
         let bits = |v: &[Option<f64>]| v.iter().map(|o| o.map(f64::to_bits)).collect::<Vec<_>>();
         assert_eq!(bits(&p.apl), bits(&r.apl));
         assert!(p.total_latency.is_empty());
@@ -478,6 +454,12 @@ mod tests {
         assert!(parse_checkpoint_line("rair-ckpt-v0\tx").is_none());
         let line = checkpoint_line(&r);
         assert!(parse_checkpoint_line(&line[..line.len() / 2]).is_none());
+        // The retired counter columns are written as `0` and must still
+        // parse as numbers.
+        let mut f: Vec<&str> = line.split('\t').collect();
+        assert_eq!((f.len(), &f[12..16]), (18, &["0"; 4][..]));
+        f[14] = "x";
+        assert!(parse_checkpoint_line(&f.join("\t")).is_none());
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!
 //! The payload may itself contain tabs (a `done` row embeds a full
 //! [`crate::runner::checkpoint_line`] row). It is the one resume format:
-//! `repro serve` and `figs::run_cells` given a journal (`repro
-//! resilience`) both write and replay it.
+//! `repro serve` writes and replays it; figure sweeps do not resume.
 //!
 //! Recovery ([`Journal::replay`]) replays the longest valid prefix of the
 //! file, with two deliberate asymmetries:
@@ -32,7 +31,7 @@
 //! is unusable, and which bytes went missing is not recoverable.
 
 use super::store::{frame, unframe, Store};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version tag opening every journal line; bump when the payload grammar
@@ -69,15 +68,6 @@ impl<'s> Journal<'s> {
             write_errors: AtomicU64::new(0),
             warned: std::sync::atomic::AtomicBool::new(false),
         }
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The store this journal writes through.
-    pub fn store(&self) -> &'s dyn Store {
-        self.store
     }
 
     /// Append one payload durably. Failures are counted and warned about

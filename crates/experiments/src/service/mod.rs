@@ -3,8 +3,8 @@
 //!
 //! One supervised worker pool ([`pool`]: `catch_unwind`, timeout, bounded
 //! backoff, poison-job quarantine) runs every sweep in the crate — the
-//! figure drivers' `run_cells` (resumable when given a journal) and
-//! `repro serve` — and, given a journal, records every state transition
+//! figure drivers' `run_cells` and `repro serve` — and, given a journal
+//! (serve's; figure sweeps do not resume), records every state transition
 //! in one per-line-CRC'd WAL ([`journal`]). On top of it, [`serve`] turns
 //! a jobs file into something a long-lived design-space exploration can
 //! sit on: a finished job is one `done` row in its journal, keyed by a

@@ -1,15 +1,15 @@
 //! The one supervised worker pool under `experiments`.
 //!
 //! Every sweep of independent, deterministic runs — the figures'
-//! `run_cells` (through [`run_sweep`]) and `repro serve` — is one call to
+//! `run_cells` and `repro serve` — is one call to
 //! [`run_supervised`]: [`Task`]s drained by `RAIR_THREADS` workers, each
 //! attempt under `catch_unwind` (plus a wall-clock timeout on a detached
 //! thread when the [`Policy`] sets one), retried with bounded deterministic
 //! exponential backoff, and given up on — labeled, never aborting the sweep
 //! — after `max_attempts` failures. With a [`Journal`] every transition is a
 //! `running` / `done` / `failed` / `quarantine` row, the one resume format
-//! (`replay_jobs` folds it back into per-job state); [`run_sweep`] replays
-//! it to skip finished tasks and removes it once the sweep is green.
+//! (`replay_jobs` folds it back into per-job state), which `repro serve`
+//! replays to skip finished jobs. Figure sweeps run without one.
 
 use super::journal::Journal;
 use crate::runner::{self, RunResult};
@@ -35,21 +35,16 @@ pub struct Task {
 }
 
 impl Task {
-    /// A fresh task identified by its label (labels must be unique within
-    /// a journaled sweep): the id is a domain-tagged digest of the label.
+    /// A fresh task for an unjournaled sweep (a figure's cells): its id
+    /// keys no journal row, so it is 0. `repro serve` builds its tasks with
+    /// `JobSpec::id`.
     pub fn new(
         label: impl Into<String>,
         run: impl Fn() -> RunResult + Send + Sync + 'static,
     ) -> Task {
-        let label = label.into();
-        let mut d = metrics::Digest::new();
-        // Domain tag ("RAIRLBL" + version): label ids can never collide
-        // with `JobSpec::id`, saturation-cache or sweep digests.
-        d.write_u64(0x5241_4952_4C42_4C01);
-        d.write_str(&label);
         Task {
-            label,
-            id: d.finish(),
+            label: label.into(),
+            id: 0,
             prior_runs: 0,
             run: Arc::new(run),
         }
@@ -296,184 +291,9 @@ pub fn run_supervised(tasks: &[Task], policy: &Policy, journal: Option<&Journal>
     outcomes.into_iter().map(|(_, o)| o).collect()
 }
 
-/// Run `tasks` under [`SWEEP_POLICY`]; results come back in task order, and
-/// a task that fails both attempts is an `Err` while every other still runs
-/// to completion.
-///
-/// With a journal the sweep resumes: every transition is journaled under the
-/// task's label digest (labels must be unique within the sweep), tasks with a
-/// valid `done` row are replayed without re-running, anything an earlier pass
-/// failed or left mid-`running` runs again, and the journal file is removed
-/// once the whole sweep has succeeded. A failed append only shrinks resume
-/// coverage ([`Journal::write_errors`]).
-pub(crate) fn run_sweep(
-    tasks: Vec<Task>,
-    journal: Option<&Journal>,
-) -> Vec<Result<RunResult, JobError>> {
-    let supervised = |tasks: &[Task]| -> Vec<Result<RunResult, JobError>> {
-        let outcomes = run_supervised(tasks, &SWEEP_POLICY, journal);
-        outcomes.into_iter().map(|o| o.result).collect()
-    };
-    let Some(journal) = journal else {
-        return supervised(&tasks);
-    };
-    let mut replayed = replay_jobs(&journal.replay().rows);
-    let cached: Vec<Option<RunResult>> = tasks
-        .iter()
-        .map(|t| replayed.remove(&t.id).and_then(|s| s.done))
-        .collect();
-    let pending: Vec<Task> = tasks
-        .into_iter()
-        .zip(&cached)
-        .filter_map(|(t, c)| c.is_none().then_some(t))
-        .collect();
-    let (n, store, path) = (cached.len(), journal.store(), journal.path());
-    if pending.len() < n {
-        eprintln!(
-            "[sweep] resumed {}/{n} result(s) from {}",
-            n - pending.len(),
-            path.display()
-        );
-    }
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Err(e) = store.create_dir_all(dir) {
-            eprintln!(
-                "[sweep] warning: could not create checkpoint directory {}: {e}",
-                dir.display()
-            );
-        }
-    }
-    let mut fresh = supervised(&pending).into_iter();
-    let results: Vec<Result<RunResult, JobError>> = cached
-        .into_iter()
-        .map(|c| c.map_or_else(|| fresh.next().expect("one result per pending task"), Ok))
-        .collect();
-    if results.iter().all(Result::is_ok) && store.exists(path) {
-        if let Err(e) = store.remove(path) {
-            eprintln!(
-                "[sweep] warning: could not remove completed checkpoint {}: {e}",
-                path.display()
-            );
-        }
-    }
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{ChaosStore, Fault, StdStore};
-
-    /// Alter one digit of tab-separated field `field` in the journaled `done`
-    /// row of the task labeled `label` (frame fields count: 6 = `delivered`,
-    /// 7 = the `throughput` bit pattern), leaving the row's CRC untouched.
-    fn flip_done_field(journal: &str, label: &str, field: usize) -> String {
-        let label = runner::esc_label(label);
-        let flipped: Vec<String> = journal
-            .lines()
-            .map(|line| {
-                let mut f: Vec<String> = line.split('\t').map(str::to_string).collect();
-                if f.get(2).is_some_and(|k| k == "done") && f.get(5) == Some(&label) {
-                    let last = f[field].pop();
-                    f[field].push(if last == Some('1') { '2' } else { '1' });
-                }
-                f.join("\t")
-            })
-            .collect();
-        flipped.join("\n") + "\n"
-    }
-
-    /// A partially failed sweep resumes from its journal and cleans up —
-    /// and a journaled result row with one payload digit altered
-    /// (`delivered` of one task, a hex digit of `throughput` of another) is
-    /// never replayed as a result: the CRC rejects the row (quarantined, or
-    /// dropped as the torn tail when it is the last line) and the task
-    /// re-runs.
-    #[test]
-    fn checkpointed_sweep_resumes_cleans_up_and_rejects_altered_rows() {
-        let dir = std::env::temp_dir().join(format!("rair-ckpt-test-{}", std::process::id()));
-        // lint: allow(swallowed-io-error)
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("sweep.ckpt");
-        let journal = Journal::new(&path, &StdStore);
-        let calls = Arc::new(AtomicUsize::new(0));
-        let sweep = |bad_fails: bool| {
-            let mk = |label: &'static str, fail: bool| {
-                let calls = calls.clone();
-                Task::new(label, move || {
-                    calls.fetch_add(1, Ordering::SeqCst);
-                    assert!(!fail, "always failing");
-                    RunResult::fabricated(label, 0)
-                })
-            };
-            let before = calls.load(Ordering::SeqCst);
-            let tasks = vec![mk("a", false), mk("bad", bad_fails), mk("c", false)];
-            let results = run_sweep(tasks, Some(&journal));
-            (results, calls.load(Ordering::SeqCst) - before)
-        };
-        // First pass: two tasks succeed, one fails both attempts — the
-        // journal keeps the two successes as a clean, replayable WAL.
-        let (r1, ran) = sweep(true);
-        assert!(r1[0].is_ok() && r1[1].is_err() && r1[2].is_ok());
-        assert_eq!(ran, 4, "2 successes + 2 attempts of the failing task");
-        let replay = journal.replay();
-        assert!(!replay.torn_tail && replay.quarantined.is_empty());
-        assert_eq!(
-            replay.rows.len(),
-            9,
-            "4 running, 2 done, 2 failed, 1 quarantine"
-        );
-        let pass1 = std::fs::read_to_string(&path).unwrap();
-        // Second pass with the failing task fixed: only it runs (its earlier
-        // quarantine is not honoured); the other two replay from the journal.
-        let (r2, ran) = sweep(false);
-        assert!(r2.iter().all(Result::is_ok));
-        assert_eq!(ran, 1, "resumed tasks must not re-run");
-        assert_eq!(r2[0].as_ref().unwrap().label, "a");
-        assert!(!path.exists(), "journal removed after a fully green sweep");
-        // The same resume over altered rows: neither may be replayed.
-        let flipped = flip_done_field(&flip_done_field(&pass1, "a", 6), "c", 7);
-        assert_ne!(flipped, pass1);
-        std::fs::write(&path, flipped).unwrap();
-        let (r3, ran) = sweep(false);
-        assert_eq!(ran, 3, "both altered rows rejected, their tasks re-run");
-        for (r, label) in r3.iter().zip(["a", "bad", "c"]) {
-            let (got, want) = (r.as_ref().unwrap(), RunResult::fabricated(label, 0));
-            assert_eq!(got.delivered, want.delivered, "{label}");
-            assert_eq!(got.throughput.to_bits(), want.throughput.to_bits());
-        }
-        // lint: allow(swallowed-io-error)
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_append_failure_is_counted_never_fatal() {
-        let dir = std::env::temp_dir().join(format!("rair-ckpt-enospc-{}", std::process::id()));
-        // lint: allow(swallowed-io-error)
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("sweep.ckpt");
-        // Ops: 0 = read (miss), 1 = create_dir_all, 2+ = appends. One
-        // append hits ENOSPC; the sweep must still complete green.
-        let store = ChaosStore::scripted(vec![(3, Fault::Enospc)]);
-        let journal = Journal::new(&path, &store);
-        let tasks = vec![
-            Task::new("a", || RunResult::fabricated("a", 0)),
-            Task::new("b", || RunResult::fabricated("b", 0)),
-        ];
-        let r = run_sweep(tasks, Some(&journal));
-        assert!(
-            r.iter().all(Result::is_ok),
-            "append failure must not fail tasks"
-        );
-        assert_eq!(
-            journal.write_errors(),
-            1,
-            "the failed append must be counted"
-        );
-        assert!(!path.exists(), "green sweep still cleans up");
-        // lint: allow(swallowed-io-error)
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn backoff_saturates_for_any_attempt_count() {

@@ -1,7 +1,7 @@
 //! Injectable storage backend for the durability layer.
 //!
-//! Everything the experiments crate persists — the job journal (also the
-//! figure-side sweep checkpoint) and the saturation-load `Cache` — goes
+//! Everything the experiments crate persists — `repro serve`'s job journal
+//! and the saturation-load `Cache` — goes
 //! through the [`Store`] trait instead of `std::fs`, framed by the one
 //! codec here ([`frame`] / [`unframe`]).
 //! Production code uses [`StdStore`]; tests and the `repro chaos` battery
@@ -101,8 +101,7 @@ fn tmp_sibling(path: &Path) -> PathBuf {
 pub struct StdStore;
 
 /// Process-wide [`StdStore`] instance for the production call sites of
-/// `&dyn Store` seams (the saturation cache, `repro serve`, the resilience
-/// sweep's journal).
+/// `&dyn Store` seams (the saturation cache and `repro serve`).
 pub fn std_store() -> &'static StdStore {
     static STORE: StdStore = StdStore;
     &STORE

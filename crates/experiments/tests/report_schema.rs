@@ -5,7 +5,6 @@
 //! artifacts and downstream readers see.
 
 use experiments::admit::{self, controls_table, NegativeCase};
-use experiments::figs::resilience::{self, ResilRow};
 use experiments::service::chaos::Battery;
 use experiments::service::{serve, ChaosReport, JobExec, JobSpec, ServeConfig, StdStore};
 use experiments::{ExpConfig, RunResult};
@@ -143,47 +142,6 @@ fn admit_report_schema() {
     assert!(shape(&rows[1]).ends_with("wait_bound:null,states:int,micros:int,defect:null}"));
     assert_eq!(
         committed_row_keys("ADMIT_report.json", "rows"),
-        shape_keys(want)
-    );
-}
-
-#[test]
-fn resilience_report_schema() {
-    let rows = [ResilRow {
-        scheme: "RA_RAIR".into(),
-        routing: "Local".into(),
-        ber: 1e-3,
-        delivered: 100,
-        dropped: 1,
-        delivered_fraction: 0.99,
-        apl: f64::NAN,
-        latency_inflation: f64::NAN,
-        flits_retransmitted: 7,
-        retransmit_overhead: 0.001,
-        packets_retried: 0,
-        reconfigurations: 1,
-        oracle_violations: 0,
-    }];
-    let t = resilience::table(&rows);
-    let want = "[{scheme:str,routing:str,ber:float,delivered:int,dropped:int,\
-                delivered_fraction:float,apl:float,latency_inflation:float,\
-                flits_retransmitted:int,retransmit_overhead:float,packets_retried:int,\
-                reconfigurations:int,oracle_violations:int}]";
-    assert_eq!(shape(&t.json_rows()), want);
-    // A starved cell's NaN is `null` in JSON; BER stays a number there and
-    // prints as `1e-3` in the table.
-    let doc = Value::obj([("rows", t.json_rows())]).to_json();
-    assert!(
-        doc.contains("\"ber\": 0.001,") && doc.contains("\"apl\": null,"),
-        "{doc}"
-    );
-    assert!(
-        t.render().contains("1e-3") && t.render().contains("NaNx"),
-        "{}",
-        t.render()
-    );
-    assert_eq!(
-        committed_row_keys("RESILIENCE_report.json", "rows"),
         shape_keys(want)
     );
 }

@@ -388,6 +388,7 @@ fn retired_names_and_zero_valued_serve_knobs_fail_with_usage() {
         ("base", "lines"),
         ("fig", "10"),
         ("verify", "-config"),
+        ("resil", "ience"),
     ]
     .map(|(a, b)| [a, b].concat());
     for name in &experiments {

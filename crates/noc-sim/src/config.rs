@@ -1,6 +1,5 @@
 //! Simulator configuration, including the paper's Table 1 parameters.
 
-use crate::fault::FaultTimeline;
 use crate::ids::{Coord, MsgClass, NodeId, NUM_PORTS};
 use crate::oracle::OracleConfig;
 use crate::topology::TopologyKind;
@@ -54,10 +53,6 @@ pub struct SimConfig {
     /// `Network::new` (and makes a violation panic when it resolves to
     /// panic).
     pub oracle: OracleConfig,
-    /// Fault timeline (transient BER + scheduled permanent faults). The
-    /// default (empty) timeline keeps the resilience machinery fully
-    /// off-path and out of the behavioral digest.
-    pub fault: FaultTimeline,
 }
 
 impl Default for SimConfig {
@@ -83,7 +78,6 @@ impl SimConfig {
             l2_latency: 6,
             mem_latency: 128,
             oracle: OracleConfig::default(),
-            fault: FaultTimeline::default(),
         }
     }
 
@@ -276,15 +270,6 @@ impl SimConfig {
                 return Err("cmesh concentration must be 2..=8".into());
             }
         }
-        if !self.fault.is_empty() && self.topology != TopologyKind::Mesh {
-            return Err(format!(
-                "fault timelines are mesh-only, not {}: the degraded routing's \
-                 detour escape function is deadlock-free by a turn-model argument \
-                 on the mesh alone (no wraparound links or dateline lanes, one \
-                 node per router)",
-                self.topology.label()
-            ));
-        }
         if !(1..=MAX_CLASSES).contains(&self.num_classes) {
             return Err(format!("num_classes must be 1..={MAX_CLASSES}"));
         }
@@ -327,17 +312,14 @@ impl SimConfig {
             );
         }
         self.oracle.validate()?;
-        self.fault.validate(self)?;
         Ok(())
     }
 
     /// Fold every simulation-relevant parameter into `d`. Used to build
     /// collision-proof cache keys; deliberately excludes `oracle`
-    /// (observability, not behaviour). The fault timeline is folded in only
-    /// when non-empty, so pre-fault digests (golden files, cache keys) are
-    /// unchanged.
-    /// Likewise the topology is folded in only when it is not the
-    /// default mesh, so mesh digests predating the topology field hold.
+    /// (observability, not behaviour). The topology is folded in only when
+    /// it is not the default mesh, so mesh digests predating the topology
+    /// field hold.
     pub fn digest_into(&self, d: &mut metrics::Digest) {
         if self.topology != TopologyKind::Mesh {
             self.topology.digest_into(d);
@@ -352,9 +334,6 @@ impl SimConfig {
         d.write_u64(self.long_flits as u64);
         d.write_u64(self.l2_latency);
         d.write_u64(self.mem_latency);
-        if !self.fault.is_empty() {
-            self.fault.digest_into(d);
-        }
     }
 }
 
@@ -416,22 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_timeline_keeps_digest_nonempty_changes_it() {
-        let digest = |c: &SimConfig| {
-            let mut d = metrics::Digest::new();
-            c.digest_into(&mut d);
-            d.finish()
-        };
-        let base = SimConfig::table1();
-        let mut with_empty = SimConfig::table1();
-        with_empty.fault = FaultTimeline::default();
-        assert_eq!(digest(&base), digest(&with_empty));
-        let mut with_ber = SimConfig::table1();
-        with_ber.fault.transient_ber = 1e-3;
-        assert_ne!(digest(&base), digest(&with_ber));
-    }
-
-    #[test]
     fn validation_rejects_bad_configs() {
         let mut c = SimConfig::table1();
         c.long_flits = 9;
@@ -472,33 +435,6 @@ mod tests {
         assert!(c.validate().is_ok());
         c.topology = TopologyKind::CMesh { concentration: 1 };
         assert!(c.validate().is_err());
-
-        // Fault timelines stay mesh-only.
-        let mut c = SimConfig::table1();
-        c.topology = TopologyKind::Torus;
-        c.fault.transient_ber = 1e-3;
-        assert!(c.validate().is_err());
-    }
-
-    /// The fault-timeline rejection names the topology it refuses and says
-    /// why: the degraded routing's deadlock argument holds on the mesh only.
-    #[test]
-    fn non_mesh_fault_timeline_error_names_the_topology() {
-        for topology in [
-            TopologyKind::Torus,
-            TopologyKind::Ring,
-            TopologyKind::CMesh { concentration: 4 },
-        ] {
-            let mut c = SimConfig::table1_topology(topology);
-            assert!(c.validate().is_ok());
-            c.fault.transient_ber = 1e-3;
-            let err = c.validate().unwrap_err();
-            assert!(err.contains(&format!("not {}:", topology.label())), "{err}");
-            assert!(err.contains("turn-model"), "{err}");
-        }
-        let mut mesh = SimConfig::table1();
-        mesh.fault.transient_ber = 1e-3;
-        assert!(mesh.validate().is_ok());
     }
 
     /// `c` rejected with an error that names `field`.

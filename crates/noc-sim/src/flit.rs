@@ -87,23 +87,15 @@ pub struct Flit {
     pub seq: u32,
     /// Links traversed so far (incremented on every router-to-router hop).
     pub hops: u32,
-    /// Stand-in data word, [`payload_of`] the packet id and `seq`;
-    /// link-level error control protects it with [`crc16`].
-    pub payload: u64,
-    /// CRC-16/CCITT over `payload`, checked by the oracle's CRC checker.
-    pub crc: u16,
     pub info: PacketInfo,
 }
 
 /// What the kernel keeps of a flit in a VC's ring, on a link and in the
 /// ejection register: the handle of its packet's descriptor in the
 /// [`PacketTable`] and the fields that differ between the flits of one
-/// packet — 8 bytes a flit instead of an 88-byte [`Flit`]. Each flit keeps
+/// packet — 8 bytes a flit instead of an 80-byte [`Flit`]. Each flit keeps
 /// its own handle, so the one-packet-per-VC check compares stored values
-/// rather than copies of the VC's. The payload is not stored: it is
-/// [`payload_of`] the packet id and `seq`, and is derived when a `Flit` is
-/// built. The CRC is stored, so a corrupted flit is one whose stored CRC no
-/// longer matches that payload. The hop count is not stored either: every
+/// rather than copies of the VC's. The hop count is not stored: every
 /// flit of a packet at one VC has travelled the same path, so the VC keeps
 /// one count for its packet, and a link or ejection record carries it
 /// beside the flit. The sequence number is a byte: a packet fits its VC
@@ -111,7 +103,6 @@ pub struct Flit {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingFlit {
     pub(crate) packet: PacketRef,
-    pub(crate) crc: u16,
     pub(crate) seq: u8,
     pub(crate) kind: FlitKind,
 }
@@ -121,7 +112,6 @@ impl RingFlit {
     /// below its VC's `len`.
     pub(crate) const EMPTY: Self = Self {
         packet: PacketRef(NonZeroU32::MIN),
-        crc: 0,
         seq: 0,
         kind: FlitKind::Single,
     };
@@ -136,7 +126,6 @@ impl RingFlit {
         );
         Self {
             packet,
-            crc: flit.crc,
             seq: flit.seq as u8,
             kind: flit.kind,
         }
@@ -150,19 +139,15 @@ impl RingFlit {
     }
 
     /// The whole flit again: its packet fields from the descriptor its
-    /// handle names in `packets`, its payload derived, its hop count
-    /// `hops` (the holding VC's or link record's).
+    /// handle names in `packets`, its hop count `hops` (the holding VC's
+    /// or link record's).
     #[inline]
     pub(crate) fn with(self, packets: &PacketTable, hops: u32) -> Flit {
-        let info = *packets.get(self.packet);
-        let seq = u32::from(self.seq);
         Flit {
             kind: self.kind,
-            seq,
+            seq: u32::from(self.seq),
             hops,
-            payload: payload_of(info.id, seq),
-            crc: self.crc,
-            info,
+            info: *packets.get(self.packet),
         }
     }
 }
@@ -183,8 +168,7 @@ impl PacketRef {
 /// freed slots are reused last in, first out, so a steady state keeps
 /// touching the same few. The NI inserts a packet's descriptor when its
 /// head enters the injection VC; the destination NI frees it when it
-/// consumes the tail, and a fault path that takes a packet out of the
-/// network frees it there.
+/// consumes the tail.
 #[derive(Debug, Default)]
 pub struct PacketTable {
     slots: Vec<PacketInfo>,
@@ -194,7 +178,7 @@ pub struct PacketTable {
 /// The emptied buffers of dropped tables, for the next
 /// [`PacketTable::with_capacity`] to reuse.
 ///
-/// A table reserves the fault-free bound but touches only its high-water
+/// A table reserves its bound but touches only its high-water
 /// mark, which is what makes it cheap. That holds for a fresh reservation,
 /// which glibc maps on pages of its own. Freeing one raises glibc's mmap
 /// threshold past its size, though, so later reservations of that size
@@ -305,57 +289,12 @@ impl Drop for PacketTable {
     }
 }
 
-/// One step of CRC-16/CCITT (poly 0x1021) per possible top byte, built at
-/// compile time.
-const CRC16_TABLE: [u16; 256] = {
-    let mut table = [0u16; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = (i as u16) << 8;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 0x8000 != 0 {
-                (crc << 1) ^ 0x1021
-            } else {
-                crc << 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) over the payload's eight
-/// little-endian bytes — the link-level error-detection code. One table
-/// look-up per byte.
-#[inline]
-pub fn crc16(payload: u64) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for byte in payload.to_le_bytes() {
-        crc = (crc << 8) ^ CRC16_TABLE[usize::from((crc >> 8) as u8 ^ byte)];
-    }
-    crc
-}
-
-/// Deterministic stand-in payload for flit `seq` of packet `id` (splitmix-style
-/// mix so corruptions flip a random-looking word, not a constant).
-#[inline]
-pub fn payload_of(id: u64, seq: u32) -> u64 {
-    let mut z = id ^ (u64::from(seq) << 32) ^ 0x9E37_79B9_7F4A_7C15;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl Flit {
     /// Flit `seq` of the packet `info` describes, as the NI writes it into
-    /// the injection VC (zero hops, payload sealed with its CRC).
+    /// the injection VC (zero hops).
     #[inline]
     pub fn nth(info: PacketInfo, seq: u32) -> Flit {
         debug_assert!(seq < info.size);
-        let payload = payload_of(info.id, seq);
         Flit {
             kind: match (seq, info.size) {
                 (_, 1) => FlitKind::Single,
@@ -365,8 +304,6 @@ impl Flit {
             },
             seq,
             hops: 0,
-            payload,
-            crc: crc16(payload),
             info,
         }
     }
@@ -423,52 +360,6 @@ mod tests {
         assert_eq!(f[1].kind, FlitKind::Tail);
     }
 
-    /// The bit-serial definition the table caches.
-    fn crc16_bitwise(payload: u64) -> u16 {
-        let mut crc: u16 = 0xFFFF;
-        for byte in payload.to_le_bytes() {
-            crc ^= u16::from(byte) << 8;
-            for _ in 0..8 {
-                crc = if crc & 0x8000 != 0 {
-                    (crc << 1) ^ 0x1021
-                } else {
-                    crc << 1
-                };
-            }
-        }
-        crc
-    }
-
-    #[test]
-    fn crc16_table_equals_the_bit_loop_on_every_byte_at_every_position() {
-        assert_eq!(crc16(0), crc16_bitwise(0));
-        for pos in 0..8 {
-            for byte in 0..=255u64 {
-                let payload = byte << (8 * pos);
-                assert_eq!(crc16(payload), crc16_bitwise(payload), "{payload:#x}");
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10_000))]
-        #[test]
-        fn crc16_table_equals_the_bit_loop(payload in 0u64..=u64::MAX) {
-            proptest::prop_assert_eq!(crc16(payload), crc16_bitwise(payload));
-        }
-    }
-
-    #[test]
-    fn crc16_detects_single_bit_flips() {
-        // Any single-bit payload flip must change the CRC (CRC-16 has
-        // Hamming distance >= 4 at this length).
-        for base in [0u64, 0xDEAD_BEEF_CAFE_F00D] {
-            for bit in 0..64 {
-                assert_ne!(crc16(base), crc16(base ^ (1u64 << bit)), "bit {bit}");
-            }
-        }
-    }
-
     /// Freed slots are reused last in, first out, and the audit names a
     /// leaked descriptor, a held handle to a freed slot and a double free.
     #[test]
@@ -494,13 +385,5 @@ mod tests {
         t.free(b);
         let twice = t.audit(&mut vec![c]).unwrap_err();
         assert!(twice.contains("freed twice"), "{twice}");
-    }
-
-    #[test]
-    fn flits_are_sealed() {
-        for f in Flit::flits_of(info(5)) {
-            assert_eq!(f.crc, crc16(f.payload));
-            assert_eq!(f.payload, payload_of(f.info.id, f.seq));
-        }
     }
 }

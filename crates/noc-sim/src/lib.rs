@@ -45,7 +45,6 @@ pub mod analysis;
 pub mod arbitration;
 pub mod bits;
 pub mod config;
-pub mod fault;
 pub mod flit;
 pub mod ids;
 pub mod network;
@@ -67,13 +66,10 @@ pub mod prelude {
     };
     pub use crate::arbitration::{AgeBased, ArbReq, ArbStage, PriorityPolicy, RoundRobin, StcRank};
     pub use crate::config::SimConfig;
-    pub use crate::fault::{
-        DegradedMode, DegradedTable, Fault, FaultEvent, FaultTimeline, ScheduledFault,
-    };
     pub use crate::flit::{Flit, FlitKind, PacketInfo, ReplySpec, RingFlit};
     pub use crate::ids::{AppId, Coord, MsgClass, NodeId, Port, APP_NONE};
     pub use crate::network::Network;
-    pub use crate::oracle::{OracleConfig, OracleViolation};
+    pub use crate::oracle::{Fault, OracleConfig, OracleViolation};
     pub use crate::region::RegionMap;
     pub use crate::routing::{
         DbarAdaptive, DuatoLocalAdaptive, NextHops, RoutingAlgorithm, XyRouting,

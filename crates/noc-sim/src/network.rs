@@ -51,7 +51,7 @@
 //! A steady-state tick allocates nothing: arbitration request sets live on
 //! the stack, the link, credit and ejection registers are drained in place,
 //! all router state is preallocated and the packet table reserves its
-//! fault-free bound (`tests/alloc_free_tick.rs`, and the
+//! bound (`tests/alloc_free_tick.rs`, and the
 //! `alloc-in-hot-path` lint over the six phase bodies).
 //!
 //! [`TrafficSource::next_poll`]: crate::source::TrafficSource::next_poll
@@ -59,17 +59,13 @@
 use crate::arbitration::{arbitrate_rr, arbitrate_rr_at, ArbReq, ArbStage, PriorityPolicy};
 use crate::bits::{low_bits, set_bits};
 use crate::config::SimConfig;
-use crate::fault::{
-    DegradedMode, DegradedTable, Fault, FaultEvent, FaultState, MAX_SOURCE_RETRIES,
-    RETRANSMIT_LATENCY, RETRY_BACKOFF_BASE, STRANDED_SCAN_INTERVAL,
-};
 use crate::flit::{FlitKind, PacketInfo, PacketTable, RingFlit};
 use crate::ids::{
-    opposite, vc_index, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL,
-    PORT_NORTH, PORT_SOUTH, PORT_WEST,
+    opposite, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH,
+    PORT_SOUTH, PORT_WEST,
 };
 use crate::node::Node;
-use crate::oracle::{Checker, Oracle};
+use crate::oracle::{Checker, Fault, Oracle};
 use crate::region::RegionMap;
 use crate::router::Router;
 use crate::routing::{RoutingAlgorithm, SelectCtx};
@@ -77,21 +73,18 @@ use crate::source::TrafficSource;
 use crate::stats::SimStats;
 use crate::topology::{has_link, minimal_hop, neighbor_router};
 use crate::vc::{byte, Adaptive, VcClass, VcState, VcTag};
-use crate::verify::MAX_RECORDED_VIOLATIONS;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 mod reference;
 
 /// A flit in flight on a link, delivered into input VC `slot` of router
-/// `dst_router` at cycle `arrive` (the next cycle, except under link-level
-/// retransmission delay — see `sa_phase`): its record and the links its
-/// packet will have traversed on arrival, 24 bytes. A head's count becomes
-/// its VC's; a later flit's must equal it.
+/// `dst_router` at the next cycle: its record and the links its packet will
+/// have traversed on arrival, 16 bytes. A head's count becomes its VC's; a
+/// later flit's must equal it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
     pub(crate) flit: RingFlit,
-    pub(crate) arrive: u64,
     pub(crate) hops: u32,
     pub(crate) dst_router: NodeId,
     pub(crate) slot: u8,
@@ -197,12 +190,6 @@ pub struct Network {
     /// Fault injection (differential harness): routers whose switch
     /// allocator is frozen. `None` in any un-mutated network.
     fault_frozen: Option<Box<[bool]>>,
-    /// Runtime fault-resilience state (link ARQ draw, dead topology,
-    /// degraded routing, drop ledger). `None` ⇔ the configured
-    /// [`FaultTimeline`](crate::fault::FaultTimeline) is empty, and then
-    /// every fault mechanism is off-path (digests match the fault-free
-    /// build).
-    fault: Option<Box<FaultState>>,
     /// Active-set bitmask: bit `i` set ⇔ router `i` has at least one
     /// occupied input VC. Maintained at the occupancy transition points
     /// (head arrival/injection, tail departure). SA, VA and RC walk its set
@@ -214,8 +201,8 @@ pub struct Network {
     dirty_mask: Vec<u64>,
     /// NI active set, the injection-side twin of `active_mask`: bit `i` set
     /// ⇐ node `i`'s NI holds work ([`Node::has_work`]). Set where work enters
-    /// an NI (packet enqueued, reply scheduled, retry scheduled), cleared by
-    /// the injection phase — which walks it — once idle.
+    /// an NI (packet enqueued, reply scheduled), cleared by the injection
+    /// phase — which walks it — once idle.
     ni_mask: Vec<u64>,
     /// The source's arrival promise ([`TrafficSource::next_poll`]): the
     /// injection phase asks for node `i`'s packet only at cycle
@@ -308,16 +295,14 @@ impl Network {
         // Every router starts dirty so the first state update always runs.
         let dirty_mask = (0..n.div_ceil(64)).map(|w| full_word(w, n)).collect();
         let policy_idempotent = policy.update_is_idempotent();
-        let fault = (!cfg.fault.is_empty()).then(|| Box::new(FaultState::new(&cfg, num_apps)));
         // Sized for a cycle's maximum (one flit per output port, one
         // credit per input port, one ejection per router) so draining them
         // in place never reallocates.
         let in_flight = Vec::with_capacity(n * (NUM_PORTS - 1));
         let eject_q = Vec::with_capacity(n);
         // A live packet holds an input VC or has a flit on a link or in
-        // the ejection register, so without faults (whose retransmission
-        // delays can keep more flits on a link) the table never outgrows
-        // this; slots past the high-water mark are reserved, never touched.
+        // the ejection register, so the table never outgrows this; slots
+        // past the high-water mark are reserved, never touched.
         let packets = PacketTable::with_capacity(
             n * NUM_PORTS * cfg.vcs_per_port() + in_flight.capacity() + eject_q.capacity(),
         );
@@ -339,7 +324,6 @@ impl Network {
             stats,
             oracle,
             fault_frozen: None,
-            fault,
             active_mask: vec![0; n.div_ceil(64)],
             dirty_mask,
             ni_mask: vec![0; cfg.num_nodes().div_ceil(64)],
@@ -388,9 +372,6 @@ impl Network {
 
     /// Advance one cycle.
     pub fn tick(&mut self) {
-        if self.fault.is_some() {
-            self.process_fault_events();
-        }
         self.deliver_phase();
         #[cfg(debug_assertions)]
         self.debug_verify_active_set();
@@ -403,182 +384,6 @@ impl Network {
             self.flush_oracle(false);
         }
         self.cycle += 1;
-    }
-
-    // ------------------------------------------------- fault resilience
-
-    /// Apply permanent faults due this cycle (reconfiguring the routing and
-    /// re-verifying it) and periodically sweep for stranded packets. Only
-    /// called when `fault` is `Some`.
-    fn process_fault_events(&mut self) {
-        let due = match self.fault.as_deref_mut() {
-            Some(fs) => fs.take_due_events(self.cycle),
-            None => return,
-        };
-        if !due.is_empty() {
-            if let Some(fs) = self.fault.as_deref_mut() {
-                for &ev in &due {
-                    fs.apply_event(&self.cfg, ev);
-                }
-            }
-            self.reconfigure();
-            for ev in due {
-                if let FaultEvent::RouterDown { router } = ev {
-                    self.kill_node(router as usize);
-                }
-            }
-        }
-        let has_dead = self.fault.as_deref().is_some_and(FaultState::has_dead);
-        if has_dead && self.cycle.is_multiple_of(STRANDED_SCAN_INTERVAL) {
-            self.sweep_stranded();
-        }
-    }
-
-    /// Rebuild and statically re-verify the degraded routing table after
-    /// the dead sets changed, reset every `Routed` (not yet `Active`) VC so
-    /// RC re-routes with the new table, and notify the oracle's checkers.
-    fn reconfigure(&mut self) {
-        self.stats.reconfigurations += 1;
-        let fs = self
-            .fault
-            .as_deref_mut()
-            .expect("reconfigure requires fault state");
-        let (table, report) = DegradedTable::rebuild(
-            &self.cfg,
-            &self.region,
-            self.routing.as_ref(),
-            &fs.dead_links,
-            &fs.dead_routers,
-        );
-        fs.table = Some(table);
-        if !report.ok() {
-            // Even Strict failed (the surviving topology is partitioned in a
-            // way no table fixes) — surface the witnesses, don't abort: the
-            // unroutable pairs are parked and dropped with accounting.
-            self.stats.verify_violation_count += report.violation_count;
-            for v in report.violations {
-                if self.stats.verify_violations.len() < MAX_RECORDED_VIOLATIONS {
-                    self.stats.verify_violations.push(v);
-                }
-            }
-        }
-        let slots = NUM_PORTS * self.cfg.vcs_per_port();
-        for r in &mut self.routers {
-            for slot in 0..slots {
-                if matches!(r.ivc(slot).state(), VcState::Routed { .. }) {
-                    r.set_vc_state(slot, VcState::Idle);
-                }
-            }
-        }
-        if let Some(mut o) = self.oracle.take() {
-            o.notify(|c, _| c.on_reconfigure(self));
-            self.oracle = Some(o);
-        }
-    }
-
-    /// A router died: drop its NI's queued work with accounting. The
-    /// in-progress injection (if any) is allowed to finish streaming so the
-    /// packet becomes fully resident and the stranded sweep extracts it
-    /// with coherent credit/flit accounting.
-    fn kill_node(&mut self, idx: usize) {
-        let dropped = self.nodes[idx].drop_backlog();
-        self.stats.packets_dropped += dropped as u64;
-    }
-
-    /// Extract fully-resident parked packets that can no longer be routed
-    /// (their VC state is not `Active`, the head is at the front and the
-    /// tail at the back). The buffer is cleared, per-flit credits are
-    /// returned upstream, the flits enter the drop ledger, the descriptor
-    /// leaves the packet table, and the packet is either re-queued at its
-    /// source NI (bounded retries, exponential backoff) or dropped for good.
-    fn sweep_stranded(&mut self) {
-        let Some(fs) = self.fault.take() else { return };
-        let mut fs = fs;
-        let table = fs.table.as_ref();
-        let v = self.cfg.vcs_per_port();
-        let mut extracted: Vec<(usize, usize)> = Vec::new();
-        for (r_idx, r) in self.routers.iter().enumerate() {
-            for slot in 0..NUM_PORTS * v {
-                let ivc = r.ivc(slot);
-                if matches!(ivc.state(), VcState::Active { .. }) {
-                    continue;
-                }
-                let (Some(front), Some(back)) = (ivc.front(&self.packets), ivc.back(&self.packets))
-                else {
-                    continue;
-                };
-                if !front.kind.is_head() || !back.kind.is_tail() {
-                    continue; // not fully resident yet
-                }
-                let routable = !fs.dead_routers.contains(&r_idx)
-                    && table.is_none_or(|t| t.routable(r_idx, front.info.dst as usize));
-                if !routable {
-                    extracted.push((r_idx, slot));
-                }
-            }
-        }
-        for (r_idx, slot) in extracted {
-            let r = &mut self.routers[r_idx];
-            let ivc = r.ivc(slot);
-            let packet = ivc.packet_ref().expect("checked above");
-            let info = *self.packets.get(packet);
-            let flits = ivc.len();
-            // Fully resident: no flit of the packet is anywhere else.
-            self.packets.free(packet);
-            r.note_vc_freed(slot);
-            Self::mark_active(&mut self.dirty_mask, r_idx);
-            if r.occ_bits == 0 {
-                Self::mark_inactive(&mut self.active_mask, r_idx);
-            }
-            let port = r.port_vc(slot).0;
-            if let Some((up, up_port)) = Self::link(&self.links, r_idx, port) {
-                for _ in 0..flits {
-                    self.credit_q.push((up, across(slot, port, up_port, v)));
-                }
-            }
-            if let Some(o) = self.oracle.as_deref_mut() {
-                o.occupancy(r, slot, false, self.cycle);
-            }
-            fs.note_dropped_flits(info.app as usize, flits as u64);
-            let attempts = fs.bump_retry(info.id);
-            let retry_ok = attempts <= MAX_SOURCE_RETRIES
-                && !fs.dead_routers.contains(&(info.src as usize))
-                && fs
-                    .table
-                    .as_ref()
-                    .is_none_or(|t| t.routable(info.src as usize, info.dst as usize));
-            if retry_ok {
-                self.stats.packets_retried += 1;
-                let ready = self.cycle + (RETRY_BACKOFF_BASE << (attempts - 1));
-                self.nodes[info.src as usize].schedule_retry(ready, info);
-                Self::mark_active(&mut self.ni_mask, info.src as usize);
-            } else {
-                self.stats.packets_dropped += 1;
-            }
-        }
-        self.fault = Some(fs);
-    }
-
-    /// Flits of `app` recorded in the drop ledger (0 without fault state) —
-    /// the conservation checkers' balance term.
-    pub(crate) fn dropped_flits_of(&self, app: usize) -> u64 {
-        self.fault
-            .as_deref()
-            .map_or(0, |f| f.dropped_flits.get(app).copied().unwrap_or(0))
-    }
-
-    /// Total flits in the drop ledger (0 without fault state).
-    pub(crate) fn dropped_flits_total(&self) -> u64 {
-        self.fault.as_deref().map_or(0, |f| f.dropped_flits_total)
-    }
-
-    /// The degraded routing mode in force, if a permanent fault has been
-    /// applied (`None` = pristine topology or no fault timeline).
-    pub fn degraded_mode(&self) -> Option<DegradedMode> {
-        self.fault
-            .as_deref()
-            .and_then(|f| f.table.as_ref())
-            .map(DegradedTable::mode)
     }
 
     /// Run the oracle's end-of-cycle checks (interval-gated unless
@@ -673,8 +478,8 @@ impl Network {
                 r.take_credit(slot);
                 true
             }
-            // Spurious replay-buffer fire: the upstream link sends a copy of
-            // the newest buffered body flit, *paying a real credit* for it.
+            // Spurious resend: the upstream link sends a copy of the
+            // newest buffered body flit, *paying a real credit* for it.
             // Credit conservation therefore stays clean while the repeated
             // sequence number (wormhole contiguity) and the phantom flit
             // (flit conservation) must be caught. Restricted to body flits
@@ -704,7 +509,6 @@ impl Network {
                 self.routers[up].take_credit(up_slot);
                 self.in_flight.push(InFlight {
                     flit,
-                    arrive: self.cycle + 1,
                     hops,
                     dst_router: router as NodeId,
                     slot: byte(slot),
@@ -758,7 +562,6 @@ impl Network {
                 r.take_credit(r.slot(out, vc));
                 self.in_flight.push(InFlight {
                     flit,
-                    arrive: self.cycle + 1,
                     hops: hops + 1,
                     dst_router: nb as NodeId,
                     slot: byte(nb_slot),
@@ -766,17 +569,6 @@ impl Network {
                 if let Some(o) = self.oracle.as_deref_mut() {
                     o.occupancy(r, slot, false, self.cycle);
                 }
-                true
-            }
-            // Flip a bit of the stored CRC, so the flit's payload no longer
-            // matches it: data corruption that escaped the link-level error
-            // control. Caught by the CRC-integrity scan.
-            Fault::CorruptFlit { router, port, vc } => {
-                let r = &mut self.routers[router];
-                let Some(f) = r.front_flit_mut(r.slot(port, vc)) else {
-                    return false;
-                };
-                f.crc ^= 1;
                 true
             }
             // Add one to the hop count of a body or tail flit on the link
@@ -834,9 +626,7 @@ impl Network {
     /// match what a slow scan finds, every NI holding work must be in the
     /// NI active set and no node's arrival promise may precede its word's
     /// `poll_min`, so skipping a router, a VC, an NI or a source poll can
-    /// never change a candidate set. (The NI set may briefly hold an NI whose
-    /// router just died with nothing mid-injection; the end-of-cycle oracle
-    /// scan checks it exactly.)
+    /// never change a candidate set.
     #[cfg(debug_assertions)]
     fn debug_verify_active_set(&self) {
         for (i, n) in self.nodes.iter().enumerate() {
@@ -866,7 +656,6 @@ impl Network {
             in_flight,
             credit_q,
             oracle,
-            fault,
             active_mask,
             dirty_mask,
             cycle,
@@ -878,19 +667,8 @@ impl Network {
             routers[r].return_credit(slot);
         }
         credit_q.clear();
-        let delayed_possible = fault.is_some();
-        // Drain the link registers in place, compacting the (fault-only)
-        // still-delayed flits to the front.
-        let mut kept = 0;
-        for i in 0..in_flight.len() {
-            if delayed_possible && in_flight[i].arrive > cycle {
-                // Still in the link-level retransmission loop: the flit
-                // (and its credit) stay accounted as in flight.
-                in_flight.swap(kept, i);
-                kept += 1;
-                continue;
-            }
-            let a = &in_flight[i];
+        // Drain the link registers in place.
+        for a in in_flight.iter() {
             let (r_idx, slot) = a.dst();
             let router = &mut routers[r_idx];
             let ivc = router.ivc(slot);
@@ -913,7 +691,7 @@ impl Network {
                 }
             }
         }
-        in_flight.truncate(kept);
+        in_flight.clear();
         for i in 0..self.eject_q.len() {
             let (flit, hops) = self.eject_q[i];
             self.consume_ejected(flit, hops);
@@ -985,7 +763,6 @@ impl Network {
             cycle,
             oracle,
             fault_frozen,
-            fault,
             active_mask,
             dirty_mask,
             ..
@@ -1099,36 +876,11 @@ impl Network {
                     }
                     if let Some((nb, nb_port)) = down {
                         r.take_credit(out_slot);
-                        let nb_slot = across(out_slot, out_port, nb_port, v);
-                        let mut arrive = cycle + 1;
-                        if let Some(fs) = fault.as_deref_mut() {
-                            if fs.corrupts() {
-                                // Link-level ARQ, resolved at send time: the
-                                // deterministic draw says how many CRC-failed
-                                // attempts precede the clean one; each
-                                // failure costs one nack/replay round trip.
-                                // The flit stays in `in_flight` (its credit
-                                // held) for the whole exchange, and a
-                                // per-slot FIFO floor keeps retransmitted
-                                // flits from being overtaken within their
-                                // link slot.
-                                let (id, seq) = (packets.get(flit.packet).id, u32::from(flit.seq));
-                                let k = fs.send_attempts(id, seq, r_idx, out_port);
-                                if k > 1 {
-                                    stats.flits_retransmitted += u64::from(k - 1);
-                                    arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
-                                }
-                                let at = vc_index(nb, NUM_PORTS * v, nb_slot);
-                                arrive = arrive.max(fs.last_arrival[at] + 1);
-                                fs.last_arrival[at] = arrive;
-                            }
-                        }
                         in_flight.push(InFlight {
                             flit,
-                            arrive,
                             hops: hops + 1,
                             dst_router: nb as NodeId,
-                            slot: byte(nb_slot),
+                            slot: byte(across(out_slot, out_port, nb_port, v)),
                         });
                     } else {
                         eject_q.push((flit, hops));
@@ -1347,13 +1099,8 @@ impl Network {
             node_coord,
             stats,
             active_mask,
-            fault,
             ..
         } = self;
-        // After a permanent fault, route from the verified degraded table;
-        // heads with no surviving path stay Idle (parked) until the
-        // stranded sweep extracts them.
-        let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
         stats.router_cycles_skipped += unset(active_mask, routers.len());
         for (w, &word) in active_mask.iter().enumerate() {
             for b in set_bits(word) {
@@ -1379,19 +1126,7 @@ impl Network {
                     let dst_node = packet.dst;
                     let dst = node_coord[dst_node as usize];
                     let routed = if dst == cur {
-                        if degraded.is_some_and(|t| !t.routable(r_idx, dst_node as usize)) {
-                            continue; // parked (dead router)
-                        }
                         VcState::routed([Some(PORT_LOCAL), None], PORT_LOCAL, 0)
-                    } else if let Some(t) = degraded {
-                        let (s, d) = (r_idx, dst_node as usize);
-                        if !t.routable(s, d) {
-                            continue; // parked (dead router / severed pair)
-                        }
-                        let Some(escape) = t.esc_at(s, d) else {
-                            continue;
-                        };
-                        VcState::routed(t.adap_at(s, d), escape, 0)
                     } else {
                         // The kernel legalizes exactly what the static
                         // verifier enumerated: the algorithm's next_hops.
@@ -1409,7 +1144,7 @@ impl Network {
     /// Injection, in ascending node-id order (packet-id assignment depends
     /// on it) over the nodes with something to do: a node whose arrival
     /// promise is due is asked for its packet and its next promise; an NI of
-    /// the NI active set releases its ready replies and retries and streams
+    /// the NI active set releases its ready replies and streams
     /// one flit into its router's local input port.
     fn inject_phase(&mut self) {
         let Network {
@@ -1427,12 +1162,10 @@ impl Network {
             ni_mask,
             next_poll,
             poll_min,
-            fault,
             rngs,
             ..
         } = self;
         let cycle = *cycle;
-        let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
         let c = cfg.concentration();
         debug_assert_eq!(nodes.len(), routers.len() * c);
         for (word, polls) in next_poll.chunks_mut(64).enumerate() {
@@ -1447,7 +1180,6 @@ impl Network {
                 let (id, node, rng) = (i as NodeId, &mut nodes[i], &mut rngs[i]);
                 if ni_mask[word] & bit != 0 {
                     node.release_replies(cycle);
-                    node.release_retries(cycle);
                 }
                 let mut np = None;
                 if due & bit != 0 {
@@ -1479,27 +1211,19 @@ impl Network {
                         "packet outside the config: {np:?}"
                     );
                     stats.generated[np.app as usize] += 1;
-                    if degraded.is_some_and(|t| !t.routable(i, np.dst as usize)) {
-                        // The destination (or this NI's own router) is
-                        // unreachable on the degraded topology: count the
-                        // generation but drop at the source — never injected,
-                        // so the flit ledger is untouched.
-                        stats.packets_dropped += 1;
-                    } else {
-                        node.enqueue(PacketInfo {
-                            id: *next_pkt_id,
-                            src: id,
-                            dst: np.dst,
-                            app: np.app,
-                            class: np.class,
-                            size: np.size,
-                            birth: cycle,
-                            inject: 0,
-                            reply: np.reply,
-                        });
-                        ni_mask[word] |= bit;
-                        *next_pkt_id += 1;
-                    }
+                    node.enqueue(PacketInfo {
+                        id: *next_pkt_id,
+                        src: id,
+                        dst: np.dst,
+                        app: np.app,
+                        class: np.class,
+                        size: np.size,
+                        birth: cycle,
+                        inject: 0,
+                        reply: np.reply,
+                    });
+                    ni_mask[word] |= bit;
+                    *next_pkt_id += 1;
                 }
                 if ni_mask[word] & bit == 0 {
                     continue;
@@ -1763,7 +1487,7 @@ mod tests {
     }
 
     /// A flit off the router buffers is its 8-byte record plus its
-    /// packet's hop count: 24 bytes on a link, 12 in the ejection register.
+    /// packet's hop count: 16 bytes on a link, 12 in the ejection register.
     /// Pinned so that a wider field cannot regrow the registers, which are
     /// sized for a cycle's maximum at construction.
     #[test]
@@ -1772,7 +1496,7 @@ mod tests {
         use std::mem::size_of;
         assert_eq!(size_of::<RingFlit>(), 8);
         assert_eq!(size_of::<Option<PacketRef>>(), 4);
-        assert_eq!(size_of::<InFlight>(), 24);
+        assert_eq!(size_of::<InFlight>(), 16);
         assert_eq!(size_of::<(RingFlit, u32)>(), 12);
     }
 

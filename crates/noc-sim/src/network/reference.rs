@@ -11,10 +11,10 @@
 //! asking the source for a promise and updates every router every cycle.
 //!
 //! **Shared with production** — only what is not mask-driven: the
-//! `Router`/`Node`/`FaultState` containers and their write methods (which
-//! keep the routers' bitmaps coherent, so the oracle's bookkeeping recount
-//! checks them on this side too), the packet table, the LT/BW phase, fault
-//! events and the stranded sweep, the oracle hooks and flush, the NI's
+//! `Router`/`Node` containers and their write methods (which keep the
+//! routers' bitmaps coherent, so the oracle's bookkeeping recount checks
+//! them on this side too), the packet table, the LT/BW phase, the oracle
+//! hooks and flush, the NI's
 //! release/inject methods, [`arbitrate_rr`] and [`arbitrate_rr_at`],
 //! [`arb_req`] and the policy/routing traits.
 //!
@@ -31,9 +31,8 @@
 use super::{arb_req, InFlight, Network};
 use crate::arbitration::{arbitrate_rr, arbitrate_rr_at, ArbReq, ArbStage, PriorityPolicy};
 use crate::config::SimConfig;
-use crate::fault::RETRANSMIT_LATENCY;
 use crate::flit::{PacketInfo, PacketTable};
-use crate::ids::{opposite, vc_index, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_LOCAL};
+use crate::ids::{opposite, Coord, MsgClass, NodeId, Port, NUM_PORTS, PORT_LOCAL};
 use crate::region::RegionMap;
 use crate::router::Router;
 use crate::routing::{RoutingAlgorithm, SelectCtx};
@@ -70,9 +69,6 @@ fn priority_of(
 impl Network {
     /// Advance one cycle on the reference kernel (see the module docs).
     pub fn tick_reference(&mut self) {
-        if self.fault.is_some() {
-            self.process_fault_events();
-        }
         self.deliver_phase();
         self.reference_sa();
         self.reference_va();
@@ -108,7 +104,6 @@ impl Network {
             cycle,
             oracle,
             fault_frozen,
-            fault,
             ..
         } = self;
         let cycle = *cycle;
@@ -170,21 +165,8 @@ impl Network {
                     // The downstream input VC: the same VC index, at the
                     // port the link enters.
                     let nb_slot = r.slot(nb_port, r.port_vc(out_slot).1);
-                    let mut arrive = cycle + 1;
-                    if let Some(fs) = fault.as_deref_mut().filter(|fs| fs.corrupts()) {
-                        // Link-level ARQ, resolved at send time (see the
-                        // production SA phase).
-                        let id = packets.get(flit.packet).id;
-                        let k = fs.send_attempts(id, u32::from(flit.seq), r_idx, out_port);
-                        stats.flits_retransmitted += u64::from(k - 1);
-                        arrive += u64::from(k - 1) * RETRANSMIT_LATENCY;
-                        let at = vc_index(nb, NUM_PORTS * v, nb_slot);
-                        arrive = arrive.max(fs.last_arrival[at] + 1);
-                        fs.last_arrival[at] = arrive;
-                    }
                     in_flight.push(InFlight {
                         flit,
-                        arrive,
                         hops: hops + 1,
                         dst_router: nb as NodeId,
                         slot: byte(nb_slot),
@@ -286,32 +268,19 @@ impl Network {
             routing,
             routers,
             packets,
-            fault,
             ..
         } = self;
-        let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
         let v = cfg.vcs_per_port();
-        for (r_idx, r) in routers.iter_mut().enumerate() {
+        for r in routers.iter_mut() {
             for slot in 0..NUM_PORTS * v {
                 let ivc = r.ivc(slot);
                 let (VcState::Idle, Some(front)) = (ivc.state(), ivc.front(packets)) else {
                     continue;
                 };
                 assert!(front.kind.is_head(), "idle VC front flit must be a head");
-                let (s, d) = (r_idx, front.info.dst as usize);
                 let dst = cfg.coord_of(front.info.dst);
-                // Heads with no surviving path stay Idle (parked) until the
-                // stranded sweep extracts them.
-                if degraded.is_some_and(|t| !t.routable(s, d)) {
-                    continue;
-                }
                 let routed = if dst == r.coord {
                     VcState::routed([Some(PORT_LOCAL), None], PORT_LOCAL, 0)
-                } else if let Some(t) = degraded {
-                    let Some(escape) = t.esc_at(s, d) else {
-                        continue;
-                    };
-                    VcState::routed(t.adap_at(s, d), escape, 0)
                 } else {
                     let hops = routing.next_hops(cfg, r.coord, dst);
                     VcState::routed(hops.adaptive, hops.escape, hops.escape_lane)
@@ -321,8 +290,8 @@ impl Network {
         }
     }
 
-    /// Injection: every node, in node-id order, releases its ready replies
-    /// and retries, is offered one `generate` — plain per-cycle polling, no
+    /// Injection: every node, in node-id order, releases its ready replies,
+    /// is offered one `generate` — plain per-cycle polling, no
     /// promise asked — and streams one flit into its router.
     fn reference_inject(&mut self) {
         let Network {
@@ -335,17 +304,14 @@ impl Network {
             next_pkt_id,
             cycle,
             oracle,
-            fault,
             rngs,
             ..
         } = self;
         let cycle = *cycle;
-        let degraded = fault.as_deref().and_then(|f| f.table.as_ref());
         let c = cfg.concentration();
         for (i, (node, rng)) in nodes.iter_mut().zip(rngs.iter_mut()).enumerate() {
             let id = i as NodeId;
             node.release_replies(cycle);
-            node.release_retries(cycle);
             if let Some(np) = source.generate(id, cycle, rng) {
                 assert_ne!(np.dst, id, "source generated self-addressed packet");
                 let fits = |size: u32, class: MsgClass| {
@@ -357,24 +323,18 @@ impl Network {
                     "packet outside the config: {np:?}"
                 );
                 stats.generated[np.app as usize] += 1;
-                if degraded.is_some_and(|t| !t.routable(i, np.dst as usize)) {
-                    // Unreachable on the degraded topology: generated, then
-                    // dropped at the source.
-                    stats.packets_dropped += 1;
-                } else {
-                    node.enqueue(PacketInfo {
-                        id: *next_pkt_id,
-                        src: id,
-                        dst: np.dst,
-                        app: np.app,
-                        class: np.class,
-                        size: np.size,
-                        birth: cycle,
-                        inject: 0,
-                        reply: np.reply,
-                    });
-                    *next_pkt_id += 1;
-                }
+                node.enqueue(PacketInfo {
+                    id: *next_pkt_id,
+                    src: id,
+                    dst: np.dst,
+                    app: np.app,
+                    class: np.class,
+                    size: np.size,
+                    birth: cycle,
+                    inject: 0,
+                    reply: np.reply,
+                });
+                *next_pkt_id += 1;
             }
             let router = &mut routers[i / c];
             let Some(ev) = node.try_inject(cfg, router, packets, cycle) else {

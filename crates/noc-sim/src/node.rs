@@ -3,10 +3,10 @@
 //! workloads.
 //!
 //! A fresh NI owns no heap memory: its class queues are an inline array of
-//! empty deques, and they, the reply heap and the retry list grow to their
-//! high-water mark during warm-up. Below saturation a warm NI therefore
-//! never reaches the allocator (`tests/alloc_free_tick.rs`); past it the
-//! source queues grow without bound, which is the saturation signal.
+//! empty deques, and they and the reply heap grow to their high-water mark
+//! during warm-up. Below saturation a warm NI therefore never reaches the
+//! allocator (`tests/alloc_free_tick.rs`); past it the source queues grow
+//! without bound, which is the saturation signal.
 
 use crate::config::{SimConfig, MAX_CLASSES};
 use crate::flit::{PacketInfo, PacketRef, PacketTable, RingFlit};
@@ -66,10 +66,6 @@ pub struct Node {
     class_rr: usize,
     vc_rr: usize,
     replies: BinaryHeap<Reverse<PendingReply>>,
-    /// Packets extracted as stranded, waiting out their retry backoff as
-    /// `(ready_cycle, packet)`. Kept unsorted (retries are rare); released
-    /// in deterministic `(ready, id)` order.
-    retries: Vec<(u64, PacketInfo)>,
 }
 
 impl Node {
@@ -85,7 +81,6 @@ impl Node {
             class_rr: 0,
             vc_rr: 0,
             replies: BinaryHeap::new(),
-            retries: Vec::new(),
         }
     }
 
@@ -147,47 +142,6 @@ impl Node {
         n
     }
 
-    /// Schedule a source-side retry of an extracted stranded packet: the
-    /// packet (same id, original birth) re-enters the source queue at
-    /// `ready` and is injected afresh.
-    pub fn schedule_retry(&mut self, ready: u64, info: PacketInfo) {
-        self.retries.push((ready, info));
-    }
-
-    /// Move backoff-expired retries into the source queues. Returns the
-    /// number released.
-    pub fn release_retries(&mut self, cycle: u64) -> usize {
-        if self.retries.is_empty() {
-            return 0;
-        }
-        self.retries
-            .sort_unstable_by_key(|(ready, p)| (*ready, p.id));
-        let k = self.retries.partition_point(|(ready, _)| *ready <= cycle);
-        for (_, info) in self.retries.drain(..k) {
-            self.src_q[info.class as usize].push_back(info);
-        }
-        k
-    }
-
-    /// Drop every queued packet (source queues, pending replies, pending
-    /// retries) — the NI's router died. Returns the number of packets
-    /// dropped; all were already counted as generated, and none of their
-    /// flits were injected, so only the packet drop counter moves. An
-    /// in-progress injection is deliberately left to finish streaming (the
-    /// stranded sweep extracts it with full accounting).
-    pub fn drop_backlog(&mut self) -> usize {
-        let mut n = 0;
-        for q in &mut self.src_q {
-            n += q.len();
-            q.clear();
-        }
-        n += self.replies.len();
-        self.replies.clear();
-        n += self.retries.len();
-        self.retries.clear();
-        n
-    }
-
     /// Packets waiting in the source queues (saturation/backlog signal).
     pub fn backlog(&self) -> usize {
         self.src_q
@@ -195,7 +149,6 @@ impl Node {
             .map(std::collections::VecDeque::len)
             .sum::<usize>()
             + usize::from(self.inject.is_some())
-            + self.retries.len()
     }
 
     /// Heap bytes the NI's queues own (every other field is inline): 0 when
@@ -205,16 +158,14 @@ impl Node {
         use std::mem::size_of;
         self.src_q.iter().map(VecDeque::capacity).sum::<usize>() * size_of::<PacketInfo>()
             + self.replies.capacity() * size_of::<Reverse<PendingReply>>()
-            + self.retries.capacity() * size_of::<(u64, PacketInfo)>()
     }
 
     /// Does the injection phase have anything to do here, now or later — a
-    /// queued packet, a packet mid-injection, a reply in service or a retry
-    /// backing off? Every such NI is in the network's NI active set.
+    /// queued packet, a packet mid-injection or a reply in service? Every
+    /// such NI is in the network's NI active set.
     pub fn has_work(&self) -> bool {
         self.inject.is_some()
             || !self.replies.is_empty()
-            || !self.retries.is_empty()
             || self.src_q.iter().any(|q| !q.is_empty())
     }
 
@@ -349,12 +300,17 @@ mod tests {
             let mut node = Node::new(&c, 0);
             assert_eq!(node.heap_bytes(), 0, "{num_classes} classes");
             // Queued work grows it, and draining keeps the capacity.
-            node.enqueue(pkt(1, (num_classes - 1) as MsgClass, 1));
-            node.schedule_reply(20, 100, 7, 0, 0, 1);
-            node.schedule_retry(30, pkt(2, 0, 1));
+            let class = (num_classes - 1) as MsgClass;
+            node.enqueue(pkt(1, class, 1));
+            node.schedule_reply(20, 100, 7, 0, class, 1);
             let grown = node.heap_bytes();
             assert!(grown > 0);
-            assert_eq!(node.drop_backlog(), 3);
+            let mut router = Router::new(&c, 0, c.coord_of(0), 0);
+            let mut packets = PacketTable::default();
+            assert!(node.try_inject(&c, &mut router, &mut packets, 0).is_some());
+            assert_eq!(node.release_replies(20), 1);
+            assert!(node.try_inject(&c, &mut router, &mut packets, 20).is_some());
+            assert!(!node.has_work());
             assert_eq!(node.heap_bytes(), grown);
         }
     }
@@ -459,10 +415,10 @@ mod tests {
         assert_eq!(first.birth, 10);
     }
 
-    /// `has_work` sees all four places an NI keeps work — the condition the
+    /// `has_work` sees all three places an NI keeps work — the condition the
     /// network's NI active set is checked against.
     #[test]
-    fn has_work_covers_queue_injection_replies_and_retries() {
+    fn has_work_covers_queue_injection_and_replies() {
         let c = cfg();
         let mut node = Node::new(&c, 0);
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
@@ -475,18 +431,12 @@ mod tests {
         assert!(node.src_q[0].is_empty() && node.has_work(), "mid-injection");
         assert!(node.try_inject(&c, &mut router, &mut packets, 1).is_some());
         assert!(!node.has_work());
-        // A reply in service, and a retry backing off, with empty queues.
+        // A reply in service, with empty queues.
         node.schedule_reply(20, 100, 7, 0, 0, 1);
         assert!(node.has_work() && node.backlog() == 0);
-        node.schedule_retry(30, pkt(2, 0, 1));
-        assert_eq!(node.drop_backlog(), 2);
+        assert_eq!(node.release_replies(20), 1);
+        assert!(node.try_inject(&c, &mut router, &mut packets, 20).is_some());
         assert!(!node.has_work());
-        // A dead router's NI keeps only the packet it is streaming.
-        node.enqueue(pkt(3, 0, 2));
-        node.enqueue(pkt(4, 0, 1));
-        assert!(node.try_inject(&c, &mut router, &mut packets, 2).is_some());
-        assert_eq!(node.drop_backlog(), 1);
-        assert!(node.has_work(), "mid-injection survives drop_backlog");
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! Flit conservation: injected = in-flight + ejected (+ dropped), per
-//! application. Under an active fault timeline the network keeps a drop
-//! ledger (stranded-packet extraction, terminal drops); ledgered flits left
-//! the network legitimately and are added back into the balance. Packet
-//! accounting rides along: the packet table's live descriptors are exactly
-//! the packets the VCs, buffered flits, link records and ejection register
-//! hold.
+//! Flit conservation: injected = in-flight + ejected, per application.
+//! Packet accounting rides along: the packet table's live descriptors are
+//! exactly the packets the VCs, buffered flits, link records and ejection
+//! register hold.
 
 use super::{Checker, OracleViolation};
 use crate::flit::{Flit, PacketRef};
@@ -102,32 +99,27 @@ impl Checker for FlitConservation {
         for (app, &in_net) in self.scratch.iter().enumerate() {
             let injected = self.injected.get(app).copied().unwrap_or(0) as i64;
             let ejected = self.ejected.get(app).copied().unwrap_or(0) as i64;
-            let dropped = net.dropped_flits_of(app) as i64;
-            if injected != ejected + in_net + dropped {
+            if injected != ejected + in_net {
                 out.push(OracleViolation {
                     cycle: net.cycle(),
                     checker: self.name(),
                     router: None,
                     detail: format!(
                         "app {app}: injected {injected} != ejected {ejected} \
-                         + in-network {in_net} + dropped {dropped}"
+                         + in-network {in_net}"
                     ),
                 });
             }
         }
         // Cross-check the kernel's own cumulative counters.
         let total_in_net: i64 = self.scratch.iter().sum();
-        let total_dropped = net.dropped_flits_total() as i64;
-        if net.stats.injected_flits as i64
-            != net.stats.ejected_flits as i64 + total_in_net + total_dropped
-        {
+        if net.stats.injected_flits as i64 != net.stats.ejected_flits as i64 + total_in_net {
             out.push(OracleViolation {
                 cycle: net.cycle(),
                 checker: self.name(),
                 router: None,
                 detail: format!(
-                    "global: injected {} != ejected {} + in-network {total_in_net} \
-                     + dropped {total_dropped}",
+                    "global: injected {} != ejected {} + in-network {total_in_net}",
                     net.stats.injected_flits, net.stats.ejected_flits
                 ),
             });

@@ -23,13 +23,11 @@
 //! With the oracle disabled (`Network.oracle == None`) the per-cycle cost is
 //! a single pointer null-check.
 //!
-//! The [`Fault`](crate::fault::Fault) enum drives the differential harness:
-//! each variant is a seeded protocol mutation applied by
-//! [`Network::inject_fault`](crate::network::Network::inject_fault) that at
+//! The [`Fault`] enum drives the differential harness: each variant is a
+//! seeded protocol mutation applied by [`Network::inject_fault`] that at
 //! least one checker must catch.
 
 mod conservation;
-mod crc;
 mod credit;
 mod deadlock;
 mod policy;
@@ -38,7 +36,6 @@ mod starvation;
 mod wormhole;
 
 pub use conservation::FlitConservation;
-pub use crc::CrcIntegrity;
 pub use credit::CreditConservation;
 pub use deadlock::DeadlockWatch;
 pub use policy::PolicyInvariant;
@@ -68,6 +65,51 @@ pub const DEFAULT_CHECK_INTERVAL: u64 = 16;
 
 /// Default cap on violations kept in `SimStats` (the count is unbounded).
 pub const DEFAULT_MAX_RECORDED: usize = 64;
+
+/// A seeded protocol fault for the differential harness. Applied between
+/// cycles by [`Network::inject_fault`]; each variant must be caught by at
+/// least one checker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Silently lose one credit of output `(port, vc)` at `router` —
+    /// caught by `CreditConservation`.
+    DropCredit {
+        router: usize,
+        port: Port,
+        vc: usize,
+    },
+    /// Duplicate the newest buffered flit of input `(port, vc)` at
+    /// `router`, as if the upstream link had sent it twice. Credit
+    /// accounting is coherent (the upstream output pays for the copy), so
+    /// `CreditConservation` stays clean while `WormholeContiguity`
+    /// (sequence break) and `FlitConservation` (phantom flit) must catch
+    /// it.
+    DuplicateFlit {
+        router: usize,
+        port: Port,
+        vc: usize,
+    },
+    /// Teleport a single-flit packet one non-minimal hop out of input
+    /// `(port, vc)` at `router` (with correct credit accounting, so only
+    /// the route is wrong) — caught by `RoutingLegality`.
+    MisrouteFlit {
+        router: usize,
+        port: Port,
+        vc: usize,
+    },
+    /// Add one to the hop count of a body or tail flit on the link into
+    /// input `(port, vc)` at `router`, whose VC its packet already holds,
+    /// so it disagrees with the count the VC keeps for the packet — caught
+    /// by `WormholeContiguity`.
+    MiscountHops {
+        router: usize,
+        port: Port,
+        vc: usize,
+    },
+    /// Permanently freeze `router`'s switch allocator — caught by
+    /// `DeadlockWatch` once a VC exceeds the stall horizon.
+    FreezeRouter { router: usize },
+}
 
 /// Oracle toggle and tuning knobs, carried in [`SimConfig`].
 ///
@@ -249,12 +291,6 @@ pub trait Checker: Any + Send {
 
     /// Whole-network scan after the state-update phase of a cycle.
     fn end_of_cycle(&mut self, _net: &Network, _out: &mut Vec<OracleViolation>) {}
-
-    /// The routing layer reconfigured around a permanent fault: checkers
-    /// relying on the pristine routing function (minimality, escape
-    /// dimension order) relax or re-derive their expectations here. The
-    /// new degraded table is already installed in `net`.
-    fn on_reconfigure(&mut self, _net: &Network) {}
 }
 
 /// The oracle: a set of checkers plus the violations they raised since the
@@ -278,8 +314,7 @@ impl Oracle {
                 Box::new(FlitConservation::new(num_apps)),
                 Box::new(CreditConservation::default()),
                 Box::new(WormholeContiguity),
-                Box::new(RoutingLegality::default()),
-                Box::new(CrcIntegrity),
+                Box::new(RoutingLegality),
                 Box::new(DeadlockWatch::new(cfg)),
                 Box::new(PolicyInvariant),
             ],

@@ -21,25 +21,12 @@ use crate::topology;
 ///   must be exactly the dimension-order (port, dateline-lane) pair the
 ///   escape sub-network prescribes at the upstream router, or the escape
 ///   network's deadlock-freedom argument collapses.
-///
-/// After a permanent-fault reconfiguration (`on_reconfigure`) both checks
-/// stand down: the degraded routing takes deliberate non-minimal detours
-/// and a lane-shifted escape function, and its safety was just re-proven
-/// statically by the CDG verifier. Packets routed under the pre-fault table
-/// may also still be in flight, so per-hop re-checking against either table
-/// would false-positive.
 #[derive(Debug, Default)]
-pub struct RoutingLegality {
-    degraded: bool,
-}
+pub struct RoutingLegality;
 
 impl Checker for RoutingLegality {
     fn name(&self) -> &'static str {
         "routing-legality"
-    }
-
-    fn on_reconfigure(&mut self, _net: &crate::network::Network) {
-        self.degraded = true;
     }
 
     fn on_arrival(
@@ -52,9 +39,8 @@ impl Checker for RoutingLegality {
         cycle: u64,
         out: &mut Vec<OracleViolation>,
     ) {
-        if in_port == PORT_LOCAL || self.degraded {
-            return; // injections are not link traversals; degraded routing
-                    // is verified statically at reconfiguration instead
+        if in_port == PORT_LOCAL {
+            return; // injections are not link traversals
         }
         let here = cfg.router_coord(router as usize);
         let upstream = topology::step(cfg, here, in_port);

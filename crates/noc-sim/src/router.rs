@@ -200,7 +200,7 @@ impl Router {
 
     /// The [`slot`](crate::ids::slot) of VC `(port, vc)`. This and
     /// [`port_vc`](Self::port_vc) convert where `(port, vc)` is the
-    /// interface (checker hooks, routing, faults, tests).
+    /// interface (checker hooks, routing, the oracle's mutations, tests).
     #[inline]
     pub fn slot(&self, port: Port, vc: usize) -> usize {
         debug_assert!(port < NUM_PORTS && vc < self.vcs());
@@ -265,14 +265,6 @@ impl Router {
         Some((ivc.pop(ring)?, hops))
     }
 
-    /// The front flit's ring record of input VC `slot`, mutably — for the
-    /// differential harness's CRC corruption only.
-    pub(crate) fn front_flit_mut(&mut self, slot: usize) -> Option<&mut RingFlit> {
-        let stripe = self.stripe(slot);
-        let ring = &mut self.slab[stripe];
-        self.inputs[slot].front_mut(ring)
-    }
-
     /// Move input VC `slot` to pipeline state `state` — the only writer of
     /// `routed_bits` / `active_bits`.
     #[inline]
@@ -302,9 +294,8 @@ impl Router {
         }
     }
 
-    /// Record that input VC `slot` transitioned occupied → unoccupied (tail
-    /// departed, or the packet was extracted): back to idle, with no handle
-    /// and an empty ring.
+    /// Record that input VC `slot` transitioned occupied → unoccupied (its
+    /// tail departed): back to idle, with no handle and an empty ring.
     #[inline]
     pub fn note_vc_freed(&mut self, slot: usize) {
         let bit = 1u64 << slot;

@@ -13,7 +13,7 @@
 //!   ([`NextHops::minimal`] for the fully-adaptive algorithms, built on
 //!   [`crate::topology::productive_ports`] and
 //!   [`crate::topology::escape_hop`]). Route computation, the static
-//!   verifier, the admission walk and the fault tables all read it.
+//!   verifier and the admission walk all read it.
 //! * [`RoutingAlgorithm::select`] — the selection function choosing among
 //!   candidate ports; this is where local-adaptive and DBAR differ, and
 //!   where DBAR's region-aware truncation of congestion information lives.

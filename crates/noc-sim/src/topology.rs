@@ -5,9 +5,9 @@
 //! [`productive_ports`], [`escape_hop`], …) taking `&SimConfig` and
 //! dispatching on [`SimConfig::topology`]. They are the only hop
 //! functions: the cycle kernel, the routing algorithms, the invariant
-//! oracle, the static verifier, the admission walk and the fault tables
-//! all route their geometry through them, and a mesh is just the kind
-//! whose links do not wrap.
+//! oracle, the static verifier and the admission walk all route their
+//! geometry through them, and a mesh is just the kind whose links do not
+//! wrap.
 //!
 //! ## Escape routing per topology
 //!
@@ -45,14 +45,6 @@
 //! node, as before). Node `n` maps to router `n / concentration`; all
 //! nodes of a router share the router's coordinate and region
 //! application. Ejection demultiplexes on the packet's destination node.
-//!
-//! ## What stays mesh-only
-//!
-//! The fault/resilience subsystem ([`crate::fault`]) — its detour escape
-//! function is a turn-model argument specific to the mesh, so
-//! [`SimConfig::validate`] rejects non-empty fault timelines on other
-//! topologies rather than shipping an unproven degraded-routing
-//! function.
 
 use crate::config::SimConfig;
 use crate::ids::{Coord, Port, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST};

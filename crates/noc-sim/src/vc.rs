@@ -216,11 +216,6 @@ impl InputVc {
         Some(flit)
     }
 
-    /// The front flit's ring record, mutably.
-    pub(crate) fn front_mut<'a>(&self, ring: &'a mut [RingFlit]) -> Option<&'a mut RingFlit> {
-        (self.len != 0).then(|| &mut ring[usize::from(self.head)])
-    }
-
     /// Back to the freshly constructed state: idle, unheld, empty ring.
     #[inline]
     pub(crate) fn reset(&mut self) {
@@ -459,11 +454,10 @@ mod tests {
         /// number of hops, popped at random points, the cursor left where
         /// the last packet ended (so it laps the stripe) or reset as a
         /// freed VC is. A duplicated body flit (the `DuplicateFlit` shape,
-        /// one flit over the packet size) and a CRC flipped past its
-        /// payload are read back as written. Each flit read through `get` /
-        /// `front` / `back` / `flits`, completed from the packet table and
-        /// the VC's hop count, equals the model's field for field, derived
-        /// payload and hops included, and each `pop` returns the record of
+        /// one flit over the packet size) is read back as written. Each flit
+        /// read through `get` / `front` / `back` / `flits`, completed from
+        /// the packet table and the VC's hop count, equals the model's field
+        /// for field, hops included, and each `pop` returns the record of
         /// the model's flit.
         #[test]
         fn ring_fifo_matches_a_deque_model(depth in 1..=7u32, seed in 0..u64::MAX) {
@@ -481,10 +475,6 @@ mod tests {
                 let packet = hold(&mut vc, &mut packets, pkt, hops);
                 let record = |f: Flit| RingFlit::of(&f, packet);
                 let mut flits: Vec<Flit> = Flit::flits_of(pkt).map(|f| Flit { hops, ..f }).collect();
-                if rng.random_bool(0.3) {
-                    let s = rng.random_range(0..pkt.size) as usize;
-                    flits[s].crc ^= 1;
-                }
                 let body = flits.iter().rposition(|f| f.kind == FlitKind::Body);
                 if let Some(b) = body.filter(|_| rng.random_bool(0.5)) {
                     flits.insert(b + 1, flits[b]);

@@ -29,7 +29,7 @@ use super::{
     MAX_RECORDED_VIOLATIONS,
 };
 use crate::config::SimConfig;
-use crate::ids::{Coord, NodeId, Port};
+use crate::ids::{NodeId, Port};
 use crate::topology;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -141,13 +141,6 @@ fn chan_id(lanes: usize, idx: usize, escape: bool) -> ChannelId {
     }
 }
 
-/// Detour-escape relaxation: any port with a physical link is a legal
-/// *escape* hop (fault detours are deliberately non-minimal); reachability
-/// is then proven by the escape-chain walk instead of the distance DP.
-fn valid_detour_hop(cfg: &SimConfig, cur: Coord, p: Port) -> bool {
-    (1..=4).contains(&p) && topology::has_link(cfg, cur, p)
-}
-
 pub(super) fn run(v: &Verifier<'_>) -> VerifyReport {
     let cfg = v.cfg;
     let n = cfg.num_routers();
@@ -200,12 +193,7 @@ pub(super) fn run(v: &Verifier<'_>) -> VerifyReport {
             }
             if v.use_escape {
                 let e = hops.escape;
-                let e_ok = if v.detour_escape {
-                    valid_detour_hop(cfg, cur, e)
-                } else {
-                    topology::minimal_hop(cfg, cur, d, e)
-                };
-                if !e_ok || hops.escape_lane as usize >= lanes {
+                if !topology::minimal_hop(cfg, cur, d, e) || hops.escape_lane as usize >= lanes {
                     if bad_hops.insert((r, e)) {
                         vio.record(
                             "routing-function",

@@ -23,22 +23,13 @@ pub(super) fn check_dst(
 ) {
     let mut reach = vec![false; cfg.num_routers()];
     reach[dst_idx] = true;
-    // Detour mode: the escape function may be non-minimal, so settle
-    // escape reachability first by resolving each escape chain (functional
-    // graph — memoized walks, cycles and dead ends count as unreachable).
-    let esc_reach = v
-        .detour_escape
-        .then(|| escape_chain_reach(cfg, dst_idx, esc));
     for &r in order {
         if r == dst_idx || !v.pair_usable(r as NodeId, dst_idx as NodeId) {
             continue;
         }
         let cur = cfg.router_coord(r);
         let hop_ok = |p: Port| reach[cfg.router_at(topology::step(cfg, cur, p))];
-        let via_escape = match &esc_reach {
-            Some(er) => er[r],
-            None => esc[r].is_some_and(|(p, _)| hop_ok(p)),
-        };
+        let via_escape = esc[r].is_some_and(|(p, _)| hop_ok(p));
         reach[r] = adap[r].into_iter().flatten().any(hop_ok) || via_escape;
         if !reach[r] {
             vio.record(
@@ -50,42 +41,4 @@ pub(super) fn check_dst(
             );
         }
     }
-}
-
-/// Does each router's escape *chain* (follow the escape port hop by hop)
-/// reach the destination? Each router has at most one escape successor, so
-/// the graph is functional: walk each unresolved chain once, then stamp
-/// the verdict over the whole walked path. A chain that dead-ends
-/// (`None`), leaves the admitted set, or revisits a router (cycle) never
-/// reaches the destination.
-fn escape_chain_reach(cfg: &SimConfig, dst_idx: usize, esc: &[Option<(Port, u8)>]) -> Vec<bool> {
-    let n = cfg.num_routers();
-    // 0 = unknown, 1 = reaches, 2 = does not.
-    let mut state = vec![0u8; n];
-    state[dst_idx] = 1;
-    let mut path = Vec::new();
-    for s in 0..n {
-        if state[s] != 0 {
-            continue;
-        }
-        path.clear();
-        let mut c = s;
-        let verdict = loop {
-            if state[c] != 0 {
-                break state[c];
-            }
-            if path.len() > n {
-                break 2; // revisit ⇒ cycle ⇒ never reaches
-            }
-            path.push(c);
-            match esc[c] {
-                Some((p, _)) => c = cfg.router_at(topology::step(cfg, cfg.router_coord(c), p)),
-                None => break 2,
-            }
-        };
-        for &r in &path {
-            state[r] = verdict;
-        }
-    }
-    state.into_iter().map(|v| v == 1).collect()
 }

@@ -200,7 +200,6 @@ pub struct Verifier<'a> {
     link_ok: Option<Box<dyn Fn(NodeId, Port) -> bool + 'a>>,
     pair_ok: Option<Box<dyn Fn(NodeId, NodeId) -> bool + 'a>>,
     use_escape: bool,
-    detour_escape: bool,
 }
 
 impl<'a> Verifier<'a> {
@@ -211,7 +210,6 @@ impl<'a> Verifier<'a> {
             link_ok: None,
             pair_ok: None,
             use_escape: true,
-            detour_escape: false,
         }
     }
 
@@ -240,16 +238,6 @@ impl<'a> Verifier<'a> {
     /// must then be acyclic.
     pub fn without_escape(mut self) -> Self {
         self.use_escape = false;
-        self
-    }
-
-    /// Allow a *non-minimal* escape function (fault-detour routing): the
-    /// escape port may point away from the destination, so escape
-    /// reachability is established by walking the escape chain (bounded)
-    /// instead of the minimal-hop dynamic program. Adaptive hops must stay
-    /// minimal — the extended-dependency closure relies on it.
-    pub fn with_detour_escape(mut self) -> Self {
-        self.detour_escape = true;
         self
     }
 

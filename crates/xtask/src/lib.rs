@@ -298,12 +298,7 @@ pub const HOT_PATHS: &[HotPath] = &[
     },
     HotPath {
         file: "crates/noc-sim/src/node.rs",
-        functions: &[
-            "release_replies",
-            "release_retries",
-            "try_inject",
-            "pick_vc",
-        ],
+        functions: &["release_replies", "try_inject", "pick_vc"],
         rules: &[&PANIC_RULE, &ALLOC_RULE],
     },
     // The source bodies the injection phase drives, and their draw helpers.
